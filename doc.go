@@ -45,10 +45,25 @@
 //     result bound (WithMaxResults, SLCA) terminates the scan once the
 //     first k answers are provable — see PERFORMANCE.md for the model
 //     and the measured constants.
+//   - a query result is a read-only view of the corpus document, not a
+//     copy of it: its root is the anchor node itself, its document a
+//     zero-copy sub-document over the anchor's preorder run
+//     (xmltree.Document.Subtree), its matches sub-slices of the posting
+//     lists found by binary search on the anchor's interval. Building one
+//     costs the same whatever the size of its subtree; only trimmed results
+//     (WithTrimmedResults) and results that crossed the wire are trees of
+//     their own.
 //   - internal/classify interns element labels to dense ids;
 //     internal/features collects statistics in one walk into id-indexed
 //     slices keyed by packed integers, with collectors reused across
 //     results (core.Generator pools them).
+//
+// Results are therefore shared and immutable. Result.Root returns a node of
+// the corpus document: its Parent may lead out of the result, it must never
+// be mutated, and a Result or Hit a caller holds keeps the corpus generation
+// that answered it reachable, across reloads, until it is dropped. A served
+// document is never mutated after its first query — reloads build new
+// documents for what changed and adopt the rest as it is.
 //
 // # Sharded corpora
 //

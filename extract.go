@@ -880,7 +880,9 @@ func (c *Corpus) Suggest(prefix string, k int) []string {
 	return d.c.Index.CompletePrefix(prefix, k)
 }
 
-// FromDocument analyzes an already-parsed document. d may be nil.
+// FromDocument analyzes an already-parsed document. d may be nil. The
+// corpus serves doc itself — query results are views of its nodes — so the
+// caller must not mutate it afterwards.
 func FromDocument(doc *xmltree.Document, d *dtd.DTD) *Corpus {
 	var copts []core.Option
 	if d != nil {
@@ -1040,6 +1042,10 @@ func WithRanking() SearchOption {
 }
 
 // Result is one query result: a tree rooted at the result's anchor entity.
+// It is a read-only view of the corpus document, shared with the query
+// cache and with every other caller the same answer is replayed to, and it
+// keeps the corpus generation that answered it reachable for as long as it
+// is held — across reloads too.
 type Result struct {
 	r     *search.Result
 	score float64
@@ -1051,7 +1057,12 @@ func (r *Result) Score() float64 { return r.score }
 // Size returns the number of edges of the result tree.
 func (r *Result) Size() int { return r.r.Size() }
 
-// Root returns the result tree root.
+// Root returns the result tree root. The tree is read-only: it is the
+// corpus document's own subtree (a tree of its own only for trimmed results
+// and on a remote corpus), so its nodes must never be mutated, and Root's
+// Parent, Dewey, Ord, Start and End are those of the enclosing document —
+// Parent may lead out of the result. Copy with xmltree.DeepCopy to get a
+// detached tree to edit.
 func (r *Result) Root() *xmltree.Node { return r.r.Root }
 
 // XML serializes the result tree.
@@ -1224,7 +1235,9 @@ func (c *Corpus) SnippetForTree(result *xmltree.Document, query string, bound in
 	return &Snippet{g: g.ForTree(result, query, bound)}
 }
 
-// Hit pairs a search result with its snippet.
+// Hit pairs a search result with its snippet. Both are shared and
+// read-only, and a held Hit pins the corpus generation that produced it
+// (see Result).
 type Hit struct {
 	Result  *Result
 	Snippet *Snippet
@@ -1297,7 +1310,7 @@ func (c *Corpus) XPath(expr string) ([]*Result, error) {
 		if !n.IsElement() {
 			continue
 		}
-		out = append(out, &Result{r: search.FromNode(n)})
+		out = append(out, &Result{r: search.FromNode(xdoc.Doc, n)})
 	}
 	return out, nil
 }

@@ -3,8 +3,11 @@ package extract
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"extract/xmltree"
 )
 
 func TestXPathSelection(t *testing.T) {
@@ -44,6 +47,51 @@ func TestXPathSelection(t *testing.T) {
 	rs, err = c.XPath(`//city/text()`)
 	if err != nil || len(rs) != 0 {
 		t.Errorf("text selection = %d (%v)", len(rs), err)
+	}
+}
+
+// An XPath result is a view of the corpus document, and may be rooted below
+// an entity: here <info> under <part>, holding an attribute of that outer
+// part next to inner parts of the same label and value. The outer entity is
+// not part of the result, so it must not lend the attribute a feature: once
+// "name" pulls info/name into the snippet, an owner climb that left the
+// result would count the result key (part, name, bolt) as shown. The snippet
+// of the view must be the snippet of a detached copy of the same subtree.
+func TestSnippetOfViewBelowEntity(t *testing.T) {
+	c, err := LoadString(`
+<catalog>
+  <part><name>bolt</name>
+    <info><name>bolt</name>
+      <part><name>bolt</name><grade>a</grade></part>
+      <part><name>bolt</name><grade>b</grade></part>
+    </info>
+  </part>
+  <part><name>nut</name><info><name>nut</name></info></part>
+</catalog>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := c.XPath(`//catalog/part/info`)
+	if err != nil || len(rs) != 2 {
+		t.Fatalf("results = %d (%v)", len(rs), err)
+	}
+	view := rs[0]
+	if p := view.Root().Parent; p == nil || p.Label != "part" {
+		t.Fatalf("result root parent = %v, want the outer part", p)
+	}
+	detached := xmltree.NewDocument(xmltree.DeepCopy(view.Root()))
+	for bound := 0; bound <= 6; bound++ {
+		got := c.Snippet(view, "name", bound)
+		want := c.SnippetForTree(detached, "name", bound)
+		if got.XML() != want.XML() {
+			t.Errorf("bound %d: view snippet %s, detached copy %s", bound, got.XML(), want.XML())
+		}
+		if g, w := got.Covered(), want.Covered(); !slices.Equal(g, w) {
+			t.Errorf("bound %d: covered %v, detached copy %v", bound, g, w)
+		}
+		if g, w := got.Skipped(), want.Skipped(); !slices.Equal(g, w) {
+			t.Errorf("bound %d: skipped %v, detached copy %v", bound, g, w)
+		}
 	}
 }
 

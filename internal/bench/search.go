@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -35,6 +33,13 @@ type SearchPerfPoint struct {
 	ELCABeforeNs int64   `json:"elca_before_ns"`
 	ELCAAfterNs  int64   `json:"elca_after_ns"`
 	ELCASpeedup  float64 `json:"elca_speedup"`
+
+	// Result construction for every LCA of the point's query: the frozen
+	// copy-and-refinalize construction (resultsBaseline) against the
+	// engine's views.
+	ResultBeforeNs int64   `json:"result_before_ns"`
+	ResultAfterNs  int64   `json:"result_after_ns"`
+	ResultSpeedup  float64 `json:"result_speedup"`
 
 	CollectBeforeNs int64   `json:"collect_before_ns"`
 	CollectAfterNs  int64   `json:"collect_after_ns"`
@@ -120,7 +125,10 @@ func SearchPerf(sizes []int) *SearchPerfReport {
 		Note: "before = retained baseline implementations (SLCABaseline/ELCABaseline/" +
 			"CollectBaseline + per-snippet index rebuild, as shipped before the " +
 			"flat-array rewrite); after = packed posting lists, linear SLCA, " +
-			"virtual-tree ELCA, interned single-walk collection. snippet_* is the " +
+			"virtual-tree ELCA, interned single-walk collection. result_* builds " +
+			"the results of every LCA of the point's query: before = deep copy + " +
+			"re-finalize + linear match filter per LCA, after = views of the " +
+			"corpus document. snippet_* is the " +
 			"E4 shape (bound 10); query_end_to_end_ns is search + one snippet per " +
 			"result on the same corpus.",
 	}
@@ -148,6 +156,16 @@ func SearchPerf(sizes []int) *SearchPerfReport {
 			p.ELCABeforeNs = timeIt(reps, func() { search.ELCABaseline(lists...) })
 			p.ELCAAfterNs = timeIt(reps, func() { search.ELCAPacked(packed...) })
 			p.ELCASpeedup = speedup(p.ELCABeforeNs, p.ELCAAfterNs)
+
+			// --- Result construction for that query's LCA set.
+			eng := search.NewEngine(doc, ix, nil, search.Options{DistinctAnchors: true})
+			ev, err := eng.Evaluate(p.Keywords)
+			if err != nil {
+				panic(err)
+			}
+			p.ResultBeforeNs = timeIt(reps, func() { resultsBaseline(ev, eng.Classification()) })
+			p.ResultAfterNs = timeIt(reps, func() { eng.Results(ev, ev.LCAs) })
+			p.ResultSpeedup = speedup(p.ResultBeforeNs, p.ResultAfterNs)
 		}
 
 		// --- Collect and full snippet generation on the E4 shape.
@@ -207,19 +225,15 @@ func searchPerfQueries(doc *xmltree.Document, ix *index.Index) [][]string {
 }
 
 // WriteSearchPerf runs the suite and writes BENCH_search.json-style output,
-// preserving any persist and serve points already recorded in the file.
+// preserving the other sections already recorded in the file.
 func WriteSearchPerf(path string, sizes []int) (*SearchPerfReport, error) {
 	r := SearchPerf(sizes)
 	if prev, err := ReadReport(path); err == nil {
 		r.Persist = prev.Persist
 		r.Serve = prev.Serve
+		r.Reload = prev.Reload
 	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := WriteReport(path, r); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -229,14 +243,15 @@ func WriteSearchPerf(path string, sizes []int) (*SearchPerfReport, error) {
 func (r *SearchPerfReport) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## search→snippet hot path (%s)\n\n", r.GoVersion)
-	fmt.Fprintf(&b, "| nodes | slca before/after (ms) | x | elca (ms) | x | collect (ms) | x | snippet (ms) | x | query (ms) |\n")
-	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|---|---|\n")
+	fmt.Fprintf(&b, "| nodes | slca before/after (ms) | x | elca (ms) | x | results (ms) | x | collect (ms) | x | snippet (ms) | x | query (ms) |\n")
+	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|---|---|---|---|\n")
 	ms := func(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e6) }
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "| %d | %s / %s | %.1f | %s / %s | %.1f | %s / %s | %.1f | %s / %s | %.1f | %s |\n",
+		fmt.Fprintf(&b, "| %d | %s / %s | %.1f | %s / %s | %.1f | %s / %s | %.1f | %s / %s | %.1f | %s / %s | %.1f | %s |\n",
 			p.Nodes,
 			ms(p.SLCABeforeNs), ms(p.SLCAAfterNs), p.SLCASpeedup,
 			ms(p.ELCABeforeNs), ms(p.ELCAAfterNs), p.ELCASpeedup,
+			ms(p.ResultBeforeNs), ms(p.ResultAfterNs), p.ResultSpeedup,
 			ms(p.CollectBeforeNs), ms(p.CollectAfterNs), p.CollectSpeedup,
 			ms(p.SnippetBeforeNs), ms(p.SnippetAfterNs), p.SnippetSpeedup,
 			ms(p.QueryNs))

@@ -252,9 +252,20 @@ func (c *Classification) Summary() *schema.Summary { return c.summary }
 // instance, or nil. Attributes and values belong to the entity returned
 // here; this resolves the e of a feature (e, a, v).
 func (c *Classification) EntityOwner(n *xmltree.Node) *xmltree.Node {
+	return c.EntityOwnerWithin(n, nil)
+}
+
+// EntityOwnerWithin is EntityOwner with the climb stopped at root
+// (inclusive): the owner of n inside the tree rooted at root. A query
+// result may be a view rooted below an entity of its source document, and
+// an owner outside the result is not part of it.
+func (c *Classification) EntityOwnerWithin(n, root *xmltree.Node) *xmltree.Node {
 	for m := n; m != nil; m = m.Parent {
 		if c.IsEntity(m) {
 			return m
+		}
+		if m == root {
+			break
 		}
 	}
 	return nil

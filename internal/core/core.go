@@ -170,8 +170,12 @@ func (g *Generator) putCollector(c *features.Collector) { g.collectors.Put(c) }
 // Generated is a snippet with the intermediate artifacts of its derivation,
 // for inspection, metrics and the demo UI.
 type Generated struct {
-	Snippet  *selector.Snippet
-	IList    *ilist.IList
+	Snippet *selector.Snippet
+	IList   *ilist.IList
+	// Stats are the feature statistics the IList and the selection were
+	// derived from. They are sized by the result, not by the snippet;
+	// the serving layer drops them (nil) from the snippets it returns and
+	// caches.
 	Stats    *features.Stats
 	Keywords []string
 	Bound    int

@@ -74,6 +74,21 @@ func TestCollectorMatchesBaseline(t *testing.T) {
 	}
 }
 
+// A result may be a view rooted anywhere in its source document, below
+// entities included. Both collectors see the subtree and nothing above it:
+// an attribute whose nearest entity lies outside the result has no owner.
+func TestCollectorsAgreeOnViews(t *testing.T) {
+	doc := gen.Stores(gen.StoresConfig{Retailers: 2, StoresPerRetailer: 2, ClothesPerStore: 3, Seed: 5})
+	cls := classify.Classify(doc)
+	for _, n := range doc.Nodes() {
+		fast, base := Collect(n, cls), CollectBaseline(n, cls)
+		statsEqual(t, n.String(), fast, base)
+		if cls.IsAttribute(n) && len(base.Features()) != 0 {
+			t.Fatalf("%v: a lone attribute took a feature %v from an entity outside it", n, base.Features())
+		}
+	}
+}
+
 // A reused Collector must produce the same statistics as fresh ones, for
 // every result in a sequence (the generator reuses collectors across the
 // snippet fan-out).

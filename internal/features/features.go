@@ -412,7 +412,7 @@ func CollectBaseline(root *xmltree.Node, cls *classify.Classification) *Stats {
 		if !cls.IsAttribute(m) || !m.HasSingleTextChild() {
 			return true
 		}
-		owner := cls.EntityOwner(m)
+		owner := cls.EntityOwnerWithin(m, root)
 		if owner == nil {
 			return true
 		}

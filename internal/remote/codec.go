@@ -379,13 +379,14 @@ const (
 	nodeFromAttr
 )
 
-// appendResult encodes one result losslessly: the materialized tree in
-// preorder (labels, values, attribute origin, child counts), the LCA's
-// position within it, and the per-keyword match positions. Positions are
-// preorder ordinals in the result's own finalized document, so the decoder
-// rebuilds an identical tree and re-resolves them — Anchor becomes the
-// rebuilt root and Matches point into the rebuilt tree, preserving the
-// relative depths the ranking scorer reads.
+// appendResult encodes one result losslessly: the result tree in preorder
+// (labels, values, attribute origin, child counts), the LCA's position
+// within it, and the per-keyword match positions. Positions are preorder
+// ordinals relative to the result root, so the decoder rebuilds an identical
+// tree, finalizes it and re-resolves them — Anchor becomes the rebuilt root
+// and Matches point into the rebuilt tree, preserving the relative depths
+// the ranking scorer reads. A view is encoded straight from the source
+// document's nodes, nothing copied.
 func appendResult(b []byte, r *search.Result) []byte {
 	nodes := r.Doc.Nodes()
 	b = binary.AppendUvarint(b, uint64(len(nodes)))
@@ -404,16 +405,28 @@ func appendResult(b []byte, r *search.Result) []byte {
 		b = binary.AppendUvarint(b, uint64(len(n.Children)))
 	}
 
-	// Positions of the LCA and the matches are source-document nodes;
-	// find their copies through the projection's Origin pointers.
-	originOrd := make(map[*xmltree.Node]int, len(nodes))
-	for _, n := range nodes {
-		if n.Origin != nil {
-			originOrd[n.Origin] = n.Ord
+	// The LCA and the matches are source-document nodes. Inside a view
+	// they are the result's own nodes, at their distance from the root in
+	// the source preorder; a projection is a new tree, and a source node
+	// is found (when it was kept) through the copies' Origin pointers.
+	var originOrd map[*xmltree.Node]int
+	if !r.IsView() {
+		originOrd = make(map[*xmltree.Node]int, len(nodes))
+		for _, n := range nodes {
+			if n.Origin != nil {
+				originOrd[n.Origin] = n.Ord
+			}
 		}
 	}
+	pos := func(n *xmltree.Node) (int, bool) {
+		if originOrd == nil {
+			return n.Ord - r.Root.Ord, true
+		}
+		ord, ok := originOrd[n]
+		return ord, ok
+	}
 	lca := uint64(0)
-	if ord, ok := originOrd[r.LCA]; ok {
+	if ord, ok := pos(r.LCA); ok {
 		lca = uint64(ord) + 1
 	}
 	b = binary.AppendUvarint(b, lca)
@@ -429,7 +442,7 @@ func appendResult(b []byte, r *search.Result) []byte {
 		ms := r.Matches[kw]
 		ords := make([]uint64, 0, len(ms))
 		for _, m := range ms {
-			if ord, ok := originOrd[m]; ok {
+			if ord, ok := pos(m); ok {
 				ords = append(ords, uint64(ord))
 			}
 		}

@@ -73,11 +73,10 @@ func (e *Engine) Classification() *classify.Classification { return e.cls }
 type Evaluation struct {
 	// Keywords are the canonical query terms (phrases joined by spaces).
 	Keywords []string
-	// Lists holds the packed posting list per keyword. A keyword with no
-	// matches in this document has an empty (possibly nil) list.
+	// Lists holds the packed posting list per keyword, aligned with
+	// Keywords. A keyword with no matches in this document has an empty
+	// (possibly nil) list.
 	Lists []*index.PostingList
-	// Matches maps each keyword to its matching nodes (Lists' node views).
-	Matches map[string][]*xmltree.Node
 	// LCAs is the SLCA/ELCA set in document order; nil when some keyword
 	// has no match here (conjunctive semantics).
 	LCAs []*xmltree.Node
@@ -100,7 +99,7 @@ func (ev *Evaluation) Complete() bool {
 }
 
 // Evaluate parses the query and computes posting lists and the LCA set
-// without materializing result trees. Unlike Search it returns a non-nil
+// without building results. Unlike Search it returns a non-nil
 // evaluation even when some keyword has no match, so callers merging
 // several documents (shards) can still see the per-keyword match counts.
 func (e *Engine) Evaluate(query string) (*Evaluation, error) {
@@ -124,7 +123,6 @@ func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
 	ev := &Evaluation{
 		Keywords: make([]string, len(terms)),
 		Lists:    make([]*index.PostingList, len(terms)),
-		Matches:  make(map[string][]*xmltree.Node, len(terms)),
 	}
 	complete := true
 	for i, t := range terms {
@@ -136,9 +134,7 @@ func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
 		}
 		if ev.Lists[i].Len() == 0 {
 			complete = false
-			continue
 		}
-		ev.Matches[ev.Keywords[i]] = ev.Lists[i].Nodes
 	}
 	if !complete {
 		return ev, nil // conjunctive semantics: no LCAs
@@ -152,22 +148,24 @@ func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
 	return ev, nil
 }
 
-// Results materializes result trees for the given LCA subset of an
-// evaluation, applying the engine's DistinctAnchors and MaxResults options,
-// and returns them sorted by anchor document order. Search passes the full
-// LCA set; a shard merge passes the subset that survived merging.
+// Results builds the results for the given LCA subset of an evaluation,
+// applying the engine's DistinctAnchors and MaxResults options, and returns
+// them sorted by anchor document order. Each LCA's anchor is resolved and
+// de-duplicated before anything is built, so a dropped LCA costs one map
+// probe. Search passes the full LCA set; a shard merge passes the subset
+// that survived merging.
 func (e *Engine) Results(ev *Evaluation, lcas []*xmltree.Node) []*Result {
 	var (
 		results     []*Result
 		seenAnchors = make(map[*xmltree.Node]bool)
 	)
 	for _, lca := range lcas {
-		r := buildResult(lca, ev.Keywords, ev.Matches, e.cls, e.opts.Mode)
-		if e.opts.DistinctAnchors && seenAnchors[r.Anchor] {
+		anchor := anchorOf(lca, e.cls)
+		if e.opts.DistinctAnchors && seenAnchors[anchor] {
 			continue
 		}
-		seenAnchors[r.Anchor] = true
-		results = append(results, r)
+		seenAnchors[anchor] = true
+		results = append(results, e.buildResult(anchor, lca, ev))
 		if e.opts.MaxResults > 0 && len(results) >= e.opts.MaxResults {
 			break
 		}
@@ -178,7 +176,7 @@ func (e *Engine) Results(ev *Evaluation, lcas []*xmltree.Node) []*Result {
 	return results
 }
 
-// EvaluateResults evaluates a query and materializes results for the LCAs
+// EvaluateResults evaluates a query and builds results for the LCAs
 // accepted by keep (nil keeps all), exploiting top-k early termination:
 // when the engine bounds results (MaxResults > 0, SLCA semantics), the LCA
 // scan stops after the first MaxResults provable SLCAs. If anchor

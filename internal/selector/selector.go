@@ -78,6 +78,7 @@ func (in instance) deepest() *xmltree.Node {
 // and (e, a, v) features present.
 type tracker struct {
 	cls      *classify.Classification
+	root     *xmltree.Node // result root; owner climbs stop here
 	inT      map[*xmltree.Node]bool
 	tokens   map[string]bool
 	labels   map[string]bool
@@ -88,6 +89,7 @@ type tracker struct {
 func newTracker(cls *classify.Classification, root *xmltree.Node) *tracker {
 	tr := &tracker{
 		cls:    cls,
+		root:   root,
 		inT:    make(map[*xmltree.Node]bool),
 		tokens: make(map[string]bool),
 		labels: make(map[string]bool),
@@ -101,6 +103,7 @@ func newTracker(cls *classify.Classification, root *xmltree.Node) *tracker {
 func (tr *tracker) clone() *tracker {
 	c := &tracker{
 		cls:      tr.cls,
+		root:     tr.root,
 		inT:      make(map[*xmltree.Node]bool, len(tr.inT)),
 		tokens:   make(map[string]bool, len(tr.tokens)),
 		labels:   make(map[string]bool, len(tr.labels)),
@@ -144,7 +147,7 @@ func (tr *tracker) add(n *xmltree.Node) {
 			tr.tokens[t] = true
 		}
 		if p := n.Parent; p != nil && p.HasSingleTextChild() {
-			if owner := tr.cls.EntityOwner(p); owner != nil {
+			if owner := tr.cls.EntityOwnerWithin(p, tr.root); owner != nil {
 				tr.feats[features.Feature{
 					Type:  features.Type{Entity: owner.Label, Attr: p.Label},
 					Value: n.Value,

@@ -248,6 +248,50 @@ func TestEvictionBound(t *testing.T) {
 	}
 }
 
+// TestCostChargesWhatAnEntryOwns: a view result points at corpus nodes the
+// entry's backend already pins, so the entry's cost does not grow with the
+// result's subtree; the same answer as trimmed projections owns its trees
+// and pays for them; and the feature statistics — sized by the result, read
+// by nothing downstream — are not kept.
+func TestCostChargesWhatAnEntryOwns(t *testing.T) {
+	doc := gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 21})
+	s := New(shard.Build(doc, 2), WithCacheBytes(0))
+	defer s.Close()
+	ctx := context.Background()
+	entry := func(query string, mode search.ConstructionMode) *Cached {
+		rs, gs, b, err := s.QueryWithBackendContext(ctx, query, search.Options{DistinctAnchors: true, Mode: mode}, 6)
+		if err != nil || len(rs) == 0 {
+			t.Fatalf("%q: %d results, %v", query, len(rs), err)
+		}
+		for _, g := range gs {
+			if g.Stats != nil {
+				t.Fatalf("%q: a served snippet kept its feature statistics", query)
+			}
+		}
+		return &Cached{Results: rs, Snippets: gs, Backend: b}
+	}
+	// One retailer-sized result against one clothes-sized result.
+	big, small := entry("retailer", search.ModeSubtree), entry("clothes", search.ModeSubtree)
+	perResult := func(v *Cached) int64 {
+		own := v.cost()
+		for _, g := range v.Snippets {
+			own -= (&Cached{Snippets: []*core.Generated{g}}).cost() - (&Cached{}).cost()
+		}
+		return (own - (&Cached{}).cost()) / int64(len(v.Results))
+	}
+	if big.Results[0].Size() < 10*small.Results[0].Size() {
+		t.Fatalf("result sizes %d and %d: want an order of magnitude apart", big.Results[0].Size(), small.Results[0].Size())
+	}
+	if b, sm := perResult(big), perResult(small); b != sm {
+		t.Errorf("a view of %d edges is charged %d bytes, a view of %d edges %d",
+			big.Results[0].Size(), b, small.Results[0].Size(), sm)
+	}
+	trimmed := entry("retailer", search.ModeXSeek)
+	if tr, v := perResult(trimmed), perResult(big); tr < v+100*int64(trimmed.Results[0].Size()) {
+		t.Errorf("an owned tree of %d edges is charged %d bytes, a view %d", trimmed.Results[0].Size(), tr, v)
+	}
+}
+
 // TestLRURecency pins the eviction order: with two entries filling one
 // cache shard, touching the older one makes the other the eviction victim.
 func TestLRURecency(t *testing.T) {

@@ -3,6 +3,18 @@ package xmltree
 // Document is a finalized XML tree: Dewey identifiers and preorder positions
 // have been assigned to every node, and the preorder node sequence is
 // materialized for index construction.
+//
+// A Document is either a whole finalized tree (NewDocument, Parse,
+// AdoptFinalized) or a view of one subtree of such a tree (Subtree). A view
+// shares the enclosing document's nodes: Root, Nodes, Len, ByOrd and NodeAt
+// are relative to the view, while the fields of the nodes themselves —
+// Parent, Dewey, Ord, Start, End — stay those of the enclosing document, so
+// a view root's Parent may be non-nil and its Ord non-zero.
+//
+// Invariant: once a document is indexed and served, its nodes are never
+// mutated again. Query results are views of served documents (see
+// search.Result) and are read concurrently by every holder; loaders build a
+// new document for changed content and adopt unchanged documents as they are.
 type Document struct {
 	Root *Node
 
@@ -10,7 +22,8 @@ type Document struct {
 	// DOCTYPE internal subset, when Parse found one ("" otherwise).
 	InternalSubset string
 
-	nodes []*Node // preorder
+	nodes []*Node // preorder; for a view, the subtree's run of the enclosing sequence
+	view  bool
 }
 
 // NewDocument finalizes the tree rooted at root into a Document: it fixes
@@ -77,6 +90,21 @@ func AdoptFinalized(nodes []*Node) *Document {
 	return d
 }
 
+// Subtree returns a read-only view of n's subtree as a Document: Root is n
+// itself and Nodes is the subtree's contiguous preorder run of d's node
+// sequence, capacity-clipped. No node is copied or touched, so the cost is
+// one small header whatever the subtree's size; the view keeps d's nodes
+// reachable for as long as it lives. n must be a node of d.
+func (d *Document) Subtree(n *Node) *Document {
+	lo := n.Ord - d.nodes[0].Ord
+	hi := lo + int(n.End-n.Start) + 1
+	return &Document{Root: n, nodes: d.nodes[lo:hi:hi], view: true}
+}
+
+// IsView reports whether d is a Subtree view sharing another document's
+// nodes, rather than a finalized tree that owns them.
+func (d *Document) IsView() bool { return d.view }
+
 // Nodes returns all nodes of the document in document (preorder) order. The
 // returned slice must not be modified.
 func (d *Document) Nodes() []*Node { return d.nodes }
@@ -84,12 +112,18 @@ func (d *Document) Nodes() []*Node { return d.nodes }
 // Len returns the number of nodes in the document.
 func (d *Document) Len() int { return len(d.nodes) }
 
-// NodeAt resolves a Dewey identifier to its node, or nil if out of range.
+// NodeAt resolves a Dewey identifier to its node, or nil if it names no node
+// of the document. On a view, identifiers are still those of the enclosing
+// document, so d.NodeAt(n.Dewey) == n for every node of d.
 func (d *Document) NodeAt(dw Dewey) *Node {
 	n := d.Root
 	if n == nil {
 		return nil
 	}
+	if !n.Dewey.IsAncestorOrSelf(dw) {
+		return nil
+	}
+	dw = dw[len(n.Dewey):]
 	for _, i := range dw {
 		if i < 0 || i >= len(n.Children) {
 			return nil
@@ -99,8 +133,14 @@ func (d *Document) NodeAt(dw Dewey) *Node {
 	return n
 }
 
-// ByOrd resolves a preorder position to its node, or nil if out of range.
+// ByOrd resolves a preorder position (a node's Ord) to its node, or nil if
+// out of range. On a view, positions are still those of the enclosing
+// document, so d.ByOrd(n.Ord) == n for every node of d.
 func (d *Document) ByOrd(ord int) *Node {
+	if len(d.nodes) == 0 {
+		return nil
+	}
+	ord -= d.nodes[0].Ord
 	if ord < 0 || ord >= len(d.nodes) {
 		return nil
 	}
@@ -124,7 +164,7 @@ func (d *Document) ComputeStats() Stats {
 	labels := make(map[string]bool)
 	for _, n := range d.nodes {
 		s.Nodes++
-		if dep := len(n.Dewey); dep > s.MaxDepth {
+		if dep := len(n.Dewey) - len(d.Root.Dewey); dep > s.MaxDepth {
 			s.MaxDepth = dep
 		}
 		switch n.Kind {

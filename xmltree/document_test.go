@@ -227,6 +227,61 @@ func TestDocumentProperties(t *testing.T) {
 	}
 }
 
+// Property: a Subtree view is the subtree as a document — rooted at the node,
+// as long as the subtree, one capacity-clipped run of the enclosing preorder —
+// whose nodes keep the enclosing document's identifiers, through which ByOrd
+// and NodeAt still resolve them; nothing outside the subtree resolves, and
+// nothing is copied.
+func TestSubtreeView(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		doc := randomTree(r, 2+r.Intn(60))
+		all := doc.Nodes()
+		n := all[r.Intn(len(all))]
+		v := doc.Subtree(n)
+		if !v.IsView() || doc.IsView() || v.Root != n || v.Len() != n.NodeCount() {
+			return false
+		}
+		vs := v.Nodes()
+		if cap(vs) != len(vs) {
+			return false
+		}
+		for i, m := range vs {
+			if m != all[n.Ord+i] || m.Ord != n.Ord+i {
+				return false // not the enclosing run, or a node was touched
+			}
+			if v.ByOrd(m.Ord) != m || v.NodeAt(m.Dewey) != m {
+				return false
+			}
+		}
+		for _, m := range all {
+			if !n.ContainsOrSelf(m) && (v.ByOrd(m.Ord) != nil || v.NodeAt(m.Dewey) != nil) {
+				return false
+			}
+		}
+		// A view of a view is the same view of the enclosing document.
+		m := vs[r.Intn(len(vs))]
+		vv := v.Subtree(m)
+		return vv.Root == m && vv.Len() == m.NodeCount() && vv.Nodes()[0] == all[m.Ord] &&
+			vv.ComputeStats().MaxDepth == doc.Subtree(m).ComputeStats().MaxDepth
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+
+	doc := buildSample()
+	store := doc.Root.ChildElement("store")
+	v := doc.Subtree(store)
+	// Stats are the subtree's own: depth counts from the view root.
+	if st := v.ComputeStats(); st.Nodes != store.NodeCount() || st.MaxDepth != 4 {
+		t.Errorf("view stats = %+v", st)
+	}
+	// The view root keeps its place in the enclosing document.
+	if store.Parent != doc.Root || v.Root.Ord == 0 {
+		t.Errorf("view root was detached: parent %v ord %d", store.Parent, v.Root.Ord)
+	}
+}
+
 // Property: ProjectSet yields a connected subtree whose node origins are
 // exactly the ancestor closure of the selected set.
 func TestProjectProperties(t *testing.T) {

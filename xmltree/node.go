@@ -57,9 +57,11 @@ type Node struct {
 	// on finalized documents (int32 bounds document size at ~2G nodes).
 	Start, End int32
 
-	// Origin, when non-nil, points at the node this one was projected
-	// from (see Project). Query-result trees and snippet trees keep
-	// Origin chains back to the source document.
+	// Origin, when non-nil, points at the node this one was projected or
+	// copied from (see Project, DeepCopy). Snippet trees and trimmed
+	// query-result trees keep Origin chains back to the source document;
+	// a subtree-mode query result is a view of the source nodes
+	// themselves (see Document.Subtree) and has none.
 	Origin *Node
 }
 

@@ -7,10 +7,11 @@
 //	extract -data retailers.xml [-dtd retailers.dtd] -query "Texas apparel retailer" [-bound 10]
 //	extract -data retailers.xml -saveindex retailers.xtix
 //	extract -index retailers.xtix -query "store texas"
-//	extract -data retailers.xml -shards 4 -savesnapshot retailers.xtsnap
-//	                           # build a sharded snapshot directory, ready
-//	                           # for extractd (-data, or the distributed
-//	                           # -shard-server / -router tier)
+//	extract -data retailers.xml [-shards 4] -savesnapshot retailers.xtsnap
+//	                           # build a snapshot directory, ready for
+//	                           # extractd (-data, or the distributed
+//	                           # -shard-server / -router tier) whatever
+//	                           # the shard count
 //	extract -data retailers.xml -xpath "//store[city='Houston']" -query houston
 //	extract -data retailers.xml -stats
 //
@@ -19,8 +20,8 @@
 //	-data      XML database file
 //	-index     binary index file to load instead of -data
 //	-saveindex write the analyzed corpus to this binary index file
-//	-shards    partition the corpus into up to N index shards
-//	-savesnapshot  write the corpus as a sharded snapshot directory
+//	-shards    partition the corpus into up to N index shards (default 1)
+//	-savesnapshot  write the corpus as a snapshot directory
 //	-dtd       optional DTD file for entity classification
 //	-query     keyword query (double quotes inside mark phrases)
 //	-xpath     select results by XPath instead of keyword search
@@ -57,8 +58,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dataPath  = fs.String("data", "", "XML database file")
 		indexPath = fs.String("index", "", "binary index file to load instead of -data")
 		saveIndex = fs.String("saveindex", "", "write the analyzed corpus to this binary index file")
-		saveSnap  = fs.String("savesnapshot", "", "write the corpus as a sharded snapshot directory")
-		shards    = fs.Int("shards", 1, "partition the corpus into up to N index shards")
+		saveSnap  = fs.String("savesnapshot", "", "write the corpus as a snapshot directory (one image per shard; -shards is optional)")
+		shards    = fs.Int("shards", 1, "partition the corpus into up to N index shards (1: the document is the one shard)")
 		dtdPath   = fs.String("dtd", "", "optional DTD file")
 		query     = fs.String("query", "", "keyword query (quotes mark phrases)")
 		xpathExpr = fs.String("xpath", "", "select results by XPath instead of keyword search")
@@ -90,9 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *dtdPath != "" {
 			opts = append(opts, extract.WithDTDFile(*dtdPath))
 		}
-		if *shards > 1 {
-			opts = append(opts, extract.WithShards(*shards))
-		}
+		opts = append(opts, extract.WithShards(*shards))
 		corpus, err = extract.LoadFile(*dataPath, opts...)
 	}
 	if err != nil {

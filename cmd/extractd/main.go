@@ -234,7 +234,7 @@ func main() {
 		pprofFlag    = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")
 		shardServer  = flag.Bool("shard-server", false, "run as a shard server for the distributed tier instead of the HTTP demo (requires -snapshot)")
 		metricsAddr  = flag.String("metrics-addr", "", "with -shard-server, also serve GET /metrics and /healthz over HTTP on this address (empty disables)")
-		snapshotDir  = flag.String("snapshot", "", "sharded snapshot directory for -shard-server and -router modes")
+		snapshotDir  = flag.String("snapshot", "", "snapshot directory (any shard count) for -shard-server and -router modes")
 		shardGroup   = flag.Int("shard-group", 0, "this shard server's replica group index (0-based)")
 		shardGroups  = flag.Int("shard-groups", 1, "total replica groups in the tier; placement is computed from the snapshot manifest")
 		routerFlag   = flag.String("router", "", "serve the -snapshot dataset through a remote shard tier: replica groups separated by ';', replicas by ',' (host:port,host:port;host:port)")
@@ -282,12 +282,7 @@ func main() {
 	}()
 
 	build := func(doc *xmltree.Document) *extract.Corpus {
-		var c *extract.Corpus
-		if *shards > 1 {
-			c = extract.FromDocumentSharded(doc, nil, *shards)
-		} else {
-			c = extract.FromDocument(doc, nil)
-		}
+		c := extract.FromDocumentSharded(doc, nil, *shards)
 		c.ConfigureServing(*workers, cacheBytes)
 		c.ConfigureLimits(*queryTimeout, *maxInFlight)
 		return c

@@ -1,6 +1,7 @@
 // Shard-server mode: instead of the HTTP demo, extractd -shard-server
-// serves a sharded snapshot's evaluation subset over the remote wire
-// protocol to routers (extractd -router, or any extract.Connect client).
+// serves a snapshot's evaluation subset — any snapshot, one shard or many —
+// over the remote wire protocol to routers (extractd -router, or any
+// extract.Connect client).
 // Every server loads the full snapshot — mmap'd packed images, so the
 // resident cost is paged in on demand — but evaluates only the shards its
 // replica group owns under the manifest's rendezvous placement; the full
@@ -44,9 +45,6 @@ func runShardServer(addr, metricsAddr, dir string, group, groups int, watch time
 	loaded, err := ingest.Load(dir)
 	if err != nil {
 		log.Fatalf("extractd: load snapshot %s: %v", dir, err)
-	}
-	if loaded.Corpus == nil {
-		log.Fatalf("extractd: %s is not a sharded snapshot; shard servers need one (build with extract -savesnapshot -shards N)", dir)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -151,7 +149,7 @@ func watchSnapshot(ctx context.Context, srv *remote.Server, dir string, group, g
 			continue
 		}
 		loaded, err := ingest.Load(dir)
-		if err != nil || loaded.Corpus == nil {
+		if err != nil {
 			log.Printf("extractd: reload snapshot %s: %v — still serving the loaded generation", dir, err)
 			continue
 		}

@@ -67,10 +67,15 @@
 //
 // # Sharded corpora
 //
-// Load with WithShards(n) (or FromDocumentSharded) to partition a corpus by
-// its top-level entities into contiguous, size-balanced shards, each owning
-// its own packed inverted index while classification, mined keys, summary
-// and dataguide stay global (internal/shard). A multi-keyword query first
+// Every local corpus has one shape: n >= 1 shards (internal/shard). By
+// default n is 1 — the shard is the document itself and a query is one
+// engine's evaluation, inline. Load with WithShards(n) (or
+// FromDocumentSharded) to partition a corpus by its top-level entities into
+// contiguous, size-balanced shards, each owning its own packed inverted
+// index while classification, mined keys, summary and dataguide stay
+// global. There is no separate "unsharded" mode: the API, the serving
+// path, the persisted formats and the answers are the same whatever n is.
+// With several shards, a multi-keyword query first
 // probes each shard's keyword-presence prefilter (sorted 64-bit keyword
 // hashes, persisted with the index) and dispatches work only to shards
 // that may contain every keyword — a shard provably missing one is
@@ -82,25 +87,24 @@
 // per-shard posting lists — through a bounded top-k merge into global
 // document order. Queries whose results genuinely cross shards (the root as
 // an LCA, root-anchored results) evaluate on a lazily reconstructed
-// whole-document corpus, so sharded results and snippets are always
-// byte-identical to unsharded ones (pinned by equivalence property tests).
+// whole-document corpus, so results and snippets are always byte-identical
+// to the one-shard corpus's (pinned by equivalence property tests).
 //
 // # Query-serving layer
 //
-// Every query — on a sharded or an unsharded corpus alike — runs through
-// internal/serve, the layer that makes the online snippet-generation path
-// hold up under sustained, repetitive traffic. The layer is
-// corpus-agnostic: it drives any corpus shape through a small backend
-// interface (a sharded corpus with one engine per shard, or an unsharded
-// corpus with exactly one), so there is a single serving path to maintain
-// and both shapes get:
+// Every query runs through internal/serve, the layer that makes the online
+// snippet-generation path hold up under sustained, repetitive traffic. The
+// layer is corpus-agnostic: it drives any corpus through a small backend
+// interface (a local corpus with one engine per shard, or a router over a
+// remote shard tier), so there is a single serving path to maintain and
+// every corpus gets:
 //
 //   - A fixed-size worker pool (WithWorkers, default GOMAXPROCS) executing
-//     all fanned-out work — per-shard evaluation on sharded corpora,
-//     snippet generation on any corpus — bounding that concurrency no
-//     matter how many queries are in flight; the goroutine-per-shard-
-//     per-query fan-out is gone. (An unsharded corpus has no evaluation
-//     fan-out: its single engine evaluates on the calling goroutine.)
+//     all fanned-out work — per-shard evaluation, snippet generation —
+//     bounding that concurrency no matter how many queries are in flight;
+//     the goroutine-per-shard-per-query fan-out is gone. (A one-shard
+//     corpus has no evaluation fan-out: its lone engine evaluates on the
+//     calling goroutine.)
 //     When every worker is busy, submitters run their own tasks inline,
 //     so the pool can never deadlock.
 //   - Search engines built once per option combination and reused across
@@ -124,8 +128,8 @@
 //
 // Cached responses are byte-identical to uncached evaluation (pinned by
 // property tests); `benchrunner -serve` measures the payoff as concurrent
-// QPS over a Zipf-distributed workload, cold versus warm, for sharded and
-// unsharded corpora (the "serve" section of BENCH_search.json — warm
+// QPS over a Zipf-distributed workload, cold versus warm, at four shards
+// and at one (the "serve" section of BENCH_search.json — warm
 // throughput is well over 5x cold at every recorded size), alongside
 // warm/cold latency percentiles from variance-validated runs.
 //
@@ -195,10 +199,11 @@
 //
 // Connect opens a corpus whose evaluation runs on a remote shard-server
 // tier (internal/remote): shard servers (extractd -shard-server) each own
-// a replica group's subset of a sharded snapshot, and a stateless router
+// a replica group's subset of a snapshot's shards (any snapshot SaveSnapshot
+// wrote, one shard or many), and a stateless router
 // — a serve.Backend like any other — fans queries out over a checksummed
 // wire protocol and merges answers with the same root-aware procedure as
-// the local sharded path, so routed results, snippets and ranking are
+// the local path, so routed results, snippets and ranking are
 // byte-identical to a local corpus (pinned by property tests). Replica
 // groups fail over: a dead replica degrades to its peers with zero
 // failed queries, and only classified errors surface. Placement is a
@@ -226,9 +231,9 @@
 // per-section CRC-32C table; version 4, the format Save writes, appends
 // the shard's keyword-presence prefilter as a sixth checksummed section,
 // so a loaded or delta-patched shard answers skip probes without touching
-// its postings (older images build the filter lazily). Sharded corpora
-// persist as one packed image per shard behind a thin frame (magic
-// "XTSH") and reload in parallel.
+// its postings (older images build the filter lazily). SaveIndex writes
+// one packed image per shard behind a thin frame (magic "XTSH"), reloaded
+// in parallel; LoadIndex also accepts a bare packed image, as one shard.
 //
 // # Perf trajectory and CI gate
 //

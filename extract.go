@@ -17,7 +17,6 @@ import (
 	"extract/internal/faultinject"
 	"extract/internal/index"
 	"extract/internal/ingest"
-	"extract/internal/persist"
 	"extract/internal/rank"
 	"extract/internal/remote"
 	"extract/internal/search"
@@ -35,13 +34,14 @@ var ErrOverloaded = serve.ErrOverloaded
 
 // Corpus is an analyzed XML database: parsed tree, node classification
 // (entity / attribute / connection), mined entity keys and keyword index.
-// A corpus loaded with WithShards partitions the document into shards with
-// independent packed indexes; queries fan out across them and merge (see
-// internal/shard), while the API is identical. Every corpus — sharded or
-// not — answers Search and Query through one serving layer (internal/serve):
-// a fixed worker pool bounds evaluation concurrency, engines are reused
-// across queries, and repeated queries are answered from a size-bounded LRU
-// cache keyed on interned keyword ids — tune it with WithWorkers and
+// Every local corpus has one shape — n >= 1 shards with independent packed
+// indexes (see internal/shard): one by default, where the shard is the
+// document itself, more with WithShards, where queries fan out across them
+// and merge; the API and the answers are identical. Every corpus answers
+// Search and Query through one serving layer (internal/serve): a fixed
+// worker pool bounds evaluation concurrency, engines are reused across
+// queries, and repeated queries are answered from a size-bounded LRU cache
+// keyed on interned keyword ids — tune it with WithWorkers and
 // WithQueryCache. Reload swaps in freshly analyzed data without dropping
 // in-flight queries.
 type Corpus struct {
@@ -74,15 +74,14 @@ type Corpus struct {
 }
 
 // corpusData is one immutable generation of a corpus's analyzed state —
-// exactly one of the two corpus fields is set. Reload publishes a new
-// generation and swaps the serving layer onto it; queries in flight keep
-// the snapshot they started with.
+// exactly one of sh and rt is set. Reload publishes a new generation and
+// swaps the serving layer onto it; queries in flight keep the snapshot they
+// started with.
 type corpusData struct {
-	c  *core.Corpus  // unsharded corpus; nil when sharded
-	sh *shard.Corpus // sharded corpus; nil when unsharded
-	// rt serves the generation from a remote shard-server tier (Connect);
-	// when set, both corpus fields are nil — the data lives in the shard
-	// servers, and only the snapshot's analysis artifacts are local.
+	sh *shard.Corpus // the local corpus, n >= 1 shards
+	// rt serves the generation from a remote shard-server tier (Connect)
+	// instead — the data lives in the shard servers, and only the
+	// snapshot's analysis artifacts are local.
 	rt *remote.Router
 
 	// src is the generation's delta-ingestion identity (root fingerprint
@@ -94,44 +93,35 @@ type corpusData struct {
 }
 
 // source returns the generation's content hashes, computing them on first
-// use (one linear pass over the documents).
+// use (one linear pass over the documents). A remote generation always
+// carries its manifest's, so only local data is ever hashed here.
 func (d *corpusData) source() ingest.Source {
 	d.srcMu.Lock()
 	defer d.srcMu.Unlock()
 	if d.src == nil {
-		var s ingest.Source
-		if d.sh != nil {
-			label, fromAttr := d.sh.Root()
-			s.RootHash = ingest.RootHash(label, fromAttr, d.sh.InternalSubset())
-			s.Shards = make([]uint64, 0, d.sh.NumShards())
-			for _, sc := range d.sh.Shards() {
-				s.Shards = append(s.Shards, ingest.ShardHash(sc.Doc))
-			}
-		} else {
-			label, fromAttr, subset := "", false, ""
-			if d.c.Doc != nil {
-				subset = d.c.Doc.InternalSubset
-				if d.c.Doc.Root != nil {
-					label, fromAttr = d.c.Doc.Root.Label, d.c.Doc.Root.FromAttr
-				}
-			}
-			s.RootHash = ingest.RootHash(label, fromAttr, subset)
-			s.Shards = []uint64{ingest.ShardHash(d.c.Doc)}
-		}
+		s := remote.CorpusSource(d.sh)
 		d.src = &s
 	}
 	return *d.src
 }
 
-// backend adapts the generation to the serving layer's corpus interface.
-func (d *corpusData) backend() serve.Backend {
+// rankedBackend is what serves one corpus generation: the serving layer's
+// corpus interface plus the corpus-wide statistics ranking reads.
+// *shard.Corpus and *remote.Router are the two implementations.
+type rankedBackend interface {
+	serve.Backend
+	// Count returns a keyword's corpus-wide document frequency.
+	Count(keyword string) int
+	// TotalElements returns the corpus's element count.
+	TotalElements() int
+}
+
+// backend returns the generation's serving side.
+func (d *corpusData) backend() rankedBackend {
 	if d.rt != nil {
 		return d.rt
 	}
-	if d.sh != nil {
-		return d.sh
-	}
-	return serve.Single{C: d.c}
+	return d.sh
 }
 
 // server returns the corpus's lazily started serving layer.
@@ -169,14 +159,9 @@ func newCorpus(d *corpusData) *Corpus {
 	return c
 }
 
-// newSharded wraps a sharded corpus with default serving configuration.
-func newSharded(sh *shard.Corpus) *Corpus {
+// newLocal wraps a local corpus with default serving configuration.
+func newLocal(sh *shard.Corpus) *Corpus {
 	return newCorpus(&corpusData{sh: sh})
-}
-
-// newUnsharded wraps an unsharded corpus with default serving configuration.
-func newUnsharded(cc *core.Corpus) *Corpus {
-	return newCorpus(&corpusData{c: cc})
 }
 
 // ConfigureServing sets the serving-layer parameters — worker-pool size
@@ -218,11 +203,10 @@ func (c *Corpus) Close() {
 // against the data they started on, later queries see only the new data,
 // and the query cache is invalidated in the same step (responses computed
 // against the old data never enter it). Concurrent Reload calls are
-// serialized; the one that starts last wins. src may have any shape —
-// reloading can change the shard count, or swap a sharded corpus for an
-// unsharded one — and is consumed: it must not be used afterwards. The
-// receiving corpus keeps its own serving configuration (workers, cache
-// budget).
+// serialized; the one that starts last wins. src may have any shard count
+// — reloading can change it — and is consumed: it must not be used
+// afterwards. The receiving corpus keeps its own serving configuration
+// (workers, cache budget).
 func (c *Corpus) Reload(src *Corpus) {
 	start := time.Now()
 	c.reloadMu.Lock()
@@ -273,26 +257,13 @@ func (c *Corpus) ReloadDelta(r io.Reader, opts ...Option) (stats DeltaStats, err
 			return DeltaStats{}, err
 		}
 	}
-	cfg := newLoadConfig()
-	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return DeltaStats{}, err
-		}
-	}
-	var popts []xmltree.ParseOption
-	if cfg.maxNodes > 0 {
-		popts = append(popts, xmltree.WithMaxNodes(cfg.maxNodes))
-	}
-	doc, err := xmltree.Parse(r, popts...)
+	cfg, err := foldOptions(opts)
 	if err != nil {
 		return DeltaStats{}, err
 	}
-	if cfg.dtd == nil && doc.InternalSubset != "" {
-		d, err := dtd.ParseString(doc.InternalSubset)
-		if err != nil {
-			return DeltaStats{}, fmt.Errorf("extract: internal DTD subset: %w", err)
-		}
-		cfg.dtd = d
+	doc, err := cfg.parse(r)
+	if err != nil {
+		return DeltaStats{}, err
 	}
 
 	c.reloadMu.Lock()
@@ -303,9 +274,8 @@ func (c *Corpus) ReloadDelta(r io.Reader, opts ...Option) (stats DeltaStats, err
 	}
 	diff := ingest.Diff(old.source(), doc, cfg.shards)
 
-	var nd *corpusData
-	switch {
-	case cfg.shards > 1 && diff.Reused > 0 && old.sh != nil:
+	var sc *shard.Corpus
+	if diff.Reused > 0 {
 		// The delta path proper: analyze the whole new document (the
 		// global artifacts a fresh build computes before partitioning),
 		// then rebuild only the changed blocks against it.
@@ -334,36 +304,15 @@ func (c *Corpus) ReloadDelta(r io.Reader, opts ...Option) (stats DeltaStats, err
 				stats.Rebuilt++
 			}
 		}
-		nd = &corpusData{sh: shard.Assemble(shards, a, label, fromAttr, subset)}
+		sc = shard.Assemble(shards, a, label, fromAttr, subset)
 		stats.Shards = len(shards)
-	case cfg.shards > 1:
-		// Nothing to adopt (first delta, shape change, or everything
+	} else {
+		// Nothing to adopt (first delta, shard-count change, or everything
 		// moved): the exact fresh-load path.
-		var sopts []shard.Option
-		if cfg.dtd != nil {
-			sopts = append(sopts, shard.WithDTD(cfg.dtd))
-		}
-		sc := shard.Build(doc, cfg.shards, sopts...)
-		nd = &corpusData{sh: sc}
+		sc = shard.Build(doc, cfg.shards, shard.WithDTD(cfg.dtd))
 		stats.Shards, stats.Rebuilt = sc.NumShards(), sc.NumShards()
-	case diff.Reused == 1 && old.c != nil:
-		// Unsharded and content-identical: keep the document and index,
-		// refresh the analysis.
-		a := core.Analyze(doc, cfg.dtd)
-		nd = &corpusData{c: &core.Corpus{
-			Doc: old.c.Doc, Index: old.c.Index,
-			Cls: a.Cls, Keys: a.Keys, Summary: a.Summary, Guide: a.Guide, DTD: a.DTD,
-		}}
-		stats.Shards, stats.Reused = 1, 1
-	default:
-		var copts []core.Option
-		if cfg.dtd != nil {
-			copts = append(copts, core.WithDTD(cfg.dtd))
-		}
-		nd = &corpusData{c: core.BuildCorpus(doc, copts...)}
-		stats.Shards, stats.Rebuilt = 1, 1
 	}
-	nd.src = &ingest.Source{RootHash: diff.RootHash, Shards: diff.Hashes}
+	nd := &corpusData{sh: sc, src: &ingest.Source{RootHash: diff.RootHash, Shards: diff.Hashes}}
 	c.data.Store(nd)
 	c.server().Swap(nd.backend())
 	return stats, nil
@@ -432,11 +381,10 @@ func (c *Corpus) ReloadSnapshot(dir string) (stats DeltaStats, err error) {
 		aligned := oldSrc.RootHash == snapSrc.RootHash && len(oldSrc.Shards) == len(snapSrc.Shards)
 
 		var (
-			nd    *corpusData
+			sc    *shard.Corpus
 			stats DeltaStats
 		)
-		switch {
-		case m.Sharded && aligned && old.sh != nil:
+		if aligned {
 			a, label, fromAttr, subset, err := ingest.LoadAnalysis(dir, m)
 			if err != nil {
 				if !ingest.ManifestUnchanged(dir, m) {
@@ -471,29 +419,21 @@ func (c *Corpus) ReloadSnapshot(dir string) (stats DeltaStats, err error) {
 				}
 				return DeltaStats{}, err
 			}
-			nd = &corpusData{sh: shard.Assemble(shards, a, label, fromAttr, subset)}
+			sc = shard.Assemble(shards, a, label, fromAttr, subset)
 			stats.Shards = len(shards)
 			if !ingest.ManifestUnchanged(dir, m) {
 				continue
 			}
-		case !m.Sharded && aligned && old.c != nil && snapSrc.Shards[0] == oldSrc.Shards[0]:
-			// Unchanged unsharded snapshot: adopt the whole generation
-			// (its image embeds the same analysis) — no image is read, so
-			// there is nothing to race with. The swap still bumps the
-			// cache epoch, which is what a reload promises.
-			nd = &corpusData{c: old.c}
-			stats.Shards, stats.Reused = 1, 1
-		default:
+		} else {
 			loaded, err := ingest.Load(dir) // internally retry-stable
 			if err != nil {
 				return DeltaStats{}, err
 			}
-			nd = &corpusData{sh: loaded.Corpus, c: loaded.Single}
-			snapSrc = loaded.Source
+			sc, snapSrc = loaded.Corpus, loaded.Source
 			stats.Shards = len(snapSrc.Shards)
 			stats.Rebuilt = stats.Shards
 		}
-		nd.src = &snapSrc
+		nd := &corpusData{sh: sc, src: &snapSrc}
 		c.data.Store(nd)
 		c.server().Swap(nd.backend())
 		return stats, nil
@@ -523,33 +463,23 @@ func (c *Corpus) SaveSnapshot(dir string) error {
 	if d.rt != nil {
 		return ErrRemoteCorpus
 	}
-	if d.sh != nil {
-		return ingest.Snapshot(dir, d.sh)
-	}
-	return ingest.SnapshotSingle(dir, d.c)
+	return ingest.Snapshot(dir, d.sh)
 }
 
 // LoadSnapshot opens a snapshot directory written by SaveSnapshot. The
-// corpus shape (sharded or not, and how) comes from the snapshot itself,
-// so of the load options only the serving-layer ones — WithWorkers and
-// WithQueryCache — apply; shard, DTD and parse options are ignored.
+// shard count comes from the snapshot itself, so of the load options only
+// the serving-layer ones — WithWorkers, WithQueryCache, WithQueryTimeout and
+// WithMaxInFlight — apply; shard, DTD and parse options are ignored.
 func LoadSnapshot(dir string, opts ...Option) (*Corpus, error) {
-	cfg := newLoadConfig()
-	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := foldOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	loaded, err := ingest.Load(dir)
 	if err != nil {
 		return nil, err
 	}
-	d := &corpusData{sh: loaded.Corpus, c: loaded.Single}
-	d.src = &loaded.Source
-	c := newCorpus(d)
-	c.ConfigureServing(cfg.workers, cfg.cache)
-	c.ConfigureLimits(cfg.timeout, cfg.maxInFlight)
-	return c, nil
+	return cfg.apply(newCorpus(&corpusData{sh: loaded.Corpus, src: &loaded.Source})), nil
 }
 
 // CacheStats is a point-in-time snapshot of the query cache: hit/miss
@@ -592,18 +522,10 @@ func (c *Corpus) QueryCacheStats() (stats CacheStats, ok bool) {
 	}, true
 }
 
-// analysis returns the corpus carrying the classification and keys that
-// snippet generation needs: the corpus itself, or the shared analysis view
-// of a sharded corpus.
+// analysis returns the document-less corpus carrying the classification and
+// keys that snippet generation needs.
 func (c *Corpus) analysis() *core.Corpus {
-	d := c.data.Load()
-	if d.rt != nil {
-		return d.rt.Analysis()
-	}
-	if d.sh != nil {
-		return d.sh.Analysis()
-	}
-	return d.c
+	return c.data.Load().backend().Analysis()
 }
 
 // Option configures corpus loading.
@@ -659,8 +581,9 @@ func WithMaxNodes(n int) Option {
 // WithShards partitions the corpus into up to n shards (by top-level
 // entities, contiguously and size-balanced), each with its own packed
 // inverted index. Queries evaluate per shard in parallel and merge through
-// a bounded top-k merge; results and snippets are identical to the unsharded
-// corpus. n < 2 loads unsharded.
+// a bounded top-k merge; results and snippets are identical whatever n is.
+// n < 2 — the default — loads one shard: the document itself, evaluated
+// inline with nothing to merge.
 func WithShards(n int) Option {
 	return func(c *loadConfig) error {
 		if n < 0 {
@@ -673,10 +596,9 @@ func WithShards(n int) Option {
 
 // WithWorkers sets the serving layer's worker-pool size (default
 // GOMAXPROCS): the fixed number of goroutines that all fanned-out work —
-// per-shard evaluation on a sharded corpus, snippet generation on any
-// corpus — runs on, no matter how many queries are in flight. An unsharded
-// corpus has no evaluation fan-out to bound: its single-engine evaluation
-// runs on the goroutine that asked.
+// per-shard evaluation, snippet generation — runs on, no matter how many
+// queries are in flight. A one-shard corpus has no evaluation fan-out to
+// bound: its lone engine's evaluation runs on the goroutine that asked.
 func WithWorkers(n int) Option {
 	return func(c *loadConfig) error {
 		if n < 0 {
@@ -691,8 +613,8 @@ func WithWorkers(n int) Option {
 // (same keywords, options and snippet bound) are answered from a sharded
 // LRU cache keyed on interned keyword ids instead of being recomputed; 0
 // disables caching. The default is a modest budget (see
-// internal/serve.DefaultCacheBytes). Sharded and unsharded corpora cache
-// alike — both serve queries through the same layer.
+// internal/serve.DefaultCacheBytes). Every corpus — any shard count, local
+// or remote — caches alike: all serve queries through the same layer.
 func WithQueryCache(bytes int64) Option {
 	return func(c *loadConfig) error {
 		if bytes < 0 {
@@ -731,26 +653,35 @@ func WithMaxInFlight(n int) Option {
 	}
 }
 
-func newLoadConfig() loadConfig { return loadConfig{cache: -1} }
-
-// Load parses and analyzes an XML database from r.
-func Load(r io.Reader, opts ...Option) (*Corpus, error) {
-	cfg := newLoadConfig()
+// foldOptions applies load options over the defaults — the one fold every
+// constructor and reload starts with.
+func foldOptions(opts []Option) (loadConfig, error) {
+	cfg := loadConfig{cache: -1}
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
-			return nil, err
+			return loadConfig{}, err
 		}
 	}
-	var popts []xmltree.ParseOption
+	return cfg, nil
+}
+
+// parseOptions returns the parser options the configuration asks for.
+func (cfg *loadConfig) parseOptions() []xmltree.ParseOption {
 	if cfg.maxNodes > 0 {
-		popts = append(popts, xmltree.WithMaxNodes(cfg.maxNodes))
+		return []xmltree.ParseOption{xmltree.WithMaxNodes(cfg.maxNodes)}
 	}
-	doc, err := xmltree.Parse(r, popts...)
+	return nil
+}
+
+// parse reads one XML document and resolves the DTD it classifies under: a
+// DOCTYPE internal subset governs unless the caller supplied an explicit
+// DTD. Load and ReloadDelta both go through it — "a delta reload is
+// byte-identical to a fresh load" depends on the two applying one rule.
+func (cfg *loadConfig) parse(r io.Reader) (*xmltree.Document, error) {
+	doc, err := xmltree.Parse(r, cfg.parseOptions()...)
 	if err != nil {
 		return nil, err
 	}
-	// A DOCTYPE internal subset classifies the document unless the
-	// caller supplied an explicit DTD.
 	if cfg.dtd == nil && doc.InternalSubset != "" {
 		d, err := dtd.ParseString(doc.InternalSubset)
 		if err != nil {
@@ -758,15 +689,27 @@ func Load(r io.Reader, opts ...Option) (*Corpus, error) {
 		}
 		cfg.dtd = d
 	}
-	var c *Corpus
-	if cfg.shards > 1 {
-		c = FromDocumentSharded(doc, cfg.dtd, cfg.shards)
-	} else {
-		c = FromDocument(doc, cfg.dtd)
-	}
+	return doc, nil
+}
+
+// apply hands a freshly constructed corpus its serving-layer configuration.
+func (cfg *loadConfig) apply(c *Corpus) *Corpus {
 	c.ConfigureServing(cfg.workers, cfg.cache)
 	c.ConfigureLimits(cfg.timeout, cfg.maxInFlight)
-	return c, nil
+	return c
+}
+
+// Load parses and analyzes an XML database from r.
+func Load(r io.Reader, opts ...Option) (*Corpus, error) {
+	cfg, err := foldOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := cfg.parse(r)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.apply(FromDocumentSharded(doc, cfg.dtd, cfg.shards)), nil
 }
 
 // LoadString parses and analyzes an XML database from a string.
@@ -781,9 +724,10 @@ func LoadString(s string, opts ...Option) (*Corpus, error) {
 var ErrRemoteCorpus = errors.New("extract: operation requires local corpus data (corpus is served by a remote shard tier)")
 
 // Connect opens a corpus served by a remote shard-server tier instead of
-// local data: dir is the sharded snapshot directory the tier was started
-// from (only its manifest and small analysis image are read — the shard
-// images stay with the servers), and groups lists the replica addresses of
+// local data: dir is the snapshot directory — any SaveSnapshot wrote, one
+// shard or many — the tier was started from (only its manifest and small
+// analysis image are read; the shard images stay with the servers), and
+// groups lists the replica addresses of
 // each shard-server group (groups[g] are peers serving the same placement
 // subset; see cmd/extractd's -shard-server mode). Queries, snippets and
 // ranking behave exactly as on a local corpus — the router pins answers
@@ -794,11 +738,9 @@ var ErrRemoteCorpus = errors.New("extract: operation requires local corpus data 
 // return ErrRemoteCorpus; ReloadSnapshot re-reads the manifest and re-places
 // shards, pairing with the servers' own reload. Close also disconnects.
 func Connect(dir string, groups [][]string, opts ...Option) (*Corpus, error) {
-	cfg := newLoadConfig()
-	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := foldOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	reg := telemetry.NewRegistry()
 	rt, err := remote.OpenSnapshot(dir, groups, remote.WithRouterTelemetry(reg))
@@ -811,11 +753,9 @@ func Connect(dir string, groups [][]string, opts ...Option) (*Corpus, error) {
 		return nil, err
 	}
 	src := m.Source()
-	c := &Corpus{srvCache: -1, reg: reg}
+	c := &Corpus{reg: reg}
 	c.data.Store(&corpusData{rt: rt, src: &src})
-	c.ConfigureServing(cfg.workers, cfg.cache)
-	c.ConfigureLimits(cfg.timeout, cfg.maxInFlight)
-	return c, nil
+	return cfg.apply(c), nil
 }
 
 // LoadFile parses and analyzes an XML database from a file.
@@ -835,16 +775,11 @@ func LoadFiles(paths []string, opts ...Option) (*Corpus, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("extract: no files")
 	}
-	cfg := newLoadConfig()
-	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := foldOptions(opts)
+	if err != nil {
+		return nil, err
 	}
-	var popts []xmltree.ParseOption
-	if cfg.maxNodes > 0 {
-		popts = append(popts, xmltree.WithMaxNodes(cfg.maxNodes))
-	}
+	popts := cfg.parseOptions()
 	root := xmltree.Elem("collection")
 	for _, path := range paths {
 		doc, err := xmltree.ParseFile(path, popts...)
@@ -853,20 +788,12 @@ func LoadFiles(paths []string, opts ...Option) (*Corpus, error) {
 		}
 		xmltree.Append(root, doc.Root)
 	}
-	var c *Corpus
-	if cfg.shards > 1 {
-		c = FromDocumentSharded(xmltree.NewDocument(root), cfg.dtd, cfg.shards)
-	} else {
-		c = FromDocument(xmltree.NewDocument(root), cfg.dtd)
-	}
-	c.ConfigureServing(cfg.workers, cfg.cache)
-	c.ConfigureLimits(cfg.timeout, cfg.maxInFlight)
-	return c, nil
+	return cfg.apply(FromDocumentSharded(xmltree.NewDocument(root), cfg.dtd, cfg.shards)), nil
 }
 
 // Suggest returns up to k indexed keywords starting with prefix, most
-// frequent first — query autocompletion. On a sharded corpus the per-shard
-// completions merge, re-ranked by corpus-wide frequency.
+// frequent first — query autocompletion. Across several shards the
+// per-shard completions merge, re-ranked by corpus-wide frequency.
 func (c *Corpus) Suggest(prefix string, k int) []string {
 	d := c.data.Load()
 	if d.rt != nil {
@@ -874,65 +801,54 @@ func (c *Corpus) Suggest(prefix string, k int) []string {
 		// shard servers; a remote corpus has no suggestions.
 		return nil
 	}
-	if d.sh != nil {
-		return d.sh.CompletePrefix(prefix, k)
-	}
-	return d.c.Index.CompletePrefix(prefix, k)
+	return d.sh.CompletePrefix(prefix, k)
 }
 
-// FromDocument analyzes an already-parsed document. d may be nil. The
-// corpus serves doc itself — query results are views of its nodes — so the
-// caller must not mutate it afterwards.
+// FromDocument analyzes an already-parsed document as a one-shard corpus.
+// d may be nil. The corpus serves doc itself — nothing is moved or copied,
+// and query results are views of its nodes — so the caller must not mutate
+// it afterwards.
 func FromDocument(doc *xmltree.Document, d *dtd.DTD) *Corpus {
-	var copts []core.Option
-	if d != nil {
-		copts = append(copts, core.WithDTD(d))
-	}
-	return newUnsharded(core.BuildCorpus(doc, copts...))
+	return FromDocumentSharded(doc, d, 1)
 }
 
 // FromDocumentSharded analyzes an already-parsed document and partitions it
 // into up to n shards. d may be nil; like FromDocument, any DOCTYPE
-// internal subset is ignored here (Load resolves it before choosing a
-// constructor), so sharded and unsharded corpora built from the same
-// document always classify identically. The document's nodes are moved
-// into the shards; doc is invalid afterwards.
+// internal subset is ignored here (Load resolves it before constructing),
+// so corpora built from the same document classify identically whatever n
+// is. When the document partitions (n > 1, at least two top-level entities)
+// its nodes are moved into the shards and doc is invalid afterwards;
+// otherwise the corpus serves doc itself, exactly as FromDocument does.
 func FromDocumentSharded(doc *xmltree.Document, d *dtd.DTD, n int) *Corpus {
-	var sopts []shard.Option
-	if d != nil {
-		sopts = append(sopts, shard.WithDTD(d))
-	}
-	return newSharded(shard.Build(doc, n, sopts...))
+	return newLocal(shard.Build(doc, n, shard.WithDTD(d)))
 }
 
-// Internal exposes the underlying analyzed corpus for the experiment
-// harness and tools; library users should not need it. For a sharded
-// corpus it returns the reconstructed whole-document fallback corpus.
+// Internal exposes the underlying analyzed whole-document corpus for the
+// experiment harness and tools; library users should not need it. A
+// one-shard corpus returns its shard — the document it was built from,
+// index and all; several shards return the (lazily) reconstructed
+// whole-document fallback corpus; a remote corpus has no local documents
+// and returns the document-less analysis view.
 func (c *Corpus) Internal() *core.Corpus {
 	d := c.data.Load()
 	if d.rt != nil {
-		// No local documents; the analysis view is all there is.
 		return d.rt.Analysis()
 	}
-	if d.sh != nil {
-		return d.sh.Fallback()
-	}
-	return d.c
+	return d.sh.Fallback()
 }
 
-// InternalShards exposes the sharded corpus, or nil when unsharded.
+// InternalShards exposes the local corpus — every local corpus is a
+// shard.Corpus of n >= 1 shards. It is nil only for a remote corpus
+// (Connect).
 func (c *Corpus) InternalShards() *shard.Corpus { return c.data.Load().sh }
 
-// Shards returns the number of index shards (1 for an unsharded corpus).
+// Shards returns the number of index shards (1 by default).
 func (c *Corpus) Shards() int {
 	d := c.data.Load()
 	if d.rt != nil {
 		return d.rt.NumShards()
 	}
-	if d.sh != nil {
-		return d.sh.NumShards()
-	}
-	return 1
+	return d.sh.NumShards()
 }
 
 // Stats summarizes the corpus.
@@ -946,8 +862,9 @@ type Stats struct {
 	Connections      []string
 }
 
-// Stats returns corpus summary statistics. On a sharded corpus they
-// aggregate across shards (shard-root copies deduplicated).
+// Stats returns corpus summary statistics, aggregated across shards
+// (shard-root copies deduplicated). The node-level figures are computed once
+// per corpus generation, so calling it per request is cheap.
 func (c *Corpus) Stats() Stats {
 	d := c.data.Load()
 	if d.rt != nil {
@@ -961,46 +878,21 @@ func (c *Corpus) Stats() Stats {
 			Connections: cls.Connections(),
 		}
 	}
-	if d.sh != nil {
-		maxDepth := 0
-		for _, s := range d.sh.Shards() {
-			if ds := s.Doc.ComputeStats(); ds.MaxDepth > maxDepth {
-				maxDepth = ds.MaxDepth
-			}
-		}
-		cls := d.sh.Classification()
-		return Stats{
-			Nodes:            d.sh.TotalNodes(),
-			Elements:         d.sh.TotalElements(),
-			MaxDepth:         maxDepth,
-			DistinctKeywords: d.sh.DistinctKeywords(),
-			Entities:         cls.Entities(),
-			Attributes:       cls.Attributes(),
-			Connections:      cls.Connections(),
-		}
-	}
-	ds := d.c.Doc.ComputeStats()
+	cls := d.sh.Classification()
 	return Stats{
-		Nodes:            ds.Nodes,
-		Elements:         ds.Elements,
-		MaxDepth:         ds.MaxDepth,
-		DistinctKeywords: d.c.Index.DistinctKeywords(),
-		Entities:         d.c.Cls.Entities(),
-		Attributes:       d.c.Cls.Attributes(),
-		Connections:      d.c.Cls.Connections(),
+		Nodes:            d.sh.TotalNodes(),
+		Elements:         d.sh.TotalElements(),
+		MaxDepth:         d.sh.MaxDepth(),
+		DistinctKeywords: d.sh.DistinctKeywords(),
+		Entities:         cls.Entities(),
+		Attributes:       cls.Attributes(),
+		Connections:      cls.Connections(),
 	}
 }
 
 // EntityKey returns the mined key attribute of an entity label.
 func (c *Corpus) EntityKey(entity string) (attr string, ok bool) {
-	d := c.data.Load()
-	if d.rt != nil {
-		return d.rt.Analysis().Keys.KeyAttr(entity)
-	}
-	if d.sh != nil {
-		return d.sh.Keys().KeyAttr(entity)
-	}
-	return d.c.Keys.KeyAttr(entity)
+	return c.analysis().Keys.KeyAttr(entity)
 }
 
 // SearchOption configures query evaluation.
@@ -1090,16 +982,18 @@ func (c *Corpus) SearchContext(ctx context.Context, query string, opts ...Search
 	for _, f := range opts {
 		f(&cfg)
 	}
-	// The serving layer answers repeated queries from its cache; the
-	// returned slice is fresh (safe for the in-place ranking sort below),
-	// the results it holds are shared and read-only.
-	rs, backend, err := c.server().SearchWithBackendContext(ctx, query, cfg.opts)
+	// The serving layer answers repeated queries from its cache: the
+	// response — slice and results — is the shared read-only entry.
+	v, err := c.server().Do(ctx, query, cfg.opts, -1)
 	if err != nil {
 		return nil, err
 	}
+	rs := v.Results
 	var scores []float64
 	if cfg.ranked {
-		scores = scorerFor(backend).Sort(rs, queryTermKeys(query))
+		// Ranking sorts in place, so it works on a private copy.
+		rs = append([]*search.Result(nil), rs...)
+		scores = scorerFor(v.Backend).Sort(rs, queryTermKeys(query))
 	}
 	out := make([]*Result, len(rs))
 	for i, r := range rs {
@@ -1116,18 +1010,11 @@ func (c *Corpus) SearchContext(ctx context.Context, query string, opts ...Search
 // generation that produced the results being ranked, which during a reload
 // is not necessarily the corpus's current one.
 func scorerFor(b serve.Backend) *rank.Scorer {
-	switch x := b.(type) {
-	case *shard.Corpus:
-		return rank.NewScorerFunc(x.Count, x.TotalElements())
-	case serve.Single:
-		return rank.NewScorer(x.C.Index)
-	case *remote.Router:
-		// Corpus-wide statistics come from the serving tier, cached per
-		// snapshot generation.
-		return rank.NewScorerFunc(x.Count, x.TotalElements())
-	}
-	// Unreachable: the facade only ever builds the three shapes above.
-	panic("extract: unknown serving backend")
+	// The serving layer only ever holds what corpusData.backend handed it.
+	// Either implementation caches its totals per generation (a router
+	// fetches them from the serving tier), so a scorer is cheap to build.
+	rb := b.(rankedBackend)
+	return rank.NewScorerFunc(rb.Count, rb.TotalElements())
 }
 
 // queryTermKeys returns the canonical term strings ranking scores against.
@@ -1263,19 +1150,19 @@ func (c *Corpus) QueryContext(ctx context.Context, query string, bound int, opts
 	for _, f := range opts {
 		f(&cfg)
 	}
-	rs, gens, backend, err := c.server().QueryWithBackendContext(ctx, query, cfg.opts, bound)
+	v, err := c.server().Do(ctx, query, cfg.opts, bound)
 	if err != nil {
 		return nil, err
 	}
-	hits := make([]*Hit, len(rs))
-	for i, r := range rs {
+	hits := make([]*Hit, len(v.Results))
+	for i, r := range v.Results {
 		hits[i] = &Hit{
 			Result:  &Result{r: r},
-			Snippet: &Snippet{g: gens[i]},
+			Snippet: &Snippet{g: v.Snippets[i]},
 		}
 	}
 	if cfg.ranked {
-		scorer := scorerFor(backend)
+		scorer := scorerFor(v.Backend)
 		keys := queryTermKeys(query)
 		for _, h := range hits {
 			h.Result.score = scorer.Score(h.Result.r, keys)
@@ -1299,12 +1186,9 @@ func (c *Corpus) XPath(expr string) ([]*Result, error) {
 	if d.rt != nil {
 		return nil, ErrRemoteCorpus
 	}
-	xdoc := d.c
-	if d.sh != nil {
-		// XPath needs the whole document; evaluate on the reconstructed
-		// fallback corpus.
-		xdoc = d.sh.Fallback()
-	}
+	// XPath needs the whole document: the lone shard's, or the
+	// reconstructed fallback corpus's when there are several.
+	xdoc := d.sh.Fallback()
 	var out []*Result
 	for _, n := range e.SelectDoc(xdoc.Doc) {
 		if !n.IsElement() {
@@ -1315,18 +1199,15 @@ func (c *Corpus) XPath(expr string) ([]*Result, error) {
 	return out, nil
 }
 
-// SaveIndex writes the analyzed corpus in eXtract's binary index format
-// (packed slabs; one image per shard for a sharded corpus); LoadIndex
+// SaveIndex writes the analyzed corpus in eXtract's binary index format (a
+// shard-count frame around one packed-slab image per shard); LoadIndex
 // reopens it without re-parsing, re-tokenizing or re-analyzing the XML.
 func (c *Corpus) SaveIndex(w io.Writer) error {
 	d := c.data.Load()
 	if d.rt != nil {
 		return ErrRemoteCorpus
 	}
-	if d.sh != nil {
-		return shard.Save(w, d.sh)
-	}
-	return persist.Save(w, d.c)
+	return shard.Save(w, d.sh)
 }
 
 // SaveIndexFile writes the analyzed corpus to a file.
@@ -1335,54 +1216,32 @@ func (c *Corpus) SaveIndexFile(path string) error {
 	if d.rt != nil {
 		return ErrRemoteCorpus
 	}
-	if d.sh != nil {
-		return shard.SaveFile(path, d.sh)
-	}
-	return persist.SaveFile(path, d.c)
+	return shard.SaveFile(path, d.sh)
 }
 
-// LoadIndex reads a corpus saved with SaveIndex, dispatching on the magic
-// between the sharded and single-corpus formats.
+// LoadIndex reads a corpus saved with SaveIndex. A bare packed image — what
+// a snapshot's shard images are, and what SaveIndex wrote before every
+// corpus was framed — is accepted too, as a one-shard corpus.
 func LoadIndex(r io.Reader) (*Corpus, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if shard.IsShardedImage(data) {
-		sc, err := shard.LoadBytes(data)
-		if err != nil {
-			return nil, err
-		}
-		return newSharded(sc), nil
-	}
-	cc, err := persist.LoadBytes(data)
+	sc, err := shard.LoadBytes(data)
 	if err != nil {
 		return nil, err
 	}
-	return newUnsharded(cc), nil
+	return newLocal(sc), nil
 }
 
-// LoadIndexFile reads a corpus saved with SaveIndexFile.
+// LoadIndexFile reads a corpus saved with SaveIndexFile (or a bare packed
+// image, like LoadIndex).
 func LoadIndexFile(path string) (*Corpus, error) {
-	f, err := os.Open(path)
+	sc, err := shard.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var head [4]byte
-	n, _ := io.ReadFull(f, head[:])
-	f.Close()
-	if shard.IsShardedImage(head[:n]) {
-		sc, err := shard.LoadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return newSharded(sc), nil
-	}
-	cc, err := persist.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return newUnsharded(cc), nil
+	return newLocal(sc), nil
 }
 
 // Tokenize exposes the query/index tokenizer (lowercased word tokens).

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -9,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"extract/internal/core"
 	"extract/internal/index"
 	"extract/internal/remote"
 	"extract/internal/search"
@@ -28,8 +28,8 @@ import (
 // and — both phases running back to back on the same machine — it is the
 // machine-normalized quantity the CI gate compares, exactly like the
 // persist gate's load-speedup ratio. Each corpus size is measured twice:
-// sharded (Shards > 1, evaluation fanned out per shard) and unsharded
-// (Shards == 1, the serve.Single backend) — both shapes serve through the
+// with several shards (evaluation fanned out per shard) and with one (the
+// default, evaluated inline on the lone engine) — both serve through the
 // same layer and both are gated.
 type ServePerfPoint struct {
 	Nodes           int `json:"nodes"`
@@ -131,8 +131,8 @@ func withinSlack(a, b int64, slack float64) bool {
 }
 
 // ServePerf measures concurrent query throughput at the given sizes
-// (default 1k/10k/100k nodes), one sharded and one unsharded point per
-// size.
+// (default 1k/10k/100k nodes), one several-shard and one one-shard point
+// per size.
 func ServePerf(sizes []int) ([]ServePerfPoint, error) {
 	if len(sizes) == 0 {
 		sizes = []int{1_000, 10_000, 100_000}
@@ -155,16 +155,8 @@ func servePerfPoint(size, shards int) (ServePerfPoint, error) {
 	if err != nil {
 		return ServePerfPoint{}, err
 	}
-	var backend serve.Backend
-	numShards := 1
-	if shards > 1 {
-		sc := shard.Build(doc, shards)
-		numShards = sc.NumShards()
-		backend = sc
-	} else {
-		backend = serve.Single{C: core.BuildCorpus(doc)}
-	}
-	return measureServePoint(backend, nodes, numShards, "", qs, yardstickNs)
+	sc := shard.Build(doc, shards)
+	return measureServePoint(sc, nodes, sc.NumShards(), "", qs, yardstickNs)
 }
 
 // ServePerfRemote measures the routed point: the same corpus and workload
@@ -275,7 +267,7 @@ func measureServePoint(backend serve.Backend, nodes, numShards int, backendKind 
 						return
 					}
 					opStart := time.Now()
-					if _, _, qerr := srv.Query(stream[i].Text(), opts, 10); qerr != nil {
+					if _, _, qerr := srv.QueryContext(context.Background(), stream[i].Text(), opts, 10); qerr != nil {
 						firstErr.CompareAndSwap(nil, &qerr)
 						return
 					}
@@ -333,7 +325,7 @@ func measureServePoint(backend serve.Backend, nodes, numShards int, backendKind 
 	warmSrv := serve.New(backend, serve.WithWorkers(workers))
 	defer warmSrv.Close()
 	for _, q := range qs {
-		if _, _, err := warmSrv.Query(q.Text(), opts, 10); err != nil {
+		if _, _, err := warmSrv.QueryContext(context.Background(), q.Text(), opts, 10); err != nil {
 			return ServePerfPoint{}, err
 		}
 	}

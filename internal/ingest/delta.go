@@ -6,8 +6,8 @@ import (
 )
 
 // Source is the refresh-relevant identity of one corpus generation: the
-// root fingerprint plus one content hash per shard (exactly one for an
-// unsharded corpus). A delta reload compares the Source of the generation
+// root fingerprint plus one content hash per shard (exactly one for a
+// one-shard corpus). A delta reload compares the Source of the generation
 // being served against the Source of new input to decide which shards can
 // be adopted unchanged.
 type Source struct {

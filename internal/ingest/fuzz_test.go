@@ -15,6 +15,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add(EncodeManifest(goldenManifest()))
 	f.Add(EncodeManifest(&Manifest{
 		RootHash: 3,
+		Analysis: FileEntry{File: "analysis.xtix", ImageHash: 4},
 		Shards:   []ShardEntry{{File: "shard-0000.xtix", ContentHash: 1, ImageHash: 2}},
 	}))
 	f.Add([]byte{})

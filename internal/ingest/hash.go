@@ -94,7 +94,7 @@ func HashEntities(nodes []*xmltree.Node) uint64 {
 
 // ShardHash fingerprints one shard's source content: the entities under
 // its root (the root itself is a per-shard copy covered by RootHash, not
-// shard content). For an unsharded corpus, the whole document is the one
+// shard content). For a one-shard corpus, the whole document is the one
 // shard.
 func ShardHash(doc *xmltree.Document) uint64 {
 	if doc == nil || doc.Root == nil {

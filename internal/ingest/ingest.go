@@ -7,13 +7,15 @@
 // Snapshots persist a corpus as a directory — a small versioned manifest
 // (ManifestName) listing per-shard content hashes, a packed global-analysis
 // image, and one packed image per shard, every image in internal/persist's
-// fuzzed packed format. Load memory-maps the images and reconstructs the
-// corpus without re-parsing, re-tokenizing or re-analyzing any XML, which
-// makes a snapshot a first-class reload source: refresh from disk costs a
-// map plus a decode, not an analysis. Snapshot writes are themselves
-// incremental — a shard whose content hash matches the previous manifest
-// keeps its on-disk image, proven current by the image hash, without being
-// re-encoded.
+// fuzzed packed format. There is one layout whatever the shard count (a
+// default corpus is one shard), so any snapshot serves anywhere: locally, on
+// shard servers, behind a router. Load memory-maps the images and
+// reconstructs the corpus without re-parsing, re-tokenizing or re-analyzing
+// any XML, which makes a snapshot a first-class reload source: refresh from
+// disk costs a map plus a decode, not an analysis. Snapshot writes are
+// themselves incremental — a shard whose content hash matches the previous
+// manifest keeps its on-disk image, proven current by the image hash,
+// without being re-encoded.
 //
 // Deltas compare generations. Diff hashes the top-level entities of a
 // newly parsed document with the same partitioner as internal/shard and
@@ -44,24 +46,23 @@ import (
 	"extract/xmltree"
 )
 
-// analysisFile is the file name of a sharded snapshot's packed
-// global-analysis image.
+// analysisFile is the file name of a snapshot's packed global-analysis
+// image.
 const analysisFile = "analysis.xtix"
 
 // shardFile returns the file name of shard i's packed image.
 func shardFile(i int) string { return fmt.Sprintf("shard-%04d.xtix", i) }
 
-// Loaded is a corpus reconstructed from a snapshot directory: exactly one
-// of Corpus (sharded) and Single (unsharded) is set, and Source carries
+// Loaded is a corpus reconstructed from a snapshot directory: Corpus is the
+// corpus (one shard or many — a snapshot has one layout), and Source carries
 // the manifest's per-shard content hashes so the generation can be
 // delta-diffed without rehashing its documents.
 type Loaded struct {
 	Corpus *shard.Corpus
-	Single *core.Corpus
 	Source Source
 }
 
-// Snapshot writes a sharded corpus into dir as a snapshot, creating the
+// Snapshot writes a corpus into dir as a snapshot, creating the
 // directory if needed. The write is incremental against any manifest
 // already in dir: shard images whose content hash is unchanged are left
 // untouched on disk, so refreshing a snapshot after a small edit rewrites
@@ -72,7 +73,6 @@ func Snapshot(dir string, sc *shard.Corpus) error {
 	label, fromAttr := sc.Root()
 	subset := sc.InternalSubset()
 	m := &Manifest{
-		Sharded:  true,
 		RootHash: RootHash(label, fromAttr, subset),
 		Analysis: FileEntry{File: analysisFile},
 	}
@@ -120,44 +120,6 @@ func Snapshot(dir string, sc *shard.Corpus) error {
 	return nil
 }
 
-// SnapshotSingle writes an unsharded corpus into dir as a one-image
-// snapshot (no analysis file: the packed corpus image already embeds its
-// analysis). The same incremental and atomicity rules as Snapshot apply.
-func SnapshotSingle(dir string, c *core.Corpus) error {
-	label, fromAttr := "", false
-	if c.Doc != nil && c.Doc.Root != nil {
-		label, fromAttr = c.Doc.Root.Label, c.Doc.Root.FromAttr
-	}
-	subset := ""
-	if c.Doc != nil {
-		subset = c.Doc.InternalSubset
-	}
-	m := &Manifest{RootHash: RootHash(label, fromAttr, subset)}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	prev := previousManifest(dir)
-	e := ShardEntry{File: shardFile(0), ContentHash: ShardHash(c.Doc)}
-	if pe, ok := matchingEntry(prev, e.File, e.ContentHash); ok && imageCurrent(dir, e.File) {
-		e.ImageHash = pe.ImageHash
-	} else {
-		blob, err := encodeCorpus(c)
-		if err != nil {
-			return err
-		}
-		e.ImageHash = hashBytes(blob)
-		if err := writeImage(dir, e.File, blob, false); err != nil {
-			return err
-		}
-	}
-	m.Shards = []ShardEntry{e}
-	if err := writeManifest(dir, m); err != nil {
-		return err
-	}
-	removeStaleImages(dir, prev, m)
-	return nil
-}
-
 // loadAttempts bounds the stability retries of Load and of the facade's
 // snapshot reload: a directory being refreshed mid-load is re-read
 // against its new manifest; one that keeps changing faster than it can be
@@ -171,8 +133,8 @@ var ErrSnapshotChanging = errors.New("ingest: snapshot directory kept changing d
 // Load reconstructs a corpus from a snapshot directory: manifest, then the
 // packed images through internal/persist's memory-mapping loader, shard
 // images decoding in parallel. No XML is parsed and no analysis is
-// recomputed; a sharded snapshot's shards are rebound to the artifacts of
-// the global analysis image, exactly as a live sharded build shares them.
+// recomputed; the shards are rebound to the artifacts of the global
+// analysis image, exactly as a live build shares them.
 // Loading is safe against a writer refreshing the directory in place: the
 // manifest is re-read after the images, and a changed manifest retries
 // the load against the new generation (the manifest is written last, so
@@ -201,14 +163,6 @@ func Load(dir string) (*Loaded, error) {
 
 // loadGeneration loads the images one manifest describes.
 func loadGeneration(dir string, m *Manifest) (*Loaded, error) {
-	if !m.Sharded {
-		cc, err := persist.LoadFile(filepath.Join(dir, m.Shards[0].File))
-		if err != nil {
-			return nil, fmt.Errorf("ingest: snapshot image %s: %w", m.Shards[0].File, err)
-		}
-		return &Loaded{Single: cc, Source: m.Source()}, nil
-	}
-
 	a, label, fromAttr, subset, err := LoadAnalysis(dir, m)
 	if err != nil {
 		return nil, err
@@ -220,13 +174,13 @@ func loadGeneration(dir string, m *Manifest) (*Loaded, error) {
 		wg.Add(1)
 		go func(i int, e ShardEntry) {
 			defer wg.Done()
-			shards[i], errs[i] = persist.LoadFile(filepath.Join(dir, e.File))
+			shards[i], errs[i] = LoadShardImage(dir, e)
 		}(i, e)
 	}
 	wg.Wait()
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("ingest: snapshot image %s: %w", m.Shards[i].File, err)
+			return nil, err
 		}
 	}
 	return &Loaded{
@@ -235,7 +189,7 @@ func loadGeneration(dir string, m *Manifest) (*Loaded, error) {
 	}, nil
 }
 
-// LoadAnalysis loads a sharded snapshot's global-analysis image: the
+// LoadAnalysis loads a snapshot's global-analysis image: the
 // shared analysis artifacts plus the root identity they were computed
 // under. The delta-reload path uses it to refresh the analysis while
 // adopting unchanged shards.

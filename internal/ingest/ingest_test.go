@@ -124,9 +124,6 @@ func TestSnapshotRoundTripSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Corpus == nil || loaded.Single != nil {
-		t.Fatalf("sharded snapshot loaded as %+v", loaded)
-	}
 	if loaded.Corpus.NumShards() != sc.NumShards() {
 		t.Fatalf("shards: %d, want %d", loaded.Corpus.NumShards(), sc.NumShards())
 	}
@@ -145,25 +142,32 @@ func TestSnapshotRoundTripSharded(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripSingle covers the unsharded shape.
+// TestSnapshotRoundTripSingle covers the one-shard corpus: the same layout
+// as any other shard count, one image plus the analysis file.
 func TestSnapshotRoundTripSingle(t *testing.T) {
 	dir := t.TempDir()
-	c := core.BuildCorpus(storesDoc())
-	if err := SnapshotSingle(dir, c); err != nil {
+	sc := shard.Build(storesDoc(), 1)
+	c := sc.Shards()[0]
+	if err := Snapshot(dir, sc); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Single == nil || loaded.Corpus != nil {
-		t.Fatalf("unsharded snapshot loaded as %+v", loaded)
+	if loaded.Corpus.NumShards() != 1 {
+		t.Fatalf("one-shard snapshot loaded with %d shards", loaded.Corpus.NumShards())
 	}
-	if loaded.Single.Doc.Len() != c.Doc.Len() {
-		t.Fatalf("nodes: %d, want %d", loaded.Single.Doc.Len(), c.Doc.Len())
+	if got := loaded.Corpus.Shards()[0].Doc.Len(); got != c.Doc.Len() {
+		t.Fatalf("nodes: %d, want %d", got, c.Doc.Len())
 	}
 	if len(loaded.Source.Shards) != 1 || loaded.Source.Shards[0] != ShardHash(c.Doc) {
 		t.Fatalf("manifest source %v disagrees with live corpus", loaded.Source)
+	}
+	for _, q := range testQueries {
+		if got, want := render(loaded.Corpus, q), render(sc, q); got != want {
+			t.Fatalf("q=%q: snapshot answers differ\nwant %s\ngot  %s", q, want, got)
+		}
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // Snapshot manifest: the small, versioned description of a snapshot
 // directory that delta reloads diff against. All integers little-endian.
 //
-//	magic "XTSN" | version u8 = 2 | flags u8 (bit0: sharded)
+//	magic "XTSN" | version u8 = 2 | flags u8 (bit0 always set, see below)
 //	u64 rootHash
-//	analysis: u8 nameLen | name | u64 imageHash   (empty name when unsharded)
+//	analysis: u8 nameLen | name | u64 imageHash
 //	u32 shardCount
 //	per shard: u8 nameLen | name | u64 contentHash | u64 imageHash
 //	u32 CRC-32C of every preceding byte
@@ -24,6 +24,11 @@ import (
 // decodes, so snapshots written before the checksum existed keep loading.
 // The checksum is verified before any field parsing: a torn or bit-flipped
 // manifest fails as corruption, not as whatever field the damage lands in.
+//
+// Flags bit 0 names the layout: an analysis image plus one image per shard,
+// n >= 1 — the only one there is, so the bit is always written. Flags 0 was
+// a retired one-image "unsharded" layout with no analysis file; it is
+// rejected with a re-save message rather than misread.
 //
 // ContentHash fingerprints the shard's *source entities* (see HashEntities)
 // — the key Diff compares across generations; ImageHash fingerprints the
@@ -39,7 +44,7 @@ const (
 	// generation (it is written last, atomically).
 	ManifestName = "manifest.xtsn"
 
-	flagSharded = 1
+	flagLayout = 1 // bit 0, always set: analysis image + one image per shard
 
 	maxManifestShards = 1 << 16
 	maxNameLen        = 255
@@ -68,10 +73,6 @@ type ShardEntry struct {
 
 // Manifest is the decoded form of a snapshot directory's manifest file.
 type Manifest struct {
-	// Sharded records the corpus shape: a sharded snapshot has a global
-	// analysis image plus one packed image per shard, an unsharded one
-	// has exactly one packed corpus image and no analysis file.
-	Sharded  bool
 	RootHash uint64
 	Analysis FileEntry
 	Shards   []ShardEntry
@@ -94,11 +95,7 @@ func EncodeManifest(m *Manifest) []byte {
 	buf := make([]byte, 0, 64+32*len(m.Shards))
 	buf = append(buf, manifestMagic...)
 	buf = append(buf, manifestVersion)
-	var flags byte
-	if m.Sharded {
-		flags |= flagSharded
-	}
-	buf = append(buf, flags)
+	buf = append(buf, flagLayout)
 	buf = binary.LittleEndian.AppendUint64(buf, m.RootHash)
 	buf = append(buf, byte(len(m.Analysis.File)))
 	buf = append(buf, m.Analysis.File...)
@@ -220,10 +217,13 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	}
 	c := &manifestCursor{data: data, off: len(manifestMagic) + 1}
 	flags := c.u8()
-	if flags&^byte(flagSharded) != 0 {
+	if flags&^byte(flagLayout) != 0 {
 		return nil, fmt.Errorf("%w: unknown flag bits %#x", ErrBadManifest, flags)
 	}
-	m := &Manifest{Sharded: flags&flagSharded != 0}
+	if flags&flagLayout == 0 {
+		return nil, fmt.Errorf("%w: unsharded snapshot layout no longer supported — re-save", ErrBadManifest)
+	}
+	m := &Manifest{}
 	m.RootHash = c.u64()
 	m.Analysis.File = c.name("analysis")
 	m.Analysis.ImageHash = c.u64()
@@ -262,16 +262,8 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	if c.off != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadManifest, len(data)-c.off)
 	}
-	if m.Sharded && m.Analysis.File == "" {
-		return nil, fmt.Errorf("%w: sharded snapshot without analysis image", ErrBadManifest)
-	}
-	if !m.Sharded {
-		if m.Analysis.File != "" || m.Analysis.ImageHash != 0 {
-			return nil, fmt.Errorf("%w: unsharded snapshot with analysis image", ErrBadManifest)
-		}
-		if len(m.Shards) != 1 {
-			return nil, fmt.Errorf("%w: unsharded snapshot with %d images", ErrBadManifest, len(m.Shards))
-		}
+	if m.Analysis.File == "" {
+		return nil, fmt.Errorf("%w: snapshot without analysis image", ErrBadManifest)
 	}
 	return m, nil
 }

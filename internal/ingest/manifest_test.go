@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"hash/crc32"
 	"os"
@@ -18,7 +19,6 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden manifest file"
 // endianness mistakes cannot hide.
 func goldenManifest() *Manifest {
 	return &Manifest{
-		Sharded:  true,
 		RootHash: 0xdeadbeefcafe0123,
 		Analysis: FileEntry{File: "analysis.xtix", ImageHash: 0x0102030405060708},
 		Shards: []ShardEntry{
@@ -35,8 +35,9 @@ func goldenManifest() *Manifest {
 func TestManifestRoundTrip(t *testing.T) {
 	cases := []*Manifest{
 		goldenManifest(),
-		{RootHash: 7, Shards: []ShardEntry{{File: "shard-0000.xtix", ContentHash: 9, ImageHash: 11}}},
-		{Sharded: true, Analysis: FileEntry{File: "a.xtix"}, Shards: []ShardEntry{{File: "s.xtix"}}},
+		{RootHash: 7, Analysis: FileEntry{File: "analysis.xtix", ImageHash: 5},
+			Shards: []ShardEntry{{File: "shard-0000.xtix", ContentHash: 9, ImageHash: 11}}},
+		{Analysis: FileEntry{File: "a.xtix"}, Shards: []ShardEntry{{File: "s.xtix"}}},
 	}
 	for i, m := range cases {
 		enc := EncodeManifest(m)
@@ -125,26 +126,25 @@ func TestManifestRejects(t *testing.T) {
 		"stale crc":   mutate(func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }),
 		"truncated":   good[:len(good)-3],
 		"trailing":    append(append([]byte(nil), good...), 0),
+		// Flags 0 was the unsharded one-image layout; it is refused, not
+		// misread as a snapshot without its analysis image.
+		"unsharded layout": mutate(func(b []byte) []byte { b[5] = 0; return reseal(b) }),
 	}
 	for name, data := range cases {
-		if _, err := DecodeManifest(data); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		if _, err := DecodeManifest(data); !errors.Is(err, ErrBadManifest) {
+			t.Errorf("%s: decoded with error %v, want ErrBadManifest", name, err)
 		}
 	}
 
 	structural := map[string]*Manifest{
-		"path traversal in shard": {Sharded: true, Analysis: FileEntry{File: "a.xtix"},
+		"path traversal in shard": {Analysis: FileEntry{File: "a.xtix"},
 			Shards: []ShardEntry{{File: "../evil"}}},
-		"separator in analysis": {Sharded: true, Analysis: FileEntry{File: "x/y"},
+		"separator in analysis": {Analysis: FileEntry{File: "x/y"},
 			Shards: []ShardEntry{{File: "s.xtix"}}},
-		"duplicate names": {Sharded: true, Analysis: FileEntry{File: "a.xtix"},
+		"duplicate names": {Analysis: FileEntry{File: "a.xtix"},
 			Shards: []ShardEntry{{File: "s.xtix"}, {File: "s.xtix"}}},
-		"sharded without analysis": {Sharded: true,
+		"no analysis image": {
 			Shards: []ShardEntry{{File: "s.xtix"}}},
-		"unsharded with analysis": {Analysis: FileEntry{File: "a.xtix"},
-			Shards: []ShardEntry{{File: "s.xtix"}}},
-		"unsharded with two images": {
-			Shards: []ShardEntry{{File: "s.xtix"}, {File: "t.xtix"}}},
 	}
 	for name, m := range structural {
 		if _, err := DecodeManifest(EncodeManifest(m)); err == nil {

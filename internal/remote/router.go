@@ -171,17 +171,14 @@ func NewRouter(analysis *core.Corpus, src ingest.Source, groups [][]string, opts
 	return rt, nil
 }
 
-// OpenSnapshot builds a router from a sharded snapshot directory: the
-// manifest supplies the placement identity, the analysis image the snippet
-// artifacts. The shard images themselves are not loaded — the serving tier
-// owns them.
+// OpenSnapshot builds a router from a snapshot directory (any shard count):
+// the manifest supplies the placement identity, the analysis image the
+// snippet artifacts. The shard images themselves are not loaded — the
+// serving tier owns them.
 func OpenSnapshot(dir string, groups [][]string, opts ...RouterOption) (*Router, error) {
 	m, err := ingest.ReadManifest(dir)
 	if err != nil {
 		return nil, err
-	}
-	if !m.Sharded {
-		return nil, errors.New("remote: router requires a sharded snapshot")
 	}
 	a, _, _, _, err := ingest.LoadAnalysis(dir, m)
 	if err != nil {
@@ -216,9 +213,6 @@ func (rt *Router) ReloadSnapshot(dir string) error {
 	m, err := ingest.ReadManifest(dir)
 	if err != nil {
 		return err
-	}
-	if !m.Sharded {
-		return errors.New("remote: router requires a sharded snapshot")
 	}
 	a, _, _, _, err := ingest.LoadAnalysis(dir, m)
 	if err != nil {
@@ -521,8 +515,10 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 	}
 
 	if nshards == 1 {
-		// Single-shard corpus: the shard's direct answer is the whole
-		// answer, with no root-decision bookkeeping — same as local.
+		// One-shard corpus: the shard's direct answer is the whole answer,
+		// with no root-decision bookkeeping — the wire mirror of the local
+		// reference path (shard.Corpus.SearchEnginesContext), kept so
+		// routed == local holds at n = 1 too.
 		return outs[0].resp.results, nil
 	}
 

@@ -455,8 +455,10 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalResp, error) {
 
 	shards := st.sc.Shards()
 	if len(shards) == 1 {
-		// Single-shard corpus: the local path searches the one shard
-		// directly, with no root-decision bookkeeping. Mirror it.
+		// One-shard corpus: the local reference path searches the lone
+		// engine directly, with no root-decision bookkeeping
+		// (shard.Corpus.SearchEnginesContext). Mirror it, so routed == local
+		// holds at n = 1 too.
 		if err := requireOwned(st, 0); err != nil {
 			return evalResp{}, err
 		}

@@ -39,7 +39,7 @@ func TestQueryDeadline(t *testing.T) {
 	_, srv, q, _ := failureFixture(t, WithQueryTimeout(time.Nanosecond))
 
 	// A nanosecond deadline has always expired by the first checkpoint.
-	_, _, err := srv.Query(q, search.Options{DistinctAnchors: true}, 10)
+	_, _, err := srv.QueryContext(context.Background(), q, search.Options{DistinctAnchors: true}, 10)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -48,7 +48,7 @@ func TestQueryDeadline(t *testing.T) {
 	// Search path.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.SearchContext(ctx, q, search.Options{DistinctAnchors: true}); !errors.Is(err, context.Canceled) {
+	if _, err := srv.Do(ctx, q, search.Options{DistinctAnchors: true}, -1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchContext(canceled) err = %v, want context.Canceled", err)
 	}
 }
@@ -67,7 +67,7 @@ func TestCanceledQueryNotCached(t *testing.T) {
 		t.Fatalf("canceled query err = %v, want context.Canceled", err)
 	}
 
-	rs, gs, err := srv.Query(q, opts, 10)
+	rs, gs, err := srv.QueryContext(context.Background(), q, opts, 10)
 	if err != nil {
 		t.Fatalf("query after cancellation: %v", err)
 	}
@@ -120,12 +120,12 @@ func TestOverloadSheds(t *testing.T) {
 
 	firstErr := make(chan error, 1)
 	go func() {
-		_, err := srv.Search("store", opts)
+		_, err := srv.Do(context.Background(), "store", opts, -1)
 		firstErr <- err
 	}()
 	<-bb.entered // the first query holds the only slot inside the backend
 
-	if _, err := srv.Search("retailer", opts); !errors.Is(err, ErrOverloaded) {
+	if _, err := srv.Do(context.Background(), "retailer", opts, -1); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second query err = %v, want ErrOverloaded", err)
 	}
 	if st := srv.Stats(); st.Shed != 1 {
@@ -140,7 +140,7 @@ func TestOverloadSheds(t *testing.T) {
 	// Slot released: the server admits queries again (the second backend
 	// call sails through the closed release channel).
 	go func() { <-bb.entered }()
-	if _, err := srv.Search("retailer", opts); err != nil {
+	if _, err := srv.Do(context.Background(), "retailer", opts, -1); err != nil {
 		t.Fatalf("query after load dropped: %v", err)
 	}
 	if st := srv.Stats(); st.Shed != 1 {
@@ -158,7 +158,7 @@ func TestPanicIsolation(t *testing.T) {
 	opts := search.Options{DistinctAnchors: true}
 
 	faultinject.Set(faultinject.ShardEval, func() error { panic("injected shard crash") })
-	_, _, err := srv.Query(q, opts, 10)
+	_, _, err := srv.QueryContext(context.Background(), q, opts, 10)
 	var pe *shard.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *shard.PanicError", err)
@@ -176,7 +176,7 @@ func TestPanicIsolation(t *testing.T) {
 	// The panic outcome must not have been cached: the same key now
 	// computes the correct answer.
 	faultinject.Reset()
-	rs, gs, err := srv.Query(q, opts, 10)
+	rs, gs, err := srv.QueryContext(context.Background(), q, opts, 10)
 	if err != nil {
 		t.Fatalf("query after fault cleared: %v", err)
 	}
@@ -202,15 +202,15 @@ func TestSnippetFaultFailsCleanly(t *testing.T) {
 	sentinel := errors.New("injected snippet failure")
 	faultinject.Set(faultinject.SnippetGen, func() error { return sentinel })
 
-	if _, _, err := srv.Query(q, opts, 10); !errors.Is(err, sentinel) {
+	if _, _, err := srv.QueryContext(context.Background(), q, opts, 10); !errors.Is(err, sentinel) {
 		t.Fatalf("Query err = %v, want %v", err, sentinel)
 	}
-	if _, err := srv.Search(q, opts); err != nil {
+	if _, err := srv.Do(context.Background(), q, opts, -1); err != nil {
 		t.Fatalf("Search with snippet fault installed: %v", err)
 	}
 
 	faultinject.Reset()
-	rs, gs, err := srv.Query(q, opts, 10)
+	rs, gs, err := srv.QueryContext(context.Background(), q, opts, 10)
 	if err != nil {
 		t.Fatalf("Query after fault cleared: %v", err)
 	}

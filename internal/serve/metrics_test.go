@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -31,13 +32,13 @@ func TestStageHistograms(t *testing.T) {
 	defer srv.Close()
 
 	const q = "retailer texas"
-	if _, _, err := srv.Query(q, search.Options{}, 10); err != nil { // miss: computes + snippets
+	if _, _, err := srv.QueryContext(context.Background(), q, search.Options{}, 10); err != nil { // miss: computes + snippets
 		t.Fatal(err)
 	}
-	if _, _, err := srv.Query(q, search.Options{}, 10); err != nil { // hit
+	if _, _, err := srv.QueryContext(context.Background(), q, search.Options{}, 10); err != nil { // hit
 		t.Fatal(err)
 	}
-	if _, err := srv.Search(q+" zzz", search.Options{}); err != nil { // miss, no snippet stage
+	if _, err := srv.Do(context.Background(), q+" zzz", search.Options{}, -1); err != nil { // miss, no snippet stage
 		t.Fatal(err)
 	}
 
@@ -76,7 +77,7 @@ func TestStatsMatchesRegistry(t *testing.T) {
 	defer srv.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, err := srv.Search("retailer texas", search.Options{}); err != nil {
+		if _, err := srv.Do(context.Background(), "retailer texas", search.Options{}, -1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,10 +119,10 @@ func TestSlowQueryHook(t *testing.T) {
 	defer srv.Close()
 
 	const q = "retailer texas"
-	if _, _, err := srv.Query(q, search.Options{}, 10); err != nil {
+	if _, _, err := srv.QueryContext(context.Background(), q, search.Options{}, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.Query(q, search.Options{}, 10); err != nil {
+	if _, _, err := srv.QueryContext(context.Background(), q, search.Options{}, 10); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 {
@@ -159,7 +160,7 @@ func TestSlowQueryErrKinds(t *testing.T) {
 		WithSlowQueries(time.Nanosecond, func(r QueryRecord) { recs = append(recs, r) }))
 	defer srv.Close()
 
-	if _, err := srv.Search("", search.Options{}); err == nil {
+	if _, err := srv.Do(context.Background(), "", search.Options{}, -1); err == nil {
 		t.Fatal("empty query served")
 	}
 	idx := snapIndex(reg)

@@ -1,14 +1,14 @@
 // Package serve is the query-serving layer over a corpus: the piece that
 // turns the one-shot query path into something that can hold up under
-// sustained traffic. It drives any corpus shape through the Backend
-// interface — a sharded corpus with an engine per shard, or an unsharded
-// one through the Single adapter — and contributes three things the raw
-// engines do not have:
+// sustained traffic. It drives any corpus through the Backend interface —
+// a local corpus of n >= 1 shards with an engine per shard, or a remote
+// tier's router — and contributes three things the raw engines do not
+// have:
 //
 //   - a fixed-size worker pool bounding the concurrency of all fanned-out
 //     work — per-shard evaluation and snippet generation
 //     (shard.Corpus.Search alone spawns one goroutine per shard per query,
-//     which multiplies under concurrent queries; a Single backend's lone
+//     which multiplies under concurrent queries; a one-shard corpus's lone
 //     evaluation runs inline on the caller, there being nothing to fan
 //     out),
 //   - search.Engine instances cached per option combination and reused

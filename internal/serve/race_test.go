@@ -52,7 +52,7 @@ func TestConcurrentQueries(t *testing.T) {
 				if g%2 == 1 {
 					q = queries[(g+round)%len(queries)]
 				}
-				rs, gs, err := srv.Query(q, opts, 10)
+				rs, gs, err := srv.QueryContext(context.Background(), q, opts, 10)
 				if err != nil {
 					errs <- err
 					return
@@ -106,7 +106,7 @@ func TestSingleflightComputesOnce(t *testing.T) {
 			go func(q workload.Query) {
 				defer wg.Done()
 				<-start
-				if _, _, err := srv.Query(q.Text(), opts, 10); err != nil {
+				if _, _, err := srv.QueryContext(context.Background(), q.Text(), opts, 10); err != nil {
 					t.Error(err)
 				}
 			}(q)
@@ -132,7 +132,7 @@ func TestPoolStoppedStillServes(t *testing.T) {
 	sc := shard.Build(gen.Figure1Corpus(), 2)
 	srv := New(sc)
 	srv.Close()
-	if _, _, err := srv.Query("retailer texas", search.Options{DistinctAnchors: true}, 8); err != nil {
+	if _, _, err := srv.QueryContext(context.Background(), "retailer texas", search.Options{DistinctAnchors: true}, 8); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,7 +185,7 @@ func TestEngineMemoBounded(t *testing.T) {
 	srv := New(sc)
 	defer srv.Close()
 	for i := 1; i <= 3*maxEngineSets; i++ {
-		if _, err := srv.Search("retailer", search.Options{DistinctAnchors: true, MaxResults: i}); err != nil {
+		if _, err := srv.Do(context.Background(), "retailer", search.Options{DistinctAnchors: true, MaxResults: i}, -1); err != nil {
 			t.Fatal(err)
 		}
 	}

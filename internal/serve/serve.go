@@ -23,11 +23,11 @@ import (
 const DefaultCacheBytes = 64 << 20
 
 // Backend is the evaluation side the serving layer drives: a corpus that
-// can expose its per-unit engines and evaluate a query through them. A
-// sharded corpus (*shard.Corpus) is one Backend with an engine per shard; an
-// unsharded corpus adapts through Single with exactly one. The Server never
-// looks inside — worker pool, engine memo, cache and swap epoch all operate
-// on the interface, so every corpus shape gets the same serving path.
+// can expose its per-unit engines and evaluate a query through them. A local
+// corpus (*shard.Corpus, n >= 1 shards) is one Backend with an engine per
+// shard; a remote tier's router (remote.Router) is another, with none. The
+// Server never looks inside — worker pool, engine memo, cache and swap epoch
+// all operate on the interface, so every corpus gets the same serving path.
 type Backend interface {
 	// Analysis returns the corpus carrying the classification and keys
 	// snippet generation needs (not necessarily a document).
@@ -40,31 +40,6 @@ type Backend interface {
 	// independent per-engine work through run (nil = own goroutines) and
 	// honoring ctx cancellation between units of work.
 	SearchEnginesContext(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run shard.Runner) ([]*search.Result, error)
-}
-
-// Single adapts an unsharded corpus to the Backend interface: one engine,
-// no fan-out or merge, evaluation on the calling goroutine (exactly what a
-// one-shard sharded corpus does). It is how the facade routes unsharded
-// corpora through the serving layer.
-type Single struct{ C *core.Corpus }
-
-// Analysis returns the corpus itself.
-func (s Single) Analysis() *core.Corpus { return s.C }
-
-// Engines builds the corpus's one engine for opts.
-func (s Single) Engines(opts search.Options) []*search.Engine {
-	return []*search.Engine{s.C.Engine(opts)}
-}
-
-// SearchEnginesContext evaluates the query on the single engine, inline.
-func (s Single) SearchEnginesContext(ctx context.Context, query string, opts search.Options, engines []*search.Engine, _ shard.Runner) ([]*search.Result, error) {
-	if err := shard.Checkpoint(ctx); err != nil {
-		return nil, err
-	}
-	if engines == nil {
-		engines = s.Engines(opts)
-	}
-	return engines[0].Search(query)
 }
 
 // Server is the query-serving layer over one corpus backend. It owns the
@@ -301,9 +276,9 @@ func (s *Server) snapshot(opts search.Options) (Backend, *core.Generator, []*sea
 	return s.backend, s.gen, engines
 }
 
-// Cached is one cached query response: the result list, and — for Query
-// keys — the generated snippets aligned with it. Both are shared across
-// every caller that hits the entry and must be treated as immutable.
+// Cached is one cached query response: the result list, and — for
+// bound >= 0 keys — the generated snippets aligned with it. Both are shared
+// across every caller that hits the entry and must be treated as immutable.
 // Backend records the corpus generation the response was computed against;
 // swap invalidation guarantees a cached entry's backend is the one that
 // was current when it was admitted, and an in-flight response outliving a
@@ -366,99 +341,84 @@ func (s *Server) key(query string, opts search.Options, bound int) (key string, 
 	return key, prefixLen, true, nil
 }
 
-// Search evaluates a keyword query on the backend through the worker
-// pool, serving repeated queries from the cache. The returned slice is the
-// caller's to reorder; the results it points to are shared and immutable.
-func (s *Server) Search(query string, opts search.Options) ([]*search.Result, error) {
-	return s.SearchContext(context.Background(), query, opts)
-}
-
-// SearchContext is Search honoring ctx: a cancelled or expired query stops
-// at the next evaluation checkpoint and returns the context's error.
-func (s *Server) SearchContext(ctx context.Context, query string, opts search.Options) ([]*search.Result, error) {
-	rs, _, err := s.SearchWithBackendContext(ctx, query, opts)
-	return rs, err
-}
-
-// SearchWithBackend is Search, additionally reporting the corpus backend
-// the response was evaluated on. During a Swap a response may have been
-// computed against the swapped-out corpus; callers deriving anything
-// generation-dependent from the results (ranking statistics, say) must use
-// this backend, not the server's current one.
-func (s *Server) SearchWithBackend(query string, opts search.Options) ([]*search.Result, Backend, error) {
-	return s.SearchWithBackendContext(context.Background(), query, opts)
-}
-
-// SearchWithBackendContext is SearchWithBackend honoring ctx.
-func (s *Server) SearchWithBackendContext(ctx context.Context, query string, opts search.Options) ([]*search.Result, Backend, error) {
-	compute := func(ctx context.Context, tr *trace) (*Cached, error) {
-		t := time.Now()
-		b, _, engines := s.snapshot(opts)
-		tr.add(stageDispatch, time.Since(t))
-		t = time.Now()
-		rs, err := b.SearchEnginesContext(ctx, query, opts, engines, s.pool.Run)
-		tr.add(stageEval, time.Since(t))
-		if err != nil {
-			return nil, err
-		}
-		return &Cached{Results: rs, Backend: b}, nil
+// Do answers one query — the serving layer's one entry point. bound >= 0
+// runs the full pipeline: search, then one snippet per result at that bound,
+// with evaluation and snippet generation both on the worker pool; bound < 0
+// is search only (Snippets stays nil). Repeated queries are served from the
+// cache. The response is the shared, read-only cache entry itself: results
+// and snippets in document order, and the corpus backend they were evaluated
+// on — during a Swap that may be the swapped-out corpus, so callers deriving
+// anything generation-dependent from the results (ranking statistics, say)
+// must use v.Backend, not the server's current one. Callers that reorder
+// must copy the slices first. A cancelled or expired ctx stops the query at
+// the next evaluation or snippet checkpoint and returns the context's error.
+// Every query records the lifecycle histograms and — when slow enough — the
+// slow-query record on the way out.
+func (s *Server) Do(ctx context.Context, query string, opts search.Options, bound int) (*Cached, error) {
+	start := time.Now()
+	tr := &trace{}
+	tr.sink.TraceID = telemetry.NextTraceID()
+	v, outcome, err := s.serveTraced(ctx, query, opts, bound, tr)
+	total := time.Since(start)
+	results := 0
+	if v != nil {
+		results = len(v.Results)
 	}
-	v, err := s.serve(ctx, query, opts, -1, compute)
+	s.metrics.finish(tr, query, outcome, results, err, total)
+	// The ring decides retention from total alone; an unretained query pays
+	// a mutex and a few compares here, nothing more.
+	s.traces.Record(total, func(qt *telemetry.QueryTrace) {
+		qt.ID = tr.sink.TraceID
+		qt.Time = time.Now()
+		qt.Cache = outcome
+		qt.Results = results
+		qt.Err = errKind(err)
+		for st := stage(0); st < numStages; st++ {
+			if tr.touched[st] {
+				qt.Stages = append(qt.Stages, telemetry.StageSpan{Name: stageNames[st], D: tr.d[st]})
+			}
+		}
+		qt.Hops = tr.sink.AppendHops(qt.Hops)
+	})
+	return v, err
+}
+
+// QueryContext is Do for callers that want the full pipeline's results and
+// snippets as slices of their own (fresh copies, free to reorder; the
+// objects they point to stay shared and immutable).
+func (s *Server) QueryContext(ctx context.Context, query string, opts search.Options, bound int) ([]*search.Result, []*core.Generated, error) {
+	v, err := s.Do(ctx, query, opts, bound)
 	if err != nil {
 		return nil, nil, err
 	}
-	return append([]*search.Result(nil), v.Results...), v.Backend, nil
-}
-
-// Query runs the full pipeline — search, then one snippet per result at
-// the given bound — with snippet generation fanned out over the worker
-// pool. Results and snippets are returned in document order, in fresh
-// slices; the objects they point to are shared and immutable.
-func (s *Server) Query(query string, opts search.Options, bound int) ([]*search.Result, []*core.Generated, error) {
-	rs, gs, _, err := s.QueryWithBackendContext(context.Background(), query, opts, bound)
-	return rs, gs, err
-}
-
-// QueryContext is Query honoring ctx (see SearchContext).
-func (s *Server) QueryContext(ctx context.Context, query string, opts search.Options, bound int) ([]*search.Result, []*core.Generated, error) {
-	rs, gs, _, err := s.QueryWithBackendContext(ctx, query, opts, bound)
-	return rs, gs, err
-}
-
-// QueryWithBackend is Query, additionally reporting the corpus backend the
-// response was evaluated on (see SearchWithBackend).
-func (s *Server) QueryWithBackend(query string, opts search.Options, bound int) ([]*search.Result, []*core.Generated, Backend, error) {
-	return s.QueryWithBackendContext(context.Background(), query, opts, bound)
-}
-
-// QueryWithBackendContext is QueryWithBackend honoring ctx.
-func (s *Server) QueryWithBackendContext(ctx context.Context, query string, opts search.Options, bound int) ([]*search.Result, []*core.Generated, Backend, error) {
-	compute := func(ctx context.Context, tr *trace) (*Cached, error) {
-		t := time.Now()
-		b, gen, engines := s.snapshot(opts)
-		tr.add(stageDispatch, time.Since(t))
-		t = time.Now()
-		rs, err := b.SearchEnginesContext(ctx, query, opts, engines, s.pool.Run)
-		tr.add(stageEval, time.Since(t))
-		if err != nil {
-			return nil, err
-		}
-		// Tokenized here, not on the hit path: cache hits never pay it.
-		t = time.Now()
-		kws := index.Tokenize(query)
-		gs, err := s.snippets(ctx, gen, rs, kws, bound)
-		tr.add(stageSnippet, time.Since(t))
-		if err != nil {
-			return nil, err
-		}
-		return &Cached{Results: rs, Snippets: gs, Backend: b}, nil
-	}
-	v, err := s.serve(ctx, query, opts, bound, compute)
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	return append([]*search.Result(nil), v.Results...),
-		append([]*core.Generated(nil), v.Snippets...), v.Backend, nil
+		append([]*core.Generated(nil), v.Snippets...), nil
+}
+
+// evaluate is one query's computation: dispatch, evaluation and — when
+// bound >= 0 — snippet generation, each recorded into the trace.
+func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts search.Options, bound int) (*Cached, error) {
+	t := time.Now()
+	b, gen, engines := s.snapshot(opts)
+	tr.add(stageDispatch, time.Since(t))
+	t = time.Now()
+	rs, err := b.SearchEnginesContext(ctx, query, opts, engines, s.pool.Run)
+	tr.add(stageEval, time.Since(t))
+	if err != nil {
+		return nil, err
+	}
+	v := &Cached{Results: rs, Backend: b}
+	if bound < 0 {
+		return v, nil
+	}
+	// Tokenized here, not on the hit path: cache hits never pay it.
+	t = time.Now()
+	v.Snippets, err = s.snippets(ctx, gen, rs, index.Tokenize(query), bound)
+	tr.add(stageSnippet, time.Since(t))
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // begin admits one query: it sheds immediately when the in-flight bound is
@@ -488,16 +448,12 @@ func (s *Server) begin(ctx context.Context) (context.Context, func(), error) {
 	return ctx, finish, nil
 }
 
-// computeFn is one query's computation, recording its stage durations
-// into the trace it is handed.
-type computeFn func(context.Context, *trace) (*Cached, error)
-
 // compute runs one query computation inside the panic-isolation boundary:
 // a panic anywhere in evaluation or snippet generation — recovered by the
 // pool on a worker, or here when it escapes on the calling goroutine —
 // becomes a per-query *shard.PanicError and bumps the Panics counter. One
 // bad query fails alone; the process and every other query survive.
-func (s *Server) compute(ctx context.Context, tr *trace, fn computeFn) (v *Cached, err error) {
+func (s *Server) compute(ctx context.Context, tr *trace, query string, opts search.Options, bound int) (v *Cached, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			v, err = nil, &shard.PanicError{Value: r, Stack: debug.Stack()}
@@ -506,7 +462,7 @@ func (s *Server) compute(ctx context.Context, tr *trace, fn computeFn) (v *Cache
 	}()
 	// Install the query's span sink only on the compute path: cache hits
 	// make no remote calls, so they skip the context allocation too.
-	v, err = fn(telemetry.WithSpanSink(ctx, &tr.sink), tr)
+	v, err = s.evaluate(telemetry.WithSpanSink(ctx, &tr.sink), tr, query, opts, bound)
 	if err != nil {
 		var pe *shard.PanicError
 		if errors.As(err, &pe) {
@@ -517,40 +473,6 @@ func (s *Server) compute(ctx context.Context, tr *trace, fn computeFn) (v *Cache
 	return v, nil
 }
 
-// serve answers one query through the cache when its key is admissible,
-// directly otherwise, recording the lifecycle histograms and — when the
-// query is slow enough — the slow-query record on the way out. Failed
-// computations — errors, timeouts, panics — are returned to their callers
-// and never cached.
-func (s *Server) serve(ctx context.Context, query string, opts search.Options, bound int, compute computeFn) (*Cached, error) {
-	start := time.Now()
-	tr := &trace{}
-	tr.sink.TraceID = telemetry.NextTraceID()
-	v, outcome, err := s.serveTraced(ctx, query, opts, bound, compute, tr)
-	total := time.Since(start)
-	results := 0
-	if v != nil {
-		results = len(v.Results)
-	}
-	s.metrics.finish(tr, query, outcome, results, err, total)
-	// The ring decides retention from total alone; an unretained query pays
-	// a mutex and a few compares here, nothing more.
-	s.traces.Record(total, func(qt *telemetry.QueryTrace) {
-		qt.ID = tr.sink.TraceID
-		qt.Time = time.Now()
-		qt.Cache = outcome
-		qt.Results = results
-		qt.Err = errKind(err)
-		for st := stage(0); st < numStages; st++ {
-			if tr.touched[st] {
-				qt.Stages = append(qt.Stages, telemetry.StageSpan{Name: stageNames[st], D: tr.d[st]})
-			}
-		}
-		qt.Hops = tr.sink.AppendHops(qt.Hops)
-	})
-	return v, err
-}
-
 // RecentTraces snapshots the retained query traces, newest first: a steady
 // sample of recent traffic plus the slowest queries seen. The copies share
 // no memory with the ring. Traces carry no query text; correlate with the
@@ -559,9 +481,11 @@ func (s *Server) RecentTraces() []telemetry.QueryTrace {
 	return s.traces.Snapshot()
 }
 
-// serveTraced is serve's cache-vs-compute decision, reporting the cache
-// outcome alongside the response so serve can count and log it.
-func (s *Server) serveTraced(ctx context.Context, query string, opts search.Options, bound int, compute computeFn, tr *trace) (*Cached, string, error) {
+// serveTraced is Do's cache-vs-compute decision: through the cache when the
+// query's key is admissible, directly otherwise, reporting the cache outcome
+// alongside the response so Do can count and log it. Failed computations —
+// errors, timeouts, panics — are returned to their callers and never cached.
+func (s *Server) serveTraced(ctx context.Context, query string, opts search.Options, bound int, tr *trace) (*Cached, string, error) {
 	t := time.Now()
 	ctx, finish, err := s.begin(ctx)
 	tr.add(stageAdmission, time.Since(t))
@@ -569,7 +493,7 @@ func (s *Server) serveTraced(ctx context.Context, query string, opts search.Opti
 		return nil, "", err
 	}
 	defer finish()
-	run := func() (*Cached, error) { return s.compute(ctx, tr, compute) }
+	run := func() (*Cached, error) { return s.compute(ctx, tr, query, opts, bound) }
 	// The cache stage spans key encoding through the probe's resolution:
 	// for a miss it ends when this caller starts computing; for a hit or a
 	// coalesced wait it ends when the response is in hand.

@@ -91,7 +91,7 @@ func TestCachedEqualsUncached(t *testing.T) {
 						name, shards, opts.Semantics, opts.Mode, opts.MaxResults, q)
 					want, werr := uncachedHits(sc, q, opts, 10)
 					for pass := 0; pass < 3; pass++ {
-						rs, gs, gerr := srv.Query(q, opts, 10)
+						rs, gs, gerr := srv.QueryContext(context.Background(), q, opts, 10)
 						if (werr == nil) != (gerr == nil) {
 							t.Fatalf("%s pass %d: errors differ: %v vs %v", label, pass, werr, gerr)
 						}
@@ -136,7 +136,7 @@ func TestSwapInvalidates(t *testing.T) {
 
 	queries := corpusQueries(mkA())
 	for _, q := range queries { // populate the cache against corpus A
-		if _, _, err := srv.Query(q, opts, 10); err != nil {
+		if _, _, err := srv.QueryContext(context.Background(), q, opts, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestSwapInvalidates(t *testing.T) {
 	for _, q := range append(queries, corpusQueries(mkB())...) {
 		want, werr := uncachedHits(scB, q, opts, 10)
 		for pass := 0; pass < 2; pass++ {
-			rs, gs, gerr := srv.Query(q, opts, 10)
+			rs, gs, gerr := srv.QueryContext(context.Background(), q, opts, 10)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("q=%q pass %d: errors differ: %v vs %v", q, pass, werr, gerr)
 			}
@@ -175,13 +175,14 @@ func TestSearchOnlyCaching(t *testing.T) {
 	for _, q := range queries {
 		want, werr := sc.Search(q, opts)
 		for pass := 0; pass < 2; pass++ {
-			got, gerr := srv.Search(q, opts)
+			v, gerr := srv.Do(context.Background(), q, opts, -1)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("q=%q: errors differ: %v vs %v", q, werr, gerr)
 			}
 			if werr != nil {
 				continue
 			}
+			got := v.Results
 			if len(got) != len(want) {
 				t.Fatalf("q=%q pass %d: %d results, want %d", q, pass, len(got), len(want))
 			}
@@ -192,7 +193,7 @@ func TestSearchOnlyCaching(t *testing.T) {
 				}
 			}
 		}
-		if _, _, err := srv.Query(q, opts, 10); err != nil {
+		if _, _, err := srv.QueryContext(context.Background(), q, opts, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +212,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 3; pass++ {
-		rs, gs, err := srv.Query(q, opts, 8)
+		rs, gs, err := srv.QueryContext(context.Background(), q, opts, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,16 +260,16 @@ func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 	entry := func(query string, mode search.ConstructionMode) *Cached {
-		rs, gs, b, err := s.QueryWithBackendContext(ctx, query, search.Options{DistinctAnchors: true, Mode: mode}, 6)
-		if err != nil || len(rs) == 0 {
-			t.Fatalf("%q: %d results, %v", query, len(rs), err)
+		v, err := s.Do(ctx, query, search.Options{DistinctAnchors: true, Mode: mode}, 6)
+		if err != nil || len(v.Results) == 0 {
+			t.Fatalf("%q: %v", query, err)
 		}
-		for _, g := range gs {
+		for _, g := range v.Snippets {
 			if g.Stats != nil {
 				t.Fatalf("%q: a served snippet kept its feature statistics", query)
 			}
 		}
-		return &Cached{Results: rs, Snippets: gs, Backend: b}
+		return v
 	}
 	// One retailer-sized result against one clothes-sized result.
 	big, small := entry("retailer", search.ModeSubtree), entry("clothes", search.ModeSubtree)
@@ -475,7 +476,7 @@ func TestInternerFullStillServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
-		rs, gs, err := srv.Query(q, opts, 8)
+		rs, gs, err := srv.QueryContext(context.Background(), q, opts, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

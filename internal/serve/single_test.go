@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 	"extract/internal/shard"
 )
 
-// directSingleHits computes the reference response straight off an
-// unsharded corpus's engine and a private generator — the pre-unification
-// evaluation path the Single backend must reproduce byte for byte.
+// directSingleHits computes the reference response straight off a one-shard
+// corpus's own engine and a private generator — the direct evaluation path
+// the served one-shard backend must reproduce byte for byte.
 func directSingleHits(cc *core.Corpus, query string, opts search.Options, bound int) ([]string, error) {
 	rs, err := cc.Engine(opts).Search(query)
 	if err != nil {
@@ -26,7 +27,7 @@ func directSingleHits(cc *core.Corpus, query string, opts search.Options, bound 
 	return renderHits(rs, gs), nil
 }
 
-// TestSingleBackendEqualsDirect is the unification property: an unsharded
+// TestSingleBackendEqualsDirect is the unification property: a one-shard
 // corpus served through the layer — first computation, cache hit, and
 // post-swap recomputation — answers byte-identical to direct evaluation on
 // its engine, for every corpus, option combination and query mix.
@@ -38,8 +39,9 @@ func TestSingleBackendEqualsDirect(t *testing.T) {
 		{DistinctAnchors: true, MaxResults: 3},
 	}
 	for name, mk := range testCorpora() {
-		cc := core.BuildCorpus(mk())
-		srv := New(Single{C: cc}, WithWorkers(2))
+		sc := shard.Build(mk(), 1)
+		cc := sc.Shards()[0]
+		srv := New(sc, WithWorkers(2))
 		defer srv.Close()
 		queries := corpusQueries(mk())
 		for _, opts := range optsList {
@@ -48,7 +50,7 @@ func TestSingleBackendEqualsDirect(t *testing.T) {
 					name, opts.Semantics, opts.Mode, opts.MaxResults, q)
 				want, werr := directSingleHits(cc, q, opts, 10)
 				for pass := 0; pass < 3; pass++ {
-					rs, gs, gerr := srv.Query(q, opts, 10)
+					rs, gs, gerr := srv.QueryContext(context.Background(), q, opts, 10)
 					if (werr == nil) != (gerr == nil) {
 						t.Fatalf("%s pass %d: errors differ: %v vs %v", label, pass, werr, gerr)
 					}
@@ -76,27 +78,27 @@ func TestSingleBackendEqualsDirect(t *testing.T) {
 }
 
 // TestSwapAcrossShapes pins Swap between corpus shapes: a server can trade
-// a sharded backend for an unsharded one (and back), always answering from
+// a many-shard backend for a one-shard one (and back), always answering from
 // the corpus swapped in last and never from stale entries.
 func TestSwapAcrossShapes(t *testing.T) {
-	mkA := func() *core.Corpus { return core.BuildCorpus(gen.Figure1Corpus()) }
+	mkA := func() *shard.Corpus { return shard.Build(gen.Figure1Corpus(), 1) }
 	scB := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 5, StoresPerRetailer: 2, ClothesPerStore: 3, Seed: 11}), 3)
 	opts := search.Options{DistinctAnchors: true}
 
-	srv := New(Single{C: mkA()})
+	srv := New(mkA())
 	defer srv.Close()
 	q := "retailer texas"
-	if _, _, err := srv.Query(q, opts, 8); err != nil { // cache against A
+	if _, _, err := srv.QueryContext(context.Background(), q, opts, 8); err != nil { // cache against A
 		t.Fatal(err)
 	}
 
-	srv.Swap(scB) // unsharded -> sharded
+	srv.Swap(scB) // one shard -> three
 	if st := srv.Stats(); st.Entries != 0 {
 		t.Fatalf("swap left cache entries behind: %+v", st)
 	}
 	for _, query := range []string{q, "store jeans"} {
 		want, werr := uncachedHits(scB, query, opts, 8)
-		got, gs, gerr := srv.Query(query, opts, 8)
+		got, gs, gerr := srv.QueryContext(context.Background(), query, opts, 8)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("q=%q: errors differ: %v vs %v", query, werr, gerr)
 		}
@@ -105,17 +107,17 @@ func TestSwapAcrossShapes(t *testing.T) {
 		}
 	}
 
-	ccA2 := mkA()
-	srv.Swap(Single{C: ccA2}) // sharded -> unsharded
-	want, err := directSingleHits(ccA2, q, opts, 8)
+	scA2 := mkA()
+	srv.Swap(scA2) // three shards -> one
+	want, err := directSingleHits(scA2.Shards()[0], q, opts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, gs, err := srv.Query(q, opts, 8)
+	rs, gs, err := srv.QueryContext(context.Background(), q, opts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(renderHits(rs, gs)) != fmt.Sprint(want) {
-		t.Fatal("response after swap back to unsharded differs from direct evaluation")
+		t.Fatal("response after swap back to one shard differs from direct evaluation")
 	}
 }

@@ -1,11 +1,12 @@
-// Package shard partitions an analyzed XML corpus into independently
-// indexed shards and evaluates keyword queries across them: per-shard
-// SLCA/ELCA evaluation fans out in parallel, and the per-shard result
-// streams merge through a bounded top-k merge. Classification, key mining
-// and the structural summary are computed once, globally, before
+// Package shard is the local corpus: an analyzed XML corpus as n >= 1
+// independently indexed shards, and keyword-query evaluation across them —
+// per-shard SLCA/ELCA evaluation fans out in parallel, and the per-shard
+// result streams merge through a bounded top-k merge. Classification, key
+// mining and the structural summary are computed once, globally, before
 // partitioning, so every shard anchors and classifies results exactly like
-// the unsharded engine — sharded query results are identical to unsharded
-// ones (pinned by the equivalence property tests).
+// an engine over the whole document — which is what a one-shard corpus is,
+// and many-shard query results are identical to its (pinned by the
+// equivalence property tests).
 //
 // Shard boundaries follow the document's own top-level structure: the
 // children of the root (the top-level entities of the database) are split

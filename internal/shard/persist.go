@@ -12,10 +12,11 @@ import (
 	"extract/internal/persist"
 )
 
-// Sharded corpus file: a thin frame around one packed persist image per
-// shard, so each shard round-trips through the same versioned, fuzzed
-// format as an unsharded corpus and shards can be decoded independently
-// (and in parallel) on load.
+// Corpus file: a thin frame around one packed persist image per shard, so
+// each shard round-trips through internal/persist's versioned, fuzzed format
+// and shards can be decoded independently (and in parallel) on load. The
+// loaders also accept a bare packed image — what a snapshot's shard images
+// are — as a one-shard corpus; the magic tells the two apart.
 //
 //	magic "XTSH" | version u8 = 1 | u32 shardCount
 //	per shard: u64 blobLen | persist packed image
@@ -88,11 +89,19 @@ func Load(r io.Reader) (*Corpus, error) {
 	return LoadBytes(data)
 }
 
-// LoadBytes decodes a fully-read sharded corpus image.
+// LoadBytes decodes a fully-read corpus image: Save's frame, or a bare
+// packed image as one shard.
 func LoadBytes(data []byte) (*Corpus, error) {
+	if !framed(data) {
+		c, err := persist.LoadBytes(data)
+		if err != nil {
+			return nil, err
+		}
+		return fromParts([]*core.Corpus{c}), nil
+	}
 	headLen := len(shardMagic) + 1 + 4
-	if len(data) < headLen || string(data[:len(shardMagic)]) != shardMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
+	if len(data) < headLen {
+		return nil, fmt.Errorf("%w: truncated header", ErrBadFormat)
 	}
 	if data[len(shardMagic)] != shardVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, data[len(shardMagic)])
@@ -138,8 +147,23 @@ func LoadBytes(data []byte) (*Corpus, error) {
 	return fromParts(shards), nil
 }
 
-// LoadFile reads a sharded corpus from a file.
+// LoadFile reads a corpus image from a file. A bare packed image goes
+// through persist's memory-mapping file loader.
 func LoadFile(path string) (*Corpus, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	var head [len(shardMagic)]byte
+	n, _ := io.ReadFull(f, head[:])
+	f.Close()
+	if !framed(head[:n]) {
+		c, err := persist.LoadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return fromParts([]*core.Corpus{c}), nil
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -147,8 +171,7 @@ func LoadFile(path string) (*Corpus, error) {
 	return LoadBytes(data)
 }
 
-// IsShardedImage reports whether data begins with the sharded-corpus magic,
-// for callers that dispatch between corpus formats.
-func IsShardedImage(data []byte) bool {
+// framed reports whether data begins with the frame magic.
+func framed(data []byte) bool {
 	return len(data) >= len(shardMagic) && string(data[:len(shardMagic)]) == shardMagic
 }

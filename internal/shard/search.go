@@ -19,9 +19,9 @@ import (
 // sound, since such a shard can contain no local result — and per-shard
 // evaluation stops early once the result bound is provably filled
 // (search.EvaluateResults). The result set is identical to evaluating
-// the same query on the unsharded document (see the equivalence property
-// tests); opts carry the same semantics, construction-mode, distinct-anchor
-// and max-results options the unsharded engine takes.
+// the same query on the whole document as one shard (see the equivalence
+// property tests); opts carry the same semantics, construction-mode,
+// distinct-anchor and max-results options a search.Engine takes.
 //
 // Merging is root-aware. Any non-root SLCA/ELCA lies entirely inside one
 // shard, so the union of per-shard LCA sets (minus shard roots) is exactly
@@ -170,6 +170,9 @@ func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts s
 		}
 		return sc.shards[i].Engine(opts)
 	}
+	// One shard: the lone engine's own Search, with no prefilter, digest or
+	// merge in the way — the direct-engine reference path every multi-shard
+	// answer is pinned byte-identical to, so it stays a separate branch.
 	if len(sc.shards) == 1 {
 		var rs []*search.Result
 		var serr error

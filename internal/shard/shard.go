@@ -12,11 +12,13 @@ import (
 	"extract/xmltree"
 )
 
-// Corpus is a sharded analyzed corpus: every shard owns its own document
-// fragment and packed inverted index, while classification, mined keys,
-// structural summary and dataguide are global — computed on the whole
-// document before partitioning — so per-shard evaluation makes exactly the
-// decisions the unsharded engine would.
+// Corpus is an analyzed corpus of n >= 1 shards — the one shape every local
+// corpus has. Every shard owns its own document fragment and packed inverted
+// index, while classification, mined keys, structural summary and dataguide
+// are global — computed on the whole document before partitioning — so
+// per-shard evaluation makes exactly the decisions an engine over the whole
+// document would. A one-shard corpus holds the document itself, unmoved, and
+// evaluates inline on its lone engine (see the len(shards) == 1 branches).
 type Corpus struct {
 	shards []*core.Corpus
 
@@ -33,6 +35,10 @@ type Corpus struct {
 	statsOnce     sync.Once
 	totalNodes    int
 	totalElements int
+	maxDepth      int
+
+	keywordsOnce     sync.Once
+	distinctKeywords int
 
 	fallbackOnce sync.Once
 	fallback     *core.Corpus
@@ -45,16 +51,18 @@ type buildConfig struct {
 	dtd *dtd.DTD
 }
 
-// WithDTD classifies nodes using the given DTD, exactly as core.WithDTD
-// does for an unsharded corpus.
+// WithDTD classifies nodes using the given DTD (combined with instance
+// inference for undeclared labels); nil infers everything from the data.
 func WithDTD(d *dtd.DTD) Option {
 	return func(c *buildConfig) { c.dtd = d }
 }
 
 // Build analyzes doc globally — classification, key mining, summary and
 // dataguide over the whole document — then partitions it into at most n
-// shards, each with its own packed inverted index. The document's nodes are
-// moved into the shards: doc is invalid afterwards.
+// shards, each with its own packed inverted index. When the document
+// partitions (n > 1 and at least two root children) its nodes are moved into
+// the shards and doc is invalid afterwards; otherwise the one shard is doc
+// itself, untouched.
 func Build(doc *xmltree.Document, n int, opts ...Option) *Corpus {
 	var cfg buildConfig
 	for _, o := range opts {
@@ -165,13 +173,17 @@ func (sc *Corpus) Analysis() *core.Corpus {
 	}
 }
 
-// computeStats fills the lazily aggregated corpus-wide counters.
+// computeStats fills the lazily aggregated corpus-wide counters: one walk
+// of every shard document per generation, however often they are read.
 func (sc *Corpus) computeStats() {
 	sc.statsOnce.Do(func() {
 		for i, s := range sc.shards {
 			st := s.Doc.ComputeStats()
 			sc.totalNodes += st.Nodes
 			sc.totalElements += st.Elements
+			// A shard root sits at the original root's depth, so shard
+			// depths are document depths.
+			sc.maxDepth = max(sc.maxDepth, st.MaxDepth)
 			if i > 0 {
 				// Every shard root after the first is a copy of the
 				// same original root element.
@@ -195,6 +207,13 @@ func (sc *Corpus) TotalElements() int {
 	return sc.totalElements
 }
 
+// MaxDepth returns the depth of the original document's deepest node (the
+// root is at depth 0).
+func (sc *Corpus) MaxDepth() int {
+	sc.computeStats()
+	return sc.maxDepth
+}
+
 // Count returns the corpus-wide posting count of a keyword — the document
 // frequency a ranker needs. Every shard root is a copy of the same original
 // root element, so postings on shard roots (the root's own tag, or text
@@ -216,18 +235,26 @@ func (sc *Corpus) Count(keyword string) int {
 	return total
 }
 
-// DistinctKeywords returns the size of the union of the shard vocabularies.
+// DistinctKeywords returns the size of the union of the shard vocabularies,
+// computed once per generation. It has its own Once: TotalElements is on the
+// ranked-query path, which should not pay for sorting and merging
+// vocabularies only Stats reads.
 func (sc *Corpus) DistinctKeywords() int {
-	if len(sc.shards) == 1 {
-		return sc.shards[0].Index.DistinctKeywords()
-	}
-	seen := make(map[string]bool)
-	for _, s := range sc.shards {
-		for _, kw := range s.Index.Vocabulary() {
-			seen[kw] = true
+	sc.keywordsOnce.Do(func() {
+		// One shard: its index is the whole vocabulary, no union needed.
+		if len(sc.shards) == 1 {
+			sc.distinctKeywords = sc.shards[0].Index.DistinctKeywords()
+			return
 		}
-	}
-	return len(seen)
+		seen := make(map[string]bool)
+		for _, s := range sc.shards {
+			for _, kw := range s.Index.Vocabulary() {
+				seen[kw] = true
+			}
+		}
+		sc.distinctKeywords = len(seen)
+	})
+	return sc.distinctKeywords
 }
 
 // CompletePrefix merges the full per-shard prefix tails and re-ranks the
@@ -240,6 +267,8 @@ func (sc *Corpus) DistinctKeywords() int {
 // contiguous slice of the shard's sorted vocabulary, so exactness costs a
 // scan proportional to the number of matching keywords, not to k.
 func (sc *Corpus) CompletePrefix(prefix string, k int) []string {
+	// One shard: its index's own completion is the reference the merge
+	// below is pinned against, so it answers directly.
 	if len(sc.shards) == 1 {
 		return sc.shards[0].Index.CompletePrefix(prefix, k)
 	}
@@ -269,6 +298,8 @@ func (sc *Corpus) CompletePrefix(prefix string, k int) []string {
 // results — and whole-document consumers like XPath evaluate against it.
 func (sc *Corpus) Fallback() *core.Corpus {
 	sc.fallbackOnce.Do(func() {
+		// One shard is the whole document already — the reference corpus
+		// the reconstruction below must equal; nothing to copy or re-index.
 		if len(sc.shards) == 1 {
 			sc.fallback = sc.shards[0]
 			return

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Distributed-tier integration smoke: build a sharded snapshot with the
+# Distributed-tier integration smoke: build a three-shard snapshot with the
 # extract CLI, serve it from two replica groups of two shard-server
 # replicas each (every server with an HTTP -metrics-addr), route through
 # an extractd -router, and assert the observability surface end to end:
@@ -7,7 +7,9 @@
 # and a /debug/traces entry whose hops span the router and both replica
 # groups with server-reported stage timings. Then hard-kill one replica
 # mid-stream and require every subsequent query to keep answering
-# byte-identically — the replica kill must cost zero failed queries.
+# byte-identically — the replica kill must cost zero failed queries. A short
+# second pass serves a snapshot saved without -shards through one shard
+# server and a router, and byte-compares its answer with the first pass's.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -120,4 +122,19 @@ for i in $(seq 1 10); do
   [ "$(query)" = "$base" ] || { echo "query $i failed or drifted after replica kill" >&2; exit 1; }
 done
 
-echo "distributed integration smoke passed: tracing spans the tier, metrics scraped, replica kill cost zero failed queries"
+# Second pass: a snapshot saved WITHOUT -shards (one shard, the default) has
+# the same layout as any other and must serve through the same tier — one
+# shard server, one router over it — with the three-shard pass's answer,
+# byte for byte. (This wiring used to log.Fatalf "not a sharded snapshot".)
+"$work/extract" -data "$work/stores.xml" -savesnapshot "$work/one.xtsnap"
+"$work/extractd" -shard-server -snapshot "$work/one.xtsnap" -addr 127.0.0.1:7811 &
+wait_port 7811
+"$work/extractd" -router '127.0.0.1:7811' -snapshot "$work/one.xtsnap" -addr 127.0.0.1:7810 &
+for _ in $(seq 1 100); do
+  if curl -fsS http://127.0.0.1:7810/readyz >/dev/null 2>&1; then break; fi
+  sleep 0.1
+done
+one=$(curl -fsS 'http://127.0.0.1:7810/?dataset=remote&q=store+texas&bound=6')
+[ "$one" = "$base" ] || { echo "default-saved (one-shard) snapshot answered differently through the tier" >&2; exit 1; }
+
+echo "distributed integration smoke passed: tracing spans the tier, metrics scraped, replica kill cost zero failed queries, a default-saved snapshot routes identically"

@@ -31,6 +31,10 @@ type cursor struct {
 	data []byte
 	off  int
 	err  error
+
+	// slots is scanResult's scratch — the unfilled child slots of each open
+	// ancestor — kept across the results of one payload.
+	slots []int
 }
 
 func (c *cursor) fail(format string, args ...any) {
@@ -91,14 +95,17 @@ func (c *cursor) bytes(n int, what string) []byte {
 	return b
 }
 
-func (c *cursor) str(what string) string {
-	n := c.uvarint(what + " length")
+// span reads one length-prefixed string in place, without copying it.
+func (c *cursor) span(what string) []byte {
+	n := c.uvarint(what)
 	if n > uint64(len(c.data)) {
 		c.fail("oversized string (%s, %d bytes)", what, n)
-		return ""
+		return nil
 	}
-	return string(c.bytes(int(n), what))
+	return c.bytes(int(n), what)
 }
+
+func (c *cursor) str(what string) string { return string(c.span(what)) }
 
 // count reads a uvarint and validates it against a cap.
 func (c *cursor) count(what string, cap uint64) int {
@@ -174,7 +181,7 @@ func decodeHello(data []byte) (helloMsg, error) {
 	h.shards = c.count("shard", maxWireShards)
 	n := c.count("owned shard", maxWireShards)
 	h.owned = make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && c.err == nil; i++ {
 		h.owned = append(h.owned, uint32(c.uvarint("owned shard index")))
 	}
 	return h, c.done()
@@ -275,7 +282,7 @@ func decodeEvalReq(data []byte, ver byte) (evalReq, error) {
 	r.timeoutMillis = c.uvarint("timeout")
 	n := c.count("shard", maxWireShards)
 	r.shards = make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && c.err == nil; i++ {
 		r.shards = append(r.shards, uint32(c.uvarint("shard index")))
 	}
 	if ver >= 2 {
@@ -352,6 +359,10 @@ func (c *cursor) digest() (d shard.Digest, skipped bool) {
 		return d, true
 	}
 	k := c.count("keyword", maxWireStrings)
+	if k > len(c.data)-c.off {
+		c.fail("truncated digest (%d keywords)", k)
+		return d, false
+	}
 	d.Matched = make([]bool, k)
 	for i := range d.Matched {
 		d.Matched[i] = c.u8("matched bit") != 0
@@ -382,11 +393,9 @@ const (
 // appendResult encodes one result losslessly: the result tree in preorder
 // (labels, values, attribute origin, child counts), the LCA's position
 // within it, and the per-keyword match positions. Positions are preorder
-// ordinals relative to the result root, so the decoder rebuilds an identical
-// tree, finalizes it and re-resolves them — Anchor becomes the rebuilt root
-// and Matches point into the rebuilt tree, preserving the relative depths
-// the ranking scorer reads. A view is encoded straight from the source
-// document's nodes, nothing copied.
+// ordinals relative to the result root, so the decoder (scanResult, build)
+// rebuilds an identical finalized tree and re-resolves them. A view is
+// encoded straight from the source document's nodes, nothing copied.
 func appendResult(b []byte, r *search.Result) []byte {
 	nodes := r.Doc.Nodes()
 	b = binary.AppendUvarint(b, uint64(len(nodes)))
@@ -440,113 +449,230 @@ func appendResult(b []byte, r *search.Result) []byte {
 	for _, kw := range kws {
 		b = appendString(b, kw)
 		ms := r.Matches[kw]
-		ords := make([]uint64, 0, len(ms))
-		for _, m := range ms {
-			if ord, ok := pos(m); ok {
-				ords = append(ords, uint64(ord))
+		// Every match of a view lies inside it; a projection kept only some.
+		kept := len(ms)
+		if originOrd != nil {
+			kept = 0
+			for _, m := range ms {
+				if _, ok := originOrd[m]; ok {
+					kept++
+				}
 			}
 		}
-		b = binary.AppendUvarint(b, uint64(len(ords)))
-		for _, o := range ords {
-			b = binary.AppendUvarint(b, o)
+		b = binary.AppendUvarint(b, uint64(kept))
+		for _, m := range ms {
+			if ord, ok := pos(m); ok {
+				b = binary.AppendUvarint(b, uint64(ord))
+			}
 		}
 	}
 	return b
 }
 
-// result decodes one encoded result, rebuilding the tree and finalizing it
-// as a fresh document.
-func (c *cursor) result() *search.Result {
+// scanned is one result of a decoded response: validated, not yet built.
+// Decoding is split in two because the merge keeps a fraction of what the
+// shards ship (shard.MergeTake decides from the counts alone): scanResult
+// applies every check to every shipped result and allocates nothing, build
+// turns the ranges that win into trees and cannot fail.
+type scanned struct {
+	// enc is the result's encoding. It aliases the payload it was scanned
+	// from, which is why the router's frame payload must stay a fresh
+	// allocation per frame (readFrame): ranges outlive the exchange, and the
+	// connection is back in the pool — possibly reading its next frame —
+	// before they are built. Reusing a read buffer is safe only for the
+	// small request frames a shard server decodes fully before replying.
+	enc       []byte
+	nodes     int // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
+	deweyInts int // Σ node depths: the exact size of the tree's Dewey arena
+}
+
+// minResultBytes is the shortest encoded result (a childless root with an
+// empty label, no LCA, no matches); it bounds a claimed result count by the
+// payload that would have to carry it.
+const minResultBytes = 6
+
+// scanResult validates one encoded result in place and returns its range.
+// Everything build reads is checked here — counts against their caps, the
+// tree's shape, every ordinal and string length — so a malformed payload
+// fails the exchange (and fails over) before anything is allocated for it.
+func (c *cursor) scanResult() scanned {
+	start := c.off
 	total := c.count("tree node", maxTreeNodes)
 	if c.err != nil {
-		return nil
+		return scanned{}
 	}
 	if total == 0 {
 		c.fail("empty result tree")
-		return nil
+		return scanned{}
 	}
-	// Iterative preorder rebuild: a stack of parents with outstanding
-	// child slots, so hostile nesting depth cannot overflow the decoder's
-	// own stack.
-	type pending struct {
-		node *xmltree.Node
-		left int
-	}
-	var root *xmltree.Node
-	stack := make([]pending, 0, 16)
+	// Iterative preorder walk over the unfilled child slots of each ancestor
+	// of the node at hand, so hostile nesting depth cannot overflow the
+	// decoder's own stack. An ancestor stays on the stack until its whole
+	// subtree has arrived — a node pushes its own slots before exhausted
+	// entries are popped — so the stack's height is the node's depth.
+	slots := c.slots[:0]
+	children, deweyInts := 0, 0
 	for i := 0; i < total; i++ {
 		flags := c.u8("node flags")
-		s := c.str("node text")
+		c.span("node text")
 		kids := c.count("child", uint64(total))
 		if c.err != nil {
-			return nil
+			return scanned{}
 		}
-		n := &xmltree.Node{}
-		if flags&nodeKindText != 0 {
-			n.Kind = xmltree.KindText
-			n.Value = s
-			if kids != 0 {
-				c.fail("text node with %d children", kids)
-				return nil
-			}
-		} else {
-			n.Label = s
+		if flags&nodeKindText != 0 && kids != 0 {
+			c.fail("text node with %d children", kids)
+			return scanned{}
 		}
-		n.FromAttr = flags&nodeFromAttr != 0
-		if len(stack) == 0 {
-			if root != nil {
-				c.fail("multiple roots in result tree")
-				return nil
-			}
-			root = n
-		} else {
-			top := &stack[len(stack)-1]
-			n.Parent = top.node
-			top.node.Children = append(top.node.Children, n)
-			top.left--
-			for len(stack) > 0 && stack[len(stack)-1].left == 0 {
-				stack = stack[:len(stack)-1]
-			}
+		if len(slots) > 0 {
+			deweyInts += len(slots)
+			slots[len(slots)-1]--
+		} else if i > 0 {
+			c.fail("multiple roots in result tree")
+			return scanned{}
 		}
 		if kids > 0 {
-			stack = append(stack, pending{node: n, left: kids})
+			// build carves every Children slice out of one total-1 arena.
+			if children += kids; children > total-1 {
+				c.fail("child counts exceed the tree's %d nodes", total)
+				return scanned{}
+			}
+			slots = append(slots, kids)
+		}
+		for len(slots) > 0 && slots[len(slots)-1] == 0 {
+			slots = slots[:len(slots)-1]
 		}
 	}
-	if len(stack) != 0 {
-		c.fail("result tree truncated: %d unfilled child slots", stack[len(stack)-1].left)
-		return nil
+	c.slots = slots
+	if len(slots) != 0 {
+		c.fail("result tree truncated: %d unfilled child slots", slots[len(slots)-1])
+		return scanned{}
 	}
-	doc := xmltree.NewDocument(root)
-
-	r := &search.Result{Root: root, Doc: doc, Anchor: root, LCA: root}
-	if lca := c.uvarint("lca ordinal"); lca > 0 {
-		if int(lca-1) >= total {
-			c.fail("lca ordinal %d out of range", lca-1)
-			return nil
-		}
-		r.LCA = doc.ByOrd(int(lca - 1))
+	if lca := c.uvarint("lca ordinal"); lca > uint64(total) {
+		c.fail("lca ordinal %d out of range", lca-1)
 	}
 	nkw := c.count("match keyword", maxWireStrings)
-	r.Matches = make(map[string][]*xmltree.Node, nkw)
-	for i := 0; i < nkw; i++ {
-		kw := c.str("match keyword")
+	for i := 0; i < nkw && c.err == nil; i++ {
+		c.span("match keyword")
 		n := c.count("match ordinal", uint64(total))
-		ms := make([]*xmltree.Node, 0, n)
-		for j := 0; j < n; j++ {
-			ord := c.uvarint("match ordinal")
-			if ord >= uint64(total) {
+		for j := 0; j < n && c.err == nil; j++ {
+			if ord := c.uvarint("match ordinal"); ord >= uint64(total) {
 				c.fail("match ordinal %d out of range", ord)
-				return nil
 			}
-			ms = append(ms, doc.ByOrd(int(ord)))
 		}
-		if c.err != nil {
-			return nil
-		}
-		r.Matches[kw] = ms
 	}
 	if c.err != nil {
-		return nil
+		return scanned{}
+	}
+	return scanned{enc: c.data[start:c.off:c.off], nodes: total, deweyInts: deweyInts}
+}
+
+// slabChunk bounds one allocation of a built tree's node slab: 192 nodes ×
+// 128 B = 24 KB stays inside the allocator's small size classes. One slab
+// per result (≈ 38 KB at the benchmark's mean result size, a large-object
+// span each) measurably raised peak RSS.
+const slabChunk = 192
+
+// validated walks an encoding scanResult has accepted; it checks nothing.
+type validated struct {
+	text string
+	off  int
+}
+
+func (v *validated) u8() byte {
+	b := v.text[v.off]
+	v.off++
+	return b
+}
+
+func (v *validated) uvarint() int {
+	var x uint64
+	for shift := uint(0); ; shift += 7 {
+		b := v.u8()
+		x |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return int(x)
+		}
+	}
+}
+
+func (v *validated) str() string {
+	n := v.uvarint()
+	v.off += n
+	return v.text[v.off-n : v.off]
+}
+
+// build materializes a scanned result as a finalized document of its own,
+// the way internal/persist loads one: nodes arrive in preorder with their
+// child counts, so a single pass fills a node slab, carves every Children
+// slice out of one arena and every Dewey out of another, assigns
+// Ord/Start/End/Parent as it goes and hands the sequence to
+// xmltree.AdoptFinalized. Allocations are a constant per result plus one per
+// slab chunk, none per node; every label, value and match keyword is a
+// substring of one copy of the encoding, so the built tree pins nothing of
+// the frame it arrived in. Anchor is the rebuilt root and Matches point into
+// the rebuilt tree, preserving the relative depths the ranking scorer reads.
+func (s scanned) build() *search.Result {
+	v := validated{text: string(s.enc)}
+	total := v.uvarint()
+	ptrs := make([]*xmltree.Node, 2*total-1)
+	nodes, childArena := ptrs[:total:total], ptrs[total:]
+	deweyArena := make([]int, 0, s.deweyInts)
+	var slab []xmltree.Node
+	var open *xmltree.Node // innermost node with unfilled child slots
+	for i := range nodes {
+		if len(slab) == 0 {
+			slab = make([]xmltree.Node, min(total-i, slabChunk))
+		}
+		n := &slab[0]
+		slab = slab[1:]
+		nodes[i] = n
+
+		flags := v.u8()
+		if flags&nodeKindText != 0 {
+			n.Kind = xmltree.KindText
+			n.Value = v.str()
+		} else {
+			n.Label = v.str()
+		}
+		n.FromAttr = flags&nodeFromAttr != 0
+		n.Ord, n.Start, n.End = i, int32(i), int32(i)
+		if open == nil {
+			n.Dewey = xmltree.Dewey{}
+		} else {
+			at := len(deweyArena)
+			deweyArena = append(append(deweyArena, open.Dewey...), len(open.Children))
+			n.Dewey = deweyArena[at:len(deweyArena):len(deweyArena)]
+			n.Parent = open
+			open.Children = append(open.Children, n)
+		}
+		if kids := v.uvarint(); kids > 0 {
+			n.Children = childArena[:0:kids]
+			childArena = childArena[kids:]
+			open = n
+			continue
+		}
+		// A leaf closes every ancestor whose last slot it (transitively)
+		// filled.
+		for open != nil && len(open.Children) == cap(open.Children) {
+			open.End = int32(i)
+			open = open.Parent
+		}
+	}
+
+	root := nodes[0]
+	r := &search.Result{Root: root, Doc: xmltree.AdoptFinalized(nodes), Anchor: root, LCA: root}
+	if lca := v.uvarint(); lca > 0 {
+		r.LCA = nodes[lca-1]
+	}
+	nkw := v.uvarint()
+	r.Matches = make(map[string][]*xmltree.Node, nkw)
+	for ; nkw > 0; nkw-- {
+		kw := v.str()
+		ms := make([]*xmltree.Node, v.uvarint())
+		for j := range ms {
+			ms[j] = nodes[v.uvarint()]
+		}
+		r.Matches[kw] = ms
 	}
 	return r
 }
@@ -559,11 +685,18 @@ func appendResults(b []byte, rs []*search.Result) []byte {
 	return b
 }
 
-func (c *cursor) results() []*search.Result {
+// results scans one result list: one slice per list, nothing per result.
+func (c *cursor) results() []scanned {
 	n := c.count("result", maxWireResults)
-	rs := make([]*search.Result, 0, n)
+	if n > (len(c.data)-c.off)/minResultBytes {
+		c.fail("result count %d exceeds the payload that would carry it", n)
+	}
+	if c.err != nil {
+		return nil
+	}
+	rs := make([]scanned, 0, n)
 	for i := 0; i < n; i++ {
-		r := c.result()
+		r := c.scanResult()
 		if c.err != nil {
 			return nil
 		}
@@ -574,32 +707,33 @@ func (c *cursor) results() []*search.Result {
 
 // --- eval response ---
 
-// shardResp is one shard's share of an evaluation response. A
+// shardAnswer is one shard's share of an evaluation on the shard server. A
 // prefilter-skipped shard carries only the skipped marker; an evaluated
-// shard carries its digest evidence and local results.
-type shardResp struct {
+// shard carries its digest evidence and the local results it ships.
+type shardAnswer struct {
 	shard   uint32
 	skipped bool
 	digest  shard.Digest
 	results []*search.Result
 }
 
-type evalResp struct {
+// evalAnswer is what a shard server computed for one eval request, before
+// encoding.
+type evalAnswer struct {
 	fingerprint uint64
 	direct      bool // single-shard corpus: results are the whole answer
 	results     []*search.Result
-	shards      []shardResp
-	stages      serverStages // v2+: server-side timing breakdown
+	shards      []shardAnswer
 }
 
-func encodeEvalResp(r evalResp) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, r.fingerprint)
-	b = append(b, boolByte(r.direct))
-	if r.direct {
-		return appendResults(b, r.results)
+func appendEvalResp(b []byte, a evalAnswer) []byte {
+	b = binary.LittleEndian.AppendUint64(b, a.fingerprint)
+	b = append(b, boolByte(a.direct))
+	if a.direct {
+		return appendResults(b, a.results)
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.shards)))
-	for _, s := range r.shards {
+	b = binary.AppendUvarint(b, uint64(len(a.shards)))
+	for _, s := range a.shards {
 		b = binary.AppendUvarint(b, uint64(s.shard))
 		b = appendDigest(b, s.digest, s.skipped)
 		if !s.skipped {
@@ -607,6 +741,23 @@ func encodeEvalResp(r evalResp) []byte {
 		}
 	}
 	return b
+}
+
+// shardResp is one shard's share of a decoded evaluation response: the
+// router-side mirror of shardAnswer, its results scanned but not built.
+type shardResp struct {
+	shard   uint32
+	skipped bool
+	digest  shard.Digest
+	results []scanned
+}
+
+type evalResp struct {
+	fingerprint uint64
+	direct      bool
+	results     []scanned
+	shards      []shardResp
+	stages      serverStages // v2+: server-side timing breakdown
 }
 
 func decodeEvalResp(data []byte, ver byte) (evalResp, error) {
@@ -665,7 +816,7 @@ func decodeDigestResp(data []byte, ver byte) (digestResp, error) {
 	var r digestResp
 	r.fingerprint = c.u64("fingerprint")
 	n := c.count("digest", maxWireShards)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && c.err == nil; i++ {
 		r.shards = append(r.shards, uint32(c.uvarint("shard index")))
 		d, _ := c.digest()
 		r.digests = append(r.digests, d)
@@ -680,13 +831,13 @@ func decodeDigestResp(data []byte, ver byte) (digestResp, error) {
 
 type fullResp struct {
 	fingerprint uint64
-	results     []*search.Result
+	results     []scanned
 	stages      serverStages // v2+: server-side timing breakdown
 }
 
-func encodeFullResp(r fullResp) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, r.fingerprint)
-	return appendResults(b, r.results)
+func appendFullResp(b []byte, fingerprint uint64, results []*search.Result) []byte {
+	b = binary.LittleEndian.AppendUint64(b, fingerprint)
+	return appendResults(b, results)
 }
 
 func decodeFullResp(data []byte, ver byte) (fullResp, error) {
@@ -718,7 +869,7 @@ func decodeStatsReq(data []byte) (statsReq, error) {
 	c := &cursor{data: data}
 	var r statsReq
 	n := c.count("keyword", maxWireStrings)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && c.err == nil; i++ {
 		r.keywords = append(r.keywords, c.str("keyword"))
 	}
 	return r, c.done()
@@ -746,7 +897,7 @@ func decodeStatsResp(data []byte) (statsResp, error) {
 	r.fingerprint = c.u64("fingerprint")
 	r.totalElements = c.uvarint("total elements")
 	n := c.count("count", maxWireStrings)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && c.err == nil; i++ {
 		r.counts = append(r.counts, c.uvarint("count"))
 	}
 	return r, c.done()

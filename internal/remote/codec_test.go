@@ -1,0 +1,606 @@
+package remote
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"testing"
+
+	"extract/internal/search"
+	"extract/internal/shard"
+	"extract/xmltree"
+)
+
+// referenceResult is the frozen reference decoder: the per-node decoder the
+// router ran before decoding was split into scan and build — one
+// &xmltree.Node{} and one string per node, children appended one by one, the
+// tree finalized by a second walk (xmltree.NewDocument). It decodes exactly
+// one encoded result and is what scan+build is pinned against, field for
+// field. Do not optimize it.
+func referenceResult(enc []byte) (*search.Result, error) {
+	c := &cursor{data: enc}
+	total := c.count("tree node", maxTreeNodes)
+	if c.err != nil {
+		return nil, c.err
+	}
+	if total == 0 {
+		return nil, protocolErrf("empty result tree")
+	}
+	type pending struct {
+		node *xmltree.Node
+		left int
+	}
+	var root *xmltree.Node
+	stack := make([]pending, 0, 16)
+	for i := 0; i < total; i++ {
+		flags := c.u8("node flags")
+		s := c.str("node text")
+		kids := c.count("child", uint64(total))
+		if c.err != nil {
+			return nil, c.err
+		}
+		n := &xmltree.Node{}
+		if flags&nodeKindText != 0 {
+			n.Kind = xmltree.KindText
+			n.Value = s
+			if kids != 0 {
+				return nil, protocolErrf("text node with %d children", kids)
+			}
+		} else {
+			n.Label = s
+		}
+		n.FromAttr = flags&nodeFromAttr != 0
+		if len(stack) == 0 {
+			if root != nil {
+				return nil, protocolErrf("multiple roots in result tree")
+			}
+			root = n
+		} else {
+			top := &stack[len(stack)-1]
+			n.Parent = top.node
+			top.node.Children = append(top.node.Children, n)
+			top.left--
+			for len(stack) > 0 && stack[len(stack)-1].left == 0 {
+				stack = stack[:len(stack)-1]
+			}
+		}
+		if kids > 0 {
+			stack = append(stack, pending{node: n, left: kids})
+		}
+	}
+	if len(stack) != 0 {
+		return nil, protocolErrf("result tree truncated: %d unfilled child slots", stack[len(stack)-1].left)
+	}
+	doc := xmltree.NewDocument(root)
+
+	r := &search.Result{Root: root, Doc: doc, Anchor: root, LCA: root}
+	if lca := c.uvarint("lca ordinal"); lca > 0 {
+		if int(lca-1) >= total {
+			return nil, protocolErrf("lca ordinal %d out of range", lca-1)
+		}
+		r.LCA = doc.ByOrd(int(lca - 1))
+	}
+	nkw := c.count("match keyword", maxWireStrings)
+	r.Matches = make(map[string][]*xmltree.Node, nkw)
+	for i := 0; i < nkw; i++ {
+		kw := c.str("match keyword")
+		n := c.count("match ordinal", uint64(total))
+		ms := make([]*xmltree.Node, 0, n)
+		for j := 0; j < n; j++ {
+			ord := c.uvarint("match ordinal")
+			if ord >= uint64(total) {
+				return nil, protocolErrf("match ordinal %d out of range", ord)
+			}
+			ms = append(ms, doc.ByOrd(int(ord)))
+		}
+		if c.err != nil {
+			return nil, c.err
+		}
+		r.Matches[kw] = ms
+	}
+	return r, c.done()
+}
+
+// sameResult compares two decoded results field for field: every node's
+// Kind/Label/Value/FromAttr/Ord/Start/End/Dewey, Parent and Children by
+// position, the LCA's position, and Matches keyword by keyword, position by
+// position.
+func sameResult(want, got *search.Result) error {
+	wn, gn := want.Doc.Nodes(), got.Doc.Nodes()
+	if len(wn) != len(gn) {
+		return fmt.Errorf("%d nodes, want %d", len(gn), len(wn))
+	}
+	ord := func(n *xmltree.Node) int {
+		if n == nil {
+			return -1
+		}
+		return n.Ord
+	}
+	for i, w := range wn {
+		g := gn[i]
+		if g.Kind != w.Kind || g.Label != w.Label || g.Value != w.Value || g.FromAttr != w.FromAttr {
+			return fmt.Errorf("node %d content = %v %q %q attr=%v, want %v %q %q attr=%v",
+				i, g.Kind, g.Label, g.Value, g.FromAttr, w.Kind, w.Label, w.Value, w.FromAttr)
+		}
+		if g.Ord != w.Ord || g.Start != w.Start || g.End != w.End {
+			return fmt.Errorf("node %d position = ord %d [%d,%d], want ord %d [%d,%d]",
+				i, g.Ord, g.Start, g.End, w.Ord, w.Start, w.End)
+		}
+		if !g.Dewey.Equal(w.Dewey) || len(g.Dewey) != len(w.Dewey) {
+			return fmt.Errorf("node %d dewey = %v, want %v", i, g.Dewey, w.Dewey)
+		}
+		if ord(g.Parent) != ord(w.Parent) || (g.Parent != nil && g.Parent != gn[g.Parent.Ord]) {
+			return fmt.Errorf("node %d parent = %d, want %d", i, ord(g.Parent), ord(w.Parent))
+		}
+		if g.Origin != nil {
+			return fmt.Errorf("node %d carries an Origin", i)
+		}
+		if len(g.Children) != len(w.Children) {
+			return fmt.Errorf("node %d has %d children, want %d", i, len(g.Children), len(w.Children))
+		}
+		for j, c := range g.Children {
+			if c.Ord != w.Children[j].Ord || c != gn[c.Ord] {
+				return fmt.Errorf("node %d child %d = ord %d, want %d", i, j, c.Ord, w.Children[j].Ord)
+			}
+		}
+	}
+	if got.Root != gn[0] || got.Anchor != gn[0] || got.Doc.Root != gn[0] {
+		return errors.New("Root, Anchor and Doc.Root are not the rebuilt root")
+	}
+	if got.LCA == nil || got.LCA.Ord != want.LCA.Ord || got.LCA != gn[got.LCA.Ord] {
+		return fmt.Errorf("lca = %d, want %d", ord(got.LCA), want.LCA.Ord)
+	}
+	if len(got.Matches) != len(want.Matches) {
+		return fmt.Errorf("%d match keywords, want %d", len(got.Matches), len(want.Matches))
+	}
+	for kw, wms := range want.Matches {
+		gms, ok := got.Matches[kw]
+		if !ok || len(gms) != len(wms) {
+			return fmt.Errorf("keyword %q: %d matches (present %v), want %d", kw, len(gms), ok, len(wms))
+		}
+		for j, m := range gms {
+			if m.Ord != wms[j].Ord || m != gn[m.Ord] {
+				return fmt.Errorf("keyword %q match %d = ord %d, want %d", kw, j, m.Ord, wms[j].Ord)
+			}
+		}
+	}
+	return nil
+}
+
+// codecAnswers evaluates a query × options matrix on small sharded corpora
+// through a shard server's own evaluate, so the codec tests and the fuzz
+// seeds work on exactly what a server ships: views at non-zero offsets of
+// their source documents, ModeXSeek projections, skipped shards, digests.
+func codecAnswers(tb testing.TB) []evalAnswer {
+	tb.Helper()
+	var out []evalAnswer
+	results := 0
+	for _, cc := range testCorpora()[:2] { // figure1, stores
+		sc := shard.Build(cc.mk(), 3)
+		srv := NewServer(sc)
+		st := srv.state.Load()
+		fb := sc.Fallback()
+		for _, opts := range []search.Options{
+			{DistinctAnchors: true},
+			{DistinctAnchors: true, Semantics: search.SemanticsELCA},
+			{DistinctAnchors: true, Mode: search.ModeXSeek},
+		} {
+			for _, q := range testQueries(fb.Doc, fb) {
+				a, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList})
+				if err != nil {
+					continue // the matrix includes the empty query
+				}
+				for _, s := range a.shards {
+					results += len(s.results)
+				}
+				out = append(out, a)
+			}
+		}
+	}
+	if results < 20 {
+		tb.Fatalf("codec fixture carries only %d results", results)
+	}
+	return out
+}
+
+// syntheticResults are the shapes no generated corpus reliably produces.
+func syntheticResults() map[string]*search.Result {
+	view := func(root *xmltree.Node) *search.Result {
+		doc := xmltree.NewDocument(root)
+		return search.FromNode(doc, doc.Root)
+	}
+	out := map[string]*search.Result{}
+
+	out["childless root"] = view(xmltree.Elem("empty"))
+
+	// A chain deep enough that a recursive decoder would be walking its own
+	// stack; 2 500 rather than 10 000 because a chain's Dewey arena is
+	// quadratic in its depth (10 000 deep is 50 M ints per decoded copy).
+	chain := xmltree.Txt("bottom")
+	for i := 0; i < 2500; i++ {
+		chain = xmltree.Elem("d", chain)
+	}
+	deep := view(chain)
+	deep.Matches["bottom"] = []*xmltree.Node{deep.Doc.ByOrd(deep.Doc.Len() - 1)}
+	deep.LCA = deep.Doc.ByOrd(1200)
+	out["deep chain"] = deep
+
+	id := xmltree.Attr("id", "α-7")
+	id.FromAttr = true
+	lang := xmltree.Attr("lang", "")
+	lang.FromAttr = true
+	text := view(xmltree.Elem("livre", id, lang,
+		xmltree.Elem("titre", xmltree.Txt("Les Misérables — 悲惨世界")),
+		xmltree.Elem("", xmltree.Txt("")),
+		xmltree.Txt("mixed ✓ content")))
+	text.Matches["misérables"] = []*xmltree.Node{text.Doc.ByOrd(6)}
+	text.Matches["✓"] = []*xmltree.Node{text.Doc.ByOrd(9)}
+	out["attributes and multi-byte text"] = text
+
+	// A projection that dropped the LCA and some matches: the encoder finds
+	// source nodes through the copies' Origin pointers and omits the rest.
+	src := xmltree.NewDocument(xmltree.Elem("store",
+		xmltree.Elem("name", xmltree.Txt("Levis")),
+		xmltree.Elem("city", xmltree.Txt("Houston")),
+		xmltree.Elem("state", xmltree.Txt("Texas"))))
+	city, state := src.Root.Children[1], src.Root.Children[2]
+	proj := xmltree.Project(src.Root, func(n *xmltree.Node) bool { return !city.ContainsOrSelf(n) })
+	out["projection that dropped lca and matches"] = &search.Result{
+		Root: proj, Doc: xmltree.NewDocument(proj), Anchor: src.Root, LCA: city,
+		Matches: map[string][]*xmltree.Node{
+			"houston": {city.Children[0]},
+			"texas":   {city, state.Children[0]},
+		},
+	}
+	return out
+}
+
+// scanOne scans an encoding that holds exactly one result.
+func scanOne(t *testing.T, enc []byte) scanned {
+	t.Helper()
+	c := &cursor{data: enc}
+	s := c.scanResult()
+	if err := c.done(); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	if len(s.enc) != len(enc) || &s.enc[0] != &enc[0] {
+		t.Fatalf("scanned range is %d bytes, the encoding %d", len(s.enc), len(enc))
+	}
+	return s
+}
+
+// checkContract pins what the rest of the system relies on in a
+// wire-decoded result (see search.Result): an owned, finalized tree whose
+// anchor is its root, with positions and identifiers relative to that root.
+func checkContract(t *testing.T, sent, r *search.Result) {
+	t.Helper()
+	if r.IsView() {
+		t.Fatal("decoded result claims to be a view")
+	}
+	if r.Root != r.Anchor || r.Root != r.Doc.Root {
+		t.Fatal("Root, Anchor and Doc.Root differ")
+	}
+	if r.Root.Ord != 0 || len(r.Root.Dewey) != 0 || r.Root.Parent != nil {
+		t.Fatalf("root: ord %d, dewey %v, parent %v", r.Root.Ord, r.Root.Dewey, r.Root.Parent)
+	}
+	if r.Size() != sent.Size() {
+		t.Fatalf("size %d, sent %d", r.Size(), sent.Size())
+	}
+	for _, n := range r.Doc.Nodes() {
+		if r.Doc.ByOrd(n.Ord) != n {
+			t.Fatalf("ByOrd(%d) is not the node", n.Ord)
+		}
+		if r.Doc.NodeAt(n.Dewey) != n {
+			t.Fatalf("NodeAt(%v) is not the node", n.Dewey)
+		}
+	}
+	if len(r.Matches) != len(sent.Matches) {
+		t.Fatalf("%d match keywords, sent %d", len(r.Matches), len(sent.Matches))
+	}
+	for kw, ms := range r.Matches {
+		if _, ok := sent.Matches[kw]; !ok {
+			t.Fatalf("keyword %q was not sent", kw)
+		}
+		for j, m := range ms {
+			if r.Doc.ByOrd(m.Ord) != m {
+				t.Fatalf("keyword %q match %d points outside the rebuilt tree", kw, j)
+			}
+			if j > 0 && m.Ord <= ms[j-1].Ord {
+				t.Fatalf("keyword %q matches out of document order", kw)
+			}
+		}
+	}
+}
+
+// TestScanBuildEqualsReference is the pin that keeps the split decoder
+// honest: for everything a server ships and for the awkward shapes, scan +
+// build produces exactly the tree the old per-node decoder produced, and
+// that tree honours the decoded-result contract.
+func TestScanBuildEqualsReference(t *testing.T) {
+	check := func(name string, r *search.Result) {
+		t.Helper()
+		enc := appendResult(nil, r)
+		want, err := referenceResult(enc)
+		if err != nil {
+			t.Fatalf("%s: reference decoder: %v", name, err)
+		}
+		s := scanOne(t, enc)
+		got := s.build()
+		if err := sameResult(want, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkContract(t, r, got)
+		// The sizes build allocates from are exact: an undersized Dewey
+		// arena would still build a correct tree, by regrowing per append.
+		deweyInts := 0
+		for _, n := range got.Doc.Nodes() {
+			deweyInts += len(n.Dewey)
+		}
+		if s.nodes != got.Doc.Len() || s.deweyInts != deweyInts {
+			t.Fatalf("%s: scan sized %d nodes and %d dewey ints, the tree has %d and %d",
+				name, s.nodes, s.deweyInts, got.Doc.Len(), deweyInts)
+		}
+	}
+	views, projections := 0, 0
+	for _, a := range codecAnswers(t) {
+		for _, s := range a.shards {
+			for i, r := range s.results {
+				if r.IsView() {
+					views++
+				} else {
+					projections++
+				}
+				check(fmt.Sprintf("shard %d result %d", s.shard, i), r)
+			}
+		}
+	}
+	if views == 0 || projections == 0 {
+		t.Fatalf("fixture lost a result kind: %d views, %d projections", views, projections)
+	}
+	for name, r := range syntheticResults() {
+		check(name, r)
+	}
+
+	// What the projection dropped is gone from the wire: no LCA position
+	// (the decoded LCA falls back to the root), only the kept match.
+	dropped := scanOne(t, appendResult(nil, syntheticResults()["projection that dropped lca and matches"])).build()
+	if dropped.LCA != dropped.Root || len(dropped.Matches["houston"]) != 0 || len(dropped.Matches["texas"]) != 1 {
+		t.Fatalf("projection drops: lca ord %d, matches %v", dropped.LCA.Ord, dropped.Matches)
+	}
+}
+
+// wideResult is a three-level tree of about n nodes with one matched keyword.
+func wideResult(n int) *search.Result {
+	root := xmltree.Elem("root")
+	for count := 1; count < n; {
+		branch := xmltree.Elem("branch")
+		xmltree.Append(root, branch)
+		count++
+		for i := 0; i < 99 && count < n; i++ {
+			xmltree.Append(branch, xmltree.Txt("leaf"))
+			count++
+		}
+	}
+	doc := xmltree.NewDocument(root)
+	r := search.FromNode(doc, doc.Root)
+	r.Matches["leaf"] = []*xmltree.Node{doc.ByOrd(2), doc.ByOrd(doc.Len() - 1)}
+	return r
+}
+
+// TestBuildAllocatesPerChunkNotPerNode: build costs a constant number of
+// allocations per result plus one per slab chunk, whatever the node count.
+func TestBuildAllocatesPerChunkNotPerNode(t *testing.T) {
+	allocs := func(n int) (float64, int) {
+		s := scanOne(t, appendResult(nil, wideResult(n)))
+		if s.nodes != n {
+			t.Fatalf("fixture has %d nodes, want %d", s.nodes, n)
+		}
+		var sink *search.Result
+		a := testing.AllocsPerRun(20, func() { sink = s.build() })
+		_ = sink
+		return a, (n + slabChunk - 1) / slabChunk
+	}
+	small, smallChunks := allocs(11)
+	large, largeChunks := allocs(10000)
+	if small-float64(smallChunks) != large-float64(largeChunks) {
+		t.Fatalf("build allocations grow with nodes: %v for 11 nodes (%d chunks), %v for 10000 (%d chunks)",
+			small, smallChunks, large, largeChunks)
+	}
+	if small > 12 {
+		t.Fatalf("build of an 11-node result allocates %v times", small)
+	}
+}
+
+// TestScanAllocatesNothingPerResult: decoding a response scans every result
+// and allocates per shard list only — a response full of results the merge
+// will drop costs the same allocations as one with almost none.
+func TestScanAllocatesNothingPerResult(t *testing.T) {
+	r := wideResult(40)
+	response := func(perShard int) []byte {
+		a := evalAnswer{fingerprint: 9}
+		for s := uint32(0); s < 3; s++ {
+			sa := shardAnswer{shard: s, digest: shard.Digest{Matched: []bool{true}, HasNonRootLCAs: true}}
+			for i := 0; i < perShard; i++ {
+				sa.results = append(sa.results, r)
+			}
+			a.shards = append(a.shards, sa)
+		}
+		return appendServerStages(appendEvalResp(nil, a), serverStages{})
+	}
+	allocs := func(perShard int) float64 {
+		data := response(perShard)
+		return testing.AllocsPerRun(20, func() {
+			resp, err := decodeEvalResp(data, wireVersion)
+			if err != nil || len(resp.shards[2].results) != perShard {
+				t.Fatalf("decode: %v", err)
+			}
+		})
+	}
+	if few, many := allocs(1), allocs(200); few != many {
+		t.Fatalf("scan allocations grow with results: %v for 3 results, %v for 600", few, many)
+	}
+}
+
+// TestScanRejectsMalformedResults walks the checks that moved from the
+// per-node decoder into the scan (plus the child-count sum the arenas are
+// sized from): each malformed encoding is a *ProtocolError, never a range.
+func TestScanRejectsMalformedResults(t *testing.T) {
+	node := func(flags byte, text string, kids uint64) []byte {
+		b := appendString([]byte{flags}, text)
+		return binary.AppendUvarint(b, kids)
+	}
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	tail := []byte{0, 0} // no lca, no match keywords
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"empty tree", cat(uv(0), tail)},
+		{"node count over cap", cat(uv(maxTreeNodes+1), tail)},
+		{"text node with children", cat(uv(2), node(nodeKindText, "t", 1), node(0, "a", 0), tail)},
+		{"multiple roots", cat(uv(2), node(0, "a", 0), node(0, "b", 0), tail)},
+		{"unfilled child slots", cat(uv(2), node(0, "a", 1), tail)},
+		{"child count over node count", cat(uv(2), node(0, "a", 3), node(0, "b", 0), tail)},
+		{"child counts summing past the nodes", cat(uv(3), node(0, "a", 1), node(0, "b", 2), node(0, "c", 0), tail)},
+		{"string past the payload", cat(uv(1), []byte{0}, uv(1<<30), []byte("ab"))},
+		{"lca out of range", cat(uv(1), node(0, "a", 0), uv(2), uv(0))},
+		{"match ordinal out of range", cat(uv(1), node(0, "a", 0), uv(0), uv(1), appendString(nil, "kw"), uv(1), uv(1))},
+		{"more match ordinals than nodes", cat(uv(1), node(0, "a", 0), uv(0), uv(1), appendString(nil, "kw"), uv(2), uv(0), uv(0))},
+		{"match keyword count over cap", cat(uv(1), node(0, "a", 0), uv(0), uv(maxWireStrings+1))},
+		{"trailing bytes", cat(uv(1), node(0, "a", 0), tail, []byte{7})},
+	} {
+		c := &cursor{data: tc.enc}
+		c.scanResult()
+		var pe *ProtocolError
+		if err := c.done(); !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want a *ProtocolError", tc.name, err)
+		}
+		if _, err := referenceResult(tc.enc); !errors.As(err, &pe) {
+			t.Errorf("%s: the reference decoder accepts it (%v); the case is not a moved check", tc.name, err)
+		}
+	}
+
+	// A result count is checked against the payload that would have to carry
+	// it before the range slice is allocated.
+	hostile := binary.LittleEndian.AppendUint64(nil, 1)
+	hostile = append(hostile, 1) // direct
+	hostile = binary.AppendUvarint(hostile, maxWireResults)
+	var pe *ProtocolError
+	if _, err := decodeEvalResp(hostile, wireVersionMin); !errors.As(err, &pe) {
+		t.Fatalf("hostile result count: err = %v", err)
+	}
+	if a := testing.AllocsPerRun(10, func() { _, _ = decodeEvalResp(hostile, wireVersionMin) }); a > 4 {
+		t.Fatalf("hostile result count costs %v allocations", a)
+	}
+}
+
+// wireMessage is one valid payload of one message type with its decoder.
+type wireMessage struct {
+	name       string
+	payload    []byte
+	afterCount int // where the entry count of a count-bounded loop ends; 0 = none
+	decode     func([]byte) error
+}
+
+// wireMessages builds a valid payload of every message type at both wire
+// versions; the count-bounded ones carry n entries.
+func wireMessages(tb testing.TB, n int) []wireMessage {
+	uvarintLen := func(v uint64) int { return len(binary.AppendUvarint(nil, v)) }
+	shards := make([]uint32, n)
+	keywords := make([]string, n)
+	counts := make([]uint64, n)
+	digests := make([]shard.Digest, n)
+	for i := range shards {
+		shards[i] = uint32(i)
+		keywords[i] = "k"
+		counts[i] = uint64(i)
+		digests[i] = shard.Digest{Matched: []bool{true, false}, Free: []bool{false, true}}
+	}
+	var eval evalAnswer
+	for _, a := range codecAnswers(tb) {
+		if len(a.shards) > len(eval.shards) {
+			eval = a
+		}
+	}
+	var results []*search.Result
+	for _, s := range eval.shards {
+		results = append(results, s.results...)
+	}
+	full := appendFullResp(nil, 3, results)
+	v2 := func(b []byte) []byte { return appendServerStages(b, serverStages{1, 2, 3, 4}) }
+	req := evalReq{opts: search.Options{MaxResults: 9}, query: "store texas", timeoutMillis: 250}
+	reqAfterCount := len(encodeEvalReq(req)) - 1 + uvarintLen(uint64(n))
+	req.shards = shards
+	digestBody := encodeDigestResp(digestResp{fingerprint: 5, shards: shards, digests: digests})
+	return []wireMessage{
+		{"hello", encodeHello(helloMsg{fingerprint: 7, shards: n, owned: shards}), 8 + 2*uvarintLen(uint64(n)),
+			func(b []byte) error { _, err := decodeHello(b); return err }},
+		{"version", encodeVerMsg(wireVersion), 0,
+			func(b []byte) error { _, err := decodeVerMsg(b); return err }},
+		{"eval request v1", encodeEvalReq(req), reqAfterCount,
+			func(b []byte) error { _, err := decodeEvalReq(b, 1); return err }},
+		{"eval request v2", appendTraceID(encodeEvalReq(req), 42), reqAfterCount,
+			func(b []byte) error { _, err := decodeEvalReq(b, 2); return err }},
+		{"digest/full request v2", appendTraceID(encodeFullReq(fullReq(req)), 42), reqAfterCount,
+			func(b []byte) error { _, err := decodeFullReq(b, 2); return err }},
+		{"eval response v1", appendEvalResp(nil, eval), 0,
+			func(b []byte) error { _, err := decodeEvalResp(b, 1); return err }},
+		{"eval response v2", v2(appendEvalResp(nil, eval)), 0,
+			func(b []byte) error { _, err := decodeEvalResp(b, 2); return err }},
+		{"digest response v1", digestBody, 8 + uvarintLen(uint64(n)),
+			func(b []byte) error { _, err := decodeDigestResp(b, 1); return err }},
+		{"digest response v2", v2(digestBody), 8 + uvarintLen(uint64(n)),
+			func(b []byte) error { _, err := decodeDigestResp(b, 2); return err }},
+		{"full response v1", full, 0,
+			func(b []byte) error { _, err := decodeFullResp(b, 1); return err }},
+		{"full response v2", v2(full), 0,
+			func(b []byte) error { _, err := decodeFullResp(b, 2); return err }},
+		{"stats request", encodeStatsReq(statsReq{keywords: keywords}), uvarintLen(uint64(n)),
+			func(b []byte) error { _, err := decodeStatsReq(b); return err }},
+		{"stats response", encodeStatsResp(statsResp{fingerprint: 5, totalElements: 99, counts: counts}), 8 + 1 + uvarintLen(uint64(n)),
+			func(b []byte) error { _, err := decodeStatsResp(b); return err }},
+		{"error", encodeErrMsg(errMsg{kind: errKindInternal, msg: "boom"}), 0,
+			func(b []byte) error { _, err := decodeErrMsg(b); return err }},
+	}
+}
+
+// TestTruncatedPayloadsClassifyCheaply cuts a valid payload of every message
+// type at every length: each strict prefix must decode to a *ProtocolError.
+// And a decoder must stop at its first failure: the count-bounded loops used
+// to keep iterating — appending zero entries — up to the claimed count after
+// the cursor had already failed, so a payload that claims thousands of
+// entries and ends right there must cost a handful of allocations, not a
+// slice grown entry by entry.
+func TestTruncatedPayloadsClassifyCheaply(t *testing.T) {
+	var pe *ProtocolError
+	for _, m := range wireMessages(t, 3) {
+		if err := m.decode(m.payload); err != nil {
+			t.Fatalf("%s: the whole payload does not decode: %v", m.name, err)
+		}
+		for cut := 0; cut < len(m.payload); cut++ {
+			if err := m.decode(m.payload[:cut]); !errors.As(err, &pe) {
+				t.Fatalf("%s cut at %d of %d: err = %v, want a *ProtocolError", m.name, cut, len(m.payload), err)
+			}
+		}
+	}
+	const claimed = 5000
+	for _, m := range wireMessages(t, claimed) {
+		if m.afterCount == 0 {
+			continue
+		}
+		cut := m.payload[:m.afterCount]
+		if err := m.decode(cut); !errors.As(err, &pe) {
+			t.Fatalf("%s cut after its count: err = %v, want a *ProtocolError", m.name, err)
+		}
+		if a := testing.AllocsPerRun(10, func() { _ = m.decode(cut) }); a > 6 {
+			t.Fatalf("%s: failing right after a claimed count of %d costs %v allocations", m.name, claimed, a)
+		}
+	}
+}

@@ -87,22 +87,61 @@ func FuzzFrame(f *testing.F) {
 }
 
 // FuzzEvalRespDecode aims the fuzzer straight at the deepest decoder — the
-// result-tree rebuild — without requiring the fuzzer to first learn the
-// frame checksum.
+// result-tree scan and build — without requiring the fuzzer to first learn
+// the frame checksum. The seeds carry real result trees (views, projections,
+// attribute nodes, multi-byte text) so mutation starts inside the node
+// records. Whatever the scan accepts must build without panicking, and build
+// to exactly what the frozen reference decoder makes of the same bytes.
 func FuzzEvalRespDecode(f *testing.F) {
-	f.Add(encodeEvalResp(evalResp{fingerprint: 1, direct: true}))
-	f.Add(appendServerStages(encodeEvalResp(evalResp{fingerprint: 1, direct: true}), serverStages{decodeNs: 1, evalNs: 2, encodeNs: 3}))
+	f.Add(appendEvalResp(nil, evalAnswer{fingerprint: 1, direct: true}))
+	f.Add(appendServerStages(appendEvalResp(nil, evalAnswer{fingerprint: 1, direct: true}), serverStages{decodeNs: 1, evalNs: 2, encodeNs: 3}))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	seeded := 0
+	for _, a := range codecAnswers(f) {
+		results := 0
+		for _, s := range a.shards {
+			results += len(s.results)
+		}
+		// Small responses only: the fuzzer minimizes every interesting
+		// input, and a 100 KB seed eats a ten-second CI budget doing it.
+		if body := appendEvalResp(nil, a); results > 0 && len(body) <= 4096 {
+			f.Add(body)
+			f.Add(appendServerStages(body, serverStages{decodeNs: 1, evalNs: 2, digestNs: 3, encodeNs: 4}))
+			seeded++
+		}
+	}
+	if seeded < 10 {
+		f.Fatalf("only %d seeds carry result trees", seeded)
+	}
+	for name, r := range syntheticResults() {
+		if name != "deep chain" {
+			f.Add(appendEvalResp(nil, evalAnswer{fingerprint: 1, direct: true, results: []*search.Result{r}}))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, v := range [...]byte{wireVersionMin, wireVersion} {
-			if resp, err := decodeEvalResp(data, v); err == nil {
-				// Accepted payloads must be internally consistent enough to
-				// re-encode without panicking.
-				_ = encodeEvalResp(resp)
-			} else {
+			resp, err := decodeEvalResp(data, v)
+			if err != nil {
 				var pe *ProtocolError
 				if !errors.As(err, &pe) {
 					t.Fatalf("unclassified decode error %T: %v", err, err)
+				}
+				continue
+			}
+			ranges := resp.results
+			for _, s := range resp.shards {
+				ranges = append(ranges, s.results...)
+			}
+			for _, s := range ranges {
+				if s.deweyInts > 1<<20 {
+					continue // a deep chain's identifiers are quadratic in its depth; keep the harness light
+				}
+				want, err := referenceResult(s.enc)
+				if err != nil {
+					t.Fatalf("scan accepted what the reference decoder rejects: %v", err)
+				}
+				if err := sameResult(want, s.build()); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}

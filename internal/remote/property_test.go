@@ -125,9 +125,57 @@ func TestRouterMatchesLocal(t *testing.T) {
 			for _, n := range []int{1, 2, 3, 5} {
 				sc := shard.Build(cc.mk(), n)
 				cl := startCluster(t, sc, 2, 1)
-				checkRouterEquivalence(t, fmt.Sprintf("%s/n=%d", cc.name, n), sc, cl.router)
+				checkRouterEquivalence(t, fmt.Sprintf("%s/n=%d", cc.name, n), sc, cl.router, testOptions)
 			}
 		})
+	}
+}
+
+// TestRouterMatchesLocalAtTheCut aims the byte-identity pin at the merge cut,
+// which three parties now apply (the local merge, the router choosing what
+// to build, each shard server choosing what to ship): three groups over at
+// least five shards, placed so that ownership interleaves, with bounds small
+// enough that the cut falls inside a group's first shard, between two shards
+// of one group, and between groups, under both semantics and for a query
+// that falls back to the whole-document round.
+func TestRouterMatchesLocalAtTheCut(t *testing.T) {
+	var options []search.Options
+	for _, sem := range []search.Semantics{search.SemanticsSLCA, search.SemanticsELCA} {
+		for _, maxResults := range []int{1, 2, 3, 25} {
+			options = append(options, search.Options{DistinctAnchors: true, Semantics: sem, MaxResults: maxResults})
+		}
+	}
+	for _, cc := range []struct {
+		name string
+		doc  *xmltree.Document
+	}{
+		{"movies", gen.Movies(gen.MoviesConfig{Movies: 10, Seed: 5})},
+		{"stores", gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 3})},
+	} {
+		sc := shard.Build(cc.doc, 6)
+		if sc.NumShards() < 5 {
+			t.Fatalf("%s: only %d shards", cc.name, sc.NumShards())
+		}
+		cl := startCluster(t, sc, 3, 1)
+		interleaved := false
+		for _, owned := range cl.router.place.Load().byGroup {
+			if n := len(owned); n > 1 && int(owned[n-1]-owned[0]) >= n {
+				interleaved = true
+			}
+		}
+		if !interleaved {
+			t.Fatalf("%s: placement %v does not interleave ownership", cc.name, cl.router.place.Load().byGroup)
+		}
+		// The root's own label matches the root: the whole-document round.
+		checkRouterEquivalence(t, cc.name+"/cut", sc, cl.router, options, sc.Fallback().Doc.Root.Label)
+		m := cl.router.metrics
+		if m.built.Value() == 0 || m.dropped.Value() == 0 {
+			t.Fatalf("%s: built %d, dropped %d results: the cut never fell inside the shipped results",
+				cc.name, m.built.Value(), m.dropped.Value())
+		}
+		if m.calls[[3]string{"full", "ok", "any"}].Value() == 0 {
+			t.Fatalf("%s: no query fell back to the whole-document round", cc.name)
+		}
 	}
 }
 
@@ -137,7 +185,7 @@ func TestRouterMatchesLocal(t *testing.T) {
 func TestRouterMatchesLocalReplicated(t *testing.T) {
 	sc := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11}), 3)
 	cl := startCluster(t, sc, 2, 2)
-	checkRouterEquivalence(t, "stores/replicated", sc, cl.router)
+	checkRouterEquivalence(t, "stores/replicated", sc, cl.router, testOptions)
 }
 
 // TestRouterFromSnapshot runs the same pin with the servers loading the
@@ -183,22 +231,22 @@ func TestRouterFromSnapshot(t *testing.T) {
 		t.Fatalf("OpenSnapshot: %v", err)
 	}
 	defer rt.Close()
-	checkRouterEquivalence(t, "snapshot", local, rt)
+	checkRouterEquivalence(t, "snapshot", local, rt, testOptions)
 }
 
 // checkRouterEquivalence pins router answers to the local corpus's over
 // the full query × options matrix: same errors, same result trees, same
 // snippets (tree, inline text list, key), same ranking scores.
-func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Router) {
+func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Router, options []search.Options, extraQueries ...string) {
 	t.Helper()
 	ctx := context.Background()
 	fb := sc.Fallback()
-	queries := testQueries(fb.Doc, fb)
+	queries := append(testQueries(fb.Doc, fb), extraQueries...)
 	genLocal := core.NewGenerator(sc.Analysis())
 	genRemote := core.NewGenerator(rt.Analysis())
 	scorerLocal := rank.NewScorerFunc(sc.Count, sc.TotalElements())
 	scorerRemote := rank.NewScorerFunc(rt.Count, rt.TotalElements())
-	for _, opts := range testOptions {
+	for _, opts := range options {
 		for _, q := range queries {
 			label := fmt.Sprintf("%s/sem=%d/mode=%d/max=%d/q=%q",
 				name, opts.Semantics, opts.Mode, opts.MaxResults, q)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -91,12 +92,12 @@ type group struct {
 // Router is the stateless routing half of the distributed tier: a
 // serve.Backend that fans a query out to shard-server replica groups and
 // combines the per-shard answers with exactly the root decision
-// (shard.RootQualifies) and bounded merge (shard.MergeResults) the
-// in-process sharded corpus uses, so a routed answer is byte-identical to
-// a local one. "Stateless" means no query state and no placement
-// authority: everything the router knows is recomputed from the snapshot
-// manifest, and two routers over the same snapshot agree without talking
-// to each other.
+// (shard.RootQualifies) and bounded merge (shard.MergeTake, the cut
+// shard.MergeResults concatenates by) the in-process sharded corpus uses, so
+// a routed answer is byte-identical to a local one. "Stateless" means no
+// query state and no placement authority: everything the router knows is
+// recomputed from the snapshot manifest, and two routers over the same
+// snapshot agree without talking to each other.
 //
 // A dead replica degrades to its peer, not to an error: transport
 // failures, protocol violations, generation skew and server-side faults
@@ -449,9 +450,13 @@ func mapServerErr(addr string, e errMsg) (error, bool) {
 // this mirrors round for round): a parallel evaluation round, a lazy
 // digest round for prefilter-skipped shards only when the root decision
 // needs corpus-wide evidence, and a whole-document fallback evaluation for
-// root-involving queries. engines is ignored (the router has none); run
-// schedules the per-group fan-out, so the serving layer's worker pool
-// bounds remote concurrency exactly as it bounds local shard evaluation.
+// root-involving queries. Responses are validated as they arrive — a
+// malformed one fails over inside its hop — but result trees are built only
+// once the answer is known: the ranges the merge takes, or the fallback's,
+// never the ones a cut or a fallback discards. engines is ignored (the
+// router has none); run schedules the per-group fan-out and the builds, so
+// the serving layer's worker pool bounds remote concurrency and decoding
+// exactly as it bounds local shard evaluation.
 func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts search.Options, _ []*search.Engine, run shard.Runner) ([]*search.Result, error) {
 	pl := rt.place.Load()
 	nshards := len(pl.groupOf)
@@ -519,10 +524,15 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 		// with no root-decision bookkeeping — the wire mirror of the local
 		// reference path (shard.Corpus.SearchEnginesContext), kept so
 		// routed == local holds at n = 1 too.
-		return outs[0].resp.results, nil
+		direct := outs[0].resp.results
+		return rt.build(ctx, run, direct, len(direct))
 	}
 
-	byShard := make([][]*search.Result, nshards)
+	// Everything up to the merge works on scanned ranges and digests: which
+	// results win is decided by the per-shard counts alone, so no tree is
+	// built until the cut has said it will be returned.
+	byShard := make([][]scanned, nshards)
+	shipped := 0
 	digests := make([]shard.Digest, nshards)
 	haveDigest := make([]bool, nshards)
 	skipped := make([]bool, nshards)
@@ -534,6 +544,7 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 				continue
 			}
 			byShard[s.shard] = s.results
+			shipped += len(s.results)
 			digests[s.shard] = s.digest
 			haveDigest[s.shard] = true
 			if s.digest.HasNonRootLCAs {
@@ -626,10 +637,51 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 		if err != nil {
 			return nil, err
 		}
-		return fr.results, nil
+		// Every round-1 result was scanned and none is built.
+		return rt.build(ctx, run, fr.results, shipped+len(fr.results))
 	}
 
-	return shard.MergeResults(byShard, opts.MaxResults), nil
+	counts := make([]int, nshards)
+	for i, rs := range byShard {
+		counts[i] = len(rs)
+	}
+	winners := make([]scanned, 0, shard.MergeTake(counts, opts.MaxResults))
+	for i, rs := range byShard {
+		winners = append(winners, rs[:counts[i]]...)
+	}
+	return rt.build(ctx, run, winners, shipped)
+}
+
+// build materializes the ranges a query returns, in order, out of the
+// shipped results its responses carried, and counts the rest as dropped.
+// The builds are independent and fan out through run like every other unit
+// of a query's work — pool-bounded, panic-isolated — with each task pulling
+// the next unbuilt range, so one large tree does not serialize the rest
+// behind it.
+func (rt *Router) build(ctx context.Context, run shard.Runner, winners []scanned, shipped int) ([]*search.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rt.metrics.built.Add(int64(len(winners)))
+	rt.metrics.dropped.Add(int64(shipped - len(winners)))
+	if len(winners) == 0 {
+		return nil, nil
+	}
+	out := make([]*search.Result, len(winners))
+	var next atomic.Int64
+	task := func() {
+		for i := int(next.Add(1)) - 1; i < len(winners); i = int(next.Add(1)) - 1 {
+			out[i] = winners[i].build()
+		}
+	}
+	tasks := make([]func(), min(len(winners), runtime.GOMAXPROCS(0)))
+	for i := range tasks {
+		tasks[i] = task
+	}
+	if err := runTasks(run, tasks); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // checkShardEcho validates that a response covers exactly the requested
@@ -724,6 +776,11 @@ type routerMetrics struct {
 	calls     map[[3]string]*telemetry.Counter // kind, outcome, group
 	failovers map[string]*telemetry.Counter    // group
 	seconds   map[string]*telemetry.Histogram  // group
+
+	// built and dropped count shipped results by fate: materialized into the
+	// answer, or scanned and skipped because the merge cut (or the root
+	// fallback) discarded them.
+	built, dropped *telemetry.Counter
 }
 
 // groupCallKinds are the per-replica-group call kinds; anyCallKinds the
@@ -758,6 +815,9 @@ func newRouterMetrics(reg *telemetry.Registry, ngroups int) *routerMetrics {
 		add(strconv.Itoa(g), groupCallKinds)
 	}
 	add("any", anyCallKinds)
+	const resultsHelp = "Results shipped to the router by fate: built into an answer, or dropped unbuilt by the merge cut or the root fallback."
+	m.built = reg.Counter("extract_remote_results_total", resultsHelp, telemetry.L("fate", "built"))
+	m.dropped = reg.Counter("extract_remote_results_total", resultsHelp, telemetry.L("fate", "dropped"))
 	return m
 }
 

@@ -252,6 +252,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	br := bufio.NewReader(conn)
+	// Eval and full responses — the ones that carry result trees — are
+	// encoded into a buffer this connection owns and reuses: the exchange is
+	// strictly request/response, so the previous response has been flushed
+	// before the next is encoded.
+	var enc []byte
 	for {
 		ver, t, payload, err := readFrame(br)
 		if err != nil {
@@ -268,12 +273,20 @@ func (s *Server) serveConn(conn net.Conn) {
 				continue
 			}
 		}
-		rt, resp := s.handle(ver, t, payload)
+		rt, resp := s.handle(ver, t, payload, enc[:0])
 		if s.reply(bw, ver, rt, resp) != nil {
 			return
 		}
+		if (rt == msgEvalResp || rt == msgFullResp) && cap(resp) <= maxKeptEncode {
+			enc = resp
+		}
 	}
 }
+
+// maxKeptEncode bounds the encode buffer a connection keeps between
+// requests, so one unbounded answer does not pin tens of megabytes per idle
+// connection.
+const maxKeptEncode = 4 << 20
 
 // reply frames the response at the version the request arrived with, so
 // the server needs no per-connection version state: a v1 router gets v1
@@ -291,8 +304,9 @@ func (s *Server) reply(bw *bufio.Writer, ver byte, t msgType, payload []byte) er
 // (decode, eval/digest work, encode) into the server's own telemetry; when
 // the request arrived at wire v2 the same breakdown is appended to the
 // response so the router can attribute a slow hop to the stage that
-// caused it.
-func (s *Server) handle(ver byte, t msgType, payload []byte) (msgType, []byte) {
+// caused it. Eval and full responses are appended to enc, the caller's
+// scratch; every other response is a small allocation of its own.
+func (s *Server) handle(ver byte, t msgType, payload, enc []byte) (msgType, []byte) {
 	st := s.state.Load()
 	switch t {
 	case msgPing:
@@ -324,7 +338,7 @@ func (s *Server) handle(ver byte, t msgType, payload []byte) (msgType, []byte) {
 			return s.fail("eval", stages, err)
 		}
 		t2 := time.Now()
-		body := encodeEvalResp(resp)
+		body := appendEvalResp(enc, resp)
 		stages.encodeNs = nanosSince(t2)
 		s.metrics.observe("eval", true, stages)
 		if ver >= 2 {
@@ -366,7 +380,7 @@ func (s *Server) handle(ver byte, t msgType, payload []byte) (msgType, []byte) {
 			return s.fail("full", stages, err)
 		}
 		t2 := time.Now()
-		body := encodeFullResp(resp)
+		body := appendFullResp(enc, st.fingerprint, resp)
 		stages.encodeNs = nanosSince(t2)
 		s.metrics.observe("full", true, stages)
 		if ver >= 2 {
@@ -439,19 +453,21 @@ func reqContext(timeoutMillis uint64) (context.Context, context.CancelFunc) {
 }
 
 // evaluate answers one eval request: the owned-subset mirror of the
-// per-shard half of shard.Corpus.SearchEnginesContext. Each requested
-// shard is prefilter-probed, then evaluated in parallel under panic
-// recovery; evaluated shards return their local results plus the digest
-// evidence the router's root decision needs (free-witness bits only under
-// ELCA, where alone they are read).
-func (s *Server) evaluate(st *serverState, req evalReq) (evalResp, error) {
+// per-shard half of shard.Corpus.SearchEnginesContext. The whole shard set
+// is validated before anything is dispatched — a refused request must not
+// leave evaluations running behind its error reply. Each requested shard is
+// then prefilter-probed and evaluated in parallel under panic recovery;
+// evaluated shards return their local results plus the digest evidence the
+// router's root decision needs (free-witness bits only under ELCA, where
+// alone they are read).
+func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
 	terms := search.ParseQuery(req.query)
 	if len(terms) == 0 {
-		return evalResp{}, search.ErrEmptyQuery
+		return evalAnswer{}, search.ErrEmptyQuery
 	}
-	resp := evalResp{fingerprint: st.fingerprint}
+	resp := evalAnswer{fingerprint: st.fingerprint}
 
 	shards := st.sc.Shards()
 	if len(shards) == 1 {
@@ -460,18 +476,28 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalResp, error) {
 		// (shard.Corpus.SearchEnginesContext). Mirror it, so routed == local
 		// holds at n = 1 too.
 		if err := requireOwned(st, 0); err != nil {
-			return evalResp{}, err
+			return evalAnswer{}, err
 		}
 		if err := shard.Checkpoint(ctx); err != nil {
-			return evalResp{}, err
+			return evalAnswer{}, err
 		}
 		rs, err := shards[0].Engine(req.opts).Search(req.query)
 		if err != nil {
-			return evalResp{}, err
+			return evalAnswer{}, err
 		}
 		resp.direct = true
 		resp.results = rs
 		return resp, nil
+	}
+
+	ascending := true
+	for i, idx := range req.shards {
+		if err := requireOwned(st, int(idx)); err != nil {
+			return evalAnswer{}, err
+		}
+		if i > 0 && idx <= req.shards[i-1] {
+			ascending = false
+		}
 	}
 
 	var queryTokens []string
@@ -480,15 +506,12 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalResp, error) {
 	}
 	withFree := req.opts.Semantics == search.SemanticsELCA
 
-	resp.shards = make([]shardResp, len(req.shards))
+	resp.shards = make([]shardAnswer, len(req.shards))
 	errs := make([]error, len(req.shards))
 	var wg sync.WaitGroup
 	for i, idx := range req.shards {
 		out := &resp.shards[i]
 		out.shard = idx
-		if err := requireOwned(st, int(idx)); err != nil {
-			return evalResp{}, err
-		}
 		sc := shards[idx]
 		if !sc.Index.Prefilter().MayContainAll(queryTokens) {
 			out.skipped = true
@@ -525,10 +548,32 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalResp, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return evalResp{}, err
+			return evalAnswer{}, err
 		}
 	}
+	if ascending {
+		trimToMerge(resp.shards, req.opts.MaxResults)
+	}
 	return resp, nil
+}
+
+// trimToMerge drops the results the router's merge cannot take. The digests
+// and the root-anchored bit were computed from the untrimmed lists and stay
+// as they are; the trim applies the merge's own cut (shard.MergeTake) to
+// this request's shards in ascending order, so whatever the other groups
+// return, a dropped result lies past position MaxResults in global document
+// order and the merged answer is unchanged. It is sound only in that order,
+// which is the one a router's placement produces; a request naming its
+// shards any other way is answered untrimmed.
+func trimToMerge(answers []shardAnswer, maxResults int) {
+	counts := make([]int, len(answers))
+	for i := range answers {
+		counts[i] = len(answers[i].results)
+	}
+	shard.MergeTake(counts, maxResults)
+	for i := range answers {
+		answers[i].results = answers[i].results[:counts[i]]
+	}
 }
 
 // digests answers the lazy second round of the root decision: the cheap
@@ -572,30 +617,22 @@ func (s *Server) digests(st *serverState, req fullReq) (digestResp, error) {
 // reconstructed whole document, exactly what the in-process merge does for
 // root-involving queries. Any replica can serve it — every server holds
 // the full snapshot.
-func (s *Server) fullEval(st *serverState, req fullReq) (fullResp, error) {
+func (s *Server) fullEval(st *serverState, req fullReq) ([]*search.Result, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
 	if err := shard.Checkpoint(ctx); err != nil {
-		return fullResp{}, err
+		return nil, err
 	}
-	resp := fullResp{fingerprint: st.fingerprint}
+	var rs []*search.Result
 	var evalErr error
 	err := shard.Recover(func() {
 		fb := st.sc.Fallback()
-		rs, err := search.NewEngine(fb.Doc, fb.Index, st.sc.Classification(), req.opts).Search(req.query)
-		if err != nil {
-			evalErr = err
-			return
-		}
-		resp.results = rs
+		rs, evalErr = search.NewEngine(fb.Doc, fb.Index, st.sc.Classification(), req.opts).Search(req.query)
 	})
 	if err != nil {
-		return fullResp{}, err
+		return nil, err
 	}
-	if evalErr != nil {
-		return fullResp{}, evalErr
-	}
-	return resp, nil
+	return rs, evalErr
 }
 
 func requireOwned(st *serverState, idx int) error {

@@ -113,7 +113,7 @@ func TestLegacyHelloServerFallsBackToV1(t *testing.T) {
 func TestByteIdentityAcrossVersions(t *testing.T) {
 	sc := versionTestCorpus()
 	cl := startVersionCluster(t, sc, func(s *Server) { s.legacyHello = true })
-	checkRouterEquivalence(t, "legacy-v1", sc, cl.router)
+	checkRouterEquivalence(t, "legacy-v1", sc, cl.router, testOptions)
 }
 
 // TestServerTelemetryCountsRequests pins the shard-server registry: served

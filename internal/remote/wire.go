@@ -9,9 +9,10 @@
 // The design goal is answer transparency, not a general RPC system: the
 // router combines per-shard results with the same root-decision procedure
 // (shard.RootQualifies over shard.Digest evidence) and the same bounded
-// merge (shard.MergeResults) as the in-process sharded corpus, and result
-// trees travel as a lossless preorder encoding, so a distributed query is
-// byte-identical to a local one — the property the equivalence tests pin.
+// merge (shard.MergeTake, the cut the local merge concatenates by) as the
+// in-process sharded corpus, and result trees travel as a lossless preorder
+// encoding, so a distributed query is byte-identical to a local one — the
+// property the equivalence tests pin.
 //
 // Placement is content-addressed: every shard's manifest content hash
 // (ingest.ShardEntry.ContentHash) is rendezvous-hashed over the configured

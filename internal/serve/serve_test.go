@@ -3,11 +3,14 @@ package serve
 import (
 	"context"
 	"fmt"
+	"net"
+	"runtime"
 	"testing"
 
 	"extract/internal/core"
 	"extract/internal/gen"
 	"extract/internal/index"
+	"extract/internal/remote"
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/workload"
@@ -259,7 +262,7 @@ func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 	s := New(shard.Build(doc, 2), WithCacheBytes(0))
 	defer s.Close()
 	ctx := context.Background()
-	entry := func(query string, mode search.ConstructionMode) *Cached {
+	entryOn := func(s *Server, query string, mode search.ConstructionMode) *Cached {
 		v, err := s.Do(ctx, query, search.Options{DistinctAnchors: true, Mode: mode}, 6)
 		if err != nil || len(v.Results) == 0 {
 			t.Fatalf("%q: %v", query, err)
@@ -271,6 +274,7 @@ func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 		}
 		return v
 	}
+	entry := func(query string, mode search.ConstructionMode) *Cached { return entryOn(s, query, mode) }
 	// One retailer-sized result against one clothes-sized result.
 	big, small := entry("retailer", search.ModeSubtree), entry("clothes", search.ModeSubtree)
 	perResult := func(v *Cached) int64 {
@@ -291,6 +295,44 @@ func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 	if tr, v := perResult(trimmed), perResult(big); tr < v+100*int64(trimmed.Results[0].Size()) {
 		t.Errorf("an owned tree of %d edges is charged %d bytes, a view %d", trimmed.Results[0].Size(), tr, v)
 	}
+
+	// The same answer through the distributed tier is owned trees too, built
+	// in slabs by the router's decoder. It pays per node like a projection,
+	// and the charge stays in line with the heap the entry really retains.
+	sc := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 21}), 2)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := remote.NewServer(sc)
+	go srv.Serve(ln)
+	defer srv.Close()
+	rt, err := remote.NewRouter(sc.Analysis(), remote.CorpusSource(sc), [][]string{{ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	routed := New(rt, WithCacheBytes(0))
+	defer routed.Close()
+	entryOn(routed, "retailer", search.ModeSubtree) // connections, buffers and engines settle
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	decoded := entryOn(routed, "retailer", search.ModeSubtree)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if decoded.Results[0].IsView() || decoded.Results[0].Size() != big.Results[0].Size() {
+		t.Fatalf("routed result: view %v, %d edges; local %d edges",
+			decoded.Results[0].IsView(), decoded.Results[0].Size(), big.Results[0].Size())
+	}
+	if d, v := perResult(decoded), perResult(big); d < v+100*int64(decoded.Results[0].Size()) {
+		t.Errorf("a decoded tree of %d edges is charged %d bytes, a view %d", decoded.Results[0].Size(), d, v)
+	}
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if charged := decoded.cost(); charged < retained*6/10 || charged > retained*12/10 {
+		t.Errorf("a %d-result decoded entry is charged %d bytes and retains %d", len(decoded.Results), charged, retained)
+	}
+	runtime.KeepAlive(decoded)
 }
 
 // TestLRURecency pins the eviction order: with two entries filling one

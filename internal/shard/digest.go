@@ -138,33 +138,52 @@ func RootQualifies(sem search.Semantics, digests []Digest) bool {
 	return AllKeywordsMatch(digests)
 }
 
-// MergeResults merges the per-shard result lists (each sorted by anchor
-// document order) into global order, keeping at most maxResults results
-// (0 = all). The global sort key is (shard index, local anchor ord), and
+// MergeTake is the bounded merge's cut, stated once for every reader: given
+// each shard's local result count in shard order, it reduces counts[i] in
+// place to the number of results the merge takes from shard i and returns
+// their total. The global sort key is (shard index, local anchor ord), and
 // contiguous partitioning makes that key shard-major — a k-way merge heap
 // over the stream heads would only ever drain the streams one after
-// another — so the bounded top-k merge is a concatenation with a cutoff.
-// A future non-contiguous partitioner must replace this with a real k-way
-// merge on a global position key.
-func MergeResults(byShard [][]*search.Result, maxResults int) []*search.Result {
-	total := 0
-	for _, rs := range byShard {
-		total += len(rs)
+// another — so the bounded top-k merge is a concatenation with a cutoff:
+// every result until maxResults (0 = all) are taken, none after. A future
+// non-contiguous partitioner must replace this with a real k-way merge on a
+// global position key.
+//
+// The cut depends on the counts alone, and it may be applied to any subset of
+// the shards taken in ascending order: a result's position among a subset
+// never exceeds its position among all shards, so what the cut drops from a
+// subset the merge over all shards drops too. MergeResults concatenates by
+// it, the distributed router materializes only the results it takes, and a
+// shard server stops shipping at it.
+func MergeTake(counts []int, maxResults int) (total int) {
+	for i, n := range counts {
+		if maxResults > 0 && n > maxResults-total {
+			n = maxResults - total
+			counts[i] = n
+		}
+		total += n
 	}
+	return total
+}
+
+// MergeResults merges the per-shard result lists (each sorted by anchor
+// document order) into global order, keeping at most maxResults results
+// (0 = all): the concatenation MergeTake cuts.
+func MergeResults(byShard [][]*search.Result, maxResults int) []*search.Result {
+	// The counts of any realistic shard set stay on the stack, so the merged
+	// slice is the one allocation.
+	var buf [32]int
+	counts := buf[:0]
+	for _, rs := range byShard {
+		counts = append(counts, len(rs))
+	}
+	total := MergeTake(counts, maxResults)
 	if total == 0 {
 		return nil
 	}
-	if maxResults > 0 && total > maxResults {
-		total = maxResults
-	}
 	out := make([]*search.Result, 0, total)
-	for _, rs := range byShard {
-		for _, r := range rs {
-			if len(out) == total {
-				return out
-			}
-			out = append(out, r)
-		}
+	for i, rs := range byShard {
+		out = append(out, rs[:counts[i]]...)
 	}
 	return out
 }

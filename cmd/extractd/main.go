@@ -559,8 +559,8 @@ type slowQueryLine struct {
 
 // hopLine renders one remote call attempt in a slow-query record or a
 // /debug/traces entry: replica identity, attempt number, wire round trip,
-// the server-reported stage breakdown (wire v2 peers only), and the
-// failure class when the attempt failed.
+// the server-reported stage breakdown, and the failure class when the
+// attempt failed.
 type hopLine struct {
 	Kind           string             `json:"kind"`
 	Group          string             `json:"group"`

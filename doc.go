@@ -217,23 +217,24 @@
 //
 // # Persisted indexes
 //
-// Corpus.SaveIndex / LoadIndex persist an analyzed corpus in a versioned
-// binary format (internal/persist). Version 2, the packed format, is
-// slab-oriented: a string table plus length-prefixed little-endian int32
-// slabs for the preorder tree arrays and the packed posting lists, with the
-// DTD, DOCTYPE internal subset, classification, keys, structural summary
-// and dataguide all serialized — round trips are lossless. The reader
-// memory-maps (or bulk-reads) the file and reconstructs nodes, intervals,
-// Dewey arena and postings without re-tokenizing anything, decoding the
-// tree and posting sections concurrently; loading a 100k-node corpus is an
-// order of magnitude faster than the legacy rebuild path (the "persist"
-// section of BENCH_search.json). Version 3 puts the same stream behind a
-// per-section CRC-32C table; version 4, the format Save writes, appends
-// the shard's keyword-presence prefilter as a sixth checksummed section,
-// so a loaded or delta-patched shard answers skip probes without touching
-// its postings (older images build the filter lazily). SaveIndex writes
-// one packed image per shard behind a thin frame (magic "XTSH"), reloaded
-// in parallel; LoadIndex also accepts a bare packed image, as one shard.
+// Corpus.SaveIndex / LoadIndex persist an analyzed corpus in one versioned
+// binary format (internal/persist, XTIX version 4). An image is six
+// sections behind a table of per-section lengths and CRC-32C checksums: a
+// string table, then little-endian int32 slabs for the preorder tree arrays
+// and the packed posting lists, with the DTD, DOCTYPE internal subset,
+// classification, keys, structural summary and dataguide all serialized —
+// round trips are lossless — and the shard's keyword-presence prefilter, so
+// a loaded or delta-patched shard answers skip probes without touching its
+// postings. The reader memory-maps (or bulk-reads) the file, verifies every
+// checksum, and only then reconstructs nodes, intervals, Dewey arena and
+// postings without re-tokenizing anything, decoding the tree and posting
+// sections concurrently; loading a 100k-node corpus is an order of
+// magnitude faster than rebuilding the index from the tree (the "persist"
+// section of BENCH_search.json). SaveIndex writes one image per shard
+// behind a thin frame (magic "XTSH"), reloaded in parallel; LoadIndex takes
+// a bare image too, as one shard. An image, manifest or wire peer of any
+// other version is refused with an error naming both versions: indexes and
+// snapshots are rebuilt from their source, never migrated.
 //
 // # Perf trajectory and CI gate
 //

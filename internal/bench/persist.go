@@ -15,10 +15,10 @@ import (
 )
 
 // PersistPerfPoint is one row of the persist-load trajectory: loading a
-// corpus from the legacy format (which re-tokenizes the inverted index and
-// re-infers the summary and dataguide on every load) versus the packed
-// format (which restores the posting arrays and interning tables from int32
-// slabs) at one corpus size.
+// corpus from the frozen legacy yardstick format (which re-tokenizes the
+// inverted index and re-infers the summary and dataguide on every load)
+// versus the packed format internal/persist writes (which restores the
+// posting arrays and interning tables from int32 slabs) at one corpus size.
 type PersistPerfPoint struct {
 	Nodes int `json:"nodes"`
 
@@ -63,9 +63,10 @@ func timeItCold(minReps int, fn func()) int64 {
 	return best
 }
 
-// PersistPerf measures cold corpus-load time for the rebuild (legacy v1)
-// path against the packed (v2) path at the given corpus sizes, through
-// LoadFile — the path a server takes when it opens its on-disk indexes.
+// PersistPerf measures cold corpus-load time for the rebuild path (the
+// frozen yardstick in legacybaseline.go) against persist.LoadFile — the path
+// a server takes when it opens its on-disk indexes — at the given corpus
+// sizes.
 func PersistPerf(sizes []int) ([]PersistPerfPoint, error) {
 	if len(sizes) == 0 {
 		sizes = []int{1_000, 10_000, 100_000}
@@ -84,7 +85,7 @@ func PersistPerf(sizes []int) ([]PersistPerfPoint, error) {
 		legacyPath := filepath.Join(dir, fmt.Sprintf("legacy-%d.xtix", i))
 		packedPath := filepath.Join(dir, fmt.Sprintf("packed-%d.xtix", i))
 		var legacy bytes.Buffer
-		if err := persist.SaveLegacy(&legacy, c); err != nil {
+		if err := saveLegacy(&legacy, c); err != nil {
 			return nil, err
 		}
 		if err := os.WriteFile(legacyPath, legacy.Bytes(), 0o644); err != nil {
@@ -113,7 +114,7 @@ func PersistPerf(sizes []int) ([]PersistPerfPoint, error) {
 		// transient allocations, as a long-lived server's heap would.
 		reps := 30
 		p.LoadRebuildNs = timeItCold(reps, func() {
-			if _, err := persist.LoadFile(legacyPath); err != nil {
+			if _, err := loadLegacyFile(legacyPath); err != nil {
 				panic(err)
 			}
 		})
@@ -172,8 +173,8 @@ func WriteReport(path string, r *SearchPerfReport) error {
 // RenderPersist prints a human summary of the persist points.
 func RenderPersist(points []PersistPerfPoint) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "## persist load: rebuild (v1) vs packed (v2)\n\n")
-	fmt.Fprintf(&b, "| nodes | v1 bytes | v2 bytes | save v2 (ms) | load rebuild/packed (ms) | x |\n")
+	fmt.Fprintf(&b, "## persist load: rebuild yardstick vs packed\n\n")
+	fmt.Fprintf(&b, "| nodes | legacy bytes | packed bytes | save packed (ms) | load rebuild/packed (ms) | x |\n")
 	fmt.Fprintf(&b, "|---|---|---|---|---|---|\n")
 	ms := func(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e6) }
 	for _, p := range points {

@@ -8,9 +8,9 @@ import (
 
 // FuzzManifest feeds arbitrary bytes to the manifest decoder: it must
 // reject or accept without panicking, and anything accepted must survive a
-// re-encode/decode round trip as an equal value. Accepted current-version
-// (v2) input must additionally re-encode to exactly the input bytes; a v1
-// input re-encodes as v2, so only value equality is required there.
+// re-encode/decode round trip as an equal value and re-encode to exactly
+// the input bytes. Only the current version is ever accepted: the retired
+// checksum-less v1 seeded below must be rejected.
 func FuzzManifest(f *testing.F) {
 	f.Add(EncodeManifest(goldenManifest()))
 	f.Add(EncodeManifest(&Manifest{
@@ -22,9 +22,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte("XTSN"))
 	good := EncodeManifest(goldenManifest())
 	f.Add(good[:len(good)/2])
-	v1 := append([]byte(nil), good[:len(good)-4]...)
-	v1[len(manifestMagic)] = manifestVersionNoCRC
-	f.Add(v1)
+	f.Add(v1Manifest(good))
 	mut := append([]byte(nil), good...)
 	for i := 4; i < len(mut); i += 7 {
 		mut[i] ^= 0x55
@@ -36,9 +34,12 @@ func FuzzManifest(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if data[len(manifestMagic)] != manifestVersion {
+			t.Fatalf("accepted a manifest of version %d", data[len(manifestMagic)])
+		}
 		re := EncodeManifest(m)
-		if data[len(manifestMagic)] == manifestVersion && !bytes.Equal(re, data) {
-			t.Fatalf("accepted v2 manifest re-encodes differently (%d vs %d bytes)", len(re), len(data))
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted manifest re-encodes differently (%d vs %d bytes)", len(re), len(data))
 		}
 		m2, err := DecodeManifest(re)
 		if err != nil {

@@ -20,10 +20,10 @@ import (
 //	per shard: u8 nameLen | name | u64 contentHash | u64 imageHash
 //	u32 CRC-32C of every preceding byte
 //
-// Version 1 is the same layout without the trailing checksum; it still
-// decodes, so snapshots written before the checksum existed keep loading.
 // The checksum is verified before any field parsing: a torn or bit-flipped
 // manifest fails as corruption, not as whatever field the damage lands in.
+// A manifest of any other version is refused; a snapshot is re-saved from
+// its source, never migrated.
 //
 // Flags bit 0 names the layout: an analysis image plus one image per shard,
 // n >= 1 — the only one there is, so the bit is always written. Flags 0 was
@@ -35,9 +35,8 @@ import (
 // packed image bytes, so an incremental Snapshot can prove an on-disk image
 // is current without re-encoding it.
 const (
-	manifestMagic        = "XTSN"
-	manifestVersion      = 2
-	manifestVersionNoCRC = 1
+	manifestMagic   = "XTSN"
+	manifestVersion = 2
 
 	// ManifestName is the manifest's file name inside a snapshot
 	// directory — the file watchers stat to detect a new snapshot
@@ -193,27 +192,23 @@ func validName(s string) bool {
 	return true
 }
 
-// DecodeManifest parses and validates a manifest image. Version 2 is
-// checksum-verified before any field parsing; version 1 (pre-checksum) is
-// still accepted.
+// DecodeManifest parses and validates a manifest image; the checksum is
+// verified before any field parsing.
 func DecodeManifest(data []byte) (*Manifest, error) {
 	if len(data) < len(manifestMagic)+2 || string(data[:len(manifestMagic)]) != manifestMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadManifest)
 	}
-	switch data[len(manifestMagic)] {
-	case manifestVersionNoCRC:
-	case manifestVersion:
-		if len(data) < len(manifestMagic)+2+4 {
-			return nil, fmt.Errorf("%w: truncated before checksum", ErrBadManifest)
-		}
-		body := data[:len(data)-4]
-		want := binary.LittleEndian.Uint32(data[len(data)-4:])
-		if got := crc32.Checksum(body, manifestCRC); got != want {
-			return nil, fmt.Errorf("%w: checksum mismatch (manifest corrupt)", ErrBadManifest)
-		}
-		data = body
-	default:
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadManifest, data[len(manifestMagic)])
+	if v := data[len(manifestMagic)]; v != manifestVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d (this build reads version %d) — re-save the snapshot from its source",
+			ErrBadManifest, v, manifestVersion)
+	}
+	if len(data) < len(manifestMagic)+2+4 {
+		return nil, fmt.Errorf("%w: truncated before checksum", ErrBadManifest)
+	}
+	want := binary.LittleEndian.Uint32(data[len(data)-4:])
+	data = data[:len(data)-4]
+	if got := crc32.Checksum(data, manifestCRC); got != want {
+		return nil, fmt.Errorf("%w: checksum mismatch (manifest corrupt)", ErrBadManifest)
 	}
 	c := &manifestCursor{data: data, off: len(manifestMagic) + 1}
 	flags := c.u8()

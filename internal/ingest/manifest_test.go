@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -54,10 +56,9 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestGolden pins the on-disk encoding byte-for-byte: committed
-// manifests must keep decoding in every future revision, and an
-// intentional format change must bump the version and regenerate with
-// -update (the same scheme internal/persist uses).
+// TestManifestGolden pins the on-disk encoding byte-for-byte: an
+// intentional format change must bump the version, replace the decoder and
+// regenerate with -update (the same scheme internal/persist uses).
 func TestManifestGolden(t *testing.T) {
 	path := filepath.Join("testdata", "manifest.golden")
 	enc := EncodeManifest(goldenManifest())
@@ -86,21 +87,33 @@ func TestManifestGolden(t *testing.T) {
 	}
 }
 
-// TestManifestV1Compat pins backward compatibility: a version 1 manifest —
-// the same layout without the trailing checksum — must keep decoding to
-// the same value. The v1 bytes are derived from the v2 encoding exactly
-// the way the formats differ, so the fixture can never drift from the
-// encoder.
-func TestManifestV1Compat(t *testing.T) {
-	enc := EncodeManifest(goldenManifest())
+// v1Manifest rewrites a current manifest as the retired version 1: the same
+// layout without the trailing checksum. Derived from the encoder's output
+// exactly the way the formats differed, so the fixture cannot drift.
+func v1Manifest(enc []byte) []byte {
 	v1 := append([]byte(nil), enc[:len(enc)-4]...)
-	v1[len(manifestMagic)] = manifestVersionNoCRC
-	m, err := DecodeManifest(v1)
-	if err != nil {
-		t.Fatalf("v1 manifest no longer decodes: %v", err)
-	}
-	if !reflect.DeepEqual(m, goldenManifest()) {
-		t.Errorf("v1 manifest decoded to %+v", m)
+	v1[len(manifestMagic)] = 1
+	return v1
+}
+
+// TestManifestOtherVersionsRefused: a manifest of the retired checksum-less
+// version 1 — which used to decode, unverified — or of any other version is
+// refused as ErrBadManifest, naming the version it carries and the one this
+// build reads, before a field of it is parsed.
+func TestManifestOtherVersionsRefused(t *testing.T) {
+	enc := EncodeManifest(goldenManifest())
+	future := append([]byte(nil), enc...)
+	future[len(manifestMagic)] = manifestVersion + 1
+	for v, data := range map[int][]byte{1: v1Manifest(enc), manifestVersion + 1: future} {
+		_, err := DecodeManifest(data)
+		if !errors.Is(err, ErrBadManifest) {
+			t.Fatalf("version %d: err = %v, want ErrBadManifest", v, err)
+		}
+		for _, want := range []string{fmt.Sprintf("unsupported version %d", v), fmt.Sprintf("reads version %d", manifestVersion), "re-save"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version %d: %q does not say %q", v, err, want)
+			}
+		}
 	}
 }
 

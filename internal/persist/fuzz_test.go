@@ -3,16 +3,18 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"extract/internal/core"
 	"extract/internal/gen"
 )
 
-// FuzzLoad feeds arbitrary bytes to the binary decoders (both the packed
-// and the legacy format dispatch through Load): they must reject or accept
-// without panicking, and anything accepted must be a consistent corpus
-// (document finalized, index present).
+// FuzzLoad feeds arbitrary bytes to the image decoder: it must reject or
+// accept without panicking, anything accepted must carry the one supported
+// version and be a consistent corpus (document finalized, index present),
+// and the images of retired versions seeded below must be rejected.
 func FuzzLoad(f *testing.F) {
 	c := core.BuildCorpus(gen.Figure5Corpus())
 	var buf bytes.Buffer
@@ -30,17 +32,25 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(mut)
 
-	var legacy bytes.Buffer
-	if err := SaveLegacy(&legacy, c); err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"legacy", "packed", "checked"} {
+		retired, err := os.ReadFile(filepath.Join("testdata", "figure1."+name+".golden"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(retired)
+		f.Add(retired[:len(retired)/2])
 	}
-	f.Add(legacy.Bytes())
-	f.Add(legacy.Bytes()[:legacy.Len()/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Load(bytes.NewReader(data))
 		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("unclassified load error: %v", err)
+			}
 			return
+		}
+		if data[len(magic)] != version {
+			t.Fatalf("accepted an image of version %d", data[len(magic)])
 		}
 		if c.Doc == nil || c.Index == nil || c.Cls == nil || c.Keys == nil {
 			t.Fatal("accepted corpus with nil artifacts")
@@ -51,7 +61,7 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzCorruptImage XORs one byte of a valid checked (version 4) image —
+// FuzzCorruptImage XORs one byte of a valid image —
 // the single-bit-flip failure mode checksums exist for. Any flip inside
 // the checksummed body must be rejected with ErrBadFormat by section
 // verification; flips in the header must either fail cleanly or, if they
@@ -67,7 +77,7 @@ func FuzzCorruptImage(f *testing.F) {
 	bodyStart := len(magic) + 2 + 8*numSections
 
 	f.Add(0, byte(0x01))            // magic
-	f.Add(len(magic), byte(0x01))   // version byte: 3 -> 2
+	f.Add(len(magic), byte(0x07))   // version byte: 4 -> 3
 	f.Add(len(magic)+1, byte(0xFF)) // section count
 	f.Add(len(magic)+2, byte(0x80)) // first section length
 	f.Add(len(magic)+6, byte(0x01)) // first section checksum

@@ -2,9 +2,12 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"extract/internal/core"
@@ -18,113 +21,104 @@ func goldenCorpus() *core.Corpus {
 	return core.BuildCorpus(gen.Figure1Corpus())
 }
 
-// TestGoldenFiles pins the on-disk formats: the committed files must keep
-// loading byte-identically in every future revision, and Save must keep
-// producing exactly the committed bytes (the format is versioned — an
-// intentional change bumps the version byte, adds a new golden file and
-// regenerates with -update).
-//
-// figure1.prefilter.golden (v4) and figure1.legacy.golden (v1) track what
-// Save and SaveLegacy write today and regenerate with -update;
-// figure1.packed.golden (v2, from before the checksum table) and
-// figure1.checked.golden (v3, from before the prefilter section) are
-// frozen images of versions nothing writes anymore — never regenerated,
-// only required to keep loading.
+// TestGoldenFiles pins the on-disk format: Save must keep producing exactly
+// the committed bytes, and the committed file must keep loading into a
+// corpus that answers the paper's Figure 1 query. The format is versioned —
+// an intentional change bumps the version byte, replaces the reader and
+// regenerates figure1.prefilter.golden with -update.
 func TestGoldenFiles(t *testing.T) {
 	c := goldenCorpus()
-	prefilterPath := filepath.Join("testdata", "figure1.prefilter.golden")
-	checkedPath := filepath.Join("testdata", "figure1.checked.golden")
-	packedPath := filepath.Join("testdata", "figure1.packed.golden")
-	legacyPath := filepath.Join("testdata", "figure1.legacy.golden")
+	path := filepath.Join("testdata", "figure1.prefilter.golden")
 
-	var prefilter, legacy bytes.Buffer
-	if err := Save(&prefilter, c); err != nil {
+	var saved bytes.Buffer
+	if err := Save(&saved, c); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveLegacy(&legacy, c); err != nil {
-		t.Fatal(err)
-	}
-
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(prefilterPath, prefilter.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(legacyPath, legacy.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, saved.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	wantPrefilter, err := os.ReadFile(prefilterPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("golden file missing (run with -update): %v", err)
 	}
-	wantChecked, err := os.ReadFile(checkedPath)
-	if err != nil {
-		t.Fatalf("v3 compat golden missing (cannot be regenerated): %v", err)
-	}
-	wantPacked, err := os.ReadFile(packedPath)
-	if err != nil {
-		t.Fatalf("v2 compat golden missing (cannot be regenerated): %v", err)
-	}
-	wantLegacy, err := os.ReadFile(legacyPath)
-	if err != nil {
-		t.Fatalf("golden file missing (run with -update): %v", err)
-	}
-	if !bytes.Equal(prefilter.Bytes(), wantPrefilter) {
+	if !bytes.Equal(saved.Bytes(), want) {
 		t.Errorf("Save output drifted from golden (%d vs %d bytes); "+
-			"format changes must bump the version", prefilter.Len(), len(wantPrefilter))
-	}
-	if !bytes.Equal(legacy.Bytes(), wantLegacy) {
-		t.Errorf("legacy Save output drifted from golden (%d vs %d bytes)", legacy.Len(), len(wantLegacy))
+			"format changes must bump the version", saved.Len(), len(want))
 	}
 
-	// The layered-format invariants: the v3 body is byte-identical to the
-	// v2 body (version 3 is the v2 stream behind a section table, nothing
-	// more), and the v4 body starts with exactly that stream before the
-	// appended prefilter section.
-	v2Body := wantPacked[len(magic)+1:]
-	v3Body := wantChecked[len(magic)+2+8*numSectionsChecked:]
-	v4Body := wantPrefilter[len(magic)+2+8*numSections:]
-	if !bytes.Equal(v2Body, v3Body) {
-		t.Errorf("v3 body diverged from v2 body (%d vs %d bytes)", len(v3Body), len(v2Body))
+	loaded, err := Load(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(v4Body) < len(v2Body) || !bytes.Equal(v4Body[:len(v2Body)], v2Body) {
-		t.Errorf("v4 body does not extend the v2 body (%d vs %d bytes)", len(v4Body), len(v2Body))
+	if loaded.Doc.Len() != c.Doc.Len() {
+		t.Fatalf("%d nodes, want %d", loaded.Doc.Len(), c.Doc.Len())
 	}
+	if a, ok := loaded.Keys.KeyAttr("retailer"); !ok || a != "name" {
+		t.Fatalf("retailer key = %q %v", a, ok)
+	}
+	outs, err := core.Pipeline(loaded, gen.Figure1Query, 13, search.Options{DistinctAnchors: true})
+	if err != nil || len(outs) != 1 {
+		t.Fatalf("pipeline %v (%d results)", err, len(outs))
+	}
+	if outs[0].IList.KeyValue != "Brook Brothers" {
+		t.Fatalf("key = %q", outs[0].IList.KeyValue)
+	}
+	// The decoded prefilter answers soundly for every indexed keyword.
+	pf := loaded.Index.Prefilter()
+	for _, kw := range loaded.Index.Vocabulary() {
+		if !pf.MayContain(kw) {
+			t.Fatalf("prefilter misses indexed keyword %q", kw)
+		}
+	}
+}
 
-	// Every golden image — all four versions — must load into a corpus
-	// that answers the paper's Figure 1 query correctly.
-	for name, data := range map[string][]byte{
-		"prefilter": wantPrefilter, "checked": wantChecked,
-		"packed": wantPacked, "legacy": wantLegacy,
-	} {
-		loaded, err := Load(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s golden: %v", name, err)
-		}
-		if loaded.Doc.Len() != c.Doc.Len() {
-			t.Fatalf("%s golden: %d nodes, want %d", name, loaded.Doc.Len(), c.Doc.Len())
-		}
-		if a, ok := loaded.Keys.KeyAttr("retailer"); !ok || a != "name" {
-			t.Fatalf("%s golden: retailer key = %q %v", name, a, ok)
-		}
-		outs, err := core.Pipeline(loaded, gen.Figure1Query, 13, search.Options{DistinctAnchors: true})
-		if err != nil || len(outs) != 1 {
-			t.Fatalf("%s golden: pipeline %v (%d results)", name, err, len(outs))
-		}
-		if outs[0].IList.KeyValue != "Brook Brothers" {
-			t.Fatalf("%s golden: key = %q", name, outs[0].IList.KeyValue)
-		}
-		// Every loaded index answers prefilter queries soundly, whether
-		// the filter was decoded (v4) or lazily rebuilt (v1–v3).
-		pf := loaded.Index.Prefilter()
-		for _, kw := range loaded.Index.Vocabulary() {
-			if !pf.MayContain(kw) {
-				t.Fatalf("%s golden: prefilter misses indexed keyword %q", name, kw)
+// TestRetiredVersionsRefused: the frozen images of the three versions this
+// package used to read — figure1.legacy.golden (v1, varint), .packed (v2,
+// no checksums), .checked (v3, no prefilter section) — never regenerated,
+// now pin the refusal. Each fails as ErrBadFormat naming the version it
+// carries and the one this build reads, from bytes and from a file, and a
+// refused file leaves no descriptor or mapping behind.
+func TestRetiredVersionsRefused(t *testing.T) {
+	for v, name := range map[int]string{1: "legacy", 2: "packed", 3: "checked"} {
+		t.Run(name, func(t *testing.T) {
+			path, err := filepath.Abs(filepath.Join("testdata", "figure1."+name+".golden"))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("frozen golden missing (cannot be regenerated): %v", err)
+			}
+			if int(data[len(magic)]) != v {
+				t.Fatalf("golden carries version %d, want %d", data[len(magic)], v)
+			}
+			check := func(how string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrBadFormat) {
+					t.Fatalf("%s: err = %v, want ErrBadFormat", how, err)
+				}
+				for _, want := range []string{fmt.Sprintf("unsupported version %d", v), fmt.Sprintf("reads version %d", version), "rebuild"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("%s: %q does not say %q", how, err, want)
+					}
+				}
+			}
+			_, err = Load(bytes.NewReader(data))
+			check("Load", err)
+			_, err = LoadBytes(data)
+			check("LoadBytes", err)
+			for i := 0; i < 20; i++ {
+				_, err = LoadFile(path)
+				check("LoadFile", err)
+			}
+			if m, f := refsToFile(t, path); m != 0 || f != 0 {
+				t.Errorf("%d mappings and %d fds still reference the file after 20 refused loads", m, f)
+			}
+		})
 	}
 }

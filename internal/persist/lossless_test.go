@@ -143,30 +143,3 @@ func TestRoundTripPostingsExact(t *testing.T) {
 		}
 	}
 }
-
-// TestLegacyFormatStillLoads: files written in the version 1 format keep
-// loading (with the index rebuilt, as before).
-func TestLegacyFormatStillLoads(t *testing.T) {
-	doc, err := xmltree.ParseString(`<r><a>x</a><a>y</a></r>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := core.BuildCorpus(doc)
-	var buf bytes.Buffer
-	if err := SaveLegacy(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Doc.Len() != c.Doc.Len() {
-		t.Fatalf("nodes = %d, want %d", loaded.Doc.Len(), c.Doc.Len())
-	}
-	if loaded.Index.Count("x") != 1 {
-		t.Fatal("legacy index not rebuilt")
-	}
-	if loaded.DTD != nil || loaded.Doc.InternalSubset != "" {
-		t.Fatal("legacy format cannot carry a DTD")
-	}
-}

@@ -18,47 +18,34 @@ import (
 	"extract/xmltree"
 )
 
-// Packed (version 2) layout. All integers are little-endian; "slab" means a
-// length-known contiguous array decoded in one pass. Every section except
-// the trailing summary has a size computable from its leading counts, so
-// the reader slices all slabs up front and decodes the two big ones — tree
-// and postings — concurrently.
-//
-//	magic "XTIX" | version u8 = 2
-//	meta:     u32 subsetLen, bytes  (DOCTYPE internal subset)
-//
-// Version 3 carries the identical body, split at the five section
-// boundaries below (class, keys, guide and summary fold into one "aux"
-// section), behind a checksum table verified before any decoding:
-//
-//	magic "XTIX" | version u8 = 3 | u8 sectionCount = 5
-//	| (u32 length, u32 CRC-32C) x 5 | sections
-//
-// Version 4 is version 3 plus one trailing checksummed section, the
-// keyword-presence prefilter (sorted 64-bit FNV-1a hashes of every
-// indexed keyword, see index.Prefilter):
+// Byte layout. All integers are little-endian; "slab" means a length-known
+// contiguous array decoded in one pass. Every part of the body except the
+// summary has a size computable from its leading counts, so the reader
+// slices all slabs up front and decodes the two big ones — tree and
+// postings — concurrently.
 //
 //	magic "XTIX" | version u8 = 4 | u8 sectionCount = 6
-//	| (u32 length, u32 CRC-32C) x 6 | sections
-//	prefilter: u32 H | u64[H] hashes   (strictly increasing)
+//	| (u32 length, u32 CRC-32C) x 6 | the six sections, back to back
 //
-//	meta:     u32 subsetLen, bytes  (DOCTYPE internal subset)
-//	          u32 dtdLen, bytes     (DTD rendered to declaration syntax)
-//	          u32 n                 (node count, early so the reader can
-//	                                 allocate the node slab while the
-//	                                 string table decodes)
-//	strings:  u32 count | u32 blobLen | i32[count] lengths | blob
-//	tree:     u8[n] tags | i32[n] labelIDs | i32[n] valueIDs
-//	          | i32[n] childCounts        (preorder)
-//	postings: u32 K | i32[K] keywordIDs | i32[K] listLens
-//	          | u32 P | i32[P] ords | u8[P] fields
-//	class:    u32 C | i32[C] labelIDs | u8[C] categories
-//	keys:     u32 KC | i32[KC] entityIDs | i32[KC] attrIDs
-//	guide:    u32 G | i32[G] labelIDs | i32[G] counts
-//	          | i32[G] childCounts | u8[G] hasText   (preorder)
-//	summary:  i32 rootID | u32 EC | per element (label-sorted):
-//	          i32 labelID, i32 count, i32 maxSiblings, u8 flags,
-//	          u32 parents, (i32 parentID, i32 count)*
+//	meta:      u32 subsetLen, bytes  (DOCTYPE internal subset)
+//	           u32 dtdLen, bytes     (DTD rendered to declaration syntax)
+//	           u32 n                 (node count, early so the reader can
+//	                                  allocate the node slab while the
+//	                                  string table decodes)
+//	strings:   u32 count | u32 blobLen | i32[count] lengths | blob
+//	tree:      u8[n] tags | i32[n] labelIDs | i32[n] valueIDs
+//	           | i32[n] childCounts        (preorder)
+//	postings:  u32 K | i32[K] keywordIDs | i32[K] listLens
+//	           | u32 P | i32[P] ords | u8[P] fields
+//	aux:       class:   u32 C | i32[C] labelIDs | u8[C] categories
+//	           keys:    u32 KC | i32[KC] entityIDs | i32[KC] attrIDs
+//	           guide:   u32 G | i32[G] labelIDs | i32[G] counts
+//	                    | i32[G] childCounts | u8[G] hasText   (preorder)
+//	           summary: i32 rootID | u32 EC | per element (label-sorted):
+//	                    i32 labelID, i32 count, i32 maxSiblings, u8 flags,
+//	                    u32 parents, (i32 parentID, i32 count)*
+//	prefilter: u32 H | u64[H] hashes   (sorted 64-bit FNV-1a hashes of every
+//	           indexed keyword, strictly increasing; see index.Prefilter)
 const (
 	tagText     = 1
 	tagFromAttr = 2
@@ -70,8 +57,7 @@ const (
 	maxCount = 1 << 28 // sanity bound on any persisted count
 )
 
-// Section indices of the version 3/4 tables. Version 3 tables end at
-// secAux; version 4 appends the prefilter section.
+// Section indices of the section table.
 const (
 	secMeta = iota
 	secStrings
@@ -80,8 +66,6 @@ const (
 	secAux
 	secPrefilter
 	numSections
-
-	numSectionsChecked = numSections - 1 // version 3: no prefilter section
 )
 
 var sectionNames = [numSections]string{"meta", "strings", "tree", "postings", "aux", "prefilter"}
@@ -120,10 +104,9 @@ func appendI32(b []byte, v int32) []byte {
 	return binary.LittleEndian.AppendUint32(b, uint32(v))
 }
 
-// savePacked writes the prefilter (version 4) format: the packed body
-// split into six sections, each materialized so its CRC-32C lands in the
-// header before any body byte is written.
-func savePacked(w io.Writer, c *core.Corpus) error {
+// Save writes the analyzed corpus to w: six sections, each materialized so
+// its CRC-32C lands in the header before any body byte is written.
+func Save(w io.Writer, c *core.Corpus) error {
 	in := newInterner()
 
 	nodes := c.Doc.Nodes()
@@ -297,7 +280,7 @@ func savePacked(w io.Writer, c *core.Corpus) error {
 		}
 	}
 
-	// Summary (trailing: the only section without a slab-computable size).
+	// Summary (last in aux: the only part without a slab-computable size).
 	if c.Summary != nil {
 		buf = appendI32(buf, in.ids[c.Summary.Root])
 		buf = appendU32(buf, uint32(len(sumLabels)))
@@ -348,7 +331,7 @@ func savePacked(w io.Writer, c *core.Corpus) error {
 	// Header, then the section bytes.
 	head := make([]byte, 0, len(magic)+2+8*numSections)
 	head = append(head, magic...)
-	head = append(head, versionPrefilter, numSections)
+	head = append(head, version, numSections)
 	for _, s := range secs {
 		head = appendU32(head, uint32(len(s)))
 		head = appendU32(head, crc32.Checksum(s, castagnoli))
@@ -365,23 +348,22 @@ func savePacked(w io.Writer, c *core.Corpus) error {
 	return bw.Flush()
 }
 
-// verifySections validates a version 3/4 header — section count (want,
-// set by the version byte), lengths summing exactly to the body,
-// per-section CRC-32C — and returns the body offset decoding starts at.
-// Checksums run before any structural decoding, so corruption surfaces
-// here as a named-section error rather than as whatever downstream
-// decoder happens to trip.
-func verifySections(data []byte, want int) (int, error) {
+// verifySections validates the section table — section count, lengths
+// summing exactly to the body, per-section CRC-32C — and returns the body
+// offset decoding starts at. Checksums run before any structural decoding,
+// so corruption surfaces here as a named-section error rather than as
+// whatever downstream decoder happens to trip.
+func verifySections(data []byte) (int, error) {
 	tbl := len(magic) + 1
-	body := tbl + 1 + 8*want
+	body := tbl + 1 + 8*numSections
 	if len(data) < body {
 		return 0, fmt.Errorf("%w: truncated section table", ErrBadFormat)
 	}
-	if int(data[tbl]) != want {
-		return 0, fmt.Errorf("%w: section count %d, want %d", ErrBadFormat, data[tbl], want)
+	if int(data[tbl]) != numSections {
+		return 0, fmt.Errorf("%w: section count %d, want %d", ErrBadFormat, data[tbl], numSections)
 	}
 	pos := body
-	for i := 0; i < want; i++ {
+	for i := 0; i < numSections; i++ {
 		ln := int(binary.LittleEndian.Uint32(data[tbl+1+8*i:]))
 		want := binary.LittleEndian.Uint32(data[tbl+1+8*i+4:])
 		if ln > len(data)-pos {
@@ -474,14 +456,12 @@ func (t *stringTable) str(id int32) (string, bool) {
 	return t.table[id], true
 }
 
-// loadPackedAt decodes the packed body starting at bodyOff — immediately
-// after the version byte for version 2, after the verified section table
-// for versions 3 and 4 (the body bytes are identical; version 4 appends
-// the prefilter section, decoded when withPrefilter is set). The tree and
-// posting sections — the two large ones — decode concurrently: posting
-// lists reference nodes by address into the node slab, which is allocated
-// before either decoder runs.
-func loadPackedAt(data []byte, bodyOff int, withPrefilter bool) (*core.Corpus, error) {
+// decodeBody decodes the sections, which start at bodyOff and which
+// verifySections has already checksummed. The tree and posting sections —
+// the two large ones — decode concurrently: posting lists reference nodes
+// by address into the node slab, which is allocated before either decoder
+// runs.
+func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 	c := &cursor{data: data, off: bodyOff}
 
 	// Meta.
@@ -560,26 +540,22 @@ func loadPackedAt(data []byte, bodyOff int, withPrefilter bool) (*core.Corpus, e
 		return nil, err
 	}
 
-	// Prefilter (version 4): the sorted keyword-hash slab. Strictly
-	// increasing order is enforced — it is what Prefilter's binary search
-	// relies on, and a violation means the image is malformed. Hash
-	// completeness (every indexed keyword present) is the writer's
-	// invariant, protected at rest by the section CRC.
-	var pref *index.Prefilter
-	if withPrefilter {
-		ph := c.count("prefilter hash")
-		hashSlab := c.bytes(8 * ph)
-		if c.err != nil {
-			return nil, c.err
+	// Prefilter: the sorted keyword-hash slab. Strictly increasing order is
+	// enforced — it is what Prefilter's binary search relies on, and a
+	// violation means the image is malformed. Hash completeness (every
+	// indexed keyword present) is the writer's invariant, protected at rest
+	// by the section CRC.
+	ph := c.count("prefilter hash")
+	hashSlab := c.bytes(8 * ph)
+	if c.err != nil {
+		return nil, c.err
+	}
+	hashes := make([]uint64, ph)
+	for i := range hashes {
+		hashes[i] = binary.LittleEndian.Uint64(hashSlab[8*i:])
+		if i > 0 && hashes[i] <= hashes[i-1] {
+			return nil, fmt.Errorf("%w: prefilter hashes out of order at %d", ErrBadFormat, i)
 		}
-		hs := make([]uint64, ph)
-		for i := range hs {
-			hs[i] = binary.LittleEndian.Uint64(hashSlab[8*i:])
-			if i > 0 && hs[i] <= hs[i-1] {
-				return nil, fmt.Errorf("%w: prefilter hashes out of order at %d", ErrBadFormat, i)
-			}
-		}
-		pref = index.PrefilterFromHashes(hs)
 	}
 	if c.off != len(c.data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(c.data)-c.off)
@@ -695,9 +671,7 @@ func loadPackedAt(data []byte, bodyOff int, withPrefilter bool) (*core.Corpus, e
 	doc := xmltree.AdoptFinalized(docNodes)
 	doc.InternalSubset = subset
 	ix := index.FromPartsSized(doc, postings, total, maxList)
-	if pref != nil {
-		ix.AdoptPrefilter(pref)
-	}
+	ix.AdoptPrefilter(index.PrefilterFromHashes(hashes))
 	return &core.Corpus{
 		Doc:     doc,
 		Index:   ix,
@@ -878,7 +852,7 @@ func decodePostings(nodeSlab []xmltree.Node, tags []byte, kwIDs, listLens []int3
 	return postings, maxList, nil
 }
 
-// decodeSummary reads the trailing summary section.
+// decodeSummary reads the summary, the variable-length tail of aux.
 func decodeSummary(c *cursor, table *stringTable) (*schema.Summary, error) {
 	rootID := int32(c.u32())
 	nSum := c.count("summary element")

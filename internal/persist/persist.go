@@ -3,56 +3,42 @@
 // Builder stage) can be reopened without re-parsing XML or re-running
 // classification and key mining — the role the demo's on-disk indexes play.
 //
-// Three format versions exist, distinguished by the version byte after the
-// magic:
+// One format exists, XTIX version 4. After the magic and the version byte
+// comes a section table — a section count (always 6), then a u32 length and
+// a u32 CRC-32C per section — and then the six sections back to back:
 //
-// Version 1 (legacy, varint-coded) stores the tree, classification and
-// keys; the inverted index, structural summary and dataguide are rebuilt on
-// load by linear passes over the tree. SaveLegacy still writes it and Load
-// still reads it, but rebuilding makes loading large corpora slow.
+//	meta       DOCTYPE internal subset, the DTD rendered to declaration
+//	           syntax, the node count
+//	strings    every label, value and keyword once: lengths, then one blob
+//	tree       preorder node columns: tag bits, label ids, value ids,
+//	           child counts
+//	postings   the packed posting arrays of index.PostingList: per-keyword
+//	           node ordinals and match fields
+//	aux        classification, mined keys, the flattened dataguide, the
+//	           structural summary
+//	prefilter  index.Prefilter as a sorted u64 keyword-hash slab, so a
+//	           loaded shard answers "can this image contain keyword t?"
+//	           without its postings map
 //
-// Version 2 (packed) is slab-oriented: after a
-// small metadata section (DOCTYPE internal subset, rendered DTD), every
-// large structure is a length-prefixed little-endian int32 or byte slab —
-// string table offsets + one contiguous blob, preorder node arrays
-// (tags / label ids / value ids / child counts), the packed posting arrays
-// of index.PostingList (per-keyword ords and match fields), classification,
-// keys, the structural summary and the flattened dataguide. The layout is
-// mmap-friendly (fixed-width slabs at computable offsets) and the reader
-// bulk-reads the file once and reconstructs every artifact without
-// re-tokenizing a single value, which is what makes Load ~10x faster than
-// the rebuild path at 100k nodes (see BENCH_search.json "persist").
+// Every large structure is a fixed-width little-endian slab at an offset
+// computable from the leading counts (packed.go has the byte layout), so
+// the reader maps the file once and rebuilds every artifact without
+// re-tokenizing a value. Round trips are lossless: the DTD, the internal
+// subset, every classified label (DTD-declared labels absent from the
+// instance included) and the mined keys are restored exactly.
 //
-// Version 2 round-trips are lossless: the DTD (re-rendered to declaration
-// syntax), the DOCTYPE internal subset, every classified label (including
-// DTD-declared labels absent from the instance) and the mined keys are all
-// restored exactly; version 1 dropped the DTD and the internal subset.
-//
-// Version 3 (checked) is version 2's exact
-// byte stream split into five sections — meta, strings, tree, postings,
-// aux — with a section table (u32 length + u32 CRC-32C per section)
-// between the version byte and the body. The checksums are verified before
-// any decoding, so a truncated or bit-flipped image — the failure mode of
-// serving memory-mapped files off real disks — fails with a clean named
-// error instead of reaching the structural decoders.
-//
-// Version 4 (prefilter, the default written by Save) appends a sixth
-// checksummed section to the version 3 layout: the index's
-// keyword-presence prefilter (index.Prefilter) as a sorted u64 hash slab.
-// The section lets a loaded shard answer "can this image contain keyword
-// t?" without consulting the postings map — the shard-skip fast path of
-// multi-keyword queries — and is the piece a routing tier can hold without
-// loading postings at all. Versions 1–3 still load; their indexes build
-// the prefilter lazily from the postings map on first use.
-//
-// All readers validate magic, version, string ids, node counts and slab
-// bounds, and fail loudly on truncation or corruption (see FuzzLoad and
-// FuzzCorruptImage).
+// Loading verifies before it decodes: magic and version, then the section
+// table (count, lengths summing exactly to the body, each section's
+// checksum), and only then the structural decoders, which in turn validate
+// string ids, node counts, slab bounds and prefilter hash order. A
+// truncated or bit-flipped image — the failure mode of serving
+// memory-mapped files off real disks — fails with a named ErrBadFormat
+// error, never a panic (see FuzzLoad and FuzzCorruptImage). A format change
+// bumps the version byte and replaces the reader: an image of any other
+// version is refused, and is rebuilt from its XML source, not migrated.
 package persist
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -64,29 +50,12 @@ import (
 
 const (
 	magic = "XTIX"
-	// versionLegacy is the PR-1 varint format: tree + classification +
-	// keys, index rebuilt on load.
-	versionLegacy = 1
-	// versionPacked is the slab format: everything persisted, nothing
-	// rebuilt.
-	versionPacked = 2
-	// versionChecked is the packed format with a per-section CRC-32C
-	// table, verified before decoding.
-	versionChecked = 3
-	// versionPrefilter is the checked format plus a sixth section holding
-	// the keyword-presence prefilter hash slab.
-	versionPrefilter = 4
+	// version is the one format revision this build writes and reads.
+	version = 4
 )
 
 // ErrBadFormat reports a corrupted or foreign file.
 var ErrBadFormat = errors.New("persist: bad format")
-
-// Save writes the analyzed corpus to w in the prefilter (version 4)
-// format: the packed layout guarded by a per-section CRC-32C table, plus
-// the keyword-presence prefilter section.
-func Save(w io.Writer, c *core.Corpus) error {
-	return savePacked(w, c)
-}
 
 // SaveFile writes the corpus to a file.
 func SaveFile(path string, c *core.Corpus) error {
@@ -101,82 +70,54 @@ func SaveFile(path string, c *core.Corpus) error {
 	return f.Close()
 }
 
-// Load reads a corpus saved by Save or SaveLegacy, dispatching on the
-// version byte.
+// Load reads a corpus saved by Save.
 func Load(r io.Reader) (*core.Corpus, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
-	return loadBytes(data)
+	return LoadBytes(data)
 }
 
-// LoadFile reads a corpus from a file. Packed files are memory-mapped
-// where the platform supports it (falling back to one exactly-sized bulk
-// read); legacy files stream through the varint decoder. The packed decoder
-// copies out everything it retains, so the mapping is released before
-// LoadFile returns.
+// LoadFile reads a corpus from a file, memory-mapped where the platform
+// supports it (falling back to one bulk read). The decoder copies out
+// everything it retains, so the mapping is released before LoadFile
+// returns, on success and on every failure.
 func LoadFile(path string) (*core.Corpus, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if data, unmap, ok := mapFile(f); ok {
-		f.Close()
-		if len(data) >= len(magic)+1 && string(data[:len(magic)]) == magic &&
-			(data[len(magic)] == versionPacked || data[len(magic)] == versionChecked ||
-				data[len(magic)] == versionPrefilter) {
-			defer unmap()
-			return loadBytes(data)
-		}
-		// Legacy or foreign content: copy out of the mapping and take the
-		// generic path, so no decoder ever retains mapped memory.
-		copied := append([]byte(nil), data...)
-		unmap()
-		return loadBytes(copied)
-	}
 	defer f.Close()
+	if data, unmap, ok := mapFile(f); ok {
+		defer unmap()
+		return LoadBytes(data)
+	}
 	data, err := io.ReadAll(f)
 	if err != nil {
 		return nil, err
 	}
-	return loadBytes(data)
+	return LoadBytes(data)
 }
 
-// LoadBytes decodes a fully-read corpus image of either format version —
-// the form sharded-corpus files embed per shard.
+// LoadBytes decodes a fully-read corpus image — the form sharded-corpus
+// files embed per shard. The faultinject hook lets tests corrupt images on
+// the way in; mutators return a modified copy, so a memory-mapped image is
+// never written through.
 func LoadBytes(data []byte) (*core.Corpus, error) {
-	return loadBytes(data)
-}
-
-// loadBytes decodes a fully-read image. The faultinject hook lets tests
-// corrupt images on the way in; mutators return a modified copy, so a
-// memory-mapped image is never written through.
-func loadBytes(data []byte) (*core.Corpus, error) {
 	if faultinject.Enabled() {
 		data = faultinject.Mutate(faultinject.ImageBytes, data)
 	}
 	if len(data) < len(magic)+1 || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
 	}
-	switch data[len(magic)] {
-	case versionLegacy:
-		return loadLegacy(bufio.NewReader(bytes.NewReader(data)))
-	case versionPacked:
-		return loadPackedAt(data, len(magic)+1, false)
-	case versionChecked:
-		body, err := verifySections(data, numSectionsChecked)
-		if err != nil {
-			return nil, err
-		}
-		return loadPackedAt(data, body, false)
-	case versionPrefilter:
-		body, err := verifySections(data, numSections)
-		if err != nil {
-			return nil, err
-		}
-		return loadPackedAt(data, body, true)
-	default:
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, data[len(magic)])
+	if v := data[len(magic)]; v != version {
+		return nil, fmt.Errorf("%w: unsupported version %d (this build reads version %d) — rebuild the image from its XML source",
+			ErrBadFormat, v, version)
 	}
+	body, err := verifySections(data)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBody(data, body)
 }

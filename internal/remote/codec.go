@@ -24,7 +24,21 @@ const (
 	maxWireResults = 1 << 20
 	maxWireShards  = 1 << 16
 	maxWireStrings = 1 << 16
+
+	// maxTreeDeweyInts bounds Σ node depths of one result tree, the size of
+	// the Dewey arena build allocates for it. The node cap alone does not: a
+	// 4 Mi-node chain is a ~12 MB payload whose identifiers take 8·10¹²
+	// ints. The bound is the node cap at a mean depth of 16 — 512 MB of
+	// ints, what the node slab of a tree at the node cap already costs — and
+	// admits smaller trees proportionally deeper (a 10 000-deep chain is
+	// 50 M ints). ROADMAP item 4a deletes materialised Dewey, and this
+	// bound with the arena.
+	maxTreeDeweyInts = 16 * maxTreeNodes
 )
+
+// errDeweyBound is built once so that refusing an over-deep tree allocates
+// nothing, whatever the payload claims.
+var errDeweyBound = protocolErrf("result tree's Dewey identifiers exceed %d ints", maxTreeDeweyInts)
 
 // cursor decodes one payload, accumulating the first failure.
 type cursor struct {
@@ -187,37 +201,12 @@ func decodeHello(data []byte) (helloMsg, error) {
 	return h, c.done()
 }
 
-// --- version negotiation ---
+// --- server-side stage breakdown ---
 
-// encodeVerMsg encodes a negotiation payload: the sender's highest
-// supported wire version. A router sends it as a msgHello request right
-// after the greeting; a server echoes its own maximum back. Both sides
-// then speak min(theirs, ours). The payload is one uvarint so future
-// versions can extend it with capability flags.
-func encodeVerMsg(v byte) []byte {
-	return binary.AppendUvarint(nil, uint64(v))
-}
-
-// decodeVerMsg decodes a negotiation payload, tolerating trailing bytes a
-// future version might add.
-func decodeVerMsg(data []byte) (byte, error) {
-	c := &cursor{data: data}
-	v := c.uvarint("wire version")
-	if c.err != nil {
-		return 0, c.err
-	}
-	if v == 0 || v > 255 {
-		return 0, protocolErrf("implausible negotiated wire version %d", v)
-	}
-	return byte(v), nil
-}
-
-// --- server-side stage breakdown (wire v2) ---
-
-// serverStages is the server-side timing breakdown a v2 shard server
-// appends to eval/digest/full responses: nanoseconds spent decoding the
-// request, evaluating shards, computing digests, and encoding the
-// response body. Stages that did not run are zero.
+// serverStages is the server-side timing breakdown a shard server appends
+// to eval/digest/full responses as four uvarints: nanoseconds spent
+// decoding the request, evaluating shards, computing digests, and encoding
+// the response body. Stages that did not run are zero.
 type serverStages struct {
 	decodeNs uint64
 	evalNs   uint64
@@ -225,7 +214,7 @@ type serverStages struct {
 	encodeNs uint64
 }
 
-// appendServerStages appends the v2 trailing stage block to an encoded
+// appendServerStages appends the trailing stage block to an encoded
 // response body.
 func appendServerStages(b []byte, s serverStages) []byte {
 	b = binary.AppendUvarint(b, s.decodeNs)
@@ -243,7 +232,7 @@ func (c *cursor) serverStages() serverStages {
 	return s
 }
 
-// appendTraceID appends the v2 trailing trace ID to an encoded
+// appendTraceID appends the trailing trace ID (u64 LE) to an encoded
 // eval/digest/full request. The copy is deliberate: the base payload is
 // shared across replicas and retries, so it must never be appended to in
 // place.
@@ -260,9 +249,11 @@ type evalReq struct {
 	query         string
 	timeoutMillis uint64 // 0 = no deadline
 	shards        []uint32
-	traceID       uint64 // v2+: the originating query's trace ID (0 = none)
+	traceID       uint64 // the originating query's trace ID (0 = none)
 }
 
+// encodeEvalReq encodes everything but the trailing trace ID, which
+// replica.call appends per attempt (appendTraceID).
 func encodeEvalReq(r evalReq) []byte {
 	b := appendOptions(nil, r.opts)
 	b = appendString(b, r.query)
@@ -274,7 +265,7 @@ func encodeEvalReq(r evalReq) []byte {
 	return b
 }
 
-func decodeEvalReq(data []byte, ver byte) (evalReq, error) {
+func decodeEvalReq(data []byte) (evalReq, error) {
 	c := &cursor{data: data}
 	var r evalReq
 	r.opts = c.options()
@@ -285,9 +276,7 @@ func decodeEvalReq(data []byte, ver byte) (evalReq, error) {
 	for i := 0; i < n && c.err == nil; i++ {
 		r.shards = append(r.shards, uint32(c.uvarint("shard index")))
 	}
-	if ver >= 2 {
-		r.traceID = c.u64("trace id")
-	}
+	r.traceID = c.u64("trace id")
 	return r, c.done()
 }
 
@@ -300,15 +289,15 @@ type fullReq struct {
 	query         string
 	timeoutMillis uint64
 	shards        []uint32 // digest request only; empty for full eval
-	traceID       uint64   // v2+: the originating query's trace ID (0 = none)
+	traceID       uint64   // the originating query's trace ID (0 = none)
 }
 
 func encodeFullReq(r fullReq) []byte {
 	return encodeEvalReq(evalReq(r))
 }
 
-func decodeFullReq(data []byte, ver byte) (fullReq, error) {
-	r, err := decodeEvalReq(data, ver)
+func decodeFullReq(data []byte) (fullReq, error) {
+	r, err := decodeEvalReq(data)
 	return fullReq(r), err
 }
 
@@ -524,7 +513,10 @@ func (c *cursor) scanResult() scanned {
 			return scanned{}
 		}
 		if len(slots) > 0 {
-			deweyInts += len(slots)
+			if deweyInts += len(slots); deweyInts > maxTreeDeweyInts {
+				c.err = errDeweyBound
+				return scanned{}
+			}
 			slots[len(slots)-1]--
 		} else if i > 0 {
 			c.fail("multiple roots in result tree")
@@ -757,19 +749,17 @@ type evalResp struct {
 	direct      bool
 	results     []scanned
 	shards      []shardResp
-	stages      serverStages // v2+: server-side timing breakdown
+	stages      serverStages // server-side timing breakdown
 }
 
-func decodeEvalResp(data []byte, ver byte) (evalResp, error) {
+func decodeEvalResp(data []byte) (evalResp, error) {
 	c := &cursor{data: data}
 	var r evalResp
 	r.fingerprint = c.u64("fingerprint")
 	r.direct = c.u8("direct flag") != 0
 	if r.direct {
 		r.results = c.results()
-		if ver >= 2 {
-			r.stages = c.serverStages()
-		}
+		r.stages = c.serverStages()
 		return r, c.done()
 	}
 	n := c.count("shard response", maxWireShards)
@@ -786,9 +776,7 @@ func decodeEvalResp(data []byte, ver byte) (evalResp, error) {
 		}
 		r.shards = append(r.shards, s)
 	}
-	if ver >= 2 {
-		r.stages = c.serverStages()
-	}
+	r.stages = c.serverStages()
 	return r, c.done()
 }
 
@@ -798,7 +786,7 @@ type digestResp struct {
 	fingerprint uint64
 	shards      []uint32
 	digests     []shard.Digest
-	stages      serverStages // v2+: server-side timing breakdown
+	stages      serverStages // server-side timing breakdown
 }
 
 func encodeDigestResp(r digestResp) []byte {
@@ -811,7 +799,7 @@ func encodeDigestResp(r digestResp) []byte {
 	return b
 }
 
-func decodeDigestResp(data []byte, ver byte) (digestResp, error) {
+func decodeDigestResp(data []byte) (digestResp, error) {
 	c := &cursor{data: data}
 	var r digestResp
 	r.fingerprint = c.u64("fingerprint")
@@ -821,9 +809,7 @@ func decodeDigestResp(data []byte, ver byte) (digestResp, error) {
 		d, _ := c.digest()
 		r.digests = append(r.digests, d)
 	}
-	if ver >= 2 {
-		r.stages = c.serverStages()
-	}
+	r.stages = c.serverStages()
 	return r, c.done()
 }
 
@@ -832,7 +818,7 @@ func decodeDigestResp(data []byte, ver byte) (digestResp, error) {
 type fullResp struct {
 	fingerprint uint64
 	results     []scanned
-	stages      serverStages // v2+: server-side timing breakdown
+	stages      serverStages // server-side timing breakdown
 }
 
 func appendFullResp(b []byte, fingerprint uint64, results []*search.Result) []byte {
@@ -840,14 +826,12 @@ func appendFullResp(b []byte, fingerprint uint64, results []*search.Result) []by
 	return appendResults(b, results)
 }
 
-func decodeFullResp(data []byte, ver byte) (fullResp, error) {
+func decodeFullResp(data []byte) (fullResp, error) {
 	c := &cursor{data: data}
 	var r fullResp
 	r.fingerprint = c.u64("fingerprint")
 	r.results = c.results()
-	if ver >= 2 {
-		r.stages = c.serverStages()
-	}
+	r.stages = c.serverStages()
 	return r, c.done()
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"extract/internal/search"
@@ -430,7 +431,7 @@ func TestScanAllocatesNothingPerResult(t *testing.T) {
 	allocs := func(perShard int) float64 {
 		data := response(perShard)
 		return testing.AllocsPerRun(20, func() {
-			resp, err := decodeEvalResp(data, wireVersion)
+			resp, err := decodeEvalResp(data)
 			if err != nil || len(resp.shards[2].results) != perShard {
 				t.Fatalf("decode: %v", err)
 			}
@@ -493,11 +494,78 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	hostile = append(hostile, 1) // direct
 	hostile = binary.AppendUvarint(hostile, maxWireResults)
 	var pe *ProtocolError
-	if _, err := decodeEvalResp(hostile, wireVersionMin); !errors.As(err, &pe) {
+	if _, err := decodeEvalResp(hostile); !errors.As(err, &pe) {
 		t.Fatalf("hostile result count: err = %v", err)
 	}
-	if a := testing.AllocsPerRun(10, func() { _, _ = decodeEvalResp(hostile, wireVersionMin) }); a > 4 {
+	if a := testing.AllocsPerRun(10, func() { _, _ = decodeEvalResp(hostile) }); a > 4 {
 		t.Fatalf("hostile result count costs %v allocations", a)
+	}
+}
+
+// chainEncoding hand-encodes a result that is one chain of depth elements
+// over a text leaf, the shape whose Dewey identifiers are quadratic in its
+// size. Building such a tree to encode it would cost the arena the scan is
+// there to refuse.
+func chainEncoding(depth int) []byte {
+	b := binary.AppendUvarint(nil, uint64(depth+1))
+	for i := 0; i < depth; i++ {
+		b = append(b, 0, 1, 'd', 1) // element "d", one child
+	}
+	b = append(b, nodeKindText, 1, 'b', 0)
+	return append(b, 0, 0) // no lca, no match keywords
+}
+
+// overDeepChain is the shallowest chain whose identifiers exceed
+// maxTreeDeweyInts: a depth-d chain has d+1 nodes at depths 0..d.
+func overDeepChain() (depth int) {
+	for depth*(depth+1)/2 <= maxTreeDeweyInts {
+		depth++
+	}
+	return depth
+}
+
+// TestScanBoundsDeweyArena: the node cap does not bound what build
+// allocates — a chain's identifiers are quadratic in its depth, so a
+// CRC-valid payload of a few dozen kilobytes could ask for gigabytes. The
+// scan refuses it as a *ProtocolError, the class that fails an exchange
+// over, and allocates nothing doing so (its one scratch, the depth stack,
+// is the cursor's and is presized here); a chain just inside the bound, and
+// the 10 000-deep one, are still sized exactly.
+func TestScanBoundsDeweyArena(t *testing.T) {
+	over := overDeepChain()
+	for _, depth := range []int{10_000, over - 1} {
+		c := &cursor{data: chainEncoding(depth)}
+		s := c.scanResult()
+		if err := c.done(); err != nil {
+			t.Fatalf("%d-deep chain: %v", depth, err)
+		}
+		if s.nodes != depth+1 || s.deweyInts != depth*(depth+1)/2 {
+			t.Fatalf("%d-deep chain scanned as %d nodes, %d dewey ints", depth, s.nodes, s.deweyInts)
+		}
+	}
+
+	enc := chainEncoding(over)
+	if len(enc) > 1<<16 {
+		t.Fatalf("the refused payload is %d bytes; it should be small", len(enc))
+	}
+	c := &cursor{data: enc, slots: make([]int, 0, over+1)}
+	allocs := testing.AllocsPerRun(5, func() {
+		c.off, c.err = 0, nil
+		c.scanResult()
+	})
+	var pe *ProtocolError
+	if !errors.As(c.err, &pe) || !strings.Contains(pe.Reason, "Dewey") {
+		t.Fatalf("%d-deep chain: err = %v, want the Dewey bound's *ProtocolError", over, c.err)
+	}
+	if allocs != 0 {
+		t.Fatalf("refusing the chain costs %v allocations", allocs)
+	}
+
+	resp := binary.LittleEndian.AppendUint64(nil, 1)
+	resp = append(resp, 1, 1) // direct, one result
+	resp = appendServerStages(append(resp, enc...), serverStages{})
+	if _, err := decodeEvalResp(resp); !errors.As(err, &pe) {
+		t.Fatalf("response carrying the chain: err = %v, want a *ProtocolError", err)
 	}
 }
 
@@ -509,8 +577,8 @@ type wireMessage struct {
 	decode     func([]byte) error
 }
 
-// wireMessages builds a valid payload of every message type at both wire
-// versions; the count-bounded ones carry n entries.
+// wireMessages builds a valid payload of every message type; the
+// count-bounded ones carry n entries.
 func wireMessages(tb testing.TB, n int) []wireMessage {
 	uvarintLen := func(v uint64) int { return len(binary.AppendUvarint(nil, v)) }
 	shards := make([]uint32, n)
@@ -534,7 +602,7 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 		results = append(results, s.results...)
 	}
 	full := appendFullResp(nil, 3, results)
-	v2 := func(b []byte) []byte { return appendServerStages(b, serverStages{1, 2, 3, 4}) }
+	staged := func(b []byte) []byte { return appendServerStages(b, serverStages{1, 2, 3, 4}) }
 	req := evalReq{opts: search.Options{MaxResults: 9}, query: "store texas", timeoutMillis: 250}
 	reqAfterCount := len(encodeEvalReq(req)) - 1 + uvarintLen(uint64(n))
 	req.shards = shards
@@ -542,26 +610,16 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 	return []wireMessage{
 		{"hello", encodeHello(helloMsg{fingerprint: 7, shards: n, owned: shards}), 8 + 2*uvarintLen(uint64(n)),
 			func(b []byte) error { _, err := decodeHello(b); return err }},
-		{"version", encodeVerMsg(wireVersion), 0,
-			func(b []byte) error { _, err := decodeVerMsg(b); return err }},
-		{"eval request v1", encodeEvalReq(req), reqAfterCount,
-			func(b []byte) error { _, err := decodeEvalReq(b, 1); return err }},
-		{"eval request v2", appendTraceID(encodeEvalReq(req), 42), reqAfterCount,
-			func(b []byte) error { _, err := decodeEvalReq(b, 2); return err }},
-		{"digest/full request v2", appendTraceID(encodeFullReq(fullReq(req)), 42), reqAfterCount,
-			func(b []byte) error { _, err := decodeFullReq(b, 2); return err }},
-		{"eval response v1", appendEvalResp(nil, eval), 0,
-			func(b []byte) error { _, err := decodeEvalResp(b, 1); return err }},
-		{"eval response v2", v2(appendEvalResp(nil, eval)), 0,
-			func(b []byte) error { _, err := decodeEvalResp(b, 2); return err }},
-		{"digest response v1", digestBody, 8 + uvarintLen(uint64(n)),
-			func(b []byte) error { _, err := decodeDigestResp(b, 1); return err }},
-		{"digest response v2", v2(digestBody), 8 + uvarintLen(uint64(n)),
-			func(b []byte) error { _, err := decodeDigestResp(b, 2); return err }},
-		{"full response v1", full, 0,
-			func(b []byte) error { _, err := decodeFullResp(b, 1); return err }},
-		{"full response v2", v2(full), 0,
-			func(b []byte) error { _, err := decodeFullResp(b, 2); return err }},
+		{"eval request", appendTraceID(encodeEvalReq(req), 42), reqAfterCount,
+			func(b []byte) error { _, err := decodeEvalReq(b); return err }},
+		{"digest/full request", appendTraceID(encodeFullReq(fullReq(req)), 42), reqAfterCount,
+			func(b []byte) error { _, err := decodeFullReq(b); return err }},
+		{"eval response", staged(appendEvalResp(nil, eval)), 0,
+			func(b []byte) error { _, err := decodeEvalResp(b); return err }},
+		{"digest response", staged(digestBody), 8 + uvarintLen(uint64(n)),
+			func(b []byte) error { _, err := decodeDigestResp(b); return err }},
+		{"full response", staged(full), 0,
+			func(b []byte) error { _, err := decodeFullResp(b); return err }},
 		{"stats request", encodeStatsReq(statsReq{keywords: keywords}), uvarintLen(uint64(n)),
 			func(b []byte) error { _, err := decodeStatsReq(b); return err }},
 		{"stats response", encodeStatsResp(statsResp{fingerprint: 5, totalElements: 99, counts: counts}), 8 + 1 + uvarintLen(uint64(n)),

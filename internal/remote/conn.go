@@ -77,73 +77,37 @@ func netDial(ctx context.Context, addr string) (net.Conn, error) {
 }
 
 // wireConn is one established protocol connection: greeted, framed,
-// strictly request/response. ver is the negotiated wire version — requests
-// go out framed at ver and their v2 payload extensions apply only when
-// ver >= 2.
+// strictly request/response.
 type wireConn struct {
 	nc    net.Conn
 	br    *bufio.Reader
 	bw    *bufio.Writer
 	hello helloMsg
-	ver   byte
 }
 
-// roundTrip sends one request framed at the connection's version and
-// returns the reply's frame version, type and payload.
-func (c *wireConn) roundTrip(t msgType, payload []byte) (byte, msgType, []byte, error) {
-	if err := writeFrame(c.bw, c.ver, t, payload); err != nil {
-		return 0, 0, nil, err
+// roundTrip sends one request and returns the reply's type and payload.
+func (c *wireConn) roundTrip(t msgType, payload []byte) (msgType, []byte, error) {
+	if err := writeFrame(c.bw, t, payload); err != nil {
+		return 0, nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	return readFrame(c.br)
 }
 
-// handshake reads the server greeting, then negotiates the wire version:
-// the router offers its best version in a msgHello request and the server
-// echoes its own back; both sides then speak the minimum. A v1 server does
-// not understand the request and answers msgError — the connection simply
-// stays at v1, so old servers interoperate with new routers (and old
-// routers never send the request, so new servers serve them v1).
+// handshake reads the server greeting. A peer of another wire version
+// fails here, on its first frame, as a version-skew *ProtocolError.
 func (c *wireConn) handshake() error {
-	_, t, payload, err := readFrame(c.br)
+	t, payload, err := readFrame(c.br)
 	if err != nil {
 		return err
 	}
 	if t != msgHello {
 		return protocolErrf("expected hello, got message type %d", t)
 	}
-	if c.hello, err = decodeHello(payload); err != nil {
-		return err
-	}
-	if wireVersion == wireVersionMin {
-		return nil // nothing to negotiate
-	}
-	_, rt, resp, err := c.roundTrip(msgHello, encodeVerMsg(wireVersion))
-	if err != nil {
-		return err
-	}
-	switch rt {
-	case msgHello:
-		peer, err := decodeVerMsg(resp)
-		if err != nil {
-			return err
-		}
-		if peer < c.ver {
-			return protocolErrf("peer negotiated wire v%d below our minimum v%d", peer, c.ver)
-		}
-		if peer > wireVersion {
-			peer = wireVersion
-		}
-		c.ver = peer
-	case msgError:
-		// Pre-negotiation peer: it rejected the unexpected request and the
-		// connection remains usable at the baseline version.
-	default:
-		return protocolErrf("unexpected negotiation reply type %d", rt)
-	}
-	return nil
+	c.hello, err = decodeHello(payload)
+	return err
 }
 
 // replica is one shard-server address with its idle-connection pool and
@@ -220,7 +184,7 @@ func (r *replica) get(ctx context.Context) (*wireConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &wireConn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc), ver: wireVersionMin}
+	c := &wireConn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
 	stop := context.AfterFunc(ctx, func() { nc.SetDeadline(time.Unix(1, 0)) })
 	err = c.handshake()
 	stop()
@@ -253,49 +217,47 @@ func (r *replica) close() {
 	}
 }
 
-// tracedReq reports whether a request type carries the v2 trailing trace
-// ID (the per-query evaluation calls; stats and pings are untraced).
+// tracedReq reports whether a request type carries the trailing trace ID
+// (the per-query evaluation calls; stats and pings are untraced).
 func tracedReq(t msgType) bool {
 	return t == msgEval || t == msgDigest || t == msgFull
 }
 
 // call performs one request/response exchange with this replica. It
-// returns exactly one of: the response payload of type want (with the
-// frame version it arrived at, which steers v2 payload decoding), a
-// decoded server-side error classification, or a call error. On a v2
-// connection the trace ID is appended to eval/digest/full requests — the
-// shared base payload is copied, never mutated. Cancellation is enforced
-// on the blocking socket I/O by poisoning the connection deadline when ctx
-// fires; a context failure propagates as the context's error, not a
-// replica failure.
-func (r *replica) call(ctx context.Context, t msgType, payload []byte, want msgType, traceID uint64) ([]byte, byte, *errMsg, error) {
+// returns exactly one of: the response payload of type want, a decoded
+// server-side error classification, or a call error. The trace ID is
+// appended to eval/digest/full requests — the shared base payload is
+// copied, never mutated. Cancellation is enforced on the blocking socket
+// I/O by poisoning the connection deadline when ctx fires; a context
+// failure propagates as the context's error, not a replica failure.
+func (r *replica) call(ctx context.Context, t msgType, payload []byte, want msgType, traceID uint64) ([]byte, *errMsg, error) {
 	if faultinject.Enabled() {
 		if err := faultinject.FireTag(faultinject.RemoteSend, r.addr); err != nil {
 			r.noteFailure()
-			return nil, 0, nil, &RemoteError{Addr: r.addr, Kind: ErrKindTransport, Err: err}
+			return nil, nil, &RemoteError{Addr: r.addr, Kind: ErrKindTransport, Err: err}
 		}
 	}
 	c, err := r.get(ctx)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, 0, nil, cerr
+			return nil, nil, cerr
 		}
 		r.noteFailure()
-		return nil, 0, nil, &RemoteError{Addr: r.addr, Kind: callErrKind(err), Err: err}
+		return nil, nil, &RemoteError{Addr: r.addr, Kind: callErrKind(err), Err: err}
 	}
-	if c.ver >= 2 && tracedReq(t) {
+	if tracedReq(t) {
 		payload = appendTraceID(payload, traceID)
 	}
 	stop := context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Unix(1, 0)) })
-	rv, rt, resp, err := c.roundTrip(t, payload)
+	rt, resp, err := c.roundTrip(t, payload)
 	interrupted := !stop()
 	if err != nil {
 		c.nc.Close()
 		if interrupted || ctx.Err() != nil {
-			return nil, 0, nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 		r.noteFailure()
-		return nil, 0, nil, &RemoteError{Addr: r.addr, Kind: callErrKind(err), Err: err}
+		return nil, nil, &RemoteError{Addr: r.addr, Kind: callErrKind(err), Err: err}
 	}
 	if interrupted {
 		// The response won the race against cancellation; it is valid,
@@ -308,15 +270,15 @@ func (r *replica) call(ctx context.Context, t msgType, payload []byte, want msgT
 	if rt == msgError {
 		em, derr := decodeErrMsg(resp)
 		if derr != nil {
-			return nil, 0, nil, &RemoteError{Addr: r.addr, Kind: ErrKindProtocol, Err: derr}
+			return nil, nil, &RemoteError{Addr: r.addr, Kind: ErrKindProtocol, Err: derr}
 		}
-		return nil, rv, &em, nil
+		return nil, &em, nil
 	}
 	if rt != want {
-		return nil, 0, nil, &RemoteError{Addr: r.addr, Kind: ErrKindProtocol,
+		return nil, nil, &RemoteError{Addr: r.addr, Kind: ErrKindProtocol,
 			Msg: fmt.Sprintf("response type %d, want %d", rt, want)}
 	}
-	return resp, rv, nil, nil
+	return resp, nil, nil
 }
 
 func callErrKind(err error) string {

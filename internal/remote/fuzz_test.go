@@ -31,11 +31,17 @@ func frameBytes(version byte, t msgType, payload []byte) []byte {
 func FuzzFrame(f *testing.F) {
 	f.Add(frameBytes(wireVersion, msgPing, nil))
 	f.Add(frameBytes(wireVersion, msgHello, encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 2}})))
-	f.Add(frameBytes(wireVersion, msgEval, encodeEvalReq(evalReq{
+	evalPayload := encodeEvalReq(evalReq{
 		opts:   search.Options{DistinctAnchors: true, MaxResults: 5},
 		query:  "xml keyword",
 		shards: []uint32{0, 1},
-	})))
+	})
+	f.Add(frameBytes(wireVersion, msgEval, appendTraceID(evalPayload, 42)))
+	// Retired wire v1: the greeting, a request without its trace ID, and the
+	// negotiation request. All must now be refused as version skew.
+	f.Add(frameBytes(1, msgHello, encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 2}})))
+	f.Add(frameBytes(1, msgEval, evalPayload))
+	f.Add(frameBytes(1, msgHello, []byte{2}))
 	f.Add(frameBytes(wireVersion, msgStats, encodeStatsReq(statsReq{keywords: []string{"a", "b"}})))
 	f.Add(frameBytes(wireVersion, msgError, encodeErrMsg(errMsg{kind: errKindPanic, msg: "boom"})))
 	f.Add(frameBytes(wireVersion+1, msgPing, nil)) // version skew
@@ -48,7 +54,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(big)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ver, mt, payload, err := readFrame(bytes.NewReader(data))
+		mt, payload, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			var pe *ProtocolError
 			if !errors.As(err, &pe) && !errors.Is(err, io.EOF) {
@@ -56,32 +62,31 @@ func FuzzFrame(f *testing.F) {
 			}
 			return
 		}
+		if data[2] != wireVersion {
+			t.Fatalf("readFrame accepted a v%d frame", data[2])
+		}
 		// A structurally valid frame: every payload decoder for its type
-		// must classify or accept, never panic, at both the frame's own
-		// version and the other supported one (a hostile peer may lie
-		// about either). Decoders for both directions run — a router and
-		// a server must each survive a hostile peer.
-		for _, v := range [...]byte{ver, wireVersionMin, wireVersion} {
-			switch mt {
-			case msgHello:
-				_, _ = decodeHello(payload)
-				_, _ = decodeVerMsg(payload)
-			case msgEval, msgDigest, msgFull:
-				_, _ = decodeEvalReq(payload, v)
-				_, _ = decodeFullReq(payload, v)
-			case msgEvalResp:
-				_, _ = decodeEvalResp(payload, v)
-			case msgDigestResp:
-				_, _ = decodeDigestResp(payload, v)
-			case msgFullResp:
-				_, _ = decodeFullResp(payload, v)
-			case msgStats:
-				_, _ = decodeStatsReq(payload)
-			case msgStatsResp:
-				_, _ = decodeStatsResp(payload)
-			case msgError:
-				_, _ = decodeErrMsg(payload)
-			}
+		// must classify or accept, never panic. Decoders for both
+		// directions run — a router and a server must each survive a
+		// hostile peer.
+		switch mt {
+		case msgHello:
+			_, _ = decodeHello(payload)
+		case msgEval, msgDigest, msgFull:
+			_, _ = decodeEvalReq(payload)
+			_, _ = decodeFullReq(payload)
+		case msgEvalResp:
+			_, _ = decodeEvalResp(payload)
+		case msgDigestResp:
+			_, _ = decodeDigestResp(payload)
+		case msgFullResp:
+			_, _ = decodeFullResp(payload)
+		case msgStats:
+			_, _ = decodeStatsReq(payload)
+		case msgStatsResp:
+			_, _ = decodeStatsResp(payload)
+		case msgError:
+			_, _ = decodeErrMsg(payload)
 		}
 	})
 }
@@ -118,31 +123,36 @@ func FuzzEvalRespDecode(f *testing.F) {
 			f.Add(appendEvalResp(nil, evalAnswer{fingerprint: 1, direct: true, results: []*search.Result{r}}))
 		}
 	}
+	// A chain just past the Dewey bound: a small payload the scan must refuse.
+	over := binary.LittleEndian.AppendUint64(nil, 1)
+	over = append(over, 1, 1) // direct, one result
+	f.Add(appendServerStages(append(over, chainEncoding(overDeepChain())...), serverStages{}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, v := range [...]byte{wireVersionMin, wireVersion} {
-			resp, err := decodeEvalResp(data, v)
+		resp, err := decodeEvalResp(data)
+		if err != nil {
+			var pe *ProtocolError
+			if !errors.As(err, &pe) {
+				t.Fatalf("unclassified decode error %T: %v", err, err)
+			}
+			return
+		}
+		ranges := resp.results
+		for _, s := range resp.shards {
+			ranges = append(ranges, s.results...)
+		}
+		for _, s := range ranges {
+			if s.deweyInts > maxTreeDeweyInts {
+				t.Fatalf("scan accepted a tree of %d dewey ints", s.deweyInts)
+			}
+			if s.deweyInts > 1<<20 {
+				continue // a deep chain's identifiers are quadratic in its depth; keep the harness light
+			}
+			want, err := referenceResult(s.enc)
 			if err != nil {
-				var pe *ProtocolError
-				if !errors.As(err, &pe) {
-					t.Fatalf("unclassified decode error %T: %v", err, err)
-				}
-				continue
+				t.Fatalf("scan accepted what the reference decoder rejects: %v", err)
 			}
-			ranges := resp.results
-			for _, s := range resp.shards {
-				ranges = append(ranges, s.results...)
-			}
-			for _, s := range ranges {
-				if s.deweyInts > 1<<20 {
-					continue // a deep chain's identifiers are quadratic in its depth; keep the harness light
-				}
-				want, err := referenceResult(s.enc)
-				if err != nil {
-					t.Fatalf("scan accepted what the reference decoder rejects: %v", err)
-				}
-				if err := sameResult(want, s.build()); err != nil {
-					t.Fatal(err)
-				}
+			if err := sameResult(want, s.build()); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -301,15 +301,15 @@ func runTasks(run shard.Runner, tasks []func()) error {
 // replicas are tried in rotation order (breaker-open ones last, as
 // half-open probes), and any transport, protocol, skew or server-fault
 // failure moves on to the next peer. decode parses and validates the
-// response payload at its frame version, returning the server-reported
-// stage breakdown; its failure is itself grounds for failover. Only
-// context failures and genuine query classifications end the loop early.
+// response payload, returning the server-reported stage breakdown; its
+// failure is itself grounds for failover. Only context failures and
+// genuine query classifications end the loop early.
 //
 // group labels the call's metrics, and every attempt — failed or not — is
 // appended as a hop span to the query's SpanSink when the context carries
 // one, so a slow or failed-over query can be attributed to the exact
 // replica, attempt and server-side stage afterwards.
-func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic.Uint32, kind, group string, t msgType, payload []byte, want msgType, decode func(data []byte, ver byte) (serverStages, error)) error {
+func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic.Uint32, kind, group string, t msgType, payload []byte, want msgType, decode func(data []byte) (serverStages, error)) error {
 	start := time.Now()
 	outcome := "error"
 	defer func() {
@@ -356,7 +356,7 @@ func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic
 			rt.metrics.failover(group)
 		}
 		attemptStart := time.Now()
-		resp, respVer, serr, err := r.call(ctx, t, payload, want, traceID)
+		resp, serr, err := r.call(ctx, t, payload, want, traceID)
 		wire := time.Since(attemptStart)
 		if err != nil {
 			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
@@ -376,7 +376,7 @@ func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic
 			lastErr = mapped
 			continue
 		}
-		st, err := decode(resp, respVer)
+		st, err := decode(resp)
 		if err != nil {
 			kind := ErrKindProtocol
 			if errors.Is(err, errSkew) {
@@ -490,8 +490,8 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 		payload := encodeEvalReq(evalReq{opts: opts, query: query, timeoutMillis: timeout, shards: shardSet})
 		tasks = append(tasks, func() {
 			out := &outs[oi]
-			out.err = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, func(data []byte, ver byte) (serverStages, error) {
-				resp, err := decodeEvalResp(data, ver)
+			out.err = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, func(data []byte) (serverStages, error) {
+				resp, err := decodeEvalResp(data)
 				if err != nil {
 					return serverStages{}, err
 				}
@@ -582,8 +582,8 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 				g := g
 				payload := encodeFullReq(fullReq{opts: opts, query: query, timeoutMillis: ctxTimeoutMillis(ctx), shards: need[g]})
 				tasks = append(tasks, func() {
-					errs[g] = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "digest", strconv.Itoa(g), msgDigest, payload, msgDigestResp, func(data []byte, ver byte) (serverStages, error) {
-						resp, err := decodeDigestResp(data, ver)
+					errs[g] = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "digest", strconv.Itoa(g), msgDigest, payload, msgDigestResp, func(data []byte) (serverStages, error) {
+						resp, err := decodeDigestResp(data)
 						if err != nil {
 							return serverStages{}, err
 						}
@@ -623,8 +623,8 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 		}
 		var fr fullResp
 		payload := encodeFullReq(fullReq{opts: opts, query: query, timeoutMillis: ctxTimeoutMillis(ctx)})
-		err := rt.groupCall(ctx, rt.all, &rt.allRR, "full", "any", msgFull, payload, msgFullResp, func(data []byte, ver byte) (serverStages, error) {
-			resp, err := decodeFullResp(data, ver)
+		err := rt.groupCall(ctx, rt.all, &rt.allRR, "full", "any", msgFull, payload, msgFullResp, func(data []byte) (serverStages, error) {
+			resp, err := decodeFullResp(data)
 			if err != nil {
 				return serverStages{}, err
 			}
@@ -727,7 +727,7 @@ func (rt *Router) statsFor(keyword string) (df, total int) {
 	defer cancel()
 	var sr statsResp
 	err := rt.groupCall(ctx, rt.all, &rt.allRR, "stats", "any", msgStats,
-		encodeStatsReq(statsReq{keywords: []string{keyword}}), msgStatsResp, func(data []byte, _ byte) (serverStages, error) {
+		encodeStatsReq(statsReq{keywords: []string{keyword}}), msgStatsResp, func(data []byte) (serverStages, error) {
 			resp, err := decodeStatsResp(data)
 			if err != nil {
 				return serverStages{}, err

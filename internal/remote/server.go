@@ -81,13 +81,6 @@ type Server struct {
 	tag     string // identity handed to faultinject.RemoteServe hooks
 	metrics *serverMetrics
 
-	// Test knobs for cross-version interop: maxVer caps the version this
-	// server negotiates (0 = wireVersion); legacyHello makes it answer the
-	// negotiation request the way a pre-negotiation build does (a
-	// classified error on an unexpected request type).
-	maxVer      byte
-	legacyHello bool
-
 	state atomic.Pointer[serverState]
 
 	mu     sync.Mutex
@@ -238,10 +231,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
 	st := s.state.Load()
-	// The greeting is framed at the baseline version so any router can
-	// read it; the peer's subsequent requests carry the version each
-	// exchange actually uses.
-	if err := writeFrame(bw, wireVersionMin, msgHello, encodeHello(helloMsg{
+	if err := writeFrame(bw, msgHello, encodeHello(helloMsg{
 		fingerprint: st.fingerprint,
 		shards:      st.sc.NumShards(),
 		owned:       st.ownedList,
@@ -258,7 +248,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// before the next is encoded.
 	var enc []byte
 	for {
-		ver, t, payload, err := readFrame(br)
+		t, payload, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -267,14 +257,14 @@ func (s *Server) serveConn(conn net.Conn) {
 				if errors.Is(err, ErrDropConnection) {
 					return
 				}
-				if s.reply(bw, ver, msgError, encodeErrMsg(classifyServerErr(err))) != nil {
+				if reply(bw, msgError, encodeErrMsg(classifyServerErr(err))) != nil {
 					return
 				}
 				continue
 			}
 		}
-		rt, resp := s.handle(ver, t, payload, enc[:0])
-		if s.reply(bw, ver, rt, resp) != nil {
+		rt, resp := s.handle(t, payload, enc[:0])
+		if reply(bw, rt, resp) != nil {
 			return
 		}
 		if (rt == msgEvalResp || rt == msgFullResp) && cap(resp) <= maxKeptEncode {
@@ -288,11 +278,9 @@ func (s *Server) serveConn(conn net.Conn) {
 // connection.
 const maxKeptEncode = 4 << 20
 
-// reply frames the response at the version the request arrived with, so
-// the server needs no per-connection version state: a v1 router gets v1
-// responses, a negotiated v2 router gets the v2 payload extensions.
-func (s *Server) reply(bw *bufio.Writer, ver byte, t msgType, payload []byte) error {
-	if err := writeFrame(bw, ver, t, payload); err != nil {
+// reply writes and flushes one response frame.
+func reply(bw *bufio.Writer, t msgType, payload []byte) error {
+	if err := writeFrame(bw, t, payload); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -301,32 +289,20 @@ func (s *Server) reply(bw *bufio.Writer, ver byte, t msgType, payload []byte) er
 // handle dispatches one request and never panics: evaluation panics are
 // recovered per shard and classified, and a malformed request is answered
 // with a protocol error message. Evaluation requests are timed per stage
-// (decode, eval/digest work, encode) into the server's own telemetry; when
-// the request arrived at wire v2 the same breakdown is appended to the
-// response so the router can attribute a slow hop to the stage that
-// caused it. Eval and full responses are appended to enc, the caller's
-// scratch; every other response is a small allocation of its own.
-func (s *Server) handle(ver byte, t msgType, payload, enc []byte) (msgType, []byte) {
+// (decode, eval/digest work, encode) into the server's own telemetry, and
+// the same breakdown is appended to the response so the router can
+// attribute a slow hop to the stage that caused it. Eval and full responses
+// are appended to enc, the caller's scratch; every other response is a
+// small allocation of its own.
+func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 	st := s.state.Load()
 	switch t {
 	case msgPing:
 		s.metrics.observe("ping", true, serverStages{})
 		return msgPong, nil
-	case msgHello:
-		if s.legacyHello {
-			// Interop test knob: answer like a build that predates version
-			// negotiation — an errFrame for the unexpected request type,
-			// connection kept open.
-			return errFrame(protocolErrf("unexpected request type %d", t))
-		}
-		if _, err := decodeVerMsg(payload); err != nil {
-			return s.fail("hello", serverStages{}, err)
-		}
-		s.metrics.observe("hello", true, serverStages{})
-		return msgHello, encodeVerMsg(s.maxWireVersion())
 	case msgEval:
 		start := time.Now()
-		req, err := decodeEvalReq(payload, ver)
+		req, err := decodeEvalReq(payload)
 		stages := serverStages{decodeNs: nanosSince(start)}
 		if err != nil {
 			return s.fail("eval", stages, err)
@@ -341,13 +317,10 @@ func (s *Server) handle(ver byte, t msgType, payload, enc []byte) (msgType, []by
 		body := appendEvalResp(enc, resp)
 		stages.encodeNs = nanosSince(t2)
 		s.metrics.observe("eval", true, stages)
-		if ver >= 2 {
-			body = appendServerStages(body, stages)
-		}
-		return msgEvalResp, body
+		return msgEvalResp, appendServerStages(body, stages)
 	case msgDigest:
 		start := time.Now()
-		req, err := decodeFullReq(payload, ver)
+		req, err := decodeFullReq(payload)
 		stages := serverStages{decodeNs: nanosSince(start)}
 		if err != nil {
 			return s.fail("digest", stages, err)
@@ -362,13 +335,10 @@ func (s *Server) handle(ver byte, t msgType, payload, enc []byte) (msgType, []by
 		body := encodeDigestResp(resp)
 		stages.encodeNs = nanosSince(t2)
 		s.metrics.observe("digest", true, stages)
-		if ver >= 2 {
-			body = appendServerStages(body, stages)
-		}
-		return msgDigestResp, body
+		return msgDigestResp, appendServerStages(body, stages)
 	case msgFull:
 		start := time.Now()
-		req, err := decodeFullReq(payload, ver)
+		req, err := decodeFullReq(payload)
 		stages := serverStages{decodeNs: nanosSince(start)}
 		if err != nil {
 			return s.fail("full", stages, err)
@@ -383,10 +353,7 @@ func (s *Server) handle(ver byte, t msgType, payload, enc []byte) (msgType, []by
 		body := appendFullResp(enc, st.fingerprint, resp)
 		stages.encodeNs = nanosSince(t2)
 		s.metrics.observe("full", true, stages)
-		if ver >= 2 {
-			body = appendServerStages(body, stages)
-		}
-		return msgFullResp, body
+		return msgFullResp, appendServerStages(body, stages)
 	case msgStats:
 		req, err := decodeStatsReq(payload)
 		if err != nil {
@@ -410,14 +377,6 @@ func (s *Server) handle(ver byte, t msgType, payload, enc []byte) (msgType, []by
 func (s *Server) fail(kind string, stages serverStages, err error) (msgType, []byte) {
 	s.metrics.observe(kind, false, stages)
 	return errFrame(err)
-}
-
-// maxWireVersion is the version this server offers during negotiation.
-func (s *Server) maxWireVersion() byte {
-	if s.maxVer != 0 {
-		return s.maxVer
-	}
-	return wireVersion
 }
 
 func errFrame(err error) (msgType, []byte) {

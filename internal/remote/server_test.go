@@ -30,9 +30,9 @@ func TestBadShardRefusedBeforeAnyEvaluation(t *testing.T) {
 	defer faultinject.Reset()
 	defer close(release)
 
-	payload := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0, 2}})
+	payload := appendTraceID(encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0, 2}}), 1)
 	before := runtime.NumGoroutine()
-	mt, body := srv.handle(wireVersionMin, msgEval, payload, nil)
+	mt, body := srv.handle(msgEval, payload, nil)
 	after := runtime.NumGoroutine()
 	if mt != msgError {
 		t.Fatalf("reply type %d, want an error frame", mt)

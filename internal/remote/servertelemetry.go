@@ -9,14 +9,14 @@ import (
 // serverCallKinds are the request kinds a shard server counts; one counter
 // per kind × outcome is pre-registered so the /metrics exposition is
 // structurally stable from the first scrape.
-var serverCallKinds = []string{"hello", "eval", "digest", "full", "stats", "ping"}
+var serverCallKinds = []string{"eval", "digest", "full", "stats", "ping"}
 
 // serverOutcomes label whether a request produced a response or a
 // classified error frame.
 var serverOutcomes = []string{"ok", "error"}
 
 // serverStageNames are the server-side stages a shard server times per
-// request (the same breakdown v2 responses echo to the router).
+// request (the same breakdown responses echo to the router).
 var serverStageNames = []string{"decode", "eval", "digest", "encode"}
 
 // serverMetrics is the shard server's own telemetry: request counts by

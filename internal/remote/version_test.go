@@ -1,8 +1,13 @@
 package remote
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"net"
+	"strings"
 	"testing"
 
 	"extract/internal/gen"
@@ -10,38 +15,6 @@ import (
 	"extract/internal/shard"
 	"extract/internal/telemetry"
 )
-
-// Wire-version negotiation pins: a new router against a new server speaks
-// v2 (trace IDs out, server-side stage timings back); against an old
-// server — simulated both as a pre-negotiation build that rejects the
-// hello request and as a build capped at v1 — it falls back to v1, and
-// answers stay byte-identical either way.
-
-// startVersionCluster serves sc from one replica group of one server,
-// with mutate applied to the server before it starts accepting.
-func startVersionCluster(t *testing.T, sc *shard.Corpus, mutate func(*Server)) *cluster {
-	t.Helper()
-	src := CorpusSource(sc)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	srv := NewServer(sc, WithOwnedShards(OwnedShards(src, 0, 1)))
-	if mutate != nil {
-		mutate(srv)
-	}
-	go srv.Serve(ln)
-	c := &cluster{servers: []*Server{srv}, lns: []net.Listener{ln},
-		addrs: [][]string{{ln.Addr().String()}}}
-	rt, err := NewRouter(sc.Analysis(), src, c.addrs)
-	if err != nil {
-		c.Close()
-		t.Fatalf("NewRouter: %v", err)
-	}
-	c.router = rt
-	t.Cleanup(c.Close)
-	return c
-}
 
 // tracedSearch runs one query with a span sink installed and returns the
 // collected hops.
@@ -63,8 +36,11 @@ func versionTestCorpus() *shard.Corpus {
 	return shard.Build(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11}), 3)
 }
 
-func TestNegotiationV2ReportsServerStages(t *testing.T) {
-	cl := startVersionCluster(t, versionTestCorpus(), nil)
+// TestRoutedHopsReportServerStages: trace IDs out and server stage timings
+// back are unconditional parts of the one wire layout, so every hop of a
+// routed query carries them.
+func TestRoutedHopsReportServerStages(t *testing.T) {
+	cl := startCluster(t, versionTestCorpus(), 1, 1)
 	hops := tracedSearch(t, cl.router, "store texas")
 	for _, h := range hops {
 		if h.Err != "" {
@@ -74,46 +50,73 @@ func TestNegotiationV2ReportsServerStages(t *testing.T) {
 			t.Fatalf("hop missing identity: %+v", h)
 		}
 		if h.ServerDecode <= 0 || h.ServerEncode <= 0 {
-			t.Fatalf("v2 hop missing server-side stage timings: %+v", h)
+			t.Fatalf("hop missing server-side stage timings: %+v", h)
 		}
 	}
 }
 
-func TestLegacyHelloServerFallsBackToV1(t *testing.T) {
+// TestOtherWireVersionsRefused: a frame at any version but wireVersion —
+// the retired v1 a stale peer would still speak, or a future one — is a
+// *ProtocolError naming both versions, whichever side reads it: the router
+// reading a greeting, the server reading a request. The server hangs up on
+// it without evaluating anything.
+func TestOtherWireVersionsRefused(t *testing.T) {
+	greeting := encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 1, 2}})
+	request := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0}})
 	for _, tc := range []struct {
-		name   string
-		mutate func(*Server)
+		name    string
+		ver     byte
+		t       msgType
+		payload []byte
 	}{
-		{"legacy-hello", func(s *Server) { s.legacyHello = true }},
-		{"v1-capped", func(s *Server) { s.maxVer = 1 }},
+		{"v1 greeting", 1, msgHello, greeting},
+		{"v1 eval request", 1, msgEval, request},
+		{"v1 negotiation request", 1, msgHello, []byte{2}},
+		{"v3 greeting", wireVersion + 1, msgHello, greeting},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cl := startVersionCluster(t, versionTestCorpus(), tc.mutate)
-			hops := tracedSearch(t, cl.router, "store texas")
-			for _, h := range hops {
-				if h.Err != "" {
-					t.Fatalf("unexpected hop error %q: %+v", h.Err, h)
-				}
-				// A v1 peer cannot report stage timings; the wire duration
-				// is still measured client-side.
-				if h.ServerDecode != 0 || h.ServerEval != 0 || h.ServerDigest != 0 || h.ServerEncode != 0 {
-					t.Fatalf("v1 hop carries server stages: %+v", h)
-				}
-				if h.Wire <= 0 {
-					t.Fatalf("hop missing wire duration: %+v", h)
-				}
+		_, _, err := readFrame(bytes.NewReader(frameBytes(tc.ver, tc.t, tc.payload)))
+		var pe *ProtocolError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want a *ProtocolError", tc.name, err)
+		}
+		for _, want := range []string{"version skew", fmt.Sprintf("v%d", tc.ver), fmt.Sprintf("v%d", wireVersion)} {
+			if !strings.Contains(pe.Reason, want) {
+				t.Errorf("%s: %q does not mention %q", tc.name, pe.Reason, want)
 			}
-		})
+		}
 	}
-}
 
-// TestByteIdentityAcrossVersions pins the answer-transparency property on
-// a downgraded connection: a router forced to v1 by a legacy peer returns
-// byte-identical results, snippets and scores.
-func TestByteIdentityAcrossVersions(t *testing.T) {
-	sc := versionTestCorpus()
-	cl := startVersionCluster(t, sc, func(s *Server) { s.legacyHello = true })
-	checkRouterEquivalence(t, "legacy-v1", sc, cl.router, testOptions)
+	// A stale router's first frame ends the connection: the server reads it,
+	// refuses it and hangs up, having greeted at its own version.
+	reg := telemetry.NewRegistry()
+	srv := NewServer(versionTestCorpus(), WithServerTelemetry(reg))
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() { srv.serveConn(server); close(done) }()
+	defer client.Close()
+	if mt, _, err := readFrame(client); err != nil || mt != msgHello {
+		t.Fatalf("greeting: type %d, %v", mt, err)
+	}
+	if _, err := client.Write(frameBytes(1, msgEval, request)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readFrame(client); !errors.Is(err, io.EOF) {
+		t.Fatalf("after a v1 request: %v, want the connection closed", err)
+	}
+	<-done
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "extract_shard_server_requests_total" && m.Value != 0 {
+			t.Fatalf("refused frame was counted as a request: %s = %v", m.Key(), m.Value)
+		}
+	}
+
+	// The retired negotiation request, at the current version, is just an
+	// unexpected request type.
+	if mt, body := srv.handle(msgHello, []byte{2}, nil); mt != msgError {
+		t.Fatalf("hello request answered with type %d", mt)
+	} else if em, err := decodeErrMsg(body); err != nil || !strings.Contains(em.msg, "unexpected request type") {
+		t.Fatalf("hello request: %+v, %v", em, err)
+	}
 }
 
 // TestServerTelemetryCountsRequests pins the shard-server registry: served
@@ -139,18 +142,17 @@ func TestServerTelemetryCountsRequests(t *testing.T) {
 		t.Fatalf("SearchEnginesContext: %v", err)
 	}
 	snap := reg.Snapshot()
-	sums := map[string]float64{}
-	stageCounts := uint64(0)
+	evals, stageCounts := float64(0), uint64(0)
 	for _, m := range snap.Metrics {
-		if m.Name == "extract_shard_server_requests_total" {
-			sums[m.Name] += m.Value
+		if m.Key() == "extract_shard_server_requests_total{kind=eval}{outcome=ok}" {
+			evals = m.Value
 		}
 		if m.Name == "extract_shard_server_stage_seconds" && m.Histogram != nil {
 			stageCounts += m.Histogram.Count
 		}
 	}
-	if sums["extract_shard_server_requests_total"] < 2 {
-		t.Fatalf("expected hello+eval requests counted, got %v", sums)
+	if evals < 1 {
+		t.Fatalf("the query's eval request was not counted: %v", evals)
 	}
 	if stageCounts == 0 {
 		t.Fatal("no stage observations recorded")

@@ -45,21 +45,11 @@ const (
 	frameMagic0 = 'X'
 	frameMagic1 = 'R'
 
-	// wireVersion is the highest protocol revision this build speaks;
-	// wireVersionMin is the lowest it still accepts. A router negotiates
-	// the version per connection with a hello exchange (see replica.get)
-	// and both sides frame every message at the negotiated version, so
-	// old and new builds interoperate across a rollout. Bump wireVersion
-	// on any payload layout change; raise wireVersionMin only when
-	// dropping compatibility on purpose.
-	//
-	// v1: baseline frame + payloads.
-	// v2: eval/digest/full requests carry a trailing trace ID (u64 LE);
-	//     their responses carry a trailing server-side stage breakdown
-	//     (four uvarint nanosecond durations: decode, eval, digest,
-	//     encode). msgHello doubles as the negotiation request.
-	wireVersion    = 2
-	wireVersionMin = 1
+	// wireVersion is the one protocol revision this build speaks: every
+	// frame is written at it and a frame at any other version is refused
+	// as version skew. A payload layout change bumps wireVersion; router
+	// and shard servers are rolled together.
+	wireVersion = 2
 
 	frameHeaderLen = 12
 
@@ -103,16 +93,14 @@ func protocolErrf(format string, args ...any) error {
 	return &ProtocolError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// writeFrame writes one framed message at wire version ver (the
-// connection's negotiated version; greeting and negotiation frames pin
-// wireVersionMin so any peer can read them).
-func writeFrame(w io.Writer, ver byte, t msgType, payload []byte) error {
+// writeFrame writes one framed message.
+func writeFrame(w io.Writer, t msgType, payload []byte) error {
 	if len(payload) > maxFramePayload {
 		return protocolErrf("oversized outgoing frame (%d bytes)", len(payload))
 	}
 	var hdr [frameHeaderLen]byte
 	hdr[0], hdr[1] = frameMagic0, frameMagic1
-	hdr[2] = ver
+	hdr[2] = wireVersion
 	hdr[3] = byte(t)
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, crcTable))
@@ -124,39 +112,36 @@ func writeFrame(w io.Writer, ver byte, t msgType, payload []byte) error {
 }
 
 // readFrame reads one framed message, validating magic, version, length
-// and checksum before returning the frame version and payload. The
-// version steers payload decoding: v2 payloads carry trailing fields a v1
-// decoder must not expect. Malformed frames return a *ProtocolError; a
-// cleanly closed connection returns io.EOF.
-func readFrame(r io.Reader) (byte, msgType, []byte, error) {
+// and checksum before returning the payload. Malformed frames return a
+// *ProtocolError; a cleanly closed connection returns io.EOF.
+func readFrame(r io.Reader) (msgType, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, 0, nil, protocolErrf("truncated frame header")
+			return 0, nil, protocolErrf("truncated frame header")
 		}
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
-		return 0, 0, nil, protocolErrf("bad frame magic %#x%x", hdr[0], hdr[1])
+		return 0, nil, protocolErrf("bad frame magic %#x%x", hdr[0], hdr[1])
 	}
-	ver := hdr[2]
-	if ver < wireVersionMin || ver > wireVersion {
-		return 0, 0, nil, protocolErrf("protocol version skew: peer speaks v%d, this build v%d–v%d", ver, wireVersionMin, wireVersion)
+	if ver := hdr[2]; ver != wireVersion {
+		return 0, nil, protocolErrf("protocol version skew: peer speaks v%d, this build v%d", ver, wireVersion)
 	}
 	t := msgType(hdr[3])
 	if t < msgHello || t > msgError {
-		return 0, 0, nil, protocolErrf("unknown message type %d", hdr[3])
+		return 0, nil, protocolErrf("unknown message type %d", hdr[3])
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:8])
 	if n > maxFramePayload {
-		return 0, 0, nil, protocolErrf("frame payload length %d exceeds cap %d", n, maxFramePayload)
+		return 0, nil, protocolErrf("frame payload length %d exceeds cap %d", n, maxFramePayload)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, protocolErrf("truncated frame payload: %v", err)
+		return 0, nil, protocolErrf("truncated frame payload: %v", err)
 	}
 	if sum := crc32.Checksum(payload, crcTable); sum != binary.LittleEndian.Uint32(hdr[8:12]) {
-		return 0, 0, nil, protocolErrf("frame checksum mismatch")
+		return 0, nil, protocolErrf("frame checksum mismatch")
 	}
-	return ver, t, payload, nil
+	return t, payload, nil
 }

@@ -97,7 +97,7 @@ type QueryRecord struct {
 	ErrKind string
 	// Hops lists the remote call attempts made on the query's behalf, in
 	// order, with per-attempt wire durations and the server-reported stage
-	// breakdown when the peer speaks wire v2. Empty for local backends,
+	// breakdown. Empty for local backends,
 	// cache hits, and coalesced followers (the leader's record carries the
 	// hops its computation made).
 	Hops []telemetry.HopSpan

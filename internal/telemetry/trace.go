@@ -41,10 +41,9 @@ func NextTraceID() TraceID {
 
 // HopSpan records one remote call attempt made on behalf of a query: which
 // replica was asked, whether it was a failover retry, how long the wire
-// round trip took, and — when the peer speaks wire v2 — the server-side
-// stage breakdown it reported. A query that fails over leaves one span per
-// attempt, so the failed attempts and their causes stay visible next to the
-// one that succeeded.
+// round trip took, and the server-side stage breakdown the peer reported.
+// A query that fails over leaves one span per attempt, so the failed
+// attempts and their causes stay visible next to the one that succeeded.
 type HopSpan struct {
 	// Kind is the remote call kind: eval, digest, full, or stats.
 	Kind string
@@ -61,7 +60,7 @@ type HopSpan struct {
 	// including encode, network, and server time.
 	Wire time.Duration
 	// ServerDecode is the server-reported request decode duration (zero if
-	// the peer predates wire v2 or the attempt failed before a response).
+	// the attempt failed before a response).
 	ServerDecode time.Duration
 	// ServerEval is the server-reported evaluation duration.
 	ServerEval time.Duration

@@ -93,13 +93,14 @@ for i in $(seq 1 5); do
   [ "$(query)" = "$base" ] || { echo "router answer $i drifted" >&2; exit 1; }
 done
 
-# The shard servers' own /metrics must have counted the wire requests the
+# The shard servers' own /metrics must have counted the evaluations the
 # routed queries caused (each group owns shards, so each side of the tier
-# served something).
+# evaluated something). Only successful evals count: a sum over every series
+# would pass on stats calls or error frames alone.
 for p in 9801 9803; do
   total=$(curl -fsS "http://127.0.0.1:$p/metrics" \
-    | awk '/^extract_shard_server_requests_total/ {sum += $2} END {print sum+0}')
-  [ "$total" -gt 0 ] || { echo "shard server :$p counted no requests" >&2; exit 1; }
+    | awk '/^extract_shard_server_requests_total\{kind="eval",outcome="ok"\}/ {sum += $2} END {print sum+0}')
+  [ "$total" -gt 0 ] || { echo "shard server :$p evaluated no requests" >&2; exit 1; }
 done
 
 # One /debug/traces entry on the router must span the tier: hops naming

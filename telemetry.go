@@ -50,10 +50,10 @@ type SlowQuery struct {
 
 // Hop describes one remote call attempt a routed query made: which replica
 // was asked, whether it was a failover retry, the client-observed wire
-// round trip, and — when the shard server speaks wire v2 — the server-side
-// stage breakdown it reported. A query that failed over leaves one Hop per
-// attempt, so the failed attempts and their causes stay visible next to
-// the one that succeeded.
+// round trip, and the server-side stage breakdown the shard server
+// reported. A query that failed over leaves one Hop per attempt, so the
+// failed attempts and their causes stay visible next to the one that
+// succeeded.
 type Hop struct {
 	// Kind is the remote call kind: eval, digest, full, or stats.
 	Kind string
@@ -69,8 +69,8 @@ type Hop struct {
 	// and server time.
 	Wire time.Duration
 	// ServerDecode, ServerEval, ServerDigest and ServerEncode are the
-	// server-reported stage durations (zero when the peer predates wire v2
-	// or the attempt failed before a response).
+	// server-reported stage durations (zero when the attempt failed before
+	// a response).
 	ServerDecode, ServerEval, ServerDigest, ServerEncode time.Duration
 	// Err classifies why the attempt failed ("" on success); it is the
 	// failover cause for the retry that follows it.

@@ -32,12 +32,12 @@
 //
 //   - xmltree assigns every node a preorder interval (Start, End int32) at
 //     finalize time, so ancestor/descendant tests are two integer compares
-//     (Node.Contains); Dewey identifiers remain for LCA depths and
-//     rendering.
+//     (Node.Contains) and an LCA is a Parent climb until the interval
+//     covers the other position. The interval is the only node identity.
 //   - internal/index stores each posting list as parallel slices
 //     (Ords/Nodes/Fields), keeping document-order positions in one
 //     contiguous int32 array for binary searches and merge scans.
-//   - internal/search computes SLCA by a depth-folding merge over the
+//   - internal/search computes SLCA by an interval-folding merge over the
 //     packed lists with a linear stack filter, and ELCA by exclusive
 //     counting over the match virtual tree with pooled scratch. Probes
 //     into skewed posting lists advance by galloping (exponential +
@@ -226,8 +226,8 @@
 // round trips are lossless — and the shard's keyword-presence prefilter, so
 // a loaded or delta-patched shard answers skip probes without touching its
 // postings. The reader memory-maps (or bulk-reads) the file, verifies every
-// checksum, and only then reconstructs nodes, intervals, Dewey arena and
-// postings without re-tokenizing anything, decoding the tree and posting
+// checksum, and only then reconstructs nodes, intervals and postings
+// without re-tokenizing anything, decoding the tree and posting
 // sections concurrently; loading a 100k-node corpus is an order of
 // magnitude faster than rebuilding the index from the tree (the "persist"
 // section of BENCH_search.json). SaveIndex writes one image per shard

@@ -952,7 +952,7 @@ func (r *Result) Size() int { return r.r.Size() }
 // Root returns the result tree root. The tree is read-only: it is the
 // corpus document's own subtree (a tree of its own only for trimmed results
 // and on a remote corpus), so its nodes must never be mutated, and Root's
-// Parent, Dewey, Ord, Start and End are those of the enclosing document —
+// Parent, Ord, Start and End are those of the enclosing document —
 // Parent may lead out of the result. Copy with xmltree.DeepCopy to get a
 // detached tree to edit.
 func (r *Result) Root() *xmltree.Node { return r.r.Root }

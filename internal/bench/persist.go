@@ -225,20 +225,21 @@ func CompareReports(baseline, current *SearchPerfReport, tol float64) []string {
 		}
 	}
 
-	basePersist := map[int]float64{}
+	basePersist := map[int]PersistPerfPoint{}
 	for _, p := range baseline.Persist {
-		basePersist[p.Nodes] = p.LoadSpeedup
+		basePersist[p.Nodes] = p
 	}
 	for _, p := range current.Persist {
-		base, ok := basePersist[p.Nodes]
+		bp, ok := basePersist[p.Nodes]
+		base := bp.LoadSpeedup
 		if !ok || base <= 0 || p.LoadSpeedup <= 0 {
 			continue
 		}
-		// Points whose baseline advantage is small are sub-millisecond
-		// loads dominated by fixed costs (allocator, GC, syscalls): the
-		// ratio there is measurement noise, not signal. The packed
-		// format's advantage — and the gate — lives at scale.
-		if base < 4 {
+		// Sub-millisecond baseline loads are dominated by fixed costs
+		// (allocator, GC, syscalls): the ratio there is measurement
+		// noise, not signal, whatever its size. The packed format's
+		// advantage — and the gate — lives at scale.
+		if bp.LoadPackedNs < 1_000_000 {
 			continue
 		}
 		// The committed speedup is recorded on quiet hardware; contended

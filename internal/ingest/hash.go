@@ -10,7 +10,7 @@ import "extract/xmltree"
 // fraction of tokenizing one shard, which is what keeps the delta path's
 // bookkeeping from eating the work it saves. They fingerprint *source
 // content* — kinds, labels, values and shape — never physical artifacts
-// like preorder positions or Dewey identifiers, so a shard's hash is
+// like preorder positions or intervals, so a shard's hash is
 // identical whether computed from a freshly parsed partition block, from
 // the reparented shard document of a built corpus, or from a shard decoded
 // out of a packed image.

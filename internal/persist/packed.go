@@ -619,8 +619,8 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 	}
 
 	// Decode the large sections concurrently. Structure (parents,
-	// children, intervals, Dewey) and content (labels, values, kinds)
-	// write disjoint node fields; the posting decoder needs only node
+	// children, intervals) and content (labels, values, kinds) write
+	// disjoint node fields; the posting decoder needs only node
 	// addresses and the tag slab, never node contents. None of them waits
 	// on another.
 	nodeSlab := <-slabCh
@@ -685,37 +685,16 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 
 // decodeStructure reconstructs the tree shape into the caller's slab,
 // assigning every finalization field — preorder position, interval, parent,
-// children, Dewey (from one exact-sized arena) — in a single pass, so no
-// NewDocument re-walk is needed afterwards. It writes only structural node
+// children — in a single pass, so no NewDocument re-walk is needed
+// afterwards. It writes only structural node
 // fields; decodeContent fills labels and kinds concurrently.
 func decodeStructure(nodeSlab []xmltree.Node, ccSlab []byte) ([]*xmltree.Node, error) {
 	n := len(nodeSlab)
 	if n == 0 {
 		return nil, nil
 	}
-	// Pre-pass: derive the total Dewey length (sum of node depths) from
-	// the child counts, so one exact arena allocation serves every
-	// identifier. Allocation-free: only a depth stack.
-	deweyInts := 0
-	depthStack := make([]int32, 0, 32)
-	for i := 0; i < n; i++ {
-		deweyInts += len(depthStack)
-		if len(depthStack) > 0 {
-			depthStack[len(depthStack)-1]--
-		} else if i > 0 {
-			return nil, fmt.Errorf("%w: node %d outside the root subtree", ErrBadFormat, i)
-		}
-		if cc := int32(binary.LittleEndian.Uint32(ccSlab[4*i:])); cc > 0 && int(cc) < n {
-			depthStack = append(depthStack, cc)
-		}
-		for len(depthStack) > 0 && depthStack[len(depthStack)-1] == 0 {
-			depthStack = depthStack[:len(depthStack)-1]
-		}
-	}
-
 	docNodes := make([]*xmltree.Node, n)
 	childBacking := make([]*xmltree.Node, 0, n-1)
-	arena := make([]int, 0, deweyInts)
 	type frame struct {
 		node      *xmltree.Node
 		remaining int32
@@ -732,19 +711,11 @@ func decodeStructure(nodeSlab []xmltree.Node, ccSlab []byte) ([]*xmltree.Node, e
 		}
 		if len(stack) > 0 {
 			top := &stack[len(stack)-1]
-			parent := top.node
-			if len(arena)+len(parent.Dewey)+1 > cap(arena) {
-				return nil, fmt.Errorf("%w: dewey arena overflow", ErrBadFormat)
-			}
-			start := len(arena)
-			arena = append(arena, parent.Dewey...)
-			arena = append(arena, len(parent.Children))
-			nd.Dewey = xmltree.Dewey(arena[start:len(arena):len(arena)])
-			nd.Parent = parent
-			parent.Children = append(parent.Children, nd)
+			nd.Parent = top.node
+			top.node.Children = append(top.node.Children, nd)
 			top.remaining--
-		} else {
-			nd.Dewey = xmltree.Dewey{}
+		} else if i > 0 {
+			return nil, fmt.Errorf("%w: node %d outside the root subtree", ErrBadFormat, i)
 		}
 		if cc > 0 {
 			// Reserve this node's children region in the shared backing

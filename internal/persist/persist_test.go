@@ -2,7 +2,11 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -35,11 +39,63 @@ func TestRoundTripTree(t *testing.T) {
 	if xmltree.RenderInline(loaded.Doc.Root) != xmltree.RenderInline(c.Doc.Root) {
 		t.Error("tree changed across round trip")
 	}
-	// Dewey assignment is rebuilt identically.
+	// Positions, intervals and parents are rebuilt identically.
 	for i, n := range c.Doc.Nodes() {
-		if !loaded.Doc.Nodes()[i].Dewey.Equal(n.Dewey) {
-			t.Fatalf("dewey mismatch at ord %d", i)
+		l := loaded.Doc.Nodes()[i]
+		if l.Ord != n.Ord || l.Start != n.Start || l.End != n.End ||
+			(l.Parent == nil) != (n.Parent == nil) || (n.Parent != nil && l.Parent.Ord != n.Parent.Ord) {
+			t.Fatalf("finalization mismatch at ord %d: %v vs %v", i, l, n)
 		}
+	}
+}
+
+// Save→Load is linear in nodes whatever the tree's shape: the loader sizes
+// nothing from Σ depths, which on a 3 000-deep chain is 4.5 M ints (36 MB)
+// and on a CRC-valid 200 000-deep one 2·10¹⁰. And the check that a forest is
+// refused, which used to sit in the depth pre-pass, still fires.
+func TestDeepChainAllocatesLinearly(t *testing.T) {
+	const depth, perNode = 3000, 2048
+	root := xmltree.Txt("leaf")
+	for i := 0; i < depth; i++ {
+		root = xmltree.Elem("e", root)
+	}
+	c := core.BuildCorpus(xmltree.NewDocument(root))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	loaded := roundTrip(t, c)
+	runtime.ReadMemStats(&after)
+	if st := loaded.Doc.ComputeStats(); st.Nodes != depth+1 || st.MaxDepth != depth {
+		t.Fatalf("chain loaded as %d nodes, depth %d", st.Nodes, st.MaxDepth)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > perNode*uint64(loaded.Doc.Len()) {
+		t.Errorf("Save+Load allocated %d B for %d nodes, want at most %d a node", got, loaded.Doc.Len(), perNode)
+	}
+
+	// <a><b/><c/></a> with the root's child count patched 2 -> 1 and the
+	// tree section's checksum refreshed: c arrives with no open parent.
+	doc, err := xmltree.ParseString(`<a><b/><c/></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, core.BuildCorpus(doc)); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	table := len(magic) + 2
+	off := table + 8*numSections
+	for i := 0; i < secTree; i++ {
+		off += int(binary.LittleEndian.Uint32(img[table+8*i:]))
+	}
+	tree := img[off : off+int(binary.LittleEndian.Uint32(img[table+8*secTree:]))]
+	counts := tree[len(tree)-4*doc.Len():]
+	if binary.LittleEndian.Uint32(counts) != 2 {
+		t.Fatalf("root child count = %d, want 2", binary.LittleEndian.Uint32(counts))
+	}
+	binary.LittleEndian.PutUint32(counts, 1)
+	binary.LittleEndian.PutUint32(img[table+8*secTree+4:], crc32.Checksum(tree, castagnoli))
+	if _, err := Load(bytes.NewReader(img)); !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "outside the root subtree") {
+		t.Errorf("two-root child-count slab: err = %v, want ErrBadFormat (outside the root subtree)", err)
 	}
 }
 

@@ -24,21 +24,7 @@ const (
 	maxWireResults = 1 << 20
 	maxWireShards  = 1 << 16
 	maxWireStrings = 1 << 16
-
-	// maxTreeDeweyInts bounds Σ node depths of one result tree, the size of
-	// the Dewey arena build allocates for it. The node cap alone does not: a
-	// 4 Mi-node chain is a ~12 MB payload whose identifiers take 8·10¹²
-	// ints. The bound is the node cap at a mean depth of 16 — 512 MB of
-	// ints, what the node slab of a tree at the node cap already costs — and
-	// admits smaller trees proportionally deeper (a 10 000-deep chain is
-	// 50 M ints). ROADMAP item 4a deletes materialised Dewey, and this
-	// bound with the arena.
-	maxTreeDeweyInts = 16 * maxTreeNodes
 )
-
-// errDeweyBound is built once so that refusing an over-deep tree allocates
-// nothing, whatever the payload claims.
-var errDeweyBound = protocolErrf("result tree's Dewey identifiers exceed %d ints", maxTreeDeweyInts)
 
 // cursor decodes one payload, accumulating the first failure.
 type cursor struct {
@@ -470,9 +456,8 @@ type scanned struct {
 	// connection is back in the pool — possibly reading its next frame —
 	// before they are built. Reusing a read buffer is safe only for the
 	// small request frames a shard server decodes fully before replying.
-	enc       []byte
-	nodes     int // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
-	deweyInts int // Σ node depths: the exact size of the tree's Dewey arena
+	enc   []byte
+	nodes int // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
 }
 
 // minResultBytes is the shortest encoded result (a childless root with an
@@ -497,10 +482,9 @@ func (c *cursor) scanResult() scanned {
 	// Iterative preorder walk over the unfilled child slots of each ancestor
 	// of the node at hand, so hostile nesting depth cannot overflow the
 	// decoder's own stack. An ancestor stays on the stack until its whole
-	// subtree has arrived — a node pushes its own slots before exhausted
-	// entries are popped — so the stack's height is the node's depth.
+	// subtree has arrived.
 	slots := c.slots[:0]
-	children, deweyInts := 0, 0
+	children := 0
 	for i := 0; i < total; i++ {
 		flags := c.u8("node flags")
 		c.span("node text")
@@ -513,10 +497,6 @@ func (c *cursor) scanResult() scanned {
 			return scanned{}
 		}
 		if len(slots) > 0 {
-			if deweyInts += len(slots); deweyInts > maxTreeDeweyInts {
-				c.err = errDeweyBound
-				return scanned{}
-			}
 			slots[len(slots)-1]--
 		} else if i > 0 {
 			c.fail("multiple roots in result tree")
@@ -555,11 +535,11 @@ func (c *cursor) scanResult() scanned {
 	if c.err != nil {
 		return scanned{}
 	}
-	return scanned{enc: c.data[start:c.off:c.off], nodes: total, deweyInts: deweyInts}
+	return scanned{enc: c.data[start:c.off:c.off], nodes: total}
 }
 
 // slabChunk bounds one allocation of a built tree's node slab: 192 nodes ×
-// 128 B = 24 KB stays inside the allocator's small size classes. One slab
+// 104 B = 19.5 KB stays inside the allocator's small size classes. One slab
 // per result (≈ 38 KB at the benchmark's mean result size, a large-object
 // span each) measurably raised peak RSS.
 const slabChunk = 192
@@ -596,9 +576,8 @@ func (v *validated) str() string {
 // build materializes a scanned result as a finalized document of its own,
 // the way internal/persist loads one: nodes arrive in preorder with their
 // child counts, so a single pass fills a node slab, carves every Children
-// slice out of one arena and every Dewey out of another, assigns
-// Ord/Start/End/Parent as it goes and hands the sequence to
-// xmltree.AdoptFinalized. Allocations are a constant per result plus one per
+// slice out of one arena, assigns Ord/Start/End/Parent as it goes and hands
+// the sequence to xmltree.AdoptFinalized. Allocations are a constant per result plus one per
 // slab chunk, none per node; every label, value and match keyword is a
 // substring of one copy of the encoding, so the built tree pins nothing of
 // the frame it arrived in. Anchor is the rebuilt root and Matches point into
@@ -608,7 +587,6 @@ func (s scanned) build() *search.Result {
 	total := v.uvarint()
 	ptrs := make([]*xmltree.Node, 2*total-1)
 	nodes, childArena := ptrs[:total:total], ptrs[total:]
-	deweyArena := make([]int, 0, s.deweyInts)
 	var slab []xmltree.Node
 	var open *xmltree.Node // innermost node with unfilled child slots
 	for i := range nodes {
@@ -628,12 +606,7 @@ func (s scanned) build() *search.Result {
 		}
 		n.FromAttr = flags&nodeFromAttr != 0
 		n.Ord, n.Start, n.End = i, int32(i), int32(i)
-		if open == nil {
-			n.Dewey = xmltree.Dewey{}
-		} else {
-			at := len(deweyArena)
-			deweyArena = append(append(deweyArena, open.Dewey...), len(open.Children))
-			n.Dewey = deweyArena[at:len(deweyArena):len(deweyArena)]
+		if open != nil {
 			n.Parent = open
 			open.Children = append(open.Children, n)
 		}

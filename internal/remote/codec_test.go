@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"extract/internal/search"
 	"extract/internal/shard"
@@ -103,7 +104,7 @@ func referenceResult(enc []byte) (*search.Result, error) {
 }
 
 // sameResult compares two decoded results field for field: every node's
-// Kind/Label/Value/FromAttr/Ord/Start/End/Dewey, Parent and Children by
+// Kind/Label/Value/FromAttr/Ord/Start/End, Parent and Children by
 // position, the LCA's position, and Matches keyword by keyword, position by
 // position.
 func sameResult(want, got *search.Result) error {
@@ -126,9 +127,6 @@ func sameResult(want, got *search.Result) error {
 		if g.Ord != w.Ord || g.Start != w.Start || g.End != w.End {
 			return fmt.Errorf("node %d position = ord %d [%d,%d], want ord %d [%d,%d]",
 				i, g.Ord, g.Start, g.End, w.Ord, w.Start, w.End)
-		}
-		if !g.Dewey.Equal(w.Dewey) || len(g.Dewey) != len(w.Dewey) {
-			return fmt.Errorf("node %d dewey = %v, want %v", i, g.Dewey, w.Dewey)
 		}
 		if ord(g.Parent) != ord(w.Parent) || (g.Parent != nil && g.Parent != gn[g.Parent.Ord]) {
 			return fmt.Errorf("node %d parent = %d, want %d", i, ord(g.Parent), ord(w.Parent))
@@ -215,10 +213,9 @@ func syntheticResults() map[string]*search.Result {
 	out["childless root"] = view(xmltree.Elem("empty"))
 
 	// A chain deep enough that a recursive decoder would be walking its own
-	// stack; 2 500 rather than 10 000 because a chain's Dewey arena is
-	// quadratic in its depth (10 000 deep is 50 M ints per decoded copy).
+	// stack.
 	chain := xmltree.Txt("bottom")
-	for i := 0; i < 2500; i++ {
+	for i := 0; i < 10_000; i++ {
 		chain = xmltree.Elem("d", chain)
 	}
 	deep := view(chain)
@@ -272,7 +269,7 @@ func scanOne(t *testing.T, enc []byte) scanned {
 
 // checkContract pins what the rest of the system relies on in a
 // wire-decoded result (see search.Result): an owned, finalized tree whose
-// anchor is its root, with positions and identifiers relative to that root.
+// anchor is its root, with positions relative to that root.
 func checkContract(t *testing.T, sent, r *search.Result) {
 	t.Helper()
 	if r.IsView() {
@@ -281,8 +278,8 @@ func checkContract(t *testing.T, sent, r *search.Result) {
 	if r.Root != r.Anchor || r.Root != r.Doc.Root {
 		t.Fatal("Root, Anchor and Doc.Root differ")
 	}
-	if r.Root.Ord != 0 || len(r.Root.Dewey) != 0 || r.Root.Parent != nil {
-		t.Fatalf("root: ord %d, dewey %v, parent %v", r.Root.Ord, r.Root.Dewey, r.Root.Parent)
+	if r.Root.Ord != 0 || r.Root.Parent != nil {
+		t.Fatalf("root: ord %d, parent %v", r.Root.Ord, r.Root.Parent)
 	}
 	if r.Size() != sent.Size() {
 		t.Fatalf("size %d, sent %d", r.Size(), sent.Size())
@@ -290,9 +287,6 @@ func checkContract(t *testing.T, sent, r *search.Result) {
 	for _, n := range r.Doc.Nodes() {
 		if r.Doc.ByOrd(n.Ord) != n {
 			t.Fatalf("ByOrd(%d) is not the node", n.Ord)
-		}
-		if r.Doc.NodeAt(n.Dewey) != n {
-			t.Fatalf("NodeAt(%v) is not the node", n.Dewey)
 		}
 	}
 	if len(r.Matches) != len(sent.Matches) {
@@ -331,15 +325,8 @@ func TestScanBuildEqualsReference(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkContract(t, r, got)
-		// The sizes build allocates from are exact: an undersized Dewey
-		// arena would still build a correct tree, by regrowing per append.
-		deweyInts := 0
-		for _, n := range got.Doc.Nodes() {
-			deweyInts += len(n.Dewey)
-		}
-		if s.nodes != got.Doc.Len() || s.deweyInts != deweyInts {
-			t.Fatalf("%s: scan sized %d nodes and %d dewey ints, the tree has %d and %d",
-				name, s.nodes, s.deweyInts, got.Doc.Len(), deweyInts)
+		if s.nodes != got.Doc.Len() {
+			t.Fatalf("%s: scan counted %d nodes, the tree has %d", name, s.nodes, got.Doc.Len())
 		}
 	}
 	views, projections := 0, 0
@@ -497,15 +484,19 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	if _, err := decodeEvalResp(hostile); !errors.As(err, &pe) {
 		t.Fatalf("hostile result count: err = %v", err)
 	}
-	if a := testing.AllocsPerRun(10, func() { _, _ = decodeEvalResp(hostile) }); a > 4 {
-		t.Fatalf("hostile result count costs %v allocations", a)
+	// In bytes, not allocations: the slice would be one allocation of 32 MB,
+	// and the error path's own few differ by one under the race detector.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _ = decodeEvalResp(hostile)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<10 {
+		t.Fatalf("hostile result count costs %d bytes", n)
 	}
 }
 
 // chainEncoding hand-encodes a result that is one chain of depth elements
-// over a text leaf, the shape whose Dewey identifiers are quadratic in its
-// size. Building such a tree to encode it would cost the arena the scan is
-// there to refuse.
+// over a text leaf.
 func chainEncoding(depth int) []byte {
 	b := binary.AppendUvarint(nil, uint64(depth+1))
 	for i := 0; i < depth; i++ {
@@ -515,57 +506,66 @@ func chainEncoding(depth int) []byte {
 	return append(b, 0, 0) // no lca, no match keywords
 }
 
-// overDeepChain is the shallowest chain whose identifiers exceed
-// maxTreeDeweyInts: a depth-d chain has d+1 nodes at depths 0..d.
-func overDeepChain() (depth int) {
-	for depth*(depth+1)/2 <= maxTreeDeweyInts {
-		depth++
-	}
-	return depth
-}
-
-// TestScanBoundsDeweyArena: the node cap does not bound what build
-// allocates — a chain's identifiers are quadratic in its depth, so a
-// CRC-valid payload of a few dozen kilobytes could ask for gigabytes. The
-// scan refuses it as a *ProtocolError, the class that fails an exchange
-// over, and allocates nothing doing so (its one scratch, the depth stack,
-// is the cursor's and is presized here); a chain just inside the bound, and
-// the 10 000-deep one, are still sized exactly.
+// TestScanBoundsDeweyArena keeps its name from the bound it used to pin: the
+// scan refused a chain deeper than 11 585 because build sized a per-node path
+// arena from Σ depths (16 × maxTreeNodes ints). Nothing in build depends on
+// depth any more, so a chain past that bound scans, builds to the tree the
+// reference decoder produces, and decodes inside a response; the node cap is
+// the only size bound left.
 func TestScanBoundsDeweyArena(t *testing.T) {
-	over := overDeepChain()
-	for _, depth := range []int{10_000, over - 1} {
-		c := &cursor{data: chainEncoding(depth)}
-		s := c.scanResult()
-		if err := c.done(); err != nil {
-			t.Fatalf("%d-deep chain: %v", depth, err)
-		}
-		if s.nodes != depth+1 || s.deweyInts != depth*(depth+1)/2 {
-			t.Fatalf("%d-deep chain scanned as %d nodes, %d dewey ints", depth, s.nodes, s.deweyInts)
-		}
+	const depth = 11_600
+	enc := chainEncoding(depth)
+	s := scanOne(t, enc)
+	if s.nodes != depth+1 {
+		t.Fatalf("%d-deep chain scanned as %d nodes", depth, s.nodes)
 	}
-
-	enc := chainEncoding(over)
-	if len(enc) > 1<<16 {
-		t.Fatalf("the refused payload is %d bytes; it should be small", len(enc))
+	got := s.build()
+	if st := got.Doc.ComputeStats(); st.Nodes != depth+1 || st.MaxDepth != depth {
+		t.Fatalf("%d-deep chain built as %d nodes, depth %d", depth, st.Nodes, st.MaxDepth)
 	}
-	c := &cursor{data: enc, slots: make([]int, 0, over+1)}
-	allocs := testing.AllocsPerRun(5, func() {
-		c.off, c.err = 0, nil
-		c.scanResult()
-	})
-	var pe *ProtocolError
-	if !errors.As(c.err, &pe) || !strings.Contains(pe.Reason, "Dewey") {
-		t.Fatalf("%d-deep chain: err = %v, want the Dewey bound's *ProtocolError", over, c.err)
+	want, err := referenceResult(enc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if allocs != 0 {
-		t.Fatalf("refusing the chain costs %v allocations", allocs)
+	if err := sameResult(want, got); err != nil {
+		t.Fatal(err)
 	}
 
 	resp := binary.LittleEndian.AppendUint64(nil, 1)
 	resp = append(resp, 1, 1) // direct, one result
 	resp = appendServerStages(append(resp, enc...), serverStages{})
-	if _, err := decodeEvalResp(resp); !errors.As(err, &pe) {
-		t.Fatalf("response carrying the chain: err = %v, want a *ProtocolError", err)
+	if _, err := decodeEvalResp(resp); err != nil {
+		t.Fatalf("response carrying the chain: %v", err)
+	}
+}
+
+// Encode→scan→build is linear in nodes whatever the tree's shape: a
+// 3 000-deep chain, on which per-node path labels are quadratic (4.5 M ints,
+// 36 MB a built copy), costs a fixed number of bytes a node. Slabs stay in
+// the allocator's small size classes if the node struct ever grows back.
+func TestDeepChainAllocatesLinearly(t *testing.T) {
+	if slabChunk*unsafe.Sizeof(xmltree.Node{}) > 32<<10 {
+		t.Errorf("a %d-node slab is %d B, past the small size classes", slabChunk, slabChunk*unsafe.Sizeof(xmltree.Node{}))
+	}
+	const depth, perNode = 3000, 256
+	root := xmltree.Txt("leaf")
+	for i := 0; i < depth; i++ {
+		root = xmltree.Elem("e", root)
+	}
+	doc := xmltree.NewDocument(root)
+	sent := search.FromNode(doc, doc.Root)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := &cursor{data: appendResult(nil, sent)}
+	s := c.scanResult()
+	if err := c.done(); err != nil {
+		t.Fatal(err)
+	}
+	got := s.build()
+	runtime.ReadMemStats(&after)
+	checkContract(t, sent, got)
+	if n := after.TotalAlloc - before.TotalAlloc; n > perNode*uint64(doc.Len()) {
+		t.Errorf("encode+scan+build allocated %d B for %d nodes, want at most %d a node", n, doc.Len(), perNode)
 	}
 }
 

@@ -123,10 +123,10 @@ func FuzzEvalRespDecode(f *testing.F) {
 			f.Add(appendEvalResp(nil, evalAnswer{fingerprint: 1, direct: true, results: []*search.Result{r}}))
 		}
 	}
-	// A chain just past the Dewey bound: a small payload the scan must refuse.
-	over := binary.LittleEndian.AppendUint64(nil, 1)
-	over = append(over, 1, 1) // direct, one result
-	f.Add(appendServerStages(append(over, chainEncoding(overDeepChain())...), serverStages{}))
+	// A chain deep enough to work the scan's slot stack, small enough to seed.
+	chain := binary.LittleEndian.AppendUint64(nil, 1)
+	chain = append(chain, 1, 1) // direct, one result
+	f.Add(appendServerStages(append(chain, chainEncoding(300)...), serverStages{}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := decodeEvalResp(data)
 		if err != nil {
@@ -141,12 +141,6 @@ func FuzzEvalRespDecode(f *testing.F) {
 			ranges = append(ranges, s.results...)
 		}
 		for _, s := range ranges {
-			if s.deweyInts > maxTreeDeweyInts {
-				t.Fatalf("scan accepted a tree of %d dewey ints", s.deweyInts)
-			}
-			if s.deweyInts > 1<<20 {
-				continue // a deep chain's identifiers are quadratic in its depth; keep the harness light
-			}
 			want, err := referenceResult(s.enc)
 			if err != nil {
 				t.Fatalf("scan accepted what the reference decoder rejects: %v", err)

@@ -109,13 +109,13 @@ func ELCA(lists ...[]*xmltree.Node) []*xmltree.Node {
 			stack = append(stack, vi)
 			continue
 		}
-		// Pop completed subtrees: everything deeper than lca(top, v) has
-		// seen all its matches. Each popped node merges into the entry
-		// below it; the shallowest popped merges into u itself.
+		// Pop completed subtrees: everything strictly inside lca(top, v)
+		// — the stack is an ancestor chain through it — has seen all its
+		// matches. Each popped node merges into the entry below it; the
+		// shallowest popped merges into u itself.
 		u := fastLCA(vn[stack[len(stack)-1]], v)
-		uLevel := len(u.Dewey)
 		popped := int32(-1)
-		for len(stack) > 0 && len(vn[stack[len(stack)-1]].Dewey) > uLevel {
+		for len(stack) > 0 && u.Contains(vn[stack[len(stack)-1]]) {
 			w := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if popped >= 0 {
@@ -124,9 +124,8 @@ func ELCA(lists ...[]*xmltree.Node) []*xmltree.Node {
 			popped = w
 		}
 		if popped >= 0 {
-			// u is on the stack iff nothing now on top is deeper than it;
-			// the ancestor of the old top at u's level is unique, so a
-			// same-level top IS u.
+			// Every entry left is u or an ancestor of u, so u is on the
+			// stack iff it is the top.
 			var ui int32
 			if len(stack) > 0 && vn[stack[len(stack)-1]] == u {
 				ui = stack[len(stack)-1]

@@ -46,7 +46,7 @@ func FuzzGallop(f *testing.F) {
 func TestSLCABoundedPrefixProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		doc := randomDoc(r)
+		doc := randomDoc(r, seed%2 == 0)
 		ix := index.Build(doc)
 		voc := ix.Vocabulary()
 		if len(voc) == 0 {

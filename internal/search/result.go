@@ -17,7 +17,7 @@ import (
 // of the index's posting lists. Nothing is copied, so a result costs the same
 // to build whatever the size of its subtree, and holding one keeps its corpus
 // generation reachable. The nodes of a view keep the enclosing document's
-// Parent, Dewey, Ord, Start and End — Root.Parent may lead out of the result,
+// Parent, Ord, Start and End — Root.Parent may lead out of the result,
 // and consumers stop their climbs at Root. A ModeXSeek projection and a result
 // decoded from the wire are owned trees instead: new, small trees finalized as
 // documents of their own. IsView tells the two kinds apart.
@@ -32,7 +32,7 @@ type Result struct {
 
 	// Doc is the result tree as a document with Doc.Root == Root: a
 	// Subtree view of the source document, or the owned tree finalized
-	// with Dewey identifiers relative to the result root.
+	// with positions relative to the result root.
 	Doc *xmltree.Document
 
 	// Anchor is the source-document node the result is rooted at.

@@ -167,7 +167,7 @@ func sameNodes(a, b []*xmltree.Node) bool {
 func TestSLCAMatchesBruteForce(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		doc := randomDoc(r)
+		doc := randomDoc(r, false)
 		ix := index.Build(doc)
 		voc := ix.Vocabulary()
 		if len(voc) == 0 {
@@ -188,14 +188,24 @@ func TestSLCAMatchesBruteForce(t *testing.T) {
 }
 
 // randomDoc builds a small random document with a tiny vocabulary so that
-// keyword lists are dense and SLCA cases are interesting.
-func randomDoc(r *rand.Rand) *xmltree.Document {
+// keyword lists are dense and SLCA cases are interesting. Bushy documents
+// (up to 32 elements, any earlier element the parent) stay shallow; skinny
+// ones (up to 400 elements, the parent one of the last three) run about 200
+// deep, which is where the LCA fold's work is: its cost is the Parent climb.
+func randomDoc(r *rand.Rand, skinny bool) *xmltree.Document {
 	labels := []string{"a", "b", "c", "d"}
 	values := []string{"x", "y", "z"}
 	nodes := []*xmltree.Node{xmltree.Elem("root")}
-	n := 3 + r.Intn(30)
+	n, window := 3+r.Intn(30), 0
+	if skinny {
+		n, window = 3+r.Intn(398), 3
+	}
 	for len(nodes) < n {
-		parent := nodes[r.Intn(len(nodes))]
+		lo := 0
+		if window > 0 && len(nodes) > window {
+			lo = len(nodes) - window
+		}
+		parent := nodes[lo+r.Intn(len(nodes)-lo)]
 		child := xmltree.Elem(labels[r.Intn(len(labels))])
 		if r.Intn(3) == 0 {
 			xmltree.Append(child, xmltree.Txt(values[r.Intn(len(values))]))

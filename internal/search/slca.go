@@ -10,13 +10,15 @@
 //
 // The hot paths work on flat integer arrays: posting lists carry their
 // document-order positions in contiguous int32 slices (index.PostingList),
-// ancestor and containment tests use the preorder intervals assigned by
-// xmltree.NewDocument, and LCA depths come from Dewey lengths instead of
-// parent-pointer walks. All evaluation entry points require their input
-// nodes to belong to one finalized document.
+// and ancestor tests, containment tests and LCAs all use the preorder
+// intervals assigned by xmltree.NewDocument: an LCA is the first node on a
+// Parent chain whose interval covers the other position, so no depth is
+// ever computed. All evaluation entry points require their input nodes to
+// belong to one finalized document.
 package search
 
 import (
+	"math"
 	"sort"
 
 	"extract/internal/index"
@@ -114,17 +116,21 @@ func SLCAPackedBounded(limit int, lists ...*index.PostingList) ([]*xmltree.Node,
 	cursors := make([]int, len(lists))
 
 	// For each node v of the shortest list, the folded LCA over all lists
-	// is an ancestor of v, fully determined by its depth: the closest
-	// match of a list (pred or succ by ord) pins that list's contribution
-	// to the deeper of the two Dewey common-prefix lengths with v, and the
-	// fold takes the minimum across lists. One parent climb at the end
-	// materializes the candidate.
+	// is the lowest ancestor-or-self c of v that contains, for every other
+	// list, that list's closest match in document order. The predecessor
+	// (ord < vOrd <= c.End) lies in c iff c.Start <= its ord, the successor
+	// (ord >= vOrd >= c.Start) iff its ord <= c.End, so the climb reads only
+	// the packed ords — the other lists' nodes are never dereferenced —
+	// and one c carries across lists because containment survives climbing.
 	for si, v := range s.Nodes {
 		vOrd := s.Ords[si]
-		minDepth := len(v.Dewey)
+		c := v
 		for li, l := range lists {
 			if li == shortest {
 				continue
+			}
+			if c.Parent == nil {
+				break // already at the root
 			}
 			cur := cursors[li]
 			if scan {
@@ -135,29 +141,18 @@ func SLCAPackedBounded(limit int, lists ...*index.PostingList) ([]*xmltree.Node,
 				cur = gallop(l.Ords, cur, vOrd)
 			}
 			cursors[li] = cur
-			i := cur
-			var lev int
-			switch {
-			case i <= 0:
-				lev = commonLevel(v.Dewey, l.Nodes[0].Dewey, minDepth)
-			case i >= len(l.Nodes):
-				lev = commonLevel(v.Dewey, l.Nodes[i-1].Dewey, minDepth)
-			default:
-				lev = commonLevel(v.Dewey, l.Nodes[i-1].Dewey, minDepth)
-				if ls := commonLevel(v.Dewey, l.Nodes[i].Dewey, minDepth); ls > lev {
-					lev = ls
-				}
+			// With no predecessor (successor) the sentinel makes its
+			// test fail for every c.
+			pred, succ := int32(-1), int32(math.MaxInt32)
+			if cur > 0 {
+				pred = l.Ords[cur-1]
 			}
-			if lev < minDepth {
-				minDepth = lev
-				if minDepth == 0 {
-					break // already at the root
-				}
+			if cur < len(l.Ords) {
+				succ = l.Ords[cur]
 			}
-		}
-		c := v
-		for d := len(v.Dewey); d > minDepth; d-- {
-			c = c.Parent
+			for c.Parent != nil && c.Start > pred && succ > c.End {
+				c = c.Parent
+			}
 		}
 		if st.add(c) {
 			break
@@ -259,52 +254,12 @@ func (st *slcaStack) results() ([]*xmltree.Node, bool) {
 	return st.stack, false
 }
 
-// commonLevel returns the length of the longest common prefix of two Dewey
-// identifiers — the depth of the nodes' LCA — capped at max (prefixes at
-// least as long as max are equivalent for the caller).
-func commonLevel(a, b xmltree.Dewey, max int) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if max < n {
-		n = max
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
-}
-
 // fastLCA returns the lowest common ancestor of two nodes of one finalized
-// document: preorder intervals settle containment in two compares, Dewey
-// lengths replace the parent-walk depth computation. Returns nil if the
-// nodes turn out to lie in different trees.
+// document: the first node on a's Parent chain whose preorder interval
+// covers b. Returns nil if the nodes turn out to lie in different trees.
 func fastLCA(a, b *xmltree.Node) *xmltree.Node {
-	if a == nil || b == nil {
-		return nil
-	}
-	if a.ContainsOrSelf(b) {
-		return a
-	}
-	if b.Contains(a) {
-		return b
-	}
-	da, db := len(a.Dewey), len(b.Dewey)
-	for da > db {
+	for a != nil && !a.ContainsOrSelf(b) {
 		a = a.Parent
-		da--
-	}
-	for db > da {
-		b = b.Parent
-		db--
-	}
-	for a != b {
-		if a == nil || b == nil {
-			return nil
-		}
-		a, b = a.Parent, b.Parent
 	}
 	return a
 }
@@ -428,7 +383,7 @@ func smallestOnlyBaseline(cands []*xmltree.Node) []*xmltree.Node {
 	for i := 0; i < len(cands); i++ {
 		isAncestor := false
 		if i+1 < len(cands) {
-			isAncestor = cands[i].Dewey.IsAncestorOf(cands[i+1].Dewey)
+			isAncestor = cands[i].Contains(cands[i+1])
 		}
 		if !isAncestor {
 			out = append(out, cands[i])
@@ -437,7 +392,7 @@ func smallestOnlyBaseline(cands []*xmltree.Node) []*xmltree.Node {
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i+1 < len(out); i++ {
-			if out[i].Dewey.IsAncestorOf(out[i+1].Dewey) {
+			if out[i].Contains(out[i+1]) {
 				out = append(out[:i], out[i+1:]...)
 				changed = true
 				break

@@ -294,17 +294,17 @@ type Cached struct {
 // generation the entry's Backend already pins — while an owned result tree
 // (a trimmed projection, a result decoded from the wire) and every snippet
 // tree are charged per node, and an IList per item. The constants are rough
-// costs (node struct, Dewey id, slice and map headers; an ilist.Item with
-// its share of slice growth), not an exact accounting: on the benchmark
-// corpus a 24-hit entry is charged 66 KB for 81 KB of measured heap. A
-// wire-decoded result is laid out in slabs (remote's build: the node, two
-// pointer-arena slots, its Dewey ints and its text) and measures 181 B a node
-// at 465 nodes and 238 B a node at 7 — the same 160 a node plus about 550 a
-// result; a routed entry of six 134-node results is charged 149 KB for the
-// 138 KB it retains (TestCostChargesWhatAnEntryOwns holds the two together).
+// costs (node struct, slice and map headers; an ilist.Item with its share of
+// slice growth), not an exact accounting: on the benchmark corpus a 24-hit
+// entry is charged 53 KB for 63 KB of measured heap. A wire-decoded result is
+// laid out in slabs (remote's build: the 104-byte node, two pointer-arena
+// slots and its text) and measures 134 B a node at 805 nodes, 136 at 134 and
+// 160 at 7 — the same 136 a node plus about 200 a result; a routed entry of
+// six 134-node results is charged 129 KB for the 134-138 KB it retains
+// (TestCostChargesWhatAnEntryOwns holds the two together).
 func (v *Cached) cost() int64 {
 	const (
-		perNode  = 160
+		perNode  = 136
 		perItem  = 96
 		perEntry = 512
 	)

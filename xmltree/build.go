@@ -5,7 +5,7 @@ package xmltree
 // NewDocument.
 
 // Elem returns a new element node with the given label and children. Parent
-// pointers of the children are set; Dewey assignment happens in NewDocument.
+// pointers of the children are set; positions are assigned by NewDocument.
 func Elem(label string, children ...*Node) *Node {
 	n := &Node{Kind: KindElement, Label: label}
 	for _, c := range children {
@@ -31,7 +31,7 @@ func Attr(name, value string) *Node {
 }
 
 // Append attaches child to parent, maintaining the parent pointer. It
-// returns parent for chaining. Dewey identifiers are not updated; call
+// returns parent for chaining. Positions are not updated; call
 // NewDocument on the root after structural edits.
 func Append(parent, child *Node) *Node {
 	if child != nil {

@@ -1,15 +1,15 @@
 package xmltree
 
-// Document is a finalized XML tree: Dewey identifiers and preorder positions
-// have been assigned to every node, and the preorder node sequence is
+// Document is a finalized XML tree: preorder positions and intervals have
+// been assigned to every node, and the preorder node sequence is
 // materialized for index construction.
 //
 // A Document is either a whole finalized tree (NewDocument, Parse,
 // AdoptFinalized) or a view of one subtree of such a tree (Subtree). A view
-// shares the enclosing document's nodes: Root, Nodes, Len, ByOrd and NodeAt
-// are relative to the view, while the fields of the nodes themselves —
-// Parent, Dewey, Ord, Start, End — stay those of the enclosing document, so
-// a view root's Parent may be non-nil and its Ord non-zero.
+// shares the enclosing document's nodes: Root, Nodes, Len and ByOrd are
+// relative to the view, while the fields of the nodes themselves — Parent,
+// Ord, Start, End — stay those of the enclosing document, so a view root's
+// Parent may be non-nil and its Ord non-zero.
 //
 // Invariant: once a document is indexed and served, its nodes are never
 // mutated again. Query results are views of served documents (see
@@ -27,60 +27,37 @@ type Document struct {
 }
 
 // NewDocument finalizes the tree rooted at root into a Document: it fixes
-// parent pointers, assigns Dewey identifiers (root = empty Dewey), preorder
-// positions and preorder intervals (Start/End), and materializes the node
-// sequence. The tree is modified in place; root may be nil, producing an
-// empty document.
+// parent pointers, assigns preorder positions and preorder intervals
+// (Ord, Start/End), and materializes the node sequence. The tree is modified
+// in place; root may be nil, producing an empty document.
 func NewDocument(root *Node) *Document {
 	d := &Document{Root: root}
 	if root == nil {
 		return d
 	}
 	root.Parent = nil
-	// Pass 1: size the node sequence and a shared Dewey arena. One exact
-	// allocation then serves every identifier — finalization runs per
-	// result materialization on the search hot path, and per-node Dewey
-	// allocations dominated its profile.
-	count, deweyInts := 0, 0
-	var measure func(n *Node, depth int)
-	measure = func(n *Node, depth int) {
-		count++
-		deweyInts += depth
-		for _, c := range n.Children {
-			measure(c, depth+1)
-		}
-	}
-	measure(root, 0)
-	d.nodes = make([]*Node, 0, count)
-	arena := make([]int, 0, deweyInts)
-	var assign func(n *Node, dw Dewey)
-	assign = func(n *Node, dw Dewey) {
-		n.Dewey = dw
+	d.nodes = make([]*Node, 0, root.NodeCount())
+	var assign func(n *Node)
+	assign = func(n *Node) {
 		n.Ord = len(d.nodes)
 		n.Start = int32(n.Ord)
 		d.nodes = append(d.nodes, n)
-		for i, c := range n.Children {
+		for _, c := range n.Children {
 			c.Parent = n
-			// The arena never reallocates (capacity is exact), so the
-			// full-capacity slice stays valid and writes cannot bleed
-			// into a sibling's identifier.
-			start := len(arena)
-			arena = append(arena, dw...)
-			arena = append(arena, i)
-			assign(c, Dewey(arena[start:len(arena):len(arena)]))
+			assign(c)
 		}
 		n.End = int32(len(d.nodes) - 1)
 	}
-	assign(root, Dewey{})
+	assign(root)
 	return d
 }
 
 // AdoptFinalized builds a Document around a node sequence whose
-// finalization fields (Parent, Children, Dewey, Ord, Start, End) the caller
+// finalization fields (Parent, Children, Ord, Start, End) the caller
 // has already assigned consistently, with nodes in preorder and nodes[0] the
 // root. It performs no validation and exists for loaders — the packed
 // persist format stores the preorder layout directly, so reconstructing it
-// assigns identifiers in the same pass and a second NewDocument walk would
+// assigns intervals in the same pass and a second NewDocument walk would
 // only repeat that work.
 func AdoptFinalized(nodes []*Node) *Document {
 	d := &Document{nodes: nodes}
@@ -112,27 +89,6 @@ func (d *Document) Nodes() []*Node { return d.nodes }
 // Len returns the number of nodes in the document.
 func (d *Document) Len() int { return len(d.nodes) }
 
-// NodeAt resolves a Dewey identifier to its node, or nil if it names no node
-// of the document. On a view, identifiers are still those of the enclosing
-// document, so d.NodeAt(n.Dewey) == n for every node of d.
-func (d *Document) NodeAt(dw Dewey) *Node {
-	n := d.Root
-	if n == nil {
-		return nil
-	}
-	if !n.Dewey.IsAncestorOrSelf(dw) {
-		return nil
-	}
-	dw = dw[len(n.Dewey):]
-	for _, i := range dw {
-		if i < 0 || i >= len(n.Children) {
-			return nil
-		}
-		n = n.Children[i]
-	}
-	return n
-}
-
 // ByOrd resolves a preorder position (a node's Ord) to its node, or nil if
 // out of range. On a view, positions are still those of the enclosing
 // document, so d.ByOrd(n.Ord) == n for every node of d.
@@ -162,11 +118,16 @@ type Stats struct {
 func (d *Document) ComputeStats() Stats {
 	var s Stats
 	labels := make(map[string]bool)
+	var open []int32 // Ends of the current node's ancestors, outermost first
 	for _, n := range d.nodes {
 		s.Nodes++
-		if dep := len(n.Dewey) - len(d.Root.Dewey); dep > s.MaxDepth {
-			s.MaxDepth = dep
+		for len(open) > 0 && open[len(open)-1] < n.Start {
+			open = open[:len(open)-1]
 		}
+		if len(open) > s.MaxDepth {
+			s.MaxDepth = len(open)
+		}
+		open = append(open, n.End)
 		switch n.Kind {
 		case KindElement:
 			s.Elements++

@@ -2,8 +2,10 @@ package xmltree
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func buildSample() *Document {
@@ -82,11 +84,6 @@ func TestLCANode(t *testing.T) {
 	}
 	if LCA(clothes[0], clothes[0]) != clothes[0] {
 		t.Errorf("LCA self")
-	}
-	// LCA agrees with Dewey LCA.
-	dl := clothes[0].Dewey.LCA(clothes[1].Dewey)
-	if doc.NodeAt(dl) != got {
-		t.Errorf("Dewey LCA disagrees with pointer LCA")
 	}
 }
 
@@ -204,8 +201,8 @@ func randomTree(r *rand.Rand, n int) *Document {
 	return NewDocument(nodes[0])
 }
 
-// Property: in any document, pointer LCA and Dewey LCA agree, and document
-// order by Ord equals document order by Dewey.
+// Property: in any document, the pointer LCA is the lowest node whose
+// interval covers both nodes.
 func TestDocumentProperties(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -214,11 +211,13 @@ func TestDocumentProperties(t *testing.T) {
 		a := ns[r.Intn(len(ns))]
 		b := ns[r.Intn(len(ns))]
 		l := LCA(a, b)
-		if doc.NodeAt(a.Dewey.LCA(b.Dewey)) != l {
+		if !l.ContainsOrSelf(a) || !l.ContainsOrSelf(b) {
 			return false
 		}
-		if (a.Ord < b.Ord) != (a.Dewey.Compare(b.Dewey) < 0) && a != b {
-			return false
+		for _, c := range l.Children {
+			if c.ContainsOrSelf(a) && c.ContainsOrSelf(b) {
+				return false
+			}
 		}
 		return true
 	}
@@ -229,8 +228,8 @@ func TestDocumentProperties(t *testing.T) {
 
 // Property: a Subtree view is the subtree as a document — rooted at the node,
 // as long as the subtree, one capacity-clipped run of the enclosing preorder —
-// whose nodes keep the enclosing document's identifiers, through which ByOrd
-// and NodeAt still resolve them; nothing outside the subtree resolves, and
+// whose nodes keep the enclosing document's positions, through which ByOrd
+// still resolves them; nothing outside the subtree resolves, and
 // nothing is copied.
 func TestSubtreeView(t *testing.T) {
 	check := func(seed int64) bool {
@@ -250,12 +249,12 @@ func TestSubtreeView(t *testing.T) {
 			if m != all[n.Ord+i] || m.Ord != n.Ord+i {
 				return false // not the enclosing run, or a node was touched
 			}
-			if v.ByOrd(m.Ord) != m || v.NodeAt(m.Dewey) != m {
+			if v.ByOrd(m.Ord) != m {
 				return false
 			}
 		}
 		for _, m := range all {
-			if !n.ContainsOrSelf(m) && (v.ByOrd(m.Ord) != nil || v.NodeAt(m.Dewey) != nil) {
+			if !n.ContainsOrSelf(m) && v.ByOrd(m.Ord) != nil {
 				return false
 			}
 		}
@@ -321,5 +320,30 @@ func TestProjectProperties(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Finalization is linear in nodes whatever the tree's shape: a 3 000-deep
+// chain — the shape on which per-node path labels are quadratic (4.5 M ints,
+// 36 MB) — costs a fixed number of bytes a node. The node itself stays at
+// the 104 B the slab sizes downstream (remote's slabChunk) are tuned for.
+func TestDeepChainAllocatesLinearly(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 104 {
+		t.Errorf("Node is %d bytes, want 104", got)
+	}
+	const depth, perNode = 3000, 64
+	root := Txt("leaf")
+	for i := 0; i < depth; i++ {
+		root = Elem("e", root)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	doc := NewDocument(root)
+	runtime.ReadMemStats(&after)
+	if st := doc.ComputeStats(); st.Nodes != depth+1 || st.MaxDepth != depth {
+		t.Fatalf("chain finalized to %d nodes, depth %d", st.Nodes, st.MaxDepth)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > perNode*uint64(doc.Len()) {
+		t.Errorf("NewDocument allocated %d B for %d nodes, want at most %d a node", got, doc.Len(), perNode)
 	}
 }

@@ -51,23 +51,3 @@ func countKind(n *Node, k Kind) int {
 	})
 	return c
 }
-
-// FuzzParseDewey checks ParseDewey/String round trips and that Compare
-// never panics on arbitrary parsed values.
-func FuzzParseDewey(f *testing.F) {
-	for _, s := range []string{"/", "0", "1.2.3", "9.9.9.9", "x", "-1", "1..2", ""} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		d, err := ParseDewey(s)
-		if err != nil {
-			return
-		}
-		rt, err := ParseDewey(d.String())
-		if err != nil || !rt.Equal(d) {
-			t.Fatalf("round trip: %q -> %v -> %v (%v)", s, d, rt, err)
-		}
-		_ = d.Compare(Dewey{1, 2})
-		_ = d.IsAncestorOf(Dewey{0})
-	})
-}

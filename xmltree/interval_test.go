@@ -1,13 +1,40 @@
 package xmltree
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// Property: the preorder-interval ancestor tests agree with the Dewey-based
-// ones on every node pair of random documents.
+// childPath derives n's child-index path from its root — the paper's Dewey
+// label, which the model does not store — so tests can pin the preorder
+// interval against it.
+func childPath(n *Node) []int {
+	var path []int
+	for ; n.Parent != nil; n = n.Parent {
+		path = append(path, slices.Index(n.Parent.Children, n))
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// onParentChain reports whether a is a strict ancestor of b by walking b's
+// Parent pointers.
+func onParentChain(a, b *Node) bool {
+	for p := b.Parent; p != nil; p = p.Parent {
+		if p == a {
+			return true
+		}
+	}
+	return false
+}
+
+// Property: the preorder interval is the whole node identity. On every node
+// pair of random documents its ancestor tests agree with the Parent-chain
+// walk, and its order agrees with the order of the Dewey labels (child-index
+// paths) derived here.
 func TestIntervalMatchesDewey(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -15,12 +42,16 @@ func TestIntervalMatchesDewey(t *testing.T) {
 		all := doc.Nodes()
 		for _, a := range all {
 			for _, b := range all {
-				if a.Contains(b) != a.Dewey.IsAncestorOf(b.Dewey) {
-					t.Logf("Contains mismatch: %v vs %v", a.Dewey, b.Dewey)
+				if a.Contains(b) != onParentChain(a, b) {
+					t.Logf("Contains mismatch: %v vs %v", a, b)
 					return false
 				}
-				if a.ContainsOrSelf(b) != a.Dewey.IsAncestorOrSelf(b.Dewey) {
-					t.Logf("ContainsOrSelf mismatch: %v vs %v", a.Dewey, b.Dewey)
+				if a.ContainsOrSelf(b) != (a == b || onParentChain(a, b)) {
+					t.Logf("ContainsOrSelf mismatch: %v vs %v", a, b)
+					return false
+				}
+				if cmp.Compare(a.Ord, b.Ord) != slices.Compare(childPath(a), childPath(b)) {
+					t.Logf("order mismatch: %v vs %v", a, b)
 					return false
 				}
 			}

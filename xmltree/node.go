@@ -1,6 +1,16 @@
+// Package xmltree provides the XML document model used throughout eXtract:
+// an ordered labeled tree whose nodes are identified by their preorder
+// interval, parsing from standard XML syntax, serialization, rendering and
+// tree projections.
+//
+// The model follows the paper's view of XML data: element nodes carry labels
+// (tags), text nodes carry values, and XML attributes are normalized into
+// element nodes with a single text child so that the XSeek-style node
+// classification (entity / attribute / connection) applies uniformly.
 package xmltree
 
 import (
+	"strconv"
 	"strings"
 )
 
@@ -41,20 +51,17 @@ type Node struct {
 	Parent   *Node
 	Children []*Node
 
-	// Dewey is the node identifier within its document; assigned by
-	// NewDocument and by Parse.
-	Dewey Dewey
-
 	// Ord is the preorder position of the node within its document.
 	Ord int
 
 	// Start and End are the node's preorder interval within its document,
 	// assigned by NewDocument: Start is the node's own preorder position
 	// (== Ord) and End is the largest preorder position in its subtree.
-	// They make ancestor/descendant tests and subtree containment two
-	// integer compares (see Contains) on the search→snippet hot path;
-	// Dewey remains the identifier for LCA depth and rendering. Valid only
-	// on finalized documents (int32 bounds document size at ~2G nodes).
+	// The interval is the node's identity: it orders nodes in document
+	// order, makes ancestor/descendant tests two integer compares (see
+	// Contains), and an LCA is the first node on a Parent chain whose
+	// interval covers the other position. Valid only on finalized
+	// documents (int32 bounds document size at ~2G nodes).
 	Start, End int32
 
 	// Origin, when non-nil, points at the node this one was projected or
@@ -226,7 +233,8 @@ func (n *Node) PathTo(ancestor *Node) []*Node {
 	return rev
 }
 
-// String renders a short description of the node for debugging.
+// String renders a short description of the node for debugging; an element
+// prints with its Ord, which Document.ByOrd resolves.
 func (n *Node) String() string {
 	if n == nil {
 		return "<nil>"
@@ -234,7 +242,7 @@ func (n *Node) String() string {
 	if n.IsText() {
 		return "#text(" + n.Value + ")"
 	}
-	return "<" + n.Label + ">@" + n.Dewey.String()
+	return "<" + n.Label + ">@" + strconv.Itoa(n.Ord)
 }
 
 // LCA returns the lowest common ancestor of a and b within their shared

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -58,34 +59,24 @@ func TestParseAttributesDisabled(t *testing.T) {
 	}
 }
 
+// Parse assigns preorder positions that follow the order of the Dewey labels
+// (child-index paths, derived by childPath) the paper identifies nodes by.
 func TestParseDeweyAssignment(t *testing.T) {
 	doc, err := ParseString(`<a><b><c/></b><d/></a>`)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if got := doc.Root.Dewey.String(); got != "/" {
-		t.Errorf("root dewey = %s", got)
-	}
-	b := doc.Root.Children[0]
-	c := b.Children[0]
-	d := doc.Root.Children[1]
-	if b.Dewey.String() != "0" || c.Dewey.String() != "0.0" || d.Dewey.String() != "1" {
-		t.Errorf("deweys = %s %s %s", b.Dewey, c.Dewey, d.Dewey)
-	}
-	// Preorder Ord matches Dewey document order.
 	nodes := doc.Nodes()
-	for i := 1; i < len(nodes); i++ {
-		if nodes[i-1].Dewey.Compare(nodes[i].Dewey) >= 0 {
-			t.Errorf("preorder violates dewey order at %d", i)
-		}
-		if nodes[i].Ord != i {
-			t.Errorf("ord mismatch at %d: %d", i, nodes[i].Ord)
-		}
+	want := [][]int{nil, {0}, {0, 0}, {1}}
+	if len(nodes) != len(want) {
+		t.Fatalf("%d nodes, want %d", len(nodes), len(want))
 	}
-	// NodeAt inverts Dewey assignment.
-	for _, n := range nodes {
-		if doc.NodeAt(n.Dewey) != n {
-			t.Errorf("NodeAt(%s) did not return the node", n.Dewey)
+	for i, n := range nodes {
+		if n.Ord != i || doc.ByOrd(i) != n {
+			t.Errorf("ord mismatch at %d: %d", i, n.Ord)
+		}
+		if got := childPath(n); !slices.Equal(got, want[i]) {
+			t.Errorf("node %d (%v) sits at path %v, want %v", i, n, got, want[i])
 		}
 	}
 }

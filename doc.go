@@ -75,20 +75,22 @@
 // index while classification, mined keys, summary and dataguide stay
 // global. There is no separate "unsharded" mode: the API, the serving
 // path, the persisted formats and the answers are the same whatever n is.
-// With several shards, a multi-keyword query first
-// probes each shard's keyword-presence prefilter (sorted 64-bit keyword
-// hashes, persisted with the index) and dispatches work only to shards
-// that may contain every keyword — a shard provably missing one is
-// skipped without touching its posting lists, which is safe because a
+// With several shards a query is answered by one protocol, shard.Merge
+// (internal/shard), whether the shards are in this process or behind a
+// router. It first probes each shard's keyword-presence prefilter (sorted
+// 64-bit keyword hashes, persisted with the index) and dispatches work only
+// to shards that may contain every keyword — a shard provably missing one
+// is skipped without touching its posting lists, which is safe because a
 // prefilter miss proves absence (only hits can be false). The surviving
-// shards evaluate in parallel; the per-shard SLCA/ELCA sets merge
-// root-aware — any non-root
-// LCA is shard-local, and the root's own candidacy is decided from the
-// per-shard posting lists — through a bounded top-k merge into global
-// document order. Queries whose results genuinely cross shards (the root as
+// shards evaluate in parallel; any non-root LCA is shard-local, and the
+// root's own candidacy is decided from a few bits of evidence per shard,
+// fetched from the skipped shards only when the decision needs them. The
+// per-shard results then merge through a bounded top-k merge into global
+// document order; queries whose results genuinely cross shards (the root as
 // an LCA, root-anchored results) evaluate on a lazily reconstructed
-// whole-document corpus, so results and snippets are always byte-identical
-// to the one-shard corpus's (pinned by equivalence property tests).
+// whole-document corpus instead, so results and snippets are always
+// byte-identical to the one-shard corpus's (pinned by equivalence property
+// tests).
 //
 // # Query-serving layer
 //
@@ -201,10 +203,10 @@
 // tier (internal/remote): shard servers (extractd -shard-server) each own
 // a replica group's subset of a snapshot's shards (any snapshot SaveSnapshot
 // wrote, one shard or many), and a stateless router
-// — a serve.Backend like any other — fans queries out over a checksummed
-// wire protocol and merges answers with the same root-aware procedure as
-// the local path, so routed results, snippets and ranking are
-// byte-identical to a local corpus (pinned by property tests). Replica
+// — a serve.Backend like any other — runs the same shard.Merge as the local
+// path, its rounds crossing a checksummed wire protocol, so routed results,
+// snippets and ranking are byte-identical to a local corpus (pinned by
+// property tests). Replica
 // groups fail over: a dead replica degrades to its peers with zero
 // failed queries, and only classified errors surface. Placement is a
 // pure function of the snapshot manifest (rendezvous hashing over shard

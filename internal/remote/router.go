@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -90,11 +91,10 @@ type group struct {
 }
 
 // Router is the stateless routing half of the distributed tier: a
-// serve.Backend that fans a query out to shard-server replica groups and
-// combines the per-shard answers with exactly the root decision
-// (shard.RootQualifies) and bounded merge (shard.MergeTake, the cut
-// shard.MergeResults concatenates by) the in-process sharded corpus uses, so
-// a routed answer is byte-identical to a local one. "Stateless" means no
+// serve.Backend that answers a query by running shard.Merge — the protocol
+// the in-process sharded corpus answers by — over rounds served by
+// shard-server replica groups, so a routed answer is byte-identical to a
+// local one. "Stateless" means no
 // query state and no placement authority: everything the router knows is
 // recomputed from the snapshot manifest, and two routers over the same
 // snapshot agree without talking to each other.
@@ -268,35 +268,6 @@ func ctxTimeoutMillis(ctx context.Context) uint64 {
 	return uint64(ms)
 }
 
-// runTasks schedules independent tasks through the serving layer's Runner
-// (nil = one goroutine each), with per-task panic recovery either way.
-func runTasks(run shard.Runner, tasks []func()) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	if run == nil {
-		run = func(tasks []func()) error {
-			var wg sync.WaitGroup
-			errs := make([]error, len(tasks))
-			wg.Add(len(tasks))
-			for i, t := range tasks {
-				go func(i int, f func()) {
-					defer wg.Done()
-					errs[i] = shard.Recover(f)
-				}(i, t)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	return run(tasks)
-}
-
 // groupCall performs one remote call against a replica set with failover:
 // replicas are tried in rotation order (breaker-open ones last, as
 // half-open probes), and any transport, protocol, skew or server-fault
@@ -444,212 +415,181 @@ func mapServerErr(addr string, e errMsg) (error, bool) {
 	}
 }
 
-// SearchEnginesContext evaluates a query across the replica groups and
-// merges the answers with the same root-aware procedure as the in-process
-// sharded path (see internal/shard.SearchEnginesContext, whose structure
-// this mirrors round for round): a parallel evaluation round, a lazy
-// digest round for prefilter-skipped shards only when the root decision
-// needs corpus-wide evidence, and a whole-document fallback evaluation for
-// root-involving queries. Responses are validated as they arrive — a
-// malformed one fails over inside its hop — but result trees are built only
-// once the answer is known: the ranges the merge takes, or the fallback's,
-// never the ones a cut or a fallback discards. engines is ignored (the
-// router has none); run schedules the per-group fan-out and the builds, so
-// the serving layer's worker pool bounds remote concurrency and decoding
-// exactly as it bounds local shard evaluation.
+// SearchEnginesContext answers a query from the replica groups by the same
+// protocol as the in-process sharded path — shard.Merge, here over rounds
+// that cross the wire (routedRounds) — so a routed answer is a local one.
+// Responses are validated as they arrive — a malformed one fails over inside
+// its hop — but result trees are built only once the answer is known: the
+// ranges the merge takes, or the fallback's, never the ones a cut or a
+// fallback discards. engines is ignored (the router has none); run schedules
+// the per-group fan-out and the builds, so the serving layer's worker pool
+// bounds remote concurrency and decoding exactly as it bounds local shard
+// evaluation.
 func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts search.Options, _ []*search.Engine, run shard.Runner) ([]*search.Result, error) {
 	pl := rt.place.Load()
-	nshards := len(pl.groupOf)
-	if nshards == 0 {
+	if len(pl.groupOf) == 0 || len(search.ParseQuery(query)) == 0 {
 		return nil, search.ErrEmptyQuery
 	}
-	if len(search.ParseQuery(query)) == 0 {
-		return nil, search.ErrEmptyQuery
-	}
-	timeout := ctxTimeoutMillis(ctx)
-
-	// Round 1: evaluate every group's shard subset in parallel. Each group
-	// returns, per shard, either a skipped marker (prefilter proved a
-	// query token absent) or the shard's local results plus its digest
-	// evidence.
-	type groupOut struct {
-		resp evalResp
-		err  error
-	}
-	active := make([]int, 0, len(rt.groups)) // group indices with shards
-	for g := range rt.groups {
-		if len(pl.byGroup[g]) > 0 {
-			active = append(active, g)
-		}
-	}
-	outs := make([]groupOut, len(active))
-	tasks := make([]func(), 0, len(active))
-	for oi, g := range active {
-		oi, g := oi, g
-		shardSet := pl.byGroup[g]
-		payload := encodeEvalReq(evalReq{opts: opts, query: query, timeoutMillis: timeout, shards: shardSet})
-		tasks = append(tasks, func() {
-			out := &outs[oi]
-			out.err = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, func(data []byte) (serverStages, error) {
-				resp, err := decodeEvalResp(data)
-				if err != nil {
-					return serverStages{}, err
-				}
-				if resp.fingerprint != pl.fingerprint {
-					return serverStages{}, errSkew
-				}
-				if resp.direct {
-					if nshards != 1 {
-						return serverStages{}, protocolErrf("direct response from a %d-shard corpus", nshards)
-					}
-				} else if err := checkShardEcho(resp.shards, shardSet); err != nil {
-					return serverStages{}, err
-				}
-				out.resp = resp
-				return resp.stages, nil
-			})
-		})
-	}
-	if err := runTasks(run, tasks); err != nil {
-		return nil, err
-	}
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, outs[i].err
-		}
-	}
-
-	if nshards == 1 {
+	r := &routedRounds{rt: rt, pl: pl, query: query, opts: opts, run: run}
+	var winners []scanned
+	var err error
+	if len(pl.groupOf) == 1 {
 		// One-shard corpus: the shard's direct answer is the whole answer,
 		// with no root-decision bookkeeping — the wire mirror of the local
 		// reference path (shard.Corpus.SearchEnginesContext), kept so
 		// routed == local holds at n = 1 too.
-		direct := outs[0].resp.results
-		return rt.build(ctx, run, direct, len(direct))
+		var parts []shard.Partial[scanned]
+		if parts, err = r.Eval(ctx); err == nil {
+			winners = parts[0].Results
+		}
+	} else {
+		winners, err = shard.Merge(ctx, opts, r)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return rt.build(ctx, run, winners, r.shipped)
+}
 
-	// Everything up to the merge works on scanned ranges and digests: which
-	// results win is decided by the per-shard counts alone, so no tree is
-	// built until the cut has said it will be returned.
-	byShard := make([][]scanned, nshards)
-	shipped := 0
-	digests := make([]shard.Digest, nshards)
-	haveDigest := make([]bool, nshards)
-	skipped := make([]bool, nshards)
-	anyLCAs, rootAnchored := false, false
-	for i := range outs {
-		for _, s := range outs[i].resp.shards {
-			if s.skipped {
-				skipped[s.shard] = true
-				continue
-			}
-			byShard[s.shard] = s.results
-			shipped += len(s.results)
-			digests[s.shard] = s.digest
-			haveDigest[s.shard] = true
-			if s.digest.HasNonRootLCAs {
-				anyLCAs = true
-			}
-			if s.digest.RootAnchored {
-				rootAnchored = true
-			}
+// routedRounds is shard.Merge's source of evidence for one routed query, on
+// one placement generation: each round is a fan-out of remote calls, one per
+// replica group that owns a shard the round concerns, scheduled through run.
+// A result is a scanned byte range of the response that shipped it —
+// validated, counted, not built — because which results win is decided by
+// the per-shard counts alone.
+type routedRounds struct {
+	rt    *Router
+	pl    *placement
+	query string
+	opts  search.Options
+	run   shard.Runner
+
+	shipped int // results scanned out of this query's responses
+}
+
+// perGroup runs call for every group with shards in byGroup, in parallel,
+// and returns the first failure in group order.
+func (r *routedRounds) perGroup(byGroup [][]uint32, call func(g int, shards []uint32) error) error {
+	errs := make([]error, len(byGroup))
+	tasks := make([]func(), 0, len(byGroup))
+	for g, shards := range byGroup {
+		if len(shards) > 0 {
+			tasks = append(tasks, func() { errs[g] = call(g, shards) })
 		}
 	}
-
-	// Root decision, mirroring the local laziness: the ELCA witness check
-	// always needs every shard's evidence; the SLCA check only fires when
-	// no shard produced a non-root SLCA. Prefilter-skipped shards owe
-	// their (cheap) digests only now — round 2 fetches exactly those.
-	rootQualifies := false
-	if opts.Semantics == search.SemanticsELCA || !anyLCAs {
-		need := make([][]uint32, len(rt.groups))
-		total := 0
-		for i := 0; i < nshards; i++ {
-			if skipped[i] && !haveDigest[i] {
-				g := pl.groupOf[i]
-				need[g] = append(need[g], uint32(i))
-				total++
-			}
-		}
-		if total > 0 {
-			errs := make([]error, len(rt.groups))
-			var mu sync.Mutex
-			tasks = tasks[:0]
-			for g := range rt.groups {
-				if len(need[g]) == 0 {
-					continue
-				}
-				g := g
-				payload := encodeFullReq(fullReq{opts: opts, query: query, timeoutMillis: ctxTimeoutMillis(ctx), shards: need[g]})
-				tasks = append(tasks, func() {
-					errs[g] = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "digest", strconv.Itoa(g), msgDigest, payload, msgDigestResp, func(data []byte) (serverStages, error) {
-						resp, err := decodeDigestResp(data)
-						if err != nil {
-							return serverStages{}, err
-						}
-						if resp.fingerprint != pl.fingerprint {
-							return serverStages{}, errSkew
-						}
-						if err := checkShardEcho32(resp.shards, need[g]); err != nil {
-							return serverStages{}, err
-						}
-						mu.Lock()
-						for i, idx := range resp.shards {
-							digests[idx] = resp.digests[i]
-						}
-						mu.Unlock()
-						return resp.stages, nil
-					})
-				})
-			}
-			if err := runTasks(run, tasks); err != nil {
-				return nil, err
-			}
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		rootQualifies = shard.RootQualifies(opts.Semantics, digests)
+	if err := shard.Run(r.run, tasks); err != nil {
+		return err
 	}
-
-	if rootQualifies || rootAnchored {
-		// Cross-shard result: one whole-document evaluation, served by any
-		// replica (every shard server holds the full snapshot). Re-check
-		// cancellation first — this is the expensive tail.
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		var fr fullResp
-		payload := encodeFullReq(fullReq{opts: opts, query: query, timeoutMillis: ctxTimeoutMillis(ctx)})
-		err := rt.groupCall(ctx, rt.all, &rt.allRR, "full", "any", msgFull, payload, msgFullResp, func(data []byte) (serverStages, error) {
-			resp, err := decodeFullResp(data)
+	}
+	return nil
+}
+
+// Eval asks every group for its shard subset's partials.
+func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], error) {
+	rt, pl := r.rt, r.pl
+	nshards := len(pl.groupOf)
+	timeout := ctxTimeoutMillis(ctx)
+	resps := make([]evalResp, len(rt.groups))
+	err := r.perGroup(pl.byGroup, func(g int, shards []uint32) error {
+		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards})
+		return rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, func(data []byte) (serverStages, error) {
+			resp, err := decodeEvalResp(data)
 			if err != nil {
 				return serverStages{}, err
 			}
 			if resp.fingerprint != pl.fingerprint {
 				return serverStages{}, errSkew
 			}
-			fr = resp
+			if resp.direct {
+				if nshards != 1 {
+					return serverStages{}, protocolErrf("direct response from a %d-shard corpus", nshards)
+				}
+			} else if !slices.EqualFunc(resp.shards, shards, func(s shardResp, want uint32) bool { return s.shard == want }) {
+				return serverStages{}, shardEchoErr(shards)
+			}
+			resps[g] = resp
 			return resp.stages, nil
 		})
-		if err != nil {
-			return nil, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]shard.Partial[scanned], nshards)
+	for _, resp := range resps {
+		if resp.direct {
+			parts[0].Results = resp.results
+			r.shipped += len(resp.results)
 		}
-		// Every round-1 result was scanned and none is built.
-		return rt.build(ctx, run, fr.results, shipped+len(fr.results))
+		for _, s := range resp.shards {
+			parts[s.shard] = shard.Partial[scanned]{Skipped: s.skipped, Digest: s.digest, Results: s.results}
+			r.shipped += len(s.results)
+		}
 	}
+	return parts, nil
+}
 
-	counts := make([]int, nshards)
-	for i, rs := range byShard {
-		counts[i] = len(rs)
+// Digests asks the owning groups for the listed skipped shards' digests.
+func (r *routedRounds) Digests(ctx context.Context, shards []int) ([]shard.Digest, error) {
+	rt, pl := r.rt, r.pl
+	need := make([][]uint32, len(rt.groups))
+	at := make([]int, len(pl.groupOf)) // shard → its position in shards
+	for k, i := range shards {
+		need[pl.groupOf[i]] = append(need[pl.groupOf[i]], uint32(i))
+		at[i] = k
 	}
-	winners := make([]scanned, 0, shard.MergeTake(counts, opts.MaxResults))
-	for i, rs := range byShard {
-		winners = append(winners, rs[:counts[i]]...)
+	timeout := ctxTimeoutMillis(ctx)
+	digests := make([]shard.Digest, len(shards))
+	err := r.perGroup(need, func(g int, shards []uint32) error {
+		payload := encodeFullReq(fullReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards})
+		return rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "digest", strconv.Itoa(g), msgDigest, payload, msgDigestResp, func(data []byte) (serverStages, error) {
+			resp, err := decodeDigestResp(data)
+			if err != nil {
+				return serverStages{}, err
+			}
+			if resp.fingerprint != pl.fingerprint {
+				return serverStages{}, errSkew
+			}
+			if !slices.Equal(resp.shards, shards) {
+				return serverStages{}, shardEchoErr(shards)
+			}
+			// Groups own disjoint shards, so they fill disjoint elements.
+			for j, idx := range resp.shards {
+				digests[at[idx]] = resp.digests[j]
+			}
+			return resp.stages, nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rt.build(ctx, run, winners, shipped)
+	return digests, nil
+}
+
+// Whole asks any replica for the whole-document evaluation (every shard
+// server holds the full snapshot).
+func (r *routedRounds) Whole(ctx context.Context) ([]scanned, error) {
+	var fr fullResp
+	payload := encodeFullReq(fullReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx)})
+	err := r.rt.groupCall(ctx, r.rt.all, &r.rt.allRR, "full", "any", msgFull, payload, msgFullResp, func(data []byte) (serverStages, error) {
+		resp, err := decodeFullResp(data)
+		if err != nil {
+			return serverStages{}, err
+		}
+		if resp.fingerprint != r.pl.fingerprint {
+			return serverStages{}, errSkew
+		}
+		fr = resp
+		return resp.stages, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.shipped += len(fr.results)
+	return fr.results, nil
 }
 
 // build materializes the ranges a query returns, in order, out of the
@@ -678,37 +618,17 @@ func (rt *Router) build(ctx context.Context, run shard.Runner, winners []scanned
 	for i := range tasks {
 		tasks[i] = task
 	}
-	if err := runTasks(run, tasks); err != nil {
+	if err := shard.Run(run, tasks); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// checkShardEcho validates that a response covers exactly the requested
-// shard set — a server echoing a different set (a buggy or skewed peer)
-// must not silently drop shards from the merge.
-func checkShardEcho(got []shardResp, want []uint32) error {
-	if len(got) != len(want) {
-		return protocolErrf("response covers %d shards, requested %d", len(got), len(want))
-	}
-	for i, s := range got {
-		if s.shard != want[i] {
-			return protocolErrf("response shard %d at position %d, requested %d", s.shard, i, want[i])
-		}
-	}
-	return nil
-}
-
-func checkShardEcho32(got, want []uint32) error {
-	if len(got) != len(want) {
-		return protocolErrf("response covers %d shards, requested %d", len(got), len(want))
-	}
-	for i, s := range got {
-		if s != want[i] {
-			return protocolErrf("response shard %d at position %d, requested %d", s, i, want[i])
-		}
-	}
-	return nil
+// shardEchoErr refuses a response that does not cover exactly the requested
+// shards, in order — a server echoing a different set (a buggy or skewed
+// peer) must not silently drop shards from the merge.
+func shardEchoErr(want []uint32) error {
+	return protocolErrf("response does not cover exactly the requested shards %v", want)
 }
 
 // statsFor fetches (and caches, per generation) the corpus-wide ranking

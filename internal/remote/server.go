@@ -16,7 +16,6 @@ import (
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
-	"extract/xmltree"
 )
 
 // ErrDropConnection, returned from a faultinject.RemoteServe hook, makes
@@ -411,36 +410,23 @@ func reqContext(timeoutMillis uint64) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), time.Duration(timeoutMillis)*time.Millisecond)
 }
 
-// evaluate answers one eval request: the owned-subset mirror of the
-// per-shard half of shard.Corpus.SearchEnginesContext. The whole shard set
-// is validated before anything is dispatched — a refused request must not
-// leave evaluations running behind its error reply. Each requested shard is
-// then prefilter-probed and evaluated in parallel under panic recovery;
-// evaluated shards return their local results plus the digest evidence the
-// router's root decision needs (free-witness bits only under ELCA, where
-// alone they are read).
+// evaluate answers one eval request — round one of shard.Merge for the
+// shards the request names: their shard.Partials, digested from the
+// untrimmed local answers and then trimmed to what the router's merge can
+// still take.
 func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
-	terms := search.ParseQuery(req.query)
-	if len(terms) == 0 {
-		return evalAnswer{}, search.ErrEmptyQuery
-	}
 	resp := evalAnswer{fingerprint: st.fingerprint}
-
-	shards := st.sc.Shards()
-	if len(shards) == 1 {
+	if st.sc.NumShards() == 1 {
 		// One-shard corpus: the local reference path searches the lone
 		// engine directly, with no root-decision bookkeeping
-		// (shard.Corpus.SearchEnginesContext). Mirror it, so routed == local
-		// holds at n = 1 too.
+		// (shard.Corpus.SearchEnginesContext). Answer with it, so routed ==
+		// local holds at n = 1 too.
 		if err := requireOwned(st, 0); err != nil {
 			return evalAnswer{}, err
 		}
-		if err := shard.Checkpoint(ctx); err != nil {
-			return evalAnswer{}, err
-		}
-		rs, err := shards[0].Engine(req.opts).Search(req.query)
+		rs, err := st.sc.SearchEnginesContext(ctx, req.query, req.opts, nil, nil)
 		if err != nil {
 			return evalAnswer{}, err
 		}
@@ -448,71 +434,19 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 		resp.results = rs
 		return resp, nil
 	}
-
-	ascending := true
-	for i, idx := range req.shards {
-		if err := requireOwned(st, int(idx)); err != nil {
-			return evalAnswer{}, err
-		}
-		if i > 0 && idx <= req.shards[i-1] {
-			ascending = false
-		}
+	shards, err := ownedShards(st, req.shards)
+	if err != nil {
+		return evalAnswer{}, err
 	}
-
-	var queryTokens []string
-	for _, t := range terms {
-		queryTokens = append(queryTokens, t.Tokens...)
+	parts, err := st.sc.EvalShards(ctx, req.query, req.opts, shards, nil, nil)
+	if err != nil {
+		return evalAnswer{}, err
 	}
-	withFree := req.opts.Semantics == search.SemanticsELCA
-
-	resp.shards = make([]shardAnswer, len(req.shards))
-	errs := make([]error, len(req.shards))
-	var wg sync.WaitGroup
-	for i, idx := range req.shards {
-		out := &resp.shards[i]
-		out.shard = idx
-		sc := shards[idx]
-		if !sc.Index.Prefilter().MayContainAll(queryTokens) {
-			out.skipped = true
-			continue
-		}
-		wg.Add(1)
-		i := i
-		go func() {
-			defer wg.Done()
-			errs[i] = shard.Recover(func() {
-				if err := shard.Checkpoint(ctx); err != nil {
-					errs[i] = err
-					return
-				}
-				root := sc.Doc.Root
-				eval, nonRoot, results, err := sc.Engine(req.opts).EvaluateResults(req.query,
-					func(n *xmltree.Node) bool { return n != root })
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				rootAnchored := false
-				for _, r := range results {
-					if r.Anchor == root {
-						rootAnchored = true
-						break
-					}
-				}
-				out.digest = shard.NewDigest(eval, nonRoot, rootAnchored, withFree)
-				out.results = results
-			})
-		}()
+	resp.shards = make([]shardAnswer, len(parts))
+	for i, p := range parts {
+		resp.shards[i] = shardAnswer{shard: req.shards[i], skipped: p.Skipped, digest: p.Digest, results: p.Results}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return evalAnswer{}, err
-		}
-	}
-	if ascending {
-		trimToMerge(resp.shards, req.opts.MaxResults)
-	}
+	trimToMerge(resp.shards, req.opts.MaxResults)
 	return resp, nil
 }
 
@@ -527,6 +461,9 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 func trimToMerge(answers []shardAnswer, maxResults int) {
 	counts := make([]int, len(answers))
 	for i := range answers {
+		if i > 0 && answers[i].shard <= answers[i-1].shard {
+			return
+		}
 		counts[i] = len(answers[i].results)
 	}
 	shard.MergeTake(counts, maxResults)
@@ -535,63 +472,43 @@ func trimToMerge(answers []shardAnswer, maxResults int) {
 	}
 }
 
-// digests answers the lazy second round of the root decision: the cheap
-// no-LCA evaluations of prefilter-skipped shards (every such shard is
-// missing a keyword, so evaluation is posting-list lookups only).
+// digests answers the lazy second round of shard.Merge: the digests of the
+// prefilter-skipped shards the request names.
 func (s *Server) digests(st *serverState, req fullReq) (digestResp, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
-	withFree := req.opts.Semantics == search.SemanticsELCA
-	resp := digestResp{fingerprint: st.fingerprint}
-	shards := st.sc.Shards()
-	for _, idx := range req.shards {
-		if err := requireOwned(st, int(idx)); err != nil {
-			return digestResp{}, err
-		}
-		if err := shard.Checkpoint(ctx); err != nil {
-			return digestResp{}, err
-		}
-		var d shard.Digest
-		var evalErr error
-		if err := shard.Recover(func() {
-			ev, err := shards[idx].Engine(req.opts).Evaluate(req.query)
-			if err != nil {
-				evalErr = err
-				return
-			}
-			d = shard.NewDigest(ev, nil, false, withFree)
-		}); err != nil {
-			return digestResp{}, err
-		}
-		if evalErr != nil {
-			return digestResp{}, evalErr
-		}
-		resp.shards = append(resp.shards, idx)
-		resp.digests = append(resp.digests, d)
+	shards, err := ownedShards(st, req.shards)
+	if err != nil {
+		return digestResp{}, err
 	}
-	return resp, nil
+	digests, err := st.sc.DigestShards(ctx, req.query, req.opts, shards, nil)
+	if err != nil {
+		return digestResp{}, err
+	}
+	return digestResp{fingerprint: st.fingerprint, shards: req.shards, digests: digests}, nil
 }
 
-// fullEval answers the cross-shard fallback: evaluation on the
-// reconstructed whole document, exactly what the in-process merge does for
-// root-involving queries. Any replica can serve it — every server holds
-// the full snapshot.
+// fullEval answers shard.Merge's third round, the whole-document
+// evaluation. Any replica can serve it — every server holds the full
+// snapshot.
 func (s *Server) fullEval(st *serverState, req fullReq) ([]*search.Result, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
-	if err := shard.Checkpoint(ctx); err != nil {
-		return nil, err
+	return st.sc.SearchWhole(ctx, req.query, req.opts)
+}
+
+// ownedShards validates a request's whole shard set, returning it as corpus
+// indices, before anything is dispatched — a refused request must not leave
+// evaluations running, or already run, behind its error reply.
+func ownedShards(st *serverState, requested []uint32) ([]int, error) {
+	shards := make([]int, len(requested))
+	for i, idx := range requested {
+		if err := requireOwned(st, int(idx)); err != nil {
+			return nil, err
+		}
+		shards[i] = int(idx)
 	}
-	var rs []*search.Result
-	var evalErr error
-	err := shard.Recover(func() {
-		fb := st.sc.Fallback()
-		rs, evalErr = search.NewEngine(fb.Doc, fb.Index, st.sc.Classification(), req.opts).Search(req.query)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rs, evalErr
+	return shards, nil
 }
 
 func requireOwned(st *serverState, idx int) error {

@@ -44,6 +44,26 @@ func TestBadShardRefusedBeforeAnyEvaluation(t *testing.T) {
 		t.Fatalf("refused request left work behind: %d goroutines before, %d after, %d evaluations started",
 			before, after, started.Load())
 	}
+
+	// The digest round evaluates inline, so nothing is left running behind
+	// its refusal — but checking ownership shard by shard used to evaluate
+	// the owned shard before refusing the unowned one. A counting hook (the
+	// parking one would deadlock an inline evaluation) shows none starts.
+	faultinject.Set(faultinject.ShardEval, func() error {
+		started.Add(1)
+		return nil
+	})
+	payload = appendTraceID(encodeFullReq(fullReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0, 2}}), 1)
+	mt, body = srv.handle(msgDigest, payload, nil)
+	if mt != msgError {
+		t.Fatalf("digest reply type %d, want an error frame", mt)
+	}
+	if em, err := decodeErrMsg(body); err != nil || em.kind != errKindBadShard {
+		t.Fatalf("digest error frame = %+v, %v; want kind bad-shard", em, err)
+	}
+	if n := started.Load(); n != 0 {
+		t.Fatalf("refused digest request had already started %d evaluations", n)
+	}
 }
 
 // TestTrimKeepsUntrimmedEvidence: a shard server ships only the results the

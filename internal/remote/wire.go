@@ -6,13 +6,14 @@
 // the facade and the serving layer (worker pool, query cache, deadlines,
 // telemetry) drive a distributed corpus exactly as they drive a local one.
 //
-// The design goal is answer transparency, not a general RPC system: the
-// router combines per-shard results with the same root-decision procedure
-// (shard.RootQualifies over shard.Digest evidence) and the same bounded
-// merge (shard.MergeTake, the cut the local merge concatenates by) as the
-// in-process sharded corpus, and result trees travel as a lossless preorder
-// encoding, so a distributed query is byte-identical to a local one — the
-// property the equivalence tests pin.
+// The design goal is answer transparency, not a general RPC system. The
+// sharded-query protocol lives in internal/shard and this package only
+// carries it: the router runs shard.Merge — the very function the
+// in-process corpus runs — over rounds that are remote calls, a shard
+// server answers each call with the shard.Corpus method for that round, and
+// result trees travel as a lossless preorder encoding, so a distributed
+// query is byte-identical to a local one — the property the equivalence
+// tests pin.
 //
 // Placement is content-addressed: every shard's manifest content hash
 // (ingest.ShardEntry.ContentHash) is rendezvous-hashed over the configured

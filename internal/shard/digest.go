@@ -9,11 +9,9 @@ import (
 // Digest is the cross-shard evidence one shard contributes to the root
 // decision of a sharded (or distributed) query: per-keyword match and
 // free-witness bits plus two local facts about the shard's own answer set.
-// It is everything the root-aware merge needs from a shard besides the
-// result trees themselves, which is what lets a remote shard server send a
-// few booleans instead of posting lists — the router combines Digests with
-// exactly the functions the in-process merge uses, so the two paths cannot
-// diverge.
+// It is everything the root-aware merge (Merge) needs from a shard besides
+// the result trees themselves, which is what lets a remote shard server send
+// a few booleans instead of posting lists.
 type Digest struct {
 	// Matched reports, per query keyword (in search.ParseQuery order),
 	// whether the shard has at least one match.
@@ -32,7 +30,7 @@ type Digest struct {
 
 // NewDigest summarizes one shard's evaluation. nonRootLCAs is the local LCA
 // set minus the shard root, in document order (the kept subset
-// SearchEnginesContext evaluates with); rootAnchored reports a local result
+// Corpus.EvalShards evaluates with); rootAnchored reports a local result
 // anchored at the shard root. ev must be non-nil; a prefilter-skipped
 // shard digests its cheap no-LCA evaluation (posting-list lookups only).
 // withFree additionally computes the per-keyword free-witness bits, which
@@ -124,8 +122,8 @@ func RootIsELCA(digests []Digest) bool {
 // RootQualifies runs the semantics-appropriate root decision over one
 // query's digests: under ELCA the free-witness check, under SLCA the
 // all-keywords-match check gated on no shard having produced a non-root
-// SLCA. It is the shared decision procedure of the in-process merge and the
-// distributed router.
+// SLCA. Merge is its one caller: the local corpus and the distributed router
+// both decide through it.
 func RootQualifies(sem search.Semantics, digests []Digest) bool {
 	if sem == search.SemanticsELCA {
 		return RootIsELCA(digests)
@@ -136,56 +134,6 @@ func RootQualifies(sem search.Semantics, digests []Digest) bool {
 		}
 	}
 	return AllKeywordsMatch(digests)
-}
-
-// MergeTake is the bounded merge's cut, stated once for every reader: given
-// each shard's local result count in shard order, it reduces counts[i] in
-// place to the number of results the merge takes from shard i and returns
-// their total. The global sort key is (shard index, local anchor ord), and
-// contiguous partitioning makes that key shard-major — a k-way merge heap
-// over the stream heads would only ever drain the streams one after
-// another — so the bounded top-k merge is a concatenation with a cutoff:
-// every result until maxResults (0 = all) are taken, none after. A future
-// non-contiguous partitioner must replace this with a real k-way merge on a
-// global position key.
-//
-// The cut depends on the counts alone, and it may be applied to any subset of
-// the shards taken in ascending order: a result's position among a subset
-// never exceeds its position among all shards, so what the cut drops from a
-// subset the merge over all shards drops too. MergeResults concatenates by
-// it, the distributed router materializes only the results it takes, and a
-// shard server stops shipping at it.
-func MergeTake(counts []int, maxResults int) (total int) {
-	for i, n := range counts {
-		if maxResults > 0 && n > maxResults-total {
-			n = maxResults - total
-			counts[i] = n
-		}
-		total += n
-	}
-	return total
-}
-
-// MergeResults merges the per-shard result lists (each sorted by anchor
-// document order) into global order, keeping at most maxResults results
-// (0 = all): the concatenation MergeTake cuts.
-func MergeResults(byShard [][]*search.Result, maxResults int) []*search.Result {
-	// The counts of any realistic shard set stay on the stack, so the merged
-	// slice is the one allocation.
-	var buf [32]int
-	counts := buf[:0]
-	for _, rs := range byShard {
-		counts = append(counts, len(rs))
-	}
-	total := MergeTake(counts, maxResults)
-	if total == 0 {
-		return nil
-	}
-	out := make([]*search.Result, 0, total)
-	for i, rs := range byShard {
-		out = append(out, rs[:counts[i]]...)
-	}
-	return out
 }
 
 // outermostIntervals collapses a document-ordered node list to the preorder

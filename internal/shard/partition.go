@@ -1,7 +1,10 @@
 // Package shard is the local corpus: an analyzed XML corpus as n >= 1
 // independently indexed shards, and keyword-query evaluation across them —
 // per-shard SLCA/ELCA evaluation fans out in parallel, and the per-shard
-// result streams merge through a bounded top-k merge. Classification, key
+// result streams merge through a bounded top-k merge. That procedure is
+// stated once, as Merge over an abstract source of per-shard evidence
+// (Rounds): Corpus drives it over its own shards, and internal/remote
+// drives the same function over shards behind a wire. Classification, key
 // mining and the structural summary are computed once, globally, before
 // partitioning, so every shard anchors and classifies results exactly like
 // an engine over the whole document — which is what a one-shard corpus is,
@@ -17,8 +20,8 @@
 //
 // Results that can only be expressed across shard boundaries — the root
 // itself qualifying as an LCA, or a result anchored at the root — fall back
-// to a lazily reconstructed whole-document corpus, so correctness never
-// depends on a query being shard-local.
+// to a lazily reconstructed whole-document corpus (Merge's last round), so
+// correctness never depends on a query being shard-local.
 package shard
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"extract/internal/faultinject"
@@ -13,30 +14,12 @@ import (
 
 // Search evaluates a conjunctive keyword query across the shards in
 // parallel and merges the per-shard results into global document order
-// through a bounded top-k merge. Shards whose keyword-presence prefilter
-// (index.Prefilter) proves a query token absent are skipped before any
-// posting list is touched or pool work dispatched — a skip is always
-// sound, since such a shard can contain no local result — and per-shard
-// evaluation stops early once the result bound is provably filled
-// (search.EvaluateResults). The result set is identical to evaluating
-// the same query on the whole document as one shard (see the equivalence
-// property tests); opts carry the same semantics, construction-mode,
-// distinct-anchor and max-results options a search.Engine takes.
-//
-// Merging is root-aware. Any non-root SLCA/ELCA lies entirely inside one
-// shard, so the union of per-shard LCA sets (minus shard roots) is exactly
-// the global non-root LCA set. The root itself can only qualify through
-// cross-shard evidence, which the merge decides from the per-shard posting
-// lists:
-//
-//   - SLCA: the root is the (sole) answer iff no shard produced a non-root
-//     SLCA and every keyword matches somewhere in the corpus.
-//   - ELCA: the root qualifies iff every keyword has a witness match
-//     outside the subtrees of the root's ELCA descendants (see rootIsELCA).
-//
-// Root-involving queries — the root qualifying, or a result anchored at a
-// root entity — evaluate on the lazily reconstructed whole-document corpus
-// instead, which is exact by construction.
+// through a bounded top-k merge (see Merge, the protocol every sharded
+// answer — local or routed — is computed by). The result set is identical to
+// evaluating the same query on the whole document as one shard (see the
+// equivalence property tests); opts carry the same semantics,
+// construction-mode, distinct-anchor and max-results options a search.Engine
+// takes.
 func (sc *Corpus) Search(query string, opts search.Options) ([]*search.Result, error) {
 	return sc.SearchEnginesContext(context.Background(), query, opts, nil, nil)
 }
@@ -89,6 +72,20 @@ func Checkpoint(ctx context.Context) error {
 	return nil
 }
 
+// Run schedules a batch of independent tasks through run — nil runs each on
+// its own goroutine — with every task under panic recovery either way. It is
+// the one scheduler of a query's fan-out: per-shard evaluation here, and the
+// distributed router's remote calls and result builds.
+func Run(run Runner, tasks []func()) error {
+	if len(tasks) == 0 {
+		return nil
+	}
+	if run == nil {
+		run = runGoroutines
+	}
+	return run(tasks)
+}
+
 // runGoroutines is the default Runner: one goroutine per task.
 func runGoroutines(tasks []func()) error {
 	if len(tasks) == 1 {
@@ -131,8 +128,8 @@ func (b *errBox) first() error {
 }
 
 // Engines builds one engine per shard for opts, in Shards() order — the
-// engine set SearchEngines accepts. The serving layer memoizes one set per
-// option combination (shard.Corpus satisfies serve.Backend with it).
+// engine set SearchEnginesContext accepts. The serving layer memoizes one set
+// per option combination (shard.Corpus satisfies serve.Backend with it).
 func (sc *Corpus) Engines(opts search.Options) []*search.Engine {
 	engines := make([]*search.Engine, len(sc.shards))
 	for i, s := range sc.shards {
@@ -141,11 +138,13 @@ func (sc *Corpus) Engines(opts search.Options) []*search.Engine {
 	return engines
 }
 
-// SearchEngines is Search with caller-managed per-shard engines and task
-// scheduling; see SearchEnginesContext, which it calls with a background
-// context.
-func (sc *Corpus) SearchEngines(query string, opts search.Options, engines []*search.Engine, run Runner) ([]*search.Result, error) {
-	return sc.SearchEnginesContext(context.Background(), query, opts, engines, run)
+// engine picks shard i's engine out of a caller-managed set, or builds a
+// throwaway one when there is none.
+func (sc *Corpus) engine(engines []*search.Engine, i int, opts search.Options) *search.Engine {
+	if engines != nil {
+		return engines[i]
+	}
+	return sc.shards[i].Engine(opts)
 }
 
 // SearchEnginesContext is Search with caller-managed per-shard engines and
@@ -158,43 +157,68 @@ func (sc *Corpus) SearchEngines(query string, opts search.Options, engines []*se
 // builds throwaway engines. run schedules the per-shard evaluations; nil
 // spawns one goroutine per shard.
 func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run Runner) ([]*search.Result, error) {
-	if len(sc.shards) == 0 {
+	switch len(sc.shards) {
+	case 0:
 		return nil, search.ErrEmptyQuery
-	}
-	if run == nil {
-		run = runGoroutines
-	}
-	shardEngine := func(i int) *search.Engine {
-		if engines != nil {
-			return engines[i]
-		}
-		return sc.shards[i].Engine(opts)
-	}
-	// One shard: the lone engine's own Search, with no prefilter, digest or
-	// merge in the way — the direct-engine reference path every multi-shard
-	// answer is pinned byte-identical to, so it stays a separate branch.
-	if len(sc.shards) == 1 {
+	case 1:
+		// One shard: the lone engine's own Search, with no prefilter, digest or
+		// merge in the way — the direct-engine reference path every multi-shard
+		// answer is pinned byte-identical to, so it stays a separate branch.
 		var rs []*search.Result
 		var serr error
-		if err := run([]func(){func() {
+		if err := Run(run, []func(){func() {
 			if serr = Checkpoint(ctx); serr != nil {
 				return
 			}
-			rs, serr = shardEngine(0).Search(query)
+			rs, serr = sc.engine(engines, 0, opts).Search(query)
 		}}); err != nil {
 			return nil, err
 		}
 		return rs, serr
 	}
+	return Merge(ctx, opts, localRounds{sc, query, opts, engines, run})
+}
 
-	// Prefilter pass: a shard whose keyword-presence filter is missing any
-	// query token provably contains no local LCA (conjunctive semantics),
-	// so no pool task is dispatched for it and its posting lists are never
-	// touched. The filter is one-sided — it only ever skips provably-empty
-	// shards; a hash collision merely evaluates a shard to an empty answer
-	// (see the never-skips property test). Skipped shards still owe the
-	// root decision their per-keyword match counts; those are filled in
-	// lazily below, only when the decision actually needs them.
+// localRounds is Merge's source of evidence for an in-process query: every
+// round reads this corpus's own shards.
+type localRounds struct {
+	sc      *Corpus
+	query   string
+	opts    search.Options
+	engines []*search.Engine
+	run     Runner
+}
+
+func (r localRounds) Eval(ctx context.Context) ([]Partial[*search.Result], error) {
+	all := make([]int, len(r.sc.shards))
+	for i := range all {
+		all[i] = i
+	}
+	return r.sc.EvalShards(ctx, r.query, r.opts, all, r.engines, r.run)
+}
+
+func (r localRounds) Digests(ctx context.Context, shards []int) ([]Digest, error) {
+	return r.sc.DigestShards(ctx, r.query, r.opts, shards, r.engines)
+}
+
+func (r localRounds) Whole(ctx context.Context) ([]*search.Result, error) {
+	return r.sc.SearchWhole(ctx, r.query, r.opts)
+}
+
+// EvalShards is the per-shard half of Merge's round one, for the listed
+// shards of a corpus of two or more: element k of the answer is shards[k]'s
+// Partial. A shard whose keyword-presence prefilter (index.Prefilter) is
+// missing any query token provably contains no local LCA (conjunctive
+// semantics), so it is marked Skipped before any posting list is touched or
+// task dispatched. The filter is one-sided — a hash collision merely
+// evaluates a shard to an empty answer (see the never-skips property test).
+// Every other shard evaluates with its root filtered out of the LCA set,
+// stopping early once the result bound is provably filled
+// (search.EvaluateResults), and digests what it found — the free-witness
+// bits only under ELCA, where alone they are read. The evaluations are
+// scheduled through run, each behind a Checkpoint. engines is as for
+// SearchEnginesContext.
+func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Options, shards []int, engines []*search.Engine, run Runner) ([]Partial[*search.Result], error) {
 	terms := search.ParseQuery(query)
 	if len(terms) == 0 {
 		return nil, search.ErrEmptyQuery
@@ -203,131 +227,97 @@ func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts s
 	for _, t := range terms {
 		queryTokens = append(queryTokens, t.Tokens...)
 	}
-	skip := make([]bool, len(sc.shards))
-	live := 0
-	for i, s := range sc.shards {
-		if s.Index.Prefilter().MayContainAll(queryTokens) {
-			live++
-		} else {
-			skip[i] = true
-		}
-	}
+	withFree := opts.Semantics == search.SemanticsELCA
 
-	type shardOut struct {
-		eval *search.Evaluation
-		// nonRootLCAs is the local LCA set minus the shard root — under
-		// contiguous partitioning, exactly this shard's slice of the
-		// global non-root LCA set.
-		nonRootLCAs []*xmltree.Node
-		results     []*search.Result
-		// rootAnchored reports a result anchored at the shard root.
-		rootAnchored bool
-		err          error
-	}
-	outs := make([]shardOut, len(sc.shards))
-	tasks := make([]func(), 0, live)
-	for i, s := range sc.shards {
-		if skip[i] {
+	parts := make([]Partial[*search.Result], len(shards))
+	errs := make([]error, len(shards))
+	tasks := make([]func(), 0, len(shards))
+	for k, i := range shards {
+		s := sc.shards[i]
+		if !s.Index.Prefilter().MayContainAll(queryTokens) {
+			parts[k].Skipped = true
 			continue
 		}
-		i, eng, root := i, shardEngine(i), s.Doc.Root
-		tasks = append(tasks, func() {
-			o := &outs[i]
-			if o.err = Checkpoint(ctx); o.err != nil {
-				return
-			}
-			o.eval, o.nonRootLCAs, o.results, o.err = eng.EvaluateResults(query,
-				func(n *xmltree.Node) bool { return n != root })
-			if o.err != nil {
-				return
-			}
-			for _, r := range o.results {
-				if r.Anchor == root {
-					o.rootAnchored = true
-					break
-				}
-			}
-		})
+		eng, root := sc.engine(engines, i, opts), s.Doc.Root
+		tasks = append(tasks, func() { parts[k], errs[k] = evalShard(ctx, eng, root, query, withFree) })
 	}
-	if len(tasks) > 0 {
-		if err := run(tasks); err != nil {
+	if err := Run(run, tasks); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, outs[i].err
-		}
-	}
+	return parts, nil
+}
 
-	// ensureSkippedEvals backfills evaluations for prefilter-skipped shards
-	// when the root decision needs corpus-wide per-keyword evidence. These
-	// evaluations are cheap — a skipped shard is missing some keyword, so
-	// evaluation is posting-list lookups with no LCA computation — and the
-	// common case (a non-root LCA exists somewhere) never pays for them.
-	ensureSkippedEvals := func() error {
-		for i := range outs {
-			if !skip[i] || outs[i].eval != nil {
-				continue
-			}
+// evalShard is one live shard's round one, behind a Checkpoint.
+func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, query string, withFree bool) (Partial[*search.Result], error) {
+	if err := Checkpoint(ctx); err != nil {
+		return Partial[*search.Result]{}, err
+	}
+	// nonRoot is the local LCA set minus the shard root — under contiguous
+	// partitioning, exactly this shard's slice of the global non-root LCA
+	// set.
+	ev, nonRoot, results, err := eng.EvaluateResults(query,
+		func(n *xmltree.Node) bool { return n != root })
+	if err != nil {
+		return Partial[*search.Result]{}, err
+	}
+	rootAnchored := slices.ContainsFunc(results,
+		func(r *search.Result) bool { return r.Anchor == root })
+	return Partial[*search.Result]{Digest: NewDigest(ev, nonRoot, rootAnchored, withFree), Results: results}, nil
+}
+
+// DigestShards is the per-shard half of Merge's round two: the digests of
+// the listed prefilter-skipped shards, aligned with shards. Such a shard is
+// missing some keyword, so its evaluation is posting-list lookups with no
+// LCA computation — cheap enough to run inline, one Checkpoint each, under
+// one panic recovery.
+func (sc *Corpus) DigestShards(ctx context.Context, query string, opts search.Options, shards []int, engines []*search.Engine) ([]Digest, error) {
+	withFree := opts.Semantics == search.SemanticsELCA
+	digests := make([]Digest, len(shards))
+	err := inline(func() error {
+		for k, i := range shards {
 			if err := Checkpoint(ctx); err != nil {
 				return err
 			}
-			ev, err := shardEngine(i).Evaluate(query)
+			ev, err := sc.engine(engines, i, opts).Evaluate(query)
 			if err != nil {
 				return err
 			}
-			outs[i].eval = ev
+			digests[k] = NewDigest(ev, nil, false, withFree)
 		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return digests, nil
+}
 
-	anyLCAs := false
-	rootAnchored := false
-	for i := range outs {
-		if len(outs[i].nonRootLCAs) > 0 {
-			anyLCAs = true
-		}
-		if outs[i].rootAnchored {
-			rootAnchored = true
-		}
-	}
-
-	// Decide whether the global root belongs in the LCA set, via the same
-	// Digest decision procedure the distributed router uses. The ELCA
-	// witness check always needs every shard's posting lists; the SLCA
-	// check needs them only when no shard produced a non-root SLCA (the
-	// root is smallest iff no proper descendant covers all keywords and
-	// the corpus as a whole covers them — including keywords spread across
-	// shards with no local co-occurrence at all), so the common case never
-	// evaluates the prefilter-skipped shards at all.
-	rootQualifies := false
-	if opts.Semantics == search.SemanticsELCA || !anyLCAs {
-		if err := ensureSkippedEvals(); err != nil {
-			return nil, err
-		}
-		withFree := opts.Semantics == search.SemanticsELCA
-		digests := make([]Digest, len(outs))
-		for i := range outs {
-			digests[i] = NewDigest(outs[i].eval, outs[i].nonRootLCAs, outs[i].rootAnchored, withFree)
-		}
-		rootQualifies = RootQualifies(opts.Semantics, digests)
-	}
-
-	if rootQualifies || rootAnchored {
-		// Cross-shard result: evaluate exactly on the whole document. The
-		// fallback reconstruction and re-evaluation are the expensive tail,
-		// so re-check cancellation before paying for them.
-		if err := ctx.Err(); err != nil {
-			return nil, err
+// SearchWhole is Merge's round three: the query evaluated on the lazily
+// reconstructed whole document (Fallback), which is exact by construction
+// for the root-involving queries no per-shard answer can express. It runs
+// inline behind a Checkpoint, under panic recovery.
+func (sc *Corpus) SearchWhole(ctx context.Context, query string, opts search.Options) (rs []*search.Result, err error) {
+	err = inline(func() (err error) {
+		if err = Checkpoint(ctx); err != nil {
+			return err
 		}
 		fb := sc.Fallback()
-		return search.NewEngine(fb.Doc, fb.Index, sc.cls, opts).Search(query)
-	}
+		rs, err = search.NewEngine(fb.Doc, fb.Index, sc.cls, opts).Search(query)
+		return err
+	})
+	return rs, err
+}
 
-	byShard := make([][]*search.Result, len(outs))
-	for i := range outs {
-		byShard[i] = outs[i].results
+// inline runs fn on the calling goroutine under panic recovery; a recovered
+// panic, as a *PanicError, takes the place of fn's own error.
+func inline(fn func() error) (err error) {
+	if perr := Recover(func() { err = fn() }); perr != nil {
+		return perr
 	}
-	return MergeResults(byShard, opts.MaxResults), nil
+	return err
 }

@@ -21,7 +21,7 @@ func FuzzParse(f *testing.F) {
 		`<a`, `</a>`, `<a><b></a></b>`, ``, `plain`,
 		"<a>\xff\xfe</a>",
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, strippedToNonNames...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

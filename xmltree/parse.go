@@ -96,18 +96,25 @@ func Parse(r io.Reader, opts ...ParseOption) (*Document, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := &Node{Kind: KindElement, Label: elemName(t.Name, cfg.nsStripped)}
+			label, err := elemName(t.Name, cfg.nsStripped)
+			if err != nil {
+				return nil, err
+			}
+			n := &Node{Kind: KindElement, Label: label}
 			if err := push(n); err != nil {
 				return nil, err
 			}
 			stack = append(stack, n)
 			if cfg.keepAttrs {
 				for _, a := range t.Attr {
-					name := elemName(a.Name, cfg.nsStripped)
-					if name == "xmlns" || strings.HasPrefix(name, "xmlns") && !cfg.nsStripped {
+					if a.Name.Space == "xmlns" {
 						continue
 					}
-					if a.Name.Space == "xmlns" {
+					name, err := elemName(a.Name, cfg.nsStripped)
+					if err != nil {
+						return nil, err
+					}
+					if name == "xmlns" || strings.HasPrefix(name, "xmlns") && !cfg.nsStripped {
 						continue
 					}
 					attr := Attr(name, a.Value)
@@ -204,9 +211,34 @@ func ParseFile(path string, opts ...ParseOption) (*Document, error) {
 	return Parse(f, opts...)
 }
 
-func elemName(n xml.Name, strip bool) string {
-	if strip || n.Space == "" {
-		return n.Local
+// elemName is the label of an element or attribute name. Stripping a prefix
+// can leave something that is not a name — "0" from <A:0/> — which WriteXML
+// would emit and Parse then refuse, so it is refused here.
+func elemName(n xml.Name, strip bool) (string, error) {
+	if n.Space == "" {
+		return n.Local, nil
 	}
-	return n.Space + ":" + n.Local
+	if !strip {
+		return n.Space + ":" + n.Local, nil
+	}
+	if !startsName(n.Local) {
+		return "", fmt.Errorf("xmltree: parse: stripping the namespace of %s:%s leaves %q, which is not a valid XML name", n.Space, n.Local, n.Local)
+	}
+	return n.Local, nil
+}
+
+// startsName reports whether local, the tail of a name the decoder accepted,
+// is a name of its own. Every character of it is a name character already, so
+// only the first can be wrong: a digit, '.', '-' or combining mark, legal
+// after the prefix and illegal in front. Past the ASCII letters the decoder
+// itself is asked, its name tables being unexported.
+func startsName(local string) bool {
+	if local == "" {
+		return false
+	}
+	if c := local[0] | 0x20; 'a' <= c && c <= 'z' || local[0] == '_' {
+		return true
+	}
+	_, err := xml.NewDecoder(strings.NewReader("<" + local + "/>")).Token()
+	return err == nil
 }

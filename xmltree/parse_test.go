@@ -97,6 +97,49 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// strippedToNonNames are documents whose prefixed names are fine as written
+// but lose their only legal first character with the prefix: "0" and "1" are
+// not XML names, so a tree labelled with them serializes to something Parse
+// refuses. FuzzParse seeds with them too.
+var strippedToNonNames = []string{
+	`<A:0/>`,
+	`<r a:0="v"/>`,
+	`<r xmlns:a="u"><a:1>x</a:1></r>`,
+}
+
+// TestParseRefusesNamesStrippingBreaks: with namespace stripping on (the
+// default) such a document is a clean parse error, not a tree the system can
+// serve but never re-read; with stripping off the names stay whole, and the
+// document parses and round-trips as before.
+func TestParseRefusesNamesStrippingBreaks(t *testing.T) {
+	for _, src := range strippedToNonNames {
+		if doc, err := ParseString(src); err == nil {
+			t.Errorf("Parse(%q) accepted a tree that serializes to %q", src, XMLString(doc.Root))
+		} else if !strings.Contains(err.Error(), "not a valid XML name") {
+			t.Errorf("Parse(%q): %v, want the invalid-name refusal", src, err)
+		}
+		doc, err := ParseString(src, WithNamespaceStripping(false))
+		if err != nil {
+			t.Errorf("Parse(%q) without stripping: %v", src, err)
+			continue
+		}
+		out := XMLString(doc.Root)
+		doc2, err := ParseString(out, WithNamespaceStripping(false))
+		if err != nil {
+			t.Errorf("reparse of %q (from %q) without stripping: %v", out, src, err)
+		} else if !structurallyEqual(doc.Root, doc2.Root) {
+			t.Errorf("round trip of %q without stripping changed the tree:\n%s\nvs\n%s",
+				src, RenderASCII(doc.Root), RenderASCII(doc2.Root))
+		}
+	}
+	// A prefix in front of an ordinary name still strips.
+	for src, want := range map[string]string{`<a:b/>`: "b", `<a:_1/>`: "_1", `<a:é/>`: "é"} {
+		if doc, err := ParseString(src); err != nil || doc.Root.Label != want {
+			t.Errorf("Parse(%q) = %v, %v; want root %q", src, doc, err, want)
+		}
+	}
+}
+
 func TestParseMaxNodes(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("<root>")

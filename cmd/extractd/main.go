@@ -925,7 +925,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// The request context flows into evaluation: a client that
 		// disconnects mid-query cancels its shard fan-out, and the
 		// -query-timeout deadline bounds it.
-		hits, err := ds.Corpus.QueryContext(r.Context(), data.Query, data.Bound, extract.WithMaxResults(25))
+		hits, err := ds.Corpus.QueryContext(r.Context(), data.Query, data.Bound, extract.WithMaxResults(maxPageHits))
 		switch {
 		case errors.Is(err, extract.ErrOverloaded):
 			data.Error = "server overloaded; retry shortly"
@@ -1051,6 +1051,12 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxPageHits is the most hits a search page lists, so the most /view links
+// one query has. /view evaluates under this one bound whichever result is
+// asked for — a query's view links share one cache entry and one engine set
+// — and refuses an index at or past it before evaluating anything.
+const maxPageHits = 25
+
 func (s *server) handleView(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {
 		return
@@ -1065,7 +1071,11 @@ func (s *server) handleView(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad result index")
 		return
 	}
-	results, err := ds.Corpus.SearchContext(r.Context(), r.FormValue("q"), extract.WithMaxResults(idx+1))
+	if idx >= maxPageHits {
+		writeError(w, http.StatusNotFound, "result not found")
+		return
+	}
+	results, err := ds.Corpus.SearchContext(r.Context(), r.FormValue("q"), extract.WithMaxResults(maxPageHits))
 	if errors.Is(err, extract.ErrOverloaded) || errors.Is(err, context.DeadlineExceeded) {
 		writeQueryError(w, err)
 		return

@@ -3,18 +3,22 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"html/template"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"extract"
+	"extract/internal/faultinject"
 	"extract/internal/gen"
 	"extract/xmltree"
 )
@@ -94,6 +98,49 @@ func TestHandleViewErrors(t *testing.T) {
 		if rr.Code != c.code {
 			t.Errorf("%s: status = %d, want %d", c.url, rr.Code, c.code)
 		}
+	}
+}
+
+// TestViewRefusesResultPastLimit: a search page links at most maxPageHits
+// results, so an index at or past that — the value whose +1 overflows
+// included — is answered 404 without evaluating anything.
+func TestViewRefusesResultPastLimit(t *testing.T) {
+	defer faultinject.Reset()
+	var evals atomic.Int64
+	faultinject.Set(faultinject.ShardEval, func() error { evals.Add(1); return nil })
+	s := testServer(t)
+	view := func(result string) int {
+		rr := httptest.NewRecorder()
+		s.handleView(rr, httptest.NewRequest("GET", "/view?dataset=stores+%28Figure+5%29&q=store&result="+result, nil))
+		return rr.Code
+	}
+	for _, result := range []string{"9223372036854775807", strconv.Itoa(maxPageHits)} {
+		if code := view(result); code != http.StatusNotFound {
+			t.Errorf("result=%s: status = %d, want 404", result, code)
+		}
+	}
+	if n := evals.Load(); n != 0 {
+		t.Fatalf("refused requests ran %d shard evaluations, want 0", n)
+	}
+	if code := view("0"); code != http.StatusOK || evals.Load() == 0 {
+		t.Fatalf("result=0: status = %d after %d counted evaluations; the hook must see a served view", code, evals.Load())
+	}
+}
+
+// TestViewLinksShareOneEntry: every view link of one query is evaluated
+// under the same bound, so they are one computation and one cache entry.
+func TestViewLinksShareOneEntry(t *testing.T) {
+	s := testServer(t)
+	for i := 0; i < maxPageHits; i++ {
+		rr := httptest.NewRecorder()
+		s.handleView(rr, httptest.NewRequest("GET", fmt.Sprintf("/view?dataset=stores+%%28Figure+5%%29&q=store&result=%d", i), nil))
+		if rr.Code != http.StatusOK && rr.Code != http.StatusNotFound {
+			t.Fatalf("result=%d: status = %d", i, rr.Code)
+		}
+	}
+	st, _ := s.datasets["stores (Figure 5)"].Corpus.QueryCacheStats()
+	if st.Entries != 1 || st.Misses != 1 || st.Hits != maxPageHits-1 {
+		t.Fatalf("%d view links of one query: %+v, want one entry computed once", maxPageHits, st)
 	}
 }
 

@@ -114,10 +114,12 @@
 //   - A sharded, size-bounded LRU query cache (WithQueryCache, 0 disables)
 //     replaying repeated queries — Corpus.Search result lists, and
 //     Corpus.Query result+snippet pairs per bound — without recomputation.
-//     Keys are tuples of interned keyword ids (index.Interner), carried in
-//     a canonical sorted-tuple encoding whose order-free prefix picks the
-//     cache shard; ranking is layered above the cache on a private copy, so
-//     ranked and unranked queries share an entry. A singleflight guard
+//     The key is the query itself — its parsed terms in query order, the
+//     evaluation options and the bound — so two spellings that tokenize
+//     alike share an entry and a permuted query (whose IList leads with
+//     the keywords in another order) does not; ranking is layered above
+//     the cache on a private copy, so ranked and unranked queries share an
+//     entry. A singleflight guard
 //     coalesces concurrent identical queries onto one computation.
 //     Invalidation is explicit: swapping or mutating the corpus behind the
 //     serving layer clears the cache atomically (serve.Server.Swap), and

@@ -41,7 +41,7 @@ var ErrOverloaded = serve.ErrOverloaded
 // Search and Query through one serving layer (internal/serve): a fixed
 // worker pool bounds evaluation concurrency, engines are reused across
 // queries, and repeated queries are answered from a size-bounded LRU cache
-// keyed on interned keyword ids — tune it with WithWorkers and
+// keyed on the parsed query itself — tune it with WithWorkers and
 // WithQueryCache. Reload swaps in freshly analyzed data without dropping
 // in-flight queries.
 type Corpus struct {
@@ -127,22 +127,17 @@ func (d *corpusData) backend() rankedBackend {
 // server returns the corpus's lazily started serving layer.
 func (c *Corpus) server() *serve.Server {
 	c.srvOnce.Do(func() {
-		var opts []serve.Option
-		if c.srvWorkers > 0 {
-			opts = append(opts, serve.WithWorkers(c.srvWorkers))
+		// The serve options ignore out-of-range values (a non-positive
+		// worker count, a negative cache budget, ...) and keep their
+		// defaults, so the configured values go straight through.
+		opts := []serve.Option{
+			serve.WithWorkers(c.srvWorkers),
+			serve.WithCacheBytes(c.srvCache),
+			serve.WithQueryTimeout(c.srvTimeout),
+			serve.WithMaxInFlight(c.srvMaxInFlight),
+			serve.WithTelemetry(c.reg),
 		}
-		if c.srvCache >= 0 {
-			opts = append(opts, serve.WithCacheBytes(c.srvCache))
-		}
-		if c.srvTimeout > 0 {
-			opts = append(opts, serve.WithQueryTimeout(c.srvTimeout))
-		}
-		if c.srvMaxInFlight > 0 {
-			opts = append(opts, serve.WithMaxInFlight(c.srvMaxInFlight))
-		}
-		opts = append(opts, serve.WithTelemetry(c.reg))
-		if c.slowThreshold > 0 && c.slowFn != nil {
-			fn := c.slowFn
+		if fn := c.slowFn; fn != nil {
 			opts = append(opts, serve.WithSlowQueries(c.slowThreshold, func(r serve.QueryRecord) {
 				fn(sanitizeSlowQuery(r))
 			}))
@@ -610,11 +605,11 @@ func WithWorkers(n int) Option {
 }
 
 // WithQueryCache sets the query-cache budget in bytes. Repeated queries
-// (same keywords, options and snippet bound) are answered from a sharded
-// LRU cache keyed on interned keyword ids instead of being recomputed; 0
-// disables caching. The default is a modest budget (see
-// internal/serve.DefaultCacheBytes). Every corpus — any shard count, local
-// or remote — caches alike: all serve queries through the same layer.
+// (same keywords in the same order, options and snippet bound) are answered
+// from a sharded LRU cache instead of being recomputed; 0 disables caching.
+// The default is a modest budget (see internal/serve.DefaultCacheBytes).
+// Every corpus — any shard count, local or remote — caches alike: all serve
+// queries through the same layer.
 func WithQueryCache(bytes int64) Option {
 	return func(c *loadConfig) error {
 		if bytes < 0 {

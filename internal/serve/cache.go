@@ -4,13 +4,12 @@ import (
 	"context"
 	"hash/maphash"
 	"sync"
+	"sync/atomic"
 
 	"extract/internal/telemetry"
 )
 
-// numCacheShards is the lock-striping factor of the query cache. Shard
-// choice hashes only the canonical (order-free) key prefix, so all
-// permutations of one keyword set live behind one lock and one LRU chain.
+// numCacheShards is the lock-striping factor of the query cache.
 const numCacheShards = 16
 
 // cacheEntry is one cached response. Entries are immutable once inserted;
@@ -25,6 +24,7 @@ type cacheEntry struct {
 
 // flight is one in-progress computation joined by concurrent identical
 // queries (singleflight). The leader closes done; followers read val/err.
+// epoch is the cache's invalidation epoch when the leader began.
 type flight struct {
 	done  chan struct{}
 	val   *Cached
@@ -112,13 +112,18 @@ type cacheShard struct {
 	door     doorkeeper
 }
 
-// Cache is a sharded, size-bounded LRU map from encoded query keys to
-// cached responses. A zero budget disables it (every lookup misses, no
-// entry is kept); singleflight coalescing is handled by the Server so it
-// works with the cache disabled too.
+// Cache is a sharded, size-bounded LRU map from query keys (cacheKey) to
+// cached responses, with singleflight coalescing of concurrent identical
+// queries. A zero budget disables the map (every lookup misses, no entry is
+// kept); coalescing stays on.
 type Cache struct {
 	shards [numCacheShards]cacheShard
 	seed   maphash.Seed
+	// epoch counts invalidations (clear). A computation records the epoch
+	// it began in, so a response computed before a clear is returned to the
+	// callers who asked before it but is never cached and never joined by
+	// callers who asked after.
+	epoch atomic.Uint64
 	// doorSeed hashes keys for the admission filter — independent of the
 	// shard-placement seed so filter collisions do not correlate with
 	// lock striping.
@@ -148,36 +153,32 @@ func NewCache(maxBytes int64) *Cache {
 
 func (c *Cache) enabled() bool { return c.shards[0].maxBytes > 0 }
 
-// shardFor picks the shard by hashing the canonical key prefix.
-func (c *Cache) shardFor(key string, sortedPrefixLen int) *cacheShard {
-	h := maphash.String(c.seed, key[:sortedPrefixLen])
-	return &c.shards[h%numCacheShards]
+func (c *Cache) shardFor(key string) *cacheShard {
+	return &c.shards[maphash.String(c.seed, key)%numCacheShards]
 }
 
 // Cache outcomes reported by do and surfaced in metrics and the
 // slow-query log.
 const (
-	outcomeHit         = "hit"
-	outcomeMiss        = "miss"
-	outcomeCoalesced   = "coalesced"
-	outcomeUncacheable = "uncacheable"
+	outcomeHit       = "hit"
+	outcomeMiss      = "miss"
+	outcomeCoalesced = "coalesced"
 )
 
 // do returns the cached response for key or computes it, coalescing
 // concurrent identical queries onto one computation (singleflight — it
 // applies even when the cache budget is zero). The outcome reports how the
 // query was answered: outcomeHit, outcomeMiss (this caller computed), or
-// outcomeCoalesced (joined another caller's flight). epoch is the server's
-// invalidation epoch read when the query began; stillCurrent re-checks it
-// after computing, so a response computed against a corpus that was swapped
-// out mid-flight is returned to its waiters but never cached. ctx bounds
-// only the caller's own waiting: a coalesced follower whose context ends
-// stops waiting and returns the context's error, while the leader's
-// computation (running on the leader's context) is unaffected.
-func (c *Cache) do(ctx context.Context, key string, sortedPrefixLen int, epoch uint64,
-	stillCurrent func(uint64) bool, compute func() (*Cached, error)) (v *Cached, outcome string, err error) {
-
-	s := c.shardFor(key, sortedPrefixLen)
+// outcomeCoalesced (joined another caller's flight). The invalidation epoch
+// is read here, before compute runs, and re-checked by put, so a response
+// computed against a corpus that was swapped out mid-flight is returned to
+// its waiters but never cached. ctx bounds only the caller's own waiting: a
+// coalesced follower whose context ends stops waiting and returns the
+// context's error, while the leader's computation (running on the leader's
+// context) is unaffected.
+func (c *Cache) do(ctx context.Context, key string, compute func() (*Cached, error)) (v *Cached, outcome string, err error) {
+	epoch := c.epoch.Load()
+	s := c.shardFor(key)
 	s.mu.Lock()
 	if c.enabled() {
 		// Record the access hit or miss: repeated queries grow the
@@ -212,7 +213,7 @@ func (c *Cache) do(ctx context.Context, key string, sortedPrefixLen int, epoch u
 		c.misses.Inc()
 		val, err := compute()
 		if err == nil {
-			c.put(key, sortedPrefixLen, val, epoch, stillCurrent, nil)
+			c.put(key, val, epoch, nil)
 		}
 		return val, outcomeMiss, err
 	}
@@ -229,7 +230,7 @@ func (c *Cache) do(ctx context.Context, key string, sortedPrefixLen int, epoch u
 	// sees neither the flight nor the entry and computes redundantly —
 	// the singleflight guarantee is exactly one computation per key.
 	if f.err == nil {
-		c.put(key, sortedPrefixLen, f.val, f.epoch, stillCurrent, f)
+		c.put(key, f.val, f.epoch, f)
 	} else {
 		s.mu.Lock()
 		if s.inflight[key] == f {
@@ -246,21 +247,21 @@ func (c *Cache) do(ctx context.Context, key string, sortedPrefixLen int, epoch u
 // slot, removed under the same lock as the insert so followers always see
 // the flight or the entry, never a gap between them.
 //
-// stillCurrent(epoch) is re-checked under the shard lock, which makes the
-// insert atomic with swap invalidation: Swap bumps the epoch before
-// clearing, so either put still sees its epoch — in which case any clear
-// that follows must take this shard's lock after the insert and removes
-// the entry — or the epoch already moved and the stale response is
-// dropped here. A response computed against a swapped-out corpus can
-// never survive in the cache.
-func (c *Cache) put(key string, sortedPrefixLen int, val *Cached, epoch uint64, stillCurrent func(uint64) bool, f *flight) {
-	cost := val.cost()
-	s := c.shardFor(key, sortedPrefixLen)
+// epoch — the one the computation began in — is re-checked under the shard
+// lock, which makes the insert atomic with invalidation: clear bumps the
+// epoch before dropping entries, so either put still sees its epoch — in
+// which case the clear that follows must take this shard's lock after the
+// insert and removes the entry — or the epoch already moved and the stale
+// response is dropped here. A response computed against a swapped-out
+// corpus can never survive in the cache.
+func (c *Cache) put(key string, val *Cached, epoch uint64, f *flight) {
+	cost := val.cost() + int64(len(key)) // the entry holds its key's bytes too
+	s := c.shardFor(key)
 	s.mu.Lock()
 	if f != nil && s.inflight[key] == f {
 		delete(s.inflight, key)
 	}
-	if !c.enabled() || cost > s.maxBytes || !stillCurrent(epoch) {
+	if !c.enabled() || cost > s.maxBytes || c.epoch.Load() != epoch {
 		s.mu.Unlock()
 		return
 	}
@@ -319,10 +320,11 @@ func (c *Cache) occupancy() (entries, bytes, capacity int64) {
 	return entries, bytes, capacity
 }
 
-// clear drops every entry (corpus swap invalidation). In-flight
-// computations are left to their leaders; the Server's epoch check keeps
-// their results out of the cache.
+// clear drops every entry (corpus swap invalidation). The epoch moves
+// first: in-flight computations are left to their leaders, and put's epoch
+// check keeps their results out of the cache.
 func (c *Cache) clear() {
+	c.epoch.Add(1)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()

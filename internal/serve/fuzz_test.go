@@ -1,108 +1,63 @@
 package serve
 
 import (
-	"encoding/binary"
+	"strings"
 	"testing"
 
 	"extract/internal/search"
 )
 
-// FuzzCacheKey round-trips adversarial term-id tuples and option
-// combinations through the cache-key encoder: encodeKey must stay
-// injective (decode inverts it exactly) and its canonical prefix must be
-// permutation-invariant, or two different queries could share a cache
-// entry. Runs for 10s in CI's fuzz job.
+// FuzzCacheKey holds cacheKey to its specification on adversarial query
+// strings and option combinations: two (query, options, bound) triples get
+// one key iff sameResponse says they may share a cache entry — a collision
+// would serve one query another's response, a split would only cost a miss,
+// and both fail here. Besides the fuzzer's independent pair, each query is
+// checked against respellings, permutations and re-phrasings of itself, the
+// neighbours most likely to collide. Runs for 10s in CI's fuzz job.
 func FuzzCacheKey(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, byte(0), uint16(0), int16(-1))
-	f.Add([]byte{9, 9, 1, 0xff, 3}, byte(7), uint16(25), int16(10))
-	f.Add([]byte{}, byte(1), uint16(1), int16(0))
+	f.Add(`"a b"`, "a b", byte(0), byte(0), uint16(0), uint16(0), int16(-1), int16(-1))
+	f.Add("store  texas", "Store texas", byte(7), byte(7), uint16(25), uint16(25), int16(10), int16(10))
+	f.Add("texas apparel retailer", "retailer apparel texas", byte(1), byte(1), uint16(1), uint16(1), int16(0), int16(-1))
 
-	f.Fuzz(func(t *testing.T, raw []byte, flags byte, maxResults uint16, bound16 int16) {
-		// Derive a unique id tuple from raw: 4 bytes per id, deduped,
-		// capped so the fuzzer explores shapes rather than allocation.
-		if len(raw) > 64 {
-			raw = raw[:64]
-		}
-		seen := map[uint32]bool{}
-		var ids []uint32
-		for i := 0; i+4 <= len(raw); i += 4 {
-			id := binary.LittleEndian.Uint32(raw[i:])
-			if !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
+	f.Fuzz(func(t *testing.T, qa, qb string, flagsA, flagsB byte, maxA, maxB uint16, boundA, boundB int16) {
+		a := keyTriple{qa, fuzzOptions(flagsA, maxA), int(boundA)}
+		b := keyTriple{qb, fuzzOptions(flagsB, maxB), int(boundB)}
+		check := func(x, y keyTriple) {
+			if got, want := x.key() == y.key(), sameResponse(x, y); got != want {
+				t.Fatalf("keys equal = %v, want %v:\n%+v -> %q\n%+v -> %q", got, want, x, x.key(), y, y.key())
 			}
 		}
-		if len(ids) == 0 {
-			ids = []uint32{uint32(flags)}
-		}
-		opts := search.Options{
-			DistinctAnchors: flags&1 != 0,
-			MaxResults:      int(maxResults),
-		}
-		if flags&2 != 0 {
-			opts.Semantics = search.SemanticsELCA
-		}
-		if flags&4 != 0 {
-			opts.Mode = search.ModeXSeek
-		}
-		bound := int(bound16)
-		if bound < -1 {
-			bound = -1
-		}
+		check(a, b)
+		check(a, keyTriple{qa, b.opts, b.bound})
+		check(a, keyTriple{qb, a.opts, a.bound})
 
-		key, plen := encodeKey(ids, opts, bound)
-		if plen <= 0 || plen > len(key) {
-			t.Fatalf("bad sorted prefix length %d of %d", plen, len(key))
+		terms := search.ParseQuery(qa)
+		var reversed, spaced []string
+		for i := len(terms) - 1; i >= 0; i-- {
+			reversed = append(reversed, `"`+terms[i].String()+`"`)
 		}
-		got, gotOpts, gotBound, ok := decodeKey(key)
-		if !ok {
-			t.Fatalf("decode failed for ids %v opts %+v bound %d", ids, opts, bound)
+		for _, term := range terms {
+			spaced = append(spaced, term.Tokens...)
 		}
-		if len(got) != len(ids) || gotOpts != opts || gotBound != bound {
-			t.Fatalf("round trip mismatch: got (%v %+v %d), want (%v %+v %d)",
-				got, gotOpts, gotBound, ids, opts, bound)
-		}
-		for i := range ids {
-			if got[i] != ids[i] {
-				t.Fatalf("id %d: got %d, want %d", i, got[i], ids[i])
-			}
-		}
-
-		// Canonical prefix is permutation-invariant: reversing the tuple
-		// must keep the prefix and (for >1 id) change only the tail.
-		if len(ids) > 1 {
-			rev := make([]uint32, len(ids))
-			for i, id := range ids {
-				rev[len(ids)-1-i] = id
-			}
-			key2, plen2 := encodeKey(rev, opts, bound)
-			if plen2 != plen || key2[:plen2] != key[:plen] {
-				t.Fatalf("canonical prefix not permutation-invariant")
-			}
-			if key2 == key {
-				t.Fatalf("distinct orderings %v vs %v share a key", ids, rev)
-			}
+		for _, q := range []string{
+			strings.ToUpper(qa) + " ,",        // respelled
+			strings.Join(reversed, " "),       // permuted, phrases kept
+			strings.Join(spaced, "  "),        // phrases broken into words
+			`"` + strings.Join(spaced, " "),   // everything one phrase
+			strings.ReplaceAll(qa, `"`, `""`), // quoting shifted
+		} {
+			check(a, keyTriple{q, a.opts, a.bound})
 		}
 	})
 }
 
-// FuzzDecodeKey hardens the decoder against arbitrary byte strings: it
-// must never panic, and anything it accepts must re-encode to the same
-// key (no two byte strings decode to one logical query).
-func FuzzDecodeKey(f *testing.F) {
-	k1, _ := encodeKey([]uint32{3, 1, 2}, search.Options{DistinctAnchors: true}, 10)
-	f.Add([]byte(k1))
-	f.Add([]byte{0})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		ids, opts, bound, ok := decodeKey(string(raw))
-		if !ok {
-			return
-		}
-		re, _ := encodeKey(ids, opts, bound)
-		if re != string(raw) {
-			t.Fatalf("decode/encode not canonical: %q -> (%v %+v %d) -> %q",
-				raw, ids, opts, bound, re)
-		}
-	})
+func fuzzOptions(flags byte, maxResults uint16) search.Options {
+	opts := search.Options{DistinctAnchors: flags&1 != 0, MaxResults: int(maxResults)}
+	if flags&2 != 0 {
+		opts.Semantics = search.SemanticsELCA
+	}
+	if flags&4 != 0 {
+		opts.Mode = search.ModeXSeek
+	}
+	return opts
 }

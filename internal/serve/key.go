@@ -2,69 +2,42 @@ package serve
 
 import (
 	"encoding/binary"
-	"math"
-	"sort"
 
 	"extract/internal/search"
 )
 
-// Cache keys are built from interned term ids, not query strings: the
-// canonical form of a query is its sorted id tuple, so two spellings that
-// tokenize to the same terms ("store  texas" vs "store texas") collide by
-// construction, and the sorted section gives every permutation of one
-// keyword set the same canonical prefix — which is also what the cache
-// shards hash, keeping all orderings of one keyword set in one shard.
+// A served response is a function of exactly three things — the parsed
+// term sequence, the evaluation options and the snippet bound — and the
+// cache key is that tuple written down:
 //
-// Keyword order still matters downstream: the IList leads with the query
-// keywords in query order, so a permuted query can produce different
-// snippet bytes. The key therefore carries, after the sorted tuple, the
-// permutation that restores query order (omitted when the query already is
-// in sorted order). Identity is exact — two queries share a key iff they
-// have the same term sequence and options — while the canonical prefix
-// stays order-free.
+//	[semantics|mode|distinct bits] [maxResults] [bound+1, 0 = search-only]
+//	then per term, in query order: its tokens joined by ' ', then NUL
 //
-// Layout (all varints after the leading byte):
+// (the two numbers are varints). Built from search.ParseQuery's terms, two
+// spellings that tokenize alike ("store  texas", "Store texas") share an
+// entry by construction.
 //
-//	[kind|semantics|mode|distinct bits] [maxResults] [bound+1, 0 = search-
-//	only] [n] [sorted ids, delta-encoded] | [permutation: each sorted id's
-//	position in the query, present iff not the identity]
+// Query order is kept, not canonicalised away: the IList leads with the
+// query keywords in query order, so a permuted query can produce different
+// snippet bytes and must not share an entry.
 //
-// The encoding is canonical and injective — decodeKey inverts it exactly
-// and rejects every other byte string (the fuzz targets pin both
-// directions).
+// The framing is injective — two (terms, options, bound) tuples share a key
+// iff they are equal. The header's fields are self-delimiting, and tokens
+// are letters and digits only (index.Tokenize), so a token holds neither
+// ' ' nor NUL: the NULs delimit the terms, the spaces the tokens inside a
+// phrase, and the phrase "a b" (a b NUL) cannot collide with the words a b
+// (a NUL b NUL).
 
 const (
-	keyQuery    byte = 1 << 0 // key carries snippets at a bound
-	keyELCA     byte = 1 << 1
-	keyXSeek    byte = 1 << 2
-	keyDistinct byte = 1 << 3
-
-	keyKnownFlags = keyQuery | keyELCA | keyXSeek | keyDistinct
+	keyELCA     byte = 1 << 0
+	keyXSeek    byte = 1 << 1
+	keyDistinct byte = 1 << 2
 )
 
-// encodeKey builds the cache key for a term-id sequence (query order, no
-// duplicate ids) and the evaluation options; bound < 0 marks a search-only
-// key. sortedPrefixLen reports how many leading key bytes are
-// order-independent — the cache shard hash uses only that canonical prefix.
-func encodeKey(ids []uint32, opts search.Options, bound int) (key string, sortedPrefixLen int) {
-	n := len(ids)
-	order := make([]int, n) // order[j] = query position of the j-th sorted id
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
-	inOrder := true
-	for j, oi := range order {
-		if oi != j {
-			inOrder = false
-			break
-		}
-	}
-
+// cacheKey builds the cache key for a parsed query and its evaluation
+// options; bound < 0 marks a search-only key.
+func cacheKey(terms []search.Term, opts search.Options, bound int) string {
 	flags := byte(0)
-	if bound >= 0 {
-		flags |= keyQuery
-	}
 	if opts.Semantics == search.SemanticsELCA {
 		flags |= keyELCA
 	}
@@ -74,120 +47,18 @@ func encodeKey(ids []uint32, opts search.Options, bound int) (key string, sorted
 	if opts.DistinctAnchors {
 		flags |= keyDistinct
 	}
-
-	buf := make([]byte, 0, 8+5*n)
+	buf := make([]byte, 0, 64)
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(opts.MaxResults))
-	if bound >= 0 {
-		buf = binary.AppendUvarint(buf, uint64(bound)+1)
-	} else {
-		buf = binary.AppendUvarint(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(n))
-	prev := uint64(0)
-	for _, oi := range order {
-		id := uint64(ids[oi])
-		buf = binary.AppendUvarint(buf, id-prev) // ids are distinct: deltas after the first are >= 1
-		prev = id
-	}
-	sortedPrefixLen = len(buf)
-	if !inOrder {
-		for _, oi := range order {
-			buf = binary.AppendUvarint(buf, uint64(oi))
-		}
-	}
-	return string(buf), sortedPrefixLen
-}
-
-// uvarintLen is the minimal varint width of v; the decoder rejects wider
-// encodings so every logical key has exactly one byte representation.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// decodeKey inverts encodeKey; it exists for the round-trip fuzz targets
-// and tests, not the serving path. ok is false on any byte string that
-// encodeKey could not have produced.
-func decodeKey(key string) (ids []uint32, opts search.Options, bound int, ok bool) {
-	b := []byte(key)
-	if len(b) == 0 {
-		return nil, opts, 0, false
-	}
-	flags := b[0]
-	if flags&^keyKnownFlags != 0 {
-		return nil, opts, 0, false
-	}
-	b = b[1:]
-	next := func() (uint64, bool) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 || n != uvarintLen(v) {
-			return 0, false
-		}
-		b = b[n:]
-		return v, true
-	}
-	maxRes, ok1 := next()
-	boundRaw, ok2 := next()
-	n, ok3 := next()
-	// Every id takes at least one byte, so n beyond the remaining length
-	// cannot be valid — this also bounds allocation on adversarial input.
-	if !ok1 || !ok2 || !ok3 || maxRes > math.MaxInt32 || boundRaw > math.MaxInt32 || n > uint64(len(b)) {
-		return nil, opts, 0, false
-	}
-	opts.MaxResults = int(maxRes)
-	opts.DistinctAnchors = flags&keyDistinct != 0
-	if flags&keyELCA != 0 {
-		opts.Semantics = search.SemanticsELCA
-	}
-	if flags&keyXSeek != 0 {
-		opts.Mode = search.ModeXSeek
-	}
-	bound = int(boundRaw) - 1
-	if (bound >= 0) != (flags&keyQuery != 0) {
-		return nil, opts, 0, false
-	}
-	sorted := make([]uint32, n)
-	prev := uint64(0)
-	for j := range sorted {
-		d, ok := next()
-		if !ok || d > math.MaxUint32 {
-			return nil, opts, 0, false
-		}
-		if j > 0 && d == 0 {
-			return nil, opts, 0, false // ids strictly increase
-		}
-		prev += d
-		if prev > math.MaxUint32 {
-			return nil, opts, 0, false
-		}
-		sorted[j] = uint32(prev)
-	}
-	ids = sorted
-	if len(b) != 0 {
-		// Permutation section: each sorted id's query position. Must be a
-		// real permutation and not the identity (the encoder omits that).
-		ids = make([]uint32, n)
-		seen := make([]bool, n)
-		identity := true
-		for j := range sorted {
-			oi, ok := next()
-			if !ok || oi >= n || seen[oi] {
-				return nil, opts, 0, false
+	buf = binary.AppendUvarint(buf, uint64(max(bound, -1)+1))
+	for _, t := range terms {
+		for i, tok := range t.Tokens {
+			if i > 0 {
+				buf = append(buf, ' ')
 			}
-			seen[oi] = true
-			if oi != uint64(j) {
-				identity = false
-			}
-			ids[oi] = sorted[j]
+			buf = append(buf, tok...)
 		}
-		if identity || len(b) != 0 {
-			return nil, opts, 0, false
-		}
+		buf = append(buf, 0)
 	}
-	return ids, opts, bound, true
+	return string(buf)
 }

@@ -86,8 +86,8 @@ type QueryRecord struct {
 	// Stages maps stage name (admission, cache, dispatch, eval, snippet) to
 	// time spent there; stages the query never entered are absent.
 	Stages map[string]time.Duration
-	// Cache is the cache outcome: hit, miss, coalesced, uncacheable, or ""
-	// when the query failed before the probe (shed, empty).
+	// Cache is the cache outcome: hit, miss, coalesced, or "" when the
+	// query failed before the probe (shed, empty).
 	Cache string
 	// Results is the number of results returned (0 on error).
 	Results int
@@ -129,7 +129,7 @@ func newMetrics(reg *telemetry.Registry, s *Server) *metricsSet {
 		total: reg.Histogram(MetricQuerySeconds,
 			"End-to-end query latency: every served query, including cache hits, shed queries and failures."),
 		errs:    make(map[string]*telemetry.Counter, len(errKinds)),
-		outcome: make(map[string]*telemetry.Counter, 4),
+		outcome: make(map[string]*telemetry.Counter, 3),
 	}
 	for st := stage(0); st < numStages; st++ {
 		m.stages[st] = reg.Histogram(MetricQueryStageSeconds,
@@ -140,10 +140,9 @@ func newMetrics(reg *telemetry.Registry, s *Server) *metricsSet {
 		m.errs[k] = reg.Counter("extract_query_errors_total",
 			"Failed queries by error kind.", telemetry.L("kind", k))
 	}
-	for _, o := range []string{"hit", "miss", "coalesced", "uncacheable"} {
+	for _, o := range []string{outcomeHit, outcomeMiss, outcomeCoalesced} {
 		m.outcome[o] = reg.Counter("extract_query_cache_outcomes_total",
-			"Queries by cache outcome (uncacheable = interner full, computed directly).",
-			telemetry.L("outcome", o))
+			"Queries by cache outcome.", telemetry.L("outcome", o))
 	}
 	c := s.cache
 	reg.AddCounter("extract_cache_hits_total", "Query-cache hits.", &c.hits)

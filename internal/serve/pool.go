@@ -13,8 +13,8 @@
 //     out),
 //   - search.Engine instances cached per option combination and reused
 //     across queries instead of rebuilt,
-//   - a sharded, size-bounded LRU query cache keyed on interned keyword
-//     ids, with singleflight so concurrent identical queries compute once
+//   - a sharded, size-bounded LRU query cache keyed on the parsed query
+//     itself, with singleflight so concurrent identical queries compute once
 //     and explicit invalidation on corpus swap (Server.Swap — the online
 //     reload path; in-flight queries finish against the corpus they
 //     started on and their responses are never cached).
@@ -50,31 +50,7 @@ type Pool struct {
 type poolTask struct {
 	fn   func()
 	done *sync.WaitGroup
-	box  *errBox
-}
-
-// errBox collects the first task error of one Run batch across the
-// goroutines executing it.
-type errBox struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (b *errBox) put(err error) {
-	if err == nil {
-		return
-	}
-	b.mu.Lock()
-	if b.err == nil {
-		b.err = err
-	}
-	b.mu.Unlock()
-}
-
-func (b *errBox) first() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
+	box  *shard.ErrBox
 }
 
 // NewPool starts a pool of n workers (n < 1 is forced to 1).
@@ -96,7 +72,7 @@ func (p *Pool) worker() {
 	for {
 		select {
 		case t := <-p.tasks:
-			t.box.put(shard.Recover(t.fn))
+			t.box.Put(shard.Recover(t.fn))
 			t.done.Done()
 		case <-p.stop:
 			return
@@ -113,18 +89,18 @@ func (p *Pool) Run(tasks []func()) error {
 		return shard.Recover(tasks[0])
 	}
 	var wg sync.WaitGroup
-	var box errBox
+	var box shard.ErrBox
 	for _, fn := range tasks {
 		wg.Add(1)
 		select {
 		case p.tasks <- poolTask{fn: fn, done: &wg, box: &box}:
 		default:
-			box.put(shard.Recover(fn))
+			box.Put(shard.Recover(fn))
 			wg.Done()
 		}
 	}
 	wg.Wait()
-	return box.first()
+	return box.First()
 }
 
 // Stop terminates the workers. In-flight tasks finish; Run keeps working

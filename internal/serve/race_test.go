@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"extract/internal/gen"
@@ -142,23 +141,21 @@ func TestPoolStoppedStillServes(t *testing.T) {
 // — it computes at its own epoch and gets fresh data.
 func TestStaleFlightNotJoined(t *testing.T) {
 	c := NewCache(16 << 10)
-	key, plen := encodeKey([]uint32{1}, search.Options{}, -1)
-	var epoch atomic.Uint64
-	stillCurrent := func(e uint64) bool { return epoch.Load() == e }
+	key := testKey(1)
 
 	oldVal, newVal := &Cached{}, &Cached{}
 	started, release := make(chan struct{}), make(chan struct{})
 	go func() {
-		_, _, _ = c.do(context.Background(), key, plen, 0, stillCurrent, func() (*Cached, error) {
+		_, _, _ = c.do(context.Background(), key, func() (*Cached, error) {
 			close(started)
 			<-release
 			return oldVal, nil
 		})
 	}()
 	<-started
-	epoch.Store(1) // the swap happens while the old flight computes
+	c.clear() // the swap happens while the old flight computes
 
-	v, _, err := c.do(context.Background(), key, plen, 1, stillCurrent, func() (*Cached, error) { return newVal, nil })
+	v, _, err := c.do(context.Background(), key, func() (*Cached, error) { return newVal, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +166,7 @@ func TestStaleFlightNotJoined(t *testing.T) {
 
 	// The fresh value was cached at the new epoch; the stale leader must
 	// not displace it.
-	v2, _, err := c.do(context.Background(), key, plen, 1, stillCurrent, func() (*Cached, error) {
+	v2, _, err := c.do(context.Background(), key, func() (*Cached, error) {
 		t.Error("recomputed despite fresh cache entry")
 		return nil, nil
 	})

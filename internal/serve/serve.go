@@ -48,14 +48,6 @@ type Backend interface {
 type Server struct {
 	pool  *Pool
 	cache *Cache
-	// interner maps query terms to the dense ids cache keys are built
-	// from. It spans corpus swaps: ids only ever accumulate, so keys stay
-	// stable and swap invalidation is the cache clear alone.
-	interner *index.Interner
-
-	// epoch counts corpus swaps; flights record it so responses computed
-	// against a swapped-out corpus are never cached.
-	epoch atomic.Uint64
 
 	// timeout is the per-query deadline (0 = none); maxInFlight bounds
 	// admitted queries (0 = unlimited), with inflight the live count.
@@ -189,7 +181,6 @@ func New(b Backend, opts ...Option) *Server {
 	s := &Server{
 		pool:        NewPool(cfg.workers),
 		cache:       NewCache(cfg.cacheBytes),
-		interner:    index.NewInterner(),
 		backend:     b,
 		gen:         core.NewGenerator(b.Analysis()),
 		timeout:     cfg.timeout,
@@ -231,16 +222,12 @@ func (s *Server) Swap(b Backend) {
 	s.gen = core.NewGenerator(b.Analysis())
 	s.engines = make(map[search.Options][]*search.Engine)
 	s.mu.Unlock()
-	s.epoch.Add(1)
 	s.cache.clear()
 }
 
 // Invalidate drops every cached response without changing the corpus —
 // for callers that mutated the corpus in place.
-func (s *Server) Invalidate() {
-	s.epoch.Add(1)
-	s.cache.clear()
-}
+func (s *Server) Invalidate() { s.cache.clear() }
 
 // Stats snapshots the query-cache and failure counters. The same
 // instruments back the telemetry registry (WithTelemetry), so the two
@@ -320,30 +307,6 @@ func (v *Cached) cost() int64 {
 		c += perItem * int64(len(g.IList.Items))
 	}
 	return c
-}
-
-// key interns the query's terms and builds its cache key. A query with no
-// usable keywords returns search.ErrEmptyQuery; cacheable is false (with
-// no error) when the interner is full and the query's unseen terms cannot
-// be admitted — such queries compute directly, they are just not cached or
-// coalesced.
-func (s *Server) key(query string, opts search.Options, bound int) (key string, prefixLen int, cacheable bool, err error) {
-	terms := search.ParseQuery(query)
-	if len(terms) == 0 {
-		return "", 0, false, search.ErrEmptyQuery
-	}
-	// ParseQuery dedupes terms, so the interned ids are pairwise distinct
-	// — the invariant encodeKey's delta encoding relies on.
-	strs := make([]string, len(terms))
-	for i, t := range terms {
-		strs[i] = t.String()
-	}
-	ids := make([]uint32, len(terms))
-	if !s.interner.IDs(strs, ids) {
-		return "", 0, false, nil
-	}
-	key, prefixLen = encodeKey(ids, opts, bound)
-	return key, prefixLen, true, nil
 }
 
 // Do answers one query — the serving layer's one entry point. bound >= 0
@@ -486,10 +449,10 @@ func (s *Server) RecentTraces() []telemetry.QueryTrace {
 	return s.traces.Snapshot()
 }
 
-// serveTraced is Do's cache-vs-compute decision: through the cache when the
-// query's key is admissible, directly otherwise, reporting the cache outcome
-// alongside the response so Do can count and log it. Failed computations —
-// errors, timeouts, panics — are returned to their callers and never cached.
+// serveTraced admits one query and answers it through the cache, reporting
+// the cache outcome alongside the response so Do can count and log it.
+// Failed computations — errors, timeouts, panics — are returned to their
+// callers and never cached.
 func (s *Server) serveTraced(ctx context.Context, query string, opts search.Options, bound int, tr *trace) (*Cached, string, error) {
 	t := time.Now()
 	ctx, finish, err := s.begin(ctx)
@@ -510,18 +473,12 @@ func (s *Server) serveTraced(ctx context.Context, query string, opts search.Opti
 			tr.add(stageCache, time.Since(tCache))
 		}
 	}
-	key, prefixLen, cacheable, err := s.key(query, opts, bound)
-	if err != nil {
+	terms := search.ParseQuery(query)
+	if len(terms) == 0 {
 		probeDone()
-		return nil, "", err
+		return nil, "", search.ErrEmptyQuery
 	}
-	if !cacheable {
-		probeDone()
-		v, err := run()
-		return v, outcomeUncacheable, err
-	}
-	epoch := s.epoch.Load()
-	v, outcome, err := s.cache.do(ctx, key, prefixLen, epoch, s.epochIs, func() (*Cached, error) {
+	v, outcome, err := s.cache.do(ctx, cacheKey(terms, opts, bound), func() (*Cached, error) {
 		probeDone()
 		return run()
 	})
@@ -539,8 +496,6 @@ func (s *Server) serveTraced(ctx context.Context, query string, opts search.Opti
 func isContextError(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
-
-func (s *Server) epochIs(e uint64) bool { return s.epoch.Load() == e }
 
 // snippetCheckpoint gates each generated snippet on cancellation and the
 // SnippetGen fault-injection point.

@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"extract/internal/core"
+	"extract/internal/faultinject"
 	"extract/internal/gen"
-	"extract/internal/index"
 	"extract/internal/remote"
 	"extract/internal/search"
 	"extract/internal/shard"
@@ -229,17 +232,26 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
+// smallCacheBytes is the budget of the tests driving the LRU directly:
+// 1088 bytes per cache shard, so that two minimal entries (an empty Cached
+// costs its fixed 512 bytes plus its key, a dozen bytes here) fill a shard
+// and a third overflows it.
+const smallCacheBytes = 17 << 10
+
+// testKey is the search-only key of a one-keyword query distinct per i.
+func testKey(i int) string {
+	return cacheKey(search.ParseQuery(fmt.Sprintf("k%d", i)), search.Options{}, -1)
+}
+
 // TestEvictionBound drives the LRU directly with minimal entries (an empty
 // Cached costs its fixed overhead): inserting far more bytes than the
 // budget must evict, and the byte accounting must stay within budget
 // (cold equal-frequency keys churn LRU-style — the admission filter only
 // protects entries whose hits have grown their frequency).
 func TestEvictionBound(t *testing.T) {
-	c := NewCache(16 << 10) // 1 KiB per shard; empty entries cost 512
-	always := func(uint64) bool { return true }
+	c := NewCache(smallCacheBytes)
 	for i := 0; i < 100; i++ {
-		key, plen := encodeKey([]uint32{uint32(i)}, search.Options{}, -1)
-		if _, _, err := c.do(context.Background(), key, plen, 0, always, func() (*Cached, error) { return &Cached{}, nil }); err != nil {
+		if _, _, err := c.do(context.Background(), testKey(i), func() (*Cached, error) { return &Cached{}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,19 +356,16 @@ func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 // TestLRURecency pins the eviction order: with two entries filling one
 // cache shard, touching the older one makes the other the eviction victim.
 func TestLRURecency(t *testing.T) {
-	c := NewCache(16 << 10) // 1 KiB per shard: two 512-byte entries fill one
-	always := func(uint64) bool { return true }
+	c := NewCache(smallCacheBytes)
 
 	// The shard hash is seeded per cache, so discover three keys that
 	// land in one shard instead of assuming placement.
 	byShard := map[*cacheShard][]string{}
-	byPlen := map[string]int{}
 	var keys []string
 	for i := 0; len(keys) == 0 && i < 1<<14; i++ {
-		k, p := encodeKey([]uint32{uint32(i)}, search.Options{}, -1)
-		s := c.shardFor(k, p)
+		k := testKey(i)
+		s := c.shardFor(k)
 		byShard[s] = append(byShard[s], k)
-		byPlen[k] = p
 		if len(byShard[s]) == 3 {
 			keys = byShard[s]
 		}
@@ -367,7 +376,7 @@ func TestLRURecency(t *testing.T) {
 	a, b, x := keys[0], keys[1], keys[2]
 	computed := map[string]int{}
 	add := func(k string) {
-		if _, _, err := c.do(context.Background(), k, byPlen[k], 0, always, func() (*Cached, error) {
+		if _, _, err := c.do(context.Background(), k, func() (*Cached, error) {
 			computed[k]++
 			return &Cached{}, nil
 		}); err != nil {
@@ -397,13 +406,11 @@ func TestLRURecency(t *testing.T) {
 // but never evicts the warm working set, so the working set keeps hitting
 // after the scan.
 func TestScanResistance(t *testing.T) {
-	c := NewCache(16 << 10) // 1 KiB per shard: two 512-byte entries each
-	always := func(uint64) bool { return true }
+	c := NewCache(smallCacheBytes)
 
 	computed := map[string]int{}
-	plens := map[string]int{}
 	add := func(k string) {
-		if _, _, err := c.do(context.Background(), k, plens[k], 0, always, func() (*Cached, error) {
+		if _, _, err := c.do(context.Background(), k, func() (*Cached, error) {
 			computed[k]++
 			return &Cached{}, nil
 		}); err != nil {
@@ -417,10 +424,9 @@ func TestScanResistance(t *testing.T) {
 	seen := map[*cacheShard]bool{}
 	var working []string
 	for i := 0; len(working) < 4 && i < 1<<14; i++ {
-		k, p := encodeKey([]uint32{uint32(i)}, search.Options{}, -1)
-		if s := c.shardFor(k, p); !seen[s] {
+		k := testKey(i)
+		if s := c.shardFor(k); !seen[s] {
 			seen[s] = true
-			plens[k] = p
 			working = append(working, k)
 		}
 	}
@@ -441,9 +447,7 @@ func TestScanResistance(t *testing.T) {
 	// The scan: 2000 distinct one-off queries, far more than the whole
 	// cache could hold.
 	for i := 0; i < 2000; i++ {
-		k, p := encodeKey([]uint32{1 << 20, uint32(i)}, search.Options{}, -1)
-		plens[k] = p
-		add(k)
+		add(testKey(1<<20 + i))
 	}
 
 	// The working set must have survived: every lookup hits, nothing is
@@ -464,76 +468,124 @@ func TestScanResistance(t *testing.T) {
 	}
 }
 
+// keyTriple is one (query, options, bound) input of the cache key.
+type keyTriple struct {
+	query string
+	opts  search.Options
+	bound int
+}
+
+func (k keyTriple) key() string { return cacheKey(search.ParseQuery(k.query), k.opts, k.bound) }
+
+// sameResponse is the specification cacheKey is held to (here and in
+// FuzzCacheKey): two triples may share a cache entry iff ParseQuery yields
+// the same term sequence, the options are equal and the bounds are equal —
+// every negative bound being the one search-only request.
+func sameResponse(a, b keyTriple) bool {
+	norm := func(bound int) int { return max(bound, -1) }
+	return reflect.DeepEqual(search.ParseQuery(a.query), search.ParseQuery(b.query)) &&
+		a.opts == b.opts && norm(a.bound) == norm(b.bound)
+}
+
+// TestKeyRoundTrip is the table form of the key's injectivity property: the
+// pairs that must share a key, the pairs that must not, and in every row the
+// key agreeing with sameResponse.
 func TestKeyRoundTrip(t *testing.T) {
+	distinct := search.Options{DistinctAnchors: true}
 	cases := []struct {
-		ids   []uint32
-		opts  search.Options
-		bound int
+		name string
+		a, b keyTriple
+		same bool
 	}{
-		{[]uint32{0}, search.Options{}, -1},
-		{[]uint32{3, 1, 2}, search.Options{DistinctAnchors: true}, 10},
-		{[]uint32{1, 2, 3}, search.Options{Semantics: search.SemanticsELCA}, 0},
-		{[]uint32{7, 0}, search.Options{Mode: search.ModeXSeek, MaxResults: 25}, 6},
-		{[]uint32{1 << 31, 5}, search.Options{}, 200},
+		{"identical", keyTriple{"store texas", distinct, 10}, keyTriple{"store texas", distinct, 10}, true},
+		{"respelled: case and separators", keyTriple{"store  texas", distinct, 10}, keyTriple{"Store, TEXAS!", distinct, 10}, true},
+		{"respelled: repeated keyword", keyTriple{"store texas", distinct, 10}, keyTriple{"store texas store", distinct, 10}, true},
+		{"respelled: one-word phrase", keyTriple{`"store" texas`, distinct, 10}, keyTriple{"store texas", distinct, 10}, true},
+		{"respelled: unbalanced quote", keyTriple{`"brook brothers`, distinct, 10}, keyTriple{`"Brook Brothers"`, distinct, 10}, true},
+		{"every negative bound is search-only", keyTriple{"store", distinct, -1}, keyTriple{"store", distinct, -7}, true},
+		{"permutation", keyTriple{"store texas", distinct, 10}, keyTriple{"texas store", distinct, 10}, false},
+		{"phrase vs words", keyTriple{`"a b"`, distinct, 10}, keyTriple{"a b", distinct, 10}, false},
+		{"phrase split differently", keyTriple{`"a b" c`, distinct, 10}, keyTriple{`a "b c"`, distinct, 10}, false},
+		{"token boundary", keyTriple{"ab c", distinct, 10}, keyTriple{"a bc", distinct, 10}, false},
+		{"prefix", keyTriple{"store", distinct, 10}, keyTriple{"store texas", distinct, 10}, false},
+		{"search-only vs bound 0", keyTriple{"a b", distinct, -1}, keyTriple{"a b", distinct, 0}, false},
+		{"bound", keyTriple{"a b", distinct, 5}, keyTriple{"a b", distinct, 6}, false},
+		{"distinct anchors", keyTriple{"a b", distinct, 5}, keyTriple{"a b", search.Options{}, 5}, false},
+		{"semantics", keyTriple{"a b", search.Options{Semantics: search.SemanticsELCA}, 5}, keyTriple{"a b", search.Options{}, 5}, false},
+		{"mode", keyTriple{"a b", search.Options{Mode: search.ModeXSeek}, 5}, keyTriple{"a b", search.Options{}, 5}, false},
+		{"max results", keyTriple{"a b", search.Options{MaxResults: 25}, 5}, keyTriple{"a b", search.Options{MaxResults: 26}, 5}, false},
+		{"max results vs bound", keyTriple{"a b", search.Options{MaxResults: 1}, 2}, keyTriple{"a b", search.Options{MaxResults: 2}, 1}, false},
 	}
 	for _, c := range cases {
-		key, plen := encodeKey(c.ids, c.opts, c.bound)
-		if plen <= 0 || plen > len(key) {
-			t.Fatalf("ids %v: bad sorted prefix length %d of %d", c.ids, plen, len(key))
+		if got := sameResponse(c.a, c.b); got != c.same {
+			t.Errorf("%s: sameResponse = %v, the table says %v", c.name, got, c.same)
 		}
-		ids, opts, bound, ok := decodeKey(key)
-		if !ok {
-			t.Fatalf("ids %v: decode failed", c.ids)
+		if got := c.a.key() == c.b.key(); got != c.same {
+			t.Errorf("%s: keys equal = %v, want %v (%q vs %q)", c.name, got, c.same, c.a.key(), c.b.key())
 		}
-		if fmt.Sprint(ids) != fmt.Sprint(c.ids) || opts != c.opts || bound != c.bound {
-			t.Fatalf("round trip: got (%v %+v %d), want (%v %+v %d)",
-				ids, opts, bound, c.ids, c.opts, c.bound)
-		}
-	}
-
-	// Permutations share the canonical prefix but not the key.
-	kAB, pAB := encodeKey([]uint32{1, 2}, search.Options{}, 5)
-	kBA, pBA := encodeKey([]uint32{2, 1}, search.Options{}, 5)
-	if kAB == kBA {
-		t.Fatal("permuted tuples must not share a key")
-	}
-	if pAB != pBA || kAB[:pAB] != kBA[:pBA] {
-		t.Fatal("permuted tuples must share the canonical prefix")
-	}
-	// Search and Query keys for the same tuple differ.
-	kS, _ := encodeKey([]uint32{1, 2}, search.Options{}, -1)
-	kQ0, _ := encodeKey([]uint32{1, 2}, search.Options{}, 0)
-	if kS == kQ0 {
-		t.Fatal("search-only and bound-0 query keys must differ")
 	}
 }
 
-// TestInternerFullStillServes: when the term interner refuses a query's
-// unseen terms, the server computes directly — correct answers, nothing
-// cached, no panic.
-func TestInternerFullStillServes(t *testing.T) {
-	sc := shard.Build(gen.Figure1Corpus(), 2)
-	srv := New(sc)
+// TestVocabularyChurnNeverDisablesCaching: no amount of distinct vocabulary
+// — every term and every phrase here is new to the server — changes how the
+// next query is served. After thousands of such queries across a Swap, a
+// repeated novel query is a hit, and concurrent identical novel queries
+// compute once.
+func TestVocabularyChurnNeverDisablesCaching(t *testing.T) {
+	defer faultinject.Reset()
+	srv := New(shard.Build(gen.Figure1Corpus(), 2))
 	defer srv.Close()
-	srv.interner = index.NewInternerCap(1)
 	opts := search.Options{DistinctAnchors: true}
+	ctx := context.Background()
 
-	q := "retailer texas" // two terms: cannot fit a 1-term interner
-	want, err := uncachedHits(sc, q, opts, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		rs, gs, err := srv.QueryContext(context.Background(), q, opts, 8)
-		if err != nil {
+	for i := 0; i < 4000; i++ {
+		if i == 2000 {
+			srv.Swap(shard.Build(gen.Figure1Corpus(), 2))
+		}
+		if _, err := srv.Do(ctx, fmt.Sprintf(`zq%d "zp%d zr%d"`, i, i, i), opts, 8); err != nil {
 			t.Fatal(err)
 		}
-		if got := renderHits(rs, gs); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("pass %d: uncacheable response differs", pass)
+	}
+
+	before := srv.Stats()
+	for pass := 0; pass < 2; pass++ {
+		if _, err := srv.Do(ctx, `novelword "novel phrase"`, opts, 8); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if st := srv.Stats(); st.Entries != 0 {
-		t.Fatalf("uncacheable query left cache entries: %+v", st)
+	st := srv.Stats()
+	if st.Misses != before.Misses+1 || st.Hits != before.Hits+1 {
+		t.Fatalf("a repeated novel query must miss once, then hit: before %+v, after %+v", before, st)
+	}
+
+	// The leader parks in evaluation until every follower has joined its
+	// flight, so none of them can arrive late and hit the finished entry.
+	const callers = 16
+	before = st
+	release := make(chan struct{})
+	faultinject.Set(faultinject.ShardEval, func() error { <-release; return nil })
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := srv.Do(ctx, `texas "another novel phrase"`, opts, 8); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Coalesced < before.Coalesced+callers-1; {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("followers never joined the flight: %+v", srv.Stats())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	wg.Wait()
+	st = srv.Stats()
+	if st.Misses != before.Misses+1 || st.Coalesced != before.Coalesced+callers-1 || st.Hits != before.Hits {
+		t.Fatalf("%d concurrent identical novel queries must compute once: before %+v, after %+v", callers, before, st)
 	}
 }
 
@@ -548,12 +600,8 @@ func TestSwapDuringFlight(t *testing.T) {
 
 	// Simulate the race deterministically at the cache layer: the flight
 	// starts at the current epoch, the swap happens while compute runs.
-	key, plen, cacheable, err := srv.key("retailer texas", search.Options{}, -1)
-	if err != nil || !cacheable {
-		t.Fatalf("key: %v cacheable=%v", err, cacheable)
-	}
-	epoch := srv.epoch.Load()
-	if _, _, err := srv.cache.do(context.Background(), key, plen, epoch, srv.epochIs, func() (*Cached, error) {
+	key := cacheKey(search.ParseQuery("retailer texas"), search.Options{}, -1)
+	if _, _, err := srv.cache.do(context.Background(), key, func() (*Cached, error) {
 		srv.Swap(scB) // corpus swapped out from under the computation
 		return &Cached{}, nil
 	}); err != nil {

@@ -92,25 +92,28 @@ func runGoroutines(tasks []func()) error {
 		return Recover(tasks[0])
 	}
 	var wg sync.WaitGroup
-	var box errBox
+	var box ErrBox
 	wg.Add(len(tasks))
 	for _, t := range tasks {
 		go func(f func()) {
 			defer wg.Done()
-			box.put(Recover(f))
+			box.Put(Recover(f))
 		}(t)
 	}
 	wg.Wait()
-	return box.first()
+	return box.First()
 }
 
-// errBox collects the first error of one task batch across goroutines.
-type errBox struct {
+// ErrBox collects the first error of one task batch across the goroutines
+// executing it. Runner implementations (runGoroutines here, serve's worker
+// pool) share it.
+type ErrBox struct {
 	mu  sync.Mutex
 	err error
 }
 
-func (b *errBox) put(err error) {
+// Put records err if it is the batch's first; nil is ignored.
+func (b *ErrBox) Put(err error) {
 	if err == nil {
 		return
 	}
@@ -121,7 +124,8 @@ func (b *errBox) put(err error) {
 	b.mu.Unlock()
 }
 
-func (b *errBox) first() error {
+// First returns the first error recorded, nil when every task was clean.
+func (b *ErrBox) First() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.err

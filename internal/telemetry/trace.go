@@ -99,7 +99,7 @@ type QueryTrace struct {
 	Total time.Duration
 	// Stages is the local per-stage breakdown, in execution order.
 	Stages []StageSpan
-	// Cache is the cache outcome: hit, miss, coalesced, or uncacheable.
+	// Cache is the cache outcome: hit, miss or coalesced.
 	Cache string
 	// Results is the number of results returned.
 	Results int

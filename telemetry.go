@@ -34,8 +34,8 @@ type SlowQuery struct {
 	// snippet) to time spent there; stages the query never entered are
 	// absent (a cache hit has no dispatch/eval/snippet).
 	Stages map[string]time.Duration
-	// Cache is the cache outcome: hit, miss, coalesced, uncacheable, or ""
-	// when the query failed before the cache probe.
+	// Cache is the cache outcome: hit, miss, coalesced, or "" when the
+	// query failed before the cache probe.
 	Cache string
 	// Results is the number of results returned (0 on error).
 	Results int
@@ -135,7 +135,7 @@ type QueryTrace struct {
 	// eval, snippet) in execution order; stages the query never entered are
 	// absent.
 	Stages []TraceStage
-	// Cache is the cache outcome: hit, miss, coalesced, or uncacheable.
+	// Cache is the cache outcome: hit, miss or coalesced.
 	Cache string
 	// Results is the number of results returned.
 	Results int

@@ -19,7 +19,7 @@ import (
 // SearchPerfPoint is one row of the search→snippet hot-path trajectory:
 // before/after timings of the flattened code paths at one corpus size.
 // "Before" runs the retained baseline implementations (SLCABaseline,
-// ELCABaseline, CollectBaseline, and a per-snippet index rebuild standing
+// ELCABaseline, collectBaseline, and a per-snippet index rebuild standing
 // in for the old instance finder); "after" runs the packed/interned paths
 // the engine uses today.
 type SearchPerfPoint struct {
@@ -123,7 +123,7 @@ func SearchPerf(sizes []int) *SearchPerfReport {
 		Suite:     "search-snippet-hot-path",
 		GoVersion: runtime.Version(),
 		Note: "before = retained baseline implementations (SLCABaseline/ELCABaseline/" +
-			"CollectBaseline + per-snippet index rebuild, as shipped before the " +
+			"collectBaseline + per-snippet index rebuild, as shipped before the " +
 			"flat-array rewrite); after = packed posting lists, linear SLCA, " +
 			"virtual-tree ELCA, interned single-walk collection. result_* builds " +
 			"the results of every LCA of the point's query: before = deep copy + " +
@@ -173,15 +173,19 @@ func SearchPerf(sizes []int) *SearchPerfReport {
 		corpus := core.BuildCorpus(storesCorpusOfSize(size, 1))
 		kws := index.Tokenize(perfQuery)
 		p.CollectBeforeNs = timeIt(reps, func() {
-			features.CollectBaseline(result.Root, corpus.Cls)
+			collectBaseline(result.Root, corpus.Cls)
 		})
 		col := features.NewCollector(corpus.Cls)
 		p.CollectAfterNs = timeIt(reps, func() { col.Collect(result.Root) })
 		p.CollectSpeedup = speedup(p.CollectBeforeNs, p.CollectAfterNs)
 
+		// The IList builder and the selector read a features.Stats, which
+		// the frozen collector cannot produce: it is timed for its own
+		// cost and the stages after it run on the result's real statistics.
+		stats := col.Collect(result.Root)
 		p.SnippetBeforeNs = timeIt(reps, func() {
 			index.Build(result) // the old instance finder indexed the result per snippet
-			stats := features.CollectBaseline(result.Root, corpus.Cls)
+			collectBaseline(result.Root, corpus.Cls)
 			il := ilist.Build(result.Root, kws, corpus.Cls, corpus.Keys, stats)
 			selector.Greedy(result, il, corpus.Cls, stats, 10)
 		})

@@ -13,6 +13,7 @@
 package classify
 
 import (
+	"maps"
 	"sort"
 
 	"extract/internal/dtd"
@@ -66,22 +67,13 @@ func WithDTD(d *dtd.DTD) Option {
 // Classification holds per-label categories for one corpus. Categories are
 // assigned to labels, not node instances, so a classification computed on a
 // document applies directly to query-result trees and snippet trees
-// projected from it.
-//
-// Every known label also gets a dense integer id at construction time, so
-// hot paths (feature collection, instance selection) can trade per-node
-// string hashing for integer keys: one map lookup yields both the id and
-// the category. The tables are immutable after construction and safe for
-// concurrent readers.
+// projected from it. Hot paths look a label up once per distinct label of
+// what they process (a document's nodes carry integer label ids, see
+// xmltree.Node.Sym) rather than once per node. The table is immutable after
+// construction and safe for concurrent readers.
 type Classification struct {
-	byLabel map[string]labelInfo
-	labels  []string // label by id
+	byLabel map[string]Category
 	summary *schema.Summary
-}
-
-type labelInfo struct {
-	id  int32
-	cat Category
 }
 
 // Classify computes the classification of a document.
@@ -116,27 +108,16 @@ func Classify(doc *xmltree.Document, opts ...Option) *Classification {
 		}
 	}
 
-	c := &Classification{byLabel: make(map[string]labelInfo, len(sum.Elements)), summary: sum}
+	c := &Classification{byLabel: make(map[string]Category, len(sum.Elements)), summary: sum}
 	for label := range sum.Elements {
-		c.assign(label, categorize(label, stars, attrLike))
+		c.byLabel[label] = categorize(label, stars, attrLike)
 	}
 	if cfg.dtd != nil {
 		for _, label := range cfg.dtd.ElementNames() {
-			if _, seen := c.byLabel[label]; !seen {
-				c.assign(label, categorize(label, stars, attrLike))
-			}
+			c.byLabel[label] = categorize(label, stars, attrLike)
 		}
 	}
 	return c
-}
-
-// assign interns a label, giving it the next dense id.
-func (c *Classification) assign(label string, cat Category) {
-	if _, ok := c.byLabel[label]; ok {
-		return
-	}
-	c.byLabel[label] = labelInfo{id: int32(len(c.labels)), cat: cat}
-	c.labels = append(c.labels, label)
 }
 
 func categorize(label string, stars, attrLike map[string]bool) Category {
@@ -153,57 +134,21 @@ func categorize(label string, stars, attrLike map[string]bool) Category {
 // FromCategories reconstructs a Classification from explicit per-label
 // categories (used when loading a persisted corpus, where the original
 // decisions — possibly DTD-derived — must be restored verbatim). The
-// summary provides the structural statistics accessor. Label ids are
-// assigned in sorted label order for determinism.
+// summary provides the structural statistics accessor.
 func FromCategories(cats map[string]Category, sum *schema.Summary) *Classification {
-	c := &Classification{byLabel: make(map[string]labelInfo, len(cats)), summary: sum}
-	sorted := make([]string, 0, len(cats))
-	for l := range cats {
-		sorted = append(sorted, l)
-	}
-	sort.Strings(sorted)
-	for _, l := range sorted {
-		c.assign(l, cats[l])
-	}
-	return c
+	return &Classification{byLabel: maps.Clone(cats), summary: sum}
 }
 
 // Categories returns the label-to-category map (a copy), the inverse of
 // FromCategories.
 func (c *Classification) Categories() map[string]Category {
-	out := make(map[string]Category, len(c.byLabel))
-	for l, info := range c.byLabel {
-		out[l] = info.cat
-	}
-	return out
+	return maps.Clone(c.byLabel)
 }
 
 // OfLabel returns the category assigned to an element label. Unknown labels
 // classify as Connection.
 func (c *Classification) OfLabel(label string) Category {
-	return c.byLabel[label].cat
-}
-
-// LabelInfo returns a label's dense id and category in one lookup. Unknown
-// labels return id -1 and Connection.
-func (c *Classification) LabelInfo(label string) (int32, Category) {
-	info, ok := c.byLabel[label]
-	if !ok {
-		return -1, Connection
-	}
-	return info.id, info.cat
-}
-
-// LabelCount returns the number of interned labels; valid ids are
-// 0..LabelCount()-1.
-func (c *Classification) LabelCount() int { return len(c.labels) }
-
-// LabelName returns the label with the given dense id ("" if out of range).
-func (c *Classification) LabelName(id int32) string {
-	if id < 0 || int(id) >= len(c.labels) {
-		return ""
-	}
-	return c.labels[id]
+	return c.byLabel[label]
 }
 
 // Of returns the category of a node instance: Value for text nodes, the
@@ -236,8 +181,8 @@ func (c *Classification) Connections() []string { return c.withCategory(Connecti
 
 func (c *Classification) withCategory(want Category) []string {
 	var out []string
-	for label, info := range c.byLabel {
-		if info.cat == want {
+	for label, cat := range c.byLabel {
+		if cat == want {
 			out = append(out, label)
 		}
 	}

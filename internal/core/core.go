@@ -138,11 +138,10 @@ const (
 )
 
 // Generator produces snippets for query results over one corpus. It keeps
-// a pool of feature collectors whose interning tables and scratch buffers
-// are reused across results, so snippeting a result list re-tokenizes and
-// re-interns nothing that an earlier result already saw. A Generator is
-// safe for concurrent use by multiple goroutines (the snippet fan-out
-// shares one).
+// a pool of feature collectors, whose scratch — the tables and logs of the
+// one pass a snippet makes over its result — is reused across results, so a
+// snippet allocates what it returns and little else. A Generator is safe for
+// concurrent use by multiple goroutines (the snippet fan-out shares one).
 type Generator struct {
 	Corpus *Corpus
 	// Algorithm picks greedy (default) or exact selection.

@@ -1,7 +1,7 @@
 package features
 
 import (
-	"reflect"
+	"strconv"
 	"testing"
 
 	"extract/internal/classify"
@@ -9,53 +9,8 @@ import (
 	"extract/xmltree"
 )
 
-// statsEqual compares the complete observable surface of two Stats.
-func statsEqual(t *testing.T, name string, a, b *Stats) {
-	t.Helper()
-	if !reflect.DeepEqual(a.Features(), b.Features()) {
-		t.Fatalf("%s: features differ:\n%v\nvs\n%v", name, a.Features(), b.Features())
-	}
-	if !reflect.DeepEqual(a.Types(), b.Types()) {
-		t.Fatalf("%s: types differ: %v vs %v", name, a.Types(), b.Types())
-	}
-	for _, f := range a.Features() {
-		if a.N(f) != b.N(f) {
-			t.Fatalf("%s: N(%v) = %d vs %d", name, f, a.N(f), b.N(f))
-		}
-		if a.Dominance(f) != b.Dominance(f) {
-			t.Fatalf("%s: DS(%v) = %v vs %v", name, f, a.Dominance(f), b.Dominance(f))
-		}
-		if a.IsDominant(f) != b.IsDominant(f) {
-			t.Fatalf("%s: dominant(%v) differs", name, f)
-		}
-		if !reflect.DeepEqual(a.Instances(f), b.Instances(f)) {
-			t.Fatalf("%s: instances(%v) differ", name, f)
-		}
-	}
-	for _, ty := range a.Types() {
-		if a.TypeN(ty) != b.TypeN(ty) || a.TypeD(ty) != b.TypeD(ty) {
-			t.Fatalf("%s: type %v: N%d D%d vs N%d D%d", name, ty,
-				a.TypeN(ty), a.TypeD(ty), b.TypeN(ty), b.TypeD(ty))
-		}
-	}
-	if !reflect.DeepEqual(a.Dominant(), b.Dominant()) {
-		t.Fatalf("%s: dominant sets differ:\n%v\nvs\n%v", name, a.Dominant(), b.Dominant())
-	}
-	if !reflect.DeepEqual(a.EntityLabels(), b.EntityLabels()) {
-		t.Fatalf("%s: entity labels differ: %v vs %v", name, a.EntityLabels(), b.EntityLabels())
-	}
-	for _, l := range a.EntityLabels() {
-		if a.FirstEntity(l) != b.FirstEntity(l) {
-			t.Fatalf("%s: first %q instance differs", name, l)
-		}
-	}
-	if a.Report() != b.Report() {
-		t.Fatalf("%s: reports differ:\n%s\nvs\n%s", name, a.Report(), b.Report())
-	}
-}
-
-// The interned, single-walk Collector must be observationally identical to
-// the baseline collector on every generated corpus shape.
+// The integer-keyed, single-pass Collector must be observationally identical
+// to the brute-force oracle on every generated corpus shape.
 func TestCollectorMatchesBaseline(t *testing.T) {
 	cases := []struct {
 		name string
@@ -65,12 +20,12 @@ func TestCollectorMatchesBaseline(t *testing.T) {
 		{"stores", gen.Stores(gen.StoresConfig{Retailers: 3, StoresPerRetailer: 4, ClothesPerStore: 6, Seed: 5})},
 		{"auctions", gen.Auctions(gen.AuctionsConfig{People: 6, Auctions: 5, Items: 8, Seed: 6})},
 		{"movies", gen.Movies(gen.MoviesConfig{Movies: 9, Seed: 7})},
+		{"wide", wideDocument(3000)},
 	}
 	for _, tc := range cases {
 		cls := classify.Classify(tc.doc)
 		fast := Collect(tc.doc.Root, cls)
-		base := CollectBaseline(tc.doc.Root, cls)
-		statsEqual(t, tc.name, fast, base)
+		statsEqual(t, tc.name, fast, bruteCollect(tc.doc.Root, cls))
 	}
 }
 
@@ -81,10 +36,10 @@ func TestCollectorsAgreeOnViews(t *testing.T) {
 	doc := gen.Stores(gen.StoresConfig{Retailers: 2, StoresPerRetailer: 2, ClothesPerStore: 3, Seed: 5})
 	cls := classify.Classify(doc)
 	for _, n := range doc.Nodes() {
-		fast, base := Collect(n, cls), CollectBaseline(n, cls)
+		fast, base := Collect(n, cls), bruteCollect(n, cls)
 		statsEqual(t, n.String(), fast, base)
-		if cls.IsAttribute(n) && len(base.Features()) != 0 {
-			t.Fatalf("%v: a lone attribute took a feature %v from an entity outside it", n, base.Features())
+		if cls.IsAttribute(n) && len(base.order) != 0 {
+			t.Fatalf("%v: a lone attribute took a feature %v from an entity outside it", n, base.order)
 		}
 	}
 }
@@ -99,8 +54,7 @@ func TestCollectorReuse(t *testing.T) {
 	for i, retailer := range doc.Root.ChildElements("retailer") {
 		result := xmltree.NewDocument(xmltree.DeepCopy(retailer))
 		got := shared.Collect(result.Root)
-		want := CollectBaseline(result.Root, cls)
-		statsEqual(t, retailer.Label+string(rune('0'+i)), got, want)
+		statsEqual(t, retailer.Label+string(rune('0'+i)), got, bruteCollect(result.Root, cls))
 	}
 	// And collecting nothing resets cleanly.
 	empty := shared.Collect(nil)
@@ -122,5 +76,51 @@ func TestCollectorUnknownLabels(t *testing.T) {
 		xmltree.Elem("mystery", xmltree.Txt("value")),
 	)
 	result := xmltree.NewDocument(root)
-	statsEqual(t, "unknown", Collect(result.Root, cls), CollectBaseline(result.Root, cls))
+	statsEqual(t, "unknown", Collect(result.Root, cls), bruteCollect(result.Root, cls))
+}
+
+// wideDocument has n entity instances with a distinct value each (and a
+// value all share).
+func wideDocument(n int) *xmltree.Document {
+	root := xmltree.Elem("items")
+	for i := 0; i < n; i++ {
+		xmltree.Append(root, xmltree.Elem("item",
+			xmltree.Attr("sku", strconv.Itoa(i)),
+			xmltree.Attr("kind", "thing"),
+		))
+	}
+	return xmltree.NewDocument(root)
+}
+
+// A Collector reused across results of very different sizes — past the seen
+// map it keeps, and back — gathers each result's statistics as a fresh one
+// would.
+func TestCollectorScratchBounds(t *testing.T) {
+	cls := classify.Classify(wideDocument(5))
+	c := NewCollector(cls)
+	for _, n := range []int{seenKeep, 3, 120, 1} {
+		result := wideDocument(n)
+		statsEqual(t, strconv.Itoa(n), c.Collect(result.Root), bruteCollect(result.Root, cls))
+		if len(c.seen) != 0 {
+			t.Errorf("%d-item result left %d seen keys behind", n, len(c.seen))
+		}
+	}
+}
+
+// The three kinds of key share one map; their fields must never run into
+// each other, whatever the ids.
+func TestSeenKeysAreDistinct(t *testing.T) {
+	ids := []int32{0, 1, 1<<31 - 1}
+	seen := map[uint64]bool{}
+	for _, tag := range []uint64{keyFeature, keyType, keyPair} {
+		for _, a := range ids {
+			for _, b := range ids {
+				k := key(tag, a, b)
+				if seen[k] {
+					t.Fatalf("key(%d, %d, %d) collides", tag>>62, a, b)
+				}
+				seen[k] = true
+			}
+		}
+	}
 }

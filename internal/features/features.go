@@ -12,19 +12,28 @@
 // paper identifies in raw occurrence counts: small domains inflate
 // occurrences, and frequent feature types inflate all their values.
 //
-// Collection is flat-array based: entity and attribute labels use the
-// dense ids interned by the classification, attribute values are interned
-// into a Collector-local table, and per-feature statistics accumulate in
-// id-indexed slices keyed by a packed integer instead of a three-string
-// struct map. Entity owners are resolved by a stack carried down the single
-// collection walk, not by per-node parent climbs. A Collector can be
-// reused across results, keeping its interning tables and scratch buffers
-// warm (see core.Generator).
+// Collection is the one pass the snippet pipeline makes over a result, and
+// it hashes no string per node: every node of a finalized document carries a
+// document-local symbol id (xmltree.Node.Sym — label id on elements, value
+// id on text nodes), so a label's category is looked up once per distinct
+// label of the result, in a table indexed by label id, and a feature is the
+// integer triple (owner entity, attribute label id, value id). The pass keeps
+// the chain of open entities by preorder interval, and besides the feature
+// statistics it records what the later stages would otherwise walk the
+// result again for: the instances of every entity label, which entity labels
+// occur with no entity above them, and which (entity label, attribute-child
+// label) pairs occur. All of it accumulates in a Collector's scratch; the
+// Stats handed out is an exact-size copy — a few integer columns and one
+// instance arena — and its string-keyed lookup tables are built only if a
+// by-name accessor asks.
 package features
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"extract/internal/classify"
 	"extract/xmltree"
@@ -50,193 +59,403 @@ func (f Feature) String() string {
 	return "(" + f.Entity + ", " + f.Attr + ", " + f.Value + ")"
 }
 
-// Stats holds the feature statistics of one query result. Internally every
-// observed feature and feature type has a dense id (first-seen order); the
-// string-keyed lookups exist only for the by-Feature accessor API and hold
-// one entry per distinct feature, not per occurrence.
-type Stats struct {
-	feats     []Feature // by feature id, first-seen order
-	n         []int32   // N(e,a,v) by feature id
-	featType  []int32   // feature id -> type id
-	instances [][]*xmltree.Node
-
-	types []Type  // by type id, first-seen order
-	typeN []int32 // N(e,a) by type id
-	typeD []int32 // D(e,a) by type id
-
-	featID map[Feature]int32
-	typeID map[Type]int32
-
-	// Result-shape extras gathered on the same walk, consumed by the
-	// IList builder so it does not re-walk the tree.
-	entityLabels []string // distinct entity labels, first-seen order
-	firstEntity  map[string]*xmltree.Node
+// EntityAttr records that, somewhere in a result, an instance of the entity
+// label has a child element whose label is classified as an attribute.
+type EntityAttr struct {
+	Entity, Attr string
+	// First is the preorder position of the first entity instance with
+	// such a child.
+	First int
 }
 
-// Collector gathers feature statistics. It interns attribute values (and
-// labels unknown to the classification) into integer ids and keeps those
-// tables plus its walk scratch across calls, so a generator snippeting many
-// results of one corpus pays the interning cost once. A Collector is NOT
-// safe for concurrent use; pool Collectors to share across goroutines.
+// Stats holds the feature statistics of one query result. Every observed
+// feature, feature type and entity label has a dense id in first-seen
+// (document) order; the ids index integer columns, and a feature's strings
+// are read off its first instance. Ids are meaningful only within these
+// Stats. A Stats is immutable once returned and safe for concurrent readers.
+type Stats struct {
+	// Per feature id. ent indexes entLabels; attr and val are the symbol
+	// ids of the attribute label and the value in the result's document;
+	// the instances of feature f are inst[off[f]:off[f+1]], in document
+	// order, so N(e,a,v) is the width of that run.
+	ent, attr, val []int32
+	ftype          []int32 // feature id -> type id
+	off            []int32
+
+	// Per type id: N(e,a), D(e,a) and the first feature of the type.
+	typeN, typeD, typeFirst []int32
+
+	// Per entity index: the label, its symbol id, and the run of inst
+	// holding its instances (after the features' runs).
+	entLabels []string
+	entSyms   []int32
+	entOff    []int32
+
+	highest  []int32 // entity indexes seen with no entity above them
+	entAttrs []EntityAttr
+
+	inst []*xmltree.Node
+
+	byName sync.Once
+	featID map[Feature]int32
+	typeID map[Type]int32
+}
+
+// Collector gathers feature statistics. Its scratch — the label table, the
+// map of seen integer triples, the walk stack and the occurrence log — is
+// kept across calls, so a generator snippeting many results allocates only
+// what each Stats owns. A Collector is NOT safe for concurrent use; pool
+// Collectors to share across goroutines (see core.Generator).
 type Collector struct {
 	cls *classify.Classification
 
-	values map[string]int32 // attribute value -> id, persistent
-	extra  map[string]int32 // labels unknown to cls -> id, persistent
+	stamp  uint32
+	labels []labelSlot      // by label symbol id; valid where stamp matches
+	seen   map[uint64]int32 // see the key constants
 
-	// acc maps packed (entityID, attrID, valueID) keys to feature ids and
-	// (entityID, attrID) to type ids; cleared per collect.
-	acc     map[uint64]int32
-	accType map[uint64]int32
+	stack []*xmltree.Node
+	open  []openEntity
+	occ   []occurrence // attribute occurrences, id = feature id
+	eocc  []occurrence // entity instances, id = entity index
+
+	// Columns under construction; Stats gets exact-size copies.
+	ent, attr, val, ftype, count []int32
+	typeFirst                    []int32
+	ents                         []entityScratch
+	highest                      []int32
+	pairs                        []pairScratch
+}
+
+type labelSlot struct {
+	stamp uint32
+	cat   classify.Category
+	ent   int32 // entity index once an instance was seen, else -1
+}
+
+type openEntity struct {
+	end int32 // the instance's End: it is open while nodes start at or before it
+	ent int32
+}
+
+type occurrence struct {
+	node *xmltree.Node
+	id   int32
+}
+
+type entityScratch struct {
+	first   *xmltree.Node
+	count   int32
+	highest bool
+}
+
+type pairScratch struct {
+	ent   int32
+	child *xmltree.Node // an attribute child, for its label
+	first int
 }
 
 // NewCollector returns a Collector for results classified by cls.
 func NewCollector(cls *classify.Classification) *Collector {
-	return &Collector{
-		cls:     cls,
-		values:  make(map[string]int32),
-		extra:   make(map[string]int32),
-		acc:     make(map[uint64]int32),
-		accType: make(map[uint64]int32),
-	}
+	return &Collector{cls: cls, seen: make(map[uint64]int32)}
 }
 
-// Packed-key field widths: 20 bits for each label id, 24 bits for value
-// ids. Interning guards below keep ids inside these ranges so keys can
-// never silently collide.
+// Keys of the seen map: two 31-bit fields under a two-bit tag, mapped to the
+// id the pair was given. Symbol ids, entity indexes and type ids are
+// non-negative int32s, so no field can overflow into its neighbour.
 const (
-	maxLabelID = 1<<20 - 1
-	maxValueID = 1<<24 - 1
+	keyFeature uint64 = iota << 62 // type id, value symbol
+	keyType                        // entity index, attribute label symbol
+	keyPair                        // the same pair, as parent and child
 )
 
-// labelID returns the dense id of a label, extending past the
-// classification's table for labels it does not know.
-func (c *Collector) labelID(label string, id int32) int32 {
-	if id >= 0 {
-		return id
+func key(tag uint64, a, b int32) uint64 { return tag | uint64(a)<<31 | uint64(b) }
+
+// label returns the slot of an element's label, classifying the label the
+// first time the result shows it.
+func (c *Collector) label(n *xmltree.Node) *labelSlot {
+	if int(n.Sym) >= len(c.labels) {
+		c.labels = append(c.labels, make([]labelSlot, int(n.Sym)+1-len(c.labels))...)
 	}
-	ex, ok := c.extra[label]
-	if !ok {
-		ex = int32(c.cls.LabelCount() + len(c.extra))
-		c.extra[label] = ex
+	slot := &c.labels[n.Sym]
+	if slot.stamp != c.stamp {
+		*slot = labelSlot{stamp: c.stamp, cat: c.cls.OfLabel(n.Label), ent: -1}
 	}
-	return ex
+	return slot
 }
 
-// Collect walks a query-result tree once and gathers its feature
-// statistics. An occurrence is an attribute node (per the classification)
-// holding a single text value whose nearest entity ancestor exists; the
-// feature is (entity label, attribute label, value). The same walk records
-// the entity labels present and the first instance of each, for the IList
-// builder.
+// Collect makes the pass over a query-result tree and gathers its feature
+// statistics. root must be a node of a finalized document (its subtree is
+// the result). An occurrence is an attribute node (per the classification)
+// holding a single text value whose nearest entity ancestor inside the
+// result exists; the feature is (entity label, attribute label, value).
 func (c *Collector) Collect(root *xmltree.Node) *Stats {
-	s := &Stats{
-		featID:      make(map[Feature]int32),
-		typeID:      make(map[Type]int32),
-		firstEntity: make(map[string]*xmltree.Node),
-	}
-	if root == nil {
+	s := &Stats{}
+	if root == nil || !root.IsElement() {
 		return s
 	}
-	clear(c.acc)
-	clear(c.accType)
-	// Value ids persist across results as a warm cache, but they must stay
-	// inside the 24-bit key field: once the table is half full, reset it
-	// (ids are only referenced through acc, which is cleared above, so a
-	// reset is always safe between results).
-	if len(c.values) > maxValueID/2 {
-		clear(c.values)
+	c.stamp++
+	if c.stamp == 0 {
+		clear(c.labels)
+		c.stamp = 1
 	}
 
-	var walk func(n *xmltree.Node, owner *xmltree.Node, ownerID int32)
-	walk = func(n *xmltree.Node, owner *xmltree.Node, ownerID int32) {
-		if n.IsElement() {
-			id, cat := c.cls.LabelInfo(n.Label)
-			switch cat {
-			case classify.Entity:
-				if _, seen := s.firstEntity[n.Label]; !seen {
-					s.firstEntity[n.Label] = n
-					s.entityLabels = append(s.entityLabels, n.Label)
+	stack, high := append(c.stack[:0], root), 1
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for i := len(n.Children) - 1; i >= 0; i-- {
+			if ch := n.Children[i]; ch.Kind == xmltree.KindElement {
+				stack = append(stack, ch)
+			}
+		}
+		high = max(high, len(stack))
+		switch slot := c.label(n); slot.cat {
+		case classify.Entity:
+			c.closeEntities(n)
+			if slot.ent < 0 {
+				slot.ent = int32(len(c.ents))
+				c.ents = append(c.ents, entityScratch{first: n})
+			}
+			e := &c.ents[slot.ent]
+			e.count++
+			if len(c.open) == 0 && !e.highest {
+				e.highest = true
+				c.highest = append(c.highest, slot.ent)
+			}
+			c.eocc = append(c.eocc, occurrence{node: n, id: slot.ent})
+			c.open = append(c.open, openEntity{end: n.End, ent: slot.ent})
+		case classify.Attribute:
+			if n != root {
+				// The parent was visited, so its slot is current.
+				if p := c.labels[n.Parent.Sym]; p.cat == classify.Entity {
+					c.recordPair(p.ent, n)
 				}
-				owner, ownerID = n, c.labelID(n.Label, id)
-			case classify.Attribute:
-				if owner != nil && n.HasSingleTextChild() {
-					c.record(s, owner, ownerID, n, c.labelID(n.Label, id))
+			}
+			if len(n.Children) == 1 && n.Children[0].Kind == xmltree.KindText {
+				if c.closeEntities(n); len(c.open) > 0 {
+					c.recordFeature(c.open[len(c.open)-1].ent, n)
 				}
 			}
 		}
-		for _, ch := range n.Children {
-			walk(ch, owner, ownerID)
-		}
 	}
-	walk(root, nil, -1)
+	c.stack = stack[:high] // what the walk wrote, for release to zero
 
-	// Derive per-type totals and domain sizes from the id-indexed rows.
-	for fid, tid := range s.featType {
-		s.typeN[tid] += s.n[fid]
-		s.typeD[tid]++
+	c.fill(s)
+	if root.End-root.Start >= scratchKeepNodes {
+		*c = *NewCollector(c.cls)
+	} else {
+		c.release()
 	}
 	return s
 }
 
-// record accumulates one attribute occurrence (owner, attr, value).
-func (c *Collector) record(s *Stats, owner *xmltree.Node, ownerID int32, attr *xmltree.Node, attrID int32) {
-	value := attr.Children[0].Value
-	vid, ok := c.values[value]
-	if !ok {
-		vid = int32(len(c.values))
-		c.values[value] = vid
+// What a Collector keeps between results is bounded. Its logs grow to the
+// largest result it has seen — about 24 bytes an attribute or entity
+// occurrence — which is what makes a repeated large result cheap, but a pooled
+// Collector must not pin memory in proportion to a corpus of any size:
+// past scratchKeepNodes (a few tens of MB of scratch) a result's scratch is
+// garbage like its Stats. seenKeep is the largest seen map it empties rather
+// than replaces: emptying costs by the size the map once had, which every
+// later, smaller result would pay.
+const (
+	scratchKeepNodes = 1 << 20
+	seenKeep         = 1 << 10
+)
+
+// closeEntities drops the open entities whose subtree ended before n.
+func (c *Collector) closeEntities(n *xmltree.Node) {
+	for k := len(c.open); k > 0 && c.open[k-1].end < n.Start; k-- {
+		c.open = c.open[:k-1]
 	}
-	// The packed key keeps the hot map integer-keyed. Field overflow would
-	// silently merge distinct features, so it fails loudly instead: a
-	// single result with >8M distinct values or a corpus with >1M labels
-	// is outside the design envelope (ords are int32 to begin with).
-	if ownerID > maxLabelID || attrID > maxLabelID || vid > maxValueID {
-		panic("features: interned id overflows packed key field")
-	}
-	key := uint64(ownerID)<<44 | uint64(attrID)<<24 | uint64(vid)
-	fid, ok := c.acc[key]
-	if !ok {
-		f := Feature{Type: Type{Entity: owner.Label, Attr: attr.Label}, Value: value}
-		tkey := key >> 24
-		tid, tok := c.accType[tkey]
-		if !tok {
-			tid = int32(len(s.types))
-			c.accType[tkey] = tid
-			s.types = append(s.types, f.Type)
-			s.typeN = append(s.typeN, 0)
-			s.typeD = append(s.typeD, 0)
-			s.typeID[f.Type] = tid
-		}
-		fid = int32(len(s.feats))
-		c.acc[key] = fid
-		s.feats = append(s.feats, f)
-		s.n = append(s.n, 0)
-		s.featType = append(s.featType, tid)
-		s.instances = append(s.instances, nil)
-		s.featID[f] = fid
-	}
-	s.n[fid]++
-	s.instances[fid] = append(s.instances[fid], attr)
 }
 
-// Collect walks a query-result tree and gathers its feature statistics
-// with a fresh Collector. Callers generating many snippets should hold a
+// recordFeature accumulates one attribute occurrence under its owner.
+func (c *Collector) recordFeature(owner int32, attr *xmltree.Node) {
+	tkey := key(keyType, owner, attr.Sym)
+	tid, seen := c.seen[tkey]
+	if !seen {
+		tid = int32(len(c.typeFirst))
+		c.seen[tkey] = tid
+		c.typeFirst = append(c.typeFirst, int32(len(c.ftype)))
+	}
+	value := attr.Children[0].Sym
+	fkey := key(keyFeature, tid, value)
+	fid, seen := c.seen[fkey]
+	if !seen {
+		fid = int32(len(c.ftype))
+		c.seen[fkey] = fid
+		c.ent = append(c.ent, owner)
+		c.attr = append(c.attr, attr.Sym)
+		c.val = append(c.val, value)
+		c.ftype = append(c.ftype, tid)
+		c.count = append(c.count, 0)
+	}
+	c.count[fid]++
+	c.occ = append(c.occ, occurrence{node: attr, id: fid})
+}
+
+// recordPair notes that an instance of the entity has child as an attribute
+// child, keeping the earliest such instance.
+func (c *Collector) recordPair(ent int32, child *xmltree.Node) {
+	pkey := key(keyPair, ent, child.Sym)
+	if i, seen := c.seen[pkey]; !seen {
+		c.seen[pkey] = int32(len(c.pairs))
+		c.pairs = append(c.pairs, pairScratch{ent: ent, child: child, first: child.Parent.Ord})
+	} else if p := &c.pairs[i]; child.Parent.Ord < p.first {
+		p.first = child.Parent.Ord
+	}
+}
+
+// fill copies the scratch into s at exact size: one block of integer
+// columns, one instance arena carved into per-feature and per-entity runs.
+func (c *Collector) fill(s *Stats) {
+	nf, nt, ne := len(c.ftype), len(c.typeFirst), len(c.ents)
+	ints := make([]int32, 0, 4*nf+(nf+1)+3*nt+ne+(ne+1)+len(c.highest))
+	column := func(src []int32) []int32 {
+		ints = append(ints, src...)
+		return ints[len(ints)-len(src) : len(ints) : len(ints)]
+	}
+	zeros := func(n int) []int32 {
+		ints = ints[:len(ints)+n]
+		return ints[len(ints)-n : len(ints) : len(ints)]
+	}
+	s.ent, s.attr, s.val, s.ftype = column(c.ent), column(c.attr), column(c.val), column(c.ftype)
+	s.typeFirst, s.highest = column(c.typeFirst), column(c.highest)
+	s.off, s.entOff = zeros(nf+1), zeros(ne+1)
+	s.typeN, s.typeD, s.entSyms = zeros(nt), zeros(nt), zeros(ne)
+
+	s.inst = make([]*xmltree.Node, len(c.occ)+len(c.eocc))
+	for f, n := range c.count {
+		s.off[f+1] = s.off[f] + n
+		s.typeN[c.ftype[f]] += n
+		s.typeD[c.ftype[f]]++
+		c.count[f] = s.off[f] // from here on: where the feature's next instance goes
+	}
+	for _, o := range c.occ {
+		s.inst[c.count[o.id]] = o.node
+		c.count[o.id]++
+	}
+	if ne > 0 {
+		s.entLabels = make([]string, ne)
+	}
+	s.entOff[0] = int32(len(c.occ))
+	for e := range c.ents {
+		ent := &c.ents[e]
+		s.entLabels[e], s.entSyms[e] = ent.first.Label, ent.first.Sym
+		s.entOff[e+1] = s.entOff[e] + ent.count
+		ent.count = s.entOff[e]
+	}
+	for _, o := range c.eocc {
+		ent := &c.ents[o.id]
+		s.inst[ent.count] = o.node
+		ent.count++
+	}
+	if len(c.pairs) > 0 {
+		s.entAttrs = make([]EntityAttr, len(c.pairs))
+		for i, p := range c.pairs {
+			s.entAttrs[i] = EntityAttr{Entity: s.entLabels[p.ent], Attr: p.child.Label, First: p.first}
+		}
+	}
+}
+
+// release empties the scratch for the next result. The node-bearing parts
+// are zeroed, not just truncated: a pooled Collector must not keep a
+// replaced corpus generation reachable.
+func (c *Collector) release() {
+	if len(c.seen) > seenKeep {
+		c.seen = make(map[uint64]int32)
+	} else {
+		clear(c.seen)
+	}
+	clear(c.stack)
+	clear(c.occ)
+	clear(c.eocc)
+	clear(c.ents)
+	clear(c.pairs)
+	c.open, c.occ, c.eocc = c.open[:0], c.occ[:0], c.eocc[:0]
+	c.ent, c.attr, c.val, c.ftype, c.count = c.ent[:0], c.attr[:0], c.val[:0], c.ftype[:0], c.count[:0]
+	c.typeFirst, c.ents, c.highest, c.pairs = c.typeFirst[:0], c.ents[:0], c.highest[:0], c.pairs[:0]
+}
+
+// Collect gathers the feature statistics of a query-result tree with a
+// fresh Collector. Callers generating many snippets should hold a
 // Collector (or core.Generator) instead.
 func Collect(root *xmltree.Node, cls *classify.Classification) *Stats {
 	return NewCollector(cls).Collect(root)
 }
 
+// index builds the by-name lookup tables, on the first by-name access.
+func (s *Stats) index() {
+	s.byName.Do(func() {
+		s.featID = make(map[Feature]int32, len(s.ftype))
+		for id := range s.ftype {
+			s.featID[s.Feature(int32(id))] = int32(id)
+		}
+		s.typeID = make(map[Type]int32, len(s.typeFirst))
+		for tid, f := range s.typeFirst {
+			s.typeID[s.Feature(f).Type] = int32(tid)
+		}
+	})
+}
+
+// FeatureID returns the dense id of f in these Stats, if the result has it.
+func (s *Stats) FeatureID(f Feature) (int32, bool) {
+	s.index()
+	id, ok := s.featID[f]
+	return id, ok
+}
+
+// Feature returns the feature with the given id.
+func (s *Stats) Feature(id int32) Feature {
+	a := s.inst[s.off[id]]
+	return Feature{
+		Type:  Type{Entity: s.entLabels[s.ent[id]], Attr: a.Label},
+		Value: a.Children[0].Value,
+	}
+}
+
+// FeatureSyms returns what identifies feature id inside the result's
+// document: the symbol ids of its entity label, attribute label and value.
+func (s *Stats) FeatureSyms(id int32) (entity, attr, value int32) {
+	return s.entSyms[s.ent[id]], s.attr[id], s.val[id]
+}
+
+// FeatureAt returns the id of the feature that attr — an attribute node of
+// the result holding a single text value — is an occurrence of under the
+// entity instance owner. It compares integers only.
+func (s *Stats) FeatureAt(owner, attr *xmltree.Node) (int32, bool) {
+	e := int32(slices.Index(s.entSyms, owner.Sym))
+	if e < 0 || !attr.HasSingleTextChild() {
+		return 0, false
+	}
+	value := attr.Children[0].Sym
+	for id, v := range s.val {
+		if v == value && s.attr[id] == attr.Sym && s.ent[id] == e {
+			return int32(id), true
+		}
+	}
+	return 0, false
+}
+
+// InstancesOf returns the attribute nodes carrying feature id, in document
+// order. The slice is shared and must not be modified.
+func (s *Stats) InstancesOf(id int32) []*xmltree.Node {
+	return s.inst[s.off[id]:s.off[id+1]:s.off[id+1]]
+}
+
 // N returns the occurrence count N(e,a,v) of f in the result.
 func (s *Stats) N(f Feature) int {
-	if id, ok := s.featID[f]; ok {
-		return int(s.n[id])
+	if id, ok := s.FeatureID(f); ok {
+		return int(s.n(id))
 	}
 	return 0
 }
 
+func (s *Stats) n(id int32) int32 { return s.off[id+1] - s.off[id] }
+
 // TypeN returns N(e,a): total value occurrences of the type.
 func (s *Stats) TypeN(t Type) int {
+	s.index()
 	if id, ok := s.typeID[t]; ok {
 		return int(s.typeN[id])
 	}
@@ -245,6 +464,7 @@ func (s *Stats) TypeN(t Type) int {
 
 // TypeD returns D(e,a): the number of distinct values of the type.
 func (s *Stats) TypeD(t Type) int {
+	s.index()
 	if id, ok := s.typeID[t]; ok {
 		return int(s.typeD[id])
 	}
@@ -253,7 +473,7 @@ func (s *Stats) TypeD(t Type) int {
 
 // Dominance returns DS(f). Features absent from the result score 0.
 func (s *Stats) Dominance(f Feature) float64 {
-	id, ok := s.featID[f]
+	id, ok := s.FeatureID(f)
 	if !ok {
 		return 0
 	}
@@ -261,11 +481,11 @@ func (s *Stats) Dominance(f Feature) float64 {
 }
 
 func (s *Stats) dominanceID(id int32) float64 {
-	n := s.n[id]
+	n := s.n(id)
 	if n == 0 {
 		return 0
 	}
-	tid := s.featType[id]
+	tid := s.ftype[id]
 	tn, td := s.typeN[tid], s.typeD[tid]
 	if tn == 0 || td == 0 {
 		return 0
@@ -276,7 +496,7 @@ func (s *Stats) dominanceID(id int32) float64 {
 // IsDominant reports whether f is dominant: DS(f) > 1, or D(e,a) == 1 (a
 // single-valued type is trivially dominant even though its score is 1).
 func (s *Stats) IsDominant(f Feature) bool {
-	id, ok := s.featID[f]
+	id, ok := s.FeatureID(f)
 	if !ok {
 		return false
 	}
@@ -284,10 +504,10 @@ func (s *Stats) IsDominant(f Feature) bool {
 }
 
 func (s *Stats) isDominantID(id int32) bool {
-	if s.n[id] == 0 {
+	if s.n(id) == 0 {
 		return false
 	}
-	if s.typeD[s.featType[id]] == 1 {
+	if s.typeD[s.ftype[id]] == 1 {
 		return true
 	}
 	return s.dominanceID(id) > 1
@@ -295,23 +515,27 @@ func (s *Stats) isDominantID(id int32) bool {
 
 // Instances returns the attribute nodes carrying f, in document order.
 func (s *Stats) Instances(f Feature) []*xmltree.Node {
-	if id, ok := s.featID[f]; ok {
-		return s.instances[id]
+	if id, ok := s.FeatureID(f); ok {
+		return s.InstancesOf(id)
 	}
 	return nil
 }
 
 // Features returns every observed feature in first-seen order.
 func (s *Stats) Features() []Feature {
-	out := make([]Feature, len(s.feats))
-	copy(out, s.feats)
+	out := make([]Feature, len(s.ftype))
+	for id := range out {
+		out[id] = s.Feature(int32(id))
+	}
 	return out
 }
 
 // Types returns every observed feature type, sorted.
 func (s *Stats) Types() []Type {
-	out := make([]Type, len(s.types))
-	copy(out, s.types)
+	out := make([]Type, len(s.typeFirst))
+	for tid, f := range s.typeFirst {
+		out[tid] = s.Feature(f).Type
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Entity != out[j].Entity {
 			return out[i].Entity < out[j].Entity
@@ -322,41 +546,84 @@ func (s *Stats) Types() []Type {
 }
 
 // EntityLabels returns the distinct entity labels present in the result, in
-// first-seen (document) order. The slice is shared and must not be
-// modified.
-func (s *Stats) EntityLabels() []string { return s.entityLabels }
+// first-seen (document) order; a label's position is its entity index. The
+// slice is shared and must not be modified.
+func (s *Stats) EntityLabels() []string { return s.entLabels }
+
+// EntitySyms returns the symbol ids of EntityLabels, index for index: an
+// element of the result is an entity instance exactly when its Sym is
+// listed. The slice is shared and must not be modified.
+func (s *Stats) EntitySyms() []int32 { return s.entSyms }
+
+// EntityInstances returns every instance of the entity label with the given
+// index, in document order. The slice is shared and must not be modified.
+func (s *Stats) EntityInstances(index int) []*xmltree.Node {
+	return s.inst[s.entOff[index]:s.entOff[index+1]:s.entOff[index+1]]
+}
 
 // FirstEntity returns the first entity instance with the given label in
 // document order, or nil.
-func (s *Stats) FirstEntity(label string) *xmltree.Node { return s.firstEntity[label] }
+func (s *Stats) FirstEntity(label string) *xmltree.Node {
+	if e := slices.Index(s.entLabels, label); e >= 0 {
+		return s.inst[s.entOff[e]]
+	}
+	return nil
+}
+
+// HighestEntities returns the entity labels that occur in the result with
+// no entity above them, in first-seen order.
+func (s *Stats) HighestEntities() []string {
+	if len(s.highest) == 0 {
+		return nil
+	}
+	out := make([]string, len(s.highest))
+	for i, e := range s.highest {
+		out[i] = s.entLabels[e]
+	}
+	return out
+}
+
+// EntityAttrs returns the (entity label, attribute-child label) pairs that
+// occur in the result. The slice is shared and must not be modified.
+func (s *Stats) EntityAttrs() []EntityAttr { return s.entAttrs }
 
 // Scored pairs a feature with its dominance score.
 type Scored struct {
 	Feature Feature
 	Score   float64
+	// ID is the feature's id in the Stats that scored it.
+	ID int32
 }
 
 // Dominant returns all dominant features in decreasing dominance score;
 // ties break by feature (entity, attr, value) for determinism.
 func (s *Stats) Dominant() []Scored {
-	var out []Scored
-	for id := range s.feats {
+	count := 0
+	for id := range s.ftype {
 		if s.isDominantID(int32(id)) {
-			out = append(out, Scored{Feature: s.feats[id], Score: s.dominanceID(int32(id))})
+			count++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	if count == 0 {
+		return nil
+	}
+	out := make([]Scored, 0, count)
+	for id := range s.ftype {
+		if id := int32(id); s.isDominantID(id) {
+			out = append(out, Scored{Feature: s.Feature(id), Score: s.dominanceID(id), ID: id})
 		}
-		fi, fj := out[i].Feature, out[j].Feature
-		if fi.Entity != fj.Entity {
-			return fi.Entity < fj.Entity
+	}
+	slices.SortFunc(out, func(a, b Scored) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		if fi.Attr != fj.Attr {
-			return fi.Attr < fj.Attr
+		if c := cmp.Compare(a.Feature.Entity, b.Feature.Entity); c != 0 {
+			return c
 		}
-		return fi.Value < fj.Value
+		if c := cmp.Compare(a.Feature.Attr, b.Feature.Attr); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Feature.Value, b.Feature.Value)
 	})
 	return out
 }
@@ -365,10 +632,11 @@ func (s *Stats) Dominant() []Scored {
 // Figure 1 ("attribute: value: number of occurrences").
 func (s *Stats) Report() string {
 	var b []byte
+	all := s.Features()
 	for _, t := range s.Types() {
 		b = append(b, fmt.Sprintf("%s:  N=%d D=%d\n", t, s.TypeN(t), s.TypeD(t))...)
 		var fs []Feature
-		for _, f := range s.feats {
+		for _, f := range all {
 			if f.Type == t {
 				fs = append(fs, f)
 			}
@@ -384,63 +652,4 @@ func (s *Stats) Report() string {
 		}
 	}
 	return string(b)
-}
-
-// CollectBaseline is the pre-flattening implementation: per-node parent
-// climbs for entity owners and three-string struct map keys per
-// occurrence. Retained as the "before" side of the perf-regression harness
-// and as the reference in equivalence tests.
-func CollectBaseline(root *xmltree.Node, cls *classify.Classification) *Stats {
-	s := &Stats{
-		featID:      make(map[Feature]int32),
-		typeID:      make(map[Type]int32),
-		firstEntity: make(map[string]*xmltree.Node),
-	}
-	if root == nil {
-		return s
-	}
-	n := make(map[Feature]int)
-	instances := make(map[Feature][]*xmltree.Node)
-	var order []Feature
-	root.Walk(func(m *xmltree.Node) bool {
-		if cls.IsEntity(m) {
-			if _, seen := s.firstEntity[m.Label]; !seen {
-				s.firstEntity[m.Label] = m
-				s.entityLabels = append(s.entityLabels, m.Label)
-			}
-		}
-		if !cls.IsAttribute(m) || !m.HasSingleTextChild() {
-			return true
-		}
-		owner := cls.EntityOwnerWithin(m, root)
-		if owner == nil {
-			return true
-		}
-		f := Feature{Type: Type{Entity: owner.Label, Attr: m.Label}, Value: m.TextValue()}
-		if n[f] == 0 {
-			order = append(order, f)
-		}
-		n[f]++
-		instances[f] = append(instances[f], m)
-		return true
-	})
-	for _, f := range order {
-		tid, ok := s.typeID[f.Type]
-		if !ok {
-			tid = int32(len(s.types))
-			s.typeID[f.Type] = tid
-			s.types = append(s.types, f.Type)
-			s.typeN = append(s.typeN, 0)
-			s.typeD = append(s.typeD, 0)
-		}
-		fid := int32(len(s.feats))
-		s.featID[f] = fid
-		s.feats = append(s.feats, f)
-		s.n = append(s.n, int32(n[f]))
-		s.featType = append(s.featType, tid)
-		s.instances = append(s.instances, instances[f])
-		s.typeN[tid] += int32(n[f])
-		s.typeD[tid]++
-	}
-	return s
 }

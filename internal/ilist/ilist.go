@@ -15,6 +15,7 @@
 package ilist
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -62,8 +63,10 @@ type Item struct {
 	// value or feature value.
 	Text string
 	// Feature identifies the exact (e, a, v) for ResultKey and
-	// DominantFeature items.
-	Feature features.Feature
+	// DominantFeature items, and FeatureID is its id in the Stats the list
+	// was built from (features.Stats.InstancesOf, FeatureSyms).
+	Feature   features.Feature
+	FeatureID int32
 	// Score is the dominance score for DominantFeature items, zero
 	// otherwise (those items rank by construction order, not score).
 	Score float64
@@ -85,13 +88,18 @@ type IList struct {
 //
 // root is the query-result tree; keywords are the tokenized query; cls and
 // km were computed on the corpus; stats MUST have been collected on this
-// result — entity names and first entity instances are read from it
-// instead of re-walking the tree.
+// result. Build visits no node of the result but the first instance of a
+// return entity (for its key): entity names, their first instances and the
+// label facts the return-entity heuristics need were all recorded by the
+// collection pass.
 func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 	km *keys.Keys, stats *features.Stats) *IList {
 
 	il := &IList{}
-	have := make(map[string]bool)
+	dominant := stats.Dominant()
+	labels := stats.EntityLabels()
+	il.Items = make([]Item, 0, len(keywords)+len(labels)+1+len(dominant))
+	have := make(map[string]bool, cap(il.Items))
 	add := func(it Item) bool {
 		k := strings.ToLower(strings.TrimSpace(it.Text))
 		if k == "" || have[k] {
@@ -107,37 +115,40 @@ func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 		add(Item{Kind: Keyword, Text: kw})
 	}
 
-	// 2. Entity names present in the result, alphabetically. The feature
-	// collector recorded the labels on its walk, so no re-walk is needed.
-	sorted := append([]string(nil), stats.EntityLabels()...)
+	// 2. Entity names present in the result, alphabetically.
+	sorted := append([]string(nil), labels...)
 	sort.Strings(sorted)
 	for _, l := range sorted {
 		add(Item{Kind: EntityName, Text: l})
 	}
 
 	// 3. Result key of the return entity.
-	il.ReturnEntities = returnEntities(root, keywords, cls)
+	if root != nil {
+		il.ReturnEntities = returnEntities(keywords, stats)
+	}
 	for _, re := range il.ReturnEntities {
 		inst := stats.FirstEntity(re)
 		if inst == nil {
 			continue
 		}
-		attr, value, ok := km.KeyValueOf(cls, inst)
-		if !ok || value == "" {
+		attr, node, ok := km.KeyNodeOf(cls, inst)
+		if !ok || node == nil || node.TextValue() == "" {
 			continue
 		}
-		il.KeyAttr, il.KeyValue = attr, value
-		add(Item{
-			Kind:    ResultKey,
-			Text:    value,
-			Feature: features.Feature{Type: features.Type{Entity: re, Attr: attr}, Value: value},
-		})
+		// The key attribute hangs off inst through connection nodes only,
+		// so inst owns it and the collection pass counted it.
+		id, ok := stats.FeatureAt(inst, node)
+		if !ok {
+			continue
+		}
+		il.KeyAttr, il.KeyValue = attr, node.TextValue()
+		add(Item{Kind: ResultKey, Text: il.KeyValue, Feature: stats.Feature(id), FeatureID: id})
 		break // one key identifies the result
 	}
 
 	// 4. Dominant features by decreasing dominance score.
-	for _, d := range stats.Dominant() {
-		add(Item{Kind: DominantFeature, Text: d.Feature.Value, Feature: d.Feature, Score: d.Score})
+	for _, d := range dominant {
+		add(Item{Kind: DominantFeature, Text: d.Feature.Value, Feature: d.Feature, FeatureID: d.ID, Score: d.Score})
 	}
 	return il
 }
@@ -146,85 +157,58 @@ func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 // return entity if its name matches a keyword or one of its attribute names
 // (observed on instances in this result) matches a keyword. If none
 // qualifies, the highest entities in the result — instances without entity
-// ancestors — are the default.
-func returnEntities(root *xmltree.Node, keywords []string, cls *classify.Classification) []string {
-	if root == nil {
-		return nil
+// ancestors — are the default. Name matches come in the order the labels
+// first occur; attribute-name matches in the order of the first instance
+// that has a matching attribute child.
+func returnEntities(keywords []string, stats *features.Stats) []string {
+	lower := make([]string, len(keywords))
+	for i, k := range keywords {
+		lower[i] = strings.ToLower(k)
 	}
-	kwSet := make(map[string]bool, len(keywords))
-	for _, k := range keywords {
-		kwSet[strings.ToLower(k)] = true
-	}
-	// tokenHit is evaluated on labels, whose distinct count is tiny next to
-	// the instance count: memoize per label so a 100k-node result tokenizes
-	// each label once, not once per instance.
-	hitCache := make(map[string]bool)
-	tokenHit := func(s string) bool {
-		if hit, ok := hitCache[s]; ok {
-			return hit
-		}
-		hit := false
-		for _, t := range index.Tokenize(s) {
-			if kwSet[t] {
-				hit = true
-				break
-			}
-		}
-		hitCache[s] = hit
+	tokenHit := func(label string) (hit bool) {
+		index.EachToken(label, func(t string) bool {
+			hit = slices.Contains(lower, t)
+			return !hit
+		})
 		return hit
 	}
 
-	var byName, byAttr, highest []string
-	seenName := map[string]bool{}
-	seenAttr := map[string]bool{}
-	seenHigh := map[string]bool{}
-	var walk func(n *xmltree.Node, hasEntityAncestor bool)
-	walk = func(n *xmltree.Node, hasEntityAncestor bool) {
-		isEnt := cls.IsEntity(n)
-		if isEnt {
-			if !hasEntityAncestor && !seenHigh[n.Label] {
-				seenHigh[n.Label] = true
-				highest = append(highest, n.Label)
-			}
-			if !seenName[n.Label] && tokenHit(n.Label) {
-				seenName[n.Label] = true
-				byName = append(byName, n.Label)
-			}
-			if !seenAttr[n.Label] {
-				for _, c := range n.Children {
-					if cls.IsAttribute(c) && tokenHit(c.Label) {
-						seenAttr[n.Label] = true
-						byAttr = append(byAttr, n.Label)
-						break
-					}
-				}
-			}
-		}
-		for _, c := range n.Children {
-			walk(c, hasEntityAncestor || isEnt)
-		}
-	}
-	walk(root, false)
-
-	// Name matches outrank attribute-name matches; both beat the default.
 	var out []string
-	used := map[string]bool{}
-	for _, l := range byName {
-		if !used[l] {
-			used[l] = true
+	for _, l := range stats.EntityLabels() {
+		if tokenHit(l) {
 			out = append(out, l)
 		}
 	}
-	for _, l := range byAttr {
-		if !used[l] {
-			used[l] = true
-			out = append(out, l)
+	byName := len(out)
+
+	// Per entity label, the earliest instance with a matching attribute
+	// child (the pairs are a handful: one per distinct entity/attribute
+	// label combination in the result).
+	type match struct {
+		entity string
+		first  int
+	}
+	var byAttr []match
+	for _, p := range stats.EntityAttrs() {
+		if !tokenHit(p.Attr) {
+			continue
+		}
+		if i := slices.IndexFunc(byAttr, func(m match) bool { return m.entity == p.Entity }); i < 0 {
+			byAttr = append(byAttr, match{p.Entity, p.First})
+		} else if p.First < byAttr[i].first {
+			byAttr[i].first = p.First
+		}
+	}
+	slices.SortFunc(byAttr, func(a, b match) int { return a.first - b.first })
+	for _, m := range byAttr {
+		if !slices.Contains(out[:byName], m.entity) {
+			out = append(out, m.entity)
 		}
 	}
 	if len(out) > 0 {
 		return out
 	}
-	return highest
+	return stats.HighestEntities()
 }
 
 // Texts returns the item texts in rank order.

@@ -84,7 +84,12 @@ var builds atomic.Int64
 // Builds returns the number of times Build has run in this process.
 func Builds() int64 { return builds.Load() }
 
-// Build constructs the index for a document in one pass.
+// Build constructs the index for a document in one pass. Everything an
+// element is posted for — its label's tokens, then the tokens of its text
+// children in order — is posted when the element itself is visited, so the
+// adds for one node are contiguous and every list comes out sorted by Ord
+// and free of duplicates whatever the content model (a text child of mixed
+// content may follow a whole element subtree in preorder).
 func Build(doc *xmltree.Document) *Index {
 	builds.Add(1)
 	ix := &Index{doc: doc, postings: make(map[string]*PostingList)}
@@ -94,8 +99,8 @@ func Build(doc *xmltree.Document) *Index {
 			list = &PostingList{}
 			ix.postings[keyword] = list
 		}
-		// Nodes arrive in document order; merge repeated hits on the
-		// same node (e.g. a token occurring twice in one value).
+		// Merge repeated hits on the same node (e.g. a token occurring
+		// twice in one value, or in two text children).
 		if k := len(list.Nodes); k > 0 && list.Nodes[k-1] == n {
 			list.Fields[k-1] |= f
 			return
@@ -106,17 +111,18 @@ func Build(doc *xmltree.Document) *Index {
 		ix.total++
 	}
 	for _, n := range doc.Nodes() {
-		switch {
-		case n.IsElement():
-			for _, t := range Tokenize(n.Label) {
-				add(t, n, FieldLabel)
-			}
-		case n.IsText():
-			if n.Parent == nil {
+		if !n.IsElement() {
+			continue
+		}
+		for _, t := range Tokenize(n.Label) {
+			add(t, n, FieldLabel)
+		}
+		for _, c := range n.Children {
+			if !c.IsText() {
 				continue
 			}
-			for _, t := range Tokenize(n.Value) {
-				add(t, n.Parent, FieldValue)
+			for _, t := range Tokenize(c.Value) {
+				add(t, n, FieldValue)
 			}
 		}
 	}

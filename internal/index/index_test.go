@@ -204,3 +204,59 @@ func TestTokenizeMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// Mixed content puts a text child after a whole element subtree in preorder.
+// Every list must still come out sorted by Ord with each node once: the
+// readers binary-search them, and the persisted form refuses anything else.
+func TestBuildMixedContentSortedUnique(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r>
+	<p>red <c><d>red</d><e>blue</e></c> red</p>
+	<p>green<c><d>blue</d>tail</c><d>red</d> p</p>
+	<q kind="p">blue <b>red</b> blue</q>
+</r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(doc)
+	total := 0
+	for _, kw := range ix.Vocabulary() {
+		pl := ix.List(kw)
+		total += pl.Len()
+		for i, n := range pl.Nodes {
+			if int(pl.Ords[i]) != n.Ord || !n.IsElement() {
+				t.Fatalf("%q entry %d: ord %d names %v", kw, i, pl.Ords[i], n)
+			}
+			if i > 0 && pl.Ords[i-1] >= pl.Ords[i] {
+				t.Fatalf("%q = %v: not strictly increasing", kw, pl.Ords)
+			}
+			// The entry is exactly what the node shows: the keyword in its
+			// label, in one of its own text children, or both.
+			var want MatchField
+			if MatchesKeyword(n.Label, kw) {
+				want |= FieldLabel
+			}
+			for _, c := range n.Children {
+				if c.IsText() && MatchesKeyword(c.Value, kw) {
+					want |= FieldValue
+				}
+			}
+			if pl.Fields[i] != want {
+				t.Fatalf("%q on %v: fields %v, want %v", kw, n, pl.Fields[i], want)
+			}
+		}
+	}
+	if total != ix.TotalPostings() {
+		t.Errorf("lists hold %d postings, the index counts %d", total, ix.TotalPostings())
+	}
+	// <p> once for "red" although two of its text children say it, around a
+	// subtree that says it too.
+	first := doc.Root.Children[0]
+	if red := ix.Nodes("red"); len(red) != 4 || red[0] != first || red[1].Label != "d" {
+		t.Errorf("red = %v", red)
+	}
+	// "p" is the label of two elements — one of which also says it in a
+	// trailing text child — and the value of the kind attribute.
+	if got := ix.Count("p"); got != 3 {
+		t.Errorf("p has %d postings, want 3", got)
+	}
+}

@@ -198,22 +198,30 @@ func collectAttrs(n *xmltree.Node, cls *classify.Classification, fn func(*xmltre
 	walk(n)
 }
 
-// KeyValueOf returns the key attribute of an entity instance and its value.
-// The key attribute is located like Mine located it: among the attribute
-// descendants reachable through connection nodes, first in document order.
-// The instance may come from the document or from a projection of it.
-func (k *Keys) KeyValueOf(cls *classify.Classification, n *xmltree.Node) (attr, value string, ok bool) {
+// KeyNodeOf returns the key attribute of an entity instance and the node
+// carrying it (nil when this instance has none); ok is false when the entity
+// label has no mined key. The key attribute is located like Mine located it:
+// among the attribute descendants reachable through connection nodes, first
+// in document order. The instance may come from the document or from a
+// projection of it.
+func (k *Keys) KeyNodeOf(cls *classify.Classification, n *xmltree.Node) (attr string, node *xmltree.Node, ok bool) {
 	a, ok := k.key[n.Label]
 	if !ok {
-		return "", "", false
+		return "", nil, false
 	}
-	var found *xmltree.Node
 	collectAttrs(n, cls, func(c *xmltree.Node) {
-		if found == nil && c.Label == a {
-			found = c
+		if node == nil && c.Label == a {
+			node = c
 		}
 	})
-	if found == nil {
+	return a, node, true
+}
+
+// KeyValueOf returns the key attribute of an entity instance and its value
+// (see KeyNodeOf).
+func (k *Keys) KeyValueOf(cls *classify.Classification, n *xmltree.Node) (attr, value string, ok bool) {
+	a, found, ok := k.KeyNodeOf(cls, n)
+	if !ok || found == nil {
 		return a, "", false
 	}
 	return a, found.TextValue(), true

@@ -7,6 +7,7 @@ import (
 
 	"extract/internal/core"
 	"extract/internal/dtd"
+	"extract/internal/gen"
 	"extract/xmltree"
 )
 
@@ -113,8 +114,19 @@ func TestRoundTripSummaryAndGuide(t *testing.T) {
 // TestRoundTripPostingsExact: the restored index serves identical posting
 // lists without rebuilding.
 func TestRoundTripPostingsExact(t *testing.T) {
-	doc, err := xmltree.ParseString(
-		`<s><a>red shirt</a><b kind="red">blue</b><red/></s>`)
+	postingsSurvive(t, `<s><a>red shirt</a><b kind="red">blue</b><red/></s>`)
+}
+
+// TestRoundTripMixedContent: a document whose text runs follow element
+// subtrees saves to an image that loads — its posting lists are sorted, which
+// the decoder insists on — and serves the same postings.
+func TestRoundTripMixedContent(t *testing.T) {
+	postingsSurvive(t, `<r><p>red <c><d>red</d><e>blue</e></c> red</p><p>blue<c/>blue p</p></r>`)
+}
+
+func postingsSurvive(t *testing.T, src string) {
+	t.Helper()
+	doc, err := xmltree.ParseString(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +151,29 @@ func TestRoundTripPostingsExact(t *testing.T) {
 			}
 			if got.Nodes[i].Ord != int(got.Ords[i]) {
 				t.Fatalf("%q posting %d: node/ord mismatch", kw, i)
+			}
+		}
+	}
+}
+
+// TestRoundTripSymbolIDs: the decoder numbers labels and values from the
+// string-table references of the image, and arrives at exactly the ids
+// finalizing the parsed document assigned.
+func TestRoundTripSymbolIDs(t *testing.T) {
+	docs := []*xmltree.Document{
+		gen.Figure1Corpus(),
+		gen.Stores(gen.StoresConfig{Retailers: 3, StoresPerRetailer: 2, ClothesPerStore: 4, Seed: 3}),
+		gen.Movies(gen.MoviesConfig{Movies: 6, Seed: 4}),
+	}
+	mixed, err := xmltree.ParseString(`<r a="r"><p>a <r>p</r> a</p><a>r</a><p/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for di, doc := range append(docs, mixed) {
+		loaded := roundTrip(t, core.BuildCorpus(doc))
+		for i, n := range loaded.Doc.Nodes() {
+			if want := doc.Nodes()[i]; n.Sym != want.Sym {
+				t.Fatalf("document %d node %d (%v): symbol id %d, want %d", di, i, n, n.Sym, want.Sym)
 			}
 		}
 	}

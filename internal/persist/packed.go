@@ -612,6 +612,8 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 		}
 	}
 
+	syms := denseSyms(tags, labelSlab, valueSlab, strCount)
+
 	// Decode the posting ords while the node slab may still be zeroing.
 	ords := make([]int32, total)
 	for i := range ords {
@@ -649,10 +651,10 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 	})
 	half := n / 2
 	spawn(1, func() error {
-		return decodeContent(nodeSlab, tags, labelSlab, valueSlab, ccSlab, table, 0, half)
+		return decodeContent(nodeSlab, tags, labelSlab, valueSlab, ccSlab, table, syms, 0, half)
 	})
 	spawn(2, func() error {
-		return decodeContent(nodeSlab, tags, labelSlab, valueSlab, ccSlab, table, half, n)
+		return decodeContent(nodeSlab, tags, labelSlab, valueSlab, ccSlab, table, syms, half, n)
 	})
 	spawn(3, func() (err error) {
 		postings, maxList, err = decodePostings(nodeSlab, tags, kwIDs, listLens, ords, fieldSlab, table)
@@ -744,10 +746,44 @@ func decodeStructure(nodeSlab []xmltree.Node, ccSlab []byte) ([]*xmltree.Node, e
 	return docNodes, nil
 }
 
-// decodeContent fills labels, values and kinds for nodes[lo:hi]. Per-node
-// it touches only the fields decodeStructure leaves alone, so the two can
-// run concurrently, and ranges can shard across goroutines.
-func decodeContent(nodeSlab []xmltree.Node, tags, labelSlab, valueSlab, ccSlab []byte, table *stringTable, lo, hi int) error {
+// denseSyms derives the document's symbol ids (xmltree.Node.Sym) from the
+// string-table references the tree section already holds, hashing nothing:
+// one pass renumbers the table ids element labels use, and separately those
+// text values use, densely in first-seen order — what NewDocument would have
+// assigned, given that the writer interns every string once. The result is
+// indexed by table id, labels in [0] and values in [1]; an id out of the
+// table's range is left for decodeContent to refuse.
+func denseSyms(tags, labelSlab, valueSlab []byte, strCount int) [2][]int32 {
+	syms := [2][]int32{make([]int32, strCount), make([]int32, strCount)}
+	var next [2]int32
+	for i, tag := range tags {
+		space, slab := 0, labelSlab
+		if tag&tagText != 0 {
+			space, slab = 1, valueSlab
+		}
+		id := binary.LittleEndian.Uint32(slab[4*i:])
+		if id >= uint32(strCount) {
+			continue
+		}
+		// Stored +1 while numbering, so 0 means "not seen yet".
+		if syms[space][id] == 0 {
+			next[space]++
+			syms[space][id] = next[space]
+		}
+	}
+	for _, ids := range syms {
+		for i := range ids {
+			ids[i]--
+		}
+	}
+	return syms
+}
+
+// decodeContent fills labels, values, kinds and symbol ids for
+// nodes[lo:hi]. Per-node it touches only the fields decodeStructure leaves
+// alone, so the two can run concurrently, and ranges can shard across
+// goroutines.
+func decodeContent(nodeSlab []xmltree.Node, tags, labelSlab, valueSlab, ccSlab []byte, table *stringTable, syms [2][]int32, lo, hi int) error {
 	for i := lo; i < hi; i++ {
 		nd := &nodeSlab[i]
 		if tags[i]&^(tagText|tagFromAttr) != 0 {
@@ -760,11 +796,18 @@ func decodeContent(nodeSlab []xmltree.Node, tags, labelSlab, valueSlab, ccSlab [
 			nd.Kind = xmltree.KindText
 		}
 		nd.FromAttr = tags[i]&tagFromAttr != 0
+		labelID := int32(binary.LittleEndian.Uint32(labelSlab[4*i:]))
+		valueID := int32(binary.LittleEndian.Uint32(valueSlab[4*i:]))
 		var ok1, ok2 bool
-		nd.Label, ok1 = table.str(int32(binary.LittleEndian.Uint32(labelSlab[4*i:])))
-		nd.Value, ok2 = table.str(int32(binary.LittleEndian.Uint32(valueSlab[4*i:])))
+		nd.Label, ok1 = table.str(labelID)
+		nd.Value, ok2 = table.str(valueID)
 		if !ok1 || !ok2 {
 			return fmt.Errorf("%w: node %d: string id out of range", ErrBadFormat, i)
+		}
+		if nd.Kind == xmltree.KindText {
+			nd.Sym = syms[1][valueID]
+		} else {
+			nd.Sym = syms[0][labelID]
 		}
 	}
 	return nil

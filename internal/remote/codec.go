@@ -582,9 +582,14 @@ func (v *validated) str() string {
 // substring of one copy of the encoding, so the built tree pins nothing of
 // the frame it arrived in. Anchor is the rebuilt root and Matches point into
 // the rebuilt tree, preserving the relative depths the ranking scorer reads.
+//
+// The wire carries every string inline, so the symbol ids (Node.Sym) are
+// interned here, as NewDocument would (a result has few distinct strings next
+// to its nodes).
 func (s scanned) build() *search.Result {
 	v := validated{text: string(s.enc)}
 	total := v.uvarint()
+	syms := xmltree.NewSymbols()
 	ptrs := make([]*xmltree.Node, 2*total-1)
 	nodes, childArena := ptrs[:total:total], ptrs[total:]
 	var slab []xmltree.Node
@@ -604,6 +609,7 @@ func (s scanned) build() *search.Result {
 		} else {
 			n.Label = v.str()
 		}
+		syms.Assign(n)
 		n.FromAttr = flags&nodeFromAttr != 0
 		n.Ord, n.Start, n.End = i, int32(i), int32(i)
 		if open != nil {

@@ -284,9 +284,14 @@ func checkContract(t *testing.T, sent, r *search.Result) {
 	if r.Size() != sent.Size() {
 		t.Fatalf("size %d, sent %d", r.Size(), sent.Size())
 	}
-	for _, n := range r.Doc.Nodes() {
+	// The symbol ids are the ones finalizing the same tree afresh assigns.
+	fresh := xmltree.NewDocument(xmltree.DeepCopy(r.Root)).Nodes()
+	for i, n := range r.Doc.Nodes() {
 		if r.Doc.ByOrd(n.Ord) != n {
 			t.Fatalf("ByOrd(%d) is not the node", n.Ord)
+		}
+		if n.Sym != fresh[i].Sym {
+			t.Fatalf("node %d (%v) has symbol id %d, a fresh finalization gives %d", i, n, n.Sym, fresh[i].Sym)
 		}
 	}
 	if len(r.Matches) != len(sent.Matches) {

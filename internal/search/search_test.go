@@ -192,6 +192,8 @@ func TestSLCAMatchesBruteForce(t *testing.T) {
 // (up to 32 elements, any earlier element the parent) stay shallow; skinny
 // ones (up to 400 elements, the parent one of the last three) run about 200
 // deep, which is where the LCA fold's work is: its cost is the Parent climb.
+// A few elements get a text run after their element children — mixed
+// content, where a node's value follows a whole subtree in document order.
 func randomDoc(r *rand.Rand, skinny bool) *xmltree.Document {
 	labels := []string{"a", "b", "c", "d"}
 	values := []string{"x", "y", "z"}
@@ -212,6 +214,12 @@ func randomDoc(r *rand.Rand, skinny bool) *xmltree.Document {
 		}
 		xmltree.Append(parent, child)
 		nodes = append(nodes, child)
+	}
+	for i := r.Intn(4); i > 0; i-- {
+		p := nodes[r.Intn(len(nodes))]
+		if k := len(p.Children); k > 0 && p.Children[k-1].IsElement() {
+			xmltree.Append(p, xmltree.Txt(values[r.Intn(len(values))]))
+		}
 	}
 	return xmltree.NewDocument(nodes[0])
 }

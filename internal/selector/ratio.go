@@ -1,6 +1,8 @@
 package selector
 
 import (
+	"slices"
+
 	"extract/internal/classify"
 	"extract/internal/features"
 	"extract/internal/ilist"
@@ -17,33 +19,36 @@ import (
 func GreedyRatio(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification,
 	stats *features.Stats, bound int) *Snippet {
 
-	f := newFinder(doc, cls, stats, il)
-	tr := newTracker(cls, doc.Root)
+	s := begin(doc, il, stats)
+	defer s.release()
 	edges := 0
 
-	remaining := make(map[int]bool, il.Len())
-	for i := range il.Items {
+	remaining := make([]bool, il.Len())
+	for i := range remaining {
 		remaining[i] = true
 	}
+	left := len(remaining)
 	var covered []int
-	markCovered := func() {
+	sweep := func() {
 		for i := range il.Items {
-			if remaining[i] && tr.covers(il.Items[i]) {
-				delete(remaining, i)
+			if remaining[i] && s.covers(i) {
+				remaining[i] = false
+				left--
 				covered = append(covered, i)
 			}
 		}
 	}
-	markCovered()
+	sweep()
 
-	for len(remaining) > 0 {
+	for left > 0 {
 		bestIdx, bestCost := -1, 0
 		bestRatio := -1.0
-		var bestPath []*xmltree.Node
-		for idx := range remaining {
-			it := il.Items[idx]
-			for _, inst := range f.instancesOf(it) {
-				c, path := tr.cost(inst, nil, -1)
+		for idx := range il.Items {
+			if !remaining[idx] {
+				continue
+			}
+			for _, n := range s.instances(idx) {
+				c := s.cost(n, -1)
 				if edges+c > bound {
 					continue
 				}
@@ -53,22 +58,23 @@ func GreedyRatio(doc *xmltree.Document, il *ilist.IList, cls *classify.Classific
 				} else {
 					ratio = (1.0 / float64(1+idx)) / float64(c)
 				}
-				// Deterministic tie-break: better ratio, then
-				// lower rank, then cheaper.
-				if ratio > bestRatio ||
-					(ratio == bestRatio && bestIdx >= 0 && idx < bestIdx) {
-					bestRatio, bestIdx, bestCost, bestPath = ratio, idx, c, path
+				// Items are tried in rank order, so on equal ratios
+				// the lower rank — then the earlier instance — stays.
+				if ratio > bestRatio {
+					bestRatio, bestIdx, bestCost = ratio, idx, c
+					s.best, s.path = s.path, s.best
 				}
 			}
 		}
 		if bestIdx < 0 {
 			break // nothing affordable remains
 		}
-		tr.addAll(bestPath)
+		s.addAll(s.best)
 		edges += bestCost
-		delete(remaining, bestIdx)
+		remaining[bestIdx] = false
+		left--
 		covered = append(covered, bestIdx)
-		markCovered()
+		sweep()
 	}
 
 	var skipped []int
@@ -77,14 +83,6 @@ func GreedyRatio(doc *xmltree.Document, il *ilist.IList, cls *classify.Classific
 			skipped = append(skipped, i)
 		}
 	}
-	sortInts(covered)
-	return materialize(doc, tr, covered, skipped, edges)
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
+	slices.Sort(covered)
+	return &Snippet{Root: s.materialize(s.members), Covered: covered, Skipped: skipped, Edges: edges}
 }

@@ -19,7 +19,8 @@
 package selector
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"extract/internal/classify"
 	"extract/internal/features"
@@ -42,10 +43,6 @@ type Snippet struct {
 
 	// Edges is the snippet size: the number of element-to-element edges.
 	Edges int
-
-	// Nodes is the set of selected result-tree nodes (ancestor-closed,
-	// including free text values).
-	Nodes map[*xmltree.Node]bool
 }
 
 // CoveredItems returns the covered items in rank order.
@@ -57,305 +54,405 @@ func (s *Snippet) CoveredItems(il *ilist.IList) []ilist.Item {
 	return out
 }
 
-// instance is one way to witness an IList item: an element node a, plus
-// optionally the text child b whose value must display. The two-pointer
-// value form keeps instance lists free of per-entry allocations.
-type instance struct {
-	a, b *xmltree.Node
-}
-
-// deepest returns the instance's deepest node; its ancestor chain covers
-// the whole instance.
-func (in instance) deepest() *xmltree.Node {
-	if in.b != nil {
-		return in.b
-	}
-	return in.a
-}
-
-// tracker maintains the growing snippet tree and the evidence it exposes:
-// node membership, element count, label tokens, value tokens, entity labels
-// and (e, a, v) features present.
-type tracker struct {
-	cls      *classify.Classification
-	root     *xmltree.Node // result root; owner climbs stop here
-	inT      map[*xmltree.Node]bool
-	tokens   map[string]bool
-	labels   map[string]bool
-	feats    map[features.Feature]bool
-	elements int
-}
-
-func newTracker(cls *classify.Classification, root *xmltree.Node) *tracker {
-	tr := &tracker{
-		cls:    cls,
-		root:   root,
-		inT:    make(map[*xmltree.Node]bool),
-		tokens: make(map[string]bool),
-		labels: make(map[string]bool),
-		feats:  make(map[features.Feature]bool),
-	}
-	tr.add(root)
-	return tr
-}
-
-// clone deep-copies the tracker; the exact solver branches on clones.
-func (tr *tracker) clone() *tracker {
-	c := &tracker{
-		cls:      tr.cls,
-		root:     tr.root,
-		inT:      make(map[*xmltree.Node]bool, len(tr.inT)),
-		tokens:   make(map[string]bool, len(tr.tokens)),
-		labels:   make(map[string]bool, len(tr.labels)),
-		feats:    make(map[features.Feature]bool, len(tr.feats)),
-		elements: tr.elements,
-	}
-	for k := range tr.inT {
-		c.inT[k] = true
-	}
-	for k := range tr.tokens {
-		c.tokens[k] = true
-	}
-	for k := range tr.labels {
-		c.labels[k] = true
-	}
-	for k := range tr.feats {
-		c.feats[k] = true
-	}
-	return c
-}
-
-// add puts one node into the tree, updating evidence. Attribute-shaped
-// elements bring their text value along for free (it displays inside them).
-func (tr *tracker) add(n *xmltree.Node) {
-	if tr.inT[n] {
-		return
-	}
-	tr.inT[n] = true
-	switch {
-	case n.IsElement():
-		tr.elements++
-		tr.labels[n.Label] = true
-		for _, t := range index.Tokenize(n.Label) {
-			tr.tokens[t] = true
-		}
-		if n.HasSingleTextChild() {
-			tr.add(n.Children[0])
-		}
-	case n.IsText():
-		for _, t := range index.Tokenize(n.Value) {
-			tr.tokens[t] = true
-		}
-		if p := n.Parent; p != nil && p.HasSingleTextChild() {
-			if owner := tr.cls.EntityOwnerWithin(p, tr.root); owner != nil {
-				tr.feats[features.Feature{
-					Type:  features.Type{Entity: owner.Label, Attr: p.Label},
-					Value: n.Value,
-				}] = true
-			}
-		}
-	}
-}
-
-// covers reports whether the current tree already witnesses the item.
-func (tr *tracker) covers(it ilist.Item) bool {
-	switch it.Kind {
-	case ilist.Keyword:
-		return tr.tokens[it.Text]
-	case ilist.EntityName:
-		return tr.labels[it.Text]
-	case ilist.ResultKey, ilist.DominantFeature:
-		return tr.feats[it.Feature]
-	default:
-		return false
-	}
-}
-
-// cost returns the number of new element edges needed to attach the
-// instance to the tree, and the path nodes to add (appended to buf, which
-// may be reused across calls). Free (text) nodes do not count. An
-// instance's nodes form a single ancestor chain ending at its deepest
-// node, so one climb from that node to the nearest tree node covers the
-// whole instance; instances are within the result tree rooted at the
-// tracked root, so a tree ancestor always exists.
+// selection is the working state of one snippet: where the IList's items
+// can be witnessed in the result, and the growing snippet tree with the
+// evidence it exposes. Everything in it is
+// keyed by integers the collection pass and the document already assigned —
+// symbol ids, preorder positions, feature ids — and it is pooled, so a
+// snippet allocates what it returns and little else.
 //
-// limit prunes the climb: once cost exceeds it the instance cannot win,
-// and the (partial) path is meaningless. Pass a negative limit for no
-// pruning.
-func (tr *tracker) cost(inst instance, buf []*xmltree.Node, limit int) (int, []*xmltree.Node) {
-	path := buf[:0]
-	cost := 0
-	for m := inst.deepest(); m != nil && !tr.inT[m]; m = m.Parent {
-		path = append(path, m)
-		if m.IsElement() {
-			cost++
-			if limit >= 0 && cost > limit {
-				return cost, path
-			}
-		}
-	}
-	return cost, path
+// An instance — one way to witness an item — is represented by its deepest
+// node, whose ancestor chain covers the whole instance: an element, or a text
+// child whose value must display. A feature's instance is its attribute
+// node: the single text value of an attribute-shaped element enters and
+// leaves the tree with it, so the value itself is never climbed from.
+type selection struct {
+	il    *ilist.IList
+	stats *features.Stats
+	root  *xmltree.Node
+	base  int // root.Ord: positions inside the result are Ord - base
+
+	// stamp marks what belongs to this snippet in memo and mark, so neither
+	// is cleared between snippets.
+	stamp uint32
+
+	// Keywords: the distinct Keyword items, each with its instances in
+	// document order, and per symbol id which of them its string contains
+	// (memo[0] by label id, memo[1] by value id) — a label or value is
+	// tokenized once per snippet however many nodes carry it. A memo entry
+	// points at a run of hits: a count, then that many keyword indexes.
+	kwIndex map[string]int32
+	kwInst  [][]*xmltree.Node
+	memo    [2][]memoEntry
+	hits    []int32
+
+	// ref resolves each IList item once: a keyword index, an entity index
+	// of stats, or a feature id; -1 for an item the result cannot witness.
+	ref []int32
+
+	// The snippet tree: member nodes in insertion order, membership by
+	// position, and the evidence — how many members show each keyword, and
+	// the (entity, attribute, value) symbol triple of every member value.
+	mark    []uint32
+	members []*xmltree.Node
+	kwCount []int32
+	triples [][3]int32
+
+	path, best []*xmltree.Node // climb buffers
+	ints       []int           // materialize's scan state
 }
 
-func (tr *tracker) addAll(path []*xmltree.Node) {
-	// Add top-down so ancestors enter first (cosmetic; membership is a set).
-	for i := len(path) - 1; i >= 0; i-- {
-		tr.add(path[i])
-	}
+type memoEntry struct {
+	stamp uint32
+	run   int32 // index into hits, or -1 when no keyword occurs
 }
 
-// finder enumerates item instances over one result tree. Instead of
-// building a full inverted index of the result per snippet, it walks the
-// tree once, collecting instances only for the keywords and entity labels
-// the IList actually asks for; feature instances come straight from the
-// feature statistics.
-type finder struct {
-	stats    *features.Stats
-	keywords map[string][]instance // Keyword items, document order
-	entities map[string][]instance // EntityName items, document order
-}
+const scratchKeepNodes = 1 << 20
 
-func newFinder(doc *xmltree.Document, cls *classify.Classification, stats *features.Stats,
-	il *ilist.IList) *finder {
+var selections = sync.Pool{New: func() any { return &selection{kwIndex: make(map[string]int32)} }}
 
-	f := &finder{
-		stats:    stats,
-		keywords: make(map[string][]instance),
-		entities: make(map[string][]instance),
+// begin readies a selection for one result: resolves the items, finds the
+// keyword instances, and seeds the snippet tree with the result root.
+func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selection {
+	s := selections.Get().(*selection)
+	s.il, s.stats, s.root, s.base = il, stats, doc.Root, doc.Root.Ord
+	s.stamp++
+	if s.stamp == 0 { // wrapped: stale entries could read as current
+		clear(s.memo[0])
+		clear(s.memo[1])
+		clear(s.mark)
+		s.stamp = 1
 	}
+	if len(s.mark) < doc.Len() {
+		s.mark = make([]uint32, doc.Len())
+	}
+
+	s.ref = s.ref[:0]
 	for _, it := range il.Items {
+		ref := int32(-1)
 		switch it.Kind {
 		case ilist.Keyword:
-			f.keywords[it.Text] = nil
-		case ilist.EntityName:
-			f.entities[it.Text] = nil
-		}
-	}
-	if len(f.keywords) == 0 && len(f.entities) == 0 {
-		return f
-	}
-	labelToks := make(map[string][]string) // per-label tokens, few labels
-	doc.Root.Walk(func(n *xmltree.Node) bool {
-		if !n.IsElement() {
-			return true
-		}
-		if insts, ok := f.entities[n.Label]; ok && cls.IsEntity(n) {
-			f.entities[n.Label] = append(insts, instance{a: n})
-		}
-		if len(f.keywords) > 0 {
-			toks, ok := labelToks[n.Label]
+			k, ok := s.kwIndex[it.Text]
 			if !ok {
-				toks = index.Tokenize(n.Label)
-				labelToks[n.Label] = toks
+				k = int32(len(s.kwIndex))
+				s.kwIndex[it.Text] = k
 			}
-			// Label instance first, then value instances in child order —
-			// the document order a posting scan produced.
-			for _, t := range toks {
-				insts, want := f.keywords[t]
-				if !want {
-					continue
-				}
-				// A token repeated inside one label witnesses once.
-				if k := len(insts); k > 0 && insts[k-1].b == nil && insts[k-1].a == n {
-					continue
-				}
-				f.keywords[t] = append(insts, instance{a: n})
+			ref = k
+		case ilist.EntityName:
+			ref = int32(slices.Index(stats.EntityLabels(), it.Text))
+		case ilist.ResultKey, ilist.DominantFeature:
+			ref = it.FeatureID
+		}
+		s.ref = append(s.ref, ref)
+	}
+	for len(s.kwInst) < len(s.kwIndex) {
+		s.kwInst = append(s.kwInst, nil)
+	}
+	s.kwCount = append(s.kwCount[:0], make([]int32, len(s.kwIndex))...)
+
+	// Per element: its label, then its text children in order — the order
+	// the index posts them in.
+	if len(s.kwIndex) > 0 {
+		for _, n := range doc.Nodes() {
+			if !n.IsElement() {
+				continue
+			}
+			for _, k := range s.keywordsIn(n) {
+				s.kwInst[k] = append(s.kwInst[k], n)
 			}
 			for _, c := range n.Children {
 				if !c.IsText() {
 					continue
 				}
-				index.EachToken(c.Value, func(t string) bool {
-					insts, want := f.keywords[t]
-					if !want {
-						return true
-					}
-					// A token repeated inside one value witnesses once.
-					if k := len(insts); k > 0 && insts[k-1].b == c {
-						return true
-					}
-					f.keywords[t] = append(insts, instance{a: n, b: c})
-					return true
-				})
+				for _, k := range s.keywordsIn(c) {
+					s.kwInst[k] = append(s.kwInst[k], c)
+				}
 			}
 		}
-		return true
-	})
-	return f
+	}
+	s.add(s.root)
+	return s
 }
 
-// instancesOf lists the ways to witness an item, in document order.
-func (f *finder) instancesOf(it ilist.Item) []instance {
-	switch it.Kind {
-	case ilist.Keyword:
-		return f.keywords[it.Text]
-	case ilist.EntityName:
-		return f.entities[it.Text]
-	case ilist.ResultKey, ilist.DominantFeature:
-		var out []instance
-		for _, n := range f.stats.Instances(it.Feature) {
-			if n.HasSingleTextChild() {
-				out = append(out, instance{a: n, b: n.Children[0]})
+// release returns the selection to the pool, dropping every node it holds:
+// pooled scratch must not keep a replaced corpus generation reachable. Nor
+// may it pin memory in proportion to a corpus of any size (the marks and
+// the instance lists grow to the largest result seen): past scratchKeepNodes
+// the selection is dropped instead.
+func (s *selection) release() {
+	if len(s.mark) > scratchKeepNodes {
+		return
+	}
+	for k := range s.kwInst {
+		clear(s.kwInst[k])
+		s.kwInst[k] = s.kwInst[k][:0]
+	}
+	clear(s.members)
+	clear(s.path[:cap(s.path)])
+	clear(s.best[:cap(s.best)])
+	clear(s.kwIndex)
+	s.members, s.triples, s.hits = s.members[:0], s.triples[:0], s.hits[:0]
+	s.il, s.stats, s.root = nil, nil, nil
+	selections.Put(s)
+}
+
+// keywordsIn returns the indexes of the keywords occurring in n's label
+// (element) or value (text node), each once, memoized by symbol id.
+func (s *selection) keywordsIn(n *xmltree.Node) []int32 {
+	if len(s.kwIndex) == 0 {
+		return nil
+	}
+	space, text := 0, n.Label
+	if n.IsText() {
+		space, text = 1, n.Value
+	}
+	memo := s.memo[space]
+	if int(n.Sym) >= len(memo) {
+		memo = append(memo, make([]memoEntry, int(n.Sym)+1-len(memo))...)
+		s.memo[space] = memo
+	}
+	e := &memo[n.Sym]
+	if e.stamp != s.stamp {
+		e.stamp, e.run = s.stamp, -1
+		run := len(s.hits)
+		index.EachToken(text, func(t string) bool {
+			k, ok := s.kwIndex[t]
+			if !ok {
+				return true
+			}
+			if e.run < 0 {
+				e.run = int32(run)
+				s.hits = append(s.hits, 0)
+			}
+			if !slices.Contains(s.hits[run+1:], k) {
+				s.hits = append(s.hits, k)
+				s.hits[run]++
+			}
+			return true
+		})
+	}
+	if e.run < 0 {
+		return nil
+	}
+	return s.hits[e.run+1 : e.run+1+s.hits[e.run]]
+}
+
+func (s *selection) inTree(n *xmltree.Node) bool { return s.mark[n.Ord-s.base] == s.stamp }
+
+// add puts one node into the tree, updating evidence. Attribute-shaped
+// elements bring their text value along for free (it displays inside them).
+func (s *selection) add(n *xmltree.Node) {
+	if s.inTree(n) {
+		return
+	}
+	s.mark[n.Ord-s.base] = s.stamp
+	s.members = append(s.members, n)
+	for _, k := range s.keywordsIn(n) {
+		s.kwCount[k]++
+	}
+	switch {
+	case n.IsElement():
+		if n.HasSingleTextChild() {
+			s.add(n.Children[0])
+		}
+	case n != s.root && n.Parent.HasSingleTextChild():
+		// A displayed value is the feature (owner, attribute, value),
+		// the owner being the nearest entity inside the result.
+		for m := n.Parent; ; m = m.Parent {
+			if slices.Contains(s.stats.EntitySyms(), m.Sym) {
+				s.triples = append(s.triples, [3]int32{m.Sym, n.Parent.Sym, n.Sym})
+				break
+			}
+			if m == s.root {
+				break
 			}
 		}
-		return out
 	}
-	return nil
+}
+
+// checkpoint and rollback let the exact solver try a branch and take it
+// back: members and triples only ever grow by appending.
+type checkpoint struct{ members, triples int }
+
+func (s *selection) checkpoint() checkpoint { return checkpoint{len(s.members), len(s.triples)} }
+
+func (s *selection) rollback(to checkpoint) {
+	for _, n := range s.members[to.members:] {
+		s.mark[n.Ord-s.base] = 0
+		for _, k := range s.keywordsIn(n) {
+			s.kwCount[k]--
+		}
+	}
+	clear(s.members[to.members:])
+	s.members, s.triples = s.members[:to.members], s.triples[:to.triples]
+}
+
+// covers reports whether the current tree already witnesses item i.
+func (s *selection) covers(i int) bool {
+	ref := s.ref[i]
+	if ref < 0 {
+		return false
+	}
+	switch s.il.Items[i].Kind {
+	case ilist.Keyword:
+		return s.kwCount[ref] > 0
+	case ilist.EntityName:
+		sym := s.stats.EntitySyms()[ref]
+		return slices.ContainsFunc(s.members, func(m *xmltree.Node) bool { return m.IsElement() && m.Sym == sym })
+	default:
+		e, a, v := s.stats.FeatureSyms(ref)
+		return slices.Contains(s.triples, [3]int32{e, a, v})
+	}
+}
+
+// instances lists the ways to witness item i, in document order.
+func (s *selection) instances(i int) []*xmltree.Node {
+	ref := s.ref[i]
+	if ref < 0 {
+		return nil
+	}
+	switch s.il.Items[i].Kind {
+	case ilist.Keyword:
+		return s.kwInst[ref]
+	case ilist.EntityName:
+		return s.stats.EntityInstances(int(ref))
+	default:
+		return s.stats.InstancesOf(ref)
+	}
+}
+
+// cost returns the number of new element edges needed to attach the
+// instance whose deepest node is given to the tree, and the path nodes to
+// add (in s.path). Free (text) nodes do not count. An instance's nodes form
+// a single ancestor chain ending at its deepest node, so one climb from
+// that node to the nearest tree node covers the whole instance; instances
+// lie inside the result and its root is in the tree, so the climb ends.
+//
+// limit prunes the climb: once cost exceeds it the instance cannot win,
+// and the (partial) path is meaningless. Pass a negative limit for no
+// pruning.
+func (s *selection) cost(deepest *xmltree.Node, limit int) int {
+	s.path = s.path[:0]
+	cost := 0
+	for m := deepest; !s.inTree(m); m = m.Parent {
+		s.path = append(s.path, m)
+		if m.IsElement() {
+			cost++
+			if limit >= 0 && cost > limit {
+				return cost
+			}
+		}
+	}
+	return cost
+}
+
+// cheapest finds the instance of item i that attaches at the lowest cost,
+// the earliest one on ties, leaving its path in s.best; -1 if the item has
+// no instance. Climbs are pruned at limit (negative: not at all) and at the
+// best cost so far — anything costlier cannot win.
+func (s *selection) cheapest(i, limit int) int {
+	bestCost := -1
+	s.best = s.best[:0]
+	for _, n := range s.instances(i) {
+		prune := limit
+		if bestCost >= 0 && (limit < 0 || bestCost-1 < limit) {
+			prune = bestCost - 1
+		}
+		if c := s.cost(n, prune); bestCost < 0 || c < bestCost {
+			bestCost = c
+			s.best, s.path = s.path, s.best
+		}
+		if bestCost == 0 {
+			break // cannot do better
+		}
+	}
+	return bestCost
+}
+
+// addAll adds a climbed path top-down, so ancestors enter first.
+func (s *selection) addAll(path []*xmltree.Node) {
+	for i := len(path) - 1; i >= 0; i-- {
+		s.add(path[i])
+	}
 }
 
 // Greedy builds a snippet for the result within the edge bound.
 //
-// doc is the result tree (finalized); il its IList; cls the corpus
-// classification; stats the feature statistics collected on this result.
+// doc is the result tree (finalized); il its IList and stats the feature
+// statistics, both built on this result; cls is the classification they
+// were built under (the categories the selector needs travel in stats).
 func Greedy(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification,
 	stats *features.Stats, bound int) *Snippet {
 
-	f := newFinder(doc, cls, stats, il)
-	tr := newTracker(cls, doc.Root)
+	s := begin(doc, il, stats)
+	defer s.release()
 	edges := 0
-
-	var covered, skipped []int
-	var cur, bestPath []*xmltree.Node // reused across candidate evaluations
-	for idx, it := range il.Items {
-		if tr.covers(it) {
-			covered = append(covered, idx)
+	// Covered and skipped partition the items, so one array holds both:
+	// covered fills it from the front, skipped from the back.
+	part := make([]int, len(il.Items))
+	covered, skipped := 0, len(part)
+	for idx := range il.Items {
+		if s.covers(idx) {
+			part[covered] = idx
+			covered++
 			continue
 		}
-		bestCost := -1
-		bestPath = bestPath[:0]
-		for _, inst := range f.instancesOf(it) {
-			var c int
-			// Prune climbs at bestCost-1: anything costlier cannot win
-			// (ties keep the earliest instance, as before).
-			c, cur = tr.cost(inst, cur, bestCost-1)
-			if bestCost < 0 || c < bestCost {
-				bestCost = c
-				bestPath, cur = cur, bestPath
-			}
-			if c == 0 {
-				break // cannot do better
-			}
-		}
-		if bestCost >= 0 && edges+bestCost <= bound {
-			tr.addAll(bestPath)
-			edges += bestCost
-			covered = append(covered, idx)
+		// An instance dearer than what is left of the bound cannot be
+		// taken, so its climb stops there.
+		if c := s.cheapest(idx, bound-edges); c >= 0 && edges+c <= bound {
+			s.addAll(s.best)
+			edges += c
+			part[covered] = idx
+			covered++
 		} else {
-			skipped = append(skipped, idx)
+			skipped--
+			part[skipped] = idx
 		}
 	}
-	return materialize(doc, tr, covered, skipped, edges)
+	slices.Reverse(part[skipped:])
+	return &Snippet{
+		Root:    s.materialize(s.members),
+		Covered: part[:covered:covered],
+		Skipped: part[skipped:],
+		Edges:   edges,
+	}
 }
 
-func materialize(doc *xmltree.Document, tr *tracker, covered, skipped []int, edges int) *Snippet {
-	root := xmltree.ProjectSet(doc.Root, tr.inT)
-	return &Snippet{
-		Root:    root,
-		Covered: covered,
-		Skipped: skipped,
-		Edges:   edges,
-		Nodes:   tr.inT,
+// materialize builds the snippet tree from a member set, which is closed
+// over ancestors up to the result root: sorted by preorder position, every
+// member's parent is the innermost earlier member still open, so one scan
+// with the chain of open members copies the tree in document order. The
+// copies share one slab and their child lists one arena; Origin pointers
+// lead back to the members. It sorts members in place.
+func (s *selection) materialize(members []*xmltree.Node) *xmltree.Node {
+	slices.SortFunc(members, func(a, b *xmltree.Node) int { return a.Ord - b.Ord })
+	n := len(members)
+	s.ints = append(s.ints[:0], make([]int, 3*n)...)
+	parent, kids, open := s.ints[:n], s.ints[n:2*n], s.ints[2*n:2*n]
+	for i, m := range members {
+		for len(open) > 0 && members[open[len(open)-1]].End < m.Start {
+			open = open[:len(open)-1]
+		}
+		if i > 0 {
+			parent[i] = open[len(open)-1]
+			kids[parent[i]]++
+		}
+		open = append(open, i)
 	}
+	copies := make([]xmltree.Node, n)
+	arena := make([]*xmltree.Node, n-1)
+	for i, m := range members {
+		c := &copies[i]
+		c.Kind, c.Label, c.Value, c.FromAttr, c.Origin = m.Kind, m.Label, m.Value, m.FromAttr, m
+		if kids[i] > 0 {
+			c.Children, arena = arena[:0:kids[i]], arena[kids[i]:]
+		}
+		if i > 0 {
+			c.Parent = &copies[parent[i]]
+			c.Parent.Children = append(c.Parent.Children, c)
+		}
+	}
+	return &copies[0]
 }
 
 // ExactConfig bounds the exact solver's search; zero values choose the
@@ -382,12 +479,13 @@ func Exact(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification,
 	if cfg.MaxExpansions <= 0 {
 		cfg.MaxExpansions = 2_000_000
 	}
-	f := newFinder(doc, cls, stats, il)
+	s := begin(doc, il, stats)
+	defer s.release()
 
 	type best struct {
 		count   int
 		weight  float64
-		tr      *tracker
+		members []*xmltree.Node
 		covered []int
 		skipped []int
 		edges   int
@@ -404,8 +502,8 @@ func Exact(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification,
 	}
 
 	expansions := 0
-	var rec func(idx int, tr *tracker, edges int, covered, skipped []int)
-	rec = func(idx int, tr *tracker, edges int, covered, skipped []int) {
+	var rec func(idx, edges int, covered, skipped []int)
+	rec = func(idx, edges int, covered, skipped []int) {
 		expansions++
 		if expansions > cfg.MaxExpansions {
 			return
@@ -420,42 +518,42 @@ func Exact(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification,
 				b = best{
 					count:   len(covered),
 					weight:  w,
-					tr:      tr.clone(),
-					covered: append([]int(nil), covered...),
-					skipped: append([]int(nil), skipped...),
+					members: slices.Clone(s.members),
+					covered: slices.Clone(covered),
+					skipped: slices.Clone(skipped),
 					edges:   edges,
 				}
 			}
 			return
 		}
-		it := il.Items[idx]
-		if tr.covers(it) {
-			rec(idx+1, tr, edges, append(covered, idx), skipped)
+		if s.covers(idx) {
+			rec(idx+1, edges, append(covered, idx), skipped)
 			return
 		}
-		insts := f.instancesOf(it)
+		insts := s.instances(idx)
 		if len(insts) > cfg.MaxInstancesPerItem {
 			insts = insts[:cfg.MaxInstancesPerItem]
 		}
-		// Branch: each affordable instance.
-		for _, inst := range insts {
-			c, path := tr.cost(inst, nil, -1)
+		// Branch: each affordable instance, taken back afterwards.
+		for _, n := range insts {
+			c := s.cost(n, -1)
 			if edges+c > bound {
 				continue
 			}
-			child := tr.clone()
-			child.addAll(path)
-			rec(idx+1, child, edges+c, append(covered, idx), skipped)
+			before := s.checkpoint()
+			s.addAll(s.path)
+			rec(idx+1, edges+c, append(covered, idx), skipped)
+			s.rollback(before)
 		}
 		// Branch: skip the item.
-		rec(idx+1, tr, edges, covered, append(skipped, idx))
+		rec(idx+1, edges, covered, append(skipped, idx))
 	}
-	rec(0, newTracker(cls, doc.Root), 0, nil, nil)
+	rec(0, 0, nil, nil)
 
 	if b.count < 0 { // exhausted without completing any leaf (tiny budgets)
 		return Greedy(doc, il, cls, stats, bound)
 	}
-	sort.Ints(b.covered)
-	sort.Ints(b.skipped)
-	return materialize(doc, b.tr, b.covered, b.skipped, b.edges)
+	slices.Sort(b.covered)
+	slices.Sort(b.skipped)
+	return &Snippet{Root: s.materialize(b.members), Covered: b.covered, Skipped: b.skipped, Edges: b.edges}
 }

@@ -154,10 +154,9 @@ func TestCoveredItemsWitnessed(t *testing.T) {
 	fx := figure1(t)
 	for _, bound := range []int{3, 6, 9, 13, 30} {
 		s := Greedy(fx.doc, fx.il, fx.cls, fx.stats, bound)
-		tr := newTracker(fx.cls, s.Root)
-		s.Root.Walk(func(n *xmltree.Node) bool { tr.add(n); return true })
+		seen := Witnesses(s.Root, fx.il, fx.cls)
 		for _, idx := range s.Covered {
-			if !tr.covers(fx.il.Items[idx]) {
+			if !seen[idx] {
 				t.Errorf("bound %d: item %d (%s) claimed covered but absent",
 					bound, idx, fx.il.Items[idx].Text)
 			}

@@ -2,7 +2,9 @@ package selector
 
 import (
 	"extract/internal/classify"
+	"extract/internal/features"
 	"extract/internal/ilist"
+	"extract/internal/index"
 	"extract/xmltree"
 )
 
@@ -11,15 +13,42 @@ import (
 // appears in a label or displayed value, the entity label is present, the
 // feature's attribute occurs with its value under the right entity. Metrics
 // use this to score baseline snippets with the same rules as eXtract's own.
+// The tree need not be finalized, so the evidence is gathered by name.
 func Witnesses(root *xmltree.Node, il *ilist.IList, cls *classify.Classification) []bool {
 	out := make([]bool, il.Len())
 	if root == nil {
 		return out
 	}
-	tr := newTracker(cls, root)
-	root.Walk(func(n *xmltree.Node) bool { tr.add(n); return true })
+	tokens := make(map[string]bool)
+	labels := make(map[string]bool)
+	feats := make(map[features.Feature]bool)
+	see := func(t string) bool { tokens[t] = true; return true }
+	root.Walk(func(n *xmltree.Node) bool {
+		if n.IsElement() {
+			labels[n.Label] = true
+			index.EachToken(n.Label, see)
+			return true
+		}
+		index.EachToken(n.Value, see)
+		if p := n.Parent; n != root && p != nil && p.HasSingleTextChild() {
+			if owner := cls.EntityOwnerWithin(p, root); owner != nil {
+				feats[features.Feature{
+					Type:  features.Type{Entity: owner.Label, Attr: p.Label},
+					Value: n.Value,
+				}] = true
+			}
+		}
+		return true
+	})
 	for i, it := range il.Items {
-		out[i] = tr.covers(it)
+		switch it.Kind {
+		case ilist.Keyword:
+			out[i] = tokens[it.Text]
+		case ilist.EntityName:
+			out[i] = labels[it.Text]
+		case ilist.ResultKey, ilist.DominantFeature:
+			out[i] = feats[it.Feature]
+		}
 	}
 	return out
 }

@@ -28,8 +28,9 @@ type Document struct {
 
 // NewDocument finalizes the tree rooted at root into a Document: it fixes
 // parent pointers, assigns preorder positions and preorder intervals
-// (Ord, Start/End), and materializes the node sequence. The tree is modified
-// in place; root may be nil, producing an empty document.
+// (Ord, Start/End), interns every label and value into the document's symbol
+// ids (Sym, first-seen order) and materializes the node sequence. The tree
+// is modified in place; root may be nil, producing an empty document.
 func NewDocument(root *Node) *Document {
 	d := &Document{Root: root}
 	if root == nil {
@@ -37,10 +38,12 @@ func NewDocument(root *Node) *Document {
 	}
 	root.Parent = nil
 	d.nodes = make([]*Node, 0, root.NodeCount())
+	syms := NewSymbols()
 	var assign func(n *Node)
 	assign = func(n *Node) {
 		n.Ord = len(d.nodes)
 		n.Start = int32(n.Ord)
+		syms.Assign(n)
 		d.nodes = append(d.nodes, n)
 		for _, c := range n.Children {
 			c.Parent = n
@@ -52,8 +55,36 @@ func NewDocument(root *Node) *Document {
 	return d
 }
 
+// Symbols hands out a document's symbol ids (Node.Sym): dense, in first-seen
+// order, element labels and text values numbered separately. NewDocument
+// uses one per document; so does a loader that builds nodes itself from
+// strings it has no ids for, before AdoptFinalized.
+type Symbols struct {
+	labels, values map[string]int32
+}
+
+// NewSymbols returns an empty id assignment for one document.
+func NewSymbols() *Symbols {
+	return &Symbols{labels: make(map[string]int32), values: make(map[string]int32)}
+}
+
+// Assign sets n.Sym from n's label (element) or value (text node); the
+// nodes of a document must be assigned in preorder.
+func (s *Symbols) Assign(n *Node) {
+	ids, str := s.labels, n.Label
+	if n.Kind == KindText {
+		ids, str = s.values, n.Value
+	}
+	id, ok := ids[str]
+	if !ok {
+		id = int32(len(ids))
+		ids[str] = id
+	}
+	n.Sym = id
+}
+
 // AdoptFinalized builds a Document around a node sequence whose
-// finalization fields (Parent, Children, Ord, Start, End) the caller
+// finalization fields (Parent, Children, Ord, Start, End, Sym) the caller
 // has already assigned consistently, with nodes in preorder and nodes[0] the
 // root. It performs no validation and exists for loaders — the packed
 // persist format stores the preorder layout directly, so reconstructing it

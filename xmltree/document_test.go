@@ -347,3 +347,69 @@ func TestDeepChainAllocatesLinearly(t *testing.T) {
 		t.Errorf("NewDocument allocated %d B for %d nodes, want at most %d a node", got, doc.Len(), perNode)
 	}
 }
+
+// symsConsistent checks the symbol ids of a finalized document: within each
+// of the two spaces (labels on elements, values on text nodes) equal strings
+// have equal ids, different strings different ones, and the ids are dense.
+func symsConsistent(t *testing.T, name string, d *Document) {
+	t.Helper()
+	ids := [2]map[string]int32{{}, {}}
+	byID := [2]map[int32]string{{}, {}}
+	for _, n := range d.Nodes() {
+		space, s := 0, n.Label
+		if n.IsText() {
+			space, s = 1, n.Value
+		}
+		if id, seen := ids[space][s]; seen && id != n.Sym {
+			t.Fatalf("%s: %q has ids %d and %d", name, s, id, n.Sym)
+		}
+		if other, seen := byID[space][n.Sym]; seen && other != s {
+			t.Fatalf("%s: id %d names both %q and %q", name, n.Sym, other, s)
+		}
+		ids[space][s], byID[space][n.Sym] = n.Sym, s
+	}
+	for space := range ids {
+		for _, id := range ids[space] {
+			if id < 0 || int(id) >= len(ids[space]) {
+				t.Fatalf("%s: id %d outside the dense range of %d strings", name, id, len(ids[space]))
+			}
+		}
+	}
+}
+
+// Every way a tree gets finalized in this package assigns the symbol ids,
+// and they fit the padding after Kind: the node does not grow.
+func TestSymbolIDs(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got > 104 {
+		t.Errorf("Node is %d bytes, want at most 104", got)
+	}
+	src := `<r a="x"><s>x</s><s>r</s><t><s>y</s>x<r>s</r>tail</t><r/></r>`
+	parsed, err := ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	symsConsistent(t, "parsed", parsed)
+	// "x" is a value three times over and "r" a label three times over; the
+	// value "r" and the label "r" live in different spaces.
+	s1, s2 := parsed.Root.Children[1], parsed.Root.Children[2]
+	if s1.Sym != s2.Sym || s1.Children[0].Sym == s2.Children[0].Sym {
+		t.Errorf("labels %d %d values %d %d", s1.Sym, s2.Sym, s1.Children[0].Sym, s2.Children[0].Sym)
+	}
+
+	built := NewDocument(Elem("r", Attr("a", "x"), Elem("s", Txt("x")), Elem("r")))
+	symsConsistent(t, "built", built)
+
+	// A copy finalized on its own is numbered on its own: the subtree's
+	// first label gets id 0 whatever it had in the source.
+	tnode := parsed.Root.Children[3]
+	copied := NewDocument(DeepCopy(tnode))
+	symsConsistent(t, "copied", copied)
+	if copied.Root.Sym != 0 || tnode.Sym == 0 {
+		t.Errorf("copy root id %d, source id %d", copied.Root.Sym, tnode.Sym)
+	}
+	// A view shares the source's nodes and so its ids.
+	symsConsistent(t, "source after copy", parsed)
+	if view := parsed.Subtree(tnode); view.Root.Sym != tnode.Sym {
+		t.Error("a view renumbered its nodes")
+	}
+}

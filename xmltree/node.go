@@ -41,7 +41,20 @@ func (k Kind) String() string {
 // during parsing into element nodes with FromAttr set and a single text
 // child, matching the paper's uniform treatment of attributes.
 type Node struct {
-	Kind  Kind
+	Kind Kind
+
+	// Sym is the node's document-local symbol id, assigned when its
+	// document is finalized: on an element the id of its Label, on a text
+	// node the id of its Value. The two id spaces are separate and each is
+	// dense (0..distinct-1); within one document equal strings have equal
+	// ids and different strings different ones, so per-result passes key
+	// their tables on Sym instead of hashing the string at every node. Ids
+	// mean nothing across documents or on a tree not (yet) finalized, and
+	// they depend on no classification, so a document adopted unchanged by
+	// a reload keeps them under a new analysis. It shares the struct's
+	// first word with Kind.
+	Sym int32
+
 	Label string // tag name for elements; empty for text nodes
 	Value string // text content for text nodes; empty for elements
 

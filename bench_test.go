@@ -213,10 +213,9 @@ func BenchmarkQueryEndToEnd(b *testing.B) {
 			per = 1
 		}
 		doc := gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 5, ClothesPerStore: per, Seed: 3})
-		corpus := FromDocument(doc, nil)
 		// The query cache would answer every iteration after the first;
 		// this benchmark times evaluation, so serve with the cache off.
-		corpus.ConfigureServing(0, 0)
+		corpus := FromDocument(doc, nil, WithQueryCache(0))
 		b.Run(fmt.Sprintf("nodes=%d", doc.Len()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -281,16 +281,13 @@ func main() {
 		}
 	}()
 
-	build := func(doc *xmltree.Document) *extract.Corpus {
-		c := extract.FromDocumentSharded(doc, nil, *shards)
-		c.ConfigureServing(*workers, cacheBytes)
-		c.ConfigureLimits(*queryTimeout, *maxInFlight)
-		return c
-	}
 	// Built-in demo datasets: the paper's two scenarios plus movies.
-	s.add("stores (Figure 5)", build(gen.Figure5Corpus()), "")
-	s.add("retailers (Figure 1)", build(gen.Figure1Corpus()), "")
-	s.add("movies", build(gen.Movies(gen.MoviesConfig{Movies: 30, Seed: 7})), "")
+	builtin := func(name string, doc *xmltree.Document) {
+		s.add(name, extract.FromDocumentSharded(doc, nil, *shards, s.loadOptions(name)...), "")
+	}
+	builtin("stores (Figure 5)", gen.Figure5Corpus())
+	builtin("retailers (Figure 1)", gen.Figure1Corpus())
+	builtin("movies", gen.Movies(gen.MoviesConfig{Movies: 30, Seed: 7}))
 
 	for _, df := range dataFlags {
 		name, path, ok := strings.Cut(df, "=")
@@ -303,9 +300,9 @@ func main() {
 			// Snapshot dataset: serve straight off the mmap'd packed
 			// images — no XML parse, no re-analysis; the shard shape comes
 			// from the snapshot (-shards does not apply).
-			c, err = extract.LoadSnapshot(path, s.loadOptions()...)
+			c, err = extract.LoadSnapshot(path, s.loadOptions(name)...)
 		} else {
-			c, err = extract.LoadFile(path, s.loadOptions()...)
+			c, err = extract.LoadFile(path, s.loadOptions(name)...)
 		}
 		if err != nil {
 			log.Fatalf("extractd: load %s: %v", path, err)
@@ -327,7 +324,7 @@ func main() {
 		if len(groups) == 0 {
 			log.Fatalf("extractd: -router %q lists no replica addresses", *routerFlag)
 		}
-		c, err := extract.Connect(*snapshotDir, groups, s.loadOptions()...)
+		c, err := extract.Connect(*snapshotDir, groups, s.loadOptions("remote")...)
 		if err != nil {
 			log.Fatalf("extractd: connect to shard tier: %v", err)
 		}
@@ -403,9 +400,10 @@ func isSnapshotPath(path string) bool {
 	return strings.HasSuffix(path, ".xtsnap")
 }
 
-// loadOptions returns the extract load options every file-backed dataset is
-// (re)loaded with, so a reload reproduces the boot-time configuration.
-func (s *server) loadOptions() []extract.Option {
+// loadOptions returns the extract load options the named dataset is
+// (re)loaded with, so a reload reproduces the boot-time configuration. The
+// name is what the dataset's slow-query records are logged under.
+func (s *server) loadOptions(name string) []extract.Option {
 	opts := []extract.Option{extract.WithShards(s.shards), extract.WithWorkers(s.workers)}
 	if s.cacheBytes >= 0 {
 		opts = append(opts, extract.WithQueryCache(s.cacheBytes))
@@ -415,6 +413,9 @@ func (s *server) loadOptions() []extract.Option {
 	}
 	if s.maxInFlight > 0 {
 		opts = append(opts, extract.WithMaxInFlight(s.maxInFlight))
+	}
+	if s.slowQuery > 0 {
+		opts = append(opts, extract.WithSlowQueryLog(s.slowQuery, func(q extract.SlowQuery) { s.logSlowQuery(name, q) }))
 	}
 	return opts
 }
@@ -532,9 +533,6 @@ func (s *server) add(name string, c *extract.Corpus, path string) {
 			}
 			return 0
 		}, nil)
-	if s.slowQuery > 0 {
-		c.ConfigureSlowQueryLog(s.slowQuery, func(q extract.SlowQuery) { s.logSlowQuery(name, q) })
-	}
 	s.datasets[name] = ds
 	s.names = append(s.names, name)
 }
@@ -754,7 +752,7 @@ func (s *server) reload(ds *dataset) error {
 	if ds.Snapshot {
 		stats, err = ds.Corpus.ReloadSnapshot(ds.Path)
 	} else {
-		stats, err = ds.Corpus.ReloadDeltaFile(ds.Path, s.loadOptions()...)
+		stats, err = ds.Corpus.ReloadDeltaFile(ds.Path, s.loadOptions(ds.Name)...)
 	}
 	if err != nil {
 		s.noteReloadFailure(ds)

@@ -214,7 +214,7 @@ func writeDataset(t *testing.T, path string, doc *xmltree.Document) {
 func fileServer(t *testing.T, path string) *server {
 	t.Helper()
 	s := testServer(t)
-	c, err := extract.LoadFile(path, s.loadOptions()...)
+	c, err := extract.LoadFile(path, s.loadOptions("movies")...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestSnapshotDataset(t *testing.T) {
 	}
 
 	s := testServer(t)
-	c, err := extract.LoadSnapshot(dir, s.loadOptions()...)
+	c, err := extract.LoadSnapshot(dir, s.loadOptions("stores-snap")...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 
 	"extract"
 	"extract/internal/gen"
+	"extract/internal/ingest"
 	"extract/internal/remote"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
@@ -123,7 +124,7 @@ func TestMetricsMultiDatasetHeaders(t *testing.T) {
 func TestShardServerMetricsGolden(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sc := shard.Build(gen.Figure5Corpus(), 2)
-	src := remote.CorpusSource(sc)
+	src := ingest.SourceOf(sc)
 	srv := remote.NewServer(sc,
 		remote.WithOwnedShards(remote.OwnedShards(src, 0, 1)),
 		remote.WithServerTelemetry(reg))
@@ -160,7 +161,7 @@ func TestShardServerMetricsGolden(t *testing.T) {
 func TestShardServerHealthz(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sc := shard.Build(gen.Figure5Corpus(), 2)
-	src := remote.CorpusSource(sc)
+	src := ingest.SourceOf(sc)
 	srv := remote.NewServer(sc,
 		remote.WithOwnedShards(remote.OwnedShards(src, 0, 1)),
 		remote.WithServerTelemetry(reg))
@@ -205,7 +206,8 @@ func TestSlowQueryLogSanitized(t *testing.T) {
 	var buf bytes.Buffer
 	s := &server{datasets: map[string]*dataset{}, shards: 1, cacheBytes: -1,
 		slowQuery: time.Nanosecond, slowW: &buf}
-	s.add("stores (Figure 5)", extract.FromDocument(gen.Figure5Corpus(), nil), "")
+	const name = "stores (Figure 5)"
+	s.add(name, extract.FromDocument(gen.Figure5Corpus(), nil, s.loadOptions(name)...), "")
 	s.tmpl = template.Must(template.New("page").Parse(pageHTML))
 	s.ready.Store(true)
 

@@ -76,7 +76,7 @@ func runShardServer(addr, metricsAddr, dir string, group, groups int, watch time
 		}()
 	}
 	if watch > 0 {
-		go watchSnapshot(ctx, srv, dir, group, groups, watch)
+		go watchSnapshot(ctx, srv, loaded, dir, group, groups, watch)
 	}
 	go func() {
 		<-ctx.Done()
@@ -127,9 +127,10 @@ func shardServerMux(reg *telemetry.Registry, srv *remote.Server, draining *atomi
 }
 
 // watchSnapshot polls the snapshot manifest's mtime and swaps the server
-// onto the new generation when it changes. A failed load logs and leaves
-// the old generation serving — same policy as the demo's dataset watcher.
-func watchSnapshot(ctx context.Context, srv *remote.Server, dir string, group, groups int, interval time.Duration) {
+// from the generation it serves onto the new one when it changes. A failed
+// load logs and leaves the old generation serving — same policy as the
+// demo's dataset watcher.
+func watchSnapshot(ctx context.Context, srv *remote.Server, served *ingest.Generation, dir string, group, groups int, interval time.Duration) {
 	manifest := filepath.Join(dir, ingest.ManifestName)
 	var mtime time.Time
 	var size int64
@@ -148,18 +149,32 @@ func watchSnapshot(ctx context.Context, srv *remote.Server, dir string, group, g
 		if err != nil || (fi.ModTime().Equal(mtime) && fi.Size() == size) {
 			continue
 		}
-		loaded, err := ingest.Load(dir)
+		next, err := swapSnapshot(srv, served, dir, group, groups)
 		if err != nil {
 			log.Printf("extractd: reload snapshot %s: %v — still serving the loaded generation", dir, err)
 			continue
 		}
-		old := srv.Fingerprint()
-		srv.Swap(loaded.Corpus,
-			remote.WithOwnedShards(remote.OwnedShards(loaded.Source, group, groups)))
+		served = next
 		mtime, size = fi.ModTime(), fi.Size()
-		log.Printf("extractd: shard server swapped snapshot generation %016x -> %016x",
-			old, srv.Fingerprint())
 	}
+}
+
+// swapSnapshot is one shard-server reload: open dir as a delta against the
+// generation being served — shards whose content hash did not move are
+// adopted, document and packed index intact, and only the changed images
+// are verified and decoded — then swap the server onto it, re-deriving the
+// group's placement subset. It returns the generation now served.
+func swapSnapshot(srv *remote.Server, served *ingest.Generation, dir string, group, groups int) (*ingest.Generation, error) {
+	next, reused, err := ingest.LoadDelta(dir, served)
+	if err != nil {
+		return nil, err
+	}
+	old := srv.Fingerprint()
+	srv.Swap(next.Corpus, remote.WithOwnedShards(remote.OwnedShards(next.Source, group, groups)))
+	n := next.Corpus.NumShards()
+	log.Printf("extractd: shard server swapped snapshot generation %016x -> %016x (%d/%d shards rebuilt, %d reused)",
+		old, srv.Fingerprint(), n-reused, n, reused)
+	return next, nil
 }
 
 // parseReplicaGroups parses the -router topology: replica groups separated

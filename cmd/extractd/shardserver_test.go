@@ -1,0 +1,109 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"log"
+	"net"
+	"strings"
+	"testing"
+
+	"extract/internal/ingest"
+	"extract/internal/remote"
+	"extract/internal/search"
+	"extract/internal/shard"
+	"extract/xmltree"
+)
+
+// TestShardServerDeltaSwap pins what a -shard-server -watch swap costs: the
+// watcher opens the refreshed directory as a delta against the generation it
+// serves, so after a one-shard refresh the unchanged shards cross the swap
+// as the very same documents and packed indexes, only the changed one is
+// decoded, the log line says so — and the tier answers exactly like a fresh
+// local load of the new generation.
+func TestShardServerDeltaSwap(t *testing.T) {
+	dir := t.TempDir()
+	if err := ingest.Snapshot(dir, shard.Build(snapshotDoc(false), 3)); err != nil {
+		t.Fatal(err)
+	}
+	served, err := ingest.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := remote.NewServer(served.Corpus, remote.WithOwnedShards(remote.OwnedShards(served.Source, 0, 1)))
+	go srv.Serve(ln)
+	defer srv.Close()
+	rt, err := remote.OpenSnapshot(dir, [][]string{{ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	// Refresh the directory in place: one entity of one shard edited.
+	if err := ingest.Snapshot(dir, shard.Build(snapshotDoc(true), 3)); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	logTo := log.Writer()
+	log.SetOutput(&logged)
+	next, err := swapSnapshot(srv, served, dir, 0, 1)
+	log.SetOutput(logTo)
+	if err != nil {
+		t.Fatalf("swapSnapshot: %v", err)
+	}
+	if !strings.Contains(logged.String(), "(1/3 shards rebuilt, 2 reused)") {
+		t.Fatalf("swap log line does not report 1 rebuilt / 2 reused: %q", logged.String())
+	}
+
+	changed := 0
+	for i, s := range next.Corpus.Shards() {
+		was := served.Corpus.Shards()[i]
+		same := s.Doc == was.Doc && s.Index == was.Index
+		if moved := next.Source.Shards[i] != served.Source.Shards[i]; moved == same {
+			t.Fatalf("shard %d: content moved = %v, but document and index adopted = %v", i, moved, same)
+		} else if moved {
+			changed++
+		}
+	}
+	if changed != 1 {
+		t.Fatalf("the refresh changed %d shards, want 1", changed)
+	}
+	if got, want := srv.Fingerprint(), remote.Fingerprint(next.Source); got != want {
+		t.Fatalf("server serves generation %016x after the swap, want %016x", got, want)
+	}
+
+	// Routed answers after the swap equal a fresh local load's.
+	if err := rt.ReloadSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := ingest.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(rs []*search.Result, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		var b strings.Builder
+		for _, r := range rs {
+			b.WriteString(xmltree.XMLString(r.Root))
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	opts := search.Options{DistinctAnchors: true}
+	for _, q := range []string{"zzzrestocked", "store texas", "retailer", "jeans store", "zzznope"} {
+		want := render(fresh.Corpus.Search(q, opts))
+		got := render(rt.SearchEnginesContext(context.Background(), q, opts, nil, nil))
+		if got != want {
+			t.Fatalf("q=%q: routed answer after the delta swap differs from a fresh load\nwant %s\ngot  %s", q, want, got)
+		}
+	}
+	if render(fresh.Corpus.Search("zzzrestocked", opts)) == "" {
+		t.Fatal("the edit is not visible in the new generation; the test proves nothing")
+	}
+}

@@ -147,8 +147,8 @@
 // Corpus, or the package-level variant merging several) renders it all in
 // the Prometheus text format; extractd serves that at GET /metrics.
 // QueryLatencies reads the same histograms as Go values (per-stage
-// p50/p90/p99/p999/max). ConfigureSlowQueryLog installs a hook fired for
-// every query over a threshold with a sanitized record: tokenized
+// p50/p90/p99/p999/max). The WithSlowQueryLog load option installs a hook
+// fired for every query over a threshold with a sanitized record: tokenized
 // keywords and an error class, never the raw query string or error text.
 // Corpus.QueryCacheStats remains the plain-Go view of the cache counters
 // (extractd serves it as JSON at /stats); it reads the very instruments
@@ -170,10 +170,12 @@
 // partitioner a fresh load would use, and only shards whose content hash
 // moved are re-tokenized — unchanged shards are adopted from the serving
 // generation, document and packed index intact, then rebound to a freshly
-// computed global analysis. The result is byte-identical to a fresh full
-// load (pinned by property tests); anything structural — root label,
-// DOCTYPE subset, shard layout — degrades the delta to exactly the fresh
-// build. The swap semantics are Reload's, including the cache epoch bump.
+// computed global analysis. A fresh load and a delta are one function
+// (ingest.Build) called without and with a previous generation, so the
+// result is byte-identical to a fresh full load by construction (and pinned
+// by property tests); anything structural — root label, DOCTYPE subset,
+// shard layout — just leaves nothing to adopt. The swap semantics are
+// Reload's, including the cache epoch bump.
 //
 // extractd exposes the path per dataset as POST /reload and, with -watch,
 // as an mtime poller that reloads a file-backed dataset whenever its
@@ -190,8 +192,10 @@
 // Corpus.ReloadSnapshot refreshes a serving corpus from a snapshot
 // incrementally, decoding only the images whose content hash moved.
 // Snapshot writes are themselves incremental (unchanged shard images are
-// not re-encoded) and the manifest is written last, atomically, so
-// refreshing a snapshot directory under a watcher is safe. extractd
+// not re-encoded) and the manifest is renamed into place last; every reader
+// verifies each image it opens against the hash the manifest records, so a
+// directory caught mid-refresh is refused cleanly (the old generation keeps
+// serving) rather than loaded as a mix of two generations. extractd
 // serves snapshots directly via -data name=dir.xtsnap. The "reload"
 // section of BENCH_search.json records the payoff: after a one-entity
 // edit of a 100k-node corpus, an XML delta reload modestly beats a full

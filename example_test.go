@@ -84,16 +84,16 @@ func ExampleWithMaxResults() {
 	// true
 }
 
-// Corpora built with the FromDocument* constructors take no load options;
-// ConfigureServing sets their serving-layer parameters — worker-pool size
-// and query-cache budget — before the first query.
-func ExampleCorpus_ConfigureServing() {
+// Corpora built with the FromDocument* constructors take the same
+// serving-layer load options as the loaders — here the worker-pool size and
+// the query-cache budget.
+func ExampleFromDocument() {
 	doc, err := xmltree.Parse(strings.NewReader(libraryXML))
 	if err != nil {
 		log.Fatal(err)
 	}
-	corpus := extract.FromDocument(doc, nil)
-	corpus.ConfigureServing(2, 1<<20) // 2 workers, a 1 MiB query cache
+	// 2 workers, a 1 MiB query cache
+	corpus := extract.FromDocument(doc, nil, extract.WithWorkers(2), extract.WithQueryCache(1<<20))
 	defer corpus.Close()
 
 	hits, err := corpus.Query("databases", 4)
@@ -241,19 +241,19 @@ func ExampleCorpus_QueryLatencies() {
 	// snippet:1
 }
 
-// ConfigureSlowQueryLog reports every query over a threshold with a
+// WithSlowQueryLog reports every query over a threshold with a
 // sanitized record: tokenized keywords and a per-stage breakdown, never
 // the raw query string. A 1ns threshold here makes every query "slow".
-func ExampleCorpus_ConfigureSlowQueryLog() {
-	corpus, err := extract.LoadString(libraryXML)
+func ExampleWithSlowQueryLog() {
+	corpus, err := extract.LoadString(libraryXML,
+		extract.WithSlowQueryLog(time.Nanosecond, func(q extract.SlowQuery) {
+			_, computed := q.Stages["eval"]
+			fmt.Println(q.Keywords, q.Cache, q.Results, computed)
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer corpus.Close()
-	corpus.ConfigureSlowQueryLog(time.Nanosecond, func(q extract.SlowQuery) {
-		_, computed := q.Stages["eval"]
-		fmt.Println(q.Keywords, q.Cache, q.Results, computed)
-	})
 	if _, err := corpus.Query("Ada, DATABASES!", 3); err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,7 @@ import (
 )
 
 // ErrOverloaded rejects a query that would exceed the corpus's in-flight
-// bound (WithMaxInFlight / ConfigureLimits). It is returned before any
+// bound (WithMaxInFlight). It is returned before any
 // evaluation work; servers should map it to HTTP 503 with a Retry-After.
 var ErrOverloaded = serve.ErrOverloaded
 
@@ -49,13 +49,9 @@ type Corpus struct {
 	// Reload; every method works on one coherent snapshot of it.
 	data atomic.Pointer[corpusData]
 
-	// Serving-layer configuration, fixed before the first query.
-	srvWorkers     int
-	srvCache       int64 // cache budget in bytes; -1 = serve.DefaultCacheBytes
-	srvTimeout     time.Duration
-	srvMaxInFlight int
-	slowThreshold  time.Duration
-	slowFn         func(SlowQuery)
+	// serving is the serving-layer configuration the load options asked
+	// for, fixed at construction.
+	serving servingConfig
 
 	// reg collects the corpus's metrics (query latency histograms, cache
 	// and failure counters, reload timings); see WriteMetrics. It exists
@@ -73,36 +69,19 @@ type Corpus struct {
 	reloadMu sync.Mutex
 }
 
-// corpusData is one immutable generation of a corpus's analyzed state —
-// exactly one of sh and rt is set. Reload publishes a new generation and
-// swaps the serving layer onto it; queries in flight keep the snapshot they
-// started with.
+// corpusData is one immutable generation of a corpus's analyzed state.
+// Reload publishes a new generation and swaps the serving layer onto it;
+// queries in flight keep the snapshot they started with.
 type corpusData struct {
-	sh *shard.Corpus // the local corpus, n >= 1 shards
-	// rt serves the generation from a remote shard-server tier (Connect)
-	// instead — the data lives in the shard servers, and only the
-	// snapshot's analysis artifacts are local.
+	// gen is the generation's corpus and identity (root fingerprint +
+	// per-shard content hashes) — what the next delta reload diffs against
+	// and adopts from. On a remote generation gen.Corpus is nil: the data
+	// lives in the shard servers, and gen.Source is the identity the router
+	// placed them by.
+	gen ingest.Generation
+	// rt serves the generation from a remote shard-server tier (Connect);
+	// nil for a local corpus.
 	rt *remote.Router
-
-	// src is the generation's delta-ingestion identity (root fingerprint
-	// + per-shard content hashes), computed lazily on the first delta
-	// reload — or carried over from the snapshot manifest for a
-	// snapshot-loaded generation, which then never rehashes at all.
-	srcMu sync.Mutex
-	src   *ingest.Source
-}
-
-// source returns the generation's content hashes, computing them on first
-// use (one linear pass over the documents). A remote generation always
-// carries its manifest's, so only local data is ever hashed here.
-func (d *corpusData) source() ingest.Source {
-	d.srcMu.Lock()
-	defer d.srcMu.Unlock()
-	if d.src == nil {
-		s := remote.CorpusSource(d.sh)
-		d.src = &s
-	}
-	return *d.src
 }
 
 // rankedBackend is what serves one corpus generation: the serving layer's
@@ -121,7 +100,7 @@ func (d *corpusData) backend() rankedBackend {
 	if d.rt != nil {
 		return d.rt
 	}
-	return d.sh
+	return d.gen.Corpus
 }
 
 // server returns the corpus's lazily started serving layer.
@@ -130,15 +109,16 @@ func (c *Corpus) server() *serve.Server {
 		// The serve options ignore out-of-range values (a non-positive
 		// worker count, a negative cache budget, ...) and keep their
 		// defaults, so the configured values go straight through.
+		cfg := c.serving
 		opts := []serve.Option{
-			serve.WithWorkers(c.srvWorkers),
-			serve.WithCacheBytes(c.srvCache),
-			serve.WithQueryTimeout(c.srvTimeout),
-			serve.WithMaxInFlight(c.srvMaxInFlight),
+			serve.WithWorkers(cfg.workers),
+			serve.WithCacheBytes(cfg.cache),
+			serve.WithQueryTimeout(cfg.timeout),
+			serve.WithMaxInFlight(cfg.maxInFlight),
 			serve.WithTelemetry(c.reg),
 		}
-		if fn := c.slowFn; fn != nil {
-			opts = append(opts, serve.WithSlowQueries(c.slowThreshold, func(r serve.QueryRecord) {
+		if fn := cfg.slowFn; fn != nil {
+			opts = append(opts, serve.WithSlowQueries(cfg.slowThreshold, func(r serve.QueryRecord) {
 				fn(sanitizeSlowQuery(r))
 			}))
 		}
@@ -147,37 +127,17 @@ func (c *Corpus) server() *serve.Server {
 	return c.srv
 }
 
-// newCorpus wraps one corpus generation with default serving configuration.
-func newCorpus(d *corpusData) *Corpus {
-	c := &Corpus{srvCache: -1, reg: telemetry.NewRegistry()}
-	c.data.Store(d)
+// newCorpus makes a corpus with the serving configuration its load options
+// asked for; the caller stores its first generation.
+func newCorpus(cfg loadConfig) *Corpus {
+	return &Corpus{serving: cfg.serving, reg: telemetry.NewRegistry()}
+}
+
+// newLocal wraps a local corpus generation.
+func newLocal(gen *ingest.Generation, cfg loadConfig) *Corpus {
+	c := newCorpus(cfg)
+	c.data.Store(&corpusData{gen: *gen})
 	return c
-}
-
-// newLocal wraps a local corpus with default serving configuration.
-func newLocal(sh *shard.Corpus) *Corpus {
-	return newCorpus(&corpusData{sh: sh})
-}
-
-// ConfigureServing sets the serving-layer parameters — worker-pool size
-// (0 = GOMAXPROCS) and query-cache budget in bytes (0 disables caching,
-// negative restores the default budget) — for corpora built with the
-// FromDocument* constructors, which take no load options. It must be
-// called before the first query.
-func (c *Corpus) ConfigureServing(workers int, cacheBytes int64) {
-	c.srvWorkers = workers
-	c.srvCache = cacheBytes
-}
-
-// ConfigureLimits sets the serving layer's failure-policy knobs — the
-// per-query deadline (0 = none) and the bound on concurrently admitted
-// queries (0 = unlimited; excess queries fail fast with ErrOverloaded) —
-// for corpora built with the FromDocument* constructors, which take no
-// load options. Like ConfigureServing, it must be called before the first
-// query.
-func (c *Corpus) ConfigureLimits(queryTimeout time.Duration, maxInFlight int) {
-	c.srvTimeout = queryTimeout
-	c.srvMaxInFlight = maxInFlight
 }
 
 // Close releases the serving layer's worker pool. Only long-lived servers
@@ -193,26 +153,7 @@ func (c *Corpus) Close() {
 	}
 }
 
-// Reload replaces the corpus's analyzed data with src's — the online
-// index-refresh path. The swap is atomic: queries already in flight finish
-// against the data they started on, later queries see only the new data,
-// and the query cache is invalidated in the same step (responses computed
-// against the old data never enter it). Concurrent Reload calls are
-// serialized; the one that starts last wins. src may have any shard count
-// — reloading can change it — and is consumed: it must not be used
-// afterwards. The receiving corpus keeps its own serving configuration
-// (workers, cache budget).
-func (c *Corpus) Reload(src *Corpus) {
-	start := time.Now()
-	c.reloadMu.Lock()
-	defer c.reloadMu.Unlock()
-	d := src.data.Load()
-	c.data.Store(d)
-	c.server().Swap(d.backend())
-	c.recordReload("swap", "full", start, nil)
-}
-
-// DeltaStats reports what one delta reload did: how many shards the new
+// DeltaStats reports what one reload did: how many shards the new
 // generation has, how many were adopted unchanged from the previous one,
 // and how many were rebuilt (or, for a snapshot reload, reloaded from
 // their packed images).
@@ -231,86 +172,84 @@ func (s DeltaStats) Mode() string {
 	return "full"
 }
 
+// publish is the one step every reload ends in. Under reloadMu, next makes
+// the new generation out of the serving one, reporting how many of its
+// shards it adopted; that generation is stored, the serving layer swapped
+// onto it — which bumps the query-cache epoch, so no response computed
+// against the old data is ever replayed — and the outcome recorded. An
+// error from next leaves the old generation serving. next runs under the
+// lock, so concurrent reloads are serialized end to end and each one diffs
+// against exactly the generation it replaces.
+func (c *Corpus) publish(source string, next func(old *corpusData) (d *corpusData, reused int, err error)) (stats DeltaStats, err error) {
+	defer func(start time.Time) { c.recordReload(source, stats, start, err) }(time.Now())
+	c.reloadMu.Lock()
+	defer c.reloadMu.Unlock()
+	d, reused, err := next(c.data.Load())
+	if err != nil {
+		return DeltaStats{}, err
+	}
+	c.data.Store(d)
+	c.server().Swap(d.backend())
+	n := len(d.gen.Source.Shards)
+	return DeltaStats{Shards: n, Reused: reused, Rebuilt: n - reused}, nil
+}
+
+// Reload replaces the corpus's analyzed data with src's — the online
+// index-refresh path. The swap is atomic: queries already in flight finish
+// against the data they started on, later queries see only the new data,
+// and the query cache is invalidated in the same step (responses computed
+// against the old data never enter it). Concurrent Reload calls are
+// serialized; the one that starts last wins. src may have any shard count
+// — reloading can change it — and is consumed: it must not be used
+// afterwards. The receiving corpus keeps its own serving configuration
+// (workers, cache budget).
+func (c *Corpus) Reload(src *Corpus) {
+	c.publish("swap", func(*corpusData) (*corpusData, int, error) { return src.data.Load(), 0, nil })
+}
+
+// reloadSourceFault fires the chaos hook standing for an unreadable reload
+// source (see internal/faultinject).
+func reloadSourceFault() error {
+	if faultinject.Enabled() {
+		return faultinject.Fire(faultinject.ReloadSource)
+	}
+	return nil
+}
+
 // ReloadDelta is Reload with the new corpus built incrementally from XML
 // source: the source is parsed and its top-level entities are hashed with
 // the same partitioner a fresh load would use, and only shards whose
 // content hash moved are re-analyzed — unchanged shards are adopted from
 // the serving generation, document and packed index intact. The global
 // analysis (classification, keys, summary, dataguide) is always recomputed
-// over the new document, so the resulting corpus is byte-identical to a
-// fresh Load of the same source with the same options (pinned by property
-// tests); the swap itself behaves exactly like Reload, including the
-// query-cache epoch bump. A parse or option error leaves the old
-// generation serving. opts are the load options a fresh load would get;
-// pass the same ones every reload, or the shard layout shifts and the
-// delta degrades to a full rebuild (which is always correct, just not
-// cheap).
-func (c *Corpus) ReloadDelta(r io.Reader, opts ...Option) (stats DeltaStats, err error) {
-	defer func(start time.Time) { c.recordReload("xml", stats.Mode(), start, err) }(time.Now())
-	if faultinject.Enabled() {
-		if err := faultinject.Fire(faultinject.ReloadSource); err != nil {
-			return DeltaStats{}, err
+// over the new document, and the generation is built by the very function a
+// fresh Load calls (ingest.Build, with the serving generation to adopt
+// from), so the resulting corpus is byte-identical to a fresh Load of the
+// same source with the same options (pinned by property tests); the swap
+// itself behaves exactly like Reload, including the query-cache epoch bump.
+// A parse or option error leaves the old generation serving. opts are the
+// load options a fresh load would get; pass the same ones every reload, or
+// the shard layout shifts and nothing can be adopted (which is always
+// correct, just not cheap).
+func (c *Corpus) ReloadDelta(r io.Reader, opts ...Option) (DeltaStats, error) {
+	return c.publish("xml", func(old *corpusData) (*corpusData, int, error) {
+		if err := reloadSourceFault(); err != nil {
+			return nil, 0, err
 		}
-	}
-	cfg, err := foldOptions(opts)
-	if err != nil {
-		return DeltaStats{}, err
-	}
-	doc, err := cfg.parse(r)
-	if err != nil {
-		return DeltaStats{}, err
-	}
-
-	c.reloadMu.Lock()
-	defer c.reloadMu.Unlock()
-	old := c.data.Load()
-	if old.rt != nil {
-		return DeltaStats{}, ErrRemoteCorpus
-	}
-	diff := ingest.Diff(old.source(), doc, cfg.shards)
-
-	var sc *shard.Corpus
-	if diff.Reused > 0 {
-		// The delta path proper: analyze the whole new document (the
-		// global artifacts a fresh build computes before partitioning),
-		// then rebuild only the changed blocks against it.
-		a := core.Analyze(doc, cfg.dtd)
-		label, fromAttr := "", false
-		if doc.Root != nil {
-			label, fromAttr = doc.Root.Label, doc.Root.FromAttr
+		if old.rt != nil {
+			return nil, 0, ErrRemoteCorpus
 		}
-		subset := doc.InternalSubset
-		// Materialize (reparent + finalize) only the changed blocks —
-		// adopted blocks' children stay where they are, so the per-reload
-		// work past the parse is proportional to the change.
-		cuts := shard.Cuts(doc, cfg.shards)
-		oldShards := old.sh.Shards()
-		shards := make([]*core.Corpus, len(diff.Hashes))
-		for i := range shards {
-			if !diff.Changed[i] {
-				// Content-identical block: adopt the old shard's document
-				// and packed index; Assemble rebinds it to the new
-				// analysis.
-				shards[i] = &core.Corpus{Doc: oldShards[i].Doc, Index: oldShards[i].Index}
-				stats.Reused++
-			} else {
-				part := shard.PartitionAt(doc, cuts, i)
-				shards[i] = core.BuildCorpus(part, core.WithSharedAnalysis(a))
-				stats.Rebuilt++
-			}
+		cfg, err := foldOptions(opts)
+		if err != nil {
+			return nil, 0, err
 		}
-		sc = shard.Assemble(shards, a, label, fromAttr, subset)
-		stats.Shards = len(shards)
-	} else {
-		// Nothing to adopt (first delta, shard-count change, or everything
-		// moved): the exact fresh-load path.
-		sc = shard.Build(doc, cfg.shards, shard.WithDTD(cfg.dtd))
-		stats.Shards, stats.Rebuilt = sc.NumShards(), sc.NumShards()
-	}
-	nd := &corpusData{sh: sc, src: &ingest.Source{RootHash: diff.RootHash, Shards: diff.Hashes}}
-	c.data.Store(nd)
-	c.server().Swap(nd.backend())
-	return stats, nil
+		doc, err := cfg.parse(r)
+		if err != nil {
+			return nil, 0, err
+		}
+		gen, reused := ingest.Build(doc, cfg.shards, cfg.dtd, &old.gen)
+		return &corpusData{gen: *gen}, reused, nil
+	})
 }
 
 // ReloadDeltaFile is ReloadDelta reading the XML source from a file.
@@ -327,123 +266,32 @@ func (c *Corpus) ReloadDeltaFile(path string, opts ...Option) (DeltaStats, error
 // directory (see SaveSnapshot), incrementally: the snapshot manifest's
 // per-shard content hashes are diffed against the serving generation's,
 // unchanged shards are adopted in place, and only changed shard images are
-// decoded from disk — the refresh path for deployments that ship index
-// updates as snapshot directories instead of raw XML. When the shapes do
-// not line up the whole snapshot loads, which is still just mmap + decode,
-// never re-analysis. The swap behaves exactly like Reload; a read error
-// leaves the old generation serving.
-func (c *Corpus) ReloadSnapshot(dir string) (stats DeltaStats, err error) {
-	defer func(start time.Time) { c.recordReload("snapshot", stats.Mode(), start, err) }(time.Now())
-	if faultinject.Enabled() {
-		if err := faultinject.Fire(faultinject.ReloadSource); err != nil {
-			return DeltaStats{}, err
+// verified and decoded from disk — the refresh path for deployments that
+// ship index updates as snapshot directories instead of raw XML. When the
+// shapes do not line up the whole snapshot loads, which is still just mmap +
+// decode, never re-analysis. On a remote corpus (Connect) the manifest and
+// analysis image are re-read and the shards re-placed on the same router;
+// the shard servers swap generations on their own. The swap behaves exactly
+// like Reload; a read error — including a directory caught mid-refresh
+// (ingest.ErrImageMismatch, ingest.ErrSnapshotChanging) — leaves the old
+// generation serving.
+func (c *Corpus) ReloadSnapshot(dir string) (DeltaStats, error) {
+	return c.publish("snapshot", func(old *corpusData) (*corpusData, int, error) {
+		if err := reloadSourceFault(); err != nil {
+			return nil, 0, err
 		}
-	}
-	c.reloadMu.Lock()
-	defer c.reloadMu.Unlock()
-	old := c.data.Load()
-	if old.rt != nil {
-		// Remote tier: re-read the manifest and re-place shards on the
-		// same router; the shard servers swap generations on their own
-		// (Server.Swap). The backend swap bumps the cache epoch, so no
-		// response computed against the old placement is ever replayed.
-		m, err := ingest.ReadManifest(dir)
+		if old.rt != nil {
+			if err := old.rt.ReloadSnapshot(dir); err != nil {
+				return nil, 0, err
+			}
+			return &corpusData{rt: old.rt, gen: ingest.Generation{Source: old.rt.Source()}}, 0, nil
+		}
+		gen, reused, err := ingest.LoadDelta(dir, &old.gen)
 		if err != nil {
-			return DeltaStats{}, err
+			return nil, 0, err
 		}
-		if err := old.rt.ReloadSnapshot(dir); err != nil {
-			return DeltaStats{}, err
-		}
-		src := m.Source()
-		nd := &corpusData{rt: old.rt, src: &src}
-		c.data.Store(nd)
-		c.server().Swap(nd.backend())
-		return DeltaStats{Shards: len(src.Shards), Rebuilt: len(src.Shards)}, nil
-	}
-	oldSrc := old.source()
-
-	// A writer may be refreshing the directory in place; the manifest is
-	// written last, so re-reading it after the images and retrying on a
-	// mismatch guarantees one coherent generation (same scheme as
-	// ingest.Load).
-	const attempts = 3
-	for attempt := 0; attempt < attempts; attempt++ {
-		m, err := ingest.ReadManifest(dir)
-		if err != nil {
-			return DeltaStats{}, err
-		}
-		snapSrc := m.Source()
-		aligned := oldSrc.RootHash == snapSrc.RootHash && len(oldSrc.Shards) == len(snapSrc.Shards)
-
-		var (
-			sc    *shard.Corpus
-			stats DeltaStats
-		)
-		if aligned {
-			a, label, fromAttr, subset, err := ingest.LoadAnalysis(dir, m)
-			if err != nil {
-				if !ingest.ManifestUnchanged(dir, m) {
-					continue
-				}
-				return DeltaStats{}, err
-			}
-			oldShards := old.sh.Shards()
-			shards := make([]*core.Corpus, len(m.Shards))
-			errs := make([]error, len(m.Shards))
-			var wg sync.WaitGroup
-			for i, e := range m.Shards {
-				if snapSrc.Shards[i] == oldSrc.Shards[i] {
-					shards[i] = &core.Corpus{Doc: oldShards[i].Doc, Index: oldShards[i].Index}
-					stats.Reused++
-					continue
-				}
-				stats.Rebuilt++
-				// Changed images decode in parallel, like a full snapshot
-				// load — a delta with several changed shards must never be
-				// slower than the full path it undercuts.
-				wg.Add(1)
-				go func(i int, e ingest.ShardEntry) {
-					defer wg.Done()
-					shards[i], errs[i] = ingest.LoadShardImage(dir, e)
-				}(i, e)
-			}
-			wg.Wait()
-			if err := firstError(errs); err != nil {
-				if !ingest.ManifestUnchanged(dir, m) {
-					continue
-				}
-				return DeltaStats{}, err
-			}
-			sc = shard.Assemble(shards, a, label, fromAttr, subset)
-			stats.Shards = len(shards)
-			if !ingest.ManifestUnchanged(dir, m) {
-				continue
-			}
-		} else {
-			loaded, err := ingest.Load(dir) // internally retry-stable
-			if err != nil {
-				return DeltaStats{}, err
-			}
-			sc, snapSrc = loaded.Corpus, loaded.Source
-			stats.Shards = len(snapSrc.Shards)
-			stats.Rebuilt = stats.Shards
-		}
-		nd := &corpusData{sh: sc, src: &snapSrc}
-		c.data.Store(nd)
-		c.server().Swap(nd.backend())
-		return stats, nil
-	}
-	return DeltaStats{}, ingest.ErrSnapshotChanging
-}
-
-// firstError returns the first non-nil error of a parallel fan-out.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		return &corpusData{gen: *gen}, reused, nil
+	})
 }
 
 // SaveSnapshot writes the corpus as a snapshot directory: a manifest with
@@ -458,23 +306,24 @@ func (c *Corpus) SaveSnapshot(dir string) error {
 	if d.rt != nil {
 		return ErrRemoteCorpus
 	}
-	return ingest.Snapshot(dir, d.sh)
+	return ingest.Snapshot(dir, d.gen.Corpus)
 }
 
-// LoadSnapshot opens a snapshot directory written by SaveSnapshot. The
-// shard count comes from the snapshot itself, so of the load options only
-// the serving-layer ones — WithWorkers, WithQueryCache, WithQueryTimeout and
-// WithMaxInFlight — apply; shard, DTD and parse options are ignored.
+// LoadSnapshot opens a snapshot directory written by SaveSnapshot, every
+// image verified against the manifest's record of it. The shard count comes
+// from the snapshot itself, so of the load options only the serving-layer
+// ones — WithWorkers, WithQueryCache, WithQueryTimeout, WithMaxInFlight and
+// WithSlowQueryLog — apply; shard, DTD and parse options are ignored.
 func LoadSnapshot(dir string, opts ...Option) (*Corpus, error) {
 	cfg, err := foldOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	loaded, err := ingest.Load(dir)
+	gen, err := ingest.Load(dir)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.apply(newCorpus(&corpusData{sh: loaded.Corpus, src: &loaded.Source})), nil
+	return newLocal(gen, cfg), nil
 }
 
 // CacheStats is a point-in-time snapshot of the query cache: hit/miss
@@ -527,13 +376,21 @@ func (c *Corpus) analysis() *core.Corpus {
 type Option func(*loadConfig) error
 
 type loadConfig struct {
-	dtd         *dtd.DTD
-	maxNodes    int
-	shards      int
-	workers     int
-	cache       int64 // -1 = default
-	timeout     time.Duration
-	maxInFlight int
+	dtd      *dtd.DTD
+	maxNodes int
+	shards   int
+	serving  servingConfig
+}
+
+// servingConfig is the part of the load options a Corpus keeps: what its
+// serving layer starts with.
+type servingConfig struct {
+	workers       int
+	cache         int64 // budget in bytes; -1 = serve.DefaultCacheBytes
+	timeout       time.Duration
+	maxInFlight   int
+	slowThreshold time.Duration
+	slowFn        func(SlowQuery)
 }
 
 // WithDTD supplies DTD text governing entity classification; without it the
@@ -599,7 +456,7 @@ func WithWorkers(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("extract: negative worker count %d", n)
 		}
-		c.workers = n
+		c.serving.workers = n
 		return nil
 	}
 }
@@ -615,7 +472,7 @@ func WithQueryCache(bytes int64) Option {
 		if bytes < 0 {
 			return fmt.Errorf("extract: negative query-cache budget %d", bytes)
 		}
-		c.cache = bytes
+		c.serving.cache = bytes
 		return nil
 	}
 }
@@ -629,7 +486,7 @@ func WithQueryTimeout(d time.Duration) Option {
 		if d < 0 {
 			return fmt.Errorf("extract: negative query timeout %v", d)
 		}
-		c.timeout = d
+		c.serving.timeout = d
 		return nil
 	}
 }
@@ -643,15 +500,33 @@ func WithMaxInFlight(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("extract: negative in-flight bound %d", n)
 		}
-		c.maxInFlight = n
+		c.serving.maxInFlight = n
 		return nil
 	}
 }
 
+// WithSlowQueryLog installs fn as the corpus's slow-query hook: every query
+// whose end-to-end latency reaches threshold is reported as a sanitized
+// SlowQuery after its response is ready. fn runs on the query's goroutine
+// and must not block. A zero threshold or nil fn — the default — disables
+// the hook.
+func WithSlowQueryLog(threshold time.Duration, fn func(SlowQuery)) Option {
+	return func(c *loadConfig) error {
+		if threshold < 0 {
+			return fmt.Errorf("extract: negative slow-query threshold %v", threshold)
+		}
+		c.serving.slowThreshold, c.serving.slowFn = threshold, fn
+		return nil
+	}
+}
+
+// defaultConfig is what a load with no options gets.
+func defaultConfig() loadConfig { return loadConfig{serving: servingConfig{cache: -1}} }
+
 // foldOptions applies load options over the defaults — the one fold every
 // constructor and reload starts with.
 func foldOptions(opts []Option) (loadConfig, error) {
-	cfg := loadConfig{cache: -1}
+	cfg := defaultConfig()
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
 			return loadConfig{}, err
@@ -687,11 +562,10 @@ func (cfg *loadConfig) parse(r io.Reader) (*xmltree.Document, error) {
 	return doc, nil
 }
 
-// apply hands a freshly constructed corpus its serving-layer configuration.
-func (cfg *loadConfig) apply(c *Corpus) *Corpus {
-	c.ConfigureServing(cfg.workers, cfg.cache)
-	c.ConfigureLimits(cfg.timeout, cfg.maxInFlight)
-	return c
+// build analyzes a parsed document into a corpus under the configuration.
+func (cfg loadConfig) build(doc *xmltree.Document) *Corpus {
+	gen, _ := ingest.Build(doc, cfg.shards, cfg.dtd, nil)
+	return newLocal(gen, cfg)
 }
 
 // Load parses and analyzes an XML database from r.
@@ -704,7 +578,7 @@ func Load(r io.Reader, opts ...Option) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cfg.apply(FromDocumentSharded(doc, cfg.dtd, cfg.shards)), nil
+	return cfg.build(doc), nil
 }
 
 // LoadString parses and analyzes an XML database from a string.
@@ -727,8 +601,9 @@ var ErrRemoteCorpus = errors.New("extract: operation requires local corpus data 
 // subset; see cmd/extractd's -shard-server mode). Queries, snippets and
 // ranking behave exactly as on a local corpus — the router pins answers
 // byte-identical — and the serving layer (cache, deadlines, worker pool)
-// applies unchanged, so only WithWorkers, WithQueryCache, WithQueryTimeout
-// and WithMaxInFlight load options are meaningful. Operations that need
+// applies unchanged, so only the WithWorkers, WithQueryCache,
+// WithQueryTimeout, WithMaxInFlight and WithSlowQueryLog load options are
+// meaningful. Operations that need
 // the documents themselves (XPath, SaveSnapshot, SaveIndex, delta reload)
 // return ErrRemoteCorpus; ReloadSnapshot re-reads the manifest and re-places
 // shards, pairing with the servers' own reload. Close also disconnects.
@@ -737,20 +612,15 @@ func Connect(dir string, groups [][]string, opts ...Option) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := telemetry.NewRegistry()
-	rt, err := remote.OpenSnapshot(dir, groups, remote.WithRouterTelemetry(reg))
+	c := newCorpus(cfg)
+	rt, err := remote.OpenSnapshot(dir, groups, remote.WithRouterTelemetry(c.reg))
 	if err != nil {
 		return nil, err
 	}
-	m, err := ingest.ReadManifest(dir)
-	if err != nil {
-		rt.Close()
-		return nil, err
-	}
-	src := m.Source()
-	c := &Corpus{reg: reg}
-	c.data.Store(&corpusData{rt: rt, src: &src})
-	return cfg.apply(c), nil
+	// The identity recorded is the one the router placed shards by, not a
+	// second read of a directory a writer may have refreshed since.
+	c.data.Store(&corpusData{rt: rt, gen: ingest.Generation{Source: rt.Source()}})
+	return c, nil
 }
 
 // LoadFile parses and analyzes an XML database from a file.
@@ -783,7 +653,7 @@ func LoadFiles(paths []string, opts ...Option) (*Corpus, error) {
 		}
 		xmltree.Append(root, doc.Root)
 	}
-	return cfg.apply(FromDocumentSharded(xmltree.NewDocument(root), cfg.dtd, cfg.shards)), nil
+	return cfg.build(xmltree.NewDocument(root)), nil
 }
 
 // Suggest returns up to k indexed keywords starting with prefix, most
@@ -796,15 +666,15 @@ func (c *Corpus) Suggest(prefix string, k int) []string {
 		// shard servers; a remote corpus has no suggestions.
 		return nil
 	}
-	return d.sh.CompletePrefix(prefix, k)
+	return d.gen.Corpus.CompletePrefix(prefix, k)
 }
 
 // FromDocument analyzes an already-parsed document as a one-shard corpus.
 // d may be nil. The corpus serves doc itself — nothing is moved or copied,
 // and query results are views of its nodes — so the caller must not mutate
-// it afterwards.
-func FromDocument(doc *xmltree.Document, d *dtd.DTD) *Corpus {
-	return FromDocumentSharded(doc, d, 1)
+// it afterwards. opts are as for FromDocumentSharded.
+func FromDocument(doc *xmltree.Document, d *dtd.DTD, opts ...Option) *Corpus {
+	return FromDocumentSharded(doc, d, 1, opts...)
 }
 
 // FromDocumentSharded analyzes an already-parsed document and partitions it
@@ -814,8 +684,19 @@ func FromDocument(doc *xmltree.Document, d *dtd.DTD) *Corpus {
 // is. When the document partitions (n > 1, at least two top-level entities)
 // its nodes are moved into the shards and doc is invalid afterwards;
 // otherwise the corpus serves doc itself, exactly as FromDocument does.
-func FromDocumentSharded(doc *xmltree.Document, d *dtd.DTD, n int) *Corpus {
-	return newLocal(shard.Build(doc, n, shard.WithDTD(d)))
+//
+// The document, DTD and shard count being arguments, only the serving-layer
+// load options — WithWorkers, WithQueryCache, WithQueryTimeout,
+// WithMaxInFlight, WithSlowQueryLog — apply. There is no error to return, so
+// an option that rejects its value (a negative count) panics: option values
+// here are the program's own constants, not input.
+func FromDocumentSharded(doc *xmltree.Document, d *dtd.DTD, n int, opts ...Option) *Corpus {
+	cfg, err := foldOptions(opts)
+	if err != nil {
+		panic(err)
+	}
+	cfg.dtd, cfg.shards = d, n
+	return cfg.build(doc)
 }
 
 // Internal exposes the underlying analyzed whole-document corpus for the
@@ -829,13 +710,13 @@ func (c *Corpus) Internal() *core.Corpus {
 	if d.rt != nil {
 		return d.rt.Analysis()
 	}
-	return d.sh.Fallback()
+	return d.gen.Corpus.Fallback()
 }
 
 // InternalShards exposes the local corpus — every local corpus is a
 // shard.Corpus of n >= 1 shards. It is nil only for a remote corpus
 // (Connect).
-func (c *Corpus) InternalShards() *shard.Corpus { return c.data.Load().sh }
+func (c *Corpus) InternalShards() *shard.Corpus { return c.data.Load().gen.Corpus }
 
 // Shards returns the number of index shards (1 by default).
 func (c *Corpus) Shards() int {
@@ -843,7 +724,7 @@ func (c *Corpus) Shards() int {
 	if d.rt != nil {
 		return d.rt.NumShards()
 	}
-	return d.sh.NumShards()
+	return d.gen.Corpus.NumShards()
 }
 
 // Stats summarizes the corpus.
@@ -873,12 +754,13 @@ func (c *Corpus) Stats() Stats {
 			Connections: cls.Connections(),
 		}
 	}
-	cls := d.sh.Classification()
+	sc := d.gen.Corpus
+	cls := sc.Classification()
 	return Stats{
-		Nodes:            d.sh.TotalNodes(),
-		Elements:         d.sh.TotalElements(),
-		MaxDepth:         d.sh.MaxDepth(),
-		DistinctKeywords: d.sh.DistinctKeywords(),
+		Nodes:            sc.TotalNodes(),
+		Elements:         sc.TotalElements(),
+		MaxDepth:         sc.MaxDepth(),
+		DistinctKeywords: sc.DistinctKeywords(),
 		Entities:         cls.Entities(),
 		Attributes:       cls.Attributes(),
 		Connections:      cls.Connections(),
@@ -1183,7 +1065,7 @@ func (c *Corpus) XPath(expr string) ([]*Result, error) {
 	}
 	// XPath needs the whole document: the lone shard's, or the
 	// reconstructed fallback corpus's when there are several.
-	xdoc := d.sh.Fallback()
+	xdoc := d.gen.Corpus.Fallback()
 	var out []*Result
 	for _, n := range e.SelectDoc(xdoc.Doc) {
 		if !n.IsElement() {
@@ -1202,7 +1084,7 @@ func (c *Corpus) SaveIndex(w io.Writer) error {
 	if d.rt != nil {
 		return ErrRemoteCorpus
 	}
-	return shard.Save(w, d.sh)
+	return shard.Save(w, d.gen.Corpus)
 }
 
 // SaveIndexFile writes the analyzed corpus to a file.
@@ -1211,7 +1093,7 @@ func (c *Corpus) SaveIndexFile(path string) error {
 	if d.rt != nil {
 		return ErrRemoteCorpus
 	}
-	return shard.SaveFile(path, d.sh)
+	return shard.SaveFile(path, d.gen.Corpus)
 }
 
 // LoadIndex reads a corpus saved with SaveIndex. A bare packed image — what
@@ -1226,7 +1108,13 @@ func LoadIndex(r io.Reader) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLocal(sc), nil
+	return loadedIndex(sc), nil
+}
+
+// loadedIndex wraps a corpus decoded from an index file, hashing its
+// documents once so delta reloads can diff against it like any generation.
+func loadedIndex(sc *shard.Corpus) *Corpus {
+	return newLocal(&ingest.Generation{Corpus: sc, Source: ingest.SourceOf(sc)}, defaultConfig())
 }
 
 // LoadIndexFile reads a corpus saved with SaveIndexFile (or a bare packed
@@ -1236,7 +1124,7 @@ func LoadIndexFile(path string) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLocal(sc), nil
+	return loadedIndex(sc), nil
 }
 
 // Tokenize exposes the query/index tokenizer (lowercased word tokens).

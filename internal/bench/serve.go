@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"extract/internal/index"
+	"extract/internal/ingest"
 	"extract/internal/remote"
 	"extract/internal/search"
 	"extract/internal/serve"
@@ -171,7 +172,7 @@ func ServePerfRemote(size int) (ServePerfPoint, error) {
 		return ServePerfPoint{}, err
 	}
 	sc := shard.Build(doc, servePerfShards)
-	src := remote.CorpusSource(sc)
+	src := ingest.SourceOf(sc)
 	const groups = 2
 	var lns []net.Listener
 	var servers []*remote.Server

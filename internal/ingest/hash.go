@@ -35,8 +35,11 @@ func (h *hasher) word(v uint64) {
 func (h *hasher) u32(v uint32) { h.word(uint64(v)) }
 
 // str hashes a length-prefixed string, so adjacent fields cannot alias
-// ("ab"+"c" never hashes like "a"+"bc"), eight bytes per fold.
-func (h *hasher) str(s string) {
+// ("ab"+"c" never hashes like "a"+"bc").
+func (h *hasher) str(s string) { fold(h, s) }
+
+// fold hashes length-prefixed bytes, eight per fold.
+func fold[T string | []byte](h *hasher, s T) {
 	h.word(uint64(len(s)))
 	i := 0
 	for ; i+8 <= len(s); i += 8 {
@@ -115,22 +118,11 @@ func RootHash(label string, fromAttr bool, subset string) uint64 {
 	return h.sum
 }
 
-// hashBytes fingerprints a serialized image (manifest integrity and
-// incremental-snapshot reuse decisions).
+// hashBytes fingerprints a serialized image: what a manifest records as
+// ImageHash, the reader verifies every image it opens against, and an
+// incremental Snapshot compares to skip rewriting the analysis image.
 func hashBytes(data []byte) uint64 {
 	h := newHasher()
-	h.word(uint64(len(data)))
-	i := 0
-	for ; i+8 <= len(data); i += 8 {
-		h.word(uint64(data[i]) | uint64(data[i+1])<<8 | uint64(data[i+2])<<16 | uint64(data[i+3])<<24 |
-			uint64(data[i+4])<<32 | uint64(data[i+5])<<40 | uint64(data[i+6])<<48 | uint64(data[i+7])<<56)
-	}
-	if i < len(data) {
-		var tail uint64
-		for j := 0; i < len(data); i, j = i+1, j+8 {
-			tail |= uint64(data[i]) << j
-		}
-		h.word(tail)
-	}
+	fold(&h, data)
 	return h.sum
 }

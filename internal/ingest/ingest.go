@@ -1,29 +1,30 @@
 // Package ingest is the corpus refresh subsystem: it makes reloading a
 // served corpus proportional to what actually changed instead of to corpus
-// size.
+// size. It owns the two constructions of a corpus generation (Generation: a
+// shard.Corpus plus its content identity), each stated once and each taking
+// an optional previous generation to adopt unchanged shards from.
 //
-// Two mechanisms compose:
-//
-// Snapshots persist a corpus as a directory — a small versioned manifest
-// (ManifestName) listing per-shard content hashes, a packed global-analysis
-// image, and one packed image per shard, every image in internal/persist's
-// fuzzed packed format. There is one layout whatever the shard count (a
-// default corpus is one shard), so any snapshot serves anywhere: locally, on
-// shard servers, behind a router. Load memory-maps the images and
-// reconstructs the corpus without re-parsing, re-tokenizing or re-analyzing
-// any XML, which makes a snapshot a first-class reload source: refresh from
-// disk costs a map plus a decode, not an analysis. Snapshot writes are
-// themselves incremental — a shard whose content hash matches the previous
-// manifest keeps its on-disk image, proven current by the image hash,
-// without being re-encoded.
-//
-// Deltas compare generations. Diff hashes the top-level entities of a
+// Build is document → generation. Diff hashes the top-level entities of a
 // newly parsed document with the same partitioner as internal/shard and
 // reports, per prospective shard, whether the previous generation's shard
 // can be adopted unchanged (document and packed index intact) or must be
-// rebuilt. The facade's ReloadDelta builds only the changed shards against
-// a freshly computed global analysis; the result is pinned byte-identical
-// to a full fresh load by the facade's property tests.
+// rebuilt; shard.BuildFrom then builds only the changed blocks against a
+// freshly computed global analysis. A fresh load is the same call with
+// nothing to adopt, so a delta equals a fresh load by construction.
+//
+// LoadDelta is snapshot directory → generation. Snapshot persists a corpus
+// as a directory — a small versioned manifest (ManifestName) listing
+// per-shard content hashes, a packed global-analysis image, and one packed
+// image per shard, every image in internal/persist's fuzzed packed format.
+// There is one layout whatever the shard count (a default corpus is one
+// shard), so any snapshot serves anywhere: locally, on shard servers, behind
+// a router. One reader (open) serves them all: it maps the images the caller
+// needs, verifies each against the hash the manifest records, and
+// reconstructs the corpus without re-parsing, re-tokenizing or re-analyzing
+// any XML — refresh from disk costs a map plus a decode, not an analysis —
+// and nothing outside this package reads a manifest. Snapshot writes are
+// themselves incremental: a shard whose content hash matches the previous
+// manifest keeps its on-disk image without being re-encoded.
 //
 // Content hashes (see HashEntities) fingerprint source content only, so a
 // hash computed from a parsed partition block, from a built shard's
@@ -53,22 +54,18 @@ const analysisFile = "analysis.xtix"
 // shardFile returns the file name of shard i's packed image.
 func shardFile(i int) string { return fmt.Sprintf("shard-%04d.xtix", i) }
 
-// Loaded is a corpus reconstructed from a snapshot directory: Corpus is the
-// corpus (one shard or many — a snapshot has one layout), and Source carries
-// the manifest's per-shard content hashes so the generation can be
-// delta-diffed without rehashing its documents.
-type Loaded struct {
-	Corpus *shard.Corpus
-	Source Source
-}
-
 // Snapshot writes a corpus into dir as a snapshot, creating the
 // directory if needed. The write is incremental against any manifest
 // already in dir: shard images whose content hash is unchanged are left
 // untouched on disk, so refreshing a snapshot after a small edit rewrites
-// one shard image, the (small) analysis image and the manifest. The
-// manifest is written last, atomically — a crash mid-snapshot leaves the
-// previous generation loadable.
+// one shard image, the (small) analysis image and the manifest. Every file
+// is renamed into place whole and the manifest last, so a reader never sees
+// torn bytes or a manifest naming a missing file — but between the first
+// image rename and the manifest rename, and for good if the writer dies
+// there, the old manifest sits over some new images. That state does not
+// load as the previous generation: the reader verifies every image it opens
+// against the manifest's record and refuses it (ErrImageMismatch); running
+// the interrupted Snapshot again completes the write.
 func Snapshot(dir string, sc *shard.Corpus) error {
 	label, fromAttr := sc.Root()
 	subset := sc.InternalSubset()
@@ -88,9 +85,10 @@ func Snapshot(dir string, sc *shard.Corpus) error {
 		return err
 	}
 	m.Analysis.ImageHash = hashBytes(ablob)
-	if err := writeImage(dir, m.Analysis.File, ablob, prev != nil &&
-		prev.Analysis.File == m.Analysis.File && prev.Analysis.ImageHash == m.Analysis.ImageHash); err != nil {
-		return err
+	if prev == nil || prev.Analysis != m.Analysis || !imageCurrent(dir, analysisFile) {
+		if err := writeFile(dir, analysisFile, ablob); err != nil {
+			return err
+		}
 	}
 
 	shards := sc.Shards()
@@ -107,74 +105,146 @@ func Snapshot(dir string, sc *shard.Corpus) error {
 				return err
 			}
 			e.ImageHash = hashBytes(blob)
-			if err := writeImage(dir, e.File, blob, false); err != nil {
+			if err := writeFile(dir, e.File, blob); err != nil {
 				return err
 			}
 		}
 		m.Shards[i] = e
 	}
-	if err := writeManifest(dir, m); err != nil {
+	if err := writeFile(dir, ManifestName, EncodeManifest(m)); err != nil {
 		return err
 	}
 	removeStaleImages(dir, prev, m)
 	return nil
 }
 
-// loadAttempts bounds the stability retries of Load and of the facade's
-// snapshot reload: a directory being refreshed mid-load is re-read
-// against its new manifest; one that keeps changing faster than it can be
-// loaded is an error, not a livelock.
+// loadAttempts bounds the reader's stability retries: a directory refreshed
+// mid-read is re-read against its new manifest; one that keeps changing
+// faster than it can be read is an error, not a livelock.
 const loadAttempts = 3
 
 // ErrSnapshotChanging reports a snapshot directory that was rewritten
 // faster than it could be read, every retry.
 var ErrSnapshotChanging = errors.New("ingest: snapshot directory kept changing during load")
 
-// Load reconstructs a corpus from a snapshot directory: manifest, then the
-// packed images through internal/persist's memory-mapping loader, shard
-// images decoding in parallel. No XML is parsed and no analysis is
-// recomputed; the shards are rebound to the artifacts of the global
-// analysis image, exactly as a live build shares them.
-// Loading is safe against a writer refreshing the directory in place: the
-// manifest is re-read after the images, and a changed manifest retries
-// the load against the new generation (the manifest is written last, so
-// an unchanged manifest proves a coherent read).
-func Load(dir string) (*Loaded, error) {
+// ErrImageMismatch reports an image file whose bytes are not the ones the
+// manifest naming it records: the directory is between a writer's first
+// image rename and its manifest rename — transient during an in-place
+// refresh, permanent after a writer crash (see Snapshot). Nothing of the
+// image is decoded.
+var ErrImageMismatch = errors.New("ingest: snapshot image does not match its manifest entry")
+
+// Load opens a snapshot directory as a corpus generation: LoadDelta with
+// no previous generation, so every shard image is decoded.
+func Load(dir string) (*Generation, error) {
+	g, _, err := LoadDelta(dir, nil)
+	return g, err
+}
+
+// LoadDelta opens a snapshot directory as a corpus generation, adopting
+// from prev (nil for none) every shard the manifest's content hashes say is
+// unchanged — same root fingerprint, same shard count, same hash at the same
+// position — document and packed index intact; only the other shards'
+// images are mapped and decoded, in parallel. reused counts the adopted
+// shards. No XML is parsed and no analysis recomputed either way: the
+// shards are rebound to the artifacts of the snapshot's analysis image,
+// exactly as a live build shares them, so the result equals Load's (pinned
+// by the facade's property tests).
+func LoadDelta(dir string, prev *Generation) (g *Generation, reused int, err error) {
+	o, err := open(dir, prev, true)
+	if err != nil {
+		return nil, 0, err
+	}
+	h := o.head
+	label, fromAttr := "", false
+	if root := h.Doc.Root; root != nil {
+		label, fromAttr = root.Label, root.FromAttr
+	}
+	a := &core.Analysis{Cls: h.Cls, Keys: h.Keys, Summary: h.Summary, Guide: h.Guide, DTD: h.DTD}
+	return &Generation{
+		Corpus: shard.Assemble(o.shards, a, label, fromAttr, h.Doc.InternalSubset),
+		Source: o.source,
+	}, o.reused, nil
+}
+
+// LoadHead opens only what a router needs of a snapshot directory — the
+// shard images stay with the servers: the document-less analysis corpus
+// snippet generation reads, and the generation identity shards are placed
+// by.
+func LoadHead(dir string) (analysis *core.Corpus, src Source, err error) {
+	o, err := open(dir, nil, false)
+	if err != nil {
+		return nil, Source{}, err
+	}
+	// The head image's root-only document is for LoadDelta, which reads the
+	// root identity off it; a router wants the artifacts alone.
+	o.head.Doc, o.head.Index = nil, nil
+	return o.head, o.source, nil
+}
+
+// opened is one coherent read of a snapshot directory.
+type opened struct {
+	source Source
+	// head is the decoded analysis image: the global artifacts on a
+	// root-only document carrying the root identity and DOCTYPE subset.
+	head   *core.Corpus
+	shards []*core.Corpus // nil unless shard images were asked for
+	reused int            // how many of shards were adopted from prev
+}
+
+// open is the one reader of a snapshot directory — every way in (Load,
+// LoadDelta, LoadHead, and through them the facade, the router and the
+// shard server's watcher) is a call of it. It reads the manifest, opens the
+// images the caller needs — the analysis image always; with withShards,
+// every shard image not adopted from prev — each verified against the
+// manifest's ImageHash before it is decoded, then re-reads the manifest:
+// every snapshot write renames the manifest last, so an unchanged manifest
+// proves the images read belong to one generation, and what was read — a
+// generation or its error — is the answer. A manifest that moved means a
+// writer refreshed the directory mid-read: the attempt is discarded, error
+// and all (an image swapped under the reader fails verification or
+// vanishes), and the read retried against the new manifest.
+func open(dir string, prev *Generation, withShards bool) (*opened, error) {
 	for attempt := 0; attempt < loadAttempts; attempt++ {
-		m, err := ReadManifest(dir)
+		m, err := readManifest(dir)
 		if err != nil {
 			return nil, err
 		}
-		loaded, err := loadGeneration(dir, m)
-		if err != nil {
-			// The error may itself be the writer's race (an image swapped
-			// under us decodes as garbage or vanishes); retry if so.
-			if !ManifestUnchanged(dir, m) {
-				continue
-			}
-			return nil, err
-		}
-		if ManifestUnchanged(dir, m) {
-			return loaded, nil
+		o, err := openGeneration(dir, m, prev, withShards)
+		if manifestUnchanged(dir, m) {
+			return o, err
 		}
 	}
 	return nil, ErrSnapshotChanging
 }
 
-// loadGeneration loads the images one manifest describes.
-func loadGeneration(dir string, m *Manifest) (*Loaded, error) {
-	a, label, fromAttr, subset, err := LoadAnalysis(dir, m)
+// openGeneration opens the images one manifest describes.
+func openGeneration(dir string, m *Manifest, prev *Generation, withShards bool) (*opened, error) {
+	head, err := loadImage(dir, m.Analysis.File, m.Analysis.ImageHash)
 	if err != nil {
 		return nil, err
 	}
-	shards := make([]*core.Corpus, len(m.Shards))
+	o := &opened{source: m.source(), head: head}
+	if !withShards {
+		return o, nil
+	}
+	var adopt []*core.Corpus
+	if prev != nil && prev.Source.RootHash == o.source.RootHash && len(prev.Source.Shards) == len(m.Shards) {
+		adopt = prev.Corpus.Shards()
+	}
+	o.shards = make([]*core.Corpus, len(m.Shards))
 	errs := make([]error, len(m.Shards))
 	var wg sync.WaitGroup
 	for i, e := range m.Shards {
+		if adopt != nil && prev.Source.Shards[i] == e.ContentHash {
+			o.shards[i] = &core.Corpus{Doc: adopt[i].Doc, Index: adopt[i].Index}
+			o.reused++
+			continue
+		}
 		wg.Add(1)
 		go func(i int, e ShardEntry) {
 			defer wg.Done()
-			shards[i], errs[i] = LoadShardImage(dir, e)
+			o.shards[i], errs[i] = loadImage(dir, e.File, e.ImageHash)
 		}(i, e)
 	}
 	wg.Wait()
@@ -183,37 +253,22 @@ func loadGeneration(dir string, m *Manifest) (*Loaded, error) {
 			return nil, err
 		}
 	}
-	return &Loaded{
-		Corpus: shard.Assemble(shards, a, label, fromAttr, subset),
-		Source: m.Source(),
-	}, nil
+	return o, nil
 }
 
-// LoadAnalysis loads a snapshot's global-analysis image: the
-// shared analysis artifacts plus the root identity they were computed
-// under. The delta-reload path uses it to refresh the analysis while
-// adopting unchanged shards.
-func LoadAnalysis(dir string, m *Manifest) (a *core.Analysis, rootLabel string, fromAttr bool, subset string, err error) {
-	ac, err := persist.LoadFile(filepath.Join(dir, m.Analysis.File))
-	if err != nil {
-		return nil, "", false, "", fmt.Errorf("ingest: analysis image %s: %w", m.Analysis.File, err)
+// loadImage maps and decodes one image a manifest names, after verifying
+// the mapped bytes against the hash the manifest records for it.
+func loadImage(dir, file string, want uint64) (*core.Corpus, error) {
+	c, err := persist.LoadFileVerified(filepath.Join(dir, file), func(image []byte) error {
+		if got := hashBytes(image); got != want {
+			return fmt.Errorf("%w: %s hashes to %016x, the manifest records %016x", ErrImageMismatch, file, got, want)
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, ErrImageMismatch) {
+		return nil, fmt.Errorf("ingest: snapshot image %s: %w", file, err)
 	}
-	a = &core.Analysis{Cls: ac.Cls, Keys: ac.Keys, Summary: ac.Summary, Guide: ac.Guide, DTD: ac.DTD}
-	if ac.Doc.Root != nil {
-		rootLabel, fromAttr = ac.Doc.Root.Label, ac.Doc.Root.FromAttr
-	}
-	return a, rootLabel, fromAttr, ac.Doc.InternalSubset, nil
-}
-
-// LoadShardImage loads one shard's packed image from a snapshot directory
-// — the unit a snapshot delta reload fetches for shards whose content hash
-// moved.
-func LoadShardImage(dir string, e ShardEntry) (*core.Corpus, error) {
-	c, err := persist.LoadFile(filepath.Join(dir, e.File))
-	if err != nil {
-		return nil, fmt.Errorf("ingest: snapshot image %s: %w", e.File, err)
-	}
-	return c, nil
+	return c, err
 }
 
 // analysisImage wraps the global analysis artifacts in a minimal corpus —
@@ -247,7 +302,7 @@ func encodeCorpus(c *core.Corpus) ([]byte, error) {
 // previousManifest reads dir's manifest for incremental-write decisions; a
 // missing or corrupt manifest just disables reuse.
 func previousManifest(dir string) *Manifest {
-	m, err := ReadManifest(dir)
+	m, err := readManifest(dir)
 	if err != nil {
 		return nil
 	}
@@ -276,41 +331,31 @@ func imageCurrent(dir, file string) bool {
 	return err == nil && fi.Mode().IsRegular()
 }
 
-// writeImage writes one image file unless skip says the on-disk bytes are
-// already current. Image files are written before the manifest that
-// references them, so a reader never follows a manifest to a missing
-// file; each write goes through a temp file + rename, so a reader (or a
-// crash) mid-snapshot sees the previous image intact under the previous
-// manifest, never torn bytes.
-func writeImage(dir, file string, blob []byte, skip bool) error {
-	if skip && imageCurrent(dir, file) {
-		return nil
-	}
+// writeFile writes one file of a snapshot — an image, or last of all the
+// manifest — through a temp file and a rename, so a reader, a watcher
+// stat-ing ManifestName or a crash sees the name's previous bytes or the new
+// ones whole, never torn ones.
+func writeFile(dir, file string, blob []byte) error {
 	tmp, err := os.CreateTemp(dir, file+".tmp*")
 	if err != nil {
 		return err
 	}
-	cleanup := func() {
-		tmp.Close()
+	// CreateTemp's 0600 would leave the file unreadable in a snapshot
+	// served by another user.
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		_, err = tmp.Write(blob)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, file))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 	}
-	if err := tmp.Chmod(0o644); err != nil {
-		cleanup()
-		return err
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		cleanup()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, file)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return err
 }
 
 // removeStaleImages deletes image files the previous manifest referenced

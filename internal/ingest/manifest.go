@@ -40,7 +40,7 @@ const (
 
 	// ManifestName is the manifest's file name inside a snapshot
 	// directory — the file watchers stat to detect a new snapshot
-	// generation (it is written last, atomically).
+	// generation (it is renamed into place last).
 	ManifestName = "manifest.xtsn"
 
 	flagLayout = 1 // bit 0, always set: analysis image + one image per shard
@@ -77,9 +77,9 @@ type Manifest struct {
 	Shards   []ShardEntry
 }
 
-// Source returns the generation identity the manifest describes, in the
+// source returns the generation identity the manifest describes, in the
 // form Diff compares.
-func (m *Manifest) Source() Source {
+func (m *Manifest) source() Source {
 	s := Source{RootHash: m.RootHash, Shards: make([]uint64, len(m.Shards))}
 	for i, e := range m.Shards {
 		s.Shards[i] = e.ContentHash
@@ -263,8 +263,8 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// ReadManifest loads and decodes the manifest of a snapshot directory.
-func ReadManifest(dir string) (*Manifest, error) {
+// readManifest loads and decodes the manifest of a snapshot directory.
+func readManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, err
@@ -272,44 +272,9 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return DecodeManifest(data)
 }
 
-// ManifestUnchanged reports whether dir's manifest still encodes exactly
-// m. Every snapshot write renames the manifest last, so a loader that
-// reads the manifest, loads images, and then sees the manifest unchanged
-// has provably loaded one generation — re-checking (and retrying on
-// mismatch) is how Load and the snapshot reload path stay safe against a
-// writer refreshing the directory in place mid-load.
-func ManifestUnchanged(dir string, m *Manifest) bool {
-	m2, err := ReadManifest(dir)
+// manifestUnchanged reports whether dir's manifest still encodes exactly
+// m — the second half of open's read, images, re-read scheme.
+func manifestUnchanged(dir string, m *Manifest) bool {
+	m2, err := readManifest(dir)
 	return err == nil && bytes.Equal(EncodeManifest(m2), EncodeManifest(m))
-}
-
-// writeManifest writes the manifest atomically (temp file + rename), so a
-// watcher that stats ManifestName never observes a half-written manifest:
-// either the old generation's manifest or the new one.
-func writeManifest(dir string, m *Manifest) error {
-	tmp, err := os.CreateTemp(dir, ManifestName+".tmp*")
-	if err != nil {
-		return err
-	}
-	// CreateTemp's 0600 would make the manifest the one unreadable file in
-	// a snapshot served by another user; match the images.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if _, err := tmp.Write(EncodeManifest(m)); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

@@ -84,18 +84,30 @@ func Load(r io.Reader) (*core.Corpus, error) {
 // everything it retains, so the mapping is released before LoadFile
 // returns, on success and on every failure.
 func LoadFile(path string) (*core.Corpus, error) {
+	return LoadFileVerified(path, nil)
+}
+
+// LoadFileVerified is LoadFile with the image's bytes shown to verify (when
+// non-nil) before any of them is decoded: a snapshot reader checks them
+// against the hash its manifest records, on the one mapping the decoder then
+// reads, so a file swapped between the check and the decode is impossible.
+// verify must not retain image; its error is returned as is.
+func LoadFileVerified(path string, verify func(image []byte) error) (*core.Corpus, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if data, unmap, ok := mapFile(f); ok {
+	data, unmap, ok := mapFile(f)
+	if ok {
 		defer unmap()
-		return LoadBytes(data)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
+	} else if data, err = io.ReadAll(f); err != nil {
 		return nil, err
+	}
+	if verify != nil {
+		if err := verify(data); err != nil {
+			return nil, err
+		}
 	}
 	return LoadBytes(data)
 }

@@ -46,7 +46,7 @@ func (c *cluster) Close() {
 // and returns a router over them.
 func startCluster(t testing.TB, sc *shard.Corpus, groups, replicas int, opts ...RouterOption) *cluster {
 	t.Helper()
-	src := CorpusSource(sc)
+	src := ingest.SourceOf(sc)
 	c := &cluster{}
 	for g := 0; g < groups; g++ {
 		owned := OwnedShards(src, g, groups)

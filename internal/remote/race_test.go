@@ -29,7 +29,7 @@ func TestRouterReplacementRace(t *testing.T) {
 	mkA := func() *xmltree.Document { return gen.Movies(gen.MoviesConfig{Movies: 10, Seed: 5}) }
 	mkB := func() *xmltree.Document { return gen.Movies(gen.MoviesConfig{Movies: 12, Seed: 9}) }
 	scA, scB := shard.Build(mkA(), 3), shard.Build(mkB(), 3)
-	srcA, srcB := CorpusSource(scA), CorpusSource(scB)
+	srcA, srcB := ingest.SourceOf(scA), ingest.SourceOf(scB)
 	if Fingerprint(srcA) == Fingerprint(srcB) {
 		t.Fatal("generations must differ for the race to mean anything")
 	}

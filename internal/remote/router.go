@@ -69,6 +69,7 @@ func OwnedShards(src ingest.Source, group, groups int) []uint32 {
 // must echo. Reload swaps it atomically; queries in flight finish on the
 // placement they loaded.
 type placement struct {
+	src         ingest.Source
 	fingerprint uint64
 	groupOf     []int
 	byGroup     [][]uint32 // group → its shard indices, ascending
@@ -174,19 +175,14 @@ func NewRouter(analysis *core.Corpus, src ingest.Source, groups [][]string, opts
 
 // OpenSnapshot builds a router from a snapshot directory (any shard count):
 // the manifest supplies the placement identity, the analysis image the
-// snippet artifacts. The shard images themselves are not loaded — the
-// serving tier owns them.
+// snippet artifacts — one coherent read of both (ingest.LoadHead). The
+// shard images themselves are not loaded — the serving tier owns them.
 func OpenSnapshot(dir string, groups [][]string, opts ...RouterOption) (*Router, error) {
-	m, err := ingest.ReadManifest(dir)
+	analysis, src, err := ingest.LoadHead(dir)
 	if err != nil {
 		return nil, err
 	}
-	a, _, _, _, err := ingest.LoadAnalysis(dir, m)
-	if err != nil {
-		return nil, err
-	}
-	analysis := &core.Corpus{Cls: a.Cls, Keys: a.Keys, Summary: a.Summary, Guide: a.Guide, DTD: a.DTD}
-	return NewRouter(analysis, m.Source(), groups, opts...)
+	return NewRouter(analysis, src, groups, opts...)
 }
 
 // Reload recomputes placement for a new snapshot generation and swaps it
@@ -196,6 +192,7 @@ func OpenSnapshot(dir string, groups [][]string, opts ...RouterOption) (*Router,
 // within one query.
 func (rt *Router) Reload(src ingest.Source) {
 	pl := &placement{
+		src:         src,
 		fingerprint: Fingerprint(src),
 		groupOf:     PlaceShards(src, len(rt.groups)),
 		byGroup:     make([][]uint32, len(rt.groups)),
@@ -209,22 +206,26 @@ func (rt *Router) Reload(src ingest.Source) {
 
 // ReloadSnapshot re-reads a snapshot directory's manifest and analysis and
 // swaps the router onto that generation — the router half of an online
-// reload (shard servers swap via Server.Swap).
+// reload (shard servers swap via Server.Swap). Source then reports the
+// identity that was placed.
 func (rt *Router) ReloadSnapshot(dir string) error {
-	m, err := ingest.ReadManifest(dir)
-	if err != nil {
-		return err
-	}
-	a, _, _, _, err := ingest.LoadAnalysis(dir, m)
+	analysis, src, err := ingest.LoadHead(dir)
 	if err != nil {
 		return err
 	}
 	rt.mu.Lock()
-	rt.analysis = &core.Corpus{Cls: a.Cls, Keys: a.Keys, Summary: a.Summary, Guide: a.Guide, DTD: a.DTD}
+	rt.analysis = analysis
 	rt.mu.Unlock()
-	rt.Reload(m.Source())
+	rt.Reload(src)
 	return nil
 }
+
+// Source returns the generation identity the router currently places shards
+// by — the one every response's fingerprint is checked against. A caller
+// that records the routed generation's identity takes it from here rather
+// than reading the snapshot directory a second time, which a writer could
+// have refreshed in between.
+func (rt *Router) Source() ingest.Source { return rt.place.Load().src }
 
 // Close severs every pooled connection; in-flight calls fail over and then
 // error out.

@@ -46,19 +46,6 @@ func Fingerprint(src ingest.Source) uint64 {
 	return h.Sum64()
 }
 
-// CorpusSource fingerprints a live sharded corpus the way a snapshot
-// manifest records it (ingest.RootHash + per-shard ingest.ShardHash), so a
-// server built from an in-memory corpus and a router built from the
-// manifest of the snapshot it was written to agree on the generation.
-func CorpusSource(sc *shard.Corpus) ingest.Source {
-	label, fromAttr := sc.Root()
-	src := ingest.Source{RootHash: ingest.RootHash(label, fromAttr, sc.InternalSubset())}
-	for _, s := range sc.Shards() {
-		src.Shards = append(src.Shards, ingest.ShardHash(s.Doc))
-	}
-	return src
-}
-
 // serverState is one immutable generation of the served corpus; Swap
 // replaces it atomically, and every request works on the snapshot it
 // loaded, so a reload never mixes generations within one response.
@@ -137,7 +124,7 @@ func NewServer(sc *shard.Corpus, opts ...ServerOption) *Server {
 }
 
 func newServerState(sc *shard.Corpus) *serverState {
-	st := &serverState{sc: sc, fingerprint: Fingerprint(CorpusSource(sc))}
+	st := &serverState{sc: sc, fingerprint: Fingerprint(ingest.SourceOf(sc))}
 	for i := 0; i < sc.NumShards(); i++ {
 		st.ownedList = append(st.ownedList, uint32(i))
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"extract/internal/gen"
+	"extract/internal/ingest"
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
@@ -125,7 +126,7 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 func TestServerTelemetryCountsRequests(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sc := versionTestCorpus()
-	src := CorpusSource(sc)
+	src := ingest.SourceOf(sc)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

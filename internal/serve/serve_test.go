@@ -13,6 +13,7 @@ import (
 	"extract/internal/core"
 	"extract/internal/faultinject"
 	"extract/internal/gen"
+	"extract/internal/ingest"
 	"extract/internal/remote"
 	"extract/internal/search"
 	"extract/internal/shard"
@@ -319,7 +320,7 @@ func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 	srv := remote.NewServer(sc)
 	go srv.Serve(ln)
 	defer srv.Close()
-	rt, err := remote.NewRouter(sc.Analysis(), remote.CorpusSource(sc), [][]string{{ln.Addr().String()}})
+	rt, err := remote.NewRouter(sc.Analysis(), ingest.SourceOf(sc), [][]string{{ln.Addr().String()}})
 	if err != nil {
 		t.Fatal(err)
 	}

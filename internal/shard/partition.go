@@ -28,13 +28,13 @@ import (
 	"extract/xmltree"
 )
 
-// Cuts returns the child-index boundaries Partition would cut doc's root
+// Cuts returns the child-index boundaries BuildFrom cuts doc's root
 // children at: a strictly increasing sequence starting at 0 and ending at
 // len(root.Children), one interval per shard. A document that does not
 // partition (no root, n <= 1, fewer than two children) yields the single
-// interval [0, len(children)]. Cuts is read-only — the delta-ingestion
-// path uses it to hash the prospective blocks of a new document against a
-// previous generation's shards before deciding what to rebuild.
+// interval [0, len(children)]. Cuts is read-only — ingest.Diff uses it to
+// hash the prospective blocks of a new document against a previous
+// generation's shards before BuildFrom decides what to rebuild.
 func Cuts(doc *xmltree.Document, n int) []int {
 	root := doc.Root
 	if root == nil {
@@ -85,36 +85,20 @@ func Cuts(doc *xmltree.Document, n int) []int {
 	return cuts
 }
 
-// Partition splits doc into at most n shard documents by distributing the
-// root's children into contiguous blocks of balanced subtree size (the
-// boundaries Cuts computes). Each block is reparented under a fresh copy of
-// the root element (same label, same DOCTYPE internal subset) and
-// finalized. The input document's nodes are MOVED, not copied: doc and its
-// node sequence are invalid afterwards.
-//
-// Fewer than n shards are returned when the root has fewer children; a
-// document with no root or a single child partitions into one shard.
-func Partition(doc *xmltree.Document, n int) []*xmltree.Document {
-	root := doc.Root
-	if root == nil || n <= 1 || len(root.Children) < 2 {
-		return []*xmltree.Document{doc}
-	}
-	cuts := Cuts(doc, n)
-	docs := make([]*xmltree.Document, 0, len(cuts)-1)
-	for b := 0; b+1 < len(cuts); b++ {
-		docs = append(docs, PartitionAt(doc, cuts, b))
-	}
-	return docs
-}
-
-// PartitionAt materializes block b of Partition's split at the given Cuts
+// partitionAt materializes block b of the split at the given Cuts
 // boundaries: the root children in [cuts[b], cuts[b+1]) reparented under a
-// fresh copy of the root and finalized. The children are MOVED out of doc.
-// Block documents are independent — a delta reload materializes only the
-// blocks whose content changed and leaves the adopted blocks' children
-// where they are, so its per-reload work is proportional to the change,
-// not the corpus.
-func PartitionAt(doc *xmltree.Document, cuts []int, b int) *xmltree.Document {
+// fresh copy of the root element (same label, same DOCTYPE internal subset)
+// and finalized. The children are MOVED, not copied, out of doc, which is
+// invalid afterwards. Block documents are independent — BuildFrom
+// materializes only the blocks it does not adopt and leaves the others'
+// children where they are. One block in all (a document with no root or a
+// single top-level entity, or n <= 1) is the one-block rule: the shard is
+// the document itself, unmoved, so a one-shard corpus serves exactly the
+// tree it was given.
+func partitionAt(doc *xmltree.Document, cuts []int, b int) *xmltree.Document {
+	if len(cuts) == 2 {
+		return doc
+	}
 	root := doc.Root
 	shardRoot := &xmltree.Node{
 		Kind:     xmltree.KindElement,

@@ -59,38 +59,48 @@ func WithDTD(d *dtd.DTD) Option {
 
 // Build analyzes doc globally — classification, key mining, summary and
 // dataguide over the whole document — then partitions it into at most n
-// shards, each with its own packed inverted index. When the document
-// partitions (n > 1 and at least two root children) its nodes are moved into
-// the shards and doc is invalid afterwards; otherwise the one shard is doc
-// itself, untouched.
+// shards, each with its own packed inverted index: BuildFrom with nothing to
+// adopt.
 func Build(doc *xmltree.Document, n int, opts ...Option) *Corpus {
+	return BuildFrom(doc, n, nil, opts...)
+}
+
+// BuildFrom is the one document → corpus builder: analyze doc globally, cut
+// its top-level entities into at most n blocks (Cuts), then per block adopt
+// or build, and assemble. adopt[b], when present and non-nil, is a shard of
+// an earlier generation whose entities equal block b's (internal/ingest
+// decides that by content hash): its document and packed index are taken as
+// they are and the block's nodes in doc are left alone, so the work past the
+// analysis is proportional to what changed. Every other block is moved out of
+// doc (which is invalid afterwards) and indexed — except when there is one
+// block in all, where the shard is the document itself, unmoved. A fresh
+// build and a delta are this one body, so they cannot disagree.
+func BuildFrom(doc *xmltree.Document, n int, adopt []*core.Corpus, opts ...Option) *Corpus {
 	var cfg buildConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	a := core.Analyze(doc, cfg.dtd)
-	sc := &Corpus{
-		cls:     a.Cls,
-		keys:    a.Keys,
-		summary: a.Summary,
-		guide:   a.Guide,
-		dtd:     a.DTD,
-		subset:  doc.InternalSubset,
-	}
+	label, fromAttr := "", false
 	if doc.Root != nil {
-		sc.rootLabel = doc.Root.Label
-		sc.rootFromAttr = doc.Root.FromAttr
+		label, fromAttr = doc.Root.Label, doc.Root.FromAttr
 	}
-	for _, part := range Partition(doc, n) {
-		sc.shards = append(sc.shards, core.BuildCorpus(part, core.WithSharedAnalysis(a)))
+	cuts := Cuts(doc, n)
+	shards := make([]*core.Corpus, len(cuts)-1)
+	for b := range shards {
+		if b < len(adopt) && adopt[b] != nil {
+			shards[b] = &core.Corpus{Doc: adopt[b].Doc, Index: adopt[b].Index}
+			continue
+		}
+		shards[b] = core.BuildCorpus(partitionAt(doc, cuts, b), core.WithSharedAnalysis(a))
 	}
-	return sc
+	return Assemble(shards, a, label, fromAttr, doc.InternalSubset)
 }
 
 // Assemble builds a Corpus from per-shard corpora and a global analysis —
-// the delta-reload and snapshot-load path, where shards are a mix of
-// freshly built corpora and corpora adopted (document and packed index
-// intact) from a previous generation or decoded from per-shard packed
+// what BuildFrom and a snapshot load both end in, their shards a mix of
+// freshly built corpora, corpora adopted (document and packed index intact)
+// from a previous generation, and corpora decoded from per-shard packed
 // images. Every shard is rebound to the given analysis artifacts, so the
 // assembled corpus classifies and anchors exactly as if it had been built
 // in one piece. The shards slice is adopted, not copied.

@@ -12,6 +12,17 @@ import (
 	"extract/xmltree"
 )
 
+// partition materializes every block of doc's n-way split, the way BuildFrom
+// does for the blocks it does not adopt.
+func partition(doc *xmltree.Document, n int) []*xmltree.Document {
+	cuts := Cuts(doc, n)
+	docs := make([]*xmltree.Document, len(cuts)-1)
+	for b := range docs {
+		docs[b] = partitionAt(doc, cuts, b)
+	}
+	return docs
+}
+
 func TestPartitionPreservesNodesAndOrder(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 100} {
 		doc := gen.Figure5Corpus()
@@ -19,7 +30,7 @@ func TestPartitionPreservesNodesAndOrder(t *testing.T) {
 		wantChildren := len(doc.Root.Children)
 		wantInline := xmltree.RenderInline(doc.Root)
 
-		parts := Partition(gen.Figure5Corpus(), n)
+		parts := partition(gen.Figure5Corpus(), n)
 		if len(parts) == 0 {
 			t.Fatalf("n=%d: no shards", n)
 		}
@@ -62,12 +73,12 @@ func TestPartitionSingleChildAndEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := Partition(doc, 4)
+	parts := partition(doc, 4)
 	if len(parts) != 1 {
 		t.Fatalf("single-child doc: %d shards", len(parts))
 	}
 	empty := xmltree.NewDocument(nil)
-	if parts = Partition(empty, 3); len(parts) != 1 || parts[0].Root != nil {
+	if parts = partition(empty, 3); len(parts) != 1 || parts[0].Root != nil {
 		t.Fatalf("empty doc: %v", parts)
 	}
 }

@@ -1,14 +1,18 @@
 package extract
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"extract/internal/gen"
 	"extract/internal/index"
+	"extract/internal/ingest"
+	"extract/internal/shard"
 	"extract/internal/workload"
 	"extract/xmltree"
 )
@@ -400,4 +404,181 @@ func TestConcurrentQueriesDuringDeltaReload(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// corpusBytes is a corpus as its packed index file: every shard's document,
+// index and analysis artifacts, byte for byte.
+func corpusBytes(t *testing.T, sc *shard.Corpus) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := shard.Save(&buf, sc); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkAdoption asserts that next took from prev exactly the shards adopt
+// marks — same document, same packed index — and built or decoded the rest.
+func checkAdoption(t *testing.T, label string, next, prev *ingest.Generation, adopt []bool, reused int) {
+	t.Helper()
+	want := 0
+	for b, s := range next.Corpus.Shards() {
+		adopted := false
+		if b < prev.Corpus.NumShards() {
+			was := prev.Corpus.Shards()[b]
+			adopted = s.Doc == was.Doc && s.Index == was.Index
+		}
+		if adopted != adopt[b] {
+			t.Fatalf("%s: block %d adopted = %v, want %v", label, b, adopted, adopt[b])
+		}
+		if adopted {
+			want++
+		}
+	}
+	if reused != want {
+		t.Fatalf("%s: reported %d reused, adopted %d", label, reused, want)
+	}
+}
+
+// TestOneBuilder pins the one document → generation builder (ingest.Build
+// over shard.BuildFrom) on every edit class × shard shape above, plus the
+// shapes a separate "nothing to adopt" body used to cover — a shard-count
+// change, a root or DOCTYPE change, a one-block document: with no previous
+// generation it is shard.Build, byte for byte; with one it adopts exactly
+// the blocks ingest.Diff marks unchanged, records the hashes Diff computed,
+// and still equals shard.Build of the same document, byte for byte.
+func TestOneBuilder(t *testing.T) {
+	single := func(value string) func() *xmltree.Document {
+		return func() *xmltree.Document {
+			doc := deltaBaseDoc()
+			doc.Root.Children = doc.Root.Children[:1]
+			doc.Root.Children[0].Children[0].Children[0].Value = value
+			return xmltree.NewDocument(doc.Root)
+		}
+	}
+	withSubset := func() *xmltree.Document {
+		doc := deltaBaseDoc()
+		doc.InternalSubset = "<!ELEMENT retailers (retailer*)>"
+		return doc
+	}
+	type pair struct {
+		name             string
+		mkA, mkB         func() *xmltree.Document
+		shardsA, shardsB int
+		reused           int // what the shape must adopt; -1 = whatever Diff says
+	}
+	var pairs []pair
+	for variant, mk := range deltaVariants() {
+		for _, n := range []int{1, 3} {
+			pairs = append(pairs, pair{fmt.Sprintf("%s/shards=%d", variant, n), deltaBaseDoc, mk, n, n, -1})
+		}
+	}
+	pairs = append(pairs,
+		pair{"reshard/3to2", deltaBaseDoc, deltaBaseDoc, 3, 2, 0},
+		pair{"reshard/3to1", deltaBaseDoc, deltaBaseDoc, 3, 1, 0},
+		pair{"reshard/1to3", deltaBaseDoc, deltaBaseDoc, 1, 3, 0},
+		pair{"doctype-changed", deltaBaseDoc, withSubset, 3, 3, 0},
+		pair{"one-block/identical", single("same"), single("same"), 3, 3, 1},
+		pair{"one-block/edited", single("same"), single("zzzfresh"), 3, 3, 0},
+	)
+	for _, p := range pairs {
+		prev, reused := ingest.Build(p.mkA(), p.shardsA, nil, nil)
+		if reused != 0 {
+			t.Fatalf("%s: a build from nothing reused %d shards", p.name, reused)
+		}
+		if !bytes.Equal(corpusBytes(t, prev.Corpus), corpusBytes(t, shard.Build(p.mkA(), p.shardsA))) {
+			t.Fatalf("%s: ingest.Build with no previous generation differs from shard.Build", p.name)
+		}
+		if !reflect.DeepEqual(prev.Source, ingest.SourceOf(prev.Corpus)) {
+			t.Fatalf("%s: recorded identity %+v, documents hash to %+v", p.name, prev.Source, ingest.SourceOf(prev.Corpus))
+		}
+
+		diff := ingest.Diff(prev.Source, p.mkB(), p.shardsB)
+		docB := p.mkB()
+		next, reused := ingest.Build(docB, p.shardsB, nil, prev)
+		adopt := make([]bool, len(diff.Changed))
+		for b, changed := range diff.Changed {
+			adopt[b] = !changed
+		}
+		checkAdoption(t, p.name, next, prev, adopt, reused)
+		if reused != diff.Reused || (p.reused >= 0 && reused != p.reused) {
+			t.Fatalf("%s: adopted %d blocks, Diff marks %d unchanged, the shape allows %d", p.name, reused, diff.Reused, p.reused)
+		}
+		if want := (ingest.Source{RootHash: diff.RootHash, Shards: diff.Hashes}); !reflect.DeepEqual(next.Source, want) {
+			t.Fatalf("%s: recorded identity %+v, Diff computed %+v", p.name, next.Source, want)
+		}
+		if !bytes.Equal(corpusBytes(t, next.Corpus), corpusBytes(t, shard.Build(p.mkB(), p.shardsB))) {
+			t.Fatalf("%s: delta build (%d of %d adopted) differs from shard.Build of the same document",
+				p.name, reused, next.Corpus.NumShards())
+		}
+		// The one-block rule: a lone block that is built is the document
+		// itself, unmoved.
+		if next.Corpus.NumShards() == 1 && reused == 0 && next.Corpus.Shards()[0].Doc != docB {
+			t.Fatalf("%s: the one shard of a one-block document is not the document itself", p.name)
+		}
+	}
+
+	// The facade over it: the first delta on a FromDocument corpus adopts
+	// what Diff says it may, like any other.
+	for _, n := range []int{1, 3} {
+		label := fmt.Sprintf("from-document/shards=%d", n)
+		c := FromDocumentSharded(deltaBaseDoc(), nil, n)
+		mkB := deltaVariants()["one-entity"]
+		diff := ingest.Diff(c.data.Load().gen.Source, mkB(), n)
+		stats, err := c.ReloadDelta(strings.NewReader(xmltree.XMLString(mkB().Root)), WithShards(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (DeltaStats{Shards: len(diff.Changed), Reused: diff.Reused, Rebuilt: len(diff.Changed) - diff.Reused}); stats != want {
+			t.Fatalf("%s: first delta did %+v, Diff allows %+v", label, stats, want)
+		}
+		fresh := FromDocumentSharded(mkB(), nil, n)
+		compareCorpora(t, label, c, fresh)
+		c.Close()
+		fresh.Close()
+	}
+}
+
+// TestLoadDeltaMatchesLoad is the snapshot side of the same property: for
+// every edit class × shard shape, ingest.LoadDelta against a previous
+// generation equals ingest.Load of the same directory byte for byte and in
+// identity, and adopts exactly the shards whose content hash did not move
+// (none when root or shard count differ).
+func TestLoadDeltaMatchesLoad(t *testing.T) {
+	for variant, mk := range deltaVariants() {
+		for _, shape := range [][2]int{{1, 1}, {3, 3}, {3, 2}} {
+			label := fmt.Sprintf("%s/shards=%dto%d", variant, shape[0], shape[1])
+			dirA, dirB := filepath.Join(t.TempDir(), "a.xtsnap"), filepath.Join(t.TempDir(), "b.xtsnap")
+			if err := ingest.Snapshot(dirA, shard.Build(deltaBaseDoc(), shape[0])); err != nil {
+				t.Fatal(err)
+			}
+			if err := ingest.Snapshot(dirB, shard.Build(mk(), shape[1])); err != nil {
+				t.Fatal(err)
+			}
+			prev, err := ingest.Load(dirA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := ingest.Load(dirB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, reused, err := ingest.LoadDelta(dirB, prev)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			aligned := prev.Source.RootHash == fresh.Source.RootHash && len(prev.Source.Shards) == len(fresh.Source.Shards)
+			adopt := make([]bool, len(fresh.Source.Shards))
+			for b, h := range fresh.Source.Shards {
+				adopt[b] = aligned && h == prev.Source.Shards[b]
+			}
+			checkAdoption(t, label, next, prev, adopt, reused)
+			if !reflect.DeepEqual(next.Source, fresh.Source) {
+				t.Fatalf("%s: LoadDelta identity %+v, Load identity %+v", label, next.Source, fresh.Source)
+			}
+			if !bytes.Equal(corpusBytes(t, next.Corpus), corpusBytes(t, fresh.Corpus)) {
+				t.Fatalf("%s: LoadDelta (%d of %d adopted) differs from Load", label, reused, next.Corpus.NumShards())
+			}
+		}
+	}
 }

@@ -69,12 +69,30 @@ func TestConnectMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addrs, _ := startShardTier(t, snapDir, 2, 1)
+	addrs, servers := startShardTier(t, snapDir, 2, 1)
 	rc, err := Connect(snapDir, addrs, WithQueryCache(0))
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
 	defer rc.Close()
+
+	// The identity the facade records is the one the router placed shards
+	// by — never a second read of the directory — and both are the
+	// generation the shard servers hashed out of their own documents.
+	checkIdentity := func(when string) {
+		t.Helper()
+		d := rc.data.Load()
+		got, placed := remote.Fingerprint(d.gen.Source), remote.Fingerprint(d.rt.Source())
+		if got != placed {
+			t.Fatalf("%s: facade records generation %016x, router placed %016x", when, got, placed)
+		}
+		for addr, srv := range servers {
+			if srv.Fingerprint() != got {
+				t.Fatalf("%s: server %s serves generation %016x, facade records %016x", when, addr, srv.Fingerprint(), got)
+			}
+		}
+	}
+	checkIdentity("Connect")
 
 	if got, want := rc.Shards(), local.Shards(); got != want {
 		t.Fatalf("Shards() = %d, want %d", got, want)
@@ -137,6 +155,7 @@ func TestConnectMatchesLocal(t *testing.T) {
 	if _, err := rc.ReloadSnapshot(snapDir); err != nil {
 		t.Fatalf("ReloadSnapshot: %v", err)
 	}
+	checkIdentity("ReloadSnapshot")
 	q := queries[0]
 	want, err := local.Query(q, bound)
 	if err != nil {
@@ -297,13 +316,13 @@ func TestRoutedQueryTracing(t *testing.T) {
 	seedCorpus.Close()
 
 	addrs, _ := startShardTier(t, snapDir, 2, 1)
-	rc, err := Connect(snapDir, addrs, WithQueryCache(0))
+	var records []SlowQuery
+	rc, err := Connect(snapDir, addrs, WithQueryCache(0),
+		WithSlowQueryLog(time.Nanosecond, func(q SlowQuery) { records = append(records, q) }))
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
 	defer rc.Close()
-	var records []SlowQuery
-	rc.ConfigureSlowQueryLog(time.Nanosecond, func(q SlowQuery) { records = append(records, q) })
 
 	if _, err := rc.Query("store texas", 6); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // in Prometheus text format by WriteMetrics and read programmatically with
 // QueryLatencies. See OBSERVABILITY.md for the metric-by-metric reference.
 
-// SlowQuery describes one query that crossed the ConfigureSlowQueryLog
+// SlowQuery describes one query that crossed the WithSlowQueryLog
 // threshold. It is sanitized for logging: Keywords are the query's
 // lowercased tokens (never the raw query string), and Err is an error
 // class, never an error message — nothing document- or value-derived can
@@ -184,16 +184,6 @@ func (c *Corpus) RecentTraces() []QueryTrace {
 	return out
 }
 
-// ConfigureSlowQueryLog installs fn as the slow-query hook: every query
-// whose end-to-end latency reaches threshold is reported as a sanitized
-// SlowQuery after its response is ready. fn runs on the query's goroutine
-// and must not block. Like ConfigureServing, it must be called before the
-// first query; a zero threshold or nil fn disables the hook.
-func (c *Corpus) ConfigureSlowQueryLog(threshold time.Duration, fn func(SlowQuery)) {
-	c.slowThreshold = threshold
-	c.slowFn = fn
-}
-
 // StageLatency summarizes one query-lifecycle stage's latency
 // distribution. The pseudo-stage "total" covers the whole query end to
 // end; admission and cache count every query, while dispatch, eval and
@@ -304,11 +294,14 @@ func WriteMetrics(w io.Writer, corpora map[string]*Corpus) error {
 	return telemetry.WritePrometheus(w, instances...)
 }
 
-// recordReload records one reload into the registry: a duration histogram
-// labeled by source (swap, xml, snapshot) and mode (full, delta) plus an
-// outcome counter. Failed reloads count but do not pollute the duration
-// distribution — an early parse error is not a reload time.
-func (c *Corpus) recordReload(source, mode string, start time.Time, err error) {
+// recordReload records one reload into the registry — publish calls it,
+// so every way of reloading reports alike: an outcome counter, a duration
+// histogram labeled by source (swap, xml, snapshot) and mode (full, delta),
+// and what the reload reused, in shards adopted from the previous generation
+// against shards rebuilt (or decoded, or re-placed). Failed reloads count but
+// do not pollute the duration distribution — an early parse error is not a
+// reload time.
+func (c *Corpus) recordReload(source string, stats DeltaStats, start time.Time, err error) {
 	if err != nil {
 		c.reg.Counter("extract_reloads_total", reloadsHelp, telemetry.L("result", "error")).Inc()
 		return
@@ -316,10 +309,15 @@ func (c *Corpus) recordReload(source, mode string, start time.Time, err error) {
 	c.reg.Counter("extract_reloads_total", reloadsHelp, telemetry.L("result", "ok")).Inc()
 	c.reg.Histogram("extract_reload_seconds",
 		"Reload duration by source (swap, xml, snapshot) and mode (full, delta).",
-		telemetry.L("source", source), telemetry.L("mode", mode)).Observe(time.Since(start))
+		telemetry.L("source", source), telemetry.L("mode", stats.Mode())).Observe(time.Since(start))
+	c.reg.Counter("extract_reload_shards_total", reloadShardsHelp, telemetry.L("outcome", "reused")).Add(int64(stats.Reused))
+	c.reg.Counter("extract_reload_shards_total", reloadShardsHelp, telemetry.L("outcome", "rebuilt")).Add(int64(stats.Rebuilt))
 }
 
-const reloadsHelp = "Reloads by result; errored reloads left the old generation serving."
+const (
+	reloadsHelp      = "Reloads by result; errored reloads left the old generation serving."
+	reloadShardsHelp = "Shards of successfully reloaded generations by outcome: reused (adopted from the previous generation) or rebuilt."
+)
 
 // recordSnapshotSave records one SaveSnapshot duration.
 func (c *Corpus) recordSnapshotSave(start time.Time) {

@@ -38,8 +38,9 @@
 //     (Ords/Nodes/Fields), keeping document-order positions in one
 //     contiguous int32 array for binary searches and merge scans.
 //   - internal/search computes SLCA by an interval-folding merge over the
-//     packed lists with a linear stack filter, and ELCA by exclusive
-//     counting over the match virtual tree with pooled scratch. Probes
+//     packed lists with a linear stack filter, and ELCA on the same
+//     candidate stream by interval counting (rank differences from
+//     monotone cursors) over the candidates' ancestor chains. Probes
 //     into skewed posting lists advance by galloping (exponential +
 //     branch-free binary search) past the measured crossover gap, and a
 //     result bound (WithMaxResults, SLCA) terminates the scan once the

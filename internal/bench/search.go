@@ -125,7 +125,8 @@ func SearchPerf(sizes []int) *SearchPerfReport {
 		Note: "before = retained baseline implementations (SLCABaseline/ELCABaseline/" +
 			"collectBaseline + per-snippet index rebuild, as shipped before the " +
 			"flat-array rewrite); after = packed posting lists, linear SLCA, " +
-			"virtual-tree ELCA, interned single-walk collection. result_* builds " +
+			"shortest-list-driven interval-counting ELCA, interned single-walk " +
+			"collection. result_* builds " +
 			"the results of every LCA of the point's query: before = deep copy + " +
 			"re-finalize + linear match filter per LCA, after = views of the " +
 			"corpus document. snippet_* is the " +

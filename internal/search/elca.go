@@ -1,6 +1,7 @@
 package search
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -16,166 +17,171 @@ import (
 // document order (index posting lists are) and drawn from one finalized
 // document; a node repeated within one list counts as that many matches.
 // The result is in document order.
-//
-// The implementation runs the bottom-up exclusive counting not over the
-// whole document but over the match virtual tree — the match nodes plus
-// the LCA closure — built by a single stack pass over a k-way merge of the
-// ord-sorted lists. Only nodes of the virtual tree can be ELCAs: any other
-// ancestor of a match inherits the residual counts of a single
-// virtual-tree descendant unchanged, which is either all-zero (an ELCA
-// below it) or missing a keyword. A virtual node's subtree is complete
-// exactly when it is popped, so counting happens at pop time with no
-// second pass. Scratch buffers are pooled, so repeated evaluation does not
-// reallocate.
 func ELCA(lists ...[]*xmltree.Node) []*xmltree.Node {
-	if len(lists) == 0 {
-		return nil
-	}
-	for _, l := range lists {
-		if len(l) == 0 {
-			return nil
-		}
-	}
-	k := len(lists)
-
-	sc := elcaPool.Get().(*elcaScratch)
-	defer elcaPool.Put(sc)
-
-	// Virtual-tree arrays: node and a flat k-wide count row per node.
-	vn := sc.vn[:0]
-	cnt := sc.cnt[:0]
-	addNode := func(n *xmltree.Node) int32 {
-		vn = append(vn, n)
-		for i := 0; i < k; i++ {
-			cnt = append(cnt, 0)
-		}
-		return int32(len(vn) - 1)
-	}
-	var out []*xmltree.Node
-	// finalize closes w's subtree: an all-positive row is an ELCA and
-	// keeps its evidence; otherwise the residual flows to the parent row
-	// (target < 0 discards, used only for the virtual root).
-	finalize := func(w, target int32) {
-		row := cnt[int(w)*k : int(w)*k+k]
-		all := true
-		for _, c := range row {
-			if c == 0 {
-				all = false
-				break
-			}
-		}
-		if all {
-			out = append(out, vn[w])
-			return
-		}
-		if target >= 0 {
-			prow := cnt[int(target)*k : int(target)*k+k]
-			for j, c := range row {
-				prow[j] += c
-			}
-		}
-	}
-
-	// k-way merge cursors over the ord-sorted lists; stack entries are
-	// indices into vn and always form a root-to-node ancestor chain.
-	cursors := sc.cursors[:0]
-	for range lists {
-		cursors = append(cursors, 0)
-	}
-	sc.cursors = cursors
-	stack := sc.stack[:0]
-	for {
-		// Next distinct match node in document order, with its counts.
-		var v *xmltree.Node
-		for i, l := range lists {
-			if c := cursors[i]; c < len(l) && (v == nil || l[c].Start < v.Start) {
-				v = l[c]
-			}
-		}
-		if v == nil {
-			break
-		}
-		vi := addNode(v)
-		for i, l := range lists {
-			// Consume consecutive duplicates so a node repeated within a
-			// list accumulates counts instead of becoming a second
-			// virtual node (the baseline's matchOf semantics).
-			for cursors[i] < len(l) && l[cursors[i]] == v {
-				cnt[int(vi)*k+i]++
-				cursors[i]++
-			}
-		}
-		if len(stack) == 0 {
-			stack = append(stack, vi)
-			continue
-		}
-		// Pop completed subtrees: everything strictly inside lca(top, v)
-		// — the stack is an ancestor chain through it — has seen all its
-		// matches. Each popped node merges into the entry below it; the
-		// shallowest popped merges into u itself.
-		u := fastLCA(vn[stack[len(stack)-1]], v)
-		popped := int32(-1)
-		for len(stack) > 0 && u.Contains(vn[stack[len(stack)-1]]) {
-			w := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if popped >= 0 {
-				finalize(popped, w)
-			}
-			popped = w
-		}
-		if popped >= 0 {
-			// Every entry left is u or an ancestor of u, so u is on the
-			// stack iff it is the top.
-			var ui int32
-			if len(stack) > 0 && vn[stack[len(stack)-1]] == u {
-				ui = stack[len(stack)-1]
-			} else {
-				ui = addNode(u)
-				stack = append(stack, ui)
-			}
-			finalize(popped, ui)
-		}
-		stack = append(stack, vi)
-	}
-	// Drain: each remaining entry finalizes into the one below; the
-	// virtual root's residual is discarded.
-	for len(stack) > 0 {
-		w := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if len(stack) > 0 {
-			finalize(w, stack[len(stack)-1])
-		} else {
-			finalize(w, -1)
-		}
-	}
-	sc.vn, sc.cnt, sc.stack = vn, cnt, stack[:0]
-
-	// Finalization order is post-order; emit in document order.
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	elcas, _ := ELCAPacked(packLists(lists)...)
+	return elcas
 }
 
 // ELCAPacked is ELCA over packed posting lists, the form the engine holds.
-func ELCAPacked(lists ...*index.PostingList) []*xmltree.Node {
-	nodeLists := make([][]*xmltree.Node, len(lists))
-	for i, l := range lists {
-		if l == nil {
-			return nil
-		}
-		nodeLists[i] = l.Nodes
+// free reports, per list, whether some entry lies outside the subtree of
+// every ELCA below the document root — the root's own exclusive evidence,
+// and what a shard contributes to the root decision of a sharded query
+// (shard.Digest.Free). When a list is empty there are no ELCAs and every
+// entry is free.
+//
+// The evaluation is driven by the shortest list. An ELCA contains every
+// keyword, and the nodes that do are exactly the candidates folded from the
+// shortest list's entries (folds, the loop SLCA runs on) and their
+// ancestors, so those are the only nodes decided. The real ancestor chain
+// root → current candidate sits on a stack, and a node x is decided when
+// the stream leaves it: x is an ELCA iff, for every list,
+//
+//	(entries inside [x.Start, x.End]) − (entries inside x's outermost ELCA descendants) > 0.
+//
+// Both terms are rank differences read from monotone cursors, never a walk
+// over the entries: nodes are pushed in increasing Start and popped in
+// increasing End, so one cursor per list ranks Start at push time and
+// another ranks End+1 at pop time. The subtracted term is a k-wide row a
+// popped node hands its parent — its whole count if it qualified, its own
+// row otherwise. A qualifying node is inserted at the output length recorded
+// when it was pushed (everything emitted since lies below it), so the set
+// leaves in document order unsorted. The root is never popped: what its row
+// leaves of each list when the stream ends is free. Cost: one push per
+// distinct ancestor of a candidate, 2k cursor advances each (see
+// PERFORMANCE.md, "The ELCA cost model"). Scratch buffers are pooled, so
+// steady-state evaluation allocates only what it returns.
+func ELCAPacked(lists ...*index.PostingList) (elcas []*xmltree.Node, free []bool) {
+	if len(lists) == 0 {
+		return nil, nil
 	}
-	return ELCA(nodeLists...)
+	k, complete := len(lists), true
+	free = make([]bool, k)
+	for j, l := range lists {
+		free[j] = l.Len() > 0
+		complete = complete && free[j]
+	}
+	if !complete {
+		return nil, free
+	}
+
+	sc := elcaPool.Get().(*elcaScratch)
+	defer elcaPool.Put(sc)
+	return sc.eval(lists, free), free
 }
 
-// elcaScratch holds the reusable buffers of one ELCA evaluation.
+// eval is ELCAPacked over non-empty lists on this scratch: it returns the
+// ELCAs, its one allocation, and overwrites free.
+func (sc *elcaScratch) eval(lists []*index.PostingList, free []bool) []*xmltree.Node {
+	k := len(lists)
+	sc.cursors = slices.Grow(sc.cursors[:0], 3*k)[:3*k]
+	clear(sc.cursors)
+	sc.folds = newFolds(lists, sc.cursors[:k])
+	sc.frames, sc.rows, sc.out, sc.pushes = sc.frames[:0], sc.rows[:0], sc.out[:0], 0
+
+	root := lists[0].Nodes[0].Root()
+	sc.push(root)
+	for c := sc.next(); c != nil; c = sc.next() {
+		// Frames ending before c have seen all their entries: every later
+		// candidate contains a match at or after c's.
+		for sc.top().End < c.Start {
+			sc.pop()
+		}
+		// c now is the top, an ancestor of it (both already stacked: the
+		// stack is a whole chain from the root), or a proper descendant.
+		top := sc.top()
+		if c.Start <= top.Start {
+			continue
+		}
+		path := sc.path[:0]
+		for n := c; n != top; n = n.Parent {
+			path = append(path, n)
+		}
+		for i := len(path) - 1; i >= 0; i-- {
+			sc.push(path[i])
+		}
+		sc.path = path
+	}
+	for len(sc.frames) > 1 {
+		sc.pop()
+	}
+	// The root's count is the whole list, so what its row leaves is free.
+	rootQualifies := true
+	for j, l := range lists {
+		free[j] = int32(l.Len()) > sc.rows[k+j]
+		rootQualifies = rootQualifies && free[j]
+	}
+	if rootQualifies {
+		sc.out = slices.Insert(sc.out, 0, root)
+	}
+	sc.folds = folds{} // the pool must not pin the posting lists
+	return slices.Clone(sc.out)
+}
+
+// elcaScratch is the reusable state of one ELCA evaluation: the candidate
+// stream, the stack of undecided nodes and the output under construction.
 type elcaScratch struct {
-	vn      []*xmltree.Node
-	cnt     []int32
-	stack   []int32
-	cursors []int
+	folds
+	cursors []int       // k fold cursors, k Start-rank cursors, k End-rank cursors
+	frames  []elcaFrame // the ancestor chain root → current candidate
+	rows    []int32     // per frame: k Start ranks, then the k-wide row of its decided ELCA descendants
+	path    []*xmltree.Node
+	out     []*xmltree.Node
+	pushes  int // nodes stacked by the last evaluation, each at most once
+}
+
+type elcaFrame struct {
+	node *xmltree.Node
+	at   int // len(out) when pushed: where the node goes if it qualifies
 }
 
 var elcaPool = sync.Pool{New: func() any { return &elcaScratch{} }}
+
+func (sc *elcaScratch) top() *xmltree.Node { return sc.frames[len(sc.frames)-1].node }
+
+// push stacks n, a child of the top, ranking its Start in every list.
+func (sc *elcaScratch) push(n *xmltree.Node) {
+	sc.frames = append(sc.frames, elcaFrame{n, len(sc.out)})
+	sc.pushes++
+	k := len(sc.lists)
+	starts := sc.cursors[k : 2*k]
+	for j, l := range sc.lists {
+		starts[j] = sc.advance(l.Ords, starts[j], n.Start)
+		sc.rows = append(sc.rows, int32(starts[j]))
+	}
+	for range k {
+		sc.rows = append(sc.rows, 0)
+	}
+}
+
+// pop decides the top (never the root): it qualifies iff its count exceeds
+// its row in every list, and hands its parent the count if so, the row if
+// not. A list that fails the test ends the ranking — a node that is not an
+// ELCA needs no count.
+func (sc *elcaScratch) pop() {
+	f := sc.frames[len(sc.frames)-1]
+	sc.frames = sc.frames[:len(sc.frames)-1]
+	k := len(sc.lists)
+	base := len(sc.rows) - 2*k
+	count, row, parent := sc.rows[base:base+k], sc.rows[base+k:], sc.rows[base-k:base]
+	sc.rows = sc.rows[:base]
+	ends, qualifies := sc.cursors[2*k:], true
+	for j, l := range sc.lists {
+		ends[j] = sc.advance(l.Ords, ends[j], f.node.End+1)
+		count[j] = int32(ends[j]) - count[j] // the Start rank becomes the count
+		if count[j] <= row[j] {
+			qualifies = false
+			break
+		}
+	}
+	hand := row
+	if qualifies {
+		hand = count
+		sc.out = slices.Insert(sc.out, f.at, f.node)
+	}
+	for j, c := range hand {
+		parent[j] += c
+	}
+}
 
 // ELCABaseline is the pre-flattening implementation: exclusive counting by
 // recursion over the entire document subtree, O(document size × keywords).

@@ -85,6 +85,10 @@ type Evaluation struct {
 	// LCAs in document order. The prefix is byte-identical to the same
 	// prefix of an unbounded evaluation.
 	Truncated bool
+	// Free reports, per keyword under ELCA semantics, whether some match
+	// lies outside the subtree of every ELCA below the document root (see
+	// ELCAPacked); nil under SLCA.
+	Free []bool
 }
 
 // Complete reports whether every keyword matched at least once, i.e. the
@@ -109,12 +113,11 @@ func (e *Engine) Evaluate(query string) (*Evaluation, error) {
 // EvaluateBounded is Evaluate with top-k early termination: when limit > 0
 // and the engine runs SLCA semantics, the LCA scan stops once the first
 // limit SLCAs in document order are provable, marking the evaluation
-// Truncated. ELCA evaluation is never truncated: an ELCA pops off the
-// match virtual-tree stack only when the scan moves past its subtree, and
-// any of its stacked ancestors may still qualify from later matches, so no
-// document-order prefix of the ELCA set is provable before the scan
-// completes (see PERFORMANCE.md). limit <= 0 behaves exactly like
-// Evaluate.
+// Truncated. ELCA evaluation is never truncated: the scan is as short as
+// SLCA's (both run the shortest list), but an ELCA is decided only when the
+// scan leaves it, any of its stacked ancestors — the root first of all — may
+// still qualify from later matches, and Free needs the root's row after the
+// last one (see PERFORMANCE.md). limit <= 0 behaves exactly like Evaluate.
 func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
 	terms := ParseQuery(query)
 	if len(terms) == 0 {
@@ -124,7 +127,6 @@ func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
 		Keywords: make([]string, len(terms)),
 		Lists:    make([]*index.PostingList, len(terms)),
 	}
-	complete := true
 	for i, t := range terms {
 		ev.Keywords[i] = t.String()
 		if t.IsPhrase() {
@@ -132,16 +134,12 @@ func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
 		} else {
 			ev.Lists[i] = e.ix.List(t.Tokens[0])
 		}
-		if ev.Lists[i].Len() == 0 {
-			complete = false
-		}
 	}
-	if !complete {
-		return ev, nil // conjunctive semantics: no LCAs
-	}
+	// Conjunctive semantics: either evaluation has no LCAs when some
+	// keyword has no match.
 	switch e.opts.Semantics {
 	case SemanticsELCA:
-		ev.LCAs = ELCAPacked(ev.Lists...)
+		ev.LCAs, ev.Free = ELCAPacked(ev.Lists...)
 	default:
 		ev.LCAs, ev.Truncated = SLCAPackedBounded(limit, ev.Lists...)
 	}
@@ -152,14 +150,21 @@ func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
 // applying the engine's DistinctAnchors and MaxResults options, and returns
 // them sorted by anchor document order. Each LCA's anchor is resolved and
 // de-duplicated before anything is built, so a dropped LCA costs one map
-// probe. Search passes the full LCA set; a shard merge passes the subset
-// that survived merging.
+// probe.
 func (e *Engine) Results(ev *Evaluation, lcas []*xmltree.Node) []*Result {
+	return e.results(ev, lcas, nil)
+}
+
+// results is Results over the LCAs accepted by keep (nil keeps all).
+func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, keep func(*xmltree.Node) bool) []*Result {
 	var (
 		results     []*Result
 		seenAnchors = make(map[*xmltree.Node]bool)
 	)
 	for _, lca := range lcas {
+		if keep != nil && !keep(lca) {
+			continue
+		}
 		anchor := anchorOf(lca, e.cls)
 		if e.opts.DistinctAnchors && seenAnchors[anchor] {
 			continue
@@ -181,12 +186,13 @@ func (e *Engine) Results(ev *Evaluation, lcas []*xmltree.Node) []*Result {
 // when the engine bounds results (MaxResults > 0, SLCA semantics), the LCA
 // scan stops after the first MaxResults provable SLCAs. If anchor
 // deduplication (DistinctAnchors) or the keep filter then consumes some of
-// the bound, the bound is widened 4x and evaluation retried, so the final
-// (kept, results) pair is byte-identical to an unbounded evaluation — the
-// occasional retry re-pays the cheap bounded scan, the common case touches
-// only the matches needed for k results. Returns the evaluation (LCAs nil
-// when some keyword has no match), the kept LCA subset, and the results.
-func (e *Engine) EvaluateResults(query string, keep func(*xmltree.Node) bool) (*Evaluation, []*xmltree.Node, []*Result, error) {
+// the bound, the bound is widened 4x and evaluation retried, so the results
+// are byte-identical to an unbounded evaluation's — the occasional retry
+// re-pays the cheap bounded scan, the common case touches only the matches
+// needed for k results. The kept subset is never materialised: building
+// stops at MaxResults. Returns the evaluation (LCAs nil when some keyword
+// has no match) and the results.
+func (e *Engine) EvaluateResults(query string, keep func(*xmltree.Node) bool) (*Evaluation, []*Result, error) {
 	limit := 0
 	if e.opts.MaxResults > 0 && e.opts.Semantics != SemanticsELCA {
 		limit = e.opts.MaxResults
@@ -194,23 +200,14 @@ func (e *Engine) EvaluateResults(query string, keep func(*xmltree.Node) bool) (*
 	for {
 		ev, err := e.EvaluateBounded(query, limit)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if ev.LCAs == nil {
-			return ev, nil, nil, nil
+			return ev, nil, nil
 		}
-		kept := ev.LCAs
-		if keep != nil {
-			kept = make([]*xmltree.Node, 0, len(ev.LCAs))
-			for _, n := range ev.LCAs {
-				if keep(n) {
-					kept = append(kept, n)
-				}
-			}
-		}
-		results := e.Results(ev, kept)
+		results := e.results(ev, ev.LCAs, keep)
 		if !ev.Truncated || len(results) >= e.opts.MaxResults {
-			return ev, kept, results, nil
+			return ev, results, nil
 		}
 		limit *= 4
 	}
@@ -222,7 +219,7 @@ func (e *Engine) EvaluateResults(query string, keep func(*xmltree.Node) bool) (*
 // bounds results, evaluation terminates early once the bound is provably
 // filled (see EvaluateResults).
 func (e *Engine) Search(query string) ([]*Result, error) {
-	_, _, results, err := e.EvaluateResults(query, nil)
+	_, results, err := e.EvaluateResults(query, nil)
 	return results, err
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"extract/internal/index"
+	"extract/xmltree"
 )
 
 // FuzzGallop pins gallop against the obvious linear reference: the smallest
@@ -131,3 +132,48 @@ func BenchmarkSLCAProbeModes(b *testing.B) {
 }
 
 var benchSink int
+
+// BenchmarkELCAListShapes times ELCAPacked on the list shapes its cost model
+// distinguishes (PERFORMANCE.md, "The ELCA cost model"): 20 000 entities
+// under one root, every one holding an a, b, c and y, every 10th an x, every
+// 200th a z. With equal lists every entity is an ELCA and every entry a
+// candidate — the shape where driving from the shortest list saves nothing;
+// the skewed shapes decide only the entities holding the rare keyword.
+func BenchmarkELCAListShapes(b *testing.B) {
+	root := xmltree.Elem("r")
+	for i := 0; i < 20000; i++ {
+		e := xmltree.Elem("e")
+		for _, tag := range []string{"a", "b", "c", "y"} {
+			xmltree.Append(e, xmltree.Elem(tag))
+		}
+		if i%10 == 0 {
+			xmltree.Append(e, xmltree.Elem("x"))
+		}
+		if i%200 == 0 {
+			xmltree.Append(e, xmltree.Elem("z"))
+		}
+		xmltree.Append(root, e)
+	}
+	ix := index.Build(xmltree.NewDocument(root))
+	for _, shape := range []struct {
+		name string
+		tags []string
+	}{
+		{"equal-all-qualify", []string{"a", "b", "c"}},
+		{"skew-1:10", []string{"x", "y"}},
+		{"skew-1:200", []string{"z", "y"}},
+		{"one-keyword", []string{"y"}},
+		{"four-keywords", []string{"a", "b", "c", "y"}},
+	} {
+		lists := make([]*index.PostingList, len(shape.tags))
+		for i, tag := range shape.tags {
+			lists[i] = ix.List(tag)
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ELCAPacked(lists...)
+			}
+		})
+	}
+}

@@ -49,8 +49,8 @@ func TestSLCAPackedMatchesBrute(t *testing.T) {
 	}
 }
 
-// Property: the virtual-tree ELCA agrees with the whole-document exclusive
-// counting baseline on random trees and keyword lists.
+// Property: ELCA agrees with the whole-document exclusive counting baseline
+// on random trees and keyword lists.
 func TestELCAMatchesBaseline(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -105,7 +105,8 @@ func TestPackedAgainstBruteOnGenCorpora(t *testing.T) {
 			if got, want := SLCAPacked(packed...), SLCABrute(doc, lists...); !sameNodes(got, want) {
 				t.Errorf("%s: slca %v, brute %v", name, labels(got), labels(want))
 			}
-			if got, want := ELCAPacked(packed...), ELCABaseline(lists...); !sameNodes(got, want) {
+			got, _ := ELCAPacked(packed...)
+			if want := ELCABaseline(lists...); !sameNodes(got, want) {
 				t.Errorf("%s: elca %v, baseline %v", name, labels(got), labels(want))
 			}
 		}
@@ -149,25 +150,33 @@ func TestSLCADeepAncestorChain(t *testing.T) {
 	}
 }
 
-// The ELCA scratch pool must not leak state between evaluations with
-// different keyword counts or corpora.
+// One ELCA scratch must serve evaluations of different keyword counts and
+// corpora without leaking state between them, and in steady state allocate
+// nothing but the set it returns.
 func TestELCAPoolReuse(t *testing.T) {
-	doc := parse(t, corpus)
-	ix := index.Build(doc)
-	first := ELCA(ix.Nodes("texas"), ix.Nodes("apparel"))
-	for i := 0; i < 10; i++ {
-		a := ELCA(ix.Nodes("texas"), ix.Nodes("apparel"))
-		if !sameNodes(a, first) {
-			t.Fatalf("iteration %d: elca changed: %v vs %v", i, labels(a), labels(first))
+	small, large := index.Build(parse(t, corpus)), entities(500, map[string]int{"a": 1, "b": 3, "rare": 50})
+	sc := &elcaScratch{}
+	eval := func(ix *index.Index, kws ...string) []*xmltree.Node {
+		lists, packed := make([][]*xmltree.Node, len(kws)), make([]*index.PostingList, len(kws))
+		for i, kw := range kws {
+			lists[i], packed[i] = ix.Nodes(kw), ix.List(kw)
 		}
-		b := ELCA(ix.Nodes("store"))
-		if want := ELCABaseline(ix.Nodes("store")); !sameNodes(b, want) {
-			t.Fatalf("iteration %d: single-list elca %v, want %v", i, labels(b), labels(want))
+		got := sc.eval(packed, make([]bool, len(kws)))
+		if want := ELCABaseline(lists...); !sameNodes(got, want) {
+			t.Fatalf("%v: elca %v, want %v", kws, labels(got), labels(want))
 		}
-		c := ELCA(ix.Nodes("texas"), ix.Nodes("apparel"), ix.Nodes("retailer"))
-		if want := ELCABaseline(ix.Nodes("texas"), ix.Nodes("apparel"), ix.Nodes("retailer")); !sameNodes(c, want) {
-			t.Fatalf("iteration %d: three-list elca %v, want %v", i, labels(c), labels(want))
-		}
+		return got
+	}
+	for i := 0; i < 5; i++ {
+		eval(small, "texas", "apparel")
+		eval(large, "a", "rare", "b")
+		eval(small, "store")
+		eval(large, "b")
+		eval(small, "texas", "apparel", "retailer")
+	}
+	packed, free := []*index.PostingList{large.List("a"), large.List("b"), large.List("rare")}, make([]bool, 3)
+	if allocs := testing.AllocsPerRun(20, func() { sc.eval(packed, free) }); allocs > 1 {
+		t.Errorf("steady-state evaluation allocates %v times, want only the returned set", allocs)
 	}
 }
 

@@ -4,9 +4,10 @@
 // result generation", paper §3). This package provides the standard
 // machinery: SLCA computation in the style of Xu & Papakonstantinou
 // (indexed lookup and scan-eager merge over packed, ord-sorted posting
-// lists), ELCA computation in the style of XRank (bottom-up exclusive
-// counting over the match virtual tree), and XSeek-flavoured result tree
-// construction.
+// lists), ELCA computation under XRank's exclusive-count semantics (driven
+// by the same shortest-list candidate stream, counting by posting-list rank
+// differences over the candidates' ancestor chains), and XSeek-flavoured
+// result tree construction.
 //
 // The hot paths work on flat integer arrays: posting lists carry their
 // document-order positions in contiguous int32 slices (index.PostingList),
@@ -31,11 +32,16 @@ import (
 // document order and drawn from one finalized document (index posting
 // lists are). The result is in document order.
 func SLCA(lists ...[]*xmltree.Node) []*xmltree.Node {
+	return SLCAPacked(packLists(lists)...)
+}
+
+// packLists packs document-ordered node lists for the packed entry points.
+func packLists(lists [][]*xmltree.Node) []*index.PostingList {
 	packed := make([]*index.PostingList, len(lists))
 	for i, l := range lists {
 		packed[i] = index.PackNodes(l)
 	}
-	return SLCAPacked(packed...)
+	return packed
 }
 
 // SLCAPacked is SLCA over packed posting lists, the form the engine holds.
@@ -65,18 +71,10 @@ const gallopCost = 16
 // byte-identical to the same prefix of the unbounded result (pinned by
 // property and fuzz tests).
 //
-// The algorithm follows the indexed-lookup approach: iterate the shortest
-// list; for each of its nodes find, in every other list, the closest match
-// in document order (predecessor or successor by Ord), and fold LCAs. The
-// probes into the other lists use monotone cursors either way; when the
-// shortest list is a large fraction of the total the cursor advances as a
-// linear merge that touches each ord once and stays in cache, otherwise it
-// gallops (exponential search + branch-free binary refinement, see gallop)
-// so a skewed list costs O(log gap) per probe instead of O(gap). The
-// candidate stream is reduced to the smallest elements online by slcaStack,
-// which is also what makes early termination possible: once a candidate
-// lands strictly after the stack top, everything below it is sealed and
-// counts toward limit.
+// The candidate stream (see folds) is reduced to the smallest elements
+// online by slcaStack, which is also what makes early termination possible:
+// once a candidate lands strictly after the stack top, everything below it
+// is sealed and counts toward limit.
 func SLCAPackedBounded(limit int, lists ...*index.PostingList) ([]*xmltree.Node, bool) {
 	if len(lists) == 0 {
 		return nil, false
@@ -87,17 +85,40 @@ func SLCAPackedBounded(limit int, lists ...*index.PostingList) ([]*xmltree.Node,
 		}
 	}
 	st := slcaStack{limit: limit}
-	if len(lists) == 1 {
-		// Even with one keyword, a match whose descendant also matches
-		// is not a smallest LCA.
-		for _, v := range lists[0].Nodes {
-			if st.add(v) {
-				break
-			}
+	g := newFolds(lists, make([]int, len(lists)))
+	for c := g.next(); c != nil; c = g.next() {
+		if st.add(c) {
+			break
 		}
-		return st.results()
 	}
+	return st.results()
+}
 
+// folds is the candidate generator SLCA and ELCA evaluation share, following
+// the indexed-lookup approach: iterate the shortest list; for each of its
+// nodes find, in every other list, the closest match in document order
+// (predecessor or successor by Ord), and fold LCAs. The folded candidate is
+// the lowest ancestor-or-self of the node that contains a match of every
+// list, so the nodes containing every keyword are exactly the candidates and
+// their ancestors: SLCA keeps the smallest candidates (slcaStack), ELCA
+// decides every node of the candidates' ancestor chains (ELCAPacked).
+//
+// The probes into the other lists use monotone cursors either way; when the
+// shortest list is a large fraction of the total the cursor advances as a
+// linear merge that touches each ord once and stays in cache, otherwise it
+// gallops (exponential search + branch-free binary refinement, see gallop)
+// so a skewed list costs O(log gap) per probe instead of O(gap).
+type folds struct {
+	lists    []*index.PostingList
+	shortest int
+	scan     bool  // linear cursor advance rather than galloping
+	cursors  []int // per list, the probe cursor
+	si       int   // next entry of the shortest list
+}
+
+// newFolds starts the candidate stream of non-empty lists; cursors is a
+// zeroed buffer of one cursor per list.
+func newFolds(lists []*index.PostingList, cursors []int) folds {
 	// Work on the shortest list for the outer loop.
 	shortest, total := 0, 0
 	for i, l := range lists {
@@ -106,59 +127,64 @@ func SLCAPackedBounded(limit int, lists ...*index.PostingList) ([]*xmltree.Node,
 			shortest = i
 		}
 	}
-	s := lists[shortest]
-
 	// Probe-mode crossover: galloping wins when the average gap between
 	// consecutive probe targets is large enough that ~gallopCost*(log2+1)
 	// probe steps beat visiting every element of the gap linearly.
-	avgGap := total / s.Len()
-	scan := s.Len()*gallopCost*(ilog2(avgGap)+1) >= total-s.Len()
-	cursors := make([]int, len(lists))
+	n := lists[shortest].Len()
+	scan := n*gallopCost*(ilog2(total/n)+1) >= total-n
+	return folds{lists: lists, shortest: shortest, scan: scan, cursors: cursors}
+}
 
-	// For each node v of the shortest list, the folded LCA over all lists
-	// is the lowest ancestor-or-self c of v that contains, for every other
-	// list, that list's closest match in document order. The predecessor
-	// (ord < vOrd <= c.End) lies in c iff c.Start <= its ord, the successor
-	// (ord >= vOrd >= c.Start) iff its ord <= c.End, so the climb reads only
-	// the packed ords — the other lists' nodes are never dereferenced —
-	// and one c carries across lists because containment survives climbing.
-	for si, v := range s.Nodes {
-		vOrd := s.Ords[si]
-		c := v
-		for li, l := range lists {
-			if li == shortest {
-				continue
-			}
-			if c.Parent == nil {
-				break // already at the root
-			}
-			cur := cursors[li]
-			if scan {
-				for cur < len(l.Ords) && l.Ords[cur] < vOrd {
-					cur++
-				}
-			} else {
-				cur = gallop(l.Ords, cur, vOrd)
-			}
-			cursors[li] = cur
-			// With no predecessor (successor) the sentinel makes its
-			// test fail for every c.
-			pred, succ := int32(-1), int32(math.MaxInt32)
-			if cur > 0 {
-				pred = l.Ords[cur-1]
-			}
-			if cur < len(l.Ords) {
-				succ = l.Ords[cur]
-			}
-			for c.Parent != nil && c.Start > pred && succ > c.End {
-				c = c.Parent
-			}
+// advance moves a monotone cursor over ords to the first entry >= target,
+// in the stream's probe mode.
+func (g *folds) advance(ords []int32, cur int, target int32) int {
+	if !g.scan {
+		return gallop(ords, cur, target)
+	}
+	for cur < len(ords) && ords[cur] < target {
+		cur++
+	}
+	return cur
+}
+
+// next returns the candidate folded from the next node v of the shortest
+// list, nil when the list is exhausted: the lowest ancestor-or-self c of v
+// that contains, for every other list, that list's closest match in document
+// order. The predecessor (ord < vOrd <= c.End) lies in c iff c.Start <= its
+// ord, the successor (ord >= vOrd >= c.Start) iff its ord <= c.End, so the
+// climb reads only the packed ords — the other lists' nodes are never
+// dereferenced — and one c carries across lists because containment
+// survives climbing.
+func (g *folds) next() *xmltree.Node {
+	s := g.lists[g.shortest]
+	if g.si == len(s.Nodes) {
+		return nil
+	}
+	c, vOrd := s.Nodes[g.si], s.Ords[g.si]
+	g.si++
+	for li, l := range g.lists {
+		if li == g.shortest {
+			continue
 		}
-		if st.add(c) {
-			break
+		if c.Parent == nil {
+			break // already at the root
+		}
+		cur := g.advance(l.Ords, g.cursors[li], vOrd)
+		g.cursors[li] = cur
+		// With no predecessor (successor) the sentinel makes its test
+		// fail for every c.
+		pred, succ := int32(-1), int32(math.MaxInt32)
+		if cur > 0 {
+			pred = l.Ords[cur-1]
+		}
+		if cur < len(l.Ords) {
+			succ = l.Ords[cur]
+		}
+		for c.Parent != nil && c.Start > pred && succ > c.End {
+			c = c.Parent
 		}
 	}
-	return st.results()
+	return c
 }
 
 // gallop returns the smallest index i >= from with ords[i] >= target, or

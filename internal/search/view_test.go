@@ -151,7 +151,7 @@ func TestMatchRangesEqualLinearFilter(t *testing.T) {
 		for i := range q {
 			q[i] = terms[r.Intn(len(terms))]
 		}
-		ev, _, results, err := e.EvaluateResults(strings.Join(q, " "), nil)
+		ev, results, err := e.EvaluateResults(strings.Join(q, " "), nil)
 		if err != nil {
 			return false
 		}
@@ -241,7 +241,7 @@ func TestResultAllocations(t *testing.T) {
 	}
 	evalAllocs := func(query string) float64 {
 		return testing.AllocsPerRun(50, func() {
-			if _, _, rs, err := e.EvaluateResults(query, nil); err != nil || len(rs) != 1 {
+			if _, rs, err := e.EvaluateResults(query, nil); err != nil || len(rs) != 1 {
 				t.Fatalf("%q: %v, %d results", query, err, len(rs))
 			}
 		})

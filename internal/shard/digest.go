@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"extract/internal/index"
-	"extract/internal/search"
-	"extract/xmltree"
-)
+import "extract/internal/search"
 
 // Digest is the cross-shard evidence one shard contributes to the root
 // decision of a sharded (or distributed) query: per-keyword match and
@@ -28,29 +24,24 @@ type Digest struct {
 	RootAnchored bool
 }
 
-// NewDigest summarizes one shard's evaluation. nonRootLCAs is the local LCA
-// set minus the shard root, in document order (the kept subset
-// Corpus.EvalShards evaluates with); rootAnchored reports a local result
-// anchored at the shard root. ev must be non-nil; a prefilter-skipped
-// shard digests its cheap no-LCA evaluation (posting-list lookups only).
-// withFree additionally computes the per-keyword free-witness bits, which
-// cost a linear scan of every posting list — only the ELCA root check
-// (RootIsELCA) reads them, so SLCA digests skip the scan.
-func NewDigest(ev *search.Evaluation, nonRootLCAs []*xmltree.Node, rootAnchored, withFree bool) Digest {
+// NewDigest summarizes one shard's evaluation; rootAnchored reports a local
+// result anchored at the shard root. ev must be non-nil; a prefilter-skipped
+// shard digests its cheap no-LCA evaluation (posting-list lookups only). The
+// free-witness bits are the evaluation's own (search.Evaluation.Free): the
+// ELCA pass leaves them behind as the root's row, and an SLCA evaluation,
+// whose root decision never reads them, has none.
+func NewDigest(ev *search.Evaluation, rootAnchored bool) Digest {
 	d := Digest{
-		Matched:        make([]bool, len(ev.Lists)),
-		HasNonRootLCAs: len(nonRootLCAs) > 0,
-		RootAnchored:   rootAnchored,
+		Matched:      make([]bool, len(ev.Lists)),
+		Free:         ev.Free,
+		RootAnchored: rootAnchored,
 	}
 	for j, l := range ev.Lists {
 		d.Matched[j] = l.Len() > 0
 	}
-	if withFree {
-		d.Free = make([]bool, len(ev.Lists))
-		blocked := outermostIntervals(nonRootLCAs)
-		for j, l := range ev.Lists {
-			d.Free[j] = hasFreeOrd(l, blocked)
-		}
+	// LCAs are in document order, so only the first can be the root.
+	if n := len(ev.LCAs); n > 0 {
+		d.HasNonRootLCAs = ev.LCAs[n-1].Parent != nil
 	}
 	return d
 }
@@ -134,39 +125,4 @@ func RootQualifies(sem search.Semantics, digests []Digest) bool {
 		}
 	}
 	return AllKeywordsMatch(digests)
-}
-
-// outermostIntervals collapses a document-ordered node list to the preorder
-// intervals of its outermost members (nested nodes are absorbed by their
-// containing ancestor).
-func outermostIntervals(nodes []*xmltree.Node) [][2]int32 {
-	var out [][2]int32
-	lastEnd := int32(-1)
-	for _, n := range nodes {
-		if n.Start > lastEnd {
-			out = append(out, [2]int32{n.Start, n.End})
-			lastEnd = n.End
-		}
-	}
-	return out
-}
-
-// hasFreeOrd reports whether the list has an entry outside every blocked
-// interval (both sides sorted; one linear merge scan). The shard root
-// itself (ord 0) is never inside a child interval, so a match on the root's
-// own tag or direct text is always a free witness.
-func hasFreeOrd(l *index.PostingList, blocked [][2]int32) bool {
-	if l.Len() == 0 {
-		return false
-	}
-	bi := 0
-	for _, o := range l.Ords {
-		for bi < len(blocked) && blocked[bi][1] < o {
-			bi++
-		}
-		if bi >= len(blocked) || o < blocked[bi][0] {
-			return true
-		}
-	}
-	return false
 }

@@ -218,8 +218,7 @@ func (r localRounds) Whole(ctx context.Context) ([]*search.Result, error) {
 // evaluates a shard to an empty answer (see the never-skips property test).
 // Every other shard evaluates with its root filtered out of the LCA set,
 // stopping early once the result bound is provably filled
-// (search.EvaluateResults), and digests what it found — the free-witness
-// bits only under ELCA, where alone they are read. The evaluations are
+// (search.EvaluateResults), and digests what it found. The evaluations are
 // scheduled through run, each behind a Checkpoint. engines is as for
 // SearchEnginesContext.
 func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Options, shards []int, engines []*search.Engine, run Runner) ([]Partial[*search.Result], error) {
@@ -231,8 +230,6 @@ func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Opti
 	for _, t := range terms {
 		queryTokens = append(queryTokens, t.Tokens...)
 	}
-	withFree := opts.Semantics == search.SemanticsELCA
-
 	parts := make([]Partial[*search.Result], len(shards))
 	errs := make([]error, len(shards))
 	tasks := make([]func(), 0, len(shards))
@@ -243,7 +240,7 @@ func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Opti
 			continue
 		}
 		eng, root := sc.engine(engines, i, opts), s.Doc.Root
-		tasks = append(tasks, func() { parts[k], errs[k] = evalShard(ctx, eng, root, query, withFree) })
+		tasks = append(tasks, func() { parts[k], errs[k] = evalShard(ctx, eng, root, query) })
 	}
 	if err := Run(run, tasks); err != nil {
 		return nil, err
@@ -257,21 +254,21 @@ func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Opti
 }
 
 // evalShard is one live shard's round one, behind a Checkpoint.
-func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, query string, withFree bool) (Partial[*search.Result], error) {
+func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, query string) (Partial[*search.Result], error) {
 	if err := Checkpoint(ctx); err != nil {
 		return Partial[*search.Result]{}, err
 	}
-	// nonRoot is the local LCA set minus the shard root — under contiguous
-	// partitioning, exactly this shard's slice of the global non-root LCA
+	// The local LCA set minus the shard root is — under contiguous
+	// partitioning — exactly this shard's slice of the global non-root LCA
 	// set.
-	ev, nonRoot, results, err := eng.EvaluateResults(query,
+	ev, results, err := eng.EvaluateResults(query,
 		func(n *xmltree.Node) bool { return n != root })
 	if err != nil {
 		return Partial[*search.Result]{}, err
 	}
 	rootAnchored := slices.ContainsFunc(results,
 		func(r *search.Result) bool { return r.Anchor == root })
-	return Partial[*search.Result]{Digest: NewDigest(ev, nonRoot, rootAnchored, withFree), Results: results}, nil
+	return Partial[*search.Result]{Digest: NewDigest(ev, rootAnchored), Results: results}, nil
 }
 
 // DigestShards is the per-shard half of Merge's round two: the digests of
@@ -280,7 +277,6 @@ func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, quer
 // LCA computation — cheap enough to run inline, one Checkpoint each, under
 // one panic recovery.
 func (sc *Corpus) DigestShards(ctx context.Context, query string, opts search.Options, shards []int, engines []*search.Engine) ([]Digest, error) {
-	withFree := opts.Semantics == search.SemanticsELCA
 	digests := make([]Digest, len(shards))
 	err := inline(func() error {
 		for k, i := range shards {
@@ -291,7 +287,7 @@ func (sc *Corpus) DigestShards(ctx context.Context, query string, opts search.Op
 			if err != nil {
 				return err
 			}
-			digests[k] = NewDigest(ev, nil, false, withFree)
+			digests[k] = NewDigest(ev, false)
 		}
 		return nil
 	})

@@ -54,10 +54,19 @@
 //     costs the same whatever the size of its subtree; only trimmed results
 //     (WithTrimmedResults) and results that crossed the wire are trees of
 //     their own.
-//   - internal/classify interns element labels to dense ids;
-//     internal/features collects statistics in one walk into id-indexed
-//     slices keyed by packed integers, with collectors reused across
-//     results (core.Generator pools them).
+//   - internal/index also keeps every document's elements in preorder as
+//     pointer-free int32 columns (position, subtree end, label symbol,
+//     parent entry, value symbol), written in the pass that builds the
+//     postings and derived on first use for a loaded image — part of no
+//     format. internal/features computes a result's statistics as a fold
+//     over the run of those columns inside the result's preorder interval
+//     (tables indexed by symbol id, nothing hashed per occurrence, no node
+//     read but one per distinct label); a tree that has no index has the
+//     same columns filled into pooled scratch first and is folded
+//     identically. internal/selector takes keyword instances from the
+//     posting runs inside the result, and instances are int32 positions
+//     until one is climbed from. Collectors are reused across results
+//     (core.Generator pools them) and hold no node between them.
 //
 // Results are therefore shared and immutable. Result.Root returns a node of
 // the corpus document: its Parent may lead out of the result, it must never

@@ -1071,7 +1071,9 @@ func (c *Corpus) XPath(expr string) ([]*Result, error) {
 		if !n.IsElement() {
 			continue
 		}
-		out = append(out, &Result{r: search.FromNode(xdoc.Doc, n)})
+		r := search.FromNode(xdoc.Doc, n)
+		r.Index = xdoc.Index
+		out = append(out, &Result{r: r})
 	}
 	return out, nil
 }

@@ -16,16 +16,20 @@ import (
 // resultOfSize builds a single-retailer query result with roughly the given
 // node count by scaling clothes per store (stores schema, 10 stores).
 func resultOfSize(nodes int) *xmltree.Document {
+	return xmltree.NewDocument(xmltree.DeepCopy(resultSourceOfSize(nodes).Root.ChildElement("retailer")))
+}
+
+// resultSourceOfSize builds the document resultOfSize copies its result out
+// of: one retailer, the result, under the root.
+func resultSourceOfSize(nodes int) *xmltree.Document {
 	// Each clothes subtree is ~7 nodes; 10 stores add ~80.
 	per := (nodes - 100) / (10 * 7)
 	if per < 1 {
 		per = 1
 	}
-	doc := gen.Stores(gen.StoresConfig{
+	return gen.Stores(gen.StoresConfig{
 		Retailers: 1, StoresPerRetailer: 10, ClothesPerStore: per, Seed: 42,
 	})
-	retailer := doc.Root.ChildElement("retailer")
-	return xmltree.NewDocument(xmltree.DeepCopy(retailer))
 }
 
 // StoresDocOfSize builds a stores document with roughly the given node

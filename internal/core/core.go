@@ -139,8 +139,8 @@ const (
 
 // Generator produces snippets for query results over one corpus. It keeps
 // a pool of feature collectors, whose scratch — the tables and logs of the
-// one pass a snippet makes over its result — is reused across results, so a
-// snippet allocates what it returns and little else. A Generator is safe for
+// one fold a snippet makes over its result's elements — is reused across
+// results, so a snippet allocates what it returns and little else. A Generator is safe for
 // concurrent use by multiple goroutines (the snippet fan-out shares one).
 type Generator struct {
 	Corpus *Corpus
@@ -191,11 +191,20 @@ func (g *Generator) ForTree(result *xmltree.Document, query string, bound int) *
 }
 
 // ForTreeTokens is ForTree with the query already tokenized, so a fan-out
-// over many results of one query tokenizes it once.
+// over many results of one query tokenizes it once. A result that is a view
+// of the generator's own corpus document is snippeted from that corpus's
+// index; any other tree is read.
 func (g *Generator) ForTreeTokens(result *xmltree.Document, kws []string, bound int) *Generated {
+	return g.generate(g.Corpus.Index, result, kws, bound)
+}
+
+// generate snippets one result; ix is the index of the document the result
+// is a view of, nil when it is a tree of its own (features.CollectResult
+// checks, so a handle that is not this tree's is as good as none).
+func (g *Generator) generate(ix *index.Index, result *xmltree.Document, kws []string, bound int) *Generated {
 	start := time.Now()
 	col := g.collector()
-	stats := col.Collect(result.Root)
+	stats := col.CollectResult(ix, result)
 	g.putCollector(col)
 	il := ilist.Build(result.Root, kws, g.Corpus.Cls, g.Corpus.Keys, stats)
 	var sn *selector.Snippet
@@ -219,13 +228,15 @@ func (g *Generator) ForTreeTokens(result *xmltree.Document, kws []string, bound 
 
 // ForResult generates a snippet for a search result.
 func (g *Generator) ForResult(r *search.Result, query string, bound int) *Generated {
-	return g.ForTree(r.Doc, query, bound)
+	return g.ForResultTokens(r, index.Tokenize(query), bound)
 }
 
 // ForResultTokens generates a snippet for a search result with the query
-// already tokenized.
+// already tokenized. A view result brings the index it is a view of
+// (search.Result.Index), so one generator over a corpus's shared analysis
+// serves the results of every shard.
 func (g *Generator) ForResultTokens(r *search.Result, kws []string, bound int) *Generated {
-	return g.ForTreeTokens(r.Doc, kws, bound)
+	return g.generate(r.Index, r.Doc, kws, bound)
 }
 
 // SnippetedResult pairs a search result with its generated snippet.

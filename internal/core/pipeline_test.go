@@ -75,6 +75,22 @@ func checkAgainstOracle(t testing.TB, name string, c *core.Corpus, result *xmltr
 		}
 		checkSnippetTree(t, name, sn.Root, result.Root)
 	}
+
+	// A view of the corpus document takes its statistics and keyword
+	// instances from the corpus index; its owned twin has no index and is
+	// read node by node — to the same IList and the same snippet.
+	if result.IsView() {
+		g := core.NewGenerator(c)
+		view := g.ForTreeTokens(result, kws, bound)
+		twin := g.ForTreeTokens(xmltree.NewDocument(xmltree.DeepCopy(result.Root)), kws, bound)
+		if view.Stats.Index() != c.Index || twin.Stats.Index() != nil {
+			t.Fatalf("%s: the view was folded from index %p (corpus index %p), its twin from %p", name, view.Stats.Index(), c.Index, twin.Stats.Index())
+		}
+		if !slices.Equal(view.IList.Texts(), twin.IList.Texts()) || !slices.Equal(view.Snippet.Covered, twin.Snippet.Covered) ||
+			xmltree.XMLString(view.Snippet.Root) != xmltree.XMLString(twin.Snippet.Root) {
+			t.Fatalf("%s: view and owned twin snippet differently:\n%s\n%s", name, xmltree.XMLString(view.Snippet.Root), xmltree.XMLString(twin.Snippet.Root))
+		}
+	}
 }
 
 func checkStats(t testing.TB, name string, got *features.Stats, want *oracleStats) {

@@ -92,22 +92,35 @@ func wideDocument(n int) *xmltree.Document {
 	return xmltree.NewDocument(root)
 }
 
-// A Collector reused across results of very different sizes — past the seen
-// map it keeps, and back — gathers each result's statistics as a fresh one
-// would.
+// A Collector reused across results of very different sizes — past the
+// overflow map it keeps, and back — gathers each result's statistics as a
+// fresh one would. collidingDocument sends every feature but the first of a
+// result through the overflow map.
 func TestCollectorScratchBounds(t *testing.T) {
-	cls := classify.Classify(wideDocument(5))
+	cls := classify.Classify(collidingDocument(5))
 	c := NewCollector(cls)
-	for _, n := range []int{seenKeep, 3, 120, 1} {
-		result := wideDocument(n)
+	for _, n := range []int{overKeep + 2, 3, 120, 1} {
+		result := collidingDocument(n)
 		statsEqual(t, strconv.Itoa(n), c.Collect(result.Root), bruteCollect(result.Root, cls))
-		if len(c.seen) != 0 {
-			t.Errorf("%d-item result left %d seen keys behind", n, len(c.seen))
+		if len(c.over) != 0 {
+			t.Errorf("%d-item result left %d overflow keys behind", n, len(c.over))
 		}
 	}
 }
 
-// The three kinds of key share one map; their fields must never run into
+// collidingDocument has n items, each with its own attribute label, all
+// holding one value: n feature types sharing a value symbol.
+func collidingDocument(n int) *xmltree.Document {
+	root := xmltree.Elem("items")
+	for i := 0; i < 2; i++ { // twice, so item is an entity
+		for k := 0; k < n; k++ {
+			xmltree.Append(root, xmltree.Elem("item", xmltree.Attr("a"+strconv.Itoa(k), "same")))
+		}
+	}
+	return xmltree.NewDocument(root)
+}
+
+// The three kinds of overflow key share one map; their fields must never run into
 // each other, whatever the ids.
 func TestSeenKeysAreDistinct(t *testing.T) {
 	ids := []int32{0, 1, 1<<31 - 1}

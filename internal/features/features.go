@@ -12,20 +12,33 @@
 // paper identifies in raw occurrence counts: small domains inflate
 // occurrences, and frequent feature types inflate all their values.
 //
-// Collection is the one pass the snippet pipeline makes over a result, and
-// it hashes no string per node: every node of a finalized document carries a
-// document-local symbol id (xmltree.Node.Sym — label id on elements, value
-// id on text nodes), so a label's category is looked up once per distinct
-// label of the result, in a table indexed by label id, and a feature is the
-// integer triple (owner entity, attribute label id, value id). The pass keeps
-// the chain of open entities by preorder interval, and besides the feature
-// statistics it records what the later stages would otherwise walk the
-// result again for: the instances of every entity label, which entity labels
-// occur with no entity above them, and which (entity label, attribute-child
-// label) pairs occur. All of it accumulates in a Collector's scratch; the
-// Stats handed out is an exact-size copy — a few integer columns and one
-// instance arena — and its string-keyed lookup tables are built only if a
-// by-name accessor asks.
+// These statistics are counts over the result's subtree — over one preorder
+// interval — so they are computed as a fold over the result's elements as
+// index.Columns: position, subtree end, label symbol, parent entry, value
+// symbol, no pointer and no string. A result that is a view of an indexed
+// document is the run of that index's columns inside the root's interval,
+// found by two binary searches, and the fold dereferences no node but one
+// per distinct label; a tree that has no index (a result decoded from the
+// wire, a projection, an owned copy) has the same columns filled from its
+// nodes into the collector's scratch and is folded by the same code. There
+// is one fold (Collector.fold).
+//
+// Every node of a finalized document carries a document-local symbol id
+// (xmltree.Node.Sym — label id on elements, value id on text nodes), so a
+// label's category is looked up once per distinct label of the result, in a
+// stamped table indexed by label id, and a feature is the integer triple
+// (owner entity, attribute label id, value id), numbered through stamped
+// tables indexed by symbol id: nothing is hashed per occurrence unless one
+// value occurs under two feature types, or one attribute label under two
+// entity labels, in the same result (Collector.dense). The fold keeps the
+// chain of open entities by subtree end, and besides the feature statistics
+// it records what the later stages would otherwise walk the result for: the
+// instances of every entity label, which entity labels occur with no entity
+// above them, and which (entity label, attribute-child label) pairs occur.
+// All of it accumulates in a Collector's scratch, which holds positions and
+// symbol ids only; the Stats handed out is an exact-size copy — a few
+// integer columns and one arena of instance positions — and its string-keyed
+// lookup tables are built only if a by-name accessor asks.
 package features
 
 import (
@@ -36,6 +49,7 @@ import (
 	"sync"
 
 	"extract/internal/classify"
+	"extract/internal/index"
 	"extract/xmltree"
 )
 
@@ -71,8 +85,10 @@ type EntityAttr struct {
 // Stats holds the feature statistics of one query result. Every observed
 // feature, feature type and entity label has a dense id in first-seen
 // (document) order; the ids index integer columns, and a feature's strings
-// are read off its first instance. Ids are meaningful only within these
-// Stats. A Stats is immutable once returned and safe for concurrent readers.
+// are read off its first instance. Instances are preorder positions in the
+// result's document, resolved to nodes (Node) only where a node is needed.
+// Ids are meaningful only within these Stats. A Stats is immutable once
+// returned and safe for concurrent readers.
 type Stats struct {
 	// Per feature id. ent indexes entLabels; attr and val are the symbol
 	// ids of the attribute label and the value in the result's document;
@@ -94,29 +110,42 @@ type Stats struct {
 	highest  []int32 // entity indexes seen with no entity above them
 	entAttrs []EntityAttr
 
-	inst []*xmltree.Node
+	inst []int32 // preorder positions
+
+	// nodes resolves positions: a preorder run of the result's document
+	// covering the result, nodes[0] at position base. ix is the index the
+	// statistics were folded from, nil for a tree that has none.
+	nodes []*xmltree.Node
+	base  int32
+	ix    *index.Index
 
 	byName sync.Once
 	featID map[Feature]int32
 	typeID map[Type]int32
+
+	dominantOnce sync.Once
+	dominant     []Scored
 }
 
-// Collector gathers feature statistics. Its scratch — the label table, the
-// map of seen integer triples, the walk stack and the occurrence log — is
-// kept across calls, so a generator snippeting many results allocates only
-// what each Stats owns. A Collector is NOT safe for concurrent use; pool
-// Collectors to share across goroutines (see core.Generator).
+// Collector gathers feature statistics. Its scratch — the tables indexed by
+// symbol id, the occurrence logs, the columns of a result that has no index
+// — is kept across calls, so a generator snippeting many results allocates
+// only what each Stats owns. A Collector is NOT safe for concurrent use;
+// pool Collectors to share across goroutines (see core.Generator).
 type Collector struct {
 	cls *classify.Classification
 
+	// stamp marks what labels and values hold for the current result, so
+	// neither table is cleared between results.
 	stamp  uint32
-	labels []labelSlot      // by label symbol id; valid where stamp matches
-	seen   map[uint64]int32 // see the key constants
+	labels []labelSlot      // by label symbol id
+	values []valueSlot      // by value symbol id
+	over   map[uint64]int32 // see dense
 
-	stack []*xmltree.Node
-	open  []openEntity
-	occ   []occurrence // attribute occurrences, id = feature id
-	eocc  []occurrence // entity instances, id = entity index
+	cols index.Columns // the columns of an index-less result
+	open []openEntity
+	occ  []occurrence // attribute occurrences, id = feature id
+	eocc []occurrence // entity instances, id = entity index
 
 	// Columns under construction; Stats gets exact-size copies.
 	ent, attr, val, ftype, count []int32
@@ -126,41 +155,52 @@ type Collector struct {
 	pairs                        []pairScratch
 }
 
+// labelSlot is what the current result has shown of one label: its category,
+// its entity index once an instance was seen, and — for an attribute label —
+// the first entity it made a feature type with and the first it was seen as
+// a direct child of (see dense).
 type labelSlot struct {
-	stamp uint32
-	cat   classify.Category
-	ent   int32 // entity index once an instance was seen, else -1
+	stamp             uint32
+	cat               classify.Category
+	ent               int32 // -1 until an instance is seen
+	typeOwner, typeID int32
+	pairOwner, pairID int32
+}
+
+// valueSlot is the first feature type the current result showed a value
+// under, and that feature's id.
+type valueSlot struct {
+	stamp    uint32
+	typ, fid int32
 }
 
 type openEntity struct {
-	end int32 // the instance's End: it is open while nodes start at or before it
+	end int32 // the instance's End: it is open while elements start at or before it
 	ent int32
 }
 
-type occurrence struct {
-	node *xmltree.Node
-	id   int32
-}
+type occurrence struct{ pos, id int32 }
 
 type entityScratch struct {
-	first   *xmltree.Node
+	first   int32 // position of the first instance
+	sym     int32
 	count   int32
 	highest bool
 }
 
 type pairScratch struct {
 	ent   int32
-	child *xmltree.Node // an attribute child, for its label
-	first int
+	child int32 // position of an attribute child, for its label
+	first int32
 }
 
 // NewCollector returns a Collector for results classified by cls.
 func NewCollector(cls *classify.Classification) *Collector {
-	return &Collector{cls: cls, seen: make(map[uint64]int32)}
+	return &Collector{cls: cls, over: make(map[uint64]int32)}
 }
 
-// Keys of the seen map: two 31-bit fields under a two-bit tag, mapped to the
-// id the pair was given. Symbol ids, entity indexes and type ids are
+// Keys of the overflow map: two 31-bit fields under a two-bit tag, mapped to
+// the id the pair was given. Symbol ids, entity indexes and type ids are
 // non-negative int32s, so no field can overflow into its neighbour.
 const (
 	keyFeature uint64 = iota << 62 // type id, value symbol
@@ -170,51 +210,107 @@ const (
 
 func key(tag uint64, a, b int32) uint64 { return tag | uint64(a)<<31 | uint64(b) }
 
-// label returns the slot of an element's label, classifying the label the
-// first time the result shows it.
-func (c *Collector) label(n *xmltree.Node) *labelSlot {
-	if int(n.Sym) >= len(c.labels) {
-		c.labels = append(c.labels, make([]labelSlot, int(n.Sym)+1-len(c.labels))...)
+// dense numbers a pair (a, b) through b's slot in a table indexed by symbol
+// id: *first and *id hold the first a the result showed with b and the id
+// that pair got — a value occurs under one feature type, an attribute label
+// under one entity label, in all but a few cases, so this is a compare and
+// nothing is hashed. Any further a of the same b goes through the overflow
+// map under k. fresh reports that the pair is new and was numbered next.
+func (c *Collector) dense(first, id *int32, a int32, k uint64, next int) (got int32, fresh bool) {
+	switch {
+	case *first == a:
+		return *id, false
+	case *first < 0:
+		*first, *id = a, int32(next)
+		return *id, true
 	}
-	slot := &c.labels[n.Sym]
+	if got, ok := c.over[k]; ok {
+		return got, false
+	}
+	c.over[k] = int32(next)
+	return int32(next), true
+}
+
+// Collect gathers the feature statistics of the query-result tree rooted at
+// root, a node of a finalized document (its subtree is the result), reading
+// the tree itself: CollectResult for a tree that comes with nothing else.
+func (c *Collector) Collect(root *xmltree.Node) *Stats {
+	if root == nil {
+		return &Stats{}
+	}
+	run := make([]*xmltree.Node, 0, root.End-root.Start+1)
+	root.Walk(func(n *xmltree.Node) bool {
+		run = append(run, n)
+		return true
+	})
+	return c.CollectResult(nil, xmltree.AdoptFinalized(run))
+}
+
+// CollectResult gathers the feature statistics of one query result, a
+// finalized document or a view of one. An occurrence is an attribute node
+// (per the classification) holding a single text value whose nearest entity
+// ancestor inside the result exists; the feature is (entity label, attribute
+// label, value).
+//
+// The statistics are a fold over the result's elements as index.Columns.
+// When the result is a view of the document ix indexes, they are the run of
+// ix's columns inside the root's preorder interval, and no node of the result
+// is read but one per distinct label; the statistics of that document's own
+// root are folded once per index and classification and shared. Otherwise —
+// ix is nil, or is not the index of this tree — the same columns are filled
+// from the result's nodes into the collector's scratch first, and folded
+// identically.
+func (c *Collector) CollectResult(ix *index.Index, result *xmltree.Document) *Stats {
+	root := result.Root
+	if root == nil || !root.IsElement() {
+		return &Stats{}
+	}
+	if ix == nil || ix.Document().ByOrd(root.Ord) != root {
+		c.cols.Fill(result.Nodes())
+		return c.fold(&Stats{nodes: result.Nodes(), base: root.Start}, &c.cols, 0, c.cols.Len())
+	}
+	fold := func() *Stats {
+		nodes, cols := ix.Document().Nodes(), ix.Columns()
+		lo, hi := cols.Run(root.Start, root.End)
+		return c.fold(&Stats{nodes: nodes, base: nodes[0].Start, ix: ix}, cols, lo, hi)
+	}
+	if root != ix.Document().Root {
+		return fold()
+	}
+	return ix.Derived(c.cls, func() any { return fold() }).(*Stats)
+}
+
+// label returns the slot of a label symbol, classifying the label — read
+// off the element at pos — the first time the result shows it.
+func (c *Collector) label(s *Stats, sym, pos int32) *labelSlot {
+	if int(sym) >= len(c.labels) {
+		c.labels = append(c.labels, make([]labelSlot, int(sym)+1-len(c.labels))...)
+	}
+	slot := &c.labels[sym]
 	if slot.stamp != c.stamp {
-		*slot = labelSlot{stamp: c.stamp, cat: c.cls.OfLabel(n.Label), ent: -1}
+		*slot = labelSlot{stamp: c.stamp, cat: c.cls.OfLabel(s.Node(pos).Label), ent: -1, typeOwner: -1, pairOwner: -1}
 	}
 	return slot
 }
 
-// Collect makes the pass over a query-result tree and gathers its feature
-// statistics. root must be a node of a finalized document (its subtree is
-// the result). An occurrence is an attribute node (per the classification)
-// holding a single text value whose nearest entity ancestor inside the
-// result exists; the feature is (entity label, attribute label, value).
-func (c *Collector) Collect(root *xmltree.Node) *Stats {
-	s := &Stats{}
-	if root == nil || !root.IsElement() {
-		return s
-	}
+// fold makes the pass over entries [lo, hi) of cols — one result's elements,
+// entry lo its root — and fills s, which arrives knowing how to resolve a
+// position.
+func (c *Collector) fold(s *Stats, cols *index.Columns, lo, hi int) *Stats {
 	c.stamp++
-	if c.stamp == 0 {
+	if c.stamp == 0 { // wrapped: stale slots could read as current
 		clear(c.labels)
+		clear(c.values)
 		c.stamp = 1
 	}
-
-	stack, high := append(c.stack[:0], root), 1
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for i := len(n.Children) - 1; i >= 0; i-- {
-			if ch := n.Children[i]; ch.Kind == xmltree.KindElement {
-				stack = append(stack, ch)
-			}
-		}
-		high = max(high, len(stack))
-		switch slot := c.label(n); slot.cat {
+	for i := lo; i < hi; i++ {
+		sym, pos := cols.Label[i], cols.Pos[i]
+		switch slot := c.label(s, sym, pos); slot.cat {
 		case classify.Entity:
-			c.closeEntities(n)
+			c.closeEntities(pos)
 			if slot.ent < 0 {
 				slot.ent = int32(len(c.ents))
-				c.ents = append(c.ents, entityScratch{first: n})
+				c.ents = append(c.ents, entityScratch{first: pos, sym: sym})
 			}
 			e := &c.ents[slot.ent]
 			e.count++
@@ -222,26 +318,25 @@ func (c *Collector) Collect(root *xmltree.Node) *Stats {
 				e.highest = true
 				c.highest = append(c.highest, slot.ent)
 			}
-			c.eocc = append(c.eocc, occurrence{node: n, id: slot.ent})
-			c.open = append(c.open, openEntity{end: n.End, ent: slot.ent})
+			c.eocc = append(c.eocc, occurrence{pos: pos, id: slot.ent})
+			c.open = append(c.open, openEntity{end: cols.End[i], ent: slot.ent})
 		case classify.Attribute:
-			if n != root {
+			if i > lo {
 				// The parent was visited, so its slot is current.
-				if p := c.labels[n.Parent.Sym]; p.cat == classify.Entity {
-					c.recordPair(p.ent, n)
+				p := cols.Parent[i]
+				if owner := &c.labels[cols.Label[p]]; owner.cat == classify.Entity {
+					c.recordPair(slot, owner.ent, sym, pos, cols.Pos[p])
 				}
 			}
-			if len(n.Children) == 1 && n.Children[0].Kind == xmltree.KindText {
-				if c.closeEntities(n); len(c.open) > 0 {
-					c.recordFeature(c.open[len(c.open)-1].ent, n)
+			if value := cols.Value[i]; value >= 0 {
+				if c.closeEntities(pos); len(c.open) > 0 {
+					c.recordFeature(slot, c.open[len(c.open)-1].ent, sym, value, pos)
 				}
 			}
 		}
 	}
-	c.stack = stack[:high] // what the walk wrote, for release to zero
-
 	c.fill(s)
-	if root.End-root.Start >= scratchKeepNodes {
+	if hi-lo >= scratchKeepNodes {
 		*c = *NewCollector(c.cls)
 	} else {
 		c.release()
@@ -249,60 +344,60 @@ func (c *Collector) Collect(root *xmltree.Node) *Stats {
 	return s
 }
 
-// What a Collector keeps between results is bounded. Its logs grow to the
-// largest result it has seen — about 24 bytes an attribute or entity
-// occurrence — which is what makes a repeated large result cheap, but a pooled
-// Collector must not pin memory in proportion to a corpus of any size:
-// past scratchKeepNodes (a few tens of MB of scratch) a result's scratch is
-// garbage like its Stats. seenKeep is the largest seen map it empties rather
-// than replaces: emptying costs by the size the map once had, which every
-// later, smaller result would pay.
-const (
-	scratchKeepNodes = 1 << 20
-	seenKeep         = 1 << 10
-)
+// What a Collector keeps between results is bounded. Its logs and columns
+// grow to the largest result it has seen — 8 bytes an attribute or entity
+// occurrence, 20 an element of an index-less result — which is what makes a
+// repeated large result cheap, but a pooled Collector must not pin memory
+// in proportion to a corpus of any size: past scratchKeepNodes elements a
+// result's scratch is garbage like its Stats.
+const scratchKeepNodes = 1 << 20
 
-// closeEntities drops the open entities whose subtree ended before n.
-func (c *Collector) closeEntities(n *xmltree.Node) {
-	for k := len(c.open); k > 0 && c.open[k-1].end < n.Start; k-- {
+// overKeep is the largest overflow map release empties rather than replaces:
+// emptying costs by the size the map once had.
+const overKeep = 1 << 10
+
+// closeEntities drops the open entities whose subtree ended before pos.
+func (c *Collector) closeEntities(pos int32) {
+	for k := len(c.open); k > 0 && c.open[k-1].end < pos; k-- {
 		c.open = c.open[:k-1]
 	}
 }
 
-// recordFeature accumulates one attribute occurrence under its owner.
-func (c *Collector) recordFeature(owner int32, attr *xmltree.Node) {
-	tkey := key(keyType, owner, attr.Sym)
-	tid, seen := c.seen[tkey]
-	if !seen {
-		tid = int32(len(c.typeFirst))
-		c.seen[tkey] = tid
+// recordFeature accumulates one occurrence, at pos, of the attribute label
+// attr (slot is its label slot) with the given value under its owner.
+func (c *Collector) recordFeature(slot *labelSlot, owner, attr, value, pos int32) {
+	tid, fresh := c.dense(&slot.typeOwner, &slot.typeID, owner, key(keyType, owner, attr), len(c.typeFirst))
+	if fresh {
 		c.typeFirst = append(c.typeFirst, int32(len(c.ftype)))
 	}
-	value := attr.Children[0].Sym
-	fkey := key(keyFeature, tid, value)
-	fid, seen := c.seen[fkey]
-	if !seen {
-		fid = int32(len(c.ftype))
-		c.seen[fkey] = fid
+	if int(value) >= len(c.values) {
+		c.values = append(c.values, make([]valueSlot, int(value)+1-len(c.values))...)
+	}
+	v := &c.values[value]
+	if v.stamp != c.stamp {
+		*v = valueSlot{stamp: c.stamp, typ: -1}
+	}
+	fid, fresh := c.dense(&v.typ, &v.fid, tid, key(keyFeature, tid, value), len(c.ftype))
+	if fresh {
 		c.ent = append(c.ent, owner)
-		c.attr = append(c.attr, attr.Sym)
+		c.attr = append(c.attr, attr)
 		c.val = append(c.val, value)
 		c.ftype = append(c.ftype, tid)
 		c.count = append(c.count, 0)
 	}
 	c.count[fid]++
-	c.occ = append(c.occ, occurrence{node: attr, id: fid})
+	c.occ = append(c.occ, occurrence{pos: pos, id: fid})
 }
 
-// recordPair notes that an instance of the entity has child as an attribute
-// child, keeping the earliest such instance.
-func (c *Collector) recordPair(ent int32, child *xmltree.Node) {
-	pkey := key(keyPair, ent, child.Sym)
-	if i, seen := c.seen[pkey]; !seen {
-		c.seen[pkey] = int32(len(c.pairs))
-		c.pairs = append(c.pairs, pairScratch{ent: ent, child: child, first: child.Parent.Ord})
-	} else if p := &c.pairs[i]; child.Parent.Ord < p.first {
-		p.first = child.Parent.Ord
+// recordPair notes that the entity instance at parent has the element at pos
+// — label attr, label slot slot — as an attribute child, keeping the
+// earliest such instance.
+func (c *Collector) recordPair(slot *labelSlot, ent, attr, pos, parent int32) {
+	i, fresh := c.dense(&slot.pairOwner, &slot.pairID, ent, key(keyPair, ent, attr), len(c.pairs))
+	if fresh {
+		c.pairs = append(c.pairs, pairScratch{ent: ent, child: pos, first: parent})
+	} else if p := &c.pairs[i]; parent < p.first {
+		p.first = parent
 	}
 }
 
@@ -324,7 +419,7 @@ func (c *Collector) fill(s *Stats) {
 	s.off, s.entOff = zeros(nf+1), zeros(ne+1)
 	s.typeN, s.typeD, s.entSyms = zeros(nt), zeros(nt), zeros(ne)
 
-	s.inst = make([]*xmltree.Node, len(c.occ)+len(c.eocc))
+	s.inst = make([]int32, len(c.occ)+len(c.eocc))
 	for f, n := range c.count {
 		s.off[f+1] = s.off[f] + n
 		s.typeN[c.ftype[f]] += n
@@ -332,7 +427,7 @@ func (c *Collector) fill(s *Stats) {
 		c.count[f] = s.off[f] // from here on: where the feature's next instance goes
 	}
 	for _, o := range c.occ {
-		s.inst[c.count[o.id]] = o.node
+		s.inst[c.count[o.id]] = o.pos
 		c.count[o.id]++
 	}
 	if ne > 0 {
@@ -341,37 +436,32 @@ func (c *Collector) fill(s *Stats) {
 	s.entOff[0] = int32(len(c.occ))
 	for e := range c.ents {
 		ent := &c.ents[e]
-		s.entLabels[e], s.entSyms[e] = ent.first.Label, ent.first.Sym
+		s.entLabels[e], s.entSyms[e] = s.Node(ent.first).Label, ent.sym
 		s.entOff[e+1] = s.entOff[e] + ent.count
 		ent.count = s.entOff[e]
 	}
 	for _, o := range c.eocc {
 		ent := &c.ents[o.id]
-		s.inst[ent.count] = o.node
+		s.inst[ent.count] = o.pos
 		ent.count++
 	}
 	if len(c.pairs) > 0 {
 		s.entAttrs = make([]EntityAttr, len(c.pairs))
 		for i, p := range c.pairs {
-			s.entAttrs[i] = EntityAttr{Entity: s.entLabels[p.ent], Attr: p.child.Label, First: p.first}
+			s.entAttrs[i] = EntityAttr{Entity: s.entLabels[p.ent], Attr: s.Node(p.child).Label, First: int(p.first)}
 		}
 	}
 }
 
-// release empties the scratch for the next result. The node-bearing parts
-// are zeroed, not just truncated: a pooled Collector must not keep a
-// replaced corpus generation reachable.
+// release empties the scratch for the next result. None of it holds a node
+// or an index — positions and symbol ids only — so a pooled Collector keeps
+// no corpus generation reachable.
 func (c *Collector) release() {
-	if len(c.seen) > seenKeep {
-		c.seen = make(map[uint64]int32)
+	if len(c.over) > overKeep {
+		c.over = make(map[uint64]int32)
 	} else {
-		clear(c.seen)
+		clear(c.over)
 	}
-	clear(c.stack)
-	clear(c.occ)
-	clear(c.eocc)
-	clear(c.ents)
-	clear(c.pairs)
 	c.open, c.occ, c.eocc = c.open[:0], c.occ[:0], c.eocc[:0]
 	c.ent, c.attr, c.val, c.ftype, c.count = c.ent[:0], c.attr[:0], c.val[:0], c.ftype[:0], c.count[:0]
 	c.typeFirst, c.ents, c.highest, c.pairs = c.typeFirst[:0], c.ents[:0], c.highest[:0], c.pairs[:0]
@@ -383,6 +473,14 @@ func (c *Collector) release() {
 func Collect(root *xmltree.Node, cls *classify.Classification) *Stats {
 	return NewCollector(cls).Collect(root)
 }
+
+// Node resolves a preorder position inside the result to its node.
+func (s *Stats) Node(pos int32) *xmltree.Node { return s.nodes[pos-s.base] }
+
+// Index returns the index these statistics were folded from — the index of
+// the document the result is a view of — or nil when the result's tree was
+// read instead.
+func (s *Stats) Index() *index.Index { return s.ix }
 
 // index builds the by-name lookup tables, on the first by-name access.
 func (s *Stats) index() {
@@ -407,10 +505,11 @@ func (s *Stats) FeatureID(f Feature) (int32, bool) {
 
 // Feature returns the feature with the given id.
 func (s *Stats) Feature(id int32) Feature {
-	a := s.inst[s.off[id]]
+	// An instance holds a single text child, which follows it in preorder.
+	pos := s.inst[s.off[id]]
 	return Feature{
-		Type:  Type{Entity: s.entLabels[s.ent[id]], Attr: a.Label},
-		Value: a.Children[0].Value,
+		Type:  Type{Entity: s.entLabels[s.ent[id]], Attr: s.Node(pos).Label},
+		Value: s.Node(pos + 1).Value,
 	}
 }
 
@@ -437,9 +536,9 @@ func (s *Stats) FeatureAt(owner, attr *xmltree.Node) (int32, bool) {
 	return 0, false
 }
 
-// InstancesOf returns the attribute nodes carrying feature id, in document
-// order. The slice is shared and must not be modified.
-func (s *Stats) InstancesOf(id int32) []*xmltree.Node {
+// InstancesOf returns the positions of the attribute nodes carrying feature
+// id, in document order. The slice is shared and must not be modified.
+func (s *Stats) InstancesOf(id int32) []int32 {
 	return s.inst[s.off[id]:s.off[id+1]:s.off[id+1]]
 }
 
@@ -515,10 +614,15 @@ func (s *Stats) isDominantID(id int32) bool {
 
 // Instances returns the attribute nodes carrying f, in document order.
 func (s *Stats) Instances(f Feature) []*xmltree.Node {
-	if id, ok := s.FeatureID(f); ok {
-		return s.InstancesOf(id)
+	id, ok := s.FeatureID(f)
+	if !ok {
+		return nil
 	}
-	return nil
+	out := make([]*xmltree.Node, 0, s.n(id))
+	for _, pos := range s.InstancesOf(id) {
+		out = append(out, s.Node(pos))
+	}
+	return out
 }
 
 // Features returns every observed feature in first-seen order.
@@ -555,9 +659,10 @@ func (s *Stats) EntityLabels() []string { return s.entLabels }
 // listed. The slice is shared and must not be modified.
 func (s *Stats) EntitySyms() []int32 { return s.entSyms }
 
-// EntityInstances returns every instance of the entity label with the given
-// index, in document order. The slice is shared and must not be modified.
-func (s *Stats) EntityInstances(index int) []*xmltree.Node {
+// EntityInstances returns the position of every instance of the entity
+// label with the given index, in document order. The slice is shared and
+// must not be modified.
+func (s *Stats) EntityInstances(index int) []int32 {
 	return s.inst[s.entOff[index]:s.entOff[index+1]:s.entOff[index+1]]
 }
 
@@ -565,7 +670,7 @@ func (s *Stats) EntityInstances(index int) []*xmltree.Node {
 // document order, or nil.
 func (s *Stats) FirstEntity(label string) *xmltree.Node {
 	if e := slices.Index(s.entLabels, label); e >= 0 {
-		return s.inst[s.entOff[e]]
+		return s.Node(s.inst[s.entOff[e]])
 	}
 	return nil
 }
@@ -596,8 +701,14 @@ type Scored struct {
 }
 
 // Dominant returns all dominant features in decreasing dominance score;
-// ties break by feature (entity, attr, value) for determinism.
+// ties break by feature (entity, attr, value) for determinism. The list is
+// sorted on the first call and shared after: it must not be modified.
 func (s *Stats) Dominant() []Scored {
+	s.dominantOnce.Do(func() { s.dominant = s.sortDominant() })
+	return s.dominant
+}
+
+func (s *Stats) sortDominant() []Scored {
 	count := 0
 	for id := range s.ftype {
 		if s.isDominantID(int32(id)) {

@@ -122,9 +122,18 @@ func (o *oracle) dominant() []Scored {
 	return out
 }
 
+// resolve turns an instance list into the nodes at its positions.
+func resolve(s *Stats, positions []int32) []*xmltree.Node {
+	out := make([]*xmltree.Node, len(positions))
+	for i, pos := range positions {
+		out[i] = s.Node(pos)
+	}
+	return out
+}
+
 // statsEqual holds the complete observable surface of a Stats — by name and
 // by id — to the oracle's.
-func statsEqual(t *testing.T, name string, got *Stats, want *oracle) {
+func statsEqual(t testing.TB, name string, got *Stats, want *oracle) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Features(), append([]Feature{}, want.order...)) {
 		t.Fatalf("%s: features differ:\n%v\nvs\n%v", name, got.Features(), want.order)
@@ -155,7 +164,7 @@ func statsEqual(t *testing.T, name string, got *Stats, want *oracle) {
 			t.Fatalf("%s: instances(%v) differ", name, f)
 		}
 		if gid, ok := got.FeatureID(f); !ok || gid != id || got.Feature(id) != f ||
-			!reflect.DeepEqual(got.InstancesOf(id), want.instances[f]) {
+			!reflect.DeepEqual(resolve(got, got.InstancesOf(id)), want.instances[f]) {
 			t.Fatalf("%s: feature %v is not id %d by every accessor", name, f, id)
 		}
 		attr := want.instances[f][0]
@@ -175,7 +184,7 @@ func statsEqual(t *testing.T, name string, got *Stats, want *oracle) {
 	}
 	for e, l := range want.entityLabels {
 		inst := want.entityInst[l]
-		if got.FirstEntity(l) != inst[0] || !reflect.DeepEqual(got.EntityInstances(e), inst) ||
+		if got.FirstEntity(l) != inst[0] || !reflect.DeepEqual(resolve(got, got.EntityInstances(e)), inst) ||
 			got.EntitySyms()[e] != inst[0].Sym {
 			t.Fatalf("%s: instances of entity %q differ", name, l)
 		}

@@ -46,6 +46,17 @@ func (pl *PostingList) Len() int {
 	return len(pl.Ords)
 }
 
+// Within returns the bounds [lo, hi) of the list's run inside the preorder
+// interval [start, end]. Lists are sorted by position and a subtree is one
+// interval, so the postings under a node are the run Within(n.Start, n.End),
+// found by two binary searches on the packed positions.
+func (pl *PostingList) Within(start, end int32) (lo, hi int) {
+	if pl == nil {
+		return 0, 0
+	}
+	return within(pl.Ords, start, end)
+}
+
 // PackNodes builds a PostingList over an ord-sorted node slice (no field
 // information). Query evaluation uses it for ad-hoc match lists, e.g.
 // phrase matches.
@@ -60,14 +71,25 @@ func PackNodes(nodes []*xmltree.Node) *PostingList {
 	return pl
 }
 
-// Index is the inverted keyword index of one document. Postings target
-// element nodes: a tag-name match posts the element itself, a text match
-// posts the text node's parent element. Lists are sorted in document order.
+// Index is the index of one document, in two sections. The inverted keyword
+// index: postings target element nodes — a tag-name match posts the element
+// itself, a text match posts the text node's parent element — and lists are
+// sorted in document order. And the document's elements as pointer-free
+// Columns, which Build fills in the pass it makes anyway and an index
+// restored by FromParts derives on first use. Both sections depend on the
+// document alone, so a shard adopted unchanged by a reload keeps its Index
+// under whatever analysis the new generation has.
 type Index struct {
 	doc      *xmltree.Document
 	postings map[string]*PostingList
 	maxList  int
 	total    int
+
+	colsOnce sync.Once
+	cols     Columns
+
+	derivedMu              sync.Mutex
+	derivedKey, derivedVal any
 
 	vocabOnce sync.Once
 	vocab     []string
@@ -93,6 +115,8 @@ func Builds() int64 { return builds.Load() }
 func Build(doc *xmltree.Document) *Index {
 	builds.Add(1)
 	ix := &Index{doc: doc, postings: make(map[string]*PostingList)}
+	ix.cols.reset(countElements(doc.Nodes()))
+	elements := 0
 	add := func(keyword string, n *xmltree.Node, f MatchField) {
 		list := ix.postings[keyword]
 		if list == nil {
@@ -114,6 +138,8 @@ func Build(doc *xmltree.Document) *Index {
 		if !n.IsElement() {
 			continue
 		}
+		ix.cols.put(elements, n)
+		elements++
 		for _, t := range Tokenize(n.Label) {
 			add(t, n, FieldLabel)
 		}
@@ -159,6 +185,35 @@ func FromPartsSized(doc *xmltree.Document, postings map[string]*PostingList, tot
 // Document returns the indexed document.
 func (ix *Index) Document() *xmltree.Document { return ix.doc }
 
+// Columns returns the document's elements as columns. An index made by Build
+// has them already; one restored by FromParts fills them on the first call
+// (one pass over the document, memoized). Safe for concurrent use; the
+// columns are shared and must not be modified.
+func (ix *Index) Columns() *Columns {
+	ix.colsOnce.Do(func() {
+		if ix.cols.slab == nil { // not Build's
+			ix.cols.Fill(ix.doc.Nodes())
+		}
+	})
+	return &ix.cols
+}
+
+// Derived returns build's value for key, computing it on the first call and
+// whenever key differs from the last call's: one slot, so what it holds
+// lives and dies with the index and nothing needs evicting. The snippet
+// pipeline keeps the statistics of the document's own root here, keyed by
+// the classification they were folded under — a shard adopted across a
+// reload re-folds once under the new generation's. Concurrent callers with
+// one key share one build. The slot keeps key and value reachable.
+func (ix *Index) Derived(key any, build func() any) any {
+	ix.derivedMu.Lock()
+	defer ix.derivedMu.Unlock()
+	if ix.derivedKey != key || ix.derivedVal == nil {
+		ix.derivedKey, ix.derivedVal = key, build()
+	}
+	return ix.derivedVal
+}
+
 // Prefilter returns the keyword-presence prefilter of this index, building
 // it on first use unless a loader already adopted a persisted one
 // (AdoptPrefilter). Safe for concurrent use after the first call completes;
@@ -190,6 +245,12 @@ func (ix *Index) List(keyword string) *PostingList {
 	}
 	return ix.postings[toks[0]]
 }
+
+// ListOf returns the posting list of a token exactly as given — no
+// tokenizing, so a string Tokenize would not yield as it stands (mixed case,
+// several words) has no list, just as no label or value of the document
+// contains it as a token.
+func (ix *Index) ListOf(token string) *PostingList { return ix.postings[token] }
 
 // Postings returns the posting list for a keyword (document order) as a
 // materialized view over the packed list. The keyword is tokenized first;

@@ -1,8 +1,14 @@
 // Package index builds the keyword and structure indexes of eXtract's Index
 // Builder component (paper §3): an inverted index from keywords to the
-// element nodes whose tag names or text values contain them, plus corpus
-// statistics. The search engine substrate and the snippet generator both
-// read these indexes.
+// element nodes whose tag names or text values contain them, the document's
+// elements in preorder as pointer-free integer columns (Columns), plus
+// corpus statistics. The search engine substrate reads the posting lists;
+// the snippet generator reads both — a result is one preorder interval, so
+// its keyword instances are a run of each posting list (PostingList.Within)
+// and its statistics a fold over a run of the columns (Columns.Run). Both
+// sections are functions of the document alone. The columns are derived —
+// written by Build, filled on first use after FromParts — and are part of no
+// file or wire format.
 package index
 
 import (

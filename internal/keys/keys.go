@@ -65,8 +65,9 @@ func Mine(doc *xmltree.Document, cls *classify.Classification) *Keys {
 		// view: store/contact/name is still a store attribute), but not
 		// those of nested entities.
 		perAttr := make(map[string][]string)
-		collectAttrs(n, cls, func(a *xmltree.Node) {
+		collectAttrs(n, cls, func(a *xmltree.Node) bool {
 			perAttr[a.Label] = append(perAttr[a.Label], a.TextValue())
+			return true
 		})
 		for attr, vals := range perAttr {
 			st := attrs[attr]
@@ -176,26 +177,29 @@ func (k *Keys) Entities() []string {
 	return out
 }
 
-// collectAttrs visits the attribute nodes owned by entity instance n: its
-// attribute descendants reachable without crossing another entity.
-func collectAttrs(n *xmltree.Node, cls *classify.Classification, fn func(*xmltree.Node)) {
-	var walk func(m *xmltree.Node)
-	walk = func(m *xmltree.Node) {
-		for _, c := range m.Children {
-			if !c.IsElement() {
-				continue
+// collectAttrs visits, in document order, the attribute nodes owned by
+// entity instance n — its attribute descendants reachable without crossing
+// another entity — until fn returns false; it reports whether every visit
+// returned true. Each child's label is classified once.
+func collectAttrs(n *xmltree.Node, cls *classify.Classification, fn func(*xmltree.Node) bool) bool {
+	for _, c := range n.Children {
+		if !c.IsElement() {
+			continue
+		}
+		switch cat := cls.OfLabel(c.Label); {
+		case cat == classify.Attribute && c.HasSingleTextChild():
+			if !fn(c) {
+				return false
 			}
-			switch {
-			case cls.IsAttribute(c) && c.HasSingleTextChild():
-				fn(c)
-			case cls.IsEntity(c):
-				// nested entity: its attributes are its own
-			default:
-				walk(c) // connection node: look through
+		case cat == classify.Entity:
+			// nested entity: its attributes are its own
+		default:
+			if !collectAttrs(c, cls, fn) { // connection node: look through
+				return false
 			}
 		}
 	}
-	walk(n)
+	return true
 }
 
 // KeyNodeOf returns the key attribute of an entity instance and the node
@@ -209,10 +213,11 @@ func (k *Keys) KeyNodeOf(cls *classify.Classification, n *xmltree.Node) (attr st
 	if !ok {
 		return "", nil, false
 	}
-	collectAttrs(n, cls, func(c *xmltree.Node) {
-		if node == nil && c.Label == a {
+	collectAttrs(n, cls, func(c *xmltree.Node) bool {
+		if c.Label == a {
 			node = c
 		}
+		return node == nil
 	})
 	return a, node, true
 }

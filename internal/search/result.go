@@ -1,8 +1,6 @@
 package search
 
 import (
-	"slices"
-
 	"extract/internal/classify"
 	"extract/internal/index"
 	"extract/xmltree"
@@ -46,6 +44,14 @@ type Result struct {
 	// inside the result is absent. On a view the slices alias the index's
 	// posting lists, capacity-clipped so an append reallocates.
 	Matches map[string][]*xmltree.Node
+
+	// Index is the index of the document a view result is a view of, set by
+	// whoever builds the result from one (the engine; the facade for XPath
+	// selections). The snippet generator reads the result's statistics and
+	// keyword instances from it instead of walking the result. Nil on an
+	// owned tree, and on a view nobody gave one: such a result is read
+	// node by node, to the same snippet.
+	Index *index.Index
 }
 
 // IsView reports whether the result is a read-only view of its source
@@ -96,21 +102,14 @@ func anchorOf(lca *xmltree.Node, cls *classify.Classification) *xmltree.Node {
 }
 
 // matchesWithin returns, per keyword, the run of its posting list that lies
-// inside anchor's subtree. Lists are sorted by preorder position and a
-// subtree is one preorder interval, so the run is found by two binary
-// searches on the packed positions and returned as a sub-slice of the list
-// — capacity-clipped, so an append cannot write into the index.
+// inside anchor's subtree (index.PostingList.Within), as a sub-slice of the
+// list — capacity-clipped, so an append cannot write into the index.
 func matchesWithin(anchor *xmltree.Node, keywords []string, lists []*index.PostingList) map[string][]*xmltree.Node {
 	matches := make(map[string][]*xmltree.Node, len(keywords))
 	for i, kw := range keywords {
 		pl := lists[i]
-		if pl.Len() == 0 {
-			continue
-		}
-		lo, _ := slices.BinarySearch(pl.Ords, anchor.Start)
-		n, _ := slices.BinarySearch(pl.Ords[lo:], anchor.End+1)
-		if n > 0 {
-			matches[kw] = pl.Nodes[lo : lo+n : lo+n]
+		if lo, hi := pl.Within(anchor.Start, anchor.End); hi > lo {
+			matches[kw] = pl.Nodes[lo:hi:hi]
 		}
 	}
 	return matches
@@ -129,7 +128,7 @@ func (e *Engine) buildResult(anchor, lca *xmltree.Node, ev *Evaluation) *Result 
 		r.Root = projectXSeek(anchor, r.Matches, e.cls)
 		r.Doc = xmltree.NewDocument(r.Root)
 	} else {
-		r.Doc = e.doc.Subtree(anchor)
+		r.Doc, r.Index = e.doc.Subtree(anchor), e.ix
 	}
 	return r
 }

@@ -12,6 +12,13 @@
 // exact branch-and-bound solver is provided for small inputs to measure the
 // greedy's quality (experiment E7).
 //
+// An instance is a preorder position until it is climbed from. Entity and
+// feature instances come from the result's statistics (features.Stats);
+// keyword instances come from the posting runs inside the result when the
+// statistics were folded from an index, and from a scan of the result's
+// nodes when the tree has none (or is a few dozen nodes) — in the same order
+// either way.
+//
 // Size accounting follows the paper's demo ("the number of edges in the
 // tree", with bound 6 producing snippets like store → name, merchandises →
 // clothes → category, fitting): edges connect element nodes; the text value
@@ -61,16 +68,19 @@ func (s *Snippet) CoveredItems(il *ilist.IList) []ilist.Item {
 // symbol ids, preorder positions, feature ids — and it is pooled, so a
 // snippet allocates what it returns and little else.
 //
-// An instance — one way to witness an item — is represented by its deepest
-// node, whose ancestor chain covers the whole instance: an element, or a text
-// child whose value must display. A feature's instance is its attribute
-// node: the single text value of an attribute-shaped element enters and
-// leaves the tree with it, so the value itself is never climbed from.
+// An instance — one way to witness an item — is represented by the preorder
+// position of its deepest node, whose ancestor chain covers the whole
+// instance: an element, or a text child whose value must display. A
+// feature's instance is its attribute node: the single text value of an
+// attribute-shaped element enters and leaves the tree with it, so the value
+// itself is never climbed from. A position becomes a node only when the
+// instance is climbed from.
 type selection struct {
 	il    *ilist.IList
 	stats *features.Stats
 	root  *xmltree.Node
-	base  int // root.Ord: positions inside the result are Ord - base
+	nodes []*xmltree.Node // the result in preorder: position p is nodes[p-base]
+	base  int             // root.Ord
 
 	// stamp marks what belongs to this snippet in memo and mark, so neither
 	// is cleared between snippets.
@@ -82,7 +92,7 @@ type selection struct {
 	// tokenized once per snippet however many nodes carry it. A memo entry
 	// points at a run of hits: a count, then that many keyword indexes.
 	kwIndex map[string]int32
-	kwInst  [][]*xmltree.Node
+	kwInst  [][]int32
 	memo    [2][]memoEntry
 	hits    []int32
 
@@ -115,7 +125,7 @@ var selections = sync.Pool{New: func() any { return &selection{kwIndex: make(map
 // keyword instances, and seeds the snippet tree with the result root.
 func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selection {
 	s := selections.Get().(*selection)
-	s.il, s.stats, s.root, s.base = il, stats, doc.Root, doc.Root.Ord
+	s.il, s.stats, s.root, s.nodes, s.base = il, stats, doc.Root, doc.Nodes(), doc.Root.Ord
 	s.stamp++
 	if s.stamp == 0 { // wrapped: stale entries could read as current
 		clear(s.memo[0])
@@ -150,28 +160,73 @@ func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selec
 	}
 	s.kwCount = append(s.kwCount[:0], make([]int32, len(s.kwIndex))...)
 
-	// Per element: its label, then its text children in order — the order
-	// the index posts them in.
 	if len(s.kwIndex) > 0 {
-		for _, n := range doc.Nodes() {
-			if !n.IsElement() {
-				continue
-			}
-			for _, k := range s.keywordsIn(n) {
-				s.kwInst[k] = append(s.kwInst[k], n)
-			}
-			for _, c := range n.Children {
-				if !c.IsText() {
-					continue
-				}
-				for _, k := range s.keywordsIn(c) {
-					s.kwInst[k] = append(s.kwInst[k], c)
-				}
-			}
+		if ix := stats.Index(); ix != nil && len(s.nodes) > scanBelow {
+			s.postedKeywords(ix)
+		} else {
+			s.scanKeywords()
 		}
 	}
 	s.add(s.root)
 	return s
+}
+
+// scanBelow is the result size up to which the keyword instances of an
+// indexed result are still found by the scan: a lookup costs a hash and two
+// binary searches per keyword — some thirty probes into lists far longer
+// than the result — and reading a few dozen adjacent nodes costs less (on
+// 7-node results of the benchmark corpus the lookups read 0.8 µs a snippet
+// against the scan's 0.2). The two finders agree on every result of any size
+// (TestKeywordInstancesFromPostings), so the threshold moves cost only.
+const scanBelow = 32
+
+// postedKeywords takes every keyword's instances from the run of its posting
+// list inside the result, for a result that is a view of the document ix
+// indexes: per posted element the element itself when its label holds the
+// keyword, then those of its text children that do — which is the order
+// scanKeywords finds them in, at the cost of the postings and not of the
+// result. A keyword is looked up as the token it is, whether or not the
+// query evaluated it as a term of its own (a phrase member is not).
+func (s *selection) postedKeywords(ix *index.Index) {
+	for text, k := range s.kwIndex {
+		pl := ix.ListOf(text)
+		lo, hi := pl.Within(s.root.Start, s.root.End)
+		for j := lo; j < hi; j++ {
+			if pl.Fields[j]&index.FieldLabel != 0 {
+				s.kwInst[k] = append(s.kwInst[k], pl.Ords[j])
+			}
+			if pl.Fields[j]&index.FieldValue == 0 {
+				continue
+			}
+			for _, c := range pl.Nodes[j].Children {
+				if c.IsText() && slices.Contains(s.keywordsIn(c), k) {
+					s.kwInst[k] = append(s.kwInst[k], c.Start)
+				}
+			}
+		}
+	}
+}
+
+// scanKeywords finds the keyword instances of a tree that has no index by
+// reading it: per element its label, then its text children in order — the
+// order the index posts them in.
+func (s *selection) scanKeywords() {
+	for _, n := range s.nodes {
+		if !n.IsElement() {
+			continue
+		}
+		for _, k := range s.keywordsIn(n) {
+			s.kwInst[k] = append(s.kwInst[k], n.Start)
+		}
+		for _, c := range n.Children {
+			if !c.IsText() {
+				continue
+			}
+			for _, k := range s.keywordsIn(c) {
+				s.kwInst[k] = append(s.kwInst[k], c.Start)
+			}
+		}
+	}
 }
 
 // release returns the selection to the pool, dropping every node it holds:
@@ -184,7 +239,6 @@ func (s *selection) release() {
 		return
 	}
 	for k := range s.kwInst {
-		clear(s.kwInst[k])
 		s.kwInst[k] = s.kwInst[k][:0]
 	}
 	clear(s.members)
@@ -192,7 +246,7 @@ func (s *selection) release() {
 	clear(s.best[:cap(s.best)])
 	clear(s.kwIndex)
 	s.members, s.triples, s.hits = s.members[:0], s.triples[:0], s.hits[:0]
-	s.il, s.stats, s.root = nil, nil, nil
+	s.il, s.stats, s.root, s.nodes = nil, nil, nil, nil
 	selections.Put(s)
 }
 
@@ -306,7 +360,7 @@ func (s *selection) covers(i int) bool {
 }
 
 // instances lists the ways to witness item i, in document order.
-func (s *selection) instances(i int) []*xmltree.Node {
+func (s *selection) instances(i int) []int32 {
 	ref := s.ref[i]
 	if ref < 0 {
 		return nil
@@ -322,7 +376,7 @@ func (s *selection) instances(i int) []*xmltree.Node {
 }
 
 // cost returns the number of new element edges needed to attach the
-// instance whose deepest node is given to the tree, and the path nodes to
+// instance whose deepest node is at the given position to the tree, and the path nodes to
 // add (in s.path). Free (text) nodes do not count. An instance's nodes form
 // a single ancestor chain ending at its deepest node, so one climb from
 // that node to the nearest tree node covers the whole instance; instances
@@ -331,10 +385,10 @@ func (s *selection) instances(i int) []*xmltree.Node {
 // limit prunes the climb: once cost exceeds it the instance cannot win,
 // and the (partial) path is meaningless. Pass a negative limit for no
 // pruning.
-func (s *selection) cost(deepest *xmltree.Node, limit int) int {
+func (s *selection) cost(deepest int32, limit int) int {
 	s.path = s.path[:0]
 	cost := 0
-	for m := deepest; !s.inTree(m); m = m.Parent {
+	for m := s.nodes[int(deepest)-s.base]; !s.inTree(m); m = m.Parent {
 		s.path = append(s.path, m)
 		if m.IsElement() {
 			cost++
@@ -353,6 +407,14 @@ func (s *selection) cost(deepest *xmltree.Node, limit int) int {
 func (s *selection) cheapest(i, limit int) int {
 	bestCost := -1
 	s.best = s.best[:0]
+	// An entity's or a feature's instance is an element, which costs an
+	// edge unless it is in the tree — and one in the tree shows the item,
+	// which the caller checked (covers). Only a keyword can attach free:
+	// its instance may be a text child of a member.
+	floor := 1
+	if s.il.Items[i].Kind == ilist.Keyword {
+		floor = 0
+	}
 	for _, n := range s.instances(i) {
 		prune := limit
 		if bestCost >= 0 && (limit < 0 || bestCost-1 < limit) {
@@ -362,7 +424,7 @@ func (s *selection) cheapest(i, limit int) int {
 			bestCost = c
 			s.best, s.path = s.path, s.best
 		}
-		if bestCost == 0 {
+		if bestCost == floor {
 			break // cannot do better
 		}
 	}

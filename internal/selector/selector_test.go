@@ -2,6 +2,7 @@ package selector
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -262,5 +263,90 @@ func TestGreedyEmptyIList(t *testing.T) {
 	}
 	if s.Root == nil || s.Root.Label != "retailer" {
 		t.Errorf("snippet root = %v", s.Root)
+	}
+}
+
+// keywordInstances readies a selection for one result and returns every
+// keyword's instance positions, by keyword, as the finder named by the
+// statistics finds them whatever the result's size: postedKeywords when they
+// were folded from an index, scanKeywords otherwise.
+func keywordInstances(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) map[string][]int32 {
+	s := begin(doc, il, stats)
+	defer s.release()
+	for k := range s.kwInst {
+		s.kwInst[k] = s.kwInst[k][:0]
+	}
+	if ix := stats.Index(); ix != nil {
+		s.postedKeywords(ix)
+	} else if len(s.kwIndex) > 0 {
+		s.scanKeywords()
+	}
+	out := map[string][]int32{}
+	for text, k := range s.kwIndex {
+		out[text] = append([]int32{}, s.kwInst[k]...)
+	}
+	return out
+}
+
+// TestKeywordInstancesFromPostings: a view of an indexed document takes its
+// keyword instances from the posting runs inside the result, an index-less
+// tree from a scan of its nodes — the same positions in the same order, for
+// every element of the document as the result root. The queries are the
+// cases the two could differ on: the members of a quoted phrase (tokens the
+// query never evaluated as terms of their own), a repeated token, a token
+// that is an element's label and also in its value, tokens in mixed content
+// and in several text children of one element, a token no node holds, and
+// strings that are not tokens at all.
+func TestKeywordInstancesFromPostings(t *testing.T) {
+	mixed, err := xmltree.ParseString(`<r>
+	<p>red <c><d>red</d><e>blue</e></c> red</p>
+	<p>green<c><d>blue</d>tail</c><d>red</d></p>
+	<red>red blue <b>red</b> Red RED</red>
+	<q kind="p red">blue <b>red</b> blue</q>
+</r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		doc     *xmltree.Document
+		queries []string
+	}{
+		{mixed, []string{`red`, `"red blue" tail`, `red red blue`, `p kind red`, `absent red`, `b d e c`}},
+		{gen.Figure1Corpus(), []string{gen.Figure1Query, `"brook brothers" houston`, `store store city`, `name retailer`}},
+		{gen.Stores(gen.StoresConfig{Retailers: 2, StoresPerRetailer: 2, ClothesPerStore: 3, Seed: 5}), []string{`store texas`, `clothes category suit`}},
+	} {
+		cls, ix := classify.Classify(tc.doc), index.Build(tc.doc)
+		km := keys.Mine(tc.doc, cls)
+		col := features.NewCollector(cls)
+		for _, q := range tc.queries {
+			kwSets := [][]string{index.Tokenize(q), {"Red", "red blue", ""}}
+			for _, kws := range kwSets {
+				for _, n := range tc.doc.Nodes() {
+					if !n.IsElement() {
+						continue
+					}
+					view := tc.doc.Subtree(n)
+					indexed, scanned := col.CollectResult(ix, view), col.CollectResult(nil, view)
+					if indexed.Index() != ix || scanned.Index() != nil {
+						t.Fatalf("%v: fixtures are not one indexed and one index-less", n)
+					}
+					ilIndexed := ilist.Build(n, kws, cls, km, indexed)
+					ilScanned := ilist.Build(n, kws, cls, km, scanned)
+					posted, scan := keywordInstances(view, ilIndexed, indexed), keywordInstances(view, ilScanned, scanned)
+					if len(posted) != len(scan) {
+						t.Fatalf("%q under %v: keywords %v from postings, %v from the scan", kws, n, posted, scan)
+					}
+					for text, want := range scan {
+						if got := posted[text]; !slices.Equal(got, want) {
+							t.Fatalf("%q under %v: instances of %q are %v from postings, %v from the scan", kws, n, text, got, want)
+						}
+					}
+					a, b := Greedy(view, ilIndexed, cls, indexed, 5), Greedy(view, ilScanned, cls, scanned, 5)
+					if xmltree.XMLString(a.Root) != xmltree.XMLString(b.Root) || !slices.Equal(a.Covered, b.Covered) {
+						t.Fatalf("%q under %v: snippets differ:\n%s\n%s", kws, n, xmltree.XMLString(a.Root), xmltree.XMLString(b.Root))
+					}
+				}
+			}
+		}
 	}
 }

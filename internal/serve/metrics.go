@@ -116,6 +116,9 @@ type metricsSet struct {
 	stages  [numStages]*telemetry.Histogram
 	errs    map[string]*telemetry.Counter
 	outcome map[string]*telemetry.Counter
+	// fallbacks counts the computed queries whose sharded merge went to the
+	// whole document (telemetry.SpanSink.NoteFallback).
+	fallbacks *telemetry.Counter
 
 	slowThreshold time.Duration
 	slowFn        SlowQueryFunc
@@ -144,6 +147,8 @@ func newMetrics(reg *telemetry.Registry, s *Server) *metricsSet {
 		m.outcome[o] = reg.Counter("extract_query_cache_outcomes_total",
 			"Queries by cache outcome.", telemetry.L("outcome", o))
 	}
+	m.fallbacks = reg.Counter("extract_query_fallbacks_total",
+		"Computed queries answered by the whole-document round of the sharded merge: the root qualified as an LCA, or anchored a result.")
 	c := s.cache
 	reg.AddCounter("extract_cache_hits_total", "Query-cache hits.", &c.hits)
 	reg.AddCounter("extract_cache_misses_total", "Query-cache misses (response computed).", &c.misses)
@@ -179,6 +184,9 @@ func (m *metricsSet) finish(tr *trace, query, outcome string, results int, err e
 	}
 	if c, ok := m.outcome[outcome]; ok {
 		c.Inc()
+	}
+	if tr.sink.Fallback() {
+		m.fallbacks.Inc()
 	}
 	kind := errKind(err)
 	if kind != "" {

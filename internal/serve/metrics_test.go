@@ -174,3 +174,37 @@ func TestSlowQueryErrKinds(t *testing.T) {
 		t.Fatalf("failed query has cache outcome %q", recs[0].Cache)
 	}
 }
+
+// TestFallbackCounter: extract_query_fallbacks_total counts the computed
+// queries whose sharded merge went to the whole document — here, the label
+// of the document root, which no shard-local answer can express — once per
+// computation: a replay from the cache and a query answered inside the
+// shards count nothing, and the series exists at zero before any query.
+func TestFallbackCounter(t *testing.T) {
+	doc := gen.Figure1Corpus()
+	root := doc.Root.Label
+	sc := shard.Build(doc, 2)
+	if sc.NumShards() < 2 {
+		t.Fatalf("%d shards", sc.NumShards())
+	}
+	reg := telemetry.NewRegistry()
+	srv := New(sc, WithWorkers(2), WithTelemetry(reg))
+	defer srv.Close()
+
+	const series = "extract_query_fallbacks_total"
+	if m, ok := snapIndex(reg)[series]; !ok || m.Value != 0 {
+		t.Fatalf("%s before any query: %v, registered %v", series, m.Value, ok)
+	}
+	for i, step := range []struct {
+		query string
+		want  float64
+	}{{"retailer texas", 0}, {root, 1}, {root, 1}, {root + " texas", 2}} {
+		rs, _, err := srv.QueryContext(context.Background(), step.query, search.Options{}, 6)
+		if err != nil || len(rs) == 0 {
+			t.Fatalf("step %d %q: %d results, err %v", i, step.query, len(rs), err)
+		}
+		if got := snapIndex(reg)[series].Value; got != step.want {
+			t.Fatalf("step %d %q: %s = %v, want %v", i, step.query, series, got, step.want)
+		}
+	}
+}

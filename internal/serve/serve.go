@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -521,9 +522,13 @@ func snippet(gen *core.Generator, r *search.Result, kws []string, bound int) *co
 	return g
 }
 
-// snippets generates one snippet per result, chunking the work over the
-// pool (snippets are independent; the generator is shared and concurrency-
-// safe). A cancelled query stops between snippets and returns the
+// snippets generates one snippet per result. Snippets are independent and
+// the generator is shared and concurrency-safe, so up to GOMAXPROCS pool
+// tasks each claim one result at a time from a shared cursor, largest result
+// first: the one long job of a result list — a whole-document result among
+// two dozen small ones — starts first and everything else packs around it,
+// where a fixed split would queue half the list behind it. Output stays
+// aligned with rs. A cancelled query stops between snippets and returns the
 // context's error — a partially filled snippet set is never returned, so
 // nothing incomplete can be cached.
 func (s *Server) snippets(ctx context.Context, gen *core.Generator, rs []*search.Result, kws []string, bound int) ([]*core.Generated, error) {
@@ -537,26 +542,17 @@ func (s *Server) snippets(ctx context.Context, gen *core.Generator, rs []*search
 		}
 		return out, nil
 	}
-	chunks := runtime.GOMAXPROCS(0)
-	if chunks > len(rs) {
-		chunks = len(rs)
-	}
-	tasks := make([]func(), chunks)
-	errs := make([]error, chunks)
-	per := (len(rs) + chunks - 1) / chunks
-	for c := 0; c < chunks; c++ {
-		lo := c * per
-		hi := lo + per
-		if hi > len(rs) {
-			hi = len(rs)
-		}
-		lo2, hi2, c2 := lo, hi, c
-		tasks[c] = func() {
-			for i := lo2; i < hi2; i++ {
-				if err := snippetCheckpoint(ctx); err != nil {
-					errs[c2] = err
+	order := largestFirst(rs)
+	var cursor atomic.Int64
+	tasks := make([]func(), min(runtime.GOMAXPROCS(0), len(rs)))
+	errs := make([]error, len(tasks))
+	for t := range tasks {
+		tasks[t] = func() {
+			for k := cursor.Add(1) - 1; k < int64(len(order)); k = cursor.Add(1) - 1 {
+				if errs[t] = snippetCheckpoint(ctx); errs[t] != nil {
 					return
 				}
+				i := order[k]
 				out[i] = snippet(gen, rs[i], kws, bound)
 			}
 		}
@@ -570,4 +566,15 @@ func (s *Server) snippets(ctx context.Context, gen *core.Generator, rs []*search
 		}
 	}
 	return out, nil
+}
+
+// largestFirst returns the indexes of rs by decreasing result size, equal
+// sizes in result order.
+func largestFirst(rs []*search.Result) []int {
+	order := make([]int, len(rs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return rs[b].Doc.Len() - rs[a].Doc.Len() })
+	return order
 }

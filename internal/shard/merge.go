@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"extract/internal/search"
+	"extract/internal/telemetry"
 )
 
 // Partial is one shard's share of a query's first round. A shard whose
@@ -97,6 +98,9 @@ func Merge[R any](ctx context.Context, opts search.Options, rounds Rounds[R]) ([
 	if rootQualifies || rootAnchored {
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
+			sink.NoteFallback() // extract_query_fallbacks_total
 		}
 		return rounds.Whole(ctx)
 	}

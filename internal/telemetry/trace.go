@@ -112,9 +112,10 @@ type QueryTrace struct {
 	Hops []HopSpan
 }
 
-// SpanSink collects the hop spans of one query in flight. The serving
-// layer owns one per query and installs it in the request context; the
-// router appends a span per remote call attempt. The zero value is ready
+// SpanSink collects what one query in flight reports from below the serving
+// layer. The serving layer owns one per query and installs it in the request
+// context; the router appends a span per remote call attempt, and the
+// sharded merge notes a whole-document round. The zero value is ready
 // to use. Safe for concurrent Add (parallel group calls).
 type SpanSink struct {
 	// TraceID is the query's trace ID, read by the router to stamp
@@ -123,7 +124,16 @@ type SpanSink struct {
 
 	mu   sync.Mutex
 	hops []HopSpan
+
+	fallback atomic.Bool
 }
+
+// NoteFallback records that the query's sharded merge took the
+// whole-document round (shard.Merge's round three).
+func (s *SpanSink) NoteFallback() { s.fallback.Store(true) }
+
+// Fallback reports whether NoteFallback was called.
+func (s *SpanSink) Fallback() bool { return s.fallback.Load() }
 
 // Add appends one hop span.
 func (s *SpanSink) Add(h HopSpan) {

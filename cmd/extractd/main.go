@@ -783,16 +783,20 @@ func (s *server) noteReloadFailure(ds *dataset) {
 	defer ds.obs.Unlock()
 	ds.failures++
 	if s.watchInterval > 0 {
-		shift := ds.failures - 1
-		if shift > maxBackoffShift {
-			shift = maxBackoffShift
-		}
-		ds.nextAttempt = s.timeNow().Add(s.watchInterval << shift)
+		ds.nextAttempt = s.timeNow().Add(backoff(s.watchInterval, ds.failures))
 	}
 	if ds.failures == breakerThreshold {
 		log.Printf("extractd: %s: %d consecutive reload failures — reporting degraded until a reload succeeds",
 			ds.Name, ds.failures)
 	}
+}
+
+// backoff is how long a watcher waits after its failures-th consecutive
+// failed reload: the poll interval, doubling per failure, capped at
+// interval << maxBackoffShift. The dataset watcher and the shard server's
+// snapshot watcher both space retries by it.
+func backoff(interval time.Duration, failures int) time.Duration {
+	return interval << min(failures-1, maxBackoffShift)
 }
 
 // watchFiles polls every file-backed dataset's mtime and reloads the ones

@@ -127,16 +127,10 @@ func shardServerMux(reg *telemetry.Registry, srv *remote.Server, draining *atomi
 }
 
 // watchSnapshot polls the snapshot manifest's mtime and swaps the server
-// from the generation it serves onto the new one when it changes. A failed
-// load logs and leaves the old generation serving — same policy as the
-// demo's dataset watcher.
+// from the generation it serves onto the new one when it changes (see
+// snapshotWatcher.check).
 func watchSnapshot(ctx context.Context, srv *remote.Server, served *ingest.Generation, dir string, group, groups int, interval time.Duration) {
-	manifest := filepath.Join(dir, ingest.ManifestName)
-	var mtime time.Time
-	var size int64
-	if fi, err := os.Stat(manifest); err == nil {
-		mtime, size = fi.ModTime(), fi.Size()
-	}
+	w := newSnapshotWatcher(srv, served, dir, group, groups, interval)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -144,19 +138,59 @@ func watchSnapshot(ctx context.Context, srv *remote.Server, served *ingest.Gener
 		case <-ctx.Done():
 			return
 		case <-tick.C:
+			w.check(time.Now())
 		}
-		fi, err := os.Stat(manifest)
-		if err != nil || (fi.ModTime().Equal(mtime) && fi.Size() == size) {
-			continue
-		}
-		next, err := swapSnapshot(srv, served, dir, group, groups)
-		if err != nil {
-			log.Printf("extractd: reload snapshot %s: %v — still serving the loaded generation", dir, err)
-			continue
-		}
-		served = next
-		mtime, size = fi.ModTime(), fi.Size()
 	}
+}
+
+// snapshotWatcher is a shard server's -watch state: the generation served,
+// the manifest fingerprint it was loaded at, and the streak of failed loads
+// that spaces retries.
+type snapshotWatcher struct {
+	srv           *remote.Server
+	served        *ingest.Generation
+	dir           string
+	group, groups int
+	interval      time.Duration
+
+	mtime    time.Time
+	size     int64
+	failures int
+	retryAt  time.Time
+}
+
+func newSnapshotWatcher(srv *remote.Server, served *ingest.Generation, dir string, group, groups int, interval time.Duration) *snapshotWatcher {
+	w := &snapshotWatcher{srv: srv, served: served, dir: dir, group: group, groups: groups, interval: interval}
+	if fi, err := os.Stat(w.manifest()); err == nil {
+		w.mtime, w.size = fi.ModTime(), fi.Size()
+	}
+	return w
+}
+
+func (w *snapshotWatcher) manifest() string { return filepath.Join(w.dir, ingest.ManifestName) }
+
+// check is one watcher tick. A manifest that moved since the served
+// generation loaded is opened as a delta and swapped in. A directory that
+// refuses to load (ingest.ErrImageMismatch, ingest.ErrSnapshotChanging, ...)
+// leaves the old generation serving and is retried on the dataset watcher's
+// backoff rule, not re-read and re-hashed every tick, with one log line per
+// failure streak — same policy as the demo's dataset watcher.
+func (w *snapshotWatcher) check(now time.Time) {
+	fi, err := os.Stat(w.manifest())
+	if err != nil || (fi.ModTime().Equal(w.mtime) && fi.Size() == w.size) || now.Before(w.retryAt) {
+		return
+	}
+	next, err := swapSnapshot(w.srv, w.served, w.dir, w.group, w.groups)
+	if err != nil {
+		w.failures++
+		w.retryAt = now.Add(backoff(w.interval, w.failures))
+		if w.failures == 1 {
+			log.Printf("extractd: reload snapshot %s: %v — still serving the loaded generation; retrying with backoff", w.dir, err)
+		}
+		return
+	}
+	w.served, w.failures, w.retryAt = next, 0, time.Time{}
+	w.mtime, w.size = fi.ModTime(), fi.Size()
 }
 
 // swapSnapshot is one shard-server reload: open dir as a delta against the

@@ -5,8 +5,12 @@ import (
 	"context"
 	"log"
 	"net"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"extract/internal/ingest"
 	"extract/internal/remote"
@@ -105,5 +109,90 @@ func TestShardServerDeltaSwap(t *testing.T) {
 	}
 	if render(fresh.Corpus.Search("zzzrestocked", opts)) == "" {
 		t.Fatal("the edit is not visible in the new generation; the test proves nothing")
+	}
+}
+
+// TestSnapshotWatcherBackoff drives a shard server's -watch loop with an
+// injected clock against a directory that refuses to load — a refreshed
+// manifest over an image still holding the old bytes, ingest.ErrImageMismatch
+// — and requires the dataset watcher's rule: attempts at growing intervals,
+// one log line for the streak, the old generation serving throughout, and
+// the repaired directory adopted on the next attempt.
+func TestSnapshotWatcherBackoff(t *testing.T) {
+	dir := t.TempDir()
+	if err := ingest.Snapshot(dir, shard.Build(snapshotDoc(false), 3)); err != nil {
+		t.Fatal(err)
+	}
+	served, err := ingest.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images, _ := filepath.Glob(filepath.Join(dir, "shard-*.xtix"))
+	before := map[string][]byte{}
+	for _, f := range images {
+		if before[f], err = os.ReadFile(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := remote.NewServer(served.Corpus, remote.WithOwnedShards(remote.OwnedShards(served.Source, 0, 1)))
+	defer srv.Close()
+	w := newSnapshotWatcher(srv, served, dir, 0, 1, time.Minute)
+
+	// Refresh in place, then put the old bytes back under the changed image.
+	if err := ingest.Snapshot(dir, shard.Build(snapshotDoc(true), 3)); err != nil {
+		t.Fatal(err)
+	}
+	var changed string
+	var refreshed []byte
+	for _, f := range images {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, before[f]) {
+			changed, refreshed = f, b
+		}
+	}
+	if changed == "" {
+		t.Fatal("the refresh rewrote no image; the test proves nothing")
+	}
+	if err := os.WriteFile(changed, before[changed], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	logTo := log.Writer()
+	log.SetOutput(&logged)
+	defer log.SetOutput(logTo)
+
+	servedPrint := srv.Fingerprint()
+	clock := time.Unix(1_000_000_000, 0)
+	var attempts []int // the minutes at which an attempt failed
+	for minute := 0; minute <= 20; minute++ {
+		w.check(clock.Add(time.Duration(minute) * time.Minute))
+		if w.failures > len(attempts) {
+			attempts = append(attempts, minute)
+		}
+	}
+	if want := []int{0, 1, 3, 7, 15}; !slices.Equal(attempts, want) {
+		t.Fatalf("failed attempts at minutes %v, want %v (backoff doubling from the -watch interval)", attempts, want)
+	}
+	if n := strings.Count(logged.String(), "reload snapshot"); n != 1 || !strings.Contains(logged.String(), "does not match its manifest entry") {
+		t.Fatalf("the failure streak logged %d refusal lines, want 1 naming the mismatch: %q", n, logged.String())
+	}
+	if srv.Fingerprint() != servedPrint {
+		t.Fatal("a refused directory changed the served generation")
+	}
+
+	// Repaired: the next attempt the backoff allows adopts it.
+	if err := os.WriteFile(changed, refreshed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w.check(clock.Add(time.Hour))
+	if w.failures != 0 || srv.Fingerprint() == servedPrint || srv.Fingerprint() != remote.Fingerprint(w.served.Source) {
+		t.Fatalf("repaired directory not adopted: failures %d, fingerprint %016x (was %016x)", w.failures, srv.Fingerprint(), servedPrint)
+	}
+	if !strings.Contains(logged.String(), "(1/3 shards rebuilt, 2 reused)") {
+		t.Fatalf("the recovering swap was not a one-shard delta: %q", logged.String())
 	}
 }

@@ -232,6 +232,10 @@ func reloadSourceFault() error {
 // the shard layout shifts and nothing can be adopted (which is always
 // correct, just not cheap).
 func (c *Corpus) ReloadDelta(r io.Reader, opts ...Option) (DeltaStats, error) {
+	return c.reloadDelta(fromReader(r), opts)
+}
+
+func (c *Corpus) reloadDelta(src source, opts []Option) (DeltaStats, error) {
 	return c.publish("xml", func(old *corpusData) (*corpusData, int, error) {
 		if err := reloadSourceFault(); err != nil {
 			return nil, 0, err
@@ -243,7 +247,7 @@ func (c *Corpus) ReloadDelta(r io.Reader, opts ...Option) (DeltaStats, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		doc, err := cfg.parse(r)
+		doc, err := cfg.parse(src)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -252,14 +256,10 @@ func (c *Corpus) ReloadDelta(r io.Reader, opts ...Option) (DeltaStats, error) {
 	})
 }
 
-// ReloadDeltaFile is ReloadDelta reading the XML source from a file.
+// ReloadDeltaFile is ReloadDelta reading the XML source from a file, in
+// one sized read.
 func (c *Corpus) ReloadDeltaFile(path string, opts ...Option) (DeltaStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return DeltaStats{}, err
-	}
-	defer f.Close()
-	return c.ReloadDelta(f, opts...)
+	return c.reloadDelta(fromFile(path), opts)
 }
 
 // ReloadSnapshot is Reload with the new corpus read from a snapshot
@@ -543,14 +543,33 @@ func (cfg *loadConfig) parseOptions() []xmltree.ParseOption {
 	return nil
 }
 
+// source yields the bytes of one XML document: a reader read to its end,
+// or a file read in one sized read.
+type source func() ([]byte, error)
+
+func fromReader(r io.Reader) source { return func() ([]byte, error) { return io.ReadAll(r) } }
+
+func fromFile(path string) source { return func() ([]byte, error) { return os.ReadFile(path) } }
+
+// testHookParsed, when a test sets it, sees each parsed document before it
+// is built into a generation.
+var testHookParsed func(*xmltree.Document)
+
 // parse reads one XML document and resolves the DTD it classifies under: a
 // DOCTYPE internal subset governs unless the caller supplied an explicit
 // DTD. Load and ReloadDelta both go through it — "a delta reload is
 // byte-identical to a fresh load" depends on the two applying one rule.
-func (cfg *loadConfig) parse(r io.Reader) (*xmltree.Document, error) {
-	doc, err := xmltree.Parse(r, cfg.parseOptions()...)
+func (cfg *loadConfig) parse(src source) (*xmltree.Document, error) {
+	data, err := src()
 	if err != nil {
 		return nil, err
+	}
+	doc, err := xmltree.ParseBytes(data, cfg.parseOptions()...)
+	if err != nil {
+		return nil, err
+	}
+	if testHookParsed != nil {
+		testHookParsed(doc)
 	}
 	if cfg.dtd == nil && doc.InternalSubset != "" {
 		d, err := dtd.ParseString(doc.InternalSubset)
@@ -570,11 +589,15 @@ func (cfg loadConfig) build(doc *xmltree.Document) *Corpus {
 
 // Load parses and analyzes an XML database from r.
 func Load(r io.Reader, opts ...Option) (*Corpus, error) {
+	return load(fromReader(r), opts)
+}
+
+func load(src source, opts []Option) (*Corpus, error) {
 	cfg, err := foldOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	doc, err := cfg.parse(r)
+	doc, err := cfg.parse(src)
 	if err != nil {
 		return nil, err
 	}
@@ -625,12 +648,7 @@ func Connect(dir string, groups [][]string, opts ...Option) (*Corpus, error) {
 
 // LoadFile parses and analyzes an XML database from a file.
 func LoadFile(path string, opts ...Option) (*Corpus, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f, opts...)
+	return load(fromFile(path), opts)
 }
 
 // LoadFiles parses several XML files into one corpus: the documents become

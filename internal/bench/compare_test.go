@@ -121,10 +121,19 @@ func TestCompareReportsReloadGate(t *testing.T) {
 	if len(msgs) != 1 || !strings.Contains(msgs[0], "delta reload") {
 		t.Fatalf("msgs = %v", msgs)
 	}
-	// XML-source points are bounded by re-parse cost; committed ratios
-	// under the threshold are trajectory, not gate.
+	// XML-source points pay the whole-file parse and re-analysis either
+	// way; committed ratios under the threshold are trajectory, not gate.
 	if msgs := CompareReports(reloadReport("xml", 1.15), reloadReport("xml", 0.9), 1.2); len(msgs) != 0 {
 		t.Fatalf("sub-threshold xml ratio flagged: %v", msgs)
+	}
+	// Once the committed XML ratio clears the threshold the point is gated
+	// like a snapshot one: a delta that stops beating the full path fails.
+	if msgs := CompareReports(reloadReport("xml", 1.4), reloadReport("xml", 1.2), 1.2); len(msgs) != 0 {
+		t.Fatalf("xml ratio above its floor (1.4x / 1.2) flagged: %v", msgs)
+	}
+	msgs = CompareReports(reloadReport("xml", 1.4), reloadReport("xml", 1.0), 1.2)
+	if len(msgs) != 1 || !strings.Contains(msgs[0], "delta reload") || !strings.Contains(msgs[0], "xml") {
+		t.Fatalf("regressing xml point not flagged: %v", msgs)
 	}
 	// Points are keyed by source: an xml current point never answers for
 	// the snapshot baseline.

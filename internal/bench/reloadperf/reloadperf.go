@@ -22,34 +22,42 @@ import (
 // corpus has four top-level retailers).
 const shards = 4
 
-// timeItColdSetup measures fn as a cold one-shot with an untimed setup
-// before every run — the delta path needs the corpus reset to the old
-// generation between measurements, or the second delta would diff
-// identical content. Like bench's timeItCold it keeps the running minimum
-// and rides out contention bursts adaptively.
-func timeItColdSetup(minReps int, setup, fn func()) int64 {
+// timePairColdSetup measures full and delta as cold one-shots with an
+// untimed setup before every run — the delta path needs the corpus reset to
+// the old generation between measurements, or the second delta would diff
+// identical content. Like bench's timeItCold it keeps each side's running
+// minimum and rides out contention bursts adaptively. The two sides run
+// alternately, one run each a round, so a stretch of contention on a shared
+// runner slows both rather than whichever was being timed during it: the
+// gated quantity is their ratio.
+func timePairColdSetup(minReps int, setup, full, delta func()) (fullNs, deltaNs int64) {
 	const (
 		patience = 8
 		maxReps  = 40
 	)
-	setup()
-	fn() // warm the code paths, not the measurement
-	best := int64(0)
+	sides := []struct {
+		fn   func()
+		best *int64
+	}{{full, &fullNs}, {delta, &deltaNs}}
+	for _, s := range sides {
+		setup()
+		s.fn() // warm the code paths, not the measurement
+	}
 	sinceImproved := 0
 	for i := 0; i < maxReps && (i < minReps || sinceImproved < patience); i++ {
-		setup()
-		runtime.GC()
-		start := time.Now()
-		fn()
-		d := time.Since(start).Nanoseconds()
-		if best == 0 || d < best {
-			best = d
-			sinceImproved = 0
-		} else {
-			sinceImproved++
+		sinceImproved++
+		for _, s := range sides {
+			setup()
+			runtime.GC()
+			start := time.Now()
+			s.fn()
+			if d := time.Since(start).Nanoseconds(); *s.best == 0 || d < *s.best {
+				*s.best = d
+				sinceImproved = 0
+			}
 		}
 	}
-	return best
+	return fullNs, deltaNs
 }
 
 // ReloadPerf measures full versus delta reload time at the given corpus
@@ -229,9 +237,7 @@ func (f *reloadFixture) point(source string) (bench.ReloadPerfPoint, error) {
 	}
 	p.ChangedShards = stats.Rebuilt
 
-	reps := 10
-	p.FullNs = timeItColdSetup(reps, reset, full)
-	p.DeltaNs = timeItColdSetup(reps, reset, delta)
+	p.FullNs, p.DeltaNs = timePairColdSetup(10, reset, full, delta)
 	if p.DeltaNs > 0 {
 		p.DeltaSpeedup = float64(p.FullNs) / float64(p.DeltaNs)
 	}

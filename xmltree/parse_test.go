@@ -46,19 +46,6 @@ func TestParseBasic(t *testing.T) {
 	}
 }
 
-func TestParseAttributesDisabled(t *testing.T) {
-	doc, err := ParseString(`<a x="1"><b/></a>`, WithAttributes(false))
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if doc.Root.ChildElement("x") != nil {
-		t.Error("attribute kept despite WithAttributes(false)")
-	}
-	if doc.Root.ChildElement("b") == nil {
-		t.Error("element child lost")
-	}
-}
-
 // Parse assigns preorder positions that follow the order of the Dewey labels
 // (child-index paths, derived by childPath) the paper identifies nodes by.
 func TestParseDeweyAssignment(t *testing.T) {
@@ -107,29 +94,15 @@ var strippedToNonNames = []string{
 	`<r xmlns:a="u"><a:1>x</a:1></r>`,
 }
 
-// TestParseRefusesNamesStrippingBreaks: with namespace stripping on (the
-// default) such a document is a clean parse error, not a tree the system can
-// serve but never re-read; with stripping off the names stay whole, and the
-// document parses and round-trips as before.
+// TestParseRefusesNamesStrippingBreaks: namespace stripping (always on)
+// makes such a document a clean parse error, not a tree the system can
+// serve but never re-read.
 func TestParseRefusesNamesStrippingBreaks(t *testing.T) {
 	for _, src := range strippedToNonNames {
 		if doc, err := ParseString(src); err == nil {
 			t.Errorf("Parse(%q) accepted a tree that serializes to %q", src, XMLString(doc.Root))
 		} else if !strings.Contains(err.Error(), "not a valid XML name") {
 			t.Errorf("Parse(%q): %v, want the invalid-name refusal", src, err)
-		}
-		doc, err := ParseString(src, WithNamespaceStripping(false))
-		if err != nil {
-			t.Errorf("Parse(%q) without stripping: %v", src, err)
-			continue
-		}
-		out := XMLString(doc.Root)
-		doc2, err := ParseString(out, WithNamespaceStripping(false))
-		if err != nil {
-			t.Errorf("reparse of %q (from %q) without stripping: %v", out, src, err)
-		} else if !structurallyEqual(doc.Root, doc2.Root) {
-			t.Errorf("round trip of %q without stripping changed the tree:\n%s\nvs\n%s",
-				src, RenderASCII(doc.Root), RenderASCII(doc2.Root))
 		}
 	}
 	// A prefix in front of an ordinary name still strips.

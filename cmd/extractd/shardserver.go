@@ -204,7 +204,7 @@ func swapSnapshot(srv *remote.Server, served *ingest.Generation, dir string, gro
 		return nil, err
 	}
 	old := srv.Fingerprint()
-	srv.Swap(next.Corpus, remote.WithOwnedShards(remote.OwnedShards(next.Source, group, groups)))
+	srv.Swap(next, remote.WithOwnedShards(remote.OwnedShards(next.Source, group, groups)))
 	n := next.Corpus.NumShards()
 	log.Printf("extractd: shard server swapped snapshot generation %016x -> %016x (%d/%d shards rebuilt, %d reused)",
 		old, srv.Fingerprint(), n-reused, n, reused)

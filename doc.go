@@ -82,8 +82,7 @@
 // engine's evaluation, inline. Load with WithShards(n) (or
 // FromDocumentSharded) to partition a corpus by its top-level entities into
 // contiguous, size-balanced shards, each owning its own packed inverted
-// index while classification, mined keys, summary and dataguide stay
-// global. There is no separate "unsharded" mode: the API, the serving
+// index while classification and mined keys stay global. There is no separate "unsharded" mode: the API, the serving
 // path, the persisted formats and the answers are the same whatever n is.
 // With several shards a query is answered by one protocol, shard.Merge
 // (internal/shard), whether the shards are in this process or behind a
@@ -236,12 +235,12 @@
 // # Persisted indexes
 //
 // Corpus.SaveIndex / LoadIndex persist an analyzed corpus in one versioned
-// binary format (internal/persist, XTIX version 4). An image is six
+// binary format (internal/persist, XTIX version 5). An image is six
 // sections behind a table of per-section lengths and CRC-32C checksums: a
 // string table, then little-endian int32 slabs for the preorder tree arrays
-// and the packed posting lists, with the DTD, DOCTYPE internal subset,
-// classification, keys, structural summary and dataguide all serialized —
-// round trips are lossless — and the shard's keyword-presence prefilter, so
+// and the packed posting lists, with the DOCTYPE internal subset,
+// classification and keys all serialized — round trips are lossless, a
+// DTD's decisions included — and the shard's keyword-presence prefilter, so
 // a loaded or delta-patched shard answers skip probes without touching its
 // postings. The reader memory-maps (or bulk-reads) the file, verifies every
 // checksum, and only then reconstructs nodes, intervals and postings

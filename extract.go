@@ -221,7 +221,7 @@ func reloadSourceFault() error {
 // the same partitioner a fresh load would use, and only shards whose
 // content hash moved are re-analyzed — unchanged shards are adopted from
 // the serving generation, document and packed index intact. The global
-// analysis (classification, keys, summary, dataguide) is always recomputed
+// analysis (classification and keys) is always recomputed
 // over the new document, and the generation is built by the very function a
 // fresh Load calls (ingest.Build, with the serving generation to adopt
 // from), so the resulting corpus is byte-identical to a fresh Load of the

@@ -14,13 +14,12 @@ import (
 	"extract/internal/core"
 	"extract/internal/index"
 	"extract/internal/keys"
-	"extract/internal/schema"
 	"extract/xmltree"
 )
 
 // The rebuild yardstick of the persist gate: the first index format this
 // repository wrote (XTIX version 1, varint-coded), whose loader re-tokenizes
-// the inverted index and re-infers the summary and dataguide on every load.
+// the inverted index on every load and builds only what a corpus carries.
 // internal/persist refuses these images; the writer and the loader live on
 // here only as the "before" side of load_rebuild_ns / load_speedup /
 // legacy_bytes, measured in the same run as the packed load so the gate is
@@ -42,8 +41,7 @@ var errLegacyFormat = errors.New("bench: bad legacy image")
 //	      label/value string ids, child count
 //	classification: per label (string id, category byte)
 //	keys: count, then (entity id, attr id)
-//	postings are NOT stored: the inverted index, structural summary and
-//	      dataguide are rebuilt on load
+//	postings are NOT stored: the inverted index is rebuilt on load
 //
 // The format drops the DTD and DOCTYPE internal subset.
 func saveLegacy(w io.Writer, c *core.Corpus) error {
@@ -178,10 +176,10 @@ func loadLegacyFile(path string) (*core.Corpus, error) {
 	return loadLegacy(bufio.NewReader(bytes.NewReader(data)))
 }
 
-// loadLegacy reads a version 1 corpus. The inverted index and structural
-// summary are rebuilt (linear passes); classification and keys are restored
-// exactly as saved, so DTD-derived decisions survive even though the DTD
-// itself is not stored in this format version.
+// loadLegacy reads a version 1 corpus. The inverted index is rebuilt (a
+// linear pass); classification and keys are restored exactly as saved, so
+// DTD-derived decisions survive even though the DTD itself is not stored in
+// this format version.
 func loadLegacy(br *bufio.Reader) (*core.Corpus, error) {
 	head := make([]byte, len(legacyMagic)+1)
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -295,7 +293,7 @@ func loadLegacy(br *bufio.Reader) (*core.Corpus, error) {
 		}
 		cats[l] = classify.Category(c)
 	}
-	cls := classify.FromCategories(cats, schema.Infer(doc))
+	cls := classify.FromCategories(cats)
 
 	// Keys.
 	nKeys, err := binary.ReadUvarint(br)
@@ -324,11 +322,9 @@ func loadLegacy(br *bufio.Reader) (*core.Corpus, error) {
 	}
 
 	return &core.Corpus{
-		Doc:     doc,
-		Index:   index.Build(doc),
-		Cls:     cls,
-		Keys:    keys.FromMap(km),
-		Summary: schema.Infer(doc),
-		Guide:   schema.BuildGuide(doc),
+		Doc:   doc,
+		Index: index.Build(doc),
+		Cls:   cls,
+		Keys:  keys.FromMap(km),
 	}, nil
 }

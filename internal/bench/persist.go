@@ -16,7 +16,7 @@ import (
 
 // PersistPerfPoint is one row of the persist-load trajectory: loading a
 // corpus from the frozen legacy yardstick format (which re-tokenizes the
-// inverted index and re-infers the summary and dataguide on every load)
+// inverted index on every load)
 // versus the packed format internal/persist writes (which restores the
 // posting arrays and interning tables from int32 slabs) at one corpus size.
 type PersistPerfPoint struct {

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"extract/internal/dtd"
-	"extract/internal/schema"
 	"extract/xmltree"
 )
 
@@ -73,7 +72,6 @@ func WithDTD(d *dtd.DTD) Option {
 // construction and safe for concurrent readers.
 type Classification struct {
 	byLabel map[string]Category
-	summary *schema.Summary
 }
 
 // Classify computes the classification of a document.
@@ -83,9 +81,9 @@ func Classify(doc *xmltree.Document, opts ...Option) *Classification {
 		o(&cfg)
 	}
 
-	sum := schema.Infer(doc)
-	stars := sum.StarNodes()
-	attrLike := sum.AttributeLike()
+	sum := infer(doc)
+	stars := sum.starNodes()
+	attrLike := sum.attributeLike()
 
 	declared := map[string]bool{}
 	if cfg.dtd != nil {
@@ -97,7 +95,7 @@ func Classify(doc *xmltree.Document, opts ...Option) *Classification {
 		for label := range declared {
 			if dtdStars[label] {
 				stars[label] = true
-			} else if _, inferredOnly := sum.Elements[label]; !inferredOnly || cfg.dtd.Elements[label].Content != dtd.ContentAny {
+			} else if _, inferredOnly := sum[label]; !inferredOnly || cfg.dtd.Elements[label].Content != dtd.ContentAny {
 				// Declared non-star with a definite content model:
 				// trust the DTD over instance repetition.
 				delete(stars, label)
@@ -108,8 +106,8 @@ func Classify(doc *xmltree.Document, opts ...Option) *Classification {
 		}
 	}
 
-	c := &Classification{byLabel: make(map[string]Category, len(sum.Elements)), summary: sum}
-	for label := range sum.Elements {
+	c := &Classification{byLabel: make(map[string]Category, len(sum))}
+	for label := range sum {
 		c.byLabel[label] = categorize(label, stars, attrLike)
 	}
 	if cfg.dtd != nil {
@@ -133,10 +131,9 @@ func categorize(label string, stars, attrLike map[string]bool) Category {
 
 // FromCategories reconstructs a Classification from explicit per-label
 // categories (used when loading a persisted corpus, where the original
-// decisions — possibly DTD-derived — must be restored verbatim). The
-// summary provides the structural statistics accessor.
-func FromCategories(cats map[string]Category, sum *schema.Summary) *Classification {
-	return &Classification{byLabel: maps.Clone(cats), summary: sum}
+// decisions — possibly DTD-derived — must be restored verbatim).
+func FromCategories(cats map[string]Category) *Classification {
+	return &Classification{byLabel: maps.Clone(cats)}
 }
 
 // Categories returns the label-to-category map (a copy), the inverse of
@@ -189,9 +186,6 @@ func (c *Classification) withCategory(want Category) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Summary exposes the inferred schema the classification was computed from.
-func (c *Classification) Summary() *schema.Summary { return c.summary }
 
 // EntityOwner returns the nearest ancestor-or-self of n that is an entity
 // instance, or nil. Attributes and values belong to the entity returned

@@ -18,23 +18,18 @@ import (
 	"extract/internal/ilist"
 	"extract/internal/index"
 	"extract/internal/keys"
-	"extract/internal/schema"
 	"extract/internal/search"
 	"extract/internal/selector"
 	"extract/xmltree"
 )
 
 // Corpus bundles the analysis artifacts of one XML database: the parsed
-// document, node classification, mined entity keys, inverted index and
-// structural summary.
+// document, node classification, mined entity keys and inverted index.
 type Corpus struct {
-	Doc     *xmltree.Document
-	Index   *index.Index
-	Cls     *classify.Classification
-	Keys    *keys.Keys
-	Summary *schema.Summary
-	Guide   *schema.Guide
-	DTD     *dtd.DTD // nil when classification was inferred from data
+	Doc   *xmltree.Document
+	Index *index.Index
+	Cls   *classify.Classification
+	Keys  *keys.Keys
 
 	// BuildTime records how long corpus analysis took (index, classify,
 	// key mining); reported by the E8 experiment.
@@ -56,15 +51,12 @@ func WithDTD(d *dtd.DTD) Option {
 }
 
 // Analysis bundles the corpus-level artifacts that are independent of how
-// the document is physically partitioned: classification, mined keys,
-// structural summary and dataguide. A sharded corpus computes one Analysis
-// globally and builds every shard against it.
+// the document is physically partitioned — classification and mined keys,
+// all any later stage reads. A sharded corpus computes one Analysis globally
+// and builds every shard against it.
 type Analysis struct {
-	Cls     *classify.Classification
-	Keys    *keys.Keys
-	Summary *schema.Summary
-	Guide   *schema.Guide
-	DTD     *dtd.DTD // nil when classification was inferred from data
+	Cls  *classify.Classification
+	Keys *keys.Keys
 }
 
 // WithSharedAnalysis builds the corpus against analysis computed elsewhere
@@ -75,7 +67,8 @@ func WithSharedAnalysis(a *Analysis) Option {
 }
 
 // Analyze runs the corpus-level analysis of a document: the Data Analyzer
-// stage without the index build. d may be nil.
+// stage without the index build — classification (one inference walk, with
+// d's declarations taking precedence when d is non-nil), then key mining.
 func Analyze(doc *xmltree.Document, d *dtd.DTD) *Analysis {
 	var cls *classify.Classification
 	if d != nil {
@@ -83,13 +76,7 @@ func Analyze(doc *xmltree.Document, d *dtd.DTD) *Analysis {
 	} else {
 		cls = classify.Classify(doc)
 	}
-	return &Analysis{
-		Cls:     cls,
-		Keys:    keys.Mine(doc, cls),
-		Summary: schema.Infer(doc),
-		Guide:   schema.BuildGuide(doc),
-		DTD:     d,
-	}
+	return &Analysis{Cls: cls, Keys: keys.Mine(doc, cls)}
 }
 
 // BuildCorpus analyzes a parsed document: the Data Analyzer and Index
@@ -105,13 +92,10 @@ func BuildCorpus(doc *xmltree.Document, opts ...Option) *Corpus {
 		a = Analyze(doc, cfg.dtd)
 	}
 	c := &Corpus{
-		Doc:     doc,
-		Index:   index.Build(doc),
-		Cls:     a.Cls,
-		Keys:    a.Keys,
-		Summary: a.Summary,
-		Guide:   a.Guide,
-		DTD:     a.DTD,
+		Doc:   doc,
+		Index: index.Build(doc),
+		Cls:   a.Cls,
+		Keys:  a.Keys,
 	}
 	c.BuildTime = time.Since(start)
 	return c

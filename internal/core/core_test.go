@@ -12,7 +12,7 @@ import (
 
 func TestBuildCorpus(t *testing.T) {
 	c := BuildCorpus(gen.Figure1Corpus())
-	if c.Index == nil || c.Cls == nil || c.Keys == nil || c.Summary == nil || c.Guide == nil {
+	if c.Index == nil || c.Cls == nil || c.Keys == nil {
 		t.Fatal("corpus artifacts missing")
 	}
 	if got := c.Cls.Entities(); len(got) != 3 {
@@ -32,8 +32,12 @@ func TestBuildCorpusWithDTD(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := BuildCorpus(gen.Figure1Corpus(), WithDTD(d))
-	if c.DTD != d {
-		t.Error("DTD not retained")
+	// The DTD governs classification: every label it declares is classified.
+	cats := c.Cls.Categories()
+	for _, name := range d.ElementNames() {
+		if _, ok := cats[name]; !ok {
+			t.Errorf("declared label %q not classified", name)
+		}
 	}
 	if got := c.Cls.Entities(); len(got) != 3 {
 		t.Errorf("entities with DTD = %v", got)

@@ -10,10 +10,7 @@
 // tolerated and skipped.
 package dtd
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Quantifier is a content-particle occurrence indicator.
 type Quantifier uint8
@@ -217,15 +214,4 @@ func (d *DTD) StarNodes() map[string]bool {
 func (d *DTD) PCDATAOnly(element string) bool {
 	decl, ok := d.Elements[element]
 	return ok && decl.Content == ContentPCDATA
-}
-
-// SortedStarNodes returns StarNodes as a sorted slice, for stable output.
-func (d *DTD) SortedStarNodes() []string {
-	stars := d.StarNodes()
-	out := make([]string, 0, len(stars))
-	for s := range stars {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -166,17 +166,3 @@ func TestParseReader(t *testing.T) {
 		t.Error("b should be a star node (+ counts)")
 	}
 }
-
-func TestSortedStarNodes(t *testing.T) {
-	d, _ := ParseString(`<!ELEMENT a (z*, b*, m*)>`)
-	got := d.SortedStarNodes()
-	want := []string{"b", "m", "z"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}

@@ -87,7 +87,7 @@ func randomClassification(rng *rand.Rand) *classify.Classification {
 	for _, l := range []string{"a", "b", "c", "d", "e", "f"} {
 		cats[l] = []classify.Category{classify.Entity, classify.Attribute, classify.Connection}[rng.Intn(3)]
 	}
-	return classify.FromCategories(cats, nil)
+	return classify.FromCategories(cats)
 }
 
 func TestFoldsAgreeOnRandomDocuments(t *testing.T) {
@@ -151,7 +151,7 @@ func TestFoldShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		foldsAgree(t, tc.name, doc, classify.FromCategories(tc.cats, nil))
+		foldsAgree(t, tc.name, doc, classify.FromCategories(tc.cats))
 	}
 }
 
@@ -192,7 +192,7 @@ func TestRootStatsFollowTheClassification(t *testing.T) {
 	inferred := classify.Classify(doc)
 	cats := inferred.Categories()
 	cats["store"], cats["city"] = classify.Connection, classify.Entity // what a changed sibling shard could do
-	changed := classify.FromCategories(cats, nil)
+	changed := classify.FromCategories(cats)
 
 	whole, store := doc.Subtree(doc.Root), doc.Subtree(doc.Root.Descendant("retailer", "store"))
 	var last *Stats

@@ -120,7 +120,7 @@ func RootHash(label string, fromAttr bool, subset string) uint64 {
 
 // hashBytes fingerprints a serialized image: what a manifest records as
 // ImageHash, the reader verifies every image it opens against, and an
-// incremental Snapshot compares to skip rewriting the analysis image.
+// incremental Snapshot checks before it keeps an image already on disk.
 func hashBytes(data []byte) uint64 {
 	h := newHasher()
 	fold(&h, data)

@@ -24,7 +24,8 @@
 // any XML — refresh from disk costs a map plus a decode, not an analysis —
 // and nothing outside this package reads a manifest. Snapshot writes are
 // themselves incremental: a shard whose content hash matches the previous
-// manifest keeps its on-disk image without being re-encoded.
+// manifest, and whose image on disk still hashes to that manifest's record,
+// keeps the image without being re-encoded.
 //
 // Content hashes (see HashEntities) fingerprint source content only, so a
 // hash computed from a parsed partition block, from a built shard's
@@ -56,16 +57,18 @@ func shardFile(i int) string { return fmt.Sprintf("shard-%04d.xtix", i) }
 
 // Snapshot writes a corpus into dir as a snapshot, creating the
 // directory if needed. The write is incremental against any manifest
-// already in dir: shard images whose content hash is unchanged are left
-// untouched on disk, so refreshing a snapshot after a small edit rewrites
-// one shard image, the (small) analysis image and the manifest. Every file
-// is renamed into place whole and the manifest last, so a reader never sees
-// torn bytes or a manifest naming a missing file — but between the first
-// image rename and the manifest rename, and for good if the writer dies
-// there, the old manifest sits over some new images. That state does not
-// load as the previous generation: the reader verifies every image it opens
-// against the manifest's record and refuses it (ErrImageMismatch); running
-// the interrupted Snapshot again completes the write.
+// already in dir: a shard image whose content hash is unchanged and whose
+// bytes still hash to what that manifest records is left untouched on disk,
+// so refreshing a snapshot after a small edit rewrites one shard image, the
+// (small) analysis image and the manifest. Every file is renamed into place
+// whole and the manifest last, so a reader never sees torn bytes or a
+// manifest naming a missing file — but between the first image rename and
+// the manifest rename, and for good if the writer dies there, the old
+// manifest sits over some new images. That state does not load as the
+// previous generation: the reader verifies every image it opens against the
+// manifest's record and refuses it (ErrImageMismatch). Saving either
+// generation into the directory again repairs it, since no image is kept
+// whose bytes are not the ones the new manifest records.
 func Snapshot(dir string, sc *shard.Corpus) error {
 	label, fromAttr := sc.Root()
 	subset := sc.InternalSubset()
@@ -85,7 +88,7 @@ func Snapshot(dir string, sc *shard.Corpus) error {
 		return err
 	}
 	m.Analysis.ImageHash = hashBytes(ablob)
-	if prev == nil || prev.Analysis != m.Analysis || !imageCurrent(dir, analysisFile) {
+	if !imageCurrent(dir, analysisFile, m.Analysis.ImageHash) {
 		if err := writeFile(dir, analysisFile, ablob); err != nil {
 			return err
 		}
@@ -95,7 +98,7 @@ func Snapshot(dir string, sc *shard.Corpus) error {
 	m.Shards = make([]ShardEntry, len(shards))
 	for i, s := range shards {
 		e := ShardEntry{File: shardFile(i), ContentHash: ShardHash(s.Doc)}
-		if pe, ok := matchingEntry(prev, e.File, e.ContentHash); ok && imageCurrent(dir, e.File) {
+		if pe, ok := matchingEntry(prev, e.File, e.ContentHash); ok && imageCurrent(dir, e.File, pe.ImageHash) {
 			// The on-disk image already encodes this content; adopt it
 			// without re-encoding the shard.
 			e.ImageHash = pe.ImageHash
@@ -160,7 +163,7 @@ func LoadDelta(dir string, prev *Generation) (g *Generation, reused int, err err
 	if root := h.Doc.Root; root != nil {
 		label, fromAttr = root.Label, root.FromAttr
 	}
-	a := &core.Analysis{Cls: h.Cls, Keys: h.Keys, Summary: h.Summary, Guide: h.Guide, DTD: h.DTD}
+	a := &core.Analysis{Cls: h.Cls, Keys: h.Keys}
 	return &Generation{
 		Corpus: shard.Assemble(o.shards, a, label, fromAttr, h.Doc.InternalSubset),
 		Source: o.source,
@@ -280,13 +283,10 @@ func analysisImage(a *core.Corpus, label string, fromAttr bool, subset string) *
 	doc := xmltree.NewDocument(root)
 	doc.InternalSubset = subset
 	return &core.Corpus{
-		Doc:     doc,
-		Index:   index.Build(doc),
-		Cls:     a.Cls,
-		Keys:    a.Keys,
-		Summary: a.Summary,
-		Guide:   a.Guide,
-		DTD:     a.DTD,
+		Doc:   doc,
+		Index: index.Build(doc),
+		Cls:   a.Cls,
+		Keys:  a.Keys,
 	}
 }
 
@@ -323,12 +323,13 @@ func matchingEntry(prev *Manifest, file string, contentHash uint64) (ShardEntry,
 	return ShardEntry{}, false
 }
 
-// imageCurrent reports whether an image file referenced by the previous
-// manifest is still present (a vanished file forces a rewrite even when
-// hashes match).
-func imageCurrent(dir, file string) bool {
-	fi, err := os.Stat(filepath.Join(dir, file))
-	return err == nil && fi.Mode().IsRegular()
+// imageCurrent reports whether the image file on disk holds exactly the bytes
+// a manifest entry is about to record for it — the reader's own check. A
+// previous manifest's say-so is not enough: after an interrupted write it sits
+// over images of a generation it does not describe.
+func imageCurrent(dir, file string, want uint64) bool {
+	data, err := os.ReadFile(filepath.Join(dir, file))
+	return err == nil && hashBytes(data) == want
 }
 
 // writeFile writes one file of a snapshot — an image, or last of all the

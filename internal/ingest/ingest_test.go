@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -172,25 +173,25 @@ func TestSnapshotRoundTripSingle(t *testing.T) {
 }
 
 // TestSnapshotIncrementalWrite proves unchanged shard images are not
-// re-encoded: their on-disk bytes (replaced with a sentinel between
-// snapshots) survive a re-snapshot whose content hash still matches, while
-// a genuinely changed shard's image is rewritten.
+// rewritten: the file of a shard whose content hash still matches is the
+// same file, unmodified, after a re-snapshot, while a genuinely changed
+// shard's image is replaced.
 func TestSnapshotIncrementalWrite(t *testing.T) {
 	dir := t.TempDir()
 	if err := Snapshot(dir, shard.Build(storesDoc(), 4)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Plant sentinels in two shard files: one whose content will not
-	// change (must be left alone) and one whose content will (must be
-	// rewritten).
-	sentinel := []byte("sentinel: this image must not be rewritten")
+	// One shard file whose content will not change (must be left alone)
+	// and one whose content will (must be rewritten).
 	keepFile := filepath.Join(dir, shardFile(0))
 	changeFile := filepath.Join(dir, shardFile(2))
-	if err := os.WriteFile(keepFile, sentinel, 0o644); err != nil {
+	keepBefore, err := os.Stat(keepFile)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(changeFile, sentinel, 0o644); err != nil {
+	changeBefore, err := os.Stat(changeFile)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -200,19 +201,66 @@ func TestSnapshotIncrementalWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kept, err := os.ReadFile(keepFile)
+	keepAfter, err := os.Stat(keepFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(kept, sentinel) {
-		t.Error("unchanged shard image was re-encoded")
+	if !os.SameFile(keepBefore, keepAfter) || !keepAfter.ModTime().Equal(keepBefore.ModTime()) {
+		t.Error("unchanged shard image was rewritten")
 	}
-	changed, err := os.ReadFile(changeFile)
+	changeAfter, err := os.Stat(changeFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(changed, sentinel) {
+	if os.SameFile(changeBefore, changeAfter) {
 		t.Error("changed shard image was not rewritten")
+	}
+}
+
+// TestResnapshotRepairsInterruptedWrite: a writer that died between its image
+// renames and its manifest rename leaves the previous generation's manifest
+// over the new generation's images, a directory that refuses to load. Saving
+// the previous generation into it again must repair it: an image on disk is
+// kept only when its bytes are the ones the new manifest records, for the
+// analysis image as for a shard's.
+func TestResnapshotRepairsInterruptedWrite(t *testing.T) {
+	dir := t.TempDir()
+	if err := Snapshot(dir, shard.Build(storesDoc(), 4)); err != nil {
+		t.Fatal(err)
+	}
+	manifestA, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Generation B edits one entity, with a label that is new to the corpus,
+	// so its analysis image differs from A's as well as one shard image.
+	mut := storesDoc()
+	mutateOneEntity(mut, 2)
+	xmltree.Append(mut.Root.Children[2], xmltree.Attr("zzzlabel", "zzzvalue"))
+	mut = xmltree.NewDocument(mut.Root)
+	if err := Snapshot(dir, shard.Build(mut, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), manifestA, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir); !errors.Is(err, ErrImageMismatch) {
+		t.Fatalf("premise: A's manifest over B's images loads with %v, want ErrImageMismatch", err)
+	}
+
+	sc := shard.Build(storesDoc(), 4)
+	if err := Snapshot(dir, sc); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatalf("re-saving the previous generation did not repair the directory: %v", err)
+	}
+	for _, q := range testQueries {
+		if got, want := render(loaded.Corpus, q), render(sc, q); got != want {
+			t.Fatalf("q=%q: repaired snapshot answers differ\nwant %s\ngot  %s", q, want, got)
+		}
 	}
 }
 

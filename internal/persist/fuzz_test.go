@@ -32,7 +32,7 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(mut)
 
-	for _, name := range []string{"legacy", "packed", "checked"} {
+	for _, name := range []string{"legacy", "packed", "checked", "prefilter"} {
 		retired, err := os.ReadFile(filepath.Join("testdata", "figure1."+name+".golden"))
 		if err != nil {
 			f.Fatal(err)
@@ -77,7 +77,8 @@ func FuzzCorruptImage(f *testing.F) {
 	bodyStart := len(magic) + 2 + 8*numSections
 
 	f.Add(0, byte(0x01))            // magic
-	f.Add(len(magic), byte(0x07))   // version byte: 4 -> 3
+	f.Add(len(magic), byte(0x07))   // version byte: 5 -> 2
+	f.Add(len(magic), byte(0x01))   // version byte: 5 -> 4, the retired v4
 	f.Add(len(magic)+1, byte(0xFF)) // section count
 	f.Add(len(magic)+2, byte(0x80)) // first section length
 	f.Add(len(magic)+6, byte(0x01)) // first section checksum
@@ -92,6 +93,9 @@ func FuzzCorruptImage(f *testing.F) {
 		mut := append([]byte(nil), good...)
 		mut[off] ^= x
 		loaded, err := Load(bytes.NewReader(mut))
+		if off == len(magic) && err == nil {
+			t.Fatalf("image of version %d accepted", mut[off])
+		}
 		if off >= bodyStart {
 			if err == nil {
 				t.Fatalf("flip of body byte %d accepted", off)

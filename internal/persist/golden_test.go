@@ -24,11 +24,12 @@ func goldenCorpus() *core.Corpus {
 // TestGoldenFiles pins the on-disk format: Save must keep producing exactly
 // the committed bytes, and the committed file must keep loading into a
 // corpus that answers the paper's Figure 1 query. The format is versioned —
-// an intentional change bumps the version byte, replaces the reader and
-// regenerates figure1.prefilter.golden with -update.
+// an intentional change bumps the version byte, replaces the reader, freezes
+// the previous golden as a retired version and writes the new one under a
+// new name with -update.
 func TestGoldenFiles(t *testing.T) {
 	c := goldenCorpus()
-	path := filepath.Join("testdata", "figure1.prefilter.golden")
+	path := filepath.Join("testdata", "figure1.v5.golden")
 
 	var saved bytes.Buffer
 	if err := Save(&saved, c); err != nil {
@@ -77,14 +78,15 @@ func TestGoldenFiles(t *testing.T) {
 	}
 }
 
-// TestRetiredVersionsRefused: the frozen images of the three versions this
+// TestRetiredVersionsRefused: the frozen images of the four versions this
 // package used to read — figure1.legacy.golden (v1, varint), .packed (v2,
-// no checksums), .checked (v3, no prefilter section) — never regenerated,
-// now pin the refusal. Each fails as ErrBadFormat naming the version it
+// no checksums), .checked (v3, no prefilter section), .prefilter (v4, with
+// the DTD, dataguide and structural summary) — never regenerated, now pin
+// the refusal. Each fails as ErrBadFormat naming the version it
 // carries and the one this build reads, from bytes and from a file, and a
 // refused file leaves no descriptor or mapping behind.
 func TestRetiredVersionsRefused(t *testing.T) {
-	for v, name := range map[int]string{1: "legacy", 2: "packed", 3: "checked"} {
+	for v, name := range map[int]string{1: "legacy", 2: "packed", 3: "checked", 4: "prefilter"} {
 		t.Run(name, func(t *testing.T) {
 			path, err := filepath.Abs(filepath.Join("testdata", "figure1."+name+".golden"))
 			if err != nil {

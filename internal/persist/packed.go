@@ -11,24 +11,20 @@ import (
 
 	"extract/internal/classify"
 	"extract/internal/core"
-	"extract/internal/dtd"
 	"extract/internal/index"
 	"extract/internal/keys"
-	"extract/internal/schema"
 	"extract/xmltree"
 )
 
 // Byte layout. All integers are little-endian; "slab" means a length-known
-// contiguous array decoded in one pass. Every part of the body except the
-// summary has a size computable from its leading counts, so the reader
-// slices all slabs up front and decodes the two big ones — tree and
-// postings — concurrently.
+// contiguous array decoded in one pass. Every part of the body has a size
+// computable from its leading counts, so the reader slices all slabs up
+// front and decodes the two big ones — tree and postings — concurrently.
 //
-//	magic "XTIX" | version u8 = 4 | u8 sectionCount = 6
+//	magic "XTIX" | version u8 = 5 | u8 sectionCount = 6
 //	| (u32 length, u32 CRC-32C) x 6 | the six sections, back to back
 //
 //	meta:      u32 subsetLen, bytes  (DOCTYPE internal subset)
-//	           u32 dtdLen, bytes     (DTD rendered to declaration syntax)
 //	           u32 n                 (node count, early so the reader can
 //	                                  allocate the node slab while the
 //	                                  string table decodes)
@@ -39,20 +35,11 @@ import (
 //	           | u32 P | i32[P] ords | u8[P] fields
 //	aux:       class:   u32 C | i32[C] labelIDs | u8[C] categories
 //	           keys:    u32 KC | i32[KC] entityIDs | i32[KC] attrIDs
-//	           guide:   u32 G | i32[G] labelIDs | i32[G] counts
-//	                    | i32[G] childCounts | u8[G] hasText   (preorder)
-//	           summary: i32 rootID | u32 EC | per element (label-sorted):
-//	                    i32 labelID, i32 count, i32 maxSiblings, u8 flags,
-//	                    u32 parents, (i32 parentID, i32 count)*
 //	prefilter: u32 H | u64[H] hashes   (sorted 64-bit FNV-1a hashes of every
 //	           indexed keyword, strictly increasing; see index.Prefilter)
 const (
 	tagText     = 1
 	tagFromAttr = 2
-
-	sumRepeats    = 1
-	sumSingleText = 2
-	sumLeafOnly   = 4
 
 	maxCount = 1 << 28 // sanity bound on any persisted count
 )
@@ -138,27 +125,6 @@ func Save(w io.Writer, c *core.Corpus) error {
 			in.id(a)
 		}
 	}
-	flatGuide := c.Guide.Flatten()
-	for _, l := range flatGuide.Labels {
-		in.id(l)
-	}
-	var sumLabels []string
-	if c.Summary != nil {
-		in.id(c.Summary.Root)
-		sumLabels = c.Summary.Labels()
-		for _, l := range sumLabels {
-			in.id(l)
-			e := c.Summary.Elements[l]
-			parents := make([]string, 0, len(e.Parents))
-			for p := range e.Parents {
-				parents = append(parents, p)
-			}
-			sort.Strings(parents)
-			for _, p := range parents {
-				in.id(p)
-			}
-		}
-	}
 
 	var secs [numSections][]byte
 
@@ -167,12 +133,6 @@ func Save(w io.Writer, c *core.Corpus) error {
 	subset := c.Doc.InternalSubset
 	buf = appendU32(buf, uint32(len(subset)))
 	buf = append(buf, subset...)
-	dtdText := ""
-	if c.DTD != nil {
-		dtdText = c.DTD.String()
-	}
-	buf = appendU32(buf, uint32(len(dtdText)))
-	buf = append(buf, dtdText...)
 	buf = appendU32(buf, uint32(n))
 	secs[secMeta] = buf
 
@@ -241,7 +201,7 @@ func Save(w io.Writer, c *core.Corpus) error {
 	}
 	secs[secPostings] = buf
 
-	// Aux: classification + keys + guide + summary.
+	// Aux: classification + keys.
 	buf = make([]byte, 0, 1<<12)
 	buf = appendU32(buf, uint32(len(catLabels)))
 	for _, l := range catLabels {
@@ -261,60 +221,6 @@ func Save(w io.Writer, c *core.Corpus) error {
 		buf = appendI32(buf, in.ids[a])
 	}
 
-	// Guide.
-	buf = appendU32(buf, uint32(len(flatGuide.Labels)))
-	for _, l := range flatGuide.Labels {
-		buf = appendI32(buf, in.ids[l])
-	}
-	for _, v := range flatGuide.Counts {
-		buf = appendI32(buf, v)
-	}
-	for _, v := range flatGuide.ChildCounts {
-		buf = appendI32(buf, v)
-	}
-	for _, h := range flatGuide.HasText {
-		if h {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-
-	// Summary (last in aux: the only part without a slab-computable size).
-	if c.Summary != nil {
-		buf = appendI32(buf, in.ids[c.Summary.Root])
-		buf = appendU32(buf, uint32(len(sumLabels)))
-		for _, l := range sumLabels {
-			e := c.Summary.Elements[l]
-			buf = appendI32(buf, in.ids[l])
-			buf = appendI32(buf, int32(e.Count))
-			buf = appendI32(buf, int32(e.MaxSiblings))
-			var flags byte
-			if e.Repeats {
-				flags |= sumRepeats
-			}
-			if e.SingleTextOnly {
-				flags |= sumSingleText
-			}
-			if e.LeafOnly {
-				flags |= sumLeafOnly
-			}
-			buf = append(buf, flags)
-			parents := make([]string, 0, len(e.Parents))
-			for p := range e.Parents {
-				parents = append(parents, p)
-			}
-			sort.Strings(parents)
-			buf = appendU32(buf, uint32(len(parents)))
-			for _, p := range parents {
-				buf = appendI32(buf, in.ids[p])
-				buf = appendI32(buf, int32(e.Parents[p]))
-			}
-		}
-	} else {
-		buf = appendI32(buf, 0)
-		buf = appendU32(buf, 0)
-	}
 	secs[secAux] = buf
 
 	// Prefilter: the sorted keyword-hash slab. Written from the index's
@@ -466,7 +372,6 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 
 	// Meta.
 	subset := string(c.bytes(c.count("subset")))
-	dtdText := string(c.bytes(c.count("dtd")))
 	n := c.count("node")
 	if c.err != nil {
 		return nil, c.err
@@ -525,21 +430,6 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 	entIDs := c.i32slab(nKeys)
 	attrIDs := c.i32slab(nKeys)
 
-	g := c.count("guide node")
-	guideLabelIDs := c.i32slab(g)
-	guideCounts := c.i32slab(g)
-	guideChildCounts := c.i32slab(g)
-	guideHasText := c.bytes(g)
-	if c.err != nil {
-		return nil, c.err
-	}
-
-	// Summary (variable-length, small): decode sequentially now.
-	sum, err := decodeSummary(c, table)
-	if err != nil {
-		return nil, err
-	}
-
 	// Prefilter: the sorted keyword-hash slab. Strictly increasing order is
 	// enforced — it is what Prefilter's binary search relies on, and a
 	// violation means the image is malformed. Hash completeness (every
@@ -581,35 +471,6 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 			break
 		}
 		km[e] = a
-	}
-	flat := &schema.FlatGuide{
-		Labels:      make([]string, g),
-		Counts:      guideCounts,
-		ChildCounts: guideChildCounts,
-		HasText:     make([]bool, g),
-	}
-	for i := 0; i < g && auxErr == nil; i++ {
-		l, ok := table.str(guideLabelIDs[i])
-		if !ok {
-			auxErr = fmt.Errorf("%w: guide label %d", ErrBadFormat, i)
-			break
-		}
-		flat.Labels[i] = l
-		flat.HasText[i] = guideHasText[i] != 0
-	}
-	var guide *schema.Guide
-	if auxErr == nil {
-		guide, err = schema.GuideFromFlat(flat)
-		if err != nil {
-			auxErr = fmt.Errorf("%w: %v", ErrBadFormat, err)
-		}
-	}
-	var d *dtd.DTD
-	if auxErr == nil && dtdText != "" {
-		d, err = dtd.ParseString(dtdText)
-		if err != nil {
-			auxErr = fmt.Errorf("%w: embedded dtd: %v", ErrBadFormat, err)
-		}
 	}
 
 	syms := denseSyms(tags, labelSlab, valueSlab, strCount)
@@ -675,13 +536,10 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 	ix := index.FromPartsSized(doc, postings, total, maxList)
 	ix.AdoptPrefilter(index.PrefilterFromHashes(hashes))
 	return &core.Corpus{
-		Doc:     doc,
-		Index:   ix,
-		Cls:     classify.FromCategories(cats, sum),
-		Keys:    keys.FromMap(km),
-		Summary: sum,
-		Guide:   guide,
-		DTD:     d,
+		Doc:   doc,
+		Index: ix,
+		Cls:   classify.FromCategories(cats),
+		Keys:  keys.FromMap(km),
 	}, nil
 }
 
@@ -864,54 +722,4 @@ func decodePostings(nodeSlab []xmltree.Node, tags []byte, kwIDs, listLens []int3
 		return nil, 0, fmt.Errorf("%w: posting slab not fully consumed", ErrBadFormat)
 	}
 	return postings, maxList, nil
-}
-
-// decodeSummary reads the summary, the variable-length tail of aux.
-func decodeSummary(c *cursor, table *stringTable) (*schema.Summary, error) {
-	rootID := int32(c.u32())
-	nSum := c.count("summary element")
-	sum := &schema.Summary{Elements: make(map[string]*schema.ElementInfo, nSum)}
-	if c.err == nil {
-		root, ok := table.str(rootID)
-		if !ok {
-			return nil, fmt.Errorf("%w: summary root id", ErrBadFormat)
-		}
-		sum.Root = root
-	}
-	for i := 0; i < nSum && c.err == nil; i++ {
-		labelID := int32(c.u32())
-		count := int32(c.u32())
-		maxSib := int32(c.u32())
-		flagsB := c.bytes(1)
-		nPar := c.count("summary parent")
-		label, ok := table.str(labelID)
-		if !ok {
-			return nil, fmt.Errorf("%w: summary label id", ErrBadFormat)
-		}
-		e := &schema.ElementInfo{
-			Label:       label,
-			Count:       int(count),
-			MaxSiblings: int(maxSib),
-			Parents:     make(map[string]int, nPar),
-		}
-		if len(flagsB) == 1 {
-			e.Repeats = flagsB[0]&sumRepeats != 0
-			e.SingleTextOnly = flagsB[0]&sumSingleText != 0
-			e.LeafOnly = flagsB[0]&sumLeafOnly != 0
-		}
-		for j := 0; j < nPar && c.err == nil; j++ {
-			p, ok := table.str(int32(c.u32()))
-			if !ok {
-				return nil, fmt.Errorf("%w: summary parent id", ErrBadFormat)
-			}
-			e.Parents[p] = int(int32(c.u32()))
-		}
-		if c.err == nil {
-			sum.Elements[e.Label] = e
-		}
-	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	return sum, nil
 }

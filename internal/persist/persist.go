@@ -3,29 +3,29 @@
 // Builder stage) can be reopened without re-parsing XML or re-running
 // classification and key mining — the role the demo's on-disk indexes play.
 //
-// One format exists, XTIX version 4. After the magic and the version byte
+// One format exists, XTIX version 5. After the magic and the version byte
 // comes a section table — a section count (always 6), then a u32 length and
 // a u32 CRC-32C per section — and then the six sections back to back:
 //
-//	meta       DOCTYPE internal subset, the DTD rendered to declaration
-//	           syntax, the node count
+//	meta       DOCTYPE internal subset, the node count
 //	strings    every label, value and keyword once: lengths, then one blob
 //	tree       preorder node columns: tag bits, label ids, value ids,
 //	           child counts
 //	postings   the packed posting arrays of index.PostingList: per-keyword
 //	           node ordinals and match fields
-//	aux        classification, mined keys, the flattened dataguide, the
-//	           structural summary
+//	aux        classification and mined keys — the analysis every later
+//	           stage reads
 //	prefilter  index.Prefilter as a sorted u64 keyword-hash slab, so a
 //	           loaded shard answers "can this image contain keyword t?"
 //	           without its postings map
 //
-// Every large structure is a fixed-width little-endian slab at an offset
+// Every structure is a fixed-width little-endian slab at an offset
 // computable from the leading counts (packed.go has the byte layout), so
 // the reader maps the file once and rebuilds every artifact without
-// re-tokenizing a value. Round trips are lossless: the DTD, the internal
-// subset, every classified label (DTD-declared labels absent from the
-// instance included) and the mined keys are restored exactly.
+// re-tokenizing a value. Round trips are lossless: the internal subset,
+// every classified label (DTD-declared labels absent from the instance
+// included, so a DTD's decisions survive without the DTD) and the mined
+// keys are restored exactly.
 //
 // Loading verifies before it decodes: magic and version, then the section
 // table (count, lengths summing exactly to the body, each section's
@@ -51,7 +51,7 @@ import (
 const (
 	magic = "XTIX"
 	// version is the one format revision this build writes and reads.
-	version = 4
+	version = 5
 )
 
 // ErrBadFormat reports a corrupted or foreign file.

@@ -30,6 +30,8 @@ func TestRouterReplacementRace(t *testing.T) {
 	mkB := func() *xmltree.Document { return gen.Movies(gen.MoviesConfig{Movies: 12, Seed: 9}) }
 	scA, scB := shard.Build(mkA(), 3), shard.Build(mkB(), 3)
 	srcA, srcB := ingest.SourceOf(scA), ingest.SourceOf(scB)
+	genA := &ingest.Generation{Corpus: scA, Source: srcA}
+	genB := &ingest.Generation{Corpus: scB, Source: srcB}
 	if Fingerprint(srcA) == Fingerprint(srcB) {
 		t.Fatal("generations must differ for the race to mean anything")
 	}
@@ -85,11 +87,11 @@ func TestRouterReplacementRace(t *testing.T) {
 		wantA[q], wantB[q] = render(ra), render(rb)
 	}
 
-	swapTo := func(sc *shard.Corpus, src ingest.Source) {
+	swapTo := func(next *ingest.Generation) {
 		for g, srv := range servers {
-			srv.Swap(sc, WithOwnedShards(OwnedShards(src, g, groups)))
+			srv.Swap(next, WithOwnedShards(OwnedShards(next.Source, g, groups)))
 		}
-		rt.Reload(src)
+		rt.Reload(next.Source)
 	}
 
 	ctx := context.Background()
@@ -123,9 +125,9 @@ func TestRouterReplacementRace(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			time.Sleep(time.Millisecond)
 			if i%2 == 0 {
-				swapTo(scB, srcB)
+				swapTo(genB)
 			} else {
-				swapTo(scA, srcA)
+				swapTo(genA)
 			}
 		}
 	}()
@@ -133,7 +135,7 @@ func TestRouterReplacementRace(t *testing.T) {
 
 	// Settle on generation A and require exact convergence — the breakers
 	// may need a beat after the skew storm.
-	swapTo(scA, srcA)
+	swapTo(genA)
 	deadline := time.Now().Add(5 * time.Second)
 	for _, q := range queries {
 		for {

@@ -115,7 +115,7 @@ func WithServerTelemetry(reg *telemetry.Registry) ServerOption {
 // on every response.
 func NewServer(sc *shard.Corpus, opts ...ServerOption) *Server {
 	s := &Server{conns: make(map[net.Conn]struct{})}
-	st := newServerState(sc)
+	st := newServerState(sc, ingest.SourceOf(sc))
 	for _, o := range opts {
 		o(s, st)
 	}
@@ -123,8 +123,8 @@ func NewServer(sc *shard.Corpus, opts ...ServerOption) *Server {
 	return s
 }
 
-func newServerState(sc *shard.Corpus) *serverState {
-	st := &serverState{sc: sc, fingerprint: Fingerprint(ingest.SourceOf(sc))}
+func newServerState(sc *shard.Corpus, src ingest.Source) *serverState {
+	st := &serverState{sc: sc, fingerprint: Fingerprint(src)}
 	for i := 0; i < sc.NumShards(); i++ {
 		st.ownedList = append(st.ownedList, uint32(i))
 	}
@@ -132,13 +132,14 @@ func newServerState(sc *shard.Corpus) *serverState {
 }
 
 // Swap replaces the served corpus generation — the shard-server half of an
-// online reload. In-flight requests finish on the generation they started
-// with; responses stamp the fingerprint of the generation that actually
-// answered, so a router merging across the swap window detects the skew.
-// The ownership subset is recomputed for the new shard count by the given
-// options (none = own all).
-func (s *Server) Swap(sc *shard.Corpus, opts ...ServerOption) {
-	st := newServerState(sc)
+// online reload. The fingerprint is the generation's recorded Source (what
+// ingest.LoadDelta returned), so a swap hashes no document. In-flight
+// requests finish on the generation they started with; responses stamp the
+// fingerprint of the generation that actually answered, so a router merging
+// across the swap window detects the skew. The ownership subset is
+// recomputed for the new shard count by the given options (none = own all).
+func (s *Server) Swap(g *ingest.Generation, opts ...ServerOption) {
+	st := newServerState(g.Corpus, g.Source)
 	for _, o := range opts {
 		o(s, st)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"extract/internal/classify"
 	"extract/internal/index"
-	"extract/internal/schema"
 	"extract/xmltree"
 )
 
@@ -198,7 +197,7 @@ func shopsDoc(dup int, sizes ...int) *xmltree.Document {
 // shopEngine classifies shop as the only entity, so every LCA below a shop
 // anchors at it.
 func shopEngine(doc *xmltree.Document) *Engine {
-	cls := classify.FromCategories(map[string]classify.Category{"shop": classify.Entity}, schema.Infer(doc))
+	cls := classify.FromCategories(map[string]classify.Category{"shop": classify.Entity})
 	return NewEngine(doc, index.Build(doc), cls, Options{DistinctAnchors: true})
 }
 

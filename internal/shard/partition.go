@@ -4,12 +4,11 @@
 // result streams merge through a bounded top-k merge. That procedure is
 // stated once, as Merge over an abstract source of per-shard evidence
 // (Rounds): Corpus drives it over its own shards, and internal/remote
-// drives the same function over shards behind a wire. Classification, key
-// mining and the structural summary are computed once, globally, before
-// partitioning, so every shard anchors and classifies results exactly like
-// an engine over the whole document — which is what a one-shard corpus is,
-// and many-shard query results are identical to its (pinned by the
-// equivalence property tests).
+// drives the same function over shards behind a wire. Classification and key
+// mining are computed once, globally, before partitioning, so every shard
+// anchors and classifies results exactly like an engine over the whole
+// document — which is what a one-shard corpus is, and many-shard query
+// results are identical to its (pinned by the equivalence property tests).
 //
 // Shard boundaries follow the document's own top-level structure: the
 // children of the root (the top-level entities of the database) are split

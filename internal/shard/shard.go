@@ -8,26 +8,22 @@ import (
 	"extract/internal/dtd"
 	"extract/internal/index"
 	"extract/internal/keys"
-	"extract/internal/schema"
 	"extract/xmltree"
 )
 
 // Corpus is an analyzed corpus of n >= 1 shards — the one shape every local
 // corpus has. Every shard owns its own document fragment and packed inverted
-// index, while classification, mined keys, structural summary and dataguide
-// are global — computed on the whole document before partitioning — so
-// per-shard evaluation makes exactly the decisions an engine over the whole
-// document would. A one-shard corpus holds the document itself, unmoved, and
-// evaluates inline on its lone engine (see the len(shards) == 1 branches).
+// index, while classification and mined keys are global — computed on the
+// whole document before partitioning — so per-shard evaluation makes exactly
+// the decisions an engine over the whole document would. A one-shard corpus
+// holds the document itself, unmoved, and evaluates inline on its lone engine
+// (see the len(shards) == 1 branches).
 type Corpus struct {
 	shards []*core.Corpus
 
-	cls     *classify.Classification
-	keys    *keys.Keys
-	summary *schema.Summary
-	guide   *schema.Guide
-	dtd     *dtd.DTD
-	subset  string
+	cls    *classify.Classification
+	keys   *keys.Keys
+	subset string
 
 	rootLabel    string
 	rootFromAttr bool
@@ -57,10 +53,9 @@ func WithDTD(d *dtd.DTD) Option {
 	return func(c *buildConfig) { c.dtd = d }
 }
 
-// Build analyzes doc globally — classification, key mining, summary and
-// dataguide over the whole document — then partitions it into at most n
-// shards, each with its own packed inverted index: BuildFrom with nothing to
-// adopt.
+// Build analyzes doc globally — classification and key mining over the
+// whole document — then partitions it into at most n shards, each with its
+// own packed inverted index: BuildFrom with nothing to adopt.
 func Build(doc *xmltree.Document, n int, opts ...Option) *Corpus {
 	return BuildFrom(doc, n, nil, opts...)
 }
@@ -109,15 +104,12 @@ func Assemble(shards []*core.Corpus, a *core.Analysis, rootLabel string, rootFro
 		shards:       shards,
 		cls:          a.Cls,
 		keys:         a.Keys,
-		summary:      a.Summary,
-		guide:        a.Guide,
-		dtd:          a.DTD,
 		subset:       subset,
 		rootLabel:    rootLabel,
 		rootFromAttr: rootFromAttr,
 	}
 	for _, s := range shards {
-		s.Cls, s.Keys, s.Summary, s.Guide, s.DTD = sc.cls, sc.keys, sc.summary, sc.guide, sc.dtd
+		s.Cls, s.Keys = sc.cls, sc.keys
 	}
 	return sc
 }
@@ -132,25 +124,16 @@ func (sc *Corpus) Root() (label string, fromAttr bool) {
 // document ("" if none).
 func (sc *Corpus) InternalSubset() string { return sc.subset }
 
-// fromParts assembles a Corpus from already-loaded shard corpora (the
-// persisted-file path). Shared analysis artifacts are taken from the first
-// shard and deduplicated across all of them.
+// fromParts assembles a Corpus from n >= 1 already-loaded shard corpora (the
+// persisted-file path): Assemble over the first shard's analysis and root
+// identity, which every image of one corpus carries alike.
 func fromParts(shards []*core.Corpus) *Corpus {
-	sc := &Corpus{shards: shards}
-	if len(shards) == 0 {
-		return sc
-	}
 	first := shards[0]
-	sc.cls, sc.keys, sc.summary, sc.guide, sc.dtd = first.Cls, first.Keys, first.Summary, first.Guide, first.DTD
-	sc.subset = first.Doc.InternalSubset
-	if first.Doc.Root != nil {
-		sc.rootLabel = first.Doc.Root.Label
-		sc.rootFromAttr = first.Doc.Root.FromAttr
+	label, fromAttr := "", false
+	if root := first.Doc.Root; root != nil {
+		label, fromAttr = root.Label, root.FromAttr
 	}
-	for _, s := range shards[1:] {
-		s.Cls, s.Keys, s.Summary, s.Guide, s.DTD = sc.cls, sc.keys, sc.summary, sc.guide, sc.dtd
-	}
-	return sc
+	return Assemble(shards, &core.Analysis{Cls: first.Cls, Keys: first.Keys}, label, fromAttr, first.Doc.InternalSubset)
 }
 
 // NumShards returns the number of shards.
@@ -166,21 +149,12 @@ func (sc *Corpus) Classification() *classify.Classification { return sc.cls }
 // Keys returns the globally mined entity keys.
 func (sc *Corpus) Keys() *keys.Keys { return sc.keys }
 
-// DTD returns the DTD the corpus was classified with (nil if inferred).
-func (sc *Corpus) DTD() *dtd.DTD { return sc.dtd }
-
 // Analysis returns a document-less core.Corpus carrying only the shared
 // analysis artifacts. Snippet generation needs classification and keys, not
 // a document, so one generator over this corpus serves results from every
 // shard.
 func (sc *Corpus) Analysis() *core.Corpus {
-	return &core.Corpus{
-		Cls:     sc.cls,
-		Keys:    sc.keys,
-		Summary: sc.summary,
-		Guide:   sc.guide,
-		DTD:     sc.dtd,
-	}
+	return &core.Corpus{Cls: sc.cls, Keys: sc.keys}
 }
 
 // computeStats fills the lazily aggregated corpus-wide counters: one walk
@@ -330,13 +304,10 @@ func (sc *Corpus) Fallback() *core.Corpus {
 		doc := xmltree.NewDocument(root)
 		doc.InternalSubset = sc.subset
 		sc.fallback = &core.Corpus{
-			Doc:     doc,
-			Index:   index.Build(doc),
-			Cls:     sc.cls,
-			Keys:    sc.keys,
-			Summary: sc.summary,
-			Guide:   sc.guide,
-			DTD:     sc.dtd,
+			Doc:   doc,
+			Index: index.Build(doc),
+			Cls:   sc.cls,
+			Keys:  sc.keys,
 		}
 	})
 	return sc.fallback

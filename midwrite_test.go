@@ -16,7 +16,7 @@ import (
 
 // midWriteDocs returns generation A and a generation B that edits one
 // entity of it — adding an element label A never had, so the two differ in a
-// shard image and in the analysis image (classification, summary) alike.
+// shard image and in the analysis image (classification) alike.
 func midWriteDocs() (a, b string) {
 	docB := deltaBaseDoc()
 	xmltree.Append(docB.Root.Children[2], xmltree.Attr("zzzpromo", "zzzfresh inventory"))

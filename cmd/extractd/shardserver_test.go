@@ -94,7 +94,7 @@ func TestShardServerDeltaSwap(t *testing.T) {
 		}
 		var b strings.Builder
 		for _, r := range rs {
-			b.WriteString(xmltree.XMLString(r.Root))
+			b.WriteString(xmltree.XMLString(r.Tree().Root))
 			b.WriteByte('\n')
 		}
 		return b.String()

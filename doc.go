@@ -53,7 +53,7 @@
 //     lists found by binary search on the anchor's interval. Building one
 //     costs the same whatever the size of its subtree; only trimmed results
 //     (WithTrimmedResults) and results that crossed the wire are trees of
-//     their own.
+//     their own, and a routed result builds its tree only when it is read.
 //   - internal/index also keeps every document's elements in preorder as
 //     pointer-free int32 columns (position, subtree end, label symbol,
 //     parent entry, value symbol), written in the pass that builds the
@@ -219,9 +219,11 @@
 // a replica group's subset of a snapshot's shards (any snapshot SaveSnapshot
 // wrote, one shard or many), and a stateless router
 // — a serve.Backend like any other — runs the same shard.Merge as the local
-// path, its rounds crossing a checksummed wire protocol, so routed results,
-// snippets and ranking are byte-identical to a local corpus (pinned by
-// property tests). Replica
+// path, its rounds crossing a checksummed wire protocol. The shard servers
+// snippet the results they ship with the local snippet code, on their own
+// indexes, and the router keeps each result it answers with as its encoding
+// until something reads the tree, so routed results, snippets and ranking
+// are byte-identical to a local corpus (pinned by property tests). Replica
 // groups fail over: a dead replica degrades to its peers with zero
 // failed queries, and only classified errors surface. Placement is a
 // pure function of the snapshot manifest (rendezvous hashing over shard

@@ -832,7 +832,10 @@ func WithRanking() SearchOption {
 // It is a read-only view of the corpus document, shared with the query
 // cache and with every other caller the same answer is replayed to, and it
 // keeps the corpus generation that answered it reachable for as long as it
-// is held — across reloads too.
+// is held — across reloads too. On a remote corpus the tree is built from the
+// result's wire encoding the first time Root, XML, Render, Internal or
+// Corpus.Snippet asks for it, once for every holder; Size and Score never
+// need it.
 type Result struct {
 	r     *search.Result
 	score float64
@@ -850,16 +853,16 @@ func (r *Result) Size() int { return r.r.Size() }
 // Parent, Ord, Start and End are those of the enclosing document —
 // Parent may lead out of the result. Copy with xmltree.DeepCopy to get a
 // detached tree to edit.
-func (r *Result) Root() *xmltree.Node { return r.r.Root }
+func (r *Result) Root() *xmltree.Node { return r.r.Tree().Root }
 
 // XML serializes the result tree.
-func (r *Result) XML() string { return xmltree.XMLString(r.r.Root) }
+func (r *Result) XML() string { return xmltree.XMLString(r.Root()) }
 
 // Render draws the result tree as ASCII art.
-func (r *Result) Render() string { return xmltree.RenderASCII(r.r.Root) }
+func (r *Result) Render() string { return xmltree.RenderASCII(r.Root()) }
 
-// Internal exposes the underlying search result for tools.
-func (r *Result) Internal() *search.Result { return r.r }
+// Internal exposes the underlying search result, with its tree, for tools.
+func (r *Result) Internal() *search.Result { return r.r.Tree() }
 
 // Search evaluates a conjunctive keyword query and returns the results.
 // Double-quoted spans in the query are phrase terms. Results come in
@@ -1003,7 +1006,7 @@ func (c *Corpus) Snippet(r *Result, query string, bound int, opts ...SnippetOpti
 	for _, o := range opts {
 		o(g)
 	}
-	return &Snippet{g: g.ForResult(r.r, query, bound)}
+	return &Snippet{g: g.ForResult(r.r.Tree(), query, bound)}
 }
 
 // SnippetForTree generates a snippet for a result tree produced by an

@@ -267,8 +267,10 @@ func measureServePoint(backend serve.Backend, nodes, numShards int, backendKind 
 					if i >= len(stream) {
 						return
 					}
+					// Do, as the facade's Query calls it: a routed answer's
+					// trees stay deferred, as they do for a served query.
 					opStart := time.Now()
-					if _, _, qerr := srv.QueryContext(context.Background(), stream[i].Text(), opts, 10); qerr != nil {
+					if _, qerr := srv.Do(context.Background(), stream[i].Text(), opts, 10); qerr != nil {
 						firstErr.CompareAndSwap(nil, &qerr)
 						return
 					}
@@ -326,7 +328,7 @@ func measureServePoint(backend serve.Backend, nodes, numShards int, backendKind 
 	warmSrv := serve.New(backend, serve.WithWorkers(workers))
 	defer warmSrv.Close()
 	for _, q := range qs {
-		if _, _, err := warmSrv.QueryContext(context.Background(), q.Text(), opts, 10); err != nil {
+		if _, err := warmSrv.Do(context.Background(), q.Text(), opts, 10); err != nil {
 			return ServePerfPoint{}, err
 		}
 	}

@@ -52,24 +52,20 @@ func (s *Scorer) IDF(keyword string) float64 {
 	return math.Log(1 + float64(s.totalElements)/float64(1+s.df(keyword)))
 }
 
-// Score computes the relevance of one result for the tokenized query.
+// Score computes the relevance of one result for the tokenized query. With
+// decay in (0, 1] the best-weighted match of a keyword is its shallowest, so
+// a keyword contributes through one number, search.Result.MatchDepth — the
+// number a deferred result carries without its tree, so a routed result
+// scores by the same arithmetic as a local one.
 func (s *Scorer) Score(r *search.Result, keywords []string) float64 {
-	anchorDepth := r.Anchor.Depth()
 	total := 0.0
 	for _, kw := range keywords {
-		best := 0.0
-		for _, m := range r.Matches[kw] {
-			d := m.Depth() - anchorDepth
-			if d < 0 {
-				d = 0
-			}
-			w := math.Pow(s.Decay, float64(d))
-			if w > best {
-				best = w
-			}
+		d, ok := r.MatchDepth(kw)
+		if !ok {
+			continue
 		}
-		if best > 0 {
-			total += s.IDF(kw) * best
+		if w := math.Pow(s.Decay, float64(d)); w > 0 {
+			total += s.IDF(kw) * w
 		}
 	}
 	return total

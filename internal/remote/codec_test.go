@@ -1,14 +1,22 @@
 package remote
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
 
+	"extract/internal/core"
+	"extract/internal/features"
+	"extract/internal/gen"
+	"extract/internal/ilist"
+	"extract/internal/index"
 	"extract/internal/search"
+	"extract/internal/selector"
 	"extract/internal/shard"
 	"extract/xmltree"
 )
@@ -166,10 +174,20 @@ func sameResult(want, got *search.Result) error {
 	return nil
 }
 
+// appendResult encodes one result's tree record, keywords in wire order.
+func appendResult(b []byte, r *search.Result) []byte {
+	return appendResultKeywords(b, r, matchKeywords(r))
+}
+
+// build materializes a scanned tree record, as a taken result's first
+// reader does.
+func (s scanned) build() *search.Result { return buildResult(string(s.enc)) }
+
 // codecAnswers evaluates a query × options matrix on small sharded corpora
 // through a shard server's own evaluate, so the codec tests and the fuzz
 // seeds work on exactly what a server ships: views at non-zero offsets of
-// their source documents, ModeXSeek projections, skipped shards, digests.
+// their source documents, ModeXSeek projections, skipped shards, digests —
+// search only, and snippeted at a bound where the query allows.
 func codecAnswers(tb testing.TB) []evalAnswer {
 	tb.Helper()
 	var out []evalAnswer
@@ -185,9 +203,14 @@ func codecAnswers(tb testing.TB) []evalAnswer {
 			{DistinctAnchors: true, Mode: search.ModeXSeek},
 		} {
 			for _, q := range testQueries(fb.Doc, fb) {
-				a, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList})
+				a, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList, bound: -1})
 				if err != nil {
 					continue // the matrix includes the empty query
+				}
+				if snippeted, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList, bound: 6}); err != nil {
+					tb.Fatalf("%q: %v", q, err)
+				} else if snippeted.snippeted {
+					out = append(out, snippeted)
 				}
 				for _, s := range a.shards {
 					results += len(s.results)
@@ -410,7 +433,7 @@ func TestBuildAllocatesPerChunkNotPerNode(t *testing.T) {
 func TestScanAllocatesNothingPerResult(t *testing.T) {
 	r := wideResult(40)
 	response := func(perShard int) []byte {
-		a := evalAnswer{fingerprint: 9}
+		var a evalAnswer
 		for s := uint32(0); s < 3; s++ {
 			sa := shardAnswer{shard: s, digest: shard.Digest{Matched: []bool{true}, HasNonRootLCAs: true}}
 			for i := 0; i < perShard; i++ {
@@ -418,7 +441,7 @@ func TestScanAllocatesNothingPerResult(t *testing.T) {
 			}
 			a.shards = append(a.shards, sa)
 		}
-		return appendServerStages(appendEvalResp(nil, a), serverStages{})
+		return appendEvalResp(nil, a)
 	}
 	allocs := func(perShard int) float64 {
 		data := response(perShard)
@@ -480,10 +503,72 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		}
 	}
 
+	// The snippet record: each malformed one is a *ProtocolError too, alone
+	// and inside the shipped result that carries it.
+	item := func(kind byte) []byte {
+		b := appendString([]byte{kind}, "texas")
+		b = append(b, 0, 0, 0) // no feature entity, attribute, value
+		b = binary.AppendVarint(b, -1)
+		return append(b, make([]byte, 8)...) // score bits
+	}
+	snip := func(tree []byte, edges uint64, items []byte, covered, skipped []byte) []byte {
+		b := cat(tree, uv(edges), uv(0), items, uv(0), appendString(nil, ""), appendString(nil, ""))
+		return cat(b, covered, skipped)
+	}
+	leaf := cat(uv(1), node(0, "a", 0))
+	oneItem := cat(uv(1), item(0))
+	valid := snip(leaf, 0, oneItem, cat(uv(1), uv(0)), uv(0))
+	if c := (&cursor{data: valid}); c.scanSnippet() == nil || c.done() != nil {
+		t.Fatalf("the valid snippet record does not scan: %v", c.done())
+	}
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+	}{
+		{"empty snippet tree", snip(uv(0), 0, oneItem, uv(0), uv(0))},
+		{"edges past the snippet's nodes", snip(leaf, 1, oneItem, uv(0), uv(0))},
+		{"unknown item kind", snip(leaf, 0, cat(uv(1), item(9)), uv(0), uv(0))},
+		{"item count past the payload", snip(leaf, 0, cat(uv(400), item(0)), uv(0), uv(0))},
+		{"covered index out of range", snip(leaf, 0, oneItem, cat(uv(1), uv(1)), uv(0))},
+		{"more skipped indexes than items", snip(leaf, 0, oneItem, uv(0), cat(uv(2), uv(0), uv(0)))},
+		{"truncated score", valid[:len(valid)-6]},
+		{"trailing bytes", cat(valid, []byte{7})},
+	} {
+		c := &cursor{data: tc.rec}
+		c.scanSnippet()
+		var pe *ProtocolError
+		if err := c.done(); !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want a *ProtocolError", tc.name, err)
+		}
+		// The same record behind a valid result in a snippeted response.
+		body := cat([]byte{1}, uv(1), uv(0), []byte{0, 0}, uv(1), uv(1), node(0, "r", 0), uv(0), uv(0), tc.rec)
+		if _, err := decodeEvalResp(body); !errors.As(err, &pe) {
+			t.Errorf("%s inside a response: err = %v, want a *ProtocolError", tc.name, err)
+		}
+	}
+	// Every cut of a real snippeted response is refused, the cuts inside its
+	// snippet records included.
+	var real []byte
+	for _, a := range codecAnswers(t) {
+		if a.snippeted && len(a.shards) > 0 {
+			if body := appendEvalResp(nil, a); len(body) > len(real) && len(body) < 8192 {
+				real = body
+			}
+		}
+	}
+	if real == nil {
+		t.Fatal("no snippeted answer in the codec fixture")
+	}
+	for cut := 0; cut < len(real); cut++ {
+		var pe *ProtocolError
+		if _, err := decodeEvalResp(real[:cut]); !errors.As(err, &pe) {
+			t.Fatalf("snippeted response cut at %d of %d: err = %v", cut, len(real), err)
+		}
+	}
+
 	// A result count is checked against the payload that would have to carry
 	// it before the range slice is allocated.
-	hostile := binary.LittleEndian.AppendUint64(nil, 1)
-	hostile = append(hostile, 1) // direct
+	hostile := []byte{0, 1, 0, 0, 0} // not snippeted; one shard: index 0, no digest bits
 	hostile = binary.AppendUvarint(hostile, maxWireResults)
 	var pe *ProtocolError
 	if _, err := decodeEvalResp(hostile); !errors.As(err, &pe) {
@@ -536,10 +621,8 @@ func TestScanBoundsDeweyArena(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp := binary.LittleEndian.AppendUint64(nil, 1)
-	resp = append(resp, 1, 1) // direct, one result
-	resp = appendServerStages(append(resp, enc...), serverStages{})
-	if _, err := decodeEvalResp(resp); err != nil {
+	resp := []byte{0, 1, 0, 0, 0, 1} // not snippeted; one shard, no digest bits; one result
+	if _, err := decodeEvalResp(append(resp, enc...)); err != nil {
 		t.Fatalf("response carrying the chain: %v", err)
 	}
 }
@@ -598,20 +681,39 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 	}
 	var eval evalAnswer
 	for _, a := range codecAnswers(tb) {
-		if len(a.shards) > len(eval.shards) {
+		if a.snippeted && len(a.shards) > len(eval.shards) {
 			eval = a
 		}
 	}
 	var results []*search.Result
+	var snippets []*core.Generated
 	for _, s := range eval.shards {
 		results = append(results, s.results...)
+		snippets = append(snippets, s.snippets...)
 	}
-	full := appendFullResp(nil, 3, results)
-	staged := func(b []byte) []byte { return appendServerStages(b, serverStages{1, 2, 3, 4}) }
-	req := evalReq{opts: search.Options{MaxResults: 9}, query: "store texas", timeoutMillis: 250}
-	reqAfterCount := len(encodeEvalReq(req)) - 1 + uvarintLen(uint64(n))
+	if len(snippets) != len(results) {
+		tb.Fatalf("%d snippets for %d results", len(snippets), len(results))
+	}
+	// Responses open with their header; the decoders read what follows it.
+	respond := func(body []byte) []byte {
+		resp := appendRespHeader(nil, 5)
+		putServerStages(resp, serverStages{1, 2, 3, 4})
+		return append(resp, body...)
+	}
+	behind := func(decode func([]byte) error) func([]byte) error {
+		return func(b []byte) error {
+			_, _, body, err := decodeRespHeader(b)
+			if err != nil {
+				return err
+			}
+			return decode(body)
+		}
+	}
+	full := appendFullResp(nil, results, snippets)
+	req := evalReq{opts: search.Options{MaxResults: 9}, query: "store texas", timeoutMillis: 250, bound: 6}
+	reqAfterCount := len(encodeEvalReq(req)) - 2 + uvarintLen(uint64(n))
 	req.shards = shards
-	digestBody := encodeDigestResp(digestResp{fingerprint: 5, shards: shards, digests: digests})
+	digestBody := appendDigestResp(nil, digestResp{shards: shards, digests: digests})
 	return []wireMessage{
 		{"hello", encodeHello(helloMsg{fingerprint: 7, shards: n, owned: shards}), 8 + 2*uvarintLen(uint64(n)),
 			func(b []byte) error { _, err := decodeHello(b); return err }},
@@ -619,16 +721,16 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 			func(b []byte) error { _, err := decodeEvalReq(b); return err }},
 		{"digest/full request", appendTraceID(encodeFullReq(fullReq(req)), 42), reqAfterCount,
 			func(b []byte) error { _, err := decodeFullReq(b); return err }},
-		{"eval response", staged(appendEvalResp(nil, eval)), 0,
-			func(b []byte) error { _, err := decodeEvalResp(b); return err }},
-		{"digest response", staged(digestBody), 8 + uvarintLen(uint64(n)),
-			func(b []byte) error { _, err := decodeDigestResp(b); return err }},
-		{"full response", staged(full), 0,
-			func(b []byte) error { _, err := decodeFullResp(b); return err }},
+		{"eval response", respond(appendEvalResp(nil, eval)), 0,
+			behind(func(b []byte) error { _, err := decodeEvalResp(b); return err })},
+		{"digest response", respond(digestBody), respHeaderLen + uvarintLen(uint64(n)),
+			behind(func(b []byte) error { _, err := decodeDigestResp(b); return err })},
+		{"full response", respond(full), 0,
+			behind(func(b []byte) error { _, err := decodeFullResp(b); return err })},
 		{"stats request", encodeStatsReq(statsReq{keywords: keywords}), uvarintLen(uint64(n)),
 			func(b []byte) error { _, err := decodeStatsReq(b); return err }},
-		{"stats response", encodeStatsResp(statsResp{fingerprint: 5, totalElements: 99, counts: counts}), 8 + 1 + uvarintLen(uint64(n)),
-			func(b []byte) error { _, err := decodeStatsResp(b); return err }},
+		{"stats response", respond(appendStatsResp(nil, statsResp{totalElements: 99, counts: counts})), respHeaderLen + 1 + uvarintLen(uint64(n)),
+			behind(func(b []byte) error { _, err := decodeStatsResp(b); return err })},
 		{"error", encodeErrMsg(errMsg{kind: errKindInternal, msg: "boom"}), 0,
 			func(b []byte) error { _, err := decodeErrMsg(b); return err }},
 	}
@@ -666,4 +768,79 @@ func TestTruncatedPayloadsClassifyCheaply(t *testing.T) {
 			t.Fatalf("%s: failing right after a claimed count of %d costs %v allocations", m.name, claimed, a)
 		}
 	}
+}
+
+// TestSnippetRoundTrip: a snippet record decodes to the snippet that was
+// encoded, in every field a served snippet keeps (sameSnippet: tree, HTML,
+// edges, IList items with exact score bits, return entities, key, covered,
+// skipped) plus its generation time — for every snippet the codec fixture's
+// servers made, and for the shapes it may not: an empty IList over a lone
+// root, one item with awkward score bits, and the whole document's snippet.
+func TestSnippetRoundTrip(t *testing.T) {
+	check := func(name string, g *core.Generated) {
+		t.Helper()
+		rec := appendSnippet(nil, g)
+		c := &cursor{data: rec}
+		scanned := c.scanSnippet()
+		if err := c.done(); err != nil {
+			t.Fatalf("%s: scan: %v", name, err)
+		}
+		got := buildSnippet(scanned, g.Keywords, g.Bound)
+		if err := sameSnippet(g, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Elapsed != g.Elapsed {
+			t.Fatalf("%s: elapsed %v, sent %v", name, got.Elapsed, g.Elapsed)
+		}
+	}
+	served := 0
+	for _, a := range codecAnswers(t) {
+		for _, s := range a.shards {
+			for i, g := range s.snippets {
+				check(fmt.Sprintf("shard %d snippet %d", s.shard, i), g)
+				served++
+			}
+		}
+	}
+	if served < 20 {
+		t.Fatalf("the codec fixture carries only %d snippets", served)
+	}
+
+	lone := xmltree.Elem("empty")
+	check("empty IList", &core.Generated{
+		Snippet: &selector.Snippet{Root: lone},
+		IList:   &ilist.IList{Items: []ilist.Item{}},
+		Bound:   0,
+	})
+	check("one item", &core.Generated{
+		Snippet: &selector.Snippet{Root: xmltree.Elem("store", xmltree.Elem("city", xmltree.Txt("Houston ✓"))), Edges: 1, Covered: []int{0}},
+		IList: &ilist.IList{
+			Items: []ilist.Item{{
+				Kind:      ilist.DominantFeature,
+				Text:      "Houston ✓",
+				Feature:   features.Feature{Type: features.Type{Entity: "store", Attr: "city"}, Value: "Houston ✓"},
+				FeatureID: -1,
+				Score:     math.Float64frombits(0x7ff8_0000_0000_0123), // a NaN payload
+			}},
+			ReturnEntities: []string{"store"},
+			KeyAttr:        "city",
+			KeyValue:       "Houston ✓",
+		},
+		Keywords: []string{"houston"},
+		Bound:    3,
+		Elapsed:  1234567,
+	})
+	sc := shard.Build(gen.Figure1Corpus(), 1)
+	whole := search.FromNode(sc.Fallback().Doc, sc.Fallback().Doc.Root)
+	whole.Index = sc.Fallback().Index
+	check("whole document", snippetOf(sc, whole, "texas apparel retailer", 13))
+}
+
+// snippetOf generates the served snippet of r, as a shard server does.
+func snippetOf(sc *shard.Corpus, r *search.Result, query string, bound int) *core.Generated {
+	gs, err := shard.Snippets(context.Background(), nil, sc.Generator(), []*search.Result{r}, index.Tokenize(query), bound)
+	if err != nil {
+		panic(err)
+	}
+	return gs[0]
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"slices"
 	"testing"
 
 	"extract/internal/search"
@@ -42,7 +43,11 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frameBytes(1, msgHello, encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 2}})))
 	f.Add(frameBytes(1, msgEval, evalPayload))
 	f.Add(frameBytes(1, msgHello, []byte{2}))
+	// Retired wire v2: the greeting and an eval request without a bound.
+	f.Add(frameBytes(2, msgHello, encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 2}})))
+	f.Add(frameBytes(2, msgEval, appendTraceID(evalPayload[:len(evalPayload)-1], 42)))
 	f.Add(frameBytes(wireVersion, msgStats, encodeStatsReq(statsReq{keywords: []string{"a", "b"}})))
+	f.Add(frameBytes(wireVersion, msgStatsResp, appendStatsResp(appendRespHeader(nil, 7), statsResp{totalElements: 9, counts: []uint64{3}})))
 	f.Add(frameBytes(wireVersion, msgError, encodeErrMsg(errMsg{kind: errKindPanic, msg: "boom"})))
 	f.Add(frameBytes(wireVersion+1, msgPing, nil)) // version skew
 	f.Add(frameBytes(wireVersion, msgType(200), nil))
@@ -75,16 +80,17 @@ func FuzzFrame(f *testing.F) {
 		case msgEval, msgDigest, msgFull:
 			_, _ = decodeEvalReq(payload)
 			_, _ = decodeFullReq(payload)
-		case msgEvalResp:
-			_, _ = decodeEvalResp(payload)
-		case msgDigestResp:
-			_, _ = decodeDigestResp(payload)
-		case msgFullResp:
-			_, _ = decodeFullResp(payload)
+		case msgEvalResp, msgDigestResp, msgFullResp, msgStatsResp:
+			_, _, body, err := decodeRespHeader(payload)
+			if err != nil {
+				return
+			}
+			_, _ = decodeEvalResp(body)
+			_, _ = decodeDigestResp(body)
+			_, _ = decodeFullResp(body)
+			_, _ = decodeStatsResp(body)
 		case msgStats:
 			_, _ = decodeStatsReq(payload)
-		case msgStatsResp:
-			_, _ = decodeStatsResp(payload)
 		case msgError:
 			_, _ = decodeErrMsg(payload)
 		}
@@ -92,17 +98,19 @@ func FuzzFrame(f *testing.F) {
 }
 
 // FuzzEvalRespDecode aims the fuzzer straight at the deepest decoder — the
-// result-tree scan and build — without requiring the fuzzer to first learn
-// the frame checksum. The seeds carry real result trees (views, projections,
-// attribute nodes, multi-byte text) so mutation starts inside the node
-// records. Whatever the scan accepts must build without panicking, and build
-// to exactly what the frozen reference decoder makes of the same bytes.
+// scan of shipped results, their tree records, depths and snippet records —
+// without requiring the fuzzer to first learn the frame checksum. The seeds
+// carry real result trees (views, projections, attribute nodes, multi-byte
+// text) and real snippets, so mutation starts inside the node and IList
+// records. Whatever the scan accepts must take, build and snippet without
+// panicking, and build to exactly what the frozen reference decoder makes of
+// the same bytes.
 func FuzzEvalRespDecode(f *testing.F) {
-	f.Add(appendEvalResp(nil, evalAnswer{fingerprint: 1, direct: true}))
-	f.Add(appendServerStages(appendEvalResp(nil, evalAnswer{fingerprint: 1, direct: true}), serverStages{decodeNs: 1, evalNs: 2, encodeNs: 3}))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
-	seeded := 0
-	for _, a := range codecAnswers(f) {
+	f.Add(appendEvalResp(nil, evalAnswer{}))
+	f.Add(appendEvalResp(nil, evalAnswer{snippeted: true}))
+	f.Add([]byte{0, 1, 0, 0, 0, 1})
+	seeded, snippeted := 0, 0
+	seed := func(a evalAnswer) {
 		results := 0
 		for _, s := range a.shards {
 			results += len(s.results)
@@ -111,22 +119,32 @@ func FuzzEvalRespDecode(f *testing.F) {
 		// input, and a 100 KB seed eats a ten-second CI budget doing it.
 		if body := appendEvalResp(nil, a); results > 0 && len(body) <= 4096 {
 			f.Add(body)
-			f.Add(appendServerStages(body, serverStages{decodeNs: 1, evalNs: 2, digestNs: 3, encodeNs: 4}))
 			seeded++
+			if a.snippeted {
+				snippeted++
+			}
 		}
 	}
-	if seeded < 10 {
-		f.Fatalf("only %d seeds carry result trees", seeded)
+	for _, a := range codecAnswers(f) {
+		seed(a)
+		// A snippeted answer of three shards is mostly past the size limit:
+		// its first shard's share with results, alone, much less often.
+		if a.snippeted && len(a.shards) > 1 {
+			if i := slices.IndexFunc(a.shards, func(s shardAnswer) bool { return len(s.results) > 0 }); i >= 0 {
+				seed(evalAnswer{snippeted: true, shards: a.shards[i : i+1]})
+			}
+		}
+	}
+	if seeded < 20 || snippeted < 10 {
+		f.Fatalf("only %d seeds carry result trees, %d of them snippets", seeded, snippeted)
 	}
 	for name, r := range syntheticResults() {
 		if name != "deep chain" {
-			f.Add(appendEvalResp(nil, evalAnswer{fingerprint: 1, direct: true, results: []*search.Result{r}}))
+			f.Add(appendEvalResp(nil, evalAnswer{shards: []shardAnswer{{results: []*search.Result{r}}}}))
 		}
 	}
 	// A chain deep enough to work the scan's slot stack, small enough to seed.
-	chain := binary.LittleEndian.AppendUint64(nil, 1)
-	chain = append(chain, 1, 1) // direct, one result
-	f.Add(appendServerStages(append(chain, chainEncoding(300)...), serverStages{}))
+	f.Add(append([]byte{0, 1, 0, 0, 0, 1}, chainEncoding(300)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := decodeEvalResp(data)
 		if err != nil {
@@ -136,17 +154,27 @@ func FuzzEvalRespDecode(f *testing.F) {
 			}
 			return
 		}
-		ranges := resp.results
-		for _, s := range resp.shards {
-			ranges = append(ranges, s.results...)
-		}
-		for _, s := range ranges {
-			want, err := referenceResult(s.enc)
-			if err != nil {
-				t.Fatalf("scan accepted what the reference decoder rejects: %v", err)
-			}
-			if err := sameResult(want, s.build()); err != nil {
-				t.Fatal(err)
+		for _, sh := range resp.shards {
+			for _, s := range sh.results {
+				want, err := referenceResult(s.enc)
+				if err != nil {
+					t.Fatalf("scan accepted what the reference decoder rejects: %v", err)
+				}
+				if err := sameResult(want, s.build()); err != nil {
+					t.Fatal(err)
+				}
+				taken := s.take(false)
+				if err := sameResult(want, taken.Tree()); err != nil {
+					t.Fatalf("taken result: %v", err)
+				}
+				if taken.Size() != want.Size() {
+					t.Fatalf("taken result has size %d, its tree %d", taken.Size(), want.Size())
+				}
+				if s.snippet != nil {
+					if g := buildSnippet(s.snippet, nil, 0); g.Snippet.Edges >= subtreeSize(g.Snippet.Root) {
+						t.Fatalf("snippet of %d nodes built with %d edges", subtreeSize(g.Snippet.Root), g.Snippet.Edges)
+					}
+				}
 			}
 		}
 	})

@@ -3,7 +3,9 @@ package remote
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,9 +171,9 @@ func TestRouterMatchesLocalAtTheCut(t *testing.T) {
 		// The root's own label matches the root: the whole-document round.
 		checkRouterEquivalence(t, cc.name+"/cut", sc, cl.router, options, sc.Fallback().Doc.Root.Label)
 		m := cl.router.metrics
-		if m.built.Value() == 0 || m.dropped.Value() == 0 {
+		if m.taken.Value() == 0 || m.dropped.Value() == 0 {
 			t.Fatalf("%s: built %d, dropped %d results: the cut never fell inside the shipped results",
-				cc.name, m.built.Value(), m.dropped.Value())
+				cc.name, m.taken.Value(), m.dropped.Value())
 		}
 		if m.calls[[3]string{"full", "ok", "any"}].Value() == 0 {
 			t.Fatalf("%s: no query fell back to the whole-document round", cc.name)
@@ -236,7 +238,14 @@ func TestRouterFromSnapshot(t *testing.T) {
 
 // checkRouterEquivalence pins router answers to the local corpus's over
 // the full query × options matrix: same errors, same result trees, same
-// snippets (tree, inline text list, key), same ranking scores.
+// snippets (tree, inline text list, key), same ranking scores. The routed
+// answer is the snippeted one, so its snippets are the shard servers': they
+// must equal the local serving path's (shard.Corpus.Answer) in every field a
+// served snippet keeps — tree XML and HTML, IList items with their exact
+// score bits, return entities, key, covered and skipped — and the snippets
+// regenerated from the routed trees must equal those made from the local
+// ones. Scores are taken before any tree is built: they come from the depths
+// the results arrived with.
 func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Router, options []search.Options, extraQueries ...string) {
 	t.Helper()
 	ctx := context.Background()
@@ -246,12 +255,13 @@ func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Rou
 	genRemote := core.NewGenerator(rt.Analysis())
 	scorerLocal := rank.NewScorerFunc(sc.Count, sc.TotalElements())
 	scorerRemote := rank.NewScorerFunc(rt.Count, rt.TotalElements())
+	const bound = 10
 	for _, opts := range options {
 		for _, q := range queries {
 			label := fmt.Sprintf("%s/sem=%d/mode=%d/max=%d/q=%q",
 				name, opts.Semantics, opts.Mode, opts.MaxResults, q)
 			want, werr := sc.Search(q, opts)
-			got, gerr := rt.SearchEnginesContext(ctx, q, opts, nil, nil)
+			got, gotSnippets, gerr := rt.Answer(ctx, q, opts, nil, nil, bound)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("%s: errors differ: local %v, routed %v", label, werr, gerr)
 			}
@@ -261,9 +271,24 @@ func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Rou
 			if len(want) != len(got) {
 				t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 			}
+			_, wantSnippets, err := sc.Answer(ctx, q, opts, nil, nil, bound)
+			if err != nil {
+				t.Fatalf("%s: local answer: %v", label, err)
+			}
+			if len(gotSnippets) != len(wantSnippets) {
+				t.Fatalf("%s: %d routed snippets, want %d", label, len(gotSnippets), len(wantSnippets))
+			}
+			for i := range wantSnippets {
+				if err := sameSnippet(wantSnippets[i], gotSnippets[i]); err != nil {
+					t.Fatalf("%s: server snippet %d: %v", label, i, err)
+				}
+			}
 			keys := queryKeys(q)
 			wantScores := scorerLocal.Sort(want, keys)
 			gotScores := scorerRemote.Sort(got, keys)
+			for i := range got {
+				got[i] = got[i].Tree()
+			}
 			for i := range want {
 				w := xmltree.XMLString(want[i].Root)
 				g := xmltree.XMLString(got[i].Root)
@@ -296,4 +321,45 @@ func queryKeys(query string) []string {
 		keys[i] = t.String()
 	}
 	return keys
+}
+
+// sameSnippet compares two served snippets in every field a served snippet
+// keeps: tree (as XML, and as the HTML the demo embeds), edges, the IList
+// item by item — kind, text, feature, feature id, exact score bits — its
+// return entities and key, the covered and skipped item indexes, and the
+// keywords and bound it records.
+func sameSnippet(want, got *core.Generated) error {
+	if a, b := xmltree.XMLString(want.Snippet.Root), xmltree.XMLString(got.Snippet.Root); a != b {
+		return fmt.Errorf("tree differs\nwant %s\ngot  %s", a, b)
+	}
+	if a, b := xmltree.RenderHTML(want.Snippet.Root, want.Keywords), xmltree.RenderHTML(got.Snippet.Root, got.Keywords); a != b {
+		return fmt.Errorf("HTML differs\nwant %s\ngot  %s", a, b)
+	}
+	if want.Snippet.Edges != got.Snippet.Edges || want.Bound != got.Bound || !slices.Equal(want.Keywords, got.Keywords) {
+		return fmt.Errorf("edges/bound/keywords = %d/%d/%v, want %d/%d/%v",
+			got.Snippet.Edges, got.Bound, got.Keywords, want.Snippet.Edges, want.Bound, want.Keywords)
+	}
+	if !slices.Equal(want.Snippet.Covered, got.Snippet.Covered) || !slices.Equal(want.Snippet.Skipped, got.Snippet.Skipped) {
+		return fmt.Errorf("covered/skipped = %v/%v, want %v/%v",
+			got.Snippet.Covered, got.Snippet.Skipped, want.Snippet.Covered, want.Snippet.Skipped)
+	}
+	wl, gl := want.IList, got.IList
+	if len(wl.Items) != len(gl.Items) {
+		return fmt.Errorf("%d IList items, want %d", len(gl.Items), len(wl.Items))
+	}
+	for i, w := range wl.Items {
+		g := gl.Items[i]
+		if g.Kind != w.Kind || g.Text != w.Text || g.Feature != w.Feature || g.FeatureID != w.FeatureID ||
+			math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+			return fmt.Errorf("IList item %d = %+v, want %+v", i, g, w)
+		}
+	}
+	if !slices.Equal(wl.ReturnEntities, gl.ReturnEntities) || wl.KeyAttr != gl.KeyAttr || wl.KeyValue != gl.KeyValue {
+		return fmt.Errorf("return entities/key = %v/%q=%q, want %v/%q=%q",
+			gl.ReturnEntities, gl.KeyAttr, gl.KeyValue, wl.ReturnEntities, wl.KeyAttr, wl.KeyValue)
+	}
+	if got.Stats != nil {
+		return fmt.Errorf("a served snippet kept its feature statistics")
+	}
+	return nil
 }

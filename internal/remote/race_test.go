@@ -60,7 +60,7 @@ func TestRouterReplacementRace(t *testing.T) {
 	render := func(rs []*search.Result) string {
 		var b strings.Builder
 		for _, r := range rs {
-			b.WriteString(xmltree.XMLString(r.Root))
+			b.WriteString(xmltree.XMLString(r.Tree().Root))
 			b.WriteByte('\n')
 		}
 		return b.String()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"extract/internal/core"
+	"extract/internal/index"
 	"extract/internal/ingest"
 	"extract/internal/search"
 	"extract/internal/shard"
@@ -94,8 +94,8 @@ type group struct {
 // Router is the stateless routing half of the distributed tier: a
 // serve.Backend that answers a query by running shard.Merge — the protocol
 // the in-process sharded corpus answers by — over rounds served by
-// shard-server replica groups, so a routed answer is byte-identical to a
-// local one. "Stateless" means no
+// shard-server replica groups, which also make the snippets, so a routed
+// answer is byte-identical to a local one. "Stateless" means no
 // query state and no placement authority: everything the router knows is
 // recomputed from the snapshot manifest, and two routers over the same
 // snapshot agree without talking to each other.
@@ -242,16 +242,18 @@ func (rt *Router) Close() {
 func (rt *Router) NumShards() int { return len(rt.place.Load().groupOf) }
 
 // Analysis returns the document-less corpus carrying the snapshot's
-// classification and keys — what serve.Server's snippet generator needs.
+// classification and keys — what the facade's own snippet generation
+// (Corpus.Snippet) and its entity and key lookups read; served snippets are
+// the shard servers'.
 func (rt *Router) Analysis() *core.Corpus {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.analysis
 }
 
-// Engines returns nil: the router holds no local engines, and its
-// SearchEnginesContext ignores the engine set. The serving layer's
-// per-option engine memo degenerates to a no-op.
+// Engines returns nil: the router holds no local engines, and its Answer
+// ignores the engine set. The serving layer's per-option engine memo
+// degenerates to a no-op.
 func (rt *Router) Engines(opts search.Options) []*search.Engine { return nil }
 
 // ctxTimeoutMillis converts ctx's deadline to the wire's timeout field
@@ -272,16 +274,20 @@ func ctxTimeoutMillis(ctx context.Context) uint64 {
 // groupCall performs one remote call against a replica set with failover:
 // replicas are tried in rotation order (breaker-open ones last, as
 // half-open probes), and any transport, protocol, skew or server-fault
-// failure moves on to the next peer. decode parses and validates the
-// response payload, returning the server-reported stage breakdown; its
-// failure is itself grounds for failover. Only context failures and
-// genuine query classifications end the loop early.
+// failure moves on to the next peer. Every response opens with the same
+// header (decodeRespHeader): groupCall checks its fingerprint against the
+// query's placement — a mismatch is generation skew — and takes the
+// server-reported stage breakdown from it, then hands the body to decode,
+// the call site's payload decoder, whose failure is itself grounds for
+// failover. Only context failures and genuine query classifications end the
+// loop early. A decoded payload goes to hold when the decoder kept ranges of
+// it, and back to the frame pool otherwise.
 //
 // group labels the call's metrics, and every attempt — failed or not — is
 // appended as a hop span to the query's SpanSink when the context carries
 // one, so a slow or failed-over query can be attributed to the exact
 // replica, attempt and server-side stage afterwards.
-func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic.Uint32, kind, group string, t msgType, payload []byte, want msgType, decode func(data []byte) (serverStages, error)) error {
+func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic.Uint32, kind, group string, t msgType, payload []byte, want msgType, fingerprint uint64, decode func(body []byte) error, hold func(payload []byte)) error {
 	start := time.Now()
 	outcome := "error"
 	defer func() {
@@ -348,7 +354,18 @@ func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic
 			lastErr = mapped
 			continue
 		}
-		st, err := decode(resp)
+		fp, st, body, err := decodeRespHeader(resp)
+		if err == nil && fp != fingerprint {
+			err = errSkew
+		}
+		if err == nil {
+			err = decode(body)
+		}
+		if err != nil || hold == nil {
+			putFrame(resp)
+		} else {
+			hold(resp)
+		}
 		if err != nil {
 			kind := ErrKindProtocol
 			if errors.Is(err, errSkew) {
@@ -416,40 +433,54 @@ func mapServerErr(addr string, e errMsg) (error, bool) {
 	}
 }
 
-// SearchEnginesContext answers a query from the replica groups by the same
-// protocol as the in-process sharded path — shard.Merge, here over rounds
-// that cross the wire (routedRounds) — so a routed answer is a local one.
-// Responses are validated as they arrive — a malformed one fails over inside
-// its hop — but result trees are built only once the answer is known: the
-// ranges the merge takes, or the fallback's, never the ones a cut or a
-// fallback discards. engines is ignored (the router has none); run schedules
-// the per-group fan-out and the builds, so the serving layer's worker pool
-// bounds remote concurrency and decoding exactly as it bounds local shard
-// evaluation.
-func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts search.Options, _ []*search.Engine, run shard.Runner) ([]*search.Result, error) {
+// SearchEnginesContext answers a query from the replica groups, search only:
+// Answer with no snippet bound. engines is ignored (the router has none).
+func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run shard.Runner) ([]*search.Result, error) {
+	rs, _, err := rt.Answer(ctx, query, opts, engines, run, -1)
+	return rs, err
+}
+
+// Answer answers a query from the replica groups by the same protocol as the
+// in-process sharded path — shard.Merge, here over rounds that cross the wire
+// (routedRounds) — so a routed answer is a local one, whatever the shard
+// count. With bound >= 0 the shard servers snippet the results they ship, on
+// their index, by the same fan-out a local corpus runs (shard.Snippets), so
+// the snippets are the local ones too. Responses are validated as they arrive
+// — a malformed one fails over inside its hop — and only the results the
+// merge takes become answers: deferred results (take), whose trees are built
+// only when something reads one, and the snippets that arrived with them.
+// engines is ignored (the router has none); run schedules the per-group
+// fan-out, so the serving layer's worker pool bounds remote concurrency
+// exactly as it bounds local shard evaluation.
+func (rt *Router) Answer(ctx context.Context, query string, opts search.Options, _ []*search.Engine, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	pl := rt.place.Load()
 	if len(pl.groupOf) == 0 || len(search.ParseQuery(query)) == 0 {
-		return nil, search.ErrEmptyQuery
+		return nil, nil, search.ErrEmptyQuery
 	}
-	r := &routedRounds{rt: rt, pl: pl, query: query, opts: opts, run: run}
-	var winners []scanned
-	var err error
-	if len(pl.groupOf) == 1 {
-		// One-shard corpus: the shard's direct answer is the whole answer,
-		// with no root-decision bookkeeping — the wire mirror of the local
-		// reference path (shard.Corpus.SearchEnginesContext), kept so
-		// routed == local holds at n = 1 too.
-		var parts []shard.Partial[scanned]
-		if parts, err = r.Eval(ctx); err == nil {
-			winners = parts[0].Results
-		}
-	} else {
-		winners, err = shard.Merge(ctx, opts, r)
-	}
+	r := &routedRounds{rt: rt, pl: pl, query: query, opts: opts, run: run, bound: max(bound, -1)}
+	defer r.release()
+	winners, err := shard.Merge(ctx, opts, r)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return rt.build(ctx, run, winners, r.shipped)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	rt.metrics.taken.Add(int64(len(winners)))
+	rt.metrics.dropped.Add(int64(r.shipped - len(winners)))
+	rs := make([]*search.Result, len(winners))
+	for i, w := range winners {
+		rs[i] = w.take(r.whole)
+	}
+	if bound < 0 {
+		return rs, nil, nil
+	}
+	kws := index.Tokenize(query)
+	gs := make([]*core.Generated, len(winners))
+	for i, w := range winners {
+		gs[i] = buildSnippet(w.snippet, kws, bound)
+	}
+	return rs, gs, nil
 }
 
 // routedRounds is shard.Merge's source of evidence for one routed query, on
@@ -464,8 +495,28 @@ type routedRounds struct {
 	query string
 	opts  search.Options
 	run   shard.Runner
+	bound int // snippet bound the servers apply; -1 = search only
 
-	shipped int // results scanned out of this query's responses
+	shipped int  // results scanned out of this query's responses
+	whole   bool // the answer is the whole-document round's
+
+	// frames are the response payloads the scanned ranges alias, released
+	// to the frame pool once the answer has copied out what it keeps.
+	mu     sync.Mutex
+	frames [][]byte
+}
+
+func (r *routedRounds) hold(payload []byte) {
+	r.mu.Lock()
+	r.frames = append(r.frames, payload)
+	r.mu.Unlock()
+}
+
+func (r *routedRounds) release() {
+	for _, f := range r.frames {
+		putFrame(f)
+	}
+	r.frames = nil
 }
 
 // perGroup runs call for every group with shards in byGroup, in parallel,
@@ -489,42 +540,37 @@ func (r *routedRounds) perGroup(byGroup [][]uint32, call func(g int, shards []ui
 	return nil
 }
 
-// Eval asks every group for its shard subset's partials.
+// Eval asks every group for its shard subset's partials. A snippeted request
+// is answered with a snippet per shipped result, except by a server whose own
+// shards include a root-anchored one: that sends the merge to the whole
+// document, so it snippets nothing — which the decoder holds it to.
 func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], error) {
 	rt, pl := r.rt, r.pl
-	nshards := len(pl.groupOf)
 	timeout := ctxTimeoutMillis(ctx)
 	resps := make([]evalResp, len(rt.groups))
 	err := r.perGroup(pl.byGroup, func(g int, shards []uint32) error {
-		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards})
-		return rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, func(data []byte) (serverStages, error) {
-			resp, err := decodeEvalResp(data)
+		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards, bound: r.bound})
+		return rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, pl.fingerprint, func(body []byte) error {
+			resp, err := decodeEvalResp(body)
 			if err != nil {
-				return serverStages{}, err
+				return err
 			}
-			if resp.fingerprint != pl.fingerprint {
-				return serverStages{}, errSkew
+			if !slices.EqualFunc(resp.shards, shards, func(s shardResp, want uint32) bool { return s.shard == want }) {
+				return shardEchoErr(shards)
 			}
-			if resp.direct {
-				if nshards != 1 {
-					return serverStages{}, protocolErrf("direct response from a %d-shard corpus", nshards)
-				}
-			} else if !slices.EqualFunc(resp.shards, shards, func(s shardResp, want uint32) bool { return s.shard == want }) {
-				return serverStages{}, shardEchoErr(shards)
+			rootAnchored := slices.ContainsFunc(resp.shards, func(s shardResp) bool { return !s.skipped && s.digest.RootAnchored })
+			if resp.snippeted != (r.bound >= 0 && !rootAnchored) {
+				return protocolErrf("eval response snippeted = %v for bound %d, root-anchored %v", resp.snippeted, r.bound, rootAnchored)
 			}
 			resps[g] = resp
-			return resp.stages, nil
-		})
+			return nil
+		}, r.hold)
 	})
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]shard.Partial[scanned], nshards)
+	parts := make([]shard.Partial[scanned], len(pl.groupOf))
 	for _, resp := range resps {
-		if resp.direct {
-			parts[0].Results = resp.results
-			r.shipped += len(resp.results)
-		}
 		for _, s := range resp.shards {
 			parts[s.shard] = shard.Partial[scanned]{Skipped: s.skipped, Digest: s.digest, Results: s.results}
 			r.shipped += len(s.results)
@@ -545,24 +591,21 @@ func (r *routedRounds) Digests(ctx context.Context, shards []int) ([]shard.Diges
 	timeout := ctxTimeoutMillis(ctx)
 	digests := make([]shard.Digest, len(shards))
 	err := r.perGroup(need, func(g int, shards []uint32) error {
-		payload := encodeFullReq(fullReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards})
-		return rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "digest", strconv.Itoa(g), msgDigest, payload, msgDigestResp, func(data []byte) (serverStages, error) {
-			resp, err := decodeDigestResp(data)
+		payload := encodeFullReq(fullReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards, bound: -1})
+		return rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "digest", strconv.Itoa(g), msgDigest, payload, msgDigestResp, pl.fingerprint, func(body []byte) error {
+			resp, err := decodeDigestResp(body)
 			if err != nil {
-				return serverStages{}, err
-			}
-			if resp.fingerprint != pl.fingerprint {
-				return serverStages{}, errSkew
+				return err
 			}
 			if !slices.Equal(resp.shards, shards) {
-				return serverStages{}, shardEchoErr(shards)
+				return shardEchoErr(shards)
 			}
 			// Groups own disjoint shards, so they fill disjoint elements.
 			for j, idx := range resp.shards {
 				digests[at[idx]] = resp.digests[j]
 			}
-			return resp.stages, nil
-		})
+			return nil
+		}, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -571,58 +614,29 @@ func (r *routedRounds) Digests(ctx context.Context, shards []int) ([]shard.Diges
 }
 
 // Whole asks any replica for the whole-document evaluation (every shard
-// server holds the full snapshot).
+// server holds the full snapshot), snippeted when the query is. Its frame
+// is never released to the pool: the answer's results keep their ranges of
+// it (take).
 func (r *routedRounds) Whole(ctx context.Context) ([]scanned, error) {
 	var fr fullResp
-	payload := encodeFullReq(fullReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx)})
-	err := r.rt.groupCall(ctx, r.rt.all, &r.rt.allRR, "full", "any", msgFull, payload, msgFullResp, func(data []byte) (serverStages, error) {
-		resp, err := decodeFullResp(data)
+	payload := encodeFullReq(fullReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx), bound: r.bound})
+	err := r.rt.groupCall(ctx, r.rt.all, &r.rt.allRR, "full", "any", msgFull, payload, msgFullResp, r.pl.fingerprint, func(body []byte) error {
+		resp, err := decodeFullResp(body)
 		if err != nil {
-			return serverStages{}, err
+			return err
 		}
-		if resp.fingerprint != r.pl.fingerprint {
-			return serverStages{}, errSkew
+		if resp.snippeted != (r.bound >= 0) {
+			return protocolErrf("full response snippeted = %v for bound %d", resp.snippeted, r.bound)
 		}
 		fr = resp
-		return resp.stages, nil
-	})
+		return nil
+	}, func([]byte) {})
 	if err != nil {
 		return nil, err
 	}
+	r.whole = true
 	r.shipped += len(fr.results)
 	return fr.results, nil
-}
-
-// build materializes the ranges a query returns, in order, out of the
-// shipped results its responses carried, and counts the rest as dropped.
-// The builds are independent and fan out through run like every other unit
-// of a query's work — pool-bounded, panic-isolated — with each task pulling
-// the next unbuilt range, so one large tree does not serialize the rest
-// behind it.
-func (rt *Router) build(ctx context.Context, run shard.Runner, winners []scanned, shipped int) ([]*search.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rt.metrics.built.Add(int64(len(winners)))
-	rt.metrics.dropped.Add(int64(shipped - len(winners)))
-	if len(winners) == 0 {
-		return nil, nil
-	}
-	out := make([]*search.Result, len(winners))
-	var next atomic.Int64
-	task := func() {
-		for i := int(next.Add(1)) - 1; i < len(winners); i = int(next.Add(1)) - 1 {
-			out[i] = winners[i].build()
-		}
-	}
-	tasks := make([]func(), min(len(winners), runtime.GOMAXPROCS(0)))
-	for i := range tasks {
-		tasks[i] = task
-	}
-	if err := shard.Run(run, tasks); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // shardEchoErr refuses a response that does not cover exactly the requested
@@ -648,20 +662,17 @@ func (rt *Router) statsFor(keyword string) (df, total int) {
 	defer cancel()
 	var sr statsResp
 	err := rt.groupCall(ctx, rt.all, &rt.allRR, "stats", "any", msgStats,
-		encodeStatsReq(statsReq{keywords: []string{keyword}}), msgStatsResp, func(data []byte) (serverStages, error) {
-			resp, err := decodeStatsResp(data)
+		encodeStatsReq(statsReq{keywords: []string{keyword}}), msgStatsResp, pl.fingerprint, func(body []byte) error {
+			resp, err := decodeStatsResp(body)
 			if err != nil {
-				return serverStages{}, err
-			}
-			if resp.fingerprint != pl.fingerprint {
-				return serverStages{}, errSkew
+				return err
 			}
 			if len(resp.counts) != 1 {
-				return serverStages{}, protocolErrf("stats response with %d counts, want 1", len(resp.counts))
+				return protocolErrf("stats response with %d counts, want 1", len(resp.counts))
 			}
 			sr = resp
-			return serverStages{}, nil
-		})
+			return nil
+		}, nil)
 	if err != nil {
 		return 0, cachedTotal
 	}
@@ -698,10 +709,10 @@ type routerMetrics struct {
 	failovers map[string]*telemetry.Counter    // group
 	seconds   map[string]*telemetry.Histogram  // group
 
-	// built and dropped count shipped results by fate: materialized into the
-	// answer, or scanned and skipped because the merge cut (or the root
-	// fallback) discarded them.
-	built, dropped *telemetry.Counter
+	// taken and dropped count shipped results by fate: taken into the answer
+	// (as deferred results), or scanned and skipped because the merge cut (or
+	// the root fallback) discarded them.
+	taken, dropped *telemetry.Counter
 }
 
 // groupCallKinds are the per-replica-group call kinds; anyCallKinds the
@@ -736,8 +747,8 @@ func newRouterMetrics(reg *telemetry.Registry, ngroups int) *routerMetrics {
 		add(strconv.Itoa(g), groupCallKinds)
 	}
 	add("any", anyCallKinds)
-	const resultsHelp = "Results shipped to the router by fate: built into an answer, or dropped unbuilt by the merge cut or the root fallback."
-	m.built = reg.Counter("extract_remote_results_total", resultsHelp, telemetry.L("fate", "built"))
+	const resultsHelp = "Results shipped to the router by fate: taken into an answer, or dropped by the merge cut or the root fallback."
+	m.taken = reg.Counter("extract_remote_results_total", resultsHelp, telemetry.L("fate", "taken"))
 	m.dropped = reg.Counter("extract_remote_results_total", resultsHelp, telemetry.L("fate", "dropped"))
 	return m
 }

@@ -7,13 +7,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"extract/internal/core"
 	"extract/internal/faultinject"
+	"extract/internal/index"
 	"extract/internal/ingest"
 	"extract/internal/search"
+	"extract/internal/serve"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
 )
@@ -60,12 +64,15 @@ type serverState struct {
 // is handed) the full snapshot — mmap'd images make the non-owned shards
 // nearly free — but evaluates queries only for the shard subset it owns;
 // whole-document fallback, digest and statistics calls are answerable by
-// any replica. A Server is safe for concurrent connections; evaluation
-// within one request fans out over goroutines with per-shard panic
-// isolation, exactly like the in-process path.
+// any replica. A Server is safe for concurrent connections. The per-shard
+// evaluations and snippet tasks of every request run on one worker pool of
+// GOMAXPROCS workers (serve.Pool), with per-task panic isolation exactly like
+// the in-process path, so a burst of connections cannot multiply the
+// server's evaluation concurrency.
 type Server struct {
 	tag     string // identity handed to faultinject.RemoteServe hooks
 	metrics *serverMetrics
+	pool    *serve.Pool
 
 	state atomic.Pointer[serverState]
 
@@ -114,12 +121,15 @@ func WithServerTelemetry(reg *telemetry.Registry) ServerOption {
 // content fingerprint is computed once here (one linear pass) and stamped
 // on every response.
 func NewServer(sc *shard.Corpus, opts ...ServerOption) *Server {
-	s := &Server{conns: make(map[net.Conn]struct{})}
+	s := &Server{conns: make(map[net.Conn]struct{}), pool: serve.NewPool(runtime.GOMAXPROCS(0))}
 	st := newServerState(sc, ingest.SourceOf(sc))
 	for _, o := range opts {
 		o(s, st)
 	}
 	s.state.Store(st)
+	// As with serve.Server: a dropped Server's workers stop on collection,
+	// so a Server that is never Closed does not pin goroutines.
+	runtime.AddCleanup(s, func(p *serve.Pool) { p.Stop() }, s.pool)
 	return s
 }
 
@@ -209,6 +219,7 @@ func (s *Server) Close() {
 		ln.Close()
 	}
 	s.wg.Wait()
+	s.pool.Stop()
 }
 
 // serveConn runs one connection: greet, then answer framed requests in
@@ -229,15 +240,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	br := bufio.NewReader(conn)
-	// Eval and full responses — the ones that carry result trees — are
-	// encoded into a buffer this connection owns and reuses: the exchange is
-	// strictly request/response, so the previous response has been flushed
-	// before the next is encoded.
-	var enc []byte
+	// Responses are encoded into a buffer this connection owns and reuses:
+	// the exchange is strictly request/response, so the previous response has
+	// been flushed before the next is encoded.
+	var enc, req []byte
 	for {
-		t, payload, err := readFrame(br)
+		// Requests are decoded in full — every string copied out — before the
+		// reply, so one read buffer serves the connection too.
+		t, payload, err := readFrameInto(br, req)
 		if err != nil {
 			return
+		}
+		if cap(payload) <= maxKeptEncode {
+			req = payload
 		}
 		if faultinject.Enabled() {
 			if err := faultinject.FireTag(faultinject.RemoteServe, s.tag); err != nil {
@@ -254,7 +269,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if reply(bw, rt, resp) != nil {
 			return
 		}
-		if (rt == msgEvalResp || rt == msgFullResp) && cap(resp) <= maxKeptEncode {
+		if resp != nil && cap(resp) <= maxKeptEncode {
 			enc = resp
 		}
 	}
@@ -274,13 +289,12 @@ func reply(bw *bufio.Writer, t msgType, payload []byte) error {
 }
 
 // handle dispatches one request and never panics: evaluation panics are
-// recovered per shard and classified, and a malformed request is answered
+// recovered per task and classified, and a malformed request is answered
 // with a protocol error message. Evaluation requests are timed per stage
 // (decode, eval/digest work, encode) into the server's own telemetry, and
-// the same breakdown is appended to the response so the router can
-// attribute a slow hop to the stage that caused it. Eval and full responses
-// are appended to enc, the caller's scratch; every other response is a
-// small allocation of its own.
+// the same breakdown is written into the response header so the router can
+// attribute a slow hop to the stage that caused it. Responses are appended
+// to enc, the caller's scratch.
 func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 	st := s.state.Load()
 	switch t {
@@ -295,16 +309,15 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 			return s.fail("eval", stages, err)
 		}
 		t1 := time.Now()
-		resp, err := s.evaluate(st, req)
+		a, err := s.evaluate(st, req)
 		stages.evalNs = nanosSince(t1)
 		if err != nil {
 			return s.fail("eval", stages, err)
 		}
 		t2 := time.Now()
-		body := appendEvalResp(enc, resp)
+		resp := appendEvalResp(appendRespHeader(enc, st.fingerprint), a)
 		stages.encodeNs = nanosSince(t2)
-		s.metrics.observe("eval", true, stages)
-		return msgEvalResp, appendServerStages(body, stages)
+		return s.respond("eval", msgEvalResp, resp, stages)
 	case msgDigest:
 		start := time.Now()
 		req, err := decodeFullReq(payload)
@@ -313,16 +326,15 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 			return s.fail("digest", stages, err)
 		}
 		t1 := time.Now()
-		resp, err := s.digests(st, req)
+		d, err := s.digests(st, req)
 		stages.digestNs = nanosSince(t1)
 		if err != nil {
 			return s.fail("digest", stages, err)
 		}
 		t2 := time.Now()
-		body := encodeDigestResp(resp)
+		resp := appendDigestResp(appendRespHeader(enc, st.fingerprint), d)
 		stages.encodeNs = nanosSince(t2)
-		s.metrics.observe("digest", true, stages)
-		return msgDigestResp, appendServerStages(body, stages)
+		return s.respond("digest", msgDigestResp, resp, stages)
 	case msgFull:
 		start := time.Now()
 		req, err := decodeFullReq(payload)
@@ -331,33 +343,36 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 			return s.fail("full", stages, err)
 		}
 		t1 := time.Now()
-		resp, err := s.fullEval(st, req)
+		rs, gs, err := s.fullEval(st, req)
 		stages.evalNs = nanosSince(t1)
 		if err != nil {
 			return s.fail("full", stages, err)
 		}
 		t2 := time.Now()
-		body := appendFullResp(enc, st.fingerprint, resp)
+		resp := appendFullResp(appendRespHeader(enc, st.fingerprint), rs, gs)
 		stages.encodeNs = nanosSince(t2)
-		s.metrics.observe("full", true, stages)
-		return msgFullResp, appendServerStages(body, stages)
+		return s.respond("full", msgFullResp, resp, stages)
 	case msgStats:
 		req, err := decodeStatsReq(payload)
 		if err != nil {
 			return s.fail("stats", serverStages{}, err)
 		}
-		resp := statsResp{
-			fingerprint:   st.fingerprint,
-			totalElements: uint64(st.sc.TotalElements()),
-		}
+		r := statsResp{totalElements: uint64(st.sc.TotalElements())}
 		for _, kw := range req.keywords {
-			resp.counts = append(resp.counts, uint64(st.sc.Count(kw)))
+			r.counts = append(r.counts, uint64(st.sc.Count(kw)))
 		}
-		s.metrics.observe("stats", true, serverStages{})
-		return msgStatsResp, encodeStatsResp(resp)
+		return s.respond("stats", msgStatsResp, appendStatsResp(appendRespHeader(enc, st.fingerprint), r), serverStages{})
 	default:
 		return errFrame(protocolErrf("unexpected request type %d", t))
 	}
+}
+
+// respond counts one served request and writes its stages into the
+// response header.
+func (s *Server) respond(kind string, t msgType, resp []byte, stages serverStages) (msgType, []byte) {
+	putServerStages(resp, stages)
+	s.metrics.observe(kind, true, stages)
+	return t, resp
 }
 
 // fail counts one failed request and encodes its classified error.
@@ -401,41 +416,45 @@ func reqContext(timeoutMillis uint64) (context.Context, context.CancelFunc) {
 // evaluate answers one eval request — round one of shard.Merge for the
 // shards the request names: their shard.Partials, digested from the
 // untrimmed local answers and then trimmed to what the router's merge can
-// still take.
+// still take — and, for a request with a snippet bound, one snippet per
+// result it ships (shard.Snippets, on the shards' indexes). A root-anchored
+// shard among them sends the merge to the whole-document round, which
+// discards every result shipped here, so such an answer snippets nothing.
 func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
-	resp := evalAnswer{fingerprint: st.fingerprint}
-	if st.sc.NumShards() == 1 {
-		// One-shard corpus: the local reference path searches the lone
-		// engine directly, with no root-decision bookkeeping
-		// (shard.Corpus.SearchEnginesContext). Answer with it, so routed ==
-		// local holds at n = 1 too.
-		if err := requireOwned(st, 0); err != nil {
-			return evalAnswer{}, err
-		}
-		rs, err := st.sc.SearchEnginesContext(ctx, req.query, req.opts, nil, nil)
-		if err != nil {
-			return evalAnswer{}, err
-		}
-		resp.direct = true
-		resp.results = rs
-		return resp, nil
-	}
 	shards, err := ownedShards(st, req.shards)
 	if err != nil {
 		return evalAnswer{}, err
 	}
-	parts, err := st.sc.EvalShards(ctx, req.query, req.opts, shards, nil, nil)
+	parts, err := st.sc.EvalShards(ctx, req.query, req.opts, shards, nil, s.pool.Run)
 	if err != nil {
 		return evalAnswer{}, err
 	}
-	resp.shards = make([]shardAnswer, len(parts))
+	a := evalAnswer{shards: make([]shardAnswer, len(parts))}
+	rootAnchored := false
 	for i, p := range parts {
-		resp.shards[i] = shardAnswer{shard: req.shards[i], skipped: p.Skipped, digest: p.Digest, results: p.Results}
+		a.shards[i] = shardAnswer{shard: req.shards[i], skipped: p.Skipped, digest: p.Digest, results: p.Results}
+		rootAnchored = rootAnchored || (!p.Skipped && p.Digest.RootAnchored)
 	}
-	trimToMerge(resp.shards, req.opts.MaxResults)
-	return resp, nil
+	trimToMerge(a.shards, req.opts.MaxResults)
+	if req.bound < 0 || rootAnchored {
+		return a, nil
+	}
+	var rs []*search.Result
+	for _, sa := range a.shards {
+		rs = append(rs, sa.results...)
+	}
+	gs, err := shard.Snippets(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(req.query), req.bound)
+	if err != nil {
+		return evalAnswer{}, err
+	}
+	for i := range a.shards {
+		n := len(a.shards[i].results)
+		a.shards[i].snippets, gs = gs[:n:n], gs[n:]
+	}
+	a.snippeted = true
+	return a, nil
 }
 
 // trimToMerge drops the results the router's merge cannot take. The digests
@@ -473,16 +492,24 @@ func (s *Server) digests(st *serverState, req fullReq) (digestResp, error) {
 	if err != nil {
 		return digestResp{}, err
 	}
-	return digestResp{fingerprint: st.fingerprint, shards: req.shards, digests: digests}, nil
+	return digestResp{shards: req.shards, digests: digests}, nil
 }
 
 // fullEval answers shard.Merge's third round, the whole-document
-// evaluation. Any replica can serve it — every server holds the full
-// snapshot.
-func (s *Server) fullEval(st *serverState, req fullReq) ([]*search.Result, error) {
+// evaluation, with a snippet per result when the request has a bound. Any
+// replica can serve it — every server holds the full snapshot.
+func (s *Server) fullEval(st *serverState, req fullReq) ([]*search.Result, []*core.Generated, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
-	return st.sc.SearchWhole(ctx, req.query, req.opts)
+	rs, err := st.sc.SearchWhole(ctx, req.query, req.opts)
+	if err != nil || req.bound < 0 {
+		return rs, nil, err
+	}
+	gs, err := shard.Snippets(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(req.query), req.bound)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rs, gs, nil
 }
 
 // ownedShards validates a request's whole shard set, returning it as corpus

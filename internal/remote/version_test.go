@@ -57,13 +57,15 @@ func TestRoutedHopsReportServerStages(t *testing.T) {
 }
 
 // TestOtherWireVersionsRefused: a frame at any version but wireVersion —
-// the retired v1 a stale peer would still speak, or a future one — is a
-// *ProtocolError naming both versions, whichever side reads it: the router
+// the retired v1 and v2 a stale peer would still speak, or a future one — is
+// a *ProtocolError naming both versions, whichever side reads it: the router
 // reading a greeting, the server reading a request. The server hangs up on
 // it without evaluating anything.
 func TestOtherWireVersionsRefused(t *testing.T) {
 	greeting := encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 1, 2}})
-	request := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0}})
+	request := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0}, bound: -1})
+	// A v2 eval request is a v3 one without the trailing snippet bound.
+	v2Request := request[:len(request)-1]
 	for _, tc := range []struct {
 		name    string
 		ver     byte
@@ -73,7 +75,9 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		{"v1 greeting", 1, msgHello, greeting},
 		{"v1 eval request", 1, msgEval, request},
 		{"v1 negotiation request", 1, msgHello, []byte{2}},
-		{"v3 greeting", wireVersion + 1, msgHello, greeting},
+		{"v2 greeting", 2, msgHello, greeting},
+		{"v2 eval request", 2, msgEval, appendTraceID(v2Request, 1)},
+		{"v4 greeting", wireVersion + 1, msgHello, greeting},
 	} {
 		_, _, err := readFrame(bytes.NewReader(frameBytes(tc.ver, tc.t, tc.payload)))
 		var pe *ProtocolError
@@ -98,11 +102,11 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 	if mt, _, err := readFrame(client); err != nil || mt != msgHello {
 		t.Fatalf("greeting: type %d, %v", mt, err)
 	}
-	if _, err := client.Write(frameBytes(1, msgEval, request)); err != nil {
+	if _, err := client.Write(frameBytes(2, msgEval, appendTraceID(v2Request, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readFrame(client); !errors.Is(err, io.EOF) {
-		t.Fatalf("after a v1 request: %v, want the connection closed", err)
+		t.Fatalf("after a v2 request: %v, want the connection closed", err)
 	}
 	<-done
 	for _, m := range reg.Snapshot().Metrics {
@@ -157,5 +161,62 @@ func TestServerTelemetryCountsRequests(t *testing.T) {
 	}
 	if stageCounts == 0 {
 		t.Fatal("no stage observations recorded")
+	}
+}
+
+// TestSnippetedAnswerTakesNoExtraRound: a routed query with snippets is
+// answered in the rounds a search-only one is — one eval call per group, the
+// digest and whole-document rounds only when the merge needs them — because
+// the snippets ride on the eval and whole-document answers; and reading the
+// answer's trees afterwards calls no replica: a tree is built from the bytes
+// that arrived, never fetched.
+func TestSnippetedAnswerTakesNoExtraRound(t *testing.T) {
+	sc := versionTestCorpus()
+	cl := startCluster(t, sc, 2, 1)
+	rt := cl.router
+	calls := func() map[string]int64 {
+		n := map[string]int64{}
+		for key, c := range rt.metrics.calls {
+			n[key[0]] += c.Value()
+		}
+		return n
+	}
+	fb := sc.Fallback()
+	queries := append(testQueries(fb.Doc, fb), fb.Doc.Root.Label)
+	ctx := context.Background()
+	answered, full := 0, int64(0)
+	for _, opts := range []search.Options{{DistinctAnchors: true}, {DistinctAnchors: true, Semantics: search.SemanticsELCA, MaxResults: 3}} {
+		for _, q := range queries {
+			before := calls()
+			if _, _, err := rt.Answer(ctx, q, opts, nil, nil, -1); err != nil {
+				continue
+			}
+			searchOnly := calls()
+			rs, gs, err := rt.Answer(ctx, q, opts, nil, nil, 8)
+			if err != nil || len(gs) != len(rs) {
+				t.Fatalf("%q: %d snippets for %d results, %v", q, len(gs), len(rs), err)
+			}
+			snippeted := calls()
+			for _, r := range rs {
+				r.Tree()
+			}
+			read := calls()
+			for _, kind := range []string{"eval", "digest", "full", "stats"} {
+				if a, b := searchOnly[kind]-before[kind], snippeted[kind]-searchOnly[kind]; a != b {
+					t.Fatalf("%q: %v %s calls with snippets, %v without", q, b, kind, a)
+				}
+				if read[kind] != snippeted[kind] {
+					t.Fatalf("%q: reading the trees made %v %s calls", q, read[kind]-snippeted[kind], kind)
+				}
+			}
+			if n := snippeted["eval"] - searchOnly["eval"]; n != 2 {
+				t.Fatalf("%q: %v eval calls for two groups", q, n)
+			}
+			answered++
+			full += snippeted["full"] - searchOnly["full"]
+		}
+	}
+	if answered == 0 || full == 0 {
+		t.Fatalf("%d queries answered, %v of them by the whole-document round: the matrix proves nothing", answered, full)
 	}
 }

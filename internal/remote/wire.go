@@ -10,10 +10,13 @@
 // sharded-query protocol lives in internal/shard and this package only
 // carries it: the router runs shard.Merge — the very function the
 // in-process corpus runs — over rounds that are remote calls, a shard
-// server answers each call with the shard.Corpus method for that round, and
-// result trees travel as a lossless preorder encoding, so a distributed
-// query is byte-identical to a local one — the property the equivalence
-// tests pin.
+// server answers each call with the shard.Corpus method for that round and
+// snippets the results it ships with the local snippet fan-out
+// (shard.Snippets), and results and snippets travel as lossless encodings,
+// so a distributed query is byte-identical to a local one — the property the
+// equivalence tests pin. The router keeps each result it answers with as its
+// encoding and builds the tree only when something reads it
+// (search.Result.Tree).
 //
 // Placement is content-addressed: every shard's manifest content hash
 // (ingest.ShardEntry.ContentHash) is rendezvous-hashed over the configured
@@ -50,7 +53,7 @@ const (
 	// frame is written at it and a frame at any other version is refused
 	// as version skew. A payload layout change bumps wireVersion; router
 	// and shard servers are rolled together.
-	wireVersion = 2
+	wireVersion = 3
 
 	frameHeaderLen = 12
 
@@ -115,7 +118,11 @@ func writeFrame(w io.Writer, t msgType, payload []byte) error {
 // readFrame reads one framed message, validating magic, version, length
 // and checksum before returning the payload. Malformed frames return a
 // *ProtocolError; a cleanly closed connection returns io.EOF.
-func readFrame(r io.Reader) (msgType, []byte, error) {
+func readFrame(r io.Reader) (msgType, []byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto is readFrame reading the payload into buf when it is large
+// enough, and into a fresh allocation otherwise.
+func readFrameInto(r io.Reader, buf []byte) (msgType, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
@@ -137,7 +144,11 @@ func readFrame(r io.Reader) (msgType, []byte, error) {
 	if n > maxFramePayload {
 		return 0, nil, protocolErrf("frame payload length %d exceeds cap %d", n, maxFramePayload)
 	}
-	payload := make([]byte, n)
+	payload := buf[:0]
+	if cap(payload) < int(n) {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, protocolErrf("truncated frame payload: %v", err)
 	}

@@ -1,0 +1,84 @@
+package search
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"extract/xmltree"
+)
+
+// TestDeferredTreeBuiltOnce: a deferred result answers Size, IsView,
+// Retained and MatchDepth from what it was made with, builds nothing until
+// Tree is called, and builds exactly once however many goroutines make the
+// first call together — every caller getting the same tree.
+func TestDeferredTreeBuiltOnce(t *testing.T) {
+	doc := xmltree.NewDocument(xmltree.Elem("store", xmltree.Elem("city", xmltree.Txt("houston"))))
+	var builds atomic.Int32
+	d := Defer(doc.Len(), 77, []KeywordDepth{{"houston", 2}}, func() *Result {
+		builds.Add(1)
+		return FromNode(doc, doc.Root)
+	})
+	if d.Size() != doc.Len()-1 || d.IsView() {
+		t.Fatalf("deferred result: size %d, view %v", d.Size(), d.IsView())
+	}
+	if n, ok := d.Retained(); n != 77 || !ok {
+		t.Fatalf("Retained() = %d, %v", n, ok)
+	}
+	if depth, ok := d.MatchDepth("houston"); depth != 2 || !ok {
+		t.Fatalf("MatchDepth(houston) = %d, %v", depth, ok)
+	}
+	if _, ok := d.MatchDepth("dallas"); ok {
+		t.Fatal("MatchDepth of an unmatched keyword reports a match")
+	}
+	if builds.Load() != 0 {
+		t.Fatal("the tree was built before anything asked for it")
+	}
+
+	const readers = 32
+	trees := make([]*Result, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range trees {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			trees[i] = d.Tree()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d concurrent first reads built the tree %d times", readers, n)
+	}
+	for i, tree := range trees {
+		if tree != trees[0] || tree.Root != doc.Root {
+			t.Fatalf("reader %d got a different tree", i)
+		}
+	}
+	if tree := trees[0]; tree.Tree() != tree {
+		t.Fatal("a built result is not its own tree")
+	}
+	if _, ok := trees[0].Retained(); ok {
+		t.Fatal("a built result claims to be deferred")
+	}
+}
+
+// TestMatchDepthIsTheShallowestMatch: a tree result's MatchDepth is its
+// shallowest match below the anchor, the number ranking reads.
+func TestMatchDepthIsTheShallowestMatch(t *testing.T) {
+	doc := xmltree.NewDocument(xmltree.Elem("store",
+		xmltree.Elem("clothes", xmltree.Elem("name", xmltree.Txt("jeans"))),
+		xmltree.Elem("name", xmltree.Txt("jeans"))))
+	r := FromNode(doc, doc.Root)
+	deep, shallow := doc.Root.Children[0].Children[0].Children[0], doc.Root.Children[1].Children[0]
+	r.Matches["jeans"] = []*xmltree.Node{deep, shallow}
+	if d, ok := r.MatchDepth("jeans"); d != 2 || !ok {
+		t.Fatalf("MatchDepth(jeans) = %d, %v; want 2", d, ok)
+	}
+	r.Matches["none"] = nil
+	if _, ok := r.MatchDepth("none"); ok {
+		t.Fatal("a keyword with no matches reports a depth")
+	}
+}

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"sync"
+
 	"extract/internal/classify"
 	"extract/internal/index"
 	"extract/xmltree"
@@ -20,7 +22,11 @@ import (
 // decoded from the wire are owned trees instead: new, small trees finalized as
 // documents of their own. IsView tells the two kinds apart.
 //
-// Results of either kind are shared — by the query cache, by every caller a
+// A deferred result (Defer) — what a distributed router returns — has no tree
+// yet: its tree fields are nil, Size and MatchDepth answer from what arrived
+// with it, and Tree builds the tree the first time anything asks.
+//
+// Results of every kind are shared — by the query cache, by every caller a
 // cached entry is replayed to — and must never be mutated.
 type Result struct {
 	// Root is the root of the result tree: the anchor itself for a view,
@@ -52,14 +58,102 @@ type Result struct {
 	// owned tree, and on a view nobody gave one: such a result is read
 	// node by node, to the same snippet.
 	Index *index.Index
+
+	// pending is set on a deferred result, and only there.
+	pending *pending
+}
+
+// KeywordDepth is what ranking reads of one keyword's matches in a result:
+// the least depth below the anchor at which one of them lies.
+type KeywordDepth struct {
+	Keyword string
+	Depth   int
+}
+
+// pending is a deferred result: what is known of it without its tree, and
+// how to build the tree once.
+type pending struct {
+	nodes    int
+	retained int
+	depths   []KeywordDepth
+
+	once  sync.Once
+	build func() *Result
+	tree  *Result
+}
+
+// Defer returns a deferred result: nodes is its tree's node count, retained
+// the bytes it holds until the tree is built, depths its per-keyword least
+// match depths (MatchDepth), and build makes its tree — called at most once,
+// by the first Tree call from any goroutine.
+func Defer(nodes, retained int, depths []KeywordDepth, build func() *Result) *Result {
+	return &Result{pending: &pending{nodes: nodes, retained: retained, depths: depths, build: build}}
+}
+
+// Tree returns the result with its tree fields filled in: r itself, or — for
+// a deferred result — the tree built on the first call. Concurrent first
+// calls wait for one build, and every call returns the same tree.
+func (r *Result) Tree() *Result {
+	p := r.pending
+	if p == nil {
+		return r
+	}
+	p.once.Do(func() {
+		p.tree = p.build()
+		p.build = nil
+	})
+	return p.tree
+}
+
+// Retained reports whether r is deferred and, if so, the bytes it holds
+// until its tree is built.
+func (r *Result) Retained() (bytes int, deferred bool) {
+	if r.pending == nil {
+		return 0, false
+	}
+	return r.pending.retained, true
 }
 
 // IsView reports whether the result is a read-only view of its source
-// document (it shares the corpus's nodes) rather than an owned tree.
-func (r *Result) IsView() bool { return r.Doc.IsView() }
+// document (it shares the corpus's nodes) rather than an owned tree. A
+// deferred result is not.
+func (r *Result) IsView() bool { return r.pending == nil && r.Doc.IsView() }
 
 // Size returns the number of edges of the result tree.
-func (r *Result) Size() int { return r.Doc.Len() - 1 }
+func (r *Result) Size() int {
+	if r.pending != nil {
+		return r.pending.nodes - 1
+	}
+	return r.Doc.Len() - 1
+}
+
+// MatchDepth returns the least depth below the anchor of kw's matches in the
+// result (a match above the anchor counts as depth 0), and false when kw has
+// none. A deferred result answers from the depths it arrived with, which its
+// sender computed by this same rule.
+func (r *Result) MatchDepth(kw string) (int, bool) {
+	if r.pending != nil {
+		for _, d := range r.pending.depths {
+			if d.Keyword == kw {
+				return d.Depth, true
+			}
+		}
+		return 0, false
+	}
+	ms := r.Matches[kw]
+	if len(ms) == 0 {
+		return 0, false
+	}
+	anchor := r.Anchor.Depth()
+	best := -1
+	for _, m := range ms {
+		d := max(m.Depth()-anchor, 0)
+		if best < 0 || d < best {
+			best = d
+		}
+	}
+	return best, true
+}
 
 // FromNode returns a Result viewing the subtree of an arbitrary node of
 // doc: the bridge for structurally selected results (e.g. XPath), which

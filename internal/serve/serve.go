@@ -5,14 +5,11 @@ import (
 	"errors"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"extract/internal/core"
-	"extract/internal/faultinject"
-	"extract/internal/index"
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
@@ -24,23 +21,27 @@ import (
 const DefaultCacheBytes = 64 << 20
 
 // Backend is the evaluation side the serving layer drives: a corpus that
-// can expose its per-unit engines and evaluate a query through them. A local
-// corpus (*shard.Corpus, n >= 1 shards) is one Backend with an engine per
-// shard; a remote tier's router (remote.Router) is another, with none. The
-// Server never looks inside — worker pool, engine memo, cache and swap epoch
-// all operate on the interface, so every corpus gets the same serving path.
+// can expose its per-unit engines and answer a query through them, snippets
+// included. A local corpus (*shard.Corpus, n >= 1 shards) is one Backend with
+// an engine per shard, snippeting its results in process; a remote tier's
+// router (remote.Router) is another, with no engines, whose shard servers
+// snippet the results where they live. The Server never looks inside —
+// worker pool, engine memo, cache and swap epoch all operate on the
+// interface, so every corpus gets the same serving path.
 type Backend interface {
 	// Analysis returns the corpus carrying the classification and keys
 	// snippet generation needs (not necessarily a document).
 	Analysis() *core.Corpus
 	// Engines builds the backend's evaluation engines for one option
-	// combination, in the alignment SearchEnginesContext expects.
+	// combination, in the alignment Answer expects.
 	Engines(opts search.Options) []*search.Engine
-	// SearchEnginesContext evaluates a query on engines previously built by
-	// Engines for the same opts (nil builds throwaway ones), scheduling
-	// independent per-engine work through run (nil = own goroutines) and
-	// honoring ctx cancellation between units of work.
-	SearchEnginesContext(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run shard.Runner) ([]*search.Result, error)
+	// Answer evaluates a query on engines previously built by Engines for
+	// the same opts (nil builds throwaway ones), scheduling independent work
+	// through run (nil = own goroutines) and honoring ctx cancellation
+	// between units of work. When bound >= 0 it also returns one snippet per
+	// result at that bound, aligned with the results; bound < 0 is search
+	// only, with nil snippets. Results may be deferred (search.Result.Tree).
+	Answer(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error)
 }
 
 // Server is the query-serving layer over one corpus backend. It owns the
@@ -70,7 +71,6 @@ type Server struct {
 
 	mu      sync.Mutex
 	backend Backend
-	gen     *core.Generator // shared snippet generator over the corpus analysis
 	engines map[search.Options][]*search.Engine
 }
 
@@ -183,7 +183,6 @@ func New(b Backend, opts ...Option) *Server {
 		pool:        NewPool(cfg.workers),
 		cache:       NewCache(cfg.cacheBytes),
 		backend:     b,
-		gen:         core.NewGenerator(b.Analysis()),
 		timeout:     cfg.timeout,
 		maxInFlight: int64(cfg.maxInFlight),
 		traces:      telemetry.NewTraceRing(traceSampleEvery, traceRingSize, traceSlowSize),
@@ -220,7 +219,6 @@ func (s *Server) Backend() Backend {
 func (s *Server) Swap(b Backend) {
 	s.mu.Lock()
 	s.backend = b
-	s.gen = core.NewGenerator(b.Analysis())
 	s.engines = make(map[search.Options][]*search.Engine)
 	s.mu.Unlock()
 	s.cache.clear()
@@ -248,10 +246,9 @@ func (s *Server) Stats() Stats {
 // allocation per shard).
 const maxEngineSets = 64
 
-// snapshot returns the coherent (backend, generator, engine set) triple for
-// one query, building and memoizing the backend's engines for opts on
-// first use.
-func (s *Server) snapshot(opts search.Options) (Backend, *core.Generator, []*search.Engine) {
+// snapshot returns the coherent (backend, engine set) pair for one query,
+// building and memoizing the backend's engines for opts on first use.
+func (s *Server) snapshot(opts search.Options) (Backend, []*search.Engine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	engines, ok := s.engines[opts]
@@ -261,7 +258,7 @@ func (s *Server) snapshot(opts search.Options) (Backend, *core.Generator, []*sea
 			s.engines[opts] = engines
 		}
 	}
-	return s.backend, s.gen, engines
+	return s.backend, engines
 }
 
 // Cached is one cached query response: the result list, and — for
@@ -279,17 +276,17 @@ type Cached struct {
 
 // cost estimates the heap the entry owns, for the cache budget. A view
 // result owns a header only — the corpus nodes it points at belong to the
-// generation the entry's Backend already pins — while an owned result tree
-// (a trimmed projection, a result decoded from the wire) and every snippet
-// tree are charged per node, and an IList per item. The constants are rough
-// costs (node struct, slice and map headers; an ilist.Item with its share of
-// slice growth), not an exact accounting: on the benchmark corpus a 24-hit
-// entry is charged 53 KB for 63 KB of measured heap. A wire-decoded result is
-// laid out in slabs (remote's build: the 104-byte node, two pointer-arena
-// slots and its text) and measures 134 B a node at 805 nodes, 136 at 134 and
-// 160 at 7 — the same 136 a node plus about 200 a result; a routed entry of
-// six 134-node results is charged 129 KB for the 134-138 KB it retains
-// (TestCostChargesWhatAnEntryOwns holds the two together).
+// generation the entry's Backend already pins — and a deferred result (what a
+// router returns) the bytes it retains: its own copy of its wire encoding and
+// its keyword depths. An owned result tree (a trimmed projection) and every
+// snippet tree are charged per node, and an IList per item. The constants are
+// rough costs (node struct, slice and map headers; an ilist.Item with its
+// share of slice growth), not an exact accounting: on the benchmark corpus a
+// 24-hit entry is charged 53 KB for 63 KB of measured heap
+// (TestCostChargesWhatAnEntryOwns holds a routed entry's charge to what it
+// retains: six 133-edge retailer results with their snippets, 28.5 KB
+// charged for 29.1 KB). A deferred tree that a reader builds later is not
+// re-charged.
 func (v *Cached) cost() int64 {
 	const (
 		perNode  = 136
@@ -299,7 +296,9 @@ func (v *Cached) cost() int64 {
 	c := int64(perEntry)
 	for _, r := range v.Results {
 		c += perEntry
-		if !r.IsView() {
+		if retained, deferred := r.Retained(); deferred {
+			c += int64(retained)
+		} else if !r.IsView() {
 			c += perNode * int64(r.Size()+1)
 		}
 	}
@@ -354,40 +353,42 @@ func (s *Server) Do(ctx context.Context, query string, opts search.Options, boun
 
 // QueryContext is Do for callers that want the full pipeline's results and
 // snippets as slices of their own (fresh copies, free to reorder; the
-// objects they point to stay shared and immutable).
+// objects they point to stay shared and immutable). Its results have their
+// trees: a deferred result is built here (search.Result.Tree), once for
+// every caller of the entry.
 func (s *Server) QueryContext(ctx context.Context, query string, opts search.Options, bound int) ([]*search.Result, []*core.Generated, error) {
 	v, err := s.Do(ctx, query, opts, bound)
 	if err != nil {
 		return nil, nil, err
 	}
-	return append([]*search.Result(nil), v.Results...),
-		append([]*core.Generated(nil), v.Snippets...), nil
+	rs := make([]*search.Result, len(v.Results))
+	for i, r := range v.Results {
+		rs[i] = r.Tree()
+	}
+	return rs, append([]*core.Generated(nil), v.Snippets...), nil
 }
 
-// evaluate is one query's computation: dispatch, evaluation and — when
-// bound >= 0 — snippet generation, each recorded into the trace.
+// evaluate is one query's computation: dispatch, then the backend's answer —
+// evaluation and, when bound >= 0, snippet generation — recorded into the
+// trace as the eval and snippet stages. The snippet stage is the time the
+// backend noted on the query's span sink for its own snippet fan-out; a
+// router notes none, its snippets being made inside the shard servers'
+// eval stage (the hop spans' ServerEval).
 func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts search.Options, bound int) (*Cached, error) {
 	t := time.Now()
-	b, gen, engines := s.snapshot(opts)
+	b, engines := s.snapshot(opts)
 	tr.add(stageDispatch, time.Since(t))
-	t = time.Now()
-	rs, err := b.SearchEnginesContext(ctx, query, opts, engines, s.pool.Run)
-	tr.add(stageEval, time.Since(t))
+	t, before := time.Now(), tr.sink.Snippets()
+	rs, gs, err := b.Answer(ctx, query, opts, engines, s.pool.Run, bound)
+	answered, snippets := time.Since(t), tr.sink.Snippets()-before
+	tr.add(stageEval, answered-snippets)
+	if snippets > 0 || (bound >= 0 && err == nil) {
+		tr.add(stageSnippet, snippets)
+	}
 	if err != nil {
 		return nil, err
 	}
-	v := &Cached{Results: rs, Backend: b}
-	if bound < 0 {
-		return v, nil
-	}
-	// Tokenized here, not on the hit path: cache hits never pay it.
-	t = time.Now()
-	v.Snippets, err = s.snippets(ctx, gen, rs, index.Tokenize(query), bound)
-	tr.add(stageSnippet, time.Since(t))
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
+	return &Cached{Results: rs, Snippets: gs, Backend: b}, nil
 }
 
 // begin admits one query: it sheds immediately when the in-flight bound is
@@ -496,85 +497,4 @@ func (s *Server) serveTraced(ctx context.Context, query string, opts search.Opti
 
 func isContextError(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// snippetCheckpoint gates each generated snippet on cancellation and the
-// SnippetGen fault-injection point.
-func snippetCheckpoint(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if faultinject.Enabled() {
-		return faultinject.Fire(faultinject.SnippetGen)
-	}
-	return nil
-}
-
-// snippet generates one result's snippet for a response, keeping what a
-// response replays — the snippet tree and its IList — and dropping the
-// feature statistics. Those are working state of the derivation, sized by
-// the result rather than by the snippet (on the benchmark corpus, 130 KB of
-// the 210 KB a 24-hit entry would otherwise own), and nothing downstream
-// of the serving layer reads them.
-func snippet(gen *core.Generator, r *search.Result, kws []string, bound int) *core.Generated {
-	g := gen.ForResultTokens(r, kws, bound)
-	g.Stats = nil
-	return g
-}
-
-// snippets generates one snippet per result. Snippets are independent and
-// the generator is shared and concurrency-safe, so up to GOMAXPROCS pool
-// tasks each claim one result at a time from a shared cursor, largest result
-// first: the one long job of a result list — a whole-document result among
-// two dozen small ones — starts first and everything else packs around it,
-// where a fixed split would queue half the list behind it. Output stays
-// aligned with rs. A cancelled query stops between snippets and returns the
-// context's error — a partially filled snippet set is never returned, so
-// nothing incomplete can be cached.
-func (s *Server) snippets(ctx context.Context, gen *core.Generator, rs []*search.Result, kws []string, bound int) ([]*core.Generated, error) {
-	out := make([]*core.Generated, len(rs))
-	if len(rs) < 4 {
-		for i, r := range rs {
-			if err := snippetCheckpoint(ctx); err != nil {
-				return nil, err
-			}
-			out[i] = snippet(gen, r, kws, bound)
-		}
-		return out, nil
-	}
-	order := largestFirst(rs)
-	var cursor atomic.Int64
-	tasks := make([]func(), min(runtime.GOMAXPROCS(0), len(rs)))
-	errs := make([]error, len(tasks))
-	for t := range tasks {
-		tasks[t] = func() {
-			for k := cursor.Add(1) - 1; k < int64(len(order)); k = cursor.Add(1) - 1 {
-				if errs[t] = snippetCheckpoint(ctx); errs[t] != nil {
-					return
-				}
-				i := order[k]
-				out[i] = snippet(gen, rs[i], kws, bound)
-			}
-		}
-	}
-	if err := s.pool.Run(tasks); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// largestFirst returns the indexes of rs by decreasing result size, equal
-// sizes in result order.
-func largestFirst(rs []*search.Result) []int {
-	order := make([]int, len(rs))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return rs[b].Doc.Len() - rs[a].Doc.Len() })
-	return order
 }

@@ -3,9 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
-	"net"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,8 +11,6 @@ import (
 	"extract/internal/core"
 	"extract/internal/faultinject"
 	"extract/internal/gen"
-	"extract/internal/ingest"
-	"extract/internal/remote"
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/workload"
@@ -263,95 +259,6 @@ func TestEvictionBound(t *testing.T) {
 	if st.Evictions == 0 || st.Entries >= 100 {
 		t.Fatalf("100 oversize-in-aggregate inserts never evicted: %+v", st)
 	}
-}
-
-// TestCostChargesWhatAnEntryOwns: a view result points at corpus nodes the
-// entry's backend already pins, so the entry's cost does not grow with the
-// result's subtree; the same answer as trimmed projections owns its trees
-// and pays for them; and the feature statistics — sized by the result, read
-// by nothing downstream — are not kept.
-func TestCostChargesWhatAnEntryOwns(t *testing.T) {
-	doc := gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 21})
-	s := New(shard.Build(doc, 2), WithCacheBytes(0))
-	defer s.Close()
-	ctx := context.Background()
-	entryOn := func(s *Server, query string, mode search.ConstructionMode) *Cached {
-		v, err := s.Do(ctx, query, search.Options{DistinctAnchors: true, Mode: mode}, 6)
-		if err != nil || len(v.Results) == 0 {
-			t.Fatalf("%q: %v", query, err)
-		}
-		for _, g := range v.Snippets {
-			if g.Stats != nil {
-				t.Fatalf("%q: a served snippet kept its feature statistics", query)
-			}
-		}
-		return v
-	}
-	entry := func(query string, mode search.ConstructionMode) *Cached { return entryOn(s, query, mode) }
-	// One retailer-sized result against one clothes-sized result.
-	big, small := entry("retailer", search.ModeSubtree), entry("clothes", search.ModeSubtree)
-	perResult := func(v *Cached) int64 {
-		own := v.cost()
-		for _, g := range v.Snippets {
-			own -= (&Cached{Snippets: []*core.Generated{g}}).cost() - (&Cached{}).cost()
-		}
-		return (own - (&Cached{}).cost()) / int64(len(v.Results))
-	}
-	if big.Results[0].Size() < 10*small.Results[0].Size() {
-		t.Fatalf("result sizes %d and %d: want an order of magnitude apart", big.Results[0].Size(), small.Results[0].Size())
-	}
-	if b, sm := perResult(big), perResult(small); b != sm {
-		t.Errorf("a view of %d edges is charged %d bytes, a view of %d edges %d",
-			big.Results[0].Size(), b, small.Results[0].Size(), sm)
-	}
-	trimmed := entry("retailer", search.ModeXSeek)
-	if tr, v := perResult(trimmed), perResult(big); tr < v+100*int64(trimmed.Results[0].Size()) {
-		t.Errorf("an owned tree of %d edges is charged %d bytes, a view %d", trimmed.Results[0].Size(), tr, v)
-	}
-
-	// The same answer through the distributed tier is owned trees too, built
-	// in slabs by the router's decoder. It pays per node like a projection,
-	// and the charge stays in line with the heap the entry really retains.
-	sc := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 21}), 2)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := remote.NewServer(sc)
-	go srv.Serve(ln)
-	defer srv.Close()
-	rt, err := remote.NewRouter(sc.Analysis(), ingest.SourceOf(sc), [][]string{{ln.Addr().String()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	routed := New(rt, WithCacheBytes(0))
-	defer routed.Close()
-	// Connections, buffers and engines settle. Twice, a collection apart: what
-	// the first exchange leaves in sync.Pools would otherwise be freed between
-	// the two readings below and read as 30-50 KB the entry does not retain.
-	for i := 0; i < 2; i++ {
-		entryOn(routed, "retailer", search.ModeSubtree)
-		runtime.GC()
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	decoded := entryOn(routed, "retailer", search.ModeSubtree)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if decoded.Results[0].IsView() || decoded.Results[0].Size() != big.Results[0].Size() {
-		t.Fatalf("routed result: view %v, %d edges; local %d edges",
-			decoded.Results[0].IsView(), decoded.Results[0].Size(), big.Results[0].Size())
-	}
-	if d, v := perResult(decoded), perResult(big); d < v+100*int64(decoded.Results[0].Size()) {
-		t.Errorf("a decoded tree of %d edges is charged %d bytes, a view %d", decoded.Results[0].Size(), d, v)
-	}
-	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if charged := decoded.cost(); charged < retained*6/10 || charged > retained*12/10 {
-		t.Errorf("a %d-result decoded entry is charged %d bytes and retains %d", len(decoded.Results), charged, retained)
-	}
-	runtime.KeepAlive(decoded)
 }
 
 // TestLRURecency pins the eviction order: with two entries filling one

@@ -37,9 +37,11 @@ type Rounds[R any] interface {
 }
 
 // Merge is the sharded-query protocol, stated once: it answers a query over
-// a corpus of two or more shards from per-shard evidence, exactly as an
-// engine over the whole document would (the equivalence property tests pin
-// local == unsharded and routed == local).
+// a corpus of shards from per-shard evidence, exactly as an engine over the
+// whole document would (the equivalence property tests pin local ==
+// unsharded and routed == local). A local corpus runs it from two shards up —
+// one shard is searched directly, the reference path — and the distributed
+// router at every shard count, one included.
 //
 // Any non-root SLCA/ELCA lies entirely inside one shard, so the union of the
 // per-shard LCA sets minus the shard roots — what round one evaluates — is

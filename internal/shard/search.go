@@ -210,7 +210,8 @@ func (r localRounds) Whole(ctx context.Context) ([]*search.Result, error) {
 }
 
 // EvalShards is the per-shard half of Merge's round one, for the listed
-// shards of a corpus of two or more: element k of the answer is shards[k]'s
+// shards of a corpus (a shard server's for any shard count, the local merge's
+// from two shards up): element k of the answer is shards[k]'s
 // Partial. A shard whose keyword-presence prefilter (index.Prefilter) is
 // missing any query token provably contains no local LCA (conjunctive
 // semantics), so it is marked Skipped before any posting list is touched or

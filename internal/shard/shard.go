@@ -38,6 +38,10 @@ type Corpus struct {
 
 	fallbackOnce sync.Once
 	fallback     *core.Corpus
+
+	// gen snippets this corpus's results (Answer, and a shard server's
+	// shipped results) from the shared analysis.
+	gen *core.Generator
 }
 
 // Option configures Build.
@@ -111,6 +115,7 @@ func Assemble(shards []*core.Corpus, a *core.Analysis, rootLabel string, rootFro
 	for _, s := range shards {
 		s.Cls, s.Keys = sc.cls, sc.keys
 	}
+	sc.gen = core.NewGenerator(sc.Analysis())
 	return sc
 }
 
@@ -156,6 +161,11 @@ func (sc *Corpus) Keys() *keys.Keys { return sc.keys }
 func (sc *Corpus) Analysis() *core.Corpus {
 	return &core.Corpus{Cls: sc.cls, Keys: sc.keys}
 }
+
+// Generator returns the greedy snippet generator over the corpus's analysis,
+// one per generation: every view result of any shard — and of the fallback —
+// brings its own index, so this one generator snippets them all.
+func (sc *Corpus) Generator() *core.Generator { return sc.gen }
 
 // computeStats fills the lazily aggregated corpus-wide counters: one walk
 // of every shard document per generation, however often they are read.

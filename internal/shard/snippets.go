@@ -1,0 +1,118 @@
+package shard
+
+import (
+	"context"
+	"runtime"
+	"slices"
+	"sync/atomic"
+	"time"
+
+	"extract/internal/core"
+	"extract/internal/faultinject"
+	"extract/internal/index"
+	"extract/internal/search"
+	"extract/internal/telemetry"
+)
+
+// Answer is the serving layer's one call into a local corpus: the query's
+// results (SearchEnginesContext) and, when bound >= 0, one snippet per result
+// at that bound, aligned with them, made by the corpus's own generator
+// (Snippets). bound < 0 is search only, with nil snippets. The snippet
+// fan-out's duration is noted on the query's span sink, when ctx carries one.
+func (sc *Corpus) Answer(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run Runner, bound int) ([]*search.Result, []*core.Generated, error) {
+	rs, err := sc.SearchEnginesContext(ctx, query, opts, engines, run)
+	if err != nil || bound < 0 {
+		return rs, nil, err
+	}
+	start := time.Now()
+	gs, err := Snippets(ctx, run, sc.gen, rs, index.Tokenize(query), bound)
+	if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
+		sink.NoteSnippets(time.Since(start))
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return rs, gs, nil
+}
+
+// snippetCheckpoint gates each generated snippet on cancellation and the
+// SnippetGen fault-injection point.
+func snippetCheckpoint(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if faultinject.Enabled() {
+		return faultinject.Fire(faultinject.SnippetGen)
+	}
+	return nil
+}
+
+// snippet generates one result's snippet for a response, keeping what a
+// response replays — the snippet tree and its IList — and dropping the
+// feature statistics. Those are working state of the derivation, sized by
+// the result rather than by the snippet (on the benchmark corpus, 130 KB of
+// the 210 KB a 24-hit entry would otherwise own), and nothing downstream
+// of the serving layer reads them.
+func snippet(gen *core.Generator, r *search.Result, kws []string, bound int) *core.Generated {
+	g := gen.ForResultTokens(r, kws, bound)
+	g.Stats = nil
+	return g
+}
+
+// Snippets generates one snippet per result — the one snippet fan-out, run by
+// a local corpus's Answer and by a shard server over the results it ships.
+// Snippets are independent and the generator is concurrency-safe, so up to
+// GOMAXPROCS tasks, scheduled through run, each claim one result at a time
+// from a shared cursor, largest result first: the one long job of a result
+// list — a whole-document result among two dozen small ones — starts first
+// and everything else packs around it, where a fixed split would queue half
+// the list behind it. Output stays aligned with rs. A cancelled query stops
+// between snippets and returns the context's error — a partially filled
+// snippet set is never returned, so nothing incomplete can be cached.
+func Snippets(ctx context.Context, run Runner, gen *core.Generator, rs []*search.Result, kws []string, bound int) ([]*core.Generated, error) {
+	out := make([]*core.Generated, len(rs))
+	if len(rs) < 4 {
+		for i, r := range rs {
+			if err := snippetCheckpoint(ctx); err != nil {
+				return nil, err
+			}
+			out[i] = snippet(gen, r, kws, bound)
+		}
+		return out, nil
+	}
+	order := largestFirst(rs)
+	var cursor atomic.Int64
+	tasks := make([]func(), min(runtime.GOMAXPROCS(0), len(rs)))
+	errs := make([]error, len(tasks))
+	for t := range tasks {
+		tasks[t] = func() {
+			for k := cursor.Add(1) - 1; k < int64(len(order)); k = cursor.Add(1) - 1 {
+				if errs[t] = snippetCheckpoint(ctx); errs[t] != nil {
+					return
+				}
+				i := order[k]
+				out[i] = snippet(gen, rs[i], kws, bound)
+			}
+		}
+	}
+	if err := Run(run, tasks); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// largestFirst returns the indexes of rs by decreasing result size, equal
+// sizes in result order.
+func largestFirst(rs []*search.Result) []int {
+	order := make([]int, len(rs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return rs[b].Size() - rs[a].Size() })
+	return order
+}

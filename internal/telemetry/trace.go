@@ -114,9 +114,10 @@ type QueryTrace struct {
 
 // SpanSink collects what one query in flight reports from below the serving
 // layer. The serving layer owns one per query and installs it in the request
-// context; the router appends a span per remote call attempt, and the
-// sharded merge notes a whole-document round. The zero value is ready
-// to use. Safe for concurrent Add (parallel group calls).
+// context; the router appends a span per remote call attempt, the sharded
+// merge notes a whole-document round, and a local backend notes the time its
+// snippet fan-out took. The zero value is ready to use. Safe for concurrent
+// Add (parallel group calls).
 type SpanSink struct {
 	// TraceID is the query's trace ID, read by the router to stamp
 	// outgoing wire requests. Set once before the sink is shared.
@@ -126,6 +127,7 @@ type SpanSink struct {
 	hops []HopSpan
 
 	fallback atomic.Bool
+	snippets atomic.Int64 // nanoseconds
 }
 
 // NoteFallback records that the query's sharded merge took the
@@ -134,6 +136,13 @@ func (s *SpanSink) NoteFallback() { s.fallback.Store(true) }
 
 // Fallback reports whether NoteFallback was called.
 func (s *SpanSink) Fallback() bool { return s.fallback.Load() }
+
+// NoteSnippets adds d to the time the query spent generating snippets in
+// this process.
+func (s *SpanSink) NoteSnippets(d time.Duration) { s.snippets.Add(int64(d)) }
+
+// Snippets returns the snippet time noted so far.
+func (s *SpanSink) Snippets() time.Duration { return time.Duration(s.snippets.Load()) }
 
 // Add appends one hop span.
 func (s *SpanSink) Add(h HopSpan) {

@@ -302,7 +302,7 @@ func TestChaosRemoteReplicaFailover(t *testing.T) {
 // TestRoutedQueryTracing pins the distributed-tracing acceptance surface:
 // a slow routed query's slow-query record and the corpus's recent-trace
 // ring both carry the same trace ID, per-hop replica addresses, and the
-// server-side stage breakdown the wire-v2 shard servers echoed.
+// server-side stage breakdown the shard servers echoed.
 func TestRoutedQueryTracing(t *testing.T) {
 	doc := gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11})
 	seedCorpus, err := LoadString(xmltree.XMLString(doc.Root), WithShards(3))
@@ -387,5 +387,82 @@ func TestRoutedQueryTracing(t *testing.T) {
 		if !replicas[h.Replica] || h.ServerDecode <= 0 {
 			t.Fatalf("trace hop incomplete: %+v", h)
 		}
+	}
+}
+
+// TestRoutedHitBuildsItsTreeOnce: a routed hit's result arrives without its
+// tree, and many goroutines making the first Result.XML call on one cached
+// hit at once — the shared cache entry every caller replays — build it
+// once: every call returns the same tree, equal to the local answer's, and
+// a later replay of the entry hands out that same tree. Run under -race in
+// CI.
+func TestRoutedHitBuildsItsTreeOnce(t *testing.T) {
+	doc := gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11})
+	local, err := LoadString(xmltree.XMLString(doc.Root), WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	dir := t.TempDir()
+	if err := local.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	addrs, _ := startShardTier(t, dir, 2, 1)
+	rc, err := Connect(dir, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+
+	const q, bound = "store texas", 8
+	want, err := local.Query(q, bound)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("local query: %d hits, %v", len(want), err)
+	}
+	if _, err := rc.Query(q, bound); err != nil {
+		t.Fatal(err)
+	}
+	hits, err := rc.Query(q, bound) // a cache hit: the shared entry
+	if err != nil || len(hits) != len(want) {
+		t.Fatalf("routed query: %d hits, %v", len(hits), err)
+	}
+	if st, _ := rc.QueryCacheStats(); st.Hits == 0 {
+		t.Fatal("the second query was not answered from the cache")
+	}
+	hit := hits[0]
+	if _, deferred := hit.Result.r.Retained(); !deferred {
+		t.Fatal("a routed result arrived with its tree")
+	}
+	if hit.Result.Size() != want[0].Result.Size() {
+		t.Fatalf("deferred size %d, local %d", hit.Result.Size(), want[0].Result.Size())
+	}
+
+	const readers = 32
+	xmls := make([]string, readers)
+	roots := make([]*xmltree.Node, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			xmls[i] = hit.Result.XML()
+			roots[i] = hit.Result.Root()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range readers {
+		if xmls[i] != want[0].Result.XML() || roots[i] != roots[0] {
+			t.Fatalf("reader %d: a different tree (same root %v)", i, roots[i] == roots[0])
+		}
+	}
+	again, err := rc.Query(q, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0].Result.Root() != roots[0] {
+		t.Fatal("a replay of the entry built the tree again")
 	}
 }

@@ -217,17 +217,19 @@ func reloadSourceFault() error {
 }
 
 // ReloadDelta is Reload with the new corpus built incrementally from XML
-// source: the source is parsed and its top-level entities are hashed with
-// the same partitioner a fresh load would use, and only shards whose
-// content hash moved are re-analyzed — unchanged shards are adopted from
-// the serving generation, document and packed index intact. The global
-// analysis (classification and keys) is always recomputed
-// over the new document, and the generation is built by the very function a
-// fresh Load calls (ingest.Build, with the serving generation to adopt
-// from), so the resulting corpus is byte-identical to a fresh Load of the
-// same source with the same options (pinned by property tests); the swap
-// itself behaves exactly like Reload, including the query-cache epoch bump.
-// A parse or option error leaves the old generation serving. opts are the
+// source. The source is split at its root's children and cut into blocks
+// with the same partitioner a fresh load uses; a block whose bytes are the
+// serving generation's is adopted without a parse — document, packed index
+// and share of the analysis intact — and every other block is parsed and
+// hashed, adopted still if its content did not move (a whitespace edit),
+// else re-indexed and re-inferred. The global analysis (classification and
+// keys) is the merge of every shard's share. The generation is built by the
+// very function a fresh Load calls (internal/ingest, with the serving
+// generation to adopt from), so the resulting corpus is byte-identical to a
+// fresh Load of the same source with the same options (pinned by property
+// tests and a fuzzer); the swap itself behaves exactly like Reload,
+// including the query-cache epoch bump. A parse or option error — the one a
+// fresh Load reports — leaves the old generation serving. opts are the
 // load options a fresh load would get; pass the same ones every reload, or
 // the shard layout shifts and nothing can be adopted (which is always
 // correct, just not cheap).
@@ -247,11 +249,10 @@ func (c *Corpus) reloadDelta(src source, opts []Option) (DeltaStats, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		doc, err := cfg.parse(src)
+		gen, reused, err := cfg.generation(src, &old.gen)
 		if err != nil {
 			return nil, 0, err
 		}
-		gen, reused := ingest.Build(doc, cfg.shards, cfg.dtd, &old.gen)
 		return &corpusData{gen: *gen}, reused, nil
 	})
 }
@@ -284,7 +285,11 @@ func (c *Corpus) ReloadSnapshot(dir string) (DeltaStats, error) {
 			if err := old.rt.ReloadSnapshot(dir); err != nil {
 				return nil, 0, err
 			}
-			return &corpusData{rt: old.rt, gen: ingest.Generation{Source: old.rt.Source()}}, 0, nil
+			// A shard counts as reused by the rule LoadDelta adopts by;
+			// the shard servers swap on their own.
+			src := old.rt.Source()
+			_, reused := ingest.Adoptable(old.gen.Source, src)
+			return &corpusData{rt: old.rt, gen: ingest.Generation{Source: src}}, reused, nil
 		}
 		gen, reused, err := ingest.LoadDelta(dir, &old.gen)
 		if err != nil {
@@ -551,34 +556,58 @@ func fromReader(r io.Reader) source { return func() ([]byte, error) { return io.
 
 func fromFile(path string) source { return func() ([]byte, error) { return os.ReadFile(path) } }
 
-// testHookParsed, when a test sets it, sees each parsed document before it
-// is built into a generation.
-var testHookParsed func(*xmltree.Document)
+// testHookSplit, when a test sets it, sees the split of each document a load
+// or XML reload builds from.
+var testHookSplit func(*xmltree.Split)
 
-// parse reads one XML document and resolves the DTD it classifies under: a
-// DOCTYPE internal subset governs unless the caller supplied an explicit
-// DTD. Load and ReloadDelta both go through it — "a delta reload is
-// byte-identical to a fresh load" depends on the two applying one rule.
-func (cfg *loadConfig) parse(src source) (*xmltree.Document, error) {
+// generation reads one XML document and builds it into a corpus generation,
+// adopting from prev (nil for none) what a delta may. The document is split
+// at its root's children and built from its segments (ingest.BuildSplit),
+// parsing only the ones the build needs. Whatever the split path refuses or
+// cannot take — a root level segments cannot stand for, a malformed
+// segment, the node bound — one whole parse decides, so a document's error
+// is ParseBytes's. A DOCTYPE internal subset governs classification unless
+// the caller supplied an explicit DTD. Load and ReloadDelta both go through
+// here: "a delta reload is byte-identical to a fresh load" depends on the two
+// applying one rule.
+func (cfg *loadConfig) generation(src source, prev *ingest.Generation) (*ingest.Generation, int, error) {
 	data, err := src()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	if sp := xmltree.SplitBytes(data, cfg.parseOptions()...); sp != nil {
+		if testHookSplit != nil {
+			testHookSplit(sp)
+		}
+		if d, err := cfg.classifyingDTD(sp.InternalSubset); err == nil {
+			if g, reused, err := ingest.BuildSplit(sp, cfg.shards, d, prev); err == nil {
+				return g, reused, nil
+			}
+		}
 	}
 	doc, err := xmltree.ParseBytes(data, cfg.parseOptions()...)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if testHookParsed != nil {
-		testHookParsed(doc)
+	d, err := cfg.classifyingDTD(doc.InternalSubset)
+	if err != nil {
+		return nil, 0, err
 	}
-	if cfg.dtd == nil && doc.InternalSubset != "" {
-		d, err := dtd.ParseString(doc.InternalSubset)
-		if err != nil {
-			return nil, fmt.Errorf("extract: internal DTD subset: %w", err)
-		}
-		cfg.dtd = d
+	g, reused := ingest.Build(doc, cfg.shards, d, prev)
+	return g, reused, nil
+}
+
+// classifyingDTD resolves the DTD a document classifies under: the caller's,
+// else its DOCTYPE internal subset's, else none.
+func (cfg *loadConfig) classifyingDTD(subset string) (*dtd.DTD, error) {
+	if cfg.dtd != nil || subset == "" {
+		return cfg.dtd, nil
 	}
-	return doc, nil
+	d, err := dtd.ParseString(subset)
+	if err != nil {
+		return nil, fmt.Errorf("extract: internal DTD subset: %w", err)
+	}
+	return d, nil
 }
 
 // build analyzes a parsed document into a corpus under the configuration.
@@ -597,11 +626,11 @@ func load(src source, opts []Option) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc, err := cfg.parse(src)
+	gen, _, err := cfg.generation(src, nil)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.build(doc), nil
+	return newLocal(gen, cfg), nil
 }
 
 // LoadString parses and analyzes an XML database from a string.

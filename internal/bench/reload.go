@@ -6,12 +6,12 @@ import (
 )
 
 // ReloadPerfPoint is one row of the refresh trajectory: reloading a served
-// corpus after a one-entity edit, through the full path (re-parse,
-// re-analyze and re-index everything — Load + Reload) versus the delta
-// path (ReloadDelta: re-parse, re-analyze, but re-index only the one
-// changed shard, adopting the rest). Both paths parse the same changed XML
-// in the same run, so the delta/full ratio is machine-normalized like the
-// persist and serve gates' ratios.
+// corpus after a one-entity edit, through the full path (parse, analyze and
+// index everything — Load + Reload) versus the delta path (ReloadDelta:
+// parse, index and infer only the changed shard's entities, merging its
+// share of the analysis with the adopted shards'). Both paths read the same
+// changed XML in the same run, so the delta/full ratio is
+// machine-normalized like the persist and serve gates' ratios.
 //
 // The measurement itself lives in the reloadperf subpackage: it drives
 // the extract facade, which this package cannot import (the facade's own
@@ -19,9 +19,9 @@ import (
 type ReloadPerfPoint struct {
 	Nodes  int `json:"nodes"`
 	Shards int `json:"shards"`
-	// Source is the reload input: "xml" (re-parse the changed file; the
-	// delta skips re-tokenizing unchanged shards, but parsing and global
-	// analysis are paid either way, so the win is bounded) or "snapshot"
+	// Source is the reload input: "xml" (the changed file; the delta
+	// splits it and parses, indexes and infers only the changed shard's
+	// entities, so the win scales with the shard count) or "snapshot"
 	// (packed images; the delta decodes one changed image instead of all
 	// of them, so the win scales with the shard count).
 	Source string `json:"source"`

@@ -173,11 +173,20 @@ func (f *reloadFixture) point(source string) (bench.ReloadPerfPoint, error) {
 	}
 	opts := f.opts()
 	// Reload consumes its source, so every reset hands it a freshly
-	// loaded generation-A corpus; the A snapshot makes that cheap (mmap +
-	// decode, no re-analysis) and its manifest-sourced hashes match the
-	// parsed generation's by the hash-agreement invariant.
+	// loaded generation-A corpus, loaded the way a corpus serving that
+	// source is: from XML for the XML delta — the generation then remembers
+	// the segments it parsed and carries every shard's analysis partial —
+	// and from the A snapshot for the snapshot delta (mmap + decode, no
+	// re-analysis; its manifest-sourced hashes match the parsed
+	// generation's by the hash-agreement invariant).
 	reset := func() {
-		fresh, err := extract.LoadSnapshot(f.snapA)
+		var fresh *extract.Corpus
+		var err error
+		if source == "xml" {
+			fresh, err = extract.LoadString(f.xmlA, opts...)
+		} else {
+			fresh, err = extract.LoadSnapshot(f.snapA)
+		}
 		if err != nil {
 			panic(err)
 		}

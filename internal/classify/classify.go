@@ -74,14 +74,22 @@ type Classification struct {
 	byLabel map[string]Category
 }
 
-// Classify computes the classification of a document.
+// Classify computes the classification of a document: the merge of its one
+// partial.
 func Classify(doc *xmltree.Document, opts ...Option) *Classification {
+	return Merge([]*Partial{Infer(doc)}, opts...)
+}
+
+// Merge classifies a corpus from its shards' evidence (Infer of each shard
+// document): the classification Classify computes over the whole document,
+// however it was cut.
+func Merge(parts []*Partial, opts ...Option) *Classification {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
 
-	sum := infer(doc)
+	sum := merge(parts)
 	stars := sum.starNodes()
 	attrLike := sum.attributeLike()
 
@@ -140,6 +148,11 @@ func FromCategories(cats map[string]Category) *Classification {
 // FromCategories.
 func (c *Classification) Categories() map[string]Category {
 	return maps.Clone(c.byLabel)
+}
+
+// Equal reports whether c and o assign every label the same category.
+func (c *Classification) Equal(o *Classification) bool {
+	return c == o || c != nil && o != nil && maps.Equal(c.byLabel, o.byLabel)
 }
 
 // OfLabel returns the category assigned to an element label. Unknown labels

@@ -24,6 +24,9 @@ const sample = `
   </store>
 </retailer>`
 
+// infer is the summary of one whole document.
+func infer(doc *xmltree.Document) summary { return merge([]*Partial{Infer(doc)}) }
+
 func TestInferStars(t *testing.T) {
 	s := infer(parse(t, sample))
 	stars := s.starNodes()

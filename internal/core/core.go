@@ -31,6 +31,11 @@ type Corpus struct {
 	Cls   *classify.Classification
 	Keys  *keys.Keys
 
+	// Partial is the document's share of its corpus's analysis (see Merge):
+	// what a later build that adopts this shard merges instead of walking it
+	// again. Nil on a corpus decoded from an image until a build needs it.
+	Partial *Partial
+
 	// BuildTime records how long corpus analysis took (index, classify,
 	// key mining); reported by the E8 experiment.
 	BuildTime time.Duration
@@ -40,8 +45,7 @@ type Corpus struct {
 type Option func(*buildConfig)
 
 type buildConfig struct {
-	dtd    *dtd.DTD
-	shared *Analysis
+	dtd *dtd.DTD
 }
 
 // WithDTD classifies nodes using the given DTD (combined with instance
@@ -52,31 +56,19 @@ func WithDTD(d *dtd.DTD) Option {
 
 // Analysis bundles the corpus-level artifacts that are independent of how
 // the document is physically partitioned — classification and mined keys,
-// all any later stage reads. A sharded corpus computes one Analysis globally
-// and builds every shard against it.
+// all any later stage reads. A sharded corpus merges one Analysis from its
+// shards' partials (Merge) and binds every shard to it.
 type Analysis struct {
 	Cls  *classify.Classification
 	Keys *keys.Keys
 }
 
-// WithSharedAnalysis builds the corpus against analysis computed elsewhere
-// (the global artifacts of a sharded corpus): only the inverted index is
-// derived from the document itself.
-func WithSharedAnalysis(a *Analysis) Option {
-	return func(c *buildConfig) { c.shared = a }
-}
-
 // Analyze runs the corpus-level analysis of a document: the Data Analyzer
 // stage without the index build — classification (one inference walk, with
-// d's declarations taking precedence when d is non-nil), then key mining.
+// d's declarations taking precedence when d is non-nil), then key mining. It
+// is the merge of the document's one partial (see Merge).
 func Analyze(doc *xmltree.Document, d *dtd.DTD) *Analysis {
-	var cls *classify.Classification
-	if d != nil {
-		cls = classify.Classify(doc, classify.WithDTD(d))
-	} else {
-		cls = classify.Classify(doc)
-	}
-	return &Analysis{Cls: cls, Keys: keys.Mine(doc, cls)}
+	return Merge([]*Corpus{{Doc: doc}}, d)
 }
 
 // BuildCorpus analyzes a parsed document: the Data Analyzer and Index
@@ -87,10 +79,7 @@ func BuildCorpus(doc *xmltree.Document, opts ...Option) *Corpus {
 		o(&cfg)
 	}
 	start := time.Now()
-	a := cfg.shared
-	if a == nil {
-		a = Analyze(doc, cfg.dtd)
-	}
+	a := Analyze(doc, cfg.dtd)
 	c := &Corpus{
 		Doc:   doc,
 		Index: index.Build(doc),

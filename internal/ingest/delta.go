@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"errors"
+
 	"extract/internal/core"
 	"extract/internal/dtd"
 	"extract/internal/shard"
@@ -21,10 +23,25 @@ type Source struct {
 // corpus (one shard or many), and Source its root fingerprint and per-shard
 // content hashes — computed while building, or carried over from a snapshot
 // manifest — so the next refresh can diff against it without rehashing its
-// documents. Build and LoadDelta both take one as "previous" and return one.
+// documents. Build, BuildSplit and LoadDelta all take one as "previous" and
+// return one.
 type Generation struct {
 	Corpus *shard.Corpus
 	Source Source
+	// segs is, per shard, what BuildSplit read the generation from: each
+	// top-level entity's byte hash and node count. It is kept in memory
+	// only, never in a snapshot, and spares the next BuildSplit the parse of
+	// every segment it has seen byte for byte. A generation built from a
+	// parsed document or loaded from a snapshot has none: its next delta
+	// parses every segment, and adopts by content hash as ever.
+	segs [][]segment
+}
+
+// segment is one top-level entity's source bytes, as a generation remembers
+// them.
+type segment struct {
+	hash  uint64 // hashBytes of the bytes
+	nodes int    // the node count they parse to
 }
 
 // SourceOf fingerprints a live corpus the way a snapshot manifest records it
@@ -40,29 +57,81 @@ func SourceOf(sc *shard.Corpus) Source {
 	return src
 }
 
+// Adoptable reports, per shard of next, whether the shard of old at the same
+// position holds the same content, and how many do — the rule every delta
+// adopts by: the same root fingerprint, the same shard count, and the same
+// content hash at the same position.
+func Adoptable(old, next Source) (same []bool, n int) {
+	same = make([]bool, len(next.Shards))
+	if old.RootHash == next.RootHash && len(old.Shards) == len(next.Shards) {
+		for i, h := range next.Shards {
+			if old.Shards[i] == h {
+				same[i] = true
+				n++
+			}
+		}
+	}
+	return same, n
+}
+
 // Build analyzes doc into a corpus generation of at most shards shards,
 // adopting from prev (nil for none) every block Diff marks unchanged and
 // building the rest — shard.BuildFrom, with content hashes deciding what to
-// adopt. reused counts the adopted blocks. The global analysis is always
-// recomputed over the new document, so the result answers byte-identically
-// whatever prev was (pinned by the facade's property tests). d may be nil;
-// doc is consumed, like shard.Build's.
+// adopt. reused counts the adopted blocks. The analysis is the merge of
+// every shard's partial, an adopted shard's carried over, so the result
+// answers byte-identically whatever prev was (pinned by the facade's
+// property tests). d may be nil; doc is consumed, like shard.Build's.
 func Build(doc *xmltree.Document, shards int, d *dtd.DTD, prev *Generation) (g *Generation, reused int) {
-	var old Source
-	if prev != nil {
-		old = prev.Source
+	g, reused, _ = fromDocument(doc).build(shards, d, prev) // a parsed document has nothing left to refuse
+	return g, reused
+}
+
+// BuildSplit is Build from a document's bytes, split at its root's children
+// (xmltree.SplitBytes), parsing only the segments it needs, concurrently. A
+// segment whose bytes prev read needs no parse for its node count, so the
+// blocks are cut as for the parsed document; a block whose segments are
+// prev's block at the same position, byte for byte, is adopted unparsed;
+// every other block is parsed, hashed, and adopted or built as Build would.
+// The generation equals Build's of the parsed document, and remembers its
+// segments for the next BuildSplit. An error is a segment's parse failing
+// or the node bound (xmltree.WithMaxNodes) exceeded; which error the
+// document has, a whole parse (xmltree.ParseBytes) says.
+func BuildSplit(sp *xmltree.Split, shards int, d *dtd.DTD, prev *Generation) (g *Generation, reused int, err error) {
+	n := len(sp.Segments)
+	in := &input{
+		bl:      shard.Blocks{Label: sp.Root, Subset: sp.InternalSubset, Entities: make([]*xmltree.Node, n)},
+		weights: make([]int, n),
+		sp:      sp,
+		hashes:  make([]uint64, n),
 	}
-	diff := Diff(old, doc, shards)
-	adopt := make([]*core.Corpus, len(diff.Changed))
-	for b, changed := range diff.Changed {
-		if !changed { // never against the empty Source of a nil prev
-			adopt[b] = prev.Corpus.Shards()[b]
+	seen := make(map[uint64]int)
+	if prev != nil {
+		for _, block := range prev.segs {
+			for _, s := range block {
+				seen[s.hash] = s.nodes
+			}
 		}
 	}
-	return &Generation{
-		Corpus: shard.BuildFrom(doc, shards, adopt, shard.WithDTD(d)),
-		Source: Source{RootHash: diff.RootHash, Shards: diff.Hashes},
-	}, diff.Reused
+	core.Each(n, func(i int) { in.hashes[i] = hashBytes(sp.Bytes(i)) })
+	var unseen []int
+	for i := range n {
+		if nodes, ok := seen[in.hashes[i]]; ok {
+			in.weights[i] = nodes
+		} else {
+			unseen = append(unseen, i)
+		}
+	}
+	if err := in.parse(unseen); err != nil {
+		return nil, 0, err
+	}
+	total := 1 // the root
+	for _, w := range in.weights {
+		total += w
+	}
+	if err := sp.Limit(total); err != nil {
+		return nil, 0, err
+	}
+	return in.build(shards, d, prev)
 }
 
 // Delta is Diff's verdict on a newly parsed document: how the document
@@ -79,35 +148,131 @@ type Delta struct {
 	Reused int
 }
 
-// Diff partitions doc's top-level entities exactly as shard.BuildFrom
-// will for the requested shard count — without moving a node — and
-// hashes every prospective block against the previous generation. A block
-// is adoptable only when the shard layout lines up (same root fingerprint,
-// same block count) and its content hash matches the old shard at the
-// same position; anything else, including a shape change, marks every
-// block changed and the delta degrades to a full rebuild.
+// Diff cuts doc's top-level entities exactly as the build will for the
+// requested shard count — without moving a node — and hashes every
+// prospective block against the previous generation. A block is adoptable
+// only by the Adoptable rule; anything else, including a shape change,
+// marks every block changed and the delta degrades to a full rebuild.
 func Diff(old Source, doc *xmltree.Document, shards int) Delta {
-	cuts := shard.Cuts(doc, shards)
+	in := fromDocument(doc)
+	return in.diff(old, shard.Cuts(in.weights, shards), nil)
+}
+
+// input is a document as the builder reads it: BuildFrom's blocks (cut by
+// build), the entities' node counts and — from bytes — the split they are
+// parsed from on demand, with each segment's byte hash.
+type input struct {
+	bl      shard.Blocks
+	weights []int
+	sp      *xmltree.Split
+	hashes  []uint64
+}
+
+func fromDocument(doc *xmltree.Document) *input {
+	in := &input{bl: shard.BlocksOf(doc)}
+	in.weights = shard.Weights(in.bl.Entities)
+	return in
+}
+
+// build cuts the input, decides per block what to adopt from prev (nil for
+// none), and builds the generation.
+func (in *input) build(shards int, d *dtd.DTD, prev *Generation) (*Generation, int, error) {
+	var old Source
+	var was [][]segment
+	if prev != nil {
+		old, was = prev.Source, prev.segs
+	}
+	cuts := shard.Cuts(in.weights, shards)
+	in.bl.Cuts = cuts
 	blocks := len(cuts) - 1
-	d := Delta{
-		Hashes:  make([]uint64, blocks),
-		Changed: make([]bool, blocks),
-	}
-	var children []*xmltree.Node
-	label, fromAttr := "", false
-	if doc.Root != nil {
-		children = doc.Root.Children
-		label, fromAttr = doc.Root.Label, doc.Root.FromAttr
-	}
-	d.RootHash = RootHash(label, fromAttr, doc.InternalSubset)
-	aligned := d.RootHash == old.RootHash && blocks == len(old.Shards)
-	for b := 0; b < blocks; b++ {
-		d.Hashes[b] = HashEntities(children[cuts[b]:cuts[b+1]])
-		if aligned && d.Hashes[b] == old.Shards[b] {
-			d.Reused++
-		} else {
-			d.Changed[b] = true
+	// A block whose segments are prev's block, byte for byte, holds prev's
+	// content without a parse; every other block is parsed whole.
+	aligned := in.sp != nil && len(was) == blocks && RootHash(in.bl.Label, in.bl.FromAttr, in.bl.Subset) == old.RootHash
+	same := make([]bool, blocks)
+	var need []int
+	for b := range blocks {
+		same[b] = aligned && in.sameBytes(cuts[b], cuts[b+1], was[b])
+		for i := cuts[b]; i < cuts[b+1] && !same[b]; i++ {
+			if in.bl.Entities[i] == nil {
+				need = append(need, i)
+			}
 		}
 	}
+	if err := in.parse(need); err != nil {
+		return nil, 0, err
+	}
+	diff := in.diff(old, cuts, same)
+	adopt := make([]*core.Corpus, blocks)
+	for b, changed := range diff.Changed {
+		if !changed { // never against the empty Source of a nil prev
+			adopt[b] = prev.Corpus.Shards()[b]
+		}
+	}
+	g := &Generation{
+		Corpus: shard.BuildFrom(&in.bl, adopt, shard.WithDTD(d)),
+		Source: Source{RootHash: diff.RootHash, Shards: diff.Hashes},
+	}
+	if in.sp != nil {
+		g.segs = make([][]segment, blocks)
+		for b := range g.segs {
+			for i := cuts[b]; i < cuts[b+1]; i++ {
+				g.segs[b] = append(g.segs[b], segment{hash: in.hashes[i], nodes: in.weights[i]})
+			}
+		}
+	}
+	return g, diff.Reused, nil
+}
+
+// sameBytes reports whether the segments [lo, hi) are the ones was records,
+// byte for byte.
+func (in *input) sameBytes(lo, hi int, was []segment) bool {
+	if hi-lo != len(was) {
+		return false
+	}
+	for i, s := range was {
+		if in.hashes[lo+i] != s.hash {
+			return false
+		}
+	}
+	return true
+}
+
+// parse parses the given segments concurrently, recording each entity and
+// its node count.
+func (in *input) parse(segs []int) error {
+	errs := make([]error, len(segs))
+	core.Each(len(segs), func(j int) {
+		i := segs[j]
+		n, err := in.sp.Parse(i)
+		if err != nil {
+			errs[j] = err
+			return
+		}
+		in.bl.Entities[i], in.weights[i] = n, int(n.End-n.Start)+1
+	})
+	return errors.Join(errs...)
+}
+
+// diff hashes every block — one that same marks takes old's hash, unparsed
+// — and decides each by the Adoptable rule.
+func (in *input) diff(old Source, cuts []int, same []bool) Delta {
+	blocks := len(cuts) - 1
+	d := Delta{
+		RootHash: RootHash(in.bl.Label, in.bl.FromAttr, in.bl.Subset),
+		Hashes:   make([]uint64, blocks),
+		Changed:  make([]bool, blocks),
+	}
+	core.Each(blocks, func(b int) {
+		if same != nil && same[b] {
+			d.Hashes[b] = old.Shards[b]
+		} else {
+			d.Hashes[b] = HashEntities(in.bl.Entities[cuts[b]:cuts[b+1]])
+		}
+	})
+	adoptable, reused := Adoptable(old, Source{RootHash: d.RootHash, Shards: d.Hashes})
+	for b, ok := range adoptable {
+		d.Changed[b] = !ok
+	}
+	d.Reused = reused
 	return d
 }

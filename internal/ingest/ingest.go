@@ -4,12 +4,14 @@
 // shard.Corpus plus its content identity), each stated once and each taking
 // an optional previous generation to adopt unchanged shards from.
 //
-// Build is document → generation. Diff hashes the top-level entities of a
-// newly parsed document with the same partitioner as internal/shard and
-// reports, per prospective shard, whether the previous generation's shard
-// can be adopted unchanged (document and packed index intact) or must be
-// rebuilt; shard.BuildFrom then builds only the changed blocks against a
-// freshly computed global analysis. A fresh load is the same call with
+// Build is document → generation, and BuildSplit the same body from bytes
+// split at the root's children, parsing only the segments whose bytes the
+// previous generation did not read. Diff hashes the top-level entities with
+// the same partitioner as internal/shard and reports, per prospective
+// shard, whether the previous generation's shard can be adopted unchanged
+// (document, packed index and analysis partial intact) or must be rebuilt;
+// shard.BuildFrom then builds only the changed blocks and merges the
+// analysis from every shard's partial. A fresh load is the same call with
 // nothing to adopt, so a delta equals a fresh load by construction.
 //
 // LoadDelta is snapshot directory → generation. Snapshot persists a corpus
@@ -231,17 +233,17 @@ func openGeneration(dir string, m *Manifest, prev *Generation, withShards bool) 
 	if !withShards {
 		return o, nil
 	}
-	var adopt []*core.Corpus
-	if prev != nil && prev.Source.RootHash == o.source.RootHash && len(prev.Source.Shards) == len(m.Shards) {
-		adopt = prev.Corpus.Shards()
+	var same []bool
+	if prev != nil {
+		same, o.reused = Adoptable(prev.Source, o.source)
 	}
 	o.shards = make([]*core.Corpus, len(m.Shards))
 	errs := make([]error, len(m.Shards))
 	var wg sync.WaitGroup
 	for i, e := range m.Shards {
-		if adopt != nil && prev.Source.Shards[i] == e.ContentHash {
-			o.shards[i] = &core.Corpus{Doc: adopt[i].Doc, Index: adopt[i].Index}
-			o.reused++
+		if same != nil && same[i] {
+			a := prev.Corpus.Shards()[i]
+			o.shards[i] = &core.Corpus{Doc: a.Doc, Index: a.Index, Partial: a.Partial}
 			continue
 		}
 		wg.Add(1)

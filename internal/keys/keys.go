@@ -9,9 +9,15 @@
 // candidates, a deterministic preference order picks the key: conventional
 // identifier names first (id, key), then naming attributes (name, title),
 // then lexicographic.
+//
+// Mining splits over a corpus's shards: each collects its evidence
+// (Collect), and Merge decides from the shards' evidence what one pass over
+// the whole document decides. Mine is the merge of one.
 package keys
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,26 +45,72 @@ type Keys struct {
 	candidates map[string][]Candidate
 }
 
-// Mine scans the document and returns the mined keys for every entity label
-// in the classification.
-func Mine(doc *xmltree.Document, cls *classify.Classification) *Keys {
-	type pairStats struct {
-		present int
-		multi   int
-		values  map[string]int
-	}
-	instances := make(map[string]int)
-	pairs := make(map[string]map[string]*pairStats) // entity -> attr -> stats
+// Partial is one document's key-mining evidence under a classification: a
+// shard's share of its corpus's (see Merge). Per (entity, attribute) pair it
+// holds sums — instances with one value, instances with several — and
+// whether the pair is duplicate-free within the shard; a pair still unique
+// in the shard keeps its sorted value set too, for the merge to check that
+// no value occurs in two shards. The root is one instance whose attributes
+// may sit in every shard (a shard's root is a copy of it), so its evidence
+// is kept apart.
+type Partial struct {
+	instances map[string]int // entity label → instances, the root excepted
+	pairs     map[string]map[string]*evidence
+	root      string
+	// rootAttrs are, when the root is an entity, the values of the
+	// attributes its children here give it.
+	rootAttrs map[string][]string
+}
 
-	for _, n := range doc.Nodes() {
+// evidence is one (entity, attribute) pair's evidence in one shard.
+type evidence struct {
+	present  int  // instances carrying exactly one value
+	multi    int  // instances carrying several
+	distinct int  // distinct values among the present ones
+	dupFree  bool // no value carried by two instances
+	// values are the distinct values, sorted: kept while the pair is unique
+	// in the shard, and for the root's label, whose evidence Merge completes.
+	values []string
+}
+
+// Mine scans the document and returns the mined keys for every entity label
+// in the classification, candidate evidence included: the merge of the
+// document's one partial.
+func Mine(doc *xmltree.Document, cls *classify.Classification) *Keys {
+	return Merge([]*Partial{Collect(doc, cls)})
+}
+
+// Collect scans doc once and returns its evidence under cls. doc's root is
+// taken for the corpus root, of which a shard's root is a copy.
+func Collect(doc *xmltree.Document, cls *classify.Classification) *Partial {
+	p := &Partial{instances: make(map[string]int), pairs: make(map[string]map[string]*evidence)}
+	nodes := doc.Nodes()
+	if len(nodes) == 0 {
+		return p
+	}
+	root := nodes[0]
+	p.root = root.Label
+	if cls.IsEntity(root) {
+		p.rootAttrs = make(map[string][]string)
+		collectAttrs(root, cls, func(a *xmltree.Node) bool {
+			p.rootAttrs[a.Label] = append(p.rootAttrs[a.Label], a.TextValue())
+			return true
+		})
+	}
+	type tally struct {
+		present, multi int
+		values         map[string]int
+	}
+	tallies := make(map[string]map[string]*tally)
+	for _, n := range nodes[1:] {
 		if !cls.IsEntity(n) {
 			continue
 		}
-		instances[n.Label]++
-		attrs := pairs[n.Label]
+		p.instances[n.Label]++
+		attrs := tallies[n.Label]
 		if attrs == nil {
-			attrs = make(map[string]*pairStats)
-			pairs[n.Label] = attrs
+			attrs = make(map[string]*tally)
+			tallies[n.Label] = attrs
 		}
 		// Count the instance's attributes by label. An entity owns the
 		// attribute nodes reachable through connection nodes (XSeek's
@@ -70,17 +122,113 @@ func Mine(doc *xmltree.Document, cls *classify.Classification) *Keys {
 			return true
 		})
 		for attr, vals := range perAttr {
-			st := attrs[attr]
-			if st == nil {
-				st = &pairStats{values: make(map[string]int)}
-				attrs[attr] = st
+			t := attrs[attr]
+			if t == nil {
+				t = &tally{values: make(map[string]int)}
+				attrs[attr] = t
 			}
 			if len(vals) == 1 {
-				st.present++
-				st.values[vals[0]]++
+				t.present++
+				t.values[vals[0]]++
 			} else {
-				st.multi++
+				t.multi++
 			}
+		}
+	}
+	for entity, attrs := range tallies {
+		evs := make(map[string]*evidence, len(attrs))
+		for attr, t := range attrs {
+			ev := &evidence{present: t.present, multi: t.multi, distinct: len(t.values), dupFree: true}
+			for _, c := range t.values {
+				if c > 1 {
+					ev.dupFree = false
+					break
+				}
+			}
+			if ev.dupFree && ev.multi == 0 && ev.present == p.instances[entity] || entity == p.root {
+				ev.values = slices.Sorted(maps.Keys(t.values))
+			}
+			evs[attr] = ev
+		}
+		p.pairs[entity] = evs
+	}
+	return p
+}
+
+// Merge mines a corpus's keys from its shards' evidence — Collect of each
+// shard document under one classification — deciding what Mine decides over
+// the whole document: a pair is a key candidate when, summed over the
+// shards, every instance carries exactly one value of it, and no value
+// occurs twice, within a shard or across two (the kept value sets are
+// disjoint). A merge of one partial keeps the candidate evidence; a merge of
+// several carries the decisions alone, as a corpus loaded from an image does
+// (FromMap).
+func Merge(parts []*Partial) *Keys {
+	type pair struct {
+		present, multi, distinct int
+		dupFree                  bool
+		sets                     [][]string
+	}
+	instances := make(map[string]int)
+	pairs := make(map[string]map[string]*pair)
+	get := func(entity, attr string) *pair {
+		attrs := pairs[entity]
+		if attrs == nil {
+			attrs = make(map[string]*pair)
+			pairs[entity] = attrs
+		}
+		m := attrs[attr]
+		if m == nil {
+			m = &pair{dupFree: true}
+			attrs[attr] = m
+		}
+		return m
+	}
+	root, rootAttrs := "", map[string][]string(nil)
+	for _, p := range parts {
+		for entity, k := range p.instances {
+			instances[entity] += k
+		}
+		for entity, evs := range p.pairs {
+			for attr, ev := range evs {
+				m := get(entity, attr)
+				m.present += ev.present
+				m.multi += ev.multi
+				m.distinct += ev.distinct
+				m.dupFree = m.dupFree && ev.dupFree
+				if ev.values != nil {
+					m.sets = append(m.sets, ev.values)
+				}
+			}
+		}
+		if p.rootAttrs != nil {
+			if rootAttrs == nil {
+				rootAttrs = make(map[string][]string)
+			}
+			root = p.root
+			for attr, vs := range p.rootAttrs {
+				rootAttrs[attr] = append(rootAttrs[attr], vs...)
+			}
+		}
+	}
+	if rootAttrs != nil {
+		// The root is one instance, wherever its attributes sit.
+		instances[root]++
+		for attr, vs := range rootAttrs {
+			m := get(root, attr)
+			if len(vs) > 1 {
+				m.multi++
+				continue
+			}
+			seen := slices.ContainsFunc(m.sets, func(set []string) bool {
+				_, found := slices.BinarySearch(set, vs[0])
+				return found
+			})
+			if !seen {
+				m.distinct++
+			}
+			m.present++
+			m.sets = append(m.sets, vs)
 		}
 	}
 
@@ -88,21 +236,14 @@ func Mine(doc *xmltree.Document, cls *classify.Classification) *Keys {
 	for entity, attrs := range pairs {
 		total := instances[entity]
 		var cands []Candidate
-		for attr, st := range attrs {
-			dupFree := true
-			for _, c := range st.values {
-				if c > 1 {
-					dupFree = false
-					break
-				}
-			}
+		for attr, m := range attrs {
 			cands = append(cands, Candidate{
 				Entity:    entity,
 				Attr:      attr,
 				Instances: total,
-				Present:   st.present,
-				Distinct:  len(st.values),
-				Unique:    st.multi == 0 && st.present == total && dupFree && total > 0,
+				Present:   m.present,
+				Distinct:  m.distinct,
+				Unique:    m.multi == 0 && m.present == total && m.dupFree && total > 0 && disjoint(m.sets),
 			})
 		}
 		sort.Slice(cands, func(i, j int) bool {
@@ -116,12 +257,42 @@ func Mine(doc *xmltree.Document, cls *classify.Classification) *Keys {
 			}
 			return a.Attr < b.Attr
 		})
-		k.candidates[entity] = cands
+		if len(parts) == 1 {
+			k.candidates[entity] = cands
+		}
 		if len(cands) > 0 && cands[0].Unique {
 			k.key[entity] = cands[0].Attr
 		}
 	}
 	return k
+}
+
+// disjoint reports whether no string is in two of the sorted sets, each of
+// them free of repeats: a merge of the sets that stops at the first value
+// met twice.
+func disjoint(sets [][]string) bool {
+	if len(sets) < 2 {
+		return true
+	}
+	next := make([]int, len(sets))
+	last, met := "", false
+	for {
+		least := -1
+		for i, set := range sets {
+			if next[i] < len(set) && (least < 0 || set[next[i]] < sets[least][next[least]]) {
+				least = i
+			}
+		}
+		if least < 0 {
+			return true
+		}
+		v := sets[least][next[least]]
+		if met && v == last {
+			return false
+		}
+		last, met = v, true
+		next[least]++
+	}
 }
 
 // namePriority ranks attribute names by how conventionally key-like they

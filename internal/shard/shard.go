@@ -57,43 +57,41 @@ func WithDTD(d *dtd.DTD) Option {
 	return func(c *buildConfig) { c.dtd = d }
 }
 
-// Build analyzes doc globally — classification and key mining over the
-// whole document — then partitions it into at most n shards, each with its
+// Build analyzes doc and partitions it into at most n shards, each with its
 // own packed inverted index: BuildFrom with nothing to adopt.
 func Build(doc *xmltree.Document, n int, opts ...Option) *Corpus {
-	return BuildFrom(doc, n, nil, opts...)
+	bl := BlocksOf(doc)
+	bl.Cuts = Cuts(Weights(bl.Entities), n)
+	return BuildFrom(&bl, nil, opts...)
 }
 
-// BuildFrom is the one document → corpus builder: analyze doc globally, cut
-// its top-level entities into at most n blocks (Cuts), then per block adopt
-// or build, and assemble. adopt[b], when present and non-nil, is a shard of
-// an earlier generation whose entities equal block b's (internal/ingest
-// decides that by content hash): its document and packed index are taken as
-// they are and the block's nodes in doc are left alone, so the work past the
-// analysis is proportional to what changed. Every other block is moved out of
-// doc (which is invalid afterwards) and indexed — except when there is one
-// block in all, where the shard is the document itself, unmoved. A fresh
-// build and a delta are this one body, so they cannot disagree.
-func BuildFrom(doc *xmltree.Document, n int, adopt []*core.Corpus, opts ...Option) *Corpus {
+// BuildFrom is the one builder of a corpus: per block of bl, adopt or build,
+// then merge the analysis and assemble. adopt[b], when present and non-nil,
+// is a shard of an earlier generation whose entities equal block b's
+// (internal/ingest decides that by content hash): its document, packed index
+// and analysis partial are taken as they are, and block b's entities are
+// never read. Every other block is built into a document of its own (one
+// block in all: the whole document itself, unmoved), indexed, and walked for
+// its share of the analysis — concurrently, on up to GOMAXPROCS goroutines.
+// The analysis is the merge of every shard's partial (core.Merge), so the
+// work is proportional to what changed. A fresh build and a delta are this
+// one body, so they cannot disagree.
+func BuildFrom(bl *Blocks, adopt []*core.Corpus, opts ...Option) *Corpus {
 	var cfg buildConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	a := core.Analyze(doc, cfg.dtd)
-	label, fromAttr := "", false
-	if doc.Root != nil {
-		label, fromAttr = doc.Root.Label, doc.Root.FromAttr
-	}
-	cuts := Cuts(doc, n)
-	shards := make([]*core.Corpus, len(cuts)-1)
-	for b := range shards {
+	shards := make([]*core.Corpus, len(bl.Cuts)-1)
+	core.Each(len(shards), func(b int) {
 		if b < len(adopt) && adopt[b] != nil {
-			shards[b] = &core.Corpus{Doc: adopt[b].Doc, Index: adopt[b].Index}
-			continue
+			a := adopt[b]
+			shards[b] = &core.Corpus{Doc: a.Doc, Index: a.Index, Partial: a.Partial}
+			return
 		}
-		shards[b] = core.BuildCorpus(partitionAt(doc, cuts, b), core.WithSharedAnalysis(a))
-	}
-	return Assemble(shards, a, label, fromAttr, doc.InternalSubset)
+		doc := bl.block(b)
+		shards[b] = &core.Corpus{Doc: doc, Index: index.Build(doc), Partial: core.Infer(doc)}
+	})
+	return Assemble(shards, core.Merge(shards, cfg.dtd), bl.Label, bl.FromAttr, bl.Subset)
 }
 
 // Assemble builds a Corpus from per-shard corpora and a global analysis —
@@ -167,12 +165,14 @@ func (sc *Corpus) Analysis() *core.Corpus {
 // brings its own index, so this one generator snippets them all.
 func (sc *Corpus) Generator() *core.Generator { return sc.gen }
 
-// computeStats fills the lazily aggregated corpus-wide counters: one walk
-// of every shard document per generation, however often they are read.
+// computeStats fills the lazily aggregated corpus-wide counters, once per
+// generation. A shard's figures are memoized on its document
+// (xmltree.Document.Stats), so only a shard document no generation has read
+// yet is walked: after a delta reload, the rebuilt ones.
 func (sc *Corpus) computeStats() {
 	sc.statsOnce.Do(func() {
 		for i, s := range sc.shards {
-			st := s.Doc.ComputeStats()
+			st := s.Doc.Stats()
 			sc.totalNodes += st.Nodes
 			sc.totalElements += st.Elements
 			// A shard root sits at the original root's depth, so shard

@@ -15,10 +15,11 @@ import (
 // partition materializes every block of doc's n-way split, the way BuildFrom
 // does for the blocks it does not adopt.
 func partition(doc *xmltree.Document, n int) []*xmltree.Document {
-	cuts := Cuts(doc, n)
-	docs := make([]*xmltree.Document, len(cuts)-1)
+	bl := BlocksOf(doc)
+	bl.Cuts = Cuts(Weights(bl.Entities), n)
+	docs := make([]*xmltree.Document, len(bl.Cuts)-1)
 	for b := range docs {
-		docs[b] = partitionAt(doc, cuts, b)
+		docs[b] = bl.block(b)
 	}
 	return docs
 }
@@ -120,6 +121,40 @@ func TestStatsAggregation(t *testing.T) {
 		if got, want := sc.Count(kw), unsharded.Index.Count(kw); got != want {
 			t.Errorf("Count(%q) = %d, want %d", kw, got, want)
 		}
+	}
+}
+
+// TestAdoptedShardStatsNotRecomputed: a shard's statistics are memoized on
+// its document, so a generation adopting the shard reads the figures the
+// previous generation's walk left there. The probe: after the first
+// generation has read its statistics, an adopted document is changed in a
+// way a walk would count; the next generation must still report the first
+// walk's figures, and a shard it built must be walked.
+func TestAdoptedShardStatsNotRecomputed(t *testing.T) {
+	first := Build(gen.Figure5Corpus(), 3)
+	nodes, elements := first.TotalNodes(), first.TotalElements()
+	probed := first.Shards()[0].Doc
+	for _, n := range probed.Nodes() {
+		if n.IsText() {
+			n.Kind = xmltree.KindElement // a walk would count one element more
+			break
+		}
+	}
+	if probed.ComputeStats().Elements != probed.Stats().Elements+1 {
+		t.Fatal("the probe does not change what a walk counts")
+	}
+
+	bl := BlocksOf(gen.Figure5Corpus())
+	bl.Cuts = Cuts(Weights(bl.Entities), 3)
+	next := BuildFrom(&bl, []*core.Corpus{first.Shards()[0], first.Shards()[1]})
+	if next.Shards()[0].Doc != probed || next.Shards()[2].Doc == first.Shards()[2].Doc {
+		t.Fatal("the next generation did not adopt shards 0 and 1 and build shard 2")
+	}
+	if got := next.TotalElements(); got != elements {
+		t.Errorf("TotalElements = %d after adopting, want the memoized %d", got, elements)
+	}
+	if got := next.TotalNodes(); got != nodes {
+		t.Errorf("TotalNodes = %d after adopting, want %d", got, nodes)
 	}
 }
 

@@ -1,14 +1,12 @@
 package extract
 
 import (
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"extract/internal/gen"
-	"extract/internal/shard"
 	"extract/xmltree"
 )
 
@@ -88,13 +86,12 @@ func TestReplacedGenerationIsReclaimed(t *testing.T) {
 	}
 }
 
-// TestDeltaReloadReleasesDiscardedParse pins the parser's retention rule. A
-// delta reload parses the whole file but keeps only the block it rebuilds:
-// once it returns, the parse's root and every block adopted from the serving
-// generation instead must be garbage. An allocation the parser shared
-// between top-level entities — one node slab, one child arena — would let
-// the rebuilt block's nodes pin them, and through Parent/Children the whole
-// parse, for the life of the new generation.
+// TestDeltaReloadReleasesDiscardedParse pins what a delta reload parses and
+// what it keeps of the input. It parses the segments of the block it
+// rebuilds and not one byte of an adopted block; and once it returns, the
+// split it read the input through — the input bytes with it — must be
+// garbage. A node of the rebuilt block that pinned the split would keep the
+// whole input alive for the life of the new generation.
 func TestDeltaReloadReleasesDiscardedParse(t *testing.T) {
 	cfg := gen.StoresConfig{Retailers: 8, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 61}
 	xmlA := xmltree.XMLString(gen.Stores(cfg).Root)
@@ -118,43 +115,42 @@ func TestDeltaReloadReleasesDiscardedParse(t *testing.T) {
 		oldDocs = append(oldDocs, s.Doc)
 	}
 
-	// The parse as the reload sees it, before the build moves anything: its
-	// root, and the last node in preorder of each block's last entity.
-	var root *xmltree.Node
-	var blockNode []*xmltree.Node
-	testHookParsed = func(doc *xmltree.Document) {
-		root = doc.Root
-		cuts := shard.Cuts(doc, 4)
-		for b := 0; b+1 < len(cuts); b++ {
-			blockNode = append(blockNode, doc.ByOrd(int(doc.Root.Children[cuts[b+1]-1].End)))
-		}
-	}
+	// The input as the reload reads it: cut at the root's children, one
+	// segment per top-level entity.
+	var sp *xmltree.Split
+	testHookSplit = func(s *xmltree.Split) { sp = s }
 	stats, err := c.ReloadDelta(strings.NewReader(xmlB), WithShards(4))
-	testHookParsed = nil
+	testHookSplit = nil
 	if err != nil || stats.Rebuilt != 1 || stats.Reused != 3 {
 		t.Fatalf("reload: %+v, err %v; want 1 shard rebuilt, 3 reused", stats, err)
 	}
-
-	released := make(chan string, 1+len(blockNode))
-	runtime.AddCleanup(root, func(what string) { released <- what }, "the parse's root")
-	want := 1
+	if sp == nil {
+		t.Fatal("the reload did not split its input")
+	}
+	seg := 0
 	for b, s := range c.data.Load().gen.Corpus.Shards() {
-		if s.Doc == oldDocs[b] { // adopted: the parse's block b was discarded
-			runtime.AddCleanup(blockNode[b], func(what string) { released <- what }, fmt.Sprintf("a node of adopted block %d", b))
-			want++
+		adopted := s.Doc == oldDocs[b]
+		for range s.Doc.Root.Children {
+			if sp.Parsed(seg) == adopted {
+				t.Fatalf("segment %d of block %d (adopted: %v) parsed: %v", seg, b, adopted, sp.Parsed(seg))
+			}
+			seg++
 		}
 	}
-	root, blockNode, oldDocs = nil, nil, nil
+
+	released := make(chan struct{}, 1)
+	runtime.AddCleanup(sp, func(struct{}) { released <- struct{}{} }, struct{}{})
+	sp, oldDocs = nil, nil
 
 	deadline := time.After(10 * time.Second)
-	for got := 0; got < want; {
+	for {
 		runtime.GC()
 		select {
 		case <-released:
-			got++
+			return
 		case <-time.After(20 * time.Millisecond):
 		case <-deadline:
-			t.Fatalf("%d of %d discarded parts of the reload's parse were reclaimed", got, want)
+			t.Fatal("the reload's split, and the input bytes it holds, were not reclaimed")
 		}
 	}
 }

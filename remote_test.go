@@ -170,6 +170,36 @@ func TestConnectMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestRoutedReloadSnapshotReportsReuse: a routed ReloadSnapshot reports the
+// shards LoadDelta's adoption rule would adopt — unchanged content hash at
+// the same position — as reused, so the reload metrics see a delta and not
+// a full rebuild. Two snapshots one shard apart, then the same one again.
+func TestRoutedReloadSnapshotReportsReuse(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	for dir, doc := range map[string]*xmltree.Document{dirA: deltaBaseDoc(), dirB: deltaVariants()["one-entity"]()} {
+		c, err := LoadString(xmltree.XMLString(doc.Root), WithShards(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SaveSnapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	addrs, _ := startShardTier(t, dirA, 2, 1)
+	rc, err := Connect(dirA, addrs, WithQueryCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for _, want := range []DeltaStats{{Shards: 3, Reused: 2, Rebuilt: 1}, {Shards: 3, Reused: 3}} {
+		stats, err := rc.ReloadSnapshot(dirB)
+		if err != nil || stats != want {
+			t.Fatalf("routed ReloadSnapshot = %+v, %v; want %+v", stats, err, want)
+		}
+	}
+}
+
 // TestChaosRemoteReplicaFailover is the distributed chaos pin: with 2-way
 // replica groups, one replica misbehaving — dropping connections, erroring,
 // stalling, and finally being killed outright mid-stream — must cost ZERO

@@ -1,5 +1,7 @@
 package xmltree
 
+import "sync/atomic"
+
 // Document is a finalized XML tree: preorder positions and intervals have
 // been assigned to every node, and the preorder node sequence is
 // materialized for index construction.
@@ -24,6 +26,10 @@ type Document struct {
 
 	nodes []*Node // preorder; for a view, the subtree's run of the enclosing sequence
 	view  bool
+
+	// stats memoizes Stats. A pointer, not the figures: every query result
+	// is a view header, and this keeps the header in its size class.
+	stats atomic.Pointer[Stats]
 }
 
 // NewDocument finalizes the tree rooted at root into a Document: it fixes
@@ -143,6 +149,19 @@ type Stats struct {
 	MaxDepth  int
 	Labels    int // distinct element labels
 	TextBytes int
+}
+
+// Stats returns the document's ComputeStats figures, walking it on the first
+// call only (two racing first calls may both walk): a served document never
+// changes, so every later call — from a generation that adopted the
+// document, say — reads that walk's result.
+func (d *Document) Stats() Stats {
+	if st := d.stats.Load(); st != nil {
+		return *st
+	}
+	st := d.ComputeStats()
+	d.stats.Store(&st)
+	return st
 }
 
 // ComputeStats walks the document once and returns its Stats.

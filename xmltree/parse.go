@@ -20,10 +20,10 @@ package xmltree
 //
 // Retention rule: nothing the scanner allocates — node chunk, child-pointer
 // chunk, value bytes — is shared between two top-level entities (children
-// of the root). shard.partitionAt moves entities into shard documents and a
-// delta reload discards the blocks it adopts from the serving generation, so
-// a chunk spanning two entities would let the kept one pin the discarded
-// one, and through Parent/Children the whole discarded parse.
+// of the root). Shard building moves entities into shard documents, so a
+// chunk spanning two entities would let one shard pin another's entities,
+// and through Parent/Children the whole parse. A segment parse (split.go)
+// runs a scanner of its own, sharing nothing with any other.
 
 import (
 	"bytes"
@@ -164,9 +164,17 @@ type scanner struct {
 	attrs    []attrVal
 	buf      []byte // decoded text scratch
 	internal string
+
+	// split, set by SplitBytes, passes over the children of the root and
+	// records their extents in segs; segment, set by Split.Parse, stops
+	// once its child of the root has closed (see split.go).
+	split   bool
+	segs    []Segment
+	segment bool
 }
 
-// document scans the whole input.
+// document scans the whole input — a segment parse, up to the end of its
+// child of the root.
 func (s *scanner) document() error {
 	for s.pos < len(s.src) {
 		if s.src[s.pos] != '<' {
@@ -188,10 +196,17 @@ func (s *scanner) document() error {
 		case '!':
 			err = s.bang()
 		default:
-			err = s.startTag()
+			if s.split && len(s.open) == 1 {
+				err = s.skipChild()
+			} else {
+				err = s.startTag()
+			}
 		}
 		if err != nil {
 			return err
+		}
+		if s.segment && len(s.open) == 1 {
+			return nil
 		}
 	}
 	if len(s.open) > 0 {
@@ -359,6 +374,9 @@ func (s *scanner) counted() error {
 
 // element builds a scanned start tag's element and its attribute children.
 func (s *scanner) element(q *qname, attrs []attrVal, empty bool) error {
+	if s.split && len(attrs) > 0 {
+		return errNoSplit // the root's attributes are children of it
+	}
 	if q.badLocal {
 		return stripErr(q)
 	}
@@ -506,6 +524,9 @@ func (s *scanner) charData() error {
 	v, err := s.text(0)
 	if err != nil || len(s.open) == 0 {
 		return err
+	}
+	if s.split && len(bytes.TrimSpace(v)) > 0 {
+		return errNoSplit // text among the root's children
 	}
 	return s.addText(v)
 }
@@ -749,6 +770,9 @@ func (s *scanner) bang() error {
 		if err != nil || len(s.open) == 0 {
 			return err
 		}
+		if s.split {
+			return errNoSplit // CDATA among the root's children
+		}
 		return s.addText(v)
 	}
 	return s.directive()
@@ -805,6 +829,9 @@ func (s *scanner) cdata() ([]byte, error) {
 // quotes hide '>', a nested '<' must be matched, a "<!--" comment inside
 // becomes one space — and keeps the first DOCTYPE internal subset found.
 func (s *scanner) directive() error {
+	if s.split && len(s.open) > 0 {
+		return errNoSplit // a directive among the root's children
+	}
 	src := s.src
 	i := s.pos
 	buf := []byte{src[i]} // taken literally, whatever it is

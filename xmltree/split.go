@@ -1,0 +1,215 @@
+package xmltree
+
+// Splitting is how a load reaches a document without parsing all of it: the
+// input is cut at the root's children, so a delta reload parses only the
+// children whose bytes changed and a first load parses them concurrently.
+// The splitter is the scanner itself, run over the input with one change: a
+// child of the root is passed over by a light scan that only finds where it
+// ends (skipChild), and its extent is recorded. Everything else — the
+// prolog, the root's start and end tags, the bytes between its children,
+// what follows the root — is scanned exactly as ParseBytes scans it. Each
+// segment is then parsed on its own (Split.Parse) by the scanner started
+// where ParseBytes is at that byte: inside the root, nothing else open. So
+// the two agree: a document whose split and segment parses all succeed is
+// one ParseBytes accepts, with the same nodes; and a document ParseBytes
+// accepts splits and parses alike, unless its root level holds something a
+// segment cannot stand for (SplitBytes returns nil).
+
+import (
+	"bytes"
+	"errors"
+	"sync/atomic"
+)
+
+// errNoSplit stops the splitter at what it leaves to a whole parse.
+var errNoSplit = errors.New("xmltree: the root level does not split into segments")
+
+// Segment is one child of the root as the bytes [Start, End) of the input.
+type Segment struct{ Start, End int }
+
+// Split is a document cut at its root's children (see SplitBytes).
+type Split struct {
+	// Root is the root element's label, and InternalSubset the DOCTYPE
+	// internal subset ("" if none).
+	Root           string
+	InternalSubset string
+	// Segments are the root's children, in document order.
+	Segments []Segment
+
+	data     []byte
+	maxNodes int
+	parsed   []atomic.Bool
+}
+
+// SplitBytes cuts data at its root's children without parsing them. It
+// returns nil for a document it leaves to ParseBytes: one it finds
+// malformed (ParseBytes reports the error), or one whose root level holds
+// something a segment cannot stand for — attributes on the root, text,
+// CDATA or a directive among its children, or a child the light scan does
+// not delimit. data must not change while the Split is in use.
+func SplitBytes(data []byte, opts ...ParseOption) *Split {
+	var cfg parseConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	s := scanner{
+		src:      data,
+		maxNodes: cfg.maxNodes,
+		names:    make(map[string]*qname),
+		syms:     NewSymbols(),
+		split:    true,
+	}
+	if err := s.document(); err != nil {
+		return nil
+	}
+	return &Split{
+		Root:           s.root.Label,
+		InternalSubset: s.internal,
+		Segments:       s.segs,
+		data:           data,
+		maxNodes:       cfg.maxNodes,
+		parsed:         make([]atomic.Bool, len(s.segs)),
+	}
+}
+
+// Bytes returns segment i's source bytes, a subslice of the input.
+func (sp *Split) Bytes(i int) []byte {
+	seg := sp.Segments[i]
+	return sp.data[seg.Start:seg.End]
+}
+
+// Parse parses segment i on its own into a detached tree: the child's
+// subtree, preorder positions counted from 0 at the child, no parent — ready
+// to be finalized under a root by NewDocument, which also assigns the symbol
+// ids. Its nodes are the ones ParseBytes builds for the child, and no
+// allocation is shared with another segment's parse. An error is the
+// verdict on these bytes alone: which error ParseBytes reports for the
+// document, an earlier one perhaps, only a whole parse says. Parse is safe
+// for concurrent use.
+func (sp *Split) Parse(i int) (*Node, error) {
+	sp.parsed[i].Store(true)
+	seg := sp.Segments[i]
+	root := &Node{}
+	s := scanner{
+		src:      sp.data,
+		pos:      seg.Start,
+		maxNodes: sp.maxNodes,
+		nodes:    make([]*Node, 0, (seg.End-seg.Start)/32+1),
+		names:    make(map[string]*qname),
+		syms:     NewSymbols(),
+		root:     root,
+		open:     []openElem{{n: root, name: &qname{}}},
+		segment:  true,
+	}
+	if err := s.document(); err != nil {
+		return nil, err
+	}
+	if s.pos != seg.End {
+		return nil, errNoSplit
+	}
+	n := s.nodes[0]
+	n.Parent = nil
+	return n, nil
+}
+
+// Parsed reports whether segment i has been parsed.
+func (sp *Split) Parsed(i int) bool { return sp.parsed[i].Load() }
+
+// Limit returns ErrTooLarge when a document of the given node count exceeds
+// the WithMaxNodes bound the split was made under.
+func (sp *Split) Limit(nodes int) error {
+	if sp.maxNodes > 0 && nodes > sp.maxNodes {
+		return ErrTooLarge
+	}
+	return nil
+}
+
+// skipChild passes over the child of the root whose start tag begins at
+// s.pos-1 and records its extent. The scan is light: it knows where markup
+// begins and ends — quoted attribute values, comments, processing
+// instructions, CDATA sections — and counts start tags against end tags,
+// checking nothing (the segment's own parse does). A directive or the end of
+// input stops the split.
+func (s *scanner) skipChild() error {
+	src := s.src
+	start := s.pos - 1
+	i, depth := start, 0
+	for {
+		if i+1 >= len(src) {
+			return errNoSplit
+		}
+		switch src[i+1] {
+		case '/':
+			k := bytes.IndexByte(src[i:], '>')
+			if k < 0 {
+				return errNoSplit
+			}
+			i += k + 1
+			depth--
+		case '?':
+			k := bytes.Index(src[i+2:], []byte("?>"))
+			if k < 0 {
+				return errNoSplit
+			}
+			i += k + 4
+		case '!':
+			switch {
+			case bytes.HasPrefix(src[i:], []byte("<!--")):
+				// A comment ends at its first "--", which must close it.
+				k := bytes.Index(src[i+4:], []byte("--"))
+				if k < 0 || i+k+6 >= len(src) || src[i+k+6] != '>' {
+					return errNoSplit
+				}
+				i += k + 7
+			case bytes.HasPrefix(src[i:], []byte("<![CDATA[")):
+				k := bytes.Index(src[i+9:], []byte("]]>"))
+				if k < 0 {
+					return errNoSplit
+				}
+				i += k + 12
+			default:
+				return errNoSplit
+			}
+		default:
+			k := tagEnd(src, i+1)
+			if k < 0 {
+				return errNoSplit
+			}
+			if src[k-1] != '/' {
+				depth++
+			}
+			i = k + 1
+		}
+		if depth == 0 {
+			s.segs = append(s.segs, Segment{Start: start, End: i})
+			s.pos = i
+			return nil
+		}
+		k := bytes.IndexByte(src[i:], '<')
+		if k < 0 {
+			return errNoSplit
+		}
+		i += k
+	}
+}
+
+// tagEnd returns the index of the '>' that closes the start tag whose name
+// begins at src[i], passing over quoted attribute values; -1 if the input
+// ends first.
+func tagEnd(src []byte, i int) int {
+	for i < len(src) {
+		switch c := src[i]; c {
+		case '>':
+			return i
+		case '"', '\'':
+			k := bytes.IndexByte(src[i+1:], c)
+			if k < 0 {
+				return -1
+			}
+			i += k + 2
+		default:
+			i++
+		}
+	}
+	return -1
+}

@@ -98,6 +98,7 @@ import (
 	"extract/internal/baseline"
 	"extract/internal/gen"
 	"extract/internal/ingest"
+	"extract/internal/search"
 	"extract/xmltree"
 )
 
@@ -430,23 +431,27 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	}
 }
 
-// writeQueryError maps a failed query to a status code and a sanitized
-// message: overload and deadline outcomes keep their specific codes (with
-// Retry-After on overload, so well-behaved clients back off), anything
-// else — including a recovered evaluation panic — is a generic 500 whose
-// detail stays in the server log, never in the response.
-func writeQueryError(w http.ResponseWriter, err error) {
+// queryFailure is the one mapping of a failed query to the status code and
+// the sanitized message / and /view answer with: overload (with Retry-After,
+// so well-behaved clients back off), deadline and cancel keep their own
+// codes, and a query with no keywords is a 404. Anything else — a recovered
+// evaluation panic, a routed failure naming replica addresses, either of
+// which may carry document text — is a generic 500 whose detail stays in
+// the server log, never in the response.
+func queryFailure(w http.ResponseWriter, err error) (int, string) {
 	switch {
 	case errors.Is(err, extract.ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "server overloaded; retry later")
+		return http.StatusServiceUnavailable, "server overloaded; retry later"
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "query deadline exceeded")
+		return http.StatusGatewayTimeout, "query deadline exceeded"
 	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusServiceUnavailable, "request canceled")
+		return http.StatusServiceUnavailable, "request canceled"
+	case errors.Is(err, search.ErrEmptyQuery):
+		return http.StatusNotFound, "query has no keywords"
 	default:
 		log.Printf("extractd: query failed: %v", err)
-		writeError(w, http.StatusInternalServerError, "query failed")
+		return http.StatusInternalServerError, "query failed"
 	}
 }
 
@@ -585,8 +590,7 @@ func hopLines(hops []extract.Hop) []hopLine {
 			Error:   h.Err,
 		}
 		stages := map[string]time.Duration{
-			"decode": h.ServerDecode, "eval": h.ServerEval,
-			"digest": h.ServerDigest, "encode": h.ServerEncode,
+			"decode": h.ServerDecode, "eval": h.ServerEval, "encode": h.ServerEncode,
 		}
 		for name, d := range stages {
 			if d > 0 {
@@ -928,13 +932,11 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// disconnects mid-query cancels its shard fan-out, and the
 		// -query-timeout deadline bounds it.
 		hits, err := ds.Corpus.QueryContext(r.Context(), data.Query, data.Bound, extract.WithMaxResults(maxPageHits))
-		switch {
-		case errors.Is(err, extract.ErrOverloaded):
-			data.Error = "server overloaded; retry shortly"
-		case errors.Is(err, context.DeadlineExceeded):
-			data.Error = "query deadline exceeded"
-		case err != nil:
-			data.Error = err.Error()
+		if err != nil {
+			var code int
+			code, data.Error = queryFailure(w, err)
+			w.Header().Set("Content-Type", "text/html; charset=utf-8")
+			w.WriteHeader(code)
 		}
 		kws := extract.Tokenize(data.Query)
 		for i, h := range hits {
@@ -1078,11 +1080,12 @@ func (s *server) handleView(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results, err := ds.Corpus.SearchContext(r.Context(), r.FormValue("q"), extract.WithMaxResults(maxPageHits))
-	if errors.Is(err, extract.ErrOverloaded) || errors.Is(err, context.DeadlineExceeded) {
-		writeQueryError(w, err)
+	if err != nil {
+		code, msg := queryFailure(w, err)
+		writeError(w, code, msg)
 		return
 	}
-	if err != nil || idx >= len(results) {
+	if idx >= len(results) {
 		writeError(w, http.StatusNotFound, "result not found")
 		return
 	}

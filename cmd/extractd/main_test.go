@@ -101,6 +101,31 @@ func TestHandleViewErrors(t *testing.T) {
 	}
 }
 
+// TestQueryFailuresAreSanitized: a failed evaluation reaches neither page
+// as its error text — a recovered panic's value may carry document text — and
+// /view reports it as a failure, not as a missing result.
+func TestQueryFailuresAreSanitized(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Set(faultinject.ShardEval, func() error { panic("secret-42") })
+	s := testServer(t)
+	rr := httptest.NewRecorder()
+	s.handleSearch(rr, httptest.NewRequest("GET", "/?dataset=stores+%28Figure+5%29&q=store+texas", nil))
+	if body := rr.Body.String(); strings.Contains(body, "secret-42") || !strings.Contains(body, "query failed") {
+		t.Errorf("search page after a panic (status %d): %s", rr.Code, body)
+	}
+	rr = httptest.NewRecorder()
+	s.handleView(rr, httptest.NewRequest("GET", "/view?dataset=stores+%28Figure+5%29&q=store&result=0", nil))
+	if rr.Code != http.StatusInternalServerError || strings.Contains(rr.Body.String(), "secret-42") {
+		t.Errorf("view after a panic: status %d, body %q; want 500 without the panic value", rr.Code, rr.Body.String())
+	}
+	faultinject.Reset()
+	rr = httptest.NewRecorder()
+	s.handleView(rr, httptest.NewRequest("GET", "/view?dataset=stores+%28Figure+5%29&q=&result=0", nil))
+	if rr.Code != http.StatusNotFound {
+		t.Errorf("view of an empty query: status %d, want 404", rr.Code)
+	}
+}
+
 // TestViewRefusesResultPastLimit: a search page links at most maxPageHits
 // results, so an index at or past that — the value whose +1 overflows
 // included — is answered 404 without evaluating anything.

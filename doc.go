@@ -86,18 +86,14 @@
 // path, the persisted formats and the answers are the same whatever n is.
 // With several shards a query is answered by one protocol, shard.Merge
 // (internal/shard), whether the shards are in this process or behind a
-// router. It first probes each shard's keyword-presence prefilter (sorted
-// 64-bit keyword hashes, persisted with the index) and dispatches work only
-// to shards that may contain every keyword — a shard provably missing one
-// is skipped without touching its posting lists, which is safe because a
-// prefilter miss proves absence (only hits can be false). The surviving
-// shards evaluate in parallel; any non-root LCA is shard-local, and the
-// root's own candidacy is decided from a few bits of evidence per shard,
-// fetched from the skipped shards only when the decision needs them. The
-// per-shard results then merge through a bounded top-k merge into global
-// document order; queries whose results genuinely cross shards (the root as
-// an LCA, root-anchored results) evaluate on a lazily reconstructed
-// whole-document corpus instead, so results and snippets are always
+// router. Every shard evaluates, in parallel — a shard missing a keyword
+// stops after its posting-list lookups; any non-root LCA is shard-local,
+// and the root's own candidacy is decided from a few bits of evidence every
+// shard returns with its results. The per-shard results then merge through
+// a bounded top-k merge into global document order; queries whose results
+// genuinely cross shards (the root as an LCA, root-anchored results)
+// evaluate on a lazily reconstructed whole-document corpus instead, so
+// results and snippets are always
 // byte-identical to the one-shard corpus's (pinned by equivalence property
 // tests).
 //
@@ -237,15 +233,13 @@
 // # Persisted indexes
 //
 // Corpus.SaveIndex / LoadIndex persist an analyzed corpus in one versioned
-// binary format (internal/persist, XTIX version 5). An image is six
+// binary format (internal/persist, XTIX version 6). An image is five
 // sections behind a table of per-section lengths and CRC-32C checksums: a
 // string table, then little-endian int32 slabs for the preorder tree arrays
 // and the packed posting lists, with the DOCTYPE internal subset,
 // classification and keys all serialized — round trips are lossless, a
-// DTD's decisions included — and the shard's keyword-presence prefilter, so
-// a loaded or delta-patched shard answers skip probes without touching its
-// postings. The reader memory-maps (or bulk-reads) the file, verifies every
-// checksum, and only then reconstructs nodes, intervals and postings
+// DTD's decisions included. The reader memory-maps (or bulk-reads) the
+// file, verifies every checksum, and only then reconstructs nodes, intervals and postings
 // without re-tokenizing anything, decoding the tree and posting
 // sections concurrently; loading a 100k-node corpus is an order of
 // magnitude faster than rebuilding the index from the tree (the "persist"
@@ -289,7 +283,7 @@
 // a cached sharded query (annotated with the telemetry stage on the
 // clock at each step), an online reload and a delta reload.
 // PERFORMANCE.md is the cold-path performance model — the stage cost
-// breakdown, the prefilter/galloping/early-termination designs with their
+// breakdown, the galloping and early-termination designs with their
 // measured crossover constants, and how to read and regenerate
 // BENCH_search.json. OBSERVABILITY.md is the operator-facing metric
 // reference — every

@@ -67,9 +67,9 @@ func ExampleCorpus_Search_phrase() {
 // WithMaxResults bounds the answer and, under SLCA semantics, terminates
 // evaluation early: the scan stops once the first n results are provable.
 // The bounded answer is always the document-order prefix of the unbounded
-// one — the option trades work, never correctness. On sharded corpora a
-// multi-keyword query also skips, before any evaluation, every shard whose
-// keyword-presence prefilter proves a missing keyword.
+// one — the option trades work, never correctness. On sharded corpora every
+// shard evaluates under the bound, and the merge cuts the concatenation of
+// their answers at n.
 func ExampleWithMaxResults() {
 	corpus, err := extract.LoadString(libraryXML, extract.WithShards(2))
 	if err != nil {

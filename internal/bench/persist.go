@@ -344,8 +344,8 @@ func CompareReports(baseline, current *SearchPerfReport, tol float64) []string {
 	// served per second". The warm-speedup gate alone cannot catch a cold
 	// regression: cold and warm slowing down together keeps that ratio
 	// flat, and the tail gate would even *improve*. This gate pins the
-	// uncached path itself, so the prefilter/galloping/early-termination
-	// wins stay won. Both factors come from the same run — contention
+	// uncached path itself, so the galloping and early-termination wins
+	// stay won. Both factors come from the same run — contention
 	// depresses QPS and inflates the yardstick together — so no
 	// quiet-hardware cap is needed; only the shared tolerance applies.
 	for _, p := range current.Serve {

@@ -93,9 +93,6 @@ type Index struct {
 
 	vocabOnce sync.Once
 	vocab     []string
-
-	prefOnce sync.Once
-	pref     *Prefilter
 }
 
 // builds counts Build invocations process-wide. Index construction is the
@@ -213,26 +210,6 @@ func (ix *Index) Derived(key any, build func() any) any {
 	}
 	return ix.derivedVal
 }
-
-// Prefilter returns the keyword-presence prefilter of this index, building
-// it on first use unless a loader already adopted a persisted one
-// (AdoptPrefilter). Safe for concurrent use after the first call completes;
-// the build is memoized.
-func (ix *Index) Prefilter() *Prefilter {
-	ix.prefOnce.Do(func() {
-		if ix.pref == nil {
-			ix.pref = BuildPrefilter(ix)
-		}
-	})
-	return ix.pref
-}
-
-// AdoptPrefilter installs a prefilter decoded from a persisted image,
-// skipping the rebuild in Prefilter. The filter must cover at least every
-// indexed keyword (a false negative would let query evaluation skip a
-// non-empty shard). Must be called before the first Prefilter call —
-// loader context, not concurrent use.
-func (ix *Index) AdoptPrefilter(p *Prefilter) { ix.pref = p }
 
 // List returns the packed posting list for a keyword (document order), or
 // nil if the keyword is unindexed. The keyword is tokenized first; a

@@ -1,112 +1,21 @@
 package index
 
-import "sort"
+// Prefilter answers keyword presence for one index, exactly, from its
+// postings map. benchmark/ is its only caller outside tests: its per-shard
+// probe counts the shards a query's keywords rule out. The query path has no
+// shard prefilter — every shard answers round one (PERFORMANCE.md says why).
+type Prefilter struct{ ix *Index }
 
-// Prefilter is a compact keyword-presence filter over one index: the sorted
-// set of 64-bit FNV-1a hashes of every indexed keyword. It answers "might
-// this index contain keyword t?" in O(log v) probes over one flat uint64
-// array, without touching the postings map — small enough to persist
-// alongside the image (8 bytes per distinct keyword, the "prefilter"
-// section of XTIX v4) or to hold on a router that has no postings resident
-// at all.
-//
-// The answer is one-sided: a missing hash proves the keyword absent, while
-// a present hash may be a collision. Conjunctive multi-keyword queries use
-// the filter to SKIP shards — a shard missing any query token can contain
-// no local result, so a miss is a sound skip, and a false positive merely
-// evaluates the shard to an empty answer. The filter may therefore only
-// skip provably-empty shards (see the shard-layer property tests).
-type Prefilter struct {
-	hashes []uint64
-}
+// Prefilter returns the keyword-presence view of this index.
+func (ix *Index) Prefilter() Prefilter { return Prefilter{ix} }
 
-// 64-bit FNV-1a parameters.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// MayContain reports whether the index holds the canonical keyword token.
+func (p Prefilter) MayContain(token string) bool { return p.ix.postings[token].Len() > 0 }
 
-// KeywordHash returns the prefilter hash of one canonical keyword: 64-bit
-// FNV-1a over its bytes. Callers pass tokenizer output (lowercased tokens),
-// the same form the postings map is keyed on.
-func KeywordHash(keyword string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(keyword); i++ {
-		h ^= uint64(keyword[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// BuildPrefilter constructs the prefilter of an index from its posting
-// keys. Index.Prefilter memoizes this; loaders adopt a decoded filter via
-// Index.AdoptPrefilter instead.
-func BuildPrefilter(ix *Index) *Prefilter {
-	hs := make([]uint64, 0, len(ix.postings))
-	for k := range ix.postings {
-		hs = append(hs, KeywordHash(k))
-	}
-	return PrefilterFromHashes(hs)
-}
-
-// PrefilterFromHashes builds a prefilter from raw hash values (typically a
-// decoded persist section), sorting and deduplicating when needed. The
-// slice is adopted, not copied.
-func PrefilterFromHashes(hs []uint64) *Prefilter {
-	sorted := true
-	for i := 1; i < len(hs); i++ {
-		if hs[i] <= hs[i-1] {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-		out := hs[:0]
-		for _, h := range hs {
-			if len(out) == 0 || out[len(out)-1] != h {
-				out = append(out, h)
-			}
-		}
-		hs = out
-	}
-	return &Prefilter{hashes: hs}
-}
-
-// Len returns the number of distinct keyword hashes in the filter.
-func (p *Prefilter) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.hashes)
-}
-
-// Hashes returns the sorted hash array, for persistence. The slice is
-// shared and must not be modified.
-func (p *Prefilter) Hashes() []uint64 {
-	if p == nil {
-		return nil
-	}
-	return p.hashes
-}
-
-// MayContain reports whether the index may contain the canonical keyword
-// token. A false answer is definitive — the keyword is not indexed; a true
-// answer may be a hash collision. A nil filter cannot prove absence and
-// answers true.
-func (p *Prefilter) MayContain(token string) bool {
-	if p == nil {
-		return true
-	}
-	h := KeywordHash(token)
-	i := sort.Search(len(p.hashes), func(j int) bool { return p.hashes[j] >= h })
-	return i < len(p.hashes) && p.hashes[i] == h
-}
-
-// MayContainAll reports whether the index may contain every token. Under
+// MayContainAll reports whether the index holds every token. Under
 // conjunctive semantics a false answer proves the index can satisfy no
 // query involving all of the tokens.
-func (p *Prefilter) MayContainAll(tokens []string) bool {
+func (p Prefilter) MayContainAll(tokens []string) bool {
 	for _, t := range tokens {
 		if !p.MayContain(t) {
 			return false

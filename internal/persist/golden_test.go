@@ -29,7 +29,7 @@ func goldenCorpus() *core.Corpus {
 // new name with -update.
 func TestGoldenFiles(t *testing.T) {
 	c := goldenCorpus()
-	path := filepath.Join("testdata", "figure1.v5.golden")
+	path := filepath.Join("testdata", "figure1.v6.golden")
 
 	var saved bytes.Buffer
 	if err := Save(&saved, c); err != nil {
@@ -78,15 +78,16 @@ func TestGoldenFiles(t *testing.T) {
 	}
 }
 
-// TestRetiredVersionsRefused: the frozen images of the four versions this
+// TestRetiredVersionsRefused: the frozen images of the five versions this
 // package used to read — figure1.legacy.golden (v1, varint), .packed (v2,
 // no checksums), .checked (v3, no prefilter section), .prefilter (v4, with
-// the DTD, dataguide and structural summary) — never regenerated, now pin
+// the DTD, dataguide and structural summary), .v5 (v5, with a keyword-hash
+// prefilter section) — never regenerated, now pin
 // the refusal. Each fails as ErrBadFormat naming the version it
 // carries and the one this build reads, from bytes and from a file, and a
 // refused file leaves no descriptor or mapping behind.
 func TestRetiredVersionsRefused(t *testing.T) {
-	for v, name := range map[int]string{1: "legacy", 2: "packed", 3: "checked", 4: "prefilter"} {
+	for v, name := range map[int]string{1: "legacy", 2: "packed", 3: "checked", 4: "prefilter", 5: "v5"} {
 		t.Run(name, func(t *testing.T) {
 			path, err := filepath.Abs(filepath.Join("testdata", "figure1."+name+".golden"))
 			if err != nil {

@@ -21,8 +21,8 @@ import (
 // computable from its leading counts, so the reader slices all slabs up
 // front and decodes the two big ones — tree and postings — concurrently.
 //
-//	magic "XTIX" | version u8 = 5 | u8 sectionCount = 6
-//	| (u32 length, u32 CRC-32C) x 6 | the six sections, back to back
+//	magic "XTIX" | version u8 = 6 | u8 sectionCount = 5
+//	| (u32 length, u32 CRC-32C) x 5 | the five sections, back to back
 //
 //	meta:      u32 subsetLen, bytes  (DOCTYPE internal subset)
 //	           u32 n                 (node count, early so the reader can
@@ -35,8 +35,6 @@ import (
 //	           | u32 P | i32[P] ords | u8[P] fields
 //	aux:       class:   u32 C | i32[C] labelIDs | u8[C] categories
 //	           keys:    u32 KC | i32[KC] entityIDs | i32[KC] attrIDs
-//	prefilter: u32 H | u64[H] hashes   (sorted 64-bit FNV-1a hashes of every
-//	           indexed keyword, strictly increasing; see index.Prefilter)
 const (
 	tagText     = 1
 	tagFromAttr = 2
@@ -51,11 +49,10 @@ const (
 	secTree
 	secPostings
 	secAux
-	secPrefilter
 	numSections
 )
 
-var sectionNames = [numSections]string{"meta", "strings", "tree", "postings", "aux", "prefilter"}
+var sectionNames = [numSections]string{"meta", "strings", "tree", "postings", "aux"}
 
 // castagnoli is the CRC-32C polynomial table for section checksums
 // (hardware-accelerated on amd64/arm64).
@@ -91,7 +88,7 @@ func appendI32(b []byte, v int32) []byte {
 	return binary.LittleEndian.AppendUint32(b, uint32(v))
 }
 
-// Save writes the analyzed corpus to w: six sections, each materialized so
+// Save writes the analyzed corpus to w: five sections, each materialized so
 // its CRC-32C lands in the header before any body byte is written.
 func Save(w io.Writer, c *core.Corpus) error {
 	in := newInterner()
@@ -222,17 +219,6 @@ func Save(w io.Writer, c *core.Corpus) error {
 	}
 
 	secs[secAux] = buf
-
-	// Prefilter: the sorted keyword-hash slab. Written from the index's
-	// own filter so a loaded image skips the rebuild; sorted order makes
-	// the bytes deterministic for the golden tests.
-	hashes := c.Index.Prefilter().Hashes()
-	buf = make([]byte, 0, 4+8*len(hashes))
-	buf = appendU32(buf, uint32(len(hashes)))
-	for _, h := range hashes {
-		buf = binary.LittleEndian.AppendUint64(buf, h)
-	}
-	secs[secPrefilter] = buf
 
 	// Header, then the section bytes.
 	head := make([]byte, 0, len(magic)+2+8*numSections)
@@ -429,23 +415,8 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 	nKeys := c.count("key")
 	entIDs := c.i32slab(nKeys)
 	attrIDs := c.i32slab(nKeys)
-
-	// Prefilter: the sorted keyword-hash slab. Strictly increasing order is
-	// enforced — it is what Prefilter's binary search relies on, and a
-	// violation means the image is malformed. Hash completeness (every
-	// indexed keyword present) is the writer's invariant, protected at rest
-	// by the section CRC.
-	ph := c.count("prefilter hash")
-	hashSlab := c.bytes(8 * ph)
 	if c.err != nil {
 		return nil, c.err
-	}
-	hashes := make([]uint64, ph)
-	for i := range hashes {
-		hashes[i] = binary.LittleEndian.Uint64(hashSlab[8*i:])
-		if i > 0 && hashes[i] <= hashes[i-1] {
-			return nil, fmt.Errorf("%w: prefilter hashes out of order at %d", ErrBadFormat, i)
-		}
 	}
 	if c.off != len(c.data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(c.data)-c.off)
@@ -533,11 +504,9 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 	}
 	doc := xmltree.AdoptFinalized(docNodes)
 	doc.InternalSubset = subset
-	ix := index.FromPartsSized(doc, postings, total, maxList)
-	ix.AdoptPrefilter(index.PrefilterFromHashes(hashes))
 	return &core.Corpus{
 		Doc:   doc,
-		Index: ix,
+		Index: index.FromPartsSized(doc, postings, total, maxList),
 		Cls:   classify.FromCategories(cats),
 		Keys:  keys.FromMap(km),
 	}, nil

@@ -3,9 +3,9 @@
 // Builder stage) can be reopened without re-parsing XML or re-running
 // classification and key mining — the role the demo's on-disk indexes play.
 //
-// One format exists, XTIX version 5. After the magic and the version byte
-// comes a section table — a section count (always 6), then a u32 length and
-// a u32 CRC-32C per section — and then the six sections back to back:
+// One format exists, XTIX version 6. After the magic and the version byte
+// comes a section table — a section count (always 5), then a u32 length and
+// a u32 CRC-32C per section — and then the five sections back to back:
 //
 //	meta       DOCTYPE internal subset, the node count
 //	strings    every label, value and keyword once: lengths, then one blob
@@ -15,9 +15,6 @@
 //	           node ordinals and match fields
 //	aux        classification and mined keys — the analysis every later
 //	           stage reads
-//	prefilter  index.Prefilter as a sorted u64 keyword-hash slab, so a
-//	           loaded shard answers "can this image contain keyword t?"
-//	           without its postings map
 //
 // Every structure is a fixed-width little-endian slab at an offset
 // computable from the leading counts (packed.go has the byte layout), so
@@ -30,10 +27,10 @@
 // Loading verifies before it decodes: magic and version, then the section
 // table (count, lengths summing exactly to the body, each section's
 // checksum), and only then the structural decoders, which in turn validate
-// string ids, node counts, slab bounds and prefilter hash order. A
-// truncated or bit-flipped image — the failure mode of serving
-// memory-mapped files off real disks — fails with a named ErrBadFormat
-// error, never a panic (see FuzzLoad and FuzzCorruptImage). A format change
+// string ids, node counts and slab bounds. A truncated or bit-flipped
+// image — the failure mode of serving memory-mapped files off real disks —
+// fails with a named ErrBadFormat error, never a panic (see FuzzLoad and
+// FuzzCorruptImage). A format change
 // bumps the version byte and replaces the reader: an image of any other
 // version is refused, and is rebuilt from its XML source, not migrated.
 package persist
@@ -51,7 +48,7 @@ import (
 const (
 	magic = "XTIX"
 	// version is the one format revision this build writes and reads.
-	version = 5
+	version = 6
 )
 
 // ErrBadFormat reports a corrupted or foreign file.

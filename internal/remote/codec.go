@@ -210,18 +210,17 @@ func decodeHello(data []byte) (helloMsg, error) {
 // --- response header ---
 
 // Every response opens with one fixed header: the generation fingerprint the
-// answer was computed on, then the server-side stage breakdown as four
+// answer was computed on, then the server-side stage breakdown as three
 // little-endian u64 nanosecond counts — decoding the request, evaluating
-// (snippets included), computing digests, encoding the response body. Stages
-// that did not run are zero. The width is fixed so the encoder can fill the
-// stages in after the body is encoded, and one place — the router's groupCall
-// — reads it for every call kind.
-const respHeaderLen = 8 + 4*8
+// (snippets included), encoding the response body. Stages that did not run
+// are zero. The width is fixed so the encoder can fill the stages in after
+// the body is encoded, and one place — the router's groupCall — reads it for
+// every call kind.
+const respHeaderLen = 8 + 3*8
 
 type serverStages struct {
 	decodeNs uint64
 	evalNs   uint64
-	digestNs uint64
 	encodeNs uint64
 }
 
@@ -236,8 +235,7 @@ func appendRespHeader(b []byte, fingerprint uint64) []byte {
 func putServerStages(resp []byte, s serverStages) {
 	binary.LittleEndian.PutUint64(resp[8:], s.decodeNs)
 	binary.LittleEndian.PutUint64(resp[16:], s.evalNs)
-	binary.LittleEndian.PutUint64(resp[24:], s.digestNs)
-	binary.LittleEndian.PutUint64(resp[32:], s.encodeNs)
+	binary.LittleEndian.PutUint64(resp[24:], s.encodeNs)
 }
 
 // decodeRespHeader splits a response into its header fields and its body.
@@ -247,13 +245,12 @@ func decodeRespHeader(data []byte) (fingerprint uint64, s serverStages, body []b
 	}
 	s.decodeNs = binary.LittleEndian.Uint64(data[8:])
 	s.evalNs = binary.LittleEndian.Uint64(data[16:])
-	s.digestNs = binary.LittleEndian.Uint64(data[24:])
-	s.encodeNs = binary.LittleEndian.Uint64(data[32:])
+	s.encodeNs = binary.LittleEndian.Uint64(data[24:])
 	return binary.LittleEndian.Uint64(data), s, data[respHeaderLen:], nil
 }
 
 // appendTraceID appends the trailing trace ID (u64 LE) to an encoded
-// eval/digest/full request. The copy is deliberate: the base payload is
+// eval or full request. The copy is deliberate: the base payload is
 // shared across replicas and retries, so it must never be appended to in
 // place.
 func appendTraceID(payload []byte, traceID uint64) []byte {
@@ -262,15 +259,18 @@ func appendTraceID(payload []byte, traceID uint64) []byte {
 	return binary.LittleEndian.AppendUint64(out, traceID)
 }
 
-// --- eval / digest / full requests ---
+// --- eval / full requests ---
 
+// evalReq is an eval request, and with no shards a full request (the frame's
+// type byte tells them apart): the full request evaluates the reconstructed
+// whole document and — bound >= 0 — snippets what it finds.
 type evalReq struct {
 	opts          search.Options
 	query         string
-	timeoutMillis uint64 // 0 = no deadline
-	shards        []uint32
-	bound         int    // snippet bound; < 0 = search only
-	traceID       uint64 // the originating query's trace ID (0 = none)
+	timeoutMillis uint64   // 0 = no deadline
+	shards        []uint32 // eval request only; empty for a full request
+	bound         int      // snippet bound; < 0 = search only
+	traceID       uint64   // the originating query's trace ID (0 = none)
 }
 
 // encodeEvalReq encodes everything but the trailing trace ID, which
@@ -306,38 +306,15 @@ func decodeEvalReq(data []byte) (evalReq, error) {
 // maxSnippetBound bounds the snippet bound a request may carry.
 const maxSnippetBound = 1 << 20
 
-// fullReq doubles as the digest request (same fields, different type byte
-// on the frame): digests re-run the cheap no-LCA evaluation of
-// prefilter-skipped shards, the full request evaluates the reconstructed
-// whole document and — bound >= 0 — snippets what it finds.
-type fullReq struct {
-	opts          search.Options
-	query         string
-	timeoutMillis uint64
-	shards        []uint32 // digest request only; empty for full eval
-	bound         int      // full request only; < 0 = search only
-	traceID       uint64   // the originating query's trace ID (0 = none)
-}
-
-func encodeFullReq(r fullReq) []byte {
-	return encodeEvalReq(evalReq(r))
-}
-
-func decodeFullReq(data []byte) (fullReq, error) {
-	r, err := decodeEvalReq(data)
-	return fullReq(r), err
-}
-
 // --- digests ---
 
 const (
 	digestRootAnchored = 1 << iota
 	digestNonRootLCAs
 	digestHasFree
-	digestSkipped
 )
 
-func appendDigest(b []byte, d shard.Digest, skipped bool) []byte {
+func appendDigest(b []byte, d shard.Digest) []byte {
 	var flags byte
 	if d.RootAnchored {
 		flags |= digestRootAnchored
@@ -348,13 +325,7 @@ func appendDigest(b []byte, d shard.Digest, skipped bool) []byte {
 	if d.Free != nil {
 		flags |= digestHasFree
 	}
-	if skipped {
-		flags |= digestSkipped
-	}
 	b = append(b, flags)
-	if skipped {
-		return b
-	}
 	b = binary.AppendUvarint(b, uint64(len(d.Matched)))
 	for _, m := range d.Matched {
 		b = append(b, boolByte(m))
@@ -367,17 +338,18 @@ func appendDigest(b []byte, d shard.Digest, skipped bool) []byte {
 	return b
 }
 
-func (c *cursor) digest() (d shard.Digest, skipped bool) {
+func (c *cursor) digest() (d shard.Digest) {
 	flags := c.u8("digest flags")
+	if flags&^(digestRootAnchored|digestNonRootLCAs|digestHasFree) != 0 {
+		c.fail("unknown digest flags %#x", flags)
+		return d
+	}
 	d.RootAnchored = flags&digestRootAnchored != 0
 	d.HasNonRootLCAs = flags&digestNonRootLCAs != 0
-	if flags&digestSkipped != 0 {
-		return d, true
-	}
 	k := c.count("keyword", maxWireStrings)
 	if k > len(c.data)-c.off {
 		c.fail("truncated digest (%d keywords)", k)
-		return d, false
+		return d
 	}
 	d.Matched = make([]bool, k)
 	for i := range d.Matched {
@@ -389,7 +361,7 @@ func (c *cursor) digest() (d shard.Digest, skipped bool) {
 			d.Free[i] = c.u8("free bit") != 0
 		}
 	}
-	return d, false
+	return d
 }
 
 func boolByte(v bool) byte {
@@ -1052,13 +1024,11 @@ func (v *validated) indexes() []int {
 
 // --- eval response ---
 
-// shardAnswer is one shard's share of an evaluation on the shard server. A
-// prefilter-skipped shard carries only the skipped marker; an evaluated
-// shard carries its digest evidence and the local results it ships, with
-// their snippets in a snippeted answer.
+// shardAnswer is one shard's share of an evaluation on the shard server:
+// its digest evidence and the local results it ships, with their snippets
+// in a snippeted answer.
 type shardAnswer struct {
 	shard    uint32
-	skipped  bool
 	digest   shard.Digest
 	results  []*search.Result
 	snippets []*core.Generated // aligned with results; nil unless snippeted
@@ -1079,10 +1049,8 @@ func appendEvalResp(b []byte, a evalAnswer) []byte {
 	b = binary.AppendUvarint(b, uint64(len(a.shards)))
 	for _, s := range a.shards {
 		b = binary.AppendUvarint(b, uint64(s.shard))
-		b = appendDigest(b, s.digest, s.skipped)
-		if !s.skipped {
-			b = appendResults(b, s.results, s.snippets)
-		}
+		b = appendDigest(b, s.digest)
+		b = appendResults(b, s.results, s.snippets)
 	}
 	return b
 }
@@ -1091,7 +1059,6 @@ func appendEvalResp(b []byte, a evalAnswer) []byte {
 // router-side mirror of shardAnswer, its results scanned but not built.
 type shardResp struct {
 	shard   uint32
-	skipped bool
 	digest  shard.Digest
 	results []scanned
 }
@@ -1110,42 +1077,12 @@ func decodeEvalResp(body []byte) (evalResp, error) {
 	for i := 0; i < n; i++ {
 		var s shardResp
 		s.shard = uint32(c.uvarint("shard index"))
-		s.digest, s.skipped = c.digest()
-		if !s.skipped {
-			s.results = c.results(r.snippeted)
-		}
+		s.digest = c.digest()
+		s.results = c.results(r.snippeted)
 		if c.err != nil {
 			return r, c.err
 		}
 		r.shards = append(r.shards, s)
-	}
-	return r, c.done()
-}
-
-// --- digest response ---
-
-type digestResp struct {
-	shards  []uint32
-	digests []shard.Digest
-}
-
-func appendDigestResp(b []byte, r digestResp) []byte {
-	b = binary.AppendUvarint(b, uint64(len(r.digests)))
-	for i, d := range r.digests {
-		b = binary.AppendUvarint(b, uint64(r.shards[i]))
-		b = appendDigest(b, d, false)
-	}
-	return b
-}
-
-func decodeDigestResp(body []byte) (digestResp, error) {
-	c := &cursor{data: body}
-	var r digestResp
-	n := c.count("digest", maxWireShards)
-	for i := 0; i < n && c.err == nil; i++ {
-		r.shards = append(r.shards, uint32(c.uvarint("shard index")))
-		d, _ := c.digest()
-		r.digests = append(r.digests, d)
 	}
 	return r, c.done()
 }

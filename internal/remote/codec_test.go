@@ -672,12 +672,10 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 	shards := make([]uint32, n)
 	keywords := make([]string, n)
 	counts := make([]uint64, n)
-	digests := make([]shard.Digest, n)
 	for i := range shards {
 		shards[i] = uint32(i)
 		keywords[i] = "k"
 		counts[i] = uint64(i)
-		digests[i] = shard.Digest{Matched: []bool{true, false}, Free: []bool{false, true}}
 	}
 	var eval evalAnswer
 	for _, a := range codecAnswers(tb) {
@@ -697,7 +695,7 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 	// Responses open with their header; the decoders read what follows it.
 	respond := func(body []byte) []byte {
 		resp := appendRespHeader(nil, 5)
-		putServerStages(resp, serverStages{1, 2, 3, 4})
+		putServerStages(resp, serverStages{1, 2, 3})
 		return append(resp, body...)
 	}
 	behind := func(decode func([]byte) error) func([]byte) error {
@@ -711,20 +709,18 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 	}
 	full := appendFullResp(nil, results, snippets)
 	req := evalReq{opts: search.Options{MaxResults: 9}, query: "store texas", timeoutMillis: 250, bound: 6}
-	reqAfterCount := len(encodeEvalReq(req)) - 2 + uvarintLen(uint64(n))
+	fullReq := encodeEvalReq(req)
+	reqAfterCount := len(fullReq) - 2 + uvarintLen(uint64(n))
 	req.shards = shards
-	digestBody := appendDigestResp(nil, digestResp{shards: shards, digests: digests})
 	return []wireMessage{
 		{"hello", encodeHello(helloMsg{fingerprint: 7, shards: n, owned: shards}), 8 + 2*uvarintLen(uint64(n)),
 			func(b []byte) error { _, err := decodeHello(b); return err }},
 		{"eval request", appendTraceID(encodeEvalReq(req), 42), reqAfterCount,
 			func(b []byte) error { _, err := decodeEvalReq(b); return err }},
-		{"digest/full request", appendTraceID(encodeFullReq(fullReq(req)), 42), reqAfterCount,
-			func(b []byte) error { _, err := decodeFullReq(b); return err }},
+		{"full request", appendTraceID(fullReq, 42), 0,
+			func(b []byte) error { _, err := decodeEvalReq(b); return err }},
 		{"eval response", respond(appendEvalResp(nil, eval)), 0,
 			behind(func(b []byte) error { _, err := decodeEvalResp(b); return err })},
-		{"digest response", respond(digestBody), respHeaderLen + uvarintLen(uint64(n)),
-			behind(func(b []byte) error { _, err := decodeDigestResp(b); return err })},
 		{"full response", respond(full), 0,
 			behind(func(b []byte) error { _, err := decodeFullResp(b); return err })},
 		{"stats request", encodeStatsReq(statsReq{keywords: keywords}), uvarintLen(uint64(n)),

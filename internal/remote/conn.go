@@ -246,14 +246,14 @@ func (r *replica) close() {
 // tracedReq reports whether a request type carries the trailing trace ID
 // (the per-query evaluation calls; stats and pings are untraced).
 func tracedReq(t msgType) bool {
-	return t == msgEval || t == msgDigest || t == msgFull
+	return t == msgEval || t == msgFull
 }
 
 // call performs one request/response exchange with this replica. It
 // returns exactly one of: the response payload of type want — read into a
 // pooled buffer the caller releases (putFrame) — a decoded server-side error
 // classification, or a call error. The trace ID is
-// appended to eval/digest/full requests — the shared base payload is
+// appended to eval and full requests — the shared base payload is
 // copied, never mutated. Cancellation is enforced on the blocking socket
 // I/O by poisoning the connection deadline when ctx fires; a context
 // failure propagates as the context's error, not a replica failure.

@@ -46,6 +46,12 @@ func FuzzFrame(f *testing.F) {
 	// Retired wire v2: the greeting and an eval request without a bound.
 	f.Add(frameBytes(2, msgHello, encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 2}})))
 	f.Add(frameBytes(2, msgEval, appendTraceID(evalPayload[:len(evalPayload)-1], 42)))
+	// Retired wire v3: the greeting, an eval request, and its digest request
+	// (type 4 then, the full request's type now).
+	f.Add(frameBytes(3, msgHello, encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 2}})))
+	f.Add(frameBytes(3, msgEval, appendTraceID(evalPayload, 42)))
+	f.Add(frameBytes(3, msgType(4), appendTraceID(evalPayload, 42)))
+	f.Add(frameBytes(wireVersion, msgFull, appendTraceID(encodeEvalReq(evalReq{query: "xml keyword", bound: 6}), 42)))
 	f.Add(frameBytes(wireVersion, msgStats, encodeStatsReq(statsReq{keywords: []string{"a", "b"}})))
 	f.Add(frameBytes(wireVersion, msgStatsResp, appendStatsResp(appendRespHeader(nil, 7), statsResp{totalElements: 9, counts: []uint64{3}})))
 	f.Add(frameBytes(wireVersion, msgError, encodeErrMsg(errMsg{kind: errKindPanic, msg: "boom"})))
@@ -77,16 +83,14 @@ func FuzzFrame(f *testing.F) {
 		switch mt {
 		case msgHello:
 			_, _ = decodeHello(payload)
-		case msgEval, msgDigest, msgFull:
+		case msgEval, msgFull:
 			_, _ = decodeEvalReq(payload)
-			_, _ = decodeFullReq(payload)
-		case msgEvalResp, msgDigestResp, msgFullResp, msgStatsResp:
+		case msgEvalResp, msgFullResp, msgStatsResp:
 			_, _, body, err := decodeRespHeader(payload)
 			if err != nil {
 				return
 			}
 			_, _ = decodeEvalResp(body)
-			_, _ = decodeDigestResp(body)
 			_, _ = decodeFullResp(body)
 			_, _ = decodeStatsResp(body)
 		case msgStats:
@@ -109,6 +113,7 @@ func FuzzEvalRespDecode(f *testing.F) {
 	f.Add(appendEvalResp(nil, evalAnswer{}))
 	f.Add(appendEvalResp(nil, evalAnswer{snippeted: true}))
 	f.Add([]byte{0, 1, 0, 0, 0, 1})
+	f.Add([]byte{0, 1, 0, 8}) // a v3 prefilter-skipped shard: refused
 	seeded, snippeted := 0, 0
 	seed := func(a evalAnswer) {
 		results := 0

@@ -307,7 +307,6 @@ func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic
 			Wire:         wire,
 			ServerDecode: time.Duration(st.decodeNs),
 			ServerEval:   time.Duration(st.evalNs),
-			ServerDigest: time.Duration(st.digestNs),
 			ServerEncode: time.Duration(st.encodeNs),
 			Err:          errClass,
 		})
@@ -484,8 +483,9 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 }
 
 // routedRounds is shard.Merge's source of evidence for one routed query, on
-// one placement generation: each round is a fan-out of remote calls, one per
-// replica group that owns a shard the round concerns, scheduled through run.
+// one placement generation: round one is a fan-out of remote calls, one per
+// replica group, scheduled through run; round two is one call any replica
+// answers.
 // A result is a scanned byte range of the response that shipped it —
 // validated, counted, not built — because which results win is decided by
 // the per-shard counts alone.
@@ -519,27 +519,6 @@ func (r *routedRounds) release() {
 	r.frames = nil
 }
 
-// perGroup runs call for every group with shards in byGroup, in parallel,
-// and returns the first failure in group order.
-func (r *routedRounds) perGroup(byGroup [][]uint32, call func(g int, shards []uint32) error) error {
-	errs := make([]error, len(byGroup))
-	tasks := make([]func(), 0, len(byGroup))
-	for g, shards := range byGroup {
-		if len(shards) > 0 {
-			tasks = append(tasks, func() { errs[g] = call(g, shards) })
-		}
-	}
-	if err := shard.Run(r.run, tasks); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Eval asks every group for its shard subset's partials. A snippeted request
 // is answered with a snippet per shipped result, except by a server whose own
 // shards include a root-anchored one: that sends the merge to the whole
@@ -548,69 +527,48 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 	rt, pl := r.rt, r.pl
 	timeout := ctxTimeoutMillis(ctx)
 	resps := make([]evalResp, len(rt.groups))
-	err := r.perGroup(pl.byGroup, func(g int, shards []uint32) error {
+	errs := make([]error, len(rt.groups))
+	tasks := make([]func(), 0, len(rt.groups))
+	for g, shards := range pl.byGroup {
+		if len(shards) == 0 {
+			continue
+		}
 		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards, bound: r.bound})
-		return rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, pl.fingerprint, func(body []byte) error {
-			resp, err := decodeEvalResp(body)
-			if err != nil {
-				return err
-			}
-			if !slices.EqualFunc(resp.shards, shards, func(s shardResp, want uint32) bool { return s.shard == want }) {
-				return shardEchoErr(shards)
-			}
-			rootAnchored := slices.ContainsFunc(resp.shards, func(s shardResp) bool { return !s.skipped && s.digest.RootAnchored })
-			if resp.snippeted != (r.bound >= 0 && !rootAnchored) {
-				return protocolErrf("eval response snippeted = %v for bound %d, root-anchored %v", resp.snippeted, r.bound, rootAnchored)
-			}
-			resps[g] = resp
-			return nil
-		}, r.hold)
-	})
-	if err != nil {
+		tasks = append(tasks, func() {
+			errs[g] = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, pl.fingerprint, func(body []byte) error {
+				resp, err := decodeEvalResp(body)
+				if err != nil {
+					return err
+				}
+				if !slices.EqualFunc(resp.shards, shards, func(s shardResp, want uint32) bool { return s.shard == want }) {
+					return shardEchoErr(shards)
+				}
+				rootAnchored := slices.ContainsFunc(resp.shards, func(s shardResp) bool { return s.digest.RootAnchored })
+				if resp.snippeted != (r.bound >= 0 && !rootAnchored) {
+					return protocolErrf("eval response snippeted = %v for bound %d, root-anchored %v", resp.snippeted, r.bound, rootAnchored)
+				}
+				resps[g] = resp
+				return nil
+			}, r.hold)
+		})
+	}
+	if err := shard.Run(r.run, tasks); err != nil {
 		return nil, err
+	}
+	// The first failure in group order.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	parts := make([]shard.Partial[scanned], len(pl.groupOf))
 	for _, resp := range resps {
 		for _, s := range resp.shards {
-			parts[s.shard] = shard.Partial[scanned]{Skipped: s.skipped, Digest: s.digest, Results: s.results}
+			parts[s.shard] = shard.Partial[scanned]{Digest: s.digest, Results: s.results}
 			r.shipped += len(s.results)
 		}
 	}
 	return parts, nil
-}
-
-// Digests asks the owning groups for the listed skipped shards' digests.
-func (r *routedRounds) Digests(ctx context.Context, shards []int) ([]shard.Digest, error) {
-	rt, pl := r.rt, r.pl
-	need := make([][]uint32, len(rt.groups))
-	at := make([]int, len(pl.groupOf)) // shard → its position in shards
-	for k, i := range shards {
-		need[pl.groupOf[i]] = append(need[pl.groupOf[i]], uint32(i))
-		at[i] = k
-	}
-	timeout := ctxTimeoutMillis(ctx)
-	digests := make([]shard.Digest, len(shards))
-	err := r.perGroup(need, func(g int, shards []uint32) error {
-		payload := encodeFullReq(fullReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards, bound: -1})
-		return rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "digest", strconv.Itoa(g), msgDigest, payload, msgDigestResp, pl.fingerprint, func(body []byte) error {
-			resp, err := decodeDigestResp(body)
-			if err != nil {
-				return err
-			}
-			if !slices.Equal(resp.shards, shards) {
-				return shardEchoErr(shards)
-			}
-			// Groups own disjoint shards, so they fill disjoint elements.
-			for j, idx := range resp.shards {
-				digests[at[idx]] = resp.digests[j]
-			}
-			return nil
-		}, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return digests, nil
 }
 
 // Whole asks any replica for the whole-document evaluation (every shard
@@ -619,7 +577,7 @@ func (r *routedRounds) Digests(ctx context.Context, shards []int) ([]shard.Diges
 // it (take).
 func (r *routedRounds) Whole(ctx context.Context) ([]scanned, error) {
 	var fr fullResp
-	payload := encodeFullReq(fullReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx), bound: r.bound})
+	payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx), bound: r.bound})
 	err := r.rt.groupCall(ctx, r.rt.all, &r.rt.allRR, "full", "any", msgFull, payload, msgFullResp, r.pl.fingerprint, func(body []byte) error {
 		resp, err := decodeFullResp(body)
 		if err != nil {
@@ -702,8 +660,8 @@ func (rt *Router) TotalElements() int {
 // routerMetrics pre-registers the router's telemetry series, labeled by
 // replica group so a sick group is attributable from metrics alone; see
 // OBSERVABILITY.md for the contract. Numbered groups carry the per-group
-// call kinds (eval, digest); the "any" pseudo-group carries the calls any
-// replica may serve (full, stats).
+// call kind (eval); the "any" pseudo-group carries the calls any replica may
+// serve (full, stats).
 type routerMetrics struct {
 	calls     map[[3]string]*telemetry.Counter // kind, outcome, group
 	failovers map[string]*telemetry.Counter    // group
@@ -718,7 +676,7 @@ type routerMetrics struct {
 // groupCallKinds are the per-replica-group call kinds; anyCallKinds the
 // kinds served by any replica.
 var (
-	groupCallKinds = []string{"eval", "digest"}
+	groupCallKinds = []string{"eval"}
 	anyCallKinds   = []string{"full", "stats"}
 )
 

@@ -63,7 +63,7 @@ type serverState struct {
 // Server answers the wire protocol over one sharded corpus. It loads (or
 // is handed) the full snapshot — mmap'd images make the non-owned shards
 // nearly free — but evaluates queries only for the shard subset it owns;
-// whole-document fallback, digest and statistics calls are answerable by
+// whole-document and statistics calls are answerable by
 // any replica. A Server is safe for concurrent connections. The per-shard
 // evaluations and snippet tasks of every request run on one worker pool of
 // GOMAXPROCS workers (serve.Pool), with per-task panic isolation exactly like
@@ -291,7 +291,7 @@ func reply(bw *bufio.Writer, t msgType, payload []byte) error {
 // handle dispatches one request and never panics: evaluation panics are
 // recovered per task and classified, and a malformed request is answered
 // with a protocol error message. Evaluation requests are timed per stage
-// (decode, eval/digest work, encode) into the server's own telemetry, and
+// (decode, eval, encode) into the server's own telemetry, and
 // the same breakdown is written into the response header so the router can
 // attribute a slow hop to the stage that caused it. Responses are appended
 // to enc, the caller's scratch.
@@ -318,26 +318,9 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 		resp := appendEvalResp(appendRespHeader(enc, st.fingerprint), a)
 		stages.encodeNs = nanosSince(t2)
 		return s.respond("eval", msgEvalResp, resp, stages)
-	case msgDigest:
-		start := time.Now()
-		req, err := decodeFullReq(payload)
-		stages := serverStages{decodeNs: nanosSince(start)}
-		if err != nil {
-			return s.fail("digest", stages, err)
-		}
-		t1 := time.Now()
-		d, err := s.digests(st, req)
-		stages.digestNs = nanosSince(t1)
-		if err != nil {
-			return s.fail("digest", stages, err)
-		}
-		t2 := time.Now()
-		resp := appendDigestResp(appendRespHeader(enc, st.fingerprint), d)
-		stages.encodeNs = nanosSince(t2)
-		return s.respond("digest", msgDigestResp, resp, stages)
 	case msgFull:
 		start := time.Now()
-		req, err := decodeFullReq(payload)
+		req, err := decodeEvalReq(payload)
 		stages := serverStages{decodeNs: nanosSince(start)}
 		if err != nil {
 			return s.fail("full", stages, err)
@@ -434,8 +417,8 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	a := evalAnswer{shards: make([]shardAnswer, len(parts))}
 	rootAnchored := false
 	for i, p := range parts {
-		a.shards[i] = shardAnswer{shard: req.shards[i], skipped: p.Skipped, digest: p.Digest, results: p.Results}
-		rootAnchored = rootAnchored || (!p.Skipped && p.Digest.RootAnchored)
+		a.shards[i] = shardAnswer{shard: req.shards[i], digest: p.Digest, results: p.Results}
+		rootAnchored = rootAnchored || p.Digest.RootAnchored
 	}
 	trimToMerge(a.shards, req.opts.MaxResults)
 	if req.bound < 0 || rootAnchored {
@@ -479,26 +462,10 @@ func trimToMerge(answers []shardAnswer, maxResults int) {
 	}
 }
 
-// digests answers the lazy second round of shard.Merge: the digests of the
-// prefilter-skipped shards the request names.
-func (s *Server) digests(st *serverState, req fullReq) (digestResp, error) {
-	ctx, cancel := reqContext(req.timeoutMillis)
-	defer cancel()
-	shards, err := ownedShards(st, req.shards)
-	if err != nil {
-		return digestResp{}, err
-	}
-	digests, err := st.sc.DigestShards(ctx, req.query, req.opts, shards, nil)
-	if err != nil {
-		return digestResp{}, err
-	}
-	return digestResp{shards: req.shards, digests: digests}, nil
-}
-
-// fullEval answers shard.Merge's third round, the whole-document
+// fullEval answers shard.Merge's second round, the whole-document
 // evaluation, with a snippet per result when the request has a bound. Any
 // replica can serve it — every server holds the full snapshot.
-func (s *Server) fullEval(st *serverState, req fullReq) ([]*search.Result, []*core.Generated, error) {
+func (s *Server) fullEval(st *serverState, req evalReq) ([]*search.Result, []*core.Generated, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
 	rs, err := st.sc.SearchWhole(ctx, req.query, req.opts)

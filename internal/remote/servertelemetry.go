@@ -9,7 +9,7 @@ import (
 // serverCallKinds are the request kinds a shard server counts; one counter
 // per kind × outcome is pre-registered so the /metrics exposition is
 // structurally stable from the first scrape.
-var serverCallKinds = []string{"eval", "digest", "full", "stats", "ping"}
+var serverCallKinds = []string{"eval", "full", "stats", "ping"}
 
 // serverOutcomes label whether a request produced a response or a
 // classified error frame.
@@ -17,7 +17,7 @@ var serverOutcomes = []string{"ok", "error"}
 
 // serverStageNames are the server-side stages a shard server times per
 // request (the same breakdown responses echo to the router).
-var serverStageNames = []string{"decode", "eval", "digest", "encode"}
+var serverStageNames = []string{"decode", "eval", "encode"}
 
 // serverMetrics is the shard server's own telemetry: request counts by
 // kind and outcome, and per-stage latency histograms. A nil *serverMetrics
@@ -44,7 +44,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	for _, stage := range serverStageNames {
 		m.stages[stage] = reg.Histogram(
 			"extract_shard_server_stage_seconds",
-			"Server-side stage latency of handled requests (decode, eval, digest, encode).",
+			"Server-side stage latency of handled requests (decode, eval, encode).",
 			telemetry.L("stage", stage))
 	}
 	return m
@@ -69,7 +69,6 @@ func (m *serverMetrics) observe(kind string, ok bool, st serverStages) {
 	}{
 		{"decode", st.decodeNs},
 		{"eval", st.evalNs},
-		{"digest", st.digestNs},
 		{"encode", st.encodeNs},
 	} {
 		if s.ns > 0 {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
+	"extract/xmltree"
 )
 
 // tracedSearch runs one query with a span sink installed and returns the
@@ -57,14 +59,15 @@ func TestRoutedHopsReportServerStages(t *testing.T) {
 }
 
 // TestOtherWireVersionsRefused: a frame at any version but wireVersion —
-// the retired v1 and v2 a stale peer would still speak, or a future one — is
+// the retired v1, v2 and v3 a stale peer would still speak, or a future one — is
 // a *ProtocolError naming both versions, whichever side reads it: the router
 // reading a greeting, the server reading a request. The server hangs up on
 // it without evaluating anything.
 func TestOtherWireVersionsRefused(t *testing.T) {
 	greeting := encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 1, 2}})
 	request := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0}, bound: -1})
-	// A v2 eval request is a v3 one without the trailing snippet bound.
+	// A v2 eval request is a v3 (and v4) one without the trailing snippet
+	// bound.
 	v2Request := request[:len(request)-1]
 	for _, tc := range []struct {
 		name    string
@@ -77,7 +80,10 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		{"v1 negotiation request", 1, msgHello, []byte{2}},
 		{"v2 greeting", 2, msgHello, greeting},
 		{"v2 eval request", 2, msgEval, appendTraceID(v2Request, 1)},
-		{"v4 greeting", wireVersion + 1, msgHello, greeting},
+		{"v3 greeting", 3, msgHello, greeting},
+		{"v3 eval request", 3, msgEval, appendTraceID(request, 1)},
+		{"v3 digest request", 3, msgType(4), appendTraceID(request, 1)},
+		{"v5 greeting", wireVersion + 1, msgHello, greeting},
 	} {
 		_, _, err := readFrame(bytes.NewReader(frameBytes(tc.ver, tc.t, tc.payload)))
 		var pe *ProtocolError
@@ -102,11 +108,11 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 	if mt, _, err := readFrame(client); err != nil || mt != msgHello {
 		t.Fatalf("greeting: type %d, %v", mt, err)
 	}
-	if _, err := client.Write(frameBytes(2, msgEval, appendTraceID(v2Request, 1))); err != nil {
+	if _, err := client.Write(frameBytes(3, msgEval, appendTraceID(request, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readFrame(client); !errors.Is(err, io.EOF) {
-		t.Fatalf("after a v2 request: %v, want the connection closed", err)
+		t.Fatalf("after a v3 request: %v, want the connection closed", err)
 	}
 	<-done
 	for _, m := range reg.Snapshot().Metrics {
@@ -166,7 +172,7 @@ func TestServerTelemetryCountsRequests(t *testing.T) {
 
 // TestSnippetedAnswerTakesNoExtraRound: a routed query with snippets is
 // answered in the rounds a search-only one is — one eval call per group, the
-// digest and whole-document rounds only when the merge needs them — because
+// whole-document round only when the merge needs it — because
 // the snippets ride on the eval and whole-document answers; and reading the
 // answer's trees afterwards calls no replica: a tree is built from the bytes
 // that arrived, never fetched.
@@ -201,7 +207,7 @@ func TestSnippetedAnswerTakesNoExtraRound(t *testing.T) {
 				r.Tree()
 			}
 			read := calls()
-			for _, kind := range []string{"eval", "digest", "full", "stats"} {
+			for _, kind := range []string{"eval", "full", "stats"} {
 				if a, b := searchOnly[kind]-before[kind], snippeted[kind]-searchOnly[kind]; a != b {
 					t.Fatalf("%q: %v %s calls with snippets, %v without", q, b, kind, a)
 				}
@@ -218,5 +224,84 @@ func TestSnippetedAnswerTakesNoExtraRound(t *testing.T) {
 	}
 	if answered == 0 || full == 0 {
 		t.Fatalf("%d queries answered, %v of them by the whole-document round: the matrix proves nothing", answered, full)
+	}
+}
+
+// TestMissingKeywordTakesOneRound: a shard missing a query keyword answers
+// round one like any other, so a routed query whose root decision reads
+// every shard's evidence — any ELCA query, an SLCA query with no LCA below
+// the root — makes exactly one eval call per group, and no other call but
+// the whole-document one when the query involves the root.
+func TestMissingKeywordTakesOneRound(t *testing.T) {
+	item := func(name string) *xmltree.Node {
+		return xmltree.Elem("item", xmltree.Elem("name", xmltree.Txt(name)))
+	}
+	doc := xmltree.NewDocument(xmltree.Elem("shop",
+		item("red apple"), item("green apple"), item("red pear"),
+		item("yellow banana"), item("green pear"), item("red banana")))
+	sc := shard.Build(doc, 3)
+	if sc.NumShards() != 3 || sc.Shards()[2].Index.List("apple").Len() != 0 {
+		t.Fatalf("fixture: %d shards, want 3 with the last missing \"apple\"", sc.NumShards())
+	}
+	cl := startCluster(t, sc, 3, 1)
+	rt := cl.router
+	groups := 0
+	for _, shards := range rt.place.Load().byGroup {
+		if len(shards) > 0 {
+			groups++
+		}
+	}
+	calls := func() map[string]int64 {
+		n := map[string]int64{}
+		for key, c := range rt.metrics.calls {
+			n[key[0]] += c.Value()
+		}
+		return n
+	}
+	fb := sc.Fallback()
+	elca := search.Options{DistinctAnchors: true, Semantics: search.SemanticsELCA}
+	slca := search.Options{DistinctAnchors: true}
+	whole := 0
+	for _, tc := range []struct {
+		q    string
+		opts search.Options
+	}{
+		{"red apple", elca},
+		{"green pear", elca},
+		{"apple banana", elca},
+		{"apple banana", slca}, // every keyword somewhere, no LCA below the root
+		{"apple kiwi", slca},   // a keyword nowhere
+	} {
+		local, err := search.NewEngine(fb.Doc, fb.Index, sc.Analysis().Cls, tc.opts).Search(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rootInvolved := slices.ContainsFunc(local, func(r *search.Result) bool {
+			return r.LCA == fb.Doc.Root || r.Anchor == fb.Doc.Root
+		})
+		before := calls()
+		if _, _, err := rt.Answer(context.Background(), tc.q, tc.opts, nil, nil, 8); err != nil {
+			t.Fatalf("%q: %v", tc.q, err)
+		}
+		after := calls()
+		wantFull := int64(0)
+		if rootInvolved {
+			wantFull, whole = 1, whole+1
+		}
+		for kind, n := range after {
+			want := int64(0)
+			switch kind {
+			case "eval":
+				want = int64(groups)
+			case "full":
+				want = wantFull
+			}
+			if got := n - before[kind]; got != want {
+				t.Errorf("%q (%v): %d %s calls, want %d", tc.q, tc.opts.Semantics, got, kind, want)
+			}
+		}
+	}
+	if whole == 0 {
+		t.Fatal("no query of the matrix involves the root")
 	}
 }

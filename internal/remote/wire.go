@@ -1,6 +1,6 @@
 // Package remote makes the serving tier span processes: a shard server
 // (Server) owns a subset of a snapshot's shards and answers per-shard
-// evaluation, digest, fallback and statistics calls over a small
+// evaluation, whole-document and statistics calls over a small
 // length-prefixed, checksummed wire protocol; a stateless router (Router)
 // implements serve.Backend over N-way replica groups of such servers, so
 // the facade and the serving layer (worker pool, query cache, deadlines,
@@ -53,7 +53,7 @@ const (
 	// frame is written at it and a frame at any other version is refused
 	// as version skew. A payload layout change bumps wireVersion; router
 	// and shard servers are rolled together.
-	wireVersion = 3
+	wireVersion = 4
 
 	frameHeaderLen = 12
 
@@ -70,8 +70,6 @@ const (
 	msgHello msgType = iota + 1 // server → router greeting on accept
 	msgEval                     // router → server: evaluate shard subset
 	msgEvalResp
-	msgDigest // router → server: digests for prefilter-skipped shards
-	msgDigestResp
 	msgFull // router → server: whole-document fallback evaluation
 	msgFullResp
 	msgStats // router → server: global df + element count (ranking)

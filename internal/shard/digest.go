@@ -25,8 +25,8 @@ type Digest struct {
 }
 
 // NewDigest summarizes one shard's evaluation; rootAnchored reports a local
-// result anchored at the shard root. ev must be non-nil; a prefilter-skipped
-// shard digests its cheap no-LCA evaluation (posting-list lookups only). The
+// result anchored at the shard root. ev must be non-nil; a shard missing a
+// query keyword digests its no-LCA evaluation (posting-list lookups only). The
 // free-witness bits are the evaluation's own (search.Evaluation.Free): the
 // ELCA pass leaves them behind as the root's row, and an SLCA evaluation,
 // whose root decision never reads them, has none.
@@ -47,8 +47,7 @@ func NewDigest(ev *search.Evaluation, rootAnchored bool) Digest {
 }
 
 // keywordCount returns the per-keyword width of a digest set (digests from
-// one query all agree; zero-width digests come from shards that never
-// evaluated).
+// one query all agree; a zero-width digest carries no keyword evidence).
 func keywordCount(digests []Digest) int {
 	for _, d := range digests {
 		if len(d.Matched) > 0 {

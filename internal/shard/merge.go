@@ -7,31 +7,25 @@ import (
 	"extract/internal/telemetry"
 )
 
-// Partial is one shard's share of a query's first round. A shard whose
-// keyword-presence prefilter proved a query token absent is Skipped and
-// carries nothing else — it can hold no local result, and it owes its
-// Digest only if the root decision turns out to need corpus-wide evidence.
-// An evaluated shard carries the Digest of its untrimmed local answer and
-// its local Results in document order; Results may be any prefix of that
-// answer the sender knows the cut cannot reach past (see MergeTake).
+// Partial is one shard's share of a query's first round: the Digest of its
+// untrimmed local answer and its local Results in document order; Results
+// may be any prefix of that answer the sender knows the cut cannot reach
+// past (see MergeTake). A shard missing a query keyword answers like any
+// other — no results, and the digest of its no-LCA evaluation.
 type Partial[R any] struct {
-	Skipped bool
 	Digest  Digest
 	Results []R
 }
 
 // Rounds is where a sharded query's evidence comes from: the local corpus
-// reads its own shards (Corpus.EvalShards, DigestShards, SearchWhole), the
-// distributed router asks shard servers for the same three things over the
-// wire. Merge drives it; R is whatever stands for one result on the caller's
-// side of that boundary.
+// reads its own shards (Corpus.EvalShards, SearchWhole), the distributed
+// router asks shard servers for the same two things over the wire. Merge
+// drives it; R is whatever stands for one result on the caller's side of
+// that boundary.
 type Rounds[R any] interface {
 	// Eval runs round one everywhere: element i is shard i's Partial, for
 	// every shard of the corpus.
 	Eval(ctx context.Context) ([]Partial[R], error)
-	// Digests returns the digests of the listed prefilter-skipped shards,
-	// aligned with shards (ascending, never empty).
-	Digests(ctx context.Context, shards []int) ([]Digest, error)
 	// Whole evaluates the query on the whole document.
 	Whole(ctx context.Context) ([]R, error)
 }
@@ -44,37 +38,28 @@ type Rounds[R any] interface {
 // router at every shard count, one included.
 //
 // Any non-root SLCA/ELCA lies entirely inside one shard, so the union of the
-// per-shard LCA sets minus the shard roots — what round one evaluates — is
-// exactly the global non-root LCA set. The root itself can only qualify
-// through cross-shard evidence, which RootQualifies decides from the
-// Digests:
+// per-shard LCA sets minus the shard roots — what round one evaluates, on
+// every shard — is exactly the global non-root LCA set. The root itself can
+// only qualify through cross-shard evidence, which RootQualifies decides from
+// round one's Digests:
 //
 //   - SLCA: the root is the (sole) answer iff no shard produced a non-root
 //     SLCA and every keyword matches somewhere in the corpus.
 //   - ELCA: the root qualifies iff every keyword has a witness match
 //     outside the subtrees of the root's ELCA descendants (see RootIsELCA).
 //
-// Each later round is lazy. Round two fetches the digests of the
-// prefilter-skipped shards only when the decision reads corpus-wide
-// evidence: always under ELCA, under SLCA only when no shard produced a
-// non-root SLCA — the common SLCA query never evaluates a skipped shard at
-// all. Round three, the whole-document evaluation, runs only for a
-// root-involving query — the root qualifying, or a result anchored at a
-// shard root, which is a copy of the global root — and is exact by
-// construction; ctx is re-checked before paying for it. Every other query
-// is the concatenation MergeResults cuts at opts.MaxResults.
+// Round two, the whole-document evaluation, runs only for a root-involving
+// query — the root qualifying, or a result anchored at a shard root, which
+// is a copy of the global root — and is exact by construction; ctx is
+// re-checked before paying for it. Every other query is the concatenation
+// MergeResults cuts at opts.MaxResults.
 func Merge[R any](ctx context.Context, opts search.Options, rounds Rounds[R]) ([]R, error) {
 	parts, err := rounds.Eval(ctx)
 	if err != nil {
 		return nil, err
 	}
 	anyLCAs, rootAnchored := false, false
-	var skipped []int
-	for i, p := range parts {
-		if p.Skipped {
-			skipped = append(skipped, i)
-			continue
-		}
+	for _, p := range parts {
 		anyLCAs = anyLCAs || p.Digest.HasNonRootLCAs
 		rootAnchored = rootAnchored || p.Digest.RootAnchored
 	}
@@ -84,15 +69,6 @@ func Merge[R any](ctx context.Context, opts search.Options, rounds Rounds[R]) ([
 		digests := make([]Digest, len(parts))
 		for i, p := range parts {
 			digests[i] = p.Digest
-		}
-		if len(skipped) > 0 {
-			late, err := rounds.Digests(ctx, skipped)
-			if err != nil {
-				return nil, err
-			}
-			for k, i := range skipped {
-				digests[i] = late[k]
-			}
 		}
 		rootQualifies = RootQualifies(opts.Semantics, digests)
 	}

@@ -77,13 +77,11 @@ func TestMergeResultsAllocatesOnlyTheMergedSlice(t *testing.T) {
 // countingRounds is a scripted Rounds that records how Merge drove it.
 type countingRounds struct {
 	parts    []Partial[int]
-	late     map[int]Digest // digests of the skipped shards
 	whole    []int
 	evalErr  error
 	afterOne func() // runs at the end of round one
 
 	evals, wholes int
-	asked         [][]int // one entry per Digests call
 }
 
 func (r *countingRounds) Eval(context.Context) ([]Partial[int], error) {
@@ -94,33 +92,22 @@ func (r *countingRounds) Eval(context.Context) ([]Partial[int], error) {
 	return r.parts, r.evalErr
 }
 
-func (r *countingRounds) Digests(_ context.Context, shards []int) ([]Digest, error) {
-	r.asked = append(r.asked, slices.Clone(shards))
-	out := make([]Digest, len(shards))
-	for k, i := range shards {
-		out[k] = r.late[i]
-	}
-	return out, nil
-}
-
 func (r *countingRounds) Whole(context.Context) ([]int, error) {
 	r.wholes++
 	return r.whole, nil
 }
 
 // TestMergeRunsEachRoundOnlyWhenNeeded pins the protocol's round counts —
-// the property suites pin only its answers. Round two runs once, for exactly
-// the skipped shards, and only when the root decision reads corpus-wide
-// evidence; round three runs once, and only for a root-involving query;
+// the property suites pin only its answers. Round one runs once, on every
+// shard; round two runs once, and only for a root-involving query;
 // everything else is MergeResults' cut of round one.
 func TestMergeRunsEachRoundOnlyWhenNeeded(t *testing.T) {
 	const k = 2 // keywords
 	both, first, second := []bool{true, true}, []bool{true, false}, []bool{false, true}
-	skipped := Partial[int]{Skipped: true}
 	hit := func(results ...int) Partial[int] { // a shard with a non-root LCA
 		return Partial[int]{Digest: Digest{Matched: both, Free: make([]bool, k), HasNonRootLCAs: true}, Results: results}
 	}
-	miss := func(matched []bool) Partial[int] { // evaluated, no LCA, these keywords present and free
+	miss := func(matched []bool) Partial[int] { // no LCA, these keywords present and free
 		return Partial[int]{Digest: Digest{Matched: matched, Free: matched}}
 	}
 	rootAnchored := hit(7)
@@ -133,54 +120,41 @@ func TestMergeRunsEachRoundOnlyWhenNeeded(t *testing.T) {
 		sem       search.Semantics
 		max       int
 		parts     []Partial[int]
-		late      map[int]Digest
-		wantAsked [][]int
 		wantWhole bool
 		want      []int // when !wantWhole
 	}{
 		{name: "slca with a non-root lca never leaves round one", sem: slca,
-			parts: []Partial[int]{skipped, hit(1, 2), skipped, hit(3)},
+			parts: []Partial[int]{miss(first), hit(1, 2), miss(second), hit(3)},
 			want:  []int{1, 2, 3}},
-		{name: "elca asks exactly the skipped shards, once", sem: elca,
-			parts:     []Partial[int]{skipped, hit(1, 2), skipped, hit(3)},
-			late:      map[int]Digest{0: {Matched: first, Free: first}, 2: {Matched: first, Free: first}},
-			wantAsked: [][]int{{0, 2}},
-			want:      []int{1, 2, 3}},
-		{name: "elca with nothing skipped asks nobody", sem: elca,
+		{name: "elca root without a free witness of every keyword", sem: elca,
+			parts: []Partial[int]{miss(first), hit(1, 2), miss(first), hit(3)},
+			want:  []int{1, 2, 3}},
+		{name: "elca with every shard a hit", sem: elca,
 			parts: []Partial[int]{hit(1), hit(2)},
 			want:  []int{1, 2}},
-		{name: "elca root with free witnesses in skipped shards", sem: elca,
-			parts:     []Partial[int]{hit(1), skipped, skipped},
-			late:      map[int]Digest{1: {Matched: first, Free: first}, 2: {Matched: second, Free: second}},
-			wantAsked: [][]int{{1, 2}},
+		{name: "elca root with free witnesses in shards missing a keyword", sem: elca,
+			parts:     []Partial[int]{hit(1), miss(first), miss(second)},
 			wantWhole: true},
-		{name: "slca without any lca asks the skipped shards; root qualifies", sem: slca,
-			parts:     []Partial[int]{miss(first), skipped, miss(first)},
-			late:      map[int]Digest{1: {Matched: second}},
-			wantAsked: [][]int{{1}},
+		{name: "slca without any lca; root qualifies", sem: slca,
+			parts:     []Partial[int]{miss(first), miss(second), miss(first)},
 			wantWhole: true},
 		{name: "slca without any lca, a keyword matching nowhere", sem: slca,
-			parts:     []Partial[int]{miss(first), skipped},
-			late:      map[int]Digest{1: {Matched: first}},
-			wantAsked: [][]int{{1}}},
-		{name: "slca without any lca and nothing skipped asks nobody", sem: slca,
-			parts:     []Partial[int]{miss(first), miss(second)},
-			wantWhole: true},
-		{name: "root-anchored partial goes whole without round two", sem: slca,
-			parts:     []Partial[int]{skipped, rootAnchored, hit(1)},
+			parts: []Partial[int]{miss(first), miss(first)}},
+		{name: "root-anchored partial goes whole", sem: slca,
+			parts:     []Partial[int]{miss(first), rootAnchored, hit(1)},
 			wantWhole: true},
 		{name: "cut at max 0", sem: slca, max: 0,
-			parts: []Partial[int]{hit(1, 2), skipped, hit(3), hit(4, 5, 6)},
+			parts: []Partial[int]{hit(1, 2), miss(first), hit(3), hit(4, 5, 6)},
 			want:  []int{1, 2, 3, 4, 5, 6}},
 		{name: "cut at max 1", sem: slca, max: 1,
-			parts: []Partial[int]{hit(1, 2), skipped, hit(3), hit(4, 5, 6)},
+			parts: []Partial[int]{hit(1, 2), miss(first), hit(3), hit(4, 5, 6)},
 			want:  []int{1}},
 		{name: "cut at max 4", sem: slca, max: 4,
-			parts: []Partial[int]{hit(1, 2), skipped, hit(3), hit(4, 5, 6)},
+			parts: []Partial[int]{hit(1, 2), miss(first), hit(3), hit(4, 5, 6)},
 			want:  []int{1, 2, 3, 4}},
 	}
 	for _, tc := range cases {
-		r := &countingRounds{parts: tc.parts, late: tc.late, whole: whole}
+		r := &countingRounds{parts: tc.parts, whole: whole}
 		got, err := Merge(context.Background(), search.Options{Semantics: tc.sem, MaxResults: tc.max}, r)
 		if err != nil {
 			t.Errorf("%s: %v", tc.name, err)
@@ -190,9 +164,8 @@ func TestMergeRunsEachRoundOnlyWhenNeeded(t *testing.T) {
 		if tc.wantWhole {
 			wantWholes, want = 1, whole
 		}
-		if r.evals != 1 || r.wholes != wantWholes || !slices.EqualFunc(r.asked, tc.wantAsked, slices.Equal[[]int]) {
-			t.Errorf("%s: %d Eval, Digests asked %v, %d Whole; want 1, %v, %d",
-				tc.name, r.evals, r.asked, r.wholes, tc.wantAsked, wantWholes)
+		if r.evals != 1 || r.wholes != wantWholes {
+			t.Errorf("%s: %d Eval, %d Whole; want 1, %d", tc.name, r.evals, r.wholes, wantWholes)
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: merged %v, want %v", tc.name, got, want)
@@ -207,8 +180,8 @@ func TestMergeRunsEachRoundOnlyWhenNeeded(t *testing.T) {
 		t.Errorf("cancelled after round one: err %v, %d Whole; want context.Canceled, 0", err, r.wholes)
 	}
 	boom := errors.New("round one failed")
-	r = &countingRounds{parts: []Partial[int]{skipped, miss(first)}, evalErr: boom}
-	if _, err := Merge(context.Background(), search.Options{Semantics: elca}, r); err != boom || len(r.asked) != 0 || r.wholes != 0 {
-		t.Errorf("failed round one: err %v, Digests asked %v, %d Whole; want %v, none, 0", err, r.asked, r.wholes, boom)
+	r = &countingRounds{parts: []Partial[int]{miss(second), miss(first)}, evalErr: boom}
+	if _, err := Merge(context.Background(), search.Options{Semantics: elca}, r); err != boom || r.wholes != 0 {
+		t.Errorf("failed round one: err %v, %d Whole; want %v, 0", err, r.wholes, boom)
 	}
 }

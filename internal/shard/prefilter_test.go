@@ -3,64 +3,10 @@ package shard
 import (
 	"math/rand"
 	"testing"
-
-	"extract/internal/index"
-	"extract/internal/search"
 )
 
-// The soundness property behind the multi-keyword shard skip: whenever a
-// shard's prefilter reports it cannot contain every query token, evaluating
-// that shard must confirm the verdict — some keyword has no match there, so
-// the shard contributes no LCAs and skipping it cannot lose a result. (The
-// converse is allowed to fail: a hash collision may pass a shard that then
-// evaluates to nothing, costing only wasted work.) The byte-identity of
-// sharded vs unsharded answers under skipping is pinned separately by the
-// equivalence properties in property_test.go.
-func TestPrefilterNeverSkipsMatchingShard(t *testing.T) {
-	for _, c := range generatedCorpora() {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			sc := Build(c.mk(), 4)
-			qdoc := c.mk()
-			queries := equivQueries(qdoc, index.Build(qdoc))
-			skips, evals := 0, 0
-			for _, q := range queries {
-				terms := search.ParseQuery(q)
-				if len(terms) == 0 {
-					continue
-				}
-				var tokens []string
-				for _, tm := range terms {
-					tokens = append(tokens, tm.Tokens...)
-				}
-				for _, s := range sc.Shards() {
-					if s.Index.Prefilter().MayContainAll(tokens) {
-						continue
-					}
-					skips++
-					ev, err := search.NewEngine(s.Doc, s.Index, s.Cls, search.Options{}).Evaluate(q)
-					if err != nil {
-						t.Fatalf("%q: %v", q, err)
-					}
-					evals++
-					if ev.Complete() {
-						t.Fatalf("%q: prefilter skipped a shard where every keyword matches", q)
-					}
-					if len(ev.LCAs) != 0 {
-						t.Fatalf("%q: skipped shard has %d LCAs", q, len(ev.LCAs))
-					}
-				}
-			}
-			if skips == 0 {
-				t.Logf("%s: no shard skips exercised (workload keywords present everywhere)", c.name)
-			}
-		})
-	}
-}
-
 // On random shardable corpora, every token a shard actually indexes must
-// pass its prefilter — the filter is one-sided, and this is the side it
-// guarantees. Tokens foreign to the whole corpus are also probed to
+// pass its prefilter. Tokens foreign to the whole corpus are also probed to
 // exercise the miss path.
 func TestPrefilterAdmitsAllIndexedTokens(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {

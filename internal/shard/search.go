@@ -165,8 +165,8 @@ func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts s
 	case 0:
 		return nil, search.ErrEmptyQuery
 	case 1:
-		// One shard: the lone engine's own Search, with no prefilter, digest or
-		// merge in the way — the direct-engine reference path every multi-shard
+		// One shard: the lone engine's own Search, with no digest or merge in
+		// the way — the direct-engine reference path every multi-shard
 		// answer is pinned byte-identical to, so it stays a separate branch.
 		var rs []*search.Result
 		var serr error
@@ -201,47 +201,28 @@ func (r localRounds) Eval(ctx context.Context) ([]Partial[*search.Result], error
 	return r.sc.EvalShards(ctx, r.query, r.opts, all, r.engines, r.run)
 }
 
-func (r localRounds) Digests(ctx context.Context, shards []int) ([]Digest, error) {
-	return r.sc.DigestShards(ctx, r.query, r.opts, shards, r.engines)
-}
-
 func (r localRounds) Whole(ctx context.Context) ([]*search.Result, error) {
 	return r.sc.SearchWhole(ctx, r.query, r.opts)
 }
 
 // EvalShards is the per-shard half of Merge's round one, for the listed
 // shards of a corpus (a shard server's for any shard count, the local merge's
-// from two shards up): element k of the answer is shards[k]'s
-// Partial. A shard whose keyword-presence prefilter (index.Prefilter) is
-// missing any query token provably contains no local LCA (conjunctive
-// semantics), so it is marked Skipped before any posting list is touched or
-// task dispatched. The filter is one-sided — a hash collision merely
-// evaluates a shard to an empty answer (see the never-skips property test).
-// Every other shard evaluates with its root filtered out of the LCA set,
-// stopping early once the result bound is provably filled
-// (search.EvaluateResults), and digests what it found. The evaluations are
-// scheduled through run, each behind a Checkpoint. engines is as for
-// SearchEnginesContext.
+// from two shards up): element k of the answer is shards[k]'s Partial. Every
+// listed shard evaluates with its root filtered out of the LCA set, stopping
+// early once the result bound is provably filled (search.EvaluateResults),
+// and digests what it found; a shard missing a query keyword stops after its
+// posting-list lookups. The evaluations are scheduled through run, each
+// behind a Checkpoint. engines is as for SearchEnginesContext.
 func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Options, shards []int, engines []*search.Engine, run Runner) ([]Partial[*search.Result], error) {
-	terms := search.ParseQuery(query)
-	if len(terms) == 0 {
+	if len(search.ParseQuery(query)) == 0 {
 		return nil, search.ErrEmptyQuery
-	}
-	queryTokens := make([]string, 0, len(terms))
-	for _, t := range terms {
-		queryTokens = append(queryTokens, t.Tokens...)
 	}
 	parts := make([]Partial[*search.Result], len(shards))
 	errs := make([]error, len(shards))
-	tasks := make([]func(), 0, len(shards))
+	tasks := make([]func(), len(shards))
 	for k, i := range shards {
-		s := sc.shards[i]
-		if !s.Index.Prefilter().MayContainAll(queryTokens) {
-			parts[k].Skipped = true
-			continue
-		}
-		eng, root := sc.engine(engines, i, opts), s.Doc.Root
-		tasks = append(tasks, func() { parts[k], errs[k] = evalShard(ctx, eng, root, query) })
+		eng, root := sc.engine(engines, i, opts), sc.shards[i].Doc.Root
+		tasks[k] = func() { parts[k], errs[k] = evalShard(ctx, eng, root, query) }
 	}
 	if err := Run(run, tasks); err != nil {
 		return nil, err
@@ -254,7 +235,7 @@ func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Opti
 	return parts, nil
 }
 
-// evalShard is one live shard's round one, behind a Checkpoint.
+// evalShard is one shard's round one, behind a Checkpoint.
 func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, query string) (Partial[*search.Result], error) {
 	if err := Checkpoint(ctx); err != nil {
 		return Partial[*search.Result]{}, err
@@ -272,53 +253,19 @@ func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, quer
 	return Partial[*search.Result]{Digest: NewDigest(ev, rootAnchored), Results: results}, nil
 }
 
-// DigestShards is the per-shard half of Merge's round two: the digests of
-// the listed prefilter-skipped shards, aligned with shards. Such a shard is
-// missing some keyword, so its evaluation is posting-list lookups with no
-// LCA computation — cheap enough to run inline, one Checkpoint each, under
-// one panic recovery.
-func (sc *Corpus) DigestShards(ctx context.Context, query string, opts search.Options, shards []int, engines []*search.Engine) ([]Digest, error) {
-	digests := make([]Digest, len(shards))
-	err := inline(func() error {
-		for k, i := range shards {
-			if err := Checkpoint(ctx); err != nil {
-				return err
-			}
-			ev, err := sc.engine(engines, i, opts).Evaluate(query)
-			if err != nil {
-				return err
-			}
-			digests[k] = NewDigest(ev, false)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return digests, nil
-}
-
-// SearchWhole is Merge's round three: the query evaluated on the lazily
+// SearchWhole is Merge's round two: the query evaluated on the lazily
 // reconstructed whole document (Fallback), which is exact by construction
 // for the root-involving queries no per-shard answer can express. It runs
 // inline behind a Checkpoint, under panic recovery.
 func (sc *Corpus) SearchWhole(ctx context.Context, query string, opts search.Options) (rs []*search.Result, err error) {
-	err = inline(func() (err error) {
+	if perr := Recover(func() {
 		if err = Checkpoint(ctx); err != nil {
-			return err
+			return
 		}
 		fb := sc.Fallback()
 		rs, err = search.NewEngine(fb.Doc, fb.Index, sc.cls, opts).Search(query)
-		return err
-	})
-	return rs, err
-}
-
-// inline runs fn on the calling goroutine under panic recovery; a recovered
-// panic, as a *PanicError, takes the place of fn's own error.
-func inline(fn func() error) (err error) {
-	if perr := Recover(func() { err = fn() }); perr != nil {
-		return perr
+	}); perr != nil {
+		return nil, perr
 	}
-	return err
+	return rs, err
 }

@@ -45,7 +45,7 @@ func NextTraceID() TraceID {
 // A query that fails over leaves one span per attempt, so the failed
 // attempts and their causes stay visible next to the one that succeeded.
 type HopSpan struct {
-	// Kind is the remote call kind: eval, digest, full, or stats.
+	// Kind is the remote call kind: eval, full, or stats.
 	Kind string
 	// Group is the replica-group label the call targeted ("0".."n-1", or
 	// "any" for calls that may be served by any replica).
@@ -64,7 +64,8 @@ type HopSpan struct {
 	ServerDecode time.Duration
 	// ServerEval is the server-reported evaluation duration.
 	ServerEval time.Duration
-	// ServerDigest is the server-reported digest-computation duration.
+	// ServerDigest is always zero from wire XR v4 on, which has no digest
+	// round; the field stays for benchmark/, which still reads it.
 	ServerDigest time.Duration
 	// ServerEncode is the server-reported response encode duration.
 	ServerEncode time.Duration

@@ -55,7 +55,7 @@ type SlowQuery struct {
 // failed attempts and their causes stay visible next to the one that
 // succeeded.
 type Hop struct {
-	// Kind is the remote call kind: eval, digest, full, or stats.
+	// Kind is the remote call kind: eval, full, or stats.
 	Kind string
 	// Group is the replica-group label the call targeted ("0".."n-1", or
 	// "any" for calls any replica may serve).
@@ -68,10 +68,9 @@ type Hop struct {
 	// Wire is the client-observed round trip, including encode, network,
 	// and server time.
 	Wire time.Duration
-	// ServerDecode, ServerEval, ServerDigest and ServerEncode are the
-	// server-reported stage durations (zero when the attempt failed before
-	// a response).
-	ServerDecode, ServerEval, ServerDigest, ServerEncode time.Duration
+	// ServerDecode, ServerEval and ServerEncode are the server-reported
+	// stage durations (zero when the attempt failed before a response).
+	ServerDecode, ServerEval, ServerEncode time.Duration
 	// Err classifies why the attempt failed ("" on success); it is the
 	// failover cause for the retry that follows it.
 	Err string
@@ -93,7 +92,6 @@ func hopsFromInternal(hops []telemetry.HopSpan) []Hop {
 			Wire:         h.Wire,
 			ServerDecode: h.ServerDecode,
 			ServerEval:   h.ServerEval,
-			ServerDigest: h.ServerDigest,
 			ServerEncode: h.ServerEncode,
 			Err:          h.Err,
 		}

@@ -330,9 +330,8 @@ func main() {
 			log.Fatalf("extractd: connect to shard tier: %v", err)
 		}
 		log.Printf("extractd: remote dataset: %d shards across %d replica groups", c.Shards(), len(groups))
-		s.add("remote", c, *snapshotDir)
 		// Reloads go through the manifest + router re-placement, not XML.
-		s.datasets["remote"].Snapshot = true
+		s.addSnapshot("remote", c, *snapshotDir)
 	}
 	sort.Strings(s.names)
 	s.tmpl = template.Must(template.New("page").Parse(pageHTML))
@@ -512,9 +511,23 @@ func (s *server) degradedDatasets() []string {
 	return bad
 }
 
+// add registers a dataset loaded from path: "" for a built-in corpus, an XML
+// file, or a snapshot directory named *.xtsnap.
 func (s *server) add(name string, c *extract.Corpus, path string) {
-	ds := &dataset{Name: name, Corpus: c, Path: path, Snapshot: isSnapshotPath(path)}
-	if path != "" {
+	s.register(&dataset{Name: name, Corpus: c, Path: path, Snapshot: isSnapshotPath(path)})
+}
+
+// addSnapshot registers a dataset served from the snapshot directory dir,
+// whatever dir is named — router mode's -snapshot need not end in .xtsnap.
+func (s *server) addSnapshot(name string, c *extract.Corpus, dir string) {
+	s.register(&dataset{Name: name, Corpus: c, Path: dir, Snapshot: true})
+}
+
+// register fingerprints a dataset's source generation — the file watchPath
+// names, so Snapshot must already be set — and adds it to the served set.
+func (s *server) register(ds *dataset) {
+	name, c := ds.Name, ds.Corpus
+	if ds.Path != "" {
 		if fi, err := os.Stat(ds.watchPath()); err == nil {
 			ds.mtime, ds.size = fi.ModTime(), fi.Size()
 		}
@@ -1057,8 +1070,8 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 
 // maxPageHits is the most hits a search page lists, so the most /view links
 // one query has. /view evaluates under this one bound whichever result is
-// asked for — a query's view links share one cache entry and one engine set
-// — and refuses an index at or past it before evaluating anything.
+// asked for — a query's view links share one cache entry — and refuses an
+// index at or past it before evaluating anything.
 const maxPageHits = 25
 
 func (s *server) handleView(w http.ResponseWriter, r *http.Request) {

@@ -541,6 +541,35 @@ func snapshotDoc(mutate bool) *xmltree.Document {
 	return doc
 }
 
+// TestSnapshotDirectoryWithoutSuffixFingerprintsManifest: router mode
+// registers its -snapshot directory, which need not be named *.xtsnap, as a
+// snapshot dataset. Its generation must be fingerprinted by the manifest from
+// the start, so a watcher tick over an untouched snapshot reloads nothing.
+func TestSnapshotDirectoryWithoutSuffixFingerprintsManifest(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "snapshot")
+	if err := extract.FromDocumentSharded(snapshotDoc(false), nil, 3).SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	s := testServer(t)
+	c, err := extract.LoadSnapshot(dir, s.loadOptions("remote")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.addSnapshot("remote", c, dir)
+	ds := s.datasets["remote"]
+	if !ds.Snapshot {
+		t.Fatal("router-mode dataset not registered as a snapshot")
+	}
+	s.checkFiles()
+	s.checkFiles()
+	ds.obs.Lock()
+	reloads := ds.reloads
+	ds.obs.Unlock()
+	if reloads != 0 {
+		t.Fatalf("watcher reloaded an unchanged snapshot %d times", reloads)
+	}
+}
+
 // TestSnapshotDataset serves a .xtsnap dataset end to end: load, query,
 // then an in-place snapshot refresh reloaded through the delta path.
 func TestSnapshotDataset(t *testing.T) {

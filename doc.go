@@ -114,8 +114,6 @@
 //     calling goroutine.)
 //     When every worker is busy, submitters run their own tasks inline,
 //     so the pool can never deadlock.
-//   - Search engines built once per option combination and reused across
-//     queries.
 //   - A sharded, size-bounded LRU query cache (WithQueryCache, 0 disables)
 //     replaying repeated queries — Corpus.Search result lists, and
 //     Corpus.Query result+snippet pairs per bound — without recomputation.

@@ -39,10 +39,9 @@ var ErrOverloaded = serve.ErrOverloaded
 // document itself, more with WithShards, where queries fan out across them
 // and merge; the API and the answers are identical. Every corpus answers
 // Search and Query through one serving layer (internal/serve): a fixed
-// worker pool bounds evaluation concurrency, engines are reused across
-// queries, and repeated queries are answered from a size-bounded LRU cache
-// keyed on the parsed query itself — tune it with WithWorkers and
-// WithQueryCache. Reload swaps in freshly analyzed data without dropping
+// worker pool bounds evaluation concurrency, and repeated queries are
+// answered from a size-bounded LRU cache keyed on the parsed query itself —
+// tune it with WithWorkers and WithQueryCache. Reload swaps in freshly analyzed data without dropping
 // in-flight queries.
 type Corpus struct {
 	// data is the corpus's current analyzed state, replaced atomically by

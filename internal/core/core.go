@@ -105,9 +105,6 @@ const (
 	AlgGreedy Algorithm = iota
 	// AlgExact is branch-and-bound maximization; small results only.
 	AlgExact
-	// AlgGreedyRatio picks items by importance/cost ratio instead of
-	// strict rank order (the E12 ablation).
-	AlgGreedyRatio
 )
 
 // Generator produces snippets for query results over one corpus. It keeps
@@ -151,10 +148,6 @@ type Generated struct {
 	Stats    *features.Stats
 	Keywords []string
 	Bound    int
-
-	// Elapsed is the end-to-end snippet generation time for this result
-	// (feature collection + IList + selection).
-	Elapsed time.Duration
 }
 
 // ForTree generates a snippet for a query-result tree. The keywords are the
@@ -175,7 +168,6 @@ func (g *Generator) ForTreeTokens(result *xmltree.Document, kws []string, bound 
 // is a view of, nil when it is a tree of its own (features.CollectResult
 // checks, so a handle that is not this tree's is as good as none).
 func (g *Generator) generate(ix *index.Index, result *xmltree.Document, kws []string, bound int) *Generated {
-	start := time.Now()
 	col := g.collector()
 	stats := col.CollectResult(ix, result)
 	g.putCollector(col)
@@ -184,8 +176,6 @@ func (g *Generator) generate(ix *index.Index, result *xmltree.Document, kws []st
 	switch g.Algorithm {
 	case AlgExact:
 		sn = selector.Exact(result, il, g.Corpus.Cls, stats, bound, g.Exact)
-	case AlgGreedyRatio:
-		sn = selector.GreedyRatio(result, il, g.Corpus.Cls, stats, bound)
 	default:
 		sn = selector.Greedy(result, il, g.Corpus.Cls, stats, bound)
 	}
@@ -195,7 +185,6 @@ func (g *Generator) generate(ix *index.Index, result *xmltree.Document, kws []st
 		Stats:    stats,
 		Keywords: kws,
 		Bound:    bound,
-		Elapsed:  time.Since(start),
 	}
 }
 
@@ -219,49 +208,18 @@ type SnippetedResult struct {
 }
 
 // Pipeline runs the full demo flow: evaluate the keyword query, then
-// generate a snippet for every result.
+// generate a snippet for every result, in result order, on the calling
+// goroutine. The served path fans snippets out with shard.Snippets.
 func Pipeline(c *Corpus, query string, bound int, searchOpts search.Options) ([]*SnippetedResult, error) {
-	return PipelineN(c, query, bound, searchOpts, 1)
-}
-
-// PipelineN is Pipeline with snippet generation fanned out over up to
-// workers goroutines (snippets per result are independent: the corpus
-// artifacts are read-only and every generation works on its own result
-// tree). Result order is preserved. workers < 2 runs sequentially.
-func PipelineN(c *Corpus, query string, bound int, searchOpts search.Options, workers int) ([]*SnippetedResult, error) {
-	eng := c.Engine(searchOpts)
-	results, err := eng.Search(query)
+	results, err := c.Engine(searchOpts).Search(query)
 	if err != nil {
 		return nil, err
 	}
 	gen := NewGenerator(c)
 	kws := index.Tokenize(query)
 	out := make([]*SnippetedResult, len(results))
-	if workers < 2 || len(results) < 2 {
-		for i, r := range results {
-			out[i] = &SnippetedResult{Result: r, Generated: gen.ForResultTokens(r, kws, bound)}
-		}
-		return out, nil
+	for i, r := range results {
+		out[i] = &SnippetedResult{Result: r, Generated: gen.ForResultTokens(r, kws, bound)}
 	}
-	if workers > len(results) {
-		workers = len(results)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				r := results[i]
-				out[i] = &SnippetedResult{Result: r, Generated: gen.ForResultTokens(r, kws, bound)}
-			}
-		}()
-	}
-	for i := range results {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 	return out, nil
 }

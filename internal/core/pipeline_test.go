@@ -33,45 +33,42 @@ func checkAgainstOracle(t testing.TB, name string, c *core.Corpus, result *xmltr
 	want := oracleCollect(result.Root, c.Cls)
 	wantIL := oracleIList(result.Root, kws, c.Cls, c.Keys, want)
 
-	for _, alg := range []core.Algorithm{core.AlgGreedy, core.AlgGreedyRatio, core.AlgExact} {
-		g := core.NewGenerator(c)
-		g.Algorithm, g.Exact = alg, exactForTests
-		got := g.ForTreeTokens(result, kws, bound)
-
-		if alg == core.AlgGreedy {
-			checkStats(t, name, got.Stats, want)
-			il := got.IList
-			if len(il.Items) != len(wantIL.Items) {
-				t.Fatalf("%s: IList %v, oracle %v", name, il.Texts(), wantIL.Texts())
-			}
-			for i, it := range il.Items {
-				w := wantIL.Items[i]
-				if it != w || math.Float64bits(it.Score) != math.Float64bits(w.Score) {
-					t.Fatalf("%s: IList item %d = %+v, oracle %+v", name, i, it, w)
-				}
-			}
-			if !slices.Equal(il.ReturnEntities, wantIL.ReturnEntities) || il.KeyAttr != wantIL.KeyAttr || il.KeyValue != wantIL.KeyValue {
-				t.Fatalf("%s: return entities %v key %s=%q, oracle %v %s=%q", name,
-					il.ReturnEntities, il.KeyAttr, il.KeyValue, wantIL.ReturnEntities, wantIL.KeyAttr, wantIL.KeyValue)
-			}
+	got := core.NewGenerator(c).ForTreeTokens(result, kws, bound)
+	checkStats(t, name, got.Stats, want)
+	il := got.IList
+	if len(il.Items) != len(wantIL.Items) {
+		t.Fatalf("%s: IList %v, oracle %v", name, il.Texts(), wantIL.Texts())
+	}
+	for i, it := range il.Items {
+		w := wantIL.Items[i]
+		if it != w || math.Float64bits(it.Score) != math.Float64bits(w.Score) {
+			t.Fatalf("%s: IList item %d = %+v, oracle %+v", name, i, it, w)
 		}
+	}
+	if !slices.Equal(il.ReturnEntities, wantIL.ReturnEntities) || il.KeyAttr != wantIL.KeyAttr || il.KeyValue != wantIL.KeyValue {
+		t.Fatalf("%s: return entities %v key %s=%q, oracle %v %s=%q", name,
+			il.ReturnEntities, il.KeyAttr, il.KeyValue, wantIL.ReturnEntities, wantIL.KeyAttr, wantIL.KeyValue)
+	}
 
-		var ws *selector.Snippet
-		switch alg {
-		case core.AlgGreedy:
-			ws = oracleGreedy(result.Root, wantIL, c.Cls, want, bound)
-		case core.AlgGreedyRatio:
-			ws = oracleGreedyRatio(result.Root, wantIL, c.Cls, want, bound)
-		case core.AlgExact:
-			ws = oracleExact(result.Root, wantIL, c.Cls, want, bound, exactForTests)
-		}
-		sn := got.Snippet
+	exact := core.NewGenerator(c)
+	exact.Algorithm, exact.Exact = core.AlgExact, exactForTests
+	for _, sel := range []struct {
+		alg    string
+		sn, ws *selector.Snippet
+	}{
+		{"greedy", got.Snippet, oracleGreedy(result.Root, wantIL, c.Cls, want, bound)},
+		// The ratio selector is the E12 ablation's, not a generator
+		// algorithm: it runs on the generator's own IList and statistics.
+		{"greedy ratio", selector.GreedyRatio(result, il, c.Cls, got.Stats, bound), oracleGreedyRatio(result.Root, wantIL, c.Cls, want, bound)},
+		{"exact", exact.ForTreeTokens(result, kws, bound).Snippet, oracleExact(result.Root, wantIL, c.Cls, want, bound, exactForTests)},
+	} {
+		sn, ws := sel.sn, sel.ws
 		if !slices.Equal(sn.Covered, ws.Covered) || !slices.Equal(sn.Skipped, ws.Skipped) || sn.Edges != ws.Edges {
-			t.Fatalf("%s: algorithm %d: covered %v skipped %v edges %d, oracle %v %v %d", name, alg,
+			t.Fatalf("%s: algorithm %s: covered %v skipped %v edges %d, oracle %v %v %d", name, sel.alg,
 				sn.Covered, sn.Skipped, sn.Edges, ws.Covered, ws.Skipped, ws.Edges)
 		}
 		if g, w := xmltree.XMLString(sn.Root), xmltree.XMLString(ws.Root); g != w {
-			t.Fatalf("%s: algorithm %d: snippet\n%s\noracle\n%s", name, alg, g, w)
+			t.Fatalf("%s: algorithm %s: snippet\n%s\noracle\n%s", name, sel.alg, g, w)
 		}
 		checkSnippetTree(t, name, sn.Root, result.Root)
 	}

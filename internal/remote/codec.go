@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"sort"
-	"time"
 	"unsafe"
 
 	"extract/internal/core"
@@ -174,37 +173,6 @@ func (c *cursor) options() search.Options {
 		c.fail("unknown semantics %d", o.Semantics)
 	}
 	return o
-}
-
-// --- hello ---
-
-type helloMsg struct {
-	fingerprint uint64
-	shards      int
-	owned       []uint32 // owned shard indices, ascending
-}
-
-func encodeHello(h helloMsg) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, h.fingerprint)
-	b = binary.AppendUvarint(b, uint64(h.shards))
-	b = binary.AppendUvarint(b, uint64(len(h.owned)))
-	for _, s := range h.owned {
-		b = binary.AppendUvarint(b, uint64(s))
-	}
-	return b
-}
-
-func decodeHello(data []byte) (helloMsg, error) {
-	c := &cursor{data: data}
-	var h helloMsg
-	h.fingerprint = c.u64("fingerprint")
-	h.shards = c.count("shard", maxWireShards)
-	n := c.count("owned shard", maxWireShards)
-	h.owned = make([]uint32, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
-		h.owned = append(h.owned, uint32(c.uvarint("owned shard index")))
-	}
-	return h, c.done()
 }
 
 // --- response header ---
@@ -874,15 +842,15 @@ func (c *cursor) results(snippeted bool) []scanned {
 
 // appendSnippet encodes one generated snippet as the router's serving layer
 // replays it: the snippet tree in preorder (node records, as a result tree's),
-// its edge count and generation time, the IList — every item's kind, text,
-// feature (entity, attribute, value), feature id and exact score bits, then
-// the return entities and the result key — and the covered and skipped item
-// indexes. The feature statistics are not sent; a served snippet drops them.
+// its edge count, the IList — every item's kind, text, feature (entity,
+// attribute, value), feature id and exact score bits, then the return
+// entities and the result key — and the covered and skipped item indexes.
+// The feature statistics and the generation time are not sent; a served
+// snippet drops them.
 func appendSnippet(b []byte, g *core.Generated) []byte {
 	b = binary.AppendUvarint(b, uint64(subtreeSize(g.Snippet.Root)))
 	b = appendSubtree(b, g.Snippet.Root)
 	b = binary.AppendUvarint(b, uint64(g.Snippet.Edges))
-	b = binary.AppendUvarint(b, uint64(max(g.Elapsed, 0)))
 	il := g.IList
 	b = binary.AppendUvarint(b, uint64(len(il.Items)))
 	for _, it := range il.Items {
@@ -941,7 +909,6 @@ func (c *cursor) scanSnippet() []byte {
 	if edges := c.uvarint("snippet edges"); c.err == nil && edges >= uint64(total) {
 		c.fail("snippet of %d nodes claims %d edges", total, edges)
 	}
-	c.uvarint("snippet elapsed")
 	items := c.count("ilist item", maxWireStrings)
 	if c.err == nil && items > (len(c.data)-c.off)/minItemBytes {
 		c.fail("ilist item count %d exceeds the payload that would carry it", items)
@@ -985,7 +952,6 @@ func buildSnippet(rec []byte, kws []string, bound int) *core.Generated {
 	v := validated{text: string(rec)}
 	root := v.buildNodes(nil)[0]
 	sn := &selector.Snippet{Root: root, Edges: v.uvarint()}
-	elapsed := time.Duration(v.uvarint())
 	il := &ilist.IList{Items: make([]ilist.Item, v.uvarint())}
 	for i := range il.Items {
 		it := &il.Items[i]
@@ -1007,7 +973,7 @@ func buildSnippet(rec []byte, kws []string, bound int) *core.Generated {
 	il.KeyValue = v.str()
 	sn.Covered = v.indexes()
 	sn.Skipped = v.indexes()
-	return &core.Generated{Snippet: sn, IList: il, Keywords: kws, Bound: bound, Elapsed: elapsed}
+	return &core.Generated{Snippet: sn, IList: il, Keywords: kws, Bound: bound}
 }
 
 func (v *validated) indexes() []int {

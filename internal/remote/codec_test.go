@@ -512,7 +512,7 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		return append(b, make([]byte, 8)...) // score bits
 	}
 	snip := func(tree []byte, edges uint64, items []byte, covered, skipped []byte) []byte {
-		b := cat(tree, uv(edges), uv(0), items, uv(0), appendString(nil, ""), appendString(nil, ""))
+		b := cat(tree, uv(edges), items, uv(0), appendString(nil, ""), appendString(nil, ""))
 		return cat(b, covered, skipped)
 	}
 	leaf := cat(uv(1), node(0, "a", 0))
@@ -713,8 +713,6 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 	reqAfterCount := len(fullReq) - 2 + uvarintLen(uint64(n))
 	req.shards = shards
 	return []wireMessage{
-		{"hello", encodeHello(helloMsg{fingerprint: 7, shards: n, owned: shards}), 8 + 2*uvarintLen(uint64(n)),
-			func(b []byte) error { _, err := decodeHello(b); return err }},
 		{"eval request", appendTraceID(encodeEvalReq(req), 42), reqAfterCount,
 			func(b []byte) error { _, err := decodeEvalReq(b); return err }},
 		{"full request", appendTraceID(fullReq, 42), 0,
@@ -769,9 +767,9 @@ func TestTruncatedPayloadsClassifyCheaply(t *testing.T) {
 // TestSnippetRoundTrip: a snippet record decodes to the snippet that was
 // encoded, in every field a served snippet keeps (sameSnippet: tree, HTML,
 // edges, IList items with exact score bits, return entities, key, covered,
-// skipped) plus its generation time — for every snippet the codec fixture's
-// servers made, and for the shapes it may not: an empty IList over a lone
-// root, one item with awkward score bits, and the whole document's snippet.
+// skipped) — for every snippet the codec fixture's servers made, and for the
+// shapes it may not: an empty IList over a lone root, one item with awkward
+// score bits, and the whole document's snippet.
 func TestSnippetRoundTrip(t *testing.T) {
 	check := func(name string, g *core.Generated) {
 		t.Helper()
@@ -784,9 +782,6 @@ func TestSnippetRoundTrip(t *testing.T) {
 		got := buildSnippet(scanned, g.Keywords, g.Bound)
 		if err := sameSnippet(g, got); err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Elapsed != g.Elapsed {
-			t.Fatalf("%s: elapsed %v, sent %v", name, got.Elapsed, g.Elapsed)
 		}
 	}
 	served := 0
@@ -824,7 +819,6 @@ func TestSnippetRoundTrip(t *testing.T) {
 		},
 		Keywords: []string{"houston"},
 		Bound:    3,
-		Elapsed:  1234567,
 	})
 	sc := shard.Build(gen.Figure1Corpus(), 1)
 	whole := search.FromNode(sc.Fallback().Doc, sc.Fallback().Doc.Root)

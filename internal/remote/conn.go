@@ -79,10 +79,9 @@ func netDial(ctx context.Context, addr string) (net.Conn, error) {
 // wireConn is one established protocol connection: greeted, framed,
 // strictly request/response.
 type wireConn struct {
-	nc    net.Conn
-	br    *bufio.Reader
-	bw    *bufio.Writer
-	hello helloMsg
+	nc net.Conn
+	br *bufio.Reader
+	bw *bufio.Writer
 }
 
 // roundTrip sends one request and returns the reply's type and payload,
@@ -122,8 +121,9 @@ func putFrame(b []byte) {
 	framePool.Put(&b)
 }
 
-// handshake reads the server greeting. A peer of another wire version
-// fails here, on its first frame, as a version-skew *ProtocolError.
+// handshake reads the server greeting, an empty frame. A peer of another
+// wire version fails here, on its first frame, as a version-skew
+// *ProtocolError.
 func (c *wireConn) handshake() error {
 	t, payload, err := readFrame(c.br)
 	if err != nil {
@@ -132,8 +132,10 @@ func (c *wireConn) handshake() error {
 	if t != msgHello {
 		return protocolErrf("expected hello, got message type %d", t)
 	}
-	c.hello, err = decodeHello(payload)
-	return err
+	if len(payload) != 0 {
+		return protocolErrf("hello carries a %d-byte payload", len(payload))
+	}
+	return nil
 }
 
 // replica is one shard-server address with its idle-connection pool and
@@ -171,7 +173,7 @@ func (r *replica) noteFailure() {
 	r.mu.Lock()
 	r.fails++
 	if r.fails >= breakerThreshold {
-		backoff := breakerBase << uint(minInt(r.fails-breakerThreshold, 5))
+		backoff := breakerBase << uint(min(r.fails-breakerThreshold, 5))
 		if backoff > breakerMax {
 			backoff = breakerMax
 		}
@@ -183,13 +185,6 @@ func (r *replica) noteFailure() {
 	for _, c := range idle {
 		c.nc.Close()
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // get returns a pooled connection or dials and greets a fresh one.
@@ -244,7 +239,7 @@ func (r *replica) close() {
 }
 
 // tracedReq reports whether a request type carries the trailing trace ID
-// (the per-query evaluation calls; stats and pings are untraced).
+// (the per-query evaluation calls; stats requests are untraced).
 func tracedReq(t msgType) bool {
 	return t == msgEval || t == msgFull
 }

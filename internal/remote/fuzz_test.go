@@ -30,8 +30,8 @@ func frameBytes(version byte, t msgType, payload []byte) []byte {
 // length caps must keep any single allocation bounded regardless of what
 // the length fields claim.
 func FuzzFrame(f *testing.F) {
-	f.Add(frameBytes(wireVersion, msgPing, nil))
-	f.Add(frameBytes(wireVersion, msgHello, encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 2}})))
+	f.Add(frameBytes(wireVersion, msgHello, nil))
+	f.Add(frameBytes(wireVersion, msgHello, retiredGreeting)) // framed, refused by the handshake
 	evalPayload := encodeEvalReq(evalReq{
 		opts:   search.Options{DistinctAnchors: true, MaxResults: 5},
 		query:  "xml keyword",
@@ -40,22 +40,27 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frameBytes(wireVersion, msgEval, appendTraceID(evalPayload, 42)))
 	// Retired wire v1: the greeting, a request without its trace ID, and the
 	// negotiation request. All must now be refused as version skew.
-	f.Add(frameBytes(1, msgHello, encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 2}})))
+	f.Add(frameBytes(1, msgHello, retiredGreeting))
 	f.Add(frameBytes(1, msgEval, evalPayload))
 	f.Add(frameBytes(1, msgHello, []byte{2}))
 	// Retired wire v2: the greeting and an eval request without a bound.
-	f.Add(frameBytes(2, msgHello, encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 2}})))
+	f.Add(frameBytes(2, msgHello, retiredGreeting))
 	f.Add(frameBytes(2, msgEval, appendTraceID(evalPayload[:len(evalPayload)-1], 42)))
 	// Retired wire v3: the greeting, an eval request, and its digest request
 	// (type 4 then, the full request's type now).
-	f.Add(frameBytes(3, msgHello, encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 2}})))
+	f.Add(frameBytes(3, msgHello, retiredGreeting))
 	f.Add(frameBytes(3, msgEval, appendTraceID(evalPayload, 42)))
 	f.Add(frameBytes(3, msgType(4), appendTraceID(evalPayload, 42)))
+	// Retired wire v4: the greeting with its payload, an eval request, and
+	// the ping (whose type number is the error message's now).
+	f.Add(frameBytes(4, msgHello, retiredGreeting))
+	f.Add(frameBytes(4, msgEval, appendTraceID(evalPayload, 42)))
+	f.Add(frameBytes(4, v4Ping, nil))
 	f.Add(frameBytes(wireVersion, msgFull, appendTraceID(encodeEvalReq(evalReq{query: "xml keyword", bound: 6}), 42)))
 	f.Add(frameBytes(wireVersion, msgStats, encodeStatsReq(statsReq{keywords: []string{"a", "b"}})))
 	f.Add(frameBytes(wireVersion, msgStatsResp, appendStatsResp(appendRespHeader(nil, 7), statsResp{totalElements: 9, counts: []uint64{3}})))
 	f.Add(frameBytes(wireVersion, msgError, encodeErrMsg(errMsg{kind: errKindPanic, msg: "boom"})))
-	f.Add(frameBytes(wireVersion+1, msgPing, nil)) // version skew
+	f.Add(frameBytes(wireVersion+1, msgHello, nil)) // version skew
 	f.Add(frameBytes(wireVersion, msgType(200), nil))
 	f.Add([]byte("XR"))               // truncated header
 	f.Add([]byte("xx..............")) // bad magic
@@ -81,8 +86,6 @@ func FuzzFrame(f *testing.F) {
 		// directions run — a router and a server must each survive a
 		// hostile peer.
 		switch mt {
-		case msgHello:
-			_, _ = decodeHello(payload)
 		case msgEval, msgFull:
 			_, _ = decodeEvalReq(payload)
 		case msgEvalResp, msgFullResp, msgStatsResp:

@@ -261,7 +261,7 @@ func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Rou
 			label := fmt.Sprintf("%s/sem=%d/mode=%d/max=%d/q=%q",
 				name, opts.Semantics, opts.Mode, opts.MaxResults, q)
 			want, werr := sc.Search(q, opts)
-			got, gotSnippets, gerr := rt.Answer(ctx, q, opts, nil, nil, bound)
+			got, gotSnippets, gerr := rt.Answer(ctx, q, opts, nil, bound)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("%s: errors differ: local %v, routed %v", label, werr, gerr)
 			}
@@ -271,7 +271,7 @@ func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Rou
 			if len(want) != len(got) {
 				t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 			}
-			_, wantSnippets, err := sc.Answer(ctx, q, opts, nil, nil, bound)
+			_, wantSnippets, err := sc.Answer(ctx, q, opts, nil, bound)
 			if err != nil {
 				t.Fatalf("%s: local answer: %v", label, err)
 			}

@@ -251,11 +251,6 @@ func (rt *Router) Analysis() *core.Corpus {
 	return rt.analysis
 }
 
-// Engines returns nil: the router holds no local engines, and its Answer
-// ignores the engine set. The serving layer's per-option engine memo
-// degenerates to a no-op.
-func (rt *Router) Engines(opts search.Options) []*search.Engine { return nil }
-
 // ctxTimeoutMillis converts ctx's deadline to the wire's timeout field
 // (0 = none), so shard servers stop evaluating queries the router has
 // already given up on.
@@ -433,9 +428,11 @@ func mapServerErr(addr string, e errMsg) (error, bool) {
 }
 
 // SearchEnginesContext answers a query from the replica groups, search only:
-// Answer with no snippet bound. engines is ignored (the router has none).
+// Answer with no snippet bound. engines is ignored (the router has none); the
+// parameter is kept only for benchmark/, which calls this beside
+// shard.Corpus.SearchEnginesContext.
 func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run shard.Runner) ([]*search.Result, error) {
-	rs, _, err := rt.Answer(ctx, query, opts, engines, run, -1)
+	rs, _, err := rt.Answer(ctx, query, opts, run, -1)
 	return rs, err
 }
 
@@ -448,10 +445,9 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 // — a malformed one fails over inside its hop — and only the results the
 // merge takes become answers: deferred results (take), whose trees are built
 // only when something reads one, and the snippets that arrived with them.
-// engines is ignored (the router has none); run schedules the per-group
-// fan-out, so the serving layer's worker pool bounds remote concurrency
-// exactly as it bounds local shard evaluation.
-func (rt *Router) Answer(ctx context.Context, query string, opts search.Options, _ []*search.Engine, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
+// run schedules the per-group fan-out, so the serving layer's worker pool
+// bounds remote concurrency exactly as it bounds local shard evaluation.
+func (rt *Router) Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	pl := rt.place.Load()
 	if len(pl.groupOf) == 0 || len(search.ParseQuery(query)) == 0 {
 		return nil, nil, search.ErrEmptyQuery

@@ -57,7 +57,7 @@ type serverState struct {
 	sc          *shard.Corpus
 	fingerprint uint64
 	owned       []bool   // per shard index; nil = all
-	ownedList   []uint32 // ascending, for the hello frame
+	ownedList   []uint32 // ascending, for Owned
 }
 
 // Server answers the wire protocol over one sharded corpus. It loads (or
@@ -157,7 +157,7 @@ func (s *Server) Swap(g *ingest.Generation, opts ...ServerOption) {
 }
 
 // Fingerprint returns the content fingerprint of the corpus generation
-// currently served (the value stamped on every response and greeting);
+// currently served (the value stamped on every response);
 // extractd's health endpoint and swap logging read it.
 func (s *Server) Fingerprint() uint64 { return s.state.Load().fingerprint }
 
@@ -222,21 +222,13 @@ func (s *Server) Close() {
 	s.pool.Stop()
 }
 
-// serveConn runs one connection: greet, then answer framed requests in
-// order until the peer hangs up or a protocol violation poisons the
-// stream.
+// serveConn runs one connection: greet with an empty hello, then answer
+// framed requests in order until the peer hangs up or a protocol violation
+// poisons the stream.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	st := s.state.Load()
-	if err := writeFrame(bw, msgHello, encodeHello(helloMsg{
-		fingerprint: st.fingerprint,
-		shards:      st.sc.NumShards(),
-		owned:       st.ownedList,
-	})); err != nil {
-		return
-	}
-	if bw.Flush() != nil {
+	if reply(bw, msgHello, nil) != nil {
 		return
 	}
 	br := bufio.NewReader(conn)
@@ -298,9 +290,6 @@ func reply(bw *bufio.Writer, t msgType, payload []byte) error {
 func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 	st := s.state.Load()
 	switch t {
-	case msgPing:
-		s.metrics.observe("ping", true, serverStages{})
-		return msgPong, nil
 	case msgEval:
 		start := time.Now()
 		req, err := decodeEvalReq(payload)

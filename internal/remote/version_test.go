@@ -58,15 +58,25 @@ func TestRoutedHopsReportServerStages(t *testing.T) {
 	}
 }
 
+// retiredGreeting is a v4 greeting's payload — the served generation's
+// fingerprint (u64 7), then uvarint shard count 3 and the owned shard list
+// {0, 1, 2} — which the retired-version cases send at every old version. A
+// v5 greeting is an empty frame.
+var retiredGreeting = []byte{7, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 1, 2}
+
+// v4Ping is the retired v4 health probe's message type: v5 dropped ping and
+// pong, and the type number now belongs to the error message.
+const v4Ping = msgType(8)
+
 // TestOtherWireVersionsRefused: a frame at any version but wireVersion —
-// the retired v1, v2 and v3 a stale peer would still speak, or a future one — is
+// the retired v1 to v4 a stale peer would still speak, or a future one — is
 // a *ProtocolError naming both versions, whichever side reads it: the router
 // reading a greeting, the server reading a request. The server hangs up on
 // it without evaluating anything.
 func TestOtherWireVersionsRefused(t *testing.T) {
-	greeting := encodeHello(helloMsg{fingerprint: 7, shards: 3, owned: []uint32{0, 1, 2}})
+	greeting := retiredGreeting
 	request := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0}, bound: -1})
-	// A v2 eval request is a v3 (and v4) one without the trailing snippet
+	// A v2 eval request is a v3 (v4, v5) one without the trailing snippet
 	// bound.
 	v2Request := request[:len(request)-1]
 	for _, tc := range []struct {
@@ -83,7 +93,10 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		{"v3 greeting", 3, msgHello, greeting},
 		{"v3 eval request", 3, msgEval, appendTraceID(request, 1)},
 		{"v3 digest request", 3, msgType(4), appendTraceID(request, 1)},
-		{"v5 greeting", wireVersion + 1, msgHello, greeting},
+		{"v4 greeting", 4, msgHello, greeting},
+		{"v4 eval request", 4, msgEval, appendTraceID(request, 1)},
+		{"v4 ping", 4, v4Ping, nil},
+		{"v6 greeting", wireVersion + 1, msgHello, nil},
 	} {
 		_, _, err := readFrame(bytes.NewReader(frameBytes(tc.ver, tc.t, tc.payload)))
 		var pe *ProtocolError
@@ -108,11 +121,11 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 	if mt, _, err := readFrame(client); err != nil || mt != msgHello {
 		t.Fatalf("greeting: type %d, %v", mt, err)
 	}
-	if _, err := client.Write(frameBytes(3, msgEval, appendTraceID(request, 1))); err != nil {
+	if _, err := client.Write(frameBytes(4, msgEval, appendTraceID(request, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readFrame(client); !errors.Is(err, io.EOF) {
-		t.Fatalf("after a v3 request: %v, want the connection closed", err)
+		t.Fatalf("after a v4 request: %v, want the connection closed", err)
 	}
 	<-done
 	for _, m := range reg.Snapshot().Metrics {
@@ -127,6 +140,81 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		t.Fatalf("hello request answered with type %d", mt)
 	} else if em, err := decodeErrMsg(body); err != nil || !strings.Contains(em.msg, "unexpected request type") {
 		t.Fatalf("hello request: %+v, %v", em, err)
+	}
+}
+
+// TestGreetingWithPayloadRefused: a v5 greeting is an empty frame. A peer
+// that greets at v5 but carries a payload — the v4 greeting's fields — is
+// refused on dial with a *ProtocolError, and the router fails the call over
+// to the group's other replica, answering as the local corpus does.
+func TestGreetingWithPayloadRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Write(frameBytes(wireVersion, msgHello, retiredGreeting))
+			defer c.Close()
+		}
+	}()
+	bad := ln.Addr().String()
+
+	r := &replica{addr: bad, dial: netDial}
+	_, err = r.get(context.Background())
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Reason, "payload") {
+		t.Fatalf("dialing a greeting with a payload: %v, want a *ProtocolError", err)
+	}
+
+	sc := versionTestCorpus()
+	src := ingest.SourceOf(sc)
+	good, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(sc)
+	go srv.Serve(good)
+	defer srv.Close()
+	rt, err := NewRouter(sc.Analysis(), src, [][]string{{bad, good.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	opts := search.Options{DistinctAnchors: true}
+	sink := &telemetry.SpanSink{TraceID: telemetry.NextTraceID()}
+	got, err := rt.SearchEnginesContext(telemetry.WithSpanSink(context.Background(), sink), "store texas", opts, nil, nil)
+	if err != nil {
+		t.Fatalf("routed query: %v", err)
+	}
+	want, err := sc.Search("store texas", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("%d routed results, %d local", len(got), len(want))
+	}
+	for i := range got {
+		if g, w := xmltree.XMLString(got[i].Tree().Root), xmltree.XMLString(want[i].Root); g != w {
+			t.Fatalf("result %d differs after failover:\n%s\nlocal\n%s", i, g, w)
+		}
+	}
+	refused := false
+	for _, h := range sink.Hops() {
+		if h.Replica == bad {
+			if h.Err != ErrKindProtocol {
+				t.Fatalf("hop to the payload-greeting peer: %+v, want a protocol error", h)
+			}
+			refused = true
+		}
+	}
+	if !refused {
+		t.Fatalf("no hop tried the payload-greeting peer: %+v", sink.Hops())
 	}
 }
 
@@ -194,11 +282,11 @@ func TestSnippetedAnswerTakesNoExtraRound(t *testing.T) {
 	for _, opts := range []search.Options{{DistinctAnchors: true}, {DistinctAnchors: true, Semantics: search.SemanticsELCA, MaxResults: 3}} {
 		for _, q := range queries {
 			before := calls()
-			if _, _, err := rt.Answer(ctx, q, opts, nil, nil, -1); err != nil {
+			if _, _, err := rt.Answer(ctx, q, opts, nil, -1); err != nil {
 				continue
 			}
 			searchOnly := calls()
-			rs, gs, err := rt.Answer(ctx, q, opts, nil, nil, 8)
+			rs, gs, err := rt.Answer(ctx, q, opts, nil, 8)
 			if err != nil || len(gs) != len(rs) {
 				t.Fatalf("%q: %d snippets for %d results, %v", q, len(gs), len(rs), err)
 			}
@@ -280,7 +368,7 @@ func TestMissingKeywordTakesOneRound(t *testing.T) {
 			return r.LCA == fb.Doc.Root || r.Anchor == fb.Doc.Root
 		})
 		before := calls()
-		if _, _, err := rt.Answer(context.Background(), tc.q, tc.opts, nil, nil, 8); err != nil {
+		if _, _, err := rt.Answer(context.Background(), tc.q, tc.opts, nil, 8); err != nil {
 			t.Fatalf("%q: %v", tc.q, err)
 		}
 		after := calls()

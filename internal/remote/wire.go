@@ -53,7 +53,7 @@ const (
 	// frame is written at it and a frame at any other version is refused
 	// as version skew. A payload layout change bumps wireVersion; router
 	// and shard servers are rolled together.
-	wireVersion = 4
+	wireVersion = 5
 
 	frameHeaderLen = 12
 
@@ -67,15 +67,13 @@ const (
 type msgType uint8
 
 const (
-	msgHello msgType = iota + 1 // server → router greeting on accept
+	msgHello msgType = iota + 1 // server → router greeting on accept, empty
 	msgEval                     // router → server: evaluate shard subset
 	msgEvalResp
 	msgFull // router → server: whole-document fallback evaluation
 	msgFullResp
 	msgStats // router → server: global df + element count (ranking)
 	msgStatsResp
-	msgPing // router → server: health probe
-	msgPong
 	msgError // server → router: classified failure
 )
 

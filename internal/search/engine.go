@@ -91,17 +91,6 @@ type Evaluation struct {
 	Free []bool
 }
 
-// Complete reports whether every keyword matched at least once, i.e. the
-// LCA computation ran.
-func (ev *Evaluation) Complete() bool {
-	for _, l := range ev.Lists {
-		if l.Len() == 0 {
-			return false
-		}
-	}
-	return len(ev.Lists) > 0
-}
-
 // Evaluate parses the query and computes posting lists and the LCA set
 // without building results. Unlike Search it returns a non-nil
 // evaluation even when some keyword has no match, so callers merging

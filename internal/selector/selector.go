@@ -52,15 +52,6 @@ type Snippet struct {
 	Edges int
 }
 
-// CoveredItems returns the covered items in rank order.
-func (s *Snippet) CoveredItems(il *ilist.IList) []ilist.Item {
-	out := make([]ilist.Item, 0, len(s.Covered))
-	for _, i := range s.Covered {
-		out = append(out, il.Items[i])
-	}
-	return out
-}
-
 // selection is the working state of one snippet: where the IList's items
 // can be witnessed in the result, and the growing snippet tree with the
 // evidence it exposes. Everything in it is

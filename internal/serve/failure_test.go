@@ -92,14 +92,10 @@ type blockingBackend struct {
 
 func (b *blockingBackend) Analysis() *core.Corpus { return b.inner.Analysis() }
 
-func (b *blockingBackend) Engines(opts search.Options) []*search.Engine {
-	return b.inner.Engines(opts)
-}
-
-func (b *blockingBackend) Answer(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
+func (b *blockingBackend) Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	b.entered <- struct{}{}
 	<-b.release
-	return b.inner.Answer(ctx, query, opts, engines, run, bound)
+	return b.inner.Answer(ctx, query, opts, run, bound)
 }
 
 // TestOverloadSheds: with WithMaxInFlight(1) a second concurrent query is

@@ -23,11 +23,11 @@ const (
 	// stageCache is key encoding plus the cache probe, including any
 	// coalesced wait on an identical in-flight computation.
 	stageCache
-	// stageDispatch is engine-set acquisition: the server lock plus the
-	// per-option engine memo (built on first use). Worker-pool queueing is
-	// part of eval — the pool schedules per-shard units, not whole queries.
+	// stageDispatch is the backend load: one atomic read of the corpus
+	// being served. Worker-pool queueing is part of eval — the pool
+	// schedules per-shard units, not whole queries.
 	stageDispatch
-	// stageEval is query evaluation across the backend's engines, through
+	// stageEval is query evaluation across the backend's shards, through
 	// the worker pool.
 	stageEval
 	// stageSnippet is snippet generation for the result list.

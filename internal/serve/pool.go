@@ -1,9 +1,8 @@
 // Package serve is the query-serving layer over a corpus: the piece that
 // turns the one-shot query path into something that can hold up under
 // sustained traffic. It drives any corpus through the Backend interface —
-// a local corpus of n >= 1 shards with an engine per shard, or a remote
-// tier's router — and contributes three things the raw engines do not
-// have:
+// a local corpus of n >= 1 shards, or a remote tier's router — and
+// contributes two things the raw corpus does not have:
 //
 //   - a fixed-size worker pool bounding the concurrency of all fanned-out
 //     work — per-shard evaluation and snippet generation
@@ -11,8 +10,6 @@
 //     which multiplies under concurrent queries; a one-shard corpus's lone
 //     evaluation runs inline on the caller, there being nothing to fan
 //     out),
-//   - search.Engine instances cached per option combination and reused
-//     across queries instead of rebuilt,
 //   - a sharded, size-bounded LRU query cache keyed on the parsed query
 //     itself, with singleflight so concurrent identical queries compute once
 //     and explicit invalidation on corpus swap (Server.Swap — the online

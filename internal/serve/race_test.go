@@ -174,22 +174,3 @@ func TestStaleFlightNotJoined(t *testing.T) {
 		t.Fatalf("fresh entry lost: %v %v", v2, err)
 	}
 }
-
-// TestEngineMemoBounded: sweeping distinct MaxResults values must not grow
-// the per-option engine memo without bound.
-func TestEngineMemoBounded(t *testing.T) {
-	sc := shard.Build(gen.Figure1Corpus(), 2)
-	srv := New(sc)
-	defer srv.Close()
-	for i := 1; i <= 3*maxEngineSets; i++ {
-		if _, err := srv.Do(context.Background(), "retailer", search.Options{DistinctAnchors: true, MaxResults: i}, -1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.mu.Lock()
-	n := len(srv.engines)
-	srv.mu.Unlock()
-	if n > maxEngineSets {
-		t.Fatalf("engine memo grew to %d entries (bound %d)", n, maxEngineSets)
-	}
-}

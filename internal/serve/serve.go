@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,32 +20,27 @@ import (
 const DefaultCacheBytes = 64 << 20
 
 // Backend is the evaluation side the serving layer drives: a corpus that
-// can expose its per-unit engines and answer a query through them, snippets
-// included. A local corpus (*shard.Corpus, n >= 1 shards) is one Backend with
-// an engine per shard, snippeting its results in process; a remote tier's
-// router (remote.Router) is another, with no engines, whose shard servers
-// snippet the results where they live. The Server never looks inside —
-// worker pool, engine memo, cache and swap epoch all operate on the
-// interface, so every corpus gets the same serving path.
+// answers a query, snippets included. A local corpus (*shard.Corpus, n >= 1
+// shards) is one Backend, evaluating on its shards and snippeting its results
+// in process; a remote tier's router (remote.Router) is another, whose shard
+// servers evaluate and snippet the results where they live. The Server never
+// looks inside — worker pool, cache and swap all operate on the interface,
+// so every corpus gets the same serving path.
 type Backend interface {
 	// Analysis returns the corpus carrying the classification and keys
 	// snippet generation needs (not necessarily a document).
 	Analysis() *core.Corpus
-	// Engines builds the backend's evaluation engines for one option
-	// combination, in the alignment Answer expects.
-	Engines(opts search.Options) []*search.Engine
-	// Answer evaluates a query on engines previously built by Engines for
-	// the same opts (nil builds throwaway ones), scheduling independent work
-	// through run (nil = own goroutines) and honoring ctx cancellation
-	// between units of work. When bound >= 0 it also returns one snippet per
-	// result at that bound, aligned with the results; bound < 0 is search
-	// only, with nil snippets. Results may be deferred (search.Result.Tree).
-	Answer(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error)
+	// Answer evaluates a query, scheduling independent work through run
+	// (nil = own goroutines) and honoring ctx cancellation between units of
+	// work. When bound >= 0 it also returns one snippet per result at that
+	// bound, aligned with the results; bound < 0 is search only, with nil
+	// snippets. Results may be deferred (search.Result.Tree).
+	Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error)
 }
 
 // Server is the query-serving layer over one corpus backend. It owns the
-// worker pool, the per-option engine sets and the query cache; see the
-// package comment for what each buys. A Server is safe for concurrent use.
+// worker pool and the query cache; see the package comment for what each
+// buys. A Server is safe for concurrent use.
 type Server struct {
 	pool  *Pool
 	cache *Cache
@@ -69,9 +63,8 @@ type Server struct {
 	// /debug/traces endpoint; always non-nil.
 	traces *telemetry.TraceRing
 
-	mu      sync.Mutex
-	backend Backend
-	engines map[search.Options][]*search.Engine
+	// backend is the corpus being served, replaced whole by Swap.
+	backend atomic.Pointer[Backend]
 }
 
 // ErrOverloaded rejects a query that would exceed the server's in-flight
@@ -182,12 +175,11 @@ func New(b Backend, opts ...Option) *Server {
 	s := &Server{
 		pool:        NewPool(cfg.workers),
 		cache:       NewCache(cfg.cacheBytes),
-		backend:     b,
 		timeout:     cfg.timeout,
 		maxInFlight: int64(cfg.maxInFlight),
 		traces:      telemetry.NewTraceRing(traceSampleEvery, traceRingSize, traceSlowSize),
 	}
-	s.engines = make(map[search.Options][]*search.Engine)
+	s.backend.Store(&b)
 	reg := cfg.reg
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -206,21 +198,14 @@ func New(b Backend, opts ...Option) *Server {
 func (s *Server) Close() { s.pool.Stop() }
 
 // Backend returns the corpus backend currently being served.
-func (s *Server) Backend() Backend {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.backend
-}
+func (s *Server) Backend() Backend { return *s.backend.Load() }
 
-// Swap replaces the served corpus backend and invalidates the query cache
-// and the cached engine sets — the online index-refresh primitive. Queries
-// already in flight complete against the corpus they started on; their
-// responses are returned to their callers but never enter the cache.
+// Swap replaces the served corpus backend and invalidates the query cache —
+// the online index-refresh primitive. Queries already in flight complete
+// against the corpus they started on; their responses are returned to their
+// callers but never enter the cache.
 func (s *Server) Swap(b Backend) {
-	s.mu.Lock()
-	s.backend = b
-	s.engines = make(map[search.Options][]*search.Engine)
-	s.mu.Unlock()
+	s.backend.Store(&b)
 	s.cache.clear()
 }
 
@@ -236,29 +221,6 @@ func (s *Server) Stats() Stats {
 	st.Panics = s.panics.Value()
 	st.Shed = s.shed.Value()
 	return st
-}
-
-// maxEngineSets bounds the engine memo: search.Options embeds the
-// caller-chosen MaxResults, so distinct option values are unbounded in
-// principle, and a client sweeping them must not grow a long-lived
-// server's heap. Real traffic uses a handful of combinations; anything
-// past the bound gets throwaway engines (construction is one small
-// allocation per shard).
-const maxEngineSets = 64
-
-// snapshot returns the coherent (backend, engine set) pair for one query,
-// building and memoizing the backend's engines for opts on first use.
-func (s *Server) snapshot(opts search.Options) (Backend, []*search.Engine) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	engines, ok := s.engines[opts]
-	if !ok {
-		engines = s.backend.Engines(opts)
-		if len(s.engines) < maxEngineSets {
-			s.engines[opts] = engines
-		}
-	}
-	return s.backend, engines
 }
 
 // Cached is one cached query response: the result list, and — for
@@ -376,10 +338,10 @@ func (s *Server) QueryContext(ctx context.Context, query string, opts search.Opt
 // eval stage (the hop spans' ServerEval).
 func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts search.Options, bound int) (*Cached, error) {
 	t := time.Now()
-	b, engines := s.snapshot(opts)
+	b := s.Backend()
 	tr.add(stageDispatch, time.Since(t))
 	t, before := time.Now(), tr.sink.Snippets()
-	rs, gs, err := b.Answer(ctx, query, opts, engines, s.pool.Run, bound)
+	rs, gs, err := b.Answer(ctx, query, opts, s.pool.Run, bound)
 	answered, snippets := time.Since(t), tr.sink.Snippets()-before
 	tr.add(stageEval, answered-snippets)
 	if snippets > 0 || (bound >= 0 && err == nil) {

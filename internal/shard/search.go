@@ -132,8 +132,10 @@ func (b *ErrBox) First() error {
 }
 
 // Engines builds one engine per shard for opts, in Shards() order — the
-// engine set SearchEnginesContext accepts. The serving layer memoizes one set
-// per option combination (shard.Corpus satisfies serve.Backend with it).
+// engine set SearchEnginesContext accepts. Nothing in the product calls it:
+// a query builds its engines as it runs (an engine is a few fields, no
+// scratch). It is kept only because benchmark/ reuses one set per option
+// combination across its probes.
 func (sc *Corpus) Engines(opts search.Options) []*search.Engine {
 	engines := make([]*search.Engine, len(sc.shards))
 	for i, s := range sc.shards {
@@ -151,15 +153,14 @@ func (sc *Corpus) engine(engines []*search.Engine, i int, opts search.Options) *
 	return sc.shards[i].Engine(opts)
 }
 
-// SearchEnginesContext is Search with caller-managed per-shard engines and
-// task scheduling, honoring ctx: each shard polls Checkpoint before
-// evaluating and the merge re-checks before the cross-shard fallback, so a
-// cancelled or expired query stops burning workers at the next checkpoint
-// and returns the context's error. engines, when non-nil, must be aligned
-// with Shards() and built over the same options (the serving layer caches
-// one engine set per option combination and reuses it across queries); nil
-// builds throwaway engines. run schedules the per-shard evaluations; nil
-// spawns one goroutine per shard.
+// SearchEnginesContext is Search with task scheduling, honoring ctx: each
+// shard polls Checkpoint before evaluating and the merge re-checks before the
+// cross-shard fallback, so a cancelled or expired query stops burning workers
+// at the next checkpoint and returns the context's error. run schedules the
+// per-shard evaluations; nil spawns one goroutine per shard. engines is nil
+// everywhere in the product, which builds each shard's engine per query; a
+// non-nil set must be aligned with Shards() and built over the same options
+// (Engines). The parameter is kept only for benchmark/, which passes one.
 func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run Runner) ([]*search.Result, error) {
 	switch len(sc.shards) {
 	case 0:
@@ -212,7 +213,8 @@ func (r localRounds) Whole(ctx context.Context) ([]*search.Result, error) {
 // early once the result bound is provably filled (search.EvaluateResults),
 // and digests what it found; a shard missing a query keyword stops after its
 // posting-list lookups. The evaluations are scheduled through run, each
-// behind a Checkpoint. engines is as for SearchEnginesContext.
+// behind a Checkpoint. engines is SearchEnginesContext's, passed through by
+// the local merge; a shard server passes nil.
 func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Options, shards []int, engines []*search.Engine, run Runner) ([]Partial[*search.Result], error) {
 	if len(search.ParseQuery(query)) == 0 {
 		return nil, search.ErrEmptyQuery

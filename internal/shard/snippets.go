@@ -15,12 +15,13 @@ import (
 )
 
 // Answer is the serving layer's one call into a local corpus: the query's
-// results (SearchEnginesContext) and, when bound >= 0, one snippet per result
-// at that bound, aligned with them, made by the corpus's own generator
-// (Snippets). bound < 0 is search only, with nil snippets. The snippet
-// fan-out's duration is noted on the query's span sink, when ctx carries one.
-func (sc *Corpus) Answer(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run Runner, bound int) ([]*search.Result, []*core.Generated, error) {
-	rs, err := sc.SearchEnginesContext(ctx, query, opts, engines, run)
+// results (SearchEnginesContext, on engines built for this query) and, when
+// bound >= 0, one snippet per result at that bound, aligned with them, made
+// by the corpus's own generator (Snippets). bound < 0 is search only, with nil
+// snippets. The snippet fan-out's duration is noted on the query's span sink,
+// when ctx carries one.
+func (sc *Corpus) Answer(ctx context.Context, query string, opts search.Options, run Runner, bound int) ([]*search.Result, []*core.Generated, error) {
+	rs, err := sc.SearchEnginesContext(ctx, query, opts, nil, run)
 	if err != nil || bound < 0 {
 		return rs, nil, err
 	}
@@ -66,9 +67,10 @@ func snippet(gen *core.Generator, r *search.Result, kws []string, bound int) *co
 // from a shared cursor, largest result first: the one long job of a result
 // list — a whole-document result among two dozen small ones — starts first
 // and everything else packs around it, where a fixed split would queue half
-// the list behind it. Output stays aligned with rs. A cancelled query stops
-// between snippets and returns the context's error — a partially filled
-// snippet set is never returned, so nothing incomplete can be cached.
+// the list behind it. Output stays aligned with rs. A query cancelled during
+// the fan-out stops between snippets and returns the context's error — a
+// partially filled snippet set is never returned, so nothing incomplete can
+// be cached.
 func Snippets(ctx context.Context, run Runner, gen *core.Generator, rs []*search.Result, kws []string, bound int) ([]*core.Generated, error) {
 	out := make([]*core.Generated, len(rs))
 	if len(rs) < 4 {
@@ -102,6 +104,11 @@ func Snippets(ctx context.Context, run Runner, gen *core.Generator, rs []*search
 		if err != nil {
 			return nil, err
 		}
+	}
+	// A cancel that lands after every task has passed its last claim's
+	// check still fails the query, as one landing a claim earlier would.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"extract/internal/core"
-	"extract/internal/gen"
-	"extract/internal/search"
 )
 
 func manyStores(t *testing.T, n int) *Corpus {
@@ -48,29 +44,6 @@ func TestQueryParallelMatchesSequential(t *testing.T) {
 		}
 		if h.Snippet.Edges() > 4 {
 			t.Errorf("hit %d edges = %d", i, h.Snippet.Edges())
-		}
-	}
-}
-
-func TestPipelineNParity(t *testing.T) {
-	corpus := core.BuildCorpus(gen.Stores(gen.StoresConfig{Retailers: 1, StoresPerRetailer: 12, ClothesPerStore: 6, Seed: 3}))
-	seq, err := core.PipelineN(corpus, "store texas", 5, search.Options{DistinctAnchors: true}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := core.PipelineN(corpus, "store texas", 5, search.Options{DistinctAnchors: true}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) || len(seq) == 0 {
-		t.Fatalf("lengths: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].IList.String() != par[i].IList.String() {
-			t.Errorf("result %d IList differs", i)
-		}
-		if seq[i].Snippet.Edges != par[i].Snippet.Edges {
-			t.Errorf("result %d edges differ: %d vs %d", i, seq[i].Snippet.Edges, par[i].Snippet.Edges)
 		}
 	}
 }

@@ -218,17 +218,6 @@ func (n *Node) ContainsOrSelf(m *Node) bool {
 	return n.Start <= m.Start && m.Start <= n.End
 }
 
-// AncestorOrSelfIn returns the nearest ancestor-or-self of n contained in
-// set, or nil if none is.
-func (n *Node) AncestorOrSelfIn(set map[*Node]bool) *Node {
-	for m := n; m != nil; m = m.Parent {
-		if set[m] {
-			return m
-		}
-	}
-	return nil
-}
-
 // PathTo returns the nodes strictly between ancestor and n, plus n itself,
 // ordered from just below ancestor down to n. It returns nil if ancestor is
 // not an ancestor of n. PathTo(n, n) returns an empty path.

@@ -21,7 +21,7 @@ import (
 func renderChaosHits(hits []*Hit) string {
 	var b strings.Builder
 	for _, h := range hits {
-		b.WriteString(h.Result.XML())
+		b.WriteString(must(h.Result.XML()))
 		b.WriteString(h.Snippet.Inline())
 	}
 	return b.String()

@@ -165,7 +165,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		snipOpts = append(snipOpts, extract.WithExactSelection())
 	}
 	for i, r := range results {
-		s := corpus.Snippet(r, *query, *bound, snipOpts...)
+		s, err := corpus.Snippet(r, *query, *bound, snipOpts...)
+		if err != nil {
+			fmt.Fprintln(stderr, "extract:", err)
+			return 1
+		}
 		fmt.Fprintf(stdout, "--- result %d (size %d edges", i+1, r.Size())
 		if key := s.ResultKey(); key != "" {
 			fmt.Fprintf(stdout, ", key %q", key)
@@ -179,7 +183,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "snippet (%d edges):\n%s", s.Edges(), s.Render())
 		if *showTree {
-			fmt.Fprintf(stdout, "full result:\n%s", r.Render())
+			tree, err := r.Render()
+			if err != nil {
+				fmt.Fprintln(stderr, "extract:", err)
+				return 1
+			}
+			fmt.Fprintf(stdout, "full result:\n%s", tree)
 		}
 	}
 	return 0

@@ -448,6 +448,9 @@ func queryFailure(w http.ResponseWriter, err error) (int, string) {
 		return http.StatusServiceUnavailable, "request canceled"
 	case errors.Is(err, search.ErrEmptyQuery):
 		return http.StatusNotFound, "query has no keywords"
+	case errors.Is(err, extract.ErrResultGone):
+		w.Header().Set("Retry-After", "1")
+		return http.StatusServiceUnavailable, "index reloaded during the request; retry"
 	default:
 		log.Printf("extractd: query failed: %v", err)
 		return http.StatusInternalServerError, "query failed"
@@ -941,19 +944,33 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	if ds != nil && data.Query != "" {
 		data.Ran = true
-		// The request context flows into evaluation: a client that
-		// disconnects mid-query cancels its shard fan-out, and the
-		// -query-timeout deadline bounds it.
-		hits, err := ds.Corpus.QueryContext(r.Context(), data.Query, data.Bound, extract.WithMaxResults(maxPageHits))
-		if err != nil {
+		// The request context flows into evaluation and into the tree
+		// reads: a client that disconnects mid-query cancels its shard
+		// fan-out and the routed tree fetch, and the -query-timeout
+		// deadline bounds both.
+		fail := func(err error) {
 			var code int
 			code, data.Error = queryFailure(w, err)
 			w.Header().Set("Content-Type", "text/html; charset=utf-8")
 			w.WriteHeader(code)
 		}
+		hits, err := ds.Corpus.QueryContext(r.Context(), data.Query, data.Bound, extract.WithMaxResults(maxPageHits))
+		if err != nil {
+			fail(err)
+		}
 		kws := extract.Tokenize(data.Query)
 		for i, h := range hits {
-			text := baseline.TextWindow(h.Result.Root(), kws, 16)
+			// The text window reads the result's tree: on a routed corpus
+			// the first read fetches the page's trees, one call per group,
+			// the groups at once, which fails if the tier reloaded since
+			// the answer.
+			root, err := h.Result.RootContext(r.Context())
+			if err != nil {
+				fail(err)
+				data.Hits = nil
+				break
+			}
+			text := baseline.TextWindow(root, kws, 16)
 			data.Hits = append(data.Hits, hitView{
 				Index:    i + 1,
 				Key:      h.Snippet.ResultKey(),
@@ -1102,8 +1119,14 @@ func (s *server) handleView(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "result not found")
 		return
 	}
+	root, err := results[idx].RootContext(r.Context())
+	if err != nil {
+		code, msg := queryFailure(w, err)
+		writeError(w, code, msg)
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, results[idx].XML())
+	fmt.Fprint(w, xmltree.XMLString(root))
 }
 
 const pageHTML = `<!DOCTYPE html>

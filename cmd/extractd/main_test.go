@@ -126,6 +126,17 @@ func TestQueryFailuresAreSanitized(t *testing.T) {
 	}
 }
 
+// TestResultGoneIsRetryable: a routed result's tree read after the tier
+// moved generation (extract.ErrResultGone, which the text window and /view
+// hit) is a 503 the client may retry at once, not a failed query.
+func TestResultGoneIsRetryable(t *testing.T) {
+	rr := httptest.NewRecorder()
+	code, msg := queryFailure(rr, fmt.Errorf("tree: %w", extract.ErrResultGone))
+	if code != http.StatusServiceUnavailable || rr.Header().Get("Retry-After") == "" || !strings.Contains(msg, "retry") {
+		t.Fatalf("ErrResultGone: status %d, Retry-After %q, message %q", code, rr.Header().Get("Retry-After"), msg)
+	}
+}
+
 // TestViewRefusesResultPastLimit: a search page links at most maxPageHits
 // results, so an index at or past that — the value whose +1 overflows
 // included — is answered 404 without evaluating anything.

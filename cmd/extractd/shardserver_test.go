@@ -94,7 +94,11 @@ func TestShardServerDeltaSwap(t *testing.T) {
 		}
 		var b strings.Builder
 		for _, r := range rs {
-			b.WriteString(xmltree.XMLString(r.Tree().Root))
+			tree, err := r.Tree(context.Background())
+			if err != nil {
+				return "error: " + err.Error()
+			}
+			b.WriteString(xmltree.XMLString(tree.Root))
 			b.WriteByte('\n')
 		}
 		return b.String()

@@ -78,7 +78,15 @@ func ExampleWithMaxResults() {
 	all, _ := corpus.Search("databases")
 	first, _ := corpus.Search("databases", extract.WithMaxResults(1))
 	fmt.Println(len(all), len(first))
-	fmt.Println(first[0].XML() == all[0].XML())
+	a, err := first[0].XML()
+	if err != nil {
+		log.Fatal(err)
+	}
+	b, err := all[0].XML()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(a == b)
 	// Output:
 	// 2 1
 	// true

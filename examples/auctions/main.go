@@ -74,7 +74,11 @@ func main() {
 	if err != nil || len(results) == 0 {
 		log.Fatal("no auction results")
 	}
-	external, err := xmltree.ParseString(results[0].XML())
+	xml, err := results[0].XML()
+	if err != nil {
+		log.Fatal(err)
+	}
+	external, err := xmltree.ParseString(xml)
 	if err != nil {
 		log.Fatal(err)
 	}

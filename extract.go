@@ -84,14 +84,18 @@ type corpusData struct {
 }
 
 // rankedBackend is what serves one corpus generation: the serving layer's
-// corpus interface plus the corpus-wide statistics ranking reads.
-// *shard.Corpus and *remote.Router are the two implementations.
+// corpus interface plus the corpus-wide statistics ranking reads and the
+// keyword completion Suggest reads. *shard.Corpus and *remote.Router are the
+// two implementations.
 type rankedBackend interface {
 	serve.Backend
 	// Count returns a keyword's corpus-wide document frequency.
 	Count(keyword string) int
 	// TotalElements returns the corpus's element count.
 	TotalElements() int
+	// CompletePrefix returns up to k keywords starting with prefix, most
+	// frequent first.
+	CompletePrefix(prefix string, k int) []string
 }
 
 // backend returns the generation's serving side.
@@ -637,6 +641,13 @@ func LoadString(s string, opts ...Option) (*Corpus, error) {
 	return Load(strings.NewReader(s), opts...)
 }
 
+// ErrResultGone is the error a remote corpus's result returns from its tree
+// accessors (Result.Root, XML, Render, Internal; Corpus.Snippet) when no
+// shard server still serves the generation that answered the query: the
+// tier moved on — a reload — between the answer and the read. The tree is
+// never read from another generation; query again for the new one's.
+var ErrResultGone = remote.ErrResultGone
+
 // ErrRemoteCorpus rejects an operation that needs local corpus data —
 // whole-document access, index persistence, or in-process reload — on a
 // corpus connected to a remote serving tier, which holds only the
@@ -649,9 +660,10 @@ var ErrRemoteCorpus = errors.New("extract: operation requires local corpus data 
 // analysis image are read; the shard images stay with the servers), and
 // groups lists the replica addresses of
 // each shard-server group (groups[g] are peers serving the same placement
-// subset; see cmd/extractd's -shard-server mode). Queries, snippets and
-// ranking behave exactly as on a local corpus — the router pins answers
-// byte-identical — and the serving layer (cache, deadlines, worker pool)
+// subset; see cmd/extractd's -shard-server mode). Queries, snippets,
+// ranking and Suggest behave exactly as on a local corpus — the router pins
+// answers byte-identical, and a result's tree is fetched when first read
+// (see Result) — and the serving layer (cache, deadlines, worker pool)
 // applies unchanged, so only the WithWorkers, WithQueryCache,
 // WithQueryTimeout, WithMaxInFlight and WithSlowQueryLog load options are
 // meaningful. Operations that need
@@ -704,15 +716,11 @@ func LoadFiles(paths []string, opts ...Option) (*Corpus, error) {
 
 // Suggest returns up to k indexed keywords starting with prefix, most
 // frequent first — query autocompletion. Across several shards the
-// per-shard completions merge, re-ranked by corpus-wide frequency.
+// per-shard completions merge, re-ranked by corpus-wide frequency; a remote
+// corpus asks a shard server, which answers the same list (or none, when
+// no replica answers).
 func (c *Corpus) Suggest(prefix string, k int) []string {
-	d := c.data.Load()
-	if d.rt != nil {
-		// Completion needs the local vocabulary, which lives with the
-		// shard servers; a remote corpus has no suggestions.
-		return nil
-	}
-	return d.gen.Corpus.CompletePrefix(prefix, k)
+	return c.data.Load().backend().CompletePrefix(prefix, k)
 }
 
 // FromDocument analyzes an already-parsed document as a one-shard corpus.
@@ -791,10 +799,12 @@ func (c *Corpus) Stats() Stats {
 	d := c.data.Load()
 	if d.rt != nil {
 		// Only what the analysis artifacts and the (remote) corpus-wide
-		// counters can answer; node-level statistics stay with the data.
-		cls := d.rt.Analysis().Cls
+		// counters can answer, both of one generation; node-level
+		// statistics stay with the data.
+		analysis, elements := d.rt.Stats()
+		cls := analysis.Cls
 		return Stats{
-			Elements:    d.rt.TotalElements(),
+			Elements:    elements,
 			Entities:    cls.Entities(),
 			Attributes:  cls.Attributes(),
 			Connections: cls.Connections(),
@@ -858,15 +868,28 @@ func WithRanking() SearchOption {
 
 // Result is one query result: a tree rooted at the result's anchor entity.
 // It is a read-only view of the corpus document, shared with the query
-// cache and with every other caller the same answer is replayed to, and it
-// keeps the corpus generation that answered it reachable for as long as it
-// is held — across reloads too. On a remote corpus the tree is built from the
-// result's wire encoding the first time Root, XML, Render, Internal or
-// Corpus.Snippet asks for it, once for every holder; Size and Score never
-// need it.
+// cache and with every other caller the same answer is replayed to, and on
+// a local corpus it keeps the corpus generation that answered it reachable
+// for as long as it is held — across reloads too; its tree accessors never
+// fail there.
+//
+// On a remote corpus a result arrives without its tree: Size and Score
+// never need it, and the first of RootContext, Root, XML, Render, Internal
+// or Corpus.Snippet to ask fetches it — with the trees of every result of
+// the same answer, in one call per shard-server group, the groups asked at
+// once, once for every holder — from a shard server still serving the
+// generation that answered. A result held while the tier moves to another
+// generation can therefore no longer be read: its tree accessors return
+// ErrResultGone, never a tree of the new generation. They fail, too, when no
+// replica answers in time: RootContext within its context, the others
+// within a bounded internal timeout.
 type Result struct {
 	r     *search.Result
 	score float64
+
+	// The served answer r belongs to, whose trees are built together
+	// (serve.Cached.Trees); nil for a result no server answered (XPath).
+	v *serve.Cached
 }
 
 // Score returns the relevance score assigned by WithRanking (0 otherwise).
@@ -880,17 +903,53 @@ func (r *Result) Size() int { return r.r.Size() }
 // and on a remote corpus), so its nodes must never be mutated, and Root's
 // Parent, Ord, Start and End are those of the enclosing document —
 // Parent may lead out of the result. Copy with xmltree.DeepCopy to get a
-// detached tree to edit.
-func (r *Result) Root() *xmltree.Node { return r.r.Tree().Root }
+// detached tree to edit. Only a remote result's Root can fail (see Result).
+func (r *Result) Root() (*xmltree.Node, error) {
+	return r.RootContext(context.Background())
+}
+
+// RootContext is Root honoring ctx: on a remote corpus, a tree fetch that
+// outlasts ctx stops and returns the context's error.
+func (r *Result) RootContext(ctx context.Context) (*xmltree.Node, error) {
+	tree, err := r.tree(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return tree.Root, nil
+}
 
 // XML serializes the result tree.
-func (r *Result) XML() string { return xmltree.XMLString(r.Root()) }
+func (r *Result) XML() (string, error) {
+	root, err := r.Root()
+	if err != nil {
+		return "", err
+	}
+	return xmltree.XMLString(root), nil
+}
 
 // Render draws the result tree as ASCII art.
-func (r *Result) Render() string { return xmltree.RenderASCII(r.Root()) }
+func (r *Result) Render() (string, error) {
+	root, err := r.Root()
+	if err != nil {
+		return "", err
+	}
+	return xmltree.RenderASCII(root), nil
+}
 
 // Internal exposes the underlying search result, with its tree, for tools.
-func (r *Result) Internal() *search.Result { return r.r.Tree() }
+func (r *Result) Internal() (*search.Result, error) { return r.tree(context.Background()) }
+
+// tree returns the result with its tree. A deferred result of a served
+// answer is built through the server, which builds the whole answer's trees
+// and charges them to its cache entry.
+func (r *Result) tree(ctx context.Context) (*search.Result, error) {
+	if _, deferred := r.r.Retained(); deferred && r.v != nil {
+		if _, err := r.v.Trees(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return r.r.Tree(ctx)
+}
 
 // Search evaluates a conjunctive keyword query and returns the results.
 // Double-quoted spans in the query are phrase terms. Results come in
@@ -919,11 +978,11 @@ func (c *Corpus) SearchContext(ctx context.Context, query string, opts ...Search
 	if cfg.ranked {
 		// Ranking sorts in place, so it works on a private copy.
 		rs = append([]*search.Result(nil), rs...)
-		scores = scorerFor(v.Backend).Sort(rs, queryTermKeys(query))
+		scores = scorerFor(v.Backend).Sort(rs, search.TermKeys(query))
 	}
 	out := make([]*Result, len(rs))
 	for i, r := range rs {
-		out[i] = &Result{r: r}
+		out[i] = &Result{r: r, v: v}
 		if scores != nil {
 			out[i].score = scores[i]
 		}
@@ -941,16 +1000,6 @@ func scorerFor(b serve.Backend) *rank.Scorer {
 	// fetches them from the serving tier), so a scorer is cheap to build.
 	rb := b.(rankedBackend)
 	return rank.NewScorerFunc(rb.Count, rb.TotalElements())
-}
-
-// queryTermKeys returns the canonical term strings ranking scores against.
-func queryTermKeys(query string) []string {
-	terms := search.ParseQuery(query)
-	keys := make([]string, len(terms))
-	for i, t := range terms {
-		keys[i] = t.String()
-	}
-	return keys
 }
 
 // SnippetOption configures snippet generation.
@@ -1028,13 +1077,18 @@ func (s *Snippet) ReturnEntities() []string { return s.g.IList.ReturnEntities }
 // Internal exposes the underlying generation artifacts for tools.
 func (s *Snippet) Internal() *core.Generated { return s.g }
 
-// Snippet generates a snippet for one search result.
-func (c *Corpus) Snippet(r *Result, query string, bound int, opts ...SnippetOption) *Snippet {
+// Snippet generates a snippet for one search result. It reads the result's
+// tree, so on a remote corpus it fails as Result.Root does.
+func (c *Corpus) Snippet(r *Result, query string, bound int, opts ...SnippetOption) (*Snippet, error) {
+	tree, err := r.tree(context.Background())
+	if err != nil {
+		return nil, err
+	}
 	g := core.NewGenerator(c.analysis())
 	for _, o := range opts {
 		o(g)
 	}
-	return &Snippet{g: g.ForResult(r.r.Tree(), query, bound)}
+	return &Snippet{g: g.ForResult(tree, query, bound)}, nil
 }
 
 // SnippetForTree generates a snippet for a result tree produced by an
@@ -1049,8 +1103,8 @@ func (c *Corpus) SnippetForTree(result *xmltree.Document, query string, bound in
 }
 
 // Hit pairs a search result with its snippet. Both are shared and
-// read-only, and a held Hit pins the corpus generation that produced it
-// (see Result).
+// read-only, and on a local corpus a held Hit pins the corpus generation
+// that produced it (see Result).
 type Hit struct {
 	Result  *Result
 	Snippet *Snippet
@@ -1083,13 +1137,13 @@ func (c *Corpus) QueryContext(ctx context.Context, query string, bound int, opts
 	hits := make([]*Hit, len(v.Results))
 	for i, r := range v.Results {
 		hits[i] = &Hit{
-			Result:  &Result{r: r},
+			Result:  &Result{r: r, v: v},
 			Snippet: &Snippet{g: v.Snippets[i]},
 		}
 	}
 	if cfg.ranked {
 		scorer := scorerFor(v.Backend)
-		keys := queryTermKeys(query)
+		keys := search.TermKeys(query)
 		for _, h := range hits {
 			h.Result.score = scorer.Score(h.Result.r, keys)
 		}

@@ -157,8 +157,8 @@ func TestExactSelectionOption(t *testing.T) {
 	if err != nil || len(rs) == 0 {
 		t.Fatalf("search: %v", err)
 	}
-	g := c.Snippet(rs[0], "suit man", 4)
-	e := c.Snippet(rs[0], "suit man", 4, WithExactSelection())
+	g := must(c.Snippet(rs[0], "suit man", 4))
+	e := must(c.Snippet(rs[0], "suit man", 4, WithExactSelection()))
 	if len(e.Covered()) < len(g.Covered()) {
 		t.Errorf("exact %v < greedy %v", e.Covered(), g.Covered())
 	}

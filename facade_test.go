@@ -10,6 +10,15 @@ import (
 	"extract/xmltree"
 )
 
+// must returns v, panicking on err: for the tree accessors of results a test
+// expects to read (a local result's never fail).
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestXPathSelection(t *testing.T) {
 	c, err := LoadString(`
 <retailers>
@@ -32,7 +41,7 @@ func TestXPathSelection(t *testing.T) {
 		t.Fatalf("results = %d", len(rs))
 	}
 	// The selected subtree feeds the snippet generator like any result.
-	s := c.Snippet(rs[0], "houston retailer", 4)
+	s := must(c.Snippet(rs[0], "houston retailer", 4))
 	if s.ResultKey() != "Brook Brothers" {
 		t.Errorf("key = %q", s.ResultKey())
 	}
@@ -76,12 +85,12 @@ func TestSnippetOfViewBelowEntity(t *testing.T) {
 		t.Fatalf("results = %d (%v)", len(rs), err)
 	}
 	view := rs[0]
-	if p := view.Root().Parent; p == nil || p.Label != "part" {
+	if p := must(view.Root()).Parent; p == nil || p.Label != "part" {
 		t.Fatalf("result root parent = %v, want the outer part", p)
 	}
-	detached := xmltree.NewDocument(xmltree.DeepCopy(view.Root()))
+	detached := xmltree.NewDocument(xmltree.DeepCopy(must(view.Root())))
 	for bound := 0; bound <= 6; bound++ {
-		got := c.Snippet(view, "name", bound)
+		got := must(c.Snippet(view, "name", bound))
 		want := c.SnippetForTree(detached, "name", bound)
 		if got.XML() != want.XML() {
 			t.Errorf("bound %d: view snippet %s, detached copy %s", bound, got.XML(), want.XML())

@@ -17,7 +17,7 @@ type heldHit struct {
 }
 
 func (h heldHit) check(t *testing.T, when string) {
-	if got := h.hit.Result.XML(); got != h.result {
+	if got := must(h.hit.Result.XML()); got != h.result {
 		t.Errorf("%s: held result changed\nwas %s\nnow %s", when, h.result, got)
 	}
 	if got := h.hit.Snippet.XML(); got != h.snippet {
@@ -61,7 +61,7 @@ func TestHeldHitsAreImmutable(t *testing.T) {
 	var held []heldHit
 	hold := func(hits []*Hit) {
 		for _, h := range hits {
-			held = append(held, heldHit{h, h.Result.XML(), h.Snippet.XML(), h.Snippet.ResultKey()})
+			held = append(held, heldHit{h, must(h.Result.XML()), h.Snippet.XML(), h.Snippet.ResultKey()})
 		}
 	}
 	for _, q := range queries {
@@ -79,7 +79,7 @@ func TestHeldHitsAreImmutable(t *testing.T) {
 		t.Fatalf("xpath: %d results, %v", len(xs), err)
 	}
 	for _, r := range xs {
-		hold([]*Hit{{Result: r, Snippet: c.Snippet(r, "store city", 6)}})
+		hold([]*Hit{{Result: r, Snippet: must(c.Snippet(r, "store city", 6))}})
 	}
 	if len(held) < 50 {
 		t.Fatalf("only %d hits held", len(held))
@@ -110,7 +110,7 @@ func TestHeldHitsAreImmutable(t *testing.T) {
 		t.Fatalf("delta reload %+v: want shards adopted and a shard rebuilt", stats)
 	}
 	hits, err := c.Query(rootQuery, 8)
-	if err != nil || len(hits) != 1 || hits[0].Result.Root().Label != "retailers" {
+	if err != nil || len(hits) != 1 || must(hits[0].Result.Root()).Label != "retailers" {
 		t.Fatalf("root query after the reload: %d hits, %v", len(hits), err)
 	}
 	var querying sync.WaitGroup

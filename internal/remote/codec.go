@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"sort"
@@ -559,8 +560,8 @@ func (v *validated) buildNodes(syms *xmltree.Symbols) []*xmltree.Node {
 
 // --- results ---
 
-// matchKeywords returns r's match keywords in the order the wire carries
-// them: sorted.
+// matchKeywords returns r's match keywords in the order a tree record
+// carries them: sorted.
 func matchKeywords(r *search.Result) []string {
 	kws := make([]string, 0, len(r.Matches))
 	for kw := range r.Matches {
@@ -570,14 +571,15 @@ func matchKeywords(r *search.Result) []string {
 	return kws
 }
 
-// appendResultKeywords encodes one result's tree record losslessly: the
-// result tree in preorder (labels, values, attribute origin, child counts),
-// the LCA's position within it, and the match positions of each keyword of
-// kws. Positions are preorder ordinals relative to the result root, so the
-// decoder (scanResult, buildResult) rebuilds an identical finalized tree and
-// re-resolves them. A view is encoded straight from the source document's
-// nodes, nothing copied.
-func appendResultKeywords(b []byte, r *search.Result, kws []string) []byte {
+// appendResult encodes one result's tree record losslessly: the result tree
+// in preorder (labels, values, attribute origin, child counts), the LCA's
+// position within it, and the match positions of each match keyword, in
+// sorted order. Positions are preorder ordinals relative to the result root,
+// so the decoder (scanResult, buildResult) rebuilds an identical finalized
+// tree and re-resolves them. A view is encoded straight from the source
+// document's nodes, nothing copied.
+func appendResult(b []byte, r *search.Result) []byte {
+	kws := matchKeywords(r)
 	nodes := r.Doc.Nodes()
 	b = binary.AppendUvarint(b, uint64(len(nodes)))
 	for _, n := range nodes {
@@ -634,41 +636,28 @@ func appendResultKeywords(b []byte, r *search.Result, kws []string) []byte {
 	return b
 }
 
-// scanned is one result of a decoded response: validated, not yet built.
-// Decoding is split in two because the merge keeps a fraction of what the
-// shards ship (shard.MergeTake decides from the counts alone): the scan
-// applies every check to every shipped result and allocates nothing, and
-// only the results that win are taken (take) — which cannot fail.
-//
-// The ranges alias the payload they were scanned from, which outlives the
-// exchange: the connection is back in its pool — possibly reading its next
-// frame — before they are taken. So a payload is never a connection's read
-// buffer; the query holds it (routedRounds.hold) until its answer has copied
-// out everything it keeps, and only then returns it to the frame pool.
-type scanned struct {
-	enc     []byte // the tree record (appendResult's encoding)
-	nodes   int    // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
-	matches int    // offset within enc of the LCA ordinal, where the match section starts
-	depths  []byte // one uvarint per match keyword: its least match depth + 1, 0 = no match
-	snippet []byte // the snippet record; nil when the response carries none
+// treeRecord is one scanned tree record (appendResult's encoding):
+// its validated range and its node count.
+type treeRecord struct {
+	enc   []byte
+	nodes int // 1 ≤ nodes ≤ maxTreeNodes
 }
 
-// minResultBytes is the shortest encoded shipped result (a childless root with
-// an empty label, no LCA, no matches, no snippet); it bounds a claimed result
-// count by the payload that would have to carry it.
-const minResultBytes = 6
+// minTreeBytes is the shortest tree record (a childless root with an empty
+// label, no LCA, no match keywords); it bounds a claimed tree count by the
+// payload that would have to carry it.
+const minTreeBytes = 6
 
 // scanResult validates one tree record in place and returns its range.
 // Everything buildResult reads is checked here — counts against their caps,
 // the tree's shape, every ordinal and string length — so a malformed payload
 // fails the exchange (and fails over) before anything is allocated for it.
-func (c *cursor) scanResult() scanned {
+func (c *cursor) scanResult() treeRecord {
 	start := c.off
 	total := c.scanTree("result")
 	if c.err != nil {
-		return scanned{}
+		return treeRecord{}
 	}
-	matches := c.off - start
 	if lca := c.uvarint("lca ordinal"); lca > uint64(total) {
 		c.fail("lca ordinal %d out of range", lca-1)
 	}
@@ -683,56 +672,14 @@ func (c *cursor) scanResult() scanned {
 		}
 	}
 	if c.err != nil {
-		return scanned{}
+		return treeRecord{}
 	}
-	return scanned{enc: c.data[start:c.off:c.off], nodes: total, matches: matches}
+	return treeRecord{enc: c.data[start:c.off:c.off], nodes: total}
 }
 
-// shipped scans one shipped result: its tree record, the depth of each match
-// keyword (every depth lies inside the tree), and — in a snippeted response —
-// its snippet record.
-func (c *cursor) shipped(snippeted bool) scanned {
-	s := c.scanResult()
-	if c.err != nil {
-		return scanned{}
-	}
-	v := validated{text: unsafeString(s.enc), off: s.matches}
-	v.uvarint() // lca
-	start := c.off
-	for nkw := v.uvarint(); nkw > 0 && c.err == nil; nkw-- {
-		if d := c.uvarint("match depth"); d > uint64(s.nodes) {
-			c.fail("match depth %d outside a %d-node tree", d-1, s.nodes)
-		}
-	}
-	s.depths = c.data[start:c.off:c.off]
-	if snippeted {
-		s.snippet = c.scanSnippet()
-	}
-	if c.err != nil {
-		return scanned{}
-	}
-	return s
-}
-
-// appendShipped encodes one result as a response ships it: its tree record,
-// the least depth below the anchor of each match keyword's matches (the one
-// number rank.Scorer reads; search.Result.MatchDepth, which a deferred result
-// answers from), and its snippet when g is non-nil.
-func appendShipped(b []byte, r *search.Result, g *core.Generated) []byte {
-	kws := matchKeywords(r)
-	b = appendResultKeywords(b, r, kws)
-	for _, kw := range kws {
-		d, ok := r.MatchDepth(kw)
-		if !ok {
-			d = -1
-		}
-		b = binary.AppendUvarint(b, uint64(d+1))
-	}
-	if g != nil {
-		b = appendSnippet(b, g)
-	}
-	return b
-}
+// build materializes the record on a copy of its bytes, which the built tree
+// is the only holder of.
+func (t treeRecord) build() *search.Result { return buildResult(string(t.enc)) }
 
 // buildResult materializes a scanned tree record as a finalized document of
 // its own (buildNodes, then xmltree.AdoptFinalized). Every label, value and
@@ -764,62 +711,139 @@ func buildResult(enc string) *search.Result {
 	return r
 }
 
-// take turns a winning range into the deferred result the router answers
-// with. It keeps its own copy of the tree record — not of the frame, which
-// also carries every result the merge dropped, and every snippet — and the
-// per-keyword match depths ranking reads, keywords as substrings of that
-// copy; the tree is built from the copy the first time something reads it.
-// A result of a whole-document answer is the exception (inFrame): every
-// result of that frame is taken, so the frame is the answer's own encodings
-// and the result keeps its range of it, uncopied — a whole-document result
-// is megabytes.
-func (s scanned) take(inFrame bool) *search.Result {
-	enc := unsafeString(s.enc)
-	if !inFrame {
-		enc = string(s.enc)
+// unsafeString views b as a string without copying: for reading a range the
+// scan has validated.
+func unsafeString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// wholeShard is the shard of a handle into the whole document (the
+// whole-document round's results).
+const wholeShard = -1
+
+// handle locates one shipped result where it was evaluated: its shard, or
+// wholeShard, and its anchor's and LCA's preorder positions in that document.
+// With the query, the options and the generation, it is all a server needs to
+// rebuild the result (search.Engine.ResultAt).
+type handle struct {
+	shard, anchor, lca int32
+}
+
+// scanned is one shipped result of a decoded eval or full response:
+// validated, not yet taken. Decoding is split in two because the merge keeps
+// a fraction of what the shards ship (shard.MergeTake decides from the counts
+// alone): the scan applies every check to every shipped result and allocates
+// nothing, and only the results that win are taken (take) — which cannot
+// fail.
+//
+// The ranges alias the payload they were scanned from, which outlives the
+// exchange: the connection is back in its pool — possibly reading its next
+// frame — before they are taken. So a payload is never a connection's read
+// buffer; the query holds it (routedRounds.hold) until its answer has copied
+// out everything it keeps, and only then returns it to the frame pool.
+type scanned struct {
+	at      handle
+	nodes   int    // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
+	depths  []byte // one uvarint per query term: its least match depth + 1, 0 = no match
+	snippet []byte // the snippet record; nil when the response carries none
+}
+
+// minResultBytes is the shortest shipped result (node count, anchor and LCA
+// positions, no terms, no snippet); it bounds a claimed result count by the
+// payload that would have to carry it.
+const minResultBytes = 3
+
+// appendShipped encodes one result as an eval or full response ships it: its
+// node count and its handle's positions (anchor, then LCA, in the document
+// that answered), the least depth below the anchor of each query term's
+// matches, in the order of terms (the one number rank.Scorer reads;
+// search.Result.MatchDepth, which a deferred result answers from), and its
+// snippet when g is non-nil. Its tree is not shipped: a reader fetches it by
+// handle (msgTrees).
+func appendShipped(b []byte, r *search.Result, g *core.Generated, terms []string) []byte {
+	b = binary.AppendUvarint(b, uint64(r.Size()+1))
+	b = binary.AppendUvarint(b, uint64(r.Anchor.Ord))
+	b = binary.AppendUvarint(b, uint64(r.LCA.Ord))
+	for _, kw := range terms {
+		d, ok := r.MatchDepth(kw)
+		if !ok {
+			d = -1
+		}
+		b = binary.AppendUvarint(b, uint64(d+1))
 	}
-	v := validated{text: enc, off: s.matches}
-	v.uvarint() // lca
-	nkw := v.uvarint()
+	if g != nil {
+		b = appendSnippet(b, g)
+	}
+	return b
+}
+
+// shipped scans one result shipped by shard (wholeShard in a full response)
+// for a query of terms terms: its node count, an anchor at or above its LCA,
+// one match depth a term, every depth inside the tree, and — in a snippeted
+// response — its snippet record.
+func (c *cursor) shipped(snippeted bool, shard int32, terms int) scanned {
+	nodes := c.count("tree node", maxTreeNodes)
+	anchor := c.uvarint("anchor position")
+	lca := c.uvarint("lca position")
+	if c.err == nil && nodes == 0 {
+		c.fail("empty result tree")
+	}
+	if c.err == nil && (lca > math.MaxInt32 || anchor > lca) {
+		c.fail("anchor position %d is not at or above lca position %d", anchor, lca)
+	}
+	start := c.off
+	for i := 0; i < terms && c.err == nil; i++ {
+		if d := c.uvarint("match depth"); d > uint64(nodes) {
+			c.fail("match depth %d outside a %d-node tree", d-1, nodes)
+		}
+	}
+	s := scanned{at: handle{shard: shard, anchor: int32(anchor), lca: int32(lca)}, nodes: nodes, depths: c.data[start:c.off:c.off]}
+	if snippeted {
+		s.snippet = c.scanSnippet()
+	}
+	if c.err != nil {
+		return scanned{}
+	}
+	return s
+}
+
+// take turns the winning range at position i of an answer into the deferred
+// result the router answers with: its size, its match depths — keyed by the
+// answer's own term keys, so nothing of the frame is kept — and its handle,
+// recorded in the answer's trees, which fetch its tree the first time
+// something reads it.
+func (s scanned) take(at *answerTrees, i int) *search.Result {
 	var depths []search.KeywordDepth
 	dep := validated{text: unsafeString(s.depths)}
-	for ; nkw > 0; nkw-- {
-		kw := v.str()
-		for n := v.uvarint(); n > 0; n-- {
-			v.uvarint()
-		}
+	for _, kw := range at.terms {
 		if d := dep.uvarint(); d > 0 {
 			depths = append(depths, search.KeywordDepth{Keyword: kw, Depth: d - 1})
 		}
 	}
-	retained := deferredOverhead + len(enc) + cap(depths)*int(unsafe.Sizeof(search.KeywordDepth{}))
-	return search.Defer(s.nodes, retained, depths, func() *search.Result { return buildResult(enc) })
+	at.handles[i] = s.at
+	retained := deferredOverhead + cap(depths)*int(unsafe.Sizeof(search.KeywordDepth{}))
+	return search.Defer(s.nodes, retained, depths, func(ctx context.Context) (*search.Result, error) { return at.tree(ctx, i) })
 }
 
-// deferredOverhead is what a taken result holds besides its encoding and
-// depths: the search.Result, its pending state and the build closure.
-const deferredOverhead = 192
-
-// unsafeString views b as a string without copying: for reading a range the
-// scan has validated, or for keeping a range of a frame nothing writes again.
-func unsafeString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+// deferredOverhead is what a taken result holds besides its depths: the
+// search.Result, its pending state, the build closure, its handle and its
+// share of the answer's trees.
+const deferredOverhead = 224
 
 // appendResults encodes one shipped result list; gs is nil, or aligned with
 // rs in a snippeted response.
-func appendResults(b []byte, rs []*search.Result, gs []*core.Generated) []byte {
+func appendResults(b []byte, rs []*search.Result, gs []*core.Generated, terms []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rs)))
 	for i, r := range rs {
 		var g *core.Generated
 		if gs != nil {
 			g = gs[i]
 		}
-		b = appendShipped(b, r, g)
+		b = appendShipped(b, r, g, terms)
 	}
 	return b
 }
 
 // results scans one result list: one slice per list, nothing per result.
-func (c *cursor) results(snippeted bool) []scanned {
+func (c *cursor) results(snippeted bool, shard int32, terms int) []scanned {
 	n := c.count("result", maxWireResults)
 	if n > (len(c.data)-c.off)/minResultBytes {
 		c.fail("result count %d exceeds the payload that would carry it", n)
@@ -829,7 +853,7 @@ func (c *cursor) results(snippeted bool) []scanned {
 	}
 	rs := make([]scanned, 0, n)
 	for i := 0; i < n; i++ {
-		r := c.shipped(snippeted)
+		r := c.shipped(snippeted, shard, terms)
 		if c.err != nil {
 			return nil
 		}
@@ -1001,8 +1025,11 @@ type shardAnswer struct {
 }
 
 // evalAnswer is what a shard server computed for one eval request, before
-// encoding. snippeted says every shipped result carries its snippet.
+// encoding: terms are the query's term keys (search.TermKeys), which a shipped
+// result's match depths follow. snippeted says every shipped result carries
+// its snippet.
 type evalAnswer struct {
+	terms     []string
 	snippeted bool
 	shards    []shardAnswer
 }
@@ -1016,13 +1043,13 @@ func appendEvalResp(b []byte, a evalAnswer) []byte {
 	for _, s := range a.shards {
 		b = binary.AppendUvarint(b, uint64(s.shard))
 		b = appendDigest(b, s.digest)
-		b = appendResults(b, s.results, s.snippets)
+		b = appendResults(b, s.results, s.snippets, a.terms)
 	}
 	return b
 }
 
 // shardResp is one shard's share of a decoded evaluation response: the
-// router-side mirror of shardAnswer, its results scanned but not built.
+// router-side mirror of shardAnswer, its results scanned but not taken.
 type shardResp struct {
 	shard   uint32
 	digest  shard.Digest
@@ -1034,7 +1061,8 @@ type evalResp struct {
 	shards    []shardResp
 }
 
-func decodeEvalResp(body []byte) (evalResp, error) {
+// decodeEvalResp scans an eval response to a query of terms terms.
+func decodeEvalResp(body []byte, terms int) (evalResp, error) {
 	c := &cursor{data: body}
 	var r evalResp
 	r.snippeted = c.u8("snippeted flag") != 0
@@ -1044,7 +1072,10 @@ func decodeEvalResp(body []byte) (evalResp, error) {
 		var s shardResp
 		s.shard = uint32(c.uvarint("shard index"))
 		s.digest = c.digest()
-		s.results = c.results(r.snippeted)
+		if c.err == nil && s.shard >= maxWireShards {
+			c.fail("shard index %d exceeds cap %d", s.shard, maxWireShards)
+		}
+		s.results = c.results(r.snippeted, int32(s.shard), terms)
 		if c.err != nil {
 			return r, c.err
 		}
@@ -1061,18 +1092,145 @@ type fullResp struct {
 }
 
 // appendFullResp appends a full response body: snippeted (u8), then the
-// results; gs is nil, or aligned with rs.
-func appendFullResp(b []byte, rs []*search.Result, gs []*core.Generated) []byte {
+// results, their match depths following terms; gs is nil, or aligned with
+// rs.
+func appendFullResp(b []byte, rs []*search.Result, gs []*core.Generated, terms []string) []byte {
 	b = append(b, boolByte(gs != nil))
-	return appendResults(b, rs, gs)
+	return appendResults(b, rs, gs, terms)
 }
 
-func decodeFullResp(body []byte) (fullResp, error) {
+// decodeFullResp scans a full response to a query of terms terms.
+func decodeFullResp(body []byte, terms int) (fullResp, error) {
 	c := &cursor{data: body}
 	var r fullResp
 	r.snippeted = c.u8("snippeted flag") != 0
-	r.results = c.results(r.snippeted)
+	r.results = c.results(r.snippeted, wholeShard, terms)
 	return r, c.done()
+}
+
+// --- trees ---
+
+// treesReq asks a server for the trees of some results of one answer: the
+// answer's query and options, the reader's remaining time (0 = none), the
+// fingerprint of the generation that answered it, and the results' handles.
+type treesReq struct {
+	opts          search.Options
+	query         string
+	timeoutMillis uint64
+	fingerprint   uint64
+	handles       []handle
+}
+
+// encodeTreesReq encodes a trees request: options, query, timeout, then
+// fingerprint (u64), then per handle its shard + 1 (0 = the whole document)
+// and its anchor and LCA positions.
+func encodeTreesReq(r treesReq) []byte {
+	b := appendOptions(nil, r.opts)
+	b = appendString(b, r.query)
+	b = binary.AppendUvarint(b, r.timeoutMillis)
+	b = binary.LittleEndian.AppendUint64(b, r.fingerprint)
+	b = binary.AppendUvarint(b, uint64(len(r.handles)))
+	for _, h := range r.handles {
+		b = binary.AppendUvarint(b, uint64(h.shard+1))
+		b = binary.AppendUvarint(b, uint64(h.anchor))
+		b = binary.AppendUvarint(b, uint64(h.lca))
+	}
+	return b
+}
+
+func decodeTreesReq(data []byte) (treesReq, error) {
+	c := &cursor{data: data}
+	var r treesReq
+	r.opts = c.options()
+	r.query = c.str("query")
+	r.timeoutMillis = c.uvarint("timeout")
+	r.fingerprint = c.u64("fingerprint")
+	n := c.count("handle", maxWireResults)
+	if c.err == nil && n > (len(c.data)-c.off)/3 {
+		c.fail("handle count %d exceeds the payload that would carry it", n)
+	}
+	if c.err != nil {
+		return r, c.err
+	}
+	r.handles = make([]handle, 0, n)
+	for i := 0; i < n && c.err == nil; i++ {
+		sh := c.uvarint("handle shard")
+		anchor, lca := c.uvarint("anchor position"), c.uvarint("lca position")
+		if sh > maxWireShards || anchor > math.MaxInt32 || lca > math.MaxInt32 {
+			c.fail("handle (shard %d, anchor %d, lca %d) out of range", int64(sh)-1, anchor, lca)
+		}
+		r.handles = append(r.handles, handle{shard: int32(sh) - 1, anchor: int32(anchor), lca: int32(lca)})
+	}
+	return r, c.done()
+}
+
+// appendTreesResp appends a trees response body: one tree record
+// (appendResult) per requested handle, in request order.
+func appendTreesResp(b []byte, rs []*search.Result) []byte {
+	b = binary.AppendUvarint(b, uint64(len(rs)))
+	for _, r := range rs {
+		b = appendResult(b, r)
+	}
+	return b
+}
+
+// decodeTreesResp scans a trees response's tree records.
+func decodeTreesResp(body []byte) ([]treeRecord, error) {
+	c := &cursor{data: body}
+	n := c.count("tree", maxWireResults)
+	if c.err == nil && n > len(c.data)/minTreeBytes {
+		c.fail("tree count %d exceeds the payload that would carry it", n)
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	trees := make([]treeRecord, 0, n)
+	for i := 0; i < n && c.err == nil; i++ {
+		trees = append(trees, c.scanResult())
+	}
+	return trees, c.done()
+}
+
+// --- completion ---
+
+type completeReq struct {
+	prefix string
+	k      int
+}
+
+func encodeCompleteReq(r completeReq) []byte {
+	return binary.AppendUvarint(appendString(nil, r.prefix), uint64(r.k))
+}
+
+func decodeCompleteReq(data []byte) (completeReq, error) {
+	c := &cursor{data: data}
+	var r completeReq
+	r.prefix = c.str("prefix")
+	r.k = c.count("completion", maxWireResults)
+	return r, c.done()
+}
+
+// appendCompleteResp appends a completion response body: the keywords, most
+// frequent first.
+func appendCompleteResp(b []byte, kws []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(kws)))
+	for _, kw := range kws {
+		b = appendString(b, kw)
+	}
+	return b
+}
+
+func decodeCompleteResp(body []byte) ([]string, error) {
+	c := &cursor{data: body}
+	n := c.count("completion", maxWireResults)
+	if c.err == nil && n > len(c.data) {
+		c.fail("completion count %d exceeds the payload that would carry it", n)
+	}
+	var kws []string
+	for i := 0; i < n && c.err == nil; i++ {
+		kws = append(kws, c.str("completion"))
+	}
+	return kws, c.done()
 }
 
 // --- stats ---
@@ -1137,6 +1295,7 @@ const (
 	errKindPanic
 	errKindInternal
 	errKindBadShard
+	errKindSkew // a trees request for a generation the server no longer serves
 )
 
 type errMsg struct {
@@ -1154,7 +1313,7 @@ func decodeErrMsg(data []byte) (errMsg, error) {
 	var e errMsg
 	e.kind = errKind(c.u8("error kind"))
 	e.msg = c.str("error message")
-	if e.kind < errKindEmptyQuery || e.kind > errKindBadShard {
+	if e.kind < errKindEmptyQuery || e.kind > errKindSkew {
 		c.fail("unknown error kind %d", e.kind)
 	}
 	return e, c.done()

@@ -174,15 +174,6 @@ func sameResult(want, got *search.Result) error {
 	return nil
 }
 
-// appendResult encodes one result's tree record, keywords in wire order.
-func appendResult(b []byte, r *search.Result) []byte {
-	return appendResultKeywords(b, r, matchKeywords(r))
-}
-
-// build materializes a scanned tree record, as a taken result's first
-// reader does.
-func (s scanned) build() *search.Result { return buildResult(string(s.enc)) }
-
 // codecAnswers evaluates a query × options matrix on small sharded corpora
 // through a shard server's own evaluate, so the codec tests and the fuzz
 // seeds work on exactly what a server ships: views at non-zero offsets of
@@ -264,8 +255,10 @@ func syntheticResults() map[string]*search.Result {
 		xmltree.Elem("name", xmltree.Txt("Levis")),
 		xmltree.Elem("city", xmltree.Txt("Houston")),
 		xmltree.Elem("state", xmltree.Txt("Texas"))))
-	city, state := src.Root.Children[1], src.Root.Children[2]
-	proj := xmltree.Project(src.Root, func(n *xmltree.Node) bool { return !city.ContainsOrSelf(n) })
+	name, city, state := src.Root.Children[0], src.Root.Children[1], src.Root.Children[2]
+	proj := xmltree.ProjectSet(src.Root, map[*xmltree.Node]bool{
+		name: true, name.Children[0]: true, state: true, state.Children[0]: true,
+	})
 	out["projection that dropped lca and matches"] = &search.Result{
 		Root: proj, Doc: xmltree.NewDocument(proj), Anchor: src.Root, LCA: city,
 		Matches: map[string][]*xmltree.Node{
@@ -276,8 +269,8 @@ func syntheticResults() map[string]*search.Result {
 	return out
 }
 
-// scanOne scans an encoding that holds exactly one result.
-func scanOne(t *testing.T, enc []byte) scanned {
+// scanOne scans an encoding that holds exactly one tree record.
+func scanOne(t *testing.T, enc []byte) treeRecord {
 	t.Helper()
 	c := &cursor{data: enc}
 	s := c.scanResult()
@@ -429,11 +422,12 @@ func TestBuildAllocatesPerChunkNotPerNode(t *testing.T) {
 
 // TestScanAllocatesNothingPerResult: decoding a response scans every result
 // and allocates per shard list only — a response full of results the merge
-// will drop costs the same allocations as one with almost none.
+// will drop costs the same allocations as one with almost none. A trees
+// response, likewise, allocates its record list and nothing per tree.
 func TestScanAllocatesNothingPerResult(t *testing.T) {
 	r := wideResult(40)
 	response := func(perShard int) []byte {
-		var a evalAnswer
+		a := evalAnswer{terms: []string{"leaf", "branch"}}
 		for s := uint32(0); s < 3; s++ {
 			sa := shardAnswer{shard: s, digest: shard.Digest{Matched: []bool{true}, HasNonRootLCAs: true}}
 			for i := 0; i < perShard; i++ {
@@ -446,7 +440,7 @@ func TestScanAllocatesNothingPerResult(t *testing.T) {
 	allocs := func(perShard int) float64 {
 		data := response(perShard)
 		return testing.AllocsPerRun(20, func() {
-			resp, err := decodeEvalResp(data)
+			resp, err := decodeEvalResp(data, 2)
 			if err != nil || len(resp.shards[2].results) != perShard {
 				t.Fatalf("decode: %v", err)
 			}
@@ -454,6 +448,21 @@ func TestScanAllocatesNothingPerResult(t *testing.T) {
 	}
 	if few, many := allocs(1), allocs(200); few != many {
 		t.Fatalf("scan allocations grow with results: %v for 3 results, %v for 600", few, many)
+	}
+	trees := func(n int) float64 {
+		rs := make([]*search.Result, n)
+		for i := range rs {
+			rs[i] = r
+		}
+		data := appendTreesResp(nil, rs)
+		return testing.AllocsPerRun(20, func() {
+			if recs, err := decodeTreesResp(data); err != nil || len(recs) != n {
+				t.Fatalf("decode: %d trees, %v", len(recs), err)
+			}
+		})
+	}
+	if one, many := trees(1), trees(300); one != many {
+		t.Fatalf("trees scan allocations grow with trees: %v for 1, %v for 300", one, many)
 	}
 }
 
@@ -541,18 +550,51 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 			t.Errorf("%s: err = %v, want a *ProtocolError", tc.name, err)
 		}
 		// The same record behind a valid result in a snippeted response.
-		body := cat([]byte{1}, uv(1), uv(0), []byte{0, 0}, uv(1), uv(1), node(0, "r", 0), uv(0), uv(0), tc.rec)
-		if _, err := decodeEvalResp(body); !errors.As(err, &pe) {
+		body := cat([]byte{1}, uv(1), uv(0), []byte{0, 0}, uv(1), uv(1), uv(0), uv(0), tc.rec)
+		if _, err := decodeEvalResp(body, 0); !errors.As(err, &pe) {
 			t.Errorf("%s inside a response: err = %v, want a *ProtocolError", tc.name, err)
 		}
 	}
+	// A shipped result is its node count, its handle's anchor and LCA
+	// positions and one match depth a term; each malformed one is refused, in
+	// an eval response and in a full one.
+	valid = cat(uv(3), uv(0), uv(1), uv(3))
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+	}{
+		{"valid", valid},
+		{"no nodes", cat(uv(0), uv(0), uv(0), uv(1))},
+		{"node count over cap", cat(uv(maxTreeNodes+1), uv(0), uv(0), uv(1))},
+		{"anchor below the lca", cat(uv(3), uv(5), uv(4), uv(1))},
+		{"lca past int32", cat(uv(3), uv(0), uv(math.MaxInt32+1), uv(1))},
+		{"depth outside the tree", cat(uv(3), uv(0), uv(1), uv(4))},
+		{"missing depth", cat(uv(3), uv(0), uv(1))},
+		{"trailing bytes", cat(valid, []byte{7})},
+	} {
+		eval := cat([]byte{0}, uv(1), uv(0), []byte{0, 0}, uv(1), tc.rec)
+		_, evalErr := decodeEvalResp(eval, 1)
+		_, fullErr := decodeFullResp(cat([]byte{0}, uv(1), tc.rec), 1)
+		var pe *ProtocolError
+		for _, err := range []error{evalErr, fullErr} {
+			if tc.name == "valid" {
+				if err != nil {
+					t.Fatalf("the valid shipped result does not scan: %v", err)
+				}
+			} else if !errors.As(err, &pe) {
+				t.Errorf("shipped result, %s: err = %v, want a *ProtocolError", tc.name, err)
+			}
+		}
+	}
+
 	// Every cut of a real snippeted response is refused, the cuts inside its
 	// snippet records included.
 	var real []byte
+	terms := 0
 	for _, a := range codecAnswers(t) {
 		if a.snippeted && len(a.shards) > 0 {
 			if body := appendEvalResp(nil, a); len(body) > len(real) && len(body) < 8192 {
-				real = body
+				real, terms = body, len(a.terms)
 			}
 		}
 	}
@@ -561,7 +603,7 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	}
 	for cut := 0; cut < len(real); cut++ {
 		var pe *ProtocolError
-		if _, err := decodeEvalResp(real[:cut]); !errors.As(err, &pe) {
+		if _, err := decodeEvalResp(real[:cut], terms); !errors.As(err, &pe) {
 			t.Fatalf("snippeted response cut at %d of %d: err = %v", cut, len(real), err)
 		}
 	}
@@ -571,14 +613,14 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	hostile := []byte{0, 1, 0, 0, 0} // not snippeted; one shard: index 0, no digest bits
 	hostile = binary.AppendUvarint(hostile, maxWireResults)
 	var pe *ProtocolError
-	if _, err := decodeEvalResp(hostile); !errors.As(err, &pe) {
+	if _, err := decodeEvalResp(hostile, 1); !errors.As(err, &pe) {
 		t.Fatalf("hostile result count: err = %v", err)
 	}
 	// In bytes, not allocations: the slice would be one allocation of 32 MB,
 	// and the error path's own few differ by one under the race detector.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _ = decodeEvalResp(hostile)
+	_, _ = decodeEvalResp(hostile, 1)
 	runtime.ReadMemStats(&after)
 	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<10 {
 		t.Fatalf("hostile result count costs %d bytes", n)
@@ -601,7 +643,7 @@ func chainEncoding(depth int) []byte {
 // arena from Σ depths (16 × maxTreeNodes ints). Nothing in build depends on
 // depth any more, so a chain past that bound scans, builds to the tree the
 // reference decoder produces, and decodes inside a response; the node cap is
-// the only size bound left.
+// the only size bound left, in a trees response too.
 func TestScanBoundsDeweyArena(t *testing.T) {
 	const depth = 11_600
 	enc := chainEncoding(depth)
@@ -621,9 +663,8 @@ func TestScanBoundsDeweyArena(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp := []byte{0, 1, 0, 0, 0, 1} // not snippeted; one shard, no digest bits; one result
-	if _, err := decodeEvalResp(append(resp, enc...)); err != nil {
-		t.Fatalf("response carrying the chain: %v", err)
+	if _, err := decodeTreesResp(append([]byte{1}, enc...)); err != nil {
+		t.Fatalf("trees response carrying the chain: %v", err)
 	}
 }
 
@@ -707,7 +748,14 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 			return decode(body)
 		}
 	}
-	full := appendFullResp(nil, results, snippets)
+	full := appendFullResp(nil, results, snippets, eval.terms)
+	handles := make([]handle, n)
+	for i := range handles {
+		handles[i] = handle{shard: int32(i) - 1, anchor: int32(i), lca: int32(2 * i)}
+	}
+	trees := treesReq{opts: search.Options{Mode: search.ModeXSeek}, query: "store texas", timeoutMillis: 250, fingerprint: 7}
+	treesAfterCount := len(encodeTreesReq(trees)) - 1 + uvarintLen(uint64(n))
+	trees.handles = handles
 	req := evalReq{opts: search.Options{MaxResults: 9}, query: "store texas", timeoutMillis: 250, bound: 6}
 	fullReq := encodeEvalReq(req)
 	reqAfterCount := len(fullReq) - 2 + uvarintLen(uint64(n))
@@ -718,9 +766,17 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 		{"full request", appendTraceID(fullReq, 42), 0,
 			func(b []byte) error { _, err := decodeEvalReq(b); return err }},
 		{"eval response", respond(appendEvalResp(nil, eval)), 0,
-			behind(func(b []byte) error { _, err := decodeEvalResp(b); return err })},
+			behind(func(b []byte) error { _, err := decodeEvalResp(b, len(eval.terms)); return err })},
 		{"full response", respond(full), 0,
-			behind(func(b []byte) error { _, err := decodeFullResp(b); return err })},
+			behind(func(b []byte) error { _, err := decodeFullResp(b, len(eval.terms)); return err })},
+		{"trees request", encodeTreesReq(trees), treesAfterCount,
+			func(b []byte) error { _, err := decodeTreesReq(b); return err }},
+		{"trees response", respond(appendTreesResp(nil, results)), 0,
+			behind(func(b []byte) error { _, err := decodeTreesResp(b); return err })},
+		{"complete request", encodeCompleteReq(completeReq{prefix: "sto", k: 10}), 0,
+			func(b []byte) error { _, err := decodeCompleteReq(b); return err }},
+		{"complete response", respond(appendCompleteResp(nil, keywords)), respHeaderLen + uvarintLen(uint64(n)),
+			behind(func(b []byte) error { _, err := decodeCompleteResp(b); return err })},
 		{"stats request", encodeStatsReq(statsReq{keywords: keywords}), uvarintLen(uint64(n)),
 			func(b []byte) error { _, err := decodeStatsReq(b); return err }},
 		{"stats response", respond(appendStatsResp(nil, statsResp{totalElements: 99, counts: counts})), respHeaderLen + 1 + uvarintLen(uint64(n)),

@@ -96,14 +96,15 @@ func (c *wireConn) roundTrip(t msgType, payload, buf []byte) (msgType, []byte, e
 	return readFrameInto(c.br, buf)
 }
 
-// maxPooledFrame bounds the response payloads framePool keeps: a
-// whole-document answer's megabytes are left to the collector.
+// maxPooledFrame bounds the response payloads framePool keeps: the
+// megabytes of a whole-document result's tree are left to the collector.
 const maxPooledFrame = 1 << 20
 
 // framePool recycles the router's response payloads. A payload is released
-// (putFrame) as soon as nothing aliases it: at once for the small answers
-// decoded in full, and at the end of a query for the eval and full answers
-// whose scanned ranges live until the query has copied out what it keeps.
+// (putFrame) as soon as nothing aliases it: at once for the answers decoded
+// in full — statistics, completions, trees, whose records are copied — and
+// at the end of a query for the eval and full answers whose scanned ranges
+// live until the query has copied out what it keeps.
 var framePool sync.Pool // of *[]byte
 
 func getFrame() []byte {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"slices"
@@ -56,10 +57,23 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frameBytes(4, msgHello, retiredGreeting))
 	f.Add(frameBytes(4, msgEval, appendTraceID(evalPayload, 42)))
 	f.Add(frameBytes(4, v4Ping, nil))
+	// Retired wire v5: its empty greeting, an eval request, and an eval
+	// response whose result carries its tree record.
+	f.Add(frameBytes(5, msgHello, nil))
+	f.Add(frameBytes(5, msgEval, appendTraceID(evalPayload, 42)))
+	f.Add(frameBytes(5, msgEvalResp, append(appendRespHeader(nil, 7), v5EvalResp...)))
 	f.Add(frameBytes(wireVersion, msgFull, appendTraceID(encodeEvalReq(evalReq{query: "xml keyword", bound: 6}), 42)))
 	f.Add(frameBytes(wireVersion, msgStats, encodeStatsReq(statsReq{keywords: []string{"a", "b"}})))
 	f.Add(frameBytes(wireVersion, msgStatsResp, appendStatsResp(appendRespHeader(nil, 7), statsResp{totalElements: 9, counts: []uint64{3}})))
 	f.Add(frameBytes(wireVersion, msgError, encodeErrMsg(errMsg{kind: errKindPanic, msg: "boom"})))
+	f.Add(frameBytes(wireVersion, msgError, encodeErrMsg(errMsg{kind: errKindSkew, msg: "moved"})))
+	f.Add(frameBytes(wireVersion, msgTrees, encodeTreesReq(treesReq{
+		opts: search.Options{DistinctAnchors: true}, query: "xml keyword", timeoutMillis: 900, fingerprint: 7,
+		handles: []handle{{shard: 0, anchor: 3, lca: 5}, {shard: wholeShard, anchor: 0, lca: 0}},
+	})))
+	f.Add(frameBytes(wireVersion, msgTreesResp, appendTreesResp(appendRespHeader(nil, 7), []*search.Result{syntheticResults()["attributes and multi-byte text"]})))
+	f.Add(frameBytes(wireVersion, msgComplete, encodeCompleteReq(completeReq{prefix: "xm", k: 5})))
+	f.Add(frameBytes(wireVersion, msgCompleteResp, appendCompleteResp(appendRespHeader(nil, 7), []string{"xml", "xmlns"})))
 	f.Add(frameBytes(wireVersion+1, msgHello, nil)) // version skew
 	f.Add(frameBytes(wireVersion, msgType(200), nil))
 	f.Add([]byte("XR"))               // truncated header
@@ -88,13 +102,19 @@ func FuzzFrame(f *testing.F) {
 		switch mt {
 		case msgEval, msgFull:
 			_, _ = decodeEvalReq(payload)
-		case msgEvalResp, msgFullResp, msgStatsResp:
+		case msgTrees:
+			_, _ = decodeTreesReq(payload)
+		case msgComplete:
+			_, _ = decodeCompleteReq(payload)
+		case msgEvalResp, msgFullResp, msgStatsResp, msgTreesResp, msgCompleteResp:
 			_, _, body, err := decodeRespHeader(payload)
 			if err != nil {
 				return
 			}
-			_, _ = decodeEvalResp(body)
-			_, _ = decodeFullResp(body)
+			_, _ = decodeEvalResp(body, 2)
+			_, _ = decodeFullResp(body, 2)
+			_, _ = decodeTreesResp(body)
+			_, _ = decodeCompleteResp(body)
 			_, _ = decodeStatsResp(body)
 		case msgStats:
 			_, _ = decodeStatsReq(payload)
@@ -104,33 +124,45 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// FuzzEvalRespDecode aims the fuzzer straight at the deepest decoder — the
-// scan of shipped results, their tree records, depths and snippet records —
-// without requiring the fuzzer to first learn the frame checksum. The seeds
-// carry real result trees (views, projections, attribute nodes, multi-byte
-// text) and real snippets, so mutation starts inside the node and IList
-// records. Whatever the scan accepts must take, build and snippet without
-// panicking, and build to exactly what the frozen reference decoder makes of
-// the same bytes.
+// v5EvalResp is a retired v5 eval response body: not snippeted, one shard
+// (index 0, no digest bits), one result shipped as its tree record — one
+// childless "r" node, no LCA, no match keywords — and no depths.
+var v5EvalResp = []byte{0, 1, 0, 0, 0, 1, 1, 0, 1, 'r', 0, 0, 0}
+
+// FuzzEvalRespDecode aims the fuzzer straight at the deepest decoders
+// without requiring it to first learn the frame checksum: the scan of an
+// eval response's shipped results — handles, depths and snippet records — for
+// a query of terms terms, and the scan of a trees response's tree records.
+// The seeds carry real answers and real trees (views, projections, attribute
+// nodes, multi-byte text) and real snippets, so mutation starts inside the
+// records. Whatever the eval scan accepts must take and snippet without
+// panicking; whatever the trees scan accepts must build to exactly what the
+// frozen reference decoder makes of the same bytes.
 func FuzzEvalRespDecode(f *testing.F) {
-	f.Add(appendEvalResp(nil, evalAnswer{}))
-	f.Add(appendEvalResp(nil, evalAnswer{snippeted: true}))
-	f.Add([]byte{0, 1, 0, 0, 0, 1})
-	f.Add([]byte{0, 1, 0, 8}) // a v3 prefilter-skipped shard: refused
-	seeded, snippeted := 0, 0
+	f.Add(uint8(0), appendEvalResp(nil, evalAnswer{}))
+	f.Add(uint8(1), appendEvalResp(nil, evalAnswer{snippeted: true}))
+	f.Add(uint8(1), []byte{0, 1, 0, 0, 0, 1, 1, 0, 0, 1})
+	f.Add(uint8(0), []byte{0, 1, 0, 8}) // a v3 prefilter-skipped shard: refused
+	f.Add(uint8(0), v5EvalResp)         // a v5 shipped tree record: refused
+	seeded, snippeted, trees := 0, 0, 0
+	// Small inputs only: the fuzzer minimizes every interesting input, and a
+	// 100 KB seed eats a ten-second CI budget doing it.
+	const maxSeed = 4096
 	seed := func(a evalAnswer) {
-		results := 0
+		var rs []*search.Result
 		for _, s := range a.shards {
-			results += len(s.results)
+			rs = append(rs, s.results...)
 		}
-		// Small responses only: the fuzzer minimizes every interesting
-		// input, and a 100 KB seed eats a ten-second CI budget doing it.
-		if body := appendEvalResp(nil, a); results > 0 && len(body) <= 4096 {
-			f.Add(body)
+		if body := appendEvalResp(nil, a); len(rs) > 0 && len(body) <= maxSeed {
+			f.Add(uint8(len(a.terms)), body)
 			seeded++
 			if a.snippeted {
 				snippeted++
 			}
+		}
+		if body := appendTreesResp(nil, rs); len(rs) > 0 && len(body) <= maxSeed {
+			f.Add(uint8(len(a.terms)), body)
+			trees++
 		}
 	}
 	for _, a := range codecAnswers(f) {
@@ -139,50 +171,65 @@ func FuzzEvalRespDecode(f *testing.F) {
 		// its first shard's share with results, alone, much less often.
 		if a.snippeted && len(a.shards) > 1 {
 			if i := slices.IndexFunc(a.shards, func(s shardAnswer) bool { return len(s.results) > 0 }); i >= 0 {
-				seed(evalAnswer{snippeted: true, shards: a.shards[i : i+1]})
+				seed(evalAnswer{terms: a.terms, snippeted: true, shards: a.shards[i : i+1]})
 			}
 		}
 	}
-	if seeded < 20 || snippeted < 10 {
-		f.Fatalf("only %d seeds carry result trees, %d of them snippets", seeded, snippeted)
+	if seeded < 20 || snippeted < 10 || trees < 20 {
+		f.Fatalf("only %d seeds carry shipped results, %d of them snippets, and %d carry trees", seeded, snippeted, trees)
 	}
 	for name, r := range syntheticResults() {
 		if name != "deep chain" {
-			f.Add(appendEvalResp(nil, evalAnswer{shards: []shardAnswer{{results: []*search.Result{r}}}}))
+			f.Add(uint8(0), appendTreesResp(nil, []*search.Result{r}))
 		}
 	}
 	// A chain deep enough to work the scan's slot stack, small enough to seed.
-	f.Add(append([]byte{0, 1, 0, 0, 0, 1}, chainEncoding(300)...))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		resp, err := decodeEvalResp(data)
-		if err != nil {
-			var pe *ProtocolError
+	f.Add(uint8(0), append([]byte{1}, chainEncoding(300)...))
+	f.Fuzz(func(t *testing.T, terms uint8, data []byte) {
+		var pe *ProtocolError
+		if resp, err := decodeEvalResp(data, int(terms)); err != nil {
 			if !errors.As(err, &pe) {
-				t.Fatalf("unclassified decode error %T: %v", err, err)
+				t.Fatalf("unclassified eval decode error %T: %v", err, err)
+			}
+		} else {
+			keys := make([]string, terms)
+			for i := range keys {
+				keys[i] = fmt.Sprint("t", i)
+			}
+			for _, sh := range resp.shards {
+				at := &answerTrees{terms: keys, handles: make([]handle, len(sh.results))}
+				for i, s := range sh.results {
+					taken := s.take(at, i)
+					if taken.Size() != s.nodes-1 || at.handles[i] != s.at || at.handles[i].shard != int32(sh.shard) {
+						t.Fatalf("taken result: size %d of %d nodes, handle %+v of %+v", taken.Size(), s.nodes, at.handles[i], s.at)
+					}
+					for _, kw := range keys {
+						if d, ok := taken.MatchDepth(kw); ok && d >= s.nodes {
+							t.Fatalf("match depth %d in a %d-node tree", d, s.nodes)
+						}
+					}
+					if s.snippet != nil {
+						if g := buildSnippet(s.snippet, nil, 0); g.Snippet.Edges >= subtreeSize(g.Snippet.Root) {
+							t.Fatalf("snippet of %d nodes built with %d edges", subtreeSize(g.Snippet.Root), g.Snippet.Edges)
+						}
+					}
+				}
+			}
+		}
+		recs, err := decodeTreesResp(data)
+		if err != nil {
+			if !errors.As(err, &pe) {
+				t.Fatalf("unclassified trees decode error %T: %v", err, err)
 			}
 			return
 		}
-		for _, sh := range resp.shards {
-			for _, s := range sh.results {
-				want, err := referenceResult(s.enc)
-				if err != nil {
-					t.Fatalf("scan accepted what the reference decoder rejects: %v", err)
-				}
-				if err := sameResult(want, s.build()); err != nil {
-					t.Fatal(err)
-				}
-				taken := s.take(false)
-				if err := sameResult(want, taken.Tree()); err != nil {
-					t.Fatalf("taken result: %v", err)
-				}
-				if taken.Size() != want.Size() {
-					t.Fatalf("taken result has size %d, its tree %d", taken.Size(), want.Size())
-				}
-				if s.snippet != nil {
-					if g := buildSnippet(s.snippet, nil, 0); g.Snippet.Edges >= subtreeSize(g.Snippet.Root) {
-						t.Fatalf("snippet of %d nodes built with %d edges", subtreeSize(g.Snippet.Root), g.Snippet.Edges)
-					}
-				}
+		for _, rec := range recs {
+			want, err := referenceResult(rec.enc)
+			if err != nil {
+				t.Fatalf("scan accepted what the reference decoder rejects: %v", err)
+			}
+			if err := sameResult(want, rec.build()); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

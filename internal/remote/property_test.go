@@ -287,7 +287,9 @@ func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Rou
 			wantScores := scorerLocal.Sort(want, keys)
 			gotScores := scorerRemote.Sort(got, keys)
 			for i := range got {
-				got[i] = got[i].Tree()
+				if got[i], err = got[i].Tree(context.Background()); err != nil {
+					t.Fatalf("%s: tree %d: %v", label, i, err)
+				}
 			}
 			for i := range want {
 				w := xmltree.XMLString(want[i].Root)

@@ -23,8 +23,9 @@ import (
 // (they are separate processes in production). The linearizability property
 // under re-placement: every successful answer is byte-identical to one of
 // the two generations' local answers (the fingerprint echo forbids mixing
-// shards across generations within one query), and every failure is a
-// classified error. Run under -race in CI.
+// shards across generations within one query, and a tree is fetched only from
+// the generation that answered), and every failure — of the query or of a
+// tree read — is a classified error. Run under -race in CI.
 func TestRouterReplacementRace(t *testing.T) {
 	mkA := func() *xmltree.Document { return gen.Movies(gen.MoviesConfig{Movies: 10, Seed: 5}) }
 	mkB := func() *xmltree.Document { return gen.Movies(gen.MoviesConfig{Movies: 12, Seed: 9}) }
@@ -57,13 +58,17 @@ func TestRouterReplacementRace(t *testing.T) {
 	defer rt.Close()
 
 	opts := search.Options{DistinctAnchors: true}
-	render := func(rs []*search.Result) string {
+	render := func(rs []*search.Result) (string, error) {
 		var b strings.Builder
 		for _, r := range rs {
-			b.WriteString(xmltree.XMLString(r.Tree().Root))
+			tree, err := r.Tree(context.Background())
+			if err != nil {
+				return "", err
+			}
+			b.WriteString(xmltree.XMLString(tree.Root))
 			b.WriteByte('\n')
 		}
-		return b.String()
+		return b.String(), nil
 	}
 	// Queries drawn from both generations' vocabularies; per query, pin the
 	// local answer under each generation (either may legitimately be empty).
@@ -84,7 +89,8 @@ func TestRouterReplacementRace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("baseline B %q: %v", q, err)
 		}
-		wantA[q], wantB[q] = render(ra), render(rb)
+		wantA[q], _ = render(ra)
+		wantB[q], _ = render(rb)
 	}
 
 	swapTo := func(next *ingest.Generation) {
@@ -103,6 +109,11 @@ func TestRouterReplacementRace(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				q := queries[(id+i)%len(queries)]
 				rs, err := rt.SearchEnginesContext(ctx, q, opts, nil, nil)
+				var got string
+				if err == nil {
+					// A swap may land between the answer and its trees.
+					got, err = render(rs)
+				}
 				if err != nil {
 					var re *RemoteError
 					if !errors.As(err, &re) && !errors.Is(err, search.ErrEmptyQuery) &&
@@ -112,7 +123,7 @@ func TestRouterReplacementRace(t *testing.T) {
 					}
 					continue
 				}
-				if got := render(rs); got != wantA[q] && got != wantB[q] {
+				if got != wantA[q] && got != wantB[q] {
 					t.Errorf("answer for %q matches neither generation:\n%s", q, got)
 					return
 				}
@@ -140,8 +151,11 @@ func TestRouterReplacementRace(t *testing.T) {
 	for _, q := range queries {
 		for {
 			rs, err := rt.SearchEnginesContext(ctx, q, opts, nil, nil)
-			if err == nil && render(rs) == wantA[q] {
-				break
+			if err == nil {
+				var got string
+				if got, err = render(rs); err == nil && got == wantA[q] {
+					break
+				}
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("query %q did not converge to generation A: %v", q, err)

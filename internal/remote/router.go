@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"slices"
 	"strconv"
@@ -65,10 +66,12 @@ func OwnedShards(src ingest.Source, group, groups int) []uint32 {
 }
 
 // placement is one immutable generation of the router's world view: the
-// shard→group assignment and the generation fingerprint every response
-// must echo. Reload swaps it atomically; queries in flight finish on the
-// placement they loaded.
+// snapshot's analysis, the shard→group assignment and the generation
+// fingerprint every response must echo. Reload swaps it atomically, so
+// whatever reads one placement — a query, Analysis, Source, the statistics —
+// sees one generation; queries in flight finish on the placement they loaded.
 type placement struct {
+	analysis    *core.Corpus
 	src         ingest.Source
 	fingerprint uint64
 	groupOf     []int
@@ -106,18 +109,14 @@ type group struct {
 // skips persistently dead replicas); only genuine query classifications —
 // empty query, cancellation, deadline — propagate.
 type Router struct {
-	analysis *core.Corpus
-	groups   []*group
-	all      []*replica // flat, for calls any replica can serve
-	allRR    atomic.Uint32
+	groups []*group
+	all    []*replica // flat, for calls any replica can serve
+	allRR  atomic.Uint32
 
 	place atomic.Pointer[placement]
 
 	reg     *telemetry.Registry
 	metrics *routerMetrics
-
-	mu     sync.Mutex
-	closed bool
 }
 
 // RouterOption configures NewRouter.
@@ -149,7 +148,7 @@ func NewRouter(analysis *core.Corpus, src ingest.Source, groups [][]string, opts
 	if len(groups) == 0 {
 		return nil, errors.New("remote: router needs at least one replica group")
 	}
-	rt := &Router{analysis: analysis}
+	rt := &Router{}
 	for _, addrs := range groups {
 		if len(addrs) == 0 {
 			return nil, errors.New("remote: empty replica group")
@@ -169,7 +168,7 @@ func NewRouter(analysis *core.Corpus, src ingest.Source, groups [][]string, opts
 		rt.reg = telemetry.NewRegistry()
 	}
 	rt.metrics = newRouterMetrics(rt.reg, len(rt.groups))
-	rt.Reload(src)
+	rt.place.Store(rt.newPlacement(analysis, src))
 	return rt, nil
 }
 
@@ -185,13 +184,19 @@ func OpenSnapshot(dir string, groups [][]string, opts ...RouterOption) (*Router,
 	return NewRouter(analysis, src, groups, opts...)
 }
 
-// Reload recomputes placement for a new snapshot generation and swaps it
-// in atomically. Queries already in flight finish against the old
-// placement — their responses' fingerprints still match it, so they are
-// internally consistent; the skew check only rejects mixing generations
-// within one query.
+// Reload recomputes placement for a new snapshot generation, keeping the
+// current analysis, and swaps it in atomically. Queries already in flight
+// finish against the old placement — their responses' fingerprints still
+// match it, so they are internally consistent; the skew check only rejects
+// mixing generations within one query.
 func (rt *Router) Reload(src ingest.Source) {
+	rt.place.Store(rt.newPlacement(rt.place.Load().analysis, src))
+}
+
+// newPlacement places src's shards over the router's groups.
+func (rt *Router) newPlacement(analysis *core.Corpus, src ingest.Source) *placement {
 	pl := &placement{
+		analysis:    analysis,
 		src:         src,
 		fingerprint: Fingerprint(src),
 		groupOf:     PlaceShards(src, len(rt.groups)),
@@ -201,22 +206,19 @@ func (rt *Router) Reload(src ingest.Source) {
 		pl.byGroup[g] = append(pl.byGroup[g], uint32(i))
 	}
 	pl.stats.df = make(map[string]int)
-	rt.place.Store(pl)
+	return pl
 }
 
 // ReloadSnapshot re-reads a snapshot directory's manifest and analysis and
-// swaps the router onto that generation — the router half of an online
-// reload (shard servers swap via Server.Swap). Source then reports the
-// identity that was placed.
+// swaps the router onto that generation, both in one step — the router half
+// of an online reload (shard servers swap via Server.Swap). Source then
+// reports the identity that was placed.
 func (rt *Router) ReloadSnapshot(dir string) error {
 	analysis, src, err := ingest.LoadHead(dir)
 	if err != nil {
 		return err
 	}
-	rt.mu.Lock()
-	rt.analysis = analysis
-	rt.mu.Unlock()
-	rt.Reload(src)
+	rt.place.Store(rt.newPlacement(analysis, src))
 	return nil
 }
 
@@ -230,9 +232,6 @@ func (rt *Router) Source() ingest.Source { return rt.place.Load().src }
 // Close severs every pooled connection; in-flight calls fail over and then
 // error out.
 func (rt *Router) Close() {
-	rt.mu.Lock()
-	rt.closed = true
-	rt.mu.Unlock()
 	for _, r := range rt.all {
 		r.close()
 	}
@@ -245,11 +244,7 @@ func (rt *Router) NumShards() int { return len(rt.place.Load().groupOf) }
 // classification and keys — what the facade's own snippet generation
 // (Corpus.Snippet) and its entity and key lookups read; served snippets are
 // the shard servers'.
-func (rt *Router) Analysis() *core.Corpus {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.analysis
-}
+func (rt *Router) Analysis() *core.Corpus { return rt.place.Load().analysis }
 
 // ctxTimeoutMillis converts ctx's deadline to the wire's timeout field
 // (0 = none), so shard servers stop evaluating queries the router has
@@ -402,6 +397,8 @@ func errKindClass(k errKind) string {
 		return ErrKindPanic
 	case errKindBadShard:
 		return ErrKindBadShard
+	case errKindSkew:
+		return ErrKindSkew
 	default:
 		return ErrKindInternal
 	}
@@ -422,6 +419,8 @@ func mapServerErr(addr string, e errMsg) (error, bool) {
 		return &RemoteError{Addr: addr, Kind: ErrKindPanic, Msg: e.msg}, true
 	case errKindBadShard:
 		return &RemoteError{Addr: addr, Kind: ErrKindBadShard, Msg: e.msg}, true
+	case errKindSkew:
+		return &RemoteError{Addr: addr, Kind: ErrKindSkew, Msg: e.msg}, true
 	default:
 		return &RemoteError{Addr: addr, Kind: ErrKindInternal, Msg: e.msg}, true
 	}
@@ -443,16 +442,18 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 // their index, by the same fan-out a local corpus runs (shard.Snippets), so
 // the snippets are the local ones too. Responses are validated as they arrive
 // — a malformed one fails over inside its hop — and only the results the
-// merge takes become answers: deferred results (take), whose trees are built
-// only when something reads one, and the snippets that arrived with them.
+// merge takes become answers: deferred results (take), which carry their
+// size, match depths and handle but no tree, and the snippets that arrived
+// with them. The first read of a tree fetches it (answerTrees).
 // run schedules the per-group fan-out, so the serving layer's worker pool
 // bounds remote concurrency exactly as it bounds local shard evaluation.
 func (rt *Router) Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	pl := rt.place.Load()
-	if len(pl.groupOf) == 0 || len(search.ParseQuery(query)) == 0 {
+	terms := search.TermKeys(query)
+	if len(pl.groupOf) == 0 || len(terms) == 0 {
 		return nil, nil, search.ErrEmptyQuery
 	}
-	r := &routedRounds{rt: rt, pl: pl, query: query, opts: opts, run: run, bound: max(bound, -1)}
+	r := &routedRounds{rt: rt, pl: pl, query: query, terms: len(terms), opts: opts, run: run, bound: max(bound, -1)}
 	defer r.release()
 	winners, err := shard.Merge(ctx, opts, r)
 	if err != nil {
@@ -464,8 +465,12 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 	rt.metrics.taken.Add(int64(len(winners)))
 	rt.metrics.dropped.Add(int64(r.shipped - len(winners)))
 	rs := make([]*search.Result, len(winners))
-	for i, w := range winners {
-		rs[i] = w.take(r.whole)
+	if len(winners) > 0 {
+		at := &answerTrees{rt: rt, pl: pl, query: query, opts: opts, terms: terms,
+			handles: make([]handle, len(winners)), trees: make([]*search.Result, len(winners))}
+		for i, w := range winners {
+			rs[i] = w.take(at, i)
+		}
 	}
 	if bound < 0 {
 		return rs, nil, nil
@@ -483,18 +488,18 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 // replica group, scheduled through run; round two is one call any replica
 // answers.
 // A result is a scanned byte range of the response that shipped it —
-// validated, counted, not built — because which results win is decided by
+// validated, counted, not taken — because which results win is decided by
 // the per-shard counts alone.
 type routedRounds struct {
 	rt    *Router
 	pl    *placement
 	query string
+	terms int // the query's term count, which every shipped result carries a depth for
 	opts  search.Options
 	run   shard.Runner
 	bound int // snippet bound the servers apply; -1 = search only
 
-	shipped int  // results scanned out of this query's responses
-	whole   bool // the answer is the whole-document round's
+	shipped int // results scanned out of this query's responses
 
 	// frames are the response payloads the scanned ranges alias, released
 	// to the frame pool once the answer has copied out what it keeps.
@@ -532,7 +537,7 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards, bound: r.bound})
 		tasks = append(tasks, func() {
 			errs[g] = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, pl.fingerprint, func(body []byte) error {
-				resp, err := decodeEvalResp(body)
+				resp, err := decodeEvalResp(body, r.terms)
 				if err != nil {
 					return err
 				}
@@ -568,14 +573,12 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 }
 
 // Whole asks any replica for the whole-document evaluation (every shard
-// server holds the full snapshot), snippeted when the query is. Its frame
-// is never released to the pool: the answer's results keep their ranges of
-// it (take).
+// server holds the full snapshot), snippeted when the query is.
 func (r *routedRounds) Whole(ctx context.Context) ([]scanned, error) {
 	var fr fullResp
 	payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx), bound: r.bound})
 	err := r.rt.groupCall(ctx, r.rt.all, &r.rt.allRR, "full", "any", msgFull, payload, msgFullResp, r.pl.fingerprint, func(body []byte) error {
-		resp, err := decodeFullResp(body)
+		resp, err := decodeFullResp(body, r.terms)
 		if err != nil {
 			return err
 		}
@@ -584,14 +587,157 @@ func (r *routedRounds) Whole(ctx context.Context) ([]scanned, error) {
 		}
 		fr = resp
 		return nil
-	}, func([]byte) {})
+	}, r.hold)
 	if err != nil {
 		return nil, err
 	}
-	r.whole = true
 	r.shipped += len(fr.results)
 	return fr.results, nil
 }
+
+// ErrResultGone is a routed result's tree read after every replica that could
+// serve it has moved off the generation that answered the query (a reload
+// between the answer and the read): the tree is never fetched from another
+// generation. The error wraps the replicas' last *RemoteError, of kind
+// ErrKindSkew.
+var ErrResultGone = errors.New("remote: result's generation is no longer served")
+
+// answerTrees is where one routed answer's trees come from: its query,
+// options, term keys and placement — the generation that answered — and
+// every taken result's handle. The first read of any tree fetches the trees
+// of every result of the answer at once: one trees call per replica group
+// holding some of them (the whole-document answer's to any replica), the
+// calls running concurrently, against the answer's fingerprint, not the
+// router's current placement. A group whose call fails is asked again by the
+// next read; the trees that did arrive are kept.
+type answerTrees struct {
+	rt      *Router
+	pl      *placement
+	query   string
+	opts    search.Options
+	terms   []string
+	handles []handle
+
+	mu     sync.Mutex
+	trees  []*search.Result // aligned with handles; nil until fetched
+	flight chan struct{}    // closed when the running fetch ends; nil when none runs
+}
+
+// group returns result i's replica group: an index into rt.groups, or
+// len(rt.groups) for the whole document's.
+func (at *answerTrees) group(i int) int {
+	if sh := at.handles[i].shard; sh != wholeShard {
+		return at.pl.groupOf[sh]
+	}
+	return len(at.rt.groups)
+}
+
+// tree returns result i's tree, fetching the answer's missing trees on the
+// first read. A reader waits for a fetch already running only as long as
+// its own ctx allows.
+func (at *answerTrees) tree(ctx context.Context, i int) (*search.Result, error) {
+	for {
+		at.mu.Lock()
+		if tree := at.trees[i]; tree != nil {
+			at.mu.Unlock()
+			return tree, nil
+		}
+		if f := at.flight; f != nil {
+			at.mu.Unlock()
+			select {
+			case <-f:
+				continue
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		f := make(chan struct{})
+		at.flight = f
+		missing := make([][]int, len(at.rt.groups)+1)
+		for k, tree := range at.trees {
+			if tree == nil {
+				g := at.group(k)
+				missing[g] = append(missing[g], k)
+			}
+		}
+		at.mu.Unlock()
+		err := at.fetch(ctx, missing)
+		at.mu.Lock()
+		at.flight = nil
+		tree := at.trees[i]
+		at.mu.Unlock()
+		close(f)
+		if err != nil && tree == nil {
+			return nil, err
+		}
+		return tree, nil
+	}
+}
+
+// fetch asks each group for the trees of the results listed under it, all
+// groups at once, and stores what arrives; it returns the first failure in
+// group order. ctx bounds the calls, and so does backgroundCallTimeout, for
+// a reader whose context has no deadline. The caller holds the flight, so
+// the slots written here are not read until it ends.
+func (at *answerTrees) fetch(ctx context.Context, missing [][]int) error {
+	ctx, cancel := context.WithTimeout(ctx, backgroundCallTimeout)
+	defer cancel()
+	errs := make([]error, len(missing))
+	var wg sync.WaitGroup
+	for g, idx := range missing {
+		if len(idx) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = at.fetchGroup(ctx, g, idx)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fetchGroup asks group g for the trees of results idx, and builds them.
+func (at *answerTrees) fetchGroup(ctx context.Context, g int, idx []int) error {
+	handles := make([]handle, len(idx))
+	for k, i := range idx {
+		handles[k] = at.handles[i]
+	}
+	rt := at.rt
+	replicas, rr, label := rt.all, &rt.allRR, "any"
+	if g < len(rt.groups) {
+		replicas, rr, label = rt.groups[g].replicas, &rt.groups[g].rr, strconv.Itoa(g)
+	}
+	payload := encodeTreesReq(treesReq{opts: at.opts, query: at.query, timeoutMillis: ctxTimeoutMillis(ctx), fingerprint: at.pl.fingerprint, handles: handles})
+	err := rt.groupCall(ctx, replicas, rr, "trees", label, msgTrees, payload, msgTreesResp, at.pl.fingerprint, func(body []byte) error {
+		recs, err := decodeTreesResp(body)
+		if err != nil {
+			return err
+		}
+		if len(recs) != len(idx) {
+			return protocolErrf("trees response carries %d trees for %d handles", len(recs), len(idx))
+		}
+		for k, rec := range recs {
+			at.trees[idx[k]] = rec.build()
+		}
+		return nil
+	}, nil)
+	var re *RemoteError
+	if errors.As(err, &re) && re.Kind == ErrKindSkew {
+		return fmt.Errorf("%w: %w", ErrResultGone, err)
+	}
+	return err
+}
+
+// backgroundCallTimeout bounds the calls made outside any query's context:
+// the statistics, tree and completion fetches.
+const backgroundCallTimeout = 10 * time.Second
 
 // shardEchoErr refuses a response that does not cover exactly the requested
 // shards, in order — a server echoing a different set (a buggy or skewed
@@ -601,10 +747,10 @@ func shardEchoErr(want []uint32) error {
 }
 
 // statsFor fetches (and caches, per generation) the corpus-wide ranking
-// statistics for one keyword. Any replica can answer; a failure returns
-// zero counts, degrading ranking for the query rather than failing it.
-func (rt *Router) statsFor(keyword string) (df, total int) {
-	pl := rt.place.Load()
+// statistics of placement pl for one keyword. Any replica on pl's generation
+// can answer; a failure returns zero counts, degrading ranking for the query
+// rather than failing it.
+func (rt *Router) statsFor(pl *placement, keyword string) (df, total int) {
 	pl.stats.Lock()
 	cachedDF, ok := pl.stats.df[keyword]
 	cachedTotal := pl.stats.total
@@ -612,7 +758,7 @@ func (rt *Router) statsFor(keyword string) (df, total int) {
 	if ok && cachedTotal > 0 {
 		return cachedDF, cachedTotal
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), backgroundCallTimeout)
 	defer cancel()
 	var sr statsResp
 	err := rt.groupCall(ctx, rt.all, &rt.allRR, "stats", "any", msgStats,
@@ -638,26 +784,65 @@ func (rt *Router) statsFor(keyword string) (df, total int) {
 	return df, total
 }
 
+// CompletePrefix returns up to k indexed keywords starting with prefix, most
+// frequent first: the corpus-wide completion (shard.Corpus.CompletePrefix),
+// which any replica answers. A failure returns no keywords, degrading the
+// suggestions rather than failing anything.
+func (rt *Router) CompletePrefix(prefix string, k int) []string {
+	if k <= 0 {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), backgroundCallTimeout)
+	defer cancel()
+	var kws []string
+	err := rt.groupCall(ctx, rt.all, &rt.allRR, "complete", "any", msgComplete,
+		encodeCompleteReq(completeReq{prefix: prefix, k: min(k, maxWireResults)}), msgCompleteResp, rt.place.Load().fingerprint, func(body []byte) error {
+			resp, err := decodeCompleteResp(body)
+			if err != nil {
+				return err
+			}
+			if len(resp) > k {
+				return protocolErrf("%d completions for k = %d", len(resp), k)
+			}
+			kws = resp
+			return nil
+		}, nil)
+	if err != nil {
+		return nil
+	}
+	return kws
+}
+
 // Count returns the corpus-wide document frequency of one keyword — the
 // ranking scorer's df input, fetched from the serving tier and cached per
 // generation.
 func (rt *Router) Count(keyword string) int {
-	df, _ := rt.statsFor(keyword)
+	df, _ := rt.statsFor(rt.place.Load(), keyword)
 	return df
 }
 
 // TotalElements returns the corpus-wide element count — the ranking
 // scorer's N, fetched from the serving tier and cached per generation.
 func (rt *Router) TotalElements() int {
-	_, total := rt.statsFor("")
+	_, total := rt.statsFor(rt.place.Load(), "")
 	return total
+}
+
+// Stats returns the analysis and the corpus-wide element count of one
+// generation, read from one placement — what a remote corpus's summary
+// reports, which must not pair one generation's classification with
+// another's totals.
+func (rt *Router) Stats() (analysis *core.Corpus, totalElements int) {
+	pl := rt.place.Load()
+	_, total := rt.statsFor(pl, "")
+	return pl.analysis, total
 }
 
 // routerMetrics pre-registers the router's telemetry series, labeled by
 // replica group so a sick group is attributable from metrics alone; see
 // OBSERVABILITY.md for the contract. Numbered groups carry the per-group
-// call kind (eval); the "any" pseudo-group carries the calls any replica may
-// serve (full, stats).
+// call kinds (eval, trees); the "any" pseudo-group carries the calls any
+// replica may serve (full, the whole document's trees, stats, complete).
 type routerMetrics struct {
 	calls     map[[3]string]*telemetry.Counter // kind, outcome, group
 	failovers map[string]*telemetry.Counter    // group
@@ -672,8 +857,8 @@ type routerMetrics struct {
 // groupCallKinds are the per-replica-group call kinds; anyCallKinds the
 // kinds served by any replica.
 var (
-	groupCallKinds = []string{"eval"}
-	anyCallKinds   = []string{"full", "stats"}
+	groupCallKinds = []string{"eval", "trees"}
+	anyCallKinds   = []string{"full", "trees", "stats", "complete"}
 )
 
 func newRouterMetrics(reg *telemetry.Registry, ngroups int) *routerMetrics {

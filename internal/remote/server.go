@@ -62,13 +62,13 @@ type serverState struct {
 
 // Server answers the wire protocol over one sharded corpus. It loads (or
 // is handed) the full snapshot — mmap'd images make the non-owned shards
-// nearly free — but evaluates queries only for the shard subset it owns;
-// whole-document and statistics calls are answerable by
-// any replica. A Server is safe for concurrent connections. The per-shard
-// evaluations and snippet tasks of every request run on one worker pool of
-// GOMAXPROCS workers (serve.Pool), with per-task panic isolation exactly like
-// the in-process path, so a burst of connections cannot multiply the
-// server's evaluation concurrency.
+// nearly free — but evaluates queries, and rebuilds their trees, only for
+// the shard subset it owns; whole-document, completion and statistics calls
+// are answerable by any replica. A Server is safe for concurrent
+// connections. The per-shard evaluations, snippet tasks and tree rebuilds of
+// every request run on one worker pool of GOMAXPROCS workers (serve.Pool),
+// with per-task panic isolation exactly like the in-process path, so a burst
+// of connections cannot multiply the server's evaluation concurrency.
 type Server struct {
 	tag     string // identity handed to faultinject.RemoteServe hooks
 	metrics *serverMetrics
@@ -321,9 +321,33 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 			return s.fail("full", stages, err)
 		}
 		t2 := time.Now()
-		resp := appendFullResp(appendRespHeader(enc, st.fingerprint), rs, gs)
+		resp := appendFullResp(appendRespHeader(enc, st.fingerprint), rs, gs, search.TermKeys(req.query))
 		stages.encodeNs = nanosSince(t2)
 		return s.respond("full", msgFullResp, resp, stages)
+	case msgTrees:
+		start := time.Now()
+		req, err := decodeTreesReq(payload)
+		stages := serverStages{decodeNs: nanosSince(start)}
+		if err != nil {
+			return s.fail("trees", stages, err)
+		}
+		t1 := time.Now()
+		rs, err := s.rebuild(st, req)
+		stages.evalNs = nanosSince(t1)
+		if err != nil {
+			return s.fail("trees", stages, err)
+		}
+		t2 := time.Now()
+		resp := appendTreesResp(appendRespHeader(enc, st.fingerprint), rs)
+		stages.encodeNs = nanosSince(t2)
+		return s.respond("trees", msgTreesResp, resp, stages)
+	case msgComplete:
+		req, err := decodeCompleteReq(payload)
+		if err != nil {
+			return s.fail("complete", serverStages{}, err)
+		}
+		kws := st.sc.CompletePrefix(req.prefix, req.k)
+		return s.respond("complete", msgCompleteResp, appendCompleteResp(appendRespHeader(enc, st.fingerprint), kws), serverStages{})
 	case msgStats:
 		req, err := decodeStatsReq(payload)
 		if err != nil {
@@ -362,6 +386,8 @@ func classifyServerErr(err error) errMsg {
 	var pe *shard.PanicError
 	var se *shardRangeError
 	switch {
+	case errors.Is(err, errSkew):
+		return errMsg{kind: errKindSkew, msg: err.Error()}
 	case errors.As(err, &se):
 		return errMsg{kind: errKindBadShard, msg: err.Error()}
 	case errors.Is(err, search.ErrEmptyQuery):
@@ -403,7 +429,7 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	if err != nil {
 		return evalAnswer{}, err
 	}
-	a := evalAnswer{shards: make([]shardAnswer, len(parts))}
+	a := evalAnswer{terms: search.TermKeys(req.query), shards: make([]shardAnswer, len(parts))}
 	rootAnchored := false
 	for i, p := range parts {
 		a.shards[i] = shardAnswer{shard: req.shards[i], digest: p.Digest, results: p.Results}
@@ -466,6 +492,71 @@ func (s *Server) fullEval(st *serverState, req evalReq) ([]*search.Result, []*co
 		return nil, nil, err
 	}
 	return rs, gs, nil
+}
+
+// rebuild answers a trees request: every handle's result, rebuilt on the
+// generation that answered the query (search.Engine.ResultAt) — the
+// fingerprint must be this server's, or the request is refused as skew, and a
+// shard handle must name a shard this replica owns. The handles of each
+// document are one task on the worker pool, like a shard's evaluation: its
+// engine resolves the query's posting lists once for all of them, and the
+// request's deadline is checked before each result. A whole handle reads the
+// reconstructed whole document, which any replica holds.
+func (s *Server) rebuild(st *serverState, req treesReq) ([]*search.Result, error) {
+	if req.fingerprint != st.fingerprint {
+		return nil, fmt.Errorf("%w: trees of generation %016x asked of generation %016x", errSkew, req.fingerprint, st.fingerprint)
+	}
+	bySource := make(map[int32][]int)
+	var order []int32
+	for i, h := range req.handles {
+		if _, ok := bySource[h.shard]; !ok {
+			if h.shard != wholeShard {
+				if err := requireOwned(st, int(h.shard)); err != nil {
+					return nil, err
+				}
+			}
+			order = append(order, h.shard)
+		}
+		bySource[h.shard] = append(bySource[h.shard], i)
+	}
+	ctx, cancel := reqContext(req.timeoutMillis)
+	defer cancel()
+	rs := make([]*search.Result, len(req.handles))
+	errs := make([]error, len(order))
+	tasks := make([]func(), len(order))
+	for k, sh := range order {
+		tasks[k] = func() {
+			var eng *search.Engine
+			if sh == wholeShard {
+				fb := st.sc.Fallback()
+				eng = search.NewEngine(fb.Doc, fb.Index, st.sc.Classification(), req.opts)
+			} else {
+				eng = st.sc.Shards()[sh].Engine(req.opts)
+			}
+			ev, err := eng.Lists(req.query)
+			for _, i := range bySource[sh] {
+				if err == nil {
+					err = ctx.Err()
+				}
+				if err != nil {
+					errs[k] = err
+					return
+				}
+				h := req.handles[i]
+				rs[i], err = eng.ResultAt(ev, int(h.anchor), int(h.lca))
+			}
+			errs[k] = err
+		}
+	}
+	if err := s.pool.Run(tasks); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rs, nil
 }
 
 // ownedShards validates a request's whole shard set, returning it as corpus

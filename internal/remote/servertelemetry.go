@@ -9,7 +9,7 @@ import (
 // serverCallKinds are the request kinds a shard server counts; one counter
 // per kind × outcome is pre-registered so the /metrics exposition is
 // structurally stable from the first scrape.
-var serverCallKinds = []string{"eval", "full", "stats"}
+var serverCallKinds = []string{"eval", "full", "trees", "stats", "complete"}
 
 // serverOutcomes label whether a request produced a response or a
 // classified error frame.

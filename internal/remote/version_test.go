@@ -61,7 +61,7 @@ func TestRoutedHopsReportServerStages(t *testing.T) {
 // retiredGreeting is a v4 greeting's payload — the served generation's
 // fingerprint (u64 7), then uvarint shard count 3 and the owned shard list
 // {0, 1, 2} — which the retired-version cases send at every old version. A
-// v5 greeting is an empty frame.
+// v5 or v6 greeting is an empty frame.
 var retiredGreeting = []byte{7, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 1, 2}
 
 // v4Ping is the retired v4 health probe's message type: v5 dropped ping and
@@ -69,7 +69,7 @@ var retiredGreeting = []byte{7, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 1, 2}
 const v4Ping = msgType(8)
 
 // TestOtherWireVersionsRefused: a frame at any version but wireVersion —
-// the retired v1 to v4 a stale peer would still speak, or a future one — is
+// the retired v1 to v5 a stale peer would still speak, or a future one — is
 // a *ProtocolError naming both versions, whichever side reads it: the router
 // reading a greeting, the server reading a request. The server hangs up on
 // it without evaluating anything.
@@ -96,7 +96,10 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		{"v4 greeting", 4, msgHello, greeting},
 		{"v4 eval request", 4, msgEval, appendTraceID(request, 1)},
 		{"v4 ping", 4, v4Ping, nil},
-		{"v6 greeting", wireVersion + 1, msgHello, nil},
+		{"v5 greeting", 5, msgHello, nil},
+		{"v5 eval request", 5, msgEval, appendTraceID(request, 1)},
+		{"v5 eval response", 5, msgEvalResp, append(appendRespHeader(nil, 7), v5EvalResp...)},
+		{"v7 greeting", wireVersion + 1, msgHello, nil},
 	} {
 		_, _, err := readFrame(bytes.NewReader(frameBytes(tc.ver, tc.t, tc.payload)))
 		var pe *ProtocolError
@@ -121,11 +124,11 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 	if mt, _, err := readFrame(client); err != nil || mt != msgHello {
 		t.Fatalf("greeting: type %d, %v", mt, err)
 	}
-	if _, err := client.Write(frameBytes(4, msgEval, appendTraceID(request, 1))); err != nil {
+	if _, err := client.Write(frameBytes(5, msgEval, appendTraceID(request, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readFrame(client); !errors.Is(err, io.EOF) {
-		t.Fatalf("after a v4 request: %v, want the connection closed", err)
+		t.Fatalf("after a v5 request: %v, want the connection closed", err)
 	}
 	<-done
 	for _, m := range reg.Snapshot().Metrics {
@@ -143,8 +146,8 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 	}
 }
 
-// TestGreetingWithPayloadRefused: a v5 greeting is an empty frame. A peer
-// that greets at v5 but carries a payload — the v4 greeting's fields — is
+// TestGreetingWithPayloadRefused: a greeting is an empty frame. A peer
+// that greets at this version but carries a payload — the v4 greeting's fields — is
 // refused on dial with a *ProtocolError, and the router fails the call over
 // to the group's other replica, answering as the local corpus does.
 func TestGreetingWithPayloadRefused(t *testing.T) {
@@ -200,7 +203,11 @@ func TestGreetingWithPayloadRefused(t *testing.T) {
 		t.Fatalf("%d routed results, %d local", len(got), len(want))
 	}
 	for i := range got {
-		if g, w := xmltree.XMLString(got[i].Tree().Root), xmltree.XMLString(want[i].Root); g != w {
+		tree, err := got[i].Tree(context.Background())
+		if err != nil {
+			t.Fatalf("tree %d: %v", i, err)
+		}
+		if g, w := xmltree.XMLString(tree.Root), xmltree.XMLString(want[i].Root); g != w {
 			t.Fatalf("result %d differs after failover:\n%s\nlocal\n%s", i, g, w)
 		}
 	}
@@ -262,8 +269,8 @@ func TestServerTelemetryCountsRequests(t *testing.T) {
 // answered in the rounds a search-only one is — one eval call per group, the
 // whole-document round only when the merge needs it — because
 // the snippets ride on the eval and whole-document answers; and reading the
-// answer's trees afterwards calls no replica: a tree is built from the bytes
-// that arrived, never fetched.
+// answer's trees afterwards makes no eval, full or stats call (it fetches the
+// trees by handle; TestTreeReadTakesOneRoundPerGroup counts those calls).
 func TestSnippetedAnswerTakesNoExtraRound(t *testing.T) {
 	sc := versionTestCorpus()
 	cl := startCluster(t, sc, 2, 1)
@@ -292,7 +299,9 @@ func TestSnippetedAnswerTakesNoExtraRound(t *testing.T) {
 			}
 			snippeted := calls()
 			for _, r := range rs {
-				r.Tree()
+				if _, err := r.Tree(context.Background()); err != nil {
+					t.Fatalf("%q: tree: %v", q, err)
+				}
 			}
 			read := calls()
 			for _, kind := range []string{"eval", "full", "stats"} {

@@ -1,6 +1,6 @@
 // Package remote makes the serving tier span processes: a shard server
 // (Server) owns a subset of a snapshot's shards and answers per-shard
-// evaluation, whole-document and statistics calls over a small
+// evaluation, whole-document, tree, completion and statistics calls over a small
 // length-prefixed, checksummed wire protocol; a stateless router (Router)
 // implements serve.Backend over N-way replica groups of such servers, so
 // the facade and the serving layer (worker pool, query cache, deadlines,
@@ -12,11 +12,14 @@
 // in-process corpus runs — over rounds that are remote calls, a shard
 // server answers each call with the shard.Corpus method for that round and
 // snippets the results it ships with the local snippet fan-out
-// (shard.Snippets), and results and snippets travel as lossless encodings,
-// so a distributed query is byte-identical to a local one — the property the
-// equivalence tests pin. The router keeps each result it answers with as its
-// encoding and builds the tree only when something reads it
-// (search.Result.Tree).
+// (shard.Snippets), so a distributed query is byte-identical to a local one
+// — the property the equivalence tests pin. A shipped result is a handle —
+// where it lives (shard and preorder positions), its size, its match depths
+// and its snippet — not a tree: the router answers with deferred results
+// (search.Result.Tree), and the first read of any tree of an answer fetches
+// that answer's trees from each group that holds them, in one call a group,
+// from a server still on the answer's generation. The trees travel as
+// lossless encodings and build to exactly the local results.
 //
 // Placement is content-addressed: every shard's manifest content hash
 // (ingest.ShardEntry.ContentHash) is rendezvous-hashed over the configured
@@ -53,7 +56,7 @@ const (
 	// frame is written at it and a frame at any other version is refused
 	// as version skew. A payload layout change bumps wireVersion; router
 	// and shard servers are rolled together.
-	wireVersion = 5
+	wireVersion = 6
 
 	frameHeaderLen = 12
 
@@ -75,6 +78,10 @@ const (
 	msgStats // router → server: global df + element count (ranking)
 	msgStatsResp
 	msgError // server → router: classified failure
+	msgTrees // router → server: result trees by handle
+	msgTreesResp
+	msgComplete // router → server: keyword completion (Suggest)
+	msgCompleteResp
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -133,7 +140,7 @@ func readFrameInto(r io.Reader, buf []byte) (msgType, []byte, error) {
 		return 0, nil, protocolErrf("protocol version skew: peer speaks v%d, this build v%d", ver, wireVersion)
 	}
 	t := msgType(hdr[3])
-	if t < msgHello || t > msgError {
+	if t < msgHello || t > msgCompleteResp {
 		return 0, nil, protocolErrf("unknown message type %d", hdr[3])
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:8])

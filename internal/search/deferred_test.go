@@ -1,6 +1,8 @@
 package search
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,9 +17,9 @@ import (
 func TestDeferredTreeBuiltOnce(t *testing.T) {
 	doc := xmltree.NewDocument(xmltree.Elem("store", xmltree.Elem("city", xmltree.Txt("houston"))))
 	var builds atomic.Int32
-	d := Defer(doc.Len(), 77, []KeywordDepth{{"houston", 2}}, func() *Result {
+	d := Defer(doc.Len(), 77, []KeywordDepth{{"houston", 2}}, func(context.Context) (*Result, error) {
 		builds.Add(1)
-		return FromNode(doc, doc.Root)
+		return FromNode(doc, doc.Root), nil
 	})
 	if d.Size() != doc.Len()-1 || d.IsView() {
 		t.Fatalf("deferred result: size %d, view %v", d.Size(), d.IsView())
@@ -44,7 +46,7 @@ func TestDeferredTreeBuiltOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			trees[i] = d.Tree()
+			trees[i], _ = d.Tree(context.Background())
 		}()
 	}
 	close(start)
@@ -57,11 +59,70 @@ func TestDeferredTreeBuiltOnce(t *testing.T) {
 			t.Fatalf("reader %d got a different tree", i)
 		}
 	}
-	if tree := trees[0]; tree.Tree() != tree {
+	if tree := trees[0]; must(tree.Tree(context.Background())) != tree {
 		t.Fatal("a built result is not its own tree")
 	}
 	if _, ok := trees[0].Retained(); ok {
 		t.Fatal("a built result claims to be deferred")
+	}
+	if _, ok := d.Retained(); ok {
+		t.Fatal("a deferred result whose tree was built still claims to be deferred")
+	}
+}
+
+// must returns a tree a test expects to build.
+func must(r *Result, err error) *Result {
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// TestDeferredTreeRetriesAFailedBuild: a build that fails returns its error
+// and leaves the result deferred, so the next Tree call builds again; once
+// one succeeds, no call builds any more.
+func TestDeferredTreeRetriesAFailedBuild(t *testing.T) {
+	doc := xmltree.NewDocument(xmltree.Elem("store"))
+	errGone := errors.New("gone")
+	builds := 0
+	d := Defer(doc.Len(), 1, nil, func(context.Context) (*Result, error) {
+		builds++
+		if builds == 1 {
+			return nil, errGone
+		}
+		return FromNode(doc, doc.Root), nil
+	})
+	if tree, err := d.Tree(context.Background()); tree != nil || !errors.Is(err, errGone) {
+		t.Fatalf("first read: %v, %v; want the build's error", tree, err)
+	}
+	first := must(d.Tree(context.Background()))
+	if second := must(d.Tree(context.Background())); second != first || builds != 2 {
+		t.Fatalf("%d builds; reads after a success differ: %v", builds, second != first)
+	}
+}
+
+// TestDeferredTreeWaitHonorsContext: a reader that finds a build already
+// running waits for it only as long as its own context allows, and the
+// build's own reader still gets the tree.
+func TestDeferredTreeWaitHonorsContext(t *testing.T) {
+	doc := xmltree.NewDocument(xmltree.Elem("store"))
+	started, release := make(chan struct{}), make(chan struct{})
+	d := Defer(doc.Len(), 1, nil, func(context.Context) (*Result, error) {
+		close(started)
+		<-release
+		return FromNode(doc, doc.Root), nil
+	})
+	built := make(chan *Result)
+	go func() { built <- must(d.Tree(context.Background())) }()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if tree, err := d.Tree(ctx); tree != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiter with a cancelled context: %v, %v", tree, err)
+	}
+	close(release)
+	if tree := <-built; tree.Root != doc.Root || must(d.Tree(ctx)) != tree {
+		t.Fatal("the build's reader and a later reader got different trees")
 	}
 }
 

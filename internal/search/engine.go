@@ -108,6 +108,25 @@ func (e *Engine) Evaluate(query string) (*Evaluation, error) {
 // still qualify from later matches, and Free needs the root's row after the
 // last one (see PERFORMANCE.md). limit <= 0 behaves exactly like Evaluate.
 func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
+	ev, err := e.Lists(query)
+	if err != nil {
+		return nil, err
+	}
+	// Conjunctive semantics: either evaluation has no LCAs when some
+	// keyword has no match.
+	switch e.opts.Semantics {
+	case SemanticsELCA:
+		ev.LCAs, ev.Free = ELCAPacked(ev.Lists...)
+	default:
+		ev.LCAs, ev.Truncated = SLCAPackedBounded(limit, ev.Lists...)
+	}
+	return ev, nil
+}
+
+// Lists parses the query and resolves its keywords' posting lists: an
+// Evaluation without the LCA scan. It is what rebuilding a result from its
+// position needs (ResultAt).
+func (e *Engine) Lists(query string) (*Evaluation, error) {
 	terms := ParseQuery(query)
 	if len(terms) == 0 {
 		return nil, ErrEmptyQuery
@@ -124,15 +143,21 @@ func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
 			ev.Lists[i] = e.ix.List(t.Tokens[0])
 		}
 	}
-	// Conjunctive semantics: either evaluation has no LCAs when some
-	// keyword has no match.
-	switch e.opts.Semantics {
-	case SemanticsELCA:
-		ev.LCAs, ev.Free = ELCAPacked(ev.Lists...)
-	default:
-		ev.LCAs, ev.Truncated = SLCAPackedBounded(limit, ev.Lists...)
-	}
 	return ev, nil
+}
+
+// ResultAt rebuilds one result of ev's query from its position: the LCA at
+// preorder position lca of the engine's document, anchored at position
+// anchor. It is the result evaluation built for that LCA, by the same rule —
+// a view, or the ModeXSeek projection — so a result can travel as its two
+// positions and be rebuilt where its document lives. Positions that are not
+// in the document, or an anchor that is not the LCA's, are an error.
+func (e *Engine) ResultAt(ev *Evaluation, anchor, lca int) (*Result, error) {
+	a, l := e.doc.ByOrd(anchor), e.doc.ByOrd(lca)
+	if a == nil || l == nil || anchorOf(l, e.cls) != a {
+		return nil, fmt.Errorf("search: no result anchored at %d for the LCA at %d", anchor, lca)
+	}
+	return e.buildResult(a, l, ev), nil
 }
 
 // Results builds the results for the given LCA subset of an evaluation,

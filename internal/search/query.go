@@ -19,6 +19,18 @@ func (t Term) IsPhrase() bool { return len(t.Tokens) > 1 }
 // String renders the term as its tokens joined by spaces.
 func (t Term) String() string { return strings.Join(t.Tokens, " ") }
 
+// TermKeys returns the keys of a query's terms (Term.String) in query order:
+// the keywords a result's Matches and MatchDepth are keyed by, and the ones
+// ranking scores against.
+func TermKeys(q string) []string {
+	terms := ParseQuery(q)
+	keys := make([]string, len(terms))
+	for i, t := range terms {
+		keys[i] = t.String()
+	}
+	return keys
+}
+
 // ParseQuery splits a query into terms: double-quoted spans become phrase
 // terms ("Brook Brothers" must match consecutively in one value);
 // everything else becomes single-keyword terms. Unbalanced quotes treat

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"sync"
 
 	"extract/internal/classify"
@@ -24,7 +25,8 @@ import (
 //
 // A deferred result (Defer) — what a distributed router returns — has no tree
 // yet: its tree fields are nil, Size and MatchDepth answer from what arrived
-// with it, and Tree builds the tree the first time anything asks.
+// with it, and Tree builds the tree the first time anything asks — which, on
+// a router, fetches it and can fail.
 //
 // Results of every kind are shared — by the query cache, by every caller a
 // cached entry is replayed to — and must never be mutated.
@@ -77,41 +79,75 @@ type pending struct {
 	retained int
 	depths   []KeywordDepth
 
-	once  sync.Once
-	build func() *Result
-	tree  *Result
+	mu     sync.Mutex
+	build  func(context.Context) (*Result, error)
+	tree   *Result
+	flight chan struct{} // closed when the running build ends; nil when none runs
 }
 
 // Defer returns a deferred result: nodes is its tree's node count, retained
 // the bytes it holds until the tree is built, depths its per-keyword least
-// match depths (MatchDepth), and build makes its tree — called at most once,
-// by the first Tree call from any goroutine.
-func Defer(nodes, retained int, depths []KeywordDepth, build func() *Result) *Result {
+// match depths (MatchDepth), and build makes its tree. build is called by
+// Tree, one call at a time, until one succeeds.
+func Defer(nodes, retained int, depths []KeywordDepth, build func(context.Context) (*Result, error)) *Result {
 	return &Result{pending: &pending{nodes: nodes, retained: retained, depths: depths, build: build}}
 }
 
 // Tree returns the result with its tree fields filled in: r itself, or — for
-// a deferred result — the tree built on the first call. Concurrent first
-// calls wait for one build, and every call returns the same tree.
-func (r *Result) Tree() *Result {
+// a deferred result — the tree built on the first successful call, which
+// ctx bounds. Concurrent first calls wait for one build — each only as long
+// as its own ctx allows — and every call after a success returns the same
+// tree. A build that fails (a distributed router's tree fetch, or ctx ending)
+// returns its error and leaves the result deferred, so a later call tries
+// again; a result held across a move of the serving tier's generation fails
+// every time. Only a deferred result's Tree can fail.
+func (r *Result) Tree(ctx context.Context) (*Result, error) {
 	p := r.pending
 	if p == nil {
-		return r
+		return r, nil
 	}
-	p.once.Do(func() {
-		p.tree = p.build()
-		p.build = nil
-	})
-	return p.tree
+	for {
+		p.mu.Lock()
+		if tree := p.tree; tree != nil {
+			p.mu.Unlock()
+			return tree, nil
+		}
+		if f := p.flight; f != nil {
+			p.mu.Unlock()
+			select {
+			case <-f:
+				continue
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		f, build := make(chan struct{}), p.build
+		p.flight = f
+		p.mu.Unlock()
+		tree, err := build(ctx)
+		p.mu.Lock()
+		if err == nil {
+			p.tree, p.build = tree, nil
+		}
+		p.flight = nil
+		p.mu.Unlock()
+		close(f)
+		return tree, err
+	}
 }
 
-// Retained reports whether r is deferred and, if so, the bytes it holds
-// until its tree is built.
+// Retained reports whether r is deferred — its tree not built yet — and, if
+// so, the bytes it holds meanwhile. A deferred result whose tree was built
+// holds that tree and is no longer deferred: it is an owned tree of Size
+// edges.
 func (r *Result) Retained() (bytes int, deferred bool) {
-	if r.pending == nil {
+	p := r.pending
+	if p == nil {
 		return 0, false
 	}
-	return r.pending.retained, true
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.retained, p.tree == nil
 }
 
 // IsView reports whether the result is a read-only view of its source

@@ -306,6 +306,31 @@ func (c *Cache) put(key string, val *Cached, epoch uint64, f *flight) {
 	}
 }
 
+// recharge re-prices v's entry, if it is still cached, for what v holds
+// now — the trees Cached.Trees built — evicting least-recently-used entries
+// (v's own too, once it no longer fits) until the shard is within budget.
+func (c *Cache) recharge(v *Cached) {
+	cost := v.cost() + int64(len(v.key))
+	s := c.shardFor(v.key)
+	s.mu.Lock()
+	e, ok := s.entries[v.key]
+	if !ok || e.val != v {
+		s.mu.Unlock()
+		return
+	}
+	s.bytes += cost - e.cost
+	e.cost = cost
+	evicted := 0
+	for s.bytes > s.maxBytes && s.tail != nil {
+		evicted++
+		s.remove(s.tail)
+	}
+	s.mu.Unlock()
+	if evicted > 0 {
+		c.evictions.Add(int64(evicted))
+	}
+}
+
 // occupancy reports the live entry count, estimated bytes held, and the
 // total byte budget across shards — the cache gauges.
 func (c *Cache) occupancy() (entries, bytes, capacity int64) {

@@ -20,10 +20,10 @@ import (
 // result's subtree; the same answer as trimmed projections owns its trees
 // and pays for them; and the feature statistics — sized by the result, read
 // by nothing downstream — are not kept. Through the distributed tier the
-// answer is deferred results, each holding its own wire encoding until a
-// reader builds its tree: charged those bytes — more than a view, far less
+// answer is deferred results, each holding its handle and match depths until
+// a reader fetches its tree: charged those bytes — more than a view, far less
 // than a built tree — and the entry's charge stays in line with the heap it
-// really retains.
+// really retains, before and after a reader builds its trees.
 func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 	stores := func() *shard.Corpus {
 		return shard.Build(gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 21}), 2)
@@ -113,7 +113,26 @@ func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 		t.Errorf("a %d-result deferred entry is charged %d bytes and retains %d", len(deferred.Results), charged, retained)
 	}
 	runtime.KeepAlive(deferred)
-	if tree := r.Tree(); tree.Size() != r.Size() || tree.IsView() {
+
+	// A reader builds the trees: the entry now holds them, and is charged as
+	// the owned trees they are — still in line with the heap it retains.
+	trees, err := deferred.Trees(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if tree := trees[0]; tree.Size() != r.Size() || tree.IsView() {
 		t.Fatalf("built tree: %d edges, view %v; deferred %d edges", tree.Size(), tree.IsView(), r.Size())
 	}
+	if _, ok := r.Retained(); ok {
+		t.Fatal("a result whose tree was built still claims to be deferred")
+	}
+	retained = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if charged := deferred.Cost(); charged < retained*6/10 || charged > retained*15/10 {
+		t.Errorf("a %d-result entry with its trees built is charged %d bytes and retains %d", len(deferred.Results), charged, retained)
+	}
+	runtime.KeepAlive(deferred)
+	runtime.KeepAlive(trees)
 }

@@ -10,6 +10,7 @@ import (
 	"extract/internal/faultinject"
 	"extract/internal/search"
 	"extract/internal/shard"
+	"extract/xmltree"
 )
 
 // failureFixture builds a sharded stores corpus, a server over it, and one
@@ -212,5 +213,73 @@ func TestSnippetFaultFailsCleanly(t *testing.T) {
 	}
 	if got := renderHits(rs, gs); len(got) != len(want) {
 		t.Fatalf("%d hits after snippet fault, want %d", len(got), len(want))
+	}
+}
+
+// deferredBackend answers every query with n deferred results of nodes
+// nodes each, whose trees build from a one-element document.
+type deferredBackend struct {
+	inner    Backend
+	n, nodes int
+}
+
+func (b *deferredBackend) Analysis() *core.Corpus { return b.inner.Analysis() }
+
+func (b *deferredBackend) Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
+	doc := xmltree.NewDocument(xmltree.Elem("store"))
+	rs := make([]*search.Result, b.n)
+	for i := range rs {
+		rs[i] = search.Defer(b.nodes, 64, nil, func(context.Context) (*search.Result, error) {
+			return search.FromNode(doc, doc.Root), nil
+		})
+	}
+	return rs, nil, nil
+}
+
+// TestTreesRechargeTheCachedEntry: a cached entry of deferred results is
+// admitted at what it holds before anyone reads a tree; Trees builds the
+// trees and re-prices the entry for them, so the budget bounds built trees
+// too — an entry whose trees no longer fit its shard is evicted. A second
+// read builds nothing and charges nothing more.
+func TestTreesRechargeTheCachedEntry(t *testing.T) {
+	inner := shard.Build(testCorpora()["stores"](), 1)
+	const n, nodes = 3, 1000
+	ctx := context.Background()
+	opts := search.Options{DistinctAnchors: true}
+	for _, tc := range []struct {
+		name   string
+		budget int64
+		kept   bool
+	}{
+		{"fits", numCacheShards << 20, true},
+		{"outgrows its shard", numCacheShards * 64 << 10, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(&deferredBackend{inner: inner, n: n, nodes: nodes}, WithCacheBytes(tc.budget))
+			defer s.Close()
+			v, err := s.Do(ctx, "store", opts, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			admitted := s.Stats().Bytes
+			if st := s.Stats(); st.Entries != 1 || admitted > n*nodes {
+				t.Fatalf("deferred entry admitted as %+v", st)
+			}
+			for range 2 {
+				if _, err := v.Trees(ctx); err != nil {
+					t.Fatal(err)
+				}
+				st := s.Stats()
+				if !tc.kept {
+					if st.Entries != 0 || st.Bytes != 0 || st.Evictions != 1 {
+						t.Fatalf("entry whose trees outgrow its shard: %+v", st)
+					}
+					continue
+				}
+				if want := v.cost() + int64(len(v.key)); st.Entries != 1 || st.Bytes != want || want < n*nodes*100 {
+					t.Fatalf("entry with built trees: %+v, its cost %d", st, want)
+				}
+			}
+		})
 	}
 }

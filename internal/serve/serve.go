@@ -234,21 +234,26 @@ type Cached struct {
 	Results  []*search.Result
 	Snippets []*core.Generated
 	Backend  Backend
+
+	// The cache and key it was computed for, where Trees re-charges it.
+	cache *Cache
+	key   string
 }
 
 // cost estimates the heap the entry owns, for the cache budget. A view
 // result owns a header only — the corpus nodes it points at belong to the
 // generation the entry's Backend already pins — and a deferred result (what a
-// router returns) the bytes it retains: its own copy of its wire encoding and
-// its keyword depths. An owned result tree (a trimmed projection) and every
-// snippet tree are charged per node, and an IList per item. The constants are
+// router returns) the bytes it retains: its handle and its keyword depths.
+// An owned result tree (a trimmed projection) and every snippet tree are
+// charged per node, and an IList per item. The constants are
 // rough costs (node struct, slice and map headers; an ilist.Item with its
 // share of slice growth), not an exact accounting: on the benchmark corpus a
 // 24-hit entry is charged 53 KB for 63 KB of measured heap
 // (TestCostChargesWhatAnEntryOwns holds a routed entry's charge to what it
-// retains: six 133-edge retailer results with their snippets, 28.5 KB
-// charged for 29.1 KB). A deferred tree that a reader builds later is not
-// re-charged.
+// retains: six 133-edge retailer results with their snippets, 20.3 KB
+// charged for 20.4 KB; 128.6 KB for 118 KB once Trees has built its trees).
+// A deferred result whose tree was built is charged as the owned tree it
+// now holds: Trees re-charges a cached entry when it builds.
 func (v *Cached) cost() int64 {
 	const (
 		perNode  = 136
@@ -316,18 +321,40 @@ func (s *Server) Do(ctx context.Context, query string, opts search.Options, boun
 // QueryContext is Do for callers that want the full pipeline's results and
 // snippets as slices of their own (fresh copies, free to reorder; the
 // objects they point to stay shared and immutable). Its results have their
-// trees: a deferred result is built here (search.Result.Tree), once for
-// every caller of the entry.
+// trees (Trees), which ctx bounds too.
 func (s *Server) QueryContext(ctx context.Context, query string, opts search.Options, bound int) ([]*search.Result, []*core.Generated, error) {
 	v, err := s.Do(ctx, query, opts, bound)
 	if err != nil {
 		return nil, nil, err
 	}
-	rs := make([]*search.Result, len(v.Results))
-	for i, r := range v.Results {
-		rs[i] = r.Tree()
+	rs, err := v.Trees(ctx)
+	if err != nil {
+		return nil, nil, err
 	}
 	return rs, append([]*core.Generated(nil), v.Snippets...), nil
+}
+
+// Trees returns v's results with their trees, as a slice of the caller's
+// own: a deferred result's tree is built (search.Result.Tree) once for every
+// holder of the entry — on a router by fetching it, with the trees of the
+// whole answer, which fails when the tier has moved off the generation that
+// answered — and an entry still cached is re-charged for the trees it now
+// holds, so the cache budget bounds them too. ctx bounds the build.
+func (v *Cached) Trees(ctx context.Context) ([]*search.Result, error) {
+	rs := make([]*search.Result, len(v.Results))
+	built := false
+	for i, r := range v.Results {
+		_, deferred := r.Retained()
+		built = built || deferred
+		var err error
+		if rs[i], err = r.Tree(ctx); err != nil {
+			return nil, err
+		}
+	}
+	if built && v.cache != nil {
+		v.cache.recharge(v)
+	}
+	return rs, nil
 }
 
 // evaluate is one query's computation: dispatch, then the backend's answer —
@@ -442,9 +469,14 @@ func (s *Server) serveTraced(ctx context.Context, query string, opts search.Opti
 		probeDone()
 		return nil, "", search.ErrEmptyQuery
 	}
-	v, outcome, err := s.cache.do(ctx, cacheKey(terms, opts, bound), func() (*Cached, error) {
+	key := cacheKey(terms, opts, bound)
+	v, outcome, err := s.cache.do(ctx, key, func() (*Cached, error) {
 		probeDone()
-		return run()
+		v, err := run()
+		if v != nil {
+			v.cache, v.key = s.cache, key
+		}
+		return v, err
 	})
 	probeDone()
 	if err != nil && isContextError(err) && ctx.Err() == nil {

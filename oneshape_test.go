@@ -44,14 +44,14 @@ func renderAnswers(t *testing.T, c *Corpus, queries []string) string {
 				fmt.Fprintf(&b, "search error: %v\n", err)
 			}
 			for _, r := range rs {
-				fmt.Fprintf(&b, "%s %016x\n", r.XML(), math.Float64bits(r.Score()))
+				fmt.Fprintf(&b, "%s %016x\n", must(r.XML()), math.Float64bits(r.Score()))
 			}
 			hits, err := c.Query(q, 8, mix.opts...)
 			if err != nil {
 				fmt.Fprintf(&b, "query error: %v\n", err)
 			}
 			for _, h := range hits {
-				fmt.Fprintf(&b, "%s %016x\n%s\n", h.Result.XML(), math.Float64bits(h.Result.Score()), h.Snippet.XML())
+				fmt.Fprintf(&b, "%s %016x\n%s\n", must(h.Result.XML()), math.Float64bits(h.Result.Score()), h.Snippet.XML())
 			}
 		}
 	}
@@ -68,7 +68,7 @@ func renderFacts(t *testing.T, c *Corpus) string {
 		t.Fatalf("XPath: %v", err)
 	}
 	for _, r := range rs {
-		b.WriteString(r.XML())
+		b.WriteString(must(r.XML()))
 	}
 	attr, ok := c.EntityKey("store")
 	fmt.Fprintf(&b, "\nsuggest %v %v\nstats %+v\nkey %q %v\n", c.Suggest("s", 10), c.Suggest("je", 3), c.Stats(), attr, ok)

@@ -30,7 +30,7 @@ func TestQueryWithRanking(t *testing.T) {
 		t.Fatalf("ranked: %v %d", err, len(ranked))
 	}
 	// The shallow match outranks the deep one.
-	top := ranked[0].Root().ChildElement("title").TextValue()
+	top := must(ranked[0].Root()).ChildElement("title").TextValue()
 	if top != "gopher handbook" {
 		t.Errorf("top ranked = %q", top)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,7 @@ import (
 // snapshot, exactly like separate extractd -shard-server processes — and
 // returns the address matrix (addrs[g] are the replicas of group g) plus
 // the servers keyed by their address, so chaos tests can kill one.
-func startShardTier(t *testing.T, dir string, groups, replicas int) ([][]string, map[string]*remote.Server) {
+func startShardTier(t testing.TB, dir string, groups, replicas int) ([][]string, map[string]*remote.Server) {
 	t.Helper()
 	addrs := make([][]string, groups)
 	servers := map[string]*remote.Server{}
@@ -54,8 +55,8 @@ func startShardTier(t *testing.T, dir string, groups, replicas int) ([][]string,
 // a corpus opened with Connect against a live shard tier answers Query —
 // results, snippets, and ranked order — byte-identical to the local corpus
 // the snapshot was saved from, across the full option mix; local-only
-// operations are rejected with ErrRemoteCorpus; and ReloadSnapshot works
-// against the same generation.
+// operations are rejected with ErrRemoteCorpus; Suggest answers as the local
+// corpus does; and ReloadSnapshot works against the same generation.
 func TestConnectMatchesLocal(t *testing.T) {
 	doc := gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11})
 	xml := xmltree.XMLString(doc.Root)
@@ -146,8 +147,8 @@ func TestConnectMatchesLocal(t *testing.T) {
 	if _, err := rc.ReloadDelta(strings.NewReader(xml)); !errors.Is(err, ErrRemoteCorpus) {
 		t.Fatalf("ReloadDelta on remote corpus: %v, want ErrRemoteCorpus", err)
 	}
-	if s := rc.Suggest("st", 5); s != nil {
-		t.Fatalf("Suggest on remote corpus = %v, want nil", s)
+	if got, want := rc.Suggest("st", 5), local.Suggest("st", 5); !slices.Equal(got, want) || len(want) == 0 {
+		t.Fatalf("Suggest on remote corpus = %v, local %v", got, want)
 	}
 
 	// ReloadSnapshot re-reads the manifest and re-places; same generation,
@@ -477,14 +478,14 @@ func TestRoutedHitBuildsItsTreeOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			xmls[i] = hit.Result.XML()
-			roots[i] = hit.Result.Root()
+			xmls[i] = must(hit.Result.XML())
+			roots[i] = must(hit.Result.Root())
 		}()
 	}
 	close(start)
 	wg.Wait()
 	for i := range readers {
-		if xmls[i] != want[0].Result.XML() || roots[i] != roots[0] {
+		if xmls[i] != must(want[0].Result.XML()) || roots[i] != roots[0] {
 			t.Fatalf("reader %d: a different tree (same root %v)", i, roots[i] == roots[0])
 		}
 	}
@@ -492,7 +493,7 @@ func TestRoutedHitBuildsItsTreeOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again[0].Result.Root() != roots[0] {
+	if must(again[0].Result.Root()) != roots[0] {
 		t.Fatal("a replay of the entry built the tree again")
 	}
 }

@@ -18,7 +18,7 @@ func TestServedQueryRepeatsIdentical(t *testing.T) {
 	render := func(hits []*Hit) string {
 		var b strings.Builder
 		for _, h := range hits {
-			b.WriteString(h.Result.XML())
+			b.WriteString(must(h.Result.XML()))
 			b.WriteString(h.Snippet.Inline())
 		}
 		return b.String()

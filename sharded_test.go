@@ -46,7 +46,7 @@ func TestShardedQueryMatchesUnsharded(t *testing.T) {
 				t.Fatalf("%q: %d hits, want %d", query, len(got), len(want))
 			}
 			for i := range want {
-				if a, b := want[i].Result.XML(), got[i].Result.XML(); a != b {
+				if a, b := must(want[i].Result.XML()), must(got[i].Result.XML()); a != b {
 					t.Fatalf("%q hit %d result differs:\n%s\n%s", query, i, a, b)
 				}
 				if a, b := want[i].Snippet.Inline(), got[i].Snippet.Inline(); a != b {
@@ -94,7 +94,7 @@ func TestShardedXPath(t *testing.T) {
 		t.Fatalf("xpath: %d results, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if want[i].XML() != got[i].XML() {
+		if must(want[i].XML()) != must(got[i].XML()) {
 			t.Fatalf("xpath result %d differs", i)
 		}
 	}

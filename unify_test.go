@@ -19,7 +19,7 @@ import (
 func renderFacadeHits(hits []*Hit) string {
 	var b strings.Builder
 	for _, h := range hits {
-		b.WriteString(h.Result.XML())
+		b.WriteString(must(h.Result.XML()))
 		b.WriteString("\n")
 		b.WriteString(h.Snippet.XML())
 		b.WriteString("\n")
@@ -37,7 +37,7 @@ func directQuery(c *Corpus, query string, bound int, ranked bool, opts search.Op
 		return "", err
 	}
 	if ranked {
-		rank.NewScorer(cc.Index).Sort(rs, queryTermKeys(query))
+		rank.NewScorer(cc.Index).Sort(rs, search.TermKeys(query))
 	}
 	g := core.NewGenerator(cc)
 	kws := index.Tokenize(query)
@@ -121,7 +121,7 @@ func TestUnshardedServedMatchesDirect(t *testing.T) {
 					}
 					if !oc.ranked {
 						for i := range wantRS {
-							if xmltree.XMLString(gotRS[i].Root()) != xmltree.XMLString(wantRS[i].Root) {
+							if xmltree.XMLString(must(gotRS[i].Root())) != xmltree.XMLString(wantRS[i].Root) {
 								t.Fatalf("%s: Search result %d differs", label, i)
 							}
 						}

@@ -194,52 +194,14 @@ func (d *Document) ComputeStats() Stats {
 	return s
 }
 
-// Project builds a new tree containing copies of exactly the nodes of root's
-// subtree for which keep returns true, preserving document order and
-// ancestor relationships. A kept node whose ancestors are not all kept is
-// attached to its nearest kept ancestor. Copies carry Origin pointers to
-// their source nodes. It returns nil if no node is kept.
+// ProjectSet builds a new tree containing copies of the nodes of set and of
+// their ancestors up to root, preserving document order: the set is closed
+// over ancestors before projecting, so the projection is one connected tree
+// rooted at a copy of root (nil if the set is empty). Copies carry Origin
+// pointers to their source nodes.
 //
 // Projections build query-result trees from match sets and snippet trees
 // from selected instance sets.
-func Project(root *Node, keep func(*Node) bool) *Node {
-	var build func(n *Node, parentCopy *Node) *Node
-	build = func(n *Node, parentCopy *Node) *Node {
-		var copy *Node
-		attach := parentCopy
-		if keep(n) {
-			copy = &Node{
-				Kind:     n.Kind,
-				Label:    n.Label,
-				Value:    n.Value,
-				FromAttr: n.FromAttr,
-				Origin:   n,
-			}
-			if parentCopy != nil {
-				copy.Parent = parentCopy
-				parentCopy.Children = append(parentCopy.Children, copy)
-			}
-			attach = copy
-		}
-		for _, c := range n.Children {
-			r := build(c, attach)
-			if copy == nil && r != nil {
-				// A kept descendant with no kept ancestor yet
-				// becomes a candidate root. Only the first one
-				// survives as the projection root; the caller's
-				// keep sets are ancestor-closed in practice.
-				copy = r
-				attach = parentCopy
-			}
-		}
-		return copy
-	}
-	return build(root, nil)
-}
-
-// ProjectSet is Project with an explicit node set. The set is closed over
-// ancestors up to root before projecting, guaranteeing a single connected
-// projection rooted at root (if the set is non-empty).
 func ProjectSet(root *Node, set map[*Node]bool) *Node {
 	if len(set) == 0 {
 		return nil
@@ -256,6 +218,17 @@ func ProjectSet(root *Node, set map[*Node]bool) *Node {
 			}
 		}
 	}
-	closed[root] = true
-	return Project(root, func(n *Node) bool { return closed[n] })
+	// Every kept node's ancestors up to root are kept, so a subtree whose
+	// root is not kept holds nothing to copy.
+	var build func(n, parent *Node) *Node
+	build = func(n, parent *Node) *Node {
+		c := &Node{Kind: n.Kind, Label: n.Label, Value: n.Value, FromAttr: n.FromAttr, Origin: n, Parent: parent}
+		for _, child := range n.Children {
+			if closed[child] {
+				c.Children = append(c.Children, build(child, c))
+			}
+		}
+		return c
+	}
+	return build(root, nil)
 }

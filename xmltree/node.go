@@ -78,7 +78,7 @@ type Node struct {
 	Start, End int32
 
 	// Origin, when non-nil, points at the node this one was projected or
-	// copied from (see Project, DeepCopy). Snippet trees and trimmed
+	// copied from (see ProjectSet, DeepCopy). Snippet trees and trimmed
 	// query-result trees keep Origin chains back to the source document;
 	// a subtree-mode query result is a view of the source nodes
 	// themselves (see Document.Subtree) and has none.

@@ -232,13 +232,15 @@ func appendTraceID(payload []byte, traceID uint64) []byte {
 
 // evalReq is an eval request, and with no shards a full request (the frame's
 // type byte tells them apart): the full request evaluates the reconstructed
-// whole document and — bound >= 0 — snippets what it finds.
+// whole document and — bound >= 0 — snippets what it finds. An eval request
+// ships no snippets (the kept ones are asked for by handle, msgSnippets), so
+// its bound is search only.
 type evalReq struct {
 	opts          search.Options
 	query         string
 	timeoutMillis uint64   // 0 = no deadline
 	shards        []uint32 // eval request only; empty for a full request
-	bound         int      // snippet bound; < 0 = search only
+	bound         int      // full request's snippet bound; < 0 = search only
 	traceID       uint64   // the originating query's trace ID (0 = none)
 }
 
@@ -743,7 +745,7 @@ type scanned struct {
 	at      handle
 	nodes   int    // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
 	depths  []byte // one uvarint per query term: its least match depth + 1, 0 = no match
-	snippet []byte // the snippet record; nil when the response carries none
+	snippet []byte // the snippet record of a snippeted full response; nil otherwise
 }
 
 // minResultBytes is the shortest shipped result (node count, anchor and LCA
@@ -756,8 +758,8 @@ const minResultBytes = 3
 // that answered), the least depth below the anchor of each query term's
 // matches, in the order of terms (the one number rank.Scorer reads;
 // search.Result.MatchDepth, which a deferred result answers from), and its
-// snippet when g is non-nil. Its tree is not shipped: a reader fetches it by
-// handle (msgTrees).
+// snippet when g is non-nil (a snippeted full response). Its tree is not
+// shipped: a reader fetches it by handle (msgTrees).
 func appendShipped(b []byte, r *search.Result, g *core.Generated, terms []string) []byte {
 	b = binary.AppendUvarint(b, uint64(r.Size()+1))
 	b = binary.AppendUvarint(b, uint64(r.Anchor.Ord))
@@ -778,7 +780,7 @@ func appendShipped(b []byte, r *search.Result, g *core.Generated, terms []string
 // shipped scans one result shipped by shard (wholeShard in a full response)
 // for a query of terms terms: its node count, an anchor at or above its LCA,
 // one match depth a term, every depth inside the tree, and — in a snippeted
-// response — its snippet record.
+// full response — its snippet record.
 func (c *cursor) shipped(snippeted bool, shard int32, terms int) scanned {
 	nodes := c.count("tree node", maxTreeNodes)
 	anchor := c.uvarint("anchor position")
@@ -829,7 +831,7 @@ func (s scanned) take(at *answerTrees, i int) *search.Result {
 const deferredOverhead = 224
 
 // appendResults encodes one shipped result list; gs is nil, or aligned with
-// rs in a snippeted response.
+// rs in a snippeted full response.
 func appendResults(b []byte, rs []*search.Result, gs []*core.Generated, terms []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rs)))
 	for i, r := range rs {
@@ -1015,35 +1017,31 @@ func (v *validated) indexes() []int {
 // --- eval response ---
 
 // shardAnswer is one shard's share of an evaluation on the shard server:
-// its digest evidence and the local results it ships, with their snippets
-// in a snippeted answer.
+// its digest evidence and the local results it ships.
 type shardAnswer struct {
-	shard    uint32
-	digest   shard.Digest
-	results  []*search.Result
-	snippets []*core.Generated // aligned with results; nil unless snippeted
+	shard   uint32
+	digest  shard.Digest
+	results []*search.Result
 }
 
 // evalAnswer is what a shard server computed for one eval request, before
 // encoding: terms are the query's term keys (search.TermKeys), which a shipped
-// result's match depths follow. snippeted says every shipped result carries
-// its snippet.
+// result's match depths follow.
 type evalAnswer struct {
-	terms     []string
-	snippeted bool
-	shards    []shardAnswer
+	terms  []string
+	shards []shardAnswer
 }
 
-// appendEvalResp appends an eval response body:
+// appendEvalResp appends an eval response body — counts and handles, no
+// snippets:
 //
-//	snippeted (u8) | shard count | per shard: index, digest, [results]
+//	shard count | per shard: index, digest, [results]
 func appendEvalResp(b []byte, a evalAnswer) []byte {
-	b = append(b, boolByte(a.snippeted))
 	b = binary.AppendUvarint(b, uint64(len(a.shards)))
 	for _, s := range a.shards {
 		b = binary.AppendUvarint(b, uint64(s.shard))
 		b = appendDigest(b, s.digest)
-		b = appendResults(b, s.results, s.snippets, a.terms)
+		b = appendResults(b, s.results, nil, a.terms)
 	}
 	return b
 }
@@ -1057,15 +1055,13 @@ type shardResp struct {
 }
 
 type evalResp struct {
-	snippeted bool
-	shards    []shardResp
+	shards []shardResp
 }
 
 // decodeEvalResp scans an eval response to a query of terms terms.
 func decodeEvalResp(body []byte, terms int) (evalResp, error) {
 	c := &cursor{data: body}
 	var r evalResp
-	r.snippeted = c.u8("snippeted flag") != 0
 	n := c.count("shard response", maxWireShards)
 	r.shards = make([]shardResp, 0, n)
 	for i := 0; i < n; i++ {
@@ -1075,7 +1071,7 @@ func decodeEvalResp(body []byte, terms int) (evalResp, error) {
 		if c.err == nil && s.shard >= maxWireShards {
 			c.fail("shard index %d exceeds cap %d", s.shard, maxWireShards)
 		}
-		s.results = c.results(r.snippeted, int32(s.shard), terms)
+		s.results = c.results(false, int32(s.shard), terms)
 		if c.err != nil {
 			return r, c.err
 		}
@@ -1110,25 +1106,30 @@ func decodeFullResp(body []byte, terms int) (fullResp, error) {
 
 // --- trees ---
 
-// treesReq asks a server for the trees of some results of one answer: the
-// answer's query and options, the reader's remaining time (0 = none), the
-// fingerprint of the generation that answered it, and the results' handles.
+// treesReq asks a server for the trees of some results of one answer (a
+// trees request), or for their snippets (a snippets request; the frame's type
+// byte tells them apart): the answer's query and options, the caller's
+// remaining time (0 = none), the fingerprint of the generation that answered
+// it, the snippet bound and the results' handles.
 type treesReq struct {
 	opts          search.Options
 	query         string
 	timeoutMillis uint64
 	fingerprint   uint64
+	bound         int // snippets request only; < 0 in a trees request
 	handles       []handle
 }
 
-// encodeTreesReq encodes a trees request: options, query, timeout, then
-// fingerprint (u64), then per handle its shard + 1 (0 = the whole document)
-// and its anchor and LCA positions.
+// encodeTreesReq encodes a trees or snippets request: options, query,
+// timeout, then fingerprint (u64), then the bound + 1 (0 = none, a trees
+// request), then per handle its shard + 1 (0 = the whole document) and its
+// anchor and LCA positions.
 func encodeTreesReq(r treesReq) []byte {
 	b := appendOptions(nil, r.opts)
 	b = appendString(b, r.query)
 	b = binary.AppendUvarint(b, r.timeoutMillis)
 	b = binary.LittleEndian.AppendUint64(b, r.fingerprint)
+	b = binary.AppendUvarint(b, uint64(max(r.bound, -1)+1))
 	b = binary.AppendUvarint(b, uint64(len(r.handles)))
 	for _, h := range r.handles {
 		b = binary.AppendUvarint(b, uint64(h.shard+1))
@@ -1145,6 +1146,7 @@ func decodeTreesReq(data []byte) (treesReq, error) {
 	r.query = c.str("query")
 	r.timeoutMillis = c.uvarint("timeout")
 	r.fingerprint = c.u64("fingerprint")
+	r.bound = c.count("snippet bound", maxSnippetBound+1) - 1
 	n := c.count("handle", maxWireResults)
 	if c.err == nil && n > (len(c.data)-c.off)/3 {
 		c.fail("handle count %d exceeds the payload that would carry it", n)
@@ -1189,6 +1191,41 @@ func decodeTreesResp(body []byte) ([]treeRecord, error) {
 		trees = append(trees, c.scanResult())
 	}
 	return trees, c.done()
+}
+
+// --- snippets ---
+
+// appendSnippetsResp appends a snippets response body: one snippet record
+// (appendSnippet) per requested handle, in request order.
+func appendSnippetsResp(b []byte, gs []*core.Generated) []byte {
+	b = binary.AppendUvarint(b, uint64(len(gs)))
+	for _, g := range gs {
+		b = appendSnippet(b, g)
+	}
+	return b
+}
+
+// minSnippetBytes is the shortest snippet record (a one-node tree with an
+// empty label, no edges, an empty IList, no key, nothing covered or
+// skipped); it bounds a claimed snippet count by the payload that would have
+// to carry it.
+const minSnippetBytes = 11
+
+// decodeSnippetsResp scans a snippets response's snippet records.
+func decodeSnippetsResp(body []byte) ([][]byte, error) {
+	c := &cursor{data: body}
+	n := c.count("snippet", maxWireResults)
+	if c.err == nil && n > len(c.data)/minSnippetBytes {
+		c.fail("snippet count %d exceeds the payload that would carry it", n)
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	recs := make([][]byte, 0, n)
+	for i := 0; i < n && c.err == nil; i++ {
+		recs = append(recs, c.scanSnippet())
+	}
+	return recs, c.done()
 }
 
 // --- completion ---
@@ -1295,7 +1332,7 @@ const (
 	errKindPanic
 	errKindInternal
 	errKindBadShard
-	errKindSkew // a trees request for a generation the server no longer serves
+	errKindSkew // a by-handle request for a generation the server no longer serves
 )
 
 type errMsg struct {

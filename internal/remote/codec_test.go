@@ -174,14 +174,23 @@ func sameResult(want, got *search.Result) error {
 	return nil
 }
 
+// codecAnswer is one answer of the codec fixture: what a shard server's
+// evaluate ships and, in a snippeted one, the snippets its snippets handler
+// makes of every shipped result, in shipping order.
+type codecAnswer struct {
+	evalAnswer
+	snippets []*core.Generated
+}
+
 // codecAnswers evaluates a query × options matrix on small sharded corpora
-// through a shard server's own evaluate, so the codec tests and the fuzz
-// seeds work on exactly what a server ships: views at non-zero offsets of
-// their source documents, ModeXSeek projections, skipped shards, digests —
-// search only, and snippeted at a bound where the query allows.
-func codecAnswers(tb testing.TB) []evalAnswer {
+// through a shard server's own evaluate and snippets, so the codec tests and
+// the fuzz seeds work on exactly what a server ships: views at non-zero
+// offsets of their source documents, ModeXSeek projections, skipped shards,
+// digests — each answer search only, and again with the snippets of its
+// results at a bound.
+func codecAnswers(tb testing.TB) []codecAnswer {
 	tb.Helper()
-	var out []evalAnswer
+	var out []codecAnswer
 	results := 0
 	for _, cc := range testCorpora()[:2] { // figure1, stores
 		sc := shard.Build(cc.mk(), 3)
@@ -198,15 +207,21 @@ func codecAnswers(tb testing.TB) []evalAnswer {
 				if err != nil {
 					continue // the matrix includes the empty query
 				}
-				if snippeted, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList, bound: 6}); err != nil {
-					tb.Fatalf("%q: %v", q, err)
-				} else if snippeted.snippeted {
-					out = append(out, snippeted)
-				}
+				var handles []handle
 				for _, s := range a.shards {
-					results += len(s.results)
+					for _, r := range s.results {
+						handles = append(handles, handle{shard: int32(s.shard), anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)})
+					}
 				}
-				out = append(out, a)
+				results += len(handles)
+				out = append(out, codecAnswer{evalAnswer: a})
+				if len(handles) > 0 {
+					gs, err := srv.snippets(st, treesReq{opts: opts, query: q, fingerprint: st.fingerprint, bound: 6, handles: handles})
+					if err != nil {
+						tb.Fatalf("%q: %v", q, err)
+					}
+					out = append(out, codecAnswer{evalAnswer: a, snippets: gs})
+				}
 			}
 		}
 	}
@@ -513,7 +528,7 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	}
 
 	// The snippet record: each malformed one is a *ProtocolError too, alone
-	// and inside the shipped result that carries it.
+	// and inside the snippets response that carries it.
 	item := func(kind byte) []byte {
 		b := appendString([]byte{kind}, "texas")
 		b = append(b, 0, 0, 0) // no feature entity, attribute, value
@@ -549,9 +564,8 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		if err := c.done(); !errors.As(err, &pe) {
 			t.Errorf("%s: err = %v, want a *ProtocolError", tc.name, err)
 		}
-		// The same record behind a valid result in a snippeted response.
-		body := cat([]byte{1}, uv(1), uv(0), []byte{0, 0}, uv(1), uv(1), uv(0), uv(0), tc.rec)
-		if _, err := decodeEvalResp(body, 0); !errors.As(err, &pe) {
+		// The same record behind a valid one in a snippets response.
+		if _, err := decodeSnippetsResp(cat(uv(2), valid, tc.rec)); !errors.As(err, &pe) {
 			t.Errorf("%s inside a response: err = %v, want a *ProtocolError", tc.name, err)
 		}
 	}
@@ -572,7 +586,7 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		{"missing depth", cat(uv(3), uv(0), uv(1))},
 		{"trailing bytes", cat(valid, []byte{7})},
 	} {
-		eval := cat([]byte{0}, uv(1), uv(0), []byte{0, 0}, uv(1), tc.rec)
+		eval := cat(uv(1), uv(0), []byte{0, 0}, uv(1), tc.rec)
 		_, evalErr := decodeEvalResp(eval, 1)
 		_, fullErr := decodeFullResp(cat([]byte{0}, uv(1), tc.rec), 1)
 		var pe *ProtocolError
@@ -587,15 +601,12 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		}
 	}
 
-	// Every cut of a real snippeted response is refused, the cuts inside its
+	// Every cut of a real snippets response is refused, the cuts inside its
 	// snippet records included.
 	var real []byte
-	terms := 0
 	for _, a := range codecAnswers(t) {
-		if a.snippeted && len(a.shards) > 0 {
-			if body := appendEvalResp(nil, a); len(body) > len(real) && len(body) < 8192 {
-				real, terms = body, len(a.terms)
-			}
+		if body := appendSnippetsResp(nil, a.snippets); len(a.snippets) > 1 && len(body) > len(real) && len(body) < 8192 {
+			real = body
 		}
 	}
 	if real == nil {
@@ -603,14 +614,14 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	}
 	for cut := 0; cut < len(real); cut++ {
 		var pe *ProtocolError
-		if _, err := decodeEvalResp(real[:cut], terms); !errors.As(err, &pe) {
-			t.Fatalf("snippeted response cut at %d of %d: err = %v", cut, len(real), err)
+		if _, err := decodeSnippetsResp(real[:cut]); !errors.As(err, &pe) {
+			t.Fatalf("snippets response cut at %d of %d: err = %v", cut, len(real), err)
 		}
 	}
 
 	// A result count is checked against the payload that would have to carry
 	// it before the range slice is allocated.
-	hostile := []byte{0, 1, 0, 0, 0} // not snippeted; one shard: index 0, no digest bits
+	hostile := []byte{1, 0, 0, 0} // one shard: index 0, no digest bits
 	hostile = binary.AppendUvarint(hostile, maxWireResults)
 	var pe *ProtocolError
 	if _, err := decodeEvalResp(hostile, 1); !errors.As(err, &pe) {
@@ -718,18 +729,17 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 		keywords[i] = "k"
 		counts[i] = uint64(i)
 	}
-	var eval evalAnswer
+	var eval codecAnswer
 	for _, a := range codecAnswers(tb) {
-		if a.snippeted && len(a.shards) > len(eval.shards) {
+		if a.snippets != nil && len(a.shards) > len(eval.shards) {
 			eval = a
 		}
 	}
 	var results []*search.Result
-	var snippets []*core.Generated
 	for _, s := range eval.shards {
 		results = append(results, s.results...)
-		snippets = append(snippets, s.snippets...)
 	}
+	snippets := eval.snippets
 	if len(snippets) != len(results) {
 		tb.Fatalf("%d snippets for %d results", len(snippets), len(results))
 	}
@@ -753,9 +763,11 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 	for i := range handles {
 		handles[i] = handle{shard: int32(i) - 1, anchor: int32(i), lca: int32(2 * i)}
 	}
-	trees := treesReq{opts: search.Options{Mode: search.ModeXSeek}, query: "store texas", timeoutMillis: 250, fingerprint: 7}
+	trees := treesReq{opts: search.Options{Mode: search.ModeXSeek}, query: "store texas", timeoutMillis: 250, fingerprint: 7, bound: -1}
 	treesAfterCount := len(encodeTreesReq(trees)) - 1 + uvarintLen(uint64(n))
 	trees.handles = handles
+	snippetsReq := trees
+	snippetsReq.bound = 6
 	req := evalReq{opts: search.Options{MaxResults: 9}, query: "store texas", timeoutMillis: 250, bound: 6}
 	fullReq := encodeEvalReq(req)
 	reqAfterCount := len(fullReq) - 2 + uvarintLen(uint64(n))
@@ -765,7 +777,7 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 			func(b []byte) error { _, err := decodeEvalReq(b); return err }},
 		{"full request", appendTraceID(fullReq, 42), 0,
 			func(b []byte) error { _, err := decodeEvalReq(b); return err }},
-		{"eval response", respond(appendEvalResp(nil, eval)), 0,
+		{"eval response", respond(appendEvalResp(nil, eval.evalAnswer)), 0,
 			behind(func(b []byte) error { _, err := decodeEvalResp(b, len(eval.terms)); return err })},
 		{"full response", respond(full), 0,
 			behind(func(b []byte) error { _, err := decodeFullResp(b, len(eval.terms)); return err })},
@@ -773,6 +785,10 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 			func(b []byte) error { _, err := decodeTreesReq(b); return err }},
 		{"trees response", respond(appendTreesResp(nil, results)), 0,
 			behind(func(b []byte) error { _, err := decodeTreesResp(b); return err })},
+		{"snippets request", encodeTreesReq(snippetsReq), treesAfterCount,
+			func(b []byte) error { _, err := decodeTreesReq(b); return err }},
+		{"snippets response", respond(appendSnippetsResp(nil, snippets)), 0,
+			behind(func(b []byte) error { _, err := decodeSnippetsResp(b); return err })},
 		{"complete request", encodeCompleteReq(completeReq{prefix: "sto", k: 10}), 0,
 			func(b []byte) error { _, err := decodeCompleteReq(b); return err }},
 		{"complete response", respond(appendCompleteResp(nil, keywords)), respHeaderLen + uvarintLen(uint64(n)),
@@ -842,11 +858,9 @@ func TestSnippetRoundTrip(t *testing.T) {
 	}
 	served := 0
 	for _, a := range codecAnswers(t) {
-		for _, s := range a.shards {
-			for i, g := range s.snippets {
-				check(fmt.Sprintf("shard %d snippet %d", s.shard, i), g)
-				served++
-			}
+		for i, g := range a.snippets {
+			check(fmt.Sprintf("%v snippet %d", a.terms, i), g)
+			served++
 		}
 	}
 	if served < 20 {

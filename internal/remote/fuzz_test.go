@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 	"testing"
 
+	"extract/internal/core"
 	"extract/internal/search"
 )
 
@@ -62,6 +62,11 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frameBytes(5, msgHello, nil))
 	f.Add(frameBytes(5, msgEval, appendTraceID(evalPayload, 42)))
 	f.Add(frameBytes(5, msgEvalResp, append(appendRespHeader(nil, 7), v5EvalResp...)))
+	// Retired wire v6: its empty greeting, an eval request, and an eval
+	// response whose result carries its snippet.
+	f.Add(frameBytes(6, msgHello, nil))
+	f.Add(frameBytes(6, msgEval, appendTraceID(evalPayload, 42)))
+	f.Add(frameBytes(6, msgEvalResp, append(appendRespHeader(nil, 7), v6SnippetedEvalResp...)))
 	f.Add(frameBytes(wireVersion, msgFull, appendTraceID(encodeEvalReq(evalReq{query: "xml keyword", bound: 6}), 42)))
 	f.Add(frameBytes(wireVersion, msgStats, encodeStatsReq(statsReq{keywords: []string{"a", "b"}})))
 	f.Add(frameBytes(wireVersion, msgStatsResp, appendStatsResp(appendRespHeader(nil, 7), statsResp{totalElements: 9, counts: []uint64{3}})))
@@ -72,6 +77,11 @@ func FuzzFrame(f *testing.F) {
 		handles: []handle{{shard: 0, anchor: 3, lca: 5}, {shard: wholeShard, anchor: 0, lca: 0}},
 	})))
 	f.Add(frameBytes(wireVersion, msgTreesResp, appendTreesResp(appendRespHeader(nil, 7), []*search.Result{syntheticResults()["attributes and multi-byte text"]})))
+	f.Add(frameBytes(wireVersion, msgSnippets, encodeTreesReq(treesReq{
+		query: "xml keyword", timeoutMillis: 900, fingerprint: 7, bound: 6,
+		handles: []handle{{shard: 0, anchor: 3, lca: 5}, {shard: 2, anchor: 0, lca: 1}},
+	})))
+	f.Add(frameBytes(wireVersion, msgSnippetsResp, appendSnippetsResp(appendRespHeader(nil, 7), fuzzSnippets(f))))
 	f.Add(frameBytes(wireVersion, msgComplete, encodeCompleteReq(completeReq{prefix: "xm", k: 5})))
 	f.Add(frameBytes(wireVersion, msgCompleteResp, appendCompleteResp(appendRespHeader(nil, 7), []string{"xml", "xmlns"})))
 	f.Add(frameBytes(wireVersion+1, msgHello, nil)) // version skew
@@ -102,11 +112,11 @@ func FuzzFrame(f *testing.F) {
 		switch mt {
 		case msgEval, msgFull:
 			_, _ = decodeEvalReq(payload)
-		case msgTrees:
+		case msgTrees, msgSnippets:
 			_, _ = decodeTreesReq(payload)
 		case msgComplete:
 			_, _ = decodeCompleteReq(payload)
-		case msgEvalResp, msgFullResp, msgStatsResp, msgTreesResp, msgCompleteResp:
+		case msgEvalResp, msgFullResp, msgStatsResp, msgTreesResp, msgCompleteResp, msgSnippetsResp:
 			_, _, body, err := decodeRespHeader(payload)
 			if err != nil {
 				return
@@ -114,6 +124,7 @@ func FuzzFrame(f *testing.F) {
 			_, _ = decodeEvalResp(body, 2)
 			_, _ = decodeFullResp(body, 2)
 			_, _ = decodeTreesResp(body)
+			_, _ = decodeSnippetsResp(body)
 			_, _ = decodeCompleteResp(body)
 			_, _ = decodeStatsResp(body)
 		case msgStats:
@@ -129,54 +140,81 @@ func FuzzFrame(f *testing.F) {
 // childless "r" node, no LCA, no match keywords — and no depths.
 var v5EvalResp = []byte{0, 1, 0, 0, 0, 1, 1, 0, 1, 'r', 0, 0, 0}
 
+// v6SnippetedEvalResp is a retired v6 eval response body: snippeted, one
+// shard (index 0, no digest bits), one result shipped as its handle — one
+// node, anchor and LCA at 0, no depths — and its snippet record: a childless
+// "a" node, no edges, an empty IList, no key, nothing covered or skipped.
+var v6SnippetedEvalResp = []byte{1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0}
+
+// fuzzSnippets is a small real snippet set: the first snippeted answer of
+// the codec fixture with two or three snippets.
+func fuzzSnippets(tb testing.TB) []*core.Generated {
+	for _, a := range codecAnswers(tb) {
+		if n := len(a.snippets); n >= 2 && n <= 3 {
+			return a.snippets
+		}
+	}
+	return nil
+}
+
 // FuzzEvalRespDecode aims the fuzzer straight at the deepest decoders
 // without requiring it to first learn the frame checksum: the scan of an
-// eval response's shipped results — handles, depths and snippet records — for
-// a query of terms terms, and the scan of a trees response's tree records.
-// The seeds carry real answers and real trees (views, projections, attribute
-// nodes, multi-byte text) and real snippets, so mutation starts inside the
-// records. Whatever the eval scan accepts must take and snippet without
-// panicking; whatever the trees scan accepts must build to exactly what the
-// frozen reference decoder makes of the same bytes.
+// eval response's shipped results — handles and depths — for a query of
+// terms terms, the scan of a snippets response's snippet records, the decode
+// of a trees or snippets request, and the scan of a trees response's tree
+// records. The seeds carry real answers, real snippets and real trees (views,
+// projections, attribute nodes, multi-byte text), so mutation starts inside
+// the records. Whatever the eval scan accepts must take without panicking,
+// whatever the snippets scan accepts must build, and whatever the trees scan
+// accepts must build to exactly what the frozen reference decoder makes of
+// the same bytes.
 func FuzzEvalRespDecode(f *testing.F) {
 	f.Add(uint8(0), appendEvalResp(nil, evalAnswer{}))
-	f.Add(uint8(1), appendEvalResp(nil, evalAnswer{snippeted: true}))
-	f.Add(uint8(1), []byte{0, 1, 0, 0, 0, 1, 1, 0, 0, 1})
-	f.Add(uint8(0), []byte{0, 1, 0, 8}) // a v3 prefilter-skipped shard: refused
-	f.Add(uint8(0), v5EvalResp)         // a v5 shipped tree record: refused
-	seeded, snippeted, trees := 0, 0, 0
+	f.Add(uint8(1), []byte{1, 0, 0, 0, 1, 1, 0, 0, 1})
+	f.Add(uint8(0), []byte{1, 0, 8})     // a v3 prefilter-skipped shard: refused
+	f.Add(uint8(0), v5EvalResp)          // a v5 shipped tree record: refused
+	f.Add(uint8(0), v6SnippetedEvalResp) // a v6 snippet in an eval response: refused
+	f.Add(uint8(0), appendSnippetsResp(nil, nil))
+	seeded, snippets, trees := 0, 0, 0
 	// Small inputs only: the fuzzer minimizes every interesting input, and a
 	// 100 KB seed eats a ten-second CI budget doing it.
 	const maxSeed = 4096
-	seed := func(a evalAnswer) {
+	for _, a := range codecAnswers(f) {
 		var rs []*search.Result
+		handles := make([]handle, 0, len(a.snippets))
 		for _, s := range a.shards {
-			rs = append(rs, s.results...)
-		}
-		if body := appendEvalResp(nil, a); len(rs) > 0 && len(body) <= maxSeed {
-			f.Add(uint8(len(a.terms)), body)
-			seeded++
-			if a.snippeted {
-				snippeted++
+			for _, r := range s.results {
+				rs = append(rs, r)
+				handles = append(handles, handle{shard: int32(s.shard), anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)})
 			}
 		}
-		if body := appendTreesResp(nil, rs); len(rs) > 0 && len(body) <= maxSeed {
+		if len(rs) == 0 {
+			continue
+		}
+		if a.snippets != nil {
+			// A whole answer's snippets are mostly past the size limit: its
+			// first one or two, alone, much less often.
+			for _, gs := range [][]*core.Generated{a.snippets, a.snippets[:1], a.snippets[:min(2, len(a.snippets))]} {
+				if body := appendSnippetsResp(nil, gs); len(body) <= maxSeed {
+					f.Add(uint8(len(a.terms)), body)
+					snippets++
+					break
+				}
+			}
+			f.Add(uint8(0), encodeTreesReq(treesReq{opts: search.Options{DistinctAnchors: true}, query: fmt.Sprint(a.terms), timeoutMillis: 250, fingerprint: 7, bound: 6, handles: handles}))
+			continue
+		}
+		if body := appendEvalResp(nil, a.evalAnswer); len(body) <= maxSeed {
+			f.Add(uint8(len(a.terms)), body)
+			seeded++
+		}
+		if body := appendTreesResp(nil, rs); len(body) <= maxSeed {
 			f.Add(uint8(len(a.terms)), body)
 			trees++
 		}
 	}
-	for _, a := range codecAnswers(f) {
-		seed(a)
-		// A snippeted answer of three shards is mostly past the size limit:
-		// its first shard's share with results, alone, much less often.
-		if a.snippeted && len(a.shards) > 1 {
-			if i := slices.IndexFunc(a.shards, func(s shardAnswer) bool { return len(s.results) > 0 }); i >= 0 {
-				seed(evalAnswer{terms: a.terms, snippeted: true, shards: a.shards[i : i+1]})
-			}
-		}
-	}
-	if seeded < 20 || snippeted < 10 || trees < 20 {
-		f.Fatalf("only %d seeds carry shipped results, %d of them snippets, and %d carry trees", seeded, snippeted, trees)
+	if seeded < 20 || snippets < 10 || trees < 20 {
+		f.Fatalf("only %d seeds carry shipped results, %d carry snippets, and %d carry trees", seeded, snippets, trees)
 	}
 	for name, r := range syntheticResults() {
 		if name != "deep chain" {
@@ -209,12 +247,28 @@ func FuzzEvalRespDecode(f *testing.F) {
 						}
 					}
 					if s.snippet != nil {
-						if g := buildSnippet(s.snippet, nil, 0); g.Snippet.Edges >= subtreeSize(g.Snippet.Root) {
-							t.Fatalf("snippet of %d nodes built with %d edges", subtreeSize(g.Snippet.Root), g.Snippet.Edges)
-						}
+						t.Fatal("an eval response's result carries a snippet")
 					}
 				}
 			}
+		}
+		if recs, err := decodeSnippetsResp(data); err != nil {
+			if !errors.As(err, &pe) {
+				t.Fatalf("unclassified snippets decode error %T: %v", err, err)
+			}
+		} else {
+			for _, rec := range recs {
+				if g := buildSnippet(rec, nil, 0); g.Snippet.Edges >= subtreeSize(g.Snippet.Root) {
+					t.Fatalf("snippet of %d nodes built with %d edges", subtreeSize(g.Snippet.Root), g.Snippet.Edges)
+				}
+			}
+		}
+		if req, err := decodeTreesReq(data); err != nil {
+			if !errors.As(err, &pe) {
+				t.Fatalf("unclassified trees request decode error %T: %v", err, err)
+			}
+		} else if req.bound < -1 || req.bound > maxSnippetBound {
+			t.Fatalf("decoded snippet bound %d", req.bound)
 		}
 		recs, err := decodeTreesResp(data)
 		if err != nil {

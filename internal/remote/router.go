@@ -97,11 +97,11 @@ type group struct {
 // Router is the stateless routing half of the distributed tier: a
 // serve.Backend that answers a query by running shard.Merge — the protocol
 // the in-process sharded corpus answers by — over rounds served by
-// shard-server replica groups, which also make the snippets, so a routed
-// answer is byte-identical to a local one. "Stateless" means no
-// query state and no placement authority: everything the router knows is
-// recomputed from the snapshot manifest, and two routers over the same
-// snapshot agree without talking to each other.
+// shard-server replica groups, which also make the snippets of the results
+// the merge keeps, so a routed answer is byte-identical to a local one.
+// "Stateless" means no query state and no placement authority: everything
+// the router knows is recomputed from the snapshot manifest, and two routers
+// over the same snapshot agree without talking to each other.
 //
 // A dead replica degrades to its peer, not to an error: transport
 // failures, protocol violations, generation skew and server-side faults
@@ -438,14 +438,15 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 // Answer answers a query from the replica groups by the same protocol as the
 // in-process sharded path — shard.Merge, here over rounds that cross the wire
 // (routedRounds) — so a routed answer is a local one, whatever the shard
-// count. With bound >= 0 the shard servers snippet the results they ship, on
-// their index, by the same fan-out a local corpus runs (shard.Snippets), so
-// the snippets are the local ones too. Responses are validated as they arrive
-// — a malformed one fails over inside its hop — and only the results the
-// merge takes become answers: deferred results (take), which carry their
-// size, match depths and handle but no tree, and the snippets that arrived
-// with them. The first read of a tree fetches it (answerTrees).
-// run schedules the per-group fan-out, so the serving layer's worker pool
+// count. Responses are validated as they arrive — a malformed one fails over
+// inside its hop — and only the results the merge takes become answers:
+// deferred results (take), which carry their size, match depths and handle
+// but no tree. The first read of a tree fetches it (answerTrees). With bound
+// >= 0 the shard servers snippet exactly the results taken, on their index,
+// by the same fan-out a local corpus runs (shard.Snippets), so the snippets
+// are the local ones too: those of a whole-document answer arrive with it,
+// the others are asked for by handle once the merge has cut (snippets).
+// run schedules the per-group fan-outs, so the serving layer's worker pool
 // bounds remote concurrency exactly as it bounds local shard evaluation.
 func (rt *Router) Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	pl := rt.place.Load()
@@ -475,10 +476,9 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 	if bound < 0 {
 		return rs, nil, nil
 	}
-	kws := index.Tokenize(query)
-	gs := make([]*core.Generated, len(winners))
-	for i, w := range winners {
-		gs[i] = buildSnippet(w.snippet, kws, bound)
+	gs, err := r.snippets(ctx, winners)
+	if err != nil {
+		return nil, nil, err
 	}
 	return rs, gs, nil
 }
@@ -486,7 +486,8 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 // routedRounds is shard.Merge's source of evidence for one routed query, on
 // one placement generation: round one is a fan-out of remote calls, one per
 // replica group, scheduled through run; round two is one call any replica
-// answers.
+// answers. After the merge, it fetches the snippets of what the merge kept
+// (snippets).
 // A result is a scanned byte range of the response that shipped it —
 // validated, counted, not taken — because which results win is decided by
 // the per-shard counts alone.
@@ -497,7 +498,7 @@ type routedRounds struct {
 	terms int // the query's term count, which every shipped result carries a depth for
 	opts  search.Options
 	run   shard.Runner
-	bound int // snippet bound the servers apply; -1 = search only
+	bound int // the query's snippet bound; -1 = search only
 
 	shipped int // results scanned out of this query's responses
 
@@ -520,10 +521,8 @@ func (r *routedRounds) release() {
 	r.frames = nil
 }
 
-// Eval asks every group for its shard subset's partials. A snippeted request
-// is answered with a snippet per shipped result, except by a server whose own
-// shards include a root-anchored one: that sends the merge to the whole
-// document, so it snippets nothing — which the decoder holds it to.
+// Eval asks every group for its shard subset's partials: per shard its digest
+// and the counts and handles of the results it ships, no snippets.
 func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], error) {
 	rt, pl := r.rt, r.pl
 	timeout := ctxTimeoutMillis(ctx)
@@ -534,7 +533,7 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 		if len(shards) == 0 {
 			continue
 		}
-		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards, bound: r.bound})
+		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards, bound: -1})
 		tasks = append(tasks, func() {
 			errs[g] = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, pl.fingerprint, func(body []byte) error {
 				resp, err := decodeEvalResp(body, r.terms)
@@ -543,10 +542,6 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 				}
 				if !slices.EqualFunc(resp.shards, shards, func(s shardResp, want uint32) bool { return s.shard == want }) {
 					return shardEchoErr(shards)
-				}
-				rootAnchored := slices.ContainsFunc(resp.shards, func(s shardResp) bool { return s.digest.RootAnchored })
-				if resp.snippeted != (r.bound >= 0 && !rootAnchored) {
-					return protocolErrf("eval response snippeted = %v for bound %d, root-anchored %v", resp.snippeted, r.bound, rootAnchored)
 				}
 				resps[g] = resp
 				return nil
@@ -593,6 +588,77 @@ func (r *routedRounds) Whole(ctx context.Context) ([]scanned, error) {
 	}
 	r.shipped += len(fr.results)
 	return fr.results, nil
+}
+
+// snippets returns the snippets of the merge's winners, aligned with them. A
+// whole-document answer's arrived with it. The eval round's winners are
+// snippeted where they live: one snippets call per replica group holding any
+// of them — a group whose results the cut dropped is not asked — the calls
+// scheduled through run, within the query's context, each carrying the
+// group's winners' handles, the query's remaining time and the fingerprint
+// of the generation that answered round one. A replica on another generation
+// fails over within its group; when none holds it, the query fails with the
+// skew, never with another generation's snippet. The round's wall time is
+// the query's snippet stage on its span sink.
+func (r *routedRounds) snippets(ctx context.Context, winners []scanned) ([]*core.Generated, error) {
+	rt, pl := r.rt, r.pl
+	kws := index.Tokenize(r.query)
+	gs := make([]*core.Generated, len(winners))
+	byGroup := make([][]int, len(rt.groups))
+	for i, w := range winners {
+		if w.at.shard == wholeShard {
+			gs[i] = buildSnippet(w.snippet, kws, r.bound)
+			continue
+		}
+		g := pl.groupOf[w.at.shard]
+		byGroup[g] = append(byGroup[g], i)
+	}
+	start := time.Now()
+	timeout := ctxTimeoutMillis(ctx)
+	errs := make([]error, len(rt.groups))
+	var tasks []func()
+	for g, idx := range byGroup {
+		if len(idx) == 0 {
+			continue
+		}
+		handles := make([]handle, len(idx))
+		for k, i := range idx {
+			handles[k] = winners[i].at
+		}
+		payload := encodeTreesReq(treesReq{opts: r.opts, query: r.query, timeoutMillis: timeout, fingerprint: pl.fingerprint, bound: r.bound, handles: handles})
+		tasks = append(tasks, func() {
+			errs[g] = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "snippets", strconv.Itoa(g), msgSnippets, payload, msgSnippetsResp, pl.fingerprint, func(body []byte) error {
+				recs, err := decodeSnippetsResp(body)
+				if err != nil {
+					return err
+				}
+				if len(recs) != len(idx) {
+					return protocolErrf("snippets response carries %d snippets for %d handles", len(recs), len(idx))
+				}
+				for k, rec := range recs {
+					gs[idx[k]] = buildSnippet(rec, kws, r.bound)
+				}
+				return nil
+			}, nil)
+		})
+	}
+	if len(tasks) == 0 {
+		return gs, nil
+	}
+	err := shard.Run(r.run, tasks)
+	if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
+		sink.NoteSnippets(time.Since(start))
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The first failure in group order.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return gs, nil
 }
 
 // ErrResultGone is a routed result's tree read after every replica that could
@@ -841,8 +907,9 @@ func (rt *Router) Stats() (analysis *core.Corpus, totalElements int) {
 // routerMetrics pre-registers the router's telemetry series, labeled by
 // replica group so a sick group is attributable from metrics alone; see
 // OBSERVABILITY.md for the contract. Numbered groups carry the per-group
-// call kinds (eval, trees); the "any" pseudo-group carries the calls any
-// replica may serve (full, the whole document's trees, stats, complete).
+// call kinds (eval, snippets, trees); the "any" pseudo-group carries the
+// calls any replica may serve (full, the whole document's trees, stats,
+// complete).
 type routerMetrics struct {
 	calls     map[[3]string]*telemetry.Counter // kind, outcome, group
 	failovers map[string]*telemetry.Counter    // group
@@ -857,7 +924,7 @@ type routerMetrics struct {
 // groupCallKinds are the per-replica-group call kinds; anyCallKinds the
 // kinds served by any replica.
 var (
-	groupCallKinds = []string{"eval", "trees"}
+	groupCallKinds = []string{"eval", "snippets", "trees"}
 	anyCallKinds   = []string{"full", "trees", "stats", "complete"}
 )
 

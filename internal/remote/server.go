@@ -62,9 +62,10 @@ type serverState struct {
 
 // Server answers the wire protocol over one sharded corpus. It loads (or
 // is handed) the full snapshot — mmap'd images make the non-owned shards
-// nearly free — but evaluates queries, and rebuilds their trees, only for
-// the shard subset it owns; whole-document, completion and statistics calls
-// are answerable by any replica. A Server is safe for concurrent
+// nearly free — but evaluates queries, and rebuilds their results for trees
+// and snippets, only for the shard subset it owns; whole-document, completion
+// and statistics calls are answerable by any replica. A Server holds nothing
+// of a query between its calls. A Server is safe for concurrent
 // connections. The per-shard evaluations, snippet tasks and tree rebuilds of
 // every request run on one worker pool of GOMAXPROCS workers (serve.Pool),
 // with per-task panic isolation exactly like the in-process path, so a burst
@@ -283,7 +284,7 @@ func reply(bw *bufio.Writer, t msgType, payload []byte) error {
 // handle dispatches one request and never panics: evaluation panics are
 // recovered per task and classified, and a malformed request is answered
 // with a protocol error message. Evaluation requests are timed per stage
-// (decode, eval, encode) into the server's own telemetry, and
+// (decode, eval, encode) into the server's own telemetry (staged), and
 // the same breakdown is written into the response header so the router can
 // attribute a slow hop to the stage that caused it. Responses are appended
 // to enc, the caller's scratch.
@@ -291,56 +292,19 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 	st := s.state.Load()
 	switch t {
 	case msgEval:
-		start := time.Now()
-		req, err := decodeEvalReq(payload)
-		stages := serverStages{decodeNs: nanosSince(start)}
-		if err != nil {
-			return s.fail("eval", stages, err)
-		}
-		t1 := time.Now()
-		a, err := s.evaluate(st, req)
-		stages.evalNs = nanosSince(t1)
-		if err != nil {
-			return s.fail("eval", stages, err)
-		}
-		t2 := time.Now()
-		resp := appendEvalResp(appendRespHeader(enc, st.fingerprint), a)
-		stages.encodeNs = nanosSince(t2)
-		return s.respond("eval", msgEvalResp, resp, stages)
+		return staged(s, st, "eval", msgEvalResp, payload, enc, decodeEvalReq, s.evaluate,
+			func(b []byte, _ evalReq, a evalAnswer) []byte { return appendEvalResp(b, a) })
 	case msgFull:
-		start := time.Now()
-		req, err := decodeEvalReq(payload)
-		stages := serverStages{decodeNs: nanosSince(start)}
-		if err != nil {
-			return s.fail("full", stages, err)
-		}
-		t1 := time.Now()
-		rs, gs, err := s.fullEval(st, req)
-		stages.evalNs = nanosSince(t1)
-		if err != nil {
-			return s.fail("full", stages, err)
-		}
-		t2 := time.Now()
-		resp := appendFullResp(appendRespHeader(enc, st.fingerprint), rs, gs, search.TermKeys(req.query))
-		stages.encodeNs = nanosSince(t2)
-		return s.respond("full", msgFullResp, resp, stages)
+		return staged(s, st, "full", msgFullResp, payload, enc, decodeEvalReq, s.fullEval,
+			func(b []byte, req evalReq, a fullAnswer) []byte {
+				return appendFullResp(b, a.results, a.snippets, search.TermKeys(req.query))
+			})
 	case msgTrees:
-		start := time.Now()
-		req, err := decodeTreesReq(payload)
-		stages := serverStages{decodeNs: nanosSince(start)}
-		if err != nil {
-			return s.fail("trees", stages, err)
-		}
-		t1 := time.Now()
-		rs, err := s.rebuild(st, req)
-		stages.evalNs = nanosSince(t1)
-		if err != nil {
-			return s.fail("trees", stages, err)
-		}
-		t2 := time.Now()
-		resp := appendTreesResp(appendRespHeader(enc, st.fingerprint), rs)
-		stages.encodeNs = nanosSince(t2)
-		return s.respond("trees", msgTreesResp, resp, stages)
+		return staged(s, st, "trees", msgTreesResp, payload, enc, decodeTreesReq, s.trees,
+			func(b []byte, _ treesReq, rs []*search.Result) []byte { return appendTreesResp(b, rs) })
+	case msgSnippets:
+		return staged(s, st, "snippets", msgSnippetsResp, payload, enc, decodeTreesReq, s.snippets,
+			func(b []byte, _ treesReq, gs []*core.Generated) []byte { return appendSnippetsResp(b, gs) })
 	case msgComplete:
 		req, err := decodeCompleteReq(payload)
 		if err != nil {
@@ -361,6 +325,29 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 	default:
 		return errFrame(protocolErrf("unexpected request type %d", t))
 	}
+}
+
+// staged answers one request of kind in three timed stages — decode the
+// payload, eval it on st, encode the answer behind the response header into
+// enc — and fails it, classified, at the first stage that errs.
+func staged[Req, Ans any](s *Server, st *serverState, kind string, t msgType, payload, enc []byte,
+	decode func([]byte) (Req, error), eval func(*serverState, Req) (Ans, error), encode func([]byte, Req, Ans) []byte) (msgType, []byte) {
+	start := time.Now()
+	req, err := decode(payload)
+	stages := serverStages{decodeNs: nanosSince(start)}
+	if err != nil {
+		return s.fail(kind, stages, err)
+	}
+	t1 := time.Now()
+	a, err := eval(st, req)
+	stages.evalNs = nanosSince(t1)
+	if err != nil {
+		return s.fail(kind, stages, err)
+	}
+	t2 := time.Now()
+	resp := encode(appendRespHeader(enc, st.fingerprint), req, a)
+	stages.encodeNs = nanosSince(t2)
+	return s.respond(kind, t, resp, stages)
 }
 
 // respond counts one served request and writes its stages into the
@@ -414,10 +401,8 @@ func reqContext(timeoutMillis uint64) (context.Context, context.CancelFunc) {
 // evaluate answers one eval request — round one of shard.Merge for the
 // shards the request names: their shard.Partials, digested from the
 // untrimmed local answers and then trimmed to what the router's merge can
-// still take — and, for a request with a snippet bound, one snippet per
-// result it ships (shard.Snippets, on the shards' indexes). A root-anchored
-// shard among them sends the merge to the whole-document round, which
-// discards every result shipped here, so such an answer snippets nothing.
+// still take. It snippets nothing: the router asks for the snippets of the
+// results its merge keeps (snippets).
 func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
@@ -430,28 +415,10 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 		return evalAnswer{}, err
 	}
 	a := evalAnswer{terms: search.TermKeys(req.query), shards: make([]shardAnswer, len(parts))}
-	rootAnchored := false
 	for i, p := range parts {
 		a.shards[i] = shardAnswer{shard: req.shards[i], digest: p.Digest, results: p.Results}
-		rootAnchored = rootAnchored || p.Digest.RootAnchored
 	}
 	trimToMerge(a.shards, req.opts.MaxResults)
-	if req.bound < 0 || rootAnchored {
-		return a, nil
-	}
-	var rs []*search.Result
-	for _, sa := range a.shards {
-		rs = append(rs, sa.results...)
-	}
-	gs, err := shard.Snippets(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(req.query), req.bound)
-	if err != nil {
-		return evalAnswer{}, err
-	}
-	for i := range a.shards {
-		n := len(a.shards[i].results)
-		a.shards[i].snippets, gs = gs[:n:n], gs[n:]
-	}
-	a.snippeted = true
 	return a, nil
 }
 
@@ -477,34 +444,75 @@ func trimToMerge(answers []shardAnswer, maxResults int) {
 	}
 }
 
+// fullAnswer is a full request's answer: the whole document's results and,
+// for a request with a bound, their snippets (nil otherwise).
+type fullAnswer struct {
+	results  []*search.Result
+	snippets []*core.Generated
+}
+
 // fullEval answers shard.Merge's second round, the whole-document
-// evaluation, with a snippet per result when the request has a bound. Any
-// replica can serve it — every server holds the full snapshot.
-func (s *Server) fullEval(st *serverState, req evalReq) ([]*search.Result, []*core.Generated, error) {
+// evaluation, with a snippet per result when the request has a bound: the
+// merge keeps every result of that round, so they ride with it. Any replica
+// can serve it — every server holds the full snapshot.
+func (s *Server) fullEval(st *serverState, req evalReq) (fullAnswer, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
 	rs, err := st.sc.SearchWhole(ctx, req.query, req.opts)
 	if err != nil || req.bound < 0 {
-		return rs, nil, err
+		return fullAnswer{results: rs}, err
 	}
-	gs, err := shard.Snippets(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(req.query), req.bound)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rs, gs, nil
+	gs, err := s.snippet(ctx, st, rs, req.query, req.bound)
+	return fullAnswer{results: rs, snippets: gs}, err
 }
 
-// rebuild answers a trees request: every handle's result, rebuilt on the
-// generation that answered the query (search.Engine.ResultAt) — the
-// fingerprint must be this server's, or the request is refused as skew, and a
-// shard handle must name a shard this replica owns. The handles of each
-// document are one task on the worker pool, like a shard's evaluation: its
-// engine resolves the query's posting lists once for all of them, and the
-// request's deadline is checked before each result. A whole handle reads the
-// reconstructed whole document, which any replica holds.
-func (s *Server) rebuild(st *serverState, req treesReq) ([]*search.Result, error) {
+// trees answers a trees request: the handles' results, rebuilt.
+func (s *Server) trees(st *serverState, req treesReq) ([]*search.Result, error) {
+	ctx, cancel := reqContext(req.timeoutMillis)
+	defer cancel()
+	return s.rebuild(ctx, st, req)
+}
+
+// snippets answers a snippets request — the router's second round for the
+// results its merge kept of round one: the handles' results, rebuilt as a
+// trees request rebuilds them (on the answer's generation, on owned shards
+// only), then snippeted at the request's bound by the local fan-out, one
+// snippet a handle in request order.
+func (s *Server) snippets(st *serverState, req treesReq) ([]*core.Generated, error) {
+	if req.bound < 0 {
+		return nil, protocolErrf("snippets request without a snippet bound")
+	}
+	ctx, cancel := reqContext(req.timeoutMillis)
+	defer cancel()
+	rs, err := s.rebuild(ctx, st, req)
+	if err != nil {
+		return nil, err
+	}
+	return s.snippet(ctx, st, rs, req.query, req.bound)
+}
+
+// snippet makes one snippet per result (shard.Snippets, on the results'
+// indexes) and counts them.
+func (s *Server) snippet(ctx context.Context, st *serverState, rs []*search.Result, query string, bound int) ([]*core.Generated, error) {
+	gs, err := shard.Snippets(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(query), bound)
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.snippetsMade(len(gs))
+	return gs, nil
+}
+
+// rebuild resolves a trees or snippets request's handles: every handle's
+// result, rebuilt on the generation that answered the query
+// (search.Engine.ResultAt) — the fingerprint must be this server's, or the
+// request is refused as skew, and a shard handle must name a shard this
+// replica owns. The handles of each document are one task on the worker
+// pool, like a shard's evaluation: its engine resolves the query's posting
+// lists once for all of them, and ctx is checked before each result. A whole
+// handle reads the reconstructed whole document, which any replica holds.
+func (s *Server) rebuild(ctx context.Context, st *serverState, req treesReq) ([]*search.Result, error) {
 	if req.fingerprint != st.fingerprint {
-		return nil, fmt.Errorf("%w: trees of generation %016x asked of generation %016x", errSkew, req.fingerprint, st.fingerprint)
+		return nil, fmt.Errorf("%w: results of generation %016x asked of generation %016x", errSkew, req.fingerprint, st.fingerprint)
 	}
 	bySource := make(map[int32][]int)
 	var order []int32
@@ -519,8 +527,6 @@ func (s *Server) rebuild(st *serverState, req treesReq) ([]*search.Result, error
 		}
 		bySource[h.shard] = append(bySource[h.shard], i)
 	}
-	ctx, cancel := reqContext(req.timeoutMillis)
-	defer cancel()
 	rs := make([]*search.Result, len(req.handles))
 	errs := make([]error, len(order))
 	tasks := make([]func(), len(order))

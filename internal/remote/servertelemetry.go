@@ -9,7 +9,7 @@ import (
 // serverCallKinds are the request kinds a shard server counts; one counter
 // per kind × outcome is pre-registered so the /metrics exposition is
 // structurally stable from the first scrape.
-var serverCallKinds = []string{"eval", "full", "trees", "stats", "complete"}
+var serverCallKinds = []string{"eval", "full", "snippets", "trees", "stats", "complete"}
 
 // serverOutcomes label whether a request produced a response or a
 // classified error frame.
@@ -20,12 +20,13 @@ var serverOutcomes = []string{"ok", "error"}
 var serverStageNames = []string{"decode", "eval", "encode"}
 
 // serverMetrics is the shard server's own telemetry: request counts by
-// kind and outcome, and per-stage latency histograms. A nil *serverMetrics
-// is valid and records nothing, so servers without WithServerTelemetry pay
-// only a nil check per request.
+// kind and outcome, per-stage latency histograms and the snippets made. A
+// nil *serverMetrics is valid and records nothing, so servers without
+// WithServerTelemetry pay only a nil check per request.
 type serverMetrics struct {
 	requests map[[2]string]*telemetry.Counter
 	stages   map[string]*telemetry.Histogram
+	snippets *telemetry.Counter
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
@@ -47,7 +48,16 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"Server-side stage latency of handled requests (decode, eval, encode).",
 			telemetry.L("stage", stage))
 	}
+	m.snippets = reg.Counter("extract_shard_server_snippets_total",
+		"Snippets this shard server generated, for snippets and full requests.")
 	return m
+}
+
+// snippetsMade counts n generated snippets.
+func (m *serverMetrics) snippetsMade(n int) {
+	if m != nil {
+		m.snippets.Add(int64(n))
+	}
 }
 
 // observe records one handled request: its kind/outcome count and every

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -69,7 +70,7 @@ var retiredGreeting = []byte{7, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 1, 2}
 const v4Ping = msgType(8)
 
 // TestOtherWireVersionsRefused: a frame at any version but wireVersion —
-// the retired v1 to v5 a stale peer would still speak, or a future one — is
+// the retired v1 to v6 a stale peer would still speak, or a future one — is
 // a *ProtocolError naming both versions, whichever side reads it: the router
 // reading a greeting, the server reading a request. The server hangs up on
 // it without evaluating anything.
@@ -99,7 +100,10 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		{"v5 greeting", 5, msgHello, nil},
 		{"v5 eval request", 5, msgEval, appendTraceID(request, 1)},
 		{"v5 eval response", 5, msgEvalResp, append(appendRespHeader(nil, 7), v5EvalResp...)},
-		{"v7 greeting", wireVersion + 1, msgHello, nil},
+		{"v6 greeting", 6, msgHello, nil},
+		{"v6 eval request", 6, msgEval, appendTraceID(request, 1)},
+		{"v6 snippeted eval response", 6, msgEvalResp, append(appendRespHeader(nil, 7), v6SnippetedEvalResp...)},
+		{"v8 greeting", wireVersion + 1, msgHello, nil},
 	} {
 		_, _, err := readFrame(bytes.NewReader(frameBytes(tc.ver, tc.t, tc.payload)))
 		var pe *ProtocolError
@@ -111,6 +115,13 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 				t.Errorf("%s: %q does not mention %q", tc.name, pe.Reason, want)
 			}
 		}
+	}
+
+	// A v6 eval response's body, which carried a snippet per result, does not
+	// scan as a v7 one either.
+	var pe *ProtocolError
+	if _, err := decodeEvalResp(v6SnippetedEvalResp, 0); !errors.As(err, &pe) {
+		t.Fatalf("a v6 snippeted eval response body: %v, want a *ProtocolError", err)
 	}
 
 	// A stale router's first frame ends the connection: the server reads it,
@@ -265,16 +276,84 @@ func TestServerTelemetryCountsRequests(t *testing.T) {
 	}
 }
 
-// TestSnippetedAnswerTakesNoExtraRound: a routed query with snippets is
-// answered in the rounds a search-only one is — one eval call per group, the
-// whole-document round only when the merge needs it — because
-// the snippets ride on the eval and whole-document answers; and reading the
-// answer's trees afterwards makes no eval, full or stats call (it fetches the
-// trees by handle; TestTreeReadTakesOneRoundPerGroup counts those calls).
-func TestSnippetedAnswerTakesNoExtraRound(t *testing.T) {
+// startCountedCluster is startCluster with one replica a group whose server
+// counts into a registry of its own: regs[g] is group g's.
+func startCountedCluster(t *testing.T, sc *shard.Corpus, groups int) (*Router, []*telemetry.Registry) {
+	t.Helper()
+	src := ingest.SourceOf(sc)
+	var addrs [][]string
+	var regs []*telemetry.Registry
+	for g := 0; g < groups; g++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		reg := telemetry.NewRegistry()
+		srv := NewServer(sc, WithOwnedShards(OwnedShards(src, g, groups)), WithServerTelemetry(reg))
+		go srv.Serve(ln)
+		t.Cleanup(srv.Close)
+		addrs = append(addrs, []string{ln.Addr().String()})
+		regs = append(regs, reg)
+	}
+	rt, err := NewRouter(sc.Analysis(), src, addrs)
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	t.Cleanup(rt.Close)
+	return rt, regs
+}
+
+// snippetsMade reads a shard server's snippet counter.
+func snippetsMade(reg *telemetry.Registry) int64 {
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "extract_shard_server_snippets_total" {
+			return int64(m.Value)
+		}
+	}
+	return -1
+}
+
+// keptByGroup returns, for a query the per-shard round decides, how many of
+// its results each replica group of rt holds (kept) and had before the
+// merge's cut (had): the local per-shard evaluation, cut as the merge cuts
+// it (shard.MergeTake), summed by group.
+func keptByGroup(t *testing.T, rt *Router, sc *shard.Corpus, q string, opts search.Options) (kept, had []int) {
+	t.Helper()
+	all := make([]int, sc.NumShards())
+	for i := range all {
+		all[i] = i
+	}
+	parts, err := sc.EvalShards(context.Background(), q, opts, all, nil, nil)
+	if err != nil {
+		t.Fatalf("%q: %v", q, err)
+	}
+	groupOf := rt.place.Load().groupOf
+	kept, had = make([]int, len(rt.groups)), make([]int, len(rt.groups))
+	counts := make([]int, len(parts))
+	for i, p := range parts {
+		counts[i] = len(p.Results)
+		had[groupOf[i]] += counts[i]
+	}
+	shard.MergeTake(counts, opts.MaxResults)
+	for i, n := range counts {
+		kept[groupOf[i]] += n
+	}
+	return kept, had
+}
+
+// TestServersSnippetOnlyKeptResults: round one ships counts and handles, so a
+// routed query with snippets makes the eval and full calls a search-only one
+// makes, and then — when the per-shard round decided it — exactly one
+// snippets call to each group holding a result the merge kept, none to a
+// group whose results the cut dropped, and the servers make exactly one
+// snippet per result of the answer. A whole-document answer's snippets ride
+// with it. Reading the answer's trees afterwards makes no eval, full, stats
+// or snippets call (it fetches the trees by handle;
+// TestTreeReadTakesOneRoundPerGroup counts those calls).
+func TestServersSnippetOnlyKeptResults(t *testing.T) {
 	sc := versionTestCorpus()
-	cl := startCluster(t, sc, 2, 1)
-	rt := cl.router
+	const groups = 2
+	rt, regs := startCountedCluster(t, sc, groups)
 	calls := func() map[string]int64 {
 		n := map[string]int64{}
 		for key, c := range rt.metrics.calls {
@@ -282,45 +361,168 @@ func TestSnippetedAnswerTakesNoExtraRound(t *testing.T) {
 		}
 		return n
 	}
+	made := func() []int64 {
+		n := make([]int64, groups)
+		for g, reg := range regs {
+			n[g] = snippetsMade(reg)
+		}
+		return n
+	}
 	fb := sc.Fallback()
 	queries := append(testQueries(fb.Doc, fb), fb.Doc.Root.Label)
 	ctx := context.Background()
-	answered, full := 0, int64(0)
+	answered, whole, cut, spanning := 0, 0, 0, 0
 	for _, opts := range []search.Options{{DistinctAnchors: true}, {DistinctAnchors: true, Semantics: search.SemanticsELCA, MaxResults: 3}} {
 		for _, q := range queries {
 			before := calls()
 			if _, _, err := rt.Answer(ctx, q, opts, nil, -1); err != nil {
 				continue
 			}
-			searchOnly := calls()
+			searchOnly, madeBefore, snippetCalls := calls(), made(), callsOf(rt, "snippets")
+			if searchOnly["snippets"] != before["snippets"] {
+				t.Fatalf("%q: a search-only answer made %v snippets calls", q, searchOnly["snippets"]-before["snippets"])
+			}
 			rs, gs, err := rt.Answer(ctx, q, opts, nil, 8)
 			if err != nil || len(gs) != len(rs) {
 				t.Fatalf("%q: %d snippets for %d results, %v", q, len(gs), len(rs), err)
 			}
-			snippeted := calls()
+			snippeted, madeAfter, snippetCallsAfter := calls(), made(), callsOf(rt, "snippets")
+			for _, kind := range []string{"eval", "full", "stats"} {
+				if a, b := searchOnly[kind]-before[kind], snippeted[kind]-searchOnly[kind]; a != b {
+					t.Fatalf("%q: %v %s calls with snippets, %v without", q, b, kind, a)
+				}
+			}
+			if n := snippeted["eval"] - searchOnly["eval"]; n != groups {
+				t.Fatalf("%q: %v eval calls for %d groups", q, n, groups)
+			}
+			total := int64(0)
+			for g := range regs {
+				total += madeAfter[g] - madeBefore[g]
+			}
+			if total != int64(len(rs)) {
+				t.Fatalf("%q (%v): the servers made %d snippets for a %d-result answer", q, opts.Semantics, total, len(rs))
+			}
+			if snippeted["full"] > searchOnly["full"] {
+				if n := snippeted["snippets"] - searchOnly["snippets"]; n != 0 {
+					t.Fatalf("%q: a whole-document answer made %d snippets calls", q, n)
+				}
+				whole++
+			} else {
+				kept, had := keptByGroup(t, rt, sc, q, opts)
+				asked := 0
+				for g := range regs {
+					label := strconv.Itoa(g)
+					want := int64(0)
+					if kept[g] > 0 {
+						want, asked = 1, asked+1
+					} else if had[g] > 0 {
+						cut++
+					}
+					if n := snippetCallsAfter[label] - snippetCalls[label]; n != want {
+						t.Fatalf("%q (%v): %d snippets calls to group %d, which holds %d kept of %d results", q, opts.Semantics, n, g, kept[g], had[g])
+					}
+					if n := madeAfter[g] - madeBefore[g]; n != int64(kept[g]) {
+						t.Fatalf("%q (%v): group %d made %d snippets for %d kept results", q, opts.Semantics, g, n, kept[g])
+					}
+				}
+				if asked > 1 {
+					spanning++
+				}
+			}
 			for _, r := range rs {
 				if _, err := r.Tree(context.Background()); err != nil {
 					t.Fatalf("%q: tree: %v", q, err)
 				}
 			}
 			read := calls()
-			for _, kind := range []string{"eval", "full", "stats"} {
-				if a, b := searchOnly[kind]-before[kind], snippeted[kind]-searchOnly[kind]; a != b {
-					t.Fatalf("%q: %v %s calls with snippets, %v without", q, b, kind, a)
-				}
+			for _, kind := range []string{"eval", "full", "stats", "snippets"} {
 				if read[kind] != snippeted[kind] {
 					t.Fatalf("%q: reading the trees made %v %s calls", q, read[kind]-snippeted[kind], kind)
 				}
 			}
-			if n := snippeted["eval"] - searchOnly["eval"]; n != 2 {
-				t.Fatalf("%q: %v eval calls for two groups", q, n)
-			}
 			answered++
-			full += snippeted["full"] - searchOnly["full"]
 		}
 	}
-	if answered == 0 || full == 0 {
-		t.Fatalf("%d queries answered, %v of them by the whole-document round: the matrix proves nothing", answered, full)
+	if answered == 0 || whole == 0 || cut == 0 || spanning == 0 {
+		t.Fatalf("%d queries answered, %d by the whole-document round, %d groups cut out, %d answers spanning groups: the matrix proves nothing",
+			answered, whole, cut, spanning)
+	}
+}
+
+// TestSnippetRoundAfterSwapIsClassified: the servers swap generation between
+// a query's eval round and its snippets round. A group with a replica still
+// on the query's generation answers from it — the swapped replica's refusal
+// fails over — with the snippets of the unswapped tier; a tier with no
+// replica left on it fails the query with a classified skew, never with a
+// snippet of the new generation.
+func TestSnippetRoundAfterSwapIsClassified(t *testing.T) {
+	sc := versionTestCorpus()
+	next := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 12}), 3)
+	nextGen := &ingest.Generation{Corpus: next, Source: ingest.SourceOf(next)}
+	if Fingerprint(nextGen.Source) == Fingerprint(ingest.SourceOf(sc)) {
+		t.Fatal("fixture: the generations must differ")
+	}
+	const groups, replicas = 2, 2
+	const q, bound = "store texas", 6
+	opts := search.Options{DistinctAnchors: true}
+	want, wantGs, err := startCluster(t, sc, groups, replicas).router.Answer(context.Background(), q, opts, nil, bound)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("baseline: %d results, %v", len(want), err)
+	}
+	// swapping is a Runner that runs its tasks, after swapping the servers
+	// pick chooses onto the next generation when it is handed the query's
+	// second fan-out — the snippets round.
+	swapping := func(cl *cluster, pick func(g, r int) bool) shard.Runner {
+		fanouts := 0
+		return func(tasks []func()) error {
+			if fanouts++; fanouts == 2 {
+				for i, srv := range cl.servers {
+					if g, r := i/replicas, i%replicas; pick(g, r) {
+						srv.Swap(nextGen, WithOwnedShards(OwnedShards(nextGen.Source, g, groups)))
+					}
+				}
+			}
+			return shard.Run(nil, tasks)
+		}
+	}
+
+	// One replica a group moves: the one each group's snippets call tries
+	// first, so every call is refused once and fails over to its peer.
+	cl := startCluster(t, sc, groups, replicas)
+	rt := cl.router
+	first := make([]int, groups)
+	for g := range first {
+		first[g] = int(rt.groups[g].rr.Load()+1) % replicas // the eval round takes one turn
+	}
+	sink := &telemetry.SpanSink{TraceID: telemetry.NextTraceID()}
+	rs, gs, err := rt.Answer(telemetry.WithSpanSink(context.Background(), sink), q, opts, swapping(cl, func(g, r int) bool { return r == first[g] }), bound)
+	if err != nil || len(rs) != len(want) || len(gs) != len(wantGs) {
+		t.Fatalf("one replica a group moved: %d results, %d snippets, %v; want %d", len(rs), len(gs), err, len(want))
+	}
+	for i := range gs {
+		if err := sameSnippet(wantGs[i], gs[i]); err != nil {
+			t.Fatalf("snippet %d after a failover: %v", i, err)
+		}
+	}
+	refused := map[string]bool{}
+	for _, h := range sink.Hops() {
+		if h.Kind == "snippets" && h.Err == ErrKindSkew {
+			refused[h.Group] = true
+		}
+	}
+	if len(callsOf(rt, "snippets")) != groups || len(refused) != groups {
+		t.Fatalf("snippets calls %v, refused by a moved replica in groups %v: the swap missed the round", callsOf(rt, "snippets"), refused)
+	}
+
+	// Every replica moves: the query fails, classified.
+	cl = startCluster(t, sc, groups, replicas)
+	rs, gs, err = cl.router.Answer(context.Background(), q, opts, swapping(cl, func(int, int) bool { return true }), bound)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Kind != ErrKindSkew || rs != nil || gs != nil {
+		t.Fatalf("every replica moved: %d results, %d snippets, %v; want a %s *RemoteError", len(rs), len(gs), err, ErrKindSkew)
+	}
+	if n := callsOf(cl.router, "snippets"); len(n) != groups {
+		t.Fatalf("snippets calls %v: the swap missed the round", n)
 	}
 }
 
@@ -328,7 +530,8 @@ func TestSnippetedAnswerTakesNoExtraRound(t *testing.T) {
 // round one like any other, so a routed query whose root decision reads
 // every shard's evidence — any ELCA query, an SLCA query with no LCA below
 // the root — makes exactly one eval call per group, and no other call but
-// the whole-document one when the query involves the root.
+// the whole-document one when the query involves the root, or else the
+// snippets call to each group holding a kept result.
 func TestMissingKeywordTakesOneRound(t *testing.T) {
 	item := func(name string) *xmltree.Node {
 		return xmltree.Elem("item", xmltree.Elem("name", xmltree.Txt(name)))
@@ -381,9 +584,16 @@ func TestMissingKeywordTakesOneRound(t *testing.T) {
 			t.Fatalf("%q: %v", tc.q, err)
 		}
 		after := calls()
-		wantFull := int64(0)
+		wantFull, wantSnippets := int64(0), int64(0)
 		if rootInvolved {
 			wantFull, whole = 1, whole+1
+		} else {
+			kept, _ := keptByGroup(t, rt, sc, tc.q, tc.opts)
+			for _, n := range kept {
+				if n > 0 {
+					wantSnippets++
+				}
+			}
 		}
 		for kind, n := range after {
 			want := int64(0)
@@ -392,6 +602,8 @@ func TestMissingKeywordTakesOneRound(t *testing.T) {
 				want = int64(groups)
 			case "full":
 				want = wantFull
+			case "snippets":
+				want = wantSnippets
 			}
 			if got := n - before[kind]; got != want {
 				t.Errorf("%q (%v): %d %s calls, want %d", tc.q, tc.opts.Semantics, got, kind, want)

@@ -1,21 +1,26 @@
 // Package remote makes the serving tier span processes: a shard server
 // (Server) owns a subset of a snapshot's shards and answers per-shard
-// evaluation, whole-document, tree, completion and statistics calls over a small
-// length-prefixed, checksummed wire protocol; a stateless router (Router)
-// implements serve.Backend over N-way replica groups of such servers, so
-// the facade and the serving layer (worker pool, query cache, deadlines,
-// telemetry) drive a distributed corpus exactly as they drive a local one.
+// evaluation, whole-document, snippet, tree, completion and statistics calls
+// over a small length-prefixed, checksummed wire protocol; a stateless router
+// (Router) implements serve.Backend over N-way replica groups of such
+// servers, so the facade and the serving layer (worker pool, query cache,
+// deadlines, telemetry) drive a distributed corpus exactly as they drive a
+// local one.
 //
 // The design goal is answer transparency, not a general RPC system. The
 // sharded-query protocol lives in internal/shard and this package only
 // carries it: the router runs shard.Merge — the very function the
 // in-process corpus runs — over rounds that are remote calls, a shard
-// server answers each call with the shard.Corpus method for that round and
-// snippets the results it ships with the local snippet fan-out
-// (shard.Snippets), so a distributed query is byte-identical to a local one
-// — the property the equivalence tests pin. A shipped result is a handle —
-// where it lives (shard and preorder positions), its size, its match depths
-// and its snippet — not a tree: the router answers with deferred results
+// server answers each call with the shard.Corpus method for that round, and
+// snippets are made by the local snippet fan-out (shard.Snippets) on the
+// server that holds the result, so a distributed query is byte-identical to
+// a local one — the property the equivalence tests pin. A result shipped by
+// the per-shard round is a handle — where it lives (shard and preorder
+// positions), its size and its match depths — neither a tree nor a snippet:
+// once the merge has cut, the router asks each group holding a kept result
+// for the snippets of its kept results, by handle, so only the results an
+// answer keeps are snippeted (the whole-document round keeps all it ships,
+// so its snippets ride with it). The router answers with deferred results
 // (search.Result.Tree), and the first read of any tree of an answer fetches
 // that answer's trees from each group that holds them, in one call a group,
 // from a server still on the answer's generation. The trees travel as
@@ -56,7 +61,7 @@ const (
 	// frame is written at it and a frame at any other version is refused
 	// as version skew. A payload layout change bumps wireVersion; router
 	// and shard servers are rolled together.
-	wireVersion = 6
+	wireVersion = 7
 
 	frameHeaderLen = 12
 
@@ -82,6 +87,8 @@ const (
 	msgTreesResp
 	msgComplete // router → server: keyword completion (Suggest)
 	msgCompleteResp
+	msgSnippets // router → server: snippets of kept results by handle
+	msgSnippetsResp
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -140,7 +147,7 @@ func readFrameInto(r io.Reader, buf []byte) (msgType, []byte, error) {
 		return 0, nil, protocolErrf("protocol version skew: peer speaks v%d, this build v%d", ver, wireVersion)
 	}
 	t := msgType(hdr[3])
-	if t < msgHello || t > msgCompleteResp {
+	if t < msgHello || t > msgSnippetsResp {
 		return 0, nil, protocolErrf("unknown message type %d", hdr[3])
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:8])

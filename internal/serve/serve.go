@@ -360,9 +360,8 @@ func (v *Cached) Trees(ctx context.Context) ([]*search.Result, error) {
 // evaluate is one query's computation: dispatch, then the backend's answer —
 // evaluation and, when bound >= 0, snippet generation — recorded into the
 // trace as the eval and snippet stages. The snippet stage is the time the
-// backend noted on the query's span sink for its own snippet fan-out; a
-// router notes none, its snippets being made inside the shard servers'
-// eval stage (the hop spans' ServerEval).
+// backend noted on the query's span sink for its snippet fan-out: a local
+// corpus's own, a router's round of snippets calls to the shard servers.
 func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts search.Options, bound int) (*Cached, error) {
 	t := time.Now()
 	b := s.Backend()

@@ -55,7 +55,7 @@ type SlowQuery struct {
 // failed attempts and their causes stay visible next to the one that
 // succeeded.
 type Hop struct {
-	// Kind is the remote call kind: eval, full, or stats.
+	// Kind is the remote call kind of a query: eval, full or snippets.
 	Kind string
 	// Group is the replica-group label the call targeted ("0".."n-1", or
 	// "any" for calls any replica may serve).

@@ -218,35 +218,21 @@ func decodeRespHeader(data []byte) (fingerprint uint64, s serverStages, body []b
 	return binary.LittleEndian.Uint64(data), s, data[respHeaderLen:], nil
 }
 
-// appendTraceID appends the trailing trace ID (u64 LE) to an encoded
-// eval or full request. The copy is deliberate: the base payload is
-// shared across replicas and retries, so it must never be appended to in
-// place.
-func appendTraceID(payload []byte, traceID uint64) []byte {
-	out := make([]byte, len(payload), len(payload)+8)
-	copy(out, payload)
-	return binary.LittleEndian.AppendUint64(out, traceID)
-}
-
 // --- eval / full requests ---
 
 // evalReq is an eval request, and with no shards a full request (the frame's
 // type byte tells them apart): the full request evaluates the reconstructed
-// whole document and — bound >= 0 — snippets what it finds. An eval request
-// ships no snippets (the kept ones are asked for by handle, msgSnippets), so
-// its bound is search only.
+// whole document. Neither snippets anything: the router asks for the
+// snippets of the results its merge keeps by handle (msgSnippets).
 type evalReq struct {
 	opts          search.Options
 	query         string
 	timeoutMillis uint64   // 0 = no deadline
 	shards        []uint32 // eval request only; empty for a full request
-	bound         int      // full request's snippet bound; < 0 = search only
-	traceID       uint64   // the originating query's trace ID (0 = none)
 }
 
-// encodeEvalReq encodes everything but the trailing trace ID, which
-// replica.call appends per attempt (appendTraceID). The bound travels as
-// bound+1, so search only (any negative bound) is 0.
+// encodeEvalReq encodes options, query, timeout, then the shard count and
+// the shard indexes.
 func encodeEvalReq(r evalReq) []byte {
 	b := appendOptions(nil, r.opts)
 	b = appendString(b, r.query)
@@ -255,7 +241,7 @@ func encodeEvalReq(r evalReq) []byte {
 	for _, s := range r.shards {
 		b = binary.AppendUvarint(b, uint64(s))
 	}
-	return binary.AppendUvarint(b, uint64(max(r.bound, -1)+1))
+	return b
 }
 
 func decodeEvalReq(data []byte) (evalReq, error) {
@@ -269,12 +255,10 @@ func decodeEvalReq(data []byte) (evalReq, error) {
 	for i := 0; i < n && c.err == nil; i++ {
 		r.shards = append(r.shards, uint32(c.uvarint("shard index")))
 	}
-	r.bound = c.count("snippet bound", maxSnippetBound+1) - 1
-	r.traceID = c.u64("trace id")
 	return r, c.done()
 }
 
-// maxSnippetBound bounds the snippet bound a request may carry.
+// maxSnippetBound bounds the snippet bound a snippets request may carry.
 const maxSnippetBound = 1 << 20
 
 // --- digests ---
@@ -742,25 +726,24 @@ type handle struct {
 // buffer; the query holds it (routedRounds.hold) until its answer has copied
 // out everything it keeps, and only then returns it to the frame pool.
 type scanned struct {
-	at      handle
-	nodes   int    // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
-	depths  []byte // one uvarint per query term: its least match depth + 1, 0 = no match
-	snippet []byte // the snippet record of a snippeted full response; nil otherwise
+	at     handle
+	nodes  int    // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
+	depths []byte // one uvarint per query term: its least match depth + 1, 0 = no match
 }
 
 // minResultBytes is the shortest shipped result (node count, anchor and LCA
-// positions, no terms, no snippet); it bounds a claimed result count by the
-// payload that would have to carry it.
+// positions, no terms); it bounds a claimed result count by the payload that
+// would have to carry it.
 const minResultBytes = 3
 
 // appendShipped encodes one result as an eval or full response ships it: its
 // node count and its handle's positions (anchor, then LCA, in the document
-// that answered), the least depth below the anchor of each query term's
+// that answered), and the least depth below the anchor of each query term's
 // matches, in the order of terms (the one number rank.Scorer reads;
-// search.Result.MatchDepth, which a deferred result answers from), and its
-// snippet when g is non-nil (a snippeted full response). Its tree is not
-// shipped: a reader fetches it by handle (msgTrees).
-func appendShipped(b []byte, r *search.Result, g *core.Generated, terms []string) []byte {
+// search.Result.MatchDepth, which a deferred result answers from). Neither its
+// tree nor its snippet is shipped: both are asked for by handle (msgTrees,
+// msgSnippets).
+func appendShipped(b []byte, r *search.Result, terms []string) []byte {
 	b = binary.AppendUvarint(b, uint64(r.Size()+1))
 	b = binary.AppendUvarint(b, uint64(r.Anchor.Ord))
 	b = binary.AppendUvarint(b, uint64(r.LCA.Ord))
@@ -771,17 +754,13 @@ func appendShipped(b []byte, r *search.Result, g *core.Generated, terms []string
 		}
 		b = binary.AppendUvarint(b, uint64(d+1))
 	}
-	if g != nil {
-		b = appendSnippet(b, g)
-	}
 	return b
 }
 
 // shipped scans one result shipped by shard (wholeShard in a full response)
 // for a query of terms terms: its node count, an anchor at or above its LCA,
-// one match depth a term, every depth inside the tree, and — in a snippeted
-// full response — its snippet record.
-func (c *cursor) shipped(snippeted bool, shard int32, terms int) scanned {
+// one match depth a term, every depth inside the tree.
+func (c *cursor) shipped(shard int32, terms int) scanned {
 	nodes := c.count("tree node", maxTreeNodes)
 	anchor := c.uvarint("anchor position")
 	lca := c.uvarint("lca position")
@@ -797,14 +776,10 @@ func (c *cursor) shipped(snippeted bool, shard int32, terms int) scanned {
 			c.fail("match depth %d outside a %d-node tree", d-1, nodes)
 		}
 	}
-	s := scanned{at: handle{shard: shard, anchor: int32(anchor), lca: int32(lca)}, nodes: nodes, depths: c.data[start:c.off:c.off]}
-	if snippeted {
-		s.snippet = c.scanSnippet()
-	}
 	if c.err != nil {
 		return scanned{}
 	}
-	return s
+	return scanned{at: handle{shard: shard, anchor: int32(anchor), lca: int32(lca)}, nodes: nodes, depths: c.data[start:c.off:c.off]}
 }
 
 // take turns the winning range at position i of an answer into the deferred
@@ -830,22 +805,18 @@ func (s scanned) take(at *answerTrees, i int) *search.Result {
 // share of the answer's trees.
 const deferredOverhead = 224
 
-// appendResults encodes one shipped result list; gs is nil, or aligned with
-// rs in a snippeted full response.
-func appendResults(b []byte, rs []*search.Result, gs []*core.Generated, terms []string) []byte {
+// appendResults encodes one shipped result list: an eval response's per
+// shard, and the whole of a full response's body.
+func appendResults(b []byte, rs []*search.Result, terms []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rs)))
-	for i, r := range rs {
-		var g *core.Generated
-		if gs != nil {
-			g = gs[i]
-		}
-		b = appendShipped(b, r, g, terms)
+	for _, r := range rs {
+		b = appendShipped(b, r, terms)
 	}
 	return b
 }
 
 // results scans one result list: one slice per list, nothing per result.
-func (c *cursor) results(snippeted bool, shard int32, terms int) []scanned {
+func (c *cursor) results(shard int32, terms int) []scanned {
 	n := c.count("result", maxWireResults)
 	if n > (len(c.data)-c.off)/minResultBytes {
 		c.fail("result count %d exceeds the payload that would carry it", n)
@@ -855,7 +826,7 @@ func (c *cursor) results(snippeted bool, shard int32, terms int) []scanned {
 	}
 	rs := make([]scanned, 0, n)
 	for i := 0; i < n; i++ {
-		r := c.shipped(snippeted, shard, terms)
+		r := c.shipped(shard, terms)
 		if c.err != nil {
 			return nil
 		}
@@ -1041,7 +1012,7 @@ func appendEvalResp(b []byte, a evalAnswer) []byte {
 	for _, s := range a.shards {
 		b = binary.AppendUvarint(b, uint64(s.shard))
 		b = appendDigest(b, s.digest)
-		b = appendResults(b, s.results, nil, a.terms)
+		b = appendResults(b, s.results, a.terms)
 	}
 	return b
 }
@@ -1071,7 +1042,7 @@ func decodeEvalResp(body []byte, terms int) (evalResp, error) {
 		if c.err == nil && s.shard >= maxWireShards {
 			c.fail("shard index %d exceeds cap %d", s.shard, maxWireShards)
 		}
-		s.results = c.results(false, int32(s.shard), terms)
+		s.results = c.results(int32(s.shard), terms)
 		if c.err != nil {
 			return r, c.err
 		}
@@ -1082,26 +1053,12 @@ func decodeEvalResp(body []byte, terms int) (evalResp, error) {
 
 // --- full response ---
 
-type fullResp struct {
-	snippeted bool
-	results   []scanned
-}
-
-// appendFullResp appends a full response body: snippeted (u8), then the
-// results, their match depths following terms; gs is nil, or aligned with
-// rs.
-func appendFullResp(b []byte, rs []*search.Result, gs []*core.Generated, terms []string) []byte {
-	b = append(b, boolByte(gs != nil))
-	return appendResults(b, rs, gs, terms)
-}
-
-// decodeFullResp scans a full response to a query of terms terms.
-func decodeFullResp(body []byte, terms int) (fullResp, error) {
+// decodeFullResp scans a full response to a query of terms terms. Its body is
+// one result list (appendResults), handles into the whole document.
+func decodeFullResp(body []byte, terms int) ([]scanned, error) {
 	c := &cursor{data: body}
-	var r fullResp
-	r.snippeted = c.u8("snippeted flag") != 0
-	r.results = c.results(r.snippeted, wholeShard, terms)
-	return r, c.done()
+	rs := c.results(wholeShard, terms)
+	return rs, c.done()
 }
 
 // --- trees ---

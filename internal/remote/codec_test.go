@@ -203,7 +203,7 @@ func codecAnswers(tb testing.TB) []codecAnswer {
 			{DistinctAnchors: true, Mode: search.ModeXSeek},
 		} {
 			for _, q := range testQueries(fb.Doc, fb) {
-				a, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList, bound: -1})
+				a, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList})
 				if err != nil {
 					continue // the matrix includes the empty query
 				}
@@ -571,7 +571,7 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	}
 	// A shipped result is its node count, its handle's anchor and LCA
 	// positions and one match depth a term; each malformed one is refused, in
-	// an eval response and in a full one.
+	// an eval response and in a full one (a bare result list).
 	valid = cat(uv(3), uv(0), uv(1), uv(3))
 	for _, tc := range []struct {
 		name string
@@ -588,7 +588,7 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	} {
 		eval := cat(uv(1), uv(0), []byte{0, 0}, uv(1), tc.rec)
 		_, evalErr := decodeEvalResp(eval, 1)
-		_, fullErr := decodeFullResp(cat([]byte{0}, uv(1), tc.rec), 1)
+		_, fullErr := decodeFullResp(cat(uv(1), tc.rec), 1)
 		var pe *ProtocolError
 		for _, err := range []error{evalErr, fullErr} {
 			if tc.name == "valid" {
@@ -758,7 +758,7 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 			return decode(body)
 		}
 	}
-	full := appendFullResp(nil, results, snippets, eval.terms)
+	full := appendResults(nil, results, eval.terms)
 	handles := make([]handle, n)
 	for i := range handles {
 		handles[i] = handle{shard: int32(i) - 1, anchor: int32(i), lca: int32(2 * i)}
@@ -768,14 +768,14 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 	trees.handles = handles
 	snippetsReq := trees
 	snippetsReq.bound = 6
-	req := evalReq{opts: search.Options{MaxResults: 9}, query: "store texas", timeoutMillis: 250, bound: 6}
+	req := evalReq{opts: search.Options{MaxResults: 9}, query: "store texas", timeoutMillis: 250}
 	fullReq := encodeEvalReq(req)
-	reqAfterCount := len(fullReq) - 2 + uvarintLen(uint64(n))
+	reqAfterCount := len(fullReq) - 1 + uvarintLen(uint64(n))
 	req.shards = shards
 	return []wireMessage{
-		{"eval request", appendTraceID(encodeEvalReq(req), 42), reqAfterCount,
+		{"eval request", encodeEvalReq(req), reqAfterCount,
 			func(b []byte) error { _, err := decodeEvalReq(b); return err }},
-		{"full request", appendTraceID(fullReq, 42), 0,
+		{"full request", fullReq, 0,
 			func(b []byte) error { _, err := decodeEvalReq(b); return err }},
 		{"eval response", respond(appendEvalResp(nil, eval.evalAnswer)), 0,
 			behind(func(b []byte) error { _, err := decodeEvalResp(b, len(eval.terms)); return err })},

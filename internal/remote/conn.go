@@ -239,21 +239,13 @@ func (r *replica) close() {
 	}
 }
 
-// tracedReq reports whether a request type carries the trailing trace ID
-// (the per-query evaluation calls; stats requests are untraced).
-func tracedReq(t msgType) bool {
-	return t == msgEval || t == msgFull
-}
-
 // call performs one request/response exchange with this replica. It
 // returns exactly one of: the response payload of type want — read into a
 // pooled buffer the caller releases (putFrame) — a decoded server-side error
-// classification, or a call error. The trace ID is
-// appended to eval and full requests — the shared base payload is
-// copied, never mutated. Cancellation is enforced on the blocking socket
-// I/O by poisoning the connection deadline when ctx fires; a context
+// classification, or a call error. Cancellation is enforced on the blocking
+// socket I/O by poisoning the connection deadline when ctx fires; a context
 // failure propagates as the context's error, not a replica failure.
-func (r *replica) call(ctx context.Context, t msgType, payload []byte, want msgType, traceID uint64) ([]byte, *errMsg, error) {
+func (r *replica) call(ctx context.Context, t msgType, payload []byte, want msgType) ([]byte, *errMsg, error) {
 	if faultinject.Enabled() {
 		if err := faultinject.FireTag(faultinject.RemoteSend, r.addr); err != nil {
 			r.noteFailure()
@@ -267,9 +259,6 @@ func (r *replica) call(ctx context.Context, t msgType, payload []byte, want msgT
 		}
 		r.noteFailure()
 		return nil, nil, &RemoteError{Addr: r.addr, Kind: callErrKind(err), Err: err}
-	}
-	if tracedReq(t) {
-		payload = appendTraceID(payload, traceID)
 	}
 	stop := context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Unix(1, 0)) })
 	rt, resp, err := c.roundTrip(t, payload, getFrame())

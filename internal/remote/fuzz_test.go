@@ -38,7 +38,7 @@ func FuzzFrame(f *testing.F) {
 		query:  "xml keyword",
 		shards: []uint32{0, 1},
 	})
-	f.Add(frameBytes(wireVersion, msgEval, appendTraceID(evalPayload, 42)))
+	f.Add(frameBytes(wireVersion, msgEval, evalPayload))
 	// Retired wire v1: the greeting, a request without its trace ID, and the
 	// negotiation request. All must now be refused as version skew.
 	f.Add(frameBytes(1, msgHello, retiredGreeting))
@@ -46,28 +46,38 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frameBytes(1, msgHello, []byte{2}))
 	// Retired wire v2: the greeting and an eval request without a bound.
 	f.Add(frameBytes(2, msgHello, retiredGreeting))
-	f.Add(frameBytes(2, msgEval, appendTraceID(evalPayload[:len(evalPayload)-1], 42)))
+	f.Add(frameBytes(2, msgEval, v2EvalReq(evalPayload)))
 	// Retired wire v3: the greeting, an eval request, and its digest request
 	// (type 4 then, the full request's type now).
 	f.Add(frameBytes(3, msgHello, retiredGreeting))
-	f.Add(frameBytes(3, msgEval, appendTraceID(evalPayload, 42)))
-	f.Add(frameBytes(3, msgType(4), appendTraceID(evalPayload, 42)))
+	f.Add(frameBytes(3, msgEval, v7EvalReq(evalPayload)))
+	f.Add(frameBytes(3, msgType(4), v7EvalReq(evalPayload)))
 	// Retired wire v4: the greeting with its payload, an eval request, and
 	// the ping (whose type number is the error message's now).
 	f.Add(frameBytes(4, msgHello, retiredGreeting))
-	f.Add(frameBytes(4, msgEval, appendTraceID(evalPayload, 42)))
+	f.Add(frameBytes(4, msgEval, v7EvalReq(evalPayload)))
 	f.Add(frameBytes(4, v4Ping, nil))
 	// Retired wire v5: its empty greeting, an eval request, and an eval
 	// response whose result carries its tree record.
 	f.Add(frameBytes(5, msgHello, nil))
-	f.Add(frameBytes(5, msgEval, appendTraceID(evalPayload, 42)))
+	f.Add(frameBytes(5, msgEval, v7EvalReq(evalPayload)))
 	f.Add(frameBytes(5, msgEvalResp, append(appendRespHeader(nil, 7), v5EvalResp...)))
 	// Retired wire v6: its empty greeting, an eval request, and an eval
 	// response whose result carries its snippet.
 	f.Add(frameBytes(6, msgHello, nil))
-	f.Add(frameBytes(6, msgEval, appendTraceID(evalPayload, 42)))
+	f.Add(frameBytes(6, msgEval, v7EvalReq(evalPayload)))
 	f.Add(frameBytes(6, msgEvalResp, append(appendRespHeader(nil, 7), v6SnippetedEvalResp...)))
-	f.Add(frameBytes(wireVersion, msgFull, appendTraceID(encodeEvalReq(evalReq{query: "xml keyword", bound: 6}), 42)))
+	// Retired wire v7: its empty greeting, an eval and a full request with the
+	// snippet bound and the trace ID, and a full response whose result carries
+	// its snippet.
+	f.Add(frameBytes(7, msgHello, nil))
+	f.Add(frameBytes(7, msgEval, v7EvalReq(evalPayload)))
+	f.Add(frameBytes(7, msgFull, v7EvalReq(encodeEvalReq(evalReq{query: "xml keyword"}))))
+	f.Add(frameBytes(7, msgFullResp, append(appendRespHeader(nil, 7), v7SnippetedFullResp...)))
+	// Wire v8: a full request and response are an eval request without shards
+	// and one result list of handles into the whole document.
+	f.Add(frameBytes(wireVersion, msgFull, encodeEvalReq(evalReq{query: "xml keyword"})))
+	f.Add(frameBytes(wireVersion, msgFullResp, appendResults(appendRespHeader(nil, 7), []*search.Result{syntheticResults()["attributes and multi-byte text"]}, []string{"misérables", "✓"})))
 	f.Add(frameBytes(wireVersion, msgStats, encodeStatsReq(statsReq{keywords: []string{"a", "b"}})))
 	f.Add(frameBytes(wireVersion, msgStatsResp, appendStatsResp(appendRespHeader(nil, 7), statsResp{totalElements: 9, counts: []uint64{3}})))
 	f.Add(frameBytes(wireVersion, msgError, encodeErrMsg(errMsg{kind: errKindPanic, msg: "boom"})))
@@ -140,6 +150,11 @@ func FuzzFrame(f *testing.F) {
 // childless "r" node, no LCA, no match keywords — and no depths.
 var v5EvalResp = []byte{0, 1, 0, 0, 0, 1, 1, 0, 1, 'r', 0, 0, 0}
 
+// v7SnippetedFullResp is a retired v7 full response body: snippeted, one
+// result shipped as its handle — one node, anchor and LCA at 0, no depths —
+// and its snippet record, v6SnippetedEvalResp's.
+var v7SnippetedFullResp = []byte{1, 1, 1, 0, 0, 1, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0}
+
 // v6SnippetedEvalResp is a retired v6 eval response body: snippeted, one
 // shard (index 0, no digest bits), one result shipped as its handle — one
 // node, anchor and LCA at 0, no depths — and its snippet record: a childless
@@ -159,23 +174,24 @@ func fuzzSnippets(tb testing.TB) []*core.Generated {
 
 // FuzzEvalRespDecode aims the fuzzer straight at the deepest decoders
 // without requiring it to first learn the frame checksum: the scan of an
-// eval response's shipped results — handles and depths — for a query of
-// terms terms, the scan of a snippets response's snippet records, the decode
-// of a trees or snippets request, and the scan of a trees response's tree
-// records. The seeds carry real answers, real snippets and real trees (views,
-// projections, attribute nodes, multi-byte text), so mutation starts inside
-// the records. Whatever the eval scan accepts must take without panicking,
-// whatever the snippets scan accepts must build, and whatever the trees scan
-// accepts must build to exactly what the frozen reference decoder makes of
-// the same bytes.
+// eval or full response's shipped results — handles and depths — for a query
+// of terms terms, the scan of a snippets response's snippet records, the
+// decode of a trees or snippets request, and the scan of a trees response's
+// tree records. The seeds carry real answers, real snippets and real trees
+// (views, projections, attribute nodes, multi-byte text), so mutation starts
+// inside the records. Whatever the eval and full scans accept must take
+// without panicking, whatever the snippets scan accepts must build, and
+// whatever the trees scan accepts must build to exactly what the frozen
+// reference decoder makes of the same bytes.
 func FuzzEvalRespDecode(f *testing.F) {
 	f.Add(uint8(0), appendEvalResp(nil, evalAnswer{}))
 	f.Add(uint8(1), []byte{1, 0, 0, 0, 1, 1, 0, 0, 1})
 	f.Add(uint8(0), []byte{1, 0, 8})     // a v3 prefilter-skipped shard: refused
 	f.Add(uint8(0), v5EvalResp)          // a v5 shipped tree record: refused
 	f.Add(uint8(0), v6SnippetedEvalResp) // a v6 snippet in an eval response: refused
+	f.Add(uint8(0), v7SnippetedFullResp) // a v7 snippet in a full response: refused
 	f.Add(uint8(0), appendSnippetsResp(nil, nil))
-	seeded, snippets, trees := 0, 0, 0
+	seeded, full, snippets, trees := 0, 0, 0, 0
 	// Small inputs only: the fuzzer minimizes every interesting input, and a
 	// 100 KB seed eats a ten-second CI budget doing it.
 	const maxSeed = 4096
@@ -208,13 +224,18 @@ func FuzzEvalRespDecode(f *testing.F) {
 			f.Add(uint8(len(a.terms)), body)
 			seeded++
 		}
+		// A full response body is one result list.
+		if body := appendResults(nil, rs, a.terms); len(body) <= maxSeed {
+			f.Add(uint8(len(a.terms)), body)
+			full++
+		}
 		if body := appendTreesResp(nil, rs); len(body) <= maxSeed {
 			f.Add(uint8(len(a.terms)), body)
 			trees++
 		}
 	}
-	if seeded < 20 || snippets < 10 || trees < 20 {
-		f.Fatalf("only %d seeds carry shipped results, %d carry snippets, and %d carry trees", seeded, snippets, trees)
+	if seeded < 20 || full < 20 || snippets < 10 || trees < 20 {
+		f.Fatalf("only %d eval and %d full seeds carry shipped results, %d carry snippets, and %d carry trees", seeded, full, snippets, trees)
 	}
 	for name, r := range syntheticResults() {
 		if name != "deep chain" {
@@ -225,32 +246,40 @@ func FuzzEvalRespDecode(f *testing.F) {
 	f.Add(uint8(0), append([]byte{1}, chainEncoding(300)...))
 	f.Fuzz(func(t *testing.T, terms uint8, data []byte) {
 		var pe *ProtocolError
+		keys := make([]string, terms)
+		for i := range keys {
+			keys[i] = fmt.Sprint("t", i)
+		}
+		// take takes the results one list shipped by shard.
+		take := func(shard int32, rs []scanned) {
+			at := &answerTrees{terms: keys, handles: make([]handle, len(rs))}
+			for i, s := range rs {
+				taken := s.take(at, i)
+				if taken.Size() != s.nodes-1 || at.handles[i] != s.at || at.handles[i].shard != shard {
+					t.Fatalf("taken result: size %d of %d nodes, handle %+v of %+v", taken.Size(), s.nodes, at.handles[i], s.at)
+				}
+				for _, kw := range keys {
+					if d, ok := taken.MatchDepth(kw); ok && d >= s.nodes {
+						t.Fatalf("match depth %d in a %d-node tree", d, s.nodes)
+					}
+				}
+			}
+		}
 		if resp, err := decodeEvalResp(data, int(terms)); err != nil {
 			if !errors.As(err, &pe) {
 				t.Fatalf("unclassified eval decode error %T: %v", err, err)
 			}
 		} else {
-			keys := make([]string, terms)
-			for i := range keys {
-				keys[i] = fmt.Sprint("t", i)
-			}
 			for _, sh := range resp.shards {
-				at := &answerTrees{terms: keys, handles: make([]handle, len(sh.results))}
-				for i, s := range sh.results {
-					taken := s.take(at, i)
-					if taken.Size() != s.nodes-1 || at.handles[i] != s.at || at.handles[i].shard != int32(sh.shard) {
-						t.Fatalf("taken result: size %d of %d nodes, handle %+v of %+v", taken.Size(), s.nodes, at.handles[i], s.at)
-					}
-					for _, kw := range keys {
-						if d, ok := taken.MatchDepth(kw); ok && d >= s.nodes {
-							t.Fatalf("match depth %d in a %d-node tree", d, s.nodes)
-						}
-					}
-					if s.snippet != nil {
-						t.Fatal("an eval response's result carries a snippet")
-					}
-				}
+				take(int32(sh.shard), sh.results)
 			}
+		}
+		if rs, err := decodeFullResp(data, int(terms)); err != nil {
+			if !errors.As(err, &pe) {
+				t.Fatalf("unclassified full decode error %T: %v", err, err)
+			}
+		} else {
+			take(wholeShard, rs)
 		}
 		if recs, err := decodeSnippetsResp(data); err != nil {
 			if !errors.As(err, &pe) {

@@ -88,7 +88,8 @@ func callsOf(rt *Router, kind string) map[string]int64 {
 }
 
 // TestSnippetedAnswerShipsNoTrees: a result crosses the wire as its handle,
-// size, depths and snippet. A snippeted routed answer that nobody reads
+// size and depths, and its snippet is asked for by that handle. A snippeted
+// routed answer that nobody reads
 // takes no trees call, and no eval or full frame the servers sent carries
 // the tree record of any result it shipped — which the same frames carried,
 // byte for byte, while results shipped their trees.

@@ -284,10 +284,6 @@ func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic
 		rt.metrics.observe(kind, outcome, group, time.Since(start))
 	}()
 	sink := telemetry.SpanSinkFrom(ctx)
-	var traceID uint64
-	if sink != nil {
-		traceID = uint64(sink.TraceID)
-	}
 	hop := func(r *replica, attempt int, wire time.Duration, st serverStages, errClass string) {
 		if sink == nil {
 			return
@@ -323,7 +319,7 @@ func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic
 			rt.metrics.failover(group)
 		}
 		attemptStart := time.Now()
-		resp, serr, err := r.call(ctx, t, payload, want, traceID)
+		resp, serr, err := r.call(ctx, t, payload, want)
 		wire := time.Since(attemptStart)
 		if err != nil {
 			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
@@ -444,17 +440,17 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 // but no tree. The first read of a tree fetches it (answerTrees). With bound
 // >= 0 the shard servers snippet exactly the results taken, on their index,
 // by the same fan-out a local corpus runs (shard.Snippets), so the snippets
-// are the local ones too: those of a whole-document answer arrive with it,
-// the others are asked for by handle once the merge has cut (snippets).
-// run schedules the per-group fan-outs, so the serving layer's worker pool
-// bounds remote concurrency exactly as it bounds local shard evaluation.
+// are the local ones too: every winner's are asked for by handle once the
+// merge has cut (snippets), a whole-document answer's included. run
+// schedules the per-group fan-outs, so the serving layer's worker pool bounds
+// remote concurrency exactly as it bounds local shard evaluation.
 func (rt *Router) Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	pl := rt.place.Load()
 	terms := search.TermKeys(query)
 	if len(pl.groupOf) == 0 || len(terms) == 0 {
 		return nil, nil, search.ErrEmptyQuery
 	}
-	r := &routedRounds{rt: rt, pl: pl, query: query, terms: len(terms), opts: opts, run: run, bound: max(bound, -1)}
+	r := &routedRounds{rt: rt, pl: pl, query: query, terms: len(terms), opts: opts, run: run}
 	defer r.release()
 	winners, err := shard.Merge(ctx, opts, r)
 	if err != nil {
@@ -466,9 +462,10 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 	rt.metrics.taken.Add(int64(len(winners)))
 	rt.metrics.dropped.Add(int64(r.shipped - len(winners)))
 	rs := make([]*search.Result, len(winners))
+	handles := make([]handle, len(winners))
 	if len(winners) > 0 {
 		at := &answerTrees{rt: rt, pl: pl, query: query, opts: opts, terms: terms,
-			handles: make([]handle, len(winners)), trees: make([]*search.Result, len(winners))}
+			handles: handles, trees: make([]*search.Result, len(winners))}
 		for i, w := range winners {
 			rs[i] = w.take(at, i)
 		}
@@ -476,7 +473,7 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 	if bound < 0 {
 		return rs, nil, nil
 	}
-	gs, err := r.snippets(ctx, winners)
+	gs, err := r.snippets(ctx, handles, bound)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -498,7 +495,6 @@ type routedRounds struct {
 	terms int // the query's term count, which every shipped result carries a depth for
 	opts  search.Options
 	run   shard.Runner
-	bound int // the query's snippet bound; -1 = search only
 
 	shipped int // results scanned out of this query's responses
 
@@ -527,15 +523,14 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 	rt, pl := r.rt, r.pl
 	timeout := ctxTimeoutMillis(ctx)
 	resps := make([]evalResp, len(rt.groups))
-	errs := make([]error, len(rt.groups))
-	tasks := make([]func(), 0, len(rt.groups))
+	calls := make([]func() error, len(rt.groups))
 	for g, shards := range pl.byGroup {
 		if len(shards) == 0 {
 			continue
 		}
-		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards, bound: -1})
-		tasks = append(tasks, func() {
-			errs[g] = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, pl.fingerprint, func(body []byte) error {
+		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards})
+		calls[g] = func() error {
+			return rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, pl.fingerprint, func(body []byte) error {
 				resp, err := decodeEvalResp(body, r.terms)
 				if err != nil {
 					return err
@@ -546,16 +541,10 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 				resps[g] = resp
 				return nil
 			}, r.hold)
-		})
-	}
-	if err := shard.Run(r.run, tasks); err != nil {
-		return nil, err
-	}
-	// The first failure in group order.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
+	}
+	if err := fanOut(r.run, calls); err != nil {
+		return nil, err
 	}
 	parts := make([]shard.Partial[scanned], len(pl.groupOf))
 	for _, resp := range resps {
@@ -568,97 +557,137 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 }
 
 // Whole asks any replica for the whole-document evaluation (every shard
-// server holds the full snapshot), snippeted when the query is.
+// server holds the full snapshot): counts and handles, like Eval.
 func (r *routedRounds) Whole(ctx context.Context) ([]scanned, error) {
-	var fr fullResp
-	payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx), bound: r.bound})
+	var results []scanned
+	payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx)})
 	err := r.rt.groupCall(ctx, r.rt.all, &r.rt.allRR, "full", "any", msgFull, payload, msgFullResp, r.pl.fingerprint, func(body []byte) error {
-		resp, err := decodeFullResp(body, r.terms)
+		rs, err := decodeFullResp(body, r.terms)
 		if err != nil {
 			return err
 		}
-		if resp.snippeted != (r.bound >= 0) {
-			return protocolErrf("full response snippeted = %v for bound %d", resp.snippeted, r.bound)
-		}
-		fr = resp
+		results = rs
 		return nil
 	}, r.hold)
 	if err != nil {
 		return nil, err
 	}
-	r.shipped += len(fr.results)
-	return fr.results, nil
+	r.shipped += len(results)
+	return results, nil
 }
 
-// snippets returns the snippets of the merge's winners, aligned with them. A
-// whole-document answer's arrived with it. The eval round's winners are
-// snippeted where they live: one snippets call per replica group holding any
-// of them — a group whose results the cut dropped is not asked — the calls
-// scheduled through run, within the query's context, each carrying the
-// group's winners' handles, the query's remaining time and the fingerprint
-// of the generation that answered round one. A replica on another generation
-// fails over within its group; when none holds it, the query fails with the
-// skew, never with another generation's snippet. The round's wall time is
-// the query's snippet stage on its span sink.
-func (r *routedRounds) snippets(ctx context.Context, winners []scanned) ([]*core.Generated, error) {
-	rt, pl := r.rt, r.pl
-	kws := index.Tokenize(r.query)
-	gs := make([]*core.Generated, len(winners))
-	byGroup := make([][]int, len(rt.groups))
-	for i, w := range winners {
-		if w.at.shard == wholeShard {
-			gs[i] = buildSnippet(w.snippet, kws, r.bound)
-			continue
-		}
-		g := pl.groupOf[w.at.shard]
-		byGroup[g] = append(byGroup[g], i)
-	}
-	start := time.Now()
-	timeout := ctxTimeoutMillis(ctx)
-	errs := make([]error, len(rt.groups))
-	var tasks []func()
-	for g, idx := range byGroup {
-		if len(idx) == 0 {
-			continue
-		}
-		handles := make([]handle, len(idx))
-		for k, i := range idx {
-			handles[k] = winners[i].at
-		}
-		payload := encodeTreesReq(treesReq{opts: r.opts, query: r.query, timeoutMillis: timeout, fingerprint: pl.fingerprint, bound: r.bound, handles: handles})
-		tasks = append(tasks, func() {
-			errs[g] = rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "snippets", strconv.Itoa(g), msgSnippets, payload, msgSnippetsResp, pl.fingerprint, func(body []byte) error {
-				recs, err := decodeSnippetsResp(body)
-				if err != nil {
-					return err
-				}
-				if len(recs) != len(idx) {
-					return protocolErrf("snippets response carries %d snippets for %d handles", len(recs), len(idx))
-				}
-				for k, rec := range recs {
-					gs[idx[k]] = buildSnippet(rec, kws, r.bound)
-				}
-				return nil
-			}, nil)
-		})
-	}
-	if len(tasks) == 0 {
+// snippets returns the snippets of the merge's winners at bound, aligned
+// with their handles: one snippets call per replica group holding any of them
+// — a group whose results the cut dropped is not asked — and one to any
+// replica for a whole-document answer (byHandle), the calls scheduled through
+// run, within the query's context, against the fingerprint of the generation
+// that answered the merge. A replica on another generation fails over within
+// its group; when none holds it, the query fails with the skew, never with
+// another generation's snippet. The round's wall time is the query's snippet
+// stage on its span sink.
+func (r *routedRounds) snippets(ctx context.Context, handles []handle, bound int) ([]*core.Generated, error) {
+	gs := make([]*core.Generated, len(handles))
+	if len(handles) == 0 {
 		return gs, nil
 	}
-	err := shard.Run(r.run, tasks)
+	kws := index.Tokenize(r.query)
+	all := make([]int, len(handles))
+	for i := range all {
+		all[i] = i
+	}
+	start := time.Now()
+	req := treesReq{opts: r.opts, query: r.query, fingerprint: r.pl.fingerprint, bound: bound}
+	err := r.rt.byHandle(ctx, r.pl, r.run, msgSnippets, req, handles, all, func(body []byte, idx []int) error {
+		recs, err := decodeSnippetsResp(body)
+		if err != nil {
+			return err
+		}
+		if len(recs) != len(idx) {
+			return protocolErrf("snippets response carries %d snippets for %d handles", len(recs), len(idx))
+		}
+		for k, rec := range recs {
+			gs[idx[k]] = buildSnippet(rec, kws, bound)
+		}
+		return nil
+	})
 	if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
 		sink.NoteSnippets(time.Since(start))
 	}
 	if err != nil {
 		return nil, err
 	}
-	// The first failure in group order.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	return gs, nil
+}
+
+// groupOfHandle returns the replica group that serves handle h: an index into
+// the router's groups, or len(pl.byGroup) — the "any" pseudo-group, every
+// replica — for a handle into the whole document.
+func (pl *placement) groupOfHandle(h handle) int {
+	if h.shard == wholeShard {
+		return len(pl.byGroup)
+	}
+	return pl.groupOf[h.shard]
+}
+
+// byHandle is the by-handle fan-out of trees and snippets calls (t is msgTrees
+// or msgSnippets): the results at positions idx of handles, grouped by the
+// replica group that serves them (groupOfHandle), make one call a group —
+// req with that group's handles and ctx's remaining time — scheduled through
+// run (nil: one goroutine a call), each against pl's fingerprint. decode gets
+// a group's response body and the positions it answers, in request order.
+// It returns the first failure in group order.
+func (rt *Router) byHandle(ctx context.Context, pl *placement, run shard.Runner, t msgType, req treesReq, handles []handle, idx []int, decode func(body []byte, idx []int) error) error {
+	kind, want := "trees", msgTreesResp
+	if t == msgSnippets {
+		kind, want = "snippets", msgSnippetsResp
+	}
+	byGroup := make([][]int, len(rt.groups)+1)
+	for _, i := range idx {
+		g := pl.groupOfHandle(handles[i])
+		byGroup[g] = append(byGroup[g], i)
+	}
+	req.timeoutMillis = ctxTimeoutMillis(ctx)
+	calls := make([]func() error, len(byGroup))
+	for g, idx := range byGroup {
+		if len(idx) == 0 {
+			continue
+		}
+		req.handles = make([]handle, len(idx))
+		for k, i := range idx {
+			req.handles[k] = handles[i]
+		}
+		payload := encodeTreesReq(req)
+		replicas, rr, label := rt.all, &rt.allRR, "any"
+		if g < len(rt.groups) {
+			replicas, rr, label = rt.groups[g].replicas, &rt.groups[g].rr, strconv.Itoa(g)
+		}
+		calls[g] = func() error {
+			return rt.groupCall(ctx, replicas, rr, kind, label, t, payload, want, pl.fingerprint, func(body []byte) error { return decode(body, idx) }, nil)
 		}
 	}
-	return gs, nil
+	return fanOut(run, calls)
+}
+
+// fanOut runs every non-nil call, one a replica group, through run, and
+// returns the runner's failure, or else the first call's failure in group
+// order.
+func fanOut(run shard.Runner, calls []func() error) error {
+	errs := make([]error, len(calls))
+	tasks := make([]func(), 0, len(calls))
+	for g, call := range calls {
+		if call != nil {
+			tasks = append(tasks, func() { errs[g] = call() })
+		}
+	}
+	if err := shard.Run(run, tasks); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ErrResultGone is a routed result's tree read after every replica that could
@@ -671,11 +700,12 @@ var ErrResultGone = errors.New("remote: result's generation is no longer served"
 // answerTrees is where one routed answer's trees come from: its query,
 // options, term keys and placement — the generation that answered — and
 // every taken result's handle. The first read of any tree fetches the trees
-// of every result of the answer at once: one trees call per replica group
-// holding some of them (the whole-document answer's to any replica), the
-// calls running concurrently, against the answer's fingerprint, not the
-// router's current placement. A group whose call fails is asked again by the
-// next read; the trees that did arrive are kept.
+// of every result of the answer at once, by the fan-out snippets take too
+// (byHandle): one trees call per replica group holding some of them (the
+// whole-document answer's to any replica), the calls running concurrently,
+// against the answer's fingerprint, not the router's current placement. A
+// group whose call fails is asked again by the next read; the trees that did
+// arrive are kept.
 type answerTrees struct {
 	rt      *Router
 	pl      *placement
@@ -687,15 +717,6 @@ type answerTrees struct {
 	mu     sync.Mutex
 	trees  []*search.Result // aligned with handles; nil until fetched
 	flight chan struct{}    // closed when the running fetch ends; nil when none runs
-}
-
-// group returns result i's replica group: an index into rt.groups, or
-// len(rt.groups) for the whole document's.
-func (at *answerTrees) group(i int) int {
-	if sh := at.handles[i].shard; sh != wholeShard {
-		return at.pl.groupOf[sh]
-	}
-	return len(at.rt.groups)
 }
 
 // tree returns result i's tree, fetching the answer's missing trees on the
@@ -719,11 +740,10 @@ func (at *answerTrees) tree(ctx context.Context, i int) (*search.Result, error) 
 		}
 		f := make(chan struct{})
 		at.flight = f
-		missing := make([][]int, len(at.rt.groups)+1)
+		var missing []int
 		for k, tree := range at.trees {
 			if tree == nil {
-				g := at.group(k)
-				missing[g] = append(missing[g], k)
+				missing = append(missing, k)
 			}
 		}
 		at.mu.Unlock()
@@ -740,48 +760,17 @@ func (at *answerTrees) tree(ctx context.Context, i int) (*search.Result, error) 
 	}
 }
 
-// fetch asks each group for the trees of the results listed under it, all
-// groups at once, and stores what arrives; it returns the first failure in
-// group order. ctx bounds the calls, and so does backgroundCallTimeout, for
-// a reader whose context has no deadline. The caller holds the flight, so
-// the slots written here are not read until it ends.
-func (at *answerTrees) fetch(ctx context.Context, missing [][]int) error {
+// fetch asks each group for the trees of the results missing lists, all
+// groups at once (byHandle), and builds and stores what arrives; it returns
+// the first failure in group order, ErrResultGone when that is a skew. ctx
+// bounds the calls, and so does backgroundCallTimeout, for a reader whose
+// context has no deadline. The caller holds the flight, so the slots written
+// here are not read until it ends.
+func (at *answerTrees) fetch(ctx context.Context, missing []int) error {
 	ctx, cancel := context.WithTimeout(ctx, backgroundCallTimeout)
 	defer cancel()
-	errs := make([]error, len(missing))
-	var wg sync.WaitGroup
-	for g, idx := range missing {
-		if len(idx) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[g] = at.fetchGroup(ctx, g, idx)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fetchGroup asks group g for the trees of results idx, and builds them.
-func (at *answerTrees) fetchGroup(ctx context.Context, g int, idx []int) error {
-	handles := make([]handle, len(idx))
-	for k, i := range idx {
-		handles[k] = at.handles[i]
-	}
-	rt := at.rt
-	replicas, rr, label := rt.all, &rt.allRR, "any"
-	if g < len(rt.groups) {
-		replicas, rr, label = rt.groups[g].replicas, &rt.groups[g].rr, strconv.Itoa(g)
-	}
-	payload := encodeTreesReq(treesReq{opts: at.opts, query: at.query, timeoutMillis: ctxTimeoutMillis(ctx), fingerprint: at.pl.fingerprint, handles: handles})
-	err := rt.groupCall(ctx, replicas, rr, "trees", label, msgTrees, payload, msgTreesResp, at.pl.fingerprint, func(body []byte) error {
+	req := treesReq{opts: at.opts, query: at.query, fingerprint: at.pl.fingerprint, bound: -1}
+	err := at.rt.byHandle(ctx, at.pl, nil, msgTrees, req, at.handles, missing, func(body []byte, idx []int) error {
 		recs, err := decodeTreesResp(body)
 		if err != nil {
 			return err
@@ -793,7 +782,7 @@ func (at *answerTrees) fetchGroup(ctx context.Context, g int, idx []int) error {
 			at.trees[idx[k]] = rec.build()
 		}
 		return nil
-	}, nil)
+	})
 	var re *RemoteError
 	if errors.As(err, &re) && re.Kind == ErrKindSkew {
 		return fmt.Errorf("%w: %w", ErrResultGone, err)
@@ -908,8 +897,8 @@ func (rt *Router) Stats() (analysis *core.Corpus, totalElements int) {
 // replica group so a sick group is attributable from metrics alone; see
 // OBSERVABILITY.md for the contract. Numbered groups carry the per-group
 // call kinds (eval, snippets, trees); the "any" pseudo-group carries the
-// calls any replica may serve (full, the whole document's trees, stats,
-// complete).
+// calls any replica may serve (full, the whole document's snippets and
+// trees, stats, complete).
 type routerMetrics struct {
 	calls     map[[3]string]*telemetry.Counter // kind, outcome, group
 	failovers map[string]*telemetry.Counter    // group
@@ -925,7 +914,7 @@ type routerMetrics struct {
 // kinds served by any replica.
 var (
 	groupCallKinds = []string{"eval", "snippets", "trees"}
-	anyCallKinds   = []string{"full", "trees", "stats", "complete"}
+	anyCallKinds   = []string{"full", "snippets", "trees", "stats", "complete"}
 )
 
 func newRouterMetrics(reg *telemetry.Registry, ngroups int) *routerMetrics {

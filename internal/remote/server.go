@@ -296,8 +296,8 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 			func(b []byte, _ evalReq, a evalAnswer) []byte { return appendEvalResp(b, a) })
 	case msgFull:
 		return staged(s, st, "full", msgFullResp, payload, enc, decodeEvalReq, s.fullEval,
-			func(b []byte, req evalReq, a fullAnswer) []byte {
-				return appendFullResp(b, a.results, a.snippets, search.TermKeys(req.query))
+			func(b []byte, req evalReq, rs []*search.Result) []byte {
+				return appendResults(b, rs, search.TermKeys(req.query))
 			})
 	case msgTrees:
 		return staged(s, st, "trees", msgTreesResp, payload, enc, decodeTreesReq, s.trees,
@@ -444,26 +444,14 @@ func trimToMerge(answers []shardAnswer, maxResults int) {
 	}
 }
 
-// fullAnswer is a full request's answer: the whole document's results and,
-// for a request with a bound, their snippets (nil otherwise).
-type fullAnswer struct {
-	results  []*search.Result
-	snippets []*core.Generated
-}
-
 // fullEval answers shard.Merge's second round, the whole-document
-// evaluation, with a snippet per result when the request has a bound: the
-// merge keeps every result of that round, so they ride with it. Any replica
-// can serve it — every server holds the full snapshot.
-func (s *Server) fullEval(st *serverState, req evalReq) (fullAnswer, error) {
+// evaluation: counts and handles, like evaluate. Any replica can serve it —
+// every server holds the full snapshot — and any replica snippets its results
+// by handle (snippets).
+func (s *Server) fullEval(st *serverState, req evalReq) ([]*search.Result, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
-	rs, err := st.sc.SearchWhole(ctx, req.query, req.opts)
-	if err != nil || req.bound < 0 {
-		return fullAnswer{results: rs}, err
-	}
-	gs, err := s.snippet(ctx, st, rs, req.query, req.bound)
-	return fullAnswer{results: rs, snippets: gs}, err
+	return st.sc.SearchWhole(ctx, req.query, req.opts)
 }
 
 // trees answers a trees request: the handles' results, rebuilt.
@@ -473,11 +461,12 @@ func (s *Server) trees(st *serverState, req treesReq) ([]*search.Result, error) 
 	return s.rebuild(ctx, st, req)
 }
 
-// snippets answers a snippets request — the router's second round for the
-// results its merge kept of round one: the handles' results, rebuilt as a
-// trees request rebuilds them (on the answer's generation, on owned shards
-// only), then snippeted at the request's bound by the local fan-out, one
-// snippet a handle in request order.
+// snippets answers a snippets request — the router's round for the results
+// its merge kept: the handles' results, rebuilt as a trees request rebuilds
+// them (on the answer's generation, on owned shards only, or on the whole
+// document); then the local fan-out (shard.Snippets, on the results'
+// indexes) makes their snippets at the request's bound — one a handle, in
+// request order — and they are counted.
 func (s *Server) snippets(st *serverState, req treesReq) ([]*core.Generated, error) {
 	if req.bound < 0 {
 		return nil, protocolErrf("snippets request without a snippet bound")
@@ -488,13 +477,7 @@ func (s *Server) snippets(st *serverState, req treesReq) ([]*core.Generated, err
 	if err != nil {
 		return nil, err
 	}
-	return s.snippet(ctx, st, rs, req.query, req.bound)
-}
-
-// snippet makes one snippet per result (shard.Snippets, on the results'
-// indexes) and counts them.
-func (s *Server) snippet(ctx context.Context, st *serverState, rs []*search.Result, query string, bound int) ([]*core.Generated, error) {
-	gs, err := shard.Snippets(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(query), bound)
+	gs, err := shard.Snippets(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(req.query), req.bound)
 	if err != nil {
 		return nil, err
 	}

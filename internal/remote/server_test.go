@@ -30,7 +30,7 @@ func TestBadShardRefusedBeforeAnyEvaluation(t *testing.T) {
 	defer faultinject.Reset()
 	defer close(release)
 
-	payload := appendTraceID(encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0, 2}}), 1)
+	payload := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0, 2}})
 	before := runtime.NumGoroutine()
 	mt, body := srv.handle(msgEval, payload, nil)
 	after := runtime.NumGoroutine()

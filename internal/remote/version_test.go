@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -40,8 +41,8 @@ func versionTestCorpus() *shard.Corpus {
 	return shard.Build(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11}), 3)
 }
 
-// TestRoutedHopsReportServerStages: trace IDs out and server stage timings
-// back are unconditional parts of the one wire layout, so every hop of a
+// TestRoutedHopsReportServerStages: server stage timings in every response
+// header are an unconditional part of the one wire layout, so every hop of a
 // routed query carries them.
 func TestRoutedHopsReportServerStages(t *testing.T) {
 	cl := startCluster(t, versionTestCorpus(), 1, 1)
@@ -62,24 +63,33 @@ func TestRoutedHopsReportServerStages(t *testing.T) {
 // retiredGreeting is a v4 greeting's payload — the served generation's
 // fingerprint (u64 7), then uvarint shard count 3 and the owned shard list
 // {0, 1, 2} — which the retired-version cases send at every old version. A
-// v5 or v6 greeting is an empty frame.
+// v5 to v8 greeting is an empty frame.
 var retiredGreeting = []byte{7, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 1, 2}
 
 // v4Ping is the retired v4 health probe's message type: v5 dropped ping and
 // pong, and the type number now belongs to the error message.
 const v4Ping = msgType(8)
 
+// v2EvalReq is a retired v2 eval request: a v8 one followed by the trace ID
+// (u64 LE), which nothing read.
+func v2EvalReq(v8 []byte) []byte {
+	return binary.LittleEndian.AppendUint64(slices.Clip(v8), 1)
+}
+
+// v7EvalReq is a retired v3 to v7 eval or full request: a v8 one followed by
+// the snippet bound + 1 (0, search only) and then the trace ID.
+func v7EvalReq(v8 []byte) []byte {
+	return v2EvalReq(append(slices.Clip(v8), 0))
+}
+
 // TestOtherWireVersionsRefused: a frame at any version but wireVersion —
-// the retired v1 to v6 a stale peer would still speak, or a future one — is
+// the retired v1 to v7 a stale peer would still speak, or a future one — is
 // a *ProtocolError naming both versions, whichever side reads it: the router
-// reading a greeting, the server reading a request. The server hangs up on
-// it without evaluating anything.
+// reading a greeting or a response, the server reading a request. The server
+// hangs up on it without evaluating anything.
 func TestOtherWireVersionsRefused(t *testing.T) {
 	greeting := retiredGreeting
-	request := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0}, bound: -1})
-	// A v2 eval request is a v3 (v4, v5) one without the trailing snippet
-	// bound.
-	v2Request := request[:len(request)-1]
+	request := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0}})
 	for _, tc := range []struct {
 		name    string
 		ver     byte
@@ -90,20 +100,24 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		{"v1 eval request", 1, msgEval, request},
 		{"v1 negotiation request", 1, msgHello, []byte{2}},
 		{"v2 greeting", 2, msgHello, greeting},
-		{"v2 eval request", 2, msgEval, appendTraceID(v2Request, 1)},
+		{"v2 eval request", 2, msgEval, v2EvalReq(request)},
 		{"v3 greeting", 3, msgHello, greeting},
-		{"v3 eval request", 3, msgEval, appendTraceID(request, 1)},
-		{"v3 digest request", 3, msgType(4), appendTraceID(request, 1)},
+		{"v3 eval request", 3, msgEval, v7EvalReq(request)},
+		{"v3 digest request", 3, msgType(4), v7EvalReq(request)},
 		{"v4 greeting", 4, msgHello, greeting},
-		{"v4 eval request", 4, msgEval, appendTraceID(request, 1)},
+		{"v4 eval request", 4, msgEval, v7EvalReq(request)},
 		{"v4 ping", 4, v4Ping, nil},
 		{"v5 greeting", 5, msgHello, nil},
-		{"v5 eval request", 5, msgEval, appendTraceID(request, 1)},
+		{"v5 eval request", 5, msgEval, v7EvalReq(request)},
 		{"v5 eval response", 5, msgEvalResp, append(appendRespHeader(nil, 7), v5EvalResp...)},
 		{"v6 greeting", 6, msgHello, nil},
-		{"v6 eval request", 6, msgEval, appendTraceID(request, 1)},
+		{"v6 eval request", 6, msgEval, v7EvalReq(request)},
 		{"v6 snippeted eval response", 6, msgEvalResp, append(appendRespHeader(nil, 7), v6SnippetedEvalResp...)},
-		{"v8 greeting", wireVersion + 1, msgHello, nil},
+		{"v7 greeting", 7, msgHello, nil},
+		{"v7 eval request", 7, msgEval, v7EvalReq(request)},
+		{"v7 full request", 7, msgFull, v7EvalReq(encodeEvalReq(evalReq{query: "store"}))},
+		{"v7 snippeted full response", 7, msgFullResp, append(appendRespHeader(nil, 7), v7SnippetedFullResp...)},
+		{"v9 greeting", wireVersion + 1, msgHello, nil},
 	} {
 		_, _, err := readFrame(bytes.NewReader(frameBytes(tc.ver, tc.t, tc.payload)))
 		var pe *ProtocolError
@@ -117,11 +131,21 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		}
 	}
 
-	// A v6 eval response's body, which carried a snippet per result, does not
-	// scan as a v7 one either.
+	// Nor do the retired bodies decode as v8 ones: a v6 eval response, which
+	// carried a snippet per result, a v7 full response, which carried them
+	// too, and a v7 eval or full request, which carried a snippet bound and
+	// a trace ID.
 	var pe *ProtocolError
 	if _, err := decodeEvalResp(v6SnippetedEvalResp, 0); !errors.As(err, &pe) {
 		t.Fatalf("a v6 snippeted eval response body: %v, want a *ProtocolError", err)
+	}
+	if _, err := decodeFullResp(v7SnippetedFullResp, 0); !errors.As(err, &pe) {
+		t.Fatalf("a v7 snippeted full response body: %v, want a *ProtocolError", err)
+	}
+	for _, req := range [][]byte{v7EvalReq(request), v7EvalReq(encodeEvalReq(evalReq{query: "store"}))} {
+		if _, err := decodeEvalReq(req); !errors.As(err, &pe) {
+			t.Fatalf("a v7 request %v: %v, want a *ProtocolError", req, err)
+		}
 	}
 
 	// A stale router's first frame ends the connection: the server reads it,
@@ -135,11 +159,11 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 	if mt, _, err := readFrame(client); err != nil || mt != msgHello {
 		t.Fatalf("greeting: type %d, %v", mt, err)
 	}
-	if _, err := client.Write(frameBytes(5, msgEval, appendTraceID(request, 1))); err != nil {
+	if _, err := client.Write(frameBytes(7, msgEval, v7EvalReq(request))); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readFrame(client); !errors.Is(err, io.EOF) {
-		t.Fatalf("after a v5 request: %v, want the connection closed", err)
+		t.Fatalf("after a v7 request: %v, want the connection closed", err)
 	}
 	<-done
 	for _, m := range reg.Snapshot().Metrics {
@@ -341,15 +365,15 @@ func keptByGroup(t *testing.T, rt *Router, sc *shard.Corpus, q string, opts sear
 	return kept, had
 }
 
-// TestServersSnippetOnlyKeptResults: round one ships counts and handles, so a
-// routed query with snippets makes the eval and full calls a search-only one
-// makes, and then — when the per-shard round decided it — exactly one
-// snippets call to each group holding a result the merge kept, none to a
-// group whose results the cut dropped, and the servers make exactly one
-// snippet per result of the answer. A whole-document answer's snippets ride
-// with it. Reading the answer's trees afterwards makes no eval, full, stats
-// or snippets call (it fetches the trees by handle;
-// TestTreeReadTakesOneRoundPerGroup counts those calls).
+// TestServersSnippetOnlyKeptResults: the eval and full rounds ship counts and
+// handles, so a routed query with snippets makes the eval and full calls a
+// search-only one makes, and then exactly one snippets call to each group
+// holding a result the merge kept, none to a group whose results the cut
+// dropped — or, for a whole-document answer, exactly one, to any replica —
+// and the servers make exactly one snippet per result of the answer. Reading
+// the answer's trees afterwards makes no eval, full, stats or snippets call
+// (it fetches the trees by handle; TestTreeReadTakesOneRoundPerGroup counts
+// those calls).
 func TestServersSnippetOnlyKeptResults(t *testing.T) {
 	sc := versionTestCorpus()
 	const groups = 2
@@ -403,8 +427,14 @@ func TestServersSnippetOnlyKeptResults(t *testing.T) {
 				t.Fatalf("%q (%v): the servers made %d snippets for a %d-result answer", q, opts.Semantics, total, len(rs))
 			}
 			if snippeted["full"] > searchOnly["full"] {
-				if n := snippeted["snippets"] - searchOnly["snippets"]; n != 0 {
-					t.Fatalf("%q: a whole-document answer made %d snippets calls", q, n)
+				asked := map[string]int64{}
+				for label, n := range snippetCallsAfter {
+					if d := n - snippetCalls[label]; d != 0 {
+						asked[label] = d
+					}
+				}
+				if len(asked) != 1 || asked["any"] != 1 {
+					t.Fatalf("%q: a whole-document answer made snippets calls %v, want one to any replica", q, asked)
 				}
 				whole++
 			} else {
@@ -450,11 +480,12 @@ func TestServersSnippetOnlyKeptResults(t *testing.T) {
 }
 
 // TestSnippetRoundAfterSwapIsClassified: the servers swap generation between
-// a query's eval round and its snippets round. A group with a replica still
-// on the query's generation answers from it — the swapped replica's refusal
-// fails over — with the snippets of the unswapped tier; a tier with no
-// replica left on it fails the query with a classified skew, never with a
-// snippet of the new generation.
+// a query's eval (or full) round and its snippets round. A group with a
+// replica still on the query's generation answers from it — the swapped
+// replica's refusal fails over — with the snippets of the unswapped tier; a
+// tier with no replica left on it fails the query with a classified skew,
+// never with a snippet of the new generation. A whole-document answer's
+// snippets call goes to any replica, and fails over and fails the same way.
 func TestSnippetRoundAfterSwapIsClassified(t *testing.T) {
 	sc := versionTestCorpus()
 	next := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 12}), 3)
@@ -463,12 +494,8 @@ func TestSnippetRoundAfterSwapIsClassified(t *testing.T) {
 		t.Fatal("fixture: the generations must differ")
 	}
 	const groups, replicas = 2, 2
-	const q, bound = "store texas", 6
+	const bound = 6
 	opts := search.Options{DistinctAnchors: true}
-	want, wantGs, err := startCluster(t, sc, groups, replicas).router.Answer(context.Background(), q, opts, nil, bound)
-	if err != nil || len(want) == 0 {
-		t.Fatalf("baseline: %d results, %v", len(want), err)
-	}
 	// swapping is a Runner that runs its tasks, after swapping the servers
 	// pick chooses onto the next generation when it is handed the query's
 	// second fan-out — the snippets round.
@@ -485,44 +512,71 @@ func TestSnippetRoundAfterSwapIsClassified(t *testing.T) {
 			return shard.Run(nil, tasks)
 		}
 	}
-
-	// One replica a group moves: the one each group's snippets call tries
-	// first, so every call is refused once and fails over to its peer.
-	cl := startCluster(t, sc, groups, replicas)
-	rt := cl.router
-	first := make([]int, groups)
-	for g := range first {
-		first[g] = int(rt.groups[g].rr.Load()+1) % replicas // the eval round takes one turn
-	}
-	sink := &telemetry.SpanSink{TraceID: telemetry.NextTraceID()}
-	rs, gs, err := rt.Answer(telemetry.WithSpanSink(context.Background(), sink), q, opts, swapping(cl, func(g, r int) bool { return r == first[g] }), bound)
-	if err != nil || len(rs) != len(want) || len(gs) != len(wantGs) {
-		t.Fatalf("one replica a group moved: %d results, %d snippets, %v; want %d", len(rs), len(gs), err, len(want))
-	}
-	for i := range gs {
-		if err := sameSnippet(wantGs[i], gs[i]); err != nil {
-			t.Fatalf("snippet %d after a failover: %v", i, err)
+	for _, tc := range []struct {
+		q     string
+		whole bool // the query involves the root: a whole-document answer
+	}{
+		{"store texas", false},
+		{sc.Fallback().Doc.Root.Label, true},
+	} {
+		want, wantGs, err := startCluster(t, sc, groups, replicas).router.Answer(context.Background(), tc.q, opts, nil, bound)
+		if err != nil || len(want) == 0 {
+			t.Fatalf("%q baseline: %d results, %v", tc.q, len(want), err)
 		}
-	}
-	refused := map[string]bool{}
-	for _, h := range sink.Hops() {
-		if h.Kind == "snippets" && h.Err == ErrKindSkew {
-			refused[h.Group] = true
+		// The groups the snippets round asks: every group, or any replica.
+		asked := groups
+		if tc.whole {
+			asked = 1
 		}
-	}
-	if len(callsOf(rt, "snippets")) != groups || len(refused) != groups {
-		t.Fatalf("snippets calls %v, refused by a moved replica in groups %v: the swap missed the round", callsOf(rt, "snippets"), refused)
-	}
 
-	// Every replica moves: the query fails, classified.
-	cl = startCluster(t, sc, groups, replicas)
-	rs, gs, err = cl.router.Answer(context.Background(), q, opts, swapping(cl, func(int, int) bool { return true }), bound)
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Kind != ErrKindSkew || rs != nil || gs != nil {
-		t.Fatalf("every replica moved: %d results, %d snippets, %v; want a %s *RemoteError", len(rs), len(gs), err, ErrKindSkew)
-	}
-	if n := callsOf(cl.router, "snippets"); len(n) != groups {
-		t.Fatalf("snippets calls %v: the swap missed the round", n)
+		// One replica moves in each group asked: the one its snippets call
+		// tries first, so every call is refused once and fails over to a peer.
+		cl := startCluster(t, sc, groups, replicas)
+		rt := cl.router
+		var moved func(g, r int) bool
+		if tc.whole {
+			first := int(rt.allRR.Load()+1) % len(rt.all) // the full round takes one turn
+			moved = func(g, r int) bool { return g*replicas+r == first }
+		} else {
+			first := make([]int, groups)
+			for g := range first {
+				first[g] = int(rt.groups[g].rr.Load()+1) % replicas // the eval round takes one turn
+			}
+			moved = func(g, r int) bool { return r == first[g] }
+		}
+		sink := &telemetry.SpanSink{TraceID: telemetry.NextTraceID()}
+		rs, gs, err := rt.Answer(telemetry.WithSpanSink(context.Background(), sink), tc.q, opts, swapping(cl, moved), bound)
+		if err != nil || len(rs) != len(want) || len(gs) != len(wantGs) {
+			t.Fatalf("%q, one replica moved: %d results, %d snippets, %v; want %d", tc.q, len(rs), len(gs), err, len(want))
+		}
+		if took := len(callsOf(rt, "full")) > 0; took != tc.whole {
+			t.Fatalf("%q: whole-document round taken = %v", tc.q, took)
+		}
+		for i := range gs {
+			if err := sameSnippet(wantGs[i], gs[i]); err != nil {
+				t.Fatalf("%q: snippet %d after a failover: %v", tc.q, i, err)
+			}
+		}
+		refused := map[string]bool{}
+		for _, h := range sink.Hops() {
+			if h.Kind == "snippets" && h.Err == ErrKindSkew {
+				refused[h.Group] = true
+			}
+		}
+		if len(callsOf(rt, "snippets")) != asked || len(refused) != asked || (tc.whole && !refused["any"]) {
+			t.Fatalf("%q: snippets calls %v, refused by a moved replica in groups %v: the swap missed the round", tc.q, callsOf(rt, "snippets"), refused)
+		}
+
+		// Every replica moves: the query fails, classified.
+		cl = startCluster(t, sc, groups, replicas)
+		rs, gs, err = cl.router.Answer(context.Background(), tc.q, opts, swapping(cl, func(int, int) bool { return true }), bound)
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Kind != ErrKindSkew || rs != nil || gs != nil {
+			t.Fatalf("%q, every replica moved: %d results, %d snippets, %v; want a %s *RemoteError", tc.q, len(rs), len(gs), err, ErrKindSkew)
+		}
+		if n := callsOf(cl.router, "snippets"); len(n) != asked {
+			t.Fatalf("%q: snippets calls %v: the swap missed the round", tc.q, n)
+		}
 	}
 }
 
@@ -530,8 +584,9 @@ func TestSnippetRoundAfterSwapIsClassified(t *testing.T) {
 // round one like any other, so a routed query whose root decision reads
 // every shard's evidence — any ELCA query, an SLCA query with no LCA below
 // the root — makes exactly one eval call per group, and no other call but
-// the whole-document one when the query involves the root, or else the
-// snippets call to each group holding a kept result.
+// the whole-document one and one snippets call to any replica when the query
+// involves the root, or else the snippets call to each group holding a kept
+// result.
 func TestMissingKeywordTakesOneRound(t *testing.T) {
 	item := func(name string) *xmltree.Node {
 		return xmltree.Elem("item", xmltree.Elem("name", xmltree.Txt(name)))
@@ -579,14 +634,17 @@ func TestMissingKeywordTakesOneRound(t *testing.T) {
 		rootInvolved := slices.ContainsFunc(local, func(r *search.Result) bool {
 			return r.LCA == fb.Doc.Root || r.Anchor == fb.Doc.Root
 		})
-		before := calls()
+		before, anyBefore := calls(), callsOf(rt, "snippets")["any"]
 		if _, _, err := rt.Answer(context.Background(), tc.q, tc.opts, nil, 8); err != nil {
 			t.Fatalf("%q: %v", tc.q, err)
 		}
 		after := calls()
 		wantFull, wantSnippets := int64(0), int64(0)
 		if rootInvolved {
-			wantFull, whole = 1, whole+1
+			wantFull, wantSnippets, whole = 1, 1, whole+1
+			if n := callsOf(rt, "snippets")["any"] - anyBefore; n != 1 {
+				t.Errorf("%q (%v): %d snippets calls to any replica, want 1", tc.q, tc.opts.Semantics, n)
+			}
 		} else {
 			kept, _ := keptByGroup(t, rt, sc, tc.q, tc.opts)
 			for _, n := range kept {

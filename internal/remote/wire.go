@@ -15,16 +15,16 @@
 // snippets are made by the local snippet fan-out (shard.Snippets) on the
 // server that holds the result, so a distributed query is byte-identical to
 // a local one — the property the equivalence tests pin. A result shipped by
-// the per-shard round is a handle — where it lives (shard and preorder
-// positions), its size and its match depths — neither a tree nor a snippet:
-// once the merge has cut, the router asks each group holding a kept result
-// for the snippets of its kept results, by handle, so only the results an
-// answer keeps are snippeted (the whole-document round keeps all it ships,
-// so its snippets ride with it). The router answers with deferred results
-// (search.Result.Tree), and the first read of any tree of an answer fetches
-// that answer's trees from each group that holds them, in one call a group,
-// from a server still on the answer's generation. The trees travel as
-// lossless encodings and build to exactly the local results.
+// the per-shard round or the whole-document round is a handle — where it
+// lives (shard, or the whole document, and preorder positions), its size and
+// its match depths — neither a tree nor a snippet. Trees and snippets are
+// fetched the same way, by handle: one call to each group holding some of
+// the results (any replica for the whole document's), from a server still on
+// the answer's generation. Once the merge has cut, the router asks for the
+// snippets of the results it kept, so only those get snippets; it answers
+// with deferred results (search.Result.Tree), and the first read of any tree
+// of an answer fetches that answer's trees. The trees travel as lossless
+// encodings and build to exactly the local results.
 //
 // Placement is content-addressed: every shard's manifest content hash
 // (ingest.ShardEntry.ContentHash) is rendezvous-hashed over the configured
@@ -61,7 +61,7 @@ const (
 	// frame is written at it and a frame at any other version is refused
 	// as version skew. A payload layout change bumps wireVersion; router
 	// and shard servers are rolled together.
-	wireVersion = 7
+	wireVersion = 8
 
 	frameHeaderLen = 12
 

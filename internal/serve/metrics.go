@@ -77,8 +77,7 @@ func (t *trace) add(st stage, d time.Duration) {
 type QueryRecord struct {
 	// Query is the raw query string as received.
 	Query string
-	// TraceID is the query's trace ID, matching the /debug/traces entry and
-	// the ID propagated to shard servers on remote backends.
+	// TraceID is the query's trace ID, matching the /debug/traces entry.
 	TraceID telemetry.TraceID
 	// Total is the end-to-end wall time, the duration compared against the
 	// slow-query threshold.

@@ -10,9 +10,8 @@ import (
 )
 
 // TraceID identifies one query end to end: it is minted when the query
-// enters the serving layer, propagated to shard servers in the wire
-// protocol, stamped on slow-query log records, and indexes the
-// recent-trace ring. Zero means "no trace" (a background or pre-tracing
+// enters the serving layer, stamped on slow-query log records, and indexes
+// the recent-trace ring, whose entry carries a routed query's hop spans. Zero means "no trace" (a background or pre-tracing
 // request).
 type TraceID uint64
 
@@ -89,8 +88,7 @@ type StageSpan struct {
 // without leaking what users searched for; correlate with the slow-query
 // log by ID when the query itself is needed.
 type QueryTrace struct {
-	// ID is the query's trace ID, matching the slow-query record and the
-	// ID propagated to shard servers.
+	// ID is the query's trace ID, matching the slow-query record.
 	ID TraceID
 	// Seq orders retained traces by admission to the ring (higher = newer).
 	Seq uint64
@@ -120,8 +118,8 @@ type QueryTrace struct {
 // snippet fan-out took. The zero value is ready to use. Safe for concurrent
 // Add (parallel group calls).
 type SpanSink struct {
-	// TraceID is the query's trace ID, read by the router to stamp
-	// outgoing wire requests. Set once before the sink is shared.
+	// TraceID is the query's trace ID, which its trace and slow-query
+	// record carry. Set once before the sink is shared.
 	TraceID TraceID
 
 	mu   sync.Mutex

@@ -25,8 +25,8 @@ type SlowQuery struct {
 	// Keywords are the query's tokenized, lowercased terms.
 	Keywords []string
 	// TraceID identifies the query end to end: the same ID indexes the
-	// RecentTraces ring and is propagated to shard servers on remote
-	// backends. Zero only for records produced before tracing existed.
+	// RecentTraces ring, whose entry holds a routed query's hop spans. Zero
+	// only for records produced before tracing existed.
 	TraceID uint64
 	// Duration is the end-to-end wall time.
 	Duration time.Duration
@@ -122,8 +122,7 @@ func sanitizeSlowQuery(r serve.QueryRecord) SlowQuery {
 // what users searched for; correlate with the slow-query log by TraceID
 // when the query itself is needed.
 type QueryTrace struct {
-	// TraceID matches the slow-query record and the ID propagated to shard
-	// servers.
+	// TraceID matches the slow-query record.
 	TraceID uint64
 	// Time is when the trace was recorded (query end).
 	Time time.Time

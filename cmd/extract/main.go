@@ -5,21 +5,19 @@
 // Usage:
 //
 //	extract -data retailers.xml [-dtd retailers.dtd] -query "Texas apparel retailer" [-bound 10]
-//	extract -data retailers.xml -saveindex retailers.xtix
-//	extract -index retailers.xtix -query "store texas"
 //	extract -data retailers.xml [-shards 4] -savesnapshot retailers.xtsnap
 //	                           # build a snapshot directory, ready for
 //	                           # extractd (-data, or the distributed
 //	                           # -shard-server / -router tier) whatever
 //	                           # the shard count
+//	extract -snapshot retailers.xtsnap -query "store texas"
 //	extract -data retailers.xml -xpath "//store[city='Houston']" -query houston
 //	extract -data retailers.xml -stats
 //
 // Flags:
 //
 //	-data      XML database file
-//	-index     binary index file to load instead of -data
-//	-saveindex write the analyzed corpus to this binary index file
+//	-snapshot  snapshot directory to load instead of -data
 //	-shards    partition the corpus into up to N index shards (default 1)
 //	-savesnapshot  write the corpus as a snapshot directory
 //	-dtd       optional DTD file for entity classification
@@ -56,8 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		dataPath  = fs.String("data", "", "XML database file")
-		indexPath = fs.String("index", "", "binary index file to load instead of -data")
-		saveIndex = fs.String("saveindex", "", "write the analyzed corpus to this binary index file")
+		snapPath  = fs.String("snapshot", "", "snapshot directory to load instead of -data")
 		saveSnap  = fs.String("savesnapshot", "", "write the corpus as a snapshot directory (one image per shard; -shards is optional)")
 		shards    = fs.Int("shards", 1, "partition the corpus into up to N index shards (1: the document is the one shard)")
 		dtdPath   = fs.String("dtd", "", "optional DTD file")
@@ -77,15 +74,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *dataPath == "" && *indexPath == "" {
-		fmt.Fprintln(stderr, "extract: -data or -index is required")
+	if *dataPath == "" && *snapPath == "" {
+		fmt.Fprintln(stderr, "extract: -data or -snapshot is required")
 		fs.Usage()
 		return 2
 	}
 	var corpus *extract.Corpus
 	var err error
-	if *indexPath != "" {
-		corpus, err = extract.LoadIndexFile(*indexPath)
+	if *snapPath != "" {
+		corpus, err = extract.LoadSnapshot(*snapPath)
 	} else {
 		var opts []extract.Option
 		if *dtdPath != "" {
@@ -97,16 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "extract:", err)
 		return 1
-	}
-	if *saveIndex != "" {
-		if err := corpus.SaveIndexFile(*saveIndex); err != nil {
-			fmt.Fprintln(stderr, "extract:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "extract: wrote index %s\n", *saveIndex)
-		if *query == "" && *xpathExpr == "" && !*stats {
-			return 0
-		}
 	}
 	if *saveSnap != "" {
 		if err := corpus.SaveSnapshot(*saveSnap); err != nil {

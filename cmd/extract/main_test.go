@@ -81,14 +81,25 @@ func TestCLIXPath(t *testing.T) {
 
 func TestCLIIndexRoundTrip(t *testing.T) {
 	data := writeData(t)
-	idx := filepath.Join(t.TempDir(), "stores.xtix")
-	_, errOut, code := runCLI(t, "-data", data, "-saveindex", idx)
-	if code != 0 || !strings.Contains(errOut, "wrote index") {
+	snap := filepath.Join(t.TempDir(), "stores.xtsnap")
+	_, errOut, code := runCLI(t, "-data", data, "-savesnapshot", snap)
+	if code != 0 || !strings.Contains(errOut, "wrote snapshot") {
 		t.Fatalf("save: code=%d err=%s", code, errOut)
 	}
-	out, _, code := runCLI(t, "-index", idx, "-query", "store texas", "-bound", "4")
-	if code != 0 || !strings.Contains(out, "Levis") {
-		t.Errorf("query from index failed (code %d):\n%s", code, out)
+	query := []string{"-query", "store texas", "-bound", "4"}
+	want, _, code := runCLI(t, append([]string{"-data", data}, query...)...)
+	if code != 0 || !strings.Contains(want, "Levis") {
+		t.Fatalf("query from data failed (code %d):\n%s", code, want)
+	}
+	got, errOut, code := runCLI(t, append([]string{"-snapshot", snap}, query...)...)
+	if code != 0 || got != want {
+		t.Errorf("query from snapshot (code %d, stderr %q):\n%s\nwant the -data output:\n%s", code, errOut, got, want)
+	}
+
+	// A plain file is not a snapshot directory: the loader's error, exit 1.
+	out, errOut, code := runCLI(t, append([]string{"-snapshot", data}, query...)...)
+	if code != 1 || out != "" || !strings.HasPrefix(errOut, "extract: ") || !strings.Contains(errOut, "manifest") {
+		t.Errorf("-snapshot on a plain file: code=%d out=%q err=%q, want exit 1 with the ingest error", code, out, errOut)
 	}
 }
 

@@ -238,7 +238,7 @@ func TestManualReloadBypassesBackoff(t *testing.T) {
 		t.Fatalf("manual reload during backoff: %d: %s", rr.Code, rr.Body.String())
 	}
 	ds.obs.Lock()
-	failures, next := ds.failures, ds.nextAttempt
+	failures, next := ds.failures, ds.retryAt
 	ds.obs.Unlock()
 	if failures != 0 || !next.IsZero() {
 		t.Fatalf("manual reload did not reset failure state: failures=%d next=%v", failures, next)

@@ -130,14 +130,8 @@ type dataset struct {
 
 	// mu serializes reloads of this dataset (manual and watcher-driven);
 	// queries do not take it — Corpus.Reload swaps atomically underneath
-	// them. mtime/size fingerprint the file generation last loaded (for a
-	// snapshot, its manifest file); the watcher reloads on any change,
-	// not just a newer mtime, so rewrites within one timestamp-
-	// granularity tick or mtime-preserving copies are still picked up
-	// when the size moves.
-	mu    sync.Mutex
-	mtime time.Time
-	size  int64
+	// them.
+	mu sync.Mutex
 
 	// obs guards the refresh-observability fields below. It is separate
 	// from mu — which a reload holds for its whole re-parse — so /stats
@@ -151,18 +145,12 @@ type dataset struct {
 	lastReload time.Time
 	lastMode   string
 
-	// missing marks a dataset whose source vanished: the watcher logs the
-	// disappearance once and skips the dataset until the source returns,
-	// instead of retrying (and logging) every tick.
-	missing bool
-
-	// Reload-failure tracking (under obs). Consecutive failures push the
-	// watcher's next attempt out exponentially (a corrupt source should
-	// not be re-parsed at full tick rate forever) and, past
-	// breakerThreshold, mark the dataset degraded in /readyz. A
-	// successful reload — watcher-driven or POST /reload — resets both.
-	failures    int
-	nextAttempt time.Time
+	// sourceWatch (under obs) is the watcher's view of the source file
+	// watchPath names. Its failure streak also drives the breaker: past
+	// breakerThreshold consecutive failures the dataset is degraded in
+	// /readyz. A successful reload — watcher-driven or POST /reload —
+	// resets it.
+	sourceWatch
 }
 
 // watchPath returns the file whose mtime fingerprints the dataset's
@@ -531,9 +519,7 @@ func (s *server) addSnapshot(name string, c *extract.Corpus, dir string) {
 func (s *server) register(ds *dataset) {
 	name, c := ds.Name, ds.Corpus
 	if ds.Path != "" {
-		if fi, err := os.Stat(ds.watchPath()); err == nil {
-			ds.mtime, ds.size = fi.ModTime(), fi.Size()
-		}
+		ds.sourceWatch = newSourceWatch(ds.watchPath())
 	}
 	// The watcher's failure-domain state exports next to the corpus's own
 	// metrics, so one /metrics scrape carries the PR 6 breaker state too.
@@ -778,14 +764,11 @@ func (s *server) reload(ds *dataset) error {
 		s.noteReloadFailure(ds)
 		return err
 	}
-	ds.mtime, ds.size = fi.ModTime(), fi.Size()
 	ds.obs.Lock()
+	ds.loaded(fi)
 	ds.reloads++
 	ds.lastReload = time.Now()
 	ds.lastMode = stats.Mode()
-	ds.missing = false
-	ds.failures = 0
-	ds.nextAttempt = time.Time{}
 	ds.obs.Unlock()
 	log.Printf("extractd: reloaded %s from %s (%s: %d/%d shards rebuilt, %d nodes)",
 		ds.Name, ds.Path, stats.Mode(), stats.Rebuilt, stats.Shards, ds.Corpus.Stats().Nodes)
@@ -801,22 +784,84 @@ func (s *server) reload(ds *dataset) error {
 func (s *server) noteReloadFailure(ds *dataset) {
 	ds.obs.Lock()
 	defer ds.obs.Unlock()
-	ds.failures++
-	if s.watchInterval > 0 {
-		ds.nextAttempt = s.timeNow().Add(backoff(s.watchInterval, ds.failures))
-	}
-	if ds.failures == breakerThreshold {
+	if n := ds.failed(s.timeNow(), s.watchInterval); n == breakerThreshold {
 		log.Printf("extractd: %s: %d consecutive reload failures — reporting degraded until a reload succeeds",
-			ds.Name, ds.failures)
+			ds.Name, n)
 	}
 }
 
 // backoff is how long a watcher waits after its failures-th consecutive
 // failed reload: the poll interval, doubling per failure, capped at
-// interval << maxBackoffShift. The dataset watcher and the shard server's
-// snapshot watcher both space retries by it.
+// interval << maxBackoffShift.
 func backoff(interval time.Duration, failures int) time.Duration {
 	return interval << min(failures-1, maxBackoffShift)
+}
+
+// sourceWatch is the poll rule the dataset watcher and the shard server's
+// snapshot watcher share, for one watched file (an XML source, or a
+// snapshot's manifest): the mtime/size fingerprint of the generation
+// served, whether the file has vanished, and the streak of failed loads
+// that spaces retries. The fingerprint is compared for any change, not
+// just a newer mtime, so rewrites within one timestamp-granularity tick
+// or mtime-preserving copies are still picked up when the size moves. Its
+// owner guards it.
+type sourceWatch struct {
+	path     string
+	mtime    time.Time
+	size     int64
+	missing  bool
+	failures int
+	retryAt  time.Time
+}
+
+// newSourceWatch watches path, fingerprinting the file as it is now — the
+// generation just loaded from it.
+func newSourceWatch(path string) sourceWatch {
+	w := sourceWatch{path: path}
+	if fi, err := os.Stat(path); err == nil {
+		w.mtime, w.size = fi.ModTime(), fi.Size()
+	}
+	return w
+}
+
+// due is one poll: it reports whether the source should be loaded at now,
+// and the file as stat'd for loaded to record. A file that vanished (or
+// turned unreadable) is logged once and skipped until it returns — a
+// deploy replacing the file atomically never lands here, so this is an
+// operator mistake worth one loud line, not one per tick — and then always
+// loads, since the returning file may carry the old mtime and size. Inside
+// a backoff window nothing is due.
+func (w *sourceWatch) due(now time.Time) (os.FileInfo, bool) {
+	fi, err := os.Stat(w.path)
+	if err != nil {
+		if !w.missing {
+			log.Printf("extractd: watch %s: %v — still serving the loaded corpus; will reload when the file returns", w.path, err)
+		}
+		w.missing = true
+		return nil, false
+	}
+	if now.Before(w.retryAt) {
+		return nil, false
+	}
+	return fi, w.missing || !fi.ModTime().Equal(w.mtime) || fi.Size() != w.size
+}
+
+// loaded records a successful load of the file as fi saw it: the
+// fingerprint moves and the failure streak ends.
+func (w *sourceWatch) loaded(fi os.FileInfo) {
+	w.mtime, w.size = fi.ModTime(), fi.Size()
+	w.missing, w.failures, w.retryAt = false, 0, time.Time{}
+}
+
+// failed records one failed load: the next attempt waits
+// backoff(interval, streak) past now (interval 0: no wait). It returns the
+// streak's length.
+func (w *sourceWatch) failed(now time.Time, interval time.Duration) int {
+	w.failures++
+	if interval > 0 {
+		w.retryAt = now.Add(backoff(interval, w.failures))
+	}
+	return w.failures
 }
 
 // watchFiles polls every file-backed dataset's mtime and reloads the ones
@@ -846,36 +891,10 @@ func (s *server) checkFiles() {
 		if ds.Path == "" {
 			continue
 		}
-		fi, err := os.Stat(ds.watchPath())
-		if err != nil {
-			// The source vanished (or turned unreadable): say so once,
-			// keep the loaded corpus serving, and stop retrying until the
-			// file comes back — a deploy replacing the file atomically
-			// never lands here, so this is an operator mistake worth one
-			// loud line, not one per tick.
-			ds.obs.Lock()
-			first := !ds.missing
-			ds.missing = true
-			ds.obs.Unlock()
-			if first {
-				log.Printf("extractd: watch %s: %v — still serving the loaded corpus; will reload when the file returns", ds.Path, err)
-			}
-			continue
-		}
 		ds.obs.Lock()
-		missing := ds.missing
-		wait := ds.nextAttempt
+		_, due := ds.due(s.timeNow())
 		ds.obs.Unlock()
-		if !wait.IsZero() && s.timeNow().Before(wait) {
-			// Backing off after failed reloads; the old corpus serves.
-			continue
-		}
-		ds.mu.Lock()
-		// A dataset recovering from a missing source always reloads: the
-		// recreated file may carry the old mtime and size.
-		changed := missing || !fi.ModTime().Equal(ds.mtime) || fi.Size() != ds.size
-		ds.mu.Unlock()
-		if !changed {
+		if !due {
 			continue
 		}
 		if err := s.reload(ds); err != nil {

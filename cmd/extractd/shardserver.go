@@ -144,53 +144,41 @@ func watchSnapshot(ctx context.Context, srv *remote.Server, served *ingest.Gener
 }
 
 // snapshotWatcher is a shard server's -watch state: the generation served,
-// the manifest fingerprint it was loaded at, and the streak of failed loads
-// that spaces retries.
+// and the sourceWatch over its manifest.
 type snapshotWatcher struct {
 	srv           *remote.Server
 	served        *ingest.Generation
 	dir           string
 	group, groups int
 	interval      time.Duration
-
-	mtime    time.Time
-	size     int64
-	failures int
-	retryAt  time.Time
+	sourceWatch
 }
 
 func newSnapshotWatcher(srv *remote.Server, served *ingest.Generation, dir string, group, groups int, interval time.Duration) *snapshotWatcher {
-	w := &snapshotWatcher{srv: srv, served: served, dir: dir, group: group, groups: groups, interval: interval}
-	if fi, err := os.Stat(w.manifest()); err == nil {
-		w.mtime, w.size = fi.ModTime(), fi.Size()
-	}
-	return w
+	return &snapshotWatcher{srv: srv, served: served, dir: dir, group: group, groups: groups, interval: interval,
+		sourceWatch: newSourceWatch(filepath.Join(dir, ingest.ManifestName))}
 }
 
-func (w *snapshotWatcher) manifest() string { return filepath.Join(w.dir, ingest.ManifestName) }
-
-// check is one watcher tick. A manifest that moved since the served
-// generation loaded is opened as a delta and swapped in. A directory that
-// refuses to load (ingest.ErrImageMismatch, ingest.ErrSnapshotChanging, ...)
-// leaves the old generation serving and is retried on the dataset watcher's
-// backoff rule, not re-read and re-hashed every tick, with one log line per
-// failure streak — same policy as the demo's dataset watcher.
+// check is one watcher tick, on the dataset watcher's rule (sourceWatch.due).
+// A manifest that moved since the served generation loaded is opened as a
+// delta and swapped in. A directory that refuses to load
+// (ingest.ErrImageMismatch, ingest.ErrSnapshotChanging, ...) leaves the old
+// generation serving and is retried with backoff, not re-read and re-hashed
+// every tick, with one log line per failure streak.
 func (w *snapshotWatcher) check(now time.Time) {
-	fi, err := os.Stat(w.manifest())
-	if err != nil || (fi.ModTime().Equal(w.mtime) && fi.Size() == w.size) || now.Before(w.retryAt) {
+	fi, due := w.due(now)
+	if !due {
 		return
 	}
 	next, err := swapSnapshot(w.srv, w.served, w.dir, w.group, w.groups)
 	if err != nil {
-		w.failures++
-		w.retryAt = now.Add(backoff(w.interval, w.failures))
-		if w.failures == 1 {
+		if w.failed(now, w.interval) == 1 {
 			log.Printf("extractd: reload snapshot %s: %v — still serving the loaded generation; retrying with backoff", w.dir, err)
 		}
 		return
 	}
-	w.served, w.failures, w.retryAt = next, 0, time.Time{}
-	w.mtime, w.size = fi.ModTime(), fi.Size()
+	w.served = next
+	w.loaded(fi)
 }
 
 // swapSnapshot is one shard-server reload: open dir as a delta against the

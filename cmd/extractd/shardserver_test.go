@@ -200,3 +200,69 @@ func TestSnapshotWatcherBackoff(t *testing.T) {
 		t.Fatalf("the recovering swap was not a one-shard delta: %q", logged.String())
 	}
 }
+
+// TestSnapshotWatcherMissingManifest is the delete-then-restore case on a
+// shard server, under the dataset watcher's rule: a manifest that vanishes
+// is logged once and the loaded generation keeps serving; when another
+// generation's manifest returns carrying the old mtime and, with the same
+// shard count, the same size, the watcher still swaps onto it.
+func TestSnapshotWatcherMissingManifest(t *testing.T) {
+	dir := t.TempDir()
+	if err := ingest.Snapshot(dir, shard.Build(snapshotDoc(false), 3)); err != nil {
+		t.Fatal(err)
+	}
+	served, err := ingest.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := remote.NewServer(served.Corpus, remote.WithOwnedShards(remote.OwnedShards(served.Source, 0, 1)))
+	defer srv.Close()
+	w := newSnapshotWatcher(srv, served, dir, 0, 1, time.Minute)
+	manifest := filepath.Join(dir, ingest.ManifestName)
+	old, err := os.Stat(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	logTo := log.Writer()
+	log.SetOutput(&logged)
+	defer log.SetOutput(logTo)
+
+	servedPrint := srv.Fingerprint()
+	now := time.Unix(1_000_000_000, 0)
+	if err := os.Remove(manifest); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		w.check(now)
+	}
+	if n := strings.Count(logged.String(), "will reload when the file returns"); n != 1 {
+		t.Fatalf("the vanished manifest logged %d times over 3 ticks, want exactly 1: %q", n, logged.String())
+	}
+	if srv.Fingerprint() != servedPrint {
+		t.Fatal("a vanished manifest changed the served generation")
+	}
+
+	if err := ingest.Snapshot(dir, shard.Build(snapshotDoc(true), 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(manifest, old.ModTime(), old.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := ingest.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fi.ModTime().Equal(old.ModTime()) || fi.Size() != old.Size() || remote.Fingerprint(next.Source) == servedPrint {
+		t.Fatal("the restored manifest is not a new generation under the old mtime and size; the test proves nothing")
+	}
+	w.check(now)
+	if got, want := srv.Fingerprint(), remote.Fingerprint(next.Source); got != want {
+		t.Fatalf("server serves generation %016x after the manifest returned, want %016x", got, want)
+	}
+}

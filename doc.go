@@ -230,22 +230,27 @@
 //
 // # Persisted indexes
 //
-// Corpus.SaveIndex / LoadIndex persist an analyzed corpus in one versioned
-// binary format (internal/persist, XTIX version 6). An image is five
+// Corpus.SaveSnapshot / LoadSnapshot persist an analyzed corpus as a
+// snapshot directory: one image per shard plus one analysis image, in one
+// versioned binary format (internal/persist, XTIX version 6), under a
+// manifest (XTSN) written last that records every image's hash and every
+// shard's content hash. The same directory is what ReloadSnapshot re-reads, what
+// Connect places shards from, and what cmd/extractd serves (-data
+// name=dir.xtsnap, -shard-server, -router); `extract -savesnapshot dir`
+// writes one and `extract -snapshot dir` queries it. An image is five
 // sections behind a table of per-section lengths and CRC-32C checksums: a
 // string table, then little-endian int32 slabs for the preorder tree arrays
 // and the packed posting lists, with the DOCTYPE internal subset,
 // classification and keys all serialized — round trips are lossless, a
-// DTD's decisions included. The reader memory-maps (or bulk-reads) the
-// file, verifies every checksum, and only then reconstructs nodes, intervals and postings
-// without re-tokenizing anything, decoding the tree and posting
-// sections concurrently; loading a 100k-node corpus is an order of
-// magnitude faster than rebuilding the index from the tree (the "persist"
-// section of BENCH_search.json). SaveIndex writes one image per shard
-// behind a thin frame (magic "XTSH"), reloaded in parallel; LoadIndex takes
-// a bare image too, as one shard. An image, manifest or wire peer of any
-// other version is refused with an error naming both versions: indexes and
-// snapshots are rebuilt from their source, never migrated.
+// DTD's decisions included. The reader hashes each image against the
+// manifest, memory-maps (or bulk-reads) the file, verifies every checksum,
+// and only then reconstructs nodes, intervals and postings without
+// re-tokenizing anything, decoding shards in parallel; loading a 100k-node
+// corpus is an order of magnitude faster than rebuilding the index from
+// the tree (the "persist" section of BENCH_search.json). An image,
+// manifest or wire peer of any other version is refused with an error
+// naming both versions: snapshots are rebuilt from their source, never
+// migrated.
 //
 // # Perf trajectory and CI gate
 //

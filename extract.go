@@ -64,7 +64,7 @@ type Corpus struct {
 	// reloadMu serializes Reload: publishing the data generation and
 	// swapping the serving backend must be one step, or two racing
 	// reloads could leave queries served from one generation and
-	// Stats/Suggest/SaveIndex reading another.
+	// Stats/Suggest/SaveSnapshot reading another.
 	reloadMu sync.Mutex
 }
 
@@ -528,13 +528,10 @@ func WithSlowQueryLog(threshold time.Duration, fn func(SlowQuery)) Option {
 	}
 }
 
-// defaultConfig is what a load with no options gets.
-func defaultConfig() loadConfig { return loadConfig{serving: servingConfig{cache: -1}} }
-
 // foldOptions applies load options over the defaults — the one fold every
 // constructor and reload starts with.
 func foldOptions(opts []Option) (loadConfig, error) {
-	cfg := defaultConfig()
+	cfg := loadConfig{serving: servingConfig{cache: -1}}
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
 			return loadConfig{}, err
@@ -667,7 +664,7 @@ var ErrRemoteCorpus = errors.New("extract: operation requires local corpus data 
 // applies unchanged, so only the WithWorkers, WithQueryCache,
 // WithQueryTimeout, WithMaxInFlight and WithSlowQueryLog load options are
 // meaningful. Operations that need
-// the documents themselves (XPath, SaveSnapshot, SaveIndex, delta reload)
+// the documents themselves (XPath, SaveSnapshot, delta reload)
 // return ErrRemoteCorpus; ReloadSnapshot re-reads the manifest and re-places
 // shards, pairing with the servers' own reload. Close also disconnects.
 func Connect(dir string, groups [][]string, opts ...Option) (*Corpus, error) {
@@ -1179,57 +1176,6 @@ func (c *Corpus) XPath(expr string) ([]*Result, error) {
 		out = append(out, &Result{r: r})
 	}
 	return out, nil
-}
-
-// SaveIndex writes the analyzed corpus in eXtract's binary index format (a
-// shard-count frame around one packed-slab image per shard); LoadIndex
-// reopens it without re-parsing, re-tokenizing or re-analyzing the XML.
-func (c *Corpus) SaveIndex(w io.Writer) error {
-	d := c.data.Load()
-	if d.rt != nil {
-		return ErrRemoteCorpus
-	}
-	return shard.Save(w, d.gen.Corpus)
-}
-
-// SaveIndexFile writes the analyzed corpus to a file.
-func (c *Corpus) SaveIndexFile(path string) error {
-	d := c.data.Load()
-	if d.rt != nil {
-		return ErrRemoteCorpus
-	}
-	return shard.SaveFile(path, d.gen.Corpus)
-}
-
-// LoadIndex reads a corpus saved with SaveIndex. A bare packed image — what
-// a snapshot's shard images are, and what SaveIndex wrote before every
-// corpus was framed — is accepted too, as a one-shard corpus.
-func LoadIndex(r io.Reader) (*Corpus, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := shard.LoadBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	return loadedIndex(sc), nil
-}
-
-// loadedIndex wraps a corpus decoded from an index file, hashing its
-// documents once so delta reloads can diff against it like any generation.
-func loadedIndex(sc *shard.Corpus) *Corpus {
-	return newLocal(&ingest.Generation{Corpus: sc, Source: ingest.SourceOf(sc)}, defaultConfig())
-}
-
-// LoadIndexFile reads a corpus saved with SaveIndexFile (or a bare packed
-// image, like LoadIndex).
-func LoadIndexFile(path string) (*Corpus, error) {
-	sc, err := shard.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return loadedIndex(sc), nil
 }
 
 // Tokenize exposes the query/index tokenizer (lowercased word tokens).

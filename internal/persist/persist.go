@@ -109,8 +109,8 @@ func LoadFileVerified(path string, verify func(image []byte) error) (*core.Corpu
 	return LoadBytes(data)
 }
 
-// LoadBytes decodes a fully-read corpus image — the form sharded-corpus
-// files embed per shard. The faultinject hook lets tests corrupt images on
+// LoadBytes decodes a fully-read corpus image, the step every loader ends
+// in. The faultinject hook lets tests corrupt images on
 // the way in; mutators return a modified copy, so a memory-mapped image is
 // never written through.
 func LoadBytes(data []byte) (*core.Corpus, error) {

@@ -127,18 +127,6 @@ func (sc *Corpus) Root() (label string, fromAttr bool) {
 // document ("" if none).
 func (sc *Corpus) InternalSubset() string { return sc.subset }
 
-// fromParts assembles a Corpus from n >= 1 already-loaded shard corpora (the
-// persisted-file path): Assemble over the first shard's analysis and root
-// identity, which every image of one corpus carries alike.
-func fromParts(shards []*core.Corpus) *Corpus {
-	first := shards[0]
-	label, fromAttr := "", false
-	if root := first.Doc.Root; root != nil {
-		label, fromAttr = root.Label, root.FromAttr
-	}
-	return Assemble(shards, &core.Analysis{Cls: first.Cls, Keys: first.Keys}, label, fromAttr, first.Doc.InternalSubset)
-}
-
 // NumShards returns the number of shards.
 func (sc *Corpus) NumShards() int { return len(sc.shards) }
 

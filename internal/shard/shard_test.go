@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -260,54 +259,6 @@ func TestRootEntityAnchor(t *testing.T) {
 	unsharded := core.BuildCorpus(mk())
 	sc := Build(mk(), 2)
 	checkSameResults(t, unsharded, sc, "zeta", search.Options{DistinctAnchors: true})
-}
-
-func TestShardedPersistRoundTrip(t *testing.T) {
-	sc := Build(gen.Figure5Corpus(), 3)
-	var buf bytes.Buffer
-	if err := Save(&buf, sc); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumShards() != sc.NumShards() {
-		t.Fatalf("shards = %d, want %d", loaded.NumShards(), sc.NumShards())
-	}
-	for i, s := range loaded.Shards() {
-		if got, want := s.Doc.Len(), sc.Shards()[i].Doc.Len(); got != want {
-			t.Fatalf("shard %d: %d nodes, want %d", i, got, want)
-		}
-		if s.Cls != loaded.Classification() {
-			t.Fatal("loaded shard analysis not deduplicated")
-		}
-	}
-	opts := search.Options{DistinctAnchors: true}
-	a, err := sc.Search("austin store", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loaded.Search("austin store", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("results: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if xmltree.XMLString(a[i].Root) != xmltree.XMLString(b[i].Root) {
-			t.Fatalf("result %d differs after round trip", i)
-		}
-	}
-
-	// Corrupted frames must be rejected, not panic.
-	good := buf.Bytes()
-	for _, data := range [][]byte{{}, []byte("XTSH"), good[:len(good)/2], good[:len(good)-3]} {
-		if _, err := Load(bytes.NewReader(data)); err == nil {
-			t.Error("corrupt sharded image accepted")
-		}
-	}
 }
 
 func randomShardableDoc(r *rand.Rand) *xmltree.Document {

@@ -180,42 +180,6 @@ func TestOneShapeHoweverAskedFor(t *testing.T) {
 	}
 }
 
-// TestLoadIndexAcceptsBareImage: LoadIndex and LoadIndexFile take a bare
-// packed image — a snapshot's shard image — as a one-shard corpus that
-// answers like the corpus it was cut from. SaveIndex itself always frames.
-func TestLoadIndexAcceptsBareImage(t *testing.T) {
-	doc := gen.Stores(gen.StoresConfig{Retailers: 3, StoresPerRetailer: 2, ClothesPerStore: 3, Seed: 29})
-	queries := oneShapeQueries(doc)
-	c := FromDocument(doc, nil)
-	defer c.Close()
-	dir := t.TempDir()
-	if err := c.SaveSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	image := filepath.Join(dir, "shard-0000.xtix")
-	fromFile, err := LoadIndexFile(image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fromFile.Close()
-	f, err := os.Open(image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	fromReader, err := LoadIndex(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fromReader.Close()
-	want := renderAnswers(t, c, queries) + renderFacts(t, c)
-	for name, loaded := range map[string]*Corpus{"LoadIndexFile": fromFile, "LoadIndex": fromReader} {
-		if got := renderAnswers(t, loaded, queries) + renderFacts(t, loaded); got != want {
-			t.Fatalf("%s of a bare image answers differently\nwant %s\ngot  %s", name, want, got)
-		}
-	}
-}
-
 // TestDefaultSnapshotServesRemotely: a snapshot saved with no WithShards —
 // one shard — is a snapshot like any other, so the distributed tier serves
 // it, byte-identical to the local corpus across the option mix. (It used to

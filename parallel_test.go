@@ -1,7 +1,6 @@
 package extract
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -45,30 +44,5 @@ func TestQueryParallelMatchesSequential(t *testing.T) {
 		if h.Snippet.Edges() > 4 {
 			t.Errorf("hit %d edges = %d", i, h.Snippet.Edges())
 		}
-	}
-}
-
-func TestSaveLoadIndexFacade(t *testing.T) {
-	c := manyStores(t, 6)
-	var buf bytes.Buffer
-	if err := c.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err1 := c.Query("store texas", 4)
-	b, err2 := loaded.Query("store texas", 4)
-	if err1 != nil || err2 != nil || len(a) != len(b) {
-		t.Fatalf("queries differ: %v %v %d %d", err1, err2, len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Snippet.Inline() != b[i].Snippet.Inline() {
-			t.Errorf("hit %d differs after index round trip", i)
-		}
-	}
-	if _, err := LoadIndex(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("junk index accepted")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"extract/internal/gen"
 	"extract/internal/index"
 	"extract/internal/ingest"
+	"extract/internal/persist"
 	"extract/internal/shard"
 	"extract/internal/workload"
 	"extract/xmltree"
@@ -302,7 +303,8 @@ func TestReloadSnapshotDelta(t *testing.T) {
 }
 
 // TestSnapshotFacadeRoundTrip: SaveSnapshot -> LoadSnapshot preserves
-// shape and answers for both corpus shapes.
+// shape and answers for both corpus shapes, and every loaded shard shares
+// the corpus's one analysis.
 func TestSnapshotFacadeRoundTrip(t *testing.T) {
 	xmlA := xmltree.XMLString(deltaBaseDoc().Root)
 	for _, shards := range []int{1, 3} {
@@ -320,6 +322,12 @@ func TestSnapshotFacadeRoundTrip(t *testing.T) {
 		}
 		if c.Shards() != src.Shards() {
 			t.Fatalf("shape changed through snapshot: %d vs %d", c.Shards(), src.Shards())
+		}
+		sc := c.data.Load().gen.Corpus
+		for i, s := range sc.Shards() {
+			if s.Cls != sc.Classification() || s.Keys != sc.Keys() {
+				t.Fatalf("shards=%d: loaded shard %d does not share the corpus's analysis", shards, i)
+			}
 		}
 		compareCorpora(t, fmt.Sprintf("roundtrip/shards=%d", shards), c, src)
 		c.Close()
@@ -406,13 +414,15 @@ func TestConcurrentQueriesDuringDeltaReload(t *testing.T) {
 	wg.Wait()
 }
 
-// corpusBytes is a corpus as its packed index file: every shard's document,
-// index and analysis artifacts, byte for byte.
+// corpusBytes is a corpus as its shards' packed images, concatenated: every
+// shard's document, index and analysis artifacts, byte for byte.
 func corpusBytes(t *testing.T, sc *shard.Corpus) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := shard.Save(&buf, sc); err != nil {
-		t.Fatal(err)
+	for _, s := range sc.Shards() {
+		if err := persist.Save(&buf, s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }

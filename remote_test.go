@@ -2,7 +2,6 @@ package extract
 
 import (
 	"errors"
-	"io"
 	"net"
 	"slices"
 	"strings"
@@ -137,9 +136,6 @@ func TestConnectMatchesLocal(t *testing.T) {
 	// Operations that need local documents or indexes must refuse cleanly.
 	if err := rc.SaveSnapshot(t.TempDir()); !errors.Is(err, ErrRemoteCorpus) {
 		t.Fatalf("SaveSnapshot on remote corpus: %v, want ErrRemoteCorpus", err)
-	}
-	if err := rc.SaveIndex(io.Discard); !errors.Is(err, ErrRemoteCorpus) {
-		t.Fatalf("SaveIndex on remote corpus: %v, want ErrRemoteCorpus", err)
 	}
 	if _, err := rc.XPath("//store"); !errors.Is(err, ErrRemoteCorpus) {
 		t.Fatalf("XPath on remote corpus: %v, want ErrRemoteCorpus", err)

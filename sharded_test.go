@@ -1,8 +1,6 @@
 package extract
 
 import (
-	"bytes"
-	"path/filepath"
 	"testing"
 
 	"extract/internal/gen"
@@ -96,49 +94,6 @@ func TestShardedXPath(t *testing.T) {
 	for i := range want {
 		if must(want[i].XML()) != must(got[i].XML()) {
 			t.Fatalf("xpath result %d differs", i)
-		}
-	}
-}
-
-// TestShardedIndexRoundTrip: a sharded corpus persists into the sharded
-// container format and reopens as a sharded corpus.
-func TestShardedIndexRoundTrip(t *testing.T) {
-	_, sharded := shardedPair(t)
-	var buf bytes.Buffer
-	if err := sharded.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Shards() != sharded.Shards() {
-		t.Fatalf("shards = %d, want %d", loaded.Shards(), sharded.Shards())
-	}
-	path := filepath.Join(t.TempDir(), "sharded.xtix")
-	if err := sharded.SaveIndexFile(path); err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := LoadIndexFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []*Corpus{loaded, fromFile} {
-		hits, err := c.Query("austin store", 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sharded.Query("austin store", 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hits) != len(want) || len(hits) == 0 {
-			t.Fatalf("hits = %d, want %d (nonzero)", len(hits), len(want))
-		}
-		for i := range hits {
-			if hits[i].Snippet.Inline() != want[i].Snippet.Inline() {
-				t.Fatalf("hit %d snippet differs after round trip", i)
-			}
 		}
 	}
 }

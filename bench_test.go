@@ -164,7 +164,7 @@ func BenchmarkE7GreedyVsExact(b *testing.B) {
 	})
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			selector.Exact(result, il, corpus.Cls, stats, 5, selector.ExactConfig{})
+			selector.Exact(result, il, stats, 5, selector.ExactConfig{})
 		}
 	})
 }
@@ -267,7 +267,7 @@ func BenchmarkE12SelectorStrategies(b *testing.B) {
 	})
 	b.Run("ratio", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			selector.GreedyRatio(fx.result, fx.il, fx.corpus.Cls, fx.stats, 10)
+			selector.GreedyRatio(fx.result, fx.il, fx.stats, 10)
 		}
 	})
 }
@@ -322,5 +322,48 @@ func BenchmarkE11Dominance(b *testing.B) {
 		if len(stats.Dominant()) == 0 || len(baseline.FrequencyRank(stats)) == 0 {
 			b.Fatal("empty rankings")
 		}
+	}
+}
+
+// BenchmarkSnippetRender times rendering one served page: every snippet of
+// one query's hits (bound 10, 25 results, as the benchmark module serves
+// them) as XML, highlighted HTML, inline and ASCII, with allocations. A
+// cache hit costs little more than this, so it is the render layer's
+// before/after.
+func BenchmarkSnippetRender(b *testing.B) {
+	doc := gen.Stores(gen.StoresConfig{Retailers: 16, StoresPerRetailer: 10, ClothesPerStore: 55, Cities: 200, CategoryCount: 300, Skew: 1.1, Seed: 1})
+	corpus := FromDocument(doc, nil, WithQueryCache(0))
+	defer corpus.Close()
+	// The page: the query with the most hits among the first 100 of a pool.
+	var page []*Snippet
+	for _, q := range workload.Generate(doc, workload.Config{Queries: 100, Keywords: 2, Seed: 7}) {
+		hits, err := corpus.Query(q.Text(), 10, WithMaxResults(25))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(hits) > len(page) {
+			page = page[:0]
+			for _, h := range hits {
+				page = append(page, h.Snippet)
+			}
+		}
+	}
+	for _, r := range []struct {
+		name   string
+		render func(*Snippet) string
+	}{
+		{"XML", (*Snippet).XML},
+		{"HTML", (*Snippet).HTML},
+		{"Inline", (*Snippet).Inline},
+		{"ASCII", (*Snippet).Render},
+	} {
+		b.Run(fmt.Sprintf("%s/snippets=%d", r.name, len(page)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, s := range page {
+					r.render(s)
+				}
+			}
+		})
 	}
 }

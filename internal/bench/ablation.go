@@ -41,8 +41,8 @@ func E12SelectorStrategies(cases int, bounds []int) *Table {
 			}
 			n++
 			g := selector.Greedy(fx.doc, fx.il, fx.cls, fx.stats, b)
-			r := selector.GreedyRatio(fx.doc, fx.il, fx.cls, fx.stats, b)
-			e := selector.Exact(fx.doc, fx.il, fx.cls, fx.stats, b, selector.ExactConfig{})
+			r := selector.GreedyRatio(fx.doc, fx.il, fx.stats, b)
+			e := selector.Exact(fx.doc, fx.il, fx.stats, b, selector.ExactConfig{})
 			c1, w1 := selector.CoverageOf(g.Root, fx.il, fx.cls)
 			c2, w2 := selector.CoverageOf(r.Root, fx.il, fx.cls)
 			c3, w3 := selector.CoverageOf(e.Root, fx.il, fx.cls)

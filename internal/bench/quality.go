@@ -86,7 +86,7 @@ func E7GreedyVsExact(cases int, bounds []int) *Table {
 			g := selector.Greedy(fx.doc, fx.il, fx.cls, fx.stats, b)
 			gTime += time.Since(start)
 			start = time.Now()
-			e := selector.Exact(fx.doc, fx.il, fx.cls, fx.stats, b, selector.ExactConfig{})
+			e := selector.Exact(fx.doc, fx.il, fx.stats, b, selector.ExactConfig{})
 			eTime += time.Since(start)
 			if len(e.Covered) == 0 {
 				continue

@@ -175,7 +175,7 @@ func (g *Generator) generate(ix *index.Index, result *xmltree.Document, kws []st
 	var sn *selector.Snippet
 	switch g.Algorithm {
 	case AlgExact:
-		sn = selector.Exact(result, il, g.Corpus.Cls, stats, bound, g.Exact)
+		sn = selector.Exact(result, il, stats, bound, g.Exact)
 	default:
 		sn = selector.Greedy(result, il, g.Corpus.Cls, stats, bound)
 	}

@@ -59,7 +59,7 @@ func checkAgainstOracle(t testing.TB, name string, c *core.Corpus, result *xmltr
 		{"greedy", got.Snippet, oracleGreedy(result.Root, wantIL, c.Cls, want, bound)},
 		// The ratio selector is the E12 ablation's, not a generator
 		// algorithm: it runs on the generator's own IList and statistics.
-		{"greedy ratio", selector.GreedyRatio(result, il, c.Cls, got.Stats, bound), oracleGreedyRatio(result.Root, wantIL, c.Cls, want, bound)},
+		{"greedy ratio", selector.GreedyRatio(result, il, got.Stats, bound), oracleGreedyRatio(result.Root, wantIL, c.Cls, want, bound)},
 		{"exact", exact.ForTreeTokens(result, kws, bound).Snippet, oracleExact(result.Root, wantIL, c.Cls, want, bound, exactForTests)},
 	} {
 		sn, ws := sel.sn, sel.ws

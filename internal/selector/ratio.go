@@ -3,7 +3,6 @@ package selector
 import (
 	"slices"
 
-	"extract/internal/classify"
 	"extract/internal/features"
 	"extract/internal/ilist"
 	"extract/xmltree"
@@ -16,9 +15,7 @@ import (
 // can burn budget on an expensive high-rank item; ratio greedy trades that
 // item for several cheap lower-ranked ones. The ablation measures whether
 // that trade ever pays on this workload.
-func GreedyRatio(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification,
-	stats *features.Stats, bound int) *Snippet {
-
+func GreedyRatio(doc *xmltree.Document, il *ilist.IList, stats *features.Stats, bound int) *Snippet {
 	s := begin(doc, il, stats)
 	defer s.release()
 	edges := 0

@@ -7,7 +7,7 @@ import (
 func TestGreedyRatioRespectsBound(t *testing.T) {
 	fx := figure1(t)
 	for _, bound := range []int{0, 3, 6, 13, 30} {
-		s := GreedyRatio(fx.doc, fx.il, fx.cls, fx.stats, bound)
+		s := GreedyRatio(fx.doc, fx.il, fx.stats, bound)
 		if s.Edges > bound {
 			t.Errorf("bound %d: edges %d", bound, s.Edges)
 		}
@@ -23,7 +23,7 @@ func TestGreedyRatioRespectsBound(t *testing.T) {
 
 func TestGreedyRatioCoversAtGenerousBound(t *testing.T) {
 	fx := figure1(t)
-	s := GreedyRatio(fx.doc, fx.il, fx.cls, fx.stats, 50)
+	s := GreedyRatio(fx.doc, fx.il, fx.stats, 50)
 	if len(s.Skipped) != 0 {
 		t.Errorf("skipped = %v", s.Skipped)
 	}
@@ -38,8 +38,8 @@ func TestStrategiesBoundedByExact(t *testing.T) {
 		fx := smallFixture(seed)
 		for _, bound := range []int{3, 5} {
 			g := Greedy(fx.doc, fx.il, fx.cls, fx.stats, bound)
-			r := GreedyRatio(fx.doc, fx.il, fx.cls, fx.stats, bound)
-			e := Exact(fx.doc, fx.il, fx.cls, fx.stats, bound, ExactConfig{})
+			r := GreedyRatio(fx.doc, fx.il, fx.stats, bound)
+			e := Exact(fx.doc, fx.il, fx.stats, bound, ExactConfig{})
 			if len(g.Covered) > len(e.Covered) {
 				t.Errorf("seed %d bound %d: greedy %d > exact %d", seed, bound, len(g.Covered), len(e.Covered))
 			}
@@ -52,7 +52,7 @@ func TestStrategiesBoundedByExact(t *testing.T) {
 
 func TestGreedyRatioWitnessed(t *testing.T) {
 	fx := figure1(t)
-	s := GreedyRatio(fx.doc, fx.il, fx.cls, fx.stats, 9)
+	s := GreedyRatio(fx.doc, fx.il, fx.stats, 9)
 	w := Witnesses(s.Root, fx.il, fx.cls)
 	for _, idx := range s.Covered {
 		if !w[idx] {

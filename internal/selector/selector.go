@@ -432,8 +432,9 @@ func (s *selection) addAll(path []*xmltree.Node) {
 // Greedy builds a snippet for the result within the edge bound.
 //
 // doc is the result tree (finalized); il its IList and stats the feature
-// statistics, both built on this result; cls is the classification they
-// were built under (the categories the selector needs travel in stats).
+// statistics, both built on this result. cls is not read (the categories
+// the selector needs travel in stats); it stays only because the
+// repository benchmark's per-layer probe calls Greedy with it.
 func Greedy(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification,
 	stats *features.Stats, bound int) *Snippet {
 
@@ -523,8 +524,8 @@ type ExactConfig struct {
 // between solutions covering equally many items break toward covering
 // higher-ranked items. Exponential in the worst case: use on small results
 // only (the E7 experiment measures greedy quality against it).
-func Exact(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification,
-	stats *features.Stats, bound int, cfg ExactConfig) *Snippet {
+func Exact(doc *xmltree.Document, il *ilist.IList, stats *features.Stats, bound int,
+	cfg ExactConfig) *Snippet {
 
 	if cfg.MaxInstancesPerItem <= 0 {
 		cfg.MaxInstancesPerItem = 8
@@ -604,7 +605,7 @@ func Exact(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification,
 	rec(0, 0, nil, nil)
 
 	if b.count < 0 { // exhausted without completing any leaf (tiny budgets)
-		return Greedy(doc, il, cls, stats, bound)
+		return Greedy(doc, il, nil, stats, bound)
 	}
 	slices.Sort(b.covered)
 	slices.Sort(b.skipped)

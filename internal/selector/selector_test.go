@@ -205,7 +205,7 @@ func TestExactAtLeastGreedy(t *testing.T) {
 		fx := smallFixture(seed)
 		for _, bound := range []int{2, 4, 6, 8} {
 			g := Greedy(fx.doc, fx.il, fx.cls, fx.stats, bound)
-			e := Exact(fx.doc, fx.il, fx.cls, fx.stats, bound, ExactConfig{})
+			e := Exact(fx.doc, fx.il, fx.stats, bound, ExactConfig{})
 			if e.Edges > bound {
 				t.Errorf("seed %d bound %d: exact edges %d", seed, bound, e.Edges)
 			}
@@ -220,7 +220,7 @@ func TestExactAtLeastGreedy(t *testing.T) {
 func TestExactFigure1SmallBound(t *testing.T) {
 	fx := figure1(t)
 	// Cap instances to keep branching tractable on the 7k-node result.
-	e := Exact(fx.doc, fx.il, fx.cls, fx.stats, 6, ExactConfig{MaxInstancesPerItem: 3, MaxExpansions: 200000})
+	e := Exact(fx.doc, fx.il, fx.stats, 6, ExactConfig{MaxInstancesPerItem: 3, MaxExpansions: 200000})
 	g := Greedy(fx.doc, fx.il, fx.cls, fx.stats, 6)
 	if len(e.Covered) < len(g.Covered) {
 		t.Errorf("exact %d < greedy %d at bound 6", len(e.Covered), len(g.Covered))

@@ -6,3 +6,10 @@ var (
 	OracleParse        = oracleParse
 	StrippedToNonNames = strippedToNonNames
 )
+
+// Exposed to the external test package, which holds the renderers to their
+// frozen references on generated corpora.
+var (
+	RenderMismatch    = renderMismatch
+	MixedCaseKeywords = mixedCaseKeywords
+)

@@ -1,9 +1,8 @@
 package xmltree
 
 import (
-	"html"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // RenderHTML renders n's subtree as a nested HTML list with the given
@@ -12,77 +11,140 @@ import (
 // matched on whole lowercase tokens, like the query tokenizer. The output
 // is fully escaped.
 func RenderHTML(n *Node, keywords []string) string {
-	kw := make(map[string]bool, len(keywords))
-	for _, k := range keywords {
-		kw[strings.ToLower(k)] = true
-	}
-	var b strings.Builder
-	b.WriteString(`<ul class="xmltree">`)
-	renderHTMLNode(&b, n, kw)
-	b.WriteString(`</ul>`)
-	return b.String()
+	return render(func(b []byte) []byte {
+		b = append(b, `<ul class="xmltree">`...)
+		b = appendHTMLNode(b, n, keywords)
+		return append(b, `</ul>`...)
+	})
 }
 
-func renderHTMLNode(b *strings.Builder, n *Node, kw map[string]bool) {
-	b.WriteString("<li>")
+func appendHTMLNode(b []byte, n *Node, kw []string) []byte {
+	b = append(b, "<li>"...)
 	switch {
 	case n.IsText():
-		b.WriteString(`"`)
-		b.WriteString(highlight(n.Value, kw))
-		b.WriteString(`"`)
+		b = append(b, '"')
+		b = appendHighlighted(b, n.Value, kw)
+		b = append(b, '"')
 	case n.HasSingleTextChild():
-		b.WriteString(`<span class="tag">`)
-		b.WriteString(highlight(n.Label, kw))
-		b.WriteString(`</span>: "`)
-		b.WriteString(highlight(n.Children[0].Value, kw))
-		b.WriteString(`"`)
+		b = append(b, `<span class="tag">`...)
+		b = appendHighlighted(b, n.Label, kw)
+		b = append(b, `</span>: "`...)
+		b = appendHighlighted(b, n.Children[0].Value, kw)
+		b = append(b, '"')
 	default:
-		b.WriteString(`<span class="tag">`)
-		b.WriteString(highlight(n.Label, kw))
-		b.WriteString(`</span>`)
+		b = append(b, `<span class="tag">`...)
+		b = appendHighlighted(b, n.Label, kw)
+		b = append(b, `</span>`...)
 		if len(n.Children) > 0 {
-			b.WriteString("<ul>")
+			b = append(b, "<ul>"...)
 			for _, c := range n.Children {
-				renderHTMLNode(b, c, kw)
+				b = appendHTMLNode(b, c, kw)
 			}
-			b.WriteString("</ul>")
+			b = append(b, "</ul>"...)
 		}
 	}
-	b.WriteString("</li>")
+	return append(b, "</li>"...)
 }
 
-// highlight escapes s and wraps keyword tokens in <mark>. Token boundaries
-// follow the index tokenizer: letters and digits form tokens.
-func highlight(s string, kw map[string]bool) string {
+// htmlEscapes holds html.EscapeString's replacement for each byte it
+// rewrites.
+var htmlEscapes = [utf8.RuneSelf]string{
+	'<': "&lt;", '>': "&gt;", '&': "&amp;", '\'': "&#39;", '"': "&#34;",
+}
+
+// appendHTMLEscaped appends s as html.EscapeString escapes it; other bytes,
+// invalid UTF-8 included, are copied.
+func appendHTMLEscaped(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < utf8.RuneSelf && htmlEscapes[c] != "" {
+			b = append(b, s[last:i]...)
+			b = append(b, htmlEscapes[c]...)
+			last = i + 1
+		}
+	}
+	return append(b, s[last:]...)
+}
+
+// appendHighlighted appends s escaped, with keyword tokens wrapped in
+// <mark>. Token boundaries follow the index tokenizer: letters and digits
+// form tokens. With keywords, s is read rune by rune, so an invalid byte
+// (a separator) becomes U+FFFD; without, s is only escaped.
+func appendHighlighted(b []byte, s string, kw []string) []byte {
 	if len(kw) == 0 {
-		return html.EscapeString(s)
+		return appendHTMLEscaped(b, s)
 	}
-	var b strings.Builder
-	var tok strings.Builder
-	flush := func() {
-		if tok.Len() == 0 {
-			return
-		}
-		t := tok.String()
-		if kw[strings.ToLower(t)] {
-			b.WriteString("<mark>")
-			b.WriteString(html.EscapeString(t))
-			b.WriteString("</mark>")
-		} else {
-			b.WriteString(html.EscapeString(t))
-		}
-		tok.Reset()
-	}
-	for _, r := range s {
+	tok := -1 // start of the token being read, or -1 between tokens
+	for i := 0; i < len(s); {
+		r, w := utf8.DecodeRuneInString(s[i:])
 		if isTokenRune(r) {
-			tok.WriteRune(r)
-		} else {
-			flush()
-			b.WriteString(html.EscapeString(string(r)))
+			if tok < 0 {
+				tok = i
+			}
+			i += w
+			continue
+		}
+		if tok >= 0 {
+			b = appendToken(b, s[tok:i], kw)
+			tok = -1
+		}
+		switch {
+		case w == 1 && r == utf8.RuneError:
+			b = append(b, "\uFFFD"...)
+		case r < utf8.RuneSelf && htmlEscapes[r] != "":
+			b = append(b, htmlEscapes[r]...)
+		default:
+			b = append(b, s[i:i+w]...)
+		}
+		i += w
+	}
+	if tok >= 0 {
+		b = appendToken(b, s[tok:], kw)
+	}
+	return b
+}
+
+// appendToken appends a token, marked when it is a keyword. A token is
+// letters and digits only, so it needs no escaping.
+func appendToken(b []byte, t string, kw []string) []byte {
+	for _, k := range kw {
+		if lowerEquals(t, k) {
+			b = append(b, "<mark>"...)
+			b = append(b, t...)
+			return append(b, "</mark>"...)
 		}
 	}
-	flush()
-	return b.String()
+	return append(b, t...)
+}
+
+// lowerEquals reports whether strings.ToLower(t) == strings.ToLower(k)
+// without building either: both are compared rune by rune through
+// unicode.ToLower (ASCII byte by byte), an invalid byte reading as U+FFFD
+// as ToLower writes it.
+func lowerEquals(t, k string) bool {
+	for t != "" && k != "" {
+		if a, b := t[0], k[0]; a|b < utf8.RuneSelf {
+			if lowerASCII(a) != lowerASCII(b) {
+				return false
+			}
+			t, k = t[1:], k[1:]
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(t)
+		q, v := utf8.DecodeRuneInString(k)
+		if unicode.ToLower(r) != unicode.ToLower(q) {
+			return false
+		}
+		t, k = t[w:], k[v:]
+	}
+	return t == "" && k == ""
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // isTokenRune mirrors the index tokenizer's token alphabet (letters and

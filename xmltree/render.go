@@ -1,42 +1,38 @@
 package xmltree
 
-import (
-	"strings"
-)
-
 // RenderASCII draws n's subtree as an ASCII art tree, one node per line,
 // matching the figures in the paper: element labels plain, text values
 // quoted, attribute-shaped nodes folded as name: "value".
 func RenderASCII(n *Node) string {
-	var b strings.Builder
-	renderASCII(&b, n, "", true, true)
-	return b.String()
+	p := getBuf()
+	b, prefix := appendASCII(p.out, p.scratch, n, true, true)
+	s := string(b)
+	p.put(b, prefix)
+	return s
 }
 
-func renderASCII(b *strings.Builder, n *Node, prefix string, isLast, isRoot bool) {
+// appendASCII appends the lines of n's subtree. prefix is the drawing that
+// opens n's line; it is returned as it came, in the buffer it grew into.
+func appendASCII(b, prefix []byte, n *Node, isLast, isRoot bool) ([]byte, []byte) {
+	mark := len(prefix)
 	if !isRoot {
-		b.WriteString(prefix)
+		b = append(b, prefix...)
 		if isLast {
-			b.WriteString("└─ ")
+			b = append(b, "└─ "...)
+			prefix = append(prefix, "   "...)
 		} else {
-			b.WriteString("├─ ")
+			b = append(b, "├─ "...)
+			prefix = append(prefix, "│  "...)
 		}
 	}
-	b.WriteString(nodeLabel(n))
-	b.WriteString("\n")
+	b = appendLabel(b, n)
+	b = append(b, '\n')
 
 	kids := renderKids(n)
-	childPrefix := prefix
-	if !isRoot {
-		if isLast {
-			childPrefix += "   "
-		} else {
-			childPrefix += "│  "
-		}
-	}
 	for i, c := range kids {
-		renderASCII(b, c, childPrefix, i == len(kids)-1, false)
+		b, prefix = appendASCII(b, prefix, c, i == len(kids)-1, false)
 	}
+	return b, prefix[:mark]
 }
 
 // RenderInline renders n's subtree on one line in functional notation:
@@ -44,36 +40,39 @@ func renderASCII(b *strings.Builder, n *Node, prefix string, isLast, isRoot bool
 // comparisons in tests and the distinguishability metric use this canonical
 // form.
 func RenderInline(n *Node) string {
-	var b strings.Builder
-	renderInline(&b, n)
-	return b.String()
+	return render(func(b []byte) []byte { return appendInline(b, n) })
 }
 
-func renderInline(b *strings.Builder, n *Node) {
-	b.WriteString(nodeLabel(n))
+func appendInline(b []byte, n *Node) []byte {
+	b = appendLabel(b, n)
 	kids := renderKids(n)
 	if len(kids) == 0 {
-		return
+		return b
 	}
-	b.WriteString("(")
+	b = append(b, '(')
 	for i, c := range kids {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		renderInline(b, c)
+		b = appendInline(b, c)
 	}
-	b.WriteString(")")
+	return append(b, ')')
 }
 
-// nodeLabel folds attribute-shaped nodes to name:"value" and quotes text.
-func nodeLabel(n *Node) string {
-	if n.IsText() {
-		return `"` + n.Value + `"`
+// appendLabel folds attribute-shaped nodes to name:"value" and quotes text.
+func appendLabel(b []byte, n *Node) []byte {
+	switch {
+	case n.IsText():
+		b = append(b, '"')
+		b = append(b, n.Value...)
+	case n.HasSingleTextChild():
+		b = append(b, n.Label...)
+		b = append(b, `:"`...)
+		b = append(b, n.Children[0].Value...)
+	default:
+		return append(b, n.Label...)
 	}
-	if n.HasSingleTextChild() {
-		return n.Label + `:"` + n.Children[0].Value + `"`
-	}
-	return n.Label
+	return append(b, '"')
 }
 
 // renderKids hides the text child of attribute-shaped nodes (it is folded

@@ -1,9 +1,9 @@
 package extract
 
-// One testing.B benchmark per experiment of DESIGN.md §5. The experiment
-// tables themselves (paper-vs-measured) are produced by cmd/benchrunner and
-// recorded in EXPERIMENTS.md; these benchmarks time the code paths behind
-// each table so regressions show up in `go test -bench`.
+// One testing.B benchmark per experiment. The paper's experiment tables
+// themselves (paper-vs-measured) are internal/bench's, printed by
+// `go test ./internal/bench -v`; these benchmarks time the code paths
+// behind each experiment so regressions show up in `go test -bench`.
 
 import (
 	"bytes"

@@ -134,11 +134,10 @@
 //     set (CacheStats.Rejected counts the refusals).
 //
 // Cached responses are byte-identical to uncached evaluation (pinned by
-// property tests); `benchrunner -serve` measures the payoff as concurrent
+// property tests); BenchmarkGateServe measures the payoff as concurrent
 // QPS over a Zipf-distributed workload, cold versus warm, at four shards
-// and at one (the "serve" section of BENCH_search.json — warm
-// throughput is well over 5x cold at every recorded size), alongside
-// warm/cold latency percentiles from variance-validated runs.
+// and at one, and fails unless warm throughput is at least 5x cold at
+// every size.
 //
 // # Observability
 //
@@ -199,12 +198,11 @@
 // verifies each image it opens against the hash the manifest records, so a
 // directory caught mid-refresh is refused cleanly (the old generation keeps
 // serving) rather than loaded as a mix of two generations. extractd
-// serves snapshots directly via -data name=dir.xtsnap. The "reload"
-// section of BENCH_search.json records the payoff: after a one-entity
-// edit of a 100k-node corpus, an XML delta reload modestly beats a full
-// one (both still parse and re-analyze), while a snapshot delta reload
-// beats a full snapshot load severalfold — and either snapshot reload is
-// two orders of magnitude cheaper than any XML path.
+// serves snapshots directly via -data name=dir.xtsnap.
+// BenchmarkGateReloadDelta measures the payoff: after a one-entity edit of
+// a 100k-node corpus, an XML delta reload modestly beats a full one (both
+// still parse and re-analyze), while a snapshot delta reload beats a full
+// snapshot load severalfold.
 //
 // # Distributed serving
 //
@@ -246,37 +244,27 @@
 // manifest, memory-maps (or bulk-reads) the file, verifies every checksum,
 // and only then reconstructs nodes, intervals and postings without
 // re-tokenizing anything, decoding shards in parallel; loading a 100k-node
-// corpus is an order of magnitude faster than rebuilding the index from
-// the tree (the "persist" section of BENCH_search.json). An image,
+// corpus is an order of magnitude faster than building it from its XML
+// (BenchmarkGatePersistLoad). An image,
 // manifest or wire peer of any other version is refused with an error
 // naming both versions: snapshots are rebuilt from their source, never
 // migrated.
 //
-// # Perf trajectory and CI gate
+// # Performance gates
 //
-// `go run ./cmd/benchrunner -search BENCH_search.json` regenerates the
-// hot-path before/after trajectory (the retained *Baseline implementations
-// are the "before" side); `-persist` does the same for the persist-load
-// trajectory, `-serve` for the serving-layer cold/warm QPS trajectory,
-// `-reload` for the full-versus-delta refresh trajectory, and
-// `-baseline` compares a fresh run against the committed file, failing on
-// >20% regression of QueryEndToEnd, of the packed load's advantage, of
-// the warm/cold throughput ratio, of the warm-p99 tail ratio (warm p99
-// over the same run's cold median — the serving layer's tail-latency
-// guarantee, measured from runs re-run until consecutive p99s agree), of
-// the cold-path throughput (cold QPS normalized by the same run's
-// frozen-SLCA yardstick, so a regression that slows cold and warm
-// together cannot hide behind a flat warm/cold ratio), or of the
-// delta-reload speedup (machine-normalized ratios; see
-// bench.CompareReports). CI runs lint (vet + staticcheck) before
-// build/test, the race detector, fuzz smokes for the persist decoder,
-// XML parser, query-cache key codec, snapshot-manifest decoder and the
-// galloping-search cursor, the
+// The repository benchmark (BENCHMARK.json, benchmark/) is what a
+// performance change is judged by. CI also runs four ratio gates on every
+// PR, `go test -run '^$' -bench '^BenchmarkGate' -benchtime=1x .`: each
+// times a subject against a yardstick in the same run, interleaved, and
+// fails when the ratio breaks its bound — a query end to end against the
+// frozen SLCA (search.SLCABaseline), a packed load against building from
+// XML, warm against cold serving (throughput, the warm p99 against the
+// cold median, and cold throughput against the frozen SLCA), and a delta
+// reload against a full one. CI also runs lint (vet + staticcheck) before
+// build/test, the race detector, fuzz smokes for every decoder, and the
 // telemetry documentation gates (every exported internal/telemetry
 // identifier commented; OBSERVABILITY.md diffed against the live
-// registry), the bench-regression gate, the serve-throughput +
-// tail-latency gate and the reload gate on every PR, with Go module and
-// build caches shared across jobs.
+// registry).
 //
 // # Further reading
 //
@@ -287,8 +275,8 @@
 // clock at each step), an online reload and a delta reload.
 // PERFORMANCE.md is the cold-path performance model — the stage cost
 // breakdown, the galloping and early-termination designs with their
-// measured crossover constants, and how to read and regenerate
-// BENCH_search.json. OBSERVABILITY.md is the operator-facing metric
+// measured crossover constants, and the two instruments that measure
+// them. OBSERVABILITY.md is the operator-facing metric
 // reference — every
 // metric's name, labels, units and what a spike means, plus the
 // slow-query log schema and an SLO worked example. cmd/extractd/README.md

@@ -842,10 +842,16 @@ func WithELCA() SearchOption {
 // bound also terminates evaluation early: the scan stops as soon as the
 // first n answers in document order are provable, without visiting the
 // rest of the posting lists. The returned results are byte-identical to
-// taking the first n of an unbounded query (pinned by property tests) —
-// the bound changes cost, never answers. ELCA evaluation applies the bound
-// only after computing the full answer set, since no document-order prefix
-// of the ELCA set is provable mid-scan (see PERFORMANCE.md).
+// taking the first n of an unbounded query in document order (pinned by
+// property tests). ELCA evaluation applies the bound only after computing
+// the full answer set, since no document-order prefix of the ELCA set is
+// provable mid-scan (see PERFORMANCE.md).
+//
+// Under WithRanking the bound is not the top n by score: it cuts in
+// document order first, then ranking reorders what was kept, so a
+// higher-scoring result past the first n in document order is never
+// returned. A ranked bounded query can therefore answer differently from
+// the first n of the same query ranked unbounded.
 func WithMaxResults(n int) SearchOption {
 	return func(c *searchConfig) { c.opts.MaxResults = n }
 }

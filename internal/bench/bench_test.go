@@ -7,6 +7,7 @@ import (
 
 func TestE1TableContent(t *testing.T) {
 	tb := E1IList()
+	t.Log("\n" + tb.Render())
 	if len(tb.Rows) != 12 {
 		t.Fatalf("E1 rows = %d, want 12 (Figure 3 has 12 items)", len(tb.Rows))
 	}
@@ -22,6 +23,7 @@ func TestE1TableContent(t *testing.T) {
 
 func TestE2TableContent(t *testing.T) {
 	tb := E2Snippet([]int{6, 13})
+	t.Log("\n" + tb.Render())
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -34,6 +36,7 @@ func TestE2TableContent(t *testing.T) {
 
 func TestE3TableContent(t *testing.T) {
 	tb := E3Demo()
+	t.Log("\n" + tb.Render())
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %v", tb.Rows)
 	}
@@ -54,6 +57,7 @@ func TestE3TableContent(t *testing.T) {
 
 func TestE6Shape(t *testing.T) {
 	tb := E6QualityVsBound([]int{6, 16})
+	t.Log("\n" + tb.Render())
 	for _, row := range tb.Rows {
 		ex, bfs, path := row[2], row[4], row[6] // weighted coverages
 		if ex < bfs || ex < path {
@@ -64,6 +68,7 @@ func TestE6Shape(t *testing.T) {
 
 func TestE7Shape(t *testing.T) {
 	tb := E7GreedyVsExact(8, []int{4})
+	t.Log("\n" + tb.Render())
 	if len(tb.Rows) != 1 {
 		t.Fatalf("rows = %v", tb.Rows)
 	}
@@ -75,6 +80,7 @@ func TestE7Shape(t *testing.T) {
 
 func TestE9Shape(t *testing.T) {
 	tb := E9Distinguishability(12)
+	t.Log("\n" + tb.Render())
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %v", tb.Rows)
 	}
@@ -89,6 +95,7 @@ func TestE9Shape(t *testing.T) {
 
 func TestE11Shape(t *testing.T) {
 	tb := E11DominanceAblation()
+	t.Log("\n" + tb.Render())
 	if len(tb.Rows) == 0 || tb.Rows[0][1] != "Houston" {
 		t.Errorf("dominance top = %v", tb.Rows)
 	}
@@ -96,47 +103,12 @@ func TestE11Shape(t *testing.T) {
 		t.Errorf("raw top should not be Houston: %v", tb.Rows[0])
 	}
 	rec := E11PlantedRecovery(6)
+	t.Log("\n" + rec.Render())
 	if rec.Rows[0][1] != "6/6" {
 		t.Errorf("dominance recovery = %v", rec.Rows[0])
 	}
 	if rec.Rows[0][2] == "6/6" {
 		t.Errorf("raw recovery should miss: %v", rec.Rows[0])
-	}
-}
-
-func TestQuickSweepsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	// E4/E5/E8/E10 at quick sizes complete and produce rows.
-	s := Sizes{Quick: true}
-	for _, tb := range []*Table{
-		E4TimeVsResultSize(s.resultSizes()),
-		E5TimeVsBound([]int{4, 16}),
-		E8IndexBuild(s.corpusSizes()),
-		E10SLCA(s.searchSizes()),
-	} {
-		if len(tb.Rows) == 0 {
-			t.Errorf("%s produced no rows", tb.ID)
-		}
-		for _, n := range tb.Notes {
-			if strings.Contains(n, "MISMATCH") {
-				t.Errorf("%s: %s", tb.ID, n)
-			}
-		}
-	}
-}
-
-func TestByID(t *testing.T) {
-	s := Sizes{Quick: true}
-	if got := ByID("E1", s); len(got) != 1 || got[0].ID != "E1" {
-		t.Errorf("ByID(E1) = %v", got)
-	}
-	if got := ByID("e11", s); len(got) != 2 {
-		t.Errorf("ByID(e11) = %d tables", len(got))
-	}
-	if got := ByID("nope", s); got != nil {
-		t.Errorf("ByID(nope) = %v", got)
 	}
 }
 

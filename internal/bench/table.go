@@ -1,10 +1,15 @@
-// Package bench is the experiment harness: one function per experiment in
-// DESIGN.md §5 (E1–E11), each returning a printable table. cmd/benchrunner
-// renders them on the command line; bench_test.go wraps them as testing.B
-// benchmarks. Experiments E1–E3 reproduce artifacts the paper publishes
-// directly (Figure 3's IList, §2.3's dominance scores, Figure 2's snippet,
-// Figure 5's demo); E4–E11 reconstruct the performance/quality evaluation
-// axes the paper and its companion describe.
+// Package bench reproduces the paper's evaluation as printable tables, one
+// function per experiment. E1–E3 reproduce artifacts the paper publishes
+// directly (Figure 3's IList with the §2.3 dominance scores, Figure 2's
+// snippet, Figure 5's demo); E6, E7, E9 and E11 reconstruct its quality
+// axes (coverage against baselines, greedy against the exact optimum,
+// distinguishability, dominance against raw frequency) and E12 ablates the
+// instance selector. The shape tests pin each table and log it, so
+//
+//	go test ./internal/bench -v
+//
+// prints every table. The code paths behind them are timed by the root
+// package's BenchmarkE* functions.
 package bench
 
 import (

@@ -185,9 +185,9 @@ func (sc *elcaScratch) pop() {
 
 // ELCABaseline is the pre-flattening implementation: exclusive counting by
 // recursion over the entire document subtree, O(document size × keywords).
-// Retained as the "before" side of the perf-regression harness and as the
-// reference implementation in property tests (its cost is linear in the
-// document, so unlike SLCABrute it stays usable on large random corpora).
+// Retained as the reference implementation in property tests (its cost is
+// linear in the document, so unlike SLCABrute it stays usable on large
+// random corpora).
 func ELCABaseline(lists ...[]*xmltree.Node) []*xmltree.Node {
 	if len(lists) == 0 {
 		return nil

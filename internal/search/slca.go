@@ -336,8 +336,10 @@ func smallestOnly(cands []*xmltree.Node) []*xmltree.Node {
 
 // SLCABaseline is the pre-flattening implementation (pointer-chasing binary
 // search, parent-walk LCAs and the repeat-until-stable ancestor filter).
-// It is retained as the "before" side of the perf-regression harness
-// (cmd/benchrunner -search) and as an extra cross-check in property tests.
+// It is retained as the property tests' reference and the cold-query
+// gate's yardstick (BenchmarkGateColdQuery, BenchmarkGateServe): frozen
+// code that optimization work never touches prices one unit of SLCA work on
+// the machine a gate runs on.
 func SLCABaseline(lists ...[]*xmltree.Node) []*xmltree.Node {
 	if len(lists) == 0 {
 		return nil

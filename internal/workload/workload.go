@@ -121,7 +121,7 @@ func Generate(doc *xmltree.Document, cfg Config) []Query {
 // set with Zipf-skewed popularity: queries earlier in the slice are drawn
 // more often, the way live search traffic concentrates on a small head of
 // repeated queries. It is the workload shape the serving layer's query
-// cache is measured against (benchrunner -serve).
+// cache is measured against (BenchmarkGateServe).
 type Stream struct {
 	queries []Query
 	r       *rand.Rand

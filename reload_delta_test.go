@@ -195,43 +195,66 @@ func TestReloadDeltaChangedOptions(t *testing.T) {
 }
 
 // TestReloadDeltaSkipsUnchangedShards is the counter-based proof that the
-// delta path does what it claims: a one-entity edit on a 4-shard corpus
-// runs exactly one index build (the changed shard) — the unchanged shards
-// are adopted, not re-tokenized.
+// delta paths do what they claim, from XML and from a snapshot directory:
+// a one-entity edit on a 4-shard corpus rebuilds one shard and adopts the
+// other three, and nothing is re-tokenized that need not be. From XML the
+// changed shard is the one index build; from a snapshot the changed image
+// is decoded, and a snapshot load or reload runs no index build at all —
+// the packed load's advantage over rebuilding from XML, stated exactly.
 func TestReloadDeltaSkipsUnchangedShards(t *testing.T) {
 	xmlA := xmltree.XMLString(deltaBaseDoc().Root)
 	mut := deltaVariants()["one-entity"]
 	xmlB := xmltree.XMLString(mut().Root)
-
-	c, err := LoadString(xmlA, WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Shards() != 4 {
-		t.Fatalf("loaded %d shards, want 4", c.Shards())
-	}
-
-	before := index.Builds()
-	stats, err := c.ReloadDelta(strings.NewReader(xmlB), WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	builds := index.Builds() - before
-	if stats.Rebuilt != 1 || stats.Reused != 3 {
-		t.Fatalf("delta stats = %+v, want 1 rebuilt / 3 reused", stats)
-	}
-	if builds != 1 {
-		t.Fatalf("one-shard delta ran %d index builds, want exactly 1", builds)
+	dirA := filepath.Join(t.TempDir(), "a.xtsnap")
+	dirB := filepath.Join(t.TempDir(), "b.xtsnap")
+	for _, s := range []struct{ xml, dir string }{{xmlA, dirA}, {xmlB, dirB}} {
+		src := must(LoadString(s.xml, WithShards(4)))
+		if err := src.SaveSnapshot(s.dir); err != nil {
+			t.Fatal(err)
+		}
+		src.Close()
 	}
 
-	// The full path, for contrast, builds every shard.
-	before = index.Builds()
-	if _, err := LoadString(xmlB, WithShards(4)); err != nil {
-		t.Fatal(err)
+	// builds runs fn and returns how many index builds it ran.
+	builds := func(fn func() error) int64 {
+		t.Helper()
+		before := index.Builds()
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		return index.Builds() - before
 	}
-	if full := index.Builds() - before; full != 4 {
-		t.Fatalf("full load ran %d index builds, want 4", full)
+	for _, src := range []struct {
+		name                    string
+		load                    func() (*Corpus, error)
+		reload                  func(c *Corpus) (DeltaStats, error)
+		loadBuilds, deltaBuilds int64
+	}{
+		{"xml",
+			func() (*Corpus, error) { return LoadString(xmlA, WithShards(4)) },
+			func(c *Corpus) (DeltaStats, error) { return c.ReloadDelta(strings.NewReader(xmlB), WithShards(4)) },
+			4, 1},
+		{"snapshot",
+			func() (*Corpus, error) { return LoadSnapshot(dirA) },
+			func(c *Corpus) (DeltaStats, error) { return c.ReloadSnapshot(dirB) },
+			0, 0},
+	} {
+		var c *Corpus
+		if n := builds(func() (err error) { c, err = src.load(); return err }); n != src.loadBuilds {
+			t.Fatalf("%s: load ran %d index builds, want %d", src.name, n, src.loadBuilds)
+		}
+		if c.Shards() != 4 {
+			t.Fatalf("%s: loaded %d shards, want 4", src.name, c.Shards())
+		}
+		var stats DeltaStats
+		n := builds(func() (err error) { stats, err = src.reload(c); return err })
+		c.Close()
+		if stats.Rebuilt != 1 || stats.Reused != 3 {
+			t.Fatalf("%s: delta stats = %+v, want 1 rebuilt / 3 reused", src.name, stats)
+		}
+		if n != src.deltaBuilds {
+			t.Fatalf("%s: one-shard delta ran %d index builds, want %d", src.name, n, src.deltaBuilds)
+		}
 	}
 }
 

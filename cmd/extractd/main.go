@@ -403,7 +403,7 @@ func (s *server) loadOptions(name string) []extract.Option {
 		opts = append(opts, extract.WithMaxInFlight(s.maxInFlight))
 	}
 	if s.slowQuery > 0 {
-		opts = append(opts, extract.WithSlowQueryLog(s.slowQuery, func(q extract.SlowQuery) { s.logSlowQuery(name, q) }))
+		opts = append(opts, extract.WithSlowQueryLog(s.slowQuery, func(q extract.QueryTrace) { s.logSlowQuery(name, q) }))
 	}
 	return opts
 }
@@ -544,22 +544,54 @@ func (s *server) register(ds *dataset) {
 	s.names = append(s.names, name)
 }
 
-// slowQueryLine is one slow-query log record: a single JSON line, already
-// sanitized — tokenized keywords, stage timings, and an error class, never
-// raw query text, document values or error messages.
-type slowQueryLine struct {
+// queryLine is one query record as JSON: a slow-query log line, or one
+// /debug/traces entry — both render the same record, so an operator can
+// pivot between the two surfaces on trace_id. It is sanitized by
+// construction: tokenized keywords, stage timings and an error class, never
+// raw query text, document values or error messages. A slow-query line
+// carries dataset and keywords and no kept; a trace entry carries kept and
+// neither of the others (its dataset is the key it is listed under), so the
+// endpoint leaks nothing of what users searched for.
+type queryLine struct {
 	TS       string             `json:"ts"` // RFC 3339, UTC
-	Dataset  string             `json:"dataset"`
-	TraceID  string             `json:"trace_id,omitempty"` // 16 hex digits; matches /debug/traces
-	Keywords []string           `json:"keywords"`
+	Dataset  string             `json:"dataset,omitempty"`
+	TraceID  string             `json:"trace_id"` // 16 hex digits
+	Keywords []string           `json:"keywords,omitzero"`
 	TotalMs  float64            `json:"total_ms"`
 	StagesMs map[string]float64 `json:"stages_ms"`
 	Cache    string             `json:"cache,omitempty"`
 	Results  int                `json:"results"`
 	Error    string             `json:"error,omitempty"`
+	Kept     string             `json:"kept,omitempty"`
 	// Hops lists the remote call attempts a routed query made, in order;
 	// absent for local datasets, cache hits and coalesced followers.
 	Hops []hopLine `json:"hops,omitempty"`
+}
+
+// maxLoggedKeywords caps a slow-query line's keyword list: enough to
+// identify the query shape, bounded so a pathological thousand-term query
+// cannot flood the log.
+const maxLoggedKeywords = 16
+
+// newQueryLine renders one query record. Its keywords — a slow-query
+// record's only — are capped at maxLoggedKeywords.
+func newQueryLine(q extract.QueryTrace) queryLine {
+	line := queryLine{
+		TS:       q.Time.UTC().Format(time.RFC3339Nano),
+		TraceID:  fmt.Sprintf("%016x", q.TraceID),
+		Keywords: q.Keywords[:min(len(q.Keywords), maxLoggedKeywords)],
+		TotalMs:  roundMs(q.Total),
+		StagesMs: make(map[string]float64, len(q.Stages)),
+		Cache:    q.Cache,
+		Results:  q.Results,
+		Error:    q.Err,
+		Kept:     q.Kept,
+		Hops:     hopLines(q.Hops),
+	}
+	for _, st := range q.Stages {
+		line.StagesMs[st.Name] = roundMs(st.Duration)
+	}
+	return line
 }
 
 // hopLine renders one remote call attempt in a slow-query record or a
@@ -606,41 +638,13 @@ func hopLines(hops []extract.Hop) []hopLine {
 	return out
 }
 
-// traceIDString renders a trace ID the way every surface logs it: 16 hex
-// digits, or "" for the zero (untraced) ID.
-func traceIDString(id uint64) string {
-	if id == 0 {
-		return ""
-	}
-	return fmt.Sprintf("%016x", id)
-}
-
-// maxLoggedKeywords caps a slow-query line's keyword list: enough to
-// identify the query shape, bounded so a pathological thousand-term query
-// cannot flood the log.
-const maxLoggedKeywords = 16
-
 // logSlowQuery writes one slow-query JSON line. Lines are serialized under
 // slowMu so concurrent slow queries never interleave mid-line.
-func (s *server) logSlowQuery(dataset string, q extract.SlowQuery) {
-	kws := q.Keywords
-	if len(kws) > maxLoggedKeywords {
-		kws = kws[:maxLoggedKeywords]
-	}
-	line := slowQueryLine{
-		TS:       time.Now().UTC().Format(time.RFC3339Nano),
-		Dataset:  dataset,
-		TraceID:  traceIDString(q.TraceID),
-		Keywords: kws,
-		TotalMs:  roundMs(q.Duration),
-		StagesMs: make(map[string]float64, len(q.Stages)),
-		Cache:    q.Cache,
-		Results:  q.Results,
-		Error:    q.Err,
-		Hops:     hopLines(q.Hops),
-	}
-	for st, d := range q.Stages {
-		line.StagesMs[st] = roundMs(d)
+func (s *server) logSlowQuery(dataset string, q extract.QueryTrace) {
+	line := newQueryLine(q)
+	line.Dataset = dataset
+	if line.Keywords == nil {
+		line.Keywords = []string{} // a slow line always carries keywords
 	}
 	b, err := json.Marshal(line)
 	if err != nil {
@@ -679,22 +683,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// traceEntry is one /debug/traces record: a retained query trace with the
-// same hop rendering the slow-query log uses, so an operator can pivot
-// between the two surfaces on trace_id. Traces carry no query text — the
-// endpoint is safe to expose without leaking what users searched for.
-type traceEntry struct {
-	TraceID  string             `json:"trace_id"`
-	TS       string             `json:"ts"` // RFC 3339, UTC
-	TotalMs  float64            `json:"total_ms"`
-	StagesMs map[string]float64 `json:"stages_ms"`
-	Cache    string             `json:"cache,omitempty"`
-	Results  int                `json:"results"`
-	Error    string             `json:"error,omitempty"`
-	Kept     string             `json:"kept"`
-	Hops     []hopLine          `json:"hops,omitempty"`
-}
-
 // handleTraces serves every dataset's recent-trace ring as JSON: a steady
 // sample of recent queries plus the slowest seen, newest first per
 // dataset, with per-hop replica addresses and server-side stage timings on
@@ -707,26 +695,12 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	out := make(map[string][]traceEntry, len(s.datasets))
+	out := make(map[string][]queryLine, len(s.datasets))
 	for name, ds := range s.datasets {
 		traces := ds.Corpus.RecentTraces()
-		entries := make([]traceEntry, len(traces))
+		entries := make([]queryLine, len(traces))
 		for i, qt := range traces {
-			e := traceEntry{
-				TraceID:  traceIDString(qt.TraceID),
-				TS:       qt.Time.UTC().Format(time.RFC3339Nano),
-				TotalMs:  roundMs(qt.Total),
-				StagesMs: make(map[string]float64, len(qt.Stages)),
-				Cache:    qt.Cache,
-				Results:  qt.Results,
-				Error:    qt.Err,
-				Kept:     qt.Kept,
-				Hops:     hopLines(qt.Hops),
-			}
-			for _, st := range qt.Stages {
-				e.StagesMs[st.Name] = roundMs(st.Duration)
-			}
-			entries[i] = e
+			entries[i] = newQueryLine(qt)
 		}
 		out[name] = entries
 	}
@@ -770,8 +744,8 @@ func (s *server) reload(ds *dataset) error {
 	ds.lastReload = time.Now()
 	ds.lastMode = stats.Mode()
 	ds.obs.Unlock()
-	log.Printf("extractd: reloaded %s from %s (%s: %d/%d shards rebuilt, %d nodes)",
-		ds.Name, ds.Path, stats.Mode(), stats.Rebuilt, stats.Shards, ds.Corpus.Stats().Nodes)
+	log.Printf("extractd: reloaded %s from %s (%s: %d/%d shards rebuilt, %d elements)",
+		ds.Name, ds.Path, stats.Mode(), stats.Rebuilt, stats.Shards, ds.Corpus.Stats().Elements)
 	return nil
 }
 
@@ -947,8 +921,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ds := s.datasets[data.Dataset]
 	if ds != nil {
 		st := ds.Corpus.Stats()
-		data.Stats = fmt.Sprintf("%d nodes, entities: %s",
-			st.Nodes, strings.Join(st.Entities, ", "))
+		data.Stats = fmt.Sprintf("%d elements, entities: %s",
+			st.Elements, strings.Join(st.Entities, ", "))
 		// Populate the keyword datalist: completions of the last typed
 		// token, or frequent entity vocabulary when the box is empty.
 		last := ""
@@ -1092,14 +1066,18 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	ds.obs.Lock()
 	mode, gen := ds.lastMode, ds.reloads
 	ds.obs.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(map[string]any{
+	out := map[string]any{
 		"dataset": ds.Name,
 		"shards":  ds.Corpus.Shards(),
-		"nodes":   ds.Corpus.Stats().Nodes,
 		"mode":    mode,
 		"reloads": gen,
-	}); err != nil {
+	}
+	// Node counts stay with the data: a remote dataset's router has none.
+	if ds.Corpus.InternalShards() != nil {
+		out["nodes"] = ds.Corpus.Stats().Nodes
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(out); err != nil {
 		log.Printf("extractd: reload: %v", err)
 	}
 }

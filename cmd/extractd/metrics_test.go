@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"html/template"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync/atomic"
@@ -221,7 +223,7 @@ func TestSlowQueryLogSanitized(t *testing.T) {
 	if line == "" {
 		t.Fatal("no slow-query line logged at a 1ns threshold")
 	}
-	var rec slowQueryLine
+	var rec queryLine
 	if err := json.Unmarshal([]byte(line), &rec); err != nil {
 		t.Fatalf("slow-query line is not one JSON object: %v\n%s", err, line)
 	}
@@ -245,6 +247,27 @@ func TestSlowQueryLogSanitized(t *testing.T) {
 		if _, ok := rec.StagesMs[st]; !ok {
 			t.Fatalf("stage %q missing from %v", st, rec.StagesMs)
 		}
+	}
+
+	// A query of more than maxLoggedKeywords tokens logs exactly the first
+	// 16, tokenized.
+	var long, want []string
+	for i := 1; i <= 20; i++ {
+		long = append(long, fmt.Sprintf("Kw%02d", i))
+		if i <= 16 {
+			want = append(want, fmt.Sprintf("kw%02d", i))
+		}
+	}
+	buf.Reset()
+	if _, err := ds.Corpus.Query(strings.Join(long, " "), 6); err != nil {
+		t.Fatal(err)
+	}
+	var longRec queryLine
+	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &longRec); err != nil {
+		t.Fatalf("slow-query line is not one JSON object: %v\n%s", err, buf.String())
+	}
+	if !reflect.DeepEqual(longRec.Keywords, want) {
+		t.Fatalf("keywords of a 20-token query = %v, want the first 16 tokens %v", longRec.Keywords, want)
 	}
 }
 

@@ -150,8 +150,9 @@
 // the Prometheus text format; extractd serves that at GET /metrics.
 // QueryLatencies reads the same histograms as Go values (per-stage
 // p50/p90/p99/p999/max). The WithSlowQueryLog load option installs a hook
-// fired for every query over a threshold with a sanitized record: tokenized
-// keywords and an error class, never the raw query string or error text.
+// fired for every query over a threshold with the query's QueryTrace — the
+// record RecentTraces returns — plus its tokenized keywords: never the raw
+// query string or error text.
 // Corpus.QueryCacheStats remains the plain-Go view of the cache counters
 // (extractd serves it as JSON at /stats); it reads the very instruments
 // the registry exports, so the two views cannot disagree. OBSERVABILITY.md

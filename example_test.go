@@ -254,9 +254,12 @@ func ExampleCorpus_QueryLatencies() {
 // the raw query string. A 1ns threshold here makes every query "slow".
 func ExampleWithSlowQueryLog() {
 	corpus, err := extract.LoadString(libraryXML,
-		extract.WithSlowQueryLog(time.Nanosecond, func(q extract.SlowQuery) {
-			_, computed := q.Stages["eval"]
-			fmt.Println(q.Keywords, q.Cache, q.Results, computed)
+		extract.WithSlowQueryLog(time.Nanosecond, func(q extract.QueryTrace) {
+			var stages []string
+			for _, st := range q.Stages {
+				stages = append(stages, st.Name)
+			}
+			fmt.Println(q.Keywords, q.Cache, q.Results, stages)
 		}))
 	if err != nil {
 		log.Fatal(err)
@@ -266,7 +269,7 @@ func ExampleWithSlowQueryLog() {
 		log.Fatal(err)
 	}
 	// Output:
-	// [ada databases] miss 1 true
+	// [ada databases] miss 1 [admission cache dispatch eval snippet]
 }
 
 // The IList (Snippet Information List) ranks what a snippet should show:

@@ -121,8 +121,8 @@ func (c *Corpus) server() *serve.Server {
 			serve.WithTelemetry(c.reg),
 		}
 		if fn := cfg.slowFn; fn != nil {
-			opts = append(opts, serve.WithSlowQueries(cfg.slowThreshold, func(r serve.QueryRecord) {
-				fn(sanitizeSlowQuery(r))
+			opts = append(opts, serve.WithSlowQueries(cfg.slowThreshold, func(qt telemetry.QueryTrace) {
+				fn(traceFromInternal(qt))
 			}))
 		}
 		c.srv = serve.New(c.data.Load().backend(), opts...)
@@ -335,43 +335,19 @@ func LoadSnapshot(dir string, opts ...Option) (*Corpus, error) {
 }
 
 // CacheStats is a point-in-time snapshot of the query cache: hit/miss
-// counters, queries coalesced onto an in-flight identical computation, and
-// current occupancy against the configured budget.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	Evictions int64 `json:"evictions"`
-	// Rejected counts responses the admission filter declined to cache: a
-	// query seen only once may fill spare capacity but never evicts the
-	// warm working set.
-	Rejected int64 `json:"rejected"`
-	Entries  int64 `json:"entries"`
-	Bytes    int64 `json:"bytes"`
-	Capacity int64 `json:"capacity"`
-	// Panics counts queries failed by a recovered evaluation panic; Shed
-	// counts queries rejected by the in-flight bound (ErrOverloaded).
-	Panics int64 `json:"panics"`
-	Shed   int64 `json:"shed"`
-}
+// counters, queries coalesced onto an in-flight identical computation,
+// responses the admission filter declined to cache (a query seen only once
+// may fill spare capacity but never evicts the warm working set), current
+// occupancy against the configured budget, and the failure counters —
+// queries failed by a recovered evaluation panic, and queries shed by the
+// in-flight bound (ErrOverloaded).
+type CacheStats = serve.Stats
 
 // QueryCacheStats reports the query-cache counters of the corpus's serving
 // layer. Every corpus has one, so ok is always true; it is retained so
 // callers written against the sharded-only serving layer keep compiling.
 func (c *Corpus) QueryCacheStats() (stats CacheStats, ok bool) {
-	st := c.server().Stats()
-	return CacheStats{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Coalesced: st.Coalesced,
-		Evictions: st.Evictions,
-		Rejected:  st.Rejected,
-		Entries:   st.Entries,
-		Bytes:     st.Bytes,
-		Capacity:  st.Capacity,
-		Panics:    st.Panics,
-		Shed:      st.Shed,
-	}, true
+	return c.server().Stats(), true
 }
 
 // analysis returns the document-less corpus carrying the classification and
@@ -398,7 +374,7 @@ type servingConfig struct {
 	timeout       time.Duration
 	maxInFlight   int
 	slowThreshold time.Duration
-	slowFn        func(SlowQuery)
+	slowFn        func(QueryTrace)
 }
 
 // WithDTD supplies DTD text governing entity classification; without it the
@@ -514,11 +490,11 @@ func WithMaxInFlight(n int) Option {
 }
 
 // WithSlowQueryLog installs fn as the corpus's slow-query hook: every query
-// whose end-to-end latency reaches threshold is reported as a sanitized
-// SlowQuery after its response is ready. fn runs on the query's goroutine
-// and must not block. A zero threshold or nil fn — the default — disables
-// the hook.
-func WithSlowQueryLog(threshold time.Duration, fn func(SlowQuery)) Option {
+// whose end-to-end latency reaches threshold is reported after its response
+// is ready, as the QueryTrace RecentTraces would show for it plus the
+// query's tokenized Keywords. fn runs on the query's goroutine and must not
+// block. A zero threshold or nil fn — the default — disables the hook.
+func WithSlowQueryLog(threshold time.Duration, fn func(QueryTrace)) Option {
 	return func(c *loadConfig) error {
 		if threshold < 0 {
 			return fmt.Errorf("extract: negative slow-query threshold %v", threshold)

@@ -70,43 +70,6 @@ func (t *trace) add(st stage, d time.Duration) {
 	t.touched[st] = true
 }
 
-// QueryRecord describes one served query for the slow-query hook: the raw
-// query string, total and per-stage wall time, how the cache answered, and
-// the outcome. Hooks that persist records must sanitize Query themselves
-// (the facade logs tokenized keywords only, never the raw string).
-type QueryRecord struct {
-	// Query is the raw query string as received.
-	Query string
-	// TraceID is the query's trace ID, matching the /debug/traces entry.
-	TraceID telemetry.TraceID
-	// Total is the end-to-end wall time, the duration compared against the
-	// slow-query threshold.
-	Total time.Duration
-	// Stages maps stage name (admission, cache, dispatch, eval, snippet) to
-	// time spent there; stages the query never entered are absent.
-	Stages map[string]time.Duration
-	// Cache is the cache outcome: hit, miss, coalesced, or "" when the
-	// query failed before the probe (shed, empty).
-	Cache string
-	// Results is the number of results returned (0 on error).
-	Results int
-	// ErrKind classifies the failure — overload, timeout, canceled, panic,
-	// empty, other — or "" for success. The error text itself is withheld:
-	// panic messages can embed document values.
-	ErrKind string
-	// Hops lists the remote call attempts made on the query's behalf, in
-	// order, with per-attempt wire durations and the server-reported stage
-	// breakdown. Empty for local backends,
-	// cache hits, and coalesced followers (the leader's record carries the
-	// hops its computation made).
-	Hops []telemetry.HopSpan
-}
-
-// SlowQueryFunc receives one QueryRecord per query at least as slow as the
-// WithSlowQueries threshold. It runs on the query's goroutine after the
-// response is ready, so it must be fast and must not block.
-type SlowQueryFunc func(QueryRecord)
-
 // metricsSet holds the server's registered instruments. All fields are
 // pre-registered at construction so the hot path never takes the registry
 // lock.
@@ -118,9 +81,6 @@ type metricsSet struct {
 	// fallbacks counts the computed queries whose sharded merge went to the
 	// whole document (telemetry.SpanSink.NoteFallback).
 	fallbacks *telemetry.Counter
-
-	slowThreshold time.Duration
-	slowFn        SlowQueryFunc
 }
 
 // newMetrics registers the server's instruments in reg and adopts the
@@ -171,10 +131,9 @@ func newMetrics(reg *telemetry.Registry, s *Server) *metricsSet {
 	return m
 }
 
-// finish records one completed query: the total and per-stage histograms,
-// the outcome and error-kind counters, and — when the query was slow
-// enough and a hook is installed — the slow-query record.
-func (m *metricsSet) finish(tr *trace, query, outcome string, results int, err error, total time.Duration) {
+// finish records one completed query: the total and per-stage histograms
+// and the outcome and error-kind counters.
+func (m *metricsSet) finish(tr *trace, outcome, kind string, total time.Duration) {
 	m.total.Observe(total)
 	for st := stage(0); st < numStages; st++ {
 		if tr.touched[st] {
@@ -187,29 +146,9 @@ func (m *metricsSet) finish(tr *trace, query, outcome string, results int, err e
 	if tr.sink.Fallback() {
 		m.fallbacks.Inc()
 	}
-	kind := errKind(err)
 	if kind != "" {
 		m.errs[kind].Inc()
 	}
-	if m.slowFn == nil || total < m.slowThreshold {
-		return
-	}
-	stages := make(map[string]time.Duration, numStages)
-	for st := stage(0); st < numStages; st++ {
-		if tr.touched[st] {
-			stages[stageNames[st]] = tr.d[st]
-		}
-	}
-	m.slowFn(QueryRecord{
-		Query:   query,
-		TraceID: tr.sink.TraceID,
-		Total:   total,
-		Stages:  stages,
-		Cache:   outcome,
-		Results: results,
-		ErrKind: kind,
-		Hops:    tr.sink.Hops(),
-	})
 }
 
 // errKind classifies a query error into an extract_query_errors_total

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -110,15 +112,17 @@ func TestStatsMatchesRegistry(t *testing.T) {
 // TestSlowQueryHook pins the hook contract: every query at or above the
 // threshold is reported with its total, stage breakdown and cache outcome;
 // with a zero-effective threshold even a cache hit reports (with no
-// compute stages).
+// compute stages). The record is the trace ring's record plus the query's
+// tokenized keywords: the raw query string never leaves this package, and
+// the ring's copy of the same query carries no keywords at all.
 func TestSlowQueryHook(t *testing.T) {
 	sc := shard.Build(gen.Figure1Corpus(), 2)
-	var recs []QueryRecord
+	var recs []telemetry.QueryTrace
 	srv := New(sc, WithWorkers(2),
-		WithSlowQueries(time.Nanosecond, func(r QueryRecord) { recs = append(recs, r) }))
+		WithSlowQueries(time.Nanosecond, func(r telemetry.QueryTrace) { recs = append(recs, r) }))
 	defer srv.Close()
 
-	const q = "retailer texas"
+	const q = "Retailer, TEXAS!"
 	if _, _, err := srv.QueryContext(context.Background(), q, search.Options{}, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +133,29 @@ func TestSlowQueryHook(t *testing.T) {
 		t.Fatalf("hook fired %d times, want 2", len(recs))
 	}
 	miss, hit := recs[0], recs[1]
-	if miss.Query != q || miss.Cache != "miss" || miss.ErrKind != "" || miss.Results == 0 {
+	if miss.ID == 0 || miss.Cache != "miss" || miss.Err != "" || miss.Results == 0 || miss.Kept != "" {
 		t.Fatalf("miss record wrong: %+v", miss)
 	}
+	for _, r := range recs {
+		if !reflect.DeepEqual(r.Keywords, []string{"retailer", "texas"}) {
+			t.Fatalf("keywords = %q, want the tokenized query", r.Keywords)
+		}
+		rec := fmt.Sprintf("%+v", r)
+		for _, leak := range []string{q, "Retailer", "TEXAS", "!"} {
+			if strings.Contains(rec, leak) {
+				t.Fatalf("raw query text %q in the slow record: %s", leak, rec)
+			}
+		}
+	}
+	stageSet := func(r telemetry.QueryTrace) map[string]bool {
+		out := map[string]bool{}
+		for _, st := range r.Stages {
+			out[st.Name] = true
+		}
+		return out
+	}
 	for _, st := range []string{"admission", "cache", "dispatch", "eval", "snippet"} {
-		if _, ok := miss.Stages[st]; !ok {
+		if !stageSet(miss)[st] {
 			t.Errorf("miss record lacks stage %q: %v", st, miss.Stages)
 		}
 	}
@@ -144,9 +166,21 @@ func TestSlowQueryHook(t *testing.T) {
 		t.Fatalf("second query not a hit: %+v", hit)
 	}
 	for _, st := range []string{"dispatch", "eval", "snippet"} {
-		if _, ok := hit.Stages[st]; ok {
+		if stageSet(hit)[st] {
 			t.Errorf("hit record has compute stage %q", st)
 		}
+	}
+	// The first query is always sampled: the ring holds the miss under the
+	// same ID, without keywords.
+	var found bool
+	for _, qt := range srv.RecentTraces() {
+		if len(qt.Keywords) != 0 {
+			t.Fatalf("retained trace carries keywords: %+v", qt)
+		}
+		found = found || qt.ID == miss.ID
+	}
+	if !found {
+		t.Fatalf("trace %016x not retained", miss.ID)
 	}
 }
 
@@ -155,9 +189,9 @@ func TestSlowQueryHook(t *testing.T) {
 func TestSlowQueryErrKinds(t *testing.T) {
 	sc := shard.Build(gen.Figure1Corpus(), 2)
 	reg := telemetry.NewRegistry()
-	var recs []QueryRecord
+	var recs []telemetry.QueryTrace
 	srv := New(sc, WithWorkers(2), WithTelemetry(reg), WithMaxInFlight(1), WithQueryTimeout(time.Hour),
-		WithSlowQueries(time.Nanosecond, func(r QueryRecord) { recs = append(recs, r) }))
+		WithSlowQueries(time.Nanosecond, func(r telemetry.QueryTrace) { recs = append(recs, r) }))
 	defer srv.Close()
 
 	if _, err := srv.Do(context.Background(), "", search.Options{}, -1); err == nil {
@@ -167,7 +201,7 @@ func TestSlowQueryErrKinds(t *testing.T) {
 	if v := idx["extract_query_errors_total{kind=empty}"].Value; v != 1 {
 		t.Fatalf("empty-kind errors = %v, want 1", v)
 	}
-	if len(recs) != 1 || recs[0].ErrKind != "empty" {
+	if len(recs) != 1 || recs[0].Err != "empty" {
 		t.Fatalf("slow record for empty query: %+v", recs)
 	}
 	if strings.Contains(recs[0].Cache, "hit") {
@@ -206,5 +240,33 @@ func TestFallbackCounter(t *testing.T) {
 		if got := snapIndex(reg)[series].Value; got != step.want {
 			t.Fatalf("step %d %q: %s = %v, want %v", i, step.query, series, got, step.want)
 		}
+	}
+}
+
+// TestWarmHitAllocations pins what one cache hit allocates through Do on a
+// local backend with no slow-query hook: the query's trace, its parsed
+// terms and cache key, and nothing for the trace ring or the slow-query
+// record — the fill closure Do hands the ring must stay on the stack. The
+// ring is primed past its first lap, so sampled slots reuse their capacity.
+func TestWarmHitAllocations(t *testing.T) {
+	srv := New(shard.Build(gen.Figure1Corpus(), 2), WithWorkers(1))
+	defer srv.Close()
+	ctx := context.Background()
+	const q = "retailer texas"
+	for i := 0; i < traceSampleEvery*traceRingSize+traceSlowSize; i++ {
+		if _, err := srv.Do(ctx, q, search.Options{}, 6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := srv.Do(ctx, q, search.Options{}, 6); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Pinned exactly: more is a regression on every warm hit, fewer means
+	// the pin should move down with the change that earned it.
+	const want = 10
+	if allocs != want {
+		t.Errorf("a warm hit allocates %v objects, want %d", allocs, want)
 	}
 }

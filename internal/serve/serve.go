@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"extract/internal/core"
+	"extract/internal/index"
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
@@ -63,6 +64,11 @@ type Server struct {
 	// /debug/traces endpoint; always non-nil.
 	traces *telemetry.TraceRing
 
+	// slowFn receives the record of every query at least slowThreshold
+	// slow (WithSlowQueries); nil disables it.
+	slowThreshold time.Duration
+	slowFn        func(telemetry.QueryTrace)
+
 	// backend is the corpus being served, replaced whole by Swap.
 	backend atomic.Pointer[Backend]
 }
@@ -83,7 +89,7 @@ type config struct {
 	maxInFlight   int
 	reg           *telemetry.Registry
 	slowThreshold time.Duration
-	slowFn        SlowQueryFunc
+	slowFn        func(telemetry.QueryTrace)
 }
 
 // WithWorkers sets the worker-pool size (default GOMAXPROCS). The pool
@@ -145,10 +151,11 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 }
 
 // WithSlowQueries installs fn as the slow-query hook: every query whose
-// end-to-end latency reaches threshold is reported as a QueryRecord after
-// its response is ready. fn runs on the query's goroutine and must not
-// block.
-func WithSlowQueries(threshold time.Duration, fn SlowQueryFunc) Option {
+// end-to-end latency reaches threshold is reported after its response is
+// ready, as the same record the trace ring keeps plus the query's tokenized
+// Keywords — the raw query string never leaves this package. fn runs on the
+// query's goroutine and must not block.
+func WithSlowQueries(threshold time.Duration, fn func(telemetry.QueryTrace)) Option {
 	return func(c *config) {
 		if threshold > 0 && fn != nil {
 			c.slowThreshold, c.slowFn = threshold, fn
@@ -173,11 +180,13 @@ func New(b Backend, opts ...Option) *Server {
 		o(&cfg)
 	}
 	s := &Server{
-		pool:        NewPool(cfg.workers),
-		cache:       NewCache(cfg.cacheBytes),
-		timeout:     cfg.timeout,
-		maxInFlight: int64(cfg.maxInFlight),
-		traces:      telemetry.NewTraceRing(traceSampleEvery, traceRingSize, traceSlowSize),
+		pool:          NewPool(cfg.workers),
+		cache:         NewCache(cfg.cacheBytes),
+		timeout:       cfg.timeout,
+		maxInFlight:   int64(cfg.maxInFlight),
+		traces:        telemetry.NewTraceRing(traceSampleEvery, traceRingSize, traceSlowSize),
+		slowThreshold: cfg.slowThreshold,
+		slowFn:        cfg.slowFn,
 	}
 	s.backend.Store(&b)
 	reg := cfg.reg
@@ -185,7 +194,6 @@ func New(b Backend, opts ...Option) *Server {
 		reg = telemetry.NewRegistry()
 	}
 	s.metrics = newMetrics(reg, s)
-	s.metrics.slowThreshold, s.metrics.slowFn = cfg.slowThreshold, cfg.slowFn
 	// The pool's workers would otherwise pin a dropped Server's goroutines
 	// forever; a cleanup stops them when the Server becomes unreachable,
 	// so short-lived Servers (tests, tools) need no explicit Close.
@@ -295,26 +303,33 @@ func (s *Server) Do(ctx context.Context, query string, opts search.Options, boun
 	tr.sink.TraceID = telemetry.NextTraceID()
 	v, outcome, err := s.serveTraced(ctx, query, opts, bound, tr)
 	total := time.Since(start)
-	results := 0
+	results, kind := 0, errKind(err)
 	if v != nil {
 		results = len(v.Results)
 	}
-	s.metrics.finish(tr, query, outcome, results, err, total)
-	// The ring decides retention from total alone; an unretained query pays
-	// a mutex and a few compares here, nothing more.
-	s.traces.Record(total, func(qt *telemetry.QueryTrace) {
+	s.metrics.finish(tr, outcome, kind, total)
+	// One fill describes the query to the trace ring and the slow-query
+	// hook alike. The ring decides retention from total alone; an
+	// unretained query pays a mutex and a few compares here, nothing more.
+	fill := func(qt *telemetry.QueryTrace) {
 		qt.ID = tr.sink.TraceID
 		qt.Time = time.Now()
 		qt.Cache = outcome
 		qt.Results = results
-		qt.Err = errKind(err)
+		qt.Err = kind
 		for st := stage(0); st < numStages; st++ {
 			if tr.touched[st] {
-				qt.Stages = append(qt.Stages, telemetry.StageSpan{Name: stageNames[st], D: tr.d[st]})
+				qt.Stages = append(qt.Stages, telemetry.StageSpan{Name: stageNames[st], Duration: tr.d[st]})
 			}
 		}
 		qt.Hops = tr.sink.AppendHops(qt.Hops)
-	})
+	}
+	s.traces.Record(total, fill)
+	if s.slowFn != nil && total >= s.slowThreshold {
+		qt := telemetry.QueryTrace{Total: total, Keywords: index.Tokenize(query)}
+		fill(&qt)
+		s.slowFn(qt)
+	}
 	return v, err
 }
 

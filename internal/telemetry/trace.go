@@ -10,9 +10,9 @@ import (
 )
 
 // TraceID identifies one query end to end: it is minted when the query
-// enters the serving layer, stamped on slow-query log records, and indexes
-// the recent-trace ring, whose entry carries a routed query's hop spans. Zero means "no trace" (a background or pre-tracing
-// request).
+// enters the serving layer and carried by the query's record, whether the
+// recent-trace ring retains it or the slow-query hook receives it. Zero
+// means "no trace" (a background or pre-tracing request).
 type TraceID uint64
 
 // traceIDState seeds and sequences trace IDs: a random per-process base
@@ -44,7 +44,8 @@ func NextTraceID() TraceID {
 // A query that fails over leaves one span per attempt, so the failed
 // attempts and their causes stay visible next to the one that succeeded.
 type HopSpan struct {
-	// Kind is the remote call kind: eval, full, or stats.
+	// Kind is the remote call kind: eval, full or snippets. Calls made
+	// outside a query (trees, stats, complete) carry no trace.
 	Kind string
 	// Group is the replica-group label the call targeted ("0".."n-1", or
 	// "any" for calls that may be served by any replica).
@@ -78,18 +79,24 @@ type HopSpan struct {
 type StageSpan struct {
 	// Name is the stage name (admission, cache, dispatch, eval, snippet).
 	Name string
-	// D is the stage duration.
-	D time.Duration
+	// Duration is the time spent in the stage.
+	Duration time.Duration
 }
 
-// QueryTrace is one retained query trace: the local stage breakdown plus
-// every remote hop made on the query's behalf. Traces deliberately carry no
-// query text or keywords — they are safe to expose on a debug endpoint
-// without leaking what users searched for; correlate with the slow-query
-// log by ID when the query itself is needed.
+// QueryTrace is one served query's record: the local stage breakdown plus
+// every remote hop made on the query's behalf. The serving layer fills one
+// per query, for the recent-trace ring and for the slow-query hook alike.
+// It never carries the raw query string: the copy handed to the slow-query
+// hook carries the query's tokenized Keywords, and a trace the ring retains
+// carries none, so the ring is safe to expose on a debug endpoint without
+// leaking what users searched for — correlate with the slow-query log by
+// ID when the query itself is needed.
 type QueryTrace struct {
-	// ID is the query's trace ID, matching the slow-query record.
+	// ID is the query's trace ID.
 	ID TraceID
+	// Keywords are the query's tokenized, lowercased terms; set on the
+	// slow-query hook's record only, never on a retained trace.
+	Keywords []string
 	// Seq orders retained traces by admission to the ring (higher = newer).
 	Seq uint64
 	// Time is when the trace was recorded (query end).
@@ -98,16 +105,21 @@ type QueryTrace struct {
 	Total time.Duration
 	// Stages is the local per-stage breakdown, in execution order.
 	Stages []StageSpan
-	// Cache is the cache outcome: hit, miss or coalesced.
+	// Cache is the cache outcome: hit, miss, coalesced, or "" when the
+	// query failed before the probe (shed, empty).
 	Cache string
-	// Results is the number of results returned.
+	// Results is the number of results returned (0 on error).
 	Results int
-	// Err classifies the query error ("" on success).
+	// Err classifies the query error — overload, timeout, canceled, panic,
+	// empty, other — or is "" on success. The error text itself is
+	// withheld: panic messages can embed document values.
 	Err string
-	// Kept says why the ring retained this trace: "sampled" or "slow".
+	// Kept says why the ring retained this trace: "sampled" or "slow"; ""
+	// on the slow-query hook's record.
 	Kept string
 	// Hops lists the remote call attempts made for this query, in order.
-	// Empty for local-only backends and cache hits.
+	// Empty for local-only backends, cache hits and coalesced followers
+	// (the computing leader's record carries the hops).
 	Hops []HopSpan
 }
 

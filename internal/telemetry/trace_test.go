@@ -101,7 +101,7 @@ func TestTraceRingReusesSlotCapacity(t *testing.T) {
 	r := NewTraceRing(1, 1, 0)
 	r.Record(time.Millisecond, func(qt *QueryTrace) {
 		qt.Hops = append(qt.Hops, HopSpan{Replica: "a"}, HopSpan{Replica: "b"})
-		qt.Stages = append(qt.Stages, StageSpan{Name: "eval", D: time.Millisecond})
+		qt.Stages = append(qt.Stages, StageSpan{Name: "eval", Duration: time.Millisecond})
 	})
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Record(time.Millisecond, func(qt *QueryTrace) {

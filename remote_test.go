@@ -343,9 +343,9 @@ func TestRoutedQueryTracing(t *testing.T) {
 	seedCorpus.Close()
 
 	addrs, _ := startShardTier(t, snapDir, 2, 1)
-	var records []SlowQuery
+	var records []QueryTrace
 	rc, err := Connect(snapDir, addrs, WithQueryCache(0),
-		WithSlowQueryLog(time.Nanosecond, func(q SlowQuery) { records = append(records, q) }))
+		WithSlowQueryLog(time.Nanosecond, func(q QueryTrace) { records = append(records, q) }))
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}

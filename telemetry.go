@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"extract/internal/index"
 	"extract/internal/serve"
 	"extract/internal/telemetry"
 )
@@ -15,38 +14,6 @@ import (
 // histograms, cache and failure counters) and by the reload paths, exported
 // in Prometheus text format by WriteMetrics and read programmatically with
 // QueryLatencies. See OBSERVABILITY.md for the metric-by-metric reference.
-
-// SlowQuery describes one query that crossed the WithSlowQueryLog
-// threshold. It is sanitized for logging: Keywords are the query's
-// lowercased tokens (never the raw query string), and Err is an error
-// class, never an error message — nothing document- or value-derived can
-// leak into a log line.
-type SlowQuery struct {
-	// Keywords are the query's tokenized, lowercased terms.
-	Keywords []string
-	// TraceID identifies the query end to end: the same ID indexes the
-	// RecentTraces ring, whose entry holds a routed query's hop spans. Zero
-	// only for records produced before tracing existed.
-	TraceID uint64
-	// Duration is the end-to-end wall time.
-	Duration time.Duration
-	// Stages maps lifecycle stage (admission, cache, dispatch, eval,
-	// snippet) to time spent there; stages the query never entered are
-	// absent (a cache hit has no dispatch/eval/snippet).
-	Stages map[string]time.Duration
-	// Cache is the cache outcome: hit, miss, coalesced, or "" when the
-	// query failed before the cache probe.
-	Cache string
-	// Results is the number of results returned (0 on error).
-	Results int
-	// Err classifies a failure — overload, timeout, canceled, panic,
-	// empty, other — or is "" for success.
-	Err string
-	// Hops lists the remote call attempts made on the query's behalf, in
-	// order. Empty for local backends, cache hits, and coalesced followers
-	// (the computing leader's record carries the hops).
-	Hops []Hop
-}
 
 // Hop describes one remote call attempt a routed query made: which replica
 // was asked, whether it was a failover retry, the client-observed wire
@@ -99,59 +66,71 @@ func hopsFromInternal(hops []telemetry.HopSpan) []Hop {
 	return out
 }
 
-// sanitizeSlowQuery converts the serving layer's record into the facade's
-// logging-safe form: the raw query string is tokenized the same way the
-// index tokenizes documents, and only the tokens are kept.
-func sanitizeSlowQuery(r serve.QueryRecord) SlowQuery {
-	return SlowQuery{
-		Keywords: index.Tokenize(r.Query),
-		TraceID:  uint64(r.TraceID),
-		Duration: r.Total,
-		Stages:   r.Stages,
-		Cache:    r.Cache,
-		Results:  r.Results,
-		Err:      r.ErrKind,
-		Hops:     hopsFromInternal(r.Hops),
-	}
-}
-
-// QueryTrace is one retained query trace from the serving layer's
-// recent-trace ring: the local stage breakdown plus every remote hop made
-// on the query's behalf. Traces deliberately carry no query text or
-// keywords — they are safe to expose on a debug endpoint without leaking
-// what users searched for; correlate with the slow-query log by TraceID
-// when the query itself is needed.
+// QueryTrace is one served query's record, the same whether the
+// recent-trace ring retained it (RecentTraces) or it crossed the
+// WithSlowQueryLog threshold: the local stage breakdown plus every remote
+// hop made on the query's behalf. It is safe to log or expose: it never
+// carries the raw query string, and Err is an error class, never an error
+// message — nothing document- or value-derived can leak. A slow-query
+// record carries the query's tokenized Keywords; a retained trace carries
+// none, so a debug endpoint serving traces leaks nothing of what users
+// searched for — correlate with the slow-query log by TraceID when the
+// query itself is needed.
 type QueryTrace struct {
-	// TraceID matches the slow-query record.
+	// TraceID identifies the query end to end: a slow-query record and the
+	// retained trace of the same query carry the same ID.
 	TraceID uint64
-	// Time is when the trace was recorded (query end).
+	// Keywords are the query's tokenized, lowercased terms, on a
+	// slow-query record only; nil on a retained trace.
+	Keywords []string
+	// Time is when the query finished.
 	Time time.Time
-	// Total is the end-to-end serve duration.
+	// Total is the end-to-end serve duration, the one compared against the
+	// slow-query threshold.
 	Total time.Duration
 	// Stages is the local per-stage breakdown (admission, cache, dispatch,
 	// eval, snippet) in execution order; stages the query never entered are
-	// absent.
+	// absent (a cache hit has no dispatch, eval or snippet).
 	Stages []TraceStage
-	// Cache is the cache outcome: hit, miss or coalesced.
+	// Cache is the cache outcome: hit, miss, coalesced, or "" when the
+	// query failed before the cache probe.
 	Cache string
-	// Results is the number of results returned.
+	// Results is the number of results returned (0 on error).
 	Results int
-	// Err classifies the query error ("" on success).
+	// Err classifies a failure — overload, timeout, canceled, panic,
+	// empty, other — or is "" for success.
 	Err string
 	// Kept says why the ring retained this trace: "sampled" (the steady
-	// one-in-N sample of traffic) or "slow" (among the slowest seen).
+	// one-in-N sample of traffic) or "slow" (among the slowest seen); ""
+	// on a slow-query record.
 	Kept string
 	// Hops lists the remote call attempts made for this query, in order.
-	// Empty for local backends and cache hits.
+	// Empty for local backends, cache hits and coalesced followers (the
+	// computing leader's record carries the hops).
 	Hops []Hop
 }
 
-// TraceStage is one named local stage timing inside a QueryTrace.
-type TraceStage struct {
-	// Name is the stage name (admission, cache, dispatch, eval, snippet).
-	Name string
-	// Duration is the time spent in the stage.
-	Duration time.Duration
+// TraceStage is one named local stage timing inside a QueryTrace: Name is
+// the stage (admission, cache, dispatch, eval, snippet), Duration the time
+// spent there.
+type TraceStage = telemetry.StageSpan
+
+// traceFromInternal converts the serving layer's query record to the
+// facade's. Its slices are the caller's own already (a ring snapshot is a
+// deep copy, a slow-query record is filled fresh), so Stages is shared.
+func traceFromInternal(qt telemetry.QueryTrace) QueryTrace {
+	return QueryTrace{
+		TraceID:  uint64(qt.ID),
+		Keywords: qt.Keywords,
+		Time:     qt.Time,
+		Total:    qt.Total,
+		Stages:   qt.Stages,
+		Cache:    qt.Cache,
+		Results:  qt.Results,
+		Err:      qt.Err,
+		Kept:     qt.Kept,
+		Hops:     hopsFromInternal(qt.Hops),
+	}
 }
 
 // RecentTraces snapshots the corpus's retained query traces, newest first:
@@ -162,21 +141,7 @@ func (c *Corpus) RecentTraces() []QueryTrace {
 	traces := c.server().RecentTraces()
 	out := make([]QueryTrace, len(traces))
 	for i, qt := range traces {
-		stages := make([]TraceStage, len(qt.Stages))
-		for j, st := range qt.Stages {
-			stages[j] = TraceStage{Name: st.Name, Duration: st.D}
-		}
-		out[i] = QueryTrace{
-			TraceID: uint64(qt.ID),
-			Time:    qt.Time,
-			Total:   qt.Total,
-			Stages:  stages,
-			Cache:   qt.Cache,
-			Results: qt.Results,
-			Err:     qt.Err,
-			Kept:    qt.Kept,
-			Hops:    hopsFromInternal(qt.Hops),
-		}
+		out[i] = traceFromInternal(qt)
 	}
 	return out
 }

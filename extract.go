@@ -84,15 +84,16 @@ type corpusData struct {
 }
 
 // rankedBackend is what serves one corpus generation: the serving layer's
-// corpus interface plus the corpus-wide statistics ranking reads and the
-// keyword completion Suggest reads. *shard.Corpus and *remote.Router are the
-// two implementations.
+// corpus interface plus the relevance scorer ranking reads and the keyword
+// completion Suggest reads. *shard.Corpus and *remote.Router are the two
+// implementations, and the only backends the serving layer holds, so a
+// served answer's Backend ranks it on the generation that produced it —
+// during a reload, not necessarily the corpus's current one.
 type rankedBackend interface {
 	serve.Backend
-	// Count returns a keyword's corpus-wide document frequency.
-	Count(keyword string) int
-	// TotalElements returns the corpus's element count.
-	TotalElements() int
+	// Scorer returns the relevance scorer of a query of term keys keys over
+	// the corpus-wide statistics; only a remote fetch of them fails.
+	Scorer(ctx context.Context, keys []string) (*rank.Scorer, error)
 	// CompletePrefix returns up to k keywords starting with prefix, most
 	// frequent first.
 	CompletePrefix(prefix string, k int) []string
@@ -840,7 +841,9 @@ func WithTrimmedResults() SearchOption {
 
 // WithRanking orders results by relevance (IDF-weighted, depth-decayed
 // keyword scores) instead of document order. Snippets complement ranking,
-// per the paper; this supplies the ranking side.
+// per the paper; this supplies the ranking side. On a remote corpus the
+// statistics it reads come from the shard servers, and a query whose fetch
+// fails on every replica fails with that remote error, even on a cache hit.
 func WithRanking() SearchOption {
 	return func(c *searchConfig) { c.ranked = true }
 }
@@ -957,7 +960,12 @@ func (c *Corpus) SearchContext(ctx context.Context, query string, opts ...Search
 	if cfg.ranked {
 		// Ranking sorts in place, so it works on a private copy.
 		rs = append([]*search.Result(nil), rs...)
-		scores = scorerFor(v.Backend).Sort(rs, search.TermKeys(query))
+		keys := search.TermKeys(query)
+		scorer, err := v.Backend.(rankedBackend).Scorer(ctx, keys)
+		if err != nil {
+			return nil, err
+		}
+		scores = scorer.Sort(rs, keys)
 	}
 	out := make([]*Result, len(rs))
 	for i, r := range rs {
@@ -967,18 +975,6 @@ func (c *Corpus) SearchContext(ctx context.Context, query string, opts ...Search
 		}
 	}
 	return out, nil
-}
-
-// scorerFor builds the relevance scorer over the global document
-// frequencies of the corpus generation behind one serving backend — the
-// generation that produced the results being ranked, which during a reload
-// is not necessarily the corpus's current one.
-func scorerFor(b serve.Backend) *rank.Scorer {
-	// The serving layer only ever holds what corpusData.backend handed it.
-	// Either implementation caches its totals per generation (a router
-	// fetches them from the serving tier), so a scorer is cheap to build.
-	rb := b.(rankedBackend)
-	return rank.NewScorerFunc(rb.Count, rb.TotalElements())
 }
 
 // SnippetOption configures snippet generation.
@@ -1121,8 +1117,11 @@ func (c *Corpus) QueryContext(ctx context.Context, query string, bound int, opts
 		}
 	}
 	if cfg.ranked {
-		scorer := scorerFor(v.Backend)
 		keys := search.TermKeys(query)
+		scorer, err := v.Backend.(rankedBackend).Scorer(ctx, keys)
+		if err != nil {
+			return nil, err
+		}
 		for _, h := range hits {
 			h.Result.score = scorer.Score(h.Result.r, keys)
 		}

@@ -663,15 +663,15 @@ func (c *cursor) scanResult() treeRecord {
 	return treeRecord{enc: c.data[start:c.off:c.off], nodes: total}
 }
 
-// build materializes the record on a copy of its bytes, which the built tree
-// is the only holder of.
-func (t treeRecord) build() *search.Result { return buildResult(string(t.enc)) }
+// build materializes the record over the payload it arrived in, uncopied.
+func (t treeRecord) build() *search.Result { return buildResult(unsafeString(t.enc)) }
 
 // buildResult materializes a scanned tree record as a finalized document of
 // its own (buildNodes, then xmltree.AdoptFinalized). Every label, value and
-// match keyword is a substring of enc, so the built tree pins nothing but
-// that one string. Anchor is the rebuilt root and Matches point into the
-// rebuilt tree, preserving the relative depths the ranking scorer reads.
+// match keyword is a substring of enc — of a routed tree's response payload,
+// which nothing may reuse once records alias it (readFrame). Anchor is the
+// rebuilt root and Matches point into the rebuilt tree, preserving the
+// relative depths the ranking scorer reads.
 //
 // The wire carries every string inline, so the symbol ids (Node.Sym) are
 // interned here, as NewDocument would (a result has few distinct strings next
@@ -697,8 +697,8 @@ func buildResult(enc string) *search.Result {
 	return r
 }
 
-// unsafeString views b as a string without copying: for reading a range the
-// scan has validated.
+// unsafeString views b as a string without copying: for a range the scan has
+// validated, of a payload nothing writes to.
 func unsafeString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // wholeShard is the shard of a handle into the whole document (the
@@ -723,8 +723,8 @@ type handle struct {
 // The ranges alias the payload they were scanned from, which outlives the
 // exchange: the connection is back in its pool — possibly reading its next
 // frame — before they are taken. So a payload is never a connection's read
-// buffer; the query holds it (routedRounds.hold) until its answer has copied
-// out everything it keeps, and only then returns it to the frame pool.
+// buffer but its own allocation, which nothing may reuse once records alias
+// it (readFrame); the collector frees it with the query.
 type scanned struct {
 	at     handle
 	nodes  int    // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
@@ -941,12 +941,12 @@ func (c *cursor) scanSnippet() []byte {
 	return c.data[start:c.off:c.off]
 }
 
-// buildSnippet materializes a scanned snippet record: one copy of the record,
-// which every string of the tree and the IList is a substring of, plus the
-// node slab and the lists. kws and bound are the request's, as the local
-// generator records them.
+// buildSnippet materializes a scanned snippet record over the payload it
+// arrived in, which nothing may reuse once records alias it (readFrame):
+// every string of the tree and the IList is a substring of rec. kws and
+// bound are the request's, as the local generator records them.
 func buildSnippet(rec []byte, kws []string, bound int) *core.Generated {
-	v := validated{text: string(rec)}
+	v := validated{text: unsafeString(rec)}
 	root := v.buildNodes(nil)[0]
 	sn := &selector.Snippet{Root: root, Edges: v.uvarint()}
 	il := &ilist.IList{Items: make([]ilist.Item, v.uvarint())}

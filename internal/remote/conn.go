@@ -84,42 +84,15 @@ type wireConn struct {
 	bw *bufio.Writer
 }
 
-// roundTrip sends one request and returns the reply's type and payload,
-// read into buf when it fits.
-func (c *wireConn) roundTrip(t msgType, payload, buf []byte) (msgType, []byte, error) {
+// roundTrip sends one request and returns the reply's type and payload.
+func (c *wireConn) roundTrip(t msgType, payload []byte) (msgType, []byte, error) {
 	if err := writeFrame(c.bw, t, payload); err != nil {
 		return 0, nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return 0, nil, err
 	}
-	return readFrameInto(c.br, buf)
-}
-
-// maxPooledFrame bounds the response payloads framePool keeps: the
-// megabytes of a whole-document result's tree are left to the collector.
-const maxPooledFrame = 1 << 20
-
-// framePool recycles the router's response payloads. A payload is released
-// (putFrame) as soon as nothing aliases it: at once for the answers decoded
-// in full — statistics, completions, trees, whose records are copied — and
-// at the end of a query for the eval and full answers whose scanned ranges
-// live until the query has copied out what it keeps.
-var framePool sync.Pool // of *[]byte
-
-func getFrame() []byte {
-	if p, ok := framePool.Get().(*[]byte); ok {
-		return *p
-	}
-	return nil
-}
-
-func putFrame(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledFrame {
-		return
-	}
-	b = b[:0]
-	framePool.Put(&b)
+	return readFrame(c.br)
 }
 
 // handshake reads the server greeting, an empty frame. A peer of another
@@ -240,11 +213,11 @@ func (r *replica) close() {
 }
 
 // call performs one request/response exchange with this replica. It
-// returns exactly one of: the response payload of type want — read into a
-// pooled buffer the caller releases (putFrame) — a decoded server-side error
-// classification, or a call error. Cancellation is enforced on the blocking
-// socket I/O by poisoning the connection deadline when ctx fires; a context
-// failure propagates as the context's error, not a replica failure.
+// returns exactly one of: the response payload of type want, a decoded
+// server-side error classification, or a call error. Cancellation is
+// enforced on the blocking socket I/O by poisoning the connection deadline
+// when ctx fires; a context failure propagates as the context's error, not a
+// replica failure.
 func (r *replica) call(ctx context.Context, t msgType, payload []byte, want msgType) ([]byte, *errMsg, error) {
 	if faultinject.Enabled() {
 		if err := faultinject.FireTag(faultinject.RemoteSend, r.addr); err != nil {
@@ -261,7 +234,7 @@ func (r *replica) call(ctx context.Context, t msgType, payload []byte, want msgT
 		return nil, nil, &RemoteError{Addr: r.addr, Kind: callErrKind(err), Err: err}
 	}
 	stop := context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Unix(1, 0)) })
-	rt, resp, err := c.roundTrip(t, payload, getFrame())
+	rt, resp, err := c.roundTrip(t, payload)
 	interrupted := !stop()
 	if err != nil {
 		c.nc.Close()
@@ -281,14 +254,12 @@ func (r *replica) call(ctx context.Context, t msgType, payload []byte, want msgT
 	r.noteSuccess()
 	if rt == msgError {
 		em, derr := decodeErrMsg(resp)
-		putFrame(resp)
 		if derr != nil {
 			return nil, nil, &RemoteError{Addr: r.addr, Kind: ErrKindProtocol, Err: derr}
 		}
 		return nil, &em, nil
 	}
 	if rt != want {
-		putFrame(resp)
 		return nil, nil, &RemoteError{Addr: r.addr, Kind: ErrKindProtocol,
 			Msg: fmt.Sprintf("response type %d, want %d", rt, want)}
 	}

@@ -254,7 +254,6 @@ func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Rou
 	genLocal := core.NewGenerator(sc.Analysis())
 	genRemote := core.NewGenerator(rt.Analysis())
 	scorerLocal := rank.NewScorerFunc(sc.Count, sc.TotalElements())
-	scorerRemote := rank.NewScorerFunc(rt.Count, rt.TotalElements())
 	const bound = 10
 	for _, opts := range options {
 		for _, q := range queries {
@@ -284,6 +283,10 @@ func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Rou
 				}
 			}
 			keys := queryKeys(q)
+			scorerRemote, err := rt.Scorer(ctx, keys)
+			if err != nil {
+				t.Fatalf("%s: remote scorer: %v", label, err)
+			}
 			wantScores := scorerLocal.Sort(want, keys)
 			gotScores := scorerRemote.Sort(got, keys)
 			for i := range got {

@@ -14,6 +14,7 @@ import (
 	"extract/internal/core"
 	"extract/internal/index"
 	"extract/internal/ingest"
+	"extract/internal/rank"
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
@@ -78,8 +79,9 @@ type placement struct {
 	byGroup     [][]uint32 // group → its shard indices, ascending
 
 	// stats caches the corpus-wide ranking statistics (document frequency
-	// per keyword, total element count) fetched from the serving tier;
-	// one cache per generation, so a reload never serves stale counts.
+	// per keyword, up to maxCachedStats, total element count) fetched from
+	// the serving tier; one cache per generation, so a reload never serves
+	// stale counts.
 	stats struct {
 		sync.Mutex
 		df    map[string]int
@@ -270,14 +272,13 @@ func ctxTimeoutMillis(ctx context.Context) uint64 {
 // server-reported stage breakdown from it, then hands the body to decode,
 // the call site's payload decoder, whose failure is itself grounds for
 // failover. Only context failures and genuine query classifications end the
-// loop early. A decoded payload goes to hold when the decoder kept ranges of
-// it, and back to the frame pool otherwise.
+// loop early.
 //
 // group labels the call's metrics, and every attempt — failed or not — is
 // appended as a hop span to the query's SpanSink when the context carries
 // one, so a slow or failed-over query can be attributed to the exact
 // replica, attempt and server-side stage afterwards.
-func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic.Uint32, kind, group string, t msgType, payload []byte, want msgType, fingerprint uint64, decode func(body []byte) error, hold func(payload []byte)) error {
+func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic.Uint32, kind, group string, t msgType, payload []byte, want msgType, fingerprint uint64, decode func(body []byte) error) error {
 	start := time.Now()
 	outcome := "error"
 	defer func() {
@@ -345,11 +346,6 @@ func (rt *Router) groupCall(ctx context.Context, replicas []*replica, rr *atomic
 		}
 		if err == nil {
 			err = decode(body)
-		}
-		if err != nil || hold == nil {
-			putFrame(resp)
-		} else {
-			hold(resp)
 		}
 		if err != nil {
 			kind := ErrKindProtocol
@@ -451,7 +447,6 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 		return nil, nil, search.ErrEmptyQuery
 	}
 	r := &routedRounds{rt: rt, pl: pl, query: query, terms: len(terms), opts: opts, run: run}
-	defer r.release()
 	winners, err := shard.Merge(ctx, opts, r)
 	if err != nil {
 		return nil, nil, err
@@ -497,24 +492,6 @@ type routedRounds struct {
 	run   shard.Runner
 
 	shipped int // results scanned out of this query's responses
-
-	// frames are the response payloads the scanned ranges alias, released
-	// to the frame pool once the answer has copied out what it keeps.
-	mu     sync.Mutex
-	frames [][]byte
-}
-
-func (r *routedRounds) hold(payload []byte) {
-	r.mu.Lock()
-	r.frames = append(r.frames, payload)
-	r.mu.Unlock()
-}
-
-func (r *routedRounds) release() {
-	for _, f := range r.frames {
-		putFrame(f)
-	}
-	r.frames = nil
 }
 
 // Eval asks every group for its shard subset's partials: per shard its digest
@@ -540,7 +517,7 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 				}
 				resps[g] = resp
 				return nil
-			}, r.hold)
+			})
 		}
 	}
 	if err := fanOut(r.run, calls); err != nil {
@@ -568,7 +545,7 @@ func (r *routedRounds) Whole(ctx context.Context) ([]scanned, error) {
 		}
 		results = rs
 		return nil
-	}, r.hold)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -662,7 +639,7 @@ func (rt *Router) byHandle(ctx context.Context, pl *placement, run shard.Runner,
 			replicas, rr, label = rt.groups[g].replicas, &rt.groups[g].rr, strconv.Itoa(g)
 		}
 		calls[g] = func() error {
-			return rt.groupCall(ctx, replicas, rr, kind, label, t, payload, want, pl.fingerprint, func(body []byte) error { return decode(body, idx) }, nil)
+			return rt.groupCall(ctx, replicas, rr, kind, label, t, payload, want, pl.fingerprint, func(body []byte) error { return decode(body, idx) })
 		}
 	}
 	return fanOut(run, calls)
@@ -801,42 +778,66 @@ func shardEchoErr(want []uint32) error {
 	return protocolErrf("response does not cover exactly the requested shards %v", want)
 }
 
-// statsFor fetches (and caches, per generation) the corpus-wide ranking
-// statistics of placement pl for one keyword. Any replica on pl's generation
-// can answer; a failure returns zero counts, degrading ranking for the query
-// rather than failing it.
-func (rt *Router) statsFor(pl *placement, keyword string) (df, total int) {
+// maxCachedStats bounds a generation's cached document frequencies: a full
+// cache is cleared before the next keyword is added.
+const maxCachedStats = 4096
+
+// stats returns the corpus-wide document frequency of each of keys and the
+// element count of pl's generation: from its cache, fetching what it lacks
+// in one stats call any replica on pl's generation answers, within ctx and
+// never longer than backgroundCallTimeout. A failure is returned, never
+// counted as zero.
+func (rt *Router) stats(ctx context.Context, pl *placement, keys []string) (map[string]int, int, error) {
+	df := make(map[string]int, len(keys))
+	var missing []string
 	pl.stats.Lock()
-	cachedDF, ok := pl.stats.df[keyword]
-	cachedTotal := pl.stats.total
-	pl.stats.Unlock()
-	if ok && cachedTotal > 0 {
-		return cachedDF, cachedTotal
+	for _, k := range keys {
+		n, ok := pl.stats.df[k]
+		if !ok {
+			missing = append(missing, k)
+		}
+		df[k] = n
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), backgroundCallTimeout)
+	total := pl.stats.total
+	pl.stats.Unlock()
+	if len(missing) == 0 && total > 0 {
+		return df, total, nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, backgroundCallTimeout)
 	defer cancel()
 	var sr statsResp
 	err := rt.groupCall(ctx, rt.all, &rt.allRR, "stats", "any", msgStats,
-		encodeStatsReq(statsReq{keywords: []string{keyword}}), msgStatsResp, pl.fingerprint, func(body []byte) error {
-			resp, err := decodeStatsResp(body)
-			if err != nil {
-				return err
+		encodeStatsReq(statsReq{keywords: missing}), msgStatsResp, pl.fingerprint, func(body []byte) (err error) {
+			if sr, err = decodeStatsResp(body); err == nil && len(sr.counts) != len(missing) {
+				err = protocolErrf("stats response with %d counts, want %d", len(sr.counts), len(missing))
 			}
-			if len(resp.counts) != 1 {
-				return protocolErrf("stats response with %d counts, want 1", len(resp.counts))
-			}
-			sr = resp
-			return nil
-		}, nil)
+			return err
+		})
 	if err != nil {
-		return 0, cachedTotal
+		return nil, 0, err
 	}
-	df, total = int(sr.counts[0]), int(sr.totalElements)
 	pl.stats.Lock()
-	pl.stats.df[keyword] = df
-	pl.stats.total = total
-	pl.stats.Unlock()
-	return df, total
+	defer pl.stats.Unlock()
+	pl.stats.total = int(sr.totalElements)
+	for i, k := range missing {
+		if len(pl.stats.df) >= maxCachedStats {
+			clear(pl.stats.df)
+		}
+		df[k] = int(sr.counts[i])
+		pl.stats.df[k] = df[k]
+	}
+	return df, pl.stats.total, nil
+}
+
+// Scorer returns the relevance scorer of a ranked query of term keys keys
+// over the current generation's statistics (stats): a failed fetch is the
+// query's error, never a scorer over zero counts.
+func (rt *Router) Scorer(ctx context.Context, keys []string) (*rank.Scorer, error) {
+	df, total, err := rt.stats(ctx, rt.place.Load(), keys)
+	if err != nil {
+		return nil, err
+	}
+	return rank.NewScorerFunc(func(keyword string) int { return df[keyword] }, total), nil
 }
 
 // CompletePrefix returns up to k indexed keywords starting with prefix, most
@@ -861,35 +862,20 @@ func (rt *Router) CompletePrefix(prefix string, k int) []string {
 			}
 			kws = resp
 			return nil
-		}, nil)
+		})
 	if err != nil {
 		return nil
 	}
 	return kws
 }
 
-// Count returns the corpus-wide document frequency of one keyword — the
-// ranking scorer's df input, fetched from the serving tier and cached per
-// generation.
-func (rt *Router) Count(keyword string) int {
-	df, _ := rt.statsFor(rt.place.Load(), keyword)
-	return df
-}
-
-// TotalElements returns the corpus-wide element count — the ranking
-// scorer's N, fetched from the serving tier and cached per generation.
-func (rt *Router) TotalElements() int {
-	_, total := rt.statsFor(rt.place.Load(), "")
-	return total
-}
-
 // Stats returns the analysis and the corpus-wide element count of one
 // generation, read from one placement — what a remote corpus's summary
 // reports, which must not pair one generation's classification with
-// another's totals.
+// another's totals. A failed fetch reports 0 elements.
 func (rt *Router) Stats() (analysis *core.Corpus, totalElements int) {
 	pl := rt.place.Load()
-	_, total := rt.statsFor(pl, "")
+	_, total, _ := rt.stats(context.Background(), pl, nil)
 	return pl.analysis, total
 }
 

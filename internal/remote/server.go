@@ -236,16 +236,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Responses are encoded into a buffer this connection owns and reuses:
 	// the exchange is strictly request/response, so the previous response has
 	// been flushed before the next is encoded.
-	var enc, req []byte
+	var enc []byte
 	for {
-		// Requests are decoded in full — every string copied out — before the
-		// reply, so one read buffer serves the connection too.
-		t, payload, err := readFrameInto(br, req)
+		t, payload, err := readFrame(br)
 		if err != nil {
 			return
-		}
-		if cap(payload) <= maxKeptEncode {
-			req = payload
 		}
 		if faultinject.Enabled() {
 			if err := faultinject.FireTag(faultinject.RemoteServe, s.tag); err != nil {

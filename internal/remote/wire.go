@@ -127,12 +127,10 @@ func writeFrame(w io.Writer, t msgType, payload []byte) error {
 
 // readFrame reads one framed message, validating magic, version, length
 // and checksum before returning the payload. Malformed frames return a
-// *ProtocolError; a cleanly closed connection returns io.EOF.
-func readFrame(r io.Reader) (msgType, []byte, error) { return readFrameInto(r, nil) }
-
-// readFrameInto is readFrame reading the payload into buf when it is large
-// enough, and into a fresh allocation otherwise.
-func readFrameInto(r io.Reader, buf []byte) (msgType, []byte, error) {
+// *ProtocolError; a cleanly closed connection returns io.EOF. The payload is
+// a fresh allocation the collector owns: records built over it alias it, so
+// nothing may reuse it.
+func readFrame(r io.Reader) (msgType, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
@@ -154,11 +152,7 @@ func readFrameInto(r io.Reader, buf []byte) (msgType, []byte, error) {
 	if n > maxFramePayload {
 		return 0, nil, protocolErrf("frame payload length %d exceeds cap %d", n, maxFramePayload)
 	}
-	payload := buf[:0]
-	if cap(payload) < int(n) {
-		payload = make([]byte, n)
-	}
-	payload = payload[:n]
+	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, protocolErrf("truncated frame payload: %v", err)
 	}

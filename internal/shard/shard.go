@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"sync"
 
 	"extract/internal/classify"
@@ -8,6 +9,7 @@ import (
 	"extract/internal/dtd"
 	"extract/internal/index"
 	"extract/internal/keys"
+	"extract/internal/rank"
 	"extract/xmltree"
 )
 
@@ -215,6 +217,12 @@ func (sc *Corpus) Count(keyword string) int {
 		total -= rootShards - 1
 	}
 	return total
+}
+
+// Scorer returns the relevance scorer over the corpus's in-memory counts
+// (Count, TotalElements). It never fails; a router's Scorer can.
+func (sc *Corpus) Scorer(ctx context.Context, keys []string) (*rank.Scorer, error) {
+	return rank.NewScorerFunc(sc.Count, sc.TotalElements()), nil
 }
 
 // DistinctKeywords returns the size of the union of the shard vocabularies,

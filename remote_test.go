@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -491,5 +492,151 @@ func TestRoutedHitBuildsItsTreeOnce(t *testing.T) {
 	}
 	if must(again[0].Result.Root()) != roots[0] {
 		t.Fatal("a replay of the entry built the tree again")
+	}
+}
+
+// connectStores saves the stores fixture as a three-shard snapshot, serves it
+// from two single-replica groups and returns the local corpus it was saved
+// from and a corpus connected to the tier with opts.
+func connectStores(t *testing.T, opts ...Option) (local, rc *Corpus) {
+	t.Helper()
+	doc := gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11})
+	local, err := LoadString(xmltree.XMLString(doc.Root), WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(local.Close)
+	dir := t.TempDir()
+	if err := local.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	addrs, _ := startShardTier(t, dir, 2, 1)
+	rc, err = Connect(dir, addrs, opts...)
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	t.Cleanup(rc.Close)
+	return local, rc
+}
+
+// remoteCalls sums a connected corpus's extract_remote_calls_total series of
+// one call kind, over outcomes and groups.
+func remoteCalls(t *testing.T, rc *Corpus, kind string) int {
+	t.Helper()
+	var buf strings.Builder
+	if err := rc.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, "extract_remote_calls_total{") || !strings.Contains(line, `kind="`+kind+`"`) {
+			continue
+		}
+		n, err := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		total += n
+	}
+	return total
+}
+
+// TestRankedQueryFailsWhenStatisticsFail: ranking a routed answer reads the
+// corpus-wide statistics from the tier, and a query that cannot fetch them
+// fails with the classified remote error after one stats call — a cache hit
+// too, which evaluates nothing — rather than ordering by zero counts. Once the
+// tier answers again, the ranked hits and scores are the local corpus's.
+func TestRankedQueryFailsWhenStatisticsFail(t *testing.T) {
+	defer faultinject.Reset()
+	local, rc := connectStores(t)
+	const q, bound = "store texas", 8
+	if _, err := rc.Query(q, bound); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.Search(q); err != nil {
+		t.Fatal(err)
+	}
+
+	sendErr := errors.New("injected send failure")
+	faultinject.SetTag(faultinject.RemoteSend, func(string) error { return sendErr })
+	cached, _ := rc.QueryCacheStats()
+	statsBefore := remoteCalls(t, rc, "stats")
+	_, err := rc.Query(q, bound, WithRanking())
+	var re *remote.RemoteError
+	if !errors.As(err, &re) || !errors.Is(err, sendErr) {
+		t.Fatalf("ranked query during a stats outage: %v, want the classified send failure", err)
+	}
+	if st, _ := rc.QueryCacheStats(); st.Hits != cached.Hits+1 {
+		t.Fatalf("the ranked query was not a cache hit (%d hits, %d before)", st.Hits, cached.Hits)
+	}
+	if n := remoteCalls(t, rc, "stats") - statsBefore; n != 1 {
+		t.Fatalf("the ranked query made %d stats calls, want 1", n)
+	}
+	if _, err := rc.Search(q, WithRanking()); !errors.As(err, &re) {
+		t.Fatalf("ranked search during a stats outage: %v, want a *remote.RemoteError", err)
+	}
+
+	faultinject.Reset()
+	want, err := local.Query(q, bound, WithRanking())
+	if err != nil || len(want) == 0 {
+		t.Fatalf("local ranked query: %d hits, %v", len(want), err)
+	}
+	got, err := rc.Query(q, bound, WithRanking())
+	if err != nil {
+		t.Fatalf("ranked query after the outage: %v", err)
+	}
+	if w, g := renderChaosHits(want), renderChaosHits(got); w != g {
+		t.Fatalf("ranked answers differ\nlocal  %s\nremote %s", w, g)
+	}
+	for i := range want {
+		if w, g := want[i].Result.Score(), got[i].Result.Score(); w != g || w == 0 {
+			t.Fatalf("hit %d: score %v, local %v", i, g, w)
+		}
+	}
+}
+
+// TestRoutedHitsOwnTheirBytes: a routed hit's tree and snippet are built over
+// the response payloads they arrived in, so those payloads must never be
+// reused. Hold one answer's hits and read their trees, then serve many other
+// routed queries and tree reads over the same connections: the held hits'
+// result XML, snippet XML and IList render byte for byte as before.
+func TestRoutedHitsOwnTheirBytes(t *testing.T) {
+	local, rc := connectStores(t, WithQueryCache(0))
+	render := func(hits []*Hit) string {
+		var b strings.Builder
+		for _, h := range hits {
+			b.WriteString(must(h.Result.XML()))
+			b.WriteString(h.Snippet.XML())
+			b.WriteString(strings.Join(h.Snippet.IList(), "|"))
+		}
+		return b.String()
+	}
+	const q, bound = "store texas", 8
+	held, err := rc.Query(q, bound)
+	if err != nil || len(held) == 0 {
+		t.Fatalf("routed query: %d hits, %v", len(held), err)
+	}
+	before := render(held)
+	if want := render(must(local.Query(q, bound))); before != want {
+		t.Fatalf("routed hits differ from local\nlocal  %s\nremote %s", want, before)
+	}
+
+	doc := gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11})
+	served := 0
+	for range 3 {
+		for _, wq := range workload.Generate(doc, workload.Config{Queries: 20, Keywords: 2, Seed: 3}) {
+			hits, err := rc.Query(wq.Text(), bound)
+			if err != nil {
+				t.Fatalf("query %q: %v", wq.Text(), err)
+			}
+			render(hits)
+			served += len(hits)
+		}
+	}
+	if served == 0 {
+		t.Fatal("the other queries served no hits")
+	}
+	if after := render(held); after != before {
+		t.Fatalf("held hits changed after other queries\nbefore %s\nafter  %s", before, after)
 	}
 }

@@ -120,9 +120,10 @@
 //     The key is the query itself — its parsed terms in query order, the
 //     evaluation options and the bound — so two spellings that tokenize
 //     alike share an entry and a permuted query (whose IList leads with
-//     the keywords in another order) does not; ranking is layered above
-//     the cache on a private copy, so ranked and unranked queries share an
-//     entry. A singleflight guard
+//     the keywords in another order) does not. An entry keeps each
+//     snippet's XML, rendered once, and the relevance order its first
+//     ranked read computes, so ranked and unranked queries share an entry
+//     and a hit renders, scores and sorts nothing. A singleflight guard
 //     coalesces concurrent identical queries onto one computation.
 //     Invalidation is explicit: swapping or mutating the corpus behind the
 //     serving layer clears the cache atomically (serve.Server.Swap), and

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -841,9 +840,12 @@ func WithTrimmedResults() SearchOption {
 
 // WithRanking orders results by relevance (IDF-weighted, depth-decayed
 // keyword scores) instead of document order. Snippets complement ranking,
-// per the paper; this supplies the ranking side. On a remote corpus the
-// statistics it reads come from the shard servers, and a query whose fetch
-// fails on every replica fails with that remote error, even on a cache hit.
+// per the paper; this supplies the ranking side. The order and scores are
+// computed once per cached answer, on its first ranked read, and replayed to
+// every later one. On a remote corpus the statistics that read needs come
+// from the shard servers, and a query whose fetch fails on every replica
+// fails with that remote error, even on a cache hit; the next ranked read of
+// the answer fetches again.
 func WithRanking() SearchOption {
 	return func(c *searchConfig) { c.ranked = true }
 }
@@ -955,26 +957,34 @@ func (c *Corpus) SearchContext(ctx context.Context, query string, opts ...Search
 	if err != nil {
 		return nil, err
 	}
-	rs := v.Results
-	var scores []float64
+	var rk *serve.Ranking
 	if cfg.ranked {
-		// Ranking sorts in place, so it works on a private copy.
-		rs = append([]*search.Result(nil), rs...)
+		if rk, err = ranking(ctx, v, query); err != nil {
+			return nil, err
+		}
+	}
+	out, slab := make([]*Result, len(v.Results)), make([]Result, len(v.Results))
+	for i := range out {
+		j, score := rk.At(i)
+		slab[i] = Result{r: v.Results[j], score: score, v: v}
+		out[i] = &slab[i]
+	}
+	return out, nil
+}
+
+// ranking returns v's relevance order. It is computed once per cache entry,
+// over the statistics of the generation that answered (v.Backend), and every
+// later ranked read of the entry replays it.
+func ranking(ctx context.Context, v *serve.Cached, query string) (*serve.Ranking, error) {
+	return v.Ranked(func(rs []*search.Result) (*serve.Ranking, error) {
 		keys := search.TermKeys(query)
 		scorer, err := v.Backend.(rankedBackend).Scorer(ctx, keys)
 		if err != nil {
 			return nil, err
 		}
-		scores = scorer.Sort(rs, keys)
-	}
-	out := make([]*Result, len(rs))
-	for i, r := range rs {
-		out[i] = &Result{r: r, v: v}
-		if scores != nil {
-			out[i].score = scores[i]
-		}
-	}
-	return out, nil
+		order, scores := scorer.Order(rs, keys)
+		return &serve.Ranking{Order: order, Scores: scores}, nil
+	})
 }
 
 // SnippetOption configures snippet generation.
@@ -1003,8 +1013,10 @@ func (s *Snippet) Render() string { return xmltree.RenderASCII(s.g.Snippet.Root)
 // Inline renders the snippet on one line.
 func (s *Snippet) Inline() string { return xmltree.RenderInline(s.g.Snippet.Root) }
 
-// XML serializes the snippet tree.
-func (s *Snippet) XML() string { return xmltree.XMLString(s.g.Snippet.Root) }
+// XML serializes the snippet tree. The bytes are rendered once, when the
+// snippet is made — for a query's hits, once per cache entry — and every
+// call returns that one string.
+func (s *Snippet) XML() string { return s.g.XML }
 
 // HTML renders the snippet as an escaped HTML tree with the query keywords
 // highlighted; the web demo embeds this directly.
@@ -1063,7 +1075,7 @@ func (c *Corpus) Snippet(r *Result, query string, bound int, opts ...SnippetOpti
 	for _, o := range opts {
 		o(g)
 	}
-	return &Snippet{g: g.ForResult(tree, query, bound)}, nil
+	return newSnippet(g.ForResult(tree, query, bound)), nil
 }
 
 // SnippetForTree generates a snippet for a result tree produced by an
@@ -1074,7 +1086,14 @@ func (c *Corpus) SnippetForTree(result *xmltree.Document, query string, bound in
 	for _, o := range opts {
 		o(g)
 	}
-	return &Snippet{g: g.ForTree(result, query, bound)}
+	return newSnippet(g.ForTree(result, query, bound))
+}
+
+// newSnippet wraps a snippet made outside the serving layer, rendering its
+// XML as the serving layer does for a query's hits.
+func newSnippet(g *core.Generated) *Snippet {
+	g.XML = xmltree.XMLString(g.Snippet.Root)
+	return &Snippet{g: g}
 }
 
 // Hit pairs a search result with its snippet. Both are shared and
@@ -1089,8 +1108,12 @@ type Hit struct {
 // within the bound. The serving layer computes — or replays from its cache
 // — the result list and the snippets in one entry, with evaluation and
 // snippet generation both scheduled on its worker pool. Cached entries hold
-// hits in document order; ranking reorders a private copy, so a ranked and
-// an unranked query share one cache entry.
+// hits in document order, each snippet's XML rendered once; a ranked query
+// reads the same entry through the relevance order that entry computes on
+// its first ranked read and keeps, so a ranked and an unranked query share
+// one cache entry and a warm ranked query neither scores nor sorts. The
+// returned slice and its Hit, Result and Snippet values are the caller's own;
+// the trees, snippets and strings they lead to are shared.
 func (c *Corpus) Query(query string, bound int, opts ...SearchOption) ([]*Hit, error) {
 	return c.QueryContext(context.Background(), query, bound, opts...)
 }
@@ -1109,25 +1132,22 @@ func (c *Corpus) QueryContext(ctx context.Context, query string, bound int, opts
 	if err != nil {
 		return nil, err
 	}
-	hits := make([]*Hit, len(v.Results))
-	for i, r := range v.Results {
-		hits[i] = &Hit{
-			Result:  &Result{r: r, v: v},
-			Snippet: &Snippet{g: v.Snippets[i]},
-		}
-	}
+	var rk *serve.Ranking
 	if cfg.ranked {
-		keys := search.TermKeys(query)
-		scorer, err := v.Backend.(rankedBackend).Scorer(ctx, keys)
-		if err != nil {
+		if rk, err = ranking(ctx, v, query); err != nil {
 			return nil, err
 		}
-		for _, h := range hits {
-			h.Result.score = scorer.Score(h.Result.r, keys)
-		}
-		sort.SliceStable(hits, func(i, j int) bool {
-			return hits[i].Result.score > hits[j].Result.score
-		})
+	}
+	// The caller's hits come in three slabs, whatever their number.
+	n := len(v.Results)
+	hits, hs := make([]*Hit, n), make([]Hit, n)
+	rs, ss := make([]Result, n), make([]Snippet, n)
+	for i := range hits {
+		j, score := rk.At(i)
+		rs[i] = Result{r: v.Results[j], score: score, v: v}
+		ss[i] = Snippet{g: v.Snippets[j]}
+		hs[i] = Hit{Result: &rs[i], Snippet: &ss[i]}
+		hits[i] = &hs[i]
 	}
 	return hits, nil
 }

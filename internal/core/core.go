@@ -148,6 +148,10 @@ type Generated struct {
 	Stats    *features.Stats
 	Keywords []string
 	Bound    int
+	// XML is the snippet tree serialized (xmltree.XMLString), filled by
+	// whoever hands the snippet to a reader — the serving layer once per
+	// computed answer — and empty as the generator returns it.
+	XML string
 }
 
 // ForTree generates a snippet for a query-result tree. The keywords are the

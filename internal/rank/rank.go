@@ -16,8 +16,9 @@
 package rank
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"extract/internal/index"
 	"extract/internal/search"
@@ -71,22 +72,32 @@ func (s *Scorer) Score(r *search.Result, keywords []string) float64 {
 	return total
 }
 
-// Sort orders results by descending score; ties keep document order
-// (stable). It returns the scores aligned with the sorted slice.
-func (s *Scorer) Sort(results []*search.Result, keywords []string) []float64 {
-	type scored struct {
-		r     *search.Result
-		score float64
-	}
-	tmp := make([]scored, len(results))
+// Order ranks results by descending score; ties keep the given order
+// (stable). order[i] is the index in results of the i-th ranked result and
+// scores[i] its score, so the caller's slice is left as it was.
+func (s *Scorer) Order(results []*search.Result, keywords []string) (order []int32, scores []float64) {
+	order = make([]int32, len(results))
+	byIndex := make([]float64, len(results))
 	for i, r := range results {
-		tmp[i] = scored{r: r, score: s.Score(r, keywords)}
+		order[i] = int32(i)
+		byIndex[i] = s.Score(r, keywords)
 	}
-	sort.SliceStable(tmp, func(i, j int) bool { return tmp[i].score > tmp[j].score })
-	scores := make([]float64, len(results))
-	for i, t := range tmp {
-		results[i] = t.r
-		scores[i] = t.score
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(byIndex[b], byIndex[a]) })
+	scores = make([]float64, len(results))
+	for i, o := range order {
+		scores[i] = byIndex[o]
 	}
+	return order, scores
+}
+
+// Sort orders results in place by descending score; ties keep document
+// order (stable). It returns the scores aligned with the sorted slice.
+func (s *Scorer) Sort(results []*search.Result, keywords []string) []float64 {
+	order, scores := s.Order(results, keywords)
+	sorted := make([]*search.Result, len(results))
+	for i, o := range order {
+		sorted[i] = results[o]
+	}
+	copy(results, sorted)
 	return scores
 }

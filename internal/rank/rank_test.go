@@ -90,3 +90,30 @@ func TestSortStableOnTies(t *testing.T) {
 		t.Error("tie order not stable")
 	}
 }
+
+// TestOrderLeavesResultsInPlace: Order ranks without moving the caller's
+// results, and its order and scores are what Sort puts in place.
+func TestOrderLeavesResultsInPlace(t *testing.T) {
+	eng, sc := setup(t)
+	results, err := eng.Search("gopher")
+	if err != nil || len(results) != 2 {
+		t.Fatalf("results = %d (%v)", len(results), err)
+	}
+	before := append([]*search.Result(nil), results...)
+	order, scores := sc.Order(results, []string{"gopher"})
+	for i := range results {
+		if results[i] != before[i] {
+			t.Fatal("Order moved the caller's results")
+		}
+	}
+	sorted := sc.Sort(results, []string{"gopher"})
+	for i, o := range order {
+		if results[i] != before[o] || scores[i] != sorted[i] {
+			t.Fatalf("rank %d: Order says result %d scored %v, Sort placed another scored %v", i, o, scores[i], sorted[i])
+		}
+	}
+	// The shallow match (the second book's buried note loses) ranks first.
+	if order[0] != 0 || scores[0] <= scores[1] {
+		t.Fatalf("order %v, scores %v", order, scores)
+	}
+}

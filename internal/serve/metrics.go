@@ -30,7 +30,8 @@ const (
 	// stageEval is query evaluation across the backend's shards, through
 	// the worker pool.
 	stageEval
-	// stageSnippet is snippet generation for the result list.
+	// stageSnippet is snippet generation for the result list, plus
+	// rendering each snippet's XML into the entry.
 	stageSnippet
 	numStages
 )

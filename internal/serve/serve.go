@@ -13,6 +13,7 @@ import (
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
+	"extract/xmltree"
 )
 
 // DefaultCacheBytes is the query-cache budget when the caller does not set
@@ -231,9 +232,13 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Cached is one cached query response: the result list, and — for
-// bound >= 0 keys — the generated snippets aligned with it. Both are shared
-// across every caller that hits the entry and must be treated as immutable.
+// Cached is one cached query response: the result list and — for
+// bound >= 0 keys — the generated snippets aligned with it, each with its XML
+// rendered once when the entry was computed. Both are shared across every
+// caller that hits the entry and must be treated as immutable. A ranked
+// read fills the entry's Ranking once (Ranked); that, and the trees a
+// deferred result builds (Trees), are the only state an entry gains after
+// it is published, and each re-charges the entry when it arrives.
 // Backend records the corpus generation the response was computed against;
 // swap invalidation guarantees a cached entry's backend is the one that
 // was current when it was admitted, and an in-flight response outliving a
@@ -243,9 +248,28 @@ type Cached struct {
 	Snippets []*core.Generated
 	Backend  Backend
 
-	// The cache and key it was computed for, where Trees re-charges it.
+	// The cache and key it was computed for, where Trees and Ranked
+	// re-charge it.
 	cache *Cache
 	key   string
+
+	ranking atomic.Pointer[Ranking]
+}
+
+// Ranking is a response's relevance order: Order[i] is the index in
+// Results (and Snippets) of the i-th ranked result, Scores[i] its score.
+type Ranking struct {
+	Order  []int32
+	Scores []float64
+}
+
+// At returns the index in Results of the i-th ranked result and its score;
+// a nil Ranking is document order, scored 0.
+func (rk *Ranking) At(i int) (index int, score float64) {
+	if rk == nil {
+		return i, 0
+	}
+	return int(rk.Order[i]), rk.Scores[i]
 }
 
 // cost estimates the heap the entry owns, for the cache budget. A view
@@ -253,7 +277,8 @@ type Cached struct {
 // generation the entry's Backend already pins — and a deferred result (what a
 // router returns) the bytes it retains: its handle and its keyword depths.
 // An owned result tree (a trimmed projection) and every snippet tree are
-// charged per node, and an IList per item. The constants are
+// charged per node, a snippet's rendered XML per byte, an IList per item,
+// and a filled Ranking 12 bytes a result. The constants are
 // rough costs (node struct, slice and map headers; an ilist.Item with its
 // share of slice growth), not an exact accounting: on the benchmark corpus a
 // 24-hit entry is charged 53 KB for 63 KB of measured heap
@@ -264,9 +289,10 @@ type Cached struct {
 // now holds: Trees re-charges a cached entry when it builds.
 func (v *Cached) cost() int64 {
 	const (
-		perNode  = 136
-		perItem  = 96
-		perEntry = 512
+		perNode   = 136
+		perItem   = 96
+		perEntry  = 512
+		perRanked = 4 + 8 // an Order index and a score
 	)
 	c := int64(perEntry)
 	for _, r := range v.Results {
@@ -278,10 +304,36 @@ func (v *Cached) cost() int64 {
 		}
 	}
 	for _, g := range v.Snippets {
-		c += perEntry + perNode*int64(g.Snippet.Edges+1)
+		c += perEntry + perNode*int64(g.Snippet.Edges+1) + int64(len(g.XML))
 		c += perItem * int64(len(g.IList.Items))
 	}
+	if rk := v.ranking.Load(); rk != nil {
+		c += perRanked * int64(len(rk.Order))
+	}
 	return c
+}
+
+// Ranked returns the entry's relevance order: the first Ranking rank
+// computes over the entry's results without error, published once and
+// returned to every later call (a failed computation is not kept). One
+// ranking serves every query that reaches the entry, because the cache key
+// is the parsed term list plus options and bound and the entry is of one
+// generation (Backend).
+func (v *Cached) Ranked(rank func([]*search.Result) (*Ranking, error)) (*Ranking, error) {
+	if rk := v.ranking.Load(); rk != nil {
+		return rk, nil
+	}
+	rk, err := rank(v.Results)
+	if err != nil {
+		return nil, err
+	}
+	if !v.ranking.CompareAndSwap(nil, rk) {
+		return v.ranking.Load(), nil
+	}
+	if v.cache != nil {
+		v.cache.recharge(v)
+	}
+	return rk, nil
 }
 
 // Do answers one query — the serving layer's one entry point. bound >= 0
@@ -293,7 +345,8 @@ func (v *Cached) cost() int64 {
 // on — during a Swap that may be the swapped-out corpus, so callers deriving
 // anything generation-dependent from the results (ranking statistics, say)
 // must use v.Backend, not the server's current one. Callers that reorder
-// must copy the slices first. A cancelled or expired ctx stops the query at
+// must copy the slices first; a relevance order is the entry's own
+// (Ranked). A cancelled or expired ctx stops the query at
 // the next evaluation or snippet checkpoint and returns the context's error.
 // Every query records the lifecycle histograms and — when slow enough — the
 // slow-query record on the way out.
@@ -374,9 +427,10 @@ func (v *Cached) Trees(ctx context.Context) ([]*search.Result, error) {
 
 // evaluate is one query's computation: dispatch, then the backend's answer —
 // evaluation and, when bound >= 0, snippet generation — recorded into the
-// trace as the eval and snippet stages. The snippet stage is the time the
-// backend noted on the query's span sink for its snippet fan-out: a local
-// corpus's own, a router's round of snippets calls to the shard servers.
+// trace as the eval and snippet stages, then each snippet's XML rendered
+// into it. The snippet stage is the time the backend noted on the query's
+// span sink for its snippet fan-out — a local corpus's own, a router's round
+// of snippets calls to the shard servers — plus the rendering.
 func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts search.Options, bound int) (*Cached, error) {
 	t := time.Now()
 	b := s.Backend()
@@ -390,6 +444,16 @@ func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts sea
 	}
 	if err != nil {
 		return nil, err
+	}
+	// Render each snippet's XML here, once per computed answer, rather than
+	// where snippets are made: a shard server makes the snippets of a routed
+	// answer and would render bytes its router never reads.
+	if len(gs) > 0 {
+		t = time.Now()
+		for _, g := range gs {
+			g.XML = xmltree.XMLString(g.Snippet.Root)
+		}
+		tr.add(stageSnippet, time.Since(t))
 	}
 	return &Cached{Results: rs, Snippets: gs, Backend: b}, nil
 }

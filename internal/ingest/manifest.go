@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"extract/internal/bin"
 )
 
 // Snapshot manifest: the small, versioned description of a snapshot
@@ -48,9 +50,6 @@ const (
 	maxManifestShards = 1 << 16
 	maxNameLen        = 255
 )
-
-// manifestCRC is the CRC-32C polynomial table for the trailing checksum.
-var manifestCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrBadManifest reports a corrupted or foreign manifest.
 var ErrBadManifest = errors.New("ingest: bad manifest")
@@ -106,67 +105,14 @@ func EncodeManifest(m *Manifest) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, e.ContentHash)
 		buf = binary.LittleEndian.AppendUint64(buf, e.ImageHash)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, manifestCRC))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, bin.CRC32C))
 }
 
-// manifestCursor decodes with sticky bounds checking.
-type manifestCursor struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (c *manifestCursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: %s", ErrBadManifest, fmt.Sprintf(format, args...))
-	}
-}
-
-func (c *manifestCursor) bytes(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(c.data)-c.off {
-		c.fail("truncated at offset %d (need %d bytes)", c.off, n)
-		return nil
-	}
-	b := c.data[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
-func (c *manifestCursor) u8() byte {
-	b := c.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *manifestCursor) u32() uint32 {
-	b := c.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (c *manifestCursor) u64() uint64 {
-	b := c.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (c *manifestCursor) name(what string) string {
-	n := int(c.u8())
-	s := string(c.bytes(n))
-	if c.err != nil {
-		return ""
-	}
-	if s != "" && !validName(s) {
-		c.fail("invalid %s file name %q", what, s)
+// name reads one u8-length-prefixed file name.
+func name(c *bin.Reader, what string) string {
+	s := string(c.Bytes(int(c.U8(what)), what))
+	if c.Err() == nil && s != "" && !validName(s) {
+		c.Fail("invalid %s file name %q", what, s)
 		return ""
 	}
 	return s
@@ -207,11 +153,13 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	}
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
 	data = data[:len(data)-4]
-	if got := crc32.Checksum(data, manifestCRC); got != want {
+	if got := crc32.Checksum(data, bin.CRC32C); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch (manifest corrupt)", ErrBadManifest)
 	}
-	c := &manifestCursor{data: data, off: len(manifestMagic) + 1}
-	flags := c.u8()
+	c := bin.NewReader(data, len(manifestMagic)+1, func(msg string) error {
+		return fmt.Errorf("%w: %s", ErrBadManifest, msg)
+	})
+	flags := c.U8("flags")
 	if flags&^byte(flagLayout) != 0 {
 		return nil, fmt.Errorf("%w: unknown flag bits %#x", ErrBadManifest, flags)
 	}
@@ -219,27 +167,23 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: unsharded snapshot layout no longer supported — re-save", ErrBadManifest)
 	}
 	m := &Manifest{}
-	m.RootHash = c.u64()
-	m.Analysis.File = c.name("analysis")
-	m.Analysis.ImageHash = c.u64()
-	count := int(c.u32())
-	if c.err == nil && (count == 0 || count > maxManifestShards) {
-		return nil, fmt.Errorf("%w: absurd shard count %d", ErrBadManifest, count)
-	}
-	if c.err == nil && count > (len(c.data)-c.off)/17 {
-		// A shard entry costs at least 17 bytes; a larger count cannot be
-		// backed by the remaining bytes.
-		return nil, fmt.Errorf("%w: shard count %d exceeds manifest size", ErrBadManifest, count)
+	m.RootHash = c.U64("root hash")
+	m.Analysis.File = name(&c, "analysis")
+	m.Analysis.ImageHash = c.U64("analysis image hash")
+	// A shard entry is at least 17 bytes: a name length and two hashes.
+	count := c.Count(uint64(c.U32("shard")), "shard", maxManifestShards, 17)
+	if c.Err() == nil && count == 0 {
+		return nil, fmt.Errorf("%w: no shards", ErrBadManifest)
 	}
 	seen := make(map[string]bool, count+1)
 	if m.Analysis.File != "" {
 		seen[m.Analysis.File] = true
 	}
-	for i := 0; i < count && c.err == nil; i++ {
-		e := ShardEntry{File: c.name("shard")}
-		e.ContentHash = c.u64()
-		e.ImageHash = c.u64()
-		if c.err != nil {
+	for i := 0; i < count && c.Err() == nil; i++ {
+		e := ShardEntry{File: name(&c, "shard")}
+		e.ContentHash = c.U64("content hash")
+		e.ImageHash = c.U64("image hash")
+		if c.Err() != nil {
 			break
 		}
 		if e.File == "" {
@@ -251,11 +195,8 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		seen[e.File] = true
 		m.Shards = append(m.Shards, e)
 	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	if c.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadManifest, len(data)-c.off)
+	if err := c.Done(); err != nil {
+		return nil, err
 	}
 	if m.Analysis.File == "" {
 		return nil, fmt.Errorf("%w: snapshot without analysis image", ErrBadManifest)

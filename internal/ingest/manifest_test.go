@@ -7,11 +7,15 @@ import (
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"extract/internal/bin"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden manifest file")
@@ -128,7 +132,7 @@ func TestManifestRejects(t *testing.T) {
 	// decoder's field validation — not just the CRC — is what rejects it.
 	reseal := func(b []byte) []byte {
 		b = b[:len(b)-4]
-		return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, manifestCRC))
+		return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, bin.CRC32C))
 	}
 	cases := map[string][]byte{
 		"empty":       {},
@@ -162,6 +166,39 @@ func TestManifestRejects(t *testing.T) {
 	for name, m := range structural {
 		if _, err := DecodeManifest(EncodeManifest(m)); err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// TestHostileCountsRefusedBeforeAllocating sets the manifest's one count, the
+// shard count, to claim more entries than the bytes after it hold, and
+// separately to one past maxManifestShards, with the checksum resealed: each
+// is ErrBadManifest refusing the count, and allocates nothing sized from it.
+func TestHostileCountsRefusedBeforeAllocating(t *testing.T) {
+	m := goldenManifest()
+	good := EncodeManifest(m)
+	at := len(manifestMagic) + 2 + 8 + 1 + len(m.Analysis.File) + 8
+	if got := binary.LittleEndian.Uint32(good[at:]); got != uint32(len(m.Shards)) {
+		t.Fatalf("shard count at %d reads %d, want %d", at, got, len(m.Shards))
+	}
+	for how, claim := range map[string]uint32{"past the bytes left": maxManifestShards, "past its cap": maxManifestShards + 1} {
+		b := append([]byte(nil), good[:len(good)-4]...)
+		binary.LittleEndian.PutUint32(b[at:], claim)
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, bin.CRC32C))
+		_, err := DecodeManifest(b)
+		if !errors.Is(err, ErrBadManifest) || !strings.Contains(err.Error(), "shard count") {
+			t.Errorf("shard count %s: err = %v, want ErrBadManifest refusing it", how, err)
+		}
+		var before, after runtime.MemStats
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			runtime.ReadMemStats(&before)
+			_, _ = DecodeManifest(b)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > 4<<10 {
+			t.Errorf("shard count %s: refusing it allocated %d bytes", how, least)
 		}
 	}
 }

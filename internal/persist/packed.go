@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"extract/internal/bin"
 	"extract/internal/classify"
 	"extract/internal/core"
 	"extract/internal/index"
@@ -53,10 +54,6 @@ const (
 )
 
 var sectionNames = [numSections]string{"meta", "strings", "tree", "postings", "aux"}
-
-// castagnoli is the CRC-32C polynomial table for section checksums
-// (hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // interner assigns dense string ids in first-seen order.
 type interner struct {
@@ -226,7 +223,7 @@ func Save(w io.Writer, c *core.Corpus) error {
 	head = append(head, version, numSections)
 	for _, s := range secs {
 		head = appendU32(head, uint32(len(s)))
-		head = appendU32(head, crc32.Checksum(s, castagnoli))
+		head = appendU32(head, crc32.Checksum(s, bin.CRC32C))
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(head); err != nil {
@@ -262,7 +259,7 @@ func verifySections(data []byte) (int, error) {
 			return 0, fmt.Errorf("%w: %s section truncated (need %d bytes at offset %d)",
 				ErrBadFormat, sectionNames[i], ln, pos)
 		}
-		if got := crc32.Checksum(data[pos:pos+ln], castagnoli); got != want {
+		if got := crc32.Checksum(data[pos:pos+ln], bin.CRC32C); got != want {
 			return 0, fmt.Errorf("%w: %s section checksum mismatch (image corrupt)",
 				ErrBadFormat, sectionNames[i])
 		}
@@ -274,57 +271,20 @@ func verifySections(data []byte) (int, error) {
 	return body, nil
 }
 
-// cursor decodes the packed byte image with bounds checking; the first
-// error sticks and subsequent reads return zeros.
+// cursor decodes the packed byte image through the one bounds-checked
+// reader (bin.Reader): the first failure sticks as ErrBadFormat.
 type cursor struct {
-	data []byte
-	off  int
-	err  error
+	bin.Reader
 }
 
-func (c *cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: %s", ErrBadFormat, fmt.Sprintf(format, args...))
-	}
-}
-
-func (c *cursor) bytes(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(c.data)-c.off {
-		c.fail("truncated at offset %d (need %d bytes)", c.off, n)
-		return nil
-	}
-	b := c.data[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
-func (c *cursor) u32() uint32 {
-	b := c.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// count reads a u32 and bounds it; counts also may never exceed the bytes
-// remaining, which caps allocations on corrupt input.
+// count reads a u32 count of elements at least a byte long each and bounds
+// it (bin.Reader.Count), which caps allocations on corrupt input.
 func (c *cursor) count(what string) int {
-	v := c.u32()
-	if c.err != nil {
-		return 0
-	}
-	if v > maxCount || int(v) > len(c.data)-c.off {
-		c.fail("absurd %s count %d", what, v)
-		return 0
-	}
-	return int(v)
+	return c.Count(uint64(c.U32(what)), what, maxCount, 1)
 }
 
-func (c *cursor) i32slab(n int) []int32 {
-	b := c.bytes(4 * n)
+func (c *cursor) i32slab(n int, what string) []int32 {
+	b := c.Bytes(4*n, what)
 	if b == nil {
 		return nil
 	}
@@ -354,19 +314,17 @@ func (t *stringTable) str(id int32) (string, bool) {
 // by address into the node slab, which is allocated before either decoder
 // runs.
 func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
-	c := &cursor{data: data, off: bodyOff}
+	c := &cursor{bin.NewReader(data, bodyOff, func(msg string) error {
+		return fmt.Errorf("%w: %s", ErrBadFormat, msg)
+	})}
 
-	// Meta.
-	subset := string(c.bytes(c.count("subset")))
-	n := c.count("node")
-	if c.err != nil {
-		return nil, c.err
-	}
-	// A node costs 13 bytes of tree slabs (1 tag + 3 int32 columns); a
-	// count the remaining bytes cannot back would otherwise provoke a
+	// Meta. A node costs 13 bytes of tree slabs (1 tag + 3 int32 columns);
+	// a count the remaining bytes cannot back would otherwise provoke a
 	// ~100x-amplified slab allocation from a small crafted file.
-	if n > (len(c.data)-c.off)/13 {
-		return nil, fmt.Errorf("%w: node count %d exceeds file size", ErrBadFormat, n)
+	subset := string(c.Bytes(c.count("subset"), "subset"))
+	n := c.Count(uint64(c.U32("node")), "node", maxCount, 13)
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
 
 	// The node slab is the largest allocation of the load; start zeroing
@@ -377,10 +335,10 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 	// Strings: one blob conversion; table entries share its backing.
 	strCount := c.count("string")
 	blobLen := c.count("string blob")
-	lengths := c.i32slab(strCount)
-	blob := string(c.bytes(blobLen))
-	if c.err != nil {
-		return nil, c.err
+	lengths := c.i32slab(strCount, "string lengths")
+	blob := string(c.Bytes(blobLen, "string blob"))
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
 	table := &stringTable{table: make([]string, strCount)}
 	off := 0
@@ -396,30 +354,27 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 	}
 
 	// Slice every fixed-size section up front.
-	tags := c.bytes(n)
-	labelSlab := c.bytes(4 * n)
-	valueSlab := c.bytes(4 * n)
-	ccSlab := c.bytes(4 * n)
+	tags := c.Bytes(n, "tags")
+	labelSlab := c.Bytes(4*n, "label ids")
+	valueSlab := c.Bytes(4*n, "value ids")
+	ccSlab := c.Bytes(4*n, "child counts")
 
 	k := c.count("keyword")
-	kwIDs := c.i32slab(k)
-	listLens := c.i32slab(k)
+	kwIDs := c.i32slab(k, "keyword ids")
+	listLens := c.i32slab(k, "posting list lengths")
 	total := c.count("posting")
-	ordSlab := c.bytes(4 * total)
-	fieldSlab := c.bytes(total)
+	ordSlab := c.Bytes(4*total, "posting ords")
+	fieldSlab := c.Bytes(total, "posting fields")
 
 	nCats := c.count("label")
-	catIDs := c.i32slab(nCats)
-	catBytes := c.bytes(nCats)
+	catIDs := c.i32slab(nCats, "class label ids")
+	catBytes := c.Bytes(nCats, "categories")
 
 	nKeys := c.count("key")
-	entIDs := c.i32slab(nKeys)
-	attrIDs := c.i32slab(nKeys)
-	if c.err != nil {
-		return nil, c.err
-	}
-	if c.off != len(c.data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(c.data)-c.off)
+	entIDs := c.i32slab(nKeys, "key entity ids")
+	attrIDs := c.i32slab(nKeys, "key attribute ids")
+	if err := c.Done(); err != nil {
+		return nil, err
 	}
 
 	// Small tables on this goroutine.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"extract/internal/bin"
 	"extract/internal/core"
 	"extract/internal/dtd"
 	"extract/internal/gen"
@@ -93,7 +94,7 @@ func TestDeepChainAllocatesLinearly(t *testing.T) {
 		t.Fatalf("root child count = %d, want 2", binary.LittleEndian.Uint32(counts))
 	}
 	binary.LittleEndian.PutUint32(counts, 1)
-	binary.LittleEndian.PutUint32(img[table+8*secTree+4:], crc32.Checksum(tree, castagnoli))
+	binary.LittleEndian.PutUint32(img[table+8*secTree+4:], crc32.Checksum(tree, bin.CRC32C))
 	if _, err := Load(bytes.NewReader(img)); !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "outside the root subtree") {
 		t.Errorf("two-root child-count slab: err = %v, want ErrBadFormat (outside the root subtree)", err)
 	}

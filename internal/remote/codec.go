@@ -7,6 +7,7 @@ import (
 	"sort"
 	"unsafe"
 
+	"extract/internal/bin"
 	"extract/internal/core"
 	"extract/internal/ilist"
 	"extract/internal/search"
@@ -17,8 +18,11 @@ import (
 
 // Payload encodings. All integers are unsigned varints unless a fixed
 // width is noted; strings are a uvarint length followed by the bytes.
-// Every decoder validates counts against hard caps before allocating and
-// returns *ProtocolError on malformed input — the frame checksum already
+// Every decoder reads through a cursor over bin.Reader, whose one count rule
+// refuses a count past its cap, or claiming more elements than the bytes left
+// could carry, before anything is allocated for it; the shortest encoding of
+// one element (each) is stated at every count's call, derived from the
+// encoder. Malformed input is a *ProtocolError — the frame checksum already
 // rejected corruption, so a decode failure here means version skew or a
 // buggy peer, and poisons the connection.
 
@@ -32,120 +36,27 @@ const (
 	maxWireStrings = 1 << 16
 )
 
-// cursor decodes one payload, accumulating the first failure.
+// cursor decodes one payload through the one bounds-checked reader
+// (bin.Reader): the first failure sticks as a *ProtocolError.
 type cursor struct {
-	data []byte
-	off  int
-	err  error
+	bin.Reader
 
 	// slots is scanTree's scratch — the unfilled child slots of each open
 	// ancestor — kept across the trees of one payload.
 	slots []int
 }
 
-func (c *cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = protocolErrf(format, args...)
-	}
+func newCursor(data []byte) *cursor {
+	return &cursor{Reader: bin.NewReader(data, 0, func(msg string) error { return &ProtocolError{Reason: msg} })}
 }
 
-func (c *cursor) uvarint(what string) uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.data[c.off:])
-	if n <= 0 {
-		c.fail("truncated varint (%s)", what)
-		return 0
-	}
-	c.off += n
-	return v
+// count reads a uvarint count of elements at least each bytes long (0: the
+// bytes do not carry them) and validates it (bin.Reader.Count).
+func (c *cursor) count(what string, max uint64, each int) int {
+	return c.Count(c.Uvarint(what), what, max, each)
 }
 
-func (c *cursor) u8(what string) byte {
-	if c.err != nil {
-		return 0
-	}
-	if c.off >= len(c.data) {
-		c.fail("truncated byte (%s)", what)
-		return 0
-	}
-	b := c.data[c.off]
-	c.off++
-	return b
-}
-
-func (c *cursor) u64(what string) uint64 {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+8 > len(c.data) {
-		c.fail("truncated u64 (%s)", what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.data[c.off:])
-	c.off += 8
-	return v
-}
-
-// varint reads a zig-zag signed varint.
-func (c *cursor) varint(what string) int64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(c.data[c.off:])
-	if n <= 0 {
-		c.fail("truncated varint (%s)", what)
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *cursor) bytes(n int, what string) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || c.off+n > len(c.data) {
-		c.fail("truncated bytes (%s, want %d)", what, n)
-		return nil
-	}
-	b := c.data[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
-// span reads one length-prefixed string in place, without copying it.
-func (c *cursor) span(what string) []byte {
-	n := c.uvarint(what)
-	if n > uint64(len(c.data)) {
-		c.fail("oversized string (%s, %d bytes)", what, n)
-		return nil
-	}
-	return c.bytes(int(n), what)
-}
-
-func (c *cursor) str(what string) string { return string(c.span(what)) }
-
-// count reads a uvarint and validates it against a cap.
-func (c *cursor) count(what string, cap uint64) int {
-	n := c.uvarint(what)
-	if n > cap {
-		c.fail("%s count %d exceeds cap %d", what, n, cap)
-		return 0
-	}
-	return int(n)
-}
-
-func (c *cursor) done() error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.off != len(c.data) {
-		return protocolErrf("%d trailing payload bytes", len(c.data)-c.off)
-	}
-	return nil
-}
+func (c *cursor) str(what string) string { return string(c.Span(what)) }
 
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -166,12 +77,12 @@ func appendOptions(b []byte, o search.Options) []byte {
 
 func (c *cursor) options() search.Options {
 	var o search.Options
-	o.Semantics = search.Semantics(c.u8("semantics"))
-	o.Mode = search.ConstructionMode(c.u8("mode"))
-	o.DistinctAnchors = c.u8("distinct anchors") != 0
-	o.MaxResults = int(c.uvarint("max results"))
+	o.Semantics = search.Semantics(c.U8("semantics"))
+	o.Mode = search.ConstructionMode(c.U8("mode"))
+	o.DistinctAnchors = c.U8("distinct anchors") != 0
+	o.MaxResults = int(c.Uvarint("max results"))
 	if o.Semantics > search.SemanticsELCA {
-		c.fail("unknown semantics %d", o.Semantics)
+		c.Fail("unknown semantics %d", o.Semantics)
 	}
 	return o
 }
@@ -245,17 +156,17 @@ func encodeEvalReq(r evalReq) []byte {
 }
 
 func decodeEvalReq(data []byte) (evalReq, error) {
-	c := &cursor{data: data}
+	c := newCursor(data)
 	var r evalReq
 	r.opts = c.options()
 	r.query = c.str("query")
-	r.timeoutMillis = c.uvarint("timeout")
-	n := c.count("shard", maxWireShards)
+	r.timeoutMillis = c.Uvarint("timeout")
+	n := c.count("shard", maxWireShards, 1) // a uvarint shard index each
 	r.shards = make([]uint32, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
-		r.shards = append(r.shards, uint32(c.uvarint("shard index")))
+	for i := 0; i < n && c.Err() == nil; i++ {
+		r.shards = append(r.shards, uint32(c.Uvarint("shard index")))
 	}
-	return r, c.done()
+	return r, c.Done()
 }
 
 // maxSnippetBound bounds the snippet bound a snippets request may carry.
@@ -294,26 +205,25 @@ func appendDigest(b []byte, d shard.Digest) []byte {
 }
 
 func (c *cursor) digest() (d shard.Digest) {
-	flags := c.u8("digest flags")
+	flags := c.U8("digest flags")
 	if flags&^(digestRootAnchored|digestNonRootLCAs|digestHasFree) != 0 {
-		c.fail("unknown digest flags %#x", flags)
+		c.Fail("unknown digest flags %#x", flags)
 		return d
 	}
 	d.RootAnchored = flags&digestRootAnchored != 0
 	d.HasNonRootLCAs = flags&digestNonRootLCAs != 0
-	k := c.count("keyword", maxWireStrings)
-	if k > len(c.data)-c.off {
-		c.fail("truncated digest (%d keywords)", k)
+	k := c.count("keyword", maxWireStrings, 1) // a matched bit each
+	if c.Err() != nil {
 		return d
 	}
 	d.Matched = make([]bool, k)
 	for i := range d.Matched {
-		d.Matched[i] = c.u8("matched bit") != 0
+		d.Matched[i] = c.U8("matched bit") != 0
 	}
 	if flags&digestHasFree != 0 {
 		d.Free = make([]bool, k)
 		for i := range d.Free {
-			d.Free[i] = c.u8("free bit") != 0
+			d.Free[i] = c.U8("free bit") != 0
 		}
 	}
 	return d
@@ -356,56 +266,56 @@ func appendNode(b []byte, n *xmltree.Node) []byte {
 // decoder's innermost loop — every node of every shipped result passes
 // through it — so it works on local copies of the cursor's state.
 func (c *cursor) scanTree(what string) int {
-	total := c.count("tree node", maxTreeNodes)
-	if c.err != nil {
+	total := c.count("tree node", maxTreeNodes, 3) // flags, a text length, a child count
+	if c.Err() != nil {
 		return 0
 	}
 	if total == 0 {
-		c.fail("empty %s tree", what)
+		c.Fail("empty %s tree", what)
 		return 0
 	}
 	// Iterative preorder walk over the unfilled child slots of each ancestor
 	// of the node at hand, so hostile nesting depth cannot overflow the
 	// decoder's own stack. An ancestor stays on the stack until its whole
 	// subtree has arrived.
-	data, off := c.data, c.off
+	data, off := c.Data, c.Off
 	slots := c.slots[:0]
 	children := 0
 	for i := 0; i < total; i++ {
 		if off >= len(data) {
-			c.fail("truncated node record in %s tree", what)
+			c.Fail("truncated node record in %s tree", what)
 			return 0
 		}
 		flags := data[off]
 		n, next := uvarintAt(data, off+1)
 		if next < 0 || n > uint64(len(data)-next) {
-			c.fail("truncated node text in %s tree", what)
+			c.Fail("truncated node text in %s tree", what)
 			return 0
 		}
 		kids, next := uvarintAt(data, next+int(n))
 		if next < 0 {
-			c.fail("truncated child count in %s tree", what)
+			c.Fail("truncated child count in %s tree", what)
 			return 0
 		}
 		off = next
 		if kids > uint64(total) {
-			c.fail("child count %d exceeds the %s tree's %d nodes", kids, what, total)
+			c.Fail("child count %d exceeds the %s tree's %d nodes", kids, what, total)
 			return 0
 		}
 		if flags&nodeKindText != 0 && kids != 0 {
-			c.fail("text node with %d children", kids)
+			c.Fail("text node with %d children", kids)
 			return 0
 		}
 		if len(slots) > 0 {
 			slots[len(slots)-1]--
 		} else if i > 0 {
-			c.fail("multiple roots in %s tree", what)
+			c.Fail("multiple roots in %s tree", what)
 			return 0
 		}
 		if kids > 0 {
 			// buildNodes carves every Children slice out of one total-1 arena.
 			if children += int(kids); children > total-1 {
-				c.fail("child counts exceed the %s tree's %d nodes", what, total)
+				c.Fail("child counts exceed the %s tree's %d nodes", what, total)
 				return 0
 			}
 			slots = append(slots, int(kids))
@@ -414,9 +324,9 @@ func (c *cursor) scanTree(what string) int {
 			slots = slots[:len(slots)-1]
 		}
 	}
-	c.off, c.slots = off, slots
+	c.Off, c.slots = off, slots
 	if len(slots) != 0 {
-		c.fail("%s tree truncated: %d unfilled child slots", what, slots[len(slots)-1])
+		c.Fail("%s tree truncated: %d unfilled child slots", what, slots[len(slots)-1])
 		return 0
 	}
 	return total
@@ -639,28 +549,28 @@ const minTreeBytes = 6
 // the tree's shape, every ordinal and string length — so a malformed payload
 // fails the exchange (and fails over) before anything is allocated for it.
 func (c *cursor) scanResult() treeRecord {
-	start := c.off
+	start := c.Off
 	total := c.scanTree("result")
-	if c.err != nil {
+	if c.Err() != nil {
 		return treeRecord{}
 	}
-	if lca := c.uvarint("lca ordinal"); lca > uint64(total) {
-		c.fail("lca ordinal %d out of range", lca-1)
+	if lca := c.Uvarint("lca ordinal"); lca > uint64(total) {
+		c.Fail("lca ordinal %d out of range", lca-1)
 	}
-	nkw := c.count("match keyword", maxWireStrings)
-	for i := 0; i < nkw && c.err == nil; i++ {
-		c.span("match keyword")
-		n := c.count("match ordinal", uint64(total))
-		for j := 0; j < n && c.err == nil; j++ {
-			if ord := c.uvarint("match ordinal"); ord >= uint64(total) {
-				c.fail("match ordinal %d out of range", ord)
+	nkw := c.count("match keyword", maxWireStrings, 2) // a keyword length, an ordinal count
+	for i := 0; i < nkw && c.Err() == nil; i++ {
+		c.Span("match keyword")
+		n := c.count("match ordinal", uint64(total), 1)
+		for j := 0; j < n && c.Err() == nil; j++ {
+			if ord := c.Uvarint("match ordinal"); ord >= uint64(total) {
+				c.Fail("match ordinal %d out of range", ord)
 			}
 		}
 	}
-	if c.err != nil {
+	if c.Err() != nil {
 		return treeRecord{}
 	}
-	return treeRecord{enc: c.data[start:c.off:c.off], nodes: total}
+	return treeRecord{enc: c.Data[start:c.Off:c.Off], nodes: total}
 }
 
 // build materializes the record over the payload it arrived in, uncopied.
@@ -761,25 +671,25 @@ func appendShipped(b []byte, r *search.Result, terms []string) []byte {
 // for a query of terms terms: its node count, an anchor at or above its LCA,
 // one match depth a term, every depth inside the tree.
 func (c *cursor) shipped(shard int32, terms int) scanned {
-	nodes := c.count("tree node", maxTreeNodes)
-	anchor := c.uvarint("anchor position")
-	lca := c.uvarint("lca position")
-	if c.err == nil && nodes == 0 {
-		c.fail("empty result tree")
+	nodes := c.count("tree node", maxTreeNodes, 0) // the tree is not shipped
+	anchor := c.Uvarint("anchor position")
+	lca := c.Uvarint("lca position")
+	if c.Err() == nil && nodes == 0 {
+		c.Fail("empty result tree")
 	}
-	if c.err == nil && (lca > math.MaxInt32 || anchor > lca) {
-		c.fail("anchor position %d is not at or above lca position %d", anchor, lca)
+	if c.Err() == nil && (lca > math.MaxInt32 || anchor > lca) {
+		c.Fail("anchor position %d is not at or above lca position %d", anchor, lca)
 	}
-	start := c.off
-	for i := 0; i < terms && c.err == nil; i++ {
-		if d := c.uvarint("match depth"); d > uint64(nodes) {
-			c.fail("match depth %d outside a %d-node tree", d-1, nodes)
+	start := c.Off
+	for i := 0; i < terms && c.Err() == nil; i++ {
+		if d := c.Uvarint("match depth"); d > uint64(nodes) {
+			c.Fail("match depth %d outside a %d-node tree", d-1, nodes)
 		}
 	}
-	if c.err != nil {
+	if c.Err() != nil {
 		return scanned{}
 	}
-	return scanned{at: handle{shard: shard, anchor: int32(anchor), lca: int32(lca)}, nodes: nodes, depths: c.data[start:c.off:c.off]}
+	return scanned{at: handle{shard: shard, anchor: int32(anchor), lca: int32(lca)}, nodes: nodes, depths: c.Data[start:c.Off:c.Off]}
 }
 
 // take turns the winning range at position i of an answer into the deferred
@@ -817,17 +727,14 @@ func appendResults(b []byte, rs []*search.Result, terms []string) []byte {
 
 // results scans one result list: one slice per list, nothing per result.
 func (c *cursor) results(shard int32, terms int) []scanned {
-	n := c.count("result", maxWireResults)
-	if n > (len(c.data)-c.off)/minResultBytes {
-		c.fail("result count %d exceeds the payload that would carry it", n)
-	}
-	if c.err != nil {
+	n := c.count("result", maxWireResults, minResultBytes)
+	if c.Err() != nil {
 		return nil
 	}
 	rs := make([]scanned, 0, n)
 	for i := 0; i < n; i++ {
 		r := c.shipped(shard, terms)
-		if c.err != nil {
+		if c.Err() != nil {
 			return nil
 		}
 		rs = append(rs, r)
@@ -901,44 +808,41 @@ const minItemBytes = 14
 // the tree's shape, an edge count the tree can hold, item kinds, and every
 // covered and skipped index against the item count.
 func (c *cursor) scanSnippet() []byte {
-	start := c.off
+	start := c.Off
 	total := c.scanTree("snippet")
-	if edges := c.uvarint("snippet edges"); c.err == nil && edges >= uint64(total) {
-		c.fail("snippet of %d nodes claims %d edges", total, edges)
+	if edges := c.Uvarint("snippet edges"); c.Err() == nil && edges >= uint64(total) {
+		c.Fail("snippet of %d nodes claims %d edges", total, edges)
 	}
-	items := c.count("ilist item", maxWireStrings)
-	if c.err == nil && items > (len(c.data)-c.off)/minItemBytes {
-		c.fail("ilist item count %d exceeds the payload that would carry it", items)
-	}
-	for i := 0; i < items && c.err == nil; i++ {
-		if kind := c.u8("ilist item kind"); kind > byte(ilist.DominantFeature) {
-			c.fail("unknown ilist item kind %d", kind)
+	items := c.count("ilist item", maxWireStrings, minItemBytes)
+	for i := 0; i < items && c.Err() == nil; i++ {
+		if kind := c.U8("ilist item kind"); kind > byte(ilist.DominantFeature) {
+			c.Fail("unknown ilist item kind %d", kind)
 		}
-		c.span("item text")
-		c.span("feature entity")
-		c.span("feature attribute")
-		c.span("feature value")
-		c.varint("feature id")
-		c.u64("item score")
+		c.Span("item text")
+		c.Span("feature entity")
+		c.Span("feature attribute")
+		c.Span("feature value")
+		c.Varint("feature id")
+		c.U64("item score")
 	}
-	entities := c.count("return entity", maxWireStrings)
-	for i := 0; i < entities && c.err == nil; i++ {
-		c.span("return entity")
+	entities := c.count("return entity", maxWireStrings, 1) // a length each
+	for i := 0; i < entities && c.Err() == nil; i++ {
+		c.Span("return entity")
 	}
-	c.span("key attribute")
-	c.span("key value")
+	c.Span("key attribute")
+	c.Span("key value")
 	for _, what := range []string{"covered item", "skipped item"} {
-		n := c.count(what, uint64(items))
-		for i := 0; i < n && c.err == nil; i++ {
-			if idx := c.uvarint(what); idx >= uint64(items) {
-				c.fail("%s %d of %d items", what, idx, items)
+		n := c.count(what, uint64(items), 1) // a uvarint index each
+		for i := 0; i < n && c.Err() == nil; i++ {
+			if idx := c.Uvarint(what); idx >= uint64(items) {
+				c.Fail("%s %d of %d items", what, idx, items)
 			}
 		}
 	}
-	if c.err != nil {
+	if c.Err() != nil {
 		return nil
 	}
-	return c.data[start:c.off:c.off]
+	return c.Data[start:c.Off:c.Off]
 }
 
 // buildSnippet materializes a scanned snippet record over the payload it
@@ -1029,26 +933,30 @@ type evalResp struct {
 	shards []shardResp
 }
 
+// minShardRespBytes is the shortest shard response (shard index, digest
+// flags, no keywords, no results).
+const minShardRespBytes = 4
+
 // decodeEvalResp scans an eval response to a query of terms terms.
 func decodeEvalResp(body []byte, terms int) (evalResp, error) {
-	c := &cursor{data: body}
+	c := newCursor(body)
 	var r evalResp
-	n := c.count("shard response", maxWireShards)
+	n := c.count("shard response", maxWireShards, minShardRespBytes)
 	r.shards = make([]shardResp, 0, n)
 	for i := 0; i < n; i++ {
 		var s shardResp
-		s.shard = uint32(c.uvarint("shard index"))
+		s.shard = uint32(c.Uvarint("shard index"))
 		s.digest = c.digest()
-		if c.err == nil && s.shard >= maxWireShards {
-			c.fail("shard index %d exceeds cap %d", s.shard, maxWireShards)
+		if c.Err() == nil && s.shard >= maxWireShards {
+			c.Fail("shard index %d exceeds cap %d", s.shard, maxWireShards)
 		}
 		s.results = c.results(int32(s.shard), terms)
-		if c.err != nil {
-			return r, c.err
+		if c.Err() != nil {
+			return r, c.Err()
 		}
 		r.shards = append(r.shards, s)
 	}
-	return r, c.done()
+	return r, c.Done()
 }
 
 // --- full response ---
@@ -1056,9 +964,9 @@ func decodeEvalResp(body []byte, terms int) (evalResp, error) {
 // decodeFullResp scans a full response to a query of terms terms. Its body is
 // one result list (appendResults), handles into the whole document.
 func decodeFullResp(body []byte, terms int) ([]scanned, error) {
-	c := &cursor{data: body}
+	c := newCursor(body)
 	rs := c.results(wholeShard, terms)
-	return rs, c.done()
+	return rs, c.Done()
 }
 
 // --- trees ---
@@ -1097,30 +1005,27 @@ func encodeTreesReq(r treesReq) []byte {
 }
 
 func decodeTreesReq(data []byte) (treesReq, error) {
-	c := &cursor{data: data}
+	c := newCursor(data)
 	var r treesReq
 	r.opts = c.options()
 	r.query = c.str("query")
-	r.timeoutMillis = c.uvarint("timeout")
-	r.fingerprint = c.u64("fingerprint")
-	r.bound = c.count("snippet bound", maxSnippetBound+1) - 1
-	n := c.count("handle", maxWireResults)
-	if c.err == nil && n > (len(c.data)-c.off)/3 {
-		c.fail("handle count %d exceeds the payload that would carry it", n)
-	}
-	if c.err != nil {
-		return r, c.err
+	r.timeoutMillis = c.Uvarint("timeout")
+	r.fingerprint = c.U64("fingerprint")
+	r.bound = c.count("snippet bound", maxSnippetBound+1, 0) - 1
+	n := c.count("handle", maxWireResults, 3) // shard, anchor and LCA uvarints
+	if c.Err() != nil {
+		return r, c.Err()
 	}
 	r.handles = make([]handle, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
-		sh := c.uvarint("handle shard")
-		anchor, lca := c.uvarint("anchor position"), c.uvarint("lca position")
+	for i := 0; i < n && c.Err() == nil; i++ {
+		sh := c.Uvarint("handle shard")
+		anchor, lca := c.Uvarint("anchor position"), c.Uvarint("lca position")
 		if sh > maxWireShards || anchor > math.MaxInt32 || lca > math.MaxInt32 {
-			c.fail("handle (shard %d, anchor %d, lca %d) out of range", int64(sh)-1, anchor, lca)
+			c.Fail("handle (shard %d, anchor %d, lca %d) out of range", int64(sh)-1, anchor, lca)
 		}
 		r.handles = append(r.handles, handle{shard: int32(sh) - 1, anchor: int32(anchor), lca: int32(lca)})
 	}
-	return r, c.done()
+	return r, c.Done()
 }
 
 // appendTreesResp appends a trees response body: one tree record
@@ -1135,19 +1040,16 @@ func appendTreesResp(b []byte, rs []*search.Result) []byte {
 
 // decodeTreesResp scans a trees response's tree records.
 func decodeTreesResp(body []byte) ([]treeRecord, error) {
-	c := &cursor{data: body}
-	n := c.count("tree", maxWireResults)
-	if c.err == nil && n > len(c.data)/minTreeBytes {
-		c.fail("tree count %d exceeds the payload that would carry it", n)
-	}
-	if c.err != nil {
-		return nil, c.err
+	c := newCursor(body)
+	n := c.count("tree", maxWireResults, minTreeBytes)
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
 	trees := make([]treeRecord, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
+	for i := 0; i < n && c.Err() == nil; i++ {
 		trees = append(trees, c.scanResult())
 	}
-	return trees, c.done()
+	return trees, c.Done()
 }
 
 // --- snippets ---
@@ -1170,19 +1072,16 @@ const minSnippetBytes = 11
 
 // decodeSnippetsResp scans a snippets response's snippet records.
 func decodeSnippetsResp(body []byte) ([][]byte, error) {
-	c := &cursor{data: body}
-	n := c.count("snippet", maxWireResults)
-	if c.err == nil && n > len(c.data)/minSnippetBytes {
-		c.fail("snippet count %d exceeds the payload that would carry it", n)
-	}
-	if c.err != nil {
-		return nil, c.err
+	c := newCursor(body)
+	n := c.count("snippet", maxWireResults, minSnippetBytes)
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
 	recs := make([][]byte, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
+	for i := 0; i < n && c.Err() == nil; i++ {
 		recs = append(recs, c.scanSnippet())
 	}
-	return recs, c.done()
+	return recs, c.Done()
 }
 
 // --- completion ---
@@ -1197,11 +1096,11 @@ func encodeCompleteReq(r completeReq) []byte {
 }
 
 func decodeCompleteReq(data []byte) (completeReq, error) {
-	c := &cursor{data: data}
+	c := newCursor(data)
 	var r completeReq
 	r.prefix = c.str("prefix")
-	r.k = c.count("completion", maxWireResults)
-	return r, c.done()
+	r.k = c.count("completion", maxWireResults, 0) // a requested k
+	return r, c.Done()
 }
 
 // appendCompleteResp appends a completion response body: the keywords, most
@@ -1215,16 +1114,13 @@ func appendCompleteResp(b []byte, kws []string) []byte {
 }
 
 func decodeCompleteResp(body []byte) ([]string, error) {
-	c := &cursor{data: body}
-	n := c.count("completion", maxWireResults)
-	if c.err == nil && n > len(c.data) {
-		c.fail("completion count %d exceeds the payload that would carry it", n)
-	}
+	c := newCursor(body)
+	n := c.count("completion", maxWireResults, 1) // a length each
 	var kws []string
-	for i := 0; i < n && c.err == nil; i++ {
+	for i := 0; i < n && c.Err() == nil; i++ {
 		kws = append(kws, c.str("completion"))
 	}
-	return kws, c.done()
+	return kws, c.Done()
 }
 
 // --- stats ---
@@ -1242,13 +1138,13 @@ func encodeStatsReq(r statsReq) []byte {
 }
 
 func decodeStatsReq(data []byte) (statsReq, error) {
-	c := &cursor{data: data}
+	c := newCursor(data)
 	var r statsReq
-	n := c.count("keyword", maxWireStrings)
-	for i := 0; i < n && c.err == nil; i++ {
+	n := c.count("keyword", maxWireStrings, 1) // a length each
+	for i := 0; i < n && c.Err() == nil; i++ {
 		r.keywords = append(r.keywords, c.str("keyword"))
 	}
-	return r, c.done()
+	return r, c.Done()
 }
 
 type statsResp struct {
@@ -1266,14 +1162,14 @@ func appendStatsResp(b []byte, r statsResp) []byte {
 }
 
 func decodeStatsResp(body []byte) (statsResp, error) {
-	c := &cursor{data: body}
+	c := newCursor(body)
 	var r statsResp
-	r.totalElements = c.uvarint("total elements")
-	n := c.count("count", maxWireStrings)
-	for i := 0; i < n && c.err == nil; i++ {
-		r.counts = append(r.counts, c.uvarint("count"))
+	r.totalElements = c.Uvarint("total elements")
+	n := c.count("count", maxWireStrings, 1) // a uvarint each
+	for i := 0; i < n && c.Err() == nil; i++ {
+		r.counts = append(r.counts, c.Uvarint("count"))
 	}
-	return r, c.done()
+	return r, c.Done()
 }
 
 // --- errors ---
@@ -1303,12 +1199,12 @@ func encodeErrMsg(e errMsg) []byte {
 }
 
 func decodeErrMsg(data []byte) (errMsg, error) {
-	c := &cursor{data: data}
+	c := newCursor(data)
 	var e errMsg
-	e.kind = errKind(c.u8("error kind"))
+	e.kind = errKind(c.U8("error kind"))
 	e.msg = c.str("error message")
 	if e.kind < errKindEmptyQuery || e.kind > errKindSkew {
-		c.fail("unknown error kind %d", e.kind)
+		c.Fail("unknown error kind %d", e.kind)
 	}
-	return e, c.done()
+	return e, c.Done()
 }

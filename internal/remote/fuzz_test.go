@@ -9,6 +9,7 @@ import (
 	"io"
 	"testing"
 
+	"extract/internal/bin"
 	"extract/internal/core"
 	"extract/internal/search"
 )
@@ -20,7 +21,7 @@ func frameBytes(version byte, t msgType, payload []byte) []byte {
 	hdr[2] = version
 	hdr[3] = byte(t)
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, bin.CRC32C))
 	return append(hdr[:], payload...)
 }
 

@@ -40,6 +40,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"extract/internal/bin"
 )
 
 // Wire framing: every message is one frame,
@@ -47,8 +49,10 @@ import (
 //	magic "XR" (2) | version (1) | type (1) | payload length (4, LE) |
 //	payload CRC-32C (4, LE) | payload
 //
-// The length is validated against maxFramePayload before any allocation
-// and the checksum before any payload parsing, so a corrupt, truncated or
+// The length is validated against maxFramePayload, and a long payload is
+// read as its bytes arrive, so a truncated frame costs about what was sent;
+// the checksum is verified before any payload parsing. A payload is then
+// decoded through bin.Reader (codec.go), so a corrupt, truncated or
 // version-skewed frame is rejected as a *ProtocolError — classified,
 // never a panic or an unbounded allocation (the frame-decoder fuzz target
 // pins this).
@@ -91,8 +95,6 @@ const (
 	msgSnippetsResp
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // ProtocolError is a malformed, corrupt or version-skewed wire frame (or
 // payload). It is a classification, not a transport failure: the
 // connection that produced it is poisoned and must be closed, and the
@@ -117,7 +119,7 @@ func writeFrame(w io.Writer, t msgType, payload []byte) error {
 	hdr[2] = wireVersion
 	hdr[3] = byte(t)
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, bin.CRC32C))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -152,12 +154,31 @@ func readFrame(r io.Reader) (msgType, []byte, error) {
 	if n > maxFramePayload {
 		return 0, nil, protocolErrf("frame payload length %d exceeds cap %d", n, maxFramePayload)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return 0, nil, protocolErrf("truncated frame payload: %v", err)
 	}
-	if sum := crc32.Checksum(payload, crcTable); sum != binary.LittleEndian.Uint32(hdr[8:12]) {
+	if sum := crc32.Checksum(payload, bin.CRC32C); sum != binary.LittleEndian.Uint32(hdr[8:12]) {
 		return 0, nil, protocolErrf("frame checksum mismatch")
 	}
 	return t, payload, nil
+}
+
+// exactPayload is the largest payload read into one allocation of its claimed
+// length — every routed query's. A longer one grows, doubling, as its bytes
+// arrive, so a peer that claims 64 MiB and sends ten bytes costs 64 KiB.
+const exactPayload = 64 << 10
+
+// readPayload reads an n-byte payload.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	payload := make([]byte, min(n, exactPayload))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			return nil, err
+		}
+		if read = len(payload); read == n {
+			return payload, nil
+		}
+		payload = append(payload, make([]byte, min(n-read, read))...)
+	}
 }

@@ -110,8 +110,13 @@ const (
 // Generator produces snippets for query results over one corpus. It keeps
 // a pool of feature collectors, whose scratch — the tables and logs of the
 // one fold a snippet makes over its result's elements — is reused across
-// results, so a snippet allocates what it returns and little else. A Generator is safe for
-// concurrent use by multiple goroutines (the snippet fan-out shares one).
+// results, so a snippet allocates what it returns and little else. There are
+// two entry points over one body (generate): the inspection path
+// (ForTree*, ForResult*) returns the result's feature statistics with the
+// snippet, as a Stats of their own; the served path (ServeResult, which
+// shard.Snippets runs) returns none, and folds them into the borrowed
+// collector's reusable Stats instead. A Generator is safe for concurrent use
+// by multiple goroutines (the snippet fan-out shares one).
 type Generator struct {
 	Corpus *Corpus
 	// Algorithm picks greedy (default) or exact selection.
@@ -126,7 +131,7 @@ type Generator struct {
 func NewGenerator(c *Corpus) *Generator { return &Generator{Corpus: c} }
 
 // collector borrows a feature collector for the corpus; putCollector
-// returns it for reuse.
+// releases its scratch Stats and returns it for reuse.
 func (g *Generator) collector() *features.Collector {
 	if c, ok := g.collectors.Get().(*features.Collector); ok {
 		return c
@@ -134,7 +139,10 @@ func (g *Generator) collector() *features.Collector {
 	return features.NewCollector(g.Corpus.Cls)
 }
 
-func (g *Generator) putCollector(c *features.Collector) { g.collectors.Put(c) }
+func (g *Generator) putCollector(c *features.Collector) {
+	c.ReleaseScratch()
+	g.collectors.Put(c)
+}
 
 // Generated is a snippet with the intermediate artifacts of its derivation,
 // for inspection, metrics and the demo UI.
@@ -142,9 +150,11 @@ type Generated struct {
 	Snippet *selector.Snippet
 	IList   *ilist.IList
 	// Stats are the feature statistics the IList and the selection were
-	// derived from. They are sized by the result, not by the snippet;
-	// the serving layer drops them (nil) from the snippets it returns and
-	// caches.
+	// derived from, on the inspection path (ForTree*, ForResult*). They are
+	// sized by the result, not by the snippet, so nil on a served snippet
+	// (ServeResult): its statistics lived in per-worker scratch, which is
+	// reused for the next result once the snippet is made. Nothing else in
+	// a Generated refers to them.
 	Stats    *features.Stats
 	Keywords []string
 	Bound    int
@@ -165,16 +175,25 @@ func (g *Generator) ForTree(result *xmltree.Document, query string, bound int) *
 // of the generator's own corpus document is snippeted from that corpus's
 // index; any other tree is read.
 func (g *Generator) ForTreeTokens(result *xmltree.Document, kws []string, bound int) *Generated {
-	return g.generate(g.Corpus.Index, result, kws, bound)
+	return g.generate(g.Corpus.Index, result, kws, bound, false)
 }
 
 // generate snippets one result; ix is the index of the document the result
 // is a view of, nil when it is a tree of its own (features.CollectResult
-// checks, so a handle that is not this tree's is as good as none).
-func (g *Generator) generate(ix *index.Index, result *xmltree.Document, kws []string, bound int) *Generated {
+// checks, so a handle that is not this tree's is as good as none). A served
+// snippet's statistics are folded into the borrowed collector's scratch
+// Stats, which stays borrowed until the selection has read it and is not
+// returned; otherwise they are a Stats of their own, returned with the
+// snippet.
+func (g *Generator) generate(ix *index.Index, result *xmltree.Document, kws []string, bound int, served bool) *Generated {
 	col := g.collector()
-	stats := col.CollectResult(ix, result)
-	g.putCollector(col)
+	defer g.putCollector(col)
+	var stats *features.Stats
+	if served {
+		stats = col.CollectScratch(ix, result)
+	} else {
+		stats = col.CollectResult(ix, result)
+	}
 	il := ilist.Build(result.Root, kws, g.Corpus.Cls, g.Corpus.Keys, stats)
 	var sn *selector.Snippet
 	switch g.Algorithm {
@@ -183,13 +202,11 @@ func (g *Generator) generate(ix *index.Index, result *xmltree.Document, kws []st
 	default:
 		sn = selector.Greedy(result, il, g.Corpus.Cls, stats, bound)
 	}
-	return &Generated{
-		Snippet:  sn,
-		IList:    il,
-		Stats:    stats,
-		Keywords: kws,
-		Bound:    bound,
+	out := &Generated{Snippet: sn, IList: il, Keywords: kws, Bound: bound}
+	if !served {
+		out.Stats = stats
 	}
+	return out
 }
 
 // ForResult generates a snippet for a search result.
@@ -202,7 +219,18 @@ func (g *Generator) ForResult(r *search.Result, query string, bound int) *Genera
 // (search.Result.Index), so one generator over a corpus's shared analysis
 // serves the results of every shard.
 func (g *Generator) ForResultTokens(r *search.Result, kws []string, bound int) *Generated {
-	return g.generate(r.Index, r.Doc, kws, bound)
+	return g.generate(r.Index, r.Doc, kws, bound, false)
+}
+
+// ServeResult is ForResultTokens for a snippet that is sent or cached rather
+// than inspected: the same snippet and IList, with nil Stats. The
+// statistics are folded into the borrowed collector's reusable Stats
+// (features.Collector.CollectScratch) and the collector is held until the
+// selection ends, so serving a snippet allocates what the snippet returns —
+// nothing sized by the result. Only the snippet fan-out (shard.Snippets)
+// calls it; inspection keeps owned Stats, which its callers read.
+func (g *Generator) ServeResult(r *search.Result, kws []string, bound int) *Generated {
+	return g.generate(r.Index, r.Doc, kws, bound, true)
 }
 
 // SnippetedResult pairs a search result with its generated snippet.

@@ -295,12 +295,16 @@ func allocationResult(t *testing.T, clothes int) (*core.Corpus, *search.Result) 
 }
 
 // TestSnippetAllocations states the pipeline's cost model as a test: one
-// pass over the result, then work sized by the snippet. A 10-node and a
-// 10 000-node result with the same distinct content cost the same number of
-// allocations end to end — the statistics' integer columns and the instance
-// arena are one allocation each whatever their length, and everything else
-// is the IList and the snippet, which are equal — and so do the two stages
-// that come after the pass, taken on their own.
+// pass over the result, then work sized by the snippet. It measures the
+// inspection path (ForResultTokens), which hands the statistics back as a
+// Stats of their own: a 10-node and a 10 000-node result with the same
+// distinct content cost the same number of allocations end to end — the
+// statistics' integer columns and the instance arena are one allocation each
+// whatever their length, and everything else is the IList and the snippet,
+// which are equal — and so do the two stages that come after the pass, taken
+// on their own. The served path (ServeResult) folds the statistics into the
+// collector's scratch and allocates none of them; the shard package's
+// TestServedSnippetMatchesInspected holds the two paths equal.
 func TestSnippetAllocations(t *testing.T) {
 	kws := []string{"houston", "suit"}
 	type measured struct{ nodes, items, snippet, ilist, selection float64 }

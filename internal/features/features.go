@@ -36,9 +36,12 @@
 // instances of every entity label, which entity labels occur with no entity
 // above them, and which (entity label, attribute-child label) pairs occur.
 // All of it accumulates in a Collector's scratch, which holds positions and
-// symbol ids only; the Stats handed out is an exact-size copy — a few
-// integer columns and one arena of instance positions — and its string-keyed
-// lookup tables are built only if a by-name accessor asks.
+// symbol ids only, and one fill turns it into a Stats — a few integer columns
+// carved from one block and one arena of instance positions — whose
+// string-keyed lookup tables are built only if a by-name accessor asks. The
+// fill writes into a new, exact-size Stats the caller owns (CollectResult), or
+// into the collector's own reusable Stats (CollectScratch), which the snippets
+// a server sends are derived from and which none of them keeps.
 package features
 
 import (
@@ -112,6 +115,10 @@ type Stats struct {
 
 	inst []int32 // preorder positions
 
+	// block is the one allocation the integer columns are carved from,
+	// kept so a collector's scratch Stats is refilled in place.
+	block []int32
+
 	// nodes resolves positions: a preorder run of the result's document
 	// covering the result, nodes[0] at position base. ix is the index the
 	// statistics were folded from, nil for a tree that has none.
@@ -130,8 +137,12 @@ type Stats struct {
 // Collector gathers feature statistics. Its scratch — the tables indexed by
 // symbol id, the occurrence logs, the columns of a result that has no index
 // — is kept across calls, so a generator snippeting many results allocates
-// only what each Stats owns. A Collector is NOT safe for concurrent use;
-// pool Collectors to share across goroutines (see core.Generator).
+// only what each Stats owns; and a caller that keeps no Stats (a served
+// snippet) folds into the collector's own reusable Stats instead
+// (CollectScratch), which allocates nothing once it has grown to the
+// results it sees. A Collector is NOT safe for concurrent use; pool
+// Collectors to share across goroutines (see core.Generator), and release
+// the scratch Stats (ReleaseScratch) before pooling one.
 type Collector struct {
 	cls *classify.Classification
 
@@ -153,6 +164,9 @@ type Collector struct {
 	ents                         []entityScratch
 	highest                      []int32
 	pairs                        []pairScratch
+
+	// stats is the Stats CollectScratch fills, nil until it first does.
+	stats *Stats
 }
 
 // labelSlot is what the current result has shown of one label: its category,
@@ -261,23 +275,58 @@ func (c *Collector) Collect(root *xmltree.Node) *Stats {
 // from the result's nodes into the collector's scratch first, and folded
 // identically.
 func (c *Collector) CollectResult(ix *index.Index, result *xmltree.Document) *Stats {
+	return c.collect(ix, result, nil)
+}
+
+// CollectScratch is CollectResult folding into the collector's own Stats,
+// whose columns, instance arena, entity tables and dominant list are reused
+// from one result to the next: what a caller that keeps no statistics (a
+// served snippet, core.Generator.ServeResult) uses, so the statistics of a
+// result cost nothing once the scratch has grown to it. The Stats is valid
+// until the collector's next Collect* call or ReleaseScratch; nothing may keep
+// it, or any slice it hands out, past that. The statistics of a document's
+// own root are the index's shared ones, as CollectResult returns them.
+func (c *Collector) CollectScratch(ix *index.Index, result *xmltree.Document) *Stats {
+	if c.stats == nil {
+		c.stats = &Stats{}
+	}
+	c.stats.recycle()
+	return c.collect(ix, result, c.stats)
+}
+
+// ReleaseScratch drops what the scratch Stats refers to — the result's nodes,
+// its index, the labels and values it read — keeping only its buffers, so a
+// pooled Collector keeps no corpus generation reachable.
+func (c *Collector) ReleaseScratch() {
+	if c.stats != nil {
+		c.stats.recycle()
+	}
+}
+
+// collect folds one result into dst, or into a new Stats when dst is nil.
+func (c *Collector) collect(ix *index.Index, result *xmltree.Document, dst *Stats) *Stats {
+	if dst == nil {
+		dst = &Stats{}
+	}
 	root := result.Root
 	if root == nil || !root.IsElement() {
-		return &Stats{}
+		return dst
 	}
 	if ix == nil || ix.Document().ByOrd(root.Ord) != root {
 		c.cols.Fill(result.Nodes())
-		return c.fold(&Stats{nodes: result.Nodes(), base: root.Start}, &c.cols, 0, c.cols.Len())
+		dst.nodes, dst.base = result.Nodes(), root.Start
+		return c.fold(dst, &c.cols, 0, c.cols.Len())
 	}
-	fold := func() *Stats {
+	fold := func(dst *Stats) *Stats {
 		nodes, cols := ix.Document().Nodes(), ix.Columns()
 		lo, hi := cols.Run(root.Start, root.End)
-		return c.fold(&Stats{nodes: nodes, base: nodes[0].Start, ix: ix}, cols, lo, hi)
+		dst.nodes, dst.base, dst.ix = nodes, nodes[0].Start, ix
+		return c.fold(dst, cols, lo, hi)
 	}
 	if root != ix.Document().Root {
-		return fold()
+		return fold(dst)
 	}
-	return ix.Derived(c.cls, func() any { return fold() }).(*Stats)
+	return ix.Derived(c.cls, func() any { return fold(&Stats{}) }).(*Stats)
 }
 
 // label returns the slot of a label symbol, classifying the label — read
@@ -337,19 +386,19 @@ func (c *Collector) fold(s *Stats, cols *index.Columns, lo, hi int) *Stats {
 	}
 	c.fill(s)
 	if hi-lo >= scratchKeepNodes {
-		*c = *NewCollector(c.cls)
+		*c = *NewCollector(c.cls) // the scratch Stats goes too
 	} else {
 		c.release()
 	}
 	return s
 }
 
-// What a Collector keeps between results is bounded. Its logs and columns
-// grow to the largest result it has seen — 8 bytes an attribute or entity
-// occurrence, 20 an element of an index-less result — which is what makes a
-// repeated large result cheap, but a pooled Collector must not pin memory
-// in proportion to a corpus of any size: past scratchKeepNodes elements a
-// result's scratch is garbage like its Stats.
+// What a Collector keeps between results is bounded. Its logs, columns and
+// scratch Stats grow to the largest result it has seen — 8 bytes an
+// attribute or entity occurrence, 20 an element of an index-less result —
+// which is what makes a repeated large result cheap, but a pooled Collector
+// must not pin memory in proportion to a corpus of any size: past
+// scratchKeepNodes elements a result's scratch is garbage like its Stats.
 const scratchKeepNodes = 1 << 20
 
 // overKeep is the largest overflow map release empties rather than replaces:
@@ -401,25 +450,31 @@ func (c *Collector) recordPair(slot *labelSlot, ent, attr, pos, parent int32) {
 	}
 }
 
-// fill copies the scratch into s at exact size: one block of integer
-// columns, one instance arena carved into per-feature and per-entity runs.
+// fill copies the scratch into s: one block of integer columns, one instance
+// arena carved into per-feature and per-entity runs, the entity labels and
+// the entity/attribute pairs. Each goes into the buffer s already has when
+// that is large enough — a collector's scratch Stats, refilled — and into a
+// new one of exact size otherwise, which is every one of a new Stats.
 func (c *Collector) fill(s *Stats) {
 	nf, nt, ne := len(c.ftype), len(c.typeFirst), len(c.ents)
-	ints := make([]int32, 0, 4*nf+(nf+1)+3*nt+ne+(ne+1)+len(c.highest))
+	ints := sized(s.block, 4*nf+(nf+1)+3*nt+ne+(ne+1)+len(c.highest))[:0]
+	s.block = ints
 	column := func(src []int32) []int32 {
 		ints = append(ints, src...)
 		return ints[len(ints)-len(src) : len(ints) : len(ints)]
 	}
 	zeros := func(n int) []int32 {
 		ints = ints[:len(ints)+n]
-		return ints[len(ints)-n : len(ints) : len(ints)]
+		z := ints[len(ints)-n : len(ints) : len(ints)]
+		clear(z)
+		return z
 	}
 	s.ent, s.attr, s.val, s.ftype = column(c.ent), column(c.attr), column(c.val), column(c.ftype)
 	s.typeFirst, s.highest = column(c.typeFirst), column(c.highest)
 	s.off, s.entOff = zeros(nf+1), zeros(ne+1)
 	s.typeN, s.typeD, s.entSyms = zeros(nt), zeros(nt), zeros(ne)
 
-	s.inst = make([]int32, len(c.occ)+len(c.eocc))
+	s.inst = sized(s.inst, len(c.occ)+len(c.eocc))
 	for f, n := range c.count {
 		s.off[f+1] = s.off[f] + n
 		s.typeN[c.ftype[f]] += n
@@ -431,7 +486,7 @@ func (c *Collector) fill(s *Stats) {
 		c.count[o.id]++
 	}
 	if ne > 0 {
-		s.entLabels = make([]string, ne)
+		s.entLabels = sized(s.entLabels, ne)
 	}
 	s.entOff[0] = int32(len(c.occ))
 	for e := range c.ents {
@@ -446,10 +501,37 @@ func (c *Collector) fill(s *Stats) {
 		ent.count++
 	}
 	if len(c.pairs) > 0 {
-		s.entAttrs = make([]EntityAttr, len(c.pairs))
+		s.entAttrs = sized(s.entAttrs, len(c.pairs))
 		for i, p := range c.pairs {
 			s.entAttrs[i] = EntityAttr{Entity: s.entLabels[p.ent], Attr: s.Node(p.child).Label, First: int(p.first)}
 		}
+	}
+}
+
+// sized returns buf resliced to n elements when it has the room, else a new
+// slice of exactly n. Reused elements keep what they held: the caller
+// overwrites every one.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// recycle readies a collector's scratch Stats for its next fill: every
+// buffer emptied, its capacity kept, and no reference left to a document —
+// the labels and values its tables held are cleared, the node run and the
+// index dropped.
+func (s *Stats) recycle() {
+	clear(s.entLabels)
+	clear(s.entAttrs)
+	clear(s.dominant)
+	*s = Stats{
+		block:     s.block[:0],
+		inst:      s.inst[:0],
+		entLabels: s.entLabels[:0],
+		entAttrs:  s.entAttrs[:0],
+		dominant:  s.dominant[:0],
 	}
 }
 
@@ -716,9 +798,9 @@ func (s *Stats) sortDominant() []Scored {
 		}
 	}
 	if count == 0 {
-		return nil
+		return s.dominant[:0]
 	}
-	out := make([]Scored, 0, count)
+	out := sized(s.dominant, count)[:0]
 	for id := range s.ftype {
 		if id := int32(id); s.isDominantID(id) {
 			out = append(out, Scored{Feature: s.Feature(id), Score: s.dominanceID(id), ID: id})

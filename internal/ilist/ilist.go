@@ -16,8 +16,10 @@ package ilist
 
 import (
 	"slices"
-	"sort"
 	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"extract/internal/classify"
 	"extract/internal/features"
@@ -99,13 +101,12 @@ func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 	dominant := stats.Dominant()
 	labels := stats.EntityLabels()
 	il.Items = make([]Item, 0, len(keywords)+len(labels)+1+len(dominant))
-	have := make(map[string]bool, cap(il.Items))
+	sc := scratches.Get().(*scratch)
+	defer sc.release()
 	add := func(it Item) bool {
-		k := strings.ToLower(strings.TrimSpace(it.Text))
-		if k == "" || have[k] {
+		if !sc.admit(strings.TrimSpace(it.Text)) {
 			return false
 		}
-		have[k] = true
 		il.Items = append(il.Items, it)
 		return true
 	}
@@ -116,15 +117,15 @@ func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 	}
 
 	// 2. Entity names present in the result, alphabetically.
-	sorted := append([]string(nil), labels...)
-	sort.Strings(sorted)
-	for _, l := range sorted {
+	sc.labels = append(sc.labels, labels...)
+	slices.Sort(sc.labels)
+	for _, l := range sc.labels {
 		add(Item{Kind: EntityName, Text: l})
 	}
 
 	// 3. Result key of the return entity.
 	if root != nil {
-		il.ReturnEntities = returnEntities(keywords, stats)
+		il.ReturnEntities = returnEntities(sc, keywords, stats)
 	}
 	for _, re := range il.ReturnEntities {
 		inst := stats.FirstEntity(re)
@@ -160,14 +161,13 @@ func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 // ancestors — are the default. Name matches come in the order the labels
 // first occur; attribute-name matches in the order of the first instance
 // that has a matching attribute child.
-func returnEntities(keywords []string, stats *features.Stats) []string {
-	lower := make([]string, len(keywords))
-	for i, k := range keywords {
-		lower[i] = strings.ToLower(k)
+func returnEntities(sc *scratch, keywords []string, stats *features.Stats) []string {
+	for _, k := range keywords {
+		sc.lower = append(sc.lower, strings.ToLower(k))
 	}
 	tokenHit := func(label string) (hit bool) {
-		index.EachToken(label, func(t string) bool {
-			hit = slices.Contains(lower, t)
+		index.EachTokenIn(label, &sc.tok, func(t string) bool {
+			hit = slices.Contains(sc.lower, t)
 			return !hit
 		})
 		return hit
@@ -209,6 +209,89 @@ func returnEntities(keywords []string, stats *features.Stats) []string {
 		return out
 	}
 	return stats.HighestEntities()
+}
+
+// scratch is Build's working state, pooled, so a list allocates what it
+// returns and nothing per item: the case-insensitive set of the texts
+// admitted so far, the sorted entity labels and the lower-cased keywords.
+type scratch struct {
+	// seen maps the hash of an admitted text's lower-case form (foldHash)
+	// to that text's index in keys, the admitted texts in order.
+	seen map[uint64]int32
+	keys []string
+
+	labels, lower []string
+	tok           []byte // returnEntities' token buffer (index.EachTokenIn)
+}
+
+var scratches = sync.Pool{New: func() any { return &scratch{seen: make(map[uint64]int32)} }}
+
+// keepItems bounds what a pooled scratch keeps: past it, a list's set is
+// garbage with it.
+const keepItems = 1 << 12
+
+// admit reports whether text is non-empty and equal to no admitted text
+// under strings.ToLower, and admits it if so. Texts are compared in their
+// lower-case form rune by rune (sameLower) and hashed in it (foldHash), so
+// none is lower-cased into a new string.
+func (sc *scratch) admit(text string) bool {
+	if text == "" {
+		return false
+	}
+	h := foldHash(text)
+	if i, ok := sc.seen[h]; ok {
+		if sameLower(text, sc.keys[i]) {
+			return false
+		}
+		// Two lower-case forms sharing a 64-bit hash: compare against all.
+		if slices.ContainsFunc(sc.keys, func(k string) bool { return sameLower(text, k) }) {
+			return false
+		}
+	} else {
+		sc.seen[h] = int32(len(sc.keys))
+	}
+	sc.keys = append(sc.keys, text)
+	return true
+}
+
+// release empties the scratch, dropping every string it holds — a pooled
+// scratch must keep no corpus reachable — and pools it.
+func (sc *scratch) release() {
+	if len(sc.keys) > keepItems {
+		return
+	}
+	clear(sc.seen)
+	clear(sc.keys)
+	clear(sc.labels)
+	clear(sc.lower)
+	sc.keys, sc.labels, sc.lower = sc.keys[:0], sc.labels[:0], sc.lower[:0]
+	scratches.Put(sc)
+}
+
+// foldHash is the FNV-1a hash of strings.ToLower(s)'s runes: the runes of s
+// as range decodes them (an invalid byte is utf8.RuneError, as ToLower makes
+// it), each lower-cased by unicode.ToLower, which ToLower maps.
+func foldHash(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for _, r := range s {
+		h = (h ^ uint64(unicode.ToLower(r))) * 1099511628211
+	}
+	return h
+}
+
+// sameLower reports strings.ToLower(a) == strings.ToLower(b) without
+// building either: the two agree exactly when their runes agree one by one
+// after unicode.ToLower.
+func sameLower(a, b string) bool {
+	for len(a) > 0 && len(b) > 0 {
+		ra, na := utf8.DecodeRuneInString(a)
+		rb, nb := utf8.DecodeRuneInString(b)
+		if ra != rb && unicode.ToLower(ra) != unicode.ToLower(rb) {
+			return false
+		}
+		a, b = a[na:], b[nb:]
+	}
+	return len(a) == len(b)
 }
 
 // Texts returns the item texts in rank order.

@@ -1,6 +1,7 @@
 package ilist
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -147,5 +148,49 @@ func TestString(t *testing.T) {
 	s := il.String()
 	if !strings.Contains(s, "Brook Brothers, Houston") {
 		t.Errorf("String() = %q", s)
+	}
+}
+
+// TestAdmitMatchesToLower: the pooled set Build dedupes with admits a text
+// exactly when the map of strings.ToLower(strings.TrimSpace(text)) it
+// replaced would have — over random texts of ASCII of both cases, space,
+// runes whose case mappings are not one-to-one (the Kelvin sign, long s,
+// dotted and dotless i, final sigma) and invalid UTF-8 — and allocates
+// nothing for a list once the pool holds a scratch.
+func TestAdmitMatchesToLower(t *testing.T) {
+	alphabet := []string{"a", "A", "s", "S", "k", "K", " ", "K", "ſ", "İ", "ı", "i", "I", "ς", "σ", "Σ", "\xff", "\xfe", "�", "é", "É"}
+	r := rand.New(rand.NewSource(1))
+	for round := 0; round < 2000; round++ {
+		sc := scratches.Get().(*scratch)
+		want := map[string]bool{}
+		for k := 0; k < 12; k++ {
+			var b strings.Builder
+			for n := r.Intn(4); n >= 0; n-- {
+				b.WriteString(alphabet[r.Intn(len(alphabet))])
+			}
+			text := strings.TrimSpace(b.String())
+			key := strings.ToLower(text)
+			wantAdmit := key != "" && !want[key]
+			if wantAdmit {
+				want[key] = true
+			}
+			if got := sc.admit(text); got != wantAdmit {
+				t.Fatalf("admit(%q) = %v, want %v (admitted %q)", text, got, wantAdmit, sc.keys)
+			}
+		}
+		sc.release()
+	}
+	if raceDetector {
+		return // sync.Pool drops entries at random under the detector
+	}
+	texts := []string{"Texas", "apparel", "TEXAS", "Brook Brothers", "brook brothers", "Houston", "houston "}
+	if n := testing.AllocsPerRun(100, func() {
+		sc := scratches.Get().(*scratch)
+		for _, text := range texts {
+			sc.admit(strings.TrimSpace(text))
+		}
+		sc.release()
+	}); n != 0 {
+		t.Errorf("deduplicating a list allocates %v objects", n)
 	}
 }

@@ -216,11 +216,16 @@ func (ix *Index) Derived(key any, build func() any) any {
 // multi-token argument returns nil. The returned list is shared and must
 // not be modified.
 func (ix *Index) List(keyword string) *PostingList {
-	toks := Tokenize(keyword)
-	if len(toks) != 1 {
+	var tok string
+	n := 0
+	EachToken(keyword, func(t string) bool {
+		tok, n = t, n+1
+		return n < 2
+	})
+	if n != 1 {
 		return nil
 	}
-	return ix.postings[toks[0]]
+	return ix.postings[tok]
 }
 
 // ListOf returns the posting list of a token exactly as given — no

@@ -260,3 +260,47 @@ func TestBuildMixedContentSortedUnique(t *testing.T) {
 		t.Errorf("p has %d postings, want 3", got)
 	}
 }
+
+// TestListAllocatesNothing: looking up a canonical token — what ranking
+// does per keyword per shard — tokenizes the argument without building a
+// token slice, and still rejects what is not one token.
+func TestListAllocatesNothing(t *testing.T) {
+	ix := Build(buildDoc(t))
+	if ix.List("texas") == nil || ix.List("brook brothers") != nil || ix.List("") != nil || ix.List("BROOK") != ix.List("brook") {
+		t.Fatal("List does not resolve exactly one token")
+	}
+	if n := testing.AllocsPerRun(100, func() { ix.List("texas") }); n != 0 {
+		t.Errorf("List of a canonical token allocates %v objects", n)
+	}
+}
+
+// TestEachTokenInMatchesTokenize: the lookup tokenizer yields Tokenize's
+// tokens — upper-case ASCII and non-ASCII ones rebuilt in the caller's
+// buffer — and, once the buffer has grown, allocates nothing.
+func TestEachTokenInMatchesTokenize(t *testing.T) {
+	pieces := []string{"Brook", "brothers", "HOUSTON", "Les", "Misérables", "ÉTÉ", "x9", " ", "-", "悲惨", "\xff", "İstanbul"}
+	r := rand.New(rand.NewSource(3))
+	var buf []byte
+	for round := 0; round < 500; round++ {
+		var b strings.Builder
+		for n := r.Intn(6); n >= 0; n-- {
+			b.WriteString(pieces[r.Intn(len(pieces))])
+			if r.Intn(2) == 0 {
+				b.WriteByte(' ')
+			}
+		}
+		s := b.String()
+		var got []string
+		EachTokenIn(s, &buf, func(tok string) bool {
+			got = append(got, strings.Clone(tok))
+			return true
+		})
+		if want := Tokenize(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: EachTokenIn %q, Tokenize %q", s, got, want)
+		}
+	}
+	text := "Brook Brothers of HOUSTON, Les Misérables"
+	if n := testing.AllocsPerRun(100, func() { EachTokenIn(text, &buf, func(string) bool { return true }) }); n != 0 {
+		t.Errorf("EachTokenIn allocates %v objects", n)
+	}
+}

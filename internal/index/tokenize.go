@@ -12,9 +12,9 @@
 package index
 
 import (
-	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Tokenize splits free text into lowercase keyword tokens. Token characters
@@ -42,7 +42,33 @@ func isAlnumASCII(c byte) bool {
 // returns false. Tokenization is identical to Tokenize, but lowercase ASCII
 // tokens are passed as substrings without materializing a token slice, so
 // scanning large text corpora for a small keyword set does not allocate.
-func EachToken(s string, fn func(string) bool) {
+func EachToken(s string, fn func(string) bool) { eachToken(s, nil, fn) }
+
+// EachTokenIn is EachToken for a caller that keeps none of the tokens it is
+// passed (a lookup): a token that is not a substring of s — it had
+// upper-case letters or non-ASCII runes — is built in *buf, reused from one
+// token and one call to the next, and is valid only until fn returns. So
+// tokenizing allocates nothing once *buf has grown to the longest such token.
+func EachTokenIn(s string, buf *[]byte, fn func(string) bool) { eachToken(s, buf, fn) }
+
+// eachToken tokenizes s for EachToken (buf nil: a rebuilt token is a string
+// of its own) and EachTokenIn (a rebuilt token is built in *buf).
+func eachToken(s string, buf *[]byte, fn func(string) bool) {
+	var own []byte
+	if buf == nil {
+		buf = &own
+	}
+	// token returns the lower-cased token built in b: for EachTokenIn, b
+	// goes back to *buf for the next token; for EachToken, the string owns b
+	// and the next token is built in a new one.
+	token := func(b []byte) string {
+		if buf == &own {
+			own = nil
+		} else {
+			*buf = b
+		}
+		return unsafe.String(unsafe.SliceData(b), len(b))
+	}
 	n := len(s)
 	for i := 0; i < n; {
 		c := s[i]
@@ -69,25 +95,31 @@ func EachToken(s string, fn func(string) bool) {
 		if ascii {
 			tok := s[start:i]
 			if !lower {
-				tok = strings.ToLower(tok)
+				b := append((*buf)[:0], tok...)
+				for k, c := range b {
+					if 'A' <= c && c <= 'Z' {
+						b[k] = c + 'a' - 'A'
+					}
+				}
+				tok = token(b)
 			}
 			if !fn(tok) {
 				return
 			}
 			continue
 		}
-		var b strings.Builder
+		b := (*buf)[:0]
 		j := start
 		for j < n {
 			r, size := utf8.DecodeRuneInString(s[j:])
 			if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
 				break
 			}
-			b.WriteRune(unicode.ToLower(r))
+			b = utf8.AppendRune(b, unicode.ToLower(r))
 			j += size
 		}
-		if b.Len() > 0 {
-			if !fn(b.String()) {
+		if len(b) > 0 {
+			if !fn(token(b)) {
 				return
 			}
 		} else {

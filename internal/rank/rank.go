@@ -59,14 +59,30 @@ func (s *Scorer) IDF(keyword string) float64 {
 // number a deferred result carries without its tree, so a routed result
 // scores by the same arithmetic as a local one.
 func (s *Scorer) Score(r *search.Result, keywords []string) float64 {
+	return s.score(r, keywords, s.weights(keywords))
+}
+
+// weights returns the IDF of each keyword, read once for a whole list of
+// results: on a sharded corpus a document frequency is a lookup on every
+// shard.
+func (s *Scorer) weights(keywords []string) []float64 {
+	idf := make([]float64, len(keywords))
+	for i, kw := range keywords {
+		idf[i] = s.IDF(kw)
+	}
+	return idf
+}
+
+// score is Score with the keywords' IDFs given (weights).
+func (s *Scorer) score(r *search.Result, keywords []string, idf []float64) float64 {
 	total := 0.0
-	for _, kw := range keywords {
+	for i, kw := range keywords {
 		d, ok := r.MatchDepth(kw)
 		if !ok {
 			continue
 		}
 		if w := math.Pow(s.Decay, float64(d)); w > 0 {
-			total += s.IDF(kw) * w
+			total += idf[i] * w
 		}
 	}
 	return total
@@ -74,13 +90,18 @@ func (s *Scorer) Score(r *search.Result, keywords []string) float64 {
 
 // Order ranks results by descending score; ties keep the given order
 // (stable). order[i] is the index in results of the i-th ranked result and
-// scores[i] its score, so the caller's slice is left as it was.
+// scores[i] its score, so the caller's slice is left as it was. Each
+// keyword's document frequency is read once, whatever the result count.
 func (s *Scorer) Order(results []*search.Result, keywords []string) (order []int32, scores []float64) {
 	order = make([]int32, len(results))
 	byIndex := make([]float64, len(results))
+	var idf []float64
+	if len(results) > 0 {
+		idf = s.weights(keywords)
+	}
 	for i, r := range results {
 		order[i] = int32(i)
-		byIndex[i] = s.Score(r, keywords)
+		byIndex[i] = s.score(r, keywords, idf)
 	}
 	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(byIndex[b], byIndex[a]) })
 	scores = make([]float64, len(results))

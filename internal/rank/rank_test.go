@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"math"
 	"testing"
 
 	"extract/internal/index"
@@ -115,5 +116,39 @@ func TestOrderLeavesResultsInPlace(t *testing.T) {
 	// The shallow match (the second book's buried note loses) ranks first.
 	if order[0] != 0 || scores[0] <= scores[1] {
 		t.Fatalf("order %v, scores %v", order, scores)
+	}
+}
+
+// TestOrderReadsEachFrequencyOnce: ranking a result list reads each
+// keyword's document frequency once — on a sharded corpus a read is a lookup
+// on every shard — and scores exactly as scoring each result on its own.
+func TestOrderReadsEachFrequencyOnce(t *testing.T) {
+	doc, err := xmltree.ParseString(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.Build(doc)
+	eng := search.NewEngine(doc, ix, nil, search.Options{})
+	one, err := eng.Search("gopher")
+	if err != nil || len(one) == 0 {
+		t.Fatalf("%d results, %v", len(one), err)
+	}
+	var results []*search.Result
+	for len(results) < 25 {
+		results = append(results, one...)
+	}
+	results = results[:25]
+	keywords := []string{"gopher", "common", "atlas"}
+	reads := 0
+	sc := NewScorerFunc(func(kw string) int { reads++; return ix.Count(kw) }, doc.ComputeStats().Elements)
+	order, scores := sc.Order(results, keywords)
+	if reads != len(keywords) {
+		t.Errorf("ranking %d results read %d document frequencies, want %d", len(results), reads, len(keywords))
+	}
+	plain := NewScorer(ix)
+	for i, o := range order {
+		if want := plain.Score(results[o], keywords); math.Float64bits(scores[i]) != math.Float64bits(want) {
+			t.Errorf("score %d = %v, want %v", i, scores[i], want)
+		}
 	}
 }

@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
-	"sort"
 	"unsafe"
 
 	"extract/internal/bin"
 	"extract/internal/core"
 	"extract/internal/ilist"
+	"extract/internal/index"
 	"extract/internal/search"
 	"extract/internal/selector"
 	"extract/internal/shard"
@@ -456,26 +456,15 @@ func (v *validated) buildNodes(syms *xmltree.Symbols) []*xmltree.Node {
 
 // --- results ---
 
-// matchKeywords returns r's match keywords in the order a tree record
-// carries them: sorted.
-func matchKeywords(r *search.Result) []string {
-	kws := make([]string, 0, len(r.Matches))
-	for kw := range r.Matches {
-		kws = append(kws, kw)
-	}
-	sort.Strings(kws)
-	return kws
-}
-
 // appendResult encodes one result's tree record losslessly: the result tree
 // in preorder (labels, values, attribute origin, child counts), the LCA's
 // position within it, and the match positions of each match keyword, in
-// sorted order. Positions are preorder ordinals relative to the result root,
-// so the decoder (scanResult, buildResult) rebuilds an identical finalized
-// tree and re-resolves them. A view is encoded straight from the source
-// document's nodes, nothing copied.
+// sorted order (search.Result.MatchKeywords). Positions are preorder
+// ordinals relative to the result root, so the decoder (scanResult,
+// buildResult) rebuilds an identical finalized tree and re-resolves them. A
+// view is encoded straight from the source document's nodes, nothing copied.
 func appendResult(b []byte, r *search.Result) []byte {
-	kws := matchKeywords(r)
+	kws := r.MatchKeywords()
 	nodes := r.Doc.Nodes()
 	b = binary.AppendUvarint(b, uint64(len(nodes)))
 	for _, n := range nodes {
@@ -511,7 +500,7 @@ func appendResult(b []byte, r *search.Result) []byte {
 	b = binary.AppendUvarint(b, uint64(len(kws)))
 	for _, kw := range kws {
 		b = appendString(b, kw)
-		ms := r.Matches[kw]
+		ms := r.Matches(kw)
 		// Every match of a view lies inside it; a projection kept only some.
 		kept := len(ms)
 		if originOrd != nil {
@@ -580,8 +569,9 @@ func (t treeRecord) build() *search.Result { return buildResult(unsafeString(t.e
 // its own (buildNodes, then xmltree.AdoptFinalized). Every label, value and
 // match keyword is a substring of enc — of a routed tree's response payload,
 // which nothing may reuse once records alias it (readFrame). Anchor is the
-// rebuilt root and Matches point into the rebuilt tree, preserving the
-// relative depths the ranking scorer reads.
+// rebuilt root and the matches are lists of the rebuilt tree's nodes
+// (search.Result.OwnMatches), preserving the relative depths the ranking
+// scorer reads.
 //
 // The wire carries every string inline, so the symbol ids (Node.Sym) are
 // interned here, as NewDocument would (a result has few distinct strings next
@@ -594,16 +584,17 @@ func buildResult(enc string) *search.Result {
 	if lca := v.uvarint(); lca > 0 {
 		r.LCA = nodes[lca-1]
 	}
-	nkw := v.uvarint()
-	r.Matches = make(map[string][]*xmltree.Node, nkw)
-	for ; nkw > 0; nkw-- {
-		kw := v.str()
+	kws := make([]string, v.uvarint())
+	lists := make([]*index.PostingList, len(kws))
+	for i := range kws {
+		kws[i] = v.str()
 		ms := make([]*xmltree.Node, v.uvarint())
 		for j := range ms {
 			ms[j] = nodes[v.uvarint()]
 		}
-		r.Matches[kw] = ms
+		lists[i] = index.PackNodes(ms)
 	}
+	r.OwnMatches(kws, lists)
 	return r
 }
 

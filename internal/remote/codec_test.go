@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -91,7 +93,7 @@ func referenceResult(enc []byte) (*search.Result, error) {
 		r.LCA = doc.ByOrd(int(lca - 1))
 	}
 	nkw := c.count("match keyword", maxWireStrings, 0)
-	r.Matches = make(map[string][]*xmltree.Node, nkw)
+	matches := make(map[string][]*xmltree.Node, nkw)
 	for i := 0; i < nkw; i++ {
 		kw := c.str("match keyword")
 		n := c.count("match ordinal", uint64(total), 0)
@@ -106,9 +108,21 @@ func referenceResult(enc []byte) (*search.Result, error) {
 		if c.Err() != nil {
 			return nil, c.Err()
 		}
-		r.Matches[kw] = ms
+		matches[kw] = ms
 	}
-	return r, c.Done()
+	return withMatches(r, matches), c.Done()
+}
+
+// withMatches gives r, a result under construction, the matches of each
+// keyword of m (search.Result.OwnMatches) and returns it.
+func withMatches(r *search.Result, m map[string][]*xmltree.Node) *search.Result {
+	kws := slices.Sorted(maps.Keys(m))
+	lists := make([]*index.PostingList, len(kws))
+	for i, kw := range kws {
+		lists[i] = index.PackNodes(m[kw])
+	}
+	r.OwnMatches(kws, lists)
+	return r
 }
 
 // sameResult compares two decoded results field for field: every node's
@@ -157,12 +171,13 @@ func sameResult(want, got *search.Result) error {
 	if got.LCA == nil || got.LCA.Ord != want.LCA.Ord || got.LCA != gn[got.LCA.Ord] {
 		return fmt.Errorf("lca = %d, want %d", ord(got.LCA), want.LCA.Ord)
 	}
-	if len(got.Matches) != len(want.Matches) {
-		return fmt.Errorf("%d match keywords, want %d", len(got.Matches), len(want.Matches))
+	if len(got.MatchKeywords()) != len(want.MatchKeywords()) {
+		return fmt.Errorf("%d match keywords, want %d", len(got.MatchKeywords()), len(want.MatchKeywords()))
 	}
-	for kw, wms := range want.Matches {
-		gms, ok := got.Matches[kw]
-		if !ok || len(gms) != len(wms) {
+	for _, kw := range want.MatchKeywords() {
+		wms := want.Matches(kw)
+		gms := got.Matches(kw)
+		if ok := gms != nil; !ok || len(gms) != len(wms) {
 			return fmt.Errorf("keyword %q: %d matches (present %v), want %d", kw, len(gms), ok, len(wms))
 		}
 		for j, m := range gms {
@@ -248,7 +263,7 @@ func syntheticResults() map[string]*search.Result {
 		chain = xmltree.Elem("d", chain)
 	}
 	deep := view(chain)
-	deep.Matches["bottom"] = []*xmltree.Node{deep.Doc.ByOrd(deep.Doc.Len() - 1)}
+	withMatches(deep, map[string][]*xmltree.Node{"bottom": {deep.Doc.ByOrd(deep.Doc.Len() - 1)}})
 	deep.LCA = deep.Doc.ByOrd(1200)
 	out["deep chain"] = deep
 
@@ -260,8 +275,7 @@ func syntheticResults() map[string]*search.Result {
 		xmltree.Elem("titre", xmltree.Txt("Les Misérables — 悲惨世界")),
 		xmltree.Elem("", xmltree.Txt("")),
 		xmltree.Txt("mixed ✓ content")))
-	text.Matches["misérables"] = []*xmltree.Node{text.Doc.ByOrd(6)}
-	text.Matches["✓"] = []*xmltree.Node{text.Doc.ByOrd(9)}
+	withMatches(text, map[string][]*xmltree.Node{"misérables": {text.Doc.ByOrd(6)}, "✓": {text.Doc.ByOrd(9)}})
 	out["attributes and multi-byte text"] = text
 
 	// A projection that dropped the LCA and some matches: the encoder finds
@@ -274,13 +288,12 @@ func syntheticResults() map[string]*search.Result {
 	proj := xmltree.ProjectSet(src.Root, map[*xmltree.Node]bool{
 		name: true, name.Children[0]: true, state: true, state.Children[0]: true,
 	})
-	out["projection that dropped lca and matches"] = &search.Result{
+	out["projection that dropped lca and matches"] = withMatches(&search.Result{
 		Root: proj, Doc: xmltree.NewDocument(proj), Anchor: src.Root, LCA: city,
-		Matches: map[string][]*xmltree.Node{
-			"houston": {city.Children[0]},
-			"texas":   {city, state.Children[0]},
-		},
-	}
+	}, map[string][]*xmltree.Node{
+		"houston": {city.Children[0]},
+		"texas":   {city, state.Children[0]},
+	})
 	return out
 }
 
@@ -325,11 +338,14 @@ func checkContract(t *testing.T, sent, r *search.Result) {
 			t.Fatalf("node %d (%v) has symbol id %d, a fresh finalization gives %d", i, n, n.Sym, fresh[i].Sym)
 		}
 	}
-	if len(r.Matches) != len(sent.Matches) {
-		t.Fatalf("%d match keywords, sent %d", len(r.Matches), len(sent.Matches))
+	// A keyword whose matches a projection dropped crosses the wire with
+	// none, and the decoded result has no match of it.
+	if len(r.MatchKeywords()) > len(sent.MatchKeywords()) {
+		t.Fatalf("%d match keywords, sent %d", len(r.MatchKeywords()), len(sent.MatchKeywords()))
 	}
-	for kw, ms := range r.Matches {
-		if _, ok := sent.Matches[kw]; !ok {
+	for _, kw := range r.MatchKeywords() {
+		ms := r.Matches(kw)
+		if !slices.Contains(sent.MatchKeywords(), kw) {
 			t.Fatalf("keyword %q was not sent", kw)
 		}
 		for j, m := range ms {
@@ -388,8 +404,8 @@ func TestScanBuildEqualsReference(t *testing.T) {
 	// What the projection dropped is gone from the wire: no LCA position
 	// (the decoded LCA falls back to the root), only the kept match.
 	dropped := scanOne(t, appendResult(nil, syntheticResults()["projection that dropped lca and matches"])).build()
-	if dropped.LCA != dropped.Root || len(dropped.Matches["houston"]) != 0 || len(dropped.Matches["texas"]) != 1 {
-		t.Fatalf("projection drops: lca ord %d, matches %v", dropped.LCA.Ord, dropped.Matches)
+	if dropped.LCA != dropped.Root || len(dropped.Matches("houston")) != 0 || len(dropped.Matches("texas")) != 1 {
+		t.Fatalf("projection drops: lca ord %d, matches %v", dropped.LCA.Ord, dropped.MatchKeywords())
 	}
 }
 
@@ -407,8 +423,7 @@ func wideResult(n int) *search.Result {
 	}
 	doc := xmltree.NewDocument(root)
 	r := search.FromNode(doc, doc.Root)
-	r.Matches["leaf"] = []*xmltree.Node{doc.ByOrd(2), doc.ByOrd(doc.Len() - 1)}
-	return r
+	return withMatches(r, map[string][]*xmltree.Node{"leaf": {doc.ByOrd(2), doc.ByOrd(doc.Len() - 1)}})
 }
 
 // TestBuildAllocatesPerChunkNotPerNode: build costs a constant number of

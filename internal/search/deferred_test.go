@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"extract/internal/index"
 	"extract/xmltree"
 )
 
@@ -134,11 +135,10 @@ func TestMatchDepthIsTheShallowestMatch(t *testing.T) {
 		xmltree.Elem("name", xmltree.Txt("jeans"))))
 	r := FromNode(doc, doc.Root)
 	deep, shallow := doc.Root.Children[0].Children[0].Children[0], doc.Root.Children[1].Children[0]
-	r.Matches["jeans"] = []*xmltree.Node{deep, shallow}
+	r.OwnMatches([]string{"jeans", "none"}, []*index.PostingList{index.PackNodes([]*xmltree.Node{deep, shallow}), index.PackNodes(nil)})
 	if d, ok := r.MatchDepth("jeans"); d != 2 || !ok {
 		t.Fatalf("MatchDepth(jeans) = %d, %v; want 2", d, ok)
 	}
-	r.Matches["none"] = nil
 	if _, ok := r.MatchDepth("none"); ok {
 		t.Fatal("a keyword with no matches reports a depth")
 	}

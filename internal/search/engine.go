@@ -3,7 +3,7 @@ package search
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"extract/internal/classify"
 	"extract/internal/index"
@@ -89,6 +89,24 @@ type Evaluation struct {
 	// lies outside the subtree of every ELCA below the document root (see
 	// ELCAPacked); nil under SLCA.
 	Free []bool
+
+	// runs is the batch the results built from this evaluation carve their
+	// match runs from (batch), so building results from one evaluation is
+	// not safe for concurrent use.
+	runs *matchRuns
+}
+
+// batch returns the evaluation's match-run batch with room for one more
+// result: the current one, or — when it is full or there is none — a new
+// one for at least n results, and for twice as many as the last held.
+func (ev *Evaluation) batch(n int) *matchRuns {
+	if ev.runs == nil || !ev.runs.room() {
+		if ev.runs != nil {
+			n = max(n, 2*cap(ev.runs.bounds)/(2*len(ev.Lists)))
+		}
+		ev.runs = newRuns(ev, n)
+	}
+	return ev.runs
 }
 
 // Evaluate parses the query and computes posting lists and the LCA set
@@ -151,13 +169,15 @@ func (e *Engine) Lists(query string) (*Evaluation, error) {
 // anchor. It is the result evaluation built for that LCA, by the same rule —
 // a view, or the ModeXSeek projection — so a result can travel as its two
 // positions and be rebuilt where its document lives. Positions that are not
-// in the document, or an anchor that is not the LCA's, are an error.
+// in the document, or an anchor that is not the LCA's, are an error. Results
+// rebuilt from one evaluation share its match-run slab, which first has room
+// for resultsAtBatch of them.
 func (e *Engine) ResultAt(ev *Evaluation, anchor, lca int) (*Result, error) {
 	a, l := e.doc.ByOrd(anchor), e.doc.ByOrd(lca)
 	if a == nil || l == nil || anchorOf(l, e.cls) != a {
 		return nil, fmt.Errorf("search: no result anchored at %d for the LCA at %d", anchor, lca)
 	}
-	return e.buildResult(a, l, ev), nil
+	return e.buildResult(a, l, ev.batch(resultsAtBatch)), nil
 }
 
 // Results builds the results for the given LCA subset of an evaluation,
@@ -169,12 +189,18 @@ func (e *Engine) Results(ev *Evaluation, lcas []*xmltree.Node) []*Result {
 	return e.results(ev, lcas, nil)
 }
 
-// results is Results over the LCAs accepted by keep (nil keeps all).
+// results is Results over the LCAs accepted by keep (nil keeps all). The
+// results' match runs are carved from the evaluation's slab (batch), sized
+// for every LCA up to the bound and at most resultSlab.
 func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, keep func(*xmltree.Node) bool) []*Result {
 	var (
 		results     []*Result
 		seenAnchors = make(map[*xmltree.Node]bool)
+		batch       = min(len(lcas), resultSlab)
 	)
+	if e.opts.MaxResults > 0 {
+		batch = min(batch, e.opts.MaxResults)
+	}
 	for _, lca := range lcas {
 		if keep != nil && !keep(lca) {
 			continue
@@ -184,16 +210,21 @@ func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, keep func(*xmltre
 			continue
 		}
 		seenAnchors[anchor] = true
-		results = append(results, e.buildResult(anchor, lca, ev))
+		results = append(results, e.buildResult(anchor, lca, ev.batch(batch)))
 		if e.opts.MaxResults > 0 && len(results) >= e.opts.MaxResults {
 			break
 		}
 	}
-	sort.Slice(results, func(i, j int) bool {
-		return results[i].Anchor.Ord < results[j].Anchor.Ord
-	})
+	slices.SortFunc(results, func(a, b *Result) int { return a.Anchor.Ord - b.Anchor.Ord })
 	return results
 }
+
+// resultSlab is the most results whose match runs one evaluation allocates
+// before it builds any: an unbounded evaluation may have many LCAs that
+// anchor deduplication or the keep filter drop. resultsAtBatch is the first
+// slab of results rebuilt one at a time (ResultAt): a server rebuilds the
+// few its router kept.
+const resultSlab, resultsAtBatch = 256, 16
 
 // EvaluateResults evaluates a query and builds results for the LCAs
 // accepted by keep (nil keeps all), exploiting top-k early termination:

@@ -72,8 +72,8 @@ func TestPhraseSearch(t *testing.T) {
 	if err != nil || len(ph) != 1 {
 		t.Fatalf("phrase-only: %v %d", err, len(ph))
 	}
-	if len(ph[0].Matches["brook brothers"]) != 1 {
-		t.Errorf("matches keys = %v", ph[0].Matches)
+	if len(ph[0].Matches("brook brothers")) != 1 {
+		t.Errorf("matches keys = %v", ph[0].MatchKeywords())
 	}
 }
 

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"extract/internal/classify"
@@ -14,8 +15,8 @@ import (
 //
 // A subtree-mode result (ModeSubtree, FromNode) is a read-only view of the
 // source document: Root is the anchor node itself, Doc a zero-copy
-// sub-document over the anchor's preorder run, and Matches holds sub-slices
-// of the index's posting lists. Nothing is copied, so a result costs the same
+// sub-document over the anchor's preorder run, and its matches are runs of
+// the index's posting lists. Nothing is copied, so a result costs the same
 // to build whatever the size of its subtree, and holding one keeps its corpus
 // generation reachable. The nodes of a view keep the enclosing document's
 // Parent, Ord, Start and End — Root.Parent may lead out of the result,
@@ -27,6 +28,12 @@ import (
 // yet: its tree fields are nil, Size and MatchDepth answer from what arrived
 // with it, and Tree builds the tree the first time anything asks — which, on
 // a router, fetches it and can fail.
+//
+// A result's keyword matches (Matches, MatchKeywords) are runs of its
+// query's posting lists, which every result of the evaluation shares
+// (matchRuns); a result decoded from the wire holds lists of its own tree's
+// nodes the same way (OwnMatches). Holding a result holds its query's lists,
+// never the evaluation's LCAs.
 //
 // Results of every kind are shared — by the query cache, by every caller a
 // cached entry is replayed to — and must never be mutated.
@@ -47,12 +54,6 @@ type Result struct {
 	// LCA is the source-document SLCA/ELCA node the result derives from.
 	LCA *xmltree.Node
 
-	// Matches maps each query keyword to its matching source nodes
-	// inside the result, in document order; a keyword with no match
-	// inside the result is absent. On a view the slices alias the index's
-	// posting lists, capacity-clipped so an append reallocates.
-	Matches map[string][]*xmltree.Node
-
 	// Index is the index of the document a view result is a view of, set by
 	// whoever builds the result from one (the engine; the facade for XPath
 	// selections). The snippet generator reads the result's statistics and
@@ -61,8 +62,84 @@ type Result struct {
 	// node by node, to the same snippet.
 	Index *index.Index
 
+	// runs holds the result's matches, at runs.bounds[at:]: see matchRuns.
+	runs *matchRuns
+	at   int32
+
 	// pending is set on a deferred result, and only there.
 	pending *pending
+}
+
+// matchRuns holds the matches of a batch of results of one evaluation: the
+// query's keywords and posting lists (Evaluation.Keywords and Lists) and a
+// slab of bounds, two a keyword a result. The matches of keywords[i] in the
+// result whose bounds start at at are lists[i].Nodes[bounds[at+2i] :
+// bounds[at+2i+1]].
+type matchRuns struct {
+	keywords []string
+	lists    []*index.PostingList
+	bounds   []int32
+}
+
+// newRuns returns an empty batch for up to n results of ev's query.
+func newRuns(ev *Evaluation, n int) *matchRuns {
+	return &matchRuns{keywords: ev.Keywords, lists: ev.Lists, bounds: make([]int32, 0, 2*len(ev.Lists)*n)}
+}
+
+// room reports whether the batch has bounds left for one more result.
+func (m *matchRuns) room() bool { return cap(m.bounds)-len(m.bounds) >= 2*len(m.lists) }
+
+// Matches returns kw's matching source nodes inside the result, in document
+// order, or nil when kw has none there (or the result is deferred: Tree
+// first). On a view the slice aliases the index's posting list,
+// capacity-clipped so an append reallocates.
+func (r *Result) Matches(kw string) []*xmltree.Node {
+	if r.runs == nil {
+		return nil
+	}
+	if i := slices.Index(r.runs.keywords, kw); i >= 0 {
+		return r.match(i)
+	}
+	return nil
+}
+
+// match returns the run of the query's keyword i.
+func (r *Result) match(i int) []*xmltree.Node {
+	if lo, hi := r.bounds(i); hi > lo {
+		return r.runs.lists[i].Nodes[lo:hi:hi]
+	}
+	return nil
+}
+
+func (r *Result) bounds(i int) (lo, hi int32) {
+	b := r.runs.bounds[int(r.at)+2*i:]
+	return b[0], b[1]
+}
+
+// MatchKeywords returns the keywords that have a match inside the result,
+// sorted: the order a tree record carries them in.
+func (r *Result) MatchKeywords() []string {
+	if r.runs == nil {
+		return nil
+	}
+	var kws []string
+	for i, kw := range r.runs.keywords {
+		if lo, hi := r.bounds(i); hi > lo {
+			kws = append(kws, kw)
+		}
+	}
+	slices.Sort(kws)
+	return kws
+}
+
+// OwnMatches records, on a result being built and not yet shared, that the
+// matches of keywords[i] are all of lists[i]: how a result that arrives with
+// its matches — a tree record decoded from the wire — holds them.
+func (r *Result) OwnMatches(keywords []string, lists []*index.PostingList) {
+	r.runs = &matchRuns{keywords: keywords, lists: lists, bounds: make([]int32, 2*len(lists))}
+	for i, pl := range lists {
+		r.runs.bounds[2*i+1] = int32(len(pl.Nodes))
+	}
 }
 
 // KeywordDepth is what ranking reads of one keyword's matches in a result:
@@ -176,7 +253,7 @@ func (r *Result) MatchDepth(kw string) (int, bool) {
 		}
 		return 0, false
 	}
-	ms := r.Matches[kw]
+	ms := r.Matches(kw)
 	if len(ms) == 0 {
 		return 0, false
 	}
@@ -196,13 +273,7 @@ func (r *Result) MatchDepth(kw string) (int, bool) {
 // carry no keyword matches but feed the snippet generator like any query
 // result.
 func FromNode(doc *xmltree.Document, n *xmltree.Node) *Result {
-	return &Result{
-		Root:    n,
-		Doc:     doc.Subtree(n),
-		Anchor:  n,
-		LCA:     n,
-		Matches: map[string][]*xmltree.Node{},
-	}
+	return &Result{Root: n, Doc: doc.Subtree(n), Anchor: n, LCA: n}
 }
 
 // ConstructionMode selects how result trees are built from an LCA node.
@@ -231,31 +302,19 @@ func anchorOf(lca *xmltree.Node, cls *classify.Classification) *xmltree.Node {
 	return lca
 }
 
-// matchesWithin returns, per keyword, the run of its posting list that lies
-// inside anchor's subtree (index.PostingList.Within), as a sub-slice of the
-// list — capacity-clipped, so an append cannot write into the index.
-func matchesWithin(anchor *xmltree.Node, keywords []string, lists []*index.PostingList) map[string][]*xmltree.Node {
-	matches := make(map[string][]*xmltree.Node, len(keywords))
-	for i, kw := range keywords {
-		pl := lists[i]
-		if lo, hi := pl.Within(anchor.Start, anchor.End); hi > lo {
-			matches[kw] = pl.Nodes[lo:hi:hi]
-		}
-	}
-	return matches
-}
-
 // buildResult builds the Result for one LCA node anchored at anchor: a view
-// of the anchor's subtree, or in ModeXSeek the trimmed projection of it.
-func (e *Engine) buildResult(anchor, lca *xmltree.Node, ev *Evaluation) *Result {
-	r := &Result{
-		Root:    anchor,
-		Anchor:  anchor,
-		LCA:     lca,
-		Matches: matchesWithin(anchor, ev.Keywords, ev.Lists),
+// of the anchor's subtree, or in ModeXSeek the trimmed projection of it. Its
+// matches are, per keyword, the run of the query's posting list inside the
+// anchor's subtree (index.PostingList.Within), whose bounds it appends to
+// runs, which has room for them.
+func (e *Engine) buildResult(anchor, lca *xmltree.Node, runs *matchRuns) *Result {
+	r := &Result{Root: anchor, Anchor: anchor, LCA: lca, runs: runs, at: int32(len(runs.bounds))}
+	for _, pl := range runs.lists {
+		lo, hi := pl.Within(anchor.Start, anchor.End)
+		runs.bounds = append(runs.bounds, int32(lo), int32(hi))
 	}
 	if e.opts.Mode == ModeXSeek {
-		r.Root = projectXSeek(anchor, r.Matches, e.cls)
+		r.Root = projectXSeek(anchor, r, e.cls)
 		r.Doc = xmltree.NewDocument(r.Root)
 	} else {
 		r.Doc, r.Index = e.doc.Subtree(anchor), e.ix
@@ -263,9 +322,9 @@ func (e *Engine) buildResult(anchor, lca *xmltree.Node, ev *Evaluation) *Result 
 	return r
 }
 
-// projectXSeek builds the ModeXSeek tree of a result as a new tree whose
-// nodes carry Origin pointers into the source document.
-func projectXSeek(anchor *xmltree.Node, matches map[string][]*xmltree.Node, cls *classify.Classification) *xmltree.Node {
+// projectXSeek builds the ModeXSeek tree of r, anchored at anchor, as a new
+// tree whose nodes carry Origin pointers into the source document.
+func projectXSeek(anchor *xmltree.Node, r *Result, cls *classify.Classification) *xmltree.Node {
 	keep := make(map[*xmltree.Node]bool)
 	keep[anchor] = true
 	addSubtree := func(n *xmltree.Node) {
@@ -297,8 +356,8 @@ func projectXSeek(anchor *xmltree.Node, matches map[string][]*xmltree.Node, cls 
 		}
 	}
 	addAttrs(anchor)
-	for _, ms := range matches {
-		for _, m := range ms {
+	for i := range r.runs.keywords {
+		for _, m := range r.match(i) {
 			addMatch(m)
 			for p := m; p != anchor && p != nil; p = p.Parent {
 				keep[p] = true

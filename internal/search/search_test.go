@@ -247,8 +247,8 @@ func TestEngineSearch(t *testing.T) {
 		t.Errorf("stores in result = %d", got)
 	}
 	// Matches restricted to the result.
-	if len(r.Matches["texas"]) != 2 {
-		t.Errorf("texas matches = %d", len(r.Matches["texas"]))
+	if len(r.Matches("texas")) != 2 {
+		t.Errorf("texas matches = %d", len(r.Matches("texas")))
 	}
 	// The result is a view of the retailer in the source document.
 	checkView(t, doc, r)

@@ -58,8 +58,8 @@ func TestResultIsView(t *testing.T) {
 	name := doc.Root.Descendant("retailer", "store", "city")
 	r := FromNode(doc, name)
 	checkView(t, doc, r)
-	if r.Root.Parent == nil || len(r.Matches) != 0 {
-		t.Errorf("FromNode: parent %v, matches %v", r.Root.Parent, r.Matches)
+	if r.Root.Parent == nil || len(r.MatchKeywords()) != 0 {
+		t.Errorf("FromNode: parent %v, matches %v", r.Root.Parent, r.MatchKeywords())
 	}
 
 	// A trimmed projection is an owned tree: new nodes, finalized on
@@ -85,7 +85,7 @@ func TestMatchesDoNotExposeIndex(t *testing.T) {
 	}
 	list := e.Index().List("apparel").Nodes
 	before := append([]*xmltree.Node(nil), list...)
-	ms := results[0].Matches["apparel"]
+	ms := results[0].Matches("apparel")
 	if len(ms) != 1 || len(list) != 2 || ms[0] != list[0] {
 		t.Fatalf("matches %v of postings %v; want the first of two", ms, list)
 	}
@@ -111,8 +111,8 @@ func TestMatchesOmitAbsentKeyword(t *testing.T) {
 	if len(rs) != 1 || rs[0].Anchor != store {
 		t.Fatalf("results = %v", rs)
 	}
-	if _, ok := rs[0].Matches["jeans"]; ok || len(rs[0].Matches) != 1 || len(rs[0].Matches["houston"]) != 1 {
-		t.Errorf("matches = %v, want houston only", rs[0].Matches)
+	if rs[0].Matches("jeans") != nil || len(rs[0].MatchKeywords()) != 1 || len(rs[0].Matches("houston")) != 1 {
+		t.Errorf("matches = %v, want houston only", rs[0].MatchKeywords())
 	}
 }
 
@@ -163,7 +163,8 @@ func TestMatchRangesEqualLinearFilter(t *testing.T) {
 						want = append(want, m)
 					}
 				}
-				got, ok := res.Matches[kw]
+				got := res.Matches(kw)
+				ok := got != nil
 				if ok != (len(want) > 0) || !sameNodes(got, want) || cap(got) != len(got) {
 					t.Logf("seed %d, %q under %v: got %v, want %v", seed, kw, res.Anchor, got, want)
 					return false

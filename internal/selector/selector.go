@@ -101,6 +101,7 @@ type selection struct {
 
 	path, best []*xmltree.Node // climb buffers
 	ints       []int           // materialize's scan state
+	tok        []byte          // keywordsIn's token buffer (index.EachTokenIn)
 }
 
 type memoEntry struct {
@@ -260,7 +261,7 @@ func (s *selection) keywordsIn(n *xmltree.Node) []int32 {
 	if e.stamp != s.stamp {
 		e.stamp, e.run = s.stamp, -1
 		run := len(s.hits)
-		index.EachToken(text, func(t string) bool {
+		index.EachTokenIn(text, &s.tok, func(t string) bool {
 			k, ok := s.kwIndex[t]
 			if !ok {
 				return true

@@ -48,20 +48,14 @@ func snippetCheckpoint(ctx context.Context) error {
 	return nil
 }
 
-// snippet generates one result's snippet for a response, keeping what a
-// response replays — the snippet tree and its IList — and dropping the
-// feature statistics. Those are working state of the derivation, sized by
-// the result rather than by the snippet (on the benchmark corpus, 130 KB of
-// the 210 KB a 24-hit entry would otherwise own), and nothing downstream
-// of the serving layer reads them.
-func snippet(gen *core.Generator, r *search.Result, kws []string, bound int) *core.Generated {
-	g := gen.ForResultTokens(r, kws, bound)
-	g.Stats = nil
-	return g
-}
-
 // Snippets generates one snippet per result — the one snippet fan-out, run by
 // a local corpus's Answer and by a shard server over the results it ships.
+// Each is the generator's served snippet (core.Generator.ServeResult): what a
+// response replays — the snippet tree and its IList — with nil Stats. The
+// feature statistics are working state of the derivation, sized by the
+// result rather than by the snippet, and nothing downstream of the serving
+// layer reads them, so they are folded into the worker's pooled scratch and
+// never allocated per result.
 // Snippets are independent and the generator is concurrency-safe, so up to
 // GOMAXPROCS tasks, scheduled through run, each claim one result at a time
 // from a shared cursor, largest result first: the one long job of a result
@@ -78,7 +72,7 @@ func Snippets(ctx context.Context, run Runner, gen *core.Generator, rs []*search
 			if err := snippetCheckpoint(ctx); err != nil {
 				return nil, err
 			}
-			out[i] = snippet(gen, r, kws, bound)
+			out[i] = gen.ServeResult(r, kws, bound)
 		}
 		return out, nil
 	}
@@ -93,7 +87,7 @@ func Snippets(ctx context.Context, run Runner, gen *core.Generator, rs []*search
 					return
 				}
 				i := order[k]
-				out[i] = snippet(gen, rs[i], kws, bound)
+				out[i] = gen.ServeResult(rs[i], kws, bound)
 			}
 		}
 	}

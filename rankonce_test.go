@@ -69,6 +69,76 @@ func TestWarmQueryAllocations(t *testing.T) {
 	}
 }
 
+// TestColdQueryAllocations pins what a cold Query allocates (cache off, 4
+// shards), reading every hit's snippet XML as a response does: a function of
+// the hit count and the bound, not of how large the results are. Two corpora
+// whose store results differ more than tenfold in node count allocate the
+// same count at 1, 5 and 25 hits, ranked or not, and no more than
+// coldAllocBase + coldAllocPerHit·hits. A result's matches are runs of the
+// query's posting lists, a served snippet's statistics and its IList's set
+// live in per-worker scratch, and tokens rebuilt for a lookup reuse a buffer:
+// nothing on the path allocates per node, per item or per feature.
+func TestColdQueryAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's own allocations make counts inexact")
+	}
+	// At 4 shards each shard builds up to hits results before the merge cut
+	// (at most 8 here: a shard holds 8 stores), so the slope carries four
+	// built results a hit besides the hit's snippet.
+	const coldAllocBase, coldAllocPerHit = 100, 24
+	const q, bound = "store", 6
+	ctx := context.Background()
+	counts := make(map[string]float64)
+	nodes := make([]int, 2)
+	for ci, clothes := range []int{3, 60} {
+		doc := gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 8, ClothesPerStore: clothes, Seed: 5})
+		nodes[ci] = doc.Root.Descendant("retailer", "store").NodeCount()
+		c, err := LoadString(xmltree.XMLString(doc.Root), WithShards(4), WithQueryCache(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 5, 25} {
+			for _, ranked := range []bool{false, true} {
+				opts := []SearchOption{WithMaxResults(n)}
+				if ranked {
+					opts = append(opts, WithRanking())
+				}
+				read := 0
+				query := func() {
+					hits, err := c.QueryContext(ctx, q, bound, opts...)
+					if err != nil || len(hits) != n {
+						t.Fatalf("%d hits, %v; want %d", len(hits), err, n)
+					}
+					for _, h := range hits {
+						read += len(h.Snippet.XML())
+					}
+				}
+				for range 20 { // the pooled scratch grows to the results
+					query()
+				}
+				got := testing.AllocsPerRun(100, query)
+				if read == 0 {
+					t.Fatal("no snippet bytes read")
+				}
+				key := strconv.Itoa(n) + "/" + strconv.FormatBool(ranked)
+				if ci == 0 {
+					counts[key] = got
+				} else if got != counts[key] {
+					t.Errorf("%d hits (ranked %v): %v objects on %d-node results, %v on %d-node results",
+						n, ranked, got, nodes[1], counts[key], nodes[0])
+				}
+				if limit := float64(coldAllocBase + coldAllocPerHit*n); got > limit {
+					t.Errorf("a cold query of %d hits (ranked %v) allocates %v objects, ceiling %v", n, ranked, got, limit)
+				}
+			}
+		}
+		c.Close()
+	}
+	if nodes[1] < 10*nodes[0] {
+		t.Fatalf("results of %d and %d nodes: not tenfold apart", nodes[0], nodes[1])
+	}
+}
+
 // traceRingLap is enough queries to fill every slot of the serving layer's
 // trace ring once (one sampled query in 16, 64 slots, 16 slowest).
 const traceRingLap = 16*64 + 16

@@ -212,43 +212,27 @@ func returnEntities(sc *scratch, keywords []string, stats *features.Stats) []str
 }
 
 // scratch is Build's working state, pooled, so a list allocates what it
-// returns and nothing per item: the case-insensitive set of the texts
-// admitted so far, the sorted entity labels and the lower-cased keywords.
+// returns and nothing per item: the texts admitted so far, the sorted entity
+// labels and the lower-cased keywords.
 type scratch struct {
-	// seen maps the hash of an admitted text's lower-case form (foldHash)
-	// to that text's index in keys, the admitted texts in order.
-	seen map[uint64]int32
-	keys []string
-
+	keys          []string // the admitted texts, in order
 	labels, lower []string
 	tok           []byte // returnEntities' token buffer (index.EachTokenIn)
 }
 
-var scratches = sync.Pool{New: func() any { return &scratch{seen: make(map[uint64]int32)} }}
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
-// keepItems bounds what a pooled scratch keeps: past it, a list's set is
+// keepItems bounds what a pooled scratch keeps: past it, a list's texts are
 // garbage with it.
 const keepItems = 1 << 12
 
 // admit reports whether text is non-empty and equal to no admitted text
-// under strings.ToLower, and admits it if so. Texts are compared in their
-// lower-case form rune by rune (sameLower) and hashed in it (foldHash), so
-// none is lower-cased into a new string.
+// under strings.ToLower, and admits it if so. An IList holds tens of items,
+// so the admitted texts are scanned, compared in their lower-case form rune
+// by rune (sameLower): none is lower-cased into a new string.
 func (sc *scratch) admit(text string) bool {
-	if text == "" {
+	if text == "" || slices.ContainsFunc(sc.keys, func(k string) bool { return sameLower(text, k) }) {
 		return false
-	}
-	h := foldHash(text)
-	if i, ok := sc.seen[h]; ok {
-		if sameLower(text, sc.keys[i]) {
-			return false
-		}
-		// Two lower-case forms sharing a 64-bit hash: compare against all.
-		if slices.ContainsFunc(sc.keys, func(k string) bool { return sameLower(text, k) }) {
-			return false
-		}
-	} else {
-		sc.seen[h] = int32(len(sc.keys))
 	}
 	sc.keys = append(sc.keys, text)
 	return true
@@ -260,23 +244,11 @@ func (sc *scratch) release() {
 	if len(sc.keys) > keepItems {
 		return
 	}
-	clear(sc.seen)
 	clear(sc.keys)
 	clear(sc.labels)
 	clear(sc.lower)
 	sc.keys, sc.labels, sc.lower = sc.keys[:0], sc.labels[:0], sc.lower[:0]
 	scratches.Put(sc)
-}
-
-// foldHash is the FNV-1a hash of strings.ToLower(s)'s runes: the runes of s
-// as range decodes them (an invalid byte is utf8.RuneError, as ToLower makes
-// it), each lower-cased by unicode.ToLower, which ToLower maps.
-func foldHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for _, r := range s {
-		h = (h ^ uint64(unicode.ToLower(r))) * 1099511628211
-	}
-	return h
 }
 
 // sameLower reports strings.ToLower(a) == strings.ToLower(b) without

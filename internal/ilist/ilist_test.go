@@ -151,7 +151,7 @@ func TestString(t *testing.T) {
 	}
 }
 
-// TestAdmitMatchesToLower: the pooled set Build dedupes with admits a text
+// TestAdmitMatchesToLower: the pooled scratch Build dedupes with admits a text
 // exactly when the map of strings.ToLower(strings.TrimSpace(text)) it
 // replaced would have — over random texts of ASCII of both cases, space,
 // runes whose case mappings are not one-to-one (the Kelvin sign, long s,

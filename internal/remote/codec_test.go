@@ -338,24 +338,53 @@ func checkContract(t *testing.T, sent, r *search.Result) {
 			t.Fatalf("node %d (%v) has symbol id %d, a fresh finalization gives %d", i, n, n.Sym, fresh[i].Sym)
 		}
 	}
-	// A keyword whose matches a projection dropped crosses the wire with
-	// none, and the decoded result has no match of it.
-	if len(r.MatchKeywords()) > len(sent.MatchKeywords()) {
-		t.Fatalf("%d match keywords, sent %d", len(r.MatchKeywords()), len(sent.MatchKeywords()))
+	// The decoded result matches each sent keyword at the positions of the
+	// sent matches inside the encoded tree: all of a view's, relative to its
+	// root, and those a projection kept, found through its copies' Origin
+	// pointers. Its match keywords are exactly the sent keywords left with
+	// one; a keyword whose matches a projection all dropped has none.
+	pos := func(m *xmltree.Node) (int, bool) { return m.Ord - sent.Root.Ord, true }
+	if !sent.IsView() {
+		origin := make(map[*xmltree.Node]int)
+		for _, n := range sent.Doc.Nodes() {
+			if n.Origin != nil {
+				origin[n.Origin] = n.Ord
+			}
+		}
+		pos = func(m *xmltree.Node) (int, bool) {
+			ord, ok := origin[m]
+			return ord, ok
+		}
 	}
-	for _, kw := range r.MatchKeywords() {
+	var kept []string
+	for _, kw := range sent.MatchKeywords() {
+		var want []int
+		for _, m := range sent.Matches(kw) {
+			if ord, ok := pos(m); ok {
+				want = append(want, ord)
+			}
+		}
+		if len(want) > 0 {
+			kept = append(kept, kw)
+		}
 		ms := r.Matches(kw)
-		if !slices.Contains(sent.MatchKeywords(), kw) {
-			t.Fatalf("keyword %q was not sent", kw)
+		if len(ms) != len(want) {
+			t.Fatalf("keyword %q: %d matches, sent %d inside the tree", kw, len(ms), len(want))
 		}
 		for j, m := range ms {
 			if r.Doc.ByOrd(m.Ord) != m {
 				t.Fatalf("keyword %q match %d points outside the rebuilt tree", kw, j)
 			}
+			if m.Ord != want[j] {
+				t.Fatalf("keyword %q match %d at %d, sent at %d", kw, j, m.Ord, want[j])
+			}
 			if j > 0 && m.Ord <= ms[j-1].Ord {
 				t.Fatalf("keyword %q matches out of document order", kw)
 			}
 		}
+	}
+	if got := r.MatchKeywords(); !slices.Equal(got, kept) {
+		t.Fatalf("match keywords %q, sent %q with a match inside the tree", got, kept)
 	}
 }
 

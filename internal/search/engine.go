@@ -89,24 +89,6 @@ type Evaluation struct {
 	// lies outside the subtree of every ELCA below the document root (see
 	// ELCAPacked); nil under SLCA.
 	Free []bool
-
-	// runs is the batch the results built from this evaluation carve their
-	// match runs from (batch), so building results from one evaluation is
-	// not safe for concurrent use.
-	runs *matchRuns
-}
-
-// batch returns the evaluation's match-run batch with room for one more
-// result: the current one, or — when it is full or there is none — a new
-// one for at least n results, and for twice as many as the last held.
-func (ev *Evaluation) batch(n int) *matchRuns {
-	if ev.runs == nil || !ev.runs.room() {
-		if ev.runs != nil {
-			n = max(n, 2*cap(ev.runs.bounds)/(2*len(ev.Lists)))
-		}
-		ev.runs = newRuns(ev, n)
-	}
-	return ev.runs
 }
 
 // Evaluate parses the query and computes posting lists and the LCA set
@@ -169,15 +151,13 @@ func (e *Engine) Lists(query string) (*Evaluation, error) {
 // anchor. It is the result evaluation built for that LCA, by the same rule —
 // a view, or the ModeXSeek projection — so a result can travel as its two
 // positions and be rebuilt where its document lives. Positions that are not
-// in the document, or an anchor that is not the LCA's, are an error. Results
-// rebuilt from one evaluation share its match-run slab, which first has room
-// for resultsAtBatch of them.
+// in the document, or an anchor that is not the LCA's, are an error.
 func (e *Engine) ResultAt(ev *Evaluation, anchor, lca int) (*Result, error) {
 	a, l := e.doc.ByOrd(anchor), e.doc.ByOrd(lca)
 	if a == nil || l == nil || anchorOf(l, e.cls) != a {
 		return nil, fmt.Errorf("search: no result anchored at %d for the LCA at %d", anchor, lca)
 	}
-	return e.buildResult(a, l, ev.batch(resultsAtBatch)), nil
+	return e.buildResult(a, l, newRuns(ev, 1)), nil
 }
 
 // Results builds the results for the given LCA subset of an evaluation,
@@ -190,16 +170,17 @@ func (e *Engine) Results(ev *Evaluation, lcas []*xmltree.Node) []*Result {
 }
 
 // results is Results over the LCAs accepted by keep (nil keeps all). The
-// results' match runs are carved from the evaluation's slab (batch), sized
-// for every LCA up to the bound and at most resultSlab.
+// results' match runs are carved from slabs of bounds local to the call, each
+// sized for every LCA up to the bound and at most resultSlab.
 func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, keep func(*xmltree.Node) bool) []*Result {
 	var (
 		results     []*Result
 		seenAnchors = make(map[*xmltree.Node]bool)
-		batch       = min(len(lcas), resultSlab)
+		runs        *matchRuns
+		slab        = min(len(lcas), resultSlab)
 	)
 	if e.opts.MaxResults > 0 {
-		batch = min(batch, e.opts.MaxResults)
+		slab = min(slab, e.opts.MaxResults)
 	}
 	for _, lca := range lcas {
 		if keep != nil && !keep(lca) {
@@ -210,7 +191,10 @@ func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, keep func(*xmltre
 			continue
 		}
 		seenAnchors[anchor] = true
-		results = append(results, e.buildResult(anchor, lca, ev.batch(batch)))
+		if runs == nil || !runs.room() {
+			runs = newRuns(ev, slab)
+		}
+		results = append(results, e.buildResult(anchor, lca, runs))
 		if e.opts.MaxResults > 0 && len(results) >= e.opts.MaxResults {
 			break
 		}
@@ -219,12 +203,10 @@ func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, keep func(*xmltre
 	return results
 }
 
-// resultSlab is the most results whose match runs one evaluation allocates
-// before it builds any: an unbounded evaluation may have many LCAs that
-// anchor deduplication or the keep filter drop. resultsAtBatch is the first
-// slab of results rebuilt one at a time (ResultAt): a server rebuilds the
-// few its router kept.
-const resultSlab, resultsAtBatch = 256, 16
+// resultSlab is the most results one slab of match-run bounds has room for:
+// an unbounded evaluation may have many LCAs that anchor deduplication or the
+// keep filter drop, so results allocates no more before it builds any.
+const resultSlab = 256
 
 // EvaluateResults evaluates a query and builds results for the LCAs
 // accepted by keep (nil keeps all), exploiting top-k early termination:

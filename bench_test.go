@@ -239,18 +239,18 @@ func BenchmarkE10SLCA(b *testing.B) {
 	if len(qs) == 0 {
 		b.Fatal("no workload query")
 	}
-	lists := make([][]*xmltree.Node, len(qs[0].Keywords))
+	lists := make([]*index.PostingList, len(qs[0].Keywords))
 	for i, kw := range qs[0].Keywords {
-		lists[i] = ix.Nodes(kw)
+		lists[i] = ix.List(kw)
 	}
 	b.Run("slca", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			search.SLCA(lists...)
+			search.SLCAPacked(ix, lists...)
 		}
 	})
 	b.Run("elca", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			search.ELCA(lists...)
+			search.ELCAPacked(ix, lists...)
 		}
 	})
 }

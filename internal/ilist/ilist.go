@@ -253,9 +253,19 @@ func (sc *scratch) release() {
 
 // sameLower reports strings.ToLower(a) == strings.ToLower(b) without
 // building either: the two agree exactly when their runes agree one by one
-// after unicode.ToLower.
+// after unicode.ToLower. Two ASCII bytes are compared as they stand, lower-
+// cased by arithmetic; a rune is decoded only where either string has a
+// byte that is not ASCII (a non-ASCII rune may still lower to an ASCII one:
+// the Kelvin sign to k).
 func sameLower(a, b string) bool {
 	for len(a) > 0 && len(b) > 0 {
+		if ca, cb := a[0], b[0]; ca|cb < utf8.RuneSelf {
+			if ca != cb && lowerASCII(ca) != lowerASCII(cb) {
+				return false
+			}
+			a, b = a[1:], b[1:]
+			continue
+		}
 		ra, na := utf8.DecodeRuneInString(a)
 		rb, nb := utf8.DecodeRuneInString(b)
 		if ra != rb && unicode.ToLower(ra) != unicode.ToLower(rb) {
@@ -264,6 +274,14 @@ func sameLower(a, b string) bool {
 		a, b = a[na:], b[nb:]
 	}
 	return len(a) == len(b)
+}
+
+// lowerASCII lower-cases an ASCII letter and returns any other byte as it is.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // Texts returns the item texts in rank order.

@@ -3,7 +3,6 @@ package search
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"extract/internal/index"
 	"extract/xmltree"
@@ -14,43 +13,51 @@ import (
 // lying under descendant nodes that themselves witness every keyword (the
 // XRank semantics). Every SLCA is an ELCA; ELCA additionally surfaces
 // ancestors with their own, exclusive evidence. Lists must be sorted in
-// document order (index posting lists are) and drawn from one finalized
-// document; a node repeated within one list counts as that many matches.
-// The result is in document order.
+// document order (index posting lists are) and hold elements of one
+// finalized document; a node repeated within one list counts as that many
+// matches. The result is in document order. Like SLCA, it fills the columns
+// of the lists' document on every call.
 func ELCA(lists ...[]*xmltree.Node) []*xmltree.Node {
-	elcas, _ := ELCAPacked(packLists(lists)...)
+	ix := columnsOf(lists)
+	if ix == nil {
+		return nil
+	}
+	elcas, _ := ELCAPacked(ix, packLists(lists)...)
 	return elcas
 }
 
-// ELCAPacked is ELCA over packed posting lists, the form the engine holds.
-// free reports, per list, whether some entry lies outside the subtree of
-// every ELCA below the document root — the root's own exclusive evidence,
-// and what a shard contributes to the root decision of a sharded query
-// (shard.Digest.Free). When a list is empty there are no ELCAs and every
-// entry is free.
+// ELCAPacked is ELCA over packed posting lists of ix's document, the form
+// the engine holds. free reports, per list, whether some entry lies outside
+// the subtree of every ELCA below the document root — the root's own
+// exclusive evidence, and what a shard contributes to the root decision of a
+// sharded query (shard.Digest.Free). When a list is empty there are no ELCAs
+// and every entry is free.
 //
-// The evaluation is driven by the shortest list. An ELCA contains every
-// keyword, and the nodes that do are exactly the candidates folded from the
-// shortest list's entries (folds, the loop SLCA runs on) and their
-// ancestors, so those are the only nodes decided. The real ancestor chain
-// root → current candidate sits on a stack, and a node x is decided when
-// the stream leaves it: x is an ELCA iff, for every list,
+// The evaluation is driven by the shortest list and runs on ix's columns
+// (index.Columns), as SLCA's does. An ELCA contains every keyword, and the
+// elements that do are exactly the candidates folded from the shortest
+// list's entries (folds, the loop SLCA runs on) and their ancestors, so
+// those are the only elements decided. The real ancestor chain root →
+// current candidate sits on a stack of column entries, and an element x is
+// decided when the stream leaves it: x is an ELCA iff, for every list,
 //
 //	(entries inside [x.Start, x.End]) − (entries inside x's outermost ELCA descendants) > 0.
 //
 // Both terms are rank differences read from monotone cursors, never a walk
-// over the entries: nodes are pushed in increasing Start and popped in
+// over the entries: elements are pushed in increasing Start and popped in
 // increasing End, so one cursor per list ranks Start at push time and
 // another ranks End+1 at pop time. The subtracted term is a k-wide row a
-// popped node hands its parent — its whole count if it qualified, its own
-// row otherwise. A qualifying node is inserted at the output length recorded
-// when it was pushed (everything emitted since lies below it), so the set
-// leaves in document order unsorted. The root is never popped: what its row
-// leaves of each list when the stream ends is free. Cost: one push per
-// distinct ancestor of a candidate, 2k cursor advances each (see
-// PERFORMANCE.md, "The ELCA cost model"). Scratch buffers are pooled, so
+// popped element hands its parent — its whole count if it qualified, its
+// own row otherwise. A qualifying element is inserted at the output length
+// recorded when it was pushed (everything emitted since lies below it), so
+// the set leaves in document order unsorted. The root is never popped: what
+// its row leaves of each list when the stream ends is free. Cost: one push
+// per distinct ancestor of a candidate — a Parent column read to find it,
+// a Pos read and k cursor advances to push it, an End read and k more to pop
+// it (see PERFORMANCE.md, "The ELCA cost model"). No node is read until the
+// ELCAs are mapped to theirs at the end. Scratch buffers are pooled, so
 // steady-state evaluation allocates only what it returns.
-func ELCAPacked(lists ...*index.PostingList) (elcas []*xmltree.Node, free []bool) {
+func ELCAPacked(ix *index.Index, lists ...*index.PostingList) (elcas []*xmltree.Node, free []bool) {
 	if len(lists) == 0 {
 		return nil, nil
 	}
@@ -64,37 +71,37 @@ func ELCAPacked(lists ...*index.PostingList) (elcas []*xmltree.Node, free []bool
 		return nil, free
 	}
 
-	sc := elcaPool.Get().(*elcaScratch)
-	defer elcaPool.Put(sc)
-	return sc.eval(lists, free), free
+	sc := lcaPool.Get().(*lcaScratch)
+	defer lcaPool.Put(sc)
+	return sc.eval(ix, lists, free), free
 }
 
 // eval is ELCAPacked over non-empty lists on this scratch: it returns the
 // ELCAs, its one allocation, and overwrites free.
-func (sc *elcaScratch) eval(lists []*index.PostingList, free []bool) []*xmltree.Node {
-	k := len(lists)
-	sc.cursors = slices.Grow(sc.cursors[:0], 3*k)[:3*k]
-	clear(sc.cursors)
-	sc.folds = newFolds(lists, sc.cursors[:k])
+func (sc *lcaScratch) eval(ix *index.Index, lists []*index.PostingList, free []bool) []*xmltree.Node {
+	k, cols := len(lists), ix.Columns()
+	sc.start(cols, lists)
 	sc.frames, sc.rows, sc.out, sc.pushes = sc.frames[:0], sc.rows[:0], sc.out[:0], 0
+	pos, end, parent := cols.Pos, cols.End, cols.Parent
 
-	root := lists[0].Nodes[0].Root()
-	sc.push(root)
-	for c := sc.next(); c != nil; c = sc.next() {
+	sc.push(0) // the document root
+	for c := sc.next(); c >= 0; c = sc.next() {
 		// Frames ending before c have seen all their entries: every later
 		// candidate contains a match at or after c's.
-		for sc.top().End < c.Start {
+		for end[sc.top()] < pos[c] {
 			sc.pop()
 		}
 		// c now is the top, an ancestor of it (both already stacked: the
 		// stack is a whole chain from the root), or a proper descendant.
+		// Entries are in preorder, so c precedes the top iff it is an
+		// ancestor.
 		top := sc.top()
-		if c.Start <= top.Start {
+		if c <= top {
 			continue
 		}
 		path := sc.path[:0]
-		for n := c; n != top; n = n.Parent {
-			path = append(path, n)
+		for e := c; e != top; e = parent[e] {
+			path = append(path, e)
 		}
 		for i := len(path) - 1; i >= 0; i-- {
 			sc.push(path[i])
@@ -111,41 +118,27 @@ func (sc *elcaScratch) eval(lists []*index.PostingList, free []bool) []*xmltree.
 		rootQualifies = rootQualifies && free[j]
 	}
 	if rootQualifies {
-		sc.out = slices.Insert(sc.out, 0, root)
+		sc.out = slices.Insert(sc.out, 0, 0)
 	}
-	sc.folds = folds{} // the pool must not pin the posting lists
-	return slices.Clone(sc.out)
-}
-
-// elcaScratch is the reusable state of one ELCA evaluation: the candidate
-// stream, the stack of undecided nodes and the output under construction.
-type elcaScratch struct {
-	folds
-	cursors []int       // k fold cursors, k Start-rank cursors, k End-rank cursors
-	frames  []elcaFrame // the ancestor chain root → current candidate
-	rows    []int32     // per frame: k Start ranks, then the k-wide row of its decided ELCA descendants
-	path    []*xmltree.Node
-	out     []*xmltree.Node
-	pushes  int // nodes stacked by the last evaluation, each at most once
+	sc.folds = folds{} // the pool must not pin the posting lists or columns
+	return nodesOf(ix, sc.out)
 }
 
 type elcaFrame struct {
-	node *xmltree.Node
-	at   int // len(out) when pushed: where the node goes if it qualifies
+	entry int32 // the element's column entry
+	at    int32 // len(out) when pushed: where the element goes if it qualifies
 }
 
-var elcaPool = sync.Pool{New: func() any { return &elcaScratch{} }}
+func (sc *lcaScratch) top() int32 { return sc.frames[len(sc.frames)-1].entry }
 
-func (sc *elcaScratch) top() *xmltree.Node { return sc.frames[len(sc.frames)-1].node }
-
-// push stacks n, a child of the top, ranking its Start in every list.
-func (sc *elcaScratch) push(n *xmltree.Node) {
-	sc.frames = append(sc.frames, elcaFrame{n, len(sc.out)})
+// push stacks entry e, a child of the top, ranking its Start in every list.
+func (sc *lcaScratch) push(e int32) {
+	sc.frames = append(sc.frames, elcaFrame{e, int32(len(sc.out))})
 	sc.pushes++
-	k := len(sc.lists)
+	k, start := len(sc.lists), sc.cols.Pos[e]
 	starts := sc.cursors[k : 2*k]
 	for j, l := range sc.lists {
-		starts[j] = sc.advance(l.Ords, starts[j], n.Start)
+		starts[j] = advance(sc.scan, l.Ords, starts[j], start)
 		sc.rows = append(sc.rows, int32(starts[j]))
 	}
 	for range k {
@@ -155,18 +148,18 @@ func (sc *elcaScratch) push(n *xmltree.Node) {
 
 // pop decides the top (never the root): it qualifies iff its count exceeds
 // its row in every list, and hands its parent the count if so, the row if
-// not. A list that fails the test ends the ranking — a node that is not an
-// ELCA needs no count.
-func (sc *elcaScratch) pop() {
+// not. A list that fails the test ends the ranking — an element that is not
+// an ELCA needs no count.
+func (sc *lcaScratch) pop() {
 	f := sc.frames[len(sc.frames)-1]
 	sc.frames = sc.frames[:len(sc.frames)-1]
 	k := len(sc.lists)
 	base := len(sc.rows) - 2*k
 	count, row, parent := sc.rows[base:base+k], sc.rows[base+k:], sc.rows[base-k:base]
 	sc.rows = sc.rows[:base]
-	ends, qualifies := sc.cursors[2*k:], true
+	ends, qualifies, after := sc.cursors[2*k:], true, sc.cols.End[f.entry]+1
 	for j, l := range sc.lists {
-		ends[j] = sc.advance(l.Ords, ends[j], f.node.End+1)
+		ends[j] = advance(sc.scan, l.Ords, ends[j], after)
 		count[j] = int32(ends[j]) - count[j] // the Start rank becomes the count
 		if count[j] <= row[j] {
 			qualifies = false
@@ -176,7 +169,7 @@ func (sc *elcaScratch) pop() {
 	hand := row
 	if qualifies {
 		hand = count
-		sc.out = slices.Insert(sc.out, f.at, f.node)
+		sc.out = slices.Insert(sc.out, int(f.at), f.entry)
 	}
 	for j, c := range hand {
 		parent[j] += c

@@ -34,7 +34,7 @@ func freeBaseline(lists ...[]*xmltree.Node) []bool {
 // the brute-force free bits.
 func checkELCA(t testing.TB, lists ...[]*xmltree.Node) {
 	t.Helper()
-	got, free := ELCAPacked(packLists(lists)...)
+	got, free := ELCAPacked(columnsOf(lists), packLists(lists)...)
 	if want := ELCABaseline(lists...); !sameNodes(got, want) {
 		t.Fatalf("elca = %v, baseline = %v", labels(got), labels(want))
 	}
@@ -87,7 +87,7 @@ func TestELCAListShapes(t *testing.T) {
 		for i, tag := range tc.tags {
 			lists[i], packed[i] = ix.Nodes(tag), ix.List(tag)
 		}
-		if g := newFolds(packed, make([]int, len(packed))); g.scan != tc.scan {
+		if g := newFolds(ix.Columns(), packed, make([]int, len(packed))); g.scan != tc.scan {
 			t.Errorf("%v: scan = %v, want %v", tc.tags, g.scan, tc.scan)
 		}
 		t.Run(fmt.Sprint(tc.tags), func(t *testing.T) { checkELCA(t, lists...) })
@@ -156,8 +156,8 @@ func TestELCADeepChainPushesEachNodeOnce(t *testing.T) {
 	checkELCA(t, ix.Nodes("a"), ix.Nodes("b"))
 	checkELCA(t, ix.Nodes("b"), ix.Nodes("a"), ix.Nodes("a"))
 
-	sc, lists := &elcaScratch{}, []*index.PostingList{ix.List("a"), ix.List("b")}
-	if got := sc.eval(lists, make([]bool, 2)); len(got) != depth-1 {
+	sc, lists := &lcaScratch{}, []*index.PostingList{ix.List("a"), ix.List("b")}
+	if got := sc.eval(ix, lists, make([]bool, 2)); len(got) != depth-1 {
 		t.Fatalf("chain elcas = %d, want %d", len(got), depth-1)
 	}
 	if nodes := len(doc.Nodes()); sc.pushes > nodes {

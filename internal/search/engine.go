@@ -116,9 +116,9 @@ func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
 	// keyword has no match.
 	switch e.opts.Semantics {
 	case SemanticsELCA:
-		ev.LCAs, ev.Free = ELCAPacked(ev.Lists...)
+		ev.LCAs, ev.Free = ELCAPacked(e.ix, ev.Lists...)
 	default:
-		ev.LCAs, ev.Truncated = SLCAPackedBounded(limit, ev.Lists...)
+		ev.LCAs, ev.Truncated = SLCAPackedBounded(e.ix, limit, ev.Lists...)
 	}
 	return ev, nil
 }

@@ -58,9 +58,9 @@ func TestSLCABoundedPrefixProperty(t *testing.T) {
 		for i := 0; i < k; i++ {
 			packed[i] = ix.List(voc[r.Intn(len(voc))])
 		}
-		full := SLCAPacked(packed...)
+		full := SLCAPacked(ix, packed...)
 		for limit := 1; limit <= len(full)+1; limit++ {
-			got, truncated := SLCAPackedBounded(limit, packed...)
+			got, truncated := SLCAPackedBounded(ix, limit, packed...)
 			wantLen := len(full)
 			if limit < wantLen {
 				wantLen = limit
@@ -83,6 +83,63 @@ func TestSLCABoundedPrefixProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzSLCA holds the bounded column SLCA to SLCABrute on fuzzed tree shapes,
+// per-list membership and limits: the result must be the same-length prefix
+// of the brute-force set, and Truncated must say exactly whether the set
+// has more. Trees are built as in FuzzELCA, and a shape byte with the high
+// bit set also gives its element a text child, so the element columns skip
+// positions; a member byte puts node i into list j once (bit j) or twice
+// (bit j+4). limit 0 is unbounded.
+func FuzzSLCA(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 2, 5}, []byte{1, 2, 3, 0x11, 2, 1, 3}, uint8(1), uint8(1))
+	f.Add([]byte{1, 0x81, 1, 1, 0x81, 1, 1, 1}, []byte{0xff}, uint8(3), uint8(0))
+	f.Add([]byte{0, 2, 4, 6, 8, 10, 0x80, 0x82}, []byte{1, 0, 0, 0, 0, 2, 2, 3}, uint8(2), uint8(2))
+	f.Add([]byte{}, []byte{7}, uint8(0), uint8(5))
+	f.Fuzz(func(t *testing.T, shape, member []byte, k8, limit8 uint8) {
+		if len(shape) > 300 || len(member) == 0 {
+			return
+		}
+		nodes := []*xmltree.Node{xmltree.Elem("n")}
+		for _, b := range shape {
+			at := int(b&0x7f/2) % len(nodes)
+			if b%2 == 1 {
+				at = len(nodes) - 1 - at
+			}
+			child := xmltree.Elem("n")
+			if b&0x80 != 0 {
+				xmltree.Append(child, xmltree.Txt("t"))
+			}
+			xmltree.Append(nodes[at], child)
+			nodes = append(nodes, child)
+		}
+		doc := xmltree.NewDocument(nodes[0])
+		lists := make([][]*xmltree.Node, 1+k8%4)
+		i := 0
+		for _, n := range doc.Nodes() {
+			if !n.IsElement() {
+				continue
+			}
+			m := member[i%len(member)]
+			i++
+			for j := range lists {
+				for c := m>>j&1 + m>>(j+4)&1; c > 0; c-- {
+					lists[j] = append(lists[j], n)
+				}
+			}
+		}
+		limit := int(limit8 % 8)
+		got, truncated := SLCAPackedBounded(index.FromParts(doc, nil), limit, packLists(lists)...)
+		full := SLCABrute(doc, lists...)
+		want := full
+		if limit > 0 && limit < len(full) {
+			want = full[:limit]
+		}
+		if !sameNodes(got, want) || truncated != (len(want) < len(full)) {
+			t.Fatalf("limit %d: slca %v (truncated %v), brute %v", limit, labels(got), truncated, labels(full))
+		}
+	})
 }
 
 // BenchmarkSLCAProbeModes races the two cursor-advance strategies of
@@ -172,7 +229,7 @@ func BenchmarkELCAListShapes(b *testing.B) {
 		b.Run(shape.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ELCAPacked(lists...)
+				ELCAPacked(ix, lists...)
 			}
 		})
 	}

@@ -31,7 +31,7 @@ func TestSLCAPackedMatchesBrute(t *testing.T) {
 			lists[i] = ix.Nodes(kw)
 			packed[i] = ix.List(kw)
 		}
-		fast := SLCAPacked(packed...)
+		fast := SLCAPacked(ix, packed...)
 		brute := SLCABrute(doc, lists...)
 		base := SLCABaseline(lists...)
 		if !sameNodes(fast, brute) {
@@ -102,10 +102,10 @@ func TestPackedAgainstBruteOnGenCorpora(t *testing.T) {
 				continue
 			}
 			name := fmt.Sprintf("doc%d/query%d", di, qi)
-			if got, want := SLCAPacked(packed...), SLCABrute(doc, lists...); !sameNodes(got, want) {
+			if got, want := SLCAPacked(ix, packed...), SLCABrute(doc, lists...); !sameNodes(got, want) {
 				t.Errorf("%s: slca %v, brute %v", name, labels(got), labels(want))
 			}
-			got, _ := ELCAPacked(packed...)
+			got, _ := ELCAPacked(ix, packed...)
 			if want := ELCABaseline(lists...); !sameNodes(got, want) {
 				t.Errorf("%s: elca %v, baseline %v", name, labels(got), labels(want))
 			}
@@ -113,7 +113,7 @@ func TestPackedAgainstBruteOnGenCorpora(t *testing.T) {
 	}
 }
 
-// Regression for the old smallestOnly: its repeat-until-stable ancestor
+// Regression for an earlier ancestor filter: its repeat-until-stable ancestor
 // removal was O(n²) on chains where each candidate is an ancestor of the
 // next. On a deep ancestor chain with a match at every level, SLCA must
 // return only the deepest node, and in linear candidate time.
@@ -155,13 +155,13 @@ func TestSLCADeepAncestorChain(t *testing.T) {
 // nothing but the set it returns.
 func TestELCAPoolReuse(t *testing.T) {
 	small, large := index.Build(parse(t, corpus)), entities(500, map[string]int{"a": 1, "b": 3, "rare": 50})
-	sc := &elcaScratch{}
+	sc := &lcaScratch{}
 	eval := func(ix *index.Index, kws ...string) []*xmltree.Node {
 		lists, packed := make([][]*xmltree.Node, len(kws)), make([]*index.PostingList, len(kws))
 		for i, kw := range kws {
 			lists[i], packed[i] = ix.Nodes(kw), ix.List(kw)
 		}
-		got := sc.eval(packed, make([]bool, len(kws)))
+		got := sc.eval(ix, packed, make([]bool, len(kws)))
 		if want := ELCABaseline(lists...); !sameNodes(got, want) {
 			t.Fatalf("%v: elca %v, want %v", kws, labels(got), labels(want))
 		}
@@ -175,7 +175,7 @@ func TestELCAPoolReuse(t *testing.T) {
 		eval(small, "texas", "apparel", "retailer")
 	}
 	packed, free := []*index.PostingList{large.List("a"), large.List("b"), large.List("rare")}, make([]bool, 3)
-	if allocs := testing.AllocsPerRun(20, func() { sc.eval(packed, free) }); allocs > 1 {
+	if allocs := testing.AllocsPerRun(20, func() { sc.eval(large, packed, free) }); allocs > 1 {
 		t.Errorf("steady-state evaluation allocates %v times, want only the returned set", allocs)
 	}
 }

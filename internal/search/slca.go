@@ -11,16 +11,21 @@
 //
 // The hot paths work on flat integer arrays: posting lists carry their
 // document-order positions in contiguous int32 slices (index.PostingList),
-// and ancestor tests, containment tests and LCAs all use the preorder
-// intervals assigned by xmltree.NewDocument: an LCA is the first node on a
-// Parent chain whose interval covers the other position, so no depth is
-// ever computed. All evaluation entry points require their input nodes to
-// belong to one finalized document.
+// and the LCA evaluation climbs the document's elements as the index's
+// pointer-free columns (index.Columns: preorder position, subtree end and
+// parent entry per element), using the preorder intervals assigned by
+// xmltree.NewDocument: an LCA is the first entry on a Parent chain whose
+// interval covers the other position, so no depth is ever computed and no
+// node is dereferenced until the LCA set is mapped back to its nodes, once,
+// at the end. All evaluation entry points require their input nodes to be
+// elements of one finalized document.
 package search
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"extract/internal/index"
 	"extract/xmltree"
@@ -29,10 +34,16 @@ import (
 // SLCA returns the Smallest Lowest Common Ancestors of the given keyword
 // match lists: nodes whose subtree contains at least one match from every
 // list and none of whose proper descendants does. Lists must be sorted in
-// document order and drawn from one finalized document (index posting
-// lists are). The result is in document order.
+// document order and hold elements of one finalized document (index posting
+// lists do). The result is in document order. It fills the columns of the
+// lists' document on every call; the engine evaluates on its index's
+// (SLCAPacked).
 func SLCA(lists ...[]*xmltree.Node) []*xmltree.Node {
-	return SLCAPacked(packLists(lists)...)
+	ix := columnsOf(lists)
+	if ix == nil {
+		return nil
+	}
+	return SLCAPacked(ix, packLists(lists)...)
 }
 
 // packLists packs document-ordered node lists for the packed entry points.
@@ -44,10 +55,31 @@ func packLists(lists [][]*xmltree.Node) []*index.PostingList {
 	return packed
 }
 
-// SLCAPacked is SLCA over packed posting lists, the form the engine holds.
-// It is SLCAPackedBounded without a result bound.
-func SLCAPacked(lists ...*index.PostingList) []*xmltree.Node {
-	out, _ := SLCAPackedBounded(0, lists...)
+// columnsOf returns an index of the document the lists' nodes belong to
+// that holds nothing but its columns, for the slice-taking entry points; nil
+// when there is no list or some list is empty (there are no LCAs then).
+func columnsOf(lists [][]*xmltree.Node) *index.Index {
+	if len(lists) == 0 {
+		return nil
+	}
+	for _, l := range lists {
+		if len(l) == 0 {
+			return nil
+		}
+	}
+	root := lists[0][0].Root()
+	nodes := make([]*xmltree.Node, 0, root.NodeCount())
+	root.Walk(func(n *xmltree.Node) bool {
+		nodes = append(nodes, n)
+		return true
+	})
+	return index.FromParts(xmltree.AdoptFinalized(nodes), nil)
+}
+
+// SLCAPacked is SLCA over packed posting lists of ix's document, the form
+// the engine holds. It is SLCAPackedBounded without a result bound.
+func SLCAPacked(ix *index.Index, lists ...*index.PostingList) []*xmltree.Node {
+	out, _ := SLCAPackedBounded(ix, 0, lists...)
 	return out
 }
 
@@ -74,8 +106,9 @@ const gallopCost = 16
 // The candidate stream (see folds) is reduced to the smallest elements
 // online by slcaStack, which is also what makes early termination possible:
 // once a candidate lands strictly after the stack top, everything below it
-// is sealed and counts toward limit.
-func SLCAPackedBounded(limit int, lists ...*index.PostingList) ([]*xmltree.Node, bool) {
+// is sealed and counts toward limit. Both run on ix's columns; the SLCAs
+// are mapped to their nodes at the end, the only nodes read.
+func SLCAPackedBounded(ix *index.Index, limit int, lists ...*index.PostingList) ([]*xmltree.Node, bool) {
 	if len(lists) == 0 {
 		return nil, false
 	}
@@ -84,41 +117,69 @@ func SLCAPackedBounded(limit int, lists ...*index.PostingList) ([]*xmltree.Node,
 			return nil, false
 		}
 	}
-	st := slcaStack{limit: limit}
-	g := newFolds(lists, make([]int, len(lists)))
-	for c := g.next(); c != nil; c = g.next() {
+	cols := ix.Columns()
+	sc := lcaPool.Get().(*lcaScratch)
+	defer lcaPool.Put(sc)
+	sc.start(cols, lists)
+	st := slcaStack{limit: limit, pos: cols.Pos, end: cols.End, stack: sc.out[:0]}
+	for c := sc.next(); c >= 0; c = sc.next() {
 		if st.add(c) {
 			break
 		}
 	}
-	return st.results()
+	sc.out, sc.folds = st.stack, folds{} // the pool must not pin the lists or columns
+	entries, truncated := st.results()
+	return nodesOf(ix, entries), truncated
+}
+
+// nodesOf maps entries of ix's columns to their nodes: the evaluation's one
+// allocation, exactly sized.
+func nodesOf(ix *index.Index, entries []int32) []*xmltree.Node {
+	if len(entries) == 0 {
+		return nil
+	}
+	doc, pos := ix.Document(), ix.Columns().Pos
+	out := make([]*xmltree.Node, len(entries))
+	for i, e := range entries {
+		out[i] = doc.ByOrd(int(pos[e]))
+	}
+	return out
 }
 
 // folds is the candidate generator SLCA and ELCA evaluation share, following
 // the indexed-lookup approach: iterate the shortest list; for each of its
-// nodes find, in every other list, the closest match in document order
+// entries find, in every other list, the closest match in document order
 // (predecessor or successor by Ord), and fold LCAs. The folded candidate is
-// the lowest ancestor-or-self of the node that contains a match of every
-// list, so the nodes containing every keyword are exactly the candidates and
-// their ancestors: SLCA keeps the smallest candidates (slcaStack), ELCA
-// decides every node of the candidates' ancestor chains (ELCAPacked).
+// the lowest ancestor-or-self of the entry that contains a match of every
+// list, so the elements containing every keyword are exactly the candidates
+// and their ancestors: SLCA keeps the smallest candidates (slcaStack), ELCA
+// decides every element of the candidates' ancestor chains (ELCAPacked).
 //
-// The probes into the other lists use monotone cursors either way; when the
-// shortest list is a large fraction of the total the cursor advances as a
-// linear merge that touches each ord once and stays in cache, otherwise it
-// gallops (exponential search + branch-free binary refinement, see gallop)
-// so a skewed list costs O(log gap) per probe instead of O(gap).
+// Candidates are entries of the document's columns (index.Columns), not
+// nodes: the fold climbs the Parent column and tests the Pos and End
+// columns, so it reads no node at all. A shortest-list entry enters the
+// columns through a monotone cursor over Pos — every posting is an element,
+// so its position is there exactly.
+//
+// Every cursor — the probes into the other lists, and the column cursor —
+// advances as a linear merge that touches each position once and stays in
+// cache when the shortest list is a large fraction of what it walks,
+// otherwise it gallops (exponential search + branch-free binary refinement,
+// see gallop) so a sparse walk costs O(log gap) per probe instead of
+// O(gap).
 type folds struct {
 	lists    []*index.PostingList
+	cols     *index.Columns
 	shortest int
-	scan     bool  // linear cursor advance rather than galloping
-	cursors  []int // per list, the probe cursor
+	scan     bool  // linear cursor advance into the lists rather than galloping
+	colScan  bool  // the same for the column cursor
+	cursors  []int // per list, the probe cursor; the shortest list's is the column cursor
 	si       int   // next entry of the shortest list
 }
 
-// newFolds starts the candidate stream of non-empty lists; cursors is a
-// zeroed buffer of one cursor per list.
-func newFolds(lists []*index.PostingList, cursors []int) folds {
+// newFolds starts the candidate stream of non-empty lists over their
+// document's columns; cursors is a zeroed buffer of one cursor per list.
+func newFolds(cols *index.Columns, lists []*index.PostingList, cursors []int) folds {
 	// Work on the shortest list for the outer loop.
 	shortest, total := 0, 0
 	for i, l := range lists {
@@ -127,18 +188,25 @@ func newFolds(lists []*index.PostingList, cursors []int) folds {
 			shortest = i
 		}
 	}
-	// Probe-mode crossover: galloping wins when the average gap between
-	// consecutive probe targets is large enough that ~gallopCost*(log2+1)
-	// probe steps beat visiting every element of the gap linearly.
 	n := lists[shortest].Len()
-	scan := n*gallopCost*(ilog2(total/n)+1) >= total-n
-	return folds{lists: lists, shortest: shortest, scan: scan, cursors: cursors}
+	return folds{
+		lists: lists, cols: cols, shortest: shortest, cursors: cursors,
+		scan: scanPays(n, total), colScan: scanPays(n, cols.Len()+n),
+	}
+}
+
+// scanPays is the probe-mode crossover for n probes into a walk of
+// total-n positions: galloping wins when the average gap between
+// consecutive probe targets is large enough that ~gallopCost*(log2+1)
+// probe steps beat visiting every position of the gap linearly.
+func scanPays(n, total int) bool {
+	return n*gallopCost*(ilog2(total/n)+1) >= total-n
 }
 
 // advance moves a monotone cursor over ords to the first entry >= target,
-// in the stream's probe mode.
-func (g *folds) advance(ords []int32, cur int, target int32) int {
-	if !g.scan {
+// linearly when scan is set, by galloping otherwise.
+func advance(scan bool, ords []int32, cur int, target int32) int {
+	if !scan {
 		return gallop(ords, cur, target)
 	}
 	for cur < len(ords) && ords[cur] < target {
@@ -147,29 +215,33 @@ func (g *folds) advance(ords []int32, cur int, target int32) int {
 	return cur
 }
 
-// next returns the candidate folded from the next node v of the shortest
-// list, nil when the list is exhausted: the lowest ancestor-or-self c of v
-// that contains, for every other list, that list's closest match in document
-// order. The predecessor (ord < vOrd <= c.End) lies in c iff c.Start <= its
-// ord, the successor (ord >= vOrd >= c.Start) iff its ord <= c.End, so the
-// climb reads only the packed ords — the other lists' nodes are never
-// dereferenced — and one c carries across lists because containment
-// survives climbing.
-func (g *folds) next() *xmltree.Node {
+// next returns the candidate folded from the next entry v of the shortest
+// list, -1 when the list is exhausted: the column entry of the lowest
+// ancestor-or-self c of v that contains, for every other list, that list's
+// closest match in document order. The predecessor (ord < vOrd <= c's End)
+// lies in c iff c's Pos <= its ord, the successor (ord >= vOrd >= c's Pos)
+// iff its ord <= c's End, so the climb reads only packed ords and the
+// columns, and one c carries across lists because containment survives
+// climbing.
+func (g *folds) next() int32 {
 	s := g.lists[g.shortest]
-	if g.si == len(s.Nodes) {
-		return nil
+	if g.si == len(s.Ords) {
+		return -1
 	}
-	c, vOrd := s.Nodes[g.si], s.Ords[g.si]
+	vOrd := s.Ords[g.si]
 	g.si++
+	pos, end, parent := g.cols.Pos, g.cols.End, g.cols.Parent
+	at := advance(g.colScan, pos, g.cursors[g.shortest], vOrd)
+	g.cursors[g.shortest] = at
+	c := int32(at)
 	for li, l := range g.lists {
 		if li == g.shortest {
 			continue
 		}
-		if c.Parent == nil {
+		if parent[c] < 0 {
 			break // already at the root
 		}
-		cur := g.advance(l.Ords, g.cursors[li], vOrd)
+		cur := advance(g.scan, l.Ords, g.cursors[li], vOrd)
 		g.cursors[li] = cur
 		// With no predecessor (successor) the sentinel makes its test
 		// fail for every c.
@@ -180,8 +252,8 @@ func (g *folds) next() *xmltree.Node {
 		if cur < len(l.Ords) {
 			succ = l.Ords[cur]
 		}
-		for c.Parent != nil && c.Start > pred && succ > c.End {
-			c = c.Parent
+		for parent[c] >= 0 && pos[c] > pred && succ > end[c] {
+			c = parent[c]
 		}
 	}
 	return c
@@ -221,6 +293,29 @@ func gallop(ords []int32, from int, target int32) int {
 	return hi
 }
 
+// lcaScratch is the reusable state of one SLCA or ELCA evaluation: the
+// candidate stream, and for ELCA the stack of undecided entries. out is the
+// SLCA stack or the ELCA set under construction, as column entries.
+type lcaScratch struct {
+	folds
+	cursors []int       // k fold cursors, then ELCA's k Start-rank and k End-rank cursors
+	frames  []elcaFrame // the ancestor chain root → current candidate
+	rows    []int32     // per frame: k Start ranks, then the k-wide row of its decided ELCA descendants
+	path    []int32
+	out     []int32
+	pushes  int // entries stacked by the last ELCA evaluation, each at most once
+}
+
+var lcaPool = sync.Pool{New: func() any { return &lcaScratch{} }}
+
+// start begins an evaluation of lists on cols, with zeroed cursors.
+func (sc *lcaScratch) start(cols *index.Columns, lists []*index.PostingList) {
+	k := len(lists)
+	sc.cursors = slices.Grow(sc.cursors[:0], 3*k)[:3*k]
+	clear(sc.cursors)
+	sc.folds = newFolds(cols, lists, sc.cursors[:k])
+}
+
 // slcaStack reduces the SLCA candidate stream to the smallest elements
 // online. Candidates arrive ordered by the document position of the
 // shortest-list match that produced them, and every candidate contains its
@@ -230,13 +325,15 @@ func gallop(ords []int32, from int, target int32) int {
 // be popped — everything below it is sealed, which is what makes top-k
 // early termination provable mid-scan.
 type slcaStack struct {
-	limit int // seal this many entries, then stop; 0 = unlimited
-	stack []*xmltree.Node
+	limit    int     // seal this many entries, then stop; 0 = unlimited
+	pos, end []int32 // the columns the entries index
+	stack    []int32 // column entries
 }
 
 // add folds candidate c into the stack and reports whether the first
-// limit SLCAs are now provable (the scan can stop).
-func (st *slcaStack) add(c *xmltree.Node) bool {
+// limit SLCAs are now provable (the scan can stop). Entries are in
+// preorder, so comparing two entries compares their positions.
+func (st *slcaStack) add(c int32) bool {
 	for {
 		if len(st.stack) == 0 {
 			st.stack = append(st.stack, c)
@@ -244,16 +341,16 @@ func (st *slcaStack) add(c *xmltree.Node) bool {
 		}
 		top := st.stack[len(st.stack)-1]
 		if c == top {
-			break // duplicate (Start is unique within a document)
+			break // duplicate
 		}
-		if c.Start < top.Start {
+		if c < top {
 			// c strictly contains top (its match lies at or after top's
 			// interval, so the laminar intervals force c ⊃ top), or c
 			// duplicates a sealed entry; either way a candidate at least
 			// as small already exists inside c: drop c.
 			break
 		}
-		if c.Start <= top.End {
+		if st.pos[c] <= st.end[top] {
 			// top strictly contains c: not smallest. Entries below top
 			// are disjoint from it, so a single pop suffices.
 			st.stack = st.stack[:len(st.stack)-1]
@@ -268,26 +365,13 @@ func (st *slcaStack) add(c *xmltree.Node) bool {
 	return st.limit > 0 && len(st.stack) > st.limit
 }
 
-// results returns the accumulated SLCA set (or its first limit elements)
-// and whether the set was truncated by the bound.
-func (st *slcaStack) results() ([]*xmltree.Node, bool) {
+// results returns the accumulated SLCA entries (or their first limit) and
+// whether the set was truncated by the bound.
+func (st *slcaStack) results() ([]int32, bool) {
 	if st.limit > 0 && len(st.stack) > st.limit {
 		return st.stack[:st.limit], true
 	}
-	if len(st.stack) == 0 {
-		return nil, false
-	}
 	return st.stack, false
-}
-
-// fastLCA returns the lowest common ancestor of two nodes of one finalized
-// document: the first node on a's Parent chain whose preorder interval
-// covers b. Returns nil if the nodes turn out to lie in different trees.
-func fastLCA(a, b *xmltree.Node) *xmltree.Node {
-	for a != nil && !a.ContainsOrSelf(b) {
-		a = a.Parent
-	}
-	return a
 }
 
 // ilog2 returns floor(log2(n)) for n >= 1 (0 otherwise).
@@ -298,40 +382,6 @@ func ilog2(n int) int {
 		l++
 	}
 	return l
-}
-
-// smallestOnly sorts candidates in document order, removes duplicates, and
-// removes every candidate that is an ancestor of another candidate, in one
-// linear stack pass over the preorder intervals: in document order an
-// ancestor immediately precedes its descendants' contiguous block, so the
-// stack top is popped whenever its interval contains the incoming node.
-// Candidates must belong to one finalized document. The input slice is
-// reordered and reused for the output.
-func smallestOnly(cands []*xmltree.Node) []*xmltree.Node {
-	if len(cands) == 0 {
-		return nil
-	}
-	sorted := true
-	for i := 1; i < len(cands); i++ {
-		if cands[i].Start < cands[i-1].Start {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		sort.Slice(cands, func(i, j int) bool { return cands[i].Start < cands[j].Start })
-	}
-	out := cands[:0]
-	for _, c := range cands {
-		if len(out) > 0 && out[len(out)-1] == c {
-			continue // duplicate (Start is unique within a document)
-		}
-		for len(out) > 0 && out[len(out)-1].End >= c.Start {
-			out = out[:len(out)-1] // stack top is an ancestor of c
-		}
-		out = append(out, c)
-	}
-	return out
 }
 
 // SLCABaseline is the pre-flattening implementation (pointer-chasing binary

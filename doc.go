@@ -91,9 +91,10 @@
 // and the root's own candidacy is decided from a few bits of evidence every
 // shard returns with its results. The per-shard results then merge through
 // a bounded top-k merge into global document order; queries whose results
-// genuinely cross shards (the root as an LCA, root-anchored results)
-// evaluate on a lazily reconstructed whole-document corpus instead, so
-// results and snippets are always
+// genuinely cross shards (the root as an LCA, root-anchored results) take a
+// second round composed from the same per-shard results, whose
+// whole-document result is a view over the shards — nothing is copied to
+// answer or snippet it — so results and snippets are always
 // byte-identical to the one-shard corpus's (pinned by equivalence property
 // tests).
 //

@@ -729,9 +729,11 @@ func FromDocumentSharded(doc *xmltree.Document, d *dtd.DTD, n int, opts ...Optio
 // Internal exposes the underlying analyzed whole-document corpus for the
 // experiment harness and tools; library users should not need it. A
 // one-shard corpus returns its shard — the document it was built from,
-// index and all; several shards return the (lazily) reconstructed
-// whole-document fallback corpus; a remote corpus has no local documents
-// and returns the document-less analysis view.
+// index and all; several shards return a copy of the whole document,
+// indexed (shard.Corpus.Fallback): built on the first call, held for the
+// generation's life, and paid for only by the readers that need one tree —
+// queries never build it. A remote corpus has no local documents and
+// returns the document-less analysis view.
 func (c *Corpus) Internal() *core.Corpus {
 	d := c.data.Load()
 	if d.rt != nil {
@@ -867,6 +869,12 @@ func WithRanking() SearchOption {
 // ErrResultGone, never a tree of the new generation. They fail, too, when no
 // replica answers in time: RootContext within its context, the others
 // within a bounded internal timeout.
+//
+// On a local corpus of several shards, the result anchored at the document
+// root — the whole document, which spans shards — is answered and snippeted
+// from the shards without a copy; the first of RootContext, Root, XML,
+// Render or Internal to ask for its tree builds a copy of the whole document
+// (see Corpus.Internal), once for the generation.
 type Result struct {
 	r     *search.Result
 	score float64
@@ -1154,7 +1162,10 @@ func (c *Corpus) QueryContext(ctx context.Context, query string, bound int, opts
 
 // XPath evaluates an XPath-subset expression (see package extract/xpath)
 // against the corpus and returns the selected elements as results, ready
-// for snippet generation. Text nodes in the selection are skipped.
+// for snippet generation. Text nodes in the selection are skipped. On a
+// corpus of several shards the expression runs over a copy of the whole
+// document, built by the first call and kept for the generation (see
+// Internal).
 func (c *Corpus) XPath(expr string) ([]*Result, error) {
 	e, err := xpath.Compile(expr)
 	if err != nil {
@@ -1164,8 +1175,10 @@ func (c *Corpus) XPath(expr string) ([]*Result, error) {
 	if d.rt != nil {
 		return nil, ErrRemoteCorpus
 	}
-	// XPath needs the whole document: the lone shard's, or the
-	// reconstructed fallback corpus's when there are several.
+	// XPath needs the whole document as one tree: the lone shard's, or,
+	// when there are several, the copy of the whole document built on the
+	// first XPath call (shard.Corpus.Fallback), which only its readers pay
+	// for.
 	xdoc := d.gen.Corpus.Fallback()
 	var out []*Result
 	for _, n := range e.SelectDoc(xdoc.Doc) {

@@ -175,7 +175,7 @@ func (g *Generator) ForTree(result *xmltree.Document, query string, bound int) *
 // of the generator's own corpus document is snippeted from that corpus's
 // index; any other tree is read.
 func (g *Generator) ForTreeTokens(result *xmltree.Document, kws []string, bound int) *Generated {
-	return g.generate(g.Corpus.Index, result, kws, bound, false)
+	return g.generate(g.Corpus.Index, result, nil, kws, bound, false)
 }
 
 // generate snippets one result; ix is the index of the document the result
@@ -184,17 +184,24 @@ func (g *Generator) ForTreeTokens(result *xmltree.Document, kws []string, bound 
 // snippet's statistics are folded into the borrowed collector's scratch
 // Stats, which stays borrowed until the selection has read it and is not
 // returned; otherwise they are a Stats of their own, returned with the
-// snippet.
-func (g *Generator) generate(ix *index.Index, result *xmltree.Document, kws []string, bound int, served bool) *Generated {
+// snippet. A whole-document result of a sharded corpus (search.Whole) comes
+// as its view instead of a tree: its statistics are the view's, folded once
+// and shared (features.Collector.Whole), and the selection reads the shards
+// through them.
+func (g *Generator) generate(ix *index.Index, result *xmltree.Document, whole *index.Whole, kws []string, bound int, served bool) *Generated {
 	col := g.collector()
 	defer g.putCollector(col)
 	var stats *features.Stats
-	if served {
-		stats = col.CollectScratch(ix, result)
-	} else {
-		stats = col.CollectResult(ix, result)
+	var root *xmltree.Node
+	switch {
+	case whole != nil:
+		stats, root = col.Whole(whole), whole.Node(0)
+	case served:
+		stats, root = col.CollectScratch(ix, result), result.Root
+	default:
+		stats, root = col.CollectResult(ix, result), result.Root
 	}
-	il := ilist.Build(result.Root, kws, g.Corpus.Cls, g.Corpus.Keys, stats)
+	il := ilist.Build(root, kws, g.Corpus.Cls, g.Corpus.Keys, stats)
 	var sn *selector.Snippet
 	switch g.Algorithm {
 	case AlgExact:
@@ -219,7 +226,14 @@ func (g *Generator) ForResult(r *search.Result, query string, bound int) *Genera
 // (search.Result.Index), so one generator over a corpus's shared analysis
 // serves the results of every shard.
 func (g *Generator) ForResultTokens(r *search.Result, kws []string, bound int) *Generated {
-	return g.generate(r.Index, r.Doc, kws, bound, false)
+	return g.forResult(r, kws, bound, false)
+}
+
+func (g *Generator) forResult(r *search.Result, kws []string, bound int, served bool) *Generated {
+	if w, _ := r.Whole(); w != nil {
+		return g.generate(nil, nil, w, kws, bound, served)
+	}
+	return g.generate(r.Index, r.Doc, nil, kws, bound, served)
 }
 
 // ServeResult is ForResultTokens for a snippet that is sent or cached rather
@@ -230,7 +244,7 @@ func (g *Generator) ForResultTokens(r *search.Result, kws []string, bound int) *
 // nothing sized by the result. Only the snippet fan-out (shard.Snippets)
 // calls it; inspection keeps owned Stats, which its callers read.
 func (g *Generator) ServeResult(r *search.Result, kws []string, bound int) *Generated {
-	return g.generate(r.Index, r.Doc, kws, bound, true)
+	return g.forResult(r, kws, bound, true)
 }
 
 // SnippetedResult pairs a search result with its generated snippet.

@@ -120,11 +120,14 @@ type Stats struct {
 	block []int32
 
 	// nodes resolves positions: a preorder run of the result's document
-	// covering the result, nodes[0] at position base. ix is the index the
+	// covering the result, nodes[0] at position base — or, for the whole
+	// document of a sharded corpus, whole does (Collector.Whole), and
+	// positions and symbol ids are its global ones. ix is the index the
 	// statistics were folded from, nil for a tree that has none.
 	nodes []*xmltree.Node
 	base  int32
 	ix    *index.Index
+	whole *index.Whole
 
 	byName sync.Once
 	featID map[Feature]int32
@@ -327,6 +330,19 @@ func (c *Collector) collect(ix *index.Index, result *xmltree.Document, dst *Stat
 		return fold(dst)
 	}
 	return ix.Derived(c.cls, func() any { return fold(&Stats{}) }).(*Stats)
+}
+
+// Whole returns the statistics of the whole document of a sharded corpus,
+// read through its shards (index.Whole): a fold over the whole document's
+// columns, in global positions and symbol ids, made once per whole document
+// and classification and shared — what the statistics of a one-shard
+// corpus's document root are (CollectResult), without a copy of the
+// document.
+func (c *Collector) Whole(w *index.Whole) *Stats {
+	return w.Derived(c.cls, func() any {
+		cols := w.Columns()
+		return c.fold(&Stats{whole: w}, cols, 0, cols.Len())
+	}).(*Stats)
 }
 
 // label returns the slot of a label symbol, classifying the label — read
@@ -557,7 +573,25 @@ func Collect(root *xmltree.Node, cls *classify.Classification) *Stats {
 }
 
 // Node resolves a preorder position inside the result to its node.
-func (s *Stats) Node(pos int32) *xmltree.Node { return s.nodes[pos-s.base] }
+func (s *Stats) Node(pos int32) *xmltree.Node {
+	if s.whole != nil {
+		return s.whole.Node(pos)
+	}
+	return s.nodes[pos-s.base]
+}
+
+// sym returns n's symbol id in these statistics: its own, or its global one
+// in the whole document's.
+func (s *Stats) sym(n *xmltree.Node) int32 {
+	if s.whole != nil {
+		return s.whole.SymOf(s.whole.Part(n), n)
+	}
+	return n.Sym
+}
+
+// Whole returns the whole document these statistics were folded over
+// (Collector.Whole), nil for those of one tree.
+func (s *Stats) Whole() *index.Whole { return s.whole }
 
 // Index returns the index these statistics were folded from — the index of
 // the document the result is a view of — or nil when the result's tree was
@@ -605,13 +639,13 @@ func (s *Stats) FeatureSyms(id int32) (entity, attr, value int32) {
 // the result holding a single text value — is an occurrence of under the
 // entity instance owner. It compares integers only.
 func (s *Stats) FeatureAt(owner, attr *xmltree.Node) (int32, bool) {
-	e := int32(slices.Index(s.entSyms, owner.Sym))
+	e := int32(slices.Index(s.entSyms, s.sym(owner)))
 	if e < 0 || !attr.HasSingleTextChild() {
 		return 0, false
 	}
-	value := attr.Children[0].Sym
+	value, label := s.sym(attr.Children[0]), s.sym(attr)
 	for id, v := range s.val {
-		if v == value && s.attr[id] == attr.Sym && s.ent[id] == e {
+		if v == value && s.attr[id] == label && s.ent[id] == e {
 			return int32(id), true
 		}
 	}

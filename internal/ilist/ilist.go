@@ -132,7 +132,7 @@ func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 		if inst == nil {
 			continue
 		}
-		attr, node, ok := km.KeyNodeOf(cls, inst)
+		attr, node, ok := keyNode(km, cls, stats, inst)
 		if !ok || node == nil || node.TextValue() == "" {
 			continue
 		}
@@ -152,6 +152,21 @@ func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 		add(Item{Kind: DominantFeature, Text: d.Feature.Value, Feature: d.Feature, FeatureID: d.ID, Score: d.Score})
 	}
 	return il
+}
+
+// keyNode is km.KeyNodeOf, except for the root of a whole document read
+// through its shards (features.Stats.Whole): the root's attribute children
+// are spread over the shards' copies of it, searched in shard order, which
+// is document order.
+func keyNode(km *keys.Keys, cls *classify.Classification, stats *features.Stats, inst *xmltree.Node) (string, *xmltree.Node, bool) {
+	if w := stats.Whole(); w != nil && inst.Parent == nil {
+		for _, ix := range w.Parts() {
+			if attr, node, ok := km.KeyNodeOf(cls, ix.Document().Root); !ok || node != nil {
+				return attr, node, ok
+			}
+		}
+	}
+	return km.KeyNodeOf(cls, inst)
 }
 
 // returnEntities applies the paper's heuristics: an entity label is a

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -88,8 +89,8 @@ type Index struct {
 	colsOnce sync.Once
 	cols     Columns
 
-	derivedMu              sync.Mutex
-	derivedKey, derivedVal any
+	derivedMu sync.Mutex
+	derived   [2]derivedSlot
 
 	vocabOnce sync.Once
 	vocab     []string
@@ -196,20 +197,39 @@ func (ix *Index) Columns() *Columns {
 }
 
 // Derived returns build's value for key, computing it on the first call and
-// whenever key differs from the last call's: one slot, so what it holds
-// lives and dies with the index and nothing needs evicting. The snippet
-// pipeline keeps the statistics of the document's own root here, keyed by
-// the classification they were folded under — a shard adopted across a
-// reload re-folds once under the new generation's. Concurrent callers with
-// one key share one build. The slot keeps key and value reachable.
+// whenever no slot holds key: two slots, one for each thing the query path
+// derives from the index — the statistics of the document's own root
+// (features), and which label symbols are entity labels (search) — each
+// keyed by the classification it was computed under, and each call replaces
+// the slot its key's kind (its dynamic type) holds, so what the index keeps
+// lives and dies with it and nothing needs evicting. A shard adopted across a
+// reload re-derives once under the new generation's classification.
+// Concurrent callers with one key share one build. The slots keep their keys
+// and values reachable.
 func (ix *Index) Derived(key any, build func() any) any {
 	ix.derivedMu.Lock()
 	defer ix.derivedMu.Unlock()
-	if ix.derivedKey != key || ix.derivedVal == nil {
-		ix.derivedKey, ix.derivedVal = key, build()
+	for _, d := range ix.derived {
+		if d.key == key {
+			return d.val
+		}
 	}
-	return ix.derivedVal
+	slot := 0
+	for i, d := range ix.derived {
+		if d.key == nil || sameKind(d.key, key) {
+			slot = i
+			break
+		}
+	}
+	ix.derived[slot] = derivedSlot{key: key, val: build()}
+	return ix.derived[slot].val
 }
+
+type derivedSlot struct{ key, val any }
+
+// sameKind reports whether two derived keys are of one dynamic type: keys of
+// one kind replace each other.
+func sameKind(a, b any) bool { return reflect.TypeOf(a) == reflect.TypeOf(b) }
 
 // List returns the packed posting list for a keyword (document order), or
 // nil if the keyword is unindexed. The keyword is tokenized first; a

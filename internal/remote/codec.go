@@ -244,7 +244,10 @@ const (
 )
 
 // appendNode appends one node record: flags, label or value, child count.
-func appendNode(b []byte, n *xmltree.Node) []byte {
+func appendNode(b []byte, n *xmltree.Node) []byte { return appendNodeWith(b, n, len(n.Children)) }
+
+// appendNodeWith is appendNode for a node of kids children.
+func appendNodeWith(b []byte, n *xmltree.Node, kids int) []byte {
 	var flags byte
 	s := n.Label
 	if n.IsText() {
@@ -256,7 +259,7 @@ func appendNode(b []byte, n *xmltree.Node) []byte {
 	}
 	b = append(b, flags)
 	b = appendString(b, s)
-	return binary.AppendUvarint(b, uint64(len(n.Children)))
+	return binary.AppendUvarint(b, uint64(kids))
 }
 
 // scanTree validates one tree's node records in place — a node count in
@@ -464,6 +467,9 @@ func (v *validated) buildNodes(syms *xmltree.Symbols) []*xmltree.Node {
 // buildResult) rebuilds an identical finalized tree and re-resolves them. A
 // view is encoded straight from the source document's nodes, nothing copied.
 func appendResult(b []byte, r *search.Result) []byte {
+	if w, lca := r.Whole(); w != nil {
+		return appendWhole(b, r, w, lca)
+	}
 	kws := r.MatchKeywords()
 	nodes := r.Doc.Nodes()
 	b = binary.AppendUvarint(b, uint64(len(nodes)))
@@ -516,6 +522,38 @@ func appendResult(b []byte, r *search.Result) []byte {
 			if ord, ok := pos(m); ok {
 				b = binary.AppendUvarint(b, uint64(ord))
 			}
+		}
+	}
+	return b
+}
+
+// appendWhole is appendResult for a whole-document result of a sharded
+// corpus: the whole document's tree record, encoded from the shards — the
+// root once, with every shard root's children for its own, then each shard's
+// other nodes in order — with its LCA and matches at their global positions,
+// which are positions relative to the root.
+func appendWhole(b []byte, r *search.Result, w *index.Whole, lca int32) []byte {
+	b = binary.AppendUvarint(b, uint64(w.Len()))
+	kids := 0
+	for _, ix := range w.Parts() {
+		kids += len(ix.Document().Root.Children)
+	}
+	root := w.Node(0)
+	b = appendNodeWith(b, root, kids)
+	for _, ix := range w.Parts() {
+		for _, n := range ix.Document().Nodes()[1:] {
+			b = appendNode(b, n)
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(lca)+1)
+	kws := r.MatchKeywords()
+	b = binary.AppendUvarint(b, uint64(len(kws)))
+	for _, kw := range kws {
+		b = appendString(b, kw)
+		ms := r.WholeMatches(kw)
+		b = binary.AppendUvarint(b, uint64(len(ms)))
+		for _, m := range ms {
+			b = binary.AppendUvarint(b, uint64(m))
 		}
 	}
 	return b

@@ -533,9 +533,11 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 	return parts, nil
 }
 
-// Whole asks any replica for the whole-document evaluation (every shard
-// server holds the full snapshot): counts and handles, like Eval.
-func (r *routedRounds) Whole(ctx context.Context) ([]scanned, error) {
+// Whole asks any replica for the whole-document answer (every shard server
+// holds the full snapshot and composes it from its own round one): counts
+// and handles, like Eval. The router's partials are trimmed handles, so it
+// composes nothing itself.
+func (r *routedRounds) Whole(ctx context.Context, _ []shard.Partial[scanned], _ bool) ([]scanned, error) {
 	var results []scanned
 	payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx)})
 	err := r.rt.groupCall(ctx, r.rt.all, &r.rt.allRR, "full", "any", msgFull, payload, msgFullResp, r.pl.fingerprint, func(body []byte) error {

@@ -439,14 +439,40 @@ func trimToMerge(answers []shardAnswer, maxResults int) {
 	}
 }
 
-// fullEval answers shard.Merge's second round, the whole-document
-// evaluation: counts and handles, like evaluate. Any replica can serve it —
-// every server holds the full snapshot — and any replica snippets its results
-// by handle (snippets).
+// fullEval answers shard.Merge's second round: the whole-document answer,
+// as counts and handles, like evaluate. Any replica can serve it — every
+// server holds the full snapshot — and composes it as a local corpus does,
+// from round one on all its shards (shard.Corpus.SearchEnginesContext),
+// evaluating and copying no whole document; any replica snippets its
+// results by handle (snippets). A full response addresses results in the
+// whole document, so each is returned re-addressed (readdress).
 func (s *Server) fullEval(st *serverState, req evalReq) ([]*search.Result, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
-	return st.sc.SearchWhole(ctx, req.query, req.opts)
+	rs, err := st.sc.SearchEnginesContext(ctx, req.query, req.opts, nil, s.pool.Run)
+	if err != nil {
+		return nil, err
+	}
+	return readdress(st.sc, rs), nil
+}
+
+// readdress returns rs with every result's anchor and LCA at their global
+// positions in the whole document (shard.Corpus.Positions): a copy of each
+// result whose Anchor and LCA are shallow copies of its nodes carrying those
+// positions as Ord — what a full response ships (appendShipped) and a whole
+// handle names — and everything else as it was.
+func readdress(sc *shard.Corpus, rs []*search.Result) []*search.Result {
+	w := sc.Whole()
+	out, slab := make([]*search.Result, len(rs)), make([]search.Result, len(rs))
+	for i, r := range rs {
+		a, l := sc.Positions(r)
+		anchor, lca := *w.Node(a), *w.Node(l)
+		anchor.Ord, lca.Ord = int(a), int(l)
+		slab[i] = *r
+		slab[i].Anchor, slab[i].LCA = &anchor, &lca
+		out[i] = &slab[i]
+	}
+	return out
 }
 
 // trees answers a trees request: the handles' results, rebuilt.
@@ -484,10 +510,11 @@ func (s *Server) snippets(st *serverState, req treesReq) ([]*core.Generated, err
 // result, rebuilt on the generation that answered the query
 // (search.Engine.ResultAt) — the fingerprint must be this server's, or the
 // request is refused as skew, and a shard handle must name a shard this
-// replica owns. The handles of each document are one task on the worker
-// pool, like a shard's evaluation: its engine resolves the query's posting
-// lists once for all of them, and ctx is checked before each result. A whole
-// handle reads the reconstructed whole document, which any replica holds.
+// replica owns. The handles of each shard are one task on the worker pool,
+// like a shard's evaluation: its engine resolves the query's posting lists
+// once for all of them, and ctx is checked before each result. The whole
+// handles are one task too, rebuilt from their global positions on the
+// shards (shard.Corpus.ResultsAt), which any replica holds.
 func (s *Server) rebuild(ctx context.Context, st *serverState, req treesReq) ([]*search.Result, error) {
 	if req.fingerprint != st.fingerprint {
 		return nil, fmt.Errorf("%w: results of generation %016x asked of generation %016x", errSkew, req.fingerprint, st.fingerprint)
@@ -510,13 +537,11 @@ func (s *Server) rebuild(ctx context.Context, st *serverState, req treesReq) ([]
 	tasks := make([]func(), len(order))
 	for k, sh := range order {
 		tasks[k] = func() {
-			var eng *search.Engine
 			if sh == wholeShard {
-				fb := st.sc.Fallback()
-				eng = search.NewEngine(fb.Doc, fb.Index, st.sc.Classification(), req.opts)
-			} else {
-				eng = st.sc.Shards()[sh].Engine(req.opts)
+				errs[k] = rebuildWhole(ctx, st, req, bySource[sh], rs)
+				return
 			}
+			eng := st.sc.Shards()[sh].Engine(req.opts)
 			ev, err := eng.Lists(req.query)
 			for _, i := range bySource[sh] {
 				if err == nil {
@@ -541,6 +566,25 @@ func (s *Server) rebuild(ctx context.Context, st *serverState, req treesReq) ([]
 		}
 	}
 	return rs, nil
+}
+
+// rebuildWhole rebuilds the whole handles at positions idx of req into rs.
+func rebuildWhole(ctx context.Context, st *serverState, req treesReq, idx []int, rs []*search.Result) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	anchors, lcas := make([]int32, len(idx)), make([]int32, len(idx))
+	for k, i := range idx {
+		anchors[k], lcas[k] = req.handles[i].anchor, req.handles[i].lca
+	}
+	built, err := st.sc.ResultsAt(req.query, req.opts, anchors, lcas)
+	if err != nil {
+		return err
+	}
+	for k, i := range idx {
+		rs[i] = built[k]
+	}
+	return nil
 }
 
 // ownedShards validates a request's whole shard set, returning it as corpus

@@ -153,16 +153,28 @@ func (e *Engine) Lists(query string) (*Evaluation, error) {
 // positions and be rebuilt where its document lives. Positions that are not
 // in the document, or an anchor that is not the LCA's, are an error.
 func (e *Engine) ResultAt(ev *Evaluation, anchor, lca int) (*Result, error) {
-	a, l := e.doc.ByOrd(anchor), e.doc.ByOrd(lca)
-	if a == nil || l == nil || anchorOf(l, e.cls) != a {
+	if !e.Anchors(anchor, lca) {
 		return nil, fmt.Errorf("search: no result anchored at %d for the LCA at %d", anchor, lca)
 	}
-	return e.buildResult(a, l, newRuns(ev, 1)), nil
+	return e.buildResult(e.doc.ByOrd(anchor), e.doc.ByOrd(lca), newRuns(ev, 1)), nil
+}
+
+// Anchors reports whether positions anchor and lca are nodes of the engine's
+// document and a result for the LCA at lca is anchored at anchor.
+func (e *Engine) Anchors(anchor, lca int) bool {
+	a, l := e.doc.ByOrd(anchor), e.doc.ByOrd(lca)
+	if a == nil || l == nil || !l.IsElement() {
+		return false
+	}
+	got, _ := e.anchorOf(l, e.entityLabels(), 0)
+	return got == a
 }
 
 // Results builds the results for the given LCA subset of an evaluation,
 // applying the engine's DistinctAnchors and MaxResults options, and returns
-// them sorted by anchor document order. Each LCA's anchor is resolved and
+// them sorted by anchor document order — results of one anchor (without
+// DistinctAnchors) by LCA document order, so a shard orders them as the
+// whole document does. Each LCA's anchor is resolved and
 // de-duplicated before anything is built, so a dropped LCA costs one map
 // probe.
 func (e *Engine) Results(ev *Evaluation, lcas []*xmltree.Node) []*Result {
@@ -178,6 +190,8 @@ func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, keep func(*xmltre
 		seenAnchors = make(map[*xmltree.Node]bool)
 		runs        *matchRuns
 		slab        = min(len(lcas), resultSlab)
+		entity      = e.entityLabels()
+		entry       int // the last LCA's column entry: LCAs come in document order
 	)
 	if e.opts.MaxResults > 0 {
 		slab = min(slab, e.opts.MaxResults)
@@ -186,7 +200,8 @@ func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, keep func(*xmltre
 		if keep != nil && !keep(lca) {
 			continue
 		}
-		anchor := anchorOf(lca, e.cls)
+		var anchor *xmltree.Node
+		anchor, entry = e.anchorOf(lca, entity, entry)
 		if e.opts.DistinctAnchors && seenAnchors[anchor] {
 			continue
 		}
@@ -199,7 +214,12 @@ func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, keep func(*xmltre
 			break
 		}
 	}
-	slices.SortFunc(results, func(a, b *Result) int { return a.Anchor.Ord - b.Anchor.Ord })
+	slices.SortFunc(results, func(a, b *Result) int {
+		if d := a.Anchor.Ord - b.Anchor.Ord; d != 0 {
+			return d
+		}
+		return a.LCA.Ord - b.LCA.Ord
+	})
 	return results
 }
 

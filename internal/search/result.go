@@ -29,6 +29,11 @@ import (
 // with it, and Tree builds the tree the first time anything asks — which, on
 // a router, fetches it and can fail.
 //
+// A whole-document result (Whole) — a sharded corpus's result anchored at the
+// document root — has no tree either: it is a view over the shards, by
+// global position (index.Whole), which the snippet pipeline reads as it is;
+// Tree builds a real tree only for a reader that needs one.
+//
 // A result's keyword matches (Matches, MatchKeywords) are runs of its
 // query's posting lists, which every result of the evaluation shares
 // (matchRuns); a result decoded from the wire holds lists of its own tree's
@@ -66,8 +71,113 @@ type Result struct {
 	runs *matchRuns
 	at   int32
 
-	// pending is set on a deferred result, and only there.
+	// pending is set on a deferred result, and on a whole-document one.
 	pending *pending
+}
+
+// whole is what a whole-document result holds instead of a tree: the
+// shards it reads, its LCA's global position, and the query whose matches
+// it has, resolved per shard the first time something reads them.
+type whole struct {
+	view  *index.Whole
+	lca   int32
+	query string
+
+	once  sync.Once
+	parts []*Evaluation // per shard: the query's keywords and lists there
+}
+
+// Whole returns a whole-document result of a sharded corpus: the result
+// anchored at the document root, the one answer that spans shards. It is a
+// view over the shards (view), addressed by the global positions of
+// index.Whole, and has no tree: its tree fields are nil, Size answers from
+// the view and MatchDepth from the shards' posting lists, and the snippet
+// pipeline reads the shards through the view (core.Generator). lca is the
+// global position of its LCA, query the query it answers. Tree builds a real
+// tree the first time a reader needs one — build makes it (a copy of the
+// whole document), and only such a reader pays for it. A whole-document
+// result is a view (IsView) and is never deferred (Retained).
+func Whole(view *index.Whole, lca int32, query string, build func(context.Context) (*Result, error)) *Result {
+	return &Result{pending: &pending{nodes: view.Len(), build: build, whole: &whole{view: view, lca: lca, query: query}}}
+}
+
+// Whole returns the view a whole-document result reads and its LCA's global
+// position; a nil view for any other result.
+func (r *Result) Whole() (view *index.Whole, lca int32) {
+	if w := r.wholeOf(); w != nil {
+		return w.view, w.lca
+	}
+	return nil, 0
+}
+
+// wholeOf returns what a whole-document result holds, nil for any other.
+func (r *Result) wholeOf() *whole {
+	if r.pending == nil {
+		return nil
+	}
+	return r.pending.whole
+}
+
+// evaluations resolves the query's lists on every shard, once.
+func (w *whole) evaluations() []*Evaluation {
+	w.once.Do(func() {
+		w.parts = make([]*Evaluation, len(w.view.Parts()))
+		for i, ix := range w.view.Parts() {
+			// Lists reads the index alone; a parse error cannot happen
+			// here, the query having evaluated.
+			w.parts[i], _ = (&Engine{doc: ix.Document(), ix: ix}).Lists(w.query)
+		}
+	})
+	return w.parts
+}
+
+// lists returns keyword kw's posting list on every shard (nil where it has
+// none), in shard order; nil when kw is not a keyword of the query.
+func (w *whole) lists(kw string) []*index.PostingList {
+	parts := w.evaluations()
+	k := slices.Index(parts[0].Keywords, kw)
+	if k < 0 {
+		return nil
+	}
+	out := make([]*index.PostingList, len(parts))
+	for i, ev := range parts {
+		out[i] = ev.Lists[k]
+	}
+	return out
+}
+
+// WholeMatches returns the global positions of keyword kw's matches in a
+// whole-document result, in document order: the root once, however many
+// shards post their copy of it, then every shard's other matches.
+func (r *Result) WholeMatches(kw string) []int32 {
+	var out []int32
+	w := r.wholeOf()
+	lists := w.lists(kw)
+	if slices.ContainsFunc(lists, func(pl *index.PostingList) bool { return pl.Len() > 0 && pl.Ords[0] == 0 }) {
+		out = append(out, 0)
+	}
+	for i, pl := range lists {
+		for j := range pl.Len() {
+			if pl.Ords[j] != 0 {
+				out = append(out, w.view.Global(i, pl.Ords[j]))
+			}
+		}
+	}
+	return out
+}
+
+// wholeDepth is MatchDepth for a whole-document result: the least depth of
+// kw's matches in any shard, a shard root's being the document root's, 0.
+func (r *Result) wholeDepth(kw string) (int, bool) {
+	best := -1
+	for _, pl := range r.wholeOf().lists(kw) {
+		for j := range pl.Len() {
+			if d := pl.Nodes[j].Depth(); best < 0 || d < best {
+				best = d
+			}
+		}
+	}
+	return best, best >= 0
 }
 
 // matchRuns holds the matches of a batch of results of one evaluation: the
@@ -119,6 +229,16 @@ func (r *Result) bounds(i int) (lo, hi int32) {
 // MatchKeywords returns the keywords that have a match inside the result,
 // sorted: the order a tree record carries them in.
 func (r *Result) MatchKeywords() []string {
+	if w := r.wholeOf(); w != nil {
+		var kws []string
+		for _, kw := range w.evaluations()[0].Keywords {
+			if slices.ContainsFunc(w.lists(kw), func(pl *index.PostingList) bool { return pl.Len() > 0 }) {
+				kws = append(kws, kw)
+			}
+		}
+		slices.Sort(kws)
+		return kws
+	}
 	if r.runs == nil {
 		return nil
 	}
@@ -156,6 +276,9 @@ type pending struct {
 	retained int
 	depths   []KeywordDepth
 
+	// whole is set on a whole-document result, and only there: see Whole.
+	whole *whole
+
 	mu     sync.Mutex
 	build  func(context.Context) (*Result, error)
 	tree   *Result
@@ -171,8 +294,8 @@ func Defer(nodes, retained int, depths []KeywordDepth, build func(context.Contex
 }
 
 // Tree returns the result with its tree fields filled in: r itself, or — for
-// a deferred result — the tree built on the first successful call, which
-// ctx bounds. Concurrent first calls wait for one build — each only as long
+// a deferred or a whole-document result — the tree built on the first
+// successful call, which ctx bounds. Concurrent first calls wait for one build — each only as long
 // as its own ctx allows — and every call after a success returns the same
 // tree. A build that fails (a distributed router's tree fetch, or ctx ending)
 // returns its error and leaves the result deferred, so a later call tries
@@ -216,10 +339,11 @@ func (r *Result) Tree(ctx context.Context) (*Result, error) {
 // Retained reports whether r is deferred — its tree not built yet — and, if
 // so, the bytes it holds meanwhile. A deferred result whose tree was built
 // holds that tree and is no longer deferred: it is an owned tree of Size
-// edges.
+// edges. A whole-document result is never deferred: it holds a view, and a
+// tree built for it is its corpus's, not its own.
 func (r *Result) Retained() (bytes int, deferred bool) {
 	p := r.pending
-	if p == nil {
+	if p == nil || p.whole != nil {
 		return 0, false
 	}
 	p.mu.Lock()
@@ -229,8 +353,8 @@ func (r *Result) Retained() (bytes int, deferred bool) {
 
 // IsView reports whether the result is a read-only view of its source
 // document (it shares the corpus's nodes) rather than an owned tree. A
-// deferred result is not.
-func (r *Result) IsView() bool { return r.pending == nil && r.Doc.IsView() }
+// whole-document result is, over its shards; a deferred result is not.
+func (r *Result) IsView() bool { return r.wholeOf() != nil || r.pending == nil && r.Doc.IsView() }
 
 // Size returns the number of edges of the result tree.
 func (r *Result) Size() int {
@@ -245,6 +369,9 @@ func (r *Result) Size() int {
 // none. A deferred result answers from the depths it arrived with, which its
 // sender computed by this same rule.
 func (r *Result) MatchDepth(kw string) (int, bool) {
+	if r.wholeOf() != nil {
+		return r.wholeDepth(kw)
+	}
 	if r.pending != nil {
 		for _, d := range r.pending.depths {
 			if d.Keyword == kw {
@@ -276,6 +403,61 @@ func FromNode(doc *xmltree.Document, n *xmltree.Node) *Result {
 	return &Result{Root: n, Doc: doc.Subtree(n), Anchor: n, LCA: n}
 }
 
+// WholeProjection is the ModeXSeek result anchored at the root of the whole
+// document of a sharded corpus (view) whose LCA is at global position lca:
+// the projection of the whole document for query's matches, built from the
+// shards — each shard's projection below its root, the root kept once with
+// every shard's kept children in shard order — into a small tree of its own,
+// as projectXSeek builds it over one document. A shard root stands for the
+// document root: a keyword posted at any shard's root is a match at every
+// shard's, and the result's Anchor and root matches are shard 0's root.
+func WholeProjection(view *index.Whole, lca int32, query string, cls *classify.Classification) *Result {
+	w := &whole{view: view, lca: lca, query: query}
+	parts := w.evaluations()
+	keywords := parts[0].Keywords
+	rootMatch := make([]bool, len(keywords))
+	for _, ev := range parts {
+		for k, pl := range ev.Lists {
+			rootMatch[k] = rootMatch[k] || pl.Len() > 0 && pl.Ords[0] == 0
+		}
+	}
+	anchor := view.Node(0)
+	root := &xmltree.Node{Kind: anchor.Kind, Label: anchor.Label, FromAttr: anchor.FromAttr, Origin: anchor}
+	matches := make([][]*xmltree.Node, len(keywords))
+	for i, ix := range view.Parts() {
+		shardRoot := ix.Document().Root
+		lists := make([]*index.PostingList, len(keywords))
+		for k, pl := range parts[i].Lists {
+			var nodes []*xmltree.Node
+			if rootMatch[k] {
+				nodes = append(nodes, shardRoot)
+				if i == 0 {
+					matches[k] = append(matches[k], anchor)
+				}
+			}
+			for j := range pl.Len() {
+				if pl.Ords[j] != 0 {
+					nodes = append(nodes, pl.Nodes[j])
+					matches[k] = append(matches[k], pl.Nodes[j])
+				}
+			}
+			lists[k] = index.PackNodes(nodes)
+		}
+		r := &Result{}
+		r.OwnMatches(keywords, lists)
+		for _, c := range slices.Clone(projectXSeek(shardRoot, r, cls).Children) {
+			xmltree.Append(root, c)
+		}
+	}
+	r := &Result{Root: root, Doc: xmltree.NewDocument(root), Anchor: anchor, LCA: view.Node(lca)}
+	lists := make([]*index.PostingList, len(keywords))
+	for k := range keywords {
+		lists[k] = index.PackNodes(matches[k])
+	}
+	r.OwnMatches(keywords, lists)
+	return r
+}
+
 // ConstructionMode selects how result trees are built from an LCA node.
 type ConstructionMode uint8
 
@@ -294,13 +476,57 @@ const (
 // anchorOf resolves the node a result for lca is rooted at: the nearest
 // entity ancestor-or-self of the LCA when the classification knows one
 // (XSeek's meaningful return unit — query results in the paper are
-// entity-rooted, e.g. the retailer in Figure 1), otherwise the LCA itself.
-func anchorOf(lca *xmltree.Node, cls *classify.Classification) *xmltree.Node {
-	if e := cls.EntityOwner(lca); e != nil {
-		return e
+// entity-rooted, e.g. the retailer in Figure 1), otherwise the LCA itself. It
+// tests each label symbol's entity flag (entityLabels) — the LCA's own
+// first — and climbs the index's Parent column from the LCA's entry, so no
+// node is read but the LCA and the anchor it returns. The LCA is an element.
+// from is the entry of an earlier LCA in document order, where the search
+// for this one's starts (0 for none), and the entry the next call should
+// start from is returned.
+func (e *Engine) anchorOf(lca *xmltree.Node, entity []bool, from int) (*xmltree.Node, int) {
+	if entity[lca.Sym] {
+		return lca, from
 	}
-	return lca
+	cols := e.ix.Columns()
+	at := from
+	if from > 0 {
+		at = gallop(cols.Pos, from, lca.Start)
+	}
+	if at == len(cols.Pos) || cols.Pos[at] != lca.Start { // none before, or not after from
+		at, _ = slices.BinarySearch(cols.Pos, lca.Start)
+	}
+	for en := cols.Parent[at]; en >= 0; en = cols.Parent[en] {
+		if entity[cols.Label[en]] {
+			return e.doc.ByOrd(int(cols.Pos[en])), at
+		}
+	}
+	return lca, at
 }
+
+// entityLabels returns, by label symbol of the engine's document, whether
+// the label is an entity label under its classification: computed once per
+// index and classification (index.Index.Derived), in one pass over the
+// columns that reads one node per distinct label.
+func (e *Engine) entityLabels() []bool {
+	return e.ix.Derived(entityKey{e.cls}, func() any {
+		cols := e.ix.Columns()
+		var seen, entity []bool
+		for i, sym := range cols.Label {
+			if int(sym) >= len(seen) {
+				seen = append(seen, make([]bool, int(sym)+1-len(seen))...)
+				entity = append(entity, make([]bool, int(sym)+1-len(entity))...)
+			}
+			if !seen[sym] {
+				seen[sym] = true
+				entity[sym] = e.cls.OfLabel(e.doc.ByOrd(int(cols.Pos[i])).Label) == classify.Entity
+			}
+		}
+		return entity
+	}).([]bool)
+}
+
+// entityKey keys entityLabels' slot of index.Index.Derived.
+type entityKey struct{ cls *classify.Classification }
 
 // buildResult builds the Result for one LCA node anchored at anchor: a view
 // of the anchor's subtree, or in ModeXSeek the trimmed projection of it. Its

@@ -12,7 +12,12 @@
 // exact branch-and-bound solver is provided for small inputs to measure the
 // greedy's quality (experiment E7).
 //
-// An instance is a preorder position until it is climbed from. Entity and
+// An instance is a preorder position, and so is every node the snippet tree
+// takes: a position becomes a node only where a label, a value or a parent is
+// read. Positions are the result document's own, or — for the whole document
+// of a sharded corpus, whose statistics say so (features.Stats.Whole) — the
+// global positions of index.Whole, which the climbs, the tree and the
+// keyword instances read through the shards. Entity and
 // feature instances come from the result's statistics (features.Stats);
 // keyword instances come from the posting runs inside the result when the
 // statistics were folded from an index, and from a scan of the result's
@@ -69,9 +74,10 @@ type Snippet struct {
 type selection struct {
 	il    *ilist.IList
 	stats *features.Stats
-	root  *xmltree.Node
+	root  int32           // the result root's position
 	nodes []*xmltree.Node // the result in preorder: position p is nodes[p-base]
-	base  int             // root.Ord
+	base  int32           // the root's position
+	whole *index.Whole    // instead of nodes, for the whole document of a sharded corpus
 
 	// stamp marks what belongs to this snippet in memo and mark, so neither
 	// is cleared between snippets.
@@ -95,13 +101,16 @@ type selection struct {
 	// position, and the evidence — how many members show each keyword, and
 	// the (entity, attribute, value) symbol triple of every member value.
 	mark    []uint32
-	members []*xmltree.Node
+	members []int32
 	kwCount []int32
 	triples [][3]int32
 
-	path, best []*xmltree.Node // climb buffers
-	ints       []int           // materialize's scan state
-	tok        []byte          // keywordsIn's token buffer (index.EachTokenIn)
+	path, best []int32 // climb buffers
+	// cursor is the column entry the whole document's last climb started
+	// from, in shard part (entry).
+	cursor struct{ part, at int }
+	ints   []int  // materialize's scan state
+	tok    []byte // keywordsIn's token buffer (index.EachTokenIn)
 }
 
 type memoEntry struct {
@@ -117,7 +126,14 @@ var selections = sync.Pool{New: func() any { return &selection{kwIndex: make(map
 // keyword instances, and seeds the snippet tree with the result root.
 func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selection {
 	s := selections.Get().(*selection)
-	s.il, s.stats, s.root, s.nodes, s.base = il, stats, doc.Root, doc.Nodes(), doc.Root.Ord
+	s.il, s.stats = il, stats
+	size := 0
+	if s.whole = stats.Whole(); s.whole != nil {
+		s.root, s.base, size = 0, 0, s.whole.Len()
+		s.cursor.part = -1
+	} else {
+		s.root, s.nodes, s.base, size = int32(doc.Root.Ord), doc.Nodes(), int32(doc.Root.Ord), doc.Len()
+	}
 	s.stamp++
 	if s.stamp == 0 { // wrapped: stale entries could read as current
 		clear(s.memo[0])
@@ -125,8 +141,8 @@ func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selec
 		clear(s.mark)
 		s.stamp = 1
 	}
-	if len(s.mark) < doc.Len() {
-		s.mark = make([]uint32, doc.Len())
+	if len(s.mark) < size {
+		s.mark = make([]uint32, size)
 	}
 
 	s.ref = s.ref[:0]
@@ -153,7 +169,9 @@ func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selec
 	s.kwCount = append(s.kwCount[:0], make([]int32, len(s.kwIndex))...)
 
 	if len(s.kwIndex) > 0 {
-		if ix := stats.Index(); ix != nil && len(s.nodes) > scanBelow {
+		if s.whole != nil {
+			s.wholeKeywords()
+		} else if ix := stats.Index(); ix != nil && len(s.nodes) > scanBelow {
 			s.postedKeywords(ix)
 		} else {
 			s.scanKeywords()
@@ -182,7 +200,7 @@ const scanBelow = 32
 func (s *selection) postedKeywords(ix *index.Index) {
 	for text, k := range s.kwIndex {
 		pl := ix.ListOf(text)
-		lo, hi := pl.Within(s.root.Start, s.root.End)
+		lo, hi := pl.Within(s.root, s.end(s.root))
 		for j := lo; j < hi; j++ {
 			if pl.Fields[j]&index.FieldLabel != 0 {
 				s.kwInst[k] = append(s.kwInst[k], pl.Ords[j])
@@ -191,10 +209,58 @@ func (s *selection) postedKeywords(ix *index.Index) {
 				continue
 			}
 			for _, c := range pl.Nodes[j].Children {
-				if c.IsText() && slices.Contains(s.keywordsIn(c), k) {
+				if c.IsText() && slices.Contains(s.keywordsIn(c, c.Sym), k) {
 					s.kwInst[k] = append(s.kwInst[k], c.Start)
 				}
 			}
+		}
+	}
+}
+
+// wholeKeywords is postedKeywords over the whole document of a sharded
+// corpus, in global positions: the root's instances first — its label, then
+// its text children shard by shard, as the root's one posting lists them in
+// the whole document — then every shard's other postings in order.
+func (s *selection) wholeKeywords() {
+	w := s.whole
+	for text, k := range s.kwIndex {
+		label := false
+		for _, ix := range w.Parts() {
+			if pl := ix.ListOf(text); pl.Len() > 0 && pl.Ords[0] == 0 && pl.Fields[0]&index.FieldLabel != 0 {
+				label = true
+			}
+		}
+		if label {
+			s.kwInst[k] = append(s.kwInst[k], 0)
+		}
+		for i, ix := range w.Parts() {
+			if pl := ix.ListOf(text); pl.Len() > 0 && pl.Ords[0] == 0 && pl.Fields[0]&index.FieldValue != 0 {
+				s.textInstances(i, pl.Nodes[0], k)
+			}
+		}
+		for i, ix := range w.Parts() {
+			pl := ix.ListOf(text)
+			for j := range pl.Len() {
+				if pl.Ords[j] == 0 {
+					continue
+				}
+				if pl.Fields[j]&index.FieldLabel != 0 {
+					s.kwInst[k] = append(s.kwInst[k], w.Global(i, pl.Ords[j]))
+				}
+				if pl.Fields[j]&index.FieldValue != 0 {
+					s.textInstances(i, pl.Nodes[j], k)
+				}
+			}
+		}
+	}
+}
+
+// textInstances appends the text children of n, a node of shard i of the
+// whole document, that hold keyword k to its instances.
+func (s *selection) textInstances(i int, n *xmltree.Node, k int32) {
+	for _, c := range n.Children {
+		if c.IsText() && slices.Contains(s.keywordsIn(c, s.whole.SymOf(i, c)), k) {
+			s.kwInst[k] = append(s.kwInst[k], s.whole.Global(i, c.Start))
 		}
 	}
 }
@@ -207,14 +273,14 @@ func (s *selection) scanKeywords() {
 		if !n.IsElement() {
 			continue
 		}
-		for _, k := range s.keywordsIn(n) {
+		for _, k := range s.keywordsIn(n, n.Sym) {
 			s.kwInst[k] = append(s.kwInst[k], n.Start)
 		}
 		for _, c := range n.Children {
 			if !c.IsText() {
 				continue
 			}
-			for _, k := range s.keywordsIn(c) {
+			for _, k := range s.keywordsIn(c, c.Sym) {
 				s.kwInst[k] = append(s.kwInst[k], c.Start)
 			}
 		}
@@ -233,18 +299,15 @@ func (s *selection) release() {
 	for k := range s.kwInst {
 		s.kwInst[k] = s.kwInst[k][:0]
 	}
-	clear(s.members)
-	clear(s.path[:cap(s.path)])
-	clear(s.best[:cap(s.best)])
 	clear(s.kwIndex)
 	s.members, s.triples, s.hits = s.members[:0], s.triples[:0], s.hits[:0]
-	s.il, s.stats, s.root, s.nodes = nil, nil, nil, nil
+	s.il, s.stats, s.nodes, s.whole = nil, nil, nil, nil
 	selections.Put(s)
 }
 
 // keywordsIn returns the indexes of the keywords occurring in n's label
-// (element) or value (text node), each once, memoized by symbol id.
-func (s *selection) keywordsIn(n *xmltree.Node) []int32 {
+// (element) or value (text node), each once, memoized by its symbol id sym.
+func (s *selection) keywordsIn(n *xmltree.Node, sym int32) []int32 {
 	if len(s.kwIndex) == 0 {
 		return nil
 	}
@@ -253,11 +316,11 @@ func (s *selection) keywordsIn(n *xmltree.Node) []int32 {
 		space, text = 1, n.Value
 	}
 	memo := s.memo[space]
-	if int(n.Sym) >= len(memo) {
-		memo = append(memo, make([]memoEntry, int(n.Sym)+1-len(memo))...)
+	if int(sym) >= len(memo) {
+		memo = append(memo, make([]memoEntry, int(sym)+1-len(memo))...)
 		s.memo[space] = memo
 	}
-	e := &memo[n.Sym]
+	e := &memo[sym]
 	if e.stamp != s.stamp {
 		e.stamp, e.run = s.stamp, -1
 		run := len(s.hits)
@@ -283,35 +346,73 @@ func (s *selection) keywordsIn(n *xmltree.Node) []int32 {
 	return s.hits[e.run+1 : e.run+1+s.hits[e.run]]
 }
 
-func (s *selection) inTree(n *xmltree.Node) bool { return s.mark[n.Ord-s.base] == s.stamp }
+func (s *selection) inTree(p int32) bool { return s.mark[p-s.base] == s.stamp }
 
-// add puts one node into the tree, updating evidence. Attribute-shaped
-// elements bring their text value along for free (it displays inside them).
-func (s *selection) add(n *xmltree.Node) {
-	if s.inTree(n) {
+// node resolves a position to its node.
+func (s *selection) node(p int32) *xmltree.Node {
+	if s.whole != nil {
+		return s.whole.Node(p)
+	}
+	return s.nodes[p-s.base]
+}
+
+// sym returns the symbol id of n, the node at position p.
+func (s *selection) sym(p int32, n *xmltree.Node) int32 {
+	if s.whole != nil {
+		return s.whole.Sym(p)
+	}
+	return n.Sym
+}
+
+// parent returns the position of the parent of n, the node at position p
+// below the root.
+func (s *selection) parent(p int32, n *xmltree.Node) int32 {
+	if s.whole != nil {
+		return s.whole.Parent(p)
+	}
+	return int32(n.Parent.Ord)
+}
+
+// end returns the largest position in the subtree of the node at p.
+func (s *selection) end(p int32) int32 {
+	if s.whole != nil {
+		return s.whole.End(p)
+	}
+	return s.nodes[p-s.base].End
+}
+
+// add puts the node at position p into the tree, updating evidence.
+// Attribute-shaped elements bring their text value along for free (it
+// displays inside them, at the next position).
+func (s *selection) add(p int32) {
+	if s.inTree(p) {
 		return
 	}
-	s.mark[n.Ord-s.base] = s.stamp
-	s.members = append(s.members, n)
-	for _, k := range s.keywordsIn(n) {
+	s.mark[p-s.base] = s.stamp
+	s.members = append(s.members, p)
+	n := s.node(p)
+	for _, k := range s.keywordsIn(n, s.sym(p, n)) {
 		s.kwCount[k]++
 	}
 	switch {
 	case n.IsElement():
 		if n.HasSingleTextChild() {
-			s.add(n.Children[0])
+			s.add(p + 1)
 		}
-	case n != s.root && n.Parent.HasSingleTextChild():
+	case p != s.root && n.Parent.HasSingleTextChild():
 		// A displayed value is the feature (owner, attribute, value),
 		// the owner being the nearest entity inside the result.
-		for m := n.Parent; ; m = m.Parent {
-			if slices.Contains(s.stats.EntitySyms(), m.Sym) {
-				s.triples = append(s.triples, [3]int32{m.Sym, n.Parent.Sym, n.Sym})
+		attr := s.parent(p, n)
+		for m := attr; ; {
+			mn := s.node(m)
+			if sym := s.sym(m, mn); slices.Contains(s.stats.EntitySyms(), sym) {
+				s.triples = append(s.triples, [3]int32{sym, s.sym(attr, n.Parent), s.sym(p, n)})
 				break
 			}
 			if m == s.root {
 				break
 			}
+			m = s.parent(m, mn)
 		}
 	}
 }
@@ -323,13 +424,13 @@ type checkpoint struct{ members, triples int }
 func (s *selection) checkpoint() checkpoint { return checkpoint{len(s.members), len(s.triples)} }
 
 func (s *selection) rollback(to checkpoint) {
-	for _, n := range s.members[to.members:] {
-		s.mark[n.Ord-s.base] = 0
-		for _, k := range s.keywordsIn(n) {
+	for _, p := range s.members[to.members:] {
+		s.mark[p-s.base] = 0
+		n := s.node(p)
+		for _, k := range s.keywordsIn(n, s.sym(p, n)) {
 			s.kwCount[k]--
 		}
 	}
-	clear(s.members[to.members:])
 	s.members, s.triples = s.members[:to.members], s.triples[:to.triples]
 }
 
@@ -344,7 +445,10 @@ func (s *selection) covers(i int) bool {
 		return s.kwCount[ref] > 0
 	case ilist.EntityName:
 		sym := s.stats.EntitySyms()[ref]
-		return slices.ContainsFunc(s.members, func(m *xmltree.Node) bool { return m.IsElement() && m.Sym == sym })
+		return slices.ContainsFunc(s.members, func(p int32) bool {
+			n := s.node(p)
+			return n.IsElement() && s.sym(p, n) == sym
+		})
 	default:
 		e, a, v := s.stats.FeatureSyms(ref)
 		return slices.Contains(s.triples, [3]int32{e, a, v})
@@ -378,18 +482,81 @@ func (s *selection) instances(i int) []int32 {
 // and the (partial) path is meaningless. Pass a negative limit for no
 // pruning.
 func (s *selection) cost(deepest int32, limit int) int {
+	if s.whole != nil {
+		return s.wholeCost(deepest, limit)
+	}
 	s.path = s.path[:0]
 	cost := 0
-	for m := s.nodes[int(deepest)-s.base]; !s.inTree(m); m = m.Parent {
-		s.path = append(s.path, m)
-		if m.IsElement() {
+	for p := deepest; !s.inTree(p); {
+		n := s.node(p)
+		s.path = append(s.path, p)
+		if n.IsElement() {
 			cost++
 			if limit >= 0 && cost > limit {
 				return cost
 			}
 		}
+		p = int32(n.Parent.Ord)
 	}
 	return cost
+}
+
+// wholeCost is cost on the whole document of a sharded corpus. A climb never
+// leaves the shard of its deepest node, whose root is the document root, and
+// above a text instance it is a climb of elements, so it runs on the shard's
+// columns — positions and parent entries, no node read but a text
+// instance's.
+func (s *selection) wholeCost(deepest int32, limit int) int {
+	s.path = s.path[:0]
+	if s.inTree(deepest) {
+		return 0
+	}
+	i, local := s.whole.Locate(deepest)
+	off, cols := deepest-local, s.whole.Parts()[i].Columns()
+	at, element := s.entry(i, cols, local)
+	if !element { // a text instance: free, and its parent is an element
+		s.path = append(s.path, deepest)
+		// Unless content is mixed, the parent is the element just before.
+		if parent := int32(s.whole.Node(deepest).Parent.Ord); at == 0 || cols.Pos[at-1] != parent {
+			at, _ = s.entry(i, cols, parent)
+		} else {
+			at--
+		}
+	}
+	cost := 0
+	for e := int32(at); ; e = cols.Parent[e] {
+		p := cols.Pos[e]
+		if p != 0 {
+			p += off
+		}
+		if s.inTree(p) {
+			return cost
+		}
+		s.path = append(s.path, p)
+		if cost++; limit >= 0 && cost > limit {
+			return cost
+		}
+	}
+}
+
+// entry returns the entry of shard i's columns at local position pos, and
+// whether pos is an element's (when not, where it would be). An item's
+// instances come in document order, so the search gallops forward from the
+// entry the last call found, and starts over only when pos lies behind it.
+func (s *selection) entry(i int, cols *index.Columns, pos int32) (int, bool) {
+	lo, hi := 0, len(cols.Pos)
+	if s.cursor.part == i && s.cursor.at < hi && cols.Pos[s.cursor.at] <= pos {
+		lo = s.cursor.at
+		step := 1
+		for lo+step < hi && cols.Pos[lo+step] < pos {
+			lo += step
+			step *= 2
+		}
+		hi = min(hi, lo+step+1)
+	}
+	n, found := slices.BinarySearch(cols.Pos[lo:hi], pos)
+	s.cursor.part, s.cursor.at = i, lo+n
+	return lo + n, found
 }
 
 // cheapest finds the instance of item i that attaches at the lowest cost,
@@ -424,7 +591,7 @@ func (s *selection) cheapest(i, limit int) int {
 }
 
 // addAll adds a climbed path top-down, so ancestors enter first.
-func (s *selection) addAll(path []*xmltree.Node) {
+func (s *selection) addAll(path []int32) {
 	for i := len(path) - 1; i >= 0; i-- {
 		s.add(path[i])
 	}
@@ -479,13 +646,13 @@ func Greedy(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification
 // with the chain of open members copies the tree in document order. The
 // copies share one slab and their child lists one arena; Origin pointers
 // lead back to the members. It sorts members in place.
-func (s *selection) materialize(members []*xmltree.Node) *xmltree.Node {
-	slices.SortFunc(members, func(a, b *xmltree.Node) int { return a.Ord - b.Ord })
+func (s *selection) materialize(members []int32) *xmltree.Node {
+	slices.Sort(members)
 	n := len(members)
 	s.ints = append(s.ints[:0], make([]int, 3*n)...)
 	parent, kids, open := s.ints[:n], s.ints[n:2*n], s.ints[2*n:2*n]
 	for i, m := range members {
-		for len(open) > 0 && members[open[len(open)-1]].End < m.Start {
+		for len(open) > 0 && s.end(members[open[len(open)-1]]) < m {
 			open = open[:len(open)-1]
 		}
 		if i > 0 {
@@ -496,8 +663,8 @@ func (s *selection) materialize(members []*xmltree.Node) *xmltree.Node {
 	}
 	copies := make([]xmltree.Node, n)
 	arena := make([]*xmltree.Node, n-1)
-	for i, m := range members {
-		c := &copies[i]
+	for i, p := range members {
+		m, c := s.node(p), &copies[i]
 		c.Kind, c.Label, c.Value, c.FromAttr, c.Origin = m.Kind, m.Label, m.Value, m.FromAttr, m
 		if kids[i] > 0 {
 			c.Children, arena = arena[:0:kids[i]], arena[kids[i]:]
@@ -540,7 +707,7 @@ func Exact(doc *xmltree.Document, il *ilist.IList, stats *features.Stats, bound 
 	type best struct {
 		count   int
 		weight  float64
-		members []*xmltree.Node
+		members []int32
 		covered []int
 		skipped []int
 		edges   int

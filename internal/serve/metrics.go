@@ -79,8 +79,8 @@ type metricsSet struct {
 	stages  [numStages]*telemetry.Histogram
 	errs    map[string]*telemetry.Counter
 	outcome map[string]*telemetry.Counter
-	// fallbacks counts the computed queries whose sharded merge went to the
-	// whole document (telemetry.SpanSink.NoteFallback).
+	// fallbacks counts the computed queries whose sharded merge took round
+	// two, a root-involving answer (telemetry.SpanSink.NoteFallback).
 	fallbacks *telemetry.Counter
 }
 

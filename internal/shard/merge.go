@@ -18,16 +18,20 @@ type Partial[R any] struct {
 }
 
 // Rounds is where a sharded query's evidence comes from: the local corpus
-// reads its own shards (Corpus.EvalShards, SearchWhole), the distributed
-// router asks shard servers for the same two things over the wire. Merge
-// drives it; R is whatever stands for one result on the caller's side of
-// that boundary.
+// reads its own shards (Corpus.EvalShards, and round two composed from round
+// one's partials), the distributed router asks shard servers for the same
+// two things over the wire. Merge drives it; R is whatever stands for one
+// result on the caller's side of that boundary.
 type Rounds[R any] interface {
 	// Eval runs round one everywhere: element i is shard i's Partial, for
 	// every shard of the corpus.
 	Eval(ctx context.Context) ([]Partial[R], error)
-	// Whole evaluates the query on the whole document.
-	Whole(ctx context.Context) ([]R, error)
+	// Whole answers a root-involving query as an engine over the whole
+	// document would, given round one's partials (parts) and whether the
+	// root itself is an LCA (rootLCA): a local corpus composes the answer
+	// from them (Corpus.roundTwo); a router, whose partials are trimmed
+	// handles, asks any shard server, which composes it from its own.
+	Whole(ctx context.Context, parts []Partial[R], rootLCA bool) ([]R, error)
 }
 
 // Merge is the sharded-query protocol, stated once: it answers a query over
@@ -48,11 +52,13 @@ type Rounds[R any] interface {
 //   - ELCA: the root qualifies iff every keyword has a witness match
 //     outside the subtrees of the root's ELCA descendants (see RootIsELCA).
 //
-// Round two, the whole-document evaluation, runs only for a root-involving
-// query — the root qualifying, or a result anchored at a shard root, which
-// is a copy of the global root — and is exact by construction; ctx is
-// re-checked before paying for it. Every other query is the concatenation
-// MergeResults cuts at opts.MaxResults.
+// Round two runs only for a root-involving query — the root qualifying, or
+// a result anchored at a shard root, which is a copy of the global root. It
+// evaluates nothing and copies nothing: the answer is round one's results
+// with every root-anchored one folded into one result anchored at the root,
+// a view of the whole document over the shards, cut as an engine over the
+// whole document cuts (Corpus.roundTwo); ctx is re-checked before it. Every
+// other query is the concatenation MergeResults cuts at opts.MaxResults.
 func Merge[R any](ctx context.Context, opts search.Options, rounds Rounds[R]) ([]R, error) {
 	parts, err := rounds.Eval(ctx)
 	if err != nil {
@@ -78,9 +84,9 @@ func Merge[R any](ctx context.Context, opts search.Options, rounds Rounds[R]) ([
 			return nil, err
 		}
 		if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
-			sink.NoteFallback() // extract_query_fallbacks_total
+			sink.NoteFallback() // extract_query_fallbacks_total: round-two answers
 		}
-		return rounds.Whole(ctx)
+		return rounds.Whole(ctx, parts, rootQualifies)
 	}
 	byShard := make([][]R, len(parts))
 	for i, p := range parts {

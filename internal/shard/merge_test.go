@@ -92,7 +92,7 @@ func (r *countingRounds) Eval(context.Context) ([]Partial[int], error) {
 	return r.parts, r.evalErr
 }
 
-func (r *countingRounds) Whole(context.Context) ([]int, error) {
+func (r *countingRounds) Whole(context.Context, []Partial[int], bool) ([]int, error) {
 	r.wholes++
 	return r.whole, nil
 }

@@ -19,9 +19,14 @@
 // (MergeTake) instead of a re-sort.
 //
 // Results that can only be expressed across shard boundaries — the root
-// itself qualifying as an LCA, or a result anchored at the root — fall back
-// to a lazily reconstructed whole-document corpus (Merge's last round), so
-// correctness never depends on a query being shard-local.
+// itself qualifying as an LCA, or a result anchored at the root — are
+// composed by Merge's second round from the shards' own evidence: such a
+// result is a view of the whole document over the shards (Corpus.Whole,
+// index.Whole), addressed by global positions, and nothing is copied on the
+// query path, so correctness never depends on a query being shard-local.
+// A real copy of the whole document (Corpus.Fallback) is built lazily, and
+// only for readers that need one tree (XPath, a whole-document result's
+// tree).
 package shard
 
 import (

@@ -19,9 +19,21 @@ import (
 // evaluating the same query on the whole document as one shard (see the
 // equivalence property tests); opts carry the same semantics,
 // construction-mode, distinct-anchor and max-results options a search.Engine
-// takes.
+// takes. Every result comes with its tree, for callers that read them: a
+// whole-document result's is built (search.Result.Tree, over the lazily
+// copied document), which the serving path (Answer) never asks for.
 func (sc *Corpus) Search(query string, opts search.Options) ([]*search.Result, error) {
-	return sc.SearchEnginesContext(context.Background(), query, opts, nil, nil)
+	ctx := context.Background()
+	rs, err := sc.SearchEnginesContext(ctx, query, opts, nil, nil)
+	for i := range rs {
+		if err == nil {
+			rs[i], err = rs[i].Tree(ctx)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rs, nil
 }
 
 // Runner executes a batch of independent tasks, returning when all of them
@@ -154,8 +166,8 @@ func (sc *Corpus) engine(engines []*search.Engine, i int, opts search.Options) *
 }
 
 // SearchEnginesContext is Search with task scheduling, honoring ctx: each
-// shard polls Checkpoint before evaluating and the merge re-checks before the
-// cross-shard fallback, so a cancelled or expired query stops burning workers
+// shard polls Checkpoint before evaluating and the merge re-checks before
+// round two, so a cancelled or expired query stops burning workers
 // at the next checkpoint and returns the context's error. run schedules the
 // per-shard evaluations; nil spawns one goroutine per shard. engines is nil
 // everywhere in the product, which builds each shard's engine per query; a
@@ -202,8 +214,14 @@ func (r localRounds) Eval(ctx context.Context) ([]Partial[*search.Result], error
 	return r.sc.EvalShards(ctx, r.query, r.opts, all, r.engines, r.run)
 }
 
-func (r localRounds) Whole(ctx context.Context) ([]*search.Result, error) {
-	return r.sc.SearchWhole(ctx, r.query, r.opts)
+// Whole composes round two from round one's partials, inline, under panic
+// recovery.
+func (r localRounds) Whole(ctx context.Context, parts []Partial[*search.Result], rootLCA bool) ([]*search.Result, error) {
+	var rs []*search.Result
+	if err := Recover(func() { rs = r.sc.roundTwo(r.query, r.opts, parts, rootLCA) }); err != nil {
+		return nil, err
+	}
+	return rs, nil
 }
 
 // EvalShards is the per-shard half of Merge's round one, for the listed
@@ -253,21 +271,4 @@ func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, quer
 	rootAnchored := slices.ContainsFunc(results,
 		func(r *search.Result) bool { return r.Anchor == root })
 	return Partial[*search.Result]{Digest: NewDigest(ev, rootAnchored), Results: results}, nil
-}
-
-// SearchWhole is Merge's round two: the query evaluated on the lazily
-// reconstructed whole document (Fallback), which is exact by construction
-// for the root-involving queries no per-shard answer can express. It runs
-// inline behind a Checkpoint, under panic recovery.
-func (sc *Corpus) SearchWhole(ctx context.Context, query string, opts search.Options) (rs []*search.Result, err error) {
-	if perr := Recover(func() {
-		if err = Checkpoint(ctx); err != nil {
-			return
-		}
-		fb := sc.Fallback()
-		rs, err = search.NewEngine(fb.Doc, fb.Index, sc.cls, opts).Search(query)
-	}); perr != nil {
-		return nil, perr
-	}
-	return rs, err
 }

@@ -38,6 +38,9 @@ type Corpus struct {
 	keywordsOnce     sync.Once
 	distinctKeywords int
 
+	wholeOnce sync.Once
+	whole     *index.Whole
+
 	fallbackOnce sync.Once
 	fallback     *core.Corpus
 
@@ -151,8 +154,9 @@ func (sc *Corpus) Analysis() *core.Corpus {
 }
 
 // Generator returns the greedy snippet generator over the corpus's analysis,
-// one per generation: every view result of any shard — and of the fallback —
-// brings its own index, so this one generator snippets them all.
+// one per generation: every view result of any shard brings its own index,
+// and a whole-document result its view over the shards (Whole), so this one
+// generator snippets them all.
 func (sc *Corpus) Generator() *core.Generator { return sc.gen }
 
 // computeStats fills the lazily aggregated corpus-wide counters, once per
@@ -283,9 +287,13 @@ func (sc *Corpus) CompletePrefix(prefix string, k int) []string {
 }
 
 // Fallback reconstructs (once, lazily) the whole document as a single
-// unsharded corpus sharing the global analysis artifacts. Queries whose
-// results cross shard boundaries — the root as an LCA, root-anchored
-// results — and whole-document consumers like XPath evaluate against it.
+// unsharded corpus sharing the global analysis artifacts: a deep copy of
+// every shard, indexed, held for the generation's life. No query pays for
+// it — a root-involving answer is composed from the shards and its
+// whole-document result is a view over them (Whole). Only readers that need
+// the whole document as one real tree build it: a whole-document result's
+// Tree (the facade's Result.Root, XML, Render and Internal), XPath, the
+// facade's Corpus.Internal, and extractd's /view.
 func (sc *Corpus) Fallback() *core.Corpus {
 	sc.fallbackOnce.Do(func() {
 		// One shard is the whole document already — the reference corpus

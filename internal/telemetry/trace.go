@@ -141,8 +141,8 @@ type SpanSink struct {
 	snippets atomic.Int64 // nanoseconds
 }
 
-// NoteFallback records that the query's sharded merge took the
-// whole-document round (shard.Merge's round three).
+// NoteFallback records that the query's sharded merge took its second
+// round, a root-involving answer (shard.Merge).
 func (s *SpanSink) NoteFallback() { s.fallback.Store(true) }
 
 // Fallback reports whether NoteFallback was called.

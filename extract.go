@@ -1005,21 +1005,35 @@ func WithExactSelection() SnippetOption {
 }
 
 // Snippet is a generated result snippet with its derivation artifacts.
+// XML, Edges and ResultKey read what every snippet carries; the other methods
+// read its tree or IList, which a snippet served by a remote corpus decodes
+// from the record it arrived as on the first such read (core.Generated.Derived).
 type Snippet struct {
 	g *core.Generated
+	// v is the cache entry the snippet is a hit of, re-charged when a read
+	// decodes it (serve.Cached.Derived); nil outside a query's hits.
+	v *serve.Cached
+}
+
+// derived returns the snippet with its tree and IList.
+func (s *Snippet) derived() *core.Generated {
+	if s.v != nil {
+		return s.v.Derived(s.g)
+	}
+	return s.g.Derived()
 }
 
 // Edges returns the snippet size in edges.
-func (s *Snippet) Edges() int { return s.g.Snippet.Edges }
+func (s *Snippet) Edges() int { return s.g.Edges }
 
 // Root returns the snippet tree.
-func (s *Snippet) Root() *xmltree.Node { return s.g.Snippet.Root }
+func (s *Snippet) Root() *xmltree.Node { return s.derived().Snippet.Root }
 
 // Render draws the snippet as ASCII art.
-func (s *Snippet) Render() string { return xmltree.RenderASCII(s.g.Snippet.Root) }
+func (s *Snippet) Render() string { return xmltree.RenderASCII(s.derived().Snippet.Root) }
 
 // Inline renders the snippet on one line.
-func (s *Snippet) Inline() string { return xmltree.RenderInline(s.g.Snippet.Root) }
+func (s *Snippet) Inline() string { return xmltree.RenderInline(s.derived().Snippet.Root) }
 
 // XML serializes the snippet tree. The bytes are rendered once, when the
 // snippet is made — for a query's hits, once per cache entry — and every
@@ -1029,26 +1043,28 @@ func (s *Snippet) XML() string { return s.g.XML }
 // HTML renders the snippet as an escaped HTML tree with the query keywords
 // highlighted; the web demo embeds this directly.
 func (s *Snippet) HTML() string {
-	return xmltree.RenderHTML(s.g.Snippet.Root, s.g.Keywords)
+	return xmltree.RenderHTML(s.derived().Snippet.Root, s.g.Keywords)
 }
 
 // IList returns the result's Snippet Information List in rank order.
-func (s *Snippet) IList() []string { return s.g.IList.Texts() }
+func (s *Snippet) IList() []string { return s.derived().IList.Texts() }
 
 // Covered returns the IList items visible in the snippet, in rank order.
 func (s *Snippet) Covered() []string {
+	d := s.derived()
 	var out []string
-	for _, i := range s.g.Snippet.Covered {
-		out = append(out, s.g.IList.Items[i].Text)
+	for _, i := range d.Snippet.Covered {
+		out = append(out, d.IList.Items[i].Text)
 	}
 	return out
 }
 
 // Skipped returns the IList items that did not fit the bound.
 func (s *Snippet) Skipped() []string {
+	d := s.derived()
 	var out []string
-	for _, i := range s.g.Snippet.Skipped {
-		out = append(out, s.g.IList.Items[i].Text)
+	for _, i := range d.Snippet.Skipped {
+		out = append(out, d.IList.Items[i].Text)
 	}
 	return out
 }
@@ -1056,21 +1072,23 @@ func (s *Snippet) Skipped() []string {
 // Coverage returns the fraction of IList items covered (1 for an empty
 // IList).
 func (s *Snippet) Coverage() float64 {
-	if s.g.IList.Len() == 0 {
+	d := s.derived()
+	if d.IList.Len() == 0 {
 		return 1
 	}
-	return float64(len(s.g.Snippet.Covered)) / float64(s.g.IList.Len())
+	return float64(len(d.Snippet.Covered)) / float64(d.IList.Len())
 }
 
 // ResultKey returns the key value identifying the result ("" if none).
-func (s *Snippet) ResultKey() string { return s.g.IList.KeyValue }
+func (s *Snippet) ResultKey() string { return s.g.ResultKey }
 
 // ReturnEntities returns the labels identified as the result's search
 // target.
-func (s *Snippet) ReturnEntities() []string { return s.g.IList.ReturnEntities }
+func (s *Snippet) ReturnEntities() []string { return s.derived().IList.ReturnEntities }
 
-// Internal exposes the underlying generation artifacts for tools.
-func (s *Snippet) Internal() *core.Generated { return s.g }
+// Internal exposes the underlying generation artifacts for tools, its tree
+// and IList present.
+func (s *Snippet) Internal() *core.Generated { return s.derived() }
 
 // Snippet generates a snippet for one search result. It reads the result's
 // tree, so on a remote corpus it fails as Result.Root does.
@@ -1153,7 +1171,7 @@ func (c *Corpus) QueryContext(ctx context.Context, query string, bound int, opts
 	for i := range hits {
 		j, score := rk.At(i)
 		rs[i] = Result{r: v.Results[j], score: score, v: v}
-		ss[i] = Snippet{g: v.Snippets[j]}
+		ss[i] = Snippet{g: v.Snippets[j], v: v}
 		hs[i] = Hit{Result: &rs[i], Snippet: &ss[i]}
 		hits[i] = &hs[i]
 	}

@@ -10,6 +10,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"extract/internal/classify"
@@ -145,7 +146,11 @@ func (g *Generator) putCollector(c *features.Collector) {
 }
 
 // Generated is a snippet with the intermediate artifacts of its derivation,
-// for inspection, metrics and the demo UI.
+// for inspection, metrics and the demo UI. What a result page shows — XML,
+// Edges and ResultKey — is set on every snippet a backend hands over. The
+// artifacts — Snippet, IList — are set on a snippet made here; a snippet that
+// arrived as a wire record (Deferred) keeps the record instead, and has them
+// nil until Derived decodes them. Read them through Derived.
 type Generated struct {
 	Snippet *selector.Snippet
 	IList   *ilist.IList
@@ -159,9 +164,80 @@ type Generated struct {
 	Keywords []string
 	Bound    int
 	// XML is the snippet tree serialized (xmltree.XMLString), filled by
-	// whoever hands the snippet to a reader — the serving layer once per
+	// whoever hands the snippet to a reader — a backend's answer, once per
 	// computed answer — and empty as the generator returns it.
 	XML string
+	// Edges is the snippet's size in edges (Snippet.Edges), and ResultKey
+	// the key value identifying its result, "" if none (IList.KeyValue).
+	Edges     int
+	ResultKey string
+
+	// record is set on a deferred snippet only.
+	record *record
+}
+
+// record is what a deferred snippet holds instead of its artifacts: the
+// encoding they are decoded from, how, and the decoded snippet once the
+// first reader has asked.
+type record struct {
+	enc    string
+	decode func(enc string) (*selector.Snippet, *ilist.IList)
+
+	mu      sync.Mutex
+	derived atomic.Pointer[Generated]
+}
+
+// Deferred returns a snippet whose artifacts stay encoded in enc until a
+// reader asks for them (Derived): decode turns enc into the snippet tree, with
+// its covered and skipped items, and the IList. It must not fail — the
+// caller has validated enc — and enc must stay as it is for as long as the
+// snippet lives. xml, edges and key are what a result page reads (XML, Edges,
+// ResultKey), kws and bound the request's. The snippet and its record are one
+// allocation.
+func Deferred(enc string, decode func(string) (*selector.Snippet, *ilist.IList), xml string, edges int, key string, kws []string, bound int) *Generated {
+	d := &struct {
+		g Generated
+		r record
+	}{
+		g: Generated{XML: xml, Edges: edges, ResultKey: key, Keywords: kws, Bound: bound},
+		r: record{enc: enc, decode: decode},
+	}
+	d.g.record = &d.r
+	return &d.g
+}
+
+// Derived returns the snippet with its artifacts: g itself when it was made
+// here, and for a deferred snippet the one decoded from its record the first
+// time anything asks — one decode, whichever of any concurrent first readers
+// runs it, and the same snippet for every later reader. g itself never
+// changes.
+func (g *Generated) Derived() *Generated {
+	r := g.record
+	if r == nil {
+		return g
+	}
+	if d := r.derived.Load(); d != nil {
+		return d
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if d := r.derived.Load(); d != nil {
+		return d
+	}
+	sn, il := r.decode(r.enc)
+	d := &Generated{Snippet: sn, IList: il, Keywords: g.Keywords, Bound: g.Bound,
+		XML: g.XML, Edges: g.Edges, ResultKey: g.ResultKey}
+	r.derived.Store(d)
+	return d
+}
+
+// Encoded reports whether g is a deferred snippet whose artifacts have not
+// been decoded yet (Derived), and the length of the record it keeps.
+func (g *Generated) Encoded() (pending bool, bytes int) {
+	if g.record == nil {
+		return false, 0
+	}
+	return g.record.derived.Load() == nil, len(g.record.enc)
 }
 
 // ForTree generates a snippet for a query-result tree. The keywords are the
@@ -209,7 +285,7 @@ func (g *Generator) generate(ix *index.Index, result *xmltree.Document, whole *i
 	default:
 		sn = selector.Greedy(result, il, g.Corpus.Cls, stats, bound)
 	}
-	out := &Generated{Snippet: sn, IList: il, Keywords: kws, Bound: bound}
+	out := &Generated{Snippet: sn, IList: il, Keywords: kws, Bound: bound, Edges: sn.Edges, ResultKey: il.KeyValue}
 	if !served {
 		out.Stats = stats
 	}

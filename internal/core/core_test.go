@@ -2,11 +2,15 @@ package core
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"extract/internal/dtd"
 	"extract/internal/gen"
+	"extract/internal/ilist"
 	"extract/internal/search"
+	"extract/internal/selector"
 	"extract/xmltree"
 )
 
@@ -106,5 +110,50 @@ func TestPipelineNoResults(t *testing.T) {
 	}
 	if _, err := Pipeline(c, "", 6, search.Options{}); err == nil {
 		t.Error("empty query should error")
+	}
+}
+
+// TestDerivedDecodesOnce: a deferred snippet's artifacts are decoded from its
+// record by the first reader, once, however many readers race for them, and
+// every reader gets that one snippet; the deferred snippet itself never
+// changes, and a snippet made here is its own derivation.
+func TestDerivedDecodesOnce(t *testing.T) {
+	var decodes atomic.Int32
+	decode := func(enc string) (*selector.Snippet, *ilist.IList) {
+		decodes.Add(1)
+		return &selector.Snippet{Root: xmltree.Elem(enc), Edges: 0}, &ilist.IList{KeyValue: "k"}
+	}
+	g := Deferred("store", decode, "<store/>", 0, "k", []string{"store"}, 4)
+	if pending, n := g.Encoded(); !pending || n != len("store") {
+		t.Fatalf("Encoded() = %v, %d before any read", pending, n)
+	}
+	const readers = 8
+	got := make([]*Generated, readers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for r := range readers {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got[r] = g.Derived()
+		}()
+	}
+	start.Done()
+	done.Wait()
+	if n := decodes.Load(); n != 1 {
+		t.Fatalf("%d decodes, want 1", n)
+	}
+	for _, d := range got {
+		if d != got[0] || d == g || d.Snippet.Root.Label != "store" || d.XML != g.XML || d.ResultKey != "k" || d.Bound != 4 {
+			t.Fatalf("readers saw different or incomplete snippets")
+		}
+	}
+	if pending, _ := g.Encoded(); pending || g.Snippet != nil || g.IList != nil {
+		t.Fatal("after the decode: still pending, or the deferred snippet changed")
+	}
+	local := NewGenerator(BuildCorpus(gen.Figure1Corpus())).ForTree(gen.Figure1Corpus(), "texas apparel retailer", 13)
+	if local.Derived() != local || local.Edges != local.Snippet.Edges || local.ResultKey != local.IList.KeyValue {
+		t.Fatal("a snippet made here is not its own derivation, with its edges and key")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"sync"
 	"unsafe"
 
 	"extract/internal/bin"
@@ -404,16 +405,22 @@ func (v *validated) str() string {
 // internal/persist loads a document: nodes arrive in preorder with their child
 // counts, so a single pass fills a node slab, carves every Children slice out
 // of one arena and links Parent as it goes. Allocations are a constant plus
-// one per slab chunk, none per node; every label and value is a substring of
-// v's text. With syms the nodes are a result tree's — symbol ids assigned as
-// NewDocument would, Ord/Start/End set as preorder positions — ready for
-// xmltree.AdoptFinalized; without, they are a snippet tree's, which carries
-// neither, like the generator's own.
-func (v *validated) buildNodes(syms *xmltree.Symbols) []*xmltree.Node {
+// one per slab chunk, none per node — none at all when the nodes go into a
+// scratch tree (into), whose storage the next tree reuses; every label and
+// value is a substring of v's text. With syms the nodes are a result tree's —
+// symbol ids assigned as NewDocument would, Ord/Start/End set as preorder
+// positions — ready for xmltree.AdoptFinalized; without, they are a snippet
+// tree's, which carries neither, like the generator's own.
+func (v *validated) buildNodes(syms *xmltree.Symbols, into *scratchTree) []*xmltree.Node {
 	total := v.uvarint()
-	ptrs := make([]*xmltree.Node, 2*total-1)
-	nodes, childArena := ptrs[:total:total], ptrs[total:]
+	var ptrs []*xmltree.Node
 	var slab []xmltree.Node
+	if into != nil {
+		ptrs, slab = into.reset(total)
+	} else {
+		ptrs = make([]*xmltree.Node, 2*total-1)
+	}
+	nodes, childArena := ptrs[:total:total], ptrs[total:]
 	var open *xmltree.Node // innermost node with unfilled child slots
 	for i := range nodes {
 		if len(slab) == 0 {
@@ -455,6 +462,35 @@ func (v *validated) buildNodes(syms *xmltree.Symbols) []*xmltree.Node {
 		}
 	}
 	return nodes
+}
+
+// scratchTree is storage buildNodes reuses from one tree to the next: what
+// the snippets round renders each snippet's XML from, the tree dropped once
+// it is rendered. It is pooled (scratchTrees) and emptied before it goes
+// back, so a pooled one pins no payload.
+type scratchTree struct {
+	ptrs  []*xmltree.Node
+	nodes []xmltree.Node
+}
+
+var scratchTrees = sync.Pool{New: func() any { return new(scratchTree) }}
+
+// reset returns storage for a tree of total nodes: buildNodes' pointer arena
+// and a zeroed node slab.
+func (s *scratchTree) reset(total int) ([]*xmltree.Node, []xmltree.Node) {
+	if cap(s.nodes) < total {
+		s.nodes = make([]xmltree.Node, total)
+		s.ptrs = make([]*xmltree.Node, 2*total-1)
+	}
+	s.nodes = s.nodes[:total]
+	clear(s.nodes)
+	return s.ptrs[:2*total-1], s.nodes
+}
+
+// release empties s and puts it back in the pool.
+func (s *scratchTree) release() {
+	clear(s.nodes)
+	scratchTrees.Put(s)
 }
 
 // --- results ---
@@ -616,7 +652,7 @@ func (t treeRecord) build() *search.Result { return buildResult(unsafeString(t.e
 // to its nodes).
 func buildResult(enc string) *search.Result {
 	v := validated{text: enc}
-	nodes := v.buildNodes(xmltree.NewSymbols())
+	nodes := v.buildNodes(xmltree.NewSymbols(), nil)
 	root := nodes[0]
 	r := &search.Result{Root: root, Doc: xmltree.AdoptFinalized(nodes), Anchor: root, LCA: root}
 	if lca := v.uvarint(); lca > 0 {
@@ -669,6 +705,10 @@ type scanned struct {
 	nodes  int    // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
 	depths []byte // one uvarint per query term: its least match depth + 1, 0 = no match
 }
+
+// lcaPos is s's LCA position in the shard that shipped it, the merge's cut
+// key (shard.AppendEarliest).
+func (s scanned) lcaPos() int32 { return s.at.lca }
 
 // minResultBytes is the shortest shipped result (node count, anchor and LCA
 // positions, no terms); it bounds a claimed result count by the payload that
@@ -735,14 +775,13 @@ func (s scanned) take(at *answerTrees, i int) *search.Result {
 		}
 	}
 	at.handles[i] = s.at
-	retained := deferredOverhead + cap(depths)*int(unsafe.Sizeof(search.KeywordDepth{}))
+	// What it retains beyond the header the serving layer prices every
+	// result at (serve.Cached's cost, whose per-result charge is over twice
+	// what the search.Result, its pending state, the build closure and its
+	// share of the answer's trees take): its depths.
+	retained := cap(depths) * int(unsafe.Sizeof(search.KeywordDepth{}))
 	return search.Defer(s.nodes, retained, depths, func(ctx context.Context) (*search.Result, error) { return at.tree(ctx, i) })
 }
-
-// deferredOverhead is what a taken result holds besides its depths: the
-// search.Result, its pending state, the build closure, its handle and its
-// share of the answer's trees.
-const deferredOverhead = 224
 
 // appendResults encodes one shipped result list: an eval response's per
 // shard, and the whole of a full response's body.
@@ -874,24 +913,39 @@ func (c *cursor) scanSnippet() []byte {
 	return c.Data[start:c.Off:c.Off]
 }
 
-// buildSnippet materializes a scanned snippet record over the payload it
-// arrived in, which nothing may reuse once records alias it (readFrame):
-// every string of the tree and the IList is a substring of rec. kws and
-// bound are the request's, as the local generator records them.
-func buildSnippet(rec []byte, kws []string, bound int) *core.Generated {
-	v := validated{text: unsafeString(rec)}
-	root := v.buildNodes(nil)[0]
+// servedSnippet is what the router keeps of a scanned snippet record: the
+// record itself, over the payload it arrived in, which nothing may reuse once
+// records alias it (readFrame). What a result page reads is taken from it
+// once — the XML, rendered from a scratch tree built into into (nil: a tree
+// of its own) and dropped, the edge count and the result key — and the
+// snippet tree and the IList are decoded from it only when something reads
+// them (core.Generated.Derived, decodeSnippet). kws and bound are the
+// request's, as the local generator records them.
+func servedSnippet(rec []byte, kws []string, bound int, into *scratchTree) *core.Generated {
+	enc := unsafeString(rec)
+	v := validated{text: enc}
+	xml := xmltree.XMLString(v.buildNodes(nil, into)[0])
+	edges := v.uvarint()
+	var it ilist.Item
+	for range v.uvarint() {
+		v.item(&it)
+	}
+	for range v.uvarint() {
+		v.str() // a return entity
+	}
+	v.str() // the key attribute
+	return core.Deferred(enc, decodeSnippet, xml, edges, v.str(), kws, bound)
+}
+
+// decodeSnippet materializes a snippet record's tree, with its covered and
+// skipped item indexes, and its IList: every string is a substring of enc.
+func decodeSnippet(enc string) (*selector.Snippet, *ilist.IList) {
+	v := validated{text: enc}
+	root := v.buildNodes(nil, nil)[0]
 	sn := &selector.Snippet{Root: root, Edges: v.uvarint()}
 	il := &ilist.IList{Items: make([]ilist.Item, v.uvarint())}
 	for i := range il.Items {
-		it := &il.Items[i]
-		it.Kind = ilist.Kind(v.u8())
-		it.Text = v.str()
-		it.Feature.Entity = v.str()
-		it.Feature.Attr = v.str()
-		it.Feature.Value = v.str()
-		it.FeatureID = int32(v.varint())
-		it.Score = math.Float64frombits(v.u64())
+		v.item(&il.Items[i])
 	}
 	if n := v.uvarint(); n > 0 {
 		il.ReturnEntities = make([]string, n)
@@ -903,7 +957,18 @@ func buildSnippet(rec []byte, kws []string, bound int) *core.Generated {
 	il.KeyValue = v.str()
 	sn.Covered = v.indexes()
 	sn.Skipped = v.indexes()
-	return &core.Generated{Snippet: sn, IList: il, Keywords: kws, Bound: bound}
+	return sn, il
+}
+
+// item reads one IList item record into it.
+func (v *validated) item(it *ilist.Item) {
+	it.Kind = ilist.Kind(v.u8())
+	it.Text = v.str()
+	it.Feature.Entity = v.str()
+	it.Feature.Attr = v.str()
+	it.Feature.Value = v.str()
+	it.FeatureID = int32(v.varint())
+	it.Score = math.Float64frombits(v.u64())
 }
 
 func (v *validated) indexes() []int {

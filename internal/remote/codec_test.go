@@ -877,7 +877,7 @@ func TestSnippetRoundTrip(t *testing.T) {
 		if err := c.Done(); err != nil {
 			t.Fatalf("%s: scan: %v", name, err)
 		}
-		got := buildSnippet(scanned, g.Keywords, g.Bound)
+		got := servedSnippet(scanned, g.Keywords, g.Bound, nil)
 		if err := sameSnippet(g, got); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -12,6 +12,7 @@ import (
 	"extract/internal/bin"
 	"extract/internal/core"
 	"extract/internal/search"
+	"extract/xmltree"
 )
 
 // frameBytes builds one well-formed frame for seeding.
@@ -287,11 +288,19 @@ func FuzzEvalRespDecode(f *testing.F) {
 				t.Fatalf("unclassified snippets decode error %T: %v", err, err)
 			}
 		} else {
+			into := scratchTrees.Get().(*scratchTree)
 			for _, rec := range recs {
-				if g := buildSnippet(rec, nil, 0); g.Snippet.Edges >= subtreeSize(g.Snippet.Root) {
+				served := servedSnippet(rec, nil, 0, into)
+				g := served.Derived()
+				if g.Snippet.Edges >= subtreeSize(g.Snippet.Root) {
 					t.Fatalf("snippet of %d nodes built with %d edges", subtreeSize(g.Snippet.Root), g.Snippet.Edges)
 				}
+				if x := xmltree.XMLString(g.Snippet.Root); served.XML != x || served.Edges != g.Snippet.Edges || served.ResultKey != g.IList.KeyValue {
+					t.Fatalf("served XML/edges/key %q/%d/%q, decoded %q/%d/%q",
+						served.XML, served.Edges, served.ResultKey, x, g.Snippet.Edges, g.IList.KeyValue)
+				}
 			}
+			into.release()
 		}
 		if req, err := decodeTreesReq(data); err != nil {
 			if !errors.As(err, &pe) {

@@ -332,8 +332,17 @@ func queryKeys(query string) []string {
 // keeps: tree (as XML, and as the HTML the demo embeds), edges, the IList
 // item by item — kind, text, feature, feature id, exact score bits — its
 // return entities and key, the covered and skipped item indexes, and the
-// keywords and bound it records.
+// keywords and bound it records. It reads both through the accessor that
+// decodes a snippet kept as its wire record (core.Generated.Derived), and
+// holds got's eager fields — the XML, edges and key read without decoding —
+// to its tree and IList.
 func sameSnippet(want, got *core.Generated) error {
+	eager := got
+	want, got = want.Derived(), got.Derived()
+	if x := xmltree.XMLString(got.Snippet.Root); eager.XML != x || eager.Edges != got.Snippet.Edges || eager.ResultKey != got.IList.KeyValue {
+		return fmt.Errorf("eager XML/edges/key = %q/%d/%q, decoded %q/%d/%q",
+			eager.XML, eager.Edges, eager.ResultKey, x, got.Snippet.Edges, got.IList.KeyValue)
+	}
 	if a, b := xmltree.XMLString(want.Snippet.Root), xmltree.XMLString(got.Snippet.Root); a != b {
 		return fmt.Errorf("tree differs\nwant %s\ngot  %s", a, b)
 	}

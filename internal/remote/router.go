@@ -447,7 +447,7 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 		return nil, nil, search.ErrEmptyQuery
 	}
 	r := &routedRounds{rt: rt, pl: pl, query: query, terms: len(terms), opts: opts, run: run}
-	winners, err := shard.Merge(ctx, opts, r)
+	winners, err := shard.Merge(ctx, opts, r, scanned.lcaPos)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -577,17 +577,7 @@ func (r *routedRounds) snippets(ctx context.Context, handles []handle, bound int
 	start := time.Now()
 	req := treesReq{opts: r.opts, query: r.query, fingerprint: r.pl.fingerprint, bound: bound}
 	err := r.rt.byHandle(ctx, r.pl, r.run, msgSnippets, req, handles, all, func(body []byte, idx []int) error {
-		recs, err := decodeSnippetsResp(body)
-		if err != nil {
-			return err
-		}
-		if len(recs) != len(idx) {
-			return protocolErrf("snippets response carries %d snippets for %d handles", len(recs), len(idx))
-		}
-		for k, rec := range recs {
-			gs[idx[k]] = buildSnippet(rec, kws, bound)
-		}
-		return nil
+		return takeSnippets(body, kws, bound, gs, idx)
 	})
 	if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
 		sink.NoteSnippets(time.Since(start))
@@ -596,6 +586,26 @@ func (r *routedRounds) snippets(ctx context.Context, handles []handle, bound int
 		return nil, err
 	}
 	return gs, nil
+}
+
+// takeSnippets decodes one snippets response, which answers the handles at
+// positions idx in request order, into gs at those positions: every record
+// validated (decodeSnippetsResp), then kept as it is (servedSnippet), the XML
+// rendered from one pooled scratch tree for the whole response.
+func takeSnippets(body []byte, kws []string, bound int, gs []*core.Generated, idx []int) error {
+	recs, err := decodeSnippetsResp(body)
+	if err != nil {
+		return err
+	}
+	if len(recs) != len(idx) {
+		return protocolErrf("snippets response carries %d snippets for %d handles", len(recs), len(idx))
+	}
+	into := scratchTrees.Get().(*scratchTree)
+	defer into.release()
+	for k, rec := range recs {
+		gs[idx[k]] = servedSnippet(rec, kws, bound, into)
+	}
+	return nil
 }
 
 // groupOfHandle returns the replica group that serves handle h: an index into

@@ -419,11 +419,12 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 
 // trimToMerge drops the results the router's merge cannot take. The digests
 // and the root-anchored bit were computed from the untrimmed lists and stay
-// as they are; the trim applies the merge's own cut (shard.MergeTake) to
+// as they are; the trim applies the merge's own cut (shard.MergeTake, each
+// shard keeping its results with the earliest LCAs, shard.AppendEarliest) to
 // this request's shards in ascending order, so whatever the other groups
-// return, a dropped result lies past position MaxResults in global document
-// order and the merged answer is unchanged. It is sound only in that order,
-// which is the one a router's placement produces; a request naming its
+// return, a dropped result lies past position MaxResults in the whole
+// engine's order and the merged answer is unchanged. It is sound only in that
+// order, which is the one a router's placement produces; a request naming its
 // shards any other way is answered untrimmed.
 func trimToMerge(answers []shardAnswer, maxResults int) {
 	counts := make([]int, len(answers))
@@ -435,7 +436,8 @@ func trimToMerge(answers []shardAnswer, maxResults int) {
 	}
 	shard.MergeTake(counts, maxResults)
 	for i := range answers {
-		answers[i].results = answers[i].results[:counts[i]]
+		rs := answers[i].results
+		answers[i].results = shard.AppendEarliest(rs[:0], rs, counts[i], shard.LCAOf)
 	}
 }
 

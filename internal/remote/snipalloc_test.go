@@ -1,0 +1,92 @@
+package remote
+
+import (
+	"context"
+	"testing"
+
+	"extract/internal/core"
+	"extract/internal/gen"
+	"extract/internal/index"
+	"extract/internal/search"
+	"extract/internal/shard"
+)
+
+// TestRoutedSnippetAllocations: the router's snippets round keeps every
+// snippet as the record it arrived in and builds nothing from it but its
+// XML, rendered from one pooled scratch tree (takeSnippets). So decoding a
+// response allocates a constant plus the same number of objects per snippet
+// at bounds 4 and 20, for queries whose ILists differ in length: nothing per
+// snippet node and nothing per IList item.
+func TestRoutedSnippetAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's own allocations make counts inexact")
+	}
+	sc := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 4, ClothesPerStore: 6, Seed: 7}), 1)
+	srv := NewServer(sc)
+	defer srv.Close()
+	st := srv.state.Load()
+	opts := search.Options{DistinctAnchors: true}
+
+	// body returns the snippets response body for the first n results of q.
+	body := func(q string, n, bound int) []byte {
+		parts, err := sc.EvalShards(context.Background(), q, opts, []int{0}, nil, nil)
+		if err != nil || len(parts[0].Results) < n {
+			t.Fatalf("%q: %d results, want %d (%v)", q, len(parts[0].Results), n, err)
+		}
+		handles := make([]handle, n)
+		for i, r := range parts[0].Results[:n] {
+			handles[i] = handle{shard: 0, anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)}
+		}
+		req := encodeTreesReq(treesReq{opts: opts, query: q, fingerprint: st.fingerprint, bound: bound, handles: handles})
+		got, resp := srv.handle(msgSnippets, req, nil)
+		if got != msgSnippetsResp {
+			t.Fatalf("%q: snippets request answered with message %d", q, got)
+		}
+		return resp[respHeaderLen:]
+	}
+	const many = 12
+	perSnippet := map[float64][]string{}
+	var edges, items []int
+	for _, q := range []string{"store", "clothes"} {
+		kws := index.Tokenize(q)
+		for _, bound := range []int{4, 20} {
+			allocs := func(n int) (float64, int, int) {
+				b := body(q, n, bound)
+				gs, idx := make([]*core.Generated, n), make([]int, n)
+				for i := range idx {
+					idx[i] = i
+				}
+				take := func() {
+					if err := takeSnippets(b, kws, bound, gs, idx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				take() // the pooled scratch tree grows to the largest snippet
+				e, it := 0, 0
+				for _, g := range gs {
+					d := g.Derived()
+					e += d.Edges
+					it += len(d.IList.Items)
+				}
+				return testing.AllocsPerRun(50, take), e, it
+			}
+			one, _, _ := allocs(1)
+			all, e, it := allocs(many)
+			per := (all - one) / (many - 1)
+			perSnippet[per] = append(perSnippet[per], q)
+			edges, items = append(edges, e), append(items, it)
+			t.Logf("%q bound %d: %v objects for one snippet, %v for %d (%d edges, %d IList items)", q, bound, one, all, many, e, it)
+		}
+	}
+	if len(perSnippet) != 1 {
+		t.Fatalf("objects per snippet differ by bound or query: %v", perSnippet)
+	}
+	for per := range perSnippet {
+		if per != float64(int(per)) || per > 3 {
+			t.Fatalf("%v objects per snippet: want a small whole number", per)
+		}
+	}
+	if edges[1] < 2*edges[0] || items[0] == items[2] {
+		t.Fatalf("edges %v and IList items %v: the fixture does not vary what a snippet holds", edges, items)
+	}
+}

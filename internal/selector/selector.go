@@ -561,8 +561,9 @@ func (s *selection) entry(i int, cols *index.Columns, pos int32) (int, bool) {
 
 // cheapest finds the instance of item i that attaches at the lowest cost,
 // the earliest one on ties, leaving its path in s.best; -1 if the item has
-// no instance. Climbs are pruned at limit (negative: not at all) and at the
-// best cost so far — anything costlier cannot win.
+// no instance, or none can cost limit or less. Climbs are pruned at limit
+// (negative: not at all) and at the best cost so far — anything costlier
+// cannot win.
 func (s *selection) cheapest(i, limit int) int {
 	bestCost := -1
 	s.best = s.best[:0]
@@ -573,6 +574,9 @@ func (s *selection) cheapest(i, limit int) int {
 	floor := 1
 	if s.il.Items[i].Kind == ilist.Keyword {
 		floor = 0
+	}
+	if limit >= 0 && limit < floor {
+		return -1 // every instance costs more than is left
 	}
 	for _, n := range s.instances(i) {
 		prune := limit

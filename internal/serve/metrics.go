@@ -31,7 +31,8 @@ const (
 	// the worker pool.
 	stageEval
 	// stageSnippet is snippet generation for the result list, plus
-	// rendering each snippet's XML into the entry.
+	// rendering each snippet's XML, as the backend noted it on the query's
+	// span sink.
 	stageSnippet
 	numStages
 )

@@ -13,7 +13,6 @@ import (
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
-	"extract/xmltree"
 )
 
 // DefaultCacheBytes is the query-cache budget when the caller does not set
@@ -35,8 +34,10 @@ type Backend interface {
 	// Answer evaluates a query, scheduling independent work through run
 	// (nil = own goroutines) and honoring ctx cancellation between units of
 	// work. When bound >= 0 it also returns one snippet per result at that
-	// bound, aligned with the results; bound < 0 is search only, with nil
-	// snippets. Results may be deferred (search.Result.Tree).
+	// bound, aligned with the results, each with its XML rendered
+	// (core.Generated.XML); bound < 0 is search only, with nil snippets.
+	// Results may be deferred (search.Result.Tree), and snippets too
+	// (core.Generated.Derived).
 	Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error)
 }
 
@@ -236,9 +237,10 @@ func (s *Server) Stats() Stats {
 // bound >= 0 keys — the generated snippets aligned with it, each with its XML
 // rendered once when the entry was computed. Both are shared across every
 // caller that hits the entry and must be treated as immutable. A ranked
-// read fills the entry's Ranking once (Ranked); that, and the trees a
-// deferred result builds (Trees), are the only state an entry gains after
-// it is published, and each re-charges the entry when it arrives.
+// read fills the entry's Ranking once (Ranked); that, the trees a
+// deferred result builds (Trees) and the artifacts a deferred snippet decodes
+// (Derived) are the only state an entry gains after it is published, and
+// each re-charges the entry when it arrives.
 // Backend records the corpus generation the response was computed against;
 // swap invalidation guarantees a cached entry's backend is the one that
 // was current when it was admitted, and an in-flight response outliving a
@@ -275,18 +277,23 @@ func (rk *Ranking) At(i int) (index int, score float64) {
 // cost estimates the heap the entry owns, for the cache budget. A view
 // result owns a header only — the corpus nodes it points at belong to the
 // generation the entry's Backend already pins — and a deferred result (what a
-// router returns) the bytes it retains: its handle and its keyword depths.
+// router returns) a header and the bytes it retains besides: its keyword
+// depths.
 // An owned result tree (a trimmed projection) and every snippet tree are
 // charged per node, a snippet's rendered XML per byte, an IList per item,
-// and a filled Ranking 12 bytes a result. The constants are
+// a snippet kept as its wire record (core.Generated.Encoded) the record's
+// bytes — and its tree and IList too once a reader has decoded them — and a
+// filled Ranking 12 bytes a result. The constants are
 // rough costs (node struct, slice and map headers; an ilist.Item with its
 // share of slice growth), not an exact accounting: on the benchmark corpus a
 // 24-hit entry is charged 53 KB for 63 KB of measured heap
 // (TestCostChargesWhatAnEntryOwns holds a routed entry's charge to what it
-// retains: six 133-edge retailer results with their snippets, 20.3 KB
-// charged for 20.4 KB; 128.6 KB for 118 KB once Trees has built its trees).
+// retains: six 133-edge retailer results with their snippets at bound 6,
+// 8.2 KB charged for 7.6 KB; 23.9 KB for 23.4 KB once every snippet is
+// decoded; 133 KB for 133 KB once Trees has built the trees too).
 // A deferred result whose tree was built is charged as the owned tree it
-// now holds: Trees re-charges a cached entry when it builds.
+// now holds: Trees re-charges a cached entry when it builds, and Derived when
+// it decodes a snippet.
 func (v *Cached) cost() int64 {
 	const (
 		perNode   = 136
@@ -304,8 +311,16 @@ func (v *Cached) cost() int64 {
 		}
 	}
 	for _, g := range v.Snippets {
-		c += perEntry + perNode*int64(g.Snippet.Edges+1) + int64(len(g.XML))
-		c += perItem * int64(len(g.IList.Items))
+		c += int64(len(g.XML))
+		if pending, enc := g.Encoded(); enc > 0 {
+			// A router's snippet, kept as its wire record: the record's
+			// bytes, its own small header within its result's.
+			if c += int64(enc); pending {
+				continue
+			}
+		}
+		d := g.Derived()
+		c += perEntry + perNode*int64(d.Edges+1) + perItem*int64(len(d.IList.Items))
 	}
 	if rk := v.ranking.Load(); rk != nil {
 		c += perRanked * int64(len(rk.Order))
@@ -425,12 +440,26 @@ func (v *Cached) Trees(ctx context.Context) ([]*search.Result, error) {
 	return rs, nil
 }
 
+// Derived returns snippet g of the entry with its tree and IList
+// (core.Generated.Derived): on a router, decoded from the record it arrived
+// as the first time anything asks, once for every holder of the entry — and
+// an entry still cached is then re-charged for them, as Trees re-charges it
+// for the trees it builds.
+func (v *Cached) Derived(g *core.Generated) *core.Generated {
+	pending, _ := g.Encoded()
+	d := g.Derived()
+	if pending && v.cache != nil {
+		v.cache.recharge(v)
+	}
+	return d
+}
+
 // evaluate is one query's computation: dispatch, then the backend's answer —
-// evaluation and, when bound >= 0, snippet generation — recorded into the
-// trace as the eval and snippet stages, then each snippet's XML rendered
-// into it. The snippet stage is the time the backend noted on the query's
-// span sink for its snippet fan-out — a local corpus's own, a router's round
-// of snippets calls to the shard servers — plus the rendering.
+// evaluation and, when bound >= 0, snippet generation, each snippet handed
+// over with its XML rendered — recorded into the trace as the eval and
+// snippet stages. The snippet stage is the time the backend noted on the
+// query's span sink for its snippets — a local corpus's fan-out and
+// rendering, a router's round of snippets calls to the shard servers.
 func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts search.Options, bound int) (*Cached, error) {
 	t := time.Now()
 	b := s.Backend()
@@ -444,16 +473,6 @@ func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts sea
 	}
 	if err != nil {
 		return nil, err
-	}
-	// Render each snippet's XML here, once per computed answer, rather than
-	// where snippets are made: a shard server makes the snippets of a routed
-	// answer and would render bytes its router never reads.
-	if len(gs) > 0 {
-		t = time.Now()
-		for _, g := range gs {
-			g.XML = xmltree.XMLString(g.Snippet.Root)
-		}
-		tr.add(stageSnippet, time.Since(t))
 	}
 	return &Cached{Results: rs, Snippets: gs, Backend: b}, nil
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"slices"
 
 	"extract/internal/search"
 	"extract/internal/telemetry"
@@ -58,8 +59,9 @@ type Rounds[R any] interface {
 // with every root-anchored one folded into one result anchored at the root,
 // a view of the whole document over the shards, cut as an engine over the
 // whole document cuts (Corpus.roundTwo); ctx is re-checked before it. Every
-// other query is the concatenation MergeResults cuts at opts.MaxResults.
-func Merge[R any](ctx context.Context, opts search.Options, rounds Rounds[R]) ([]R, error) {
+// other query is the concatenation MergeResults cuts at opts.MaxResults,
+// reading a result's LCA position in its shard through lca.
+func Merge[R any](ctx context.Context, opts search.Options, rounds Rounds[R], lca func(R) int32) ([]R, error) {
 	parts, err := rounds.Eval(ctx)
 	if err != nil {
 		return nil, err
@@ -92,19 +94,19 @@ func Merge[R any](ctx context.Context, opts search.Options, rounds Rounds[R]) ([
 	for i, p := range parts {
 		byShard[i] = p.Results
 	}
-	return MergeResults(byShard, opts.MaxResults), nil
+	return MergeResults(byShard, opts.MaxResults, lca), nil
 }
 
 // MergeTake is the bounded merge's cut, stated once for every reader: given
 // each shard's local result count in shard order, it reduces counts[i] in
 // place to the number of results the merge takes from shard i and returns
-// their total. The global sort key is (shard index, local anchor ord), and
-// contiguous partitioning makes that key shard-major — a k-way merge heap
-// over the stream heads would only ever drain the streams one after
-// another — so the bounded top-k merge is a concatenation with a cutoff:
-// every result until maxResults (0 = all) are taken, none after. A future
-// non-contiguous partitioner must replace this with a real k-way merge on a
-// global position key.
+// their total. The global order the engine cuts in is LCA order, and
+// contiguous partitioning makes it shard-major — every LCA of shard i comes
+// before every LCA of shard i+1 — so the bounded top-k merge is a
+// concatenation with a cutoff: every result until maxResults (0 = all) are
+// taken, none after; which results of the shard the cut falls in are taken
+// is AppendEarliest's. A future non-contiguous partitioner must replace this
+// with a real k-way merge on a global position key.
 //
 // The cut depends on the counts alone, and it may be applied to any subset of
 // the shards taken in ascending order: a result's position among a subset
@@ -126,8 +128,10 @@ func MergeTake(counts []int, maxResults int) (total int) {
 
 // MergeResults merges the per-shard result lists (each sorted by anchor
 // document order) into global order, keeping at most maxResults results
-// (0 = all): the concatenation MergeTake cuts.
-func MergeResults[R any](byShard [][]R, maxResults int) []R {
+// (0 = all): the concatenation MergeTake cuts, each shard's share the
+// results with its earliest LCAs (AppendEarliest; lca is a result's LCA
+// position in its shard).
+func MergeResults[R any](byShard [][]R, maxResults int, lca func(R) int32) []R {
 	// The counts of any realistic shard set stay on the stack, so the merged
 	// slice is the one allocation.
 	var buf [32]int
@@ -141,7 +145,38 @@ func MergeResults[R any](byShard [][]R, maxResults int) []R {
 	}
 	out := make([]R, 0, total)
 	for i, rs := range byShard {
-		out = append(out, rs[:counts[i]]...)
+		out = AppendEarliest(out, rs, counts[i], lca)
 	}
 	return out
+}
+
+// AppendEarliest appends to dst the n results of rs — one shard's, in anchor
+// order — whose LCAs come first (lca: a result's LCA position in the shard),
+// still in anchor order: what the cut takes from a shard it falls in. An
+// engine keeps the first MaxResults distinct anchors in LCA order and then
+// sorts them by anchor (search.Engine.Results), and an entity can anchor a
+// result before an earlier entity's whose LCA comes first — so the first n
+// in anchor order need not be the n it keeps. A shard's results have
+// distinct LCAs (one result per LCA, or per anchor at its first LCA). dst
+// may be rs[:0].
+func AppendEarliest[R any](dst, rs []R, n int, lca func(R) int32) []R {
+	if n >= len(rs) {
+		return append(dst, rs...)
+	}
+	if n <= 0 {
+		return dst
+	}
+	var buf [64]int32
+	lcas := buf[:0]
+	for _, r := range rs {
+		lcas = append(lcas, lca(r))
+	}
+	slices.Sort(lcas)
+	last := lcas[n-1]
+	for _, r := range rs {
+		if lca(r) <= last {
+			dst = append(dst, r)
+		}
+	}
+	return dst
 }

@@ -3,39 +3,46 @@ package shard
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"extract/internal/search"
+	"extract/xmltree"
 )
 
 // TestMergeTakeIsConcatenateAndTruncate pins the cut against the literal
 // statement of the merge — lay every shard's results end to end in shard
-// order, keep the first maxResults (0 = all) — on random count vectors and
-// bounds, and MergeResults against the same literal merge.
+// order, each shard's in LCA order, keep the first maxResults (0 = all) —
+// on random count vectors and bounds, and MergeResults against the same
+// literal merge, each shard's kept results back in its own (anchor) order.
+// A shard's LCAs are a random permutation of its positions, so the anchor
+// order a shard lists its results in is rarely its LCA order.
 func TestMergeTakeIsConcatenateAndTruncate(t *testing.T) {
-	prop := func(raw []uint8, bound uint8) bool {
+	type result struct{ shard, lca int32 }
+	lcaOf := func(r *result) int32 { return r.lca }
+	prop := func(raw []uint8, bound uint8, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
 		counts := make([]int, len(raw))
-		byShard := make([][]*search.Result, len(raw))
-		var owner []int // owner[k] = shard of the k-th result of the concatenation
-		var all []*search.Result
+		byShard := make([][]*result, len(raw))
+		var all []*result // the concatenation, each shard's in LCA order
 		for i, c := range raw {
 			counts[i] = int(c % 7)
-			for j := 0; j < counts[i]; j++ {
-				r := &search.Result{}
-				byShard[i] = append(byShard[i], r)
-				all = append(all, r)
-				owner = append(owner, i)
+			for _, l := range rng.Perm(counts[i]) {
+				byShard[i] = append(byShard[i], &result{shard: int32(i), lca: int32(l)})
+			}
+			for l := range counts[i] {
+				all = append(all, byShard[i][slices.IndexFunc(byShard[i], func(r *result) bool { return r.lca == int32(l) })])
 			}
 		}
 		maxResults := int(bound % 12)
 		if maxResults > 0 && len(all) > maxResults {
-			all, owner = all[:maxResults], owner[:maxResults]
+			all = all[:maxResults]
 		}
 		want := make([]int, len(raw))
-		for _, s := range owner {
-			want[s]++
+		for _, r := range all {
+			want[r.shard]++
 		}
 
 		take := append([]int(nil), counts...)
@@ -44,16 +51,23 @@ func TestMergeTakeIsConcatenateAndTruncate(t *testing.T) {
 			t.Logf("counts %v bound %d: take %v total %d, want %v total %d", counts, maxResults, take, total, want, len(all))
 			return false
 		}
-		merged := MergeResults(byShard, maxResults)
+		merged := MergeResults(byShard, maxResults, lcaOf)
 		if len(merged) != len(all) {
 			return false
 		}
-		for k := range merged {
-			if merged[k] != all[k] {
-				return false
+		kept := map[*result]bool{}
+		for _, r := range all {
+			kept[r] = true
+		}
+		var inOrder []*result
+		for _, rs := range byShard {
+			for _, r := range rs {
+				if kept[r] {
+					inOrder = append(inOrder, r)
+				}
 			}
 		}
-		return true
+		return slices.Equal(merged, inOrder)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -61,18 +75,25 @@ func TestMergeTakeIsConcatenateAndTruncate(t *testing.T) {
 }
 
 // TestMergeResultsAllocatesOnlyTheMergedSlice: writing the merge over the
-// shared cut did not add an allocation to the local query path.
+// shared cut did not add an allocation to the local query path, the shard
+// the cut falls in included.
 func TestMergeResultsAllocatesOnlyTheMergedSlice(t *testing.T) {
 	byShard := make([][]*search.Result, 4)
 	for i := range byShard {
 		byShard[i] = make([]*search.Result, 10)
+		for j := range byShard[i] {
+			byShard[i][j] = &search.Result{LCA: &xmltree.Node{Ord: 10 - j}}
+		}
 	}
 	for _, maxResults := range []int{0, 25} {
-		if a := testing.AllocsPerRun(100, func() { MergeResults(byShard, maxResults) }); a != 1 {
+		if a := testing.AllocsPerRun(100, func() { MergeResults(byShard, maxResults, LCAOf) }); a != 1 {
 			t.Fatalf("MergeResults(max %d) allocates %v times, want 1", maxResults, a)
 		}
 	}
 }
+
+// intLCA is countingRounds' LCA position: its results are their own.
+func intLCA(r int) int32 { return int32(r) }
 
 // countingRounds is a scripted Rounds that records how Merge drove it.
 type countingRounds struct {
@@ -155,7 +176,7 @@ func TestMergeRunsEachRoundOnlyWhenNeeded(t *testing.T) {
 	}
 	for _, tc := range cases {
 		r := &countingRounds{parts: tc.parts, whole: whole}
-		got, err := Merge(context.Background(), search.Options{Semantics: tc.sem, MaxResults: tc.max}, r)
+		got, err := Merge(context.Background(), search.Options{Semantics: tc.sem, MaxResults: tc.max}, r, intLCA)
 		if err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
@@ -176,12 +197,12 @@ func TestMergeRunsEachRoundOnlyWhenNeeded(t *testing.T) {
 	// document; a failed round one ends the query there.
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &countingRounds{parts: []Partial[int]{rootAnchored, hit(1)}, whole: whole, afterOne: cancel}
-	if _, err := Merge(ctx, search.Options{}, r); !errors.Is(err, context.Canceled) || r.wholes != 0 {
+	if _, err := Merge(ctx, search.Options{}, r, intLCA); !errors.Is(err, context.Canceled) || r.wholes != 0 {
 		t.Errorf("cancelled after round one: err %v, %d Whole; want context.Canceled, 0", err, r.wholes)
 	}
 	boom := errors.New("round one failed")
 	r = &countingRounds{parts: []Partial[int]{miss(second), miss(first)}, evalErr: boom}
-	if _, err := Merge(context.Background(), search.Options{Semantics: elca}, r); err != boom || r.wholes != 0 {
+	if _, err := Merge(context.Background(), search.Options{Semantics: elca}, r, intLCA); err != boom || r.wholes != 0 {
 		t.Errorf("failed round one: err %v, %d Whole; want %v, 0", err, r.wholes, boom)
 	}
 }

@@ -7,18 +7,17 @@ import (
 	"extract/internal/core"
 	"extract/internal/index"
 	"extract/internal/search"
-	"extract/internal/telemetry"
 	"extract/xmltree"
 )
 
-// FuzzRoundTwoMatchesWhole holds Merge's second round — composed from round
-// one's partials, nothing evaluated on or copied from the whole document — to
-// the engine over the unsharded document: a small random tree is split into
-// 2–4 shards, and for a query that takes round two the composed answer
-// (anchor and LCA global positions, in order) must be the whole engine's,
-// under either semantics, with or without DistinctAnchors, at any result
-// bound; a whole-document result's served snippet must be the whole engine's
-// root result's.
+// FuzzRoundTwoMatchesWhole holds Merge — round one's cut, and the second
+// round composed from round one's partials, nothing evaluated on or copied
+// from the whole document — to the engine over the unsharded document: a
+// small random tree is split into 2–4 shards, and every answer (anchor and
+// LCA global positions, in order) must be the whole engine's, under either
+// semantics, with or without DistinctAnchors, at any result bound; a
+// whole-document result's served snippet must be the whole engine's root
+// result's.
 //
 // Node k attaches below one of the nodes before it — counted from the root
 // when its shape byte is even, from the newest node when odd — and takes label
@@ -71,13 +70,9 @@ func FuzzRoundTwoMatchesWhole(f *testing.F) {
 			t.Fatal(err)
 		}
 		sc := Build(mk(), 2+int(n)%3)
-		sink := &telemetry.SpanSink{}
-		got, err := sc.SearchEnginesContext(telemetry.WithSpanSink(context.Background(), sink), q, opts, nil, nil)
+		got, err := sc.SearchEnginesContext(context.Background(), q, opts, nil, nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !sink.Fallback() {
-			return // round one's answer: not composed here
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%q %+v on %d shards: %d results, want %d", q, opts, sc.NumShards(), len(got), len(want))

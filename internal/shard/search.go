@@ -193,8 +193,12 @@ func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts s
 		}
 		return rs, serr
 	}
-	return Merge(ctx, opts, localRounds{sc, query, opts, engines, run})
+	return Merge(ctx, opts, localRounds{sc, query, opts, engines, run}, LCAOf)
 }
+
+// LCAOf returns the position of r's LCA in its document: the key the merge's
+// cut takes a shard's results by (AppendEarliest).
+func LCAOf(r *search.Result) int32 { return int32(r.LCA.Ord) }
 
 // localRounds is Merge's source of evidence for an in-process query: every
 // round reads this corpus's own shards.

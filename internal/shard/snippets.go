@@ -12,14 +12,18 @@ import (
 	"extract/internal/index"
 	"extract/internal/search"
 	"extract/internal/telemetry"
+	"extract/xmltree"
 )
 
 // Answer is the serving layer's one call into a local corpus: the query's
 // results (SearchEnginesContext, on engines built for this query) and, when
 // bound >= 0, one snippet per result at that bound, aligned with them, made
-// by the corpus's own generator (Snippets). bound < 0 is search only, with nil
-// snippets. The snippet fan-out's duration is noted on the query's span sink,
-// when ctx carries one.
+// by the corpus's own generator (Snippets) and handed over with its XML
+// rendered (core.Generated.XML) — here, once per computed answer, rather than
+// in Snippets, which a shard server runs too and whose router never reads its
+// bytes. bound < 0 is search only, with nil snippets. The duration of the
+// fan-out and the rendering is noted on the query's span sink, when ctx
+// carries one.
 func (sc *Corpus) Answer(ctx context.Context, query string, opts search.Options, run Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	rs, err := sc.SearchEnginesContext(ctx, query, opts, nil, run)
 	if err != nil || bound < 0 {
@@ -27,6 +31,11 @@ func (sc *Corpus) Answer(ctx context.Context, query string, opts search.Options,
 	}
 	start := time.Now()
 	gs, err := Snippets(ctx, run, sc.gen, rs, index.Tokenize(query), bound)
+	if err == nil {
+		for _, g := range gs {
+			g.XML = xmltree.XMLString(g.Snippet.Root)
+		}
+	}
 	if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
 		sink.NoteSnippets(time.Since(start))
 	}

@@ -160,3 +160,79 @@ func sameSnippetAccessors(t *testing.T, label string, want, got *Snippet) {
 		}
 	}
 }
+
+// TestLocalSnippetsDecodeOnRead: a local corpus keeps each snippet of a
+// query as its snippet record, as a router does, and decodes its tree and
+// IList the first time something reads them. For every local hit, ranked and
+// unranked, at 1 and 4 shards: XML, Edges and ResultKey answer without
+// decoding and equal what the inspection path (Corpus.Snippet) makes of the
+// hit's result; eight goroutines racing the first Root and IList reads all
+// see the one snippet a single decode made (the test runs under -race in
+// CI); every Snippet accessor then answers what the inspection path's does;
+// and the hit, held throughout, never changes. With the query cache on, the
+// first decode re-charges the entry it belongs to.
+func TestLocalSnippetsDecodeOnRead(t *testing.T) {
+	doc := gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11})
+	xml := xmltree.XMLString(doc.Root)
+	queries := []string{"store texas", "retailer", "clothes man", "houston", "stores"}
+	ctx := context.Background()
+	decoded := 0
+	for _, shards := range []int{1, 4} {
+		local, err := LoadString(xml, WithShards(shards), WithQueryCache(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			for _, opts := range [][]SearchOption{nil, {WithRanking()}} {
+				label := fmt.Sprintf("%d shards/%q ranked=%v", shards, q, opts != nil)
+				hits, err := local.QueryContext(ctx, q, 6, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, h := range hits {
+					label := fmt.Sprintf("%s hit %d", label, i)
+					s := h.Snippet
+					held := heldHit{h, must(h.Result.XML()), s.XML(), s.ResultKey()}
+					edges := s.Edges()
+					if pending, _ := s.g.Encoded(); !pending {
+						t.Fatalf("%s: XML, Edges and ResultKey decoded the snippet", label)
+					}
+					want := must(local.Snippet(h.Result, q, 6))
+					if edges != want.Edges() || held.snippet != want.XML() || held.key != want.ResultKey() {
+						t.Fatalf("%s: edges/XML/key differ from the inspection path's", label)
+					}
+					if pending, _ := s.g.Encoded(); !pending {
+						t.Fatalf("%s: the inspection path decoded the served snippet", label)
+					}
+					raceFirstRead(t, label, s)
+					sameSnippetAccessors(t, label, want, s)
+					held.check(t, label)
+					decoded++
+				}
+			}
+		}
+		local.Close()
+	}
+	t.Logf("%d local hits decoded on read", decoded)
+	if decoded < 20 {
+		t.Fatalf("only %d local hits decoded", decoded)
+	}
+
+	// With the cache on, the first decode re-charges the entry.
+	local, err := LoadString(xml, WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	hits, err := local.Query("store texas", 6)
+	if err != nil || len(hits) == 0 {
+		t.Fatalf("%d hits, %v", len(hits), err)
+	}
+	before := local.server().Stats().Bytes
+	for _, h := range hits {
+		h.Snippet.Root()
+	}
+	if after := local.server().Stats().Bytes; after <= before {
+		t.Fatalf("decoding %d snippets left the entry charged %d bytes, was %d", len(hits), after, before)
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"extract/internal/ilist"
 	"extract/internal/index"
 	"extract/internal/keys"
+	rec "extract/internal/record"
 	"extract/internal/search"
 	"extract/internal/selector"
 	"extract/xmltree"
@@ -109,15 +110,16 @@ const (
 )
 
 // Generator produces snippets for query results over one corpus. It keeps
-// a pool of feature collectors, whose scratch — the tables and logs of the
-// one fold a snippet makes over its result's elements — is reused across
-// results, so a snippet allocates what it returns and little else. There are
-// two entry points over one body (generate): the inspection path
-// (ForTree*, ForResult*) returns the result's feature statistics with the
-// snippet, as a Stats of their own; the served path (ServeResult, which
-// shard.Snippets runs) returns none, and folds them into the borrowed
-// collector's reusable Stats instead. A Generator is safe for concurrent use
-// by multiple goroutines (the snippet fan-out shares one).
+// a pool of workers — a feature collector, whose scratch is the tables and
+// logs of the one fold a snippet makes over its result's elements, with an
+// IList and a record buffer beside it — reused across results, so a snippet
+// allocates what it returns and little else. There are two entry points
+// over one pipeline: the inspection path (ForTree*, ForResult*) returns the
+// snippet tree, the IList and the result's feature statistics, each of its
+// own; the served path (ServeResult, which shard.Snippets runs, and Record,
+// which a shard server runs) derives all three in the worker's scratch and
+// keeps only the snippet's record. A Generator is safe for concurrent use by
+// multiple goroutines (the snippet fan-out shares one).
 type Generator struct {
 	Corpus *Corpus
 	// Algorithm picks greedy (default) or exact selection.
@@ -125,58 +127,76 @@ type Generator struct {
 	// Exact configures AlgExact.
 	Exact selector.ExactConfig
 
-	collectors sync.Pool
+	workers sync.Pool
 }
 
 // NewGenerator returns a greedy generator for the corpus.
 func NewGenerator(c *Corpus) *Generator { return &Generator{Corpus: c} }
 
-// collector borrows a feature collector for the corpus; putCollector
-// releases its scratch Stats and returns it for reuse.
-func (g *Generator) collector() *features.Collector {
-	if c, ok := g.collectors.Get().(*features.Collector); ok {
-		return c
+// worker is one snippet's pooled working state: the feature collector, and
+// on the served path the IList and the record being written.
+type worker struct {
+	col *features.Collector
+	il  ilist.IList
+	rec []byte
+}
+
+// keepRecord bounds the record buffer a pooled worker keeps: past it, a
+// record's buffer is garbage with it.
+const keepRecord = 1 << 20
+
+// worker borrows a worker for the corpus; put empties its scratch — the
+// statistics, the IList's strings — and returns it for reuse.
+func (g *Generator) worker() *worker {
+	if w, ok := g.workers.Get().(*worker); ok {
+		return w
 	}
-	return features.NewCollector(g.Corpus.Cls)
+	return &worker{col: features.NewCollector(g.Corpus.Cls)}
 }
 
-func (g *Generator) putCollector(c *features.Collector) {
-	c.ReleaseScratch()
-	g.collectors.Put(c)
+func (g *Generator) put(w *worker) {
+	w.col.ReleaseScratch()
+	w.il.Reset()
+	if cap(w.rec) > keepRecord {
+		w.rec = nil
+	}
+	g.workers.Put(w)
 }
 
-// Generated is a snippet with the intermediate artifacts of its derivation,
-// for inspection, metrics and the demo UI. What a result page shows — XML,
-// Edges and ResultKey — is set on every snippet a backend hands over. The
-// artifacts — Snippet, IList — are set on a snippet made here; a snippet that
-// arrived as a wire record (Deferred) keeps the record instead, and has them
-// nil until Derived decodes them. Read them through Derived.
+// Generated is a snippet with the intermediate artifacts of its derivation.
+// What a result page shows — XML, Edges and ResultKey — is set on every
+// snippet a backend hands over. A served snippet — every backend's, made by
+// Served from the record a local corpus wrote (ServeResult) or a router
+// received — is its record and nothing else: Snippet,
+// IList and Stats are nil, and Derived decodes the snippet tree and the IList
+// from the record the first time a reader asks. A snippet of the inspection
+// path (ForTree*, ForResult*) has its artifacts set, and is its own Derived.
+// Read the artifacts through Derived.
 type Generated struct {
 	Snippet *selector.Snippet
 	IList   *ilist.IList
 	// Stats are the feature statistics the IList and the selection were
-	// derived from, on the inspection path (ForTree*, ForResult*). They are
-	// sized by the result, not by the snippet, so nil on a served snippet
-	// (ServeResult): its statistics lived in per-worker scratch, which is
-	// reused for the next result once the snippet is made. Nothing else in
-	// a Generated refers to them.
+	// derived from, on the inspection path only. They are sized by the
+	// result, not by the snippet; a served snippet's lived in per-worker
+	// scratch, reused for the next result once its record was written.
+	// Nothing else in a Generated refers to them.
 	Stats    *features.Stats
 	Keywords []string
 	Bound    int
-	// XML is the snippet tree serialized (xmltree.XMLString), filled by
-	// whoever hands the snippet to a reader — a backend's answer, once per
-	// computed answer — and empty as the generator returns it.
+	// XML is the snippet tree serialized (xmltree.XMLString): rendered from
+	// the record by Served on every served snippet, and filled by whoever
+	// hands an inspected one to a reader.
 	XML string
 	// Edges is the snippet's size in edges (Snippet.Edges), and ResultKey
 	// the key value identifying its result, "" if none (IList.KeyValue).
 	Edges     int
 	ResultKey string
 
-	// record is set on a deferred snippet only.
+	// record is set on a served snippet only.
 	record *record
 }
 
-// record is what a deferred snippet holds instead of its artifacts: the
+// record is what a served snippet holds instead of its artifacts: the
 // encoding they are decoded from, how, and the decoded snippet once the
 // first reader has asked.
 type record struct {
@@ -185,6 +205,20 @@ type record struct {
 
 	mu      sync.Mutex
 	derived atomic.Pointer[Generated]
+}
+
+// Served returns the served snippet of a snippet record (internal/record),
+// on every backend: a local corpus's and a shard server's generator write
+// one (Record), a router keeps the one that arrived, in the payload it
+// arrived in. It renders the XML once, from a scratch tree built into into
+// (nil: a pooled one) and dropped, reads the edge count and the result key,
+// and keeps the record, from which Derived decodes the snippet tree and the
+// IList when a reader asks. enc must be a record a scan has validated or a
+// generator has written, and stay as it is for as long as the snippet
+// lives; kws and bound are the request's.
+func Served(enc string, kws []string, bound int, into *rec.Tree) *Generated {
+	xml, edges, key := rec.Shown(enc, into)
+	return Deferred(enc, rec.Snippet, xml, edges, key, kws, bound)
 }
 
 // Deferred returns a snippet whose artifacts stay encoded in enc until a
@@ -206,8 +240,8 @@ func Deferred(enc string, decode func(string) (*selector.Snippet, *ilist.IList),
 	return &d.g
 }
 
-// Derived returns the snippet with its artifacts: g itself when it was made
-// here, and for a deferred snippet the one decoded from its record the first
+// Derived returns the snippet with its artifacts: g itself on the inspection
+// path, and for a served snippet the one decoded from its record the first
 // time anything asks — one decode, whichever of any concurrent first readers
 // runs it, and the same snippet for every later reader. g itself never
 // changes.
@@ -231,8 +265,9 @@ func (g *Generated) Derived() *Generated {
 	return d
 }
 
-// Encoded reports whether g is a deferred snippet whose artifacts have not
-// been decoded yet (Derived), and the length of the record it keeps.
+// Encoded reports whether g is a served snippet whose artifacts have not
+// been decoded yet (Derived), and the length of the record it keeps (0 on
+// the inspection path).
 func (g *Generated) Encoded() (pending bool, bytes int) {
 	if g.record == nil {
 		return false, 0
@@ -251,45 +286,48 @@ func (g *Generator) ForTree(result *xmltree.Document, query string, bound int) *
 // of the generator's own corpus document is snippeted from that corpus's
 // index; any other tree is read.
 func (g *Generator) ForTreeTokens(result *xmltree.Document, kws []string, bound int) *Generated {
-	return g.generate(g.Corpus.Index, result, nil, kws, bound, false)
+	return g.inspect(g.Corpus.Index, result, nil, kws, bound)
 }
 
-// generate snippets one result; ix is the index of the document the result
+// derive runs the pipeline on one result with w up to the selection, which
+// the caller reads and releases. ix is the index of the document the result
 // is a view of, nil when it is a tree of its own (features.CollectResult
-// checks, so a handle that is not this tree's is as good as none). A served
-// snippet's statistics are folded into the borrowed collector's scratch
-// Stats, which stays borrowed until the selection has read it and is not
-// returned; otherwise they are a Stats of their own, returned with the
-// snippet. A whole-document result of a sharded corpus (search.Whole) comes
-// as its view instead of a tree: its statistics are the view's, folded once
-// and shared (features.Collector.Whole), and the selection reads the shards
-// through them.
-func (g *Generator) generate(ix *index.Index, result *xmltree.Document, whole *index.Whole, kws []string, bound int, served bool) *Generated {
-	col := g.collector()
-	defer g.putCollector(col)
+// checks, so a handle that is not this tree's is as good as none). A
+// whole-document result of a sharded corpus (search.Whole) comes as its view
+// instead of a tree: its statistics are the view's, folded once and shared
+// (features.Collector.Whole), and the selection reads the shards through
+// them. A served result's statistics fold into the collector's own Stats
+// and its IList builds into w's; otherwise both are the result's own.
+func (g *Generator) derive(w *worker, ix *index.Index, result *xmltree.Document, whole *index.Whole, kws []string, bound int, served bool) (*features.Stats, *ilist.IList, *selector.Selection) {
 	var stats *features.Stats
 	var root *xmltree.Node
 	switch {
 	case whole != nil:
-		stats, root = col.Whole(whole), whole.Node(0)
+		stats, root = w.col.Whole(whole), whole.Node(0)
 	case served:
-		stats, root = col.CollectScratch(ix, result), result.Root
+		stats, root = w.col.CollectScratch(ix, result), result.Root
 	default:
-		stats, root = col.CollectResult(ix, result), result.Root
+		stats, root = w.col.CollectResult(ix, result), result.Root
 	}
-	il := ilist.Build(root, kws, g.Corpus.Cls, g.Corpus.Keys, stats)
-	var sn *selector.Snippet
-	switch g.Algorithm {
-	case AlgExact:
-		sn = selector.Exact(result, il, stats, bound, g.Exact)
-	default:
-		sn = selector.Greedy(result, il, g.Corpus.Cls, stats, bound)
-	}
-	out := &Generated{Snippet: sn, IList: il, Keywords: kws, Bound: bound, Edges: sn.Edges, ResultKey: il.KeyValue}
+	il := &w.il
 	if !served {
-		out.Stats = stats
+		il = &ilist.IList{}
 	}
-	return out
+	ilist.BuildInto(il, root, kws, g.Corpus.Cls, g.Corpus.Keys, stats)
+	if g.Algorithm == AlgExact {
+		return stats, il, selector.ExactSelection(result, il, stats, bound, g.Exact)
+	}
+	return stats, il, selector.GreedySelection(result, il, stats, bound)
+}
+
+// inspect snippets one result on the inspection path (derive): the snippet
+// tree, the IList and the statistics are returned, each of its own.
+func (g *Generator) inspect(ix *index.Index, result *xmltree.Document, whole *index.Whole, kws []string, bound int) *Generated {
+	w := g.worker()
+	defer g.put(w)
+	stats, il, sel := g.derive(w, ix, result, whole, kws, bound, false)
+	sn := sel.Snippet()
+	return &Generated{Snippet: sn, IList: il, Stats: stats, Keywords: kws, Bound: bound, Edges: sn.Edges, ResultKey: il.KeyValue}
 }
 
 // ForResult generates a snippet for a search result.
@@ -302,25 +340,34 @@ func (g *Generator) ForResult(r *search.Result, query string, bound int) *Genera
 // (search.Result.Index), so one generator over a corpus's shared analysis
 // serves the results of every shard.
 func (g *Generator) ForResultTokens(r *search.Result, kws []string, bound int) *Generated {
-	return g.forResult(r, kws, bound, false)
+	view, _ := r.Whole()
+	return g.inspect(r.Index, r.Doc, view, kws, bound)
 }
 
-func (g *Generator) forResult(r *search.Result, kws []string, bound int, served bool) *Generated {
-	if w, _ := r.Whole(); w != nil {
-		return g.generate(nil, nil, w, kws, bound, served)
-	}
-	return g.generate(r.Index, r.Doc, nil, kws, bound, served)
+// Record writes the snippet of a search result that is sent or served rather
+// than inspected, and returns its record (internal/record) — the same
+// snippet and IList ForResultTokens derives, in the bytes a snippets response
+// carries. The statistics, the IList and the selection are the worker's
+// scratch (derive), from which the record is written; none of them is kept,
+// so a record allocates itself and nothing sized by the result, its IList or
+// its snippet tree. A shard server sends it as it is.
+func (g *Generator) Record(r *search.Result, kws []string, bound int) string {
+	w := g.worker()
+	defer g.put(w)
+	view, _ := r.Whole()
+	_, il, sel := g.derive(w, r.Index, r.Doc, view, kws, bound, true)
+	w.rec = rec.AppendSnippet(w.rec[:0], sel, sel.Edges, il, sel.Covered, sel.Skipped)
+	sel.Release()
+	return string(w.rec)
 }
 
-// ServeResult is ForResultTokens for a snippet that is sent or cached rather
-// than inspected: the same snippet and IList, with nil Stats. The
-// statistics are folded into the borrowed collector's reusable Stats
-// (features.Collector.CollectScratch) and the collector is held until the
-// selection ends, so serving a snippet allocates what the snippet returns —
-// nothing sized by the result. Only the snippet fan-out (shard.Snippets)
-// calls it; inspection keeps owned Stats, which its callers read.
+// ServeResult is the served snippet of a search result (Served over its
+// Record): its XML, edges and key, and its record, from which a reader's
+// first Derived decodes the snippet tree and the IList. Only the snippet
+// fan-out (shard.Snippets) calls it; inspection keeps owned artifacts, which
+// its callers read.
 func (g *Generator) ServeResult(r *search.Result, kws []string, bound int) *Generated {
-	return g.forResult(r, kws, bound, true)
+	return Served(g.Record(r, kws, bound), kws, bound, nil)
 }
 
 // SnippetedResult pairs a search result with its generated snippet.

@@ -791,17 +791,17 @@ func (s *Stats) FirstEntity(label string) *xmltree.Node {
 	return nil
 }
 
-// HighestEntities returns the entity labels that occur in the result with
-// no entity above them, in first-seen order.
-func (s *Stats) HighestEntities() []string {
+// AppendHighestEntities appends the entity labels that occur in the result
+// with no entity above them, in first-seen order, to dst.
+func (s *Stats) AppendHighestEntities(dst []string) []string {
 	if len(s.highest) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]string, len(s.highest))
-	for i, e := range s.highest {
-		out[i] = s.entLabels[e]
+	dst = slices.Grow(dst, len(s.highest))
+	for _, e := range s.highest {
+		dst = append(dst, s.entLabels[e])
 	}
-	return out
+	return dst
 }
 
 // EntityAttrs returns the (entity label, attribute-child label) pairs that

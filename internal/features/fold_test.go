@@ -15,7 +15,7 @@ import (
 // foldsAgree takes every element of doc as a result root and holds the three
 // ways its statistics can be gathered to the oracle's, on the complete
 // observable surface (statsEqual: ids, counts, Dominant, EntityAttrs,
-// HighestEntities, every instance list): the fold over the run of the
+// AppendHighestEntities, every instance list): the fold over the run of the
 // index's columns (an index made by Build, and one restored by FromParts
 // that derives its columns on first use), the fold over columns filled into
 // the collector's scratch from the view, and the same on the result's owned

@@ -189,8 +189,8 @@ func statsEqual(t testing.TB, name string, got *Stats, want *oracle) {
 			t.Fatalf("%s: instances of entity %q differ", name, l)
 		}
 	}
-	if !reflect.DeepEqual(got.HighestEntities(), want.highest) {
-		t.Fatalf("%s: highest entities differ: %v vs %v", name, got.HighestEntities(), want.highest)
+	if !reflect.DeepEqual(got.AppendHighestEntities(nil), want.highest) {
+		t.Fatalf("%s: highest entities differ: %v vs %v", name, got.AppendHighestEntities(nil), want.highest)
 	}
 	pairs := map[[2]string]int{}
 	for _, p := range got.EntityAttrs() {

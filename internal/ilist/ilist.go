@@ -97,10 +97,22 @@ type IList struct {
 func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 	km *keys.Keys, stats *features.Stats) *IList {
 
-	il := &IList{}
+	return BuildInto(&IList{}, root, keywords, cls, km, stats)
+}
+
+// BuildInto is Build filling il, whose items and return entities are
+// overwritten in place and grown only when they are short, and returns it: a
+// caller that keeps no list (the served snippet path, core.Generator) builds
+// into scratch of its own and allocates nothing once it has grown to the
+// lists it sees. Empty il before pooling it (Reset): its strings are the
+// corpus's.
+func BuildInto(il *IList, root *xmltree.Node, keywords []string, cls *classify.Classification,
+	km *keys.Keys, stats *features.Stats) *IList {
+
 	dominant := stats.Dominant()
 	labels := stats.EntityLabels()
-	il.Items = make([]Item, 0, len(keywords)+len(labels)+1+len(dominant))
+	il.Reset()
+	il.Items = slices.Grow(il.Items, len(keywords)+len(labels)+1+len(dominant))
 	sc := scratches.Get().(*scratch)
 	defer sc.release()
 	add := func(it Item) bool {
@@ -125,7 +137,7 @@ func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 
 	// 3. Result key of the return entity.
 	if root != nil {
-		il.ReturnEntities = returnEntities(sc, keywords, stats)
+		il.ReturnEntities = returnEntities(sc, il.ReturnEntities, keywords, stats)
 	}
 	for _, re := range il.ReturnEntities {
 		inst := stats.FirstEntity(re)
@@ -169,14 +181,23 @@ func keyNode(km *keys.Keys, cls *classify.Classification, stats *features.Stats,
 	return km.KeyNodeOf(cls, inst)
 }
 
+// Reset empties il, keeping the room its items and return entities have,
+// and drops every string it held.
+func (il *IList) Reset() {
+	clear(il.Items)
+	clear(il.ReturnEntities)
+	*il = IList{Items: il.Items[:0], ReturnEntities: il.ReturnEntities[:0]}
+}
+
 // returnEntities applies the paper's heuristics: an entity label is a
 // return entity if its name matches a keyword or one of its attribute names
 // (observed on instances in this result) matches a keyword. If none
 // qualifies, the highest entities in the result — instances without entity
 // ancestors — are the default. Name matches come in the order the labels
 // first occur; attribute-name matches in the order of the first instance
-// that has a matching attribute child.
-func returnEntities(sc *scratch, keywords []string, stats *features.Stats) []string {
+// that has a matching attribute child. They are appended to out, which is
+// empty.
+func returnEntities(sc *scratch, out []string, keywords []string, stats *features.Stats) []string {
 	for _, k := range keywords {
 		sc.lower = append(sc.lower, strings.ToLower(k))
 	}
@@ -188,7 +209,6 @@ func returnEntities(sc *scratch, keywords []string, stats *features.Stats) []str
 		return hit
 	}
 
-	var out []string
 	for _, l := range stats.EntityLabels() {
 		if tokenHit(l) {
 			out = append(out, l)
@@ -199,23 +219,18 @@ func returnEntities(sc *scratch, keywords []string, stats *features.Stats) []str
 	// Per entity label, the earliest instance with a matching attribute
 	// child (the pairs are a handful: one per distinct entity/attribute
 	// label combination in the result).
-	type match struct {
-		entity string
-		first  int
-	}
-	var byAttr []match
 	for _, p := range stats.EntityAttrs() {
 		if !tokenHit(p.Attr) {
 			continue
 		}
-		if i := slices.IndexFunc(byAttr, func(m match) bool { return m.entity == p.Entity }); i < 0 {
-			byAttr = append(byAttr, match{p.Entity, p.First})
-		} else if p.First < byAttr[i].first {
-			byAttr[i].first = p.First
+		if i := slices.IndexFunc(sc.byAttr, func(m attrMatch) bool { return m.entity == p.Entity }); i < 0 {
+			sc.byAttr = append(sc.byAttr, attrMatch{p.Entity, p.First})
+		} else if p.First < sc.byAttr[i].first {
+			sc.byAttr[i].first = p.First
 		}
 	}
-	slices.SortFunc(byAttr, func(a, b match) int { return a.first - b.first })
-	for _, m := range byAttr {
+	slices.SortFunc(sc.byAttr, func(a, b attrMatch) int { return a.first - b.first })
+	for _, m := range sc.byAttr {
 		if !slices.Contains(out[:byName], m.entity) {
 			out = append(out, m.entity)
 		}
@@ -223,16 +238,24 @@ func returnEntities(sc *scratch, keywords []string, stats *features.Stats) []str
 	if len(out) > 0 {
 		return out
 	}
-	return stats.HighestEntities()
+	return stats.AppendHighestEntities(out)
 }
 
 // scratch is Build's working state, pooled, so a list allocates what it
 // returns and nothing per item: the texts admitted so far, the sorted entity
-// labels and the lower-cased keywords.
+// labels, the lower-cased keywords and the attribute-name matches.
 type scratch struct {
 	keys          []string // the admitted texts, in order
 	labels, lower []string
-	tok           []byte // returnEntities' token buffer (index.EachTokenIn)
+	tok           []byte      // returnEntities' token buffer (index.EachTokenIn)
+	byAttr        []attrMatch // returnEntities' attribute-name matches
+}
+
+// attrMatch is an entity label and the earliest instance of it with an
+// attribute child whose label holds a keyword.
+type attrMatch struct {
+	entity string
+	first  int
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
@@ -262,7 +285,8 @@ func (sc *scratch) release() {
 	clear(sc.keys)
 	clear(sc.labels)
 	clear(sc.lower)
-	sc.keys, sc.labels, sc.lower = sc.keys[:0], sc.labels[:0], sc.lower[:0]
+	clear(sc.byAttr)
+	sc.keys, sc.labels, sc.lower, sc.byAttr = sc.keys[:0], sc.labels[:0], sc.lower[:0], sc.byAttr[:0]
 	scratches.Put(sc)
 }
 

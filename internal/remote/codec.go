@@ -4,15 +4,14 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
-	"sync"
 	"unsafe"
 
 	"extract/internal/bin"
 	"extract/internal/core"
 	"extract/internal/ilist"
 	"extract/internal/index"
+	"extract/internal/record"
 	"extract/internal/search"
-	"extract/internal/selector"
 	"extract/internal/shard"
 	"extract/xmltree"
 )
@@ -239,35 +238,11 @@ func boolByte(v bool) byte {
 
 // --- trees ---
 
-const (
-	nodeKindText = 1 << iota
-	nodeFromAttr
-)
-
-// appendNode appends one node record: flags, label or value, child count.
-func appendNode(b []byte, n *xmltree.Node) []byte { return appendNodeWith(b, n, len(n.Children)) }
-
-// appendNodeWith is appendNode for a node of kids children.
-func appendNodeWith(b []byte, n *xmltree.Node, kids int) []byte {
-	var flags byte
-	s := n.Label
-	if n.IsText() {
-		flags |= nodeKindText
-		s = n.Value
-	}
-	if n.FromAttr {
-		flags |= nodeFromAttr
-	}
-	b = append(b, flags)
-	b = appendString(b, s)
-	return binary.AppendUvarint(b, uint64(kids))
-}
-
 // scanTree validates one tree's node records in place — a node count in
 // (0, maxTreeNodes], then that many records in preorder — and returns the
-// count. Everything buildNodes reads is checked: the tree's shape, every
-// string length, and the child-count sum its arena is sized from. It is the
-// decoder's innermost loop — every node of every shipped result passes
+// count. Everything record.Reader.BuildNodes reads is checked: the tree's
+// shape, every string length, and the child-count sum its arena is sized
+// from. It is the decoder's innermost loop — every node of every shipped result passes
 // through it — so it works on local copies of the cursor's state.
 func (c *cursor) scanTree(what string) int {
 	total := c.count("tree node", maxTreeNodes, 3) // flags, a text length, a child count
@@ -306,7 +281,7 @@ func (c *cursor) scanTree(what string) int {
 			c.Fail("child count %d exceeds the %s tree's %d nodes", kids, what, total)
 			return 0
 		}
-		if flags&nodeKindText != 0 && kids != 0 {
+		if flags&record.FlagText != 0 && kids != 0 {
 			c.Fail("text node with %d children", kids)
 			return 0
 		}
@@ -317,7 +292,7 @@ func (c *cursor) scanTree(what string) int {
 			return 0
 		}
 		if kids > 0 {
-			// buildNodes carves every Children slice out of one total-1 arena.
+			// BuildNodes carves every Children slice out of one total-1 arena.
 			if children += int(kids); children > total-1 {
 				c.Fail("child counts exceed the %s tree's %d nodes", what, total)
 				return 0
@@ -353,146 +328,6 @@ func uvarintAt(data []byte, off int) (uint64, int) {
 	return v, off + n
 }
 
-// slabChunk bounds one allocation of a built tree's node slab: 192 nodes ×
-// 104 B = 19.5 KB stays inside the allocator's small size classes. One slab
-// per result (≈ 38 KB at the benchmark's mean result size, a large-object
-// span each) measurably raised peak RSS.
-const slabChunk = 192
-
-// validated walks an encoding a scan has accepted; it checks nothing.
-type validated struct {
-	text string
-	off  int
-}
-
-func (v *validated) u8() byte {
-	b := v.text[v.off]
-	v.off++
-	return b
-}
-
-func (v *validated) uvarint() int {
-	var x uint64
-	for shift := uint(0); ; shift += 7 {
-		b := v.u8()
-		x |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return int(x)
-		}
-	}
-}
-
-func (v *validated) varint() int {
-	u := uint64(v.uvarint())
-	return int(int64(u>>1) ^ -int64(u&1))
-}
-
-func (v *validated) u64() uint64 {
-	var x uint64
-	for i := range 8 {
-		x |= uint64(v.u8()) << (8 * i)
-	}
-	return x
-}
-
-func (v *validated) str() string {
-	n := v.uvarint()
-	v.off += n
-	return v.text[v.off-n : v.off]
-}
-
-// buildNodes materializes the node records of one scanned tree at v, the way
-// internal/persist loads a document: nodes arrive in preorder with their child
-// counts, so a single pass fills a node slab, carves every Children slice out
-// of one arena and links Parent as it goes. Allocations are a constant plus
-// one per slab chunk, none per node — none at all when the nodes go into a
-// scratch tree (into), whose storage the next tree reuses; every label and
-// value is a substring of v's text. With syms the nodes are a result tree's —
-// symbol ids assigned as NewDocument would, Ord/Start/End set as preorder
-// positions — ready for xmltree.AdoptFinalized; without, they are a snippet
-// tree's, which carries neither, like the generator's own.
-func (v *validated) buildNodes(syms *xmltree.Symbols, into *scratchTree) []*xmltree.Node {
-	total := v.uvarint()
-	var ptrs []*xmltree.Node
-	var slab []xmltree.Node
-	if into != nil {
-		ptrs, slab = into.reset(total)
-	} else {
-		ptrs = make([]*xmltree.Node, 2*total-1)
-	}
-	nodes, childArena := ptrs[:total:total], ptrs[total:]
-	var open *xmltree.Node // innermost node with unfilled child slots
-	for i := range nodes {
-		if len(slab) == 0 {
-			slab = make([]xmltree.Node, min(total-i, slabChunk))
-		}
-		n := &slab[0]
-		slab = slab[1:]
-		nodes[i] = n
-
-		flags := v.u8()
-		if flags&nodeKindText != 0 {
-			n.Kind = xmltree.KindText
-			n.Value = v.str()
-		} else {
-			n.Label = v.str()
-		}
-		n.FromAttr = flags&nodeFromAttr != 0
-		if syms != nil {
-			syms.Assign(n)
-			n.Ord, n.Start, n.End = i, int32(i), int32(i)
-		}
-		if open != nil {
-			n.Parent = open
-			open.Children = append(open.Children, n)
-		}
-		if kids := v.uvarint(); kids > 0 {
-			n.Children = childArena[:0:kids]
-			childArena = childArena[kids:]
-			open = n
-			continue
-		}
-		// A leaf closes every ancestor whose last slot it (transitively)
-		// filled.
-		for open != nil && len(open.Children) == cap(open.Children) {
-			if syms != nil {
-				open.End = int32(i)
-			}
-			open = open.Parent
-		}
-	}
-	return nodes
-}
-
-// scratchTree is storage buildNodes reuses from one tree to the next: what
-// the snippets round renders each snippet's XML from, the tree dropped once
-// it is rendered. It is pooled (scratchTrees) and emptied before it goes
-// back, so a pooled one pins no payload.
-type scratchTree struct {
-	ptrs  []*xmltree.Node
-	nodes []xmltree.Node
-}
-
-var scratchTrees = sync.Pool{New: func() any { return new(scratchTree) }}
-
-// reset returns storage for a tree of total nodes: buildNodes' pointer arena
-// and a zeroed node slab.
-func (s *scratchTree) reset(total int) ([]*xmltree.Node, []xmltree.Node) {
-	if cap(s.nodes) < total {
-		s.nodes = make([]xmltree.Node, total)
-		s.ptrs = make([]*xmltree.Node, 2*total-1)
-	}
-	s.nodes = s.nodes[:total]
-	clear(s.nodes)
-	return s.ptrs[:2*total-1], s.nodes
-}
-
-// release empties s and puts it back in the pool.
-func (s *scratchTree) release() {
-	clear(s.nodes)
-	scratchTrees.Put(s)
-}
-
 // --- results ---
 
 // appendResult encodes one result's tree record losslessly: the result tree
@@ -510,7 +345,7 @@ func appendResult(b []byte, r *search.Result) []byte {
 	nodes := r.Doc.Nodes()
 	b = binary.AppendUvarint(b, uint64(len(nodes)))
 	for _, n := range nodes {
-		b = appendNode(b, n)
+		b = record.AppendNode(b, n, len(n.Children))
 	}
 
 	// The LCA and the matches are source-document nodes. Inside a view
@@ -575,10 +410,10 @@ func appendWhole(b []byte, r *search.Result, w *index.Whole, lca int32) []byte {
 		kids += len(ix.Document().Root.Children)
 	}
 	root := w.Node(0)
-	b = appendNodeWith(b, root, kids)
+	b = record.AppendNode(b, root, kids)
 	for _, ix := range w.Parts() {
 		for _, n := range ix.Document().Nodes()[1:] {
-			b = appendNode(b, n)
+			b = record.AppendNode(b, n, len(n.Children))
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(lca)+1)
@@ -640,7 +475,7 @@ func (c *cursor) scanResult() treeRecord {
 func (t treeRecord) build() *search.Result { return buildResult(unsafeString(t.enc)) }
 
 // buildResult materializes a scanned tree record as a finalized document of
-// its own (buildNodes, then xmltree.AdoptFinalized). Every label, value and
+// its own (record.Reader.BuildNodes, then xmltree.AdoptFinalized). Every label, value and
 // match keyword is a substring of enc — of a routed tree's response payload,
 // which nothing may reuse once records alias it (readFrame). Anchor is the
 // rebuilt root and the matches are lists of the rebuilt tree's nodes
@@ -651,20 +486,20 @@ func (t treeRecord) build() *search.Result { return buildResult(unsafeString(t.e
 // interned here, as NewDocument would (a result has few distinct strings next
 // to its nodes).
 func buildResult(enc string) *search.Result {
-	v := validated{text: enc}
-	nodes := v.buildNodes(xmltree.NewSymbols(), nil)
+	v := record.Reader{Text: enc}
+	nodes := v.BuildNodes(xmltree.NewSymbols(), nil)
 	root := nodes[0]
 	r := &search.Result{Root: root, Doc: xmltree.AdoptFinalized(nodes), Anchor: root, LCA: root}
-	if lca := v.uvarint(); lca > 0 {
+	if lca := v.Uvarint(); lca > 0 {
 		r.LCA = nodes[lca-1]
 	}
-	kws := make([]string, v.uvarint())
+	kws := make([]string, v.Uvarint())
 	lists := make([]*index.PostingList, len(kws))
 	for i := range kws {
-		kws[i] = v.str()
-		ms := make([]*xmltree.Node, v.uvarint())
+		kws[i] = v.Str()
+		ms := make([]*xmltree.Node, v.Uvarint())
 		for j := range ms {
-			ms[j] = nodes[v.uvarint()]
+			ms[j] = nodes[v.Uvarint()]
 		}
 		lists[i] = index.PackNodes(ms)
 	}
@@ -768,9 +603,9 @@ func (c *cursor) shipped(shard int32, terms int) scanned {
 // something reads it.
 func (s scanned) take(at *answerTrees, i int) *search.Result {
 	var depths []search.KeywordDepth
-	dep := validated{text: unsafeString(s.depths)}
+	dep := record.Reader{Text: unsafeString(s.depths)}
 	for _, kw := range at.terms {
-		if d := dep.uvarint(); d > 0 {
+		if d := dep.Uvarint(); d > 0 {
 			depths = append(depths, search.KeywordDepth{Keyword: kw, Depth: d - 1})
 		}
 	}
@@ -811,62 +646,6 @@ func (c *cursor) results(shard int32, terms int) []scanned {
 }
 
 // --- snippets ---
-
-// appendSnippet encodes one generated snippet as the router's serving layer
-// replays it: the snippet tree in preorder (node records, as a result tree's),
-// its edge count, the IList — every item's kind, text, feature (entity,
-// attribute, value), feature id and exact score bits, then the return
-// entities and the result key — and the covered and skipped item indexes.
-// The feature statistics and the generation time are not sent; a served
-// snippet drops them.
-func appendSnippet(b []byte, g *core.Generated) []byte {
-	b = binary.AppendUvarint(b, uint64(subtreeSize(g.Snippet.Root)))
-	b = appendSubtree(b, g.Snippet.Root)
-	b = binary.AppendUvarint(b, uint64(g.Snippet.Edges))
-	il := g.IList
-	b = binary.AppendUvarint(b, uint64(len(il.Items)))
-	for _, it := range il.Items {
-		b = append(b, byte(it.Kind))
-		b = appendString(b, it.Text)
-		b = appendString(b, it.Feature.Entity)
-		b = appendString(b, it.Feature.Attr)
-		b = appendString(b, it.Feature.Value)
-		b = binary.AppendVarint(b, int64(it.FeatureID))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(it.Score))
-	}
-	b = binary.AppendUvarint(b, uint64(len(il.ReturnEntities)))
-	for _, e := range il.ReturnEntities {
-		b = appendString(b, e)
-	}
-	b = appendString(b, il.KeyAttr)
-	b = appendString(b, il.KeyValue)
-	b = appendIndexes(b, g.Snippet.Covered)
-	return appendIndexes(b, g.Snippet.Skipped)
-}
-
-func subtreeSize(n *xmltree.Node) int {
-	size := 1
-	for _, c := range n.Children {
-		size += subtreeSize(c)
-	}
-	return size
-}
-
-func appendSubtree(b []byte, n *xmltree.Node) []byte {
-	b = appendNode(b, n)
-	for _, c := range n.Children {
-		b = appendSubtree(b, c)
-	}
-	return b
-}
-
-func appendIndexes(b []byte, idx []int) []byte {
-	b = binary.AppendUvarint(b, uint64(len(idx)))
-	for _, i := range idx {
-		b = binary.AppendUvarint(b, uint64(i))
-	}
-	return b
-}
 
 // minItemBytes is the shortest encoded IList item: kind, four empty strings,
 // a one-byte feature id and the eight score bytes.
@@ -914,73 +693,12 @@ func (c *cursor) scanSnippet() []byte {
 }
 
 // servedSnippet is what the router keeps of a scanned snippet record: the
-// record itself, over the payload it arrived in, which nothing may reuse once
-// records alias it (readFrame). What a result page reads is taken from it
-// once — the XML, rendered from a scratch tree built into into (nil: a tree
-// of its own) and dropped, the edge count and the result key — and the
-// snippet tree and the IList are decoded from it only when something reads
-// them (core.Generated.Derived, decodeSnippet). kws and bound are the
-// request's, as the local generator records them.
-func servedSnippet(rec []byte, kws []string, bound int, into *scratchTree) *core.Generated {
-	enc := unsafeString(rec)
-	v := validated{text: enc}
-	xml := xmltree.XMLString(v.buildNodes(nil, into)[0])
-	edges := v.uvarint()
-	var it ilist.Item
-	for range v.uvarint() {
-		v.item(&it)
-	}
-	for range v.uvarint() {
-		v.str() // a return entity
-	}
-	v.str() // the key attribute
-	return core.Deferred(enc, decodeSnippet, xml, edges, v.str(), kws, bound)
-}
-
-// decodeSnippet materializes a snippet record's tree, with its covered and
-// skipped item indexes, and its IList: every string is a substring of enc.
-func decodeSnippet(enc string) (*selector.Snippet, *ilist.IList) {
-	v := validated{text: enc}
-	root := v.buildNodes(nil, nil)[0]
-	sn := &selector.Snippet{Root: root, Edges: v.uvarint()}
-	il := &ilist.IList{Items: make([]ilist.Item, v.uvarint())}
-	for i := range il.Items {
-		v.item(&il.Items[i])
-	}
-	if n := v.uvarint(); n > 0 {
-		il.ReturnEntities = make([]string, n)
-		for i := range il.ReturnEntities {
-			il.ReturnEntities[i] = v.str()
-		}
-	}
-	il.KeyAttr = v.str()
-	il.KeyValue = v.str()
-	sn.Covered = v.indexes()
-	sn.Skipped = v.indexes()
-	return sn, il
-}
-
-// item reads one IList item record into it.
-func (v *validated) item(it *ilist.Item) {
-	it.Kind = ilist.Kind(v.u8())
-	it.Text = v.str()
-	it.Feature.Entity = v.str()
-	it.Feature.Attr = v.str()
-	it.Feature.Value = v.str()
-	it.FeatureID = int32(v.varint())
-	it.Score = math.Float64frombits(v.u64())
-}
-
-func (v *validated) indexes() []int {
-	n := v.uvarint()
-	if n == 0 {
-		return nil
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = v.uvarint()
-	}
-	return idx
+// served snippet every backend makes of a record (core.Served), over the
+// payload the record arrived in, which nothing may reuse once records alias
+// it (readFrame) — its XML rendered from a scratch tree built into into
+// (nil: a pooled one). kws and bound are the request's.
+func servedSnippet(rec []byte, kws []string, bound int, into *record.Tree) *core.Generated {
+	return core.Served(unsafeString(rec), kws, bound, into)
 }
 
 // --- eval response ---
@@ -1149,11 +867,12 @@ func decodeTreesResp(body []byte) ([]treeRecord, error) {
 // --- snippets ---
 
 // appendSnippetsResp appends a snippets response body: one snippet record
-// (appendSnippet) per requested handle, in request order.
-func appendSnippetsResp(b []byte, gs []*core.Generated) []byte {
-	b = binary.AppendUvarint(b, uint64(len(gs)))
-	for _, g := range gs {
-		b = appendSnippet(b, g)
+// (core.Generator.Record) per requested handle, in request order, each as it
+// was written.
+func appendSnippetsResp(b []byte, recs []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(recs)))
+	for _, rec := range recs {
+		b = append(b, rec...)
 	}
 	return b
 }

@@ -231,9 +231,13 @@ func codecAnswers(tb testing.TB) []codecAnswer {
 				results += len(handles)
 				out = append(out, codecAnswer{evalAnswer: a})
 				if len(handles) > 0 {
-					gs, err := srv.snippets(st, treesReq{opts: opts, query: q, fingerprint: st.fingerprint, bound: 6, handles: handles})
+					recs, err := srv.snippets(st, treesReq{opts: opts, query: q, fingerprint: st.fingerprint, bound: 6, handles: handles})
 					if err != nil {
 						tb.Fatalf("%q: %v", q, err)
+					}
+					gs := make([]*core.Generated, len(recs))
+					for i, rec := range recs {
+						gs[i] = core.Served(rec, index.Tokenize(q), 6, nil)
 					}
 					out = append(out, codecAnswer{evalAnswer: a, snippets: gs})
 				}
@@ -649,7 +653,7 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	// snippet records included.
 	var real []byte
 	for _, a := range codecAnswers(t) {
-		if body := appendSnippetsResp(nil, a.snippets); len(a.snippets) > 1 && len(body) > len(real) && len(body) < 8192 {
+		if body := appendSnippetsResp(nil, recordsOf(a.snippets)); len(a.snippets) > 1 && len(body) > len(real) && len(body) < 8192 {
 			real = body
 		}
 	}
@@ -813,7 +817,7 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 			behind(func(b []byte) error { _, err := decodeTreesResp(b); return err })},
 		{"snippets request", encodeTreesReq(snippetsReq), treesAfterCount,
 			func(b []byte) error { _, err := decodeTreesReq(b); return err }},
-		{"snippets response", respond(appendSnippetsResp(nil, snippets)), 0,
+		{"snippets response", respond(appendSnippetsResp(nil, recordsOf(snippets))), 0,
 			behind(func(b []byte) error { _, err := decodeSnippetsResp(b); return err })},
 		{"complete request", encodeCompleteReq(completeReq{prefix: "sto", k: 10}), 0,
 			func(b []byte) error { _, err := decodeCompleteReq(b); return err }},

@@ -11,6 +11,7 @@ import (
 
 	"extract/internal/bin"
 	"extract/internal/core"
+	"extract/internal/record"
 	"extract/internal/search"
 	"extract/xmltree"
 )
@@ -93,7 +94,7 @@ func FuzzFrame(f *testing.F) {
 		query: "xml keyword", timeoutMillis: 900, fingerprint: 7, bound: 6,
 		handles: []handle{{shard: 0, anchor: 3, lca: 5}, {shard: 2, anchor: 0, lca: 1}},
 	})))
-	f.Add(frameBytes(wireVersion, msgSnippetsResp, appendSnippetsResp(appendRespHeader(nil, 7), fuzzSnippets(f))))
+	f.Add(frameBytes(wireVersion, msgSnippetsResp, appendSnippetsResp(appendRespHeader(nil, 7), recordsOf(fuzzSnippets(f)))))
 	f.Add(frameBytes(wireVersion, msgComplete, encodeCompleteReq(completeReq{prefix: "xm", k: 5})))
 	f.Add(frameBytes(wireVersion, msgCompleteResp, appendCompleteResp(appendRespHeader(nil, 7), []string{"xml", "xmlns"})))
 	f.Add(frameBytes(wireVersion+1, msgHello, nil)) // version skew
@@ -213,7 +214,7 @@ func FuzzEvalRespDecode(f *testing.F) {
 			// A whole answer's snippets are mostly past the size limit: its
 			// first one or two, alone, much less often.
 			for _, gs := range [][]*core.Generated{a.snippets, a.snippets[:1], a.snippets[:min(2, len(a.snippets))]} {
-				if body := appendSnippetsResp(nil, gs); len(body) <= maxSeed {
+				if body := appendSnippetsResp(nil, recordsOf(gs)); len(body) <= maxSeed {
 					f.Add(uint8(len(a.terms)), body)
 					snippets++
 					break
@@ -288,19 +289,19 @@ func FuzzEvalRespDecode(f *testing.F) {
 				t.Fatalf("unclassified snippets decode error %T: %v", err, err)
 			}
 		} else {
-			into := scratchTrees.Get().(*scratchTree)
+			into := record.GetTree()
 			for _, rec := range recs {
 				served := servedSnippet(rec, nil, 0, into)
 				g := served.Derived()
-				if g.Snippet.Edges >= subtreeSize(g.Snippet.Root) {
-					t.Fatalf("snippet of %d nodes built with %d edges", subtreeSize(g.Snippet.Root), g.Snippet.Edges)
+				if nodes := len(preorderOf(g.Snippet.Root)); g.Snippet.Edges >= nodes {
+					t.Fatalf("snippet of %d nodes built with %d edges", nodes, g.Snippet.Edges)
 				}
 				if x := xmltree.XMLString(g.Snippet.Root); served.XML != x || served.Edges != g.Snippet.Edges || served.ResultKey != g.IList.KeyValue {
 					t.Fatalf("served XML/edges/key %q/%d/%q, decoded %q/%d/%q",
 						served.XML, served.Edges, served.ResultKey, x, g.Snippet.Edges, g.IList.KeyValue)
 				}
 			}
-			into.release()
+			into.Release()
 		}
 		if req, err := decodeTreesReq(data); err != nil {
 			if !errors.As(err, &pe) {

@@ -15,6 +15,7 @@ import (
 	"extract/internal/index"
 	"extract/internal/ingest"
 	"extract/internal/rank"
+	"extract/internal/record"
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
@@ -600,8 +601,8 @@ func takeSnippets(body []byte, kws []string, bound int, gs []*core.Generated, id
 	if len(recs) != len(idx) {
 		return protocolErrf("snippets response carries %d snippets for %d handles", len(recs), len(idx))
 	}
-	into := scratchTrees.Get().(*scratchTree)
-	defer into.release()
+	into := record.GetTree()
+	defer into.Release()
 	for k, rec := range recs {
 		gs[idx[k]] = servedSnippet(rec, kws, bound, into)
 	}

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"extract/internal/core"
 	"extract/internal/faultinject"
 	"extract/internal/index"
 	"extract/internal/ingest"
@@ -299,7 +298,7 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 			func(b []byte, _ treesReq, rs []*search.Result) []byte { return appendTreesResp(b, rs) })
 	case msgSnippets:
 		return staged(s, st, "snippets", msgSnippetsResp, payload, enc, decodeTreesReq, s.snippets,
-			func(b []byte, _ treesReq, gs []*core.Generated) []byte { return appendSnippetsResp(b, gs) })
+			func(b []byte, _ treesReq, recs []string) []byte { return appendSnippetsResp(b, recs) })
 	case msgComplete:
 		req, err := decodeCompleteReq(payload)
 		if err != nil {
@@ -487,10 +486,11 @@ func (s *Server) trees(st *serverState, req treesReq) ([]*search.Result, error) 
 // snippets answers a snippets request — the router's round for the results
 // its merge kept: the handles' results, rebuilt as a trees request rebuilds
 // them (on the answer's generation, on owned shards only, or on the whole
-// document); then the local fan-out (shard.Snippets, on the results'
-// indexes) makes their snippets at the request's bound — one a handle, in
-// request order — and they are counted.
-func (s *Server) snippets(st *serverState, req treesReq) ([]*core.Generated, error) {
+// document); then the local fan-out (shard.Records, on the results'
+// indexes) writes their snippet records at the request's bound — one a
+// handle, in request order, sent as they were written — and they are
+// counted.
+func (s *Server) snippets(st *serverState, req treesReq) ([]string, error) {
 	if req.bound < 0 {
 		return nil, protocolErrf("snippets request without a snippet bound")
 	}
@@ -500,12 +500,12 @@ func (s *Server) snippets(st *serverState, req treesReq) ([]*core.Generated, err
 	if err != nil {
 		return nil, err
 	}
-	gs, err := shard.Snippets(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(req.query), req.bound)
+	recs, err := shard.Records(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(req.query), req.bound)
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.snippetsMade(len(gs))
-	return gs, nil
+	s.metrics.snippetsMade(len(recs))
+	return recs, nil
 }
 
 // rebuild resolves a trees or snippets request's handles: every handle's

@@ -58,8 +58,14 @@ func ELCA(lists ...[]*xmltree.Node) []*xmltree.Node {
 // ELCAs are mapped to theirs at the end. Scratch buffers are pooled, so
 // steady-state evaluation allocates only what it returns.
 func ELCAPacked(ix *index.Index, lists ...*index.PostingList) (elcas []*xmltree.Node, free []bool) {
+	return elcaPacked(ix, lists, nodesOf)
+}
+
+// elcaPacked is ELCAPacked handing the ELCAs — entries of ix's columns, in
+// pooled scratch — to take, whose answer it returns.
+func elcaPacked[T any](ix *index.Index, lists []*index.PostingList, take func(*index.Index, []int32) T) (elcas T, free []bool) {
 	if len(lists) == 0 {
-		return nil, nil
+		return elcas, nil
 	}
 	k, complete := len(lists), true
 	free = make([]bool, k)
@@ -68,17 +74,17 @@ func ELCAPacked(ix *index.Index, lists ...*index.PostingList) (elcas []*xmltree.
 		complete = complete && free[j]
 	}
 	if !complete {
-		return nil, free
+		return elcas, free
 	}
 
 	sc := lcaPool.Get().(*lcaScratch)
 	defer lcaPool.Put(sc)
-	return sc.eval(ix, lists, free), free
+	return take(ix, sc.eval(ix, lists, free)), free
 }
 
 // eval is ELCAPacked over non-empty lists on this scratch: it returns the
-// ELCAs, its one allocation, and overwrites free.
-func (sc *lcaScratch) eval(ix *index.Index, lists []*index.PostingList, free []bool) []*xmltree.Node {
+// ELCAs as entries of ix's columns, in the scratch, and overwrites free.
+func (sc *lcaScratch) eval(ix *index.Index, lists []*index.PostingList, free []bool) []int32 {
 	k, cols := len(lists), ix.Columns()
 	sc.start(cols, lists)
 	sc.frames, sc.rows, sc.out, sc.pushes = sc.frames[:0], sc.rows[:0], sc.out[:0], 0
@@ -121,7 +127,7 @@ func (sc *lcaScratch) eval(ix *index.Index, lists []*index.PostingList, free []b
 		sc.out = slices.Insert(sc.out, 0, 0)
 	}
 	sc.folds = folds{} // the pool must not pin the posting lists or columns
-	return nodesOf(ix, sc.out)
+	return sc.out
 }
 
 type elcaFrame struct {

@@ -77,8 +77,14 @@ type Evaluation struct {
 	// Keywords. A keyword with no matches in this document has an empty
 	// (possibly nil) list.
 	Lists []*index.PostingList
-	// LCAs is the SLCA/ELCA set in document order; nil when some keyword
-	// has no match here (conjunctive semantics).
+	// Entries is the SLCA/ELCA set in document order, as entries of the
+	// index's element columns (index.Columns; entry 0 is the root); nil when
+	// there is none, as when some keyword has no match here (conjunctive
+	// semantics).
+	Entries []int32
+	// LCAs is the same set as nodes, mapped by Evaluate and EvaluateBounded.
+	// EvaluateResults leaves it nil: it maps only the LCAs it builds
+	// results for.
 	LCAs []*xmltree.Node
 	// Truncated reports that LCAs is a bounded prefix of the full set:
 	// EvaluateBounded stopped the SLCA scan after proving the first k
@@ -108,6 +114,17 @@ func (e *Engine) Evaluate(query string) (*Evaluation, error) {
 // still qualify from later matches, and Free needs the root's row after the
 // last one (see PERFORMANCE.md). limit <= 0 behaves exactly like Evaluate.
 func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
+	ev, err := e.evaluate(query, limit)
+	if err != nil {
+		return nil, err
+	}
+	ev.LCAs = nodesOf(e.ix, ev.Entries)
+	return ev, nil
+}
+
+// evaluate is EvaluateBounded without the LCAs mapped to nodes: the set is
+// the evaluation's Entries.
+func (e *Engine) evaluate(query string, limit int) (*Evaluation, error) {
 	ev, err := e.Lists(query)
 	if err != nil {
 		return nil, err
@@ -116,9 +133,9 @@ func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
 	// keyword has no match.
 	switch e.opts.Semantics {
 	case SemanticsELCA:
-		ev.LCAs, ev.Free = ELCAPacked(e.ix, ev.Lists...)
+		ev.Entries, ev.Free = elcaPacked(e.ix, ev.Lists, entriesOf)
 	default:
-		ev.LCAs, ev.Truncated = SLCAPackedBounded(e.ix, limit, ev.Lists...)
+		ev.Entries, ev.Truncated = slcaPacked(e.ix, limit, ev.Lists, entriesOf)
 	}
 	return ev, nil
 }
@@ -178,25 +195,40 @@ func (e *Engine) Anchors(anchor, lca int) bool {
 // de-duplicated before anything is built, so a dropped LCA costs one map
 // probe.
 func (e *Engine) Results(ev *Evaluation, lcas []*xmltree.Node) []*Result {
-	return e.results(ev, lcas, nil)
+	return e.results(ev, lcas, nil, nil)
 }
 
-// results is Results over the LCAs accepted by keep (nil keeps all). The
-// results' match runs are carved from slabs of bounds local to the call, each
-// sized for every LCA up to the bound and at most resultSlab.
-func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, keep func(*xmltree.Node) bool) []*Result {
+// results is Results over the LCAs accepted by keep (nil keeps all), given
+// as nodes (lcas) or as column entries (entries, when lcas is nil), which are
+// mapped to their nodes one by one as they are reached: building stops at
+// MaxResults, and what lies past it is never read. The results' match runs
+// are carved from slabs of bounds local to the call, each sized for every LCA
+// up to the bound and at most resultSlab.
+func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, entries []int32, keep func(*xmltree.Node) bool) []*Result {
+	n := len(lcas)
+	if lcas == nil {
+		n = len(entries)
+	}
 	var (
 		results     []*Result
 		seenAnchors = make(map[*xmltree.Node]bool)
 		runs        *matchRuns
-		slab        = min(len(lcas), resultSlab)
+		slab        = min(n, resultSlab)
 		entity      = e.entityLabels()
 		entry       int // the last LCA's column entry: LCAs come in document order
+		pos         = e.ix.Columns().Pos
 	)
 	if e.opts.MaxResults > 0 {
 		slab = min(slab, e.opts.MaxResults)
 	}
-	for _, lca := range lcas {
+	for i := range n {
+		var lca *xmltree.Node
+		if lcas != nil {
+			lca = lcas[i]
+		} else {
+			entry = int(entries[i])
+			lca = e.doc.ByOrd(int(pos[entry]))
+		}
 		if keep != nil && !keep(lca) {
 			continue
 		}
@@ -237,22 +269,23 @@ const resultSlab = 256
 // are byte-identical to an unbounded evaluation's — the occasional retry
 // re-pays the cheap bounded scan, the common case touches only the matches
 // needed for k results. The kept subset is never materialised: building
-// stops at MaxResults. Returns the evaluation (LCAs nil when some keyword
-// has no match) and the results.
+// stops at MaxResults, and only the LCAs reached by then are mapped to their
+// nodes. Returns the evaluation — its LCA set as Entries, with LCAs nil —
+// and the results.
 func (e *Engine) EvaluateResults(query string, keep func(*xmltree.Node) bool) (*Evaluation, []*Result, error) {
 	limit := 0
 	if e.opts.MaxResults > 0 && e.opts.Semantics != SemanticsELCA {
 		limit = e.opts.MaxResults
 	}
 	for {
-		ev, err := e.EvaluateBounded(query, limit)
+		ev, err := e.evaluate(query, limit)
 		if err != nil {
 			return nil, nil, err
 		}
-		if ev.LCAs == nil {
+		if ev.Entries == nil {
 			return ev, nil, nil
 		}
-		results := e.results(ev, ev.LCAs, keep)
+		results := e.results(ev, nil, ev.Entries, keep)
 		if !ev.Truncated || len(results) >= e.opts.MaxResults {
 			return ev, results, nil
 		}

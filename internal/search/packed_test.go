@@ -161,7 +161,7 @@ func TestELCAPoolReuse(t *testing.T) {
 		for i, kw := range kws {
 			lists[i], packed[i] = ix.Nodes(kw), ix.List(kw)
 		}
-		got := sc.eval(ix, packed, make([]bool, len(kws)))
+		got := nodesOf(ix, sc.eval(ix, packed, make([]bool, len(kws))))
 		if want := ELCABaseline(lists...); !sameNodes(got, want) {
 			t.Fatalf("%v: elca %v, want %v", kws, labels(got), labels(want))
 		}

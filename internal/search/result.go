@@ -172,12 +172,28 @@ func (r *Result) wholeDepth(kw string) (int, bool) {
 	best := -1
 	for _, pl := range r.wholeOf().lists(kw) {
 		for j := range pl.Len() {
-			if d := pl.Nodes[j].Depth(); best < 0 || d < best {
+			if d := depthUnder(pl.Nodes[j], 0, best); best < 0 || d < best {
 				best = d
+			}
+			if best == 0 {
+				return 0, true
 			}
 		}
 	}
 	return best, best >= 0
+}
+
+// depthUnder returns the number of edges from n up to its ancestor-or-self
+// at position top (Start) — its root's, 0, at most — or limit when that is
+// less and not negative: the climb stops as soon as it can no longer come out
+// below limit. The ancestor is found by position, not by pointer, so a copy
+// of it (a full response's re-addressed anchor) stops the climb as well.
+func depthUnder(n *xmltree.Node, top int32, limit int) int {
+	d := 0
+	for ; n.Start != top && n.Parent != nil && d != limit; n = n.Parent {
+		d++
+	}
+	return d
 }
 
 // matchRuns holds the matches of a batch of results of one evaluation: the
@@ -367,7 +383,8 @@ func (r *Result) Size() int {
 // MatchDepth returns the least depth below the anchor of kw's matches in the
 // result (a match above the anchor counts as depth 0), and false when kw has
 // none. A deferred result answers from the depths it arrived with, which its
-// sender computed by this same rule.
+// sender computed by this same rule. A match climbs to the anchor, and no
+// further than the least depth found so far; a depth of 0 ends the search.
 func (r *Result) MatchDepth(kw string) (int, bool) {
 	if r.wholeOf() != nil {
 		return r.wholeDepth(kw)
@@ -384,12 +401,19 @@ func (r *Result) MatchDepth(kw string) (int, bool) {
 	if len(ms) == 0 {
 		return 0, false
 	}
-	anchor := r.Anchor.Depth()
-	best := -1
+	anchor, best := r.Anchor, -1
 	for _, m := range ms {
-		d := max(m.Depth()-anchor, 0)
+		var d int
+		if anchor.ContainsOrSelf(m) {
+			d = depthUnder(m, anchor.Start, best)
+		} else { // not below the anchor
+			d = max(m.Depth()-anchor.Depth(), 0)
+		}
 		if best < 0 || d < best {
 			best = d
+		}
+		if best == 0 {
+			break
 		}
 	}
 	return best, true

@@ -109,12 +109,18 @@ const gallopCost = 16
 // is sealed and counts toward limit. Both run on ix's columns; the SLCAs
 // are mapped to their nodes at the end, the only nodes read.
 func SLCAPackedBounded(ix *index.Index, limit int, lists ...*index.PostingList) ([]*xmltree.Node, bool) {
+	return slcaPacked(ix, limit, lists, nodesOf)
+}
+
+// slcaPacked is SLCAPackedBounded handing the SLCAs — entries of ix's
+// columns, in pooled scratch — to take, whose answer it returns.
+func slcaPacked[T any](ix *index.Index, limit int, lists []*index.PostingList, take func(*index.Index, []int32) T) (slcas T, truncated bool) {
 	if len(lists) == 0 {
-		return nil, false
+		return slcas, false
 	}
 	for _, l := range lists {
 		if l.Len() == 0 {
-			return nil, false
+			return slcas, false
 		}
 	}
 	cols := ix.Columns()
@@ -129,7 +135,7 @@ func SLCAPackedBounded(ix *index.Index, limit int, lists ...*index.PostingList) 
 	}
 	sc.out, sc.folds = st.stack, folds{} // the pool must not pin the lists or columns
 	entries, truncated := st.results()
-	return nodesOf(ix, entries), truncated
+	return take(ix, entries), truncated
 }
 
 // nodesOf maps entries of ix's columns to their nodes: the evaluation's one
@@ -144,6 +150,15 @@ func nodesOf(ix *index.Index, entries []int32) []*xmltree.Node {
 		out[i] = doc.ByOrd(int(pos[e]))
 	}
 	return out
+}
+
+// entriesOf copies entries out of the scratch: the evaluation's one
+// allocation, exactly sized, half a node pointer an LCA.
+func entriesOf(_ *index.Index, entries []int32) []int32 {
+	if len(entries) == 0 {
+		return nil
+	}
+	return slices.Clone(entries)
 }
 
 // folds is the candidate generator SLCA and ELCA evaluation share, following

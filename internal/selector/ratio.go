@@ -81,5 +81,6 @@ func GreedyRatio(doc *xmltree.Document, il *ilist.IList, stats *features.Stats, 
 		}
 	}
 	slices.Sort(covered)
-	return &Snippet{Root: s.materialize(s.members), Covered: covered, Skipped: skipped, Edges: edges}
+	s.shape()
+	return &Snippet{Root: s.materialize(), Covered: covered, Skipped: skipped, Edges: edges}
 }

@@ -106,10 +106,12 @@ type selection struct {
 	triples [][3]int32
 
 	path, best []int32 // climb buffers
+	part       []int   // GreedySelection's covered and skipped items
+	done       Selection
 	// cursor is the column entry the whole document's last climb started
 	// from, in shard part (entry).
 	cursor struct{ part, at int }
-	ints   []int  // materialize's scan state
+	ints   []int  // shape's parents and child counts
 	tok    []byte // keywordsIn's token buffer (index.EachTokenIn)
 }
 
@@ -610,12 +612,18 @@ func (s *selection) addAll(path []int32) {
 func Greedy(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification,
 	stats *features.Stats, bound int) *Snippet {
 
+	return GreedySelection(doc, il, stats, bound).Snippet()
+}
+
+// GreedySelection is Greedy without the snippet tree: the selection as it
+// ends, which the caller reads and releases (Selection).
+func GreedySelection(doc *xmltree.Document, il *ilist.IList, stats *features.Stats, bound int) *Selection {
 	s := begin(doc, il, stats)
-	defer s.release()
 	edges := 0
 	// Covered and skipped partition the items, so one array holds both:
 	// covered fills it from the front, skipped from the back.
-	part := make([]int, len(il.Items))
+	part := append(s.part[:0], make([]int, len(il.Items))...)
+	s.part = part
 	covered, skipped := 0, len(part)
 	for idx := range il.Items {
 		if s.covers(idx) {
@@ -636,21 +644,59 @@ func Greedy(doc *xmltree.Document, il *ilist.IList, cls *classify.Classification
 		}
 	}
 	slices.Reverse(part[skipped:])
-	return &Snippet{
-		Root:    s.materialize(s.members),
-		Covered: part[:covered:covered],
-		Skipped: part[skipped:],
-		Edges:   edges,
-	}
+	return s.finish(part[:covered:covered], part[skipped:], edges)
 }
 
-// materialize builds the snippet tree from a member set, which is closed
-// over ancestors up to the result root: sorted by preorder position, every
-// member's parent is the innermost earlier member still open, so one scan
-// with the chain of open members copies the tree in document order. The
-// copies share one slab and their child lists one arena; Origin pointers
-// lead back to the members. It sorts members in place.
-func (s *selection) materialize(members []int32) *xmltree.Node {
+// Selection is a finished selection before any tree is made of it: the
+// snippet's nodes in preorder with their child counts (Len, Node — what a
+// snippet record lists), the IList items it covers and skips, in increasing
+// order, and its size in edges. It is the pooled working state of the
+// selection that made it: its nodes are the result's, its slices scratch,
+// and all of it is valid until Release or Snippet.
+type Selection struct {
+	s                *selection
+	Covered, Skipped []int
+	Edges            int
+}
+
+// finish sorts the members into preorder, works out each one's child count
+// (shape), and returns the selection's result.
+func (s *selection) finish(covered, skipped []int, edges int) *Selection {
+	s.shape()
+	s.done = Selection{s: s, Covered: covered, Skipped: skipped, Edges: edges}
+	return &s.done
+}
+
+// Len returns the number of snippet nodes.
+func (x *Selection) Len() int { return len(x.s.members) }
+
+// Node returns the i-th snippet node in preorder — a node of the result —
+// and the number of its children in the snippet.
+func (x *Selection) Node(i int) (*xmltree.Node, int) {
+	return x.s.node(x.s.members[i]), x.s.ints[len(x.s.members)+i]
+}
+
+// Release returns the selection's scratch to the pool.
+func (x *Selection) Release() { x.s.release() }
+
+// Snippet materializes the selection as a snippet of its own — the tree
+// copied, the covered and skipped items in one new array — and releases it.
+func (x *Selection) Snippet() *Snippet {
+	part := make([]int, len(x.Covered)+len(x.Skipped))
+	c := copy(part, x.Covered)
+	copy(part[c:], x.Skipped)
+	sn := &Snippet{Root: x.s.materialize(), Covered: part[:c:c], Skipped: part[c:], Edges: x.Edges}
+	x.Release()
+	return sn
+}
+
+// shape sorts the member set, which is closed over ancestors up to the
+// result root, into preorder, and records every member's parent and child
+// count (s.ints: parents, then counts): sorted by position, a member's
+// parent is the innermost earlier member still open, so one scan with the
+// chain of open members finds them all.
+func (s *selection) shape() {
+	members := s.members
 	slices.Sort(members)
 	n := len(members)
 	s.ints = append(s.ints[:0], make([]int, 3*n)...)
@@ -665,6 +711,15 @@ func (s *selection) materialize(members []int32) *xmltree.Node {
 		}
 		open = append(open, i)
 	}
+}
+
+// materialize copies the shaped member set (shape) into a snippet tree in
+// document order. The copies share one slab and their child lists one
+// arena; Origin pointers lead back to the members.
+func (s *selection) materialize() *xmltree.Node {
+	members := s.members
+	n := len(members)
+	parent, kids := s.ints[:n], s.ints[n:2*n]
 	copies := make([]xmltree.Node, n)
 	arena := make([]*xmltree.Node, n-1)
 	for i, p := range members {
@@ -699,6 +754,14 @@ type ExactConfig struct {
 func Exact(doc *xmltree.Document, il *ilist.IList, stats *features.Stats, bound int,
 	cfg ExactConfig) *Snippet {
 
+	return ExactSelection(doc, il, stats, bound, cfg).Snippet()
+}
+
+// ExactSelection is Exact without the snippet tree: the selection as it
+// ends, which the caller reads and releases (Selection).
+func ExactSelection(doc *xmltree.Document, il *ilist.IList, stats *features.Stats, bound int,
+	cfg ExactConfig) *Selection {
+
 	if cfg.MaxInstancesPerItem <= 0 {
 		cfg.MaxInstancesPerItem = 8
 	}
@@ -706,7 +769,6 @@ func Exact(doc *xmltree.Document, il *ilist.IList, stats *features.Stats, bound 
 		cfg.MaxExpansions = 2_000_000
 	}
 	s := begin(doc, il, stats)
-	defer s.release()
 
 	type best struct {
 		count   int
@@ -777,9 +839,11 @@ func Exact(doc *xmltree.Document, il *ilist.IList, stats *features.Stats, bound 
 	rec(0, 0, nil, nil)
 
 	if b.count < 0 { // exhausted without completing any leaf (tiny budgets)
-		return Greedy(doc, il, nil, stats, bound)
+		s.release()
+		return GreedySelection(doc, il, stats, bound)
 	}
 	slices.Sort(b.covered)
 	slices.Sort(b.skipped)
-	return &Snippet{Root: s.materialize(b.members), Covered: b.covered, Skipped: b.skipped, Edges: b.edges}
+	s.members = append(s.members[:0], b.members...)
+	return s.finish(b.covered, b.skipped, b.edges)
 }

@@ -141,7 +141,7 @@ func TestEntryChargesRenderedXML(t *testing.T) {
 	bare := make([]*core.Generated, len(v.Snippets))
 	rendered := int64(0)
 	for i, g := range v.Snippets {
-		if want := xmltree.XMLString(g.Snippet.Root); g.XML != want || want == "" {
+		if want := xmltree.XMLString(g.Derived().Snippet.Root); g.XML != want || want == "" {
 			t.Fatalf("snippet %d: XML %q, the tree renders %q", i, g.XML, want)
 		}
 		rendered += int64(len(g.XML))

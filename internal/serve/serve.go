@@ -34,10 +34,11 @@ type Backend interface {
 	// Answer evaluates a query, scheduling independent work through run
 	// (nil = own goroutines) and honoring ctx cancellation between units of
 	// work. When bound >= 0 it also returns one snippet per result at that
-	// bound, aligned with the results, each with its XML rendered
-	// (core.Generated.XML); bound < 0 is search only, with nil snippets.
-	// Results may be deferred (search.Result.Tree), and snippets too
-	// (core.Generated.Derived).
+	// bound, aligned with the results, each a served snippet
+	// (core.Served: its record, with its XML rendered); bound < 0 is search
+	// only, with nil snippets. Results may be deferred
+	// (search.Result.Tree); a served snippet's tree and IList are decoded
+	// from its record when read (core.Generated.Derived).
 	Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error)
 }
 
@@ -278,22 +279,19 @@ func (rk *Ranking) At(i int) (index int, score float64) {
 // result owns a header only — the corpus nodes it points at belong to the
 // generation the entry's Backend already pins — and a deferred result (what a
 // router returns) a header and the bytes it retains besides: its keyword
-// depths.
-// An owned result tree (a trimmed projection) and every snippet tree are
-// charged per node, a snippet's rendered XML per byte, an IList per item,
-// a snippet kept as its wire record (core.Generated.Encoded) the record's
-// bytes — and its tree and IList too once a reader has decoded them — and a
-// filled Ranking 12 bytes a result. The constants are
-// rough costs (node struct, slice and map headers; an ilist.Item with its
-// share of slice growth), not an exact accounting: on the benchmark corpus a
-// 24-hit entry is charged 53 KB for 63 KB of measured heap
-// (TestCostChargesWhatAnEntryOwns holds a routed entry's charge to what it
-// retains: six 133-edge retailer results with their snippets at bound 6,
-// 8.2 KB charged for 7.6 KB; 23.9 KB for 23.4 KB once every snippet is
-// decoded; 133 KB for 133 KB once Trees has built the trees too).
-// A deferred result whose tree was built is charged as the owned tree it
-// now holds: Trees re-charges a cached entry when it builds, and Derived when
-// it decodes a snippet.
+// depths. An owned result tree (a trimmed projection) is charged per node. A
+// snippet is charged its rendered XML and its record's bytes (every
+// backend's answer keeps each snippet as its record, core.Served) — and
+// once a reader has decoded them (Derived), its tree per node and its IList
+// per item; a filled Ranking 12 bytes a result. The constants are rough
+// costs (node struct, slice and map headers; an ilist.Item with its share of
+// slice growth), not an exact accounting: TestCostChargesWhatAnEntryOwns
+// holds a routed entry's charge to what it retains (six 133-edge retailer
+// results with their snippets at bound 6, 8.2 KB charged for 7.6 KB; 23.9 KB
+// for 23.4 KB once every snippet is decoded; 133 KB for 133 KB once Trees
+// has built the trees too). A deferred result whose tree was built is
+// charged as the owned tree it now holds: Trees re-charges a cached entry
+// when it builds, and Derived when it decodes a snippet.
 func (v *Cached) cost() int64 {
 	const (
 		perNode   = 136
@@ -311,13 +309,9 @@ func (v *Cached) cost() int64 {
 		}
 	}
 	for _, g := range v.Snippets {
-		c += int64(len(g.XML))
-		if pending, enc := g.Encoded(); enc > 0 {
-			// A router's snippet, kept as its wire record: the record's
-			// bytes, its own small header within its result's.
-			if c += int64(enc); pending {
-				continue
-			}
+		pending, enc := g.Encoded()
+		if c += int64(len(g.XML) + enc); pending {
+			continue // the record, its own small header within its result's
 		}
 		d := g.Derived()
 		c += perEntry + perNode*int64(d.Edges+1) + perItem*int64(len(d.IList.Items))
@@ -441,8 +435,8 @@ func (v *Cached) Trees(ctx context.Context) ([]*search.Result, error) {
 }
 
 // Derived returns snippet g of the entry with its tree and IList
-// (core.Generated.Derived): on a router, decoded from the record it arrived
-// as the first time anything asks, once for every holder of the entry — and
+// (core.Generated.Derived): decoded from the snippet's record the first time
+// anything asks, once for every holder of the entry — and
 // an entry still cached is then re-charged for them, as Trees re-charges it
 // for the trees it builds.
 func (v *Cached) Derived(g *core.Generated) *core.Generated {
@@ -458,8 +452,9 @@ func (v *Cached) Derived(g *core.Generated) *core.Generated {
 // evaluation and, when bound >= 0, snippet generation, each snippet handed
 // over with its XML rendered — recorded into the trace as the eval and
 // snippet stages. The snippet stage is the time the backend noted on the
-// query's span sink for its snippets — a local corpus's fan-out and
-// rendering, a router's round of snippets calls to the shard servers.
+// query's span sink for its snippets — a local corpus's fan-out, which
+// writes each snippet's record and renders its XML, a router's round of
+// snippets calls to the shard servers.
 func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts search.Options, bound int) (*Cached, error) {
 	t := time.Now()
 	b := s.Backend()

@@ -49,7 +49,7 @@ func renderHits(rs []*search.Result, gs []*core.Generated) []string {
 	for i, r := range rs {
 		line := xmltree.XMLString(r.Root)
 		if gs != nil {
-			line += "\n" + xmltree.XMLString(gs[i].Snippet.Root)
+			line += "\n" + xmltree.XMLString(gs[i].Derived().Snippet.Root)
 		}
 		out = append(out, line)
 	}

@@ -39,9 +39,10 @@ func NewDigest(ev *search.Evaluation, rootAnchored bool) Digest {
 	for j, l := range ev.Lists {
 		d.Matched[j] = l.Len() > 0
 	}
-	// LCAs are in document order, so only the first can be the root.
-	if n := len(ev.LCAs); n > 0 {
-		d.HasNonRootLCAs = ev.LCAs[n-1].Parent != nil
+	// LCAs are in document order, so only the first can be the root,
+	// which is column entry 0.
+	if n := len(ev.Entries); n > 0 {
+		d.HasNonRootLCAs = ev.Entries[n-1] != 0
 	}
 	return d
 }

@@ -91,8 +91,8 @@ func FuzzRoundTwoMatchesWhole(f *testing.F) {
 			if r.Size() != want[i].Size() {
 				t.Fatalf("%q: whole result of %d edges, want %d", q, r.Size(), want[i].Size())
 			}
-			gs := xmltree.XMLString(sc.Generator().ServeResult(r, kws, 4).Snippet.Root)
-			ws := xmltree.XMLString(wholeGen.ServeResult(want[i], kws, 4).Snippet.Root)
+			gs := sc.Generator().ServeResult(r, kws, 4).XML
+			ws := wholeGen.ServeResult(want[i], kws, 4).XML
 			if gs != ws {
 				t.Fatalf("%q %+v on %d shards: whole snippet\n%s\nwant\n%s", q, opts, sc.NumShards(), gs, ws)
 			}

@@ -93,7 +93,7 @@ func TestServedSnippetMatchesInspected(t *testing.T) {
 		if served[i].Stats != nil {
 			t.Fatal("a served snippet carries statistics")
 		}
-		if got := describeSnippet(served[i]); got != want[i] {
+		if got := describeSnippet(served[i].Derived()); got != want[i] {
 			t.Fatalf("result %d: served\n%s\ninspected\n%s", i, got, want[i])
 		}
 		if r.Index != nil {
@@ -111,7 +111,7 @@ func TestServedSnippetMatchesInspected(t *testing.T) {
 		g.ServeResult(rs[i], kws[i], bound)
 	}
 	for i, sn := range served {
-		if got := describeSnippet(sn); got != want[i] {
+		if got := describeSnippet(sn.Derived()); got != want[i] {
 			t.Fatalf("served snippet %d changed as later snippets reused the scratch:\n%s\nwant\n%s", i, got, want[i])
 		}
 	}
@@ -124,7 +124,7 @@ func TestServedSnippetMatchesInspected(t *testing.T) {
 			defer wg.Done()
 			for k := range rs {
 				i := (k*7 + w*13) % len(rs)
-				if got := describeSnippet(g.ServeResult(rs[i], kws[i], bound)); got != want[i] {
+				if got := describeSnippet(g.ServeResult(rs[i], kws[i], bound).Derived()); got != want[i] {
 					errs <- fmt.Sprintf("goroutine %d, result %d:\n%s\nwant\n%s", w, i, got, want[i])
 					return
 				}

@@ -12,17 +12,14 @@ import (
 	"extract/internal/index"
 	"extract/internal/search"
 	"extract/internal/telemetry"
-	"extract/xmltree"
 )
 
 // Answer is the serving layer's one call into a local corpus: the query's
 // results (SearchEnginesContext, on engines built for this query) and, when
 // bound >= 0, one snippet per result at that bound, aligned with them, made
-// by the corpus's own generator (Snippets) and handed over with its XML
-// rendered (core.Generated.XML) — here, once per computed answer, rather than
-// in Snippets, which a shard server runs too and whose router never reads its
-// bytes. bound < 0 is search only, with nil snippets. The duration of the
-// fan-out and the rendering is noted on the query's span sink, when ctx
+// by the corpus's own generator (Snippets) — each its record with its XML
+// rendered, inside the fan-out. bound < 0 is search only, with nil snippets.
+// The duration of the fan-out is noted on the query's span sink, when ctx
 // carries one.
 func (sc *Corpus) Answer(ctx context.Context, query string, opts search.Options, run Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	rs, err := sc.SearchEnginesContext(ctx, query, opts, nil, run)
@@ -31,11 +28,6 @@ func (sc *Corpus) Answer(ctx context.Context, query string, opts search.Options,
 	}
 	start := time.Now()
 	gs, err := Snippets(ctx, run, sc.gen, rs, index.Tokenize(query), bound)
-	if err == nil {
-		for _, g := range gs {
-			g.XML = xmltree.XMLString(g.Snippet.Root)
-		}
-	}
 	if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
 		sink.NoteSnippets(time.Since(start))
 	}
@@ -57,31 +49,40 @@ func snippetCheckpoint(ctx context.Context) error {
 	return nil
 }
 
-// Snippets generates one snippet per result — the one snippet fan-out, run by
-// a local corpus's Answer and by a shard server over the results it ships.
-// Each is the generator's served snippet (core.Generator.ServeResult): what a
-// response replays — the snippet tree and its IList — with nil Stats. The
-// feature statistics are working state of the derivation, sized by the
-// result rather than by the snippet, and nothing downstream of the serving
-// layer reads them, so they are folded into the worker's pooled scratch and
-// never allocated per result.
-// Snippets are independent and the generator is concurrency-safe, so up to
-// GOMAXPROCS tasks, scheduled through run, each claim one result at a time
-// from a shared cursor, largest result first: the one long job of a result
-// list — a whole-document result among two dozen small ones — starts first
-// and everything else packs around it, where a fixed split would queue half
-// the list behind it. Output stays aligned with rs. A query cancelled during
-// the fan-out stops between snippets and returns the context's error — a
-// partially filled snippet set is never returned, so nothing incomplete can
-// be cached.
+// Snippets generates one snippet per result — the snippet fan-out of a local
+// corpus's Answer. Each is the generator's served snippet
+// (core.Generator.ServeResult): its record, with the XML, edges and key a
+// result page reads, and nothing else — the feature statistics, the IList and
+// the selection are working state of the derivation, derived in the worker's
+// pooled scratch and never allocated per result. Output stays aligned with
+// rs (fanOut).
 func Snippets(ctx context.Context, run Runner, gen *core.Generator, rs []*search.Result, kws []string, bound int) ([]*core.Generated, error) {
-	out := make([]*core.Generated, len(rs))
+	return fanOut(ctx, run, rs, func(r *search.Result) *core.Generated { return gen.ServeResult(r, kws, bound) })
+}
+
+// Records is Snippets for a shard server, which sends each snippet's record
+// (core.Generator.Record) as it is and renders nothing.
+func Records(ctx context.Context, run Runner, gen *core.Generator, rs []*search.Result, kws []string, bound int) ([]string, error) {
+	return fanOut(ctx, run, rs, func(r *search.Result) string { return gen.Record(r, kws, bound) })
+}
+
+// fanOut makes one snippet per result with one. Snippets are independent
+// and the generator is concurrency-safe, so up to GOMAXPROCS tasks, scheduled
+// through run, each claim one result at a time from a shared cursor, largest
+// result first: the one long job of a result list — a whole-document result
+// among two dozen small ones — starts first and everything else packs around
+// it, where a fixed split would queue half the list behind it. Output stays
+// aligned with rs. A query cancelled during the fan-out stops between
+// snippets and returns the context's error — a partially filled snippet set
+// is never returned, so nothing incomplete can be cached.
+func fanOut[T any](ctx context.Context, run Runner, rs []*search.Result, one func(*search.Result) T) ([]T, error) {
+	out := make([]T, len(rs))
 	if len(rs) < 4 {
 		for i, r := range rs {
 			if err := snippetCheckpoint(ctx); err != nil {
 				return nil, err
 			}
-			out[i] = gen.ServeResult(r, kws, bound)
+			out[i] = one(r)
 		}
 		return out, nil
 	}
@@ -96,7 +97,7 @@ func Snippets(ctx context.Context, run Runner, gen *core.Generator, rs []*search
 					return
 				}
 				i := order[k]
-				out[i] = gen.ServeResult(rs[i], kws, bound)
+				out[i] = one(rs[i])
 			}
 		}
 	}

@@ -105,6 +105,7 @@ func checkColumnEvaluation(t *testing.T, ix *index.Index, cls *classify.Classifi
 	kept := func(ns []*xmltree.Node) []*xmltree.Node {
 		return slices.DeleteFunc(slices.Clone(ns), func(n *xmltree.Node) bool { return n == skip })
 	}
+	lcas := func(ev *search.Evaluation) []*xmltree.Node { return kept(search.NodesOf(ix, ev.Entries)) }
 	slca := search.NewEngine(doc, ix, cls, search.Options{})
 	elca := search.NewEngine(doc, ix, cls, search.Options{Semantics: search.SemanticsELCA})
 	for _, q := range queries {
@@ -120,8 +121,8 @@ func checkColumnEvaluation(t *testing.T, ix *index.Index, cls *classify.Classifi
 			}
 		}
 		full := search.SLCABrute(doc, lists...)
-		if !slices.Equal(kept(ev.LCAs), kept(full)) || ev.Truncated {
-			t.Errorf("%s: slca %v (truncated %v), brute %v", q, ev.LCAs, ev.Truncated, full)
+		if got := lcas(ev); !slices.Equal(got, kept(full)) || ev.Truncated {
+			t.Errorf("%s: slca %v (truncated %v), brute %v", q, got, ev.Truncated, full)
 		}
 		for _, k := range []int{1, 3, 25} {
 			bounded, err := slca.EvaluateBounded(q, k)
@@ -129,17 +130,17 @@ func checkColumnEvaluation(t *testing.T, ix *index.Index, cls *classify.Classifi
 				t.Fatalf("%s: %v", q, err)
 			}
 			want := full[:min(k, len(full))]
-			if !slices.Equal(kept(bounded.LCAs), kept(want)) || bounded.Truncated != (k < len(full)) {
+			if got := lcas(bounded); !slices.Equal(got, kept(want)) || bounded.Truncated != (k < len(full)) {
 				t.Errorf("%s, k=%d: slca %v (truncated %v), brute prefix %v of %d",
-					q, k, bounded.LCAs, bounded.Truncated, want, len(full))
+					q, k, got, bounded.Truncated, want, len(full))
 			}
 		}
 		ev, err = elca.Evaluate(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if want := search.ELCABaseline(lists...); !slices.Equal(kept(ev.LCAs), kept(want)) {
-			t.Errorf("%s: elca %v, baseline %v", q, ev.LCAs, want)
+		if got, want := lcas(ev), search.ELCABaseline(lists...); !slices.Equal(got, kept(want)) {
+			t.Errorf("%s: elca %v, baseline %v", q, got, want)
 		}
 		if want := search.FreeBaseline(lists...); !slices.Equal(ev.Free, want) {
 			t.Errorf("%s: free %v, brute force %v", q, ev.Free, want)

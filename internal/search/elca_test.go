@@ -125,8 +125,8 @@ func TestELCAPhraseTerms(t *testing.T) {
 		for i, l := range ev.Lists {
 			lists[i] = l.Nodes
 		}
-		if want := ELCABaseline(lists...); !sameNodes(ev.LCAs, want) || len(want) == 0 {
-			t.Errorf("%s: elca %v, baseline %v", q, labels(ev.LCAs), labels(want))
+		if got, want := nodesOf(e.ix, ev.Entries), ELCABaseline(lists...); !sameNodes(got, want) || len(want) == 0 {
+			t.Errorf("%s: elca %v, baseline %v", q, labels(got), labels(want))
 		}
 		if want := freeBaseline(lists...); fmt.Sprint(ev.Free) != fmt.Sprint(want) {
 			t.Errorf("%s: free %v, brute force %v", q, ev.Free, want)
@@ -134,8 +134,8 @@ func TestELCAPhraseTerms(t *testing.T) {
 	}
 	// A keyword with no match: no ELCAs, and every match there is is free.
 	ev, err := e.Evaluate("texas nosuchword")
-	if err != nil || ev.LCAs != nil || fmt.Sprint(ev.Free) != "[true false]" {
-		t.Errorf("incomplete evaluation: lcas %v, free %v, err %v", labels(ev.LCAs), ev.Free, err)
+	if err != nil || ev.Entries != nil || fmt.Sprint(ev.Free) != "[true false]" {
+		t.Errorf("incomplete evaluation: lcas %v, free %v, err %v", ev.Entries, ev.Free, err)
 	}
 }
 

@@ -80,13 +80,10 @@ type Evaluation struct {
 	// Entries is the SLCA/ELCA set in document order, as entries of the
 	// index's element columns (index.Columns; entry 0 is the root); nil when
 	// there is none, as when some keyword has no match here (conjunctive
-	// semantics).
+	// semantics). Only the LCAs a caller builds results for are ever mapped
+	// to their nodes.
 	Entries []int32
-	// LCAs is the same set as nodes, mapped by Evaluate and EvaluateBounded.
-	// EvaluateResults leaves it nil: it maps only the LCAs it builds
-	// results for.
-	LCAs []*xmltree.Node
-	// Truncated reports that LCAs is a bounded prefix of the full set:
+	// Truncated reports that Entries is a bounded prefix of the full set:
 	// EvaluateBounded stopped the SLCA scan after proving the first k
 	// LCAs in document order. The prefix is byte-identical to the same
 	// prefix of an unbounded evaluation.
@@ -114,17 +111,6 @@ func (e *Engine) Evaluate(query string) (*Evaluation, error) {
 // still qualify from later matches, and Free needs the root's row after the
 // last one (see PERFORMANCE.md). limit <= 0 behaves exactly like Evaluate.
 func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
-	ev, err := e.evaluate(query, limit)
-	if err != nil {
-		return nil, err
-	}
-	ev.LCAs = nodesOf(e.ix, ev.Entries)
-	return ev, nil
-}
-
-// evaluate is EvaluateBounded without the LCAs mapped to nodes: the set is
-// the evaluation's Entries.
-func (e *Engine) evaluate(query string, limit int) (*Evaluation, error) {
 	ev, err := e.Lists(query)
 	if err != nil {
 		return nil, err
@@ -183,57 +169,50 @@ func (e *Engine) Anchors(anchor, lca int) bool {
 	if a == nil || l == nil || !l.IsElement() {
 		return false
 	}
-	got, _ := e.anchorOf(l, e.entityLabels(), 0)
-	return got == a
+	at, _ := slices.BinarySearch(e.ix.Columns().Pos, l.Start)
+	return e.anchorOf(l, e.entityLabels(), at) == a
 }
 
 // Results builds the results for the given LCA subset of an evaluation,
 // applying the engine's DistinctAnchors and MaxResults options, and returns
 // them sorted by anchor document order — results of one anchor (without
 // DistinctAnchors) by LCA document order, so a shard orders them as the
-// whole document does. Each LCA's anchor is resolved and
-// de-duplicated before anything is built, so a dropped LCA costs one map
-// probe.
+// whole document does. The LCAs are elements of the engine's document. Each
+// LCA's anchor is resolved and de-duplicated before anything is built, so a
+// dropped LCA costs one map probe.
 func (e *Engine) Results(ev *Evaluation, lcas []*xmltree.Node) []*Result {
-	return e.results(ev, lcas, nil, nil)
+	pos := e.ix.Columns().Pos
+	entries := make([]int32, len(lcas))
+	for i, lca := range lcas {
+		at, _ := slices.BinarySearch(pos, lca.Start)
+		entries[i] = int32(at)
+	}
+	return e.results(ev, entries, nil)
 }
 
 // results is Results over the LCAs accepted by keep (nil keeps all), given
-// as nodes (lcas) or as column entries (entries, when lcas is nil), which are
-// mapped to their nodes one by one as they are reached: building stops at
-// MaxResults, and what lies past it is never read. The results' match runs
-// are carved from slabs of bounds local to the call, each sized for every LCA
-// up to the bound and at most resultSlab.
-func (e *Engine) results(ev *Evaluation, lcas []*xmltree.Node, entries []int32, keep func(*xmltree.Node) bool) []*Result {
-	n := len(lcas)
-	if lcas == nil {
-		n = len(entries)
-	}
+// as column entries, which are mapped to their nodes one by one as they are
+// reached: building stops at MaxResults, and what lies past it is never
+// read. The results' match runs are carved from slabs of bounds local to the
+// call, each sized for every LCA up to the bound and at most resultSlab.
+func (e *Engine) results(ev *Evaluation, entries []int32, keep func(*xmltree.Node) bool) []*Result {
 	var (
 		results     []*Result
 		seenAnchors = make(map[*xmltree.Node]bool)
 		runs        *matchRuns
-		slab        = min(n, resultSlab)
+		slab        = min(len(entries), resultSlab)
 		entity      = e.entityLabels()
-		entry       int // the last LCA's column entry: LCAs come in document order
 		pos         = e.ix.Columns().Pos
 	)
 	if e.opts.MaxResults > 0 {
 		slab = min(slab, e.opts.MaxResults)
 	}
-	for i := range n {
-		var lca *xmltree.Node
-		if lcas != nil {
-			lca = lcas[i]
-		} else {
-			entry = int(entries[i])
-			lca = e.doc.ByOrd(int(pos[entry]))
-		}
+	for _, entry := range entries {
+		lca := e.doc.ByOrd(int(pos[entry]))
 		if keep != nil && !keep(lca) {
 			continue
 		}
-		var anchor *xmltree.Node
-		anchor, entry = e.anchorOf(lca, entity, entry)
+		anchor := e.anchorOf(lca, entity, int(entry))
 		if e.opts.DistinctAnchors && seenAnchors[anchor] {
 			continue
 		}
@@ -270,22 +249,21 @@ const resultSlab = 256
 // re-pays the cheap bounded scan, the common case touches only the matches
 // needed for k results. The kept subset is never materialised: building
 // stops at MaxResults, and only the LCAs reached by then are mapped to their
-// nodes. Returns the evaluation — its LCA set as Entries, with LCAs nil —
-// and the results.
+// nodes. Returns the evaluation and the results.
 func (e *Engine) EvaluateResults(query string, keep func(*xmltree.Node) bool) (*Evaluation, []*Result, error) {
 	limit := 0
 	if e.opts.MaxResults > 0 && e.opts.Semantics != SemanticsELCA {
 		limit = e.opts.MaxResults
 	}
 	for {
-		ev, err := e.evaluate(query, limit)
+		ev, err := e.EvaluateBounded(query, limit)
 		if err != nil {
 			return nil, nil, err
 		}
 		if ev.Entries == nil {
 			return ev, nil, nil
 		}
-		results := e.results(ev, nil, ev.Entries, keep)
+		results := e.results(ev, ev.Entries, keep)
 		if !ev.Truncated || len(results) >= e.opts.MaxResults {
 			return ev, results, nil
 		}

@@ -502,29 +502,19 @@ const (
 // (XSeek's meaningful return unit — query results in the paper are
 // entity-rooted, e.g. the retailer in Figure 1), otherwise the LCA itself. It
 // tests each label symbol's entity flag (entityLabels) — the LCA's own
-// first — and climbs the index's Parent column from the LCA's entry, so no
-// node is read but the LCA and the anchor it returns. The LCA is an element.
-// from is the entry of an earlier LCA in document order, where the search
-// for this one's starts (0 for none), and the entry the next call should
-// start from is returned.
-func (e *Engine) anchorOf(lca *xmltree.Node, entity []bool, from int) (*xmltree.Node, int) {
+// first — and climbs the index's Parent column from at, the LCA's entry, so
+// no node is read but the LCA and the anchor it returns.
+func (e *Engine) anchorOf(lca *xmltree.Node, entity []bool, at int) *xmltree.Node {
 	if entity[lca.Sym] {
-		return lca, from
+		return lca
 	}
 	cols := e.ix.Columns()
-	at := from
-	if from > 0 {
-		at = gallop(cols.Pos, from, lca.Start)
-	}
-	if at == len(cols.Pos) || cols.Pos[at] != lca.Start { // none before, or not after from
-		at, _ = slices.BinarySearch(cols.Pos, lca.Start)
-	}
 	for en := cols.Parent[at]; en >= 0; en = cols.Parent[en] {
 		if entity[cols.Label[en]] {
-			return e.doc.ByOrd(int(cols.Pos[en])), at
+			return e.doc.ByOrd(int(cols.Pos[en]))
 		}
 	}
-	return lca, at
+	return lca
 }
 
 // entityLabels returns, by label symbol of the engine's document, whether

@@ -214,10 +214,10 @@ func TestResultAllocations(t *testing.T) {
 
 	resultsAllocs := func(query string, take int, anchor *xmltree.Node) float64 {
 		ev, err := e.Evaluate(query)
-		if err != nil || len(ev.LCAs) < take {
-			t.Fatalf("%q: %v, %d LCAs", query, err, len(ev.LCAs))
+		if err != nil || len(ev.Entries) < take {
+			t.Fatalf("%q: %v, %d LCAs", query, err, len(ev.Entries))
 		}
-		lcas := ev.LCAs[:take]
+		lcas := nodesOf(e.ix, ev.Entries[:take])
 		if rs := e.Results(ev, lcas); len(rs) != 1 || rs[0].Anchor != anchor {
 			t.Fatalf("%q: results %v, want one anchored at %v", query, rs, anchor)
 		}

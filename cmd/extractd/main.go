@@ -729,6 +729,7 @@ func (s *server) reload(ds *dataset) error {
 		return err
 	}
 	var stats extract.DeltaStats
+	parsed, copied := ds.Corpus.ReloadSegments()
 	if ds.Snapshot {
 		stats, err = ds.Corpus.ReloadSnapshot(ds.Path)
 	} else {
@@ -744,8 +745,9 @@ func (s *server) reload(ds *dataset) error {
 	ds.lastReload = time.Now()
 	ds.lastMode = stats.Mode()
 	ds.obs.Unlock()
-	log.Printf("extractd: reloaded %s from %s (%s: %d/%d shards rebuilt, %d elements)",
-		ds.Name, ds.Path, stats.Mode(), stats.Rebuilt, stats.Shards, ds.Corpus.Stats().Elements)
+	nowParsed, nowCopied := ds.Corpus.ReloadSegments()
+	log.Printf("extractd: reloaded %s from %s (%s: %d/%d shards rebuilt, %d entities parsed, %d copied, %d elements)",
+		ds.Name, ds.Path, stats.Mode(), stats.Rebuilt, stats.Shards, nowParsed-parsed, nowCopied-copied, ds.Corpus.Stats().Elements)
 	return nil
 }
 

@@ -492,6 +492,28 @@ func TestWatchTickMissingFile(t *testing.T) {
 	}
 }
 
+// TestReloadLogCountsEntities: a file reload's log line says what it read —
+// an edit of one movie parses that movie and copies the others of its
+// shard out of the generation it replaces.
+func TestReloadLogCountsEntities(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "movies.xml")
+	doc := gen.Movies(gen.MoviesConfig{Movies: 5, Seed: 41})
+	writeDataset(t, path, doc)
+	s := fileServer(t, path)
+	doc.Root.Children[2].Children[0].Children[0].Value = "Renamed"
+	writeDataset(t, path, doc)
+
+	var logs bytes.Buffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+	if err := s.reload(s.datasets["movies"]); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(logs.String(), "1/1 shards rebuilt, 1 entities parsed, 4 copied") {
+		t.Fatalf("reload log does not count 1 entity parsed and 4 copied: %q", logs.String())
+	}
+}
+
 // TestHandleStatsReloadFields: /stats reports the refresh view — source
 // kind, reload generation, last-reload time and mode.
 func TestHandleStatsReloadFields(t *testing.T) {

@@ -133,7 +133,9 @@ func (c *Corpus) server() *serve.Server {
 // newCorpus makes a corpus with the serving configuration its load options
 // asked for; the caller stores its first generation.
 func newCorpus(cfg loadConfig) *Corpus {
-	return &Corpus{serving: cfg.serving, reg: telemetry.NewRegistry()}
+	c := &Corpus{serving: cfg.serving, reg: telemetry.NewRegistry()}
+	c.reloadSegments()
+	return c
 }
 
 // newLocal wraps a local corpus generation.
@@ -159,7 +161,8 @@ func (c *Corpus) Close() {
 // DeltaStats reports what one reload did: how many shards the new
 // generation has, how many were adopted unchanged from the previous one,
 // and how many were rebuilt (or, for a snapshot reload, reloaded from
-// their packed images).
+// their packed images). What an XML reload read for the rebuilt shards is
+// counted apart, in ReloadSegments.
 type DeltaStats struct {
 	Shards  int `json:"shards"`
 	Reused  int `json:"reused"`
@@ -177,24 +180,26 @@ func (s DeltaStats) Mode() string {
 
 // publish is the one step every reload ends in. Under reloadMu, next makes
 // the new generation out of the serving one, reporting how many of its
-// shards it adopted; that generation is stored, the serving layer swapped
-// onto it — which bumps the query-cache epoch, so no response computed
-// against the old data is ever replayed — and the outcome recorded. An
+// shards it adopted and what it read; that generation is stored, the
+// serving layer swapped onto it — which bumps the query-cache epoch, so no
+// response computed against the old data is ever replayed — and the outcome
+// recorded. An
 // error from next leaves the old generation serving. next runs under the
 // lock, so concurrent reloads are serialized end to end and each one diffs
 // against exactly the generation it replaces.
-func (c *Corpus) publish(source string, next func(old *corpusData) (d *corpusData, reused int, err error)) (stats DeltaStats, err error) {
-	defer func(start time.Time) { c.recordReload(source, stats, start, err) }(time.Now())
+func (c *Corpus) publish(source string, next func(old *corpusData) (d *corpusData, st ingest.Stats, err error)) (stats DeltaStats, err error) {
+	var st ingest.Stats
+	defer func(start time.Time) { c.recordReload(source, stats, st, start, err) }(time.Now())
 	c.reloadMu.Lock()
 	defer c.reloadMu.Unlock()
-	d, reused, err := next(c.data.Load())
+	d, st, err := next(c.data.Load())
 	if err != nil {
 		return DeltaStats{}, err
 	}
 	c.data.Store(d)
 	c.server().Swap(d.backend())
 	n := len(d.gen.Source.Shards)
-	return DeltaStats{Shards: n, Reused: reused, Rebuilt: n - reused}, nil
+	return DeltaStats{Shards: n, Reused: st.Reused, Rebuilt: n - st.Reused}, nil
 }
 
 // Reload replaces the corpus's analyzed data with src's — the online
@@ -207,7 +212,7 @@ func (c *Corpus) publish(source string, next func(old *corpusData) (d *corpusDat
 // afterwards. The receiving corpus keeps its own serving configuration
 // (workers, cache budget).
 func (c *Corpus) Reload(src *Corpus) {
-	c.publish("swap", func(*corpusData) (*corpusData, int, error) { return src.data.Load(), 0, nil })
+	c.publish("swap", func(*corpusData) (*corpusData, ingest.Stats, error) { return src.data.Load(), ingest.Stats{}, nil })
 }
 
 // reloadSourceFault fires the chaos hook standing for an unreadable reload
@@ -241,22 +246,22 @@ func (c *Corpus) ReloadDelta(r io.Reader, opts ...Option) (DeltaStats, error) {
 }
 
 func (c *Corpus) reloadDelta(src source, opts []Option) (DeltaStats, error) {
-	return c.publish("xml", func(old *corpusData) (*corpusData, int, error) {
+	return c.publish("xml", func(old *corpusData) (*corpusData, ingest.Stats, error) {
 		if err := reloadSourceFault(); err != nil {
-			return nil, 0, err
+			return nil, ingest.Stats{}, err
 		}
 		if old.rt != nil {
-			return nil, 0, ErrRemoteCorpus
+			return nil, ingest.Stats{}, ErrRemoteCorpus
 		}
 		cfg, err := foldOptions(opts)
 		if err != nil {
-			return nil, 0, err
+			return nil, ingest.Stats{}, err
 		}
-		gen, reused, err := cfg.generation(src, &old.gen)
+		gen, st, err := cfg.generation(src, &old.gen)
 		if err != nil {
-			return nil, 0, err
+			return nil, ingest.Stats{}, err
 		}
-		return &corpusData{gen: *gen}, reused, nil
+		return &corpusData{gen: *gen}, st, nil
 	})
 }
 
@@ -280,25 +285,25 @@ func (c *Corpus) ReloadDeltaFile(path string, opts ...Option) (DeltaStats, error
 // (ingest.ErrImageMismatch, ingest.ErrSnapshotChanging) — leaves the old
 // generation serving.
 func (c *Corpus) ReloadSnapshot(dir string) (DeltaStats, error) {
-	return c.publish("snapshot", func(old *corpusData) (*corpusData, int, error) {
+	return c.publish("snapshot", func(old *corpusData) (*corpusData, ingest.Stats, error) {
 		if err := reloadSourceFault(); err != nil {
-			return nil, 0, err
+			return nil, ingest.Stats{}, err
 		}
 		if old.rt != nil {
 			if err := old.rt.ReloadSnapshot(dir); err != nil {
-				return nil, 0, err
+				return nil, ingest.Stats{}, err
 			}
 			// A shard counts as reused by the rule LoadDelta adopts by;
 			// the shard servers swap on their own.
 			src := old.rt.Source()
 			_, reused := ingest.Adoptable(old.gen.Source, src)
-			return &corpusData{rt: old.rt, gen: ingest.Generation{Source: src}}, reused, nil
+			return &corpusData{rt: old.rt, gen: ingest.Generation{Source: src}}, ingest.Stats{Reused: reused}, nil
 		}
 		gen, reused, err := ingest.LoadDelta(dir, &old.gen)
 		if err != nil {
-			return nil, 0, err
+			return nil, ingest.Stats{}, err
 		}
-		return &corpusData{gen: *gen}, reused, nil
+		return &corpusData{gen: *gen}, ingest.Stats{Reused: reused}, nil
 	})
 }
 
@@ -546,31 +551,32 @@ var testHookSplit func(*xmltree.Split)
 // the caller supplied an explicit DTD. Load and ReloadDelta both go through
 // here: "a delta reload is byte-identical to a fresh load" depends on the two
 // applying one rule.
-func (cfg *loadConfig) generation(src source, prev *ingest.Generation) (*ingest.Generation, int, error) {
+func (cfg *loadConfig) generation(src source, prev *ingest.Generation) (*ingest.Generation, ingest.Stats, error) {
 	data, err := src()
 	if err != nil {
-		return nil, 0, err
+		return nil, ingest.Stats{}, err
 	}
 	if sp := xmltree.SplitBytes(data, cfg.parseOptions()...); sp != nil {
 		if testHookSplit != nil {
 			testHookSplit(sp)
 		}
 		if d, err := cfg.classifyingDTD(sp.InternalSubset); err == nil {
-			if g, reused, err := ingest.BuildSplit(sp, cfg.shards, d, prev); err == nil {
-				return g, reused, nil
+			if g, st, err := ingest.BuildSplit(sp, cfg.shards, d, prev); err == nil {
+				return g, st, nil
 			}
 		}
 	}
 	doc, err := xmltree.ParseBytes(data, cfg.parseOptions()...)
 	if err != nil {
-		return nil, 0, err
+		return nil, ingest.Stats{}, err
 	}
 	d, err := cfg.classifyingDTD(doc.InternalSubset)
 	if err != nil {
-		return nil, 0, err
+		return nil, ingest.Stats{}, err
 	}
+	entities := len(doc.Root.Children)
 	g, reused := ingest.Build(doc, cfg.shards, d, prev)
-	return g, reused, nil
+	return g, ingest.Stats{Reused: reused, Parsed: entities}, nil
 }
 
 // classifyingDTD resolves the DTD a document classifies under: the caller's,

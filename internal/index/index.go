@@ -2,6 +2,7 @@ package index
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -109,44 +110,30 @@ func Builds() int64 { return builds.Load() }
 // children in order — is posted when the element itself is visited, so the
 // adds for one node are contiguous and every list comes out sorted by Ord
 // and free of duplicates whatever the content model (a text child of mixed
-// content may follow a whole element subtree in preorder).
+// content may follow a whole element subtree in preorder). Each distinct
+// label and value is tokenized once: the lists it posts to are memoized by
+// its symbol id (Node.Sym), so a node only appends to lists.
 func Build(doc *xmltree.Document) *Index {
 	builds.Add(1)
 	ix := &Index{doc: doc, postings: make(map[string]*PostingList)}
 	ix.cols.reset(countElements(doc.Nodes()))
+	var labels, values symLists
 	elements := 0
-	add := func(keyword string, n *xmltree.Node, f MatchField) {
-		list := ix.postings[keyword]
-		if list == nil {
-			list = &PostingList{}
-			ix.postings[keyword] = list
-		}
-		// Merge repeated hits on the same node (e.g. a token occurring
-		// twice in one value, or in two text children).
-		if k := len(list.Nodes); k > 0 && list.Nodes[k-1] == n {
-			list.Fields[k-1] |= f
-			return
-		}
-		list.Ords = append(list.Ords, int32(n.Ord))
-		list.Nodes = append(list.Nodes, n)
-		list.Fields = append(list.Fields, f)
-		ix.total++
-	}
 	for _, n := range doc.Nodes() {
 		if !n.IsElement() {
 			continue
 		}
 		ix.cols.put(elements, n)
 		elements++
-		for _, t := range Tokenize(n.Label) {
-			add(t, n, FieldLabel)
+		for _, list := range labels.of(ix, n.Sym, n.Label) {
+			ix.add(list, n, FieldLabel)
 		}
 		for _, c := range n.Children {
 			if !c.IsText() {
 				continue
 			}
-			for _, t := range Tokenize(c.Value) {
-				add(t, n, FieldValue)
+			for _, list := range values.of(ix, c.Sym, c.Value) {
+				ix.add(list, n, FieldValue)
 			}
 		}
 	}
@@ -156,6 +143,54 @@ func Build(doc *xmltree.Document) *Index {
 		}
 	}
 	return ix
+}
+
+// add posts n to list, merging repeated hits on the same node (a token
+// occurring twice in one value, or in two text children, or in the label
+// and a value).
+func (ix *Index) add(list *PostingList, n *xmltree.Node, f MatchField) {
+	if k := len(list.Nodes); k > 0 && list.Nodes[k-1] == n {
+		list.Fields[k-1] |= f
+		return
+	}
+	list.Ords = append(list.Ords, int32(n.Ord))
+	list.Nodes = append(list.Nodes, n)
+	list.Fields = append(list.Fields, f)
+	ix.total++
+}
+
+// symLists memoizes, for one symbol id space (labels or values), the
+// posting lists of each symbol's tokens, in token order: span[id] is the
+// run of lists, its start offset by one so that the zero span means "not
+// tokenized yet".
+type symLists struct {
+	span  [][2]int32
+	lists []*PostingList
+}
+
+// of returns the lists the tokens of s, whose symbol id is sym, post to,
+// tokenizing s and creating its lists on the symbol's first occurrence.
+// The slice is valid until the next call.
+func (m *symLists) of(ix *Index, sym int32, s string) []*PostingList {
+	if int(sym) >= len(m.span) {
+		m.span = slices.Grow(m.span, int(sym)+1-len(m.span))[:sym+1]
+	}
+	sp := m.span[sym]
+	if sp[0] == 0 {
+		lo := len(m.lists)
+		EachToken(s, func(t string) bool {
+			list := ix.postings[t]
+			if list == nil {
+				list = &PostingList{}
+				ix.postings[t] = list
+			}
+			m.lists = append(m.lists, list)
+			return true
+		})
+		sp = [2]int32{int32(lo) + 1, int32(len(m.lists))}
+		m.span[sym] = sp
+	}
+	return m.lists[sp[0]-1 : sp[1]]
 }
 
 // FromParts reconstructs an Index from already-built posting lists, the

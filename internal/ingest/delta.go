@@ -31,10 +31,28 @@ type Generation struct {
 	// segs is, per shard, what BuildSplit read the generation from: each
 	// top-level entity's byte hash and node count. It is kept in memory
 	// only, never in a snapshot, and spares the next BuildSplit the parse of
-	// every segment it has seen byte for byte. A generation built from a
-	// parsed document or loaded from a snapshot has none: its next delta
-	// parses every segment, and adopts by content hash as ever.
+	// every segment it has seen byte for byte: such a segment is adopted
+	// with its block, or copied out of the shard document that holds it. A
+	// generation built from a parsed document or loaded from a snapshot has
+	// none: its next delta parses every segment, and adopts by content hash
+	// as ever.
 	segs [][]segment
+}
+
+// Stats reports what one build did with its input: the blocks it adopted
+// from the previous generation, and the top-level entities it read — parsed
+// from their bytes, or copied out of the previous generation's shard
+// documents because it had read those very bytes. An entity of a block
+// adopted unread is neither.
+type Stats struct {
+	Reused, Parsed, Copied int
+}
+
+// segmentAt locates a segment a generation read: the shard holding it and
+// its position among that shard root's children.
+type segmentAt struct {
+	segment
+	shard, child int
 }
 
 // segment is one top-level entity's source bytes, as a generation remembers
@@ -87,51 +105,69 @@ func Build(doc *xmltree.Document, shards int, d *dtd.DTD, prev *Generation) (g *
 }
 
 // BuildSplit is Build from a document's bytes, split at its root's children
-// (xmltree.SplitBytes), parsing only the segments it needs, concurrently. A
+// (xmltree.SplitBytes), reading only the segments it needs, concurrently. A
 // segment whose bytes prev read needs no parse for its node count, so the
 // blocks are cut as for the parsed document; a block whose segments are
-// prev's block at the same position, byte for byte, is adopted unparsed;
-// every other block is parsed, hashed, and adopted or built as Build would.
-// The generation equals Build's of the parsed document, and remembers its
-// segments for the next BuildSplit. An error is a segment's parse failing
-// or the node bound (xmltree.WithMaxNodes) exceeded; which error the
-// document has, a whole parse (xmltree.ParseBytes) says.
-func BuildSplit(sp *xmltree.Split, shards int, d *dtd.DTD, prev *Generation) (g *Generation, reused int, err error) {
+// prev's block at the same position, byte for byte, is adopted unread;
+// every other block is read, hashed, and adopted or built as Build would.
+// Only a segment whose bytes are new is parsed: one prev read is copied out
+// of prev's shard document (xmltree.Document.CopySegment), when the root
+// fingerprint is prev's. The generation equals Build's of the parsed
+// document, and remembers its segments for the next BuildSplit. An error is
+// a segment's parse failing or the node bound (xmltree.WithMaxNodes)
+// exceeded; which error the document has, a whole parse
+// (xmltree.ParseBytes) says.
+func BuildSplit(sp *xmltree.Split, shards int, d *dtd.DTD, prev *Generation) (g *Generation, st Stats, err error) {
 	n := len(sp.Segments)
 	in := &input{
 		bl:      shard.Blocks{Label: sp.Root, Subset: sp.InternalSubset, Entities: make([]*xmltree.Node, n)},
 		weights: make([]int, n),
 		sp:      sp,
 		hashes:  make([]uint64, n),
+		seen:    make(map[uint64]segmentAt),
 	}
-	seen := make(map[uint64]int)
 	if prev != nil {
-		for _, block := range prev.segs {
-			for _, s := range block {
-				seen[s.hash] = s.nodes
+		for b, block := range prev.segs {
+			for j, s := range block {
+				in.seen[s.hash] = segmentAt{segment: s, shard: b, child: j}
 			}
+		}
+		if RootHash(in.bl.Label, in.bl.FromAttr, in.bl.Subset) == prev.Source.RootHash {
+			in.from = prev.Corpus
 		}
 	}
 	core.Each(n, func(i int) { in.hashes[i] = hashBytes(sp.Bytes(i)) })
 	var unseen []int
 	for i := range n {
-		if nodes, ok := seen[in.hashes[i]]; ok {
-			in.weights[i] = nodes
+		if s, ok := in.seen[in.hashes[i]]; ok {
+			in.weights[i] = s.nodes
 		} else {
 			unseen = append(unseen, i)
 		}
 	}
-	if err := in.parse(unseen); err != nil {
-		return nil, 0, err
+	if err := in.read(unseen); err != nil {
+		return nil, Stats{}, err
 	}
 	total := 1 // the root
 	for _, w := range in.weights {
 		total += w
 	}
 	if err := sp.Limit(total); err != nil {
-		return nil, 0, err
+		return nil, Stats{}, err
 	}
-	return in.build(shards, d, prev)
+	g, st.Reused, err = in.build(shards, d, prev)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	for i, e := range in.bl.Entities {
+		switch {
+		case sp.Parsed(i):
+			st.Parsed++
+		case e != nil:
+			st.Copied++
+		}
+	}
+	return g, st, nil
 }
 
 // Delta is Diff's verdict on a newly parsed document: how the document
@@ -160,12 +196,16 @@ func Diff(old Source, doc *xmltree.Document, shards int) Delta {
 
 // input is a document as the builder reads it: BuildFrom's blocks (cut by
 // build), the entities' node counts and — from bytes — the split they are
-// parsed from on demand, with each segment's byte hash.
+// read from on demand, with each segment's byte hash, the segments the
+// previous generation read (seen) and, when its root fingerprint is the
+// input's, that generation's corpus to copy them out of (from).
 type input struct {
 	bl      shard.Blocks
 	weights []int
 	sp      *xmltree.Split
 	hashes  []uint64
+	seen    map[uint64]segmentAt
+	from    *shard.Corpus
 }
 
 func fromDocument(doc *xmltree.Document) *input {
@@ -186,8 +226,8 @@ func (in *input) build(shards int, d *dtd.DTD, prev *Generation) (*Generation, i
 	in.bl.Cuts = cuts
 	blocks := len(cuts) - 1
 	// A block whose segments are prev's block, byte for byte, holds prev's
-	// content without a parse; every other block is parsed whole.
-	aligned := in.sp != nil && len(was) == blocks && RootHash(in.bl.Label, in.bl.FromAttr, in.bl.Subset) == old.RootHash
+	// content unread; every other block is read whole.
+	aligned := in.from != nil && len(was) == blocks
 	same := make([]bool, blocks)
 	var need []int
 	for b := range blocks {
@@ -198,7 +238,7 @@ func (in *input) build(shards int, d *dtd.DTD, prev *Generation) (*Generation, i
 			}
 		}
 	}
-	if err := in.parse(need); err != nil {
+	if err := in.read(need); err != nil {
 		return nil, 0, err
 	}
 	diff := in.diff(old, cuts, same)
@@ -237,12 +277,18 @@ func (in *input) sameBytes(lo, hi int, was []segment) bool {
 	return true
 }
 
-// parse parses the given segments concurrently, recording each entity and
-// its node count.
-func (in *input) parse(segs []int) error {
+// read reads the given segments concurrently, recording each entity and its
+// node count: a segment the previous generation read is copied out of its
+// shard document when in.from is set, and every other one parsed.
+func (in *input) read(segs []int) error {
 	errs := make([]error, len(segs))
 	core.Each(len(segs), func(j int) {
 		i := segs[j]
+		if s, ok := in.seen[in.hashes[i]]; ok && in.from != nil {
+			doc := in.from.Shards()[s.shard].Doc
+			in.bl.Entities[i], in.weights[i] = doc.CopySegment(doc.Root.Children[s.child]), s.nodes
+			return
+		}
 		n, err := in.sp.Parse(i)
 		if err != nil {
 			errs[j] = err

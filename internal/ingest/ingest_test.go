@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"extract/internal/core"
@@ -291,5 +292,58 @@ func TestSnapshotShapeChangeCleans(t *testing.T) {
 		if got, want := render(loaded.Corpus, q), render(sc2, q); got != want {
 			t.Fatalf("q=%q: answers differ after shape change", q)
 		}
+	}
+}
+
+// TestBuildSplitCopiesSegmentsItRead: a delta from bytes parses exactly the
+// segments whose bytes are new, copies the other entities of the blocks it
+// rebuilds out of the previous generation, and equals a fresh build; under
+// another root fingerprint (a DOCTYPE added) it copies nothing.
+func TestBuildSplitCopiesSegmentsItRead(t *testing.T) {
+	split := func(doc *xmltree.Document, prolog string) *xmltree.Split {
+		sp := xmltree.SplitBytes([]byte(prolog + xmltree.XMLString(doc.Root)))
+		if sp == nil {
+			t.Fatal("the document does not split")
+		}
+		return sp
+	}
+	base, err := func() (*Generation, error) {
+		g, _, err := BuildSplit(split(storesDoc(), ""), 2, nil, nil)
+		return g, err
+	}()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := storesDoc()
+	mutateOneEntity(edited, 3)
+	for _, tc := range []struct {
+		name   string
+		prolog string
+		want   Stats
+	}{
+		{"one entity edited", "", Stats{Reused: 1, Parsed: 1, Copied: 1}},
+		{"a DOCTYPE added", "<!DOCTYPE retailers [<!ELEMENT retailers (retailer*)>]>", Stats{Parsed: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, st, err := BuildSplit(split(edited, tc.prolog), 2, nil, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != tc.want {
+				t.Fatalf("stats %+v, want %+v", st, tc.want)
+			}
+			fresh, _, err := BuildSplit(split(edited, tc.prolog), 2, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g.Source, fresh.Source) {
+				t.Fatalf("delta identity %+v, fresh build's %+v", g.Source, fresh.Source)
+			}
+			for _, q := range testQueries {
+				if got, want := render(g.Corpus, q), render(fresh.Corpus, q); got != want {
+					t.Fatalf("query %q: the delta answers differently from a fresh build", q)
+				}
+			}
+		})
 	}
 }

@@ -102,6 +102,16 @@ func Collect(doc *xmltree.Document, cls *classify.Classification) *Partial {
 		values         map[string]int
 	}
 	tallies := make(map[string]map[string]*tally)
+	// The current instance's attributes, one entry per label, and where
+	// each label's entry is: at[sym] is the entry of the label whose symbol
+	// id is sym, plus one. Both are reused from one instance to the next.
+	type attr struct {
+		sym          int32
+		label, value string
+		n            int
+	}
+	var cur []attr
+	var at []int32
 	for _, n := range nodes[1:] {
 		if !cls.IsEntity(n) {
 			continue
@@ -116,20 +126,29 @@ func Collect(doc *xmltree.Document, cls *classify.Classification) *Partial {
 		// attribute nodes reachable through connection nodes (XSeek's
 		// view: store/contact/name is still a store attribute), but not
 		// those of nested entities.
-		perAttr := make(map[string][]string)
+		cur = cur[:0]
 		collectAttrs(n, cls, func(a *xmltree.Node) bool {
-			perAttr[a.Label] = append(perAttr[a.Label], a.TextValue())
+			if int(a.Sym) >= len(at) {
+				at = slices.Grow(at, int(a.Sym)+1-len(at))[:a.Sym+1]
+			}
+			if k := at[a.Sym]; k > 0 {
+				cur[k-1].n++
+				return true
+			}
+			cur = append(cur, attr{sym: a.Sym, label: a.Label, value: a.TextValue(), n: 1})
+			at[a.Sym] = int32(len(cur))
 			return true
 		})
-		for attr, vals := range perAttr {
-			t := attrs[attr]
+		for _, a := range cur {
+			at[a.sym] = 0
+			t := attrs[a.label]
 			if t == nil {
 				t = &tally{values: make(map[string]int)}
-				attrs[attr] = t
+				attrs[a.label] = t
 			}
-			if len(vals) == 1 {
+			if a.n == 1 {
 				t.present++
-				t.values[vals[0]]++
+				t.values[a.value]++
 			} else {
 				t.multi++
 			}

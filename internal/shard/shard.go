@@ -76,27 +76,42 @@ func Build(doc *xmltree.Document, n int, opts ...Option) *Corpus {
 // (internal/ingest decides that by content hash): its document, packed index
 // and analysis partial are taken as they are, and block b's entities are
 // never read. Every other block is built into a document of its own (one
-// block in all: the whole document itself, unmoved), indexed, and walked for
-// its share of the analysis — concurrently, on up to GOMAXPROCS goroutines.
-// The analysis is the merge of every shard's partial (core.Merge), so the
-// work is proportional to what changed. A fresh build and a delta are this
-// one body, so they cannot disagree.
+// block in all: the whole document itself, unmoved), then indexed beside its
+// share of the analysis: the index builds run alongside the walks and the
+// merge, since neither reads the other's output, each side on up to
+// GOMAXPROCS goroutines — so a delta that rebuilds one shard keeps two
+// cores busy. The analysis is the merge of every shard's partial
+// (core.Merge), so the work is proportional to what changed. A fresh build
+// and a delta are this one body, so they cannot disagree.
 func BuildFrom(bl *Blocks, adopt []*core.Corpus, opts ...Option) *Corpus {
 	var cfg buildConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	shards := make([]*core.Corpus, len(bl.Cuts)-1)
-	core.Each(len(shards), func(b int) {
+	var built []int
+	for b := range shards {
 		if b < len(adopt) && adopt[b] != nil {
 			a := adopt[b]
 			shards[b] = &core.Corpus{Doc: a.Doc, Index: a.Index, Partial: a.Partial}
-			return
+		} else {
+			shards[b] = &core.Corpus{}
+			built = append(built, b)
 		}
-		doc := bl.block(b)
-		shards[b] = &core.Corpus{Doc: doc, Index: index.Build(doc), Partial: core.Infer(doc)}
-	})
-	return Assemble(shards, core.Merge(shards, cfg.dtd), bl.Label, bl.FromAttr, bl.Subset)
+	}
+	core.Each(len(built), func(i int) { shards[built[i]].Doc = bl.block(built[i]) })
+	indexes := make([]*index.Index, len(built))
+	indexed := make(chan struct{})
+	go func() {
+		core.Each(len(built), func(i int) { indexes[i] = index.Build(shards[built[i]].Doc) })
+		close(indexed)
+	}()
+	a := core.Merge(shards, cfg.dtd) // infers the built shards' partials
+	<-indexed
+	for i, b := range built {
+		shards[b].Index = indexes[i]
+	}
+	return Assemble(shards, a, bl.Label, bl.FromAttr, bl.Subset)
 }
 
 // Assemble builds a Corpus from per-shard corpora and a global analysis —

@@ -87,11 +87,13 @@ func TestReplacedGenerationIsReclaimed(t *testing.T) {
 }
 
 // TestDeltaReloadReleasesDiscardedParse pins what a delta reload parses and
-// what it keeps of the input. It parses the segments of the block it
-// rebuilds and not one byte of an adopted block; and once it returns, the
-// split it read the input through — the input bytes with it — must be
-// garbage. A node of the rebuilt block that pinned the split would keep the
-// whole input alive for the life of the new generation.
+// what it keeps of the input. It parses a segment exactly when its bytes are
+// new to the serving generation — not one byte of an adopted block, nor of
+// an unchanged entity of the block it rebuilds (that one is copied); and
+// once it returns, the split it read the input through — the input bytes
+// with it — must be garbage. A node of the rebuilt block that pinned the
+// split would keep the whole input alive for the life of the new
+// generation.
 func TestDeltaReloadReleasesDiscardedParse(t *testing.T) {
 	cfg := gen.StoresConfig{Retailers: 8, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 61}
 	xmlA := xmltree.XMLString(gen.Stores(cfg).Root)
@@ -110,9 +112,10 @@ func TestDeltaReloadReleasesDiscardedParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var oldDocs []*xmltree.Document
-	for _, s := range c.data.Load().gen.Corpus.Shards() {
-		oldDocs = append(oldDocs, s.Doc)
+	served := map[string]bool{} // the serving generation's segment bytes
+	spA := xmltree.SplitBytes([]byte(xmlA))
+	for i := range spA.Segments {
+		served[string(spA.Bytes(i))] = true
 	}
 
 	// The input as the reload reads it: cut at the root's children, one
@@ -127,20 +130,15 @@ func TestDeltaReloadReleasesDiscardedParse(t *testing.T) {
 	if sp == nil {
 		t.Fatal("the reload did not split its input")
 	}
-	seg := 0
-	for b, s := range c.data.Load().gen.Corpus.Shards() {
-		adopted := s.Doc == oldDocs[b]
-		for range s.Doc.Root.Children {
-			if sp.Parsed(seg) == adopted {
-				t.Fatalf("segment %d of block %d (adopted: %v) parsed: %v", seg, b, adopted, sp.Parsed(seg))
-			}
-			seg++
+	for i := range sp.Segments {
+		if seen := served[string(sp.Bytes(i))]; sp.Parsed(i) == seen {
+			t.Fatalf("segment %d (bytes served: %v) parsed: %v", i, seen, sp.Parsed(i))
 		}
 	}
 
 	released := make(chan struct{}, 1)
 	runtime.AddCleanup(sp, func(struct{}) { released <- struct{}{} }, struct{}{})
-	sp, oldDocs = nil, nil
+	sp = nil
 
 	deadline := time.After(10 * time.Second)
 	for {
@@ -151,6 +149,74 @@ func TestDeltaReloadReleasesDiscardedParse(t *testing.T) {
 		case <-time.After(20 * time.Millisecond):
 		case <-deadline:
 			t.Fatal("the reload's split, and the input bytes it holds, were not reclaimed")
+		}
+	}
+}
+
+// TestCopiedSegmentsReleaseReplacedGeneration: a delta reload that copies
+// the unchanged entities of the block it rebuilds out of the serving
+// generation's shard document keeps nothing of that document. A one-entity
+// edit in a two-entity block parses the one and copies the other; after the
+// swap, and queries on both sides of it, the replaced shard document must be
+// garbage, and its entities' nodes with it (a copy whose nodes pointed at
+// the originals — an Origin — would keep them): their cleanups run.
+func TestCopiedSegmentsReleaseReplacedGeneration(t *testing.T) {
+	cfg := gen.StoresConfig{Retailers: 8, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 62}
+	xmlA := xmltree.XMLString(gen.Stores(cfg).Root)
+	docB := gen.Stores(cfg)
+	docB.Root.Children[2].Children[0].Children[0].Value = "zzzrenamed"
+	xmlB := xmltree.XMLString(docB.Root)
+
+	c, err := LoadString(xmlA, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	query := func() {
+		t.Helper()
+		for _, q := range []string{"store texas", "retailer", "zzzrenamed"} {
+			if _, err := c.Query(q, 8); err != nil {
+				t.Fatalf("query %q: %v", q, err)
+			}
+		}
+	}
+	query()
+	old := c.data.Load().gen.Corpus.Shards()
+
+	stats, err := c.ReloadDelta(strings.NewReader(xmlB), WithShards(4))
+	parsed, copied := c.ReloadSegments()
+	if err != nil || stats.Rebuilt != 1 || parsed != 1 || copied != 1 {
+		t.Fatalf("reload: %+v, %d entities parsed, %d copied, err %v; want 1 shard rebuilt, 1 entity parsed and 1 copied",
+			stats, parsed, copied, err)
+	}
+	query()
+	reclaimed := make(chan struct{}, 8)
+	want, replaced := 0, 0
+	for b, s := range c.data.Load().gen.Corpus.Shards() {
+		if s.Doc == old[b].Doc {
+			continue
+		}
+		replaced++
+		runtime.AddCleanup(old[b].Doc, func(struct{}) { reclaimed <- struct{}{} }, struct{}{})
+		for _, e := range old[b].Doc.Root.Children {
+			runtime.AddCleanup(e, func(struct{}) { reclaimed <- struct{}{} }, struct{}{})
+		}
+		want += 1 + len(old[b].Doc.Root.Children)
+	}
+	if replaced != 1 {
+		t.Fatalf("%d shard documents replaced, want 1", replaced)
+	}
+	old = nil
+
+	deadline := time.After(10 * time.Second)
+	for got := 0; got < want; {
+		runtime.GC()
+		select {
+		case <-reclaimed:
+			got++
+		case <-time.After(20 * time.Millisecond):
+		case <-deadline:
+			t.Fatalf("%d of the replaced shard document and its entities (%d) were reclaimed", got, want)
 		}
 	}
 }

@@ -139,7 +139,9 @@ func TestReloadDeltaSplitCases(t *testing.T) {
 // delta reload onto the bytes and a fresh load of them accept or reject
 // alike — with ParseBytes's error when ParseBytes rejects the bytes, the old
 // generation still serving — and when they accept, they build the same
-// corpus byte for byte, with the same identity.
+// corpus byte for byte, with the same identity. A reload back onto the base
+// then builds the base's corpus again: entities copied out of a generation
+// that copied them are still the entities.
 func FuzzReloadDeltaMatchesLoad(f *testing.F) {
 	base := xmltree.XMLString(splitBaseDoc().Root)
 	for _, b := range []string{
@@ -147,6 +149,7 @@ func FuzzReloadDeltaMatchesLoad(f *testing.F) {
 		inEntity(base, 5, "</store>", "</stor>"),
 		inEntity(base, 2, "\n    <store", "\n\n    <store"),
 		inEntity(base, 6, "<name>", "<name>re"),
+		inEntity(base, 3, "</name>", " Outlet</name>"),
 		strings.Replace(base, "<retailers>", `<retailers k="v">`, 1),
 		strings.Replace(base, "</retailers>", "tail</retailers>", 1),
 		"\uFEFF<?xml version=\"1.0\"?>" + base,
@@ -162,6 +165,7 @@ func FuzzReloadDeltaMatchesLoad(f *testing.F) {
 		}
 		defer c.Close()
 		before := c.data.Load()
+		base, baseSource := corpusBytes(t, c.InternalShards()), before.gen.Source
 		_, rerr := c.ReloadDelta(bytes.NewReader(b), opts...)
 		fresh, lerr := LoadString(string(b), opts...)
 		if (rerr == nil) != (lerr == nil) {
@@ -183,6 +187,15 @@ func FuzzReloadDeltaMatchesLoad(f *testing.F) {
 		}
 		if g, w := c.data.Load().gen.Source, fresh.data.Load().gen.Source; !reflect.DeepEqual(g, w) {
 			t.Fatalf("delta identity %+v, fresh load's %+v", g, w)
+		}
+		if _, err := c.ReloadDelta(bytes.NewReader(a), opts...); err != nil {
+			t.Fatalf("reload back onto the base: %v", err)
+		}
+		if !bytes.Equal(corpusBytes(t, c.InternalShards()), base) {
+			t.Fatal("a delta back onto the base differs from its fresh load")
+		}
+		if g := c.data.Load().gen.Source; !reflect.DeepEqual(g, baseSource) {
+			t.Fatalf("delta identity back onto the base %+v, its fresh load's %+v", g, baseSource)
 		}
 	})
 }

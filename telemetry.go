@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"extract/internal/ingest"
 	"extract/internal/serve"
 	"extract/internal/telemetry"
 )
@@ -260,10 +261,10 @@ func WriteMetrics(w io.Writer, corpora map[string]*Corpus) error {
 // so every way of reloading reports alike: an outcome counter, a duration
 // histogram labeled by source (swap, xml, snapshot) and mode (full, delta),
 // and what the reload reused, in shards adopted from the previous generation
-// against shards rebuilt (or decoded, or re-placed). Failed reloads count but
-// do not pollute the duration distribution — an early parse error is not a
-// reload time.
-func (c *Corpus) recordReload(source string, stats DeltaStats, start time.Time, err error) {
+// against shards rebuilt (or decoded, or re-placed), and in top-level
+// entities parsed against copied. Failed reloads count but do not pollute
+// the duration distribution — an early parse error is not a reload time.
+func (c *Corpus) recordReload(source string, stats DeltaStats, read ingest.Stats, start time.Time, err error) {
 	if err != nil {
 		c.reg.Counter("extract_reloads_total", reloadsHelp, telemetry.L("result", "error")).Inc()
 		return
@@ -274,11 +275,34 @@ func (c *Corpus) recordReload(source string, stats DeltaStats, start time.Time, 
 		telemetry.L("source", source), telemetry.L("mode", stats.Mode())).Observe(time.Since(start))
 	c.reg.Counter("extract_reload_shards_total", reloadShardsHelp, telemetry.L("outcome", "reused")).Add(int64(stats.Reused))
 	c.reg.Counter("extract_reload_shards_total", reloadShardsHelp, telemetry.L("outcome", "rebuilt")).Add(int64(stats.Rebuilt))
+	parsed, copied := c.reloadSegments()
+	parsed.Add(int64(read.Parsed))
+	copied.Add(int64(read.Copied))
+}
+
+// reloadSegments returns the extract_reload_segments_total series. newCorpus
+// registers them, so both exist from the first scrape.
+func (c *Corpus) reloadSegments() (parsed, copied *telemetry.Counter) {
+	return c.reg.Counter("extract_reload_segments_total", reloadSegmentsHelp, telemetry.L("outcome", "parsed")),
+		c.reg.Counter("extract_reload_segments_total", reloadSegmentsHelp, telemetry.L("outcome", "copied"))
+}
+
+// ReloadSegments returns how many top-level entities (the root's children)
+// the corpus's successful XML reloads have read so far: parsed from bytes
+// the serving generation had not read, or copied out of its documents
+// because it had. An entity of a shard adopted unread is neither; an input
+// no split takes is parsed whole, every entity counted as parsed. These are
+// the extract_reload_segments_total counters, so a reload's own counts are
+// the difference across it.
+func (c *Corpus) ReloadSegments() (parsed, copied int64) {
+	p, cp := c.reloadSegments()
+	return p.Value(), cp.Value()
 }
 
 const (
-	reloadsHelp      = "Reloads by result; errored reloads left the old generation serving."
-	reloadShardsHelp = "Shards of successfully reloaded generations by outcome: reused (adopted from the previous generation) or rebuilt."
+	reloadsHelp        = "Reloads by result; errored reloads left the old generation serving."
+	reloadShardsHelp   = "Shards of successfully reloaded generations by outcome: reused (adopted from the previous generation) or rebuilt."
+	reloadSegmentsHelp = "Top-level entities successful XML reloads read, by outcome: parsed (bytes the serving generation had not read) or copied (out of its documents)."
 )
 
 // recordSnapshotSave records one SaveSnapshot duration.

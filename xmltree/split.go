@@ -112,6 +112,50 @@ func (sp *Split) Parse(i int) (*Node, error) {
 	return n, nil
 }
 
+// CopySegment returns a copy of n's subtree, n a node of d, shaped like
+// Split.Parse's output: a detached tree, preorder positions counted from 0
+// at the copy of n, no parent, no symbol ids (NewDocument assigns them) and
+// no Origin — nothing of the copy points into d, so d is not kept alive by
+// it. Labels and values are shared; the nodes and Children slices are cut
+// from chunks of the copy's own, like a scanner's for one top-level entity
+// (see the retention rule in parse.go). A load copies, instead of parsing,
+// a segment whose bytes the generation it replaces read.
+func (d *Document) CopySegment(n *Node) *Node {
+	lo := n.Ord - d.nodes[0].Ord
+	run := d.nodes[lo : lo+int(n.End-n.Start)+1]
+	slabs := make([][]Node, (len(run)+slabChunk-1)/slabChunk)
+	for i := range slabs {
+		slabs[i] = make([]Node, min(slabChunk, len(run)-i*slabChunk))
+	}
+	at := func(k int32) *Node { return &slabs[k/slabChunk][k%slabChunk] }
+	var arena []*Node
+	kids := len(run) - 1 // Children pointers still to carve
+	for k, src := range run {
+		c := at(int32(k))
+		c.Kind, c.Label, c.Value, c.FromAttr = src.Kind, src.Label, src.Value, src.FromAttr
+		c.Ord, c.Start, c.End = k, int32(k), src.End-n.Start
+		m := len(src.Children)
+		if m == 0 {
+			continue
+		}
+		if m > arenaChunk/2 {
+			c.Children = make([]*Node, m)
+		} else {
+			if m > len(arena) {
+				arena = make([]*Node, min(kids, arenaChunk))
+			}
+			c.Children, arena = arena[:m:m], arena[m:]
+		}
+		kids -= m
+		for j, sc := range src.Children {
+			cc := at(sc.Start - n.Start)
+			cc.Parent = c
+			c.Children[j] = cc
+		}
+	}
+	return at(0)
+}
+
 // Parsed reports whether segment i has been parsed.
 func (sp *Split) Parsed(i int) bool { return sp.parsed[i].Load() }
 

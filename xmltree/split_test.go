@@ -40,7 +40,9 @@ var splitCases = []struct {
 // takes the document, its segments — each parsed on its own, then finalized
 // under the root by NewDocument, as a load does — are the document
 // ParseBytes builds, node for node; and when a segment's parse fails,
-// ParseBytes fails too. It reports whether the document was split.
+// ParseBytes fails too. And each segment copied out of ParseBytes's document
+// (Document.CopySegment) is its parse, detached, and finalizes to the same
+// document. It reports whether the document was split.
 func splitAgrees(t *testing.T, src string) bool {
 	t.Helper()
 	want, werr := xmltree.ParseString(src)
@@ -48,7 +50,7 @@ func splitAgrees(t *testing.T, src string) bool {
 	if sp == nil {
 		return false
 	}
-	root := xmltree.Elem(sp.Root)
+	root, copies := xmltree.Elem(sp.Root), xmltree.Elem(sp.Root)
 	for i := range sp.Segments {
 		n, err := sp.Parse(i)
 		if err != nil {
@@ -56,6 +58,11 @@ func splitAgrees(t *testing.T, src string) bool {
 				t.Fatalf("input %q: segment %d fails (%v), ParseBytes accepts", src, i, err)
 			}
 			return true
+		}
+		if werr == nil && i < len(want.Root.Children) {
+			c := want.CopySegment(want.Root.Children[i])
+			sameSegment(t, src, c, n, want)
+			xmltree.Append(copies, c)
 		}
 		xmltree.Append(root, n)
 	}
@@ -65,7 +72,37 @@ func splitAgrees(t *testing.T, src string) bool {
 	got := xmltree.NewDocument(root)
 	got.InternalSubset = sp.InternalSubset
 	sameDocument(t, src, got, want)
+	copied := xmltree.NewDocument(copies)
+	copied.InternalSubset = sp.InternalSubset
+	sameDocument(t, src, copied, want)
 	return true
+}
+
+// sameSegment holds a segment copied out of doc to the segment's parse: the
+// same detached tree, field for field, its children its own nodes, none of
+// doc's.
+func sameSegment(t *testing.T, src string, c, p *xmltree.Node, doc *xmltree.Document) {
+	t.Helper()
+	if c.Parent != nil {
+		t.Fatalf("input %q: a copied segment has a parent", src)
+	}
+	var walk func(c, p *xmltree.Node)
+	walk = func(c, p *xmltree.Node) {
+		if c.Kind != p.Kind || c.Label != p.Label || c.Value != p.Value || c.FromAttr != p.FromAttr ||
+			c.Ord != p.Ord || c.Start != p.Start || c.End != p.End || len(c.Children) != len(p.Children) {
+			t.Fatalf("input %q: copied node %+v, parsed %+v", src, *c, *p)
+		}
+		if c.Origin != nil {
+			t.Fatalf("input %q: copied node %+v has an Origin", src, *c)
+		}
+		for j := range c.Children {
+			if c.Children[j].Parent != c || c.Children[j] == doc.ByOrd(c.Children[j].Ord) {
+				t.Fatalf("input %q: copied child %d of %+v is not the copy's own", src, j, *c)
+			}
+			walk(c.Children[j], p.Children[j])
+		}
+	}
+	walk(c, p)
 }
 
 func TestSplitMatchesParse(t *testing.T) {

@@ -133,17 +133,20 @@ func decodeRespHeader(data []byte) (fingerprint uint64, s serverStages, body []b
 
 // evalReq is an eval request, and with no shards a full request (the frame's
 // type byte tells them apart): the full request evaluates the reconstructed
-// whole document. Neither snippets anything: the router asks for the
-// snippets of the results its merge keeps by handle (msgSnippets).
+// whole document. With a snippet bound, the server snippets the results the
+// merge is sure to keep while it holds them — an eval request's leading run
+// of shards (shard.LeadingRun), a full request's whole answer — and the
+// router asks for the other winners' snippets by handle (msgSnippets).
 type evalReq struct {
 	opts          search.Options
 	query         string
 	timeoutMillis uint64   // 0 = no deadline
 	shards        []uint32 // eval request only; empty for a full request
+	bound         int      // the snippet bound; < 0 = search only
 }
 
 // encodeEvalReq encodes options, query, timeout, then the shard count and
-// the shard indexes.
+// the shard indexes, then the bound + 1 (0 = search only).
 func encodeEvalReq(r evalReq) []byte {
 	b := appendOptions(nil, r.opts)
 	b = appendString(b, r.query)
@@ -152,7 +155,7 @@ func encodeEvalReq(r evalReq) []byte {
 	for _, s := range r.shards {
 		b = binary.AppendUvarint(b, uint64(s))
 	}
-	return b
+	return binary.AppendUvarint(b, uint64(max(r.bound, -1)+1))
 }
 
 func decodeEvalReq(data []byte) (evalReq, error) {
@@ -166,6 +169,7 @@ func decodeEvalReq(data []byte) (evalReq, error) {
 	for i := 0; i < n && c.Err() == nil; i++ {
 		r.shards = append(r.shards, uint32(c.Uvarint("shard index")))
 	}
+	r.bound = c.count("snippet bound", maxSnippetBound+1, 0) - 1
 	return r, c.Done()
 }
 
@@ -539,6 +543,7 @@ type scanned struct {
 	at     handle
 	nodes  int    // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
 	depths []byte // one uvarint per query term: its least match depth + 1, 0 = no match
+	rec    []byte // its snippet record (scanSnippet), when its response carried one
 }
 
 // lcaPos is s's LCA position in the shard that shipped it, the merge's cut
@@ -554,9 +559,9 @@ const minResultBytes = 3
 // node count and its handle's positions (anchor, then LCA, in the document
 // that answered), and the least depth below the anchor of each query term's
 // matches, in the order of terms (the one number rank.Scorer reads;
-// search.Result.MatchDepth, which a deferred result answers from). Neither its
-// tree nor its snippet is shipped: both are asked for by handle (msgTrees,
-// msgSnippets).
+// search.Result.MatchDepth, which a deferred result answers from). Its tree
+// is not shipped but asked for by handle (msgTrees); its snippet, when the
+// response carries it, follows the result list (appendRecords).
 func appendShipped(b []byte, r *search.Result, terms []string) []byte {
 	b = binary.AppendUvarint(b, uint64(r.Size()+1))
 	b = binary.AppendUvarint(b, uint64(r.Anchor.Ord))
@@ -645,7 +650,39 @@ func (c *cursor) results(shard int32, terms int) []scanned {
 	return rs
 }
 
-// --- snippets ---
+// --- snippet records ---
+
+// appendRecords appends one record list: the count, then each snippet record
+// (core.Generator.Record) as it was written. It is a snippets response's
+// body, and it follows every result list of an eval or full response, one
+// record a result or none.
+func appendRecords(b []byte, recs []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(recs)))
+	for _, rec := range recs {
+		b = append(b, rec...)
+	}
+	return b
+}
+
+// minSnippetBytes is the shortest snippet record (a one-node tree with an
+// empty label, no edges, an empty IList, no key, nothing covered or
+// skipped); it bounds a claimed snippet count by the payload that would have
+// to carry it.
+const minSnippetBytes = 11
+
+// recordCount reads the count of a record list.
+func (c *cursor) recordCount() int { return c.count("snippet record", maxWireResults, minSnippetBytes) }
+
+// recordsOf scans the records that follow the result list rs, one a result,
+// into their results (scanned.rec).
+func (c *cursor) recordsOf(rs []scanned) {
+	for i := range rs {
+		if c.Err() != nil {
+			return
+		}
+		rs[i].rec = c.scanSnippet()
+	}
+}
 
 // minItemBytes is the shortest encoded IList item: kind, four empty strings,
 // a one-byte feature id and the eight score bytes.
@@ -704,11 +741,14 @@ func servedSnippet(rec []byte, kws []string, bound int, into *record.Tree) *core
 // --- eval response ---
 
 // shardAnswer is one shard's share of an evaluation on the shard server:
-// its digest evidence and the local results it ships.
+// its digest evidence, the local results it ships and, for a shard of the
+// request's leading run when the request has a snippet bound, their snippet
+// records (none otherwise).
 type shardAnswer struct {
 	shard   uint32
 	digest  shard.Digest
 	results []*search.Result
+	records []string
 }
 
 // evalAnswer is what a shard server computed for one eval request, before
@@ -719,16 +759,17 @@ type evalAnswer struct {
 	shards []shardAnswer
 }
 
-// appendEvalResp appends an eval response body — counts and handles, no
-// snippets:
+// appendEvalResp appends an eval response body — counts and handles, and the
+// leading run's snippet records:
 //
-//	shard count | per shard: index, digest, [results]
+//	shard count | per shard: index, digest, [results], [records]
 func appendEvalResp(b []byte, a evalAnswer) []byte {
 	b = binary.AppendUvarint(b, uint64(len(a.shards)))
 	for _, s := range a.shards {
 		b = binary.AppendUvarint(b, uint64(s.shard))
 		b = appendDigest(b, s.digest)
 		b = appendResults(b, s.results, a.terms)
+		b = appendRecords(b, s.records)
 	}
 	return b
 }
@@ -746,11 +787,15 @@ type evalResp struct {
 }
 
 // minShardRespBytes is the shortest shard response (shard index, digest
-// flags, no keywords, no results).
-const minShardRespBytes = 4
+// flags, no keywords, no results, no records).
+const minShardRespBytes = 5
 
-// decodeEvalResp scans an eval response to a query of terms terms.
-func decodeEvalResp(body []byte, terms int) (evalResp, error) {
+// decodeEvalResp scans an eval response to a query of terms terms whose
+// request's leading run was lead shards (shard.LeadingRun), or to a
+// search-only request (lead < 0). Records are where the rule puts them or the
+// response is refused: one a shipped result for a shard of the leading run,
+// none for any other shard, none at all in a search-only answer.
+func decodeEvalResp(body []byte, terms, lead int) (evalResp, error) {
 	c := newCursor(body)
 	var r evalResp
 	n := c.count("shard response", maxWireShards, minShardRespBytes)
@@ -763,6 +808,17 @@ func decodeEvalResp(body []byte, terms int) (evalResp, error) {
 			c.Fail("shard index %d exceeds cap %d", s.shard, maxWireShards)
 		}
 		s.results = c.results(int32(s.shard), terms)
+		recs := c.recordCount()
+		switch {
+		case c.Err() != nil:
+		case lead < 0 && recs > 0:
+			c.Fail("%d snippet records in a search-only answer", recs)
+		case int(s.shard) >= lead && recs > 0:
+			c.Fail("%d snippet records for shard %d, outside the leading run of %d shards", recs, s.shard, lead)
+		case int(s.shard) < lead && recs != len(s.results):
+			c.Fail("%d snippet records for shard %d's %d results", recs, s.shard, len(s.results))
+		}
+		c.recordsOf(s.results[:min(recs, len(s.results))])
 		if c.Err() != nil {
 			return r, c.Err()
 		}
@@ -773,11 +829,35 @@ func decodeEvalResp(body []byte, terms int) (evalResp, error) {
 
 // --- full response ---
 
-// decodeFullResp scans a full response to a query of terms terms. Its body is
-// one result list (appendResults), handles into the whole document.
-func decodeFullResp(body []byte, terms int) ([]scanned, error) {
+// fullAnswer is what a shard server computed for one full request: the
+// whole-document answer's results, re-addressed (readdress), and, when the
+// request has a snippet bound, one snippet record a result.
+type fullAnswer struct {
+	results []*search.Result
+	records []string
+}
+
+// appendFullResp appends a full response body: one result list
+// (appendResults) and its records.
+func appendFullResp(b []byte, a fullAnswer, terms []string) []byte {
+	return appendRecords(appendResults(b, a.results, terms), a.records)
+}
+
+// decodeFullResp scans a full response to a query of terms terms: one result
+// list, handles into the whole document, and one record a result when the
+// request had a snippet bound (snippeted), none when it had not.
+func decodeFullResp(body []byte, terms int, snippeted bool) ([]scanned, error) {
 	c := newCursor(body)
 	rs := c.results(wholeShard, terms)
+	recs := c.recordCount()
+	switch {
+	case c.Err() != nil:
+	case !snippeted && recs > 0:
+		c.Fail("%d snippet records in a search-only answer", recs)
+	case snippeted && recs != len(rs):
+		c.Fail("%d snippet records for %d results", recs, len(rs))
+	}
+	c.recordsOf(rs[:min(recs, len(rs))])
 	return rs, c.Done()
 }
 
@@ -866,27 +946,13 @@ func decodeTreesResp(body []byte) ([]treeRecord, error) {
 
 // --- snippets ---
 
-// appendSnippetsResp appends a snippets response body: one snippet record
-// (core.Generator.Record) per requested handle, in request order, each as it
-// was written.
-func appendSnippetsResp(b []byte, recs []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(recs)))
-	for _, rec := range recs {
-		b = append(b, rec...)
-	}
-	return b
-}
-
-// minSnippetBytes is the shortest snippet record (a one-node tree with an
-// empty label, no edges, an empty IList, no key, nothing covered or
-// skipped); it bounds a claimed snippet count by the payload that would have
-// to carry it.
-const minSnippetBytes = 11
+// A snippets response body is one record list (appendRecords): one snippet
+// record per requested handle, in request order.
 
 // decodeSnippetsResp scans a snippets response's snippet records.
 func decodeSnippetsResp(body []byte) ([][]byte, error) {
 	c := newCursor(body)
-	n := c.count("snippet", maxWireResults, minSnippetBytes)
+	n := c.recordCount()
 	if c.Err() != nil {
 		return nil, c.Err()
 	}

@@ -190,19 +190,22 @@ func sameResult(want, got *search.Result) error {
 }
 
 // codecAnswer is one answer of the codec fixture: what a shard server's
-// evaluate ships and, in a snippeted one, the snippets its snippets handler
-// makes of every shipped result, in shipping order.
+// evaluate and fullEval ship and, in a snippeted one, the snippets its
+// snippets handler makes of every result evaluate shipped, in shipping order.
 type codecAnswer struct {
 	evalAnswer
+	full     fullAnswer
 	snippets []*core.Generated
 }
 
 // codecAnswers evaluates a query × options matrix on small sharded corpora
-// through a shard server's own evaluate and snippets, so the codec tests and
-// the fuzz seeds work on exactly what a server ships: views at non-zero
-// offsets of their source documents, ModeXSeek projections, skipped shards,
-// digests — each answer search only, and again with the snippets of its
-// results at a bound.
+// through a shard server's own evaluate, fullEval and snippets, so the codec
+// tests and the fuzz seeds work on exactly what a server ships: views at
+// non-zero offsets of their source documents, ModeXSeek projections, skipped
+// shards, digests — each answer search only, and again at a snippet bound,
+// its eval and full responses carrying their records. The request names every
+// shard, all one leading run, so evaluate snippets every result it ships:
+// exactly the records the snippets handler makes of them by handle.
 func codecAnswers(tb testing.TB) []codecAnswer {
 	tb.Helper()
 	var out []codecAnswer
@@ -218,7 +221,18 @@ func codecAnswers(tb testing.TB) []codecAnswer {
 			{DistinctAnchors: true, Mode: search.ModeXSeek},
 		} {
 			for _, q := range testQueries(fb.Doc, fb) {
-				a, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList})
+				answer := func(bound int) (evalAnswer, fullAnswer, error) {
+					a, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList, bound: bound})
+					if err != nil {
+						return a, fullAnswer{}, err
+					}
+					full, err := srv.fullEval(st, evalReq{opts: opts, query: q, bound: bound})
+					if err != nil {
+						tb.Fatalf("%q: %v", q, err)
+					}
+					return a, full, nil
+				}
+				a, full, err := answer(-1)
 				if err != nil {
 					continue // the matrix includes the empty query
 				}
@@ -229,17 +243,28 @@ func codecAnswers(tb testing.TB) []codecAnswer {
 					}
 				}
 				results += len(handles)
-				out = append(out, codecAnswer{evalAnswer: a})
+				out = append(out, codecAnswer{evalAnswer: a, full: full})
 				if len(handles) > 0 {
 					recs, err := srv.snippets(st, treesReq{opts: opts, query: q, fingerprint: st.fingerprint, bound: 6, handles: handles})
 					if err != nil {
 						tb.Fatalf("%q: %v", q, err)
 					}
+					a, full, err := answer(6)
+					if err != nil {
+						tb.Fatalf("%q at a bound: %v", q, err)
+					}
+					var carried []string
+					for _, s := range a.shards {
+						carried = append(carried, s.records...)
+					}
+					if !slices.Equal(carried, recs) {
+						tb.Fatalf("%q: the eval round carried %d records, not the %d the snippets handler makes", q, len(carried), len(recs))
+					}
 					gs := make([]*core.Generated, len(recs))
 					for i, rec := range recs {
 						gs[i] = core.Served(rec, index.Tokenize(q), 6, nil)
 					}
-					out = append(out, codecAnswer{evalAnswer: a, snippets: gs})
+					out = append(out, codecAnswer{evalAnswer: a, full: full, snippets: gs})
 				}
 			}
 		}
@@ -503,7 +528,7 @@ func TestScanAllocatesNothingPerResult(t *testing.T) {
 	allocs := func(perShard int) float64 {
 		data := response(perShard)
 		return testing.AllocsPerRun(20, func() {
-			resp, err := decodeEvalResp(data, 2)
+			resp, err := decodeEvalResp(data, 2, -1)
 			if err != nil || len(resp.shards[2].results) != perShard {
 				t.Fatalf("decode: %v", err)
 			}
@@ -576,7 +601,7 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	}
 
 	// The snippet record: each malformed one is a *ProtocolError too, alone
-	// and inside the snippets response that carries it.
+	// and inside the snippets, eval or full response that carries it.
 	item := func(kind byte) []byte {
 		b := appendString([]byte{kind}, "texas")
 		b = append(b, 0, 0, 0) // no feature entity, attribute, value
@@ -612,14 +637,24 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		if err := c.Done(); !errors.As(err, &pe) {
 			t.Errorf("%s: err = %v, want a *ProtocolError", tc.name, err)
 		}
-		// The same record behind a valid one in a snippets response.
+		// The same record behind a valid one in a snippets response, and as
+		// the record of a shipped result in an eval and a full response.
 		if _, err := decodeSnippetsResp(cat(uv(2), valid, tc.rec)); !errors.As(err, &pe) {
 			t.Errorf("%s inside a response: err = %v, want a *ProtocolError", tc.name, err)
+		}
+		shipped := cat(uv(3), uv(0), uv(1), uv(3))
+		if _, err := decodeEvalResp(cat(uv(1), uv(0), []byte{0, 0}, uv(1), shipped, uv(1), tc.rec), 1, 1); !errors.As(err, &pe) {
+			t.Errorf("%s inside an eval response: err = %v, want a *ProtocolError", tc.name, err)
+		}
+		if _, err := decodeFullResp(cat(uv(1), shipped, uv(1), tc.rec), 1, true); !errors.As(err, &pe) {
+			t.Errorf("%s inside a full response: err = %v, want a *ProtocolError", tc.name, err)
 		}
 	}
 	// A shipped result is its node count, its handle's anchor and LCA
 	// positions and one match depth a term; each malformed one is refused, in
-	// an eval response and in a full one (a bare result list).
+	// an eval response and in a full one (a result list), each with an empty
+	// record list.
+	validRec := valid
 	valid = cat(uv(3), uv(0), uv(1), uv(3))
 	for _, tc := range []struct {
 		name string
@@ -634,9 +669,9 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		{"missing depth", cat(uv(3), uv(0), uv(1))},
 		{"trailing bytes", cat(valid, []byte{7})},
 	} {
-		eval := cat(uv(1), uv(0), []byte{0, 0}, uv(1), tc.rec)
-		_, evalErr := decodeEvalResp(eval, 1)
-		_, fullErr := decodeFullResp(cat(uv(1), tc.rec), 1)
+		eval := cat(uv(1), uv(0), []byte{0, 0}, uv(1), tc.rec, uv(0))
+		_, evalErr := decodeEvalResp(eval, 1, -1)
+		_, fullErr := decodeFullResp(cat(uv(1), tc.rec, uv(0)), 1, false)
 		var pe *ProtocolError
 		for _, err := range []error{evalErr, fullErr} {
 			if tc.name == "valid" {
@@ -649,11 +684,47 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		}
 	}
 
+	// Records lie where the rule puts them, or the response is refused: in an
+	// eval response, one a shipped result for a shard of the request's leading
+	// run and none for another shard; in a full response, one a result when
+	// the request had a bound; never in a search-only answer. Each malformed
+	// record is refused where a well-placed one is accepted.
+	evalWith := func(shardIdx uint64, recs ...[]byte) []byte {
+		return cat(uv(1), uv(shardIdx), []byte{0, 0}, uv(1), valid, uv(uint64(len(recs))), cat(recs...))
+	}
+	fullWith := func(recs ...[]byte) []byte { return cat(uv(1), valid, uv(uint64(len(recs))), cat(recs...)) }
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"a record count other than shipped", func() error { _, err := decodeEvalResp(evalWith(0, validRec, validRec), 1, 1); return err }},
+		{"no records for a shard of the leading run", func() error { _, err := decodeEvalResp(evalWith(0), 1, 1); return err }},
+		{"records outside the leading run", func() error { _, err := decodeEvalResp(evalWith(1, validRec), 1, 1); return err }},
+		{"records in a search-only eval answer", func() error { _, err := decodeEvalResp(evalWith(0, validRec), 1, -1); return err }},
+		{"a full record count other than its results", func() error { _, err := decodeFullResp(fullWith(validRec, validRec), 1, true); return err }},
+		{"no records in a snippeted full answer", func() error { _, err := decodeFullResp(fullWith(), 1, true); return err }},
+		{"records in a search-only full answer", func() error { _, err := decodeFullResp(fullWith(validRec), 1, false); return err }},
+	} {
+		var pe *ProtocolError
+		if err := tc.decode(); !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want a *ProtocolError", tc.name, err)
+		}
+	}
+	if resp, err := decodeEvalResp(evalWith(0, validRec), 1, 1); err != nil || string(resp.shards[0].results[0].rec) != string(validRec) {
+		t.Fatalf("a record of the leading run: %v", err)
+	}
+	if resp, err := decodeEvalResp(evalWith(1), 1, 1); err != nil || resp.shards[0].results[0].rec != nil {
+		t.Fatalf("a shard outside the leading run without records: %v", err)
+	}
+	if rs, err := decodeFullResp(fullWith(validRec), 1, true); err != nil || string(rs[0].rec) != string(validRec) {
+		t.Fatalf("a record of a full answer: %v", err)
+	}
+
 	// Every cut of a real snippets response is refused, the cuts inside its
 	// snippet records included.
 	var real []byte
 	for _, a := range codecAnswers(t) {
-		if body := appendSnippetsResp(nil, recordsOf(a.snippets)); len(a.snippets) > 1 && len(body) > len(real) && len(body) < 8192 {
+		if body := appendRecords(nil, recordsOf(a.snippets)); len(a.snippets) > 1 && len(body) > len(real) && len(body) < 8192 {
 			real = body
 		}
 	}
@@ -788,7 +859,7 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 			return decode(body)
 		}
 	}
-	full := appendResults(nil, results, eval.terms)
+	full := appendFullResp(nil, fullAnswer{results: results, records: recordsOf(snippets)}, eval.terms)
 	handles := make([]handle, n)
 	for i := range handles {
 		handles[i] = handle{shard: int32(i) - 1, anchor: int32(i), lca: int32(2 * i)}
@@ -798,7 +869,7 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 	trees.handles = handles
 	snippetsReq := trees
 	snippetsReq.bound = 6
-	req := evalReq{opts: search.Options{MaxResults: 9}, query: "store texas", timeoutMillis: 250}
+	req := evalReq{opts: search.Options{MaxResults: 9}, query: "store texas", timeoutMillis: 250, bound: 6}
 	fullReq := encodeEvalReq(req)
 	reqAfterCount := len(fullReq) - 1 + uvarintLen(uint64(n))
 	req.shards = shards
@@ -808,16 +879,16 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 		{"full request", fullReq, 0,
 			func(b []byte) error { _, err := decodeEvalReq(b); return err }},
 		{"eval response", respond(appendEvalResp(nil, eval.evalAnswer)), 0,
-			behind(func(b []byte) error { _, err := decodeEvalResp(b, len(eval.terms)); return err })},
+			behind(func(b []byte) error { _, err := decodeEvalResp(b, len(eval.terms), len(eval.shards)); return err })},
 		{"full response", respond(full), 0,
-			behind(func(b []byte) error { _, err := decodeFullResp(b, len(eval.terms)); return err })},
+			behind(func(b []byte) error { _, err := decodeFullResp(b, len(eval.terms), true); return err })},
 		{"trees request", encodeTreesReq(trees), treesAfterCount,
 			func(b []byte) error { _, err := decodeTreesReq(b); return err }},
 		{"trees response", respond(appendTreesResp(nil, results)), 0,
 			behind(func(b []byte) error { _, err := decodeTreesResp(b); return err })},
 		{"snippets request", encodeTreesReq(snippetsReq), treesAfterCount,
 			func(b []byte) error { _, err := decodeTreesReq(b); return err }},
-		{"snippets response", respond(appendSnippetsResp(nil, recordsOf(snippets))), 0,
+		{"snippets response", respond(appendRecords(nil, recordsOf(snippets))), 0,
 			behind(func(b []byte) error { _, err := decodeSnippetsResp(b); return err })},
 		{"complete request", encodeCompleteReq(completeReq{prefix: "sto", k: 10}), 0,
 			func(b []byte) error { _, err := decodeCompleteReq(b); return err }},

@@ -16,7 +16,8 @@ import (
 var updateFrozen = flag.Bool("update", false, "rewrite the frozen wire digests under testdata")
 
 // frozenWire encodes the eval responses, full responses, tree records and
-// snippet records a shard server sends for a fixed matrix — the test
+// snippet records a shard server sends for a fixed matrix — the eval and full
+// responses at a snippet bound, so they carry their records too — the test
 // corpora at 1, 3 and 4 shards, SLCA and ELCA, subtree and ModeXSeek, the
 // property suite's queries plus a phrase — and returns one line per body:
 // its case, its length and its SHA-256 (the bodies themselves, whole-document
@@ -43,7 +44,7 @@ func frozenWire(tb testing.TB) []byte {
 			} {
 				for qi, q := range queries {
 					name := fmt.Sprintf("%s/n=%d/opts=%d/q=%d", cc.name, n, oi, qi)
-					a, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList})
+					a, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList, bound: 6})
 					if err != nil {
 						continue // the matrix includes the empty query
 					}
@@ -54,12 +55,12 @@ func frozenWire(tb testing.TB) []byte {
 							handles = append(handles, handle{shard: int32(s.shard), anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)})
 						}
 					}
-					whole, err := srv.fullEval(st, evalReq{opts: opts, query: q})
+					whole, err := srv.fullEval(st, evalReq{opts: opts, query: q, bound: 6})
 					if err != nil {
 						tb.Fatalf("%s: %v", name, err)
 					}
-					record(name+"/full", appendResults(nil, whole, a.terms))
-					for _, r := range whole {
+					record(name+"/full", appendFullResp(nil, whole, a.terms))
+					for _, r := range whole.results {
 						handles = append(handles, handle{shard: wholeShard, anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)})
 					}
 					if len(handles) == 0 {
@@ -76,7 +77,7 @@ func frozenWire(tb testing.TB) []byte {
 					if err != nil {
 						tb.Fatalf("%s: %v", name, err)
 					}
-					record(name+"/snippets", appendSnippetsResp(nil, gs))
+					record(name+"/snippets", appendRecords(nil, gs))
 				}
 			}
 		}
@@ -86,7 +87,7 @@ func frozenWire(tb testing.TB) []byte {
 
 // TestWireBytesAreFrozen pins what a shard server sends, byte for byte: the
 // shipped results of eval and full responses (sizes, handles, match
-// depths), the tree records of a trees response (with their match
+// depths) and the snippet records they carry, the tree records of a trees response (with their match
 // positions) and the snippet records of a snippets response, over a fixed
 // matrix, against digests of bodies encoded once and committed. A change to
 // how results hold their matches, or to how snippets are derived, must leave
@@ -94,7 +95,7 @@ func frozenWire(tb testing.TB) []byte {
 // version and rewrites the file with -update.
 func TestWireBytesAreFrozen(t *testing.T) {
 	got := frozenWire(t)
-	path := filepath.Join("testdata", "wire.v8.frozen")
+	path := filepath.Join("testdata", "wire.v9.frozen")
 	if *updateFrozen {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -40,6 +40,7 @@ func FuzzFrame(f *testing.F) {
 		opts:   search.Options{DistinctAnchors: true, MaxResults: 5},
 		query:  "xml keyword",
 		shards: []uint32{0, 1},
+		bound:  -1,
 	})
 	f.Add(frameBytes(wireVersion, msgEval, evalPayload))
 	// Retired wire v1: the greeting, a request without its trace ID, and the
@@ -75,12 +76,17 @@ func FuzzFrame(f *testing.F) {
 	// its snippet.
 	f.Add(frameBytes(7, msgHello, nil))
 	f.Add(frameBytes(7, msgEval, v7EvalReq(evalPayload)))
-	f.Add(frameBytes(7, msgFull, v7EvalReq(encodeEvalReq(evalReq{query: "xml keyword"}))))
+	f.Add(frameBytes(7, msgFull, v7EvalReq(encodeEvalReq(evalReq{query: "xml keyword", bound: -1}))))
 	f.Add(frameBytes(7, msgFullResp, append(appendRespHeader(nil, 7), v7SnippetedFullResp...)))
-	// Wire v8: a full request and response are an eval request without shards
-	// and one result list of handles into the whole document.
-	f.Add(frameBytes(wireVersion, msgFull, encodeEvalReq(evalReq{query: "xml keyword"})))
-	f.Add(frameBytes(wireVersion, msgFullResp, appendResults(appendRespHeader(nil, 7), []*search.Result{syntheticResults()["attributes and multi-byte text"]}, []string{"misérables", "✓"})))
+	// Retired wire v8: an eval request without a snippet bound, and a full
+	// response without its record list.
+	f.Add(frameBytes(8, msgEval, v8EvalReq(evalPayload)))
+	f.Add(frameBytes(8, msgFullResp, appendResults(appendRespHeader(nil, 7), []*search.Result{syntheticResults()["attributes and multi-byte text"]}, []string{"misérables", "✓"})))
+	// Wire v9: a full request and response are an eval request without shards
+	// and one result list of handles into the whole document, with its
+	// record list.
+	f.Add(frameBytes(wireVersion, msgFull, encodeEvalReq(evalReq{query: "xml keyword", bound: 6})))
+	f.Add(frameBytes(wireVersion, msgFullResp, appendFullResp(appendRespHeader(nil, 7), fullAnswer{results: []*search.Result{syntheticResults()["attributes and multi-byte text"]}}, []string{"misérables", "✓"})))
 	f.Add(frameBytes(wireVersion, msgStats, encodeStatsReq(statsReq{keywords: []string{"a", "b"}})))
 	f.Add(frameBytes(wireVersion, msgStatsResp, appendStatsResp(appendRespHeader(nil, 7), statsResp{totalElements: 9, counts: []uint64{3}})))
 	f.Add(frameBytes(wireVersion, msgError, encodeErrMsg(errMsg{kind: errKindPanic, msg: "boom"})))
@@ -94,7 +100,7 @@ func FuzzFrame(f *testing.F) {
 		query: "xml keyword", timeoutMillis: 900, fingerprint: 7, bound: 6,
 		handles: []handle{{shard: 0, anchor: 3, lca: 5}, {shard: 2, anchor: 0, lca: 1}},
 	})))
-	f.Add(frameBytes(wireVersion, msgSnippetsResp, appendSnippetsResp(appendRespHeader(nil, 7), recordsOf(fuzzSnippets(f)))))
+	f.Add(frameBytes(wireVersion, msgSnippetsResp, appendRecords(appendRespHeader(nil, 7), recordsOf(fuzzSnippets(f)))))
 	f.Add(frameBytes(wireVersion, msgComplete, encodeCompleteReq(completeReq{prefix: "xm", k: 5})))
 	f.Add(frameBytes(wireVersion, msgCompleteResp, appendCompleteResp(appendRespHeader(nil, 7), []string{"xml", "xmlns"})))
 	f.Add(frameBytes(wireVersion+1, msgHello, nil)) // version skew
@@ -134,8 +140,8 @@ func FuzzFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			_, _ = decodeEvalResp(body, 2)
-			_, _ = decodeFullResp(body, 2)
+			_, _ = decodeEvalResp(body, 2, 1)
+			_, _ = decodeFullResp(body, 2, true)
 			_, _ = decodeTreesResp(body)
 			_, _ = decodeSnippetsResp(body)
 			_, _ = decodeCompleteResp(body)
@@ -177,24 +183,27 @@ func fuzzSnippets(tb testing.TB) []*core.Generated {
 
 // FuzzEvalRespDecode aims the fuzzer straight at the deepest decoders
 // without requiring it to first learn the frame checksum: the scan of an
-// eval or full response's shipped results — handles and depths — for a query
-// of terms terms, the scan of a snippets response's snippet records, the
+// eval or full response's shipped results — handles and depths — and of the
+// snippet records they carry, for a query of terms terms, whether the
+// request was search only or snippeted (an eval request's shards all one
+// leading run), the scan of a snippets response's snippet records, the
 // decode of a trees or snippets request, and the scan of a trees response's
 // tree records. The seeds carry real answers, real snippets and real trees
 // (views, projections, attribute nodes, multi-byte text), so mutation starts
 // inside the records. Whatever the eval and full scans accept must take
-// without panicking, whatever the snippets scan accepts must build, and
+// without panicking, whatever snippet record any scan accepts must build, and
 // whatever the trees scan accepts must build to exactly what the frozen
 // reference decoder makes of the same bytes.
 func FuzzEvalRespDecode(f *testing.F) {
 	f.Add(uint8(0), appendEvalResp(nil, evalAnswer{}))
-	f.Add(uint8(1), []byte{1, 0, 0, 0, 1, 1, 0, 0, 1})
+	f.Add(uint8(1), []byte{1, 0, 0, 0, 1, 1, 0, 0, 1, 0})
 	f.Add(uint8(0), []byte{1, 0, 8})     // a v3 prefilter-skipped shard: refused
 	f.Add(uint8(0), v5EvalResp)          // a v5 shipped tree record: refused
 	f.Add(uint8(0), v6SnippetedEvalResp) // a v6 snippet in an eval response: refused
 	f.Add(uint8(0), v7SnippetedFullResp) // a v7 snippet in a full response: refused
-	f.Add(uint8(0), appendSnippetsResp(nil, nil))
-	seeded, full, snippets, trees := 0, 0, 0, 0
+	f.Add(uint8(0), v8EvalResp)          // a v8 eval response, no record list: refused
+	f.Add(uint8(0), appendRecords(nil, nil))
+	seeded, carried, full, fullCarried, snippets, trees := 0, 0, 0, 0, 0, 0
 	// Small inputs only: the fuzzer minimizes every interesting input, and a
 	// 100 KB seed eats a ten-second CI budget doing it.
 	const maxSeed = 4096
@@ -214,21 +223,29 @@ func FuzzEvalRespDecode(f *testing.F) {
 			// A whole answer's snippets are mostly past the size limit: its
 			// first one or two, alone, much less often.
 			for _, gs := range [][]*core.Generated{a.snippets, a.snippets[:1], a.snippets[:min(2, len(a.snippets))]} {
-				if body := appendSnippetsResp(nil, recordsOf(gs)); len(body) <= maxSeed {
+				if body := appendRecords(nil, recordsOf(gs)); len(body) <= maxSeed {
 					f.Add(uint8(len(a.terms)), body)
 					snippets++
 					break
 				}
 			}
 			f.Add(uint8(0), encodeTreesReq(treesReq{opts: search.Options{DistinctAnchors: true}, query: fmt.Sprint(a.terms), timeoutMillis: 250, fingerprint: 7, bound: 6, handles: handles}))
+			// The eval and full responses of a snippeted request, records and all.
+			if body := appendEvalResp(nil, a.evalAnswer); len(body) <= maxSeed {
+				f.Add(uint8(len(a.terms)), body)
+				carried++
+			}
+			if body := appendFullResp(nil, a.full, a.terms); len(a.full.records) > 0 && len(body) <= maxSeed {
+				f.Add(uint8(len(a.terms)), body)
+				fullCarried++
+			}
 			continue
 		}
 		if body := appendEvalResp(nil, a.evalAnswer); len(body) <= maxSeed {
 			f.Add(uint8(len(a.terms)), body)
 			seeded++
 		}
-		// A full response body is one result list.
-		if body := appendResults(nil, rs, a.terms); len(body) <= maxSeed {
+		if body := appendFullResp(nil, a.full, a.terms); len(body) <= maxSeed {
 			f.Add(uint8(len(a.terms)), body)
 			full++
 		}
@@ -237,8 +254,9 @@ func FuzzEvalRespDecode(f *testing.F) {
 			trees++
 		}
 	}
-	if seeded < 20 || full < 20 || snippets < 10 || trees < 20 {
-		f.Fatalf("only %d eval and %d full seeds carry shipped results, %d carry snippets, and %d carry trees", seeded, full, snippets, trees)
+	if seeded < 20 || full < 20 || carried < 10 || fullCarried < 5 || snippets < 10 || trees < 20 {
+		f.Fatalf("only %d eval and %d full seeds carry shipped results, %d eval and %d full seeds carry records too, %d carry snippets, and %d carry trees",
+			seeded, full, carried, fullCarried, snippets, trees)
 	}
 	for name, r := range syntheticResults() {
 		if name != "deep chain" {
@@ -268,40 +286,62 @@ func FuzzEvalRespDecode(f *testing.F) {
 				}
 			}
 		}
-		if resp, err := decodeEvalResp(data, int(terms)); err != nil {
-			if !errors.As(err, &pe) {
-				t.Fatalf("unclassified eval decode error %T: %v", err, err)
+		// build builds an accepted snippet record and checks the served
+		// snippet against what its record decodes to.
+		into := record.GetTree()
+		defer into.Release()
+		build := func(rec []byte) {
+			served := servedSnippet(rec, nil, 0, into)
+			g := served.Derived()
+			if nodes := len(preorderOf(g.Snippet.Root)); g.Snippet.Edges >= nodes {
+				t.Fatalf("snippet of %d nodes built with %d edges", nodes, g.Snippet.Edges)
 			}
-		} else {
-			for _, sh := range resp.shards {
-				take(int32(sh.shard), sh.results)
+			if x := xmltree.XMLString(g.Snippet.Root); served.XML != x || served.Edges != g.Snippet.Edges || served.ResultKey != g.IList.KeyValue {
+				t.Fatalf("served XML/edges/key %q/%d/%q, decoded %q/%d/%q",
+					served.XML, served.Edges, served.ResultKey, x, g.Snippet.Edges, g.IList.KeyValue)
 			}
 		}
-		if rs, err := decodeFullResp(data, int(terms)); err != nil {
-			if !errors.As(err, &pe) {
-				t.Fatalf("unclassified full decode error %T: %v", err, err)
+		// takeAll takes one result list and builds the records it carried,
+		// refusing one that carried records it should not have.
+		takeAll := func(shard int32, rs []scanned, snippeted bool) {
+			take(shard, rs)
+			for _, s := range rs {
+				if (s.rec != nil) != snippeted {
+					t.Fatalf("a result of a list snippeted=%v scanned with record %v", snippeted, s.rec != nil)
+				}
+				if s.rec != nil {
+					build(s.rec)
+				}
 			}
-		} else {
-			take(wholeShard, rs)
+		}
+		for _, lead := range []int{-1, maxWireShards} {
+			if resp, err := decodeEvalResp(data, int(terms), lead); err != nil {
+				if !errors.As(err, &pe) {
+					t.Fatalf("unclassified eval decode error %T: %v", err, err)
+				}
+			} else {
+				for _, sh := range resp.shards {
+					takeAll(int32(sh.shard), sh.results, lead >= 0)
+				}
+			}
+		}
+		for _, snippeted := range []bool{false, true} {
+			if rs, err := decodeFullResp(data, int(terms), snippeted); err != nil {
+				if !errors.As(err, &pe) {
+					t.Fatalf("unclassified full decode error %T: %v", err, err)
+				}
+			} else {
+				takeAll(wholeShard, rs, snippeted)
+			}
 		}
 		if recs, err := decodeSnippetsResp(data); err != nil {
 			if !errors.As(err, &pe) {
 				t.Fatalf("unclassified snippets decode error %T: %v", err, err)
 			}
 		} else {
-			into := record.GetTree()
 			for _, rec := range recs {
-				served := servedSnippet(rec, nil, 0, into)
-				g := served.Derived()
-				if nodes := len(preorderOf(g.Snippet.Root)); g.Snippet.Edges >= nodes {
-					t.Fatalf("snippet of %d nodes built with %d edges", nodes, g.Snippet.Edges)
-				}
-				if x := xmltree.XMLString(g.Snippet.Root); served.XML != x || served.Edges != g.Snippet.Edges || served.ResultKey != g.IList.KeyValue {
-					t.Fatalf("served XML/edges/key %q/%d/%q, decoded %q/%d/%q",
-						served.XML, served.Edges, served.ResultKey, x, g.Snippet.Edges, g.IList.KeyValue)
-				}
+				build(rec)
 			}
-			into.Release()
 		}
 		if req, err := decodeTreesReq(data); err != nil {
 			if !errors.As(err, &pe) {

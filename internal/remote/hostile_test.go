@@ -87,8 +87,8 @@ func TestHostileCountsRefusedBeforeAllocating(t *testing.T) {
 	snippetHead := cat(uv(1), leaf, uv(0))
 	keyed := cat(snippetHead, uv(1), oneItem, uv(0), str(""), str(""))
 
-	evalResp := func(b []byte) error { _, err := decodeEvalResp(b, 1); return err }
-	fullResp := func(b []byte) error { _, err := decodeFullResp(b, 1); return err }
+	evalResp := func(b []byte) error { _, err := decodeEvalResp(b, 1, 1); return err }
+	fullResp := func(b []byte) error { _, err := decodeFullResp(b, 1, true); return err }
 	evalReq := func(b []byte) error { _, err := decodeEvalReq(b); return err }
 	treesReq := func(b []byte) error { _, err := decodeTreesReq(b); return err }
 	treesResp := func(b []byte) error { _, err := decodeTreesResp(b); return err }
@@ -107,19 +107,22 @@ func TestHostileCountsRefusedBeforeAllocating(t *testing.T) {
 		decode func([]byte) error
 	}{
 		{"eval request", "shard", reqHead, maxWireShards, true, evalReq},
+		{"eval request", "snippet bound", cat(reqHead, uv(0)), maxSnippetBound + 1, false, evalReq},
 		{"eval response", "shard response", nil, maxWireShards, true, evalResp},
 		{"eval response", "keyword", cat(uv(1), uv(0), []byte{digestHasFree}), maxWireStrings, true, evalResp},
 		{"eval response", "result", cat(uv(1), uv(0), []byte{0}, uv(0)), maxWireResults, true, evalResp},
 		{"eval response", "tree node", cat(uv(1), uv(0), []byte{0}, uv(0), uv(1)), maxTreeNodes, false, evalResp},
+		{"eval response", "snippet record", cat(uv(1), uv(0), []byte{0}, uv(0), uv(0)), maxWireResults, true, evalResp},
 		{"full response", "result", nil, maxWireResults, true, fullResp},
 		{"full response", "tree node", uv(1), maxTreeNodes, false, fullResp},
+		{"full response", "snippet record", uv(0), maxWireResults, true, fullResp},
 		{"trees request", "snippet bound", treesHead, maxSnippetBound + 1, false, treesReq},
 		{"trees request", "handle", cat(treesHead, uv(0)), maxWireResults, true, treesReq},
 		{"trees response", "tree", nil, maxWireResults, true, treesResp},
 		{"trees response", "tree node", uv(1), maxTreeNodes, true, treesResp},
 		{"trees response", "match keyword", cat(uv(1), leaf, uv(0)), maxWireStrings, true, treesResp},
 		{"trees response", "match ordinal", cat(uv(1), leaf, uv(0), uv(1), str("kw")), 1, true, treesResp},
-		{"snippets response", "snippet", nil, maxWireResults, true, snippetsResp},
+		{"snippets response", "snippet record", nil, maxWireResults, true, snippetsResp},
 		{"snippets response", "tree node", uv(1), maxTreeNodes, true, snippetsResp},
 		{"snippets response", "ilist item", snippetHead, maxWireStrings, true, snippetsResp},
 		{"snippets response", "return entity", cat(snippetHead, uv(0)), maxWireStrings, true, snippetsResp},

@@ -30,7 +30,7 @@ func TestWholeAnswerAllocations(t *testing.T) {
 		srv := NewServer(sc)
 		st := srv.state.Load()
 		opts := search.Options{DistinctAnchors: true}
-		full := encodeEvalReq(evalReq{opts: opts, query: q})
+		full := encodeEvalReq(evalReq{opts: opts, query: q, bound: 6})
 		snippets := encodeTreesReq(treesReq{opts: opts, query: q, fingerprint: st.fingerprint, bound: 6,
 			handles: []handle{{shard: wholeShard}}})
 		for k, req := range []struct {

@@ -435,19 +435,22 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 // inside its hop — and only the results the merge takes become answers:
 // deferred results (take), which carry their size, match depths and handle
 // but no tree. The first read of a tree fetches it (answerTrees). With bound
-// >= 0 the shard servers snippet exactly the results taken, on their index,
-// by the same fan-out a local corpus runs (shard.Snippets), so the snippets
-// are the local ones too: every winner's are asked for by handle once the
-// merge has cut (snippets), a whole-document answer's included. run
-// schedules the per-group fan-outs, so the serving layer's worker pool bounds
-// remote concurrency exactly as it bounds local shard evaluation.
+// >= 0 the shard servers snippet the results taken, on their index, by the
+// same fan-out a local corpus runs (shard.Records), so the snippets are the
+// local ones too: a winner of a group's leading run of shards
+// (shard.LeadingRun) arrives with its snippet in the eval round, a
+// whole-document answer's every result with its snippet in the full round,
+// and the snippets of the other winners are asked for by handle once the
+// merge has cut (snippets). run schedules the per-group fan-outs, so the
+// serving layer's worker pool bounds remote concurrency exactly as it bounds
+// local shard evaluation.
 func (rt *Router) Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	pl := rt.place.Load()
 	terms := search.TermKeys(query)
 	if len(pl.groupOf) == 0 || len(terms) == 0 {
 		return nil, nil, search.ErrEmptyQuery
 	}
-	r := &routedRounds{rt: rt, pl: pl, query: query, terms: len(terms), opts: opts, run: run}
+	r := &routedRounds{rt: rt, pl: pl, query: query, terms: len(terms), opts: opts, run: run, bound: max(bound, -1)}
 	winners, err := shard.Merge(ctx, opts, r, scanned.lcaPos)
 	if err != nil {
 		return nil, nil, err
@@ -469,7 +472,7 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 	if bound < 0 {
 		return rs, nil, nil
 	}
-	gs, err := r.snippets(ctx, handles, bound)
+	gs, err := r.snippets(ctx, winners, handles)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -479,8 +482,8 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 // routedRounds is shard.Merge's source of evidence for one routed query, on
 // one placement generation: round one is a fan-out of remote calls, one per
 // replica group, scheduled through run; round two is one call any replica
-// answers. After the merge, it fetches the snippets of what the merge kept
-// (snippets).
+// answers. After the merge, it serves the snippets the rounds carried and
+// fetches those of the other winners (snippets).
 // A result is a scanned byte range of the response that shipped it —
 // validated, counted, not taken — because which results win is decided by
 // the per-shard counts alone.
@@ -491,12 +494,17 @@ type routedRounds struct {
 	terms int // the query's term count, which every shipped result carries a depth for
 	opts  search.Options
 	run   shard.Runner
+	bound int // the snippet bound; -1 = search only
 
 	shipped int // results scanned out of this query's responses
+	records int // snippet records scanned out of them
 }
 
 // Eval asks every group for its shard subset's partials: per shard its digest
-// and the counts and handles of the results it ships, no snippets.
+// and the counts and handles of the results it ships, and with a snippet
+// bound the snippet records of the group's leading run of shards
+// (shard.LeadingRun) — records anywhere else refuse the response
+// (decodeEvalResp), and the call fails over.
 func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], error) {
 	rt, pl := r.rt, r.pl
 	timeout := ctxTimeoutMillis(ctx)
@@ -506,10 +514,14 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 		if len(shards) == 0 {
 			continue
 		}
-		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards})
+		lead := -1
+		if r.bound >= 0 {
+			lead = shard.LeadingRun(shards)
+		}
+		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards, bound: r.bound})
 		calls[g] = func() error {
 			return rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, pl.fingerprint, func(body []byte) error {
-				resp, err := decodeEvalResp(body, r.terms)
+				resp, err := decodeEvalResp(body, r.terms, lead)
 				if err != nil {
 					return err
 				}
@@ -529,6 +541,11 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 		for _, s := range resp.shards {
 			parts[s.shard] = shard.Partial[scanned]{Digest: s.digest, Results: s.results}
 			r.shipped += len(s.results)
+			for _, x := range s.results {
+				if x.rec != nil {
+					r.records++
+				}
+			}
 		}
 	}
 	return parts, nil
@@ -536,13 +553,14 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 
 // Whole asks any replica for the whole-document answer (every shard server
 // holds the full snapshot and composes it from its own round one): counts
-// and handles, like Eval. The router's partials are trimmed handles, so it
-// composes nothing itself.
+// and handles, like Eval, and with a snippet bound every result's snippet
+// record. The router's partials are trimmed handles, so it composes nothing
+// itself.
 func (r *routedRounds) Whole(ctx context.Context, _ []shard.Partial[scanned], _ bool) ([]scanned, error) {
 	var results []scanned
-	payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx)})
+	payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx), bound: r.bound})
 	err := r.rt.groupCall(ctx, r.rt.all, &r.rt.allRR, "full", "any", msgFull, payload, msgFullResp, r.pl.fingerprint, func(body []byte) error {
-		rs, err := decodeFullResp(body, r.terms)
+		rs, err := decodeFullResp(body, r.terms, r.bound >= 0)
 		if err != nil {
 			return err
 		}
@@ -553,39 +571,58 @@ func (r *routedRounds) Whole(ctx context.Context, _ []shard.Partial[scanned], _ 
 		return nil, err
 	}
 	r.shipped += len(results)
+	if r.bound >= 0 {
+		r.records += len(results)
+	}
 	return results, nil
 }
 
-// snippets returns the snippets of the merge's winners at bound, aligned
-// with their handles: one snippets call per replica group holding any of them
-// — a group whose results the cut dropped is not asked — and one to any
-// replica for a whole-document answer (byHandle), the calls scheduled through
-// run, within the query's context, against the fingerprint of the generation
-// that answered the merge. A replica on another generation fails over within
-// its group; when none holds it, the query fails with the skew, never with
-// another generation's snippet. The round's wall time is the query's snippet
-// stage on its span sink.
-func (r *routedRounds) snippets(ctx context.Context, handles []handle, bound int) ([]*core.Generated, error) {
-	gs := make([]*core.Generated, len(handles))
-	if len(handles) == 0 {
-		return gs, nil
-	}
-	kws := index.Tokenize(r.query)
-	all := make([]int, len(handles))
-	for i := range all {
-		all[i] = i
-	}
+// snippets returns the snippets of the merge's winners at the query's bound,
+// aligned with them. A winner whose response carried its snippet record is
+// served from it (servedSnippet); the others' are fetched by handle: one
+// snippets call per replica group holding any of them — a group whose
+// results the cut dropped, or whose winners all arrived with their records,
+// is not asked (byHandle) — the calls scheduled through run, within the
+// query's context, against the fingerprint of the generation that answered
+// the merge. A replica on another generation fails over within its group;
+// when none holds it, the query fails with the skew, never with another
+// generation's snippet. The records of results the answer does not keep —
+// round one's, when round two answered — are discarded. The stage's wall
+// time is the query's snippet stage on its span sink.
+func (r *routedRounds) snippets(ctx context.Context, winners []scanned, handles []handle) ([]*core.Generated, error) {
+	gs := make([]*core.Generated, len(winners))
 	start := time.Now()
-	req := treesReq{opts: r.opts, query: r.query, fingerprint: r.pl.fingerprint, bound: bound}
-	err := r.rt.byHandle(ctx, r.pl, r.run, msgSnippets, req, handles, all, func(body []byte, idx []int) error {
-		return takeSnippets(body, kws, bound, gs, idx)
-	})
+	kws := index.Tokenize(r.query)
+	var fetch []int
+	var fromEval, fromFull int
+	into := record.GetTree()
+	for i, w := range winners {
+		switch {
+		case w.rec == nil:
+			fetch = append(fetch, i)
+			continue
+		case w.at.shard == wholeShard:
+			fromFull++
+		default:
+			fromEval++
+		}
+		gs[i] = servedSnippet(w.rec, kws, r.bound, into)
+	}
+	into.Release()
+	var err error
+	if len(fetch) > 0 {
+		req := treesReq{opts: r.opts, query: r.query, fingerprint: r.pl.fingerprint, bound: r.bound}
+		err = r.rt.byHandle(ctx, r.pl, r.run, msgSnippets, req, handles, fetch, func(body []byte, idx []int) error {
+			return takeSnippets(body, kws, r.bound, gs, idx)
+		})
+	}
 	if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
 		sink.NoteSnippets(time.Since(start))
 	}
 	if err != nil {
 		return nil, err
 	}
+	r.rt.metrics.snippetsServed(fromEval, fromFull, len(fetch), r.records-fromEval-fromFull)
 	return gs, nil
 }
 
@@ -896,8 +933,8 @@ func (rt *Router) Stats() (analysis *core.Corpus, totalElements int) {
 // replica group so a sick group is attributable from metrics alone; see
 // OBSERVABILITY.md for the contract. Numbered groups carry the per-group
 // call kinds (eval, snippets, trees); the "any" pseudo-group carries the
-// calls any replica may serve (full, the whole document's snippets and
-// trees, stats, complete).
+// calls any replica may serve (full, the whole document's trees, stats,
+// complete) — a whole-document answer's snippets ride with its full call.
 type routerMetrics struct {
 	calls     map[[3]string]*telemetry.Counter // kind, outcome, group
 	failovers map[string]*telemetry.Counter    // group
@@ -907,13 +944,18 @@ type routerMetrics struct {
 	// (as deferred results), or scanned and skipped because the merge cut (or
 	// the root fallback) discarded them.
 	taken, dropped *telemetry.Counter
+
+	// snippets count a snippeted answer's snippets by where they came from —
+	// carried by the eval round, by the full round, or fetched by handle — and
+	// the records the rounds carried that the answer did not keep.
+	viaEval, viaFull, viaHandle, discarded *telemetry.Counter
 }
 
 // groupCallKinds are the per-replica-group call kinds; anyCallKinds the
 // kinds served by any replica.
 var (
 	groupCallKinds = []string{"eval", "snippets", "trees"}
-	anyCallKinds   = []string{"full", "snippets", "trees", "stats", "complete"}
+	anyCallKinds   = []string{"full", "trees", "stats", "complete"}
 )
 
 func newRouterMetrics(reg *telemetry.Registry, ngroups int) *routerMetrics {
@@ -944,7 +986,25 @@ func newRouterMetrics(reg *telemetry.Registry, ngroups int) *routerMetrics {
 	const resultsHelp = "Results shipped to the router by fate: taken into an answer, or dropped by the merge cut or the root fallback."
 	m.taken = reg.Counter("extract_remote_results_total", resultsHelp, telemetry.L("fate", "taken"))
 	m.dropped = reg.Counter("extract_remote_results_total", resultsHelp, telemetry.L("fate", "dropped"))
+	const snippetsHelp = "Snippets of routed answers by where they came from: the eval or full round, or a snippets call by handle; discarded counts records a round carried that the answer did not keep."
+	m.viaEval = reg.Counter("extract_remote_snippets_total", snippetsHelp, telemetry.L("via", "eval"))
+	m.viaFull = reg.Counter("extract_remote_snippets_total", snippetsHelp, telemetry.L("via", "full"))
+	m.viaHandle = reg.Counter("extract_remote_snippets_total", snippetsHelp, telemetry.L("via", "handle"))
+	m.discarded = reg.Counter("extract_remote_snippets_total", snippetsHelp, telemetry.L("via", "discarded"))
 	return m
+}
+
+// snippetsServed counts one snippeted answer's snippets by origin, one add a
+// label that moved.
+func (m *routerMetrics) snippetsServed(eval, full, handle, discarded int) {
+	for _, c := range []struct {
+		c *telemetry.Counter
+		n int
+	}{{m.viaEval, eval}, {m.viaFull, full}, {m.viaHandle, handle}, {m.discarded, discarded}} {
+		if c.n > 0 {
+			c.c.Add(int64(c.n))
+		}
+	}
 }
 
 func (m *routerMetrics) observe(kind, outcome, group string, d time.Duration) {

@@ -290,15 +290,15 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 			func(b []byte, _ evalReq, a evalAnswer) []byte { return appendEvalResp(b, a) })
 	case msgFull:
 		return staged(s, st, "full", msgFullResp, payload, enc, decodeEvalReq, s.fullEval,
-			func(b []byte, req evalReq, rs []*search.Result) []byte {
-				return appendResults(b, rs, search.TermKeys(req.query))
+			func(b []byte, req evalReq, a fullAnswer) []byte {
+				return appendFullResp(b, a, search.TermKeys(req.query))
 			})
 	case msgTrees:
 		return staged(s, st, "trees", msgTreesResp, payload, enc, decodeTreesReq, s.trees,
 			func(b []byte, _ treesReq, rs []*search.Result) []byte { return appendTreesResp(b, rs) })
 	case msgSnippets:
 		return staged(s, st, "snippets", msgSnippetsResp, payload, enc, decodeTreesReq, s.snippets,
-			func(b []byte, _ treesReq, recs []string) []byte { return appendSnippetsResp(b, recs) })
+			func(b []byte, _ treesReq, recs []string) []byte { return appendRecords(b, recs) })
 	case msgComplete:
 		req, err := decodeCompleteReq(payload)
 		if err != nil {
@@ -395,8 +395,11 @@ func reqContext(timeoutMillis uint64) (context.Context, context.CancelFunc) {
 // evaluate answers one eval request — round one of shard.Merge for the
 // shards the request names: their shard.Partials, digested from the
 // untrimmed local answers and then trimmed to what the router's merge can
-// still take. It snippets nothing: the router asks for the snippets of the
-// results its merge keeps (snippets).
+// still take. With a snippet bound, it snippets the shipped results of the
+// request's leading run (shard.LeadingRun), which the merge keeps unless the
+// query takes round two, on the results it holds: one fan-out
+// (shard.Records), nothing rebuilt. The router asks for the other winners'
+// snippets by handle (snippets).
 func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
@@ -412,24 +415,54 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	for i, p := range parts {
 		a.shards[i] = shardAnswer{shard: req.shards[i], digest: p.Digest, results: p.Results}
 	}
-	trimToMerge(a.shards, req.opts.MaxResults)
+	if !trimToMerge(a.shards, req.opts.MaxResults) || req.bound < 0 {
+		return a, nil
+	}
+	lead := a.shards[:shard.LeadingRun(req.shards)]
+	var rs []*search.Result
+	for _, sa := range lead {
+		rs = append(rs, sa.results...)
+	}
+	recs, err := s.records(ctx, st, rs, req.query, req.bound)
+	if err != nil {
+		return evalAnswer{}, err
+	}
+	for i := range lead {
+		n := len(lead[i].results)
+		lead[i].records, recs = recs[:n:n], recs[n:]
+	}
 	return a, nil
 }
 
-// trimToMerge drops the results the router's merge cannot take. The digests
-// and the root-anchored bit were computed from the untrimmed lists and stay
-// as they are; the trim applies the merge's own cut (shard.MergeTake, each
-// shard keeping its results with the earliest LCAs, shard.AppendEarliest) to
-// this request's shards in ascending order, so whatever the other groups
-// return, a dropped result lies past position MaxResults in the whole
-// engine's order and the merged answer is unchanged. It is sound only in that
-// order, which is the one a router's placement produces; a request naming its
-// shards any other way is answered untrimmed.
-func trimToMerge(answers []shardAnswer, maxResults int) {
+// records writes the snippet records of rs at bound (shard.Records) and
+// counts them.
+func (s *Server) records(ctx context.Context, st *serverState, rs []*search.Result, query string, bound int) ([]string, error) {
+	if len(rs) == 0 {
+		return nil, nil
+	}
+	recs, err := shard.Records(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(query), bound)
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.snippetsMade(len(recs))
+	return recs, nil
+}
+
+// trimToMerge drops the results the router's merge cannot take, and reports
+// whether it did. The digests and the root-anchored bit were computed from
+// the untrimmed lists and stay as they are; the trim applies the merge's own
+// cut (shard.MergeTake, each shard keeping its results with the earliest
+// LCAs, shard.AppendEarliest) to this request's shards in ascending order, so
+// whatever the other groups return, a dropped result lies past position
+// MaxResults in the whole engine's order and the merged answer is unchanged.
+// It is sound only in that order, which is the one a router's placement
+// produces; a request naming its shards any other way is answered untrimmed,
+// and unsnippeted.
+func trimToMerge(answers []shardAnswer, maxResults int) bool {
 	counts := make([]int, len(answers))
 	for i := range answers {
 		if i > 0 && answers[i].shard <= answers[i-1].shard {
-			return
+			return false
 		}
 		counts[i] = len(answers[i].results)
 	}
@@ -438,23 +471,32 @@ func trimToMerge(answers []shardAnswer, maxResults int) {
 		rs := answers[i].results
 		answers[i].results = shard.AppendEarliest(rs[:0], rs, counts[i], shard.LCAOf)
 	}
+	return true
 }
 
 // fullEval answers shard.Merge's second round: the whole-document answer,
-// as counts and handles, like evaluate. Any replica can serve it — every
-// server holds the full snapshot — and composes it as a local corpus does,
-// from round one on all its shards (shard.Corpus.SearchEnginesContext),
-// evaluating and copying no whole document; any replica snippets its
-// results by handle (snippets). A full response addresses results in the
-// whole document, so each is returned re-addressed (readdress).
-func (s *Server) fullEval(st *serverState, req evalReq) ([]*search.Result, error) {
+// as counts and handles, like evaluate, and with a snippet bound the
+// snippet records of every result — the full answer is the answer. Any
+// replica can serve it — every server holds the full snapshot — and composes
+// it as a local corpus does, from round one on all its shards
+// (shard.Corpus.SearchEnginesContext), evaluating and copying no whole
+// document. A full response addresses results in the whole document, so each
+// is returned re-addressed (readdress); the records are written from the
+// results as they were composed, as a local corpus snippets them.
+func (s *Server) fullEval(st *serverState, req evalReq) (fullAnswer, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
 	rs, err := st.sc.SearchEnginesContext(ctx, req.query, req.opts, nil, s.pool.Run)
 	if err != nil {
-		return nil, err
+		return fullAnswer{}, err
 	}
-	return readdress(st.sc, rs), nil
+	a := fullAnswer{results: readdress(st.sc, rs)}
+	if req.bound >= 0 {
+		if a.records, err = s.records(ctx, st, rs, req.query, req.bound); err != nil {
+			return fullAnswer{}, err
+		}
+	}
+	return a, nil
 }
 
 // readdress returns rs with every result's anchor and LCA at their global
@@ -484,12 +526,11 @@ func (s *Server) trees(st *serverState, req treesReq) ([]*search.Result, error) 
 }
 
 // snippets answers a snippets request — the router's round for the results
-// its merge kept: the handles' results, rebuilt as a trees request rebuilds
-// them (on the answer's generation, on owned shards only, or on the whole
-// document); then the local fan-out (shard.Records, on the results'
-// indexes) writes their snippet records at the request's bound — one a
-// handle, in request order, sent as they were written — and they are
-// counted.
+// its merge kept that no eval or full response carried the snippets of: the
+// handles' results, rebuilt as a trees request rebuilds them (on the answer's
+// generation, on owned shards only, or on the whole document); then the local
+// fan-out writes their snippet records at the request's bound (records) — one
+// a handle, in request order, sent as they were written.
 func (s *Server) snippets(st *serverState, req treesReq) ([]string, error) {
 	if req.bound < 0 {
 		return nil, protocolErrf("snippets request without a snippet bound")
@@ -500,12 +541,7 @@ func (s *Server) snippets(st *serverState, req treesReq) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, err := shard.Records(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(req.query), req.bound)
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.snippetsMade(len(recs))
-	return recs, nil
+	return s.records(ctx, st, rs, req.query, req.bound)
 }
 
 // rebuild resolves a trees or snippets request's handles: every handle's

@@ -30,7 +30,7 @@ func TestBadShardRefusedBeforeAnyEvaluation(t *testing.T) {
 	defer faultinject.Reset()
 	defer close(release)
 
-	payload := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0, 2}})
+	payload := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0, 2}, bound: -1})
 	before := runtime.NumGoroutine()
 	mt, body := srv.handle(msgEval, payload, nil)
 	after := runtime.NumGoroutine()
@@ -84,14 +84,14 @@ func TestTrimKeepsUntrimmedEvidence(t *testing.T) {
 			for _, maxResults := range []int{1, 2} {
 				opts := search.Options{DistinctAnchors: true, Semantics: sem, MaxResults: maxResults}
 				for _, q := range queries {
-					got, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList})
+					got, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList, bound: -1})
 					if err != nil {
 						continue // the matrix includes the empty query
 					}
 					untrimmed := make([]shardAnswer, len(got.shards))
 					counts := make([]int, len(got.shards))
 					for i, idx := range st.ownedList {
-						alone, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: []uint32{idx}})
+						alone, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: []uint32{idx}, bound: -1})
 						if err != nil {
 							t.Fatalf("%s %q shard %d alone: %v", cc.name, q, idx, err)
 						}

@@ -40,8 +40,8 @@ func preorderOf(root *xmltree.Node) preorder {
 func (t preorder) Len() int                        { return len(t) }
 func (t preorder) Node(i int) (*xmltree.Node, int) { return t[i], len(t[i].Children) }
 
-// recordsOf encodes snippets as a shard server's snippets response carries
-// them (appendSnippetsResp).
+// recordsOf encodes snippets as a shard server's responses carry them
+// (appendRecords).
 func recordsOf(gs []*core.Generated) []string {
 	recs := make([]string, len(gs))
 	for i, g := range gs {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"slices"
 	"strconv"
@@ -63,24 +64,35 @@ func TestRoutedHopsReportServerStages(t *testing.T) {
 // retiredGreeting is a v4 greeting's payload — the served generation's
 // fingerprint (u64 7), then uvarint shard count 3 and the owned shard list
 // {0, 1, 2} — which the retired-version cases send at every old version. A
-// v5 to v8 greeting is an empty frame.
+// v5 to v9 greeting is an empty frame.
 var retiredGreeting = []byte{7, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 1, 2}
 
 // v4Ping is the retired v4 health probe's message type: v5 dropped ping and
 // pong, and the type number now belongs to the error message.
 const v4Ping = msgType(8)
 
-// v2EvalReq is a retired v2 eval request: a v8 one followed by the trace ID
-// (u64 LE), which nothing read.
-func v2EvalReq(v8 []byte) []byte {
-	return binary.LittleEndian.AppendUint64(slices.Clip(v8), 1)
+// v8EvalReq is a retired v8 eval or full request: a search-only v9 one
+// without its snippet bound + 1, the last byte.
+func v8EvalReq(v9 []byte) []byte {
+	return slices.Clip(v9[:len(v9)-1])
 }
 
-// v7EvalReq is a retired v3 to v7 eval or full request: a v8 one followed by
-// the snippet bound + 1 (0, search only) and then the trace ID.
-func v7EvalReq(v8 []byte) []byte {
-	return v2EvalReq(append(slices.Clip(v8), 0))
+// v2EvalReq is a retired v2 eval request: a v8 one (of a search-only v9
+// one) followed by the trace ID (u64 LE), which nothing read.
+func v2EvalReq(v9 []byte) []byte {
+	return binary.LittleEndian.AppendUint64(v8EvalReq(v9), 1)
 }
+
+// v7EvalReq is a retired v3 to v7 eval or full request: a search-only v9 one
+// — a v8 one followed by the snippet bound + 1, 0 — and then the trace ID.
+func v7EvalReq(v9 []byte) []byte {
+	return binary.LittleEndian.AppendUint64(slices.Clip(v9), 1)
+}
+
+// v8EvalResp is a retired v8 eval response body: one shard (index 0, no
+// digest bits) shipping one result — one node, anchor and LCA at 0, no
+// depths — and no record list after it.
+var v8EvalResp = []byte{1, 0, 0, 0, 1, 1, 0, 0}
 
 // TestOtherWireVersionsRefused: a frame at any version but wireVersion —
 // the retired v1 to v7 a stale peer would still speak, or a future one — is
@@ -89,7 +101,8 @@ func v7EvalReq(v8 []byte) []byte {
 // hangs up on it without evaluating anything.
 func TestOtherWireVersionsRefused(t *testing.T) {
 	greeting := retiredGreeting
-	request := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0}})
+	request := encodeEvalReq(evalReq{opts: search.Options{DistinctAnchors: true}, query: "store", shards: []uint32{0}, bound: -1})
+	fullRequest := encodeEvalReq(evalReq{query: "store", bound: -1})
 	for _, tc := range []struct {
 		name    string
 		ver     byte
@@ -115,9 +128,13 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		{"v6 snippeted eval response", 6, msgEvalResp, append(appendRespHeader(nil, 7), v6SnippetedEvalResp...)},
 		{"v7 greeting", 7, msgHello, nil},
 		{"v7 eval request", 7, msgEval, v7EvalReq(request)},
-		{"v7 full request", 7, msgFull, v7EvalReq(encodeEvalReq(evalReq{query: "store"}))},
+		{"v7 full request", 7, msgFull, v7EvalReq(fullRequest)},
 		{"v7 snippeted full response", 7, msgFullResp, append(appendRespHeader(nil, 7), v7SnippetedFullResp...)},
-		{"v9 greeting", wireVersion + 1, msgHello, nil},
+		{"v8 greeting", 8, msgHello, nil},
+		{"v8 eval request", 8, msgEval, v8EvalReq(request)},
+		{"v8 full request", 8, msgFull, v8EvalReq(fullRequest)},
+		{"v8 eval response", 8, msgEvalResp, append(appendRespHeader(nil, 7), v8EvalResp...)},
+		{"v10 greeting", wireVersion + 1, msgHello, nil},
 	} {
 		_, _, err := readFrame(bytes.NewReader(frameBytes(tc.ver, tc.t, tc.payload)))
 		var pe *ProtocolError
@@ -131,18 +148,26 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		}
 	}
 
-	// Nor do the retired bodies decode as v8 ones: a v6 eval response, which
+	// Nor do the retired bodies decode as v9 ones: a v6 eval response, which
 	// carried a snippet per result, a v7 full response, which carried them
-	// too, and a v7 eval or full request, which carried a snippet bound and
-	// a trace ID.
+	// too, a v8 eval response, which carried no record list, a v7 eval or
+	// full request, which carried a snippet bound and a trace ID, and a v8
+	// one, which carried no bound.
 	var pe *ProtocolError
-	if _, err := decodeEvalResp(v6SnippetedEvalResp, 0); !errors.As(err, &pe) {
-		t.Fatalf("a v6 snippeted eval response body: %v, want a *ProtocolError", err)
+	for _, lead := range []int{-1, 1} {
+		if _, err := decodeEvalResp(v6SnippetedEvalResp, 0, lead); !errors.As(err, &pe) {
+			t.Fatalf("a v6 snippeted eval response body: %v, want a *ProtocolError", err)
+		}
+		if _, err := decodeEvalResp(v8EvalResp, 0, lead); !errors.As(err, &pe) {
+			t.Fatalf("a v8 eval response body: %v, want a *ProtocolError", err)
+		}
 	}
-	if _, err := decodeFullResp(v7SnippetedFullResp, 0); !errors.As(err, &pe) {
-		t.Fatalf("a v7 snippeted full response body: %v, want a *ProtocolError", err)
+	for _, snippeted := range []bool{false, true} {
+		if _, err := decodeFullResp(v7SnippetedFullResp, 0, snippeted); !errors.As(err, &pe) {
+			t.Fatalf("a v7 snippeted full response body: %v, want a *ProtocolError", err)
+		}
 	}
-	for _, req := range [][]byte{v7EvalReq(request), v7EvalReq(encodeEvalReq(evalReq{query: "store"}))} {
+	for _, req := range [][]byte{v7EvalReq(request), v7EvalReq(fullRequest), v8EvalReq(request), v8EvalReq(fullRequest)} {
 		if _, err := decodeEvalReq(req); !errors.As(err, &pe) {
 			t.Fatalf("a v7 request %v: %v, want a *ProtocolError", req, err)
 		}
@@ -339,9 +364,11 @@ func snippetsMade(reg *telemetry.Registry) int64 {
 
 // keptByGroup returns, for a query the per-shard round decides, how many of
 // its results each replica group of rt holds (kept) and had before the
-// merge's cut (had): the local per-shard evaluation, cut as the merge cuts
-// it (shard.MergeTake), summed by group.
-func keptByGroup(t *testing.T, rt *Router, sc *shard.Corpus, q string, opts search.Options) (kept, had []int) {
+// merge's cut (had), and how many of the kept lie outside the group's leading
+// run of shards (fetched: the ones a snippeted answer asks the group for by
+// handle): the local per-shard evaluation, cut as the merge cuts it
+// (shard.MergeTake), summed by group.
+func keptByGroup(t *testing.T, rt *Router, sc *shard.Corpus, q string, opts search.Options) (kept, had, fetched []int) {
 	t.Helper()
 	all := make([]int, sc.NumShards())
 	for i := range all {
@@ -351,8 +378,9 @@ func keptByGroup(t *testing.T, rt *Router, sc *shard.Corpus, q string, opts sear
 	if err != nil {
 		t.Fatalf("%q: %v", q, err)
 	}
-	groupOf := rt.place.Load().groupOf
-	kept, had = make([]int, len(rt.groups)), make([]int, len(rt.groups))
+	pl := rt.place.Load()
+	groupOf := pl.groupOf
+	kept, had, fetched = make([]int, len(rt.groups)), make([]int, len(rt.groups)), make([]int, len(rt.groups))
 	counts := make([]int, len(parts))
 	for i, p := range parts {
 		counts[i] = len(p.Results)
@@ -360,19 +388,34 @@ func keptByGroup(t *testing.T, rt *Router, sc *shard.Corpus, q string, opts sear
 	}
 	shard.MergeTake(counts, opts.MaxResults)
 	for i, n := range counts {
-		kept[groupOf[i]] += n
+		g := groupOf[i]
+		kept[g] += n
+		if i >= shard.LeadingRun(pl.byGroup[g]) {
+			fetched[g] += n
+		}
 	}
-	return kept, had
+	return kept, had, fetched
 }
 
-// TestServersSnippetOnlyKeptResults: the eval and full rounds ship counts and
-// handles, so a routed query with snippets makes the eval and full calls a
-// search-only one makes, and then exactly one snippets call to each group
-// holding a result the merge kept, none to a group whose results the cut
-// dropped — or, for a whole-document answer, exactly one, to any replica —
-// and the servers make exactly one snippet per result of the answer. Reading
-// the answer's trees afterwards makes no eval, full, stats or snippets call
-// (it fetches the trees by handle; TestTreeReadTakesOneRoundPerGroup counts
+// snippetOrigins reads a router's snippet counter, label by label.
+func snippetOrigins(rt *Router) map[string]int64 {
+	m := rt.metrics
+	return map[string]int64{"eval": m.viaEval.Value(), "full": m.viaFull.Value(), "handle": m.viaHandle.Value(), "discarded": m.discarded.Value()}
+}
+
+// TestServersSnippetOnlyKeptResults: a routed query with snippets makes the
+// eval and full calls a search-only one makes, and the servers snippet what
+// the rule says they must (shard.LeadingRun): in the eval round, every result
+// a group ships for its leading run of shards, which the merge keeps unless
+// the query takes round two; in the full round, every result of the
+// whole-document answer. Then the router makes exactly one snippets call to
+// each group holding a kept result outside its leading run, none to any
+// other — none at all for a whole-document answer — and the servers make
+// exactly one snippet per result of the answer, plus the records the answer
+// discarded (the eval round's, when round two answered), as the router's
+// snippet counter tells. A search-only query snippets nothing. Reading the
+// answer's trees afterwards makes no eval, full, stats or snippets call (it
+// fetches the trees by handle; TestTreeReadTakesOneRoundPerGroup counts
 // those calls).
 func TestServersSnippetOnlyKeptResults(t *testing.T) {
 	sc := versionTestCorpus()
@@ -392,25 +435,35 @@ func TestServersSnippetOnlyKeptResults(t *testing.T) {
 		}
 		return n
 	}
+	sum := func(before, after []int64) int64 {
+		total := int64(0)
+		for g := range after {
+			total += after[g] - before[g]
+		}
+		return total
+	}
 	fb := sc.Fallback()
 	queries := append(testQueries(fb.Doc, fb), fb.Doc.Root.Label)
 	ctx := context.Background()
-	answered, whole, cut, spanning := 0, 0, 0, 0
+	answered, whole, cut, oneRound, fetching := 0, 0, 0, 0, 0
 	for _, opts := range []search.Options{{DistinctAnchors: true}, {DistinctAnchors: true, Semantics: search.SemanticsELCA, MaxResults: 3}} {
 		for _, q := range queries {
-			before := calls()
+			before, madeBefore := calls(), made()
 			if _, _, err := rt.Answer(ctx, q, opts, nil, -1); err != nil {
 				continue
 			}
-			searchOnly, madeBefore, snippetCalls := calls(), made(), callsOf(rt, "snippets")
+			searchOnly, madeSearchOnly, snippetCalls, origins := calls(), made(), callsOf(rt, "snippets"), snippetOrigins(rt)
 			if searchOnly["snippets"] != before["snippets"] {
 				t.Fatalf("%q: a search-only answer made %v snippets calls", q, searchOnly["snippets"]-before["snippets"])
+			}
+			if n := sum(madeBefore, madeSearchOnly); n != 0 {
+				t.Fatalf("%q: the servers made %d snippets for a search-only answer", q, n)
 			}
 			rs, gs, err := rt.Answer(ctx, q, opts, nil, 8)
 			if err != nil || len(gs) != len(rs) {
 				t.Fatalf("%q: %d snippets for %d results, %v", q, len(gs), len(rs), err)
 			}
-			snippeted, madeAfter, snippetCallsAfter := calls(), made(), callsOf(rt, "snippets")
+			snippeted, madeAfter, snippetCallsAfter, originsAfter := calls(), made(), callsOf(rt, "snippets"), snippetOrigins(rt)
 			for _, kind := range []string{"eval", "full", "stats"} {
 				if a, b := searchOnly[kind]-before[kind], snippeted[kind]-searchOnly[kind]; a != b {
 					t.Fatalf("%q: %v %s calls with snippets, %v without", q, b, kind, a)
@@ -419,44 +472,52 @@ func TestServersSnippetOnlyKeptResults(t *testing.T) {
 			if n := snippeted["eval"] - searchOnly["eval"]; n != groups {
 				t.Fatalf("%q: %v eval calls for %d groups", q, n, groups)
 			}
-			total := int64(0)
-			for g := range regs {
-				total += madeAfter[g] - madeBefore[g]
+			via := map[string]int64{}
+			for label, n := range originsAfter {
+				via[label] = n - origins[label]
 			}
-			if total != int64(len(rs)) {
-				t.Fatalf("%q (%v): the servers made %d snippets for a %d-result answer", q, opts.Semantics, total, len(rs))
+			if served := via["eval"] + via["full"] + via["handle"]; served != int64(len(rs)) {
+				t.Fatalf("%q: %v snippets served by origin for a %d-result answer", q, via, len(rs))
+			}
+			if total := sum(madeSearchOnly, madeAfter); total != int64(len(rs))+via["discarded"] {
+				t.Fatalf("%q (%v): the servers made %d snippets for a %d-result answer that discarded %d", q, opts.Semantics, total, len(rs), via["discarded"])
 			}
 			if snippeted["full"] > searchOnly["full"] {
-				asked := map[string]int64{}
-				for label, n := range snippetCallsAfter {
-					if d := n - snippetCalls[label]; d != 0 {
-						asked[label] = d
-					}
+				if n := snippetCallsAfter; !maps.Equal(n, snippetCalls) {
+					t.Fatalf("%q: a whole-document answer made snippets calls (%v, before %v)", q, n, snippetCalls)
 				}
-				if len(asked) != 1 || asked["any"] != 1 {
-					t.Fatalf("%q: a whole-document answer made snippets calls %v, want one to any replica", q, asked)
+				if via["full"] != int64(len(rs)) {
+					t.Fatalf("%q: a whole-document answer served %v", q, via)
 				}
 				whole++
 			} else {
-				kept, had := keptByGroup(t, rt, sc, q, opts)
+				kept, had, fetched := keptByGroup(t, rt, sc, q, opts)
+				if via["discarded"] != 0 || via["full"] != 0 {
+					t.Fatalf("%q: an answer of round one served %v", q, via)
+				}
 				asked := 0
 				for g := range regs {
 					label := strconv.Itoa(g)
 					want := int64(0)
-					if kept[g] > 0 {
+					if fetched[g] > 0 {
 						want, asked = 1, asked+1
-					} else if had[g] > 0 {
+					}
+					if kept[g] == 0 && had[g] > 0 {
 						cut++
 					}
 					if n := snippetCallsAfter[label] - snippetCalls[label]; n != want {
-						t.Fatalf("%q (%v): %d snippets calls to group %d, which holds %d kept of %d results", q, opts.Semantics, n, g, kept[g], had[g])
+						t.Fatalf("%q (%v): %d snippets calls to group %d, which holds %d kept of %d results, %d outside its leading run",
+							q, opts.Semantics, n, g, kept[g], had[g], fetched[g])
 					}
-					if n := madeAfter[g] - madeBefore[g]; n != int64(kept[g]) {
+					if n := madeAfter[g] - madeSearchOnly[g]; n != int64(kept[g]) {
 						t.Fatalf("%q (%v): group %d made %d snippets for %d kept results", q, opts.Semantics, g, n, kept[g])
 					}
 				}
-				if asked > 1 {
-					spanning++
+				if len(rs) > 0 && asked == 0 {
+					oneRound++
+				}
+				if asked > 0 {
+					fetching++
 				}
 			}
 			for _, r := range rs {
@@ -473,19 +534,21 @@ func TestServersSnippetOnlyKeptResults(t *testing.T) {
 			answered++
 		}
 	}
-	if answered == 0 || whole == 0 || cut == 0 || spanning == 0 {
-		t.Fatalf("%d queries answered, %d by the whole-document round, %d groups cut out, %d answers spanning groups: the matrix proves nothing",
-			answered, whole, cut, spanning)
+	if answered == 0 || whole == 0 || cut == 0 || oneRound == 0 || fetching == 0 {
+		t.Fatalf("%d queries answered, %d by the whole-document round, %d groups cut out, %d answers in one round, %d with a snippets round: the matrix proves nothing",
+			answered, whole, cut, oneRound, fetching)
 	}
 }
 
 // TestSnippetRoundAfterSwapIsClassified: the servers swap generation between
-// a query's eval (or full) round and its snippets round. A group with a
-// replica still on the query's generation answers from it — the swapped
-// replica's refusal fails over — with the snippets of the unswapped tier; a
-// tier with no replica left on it fails the query with a classified skew,
-// never with a snippet of the new generation. A whole-document answer's
-// snippets call goes to any replica, and fails over and fails the same way.
+// a query's eval round and its snippets round. A group with a replica still
+// on the query's generation answers from it — the swapped replica's refusal
+// fails over — with the snippets of the unswapped tier; a tier with no
+// replica left on it fails the query with a classified skew, never with a
+// snippet of the new generation. The query's winners lie outside some
+// group's leading run of shards, so the round runs: a whole-document answer,
+// and one whose winners all lie in leading runs, carry their snippets in the
+// round that answered and take no snippets round.
 func TestSnippetRoundAfterSwapIsClassified(t *testing.T) {
 	sc := versionTestCorpus()
 	next := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 12}), 3)
@@ -512,71 +575,66 @@ func TestSnippetRoundAfterSwapIsClassified(t *testing.T) {
 			return shard.Run(nil, tasks)
 		}
 	}
-	for _, tc := range []struct {
-		q     string
-		whole bool // the query involves the root: a whole-document answer
-	}{
-		{"store texas", false},
-		{sc.Fallback().Doc.Root.Label, true},
-	} {
-		want, wantGs, err := startCluster(t, sc, groups, replicas).router.Answer(context.Background(), tc.q, opts, nil, bound)
-		if err != nil || len(want) == 0 {
-			t.Fatalf("%q baseline: %d results, %v", tc.q, len(want), err)
+	const q = "store texas"
+	base := startCluster(t, sc, groups, replicas).router
+	want, wantGs, err := base.Answer(context.Background(), q, opts, nil, bound)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("%q baseline: %d results, %v", q, len(want), err)
+	}
+	// The groups the snippets round asks: those holding a winner outside
+	// their leading run.
+	_, _, fetched := keptByGroup(t, base, sc, q, opts)
+	asked := 0
+	for _, n := range fetched {
+		if n > 0 {
+			asked++
 		}
-		// The groups the snippets round asks: every group, or any replica.
-		asked := groups
-		if tc.whole {
-			asked = 1
-		}
+	}
+	if asked == 0 {
+		t.Fatalf("%q: every winner lies in a leading run; the query takes no snippets round", q)
+	}
 
-		// One replica moves in each group asked: the one its snippets call
-		// tries first, so every call is refused once and fails over to a peer.
-		cl := startCluster(t, sc, groups, replicas)
-		rt := cl.router
-		var moved func(g, r int) bool
-		if tc.whole {
-			first := int(rt.allRR.Load()+1) % len(rt.all) // the full round takes one turn
-			moved = func(g, r int) bool { return g*replicas+r == first }
-		} else {
-			first := make([]int, groups)
-			for g := range first {
-				first[g] = int(rt.groups[g].rr.Load()+1) % replicas // the eval round takes one turn
-			}
-			moved = func(g, r int) bool { return r == first[g] }
+	// One replica moves in each group: the one its snippets call tries
+	// first, so every call is refused once and fails over to a peer.
+	cl := startCluster(t, sc, groups, replicas)
+	rt := cl.router
+	first := make([]int, groups)
+	for g := range first {
+		first[g] = int(rt.groups[g].rr.Load()+1) % replicas // the eval round takes one turn
+	}
+	moved := func(g, r int) bool { return r == first[g] }
+	sink := &telemetry.SpanSink{TraceID: telemetry.NextTraceID()}
+	rs, gs, err := rt.Answer(telemetry.WithSpanSink(context.Background(), sink), q, opts, swapping(cl, moved), bound)
+	if err != nil || len(rs) != len(want) || len(gs) != len(wantGs) {
+		t.Fatalf("%q, one replica moved: %d results, %d snippets, %v; want %d", q, len(rs), len(gs), err, len(want))
+	}
+	if took := len(callsOf(rt, "full")) > 0; took {
+		t.Fatalf("%q: whole-document round taken", q)
+	}
+	for i := range gs {
+		if err := sameSnippet(wantGs[i], gs[i]); err != nil {
+			t.Fatalf("%q: snippet %d after a failover: %v", q, i, err)
 		}
-		sink := &telemetry.SpanSink{TraceID: telemetry.NextTraceID()}
-		rs, gs, err := rt.Answer(telemetry.WithSpanSink(context.Background(), sink), tc.q, opts, swapping(cl, moved), bound)
-		if err != nil || len(rs) != len(want) || len(gs) != len(wantGs) {
-			t.Fatalf("%q, one replica moved: %d results, %d snippets, %v; want %d", tc.q, len(rs), len(gs), err, len(want))
+	}
+	refused := map[string]bool{}
+	for _, h := range sink.Hops() {
+		if h.Kind == "snippets" && h.Err == ErrKindSkew {
+			refused[h.Group] = true
 		}
-		if took := len(callsOf(rt, "full")) > 0; took != tc.whole {
-			t.Fatalf("%q: whole-document round taken = %v", tc.q, took)
-		}
-		for i := range gs {
-			if err := sameSnippet(wantGs[i], gs[i]); err != nil {
-				t.Fatalf("%q: snippet %d after a failover: %v", tc.q, i, err)
-			}
-		}
-		refused := map[string]bool{}
-		for _, h := range sink.Hops() {
-			if h.Kind == "snippets" && h.Err == ErrKindSkew {
-				refused[h.Group] = true
-			}
-		}
-		if len(callsOf(rt, "snippets")) != asked || len(refused) != asked || (tc.whole && !refused["any"]) {
-			t.Fatalf("%q: snippets calls %v, refused by a moved replica in groups %v: the swap missed the round", tc.q, callsOf(rt, "snippets"), refused)
-		}
+	}
+	if len(callsOf(rt, "snippets")) != asked || len(refused) != asked {
+		t.Fatalf("%q: snippets calls %v, refused by a moved replica in groups %v: the swap missed the round", q, callsOf(rt, "snippets"), refused)
+	}
 
-		// Every replica moves: the query fails, classified.
-		cl = startCluster(t, sc, groups, replicas)
-		rs, gs, err = cl.router.Answer(context.Background(), tc.q, opts, swapping(cl, func(int, int) bool { return true }), bound)
-		var re *RemoteError
-		if !errors.As(err, &re) || re.Kind != ErrKindSkew || rs != nil || gs != nil {
-			t.Fatalf("%q, every replica moved: %d results, %d snippets, %v; want a %s *RemoteError", tc.q, len(rs), len(gs), err, ErrKindSkew)
-		}
-		if n := callsOf(cl.router, "snippets"); len(n) != asked {
-			t.Fatalf("%q: snippets calls %v: the swap missed the round", tc.q, n)
-		}
+	// Every replica moves: the query fails, classified.
+	cl = startCluster(t, sc, groups, replicas)
+	rs, gs, err = cl.router.Answer(context.Background(), q, opts, swapping(cl, func(int, int) bool { return true }), bound)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Kind != ErrKindSkew || rs != nil || gs != nil {
+		t.Fatalf("%q, every replica moved: %d results, %d snippets, %v; want a %s *RemoteError", q, len(rs), len(gs), err, ErrKindSkew)
+	}
+	if n := callsOf(cl.router, "snippets"); len(n) != asked {
+		t.Fatalf("%q: snippets calls %v: the swap missed the round", q, n)
 	}
 }
 
@@ -584,9 +642,10 @@ func TestSnippetRoundAfterSwapIsClassified(t *testing.T) {
 // round one like any other, so a routed query whose root decision reads
 // every shard's evidence — any ELCA query, an SLCA query with no LCA below
 // the root — makes exactly one eval call per group, and no other call but
-// the whole-document one and one snippets call to any replica when the query
+// the whole-document one, which carries the answer's snippets, when the query
 // involves the root, or else the snippets call to each group holding a kept
-// result.
+// result outside its leading run of shards. The records the eval round
+// carried for an answer that took round two are discarded, and counted.
 func TestMissingKeywordTakesOneRound(t *testing.T) {
 	item := func(name string) *xmltree.Node {
 		return xmltree.Elem("item", xmltree.Elem("name", xmltree.Txt(name)))
@@ -616,7 +675,7 @@ func TestMissingKeywordTakesOneRound(t *testing.T) {
 	fb := sc.Fallback()
 	elca := search.Options{DistinctAnchors: true, Semantics: search.SemanticsELCA}
 	slca := search.Options{DistinctAnchors: true}
-	whole := 0
+	whole, discarded := 0, 0
 	for _, tc := range []struct {
 		q    string
 		opts search.Options
@@ -634,20 +693,24 @@ func TestMissingKeywordTakesOneRound(t *testing.T) {
 		rootInvolved := slices.ContainsFunc(local, func(r *search.Result) bool {
 			return r.LCA == fb.Doc.Root || r.Anchor == fb.Doc.Root
 		})
-		before, anyBefore := calls(), callsOf(rt, "snippets")["any"]
-		if _, _, err := rt.Answer(context.Background(), tc.q, tc.opts, nil, 8); err != nil {
+		before, origins := calls(), snippetOrigins(rt)
+		rs, _, err := rt.Answer(context.Background(), tc.q, tc.opts, nil, 8)
+		if err != nil {
 			t.Fatalf("%q: %v", tc.q, err)
 		}
-		after := calls()
+		after, originsAfter := calls(), snippetOrigins(rt)
 		wantFull, wantSnippets := int64(0), int64(0)
 		if rootInvolved {
-			wantFull, wantSnippets, whole = 1, 1, whole+1
-			if n := callsOf(rt, "snippets")["any"] - anyBefore; n != 1 {
-				t.Errorf("%q (%v): %d snippets calls to any replica, want 1", tc.q, tc.opts.Semantics, n)
+			wantFull, whole = 1, whole+1
+			if n := originsAfter["full"] - origins["full"]; n != int64(len(rs)) {
+				t.Errorf("%q (%v): %d snippets carried by the full round for %d results", tc.q, tc.opts.Semantics, n, len(rs))
+			}
+			if originsAfter["discarded"] > origins["discarded"] {
+				discarded++
 			}
 		} else {
-			kept, _ := keptByGroup(t, rt, sc, tc.q, tc.opts)
-			for _, n := range kept {
+			_, _, fetched := keptByGroup(t, rt, sc, tc.q, tc.opts)
+			for _, n := range fetched {
 				if n > 0 {
 					wantSnippets++
 				}
@@ -668,7 +731,7 @@ func TestMissingKeywordTakesOneRound(t *testing.T) {
 			}
 		}
 	}
-	if whole == 0 {
-		t.Fatal("no query of the matrix involves the root")
+	if whole == 0 || discarded == 0 {
+		t.Fatalf("%d queries of the matrix involve the root, %d discarding the eval round's records", whole, discarded)
 	}
 }

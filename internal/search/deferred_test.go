@@ -128,18 +128,37 @@ func TestDeferredTreeWaitHonorsContext(t *testing.T) {
 }
 
 // TestMatchDepthIsTheShallowestMatch: a tree result's MatchDepth is its
-// shallowest match below the anchor, the number ranking reads.
+// shallowest match below the anchor, the number ranking reads — also when
+// the anchor itself is the first match (depth 0), when the one depth-1
+// match of a run inside the anchor comes last, past the deeper ones, and
+// when a run starts inside an anchor below the result's root and ends
+// outside it, at the anchor's own depth.
 func TestMatchDepthIsTheShallowestMatch(t *testing.T) {
 	doc := xmltree.NewDocument(xmltree.Elem("store",
 		xmltree.Elem("clothes", xmltree.Elem("name", xmltree.Txt("jeans"))),
-		xmltree.Elem("name", xmltree.Txt("jeans"))))
+		xmltree.Elem("name", xmltree.Txt("jeans")),
+		xmltree.Elem("store")))
 	r := FromNode(doc, doc.Root)
 	deep, shallow := doc.Root.Children[0].Children[0].Children[0], doc.Root.Children[1].Children[0]
-	r.OwnMatches([]string{"jeans", "none"}, []*index.PostingList{index.PackNodes([]*xmltree.Node{deep, shallow}), index.PackNodes(nil)})
-	if d, ok := r.MatchDepth("jeans"); d != 2 || !ok {
-		t.Fatalf("MatchDepth(jeans) = %d, %v; want 2", d, ok)
+	child := doc.Root.Children[2]
+	r.OwnMatches([]string{"jeans", "none", "store", "store jeans"}, []*index.PostingList{
+		index.PackNodes([]*xmltree.Node{deep, shallow}),
+		index.PackNodes(nil),
+		index.PackNodes([]*xmltree.Node{doc.Root, child}),
+		index.PackNodes([]*xmltree.Node{deep, shallow, child}),
+	})
+	for kw, want := range map[string]int{"jeans": 2, "store": 0, "store jeans": 1} {
+		if d, ok := r.MatchDepth(kw); d != want || !ok {
+			t.Fatalf("MatchDepth(%s) = %d, %v; want %d", kw, d, ok, want)
+		}
 	}
 	if _, ok := r.MatchDepth("none"); ok {
 		t.Fatal("a keyword with no matches reports a depth")
+	}
+	below := FromNode(doc, doc.Root)
+	below.Anchor = doc.Root.Children[0]
+	below.OwnMatches([]string{"store jeans"}, []*index.PostingList{index.PackNodes([]*xmltree.Node{deep, shallow, child})})
+	if d, ok := below.MatchDepth("store jeans"); d != 0 || !ok {
+		t.Fatalf("MatchDepth with matches past the anchor = %d, %v; want 0", d, ok)
 	}
 }

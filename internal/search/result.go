@@ -384,7 +384,11 @@ func (r *Result) Size() int {
 // result (a match above the anchor counts as depth 0), and false when kw has
 // none. A deferred result answers from the depths it arrived with, which its
 // sender computed by this same rule. A match climbs to the anchor, and no
-// further than the least depth found so far; a depth of 0 ends the search.
+// further than the least depth found so far; a depth at the floor ends the
+// search. The floor is 0, or 1 for a view whose first and last matches lie
+// inside the anchor and the first is not the anchor: a view's matches are a
+// posting run in position order, so every match then lies inside the anchor's
+// subtree, and only the first could have been the anchor itself.
 func (r *Result) MatchDepth(kw string) (int, bool) {
 	if r.wholeOf() != nil {
 		return r.wholeDepth(kw)
@@ -401,7 +405,10 @@ func (r *Result) MatchDepth(kw string) (int, bool) {
 	if len(ms) == 0 {
 		return 0, false
 	}
-	anchor, best := r.Anchor, -1
+	anchor, best, floor := r.Anchor, -1, 0
+	if first := ms[0]; r.IsView() && first.Start != anchor.Start && anchor.ContainsOrSelf(first) && anchor.ContainsOrSelf(ms[len(ms)-1]) {
+		floor = 1
+	}
 	for _, m := range ms {
 		var d int
 		if anchor.ContainsOrSelf(m) {
@@ -412,7 +419,7 @@ func (r *Result) MatchDepth(kw string) (int, bool) {
 		if best < 0 || d < best {
 			best = d
 		}
-		if best == 0 {
+		if best == floor {
 			break
 		}
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"extract/internal/gen"
@@ -34,21 +35,30 @@ func matchDepthByDefinition(r *search.Result, kw string) (int, bool) {
 }
 
 // TestMatchDepthMatchesDefinition: MatchDepth, which stops climbing at the
-// anchor, at the least depth found so far and at depth 0, answers what the
+// anchor, at the least depth found so far and at its floor (0, or 1 for a
+// view whose matches all lie strictly inside the anchor), answers what the
 // unpruned definition does — on gen corpora at 1 to 4 shards, under SLCA and
 // ELCA, for views, ModeXSeek projections and whole-document results, for
 // every term of the query and for a term that is not one — and for a result
-// whose anchor is a copy of its node, as a shard server ships it.
+// whose anchor is a copy of its node, as a shard server ships it. The matrix
+// holds both edges of the floor: views whose first match is the anchor, and
+// views whose one depth-1 match comes last in a longer run.
 func TestMatchDepthMatchesDefinition(t *testing.T) {
 	corpora := []*xmltree.Document{
 		gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11}),
 		gen.Auctions(gen.AuctionsConfig{Seed: 3}),
 		gen.Movies(gen.MoviesConfig{Movies: 12, Seed: 5}),
+		// An item whose deepest "red" comes first and whose one depth-1
+		// "red" — an element so labeled — comes last.
+		xmltree.NewDocument(xmltree.Elem("shop",
+			xmltree.Elem("item", xmltree.Elem("spec", xmltree.Elem("note", xmltree.Txt("red wool"))), xmltree.Elem("red", xmltree.Txt("yes"))),
+			xmltree.Elem("item", xmltree.Elem("spec", xmltree.Elem("note", xmltree.Txt("blue cotton")))),
+			xmltree.Elem("item", xmltree.Elem("color", xmltree.Txt("red"))))),
 	}
 	ctx := context.Background()
-	var views, projections, wholes, nonZero int
+	var views, projections, wholes, nonZero, anchorFirst, floorLast int
 	for _, doc := range corpora {
-		queries := []string{doc.Root.Label, doc.Root.Label + " " + doc.Root.Children[0].Label}
+		queries := []string{doc.Root.Label, doc.Root.Label + " " + doc.Root.Children[0].Label, "red"}
 		for _, q := range workload.Generate(doc, workload.Config{Queries: 8, Keywords: 2, Seed: 17}) {
 			queries = append(queries, q.Text())
 		}
@@ -97,13 +107,27 @@ func TestMatchDepthMatchesDefinition(t *testing.T) {
 							if want > 0 {
 								nonZero++
 							}
+							if ms := r.Matches(kw); r.IsView() && len(ms) > 0 {
+								anchorFirst += boolInt(ms[0].Start == r.Anchor.Start)
+								last := ms[len(ms)-1]
+								floorLast += boolInt(want == 1 && len(ms) > 1 && last.Depth()-r.Anchor.Depth() == 1 &&
+									!slices.ContainsFunc(ms[:len(ms)-1], func(m *xmltree.Node) bool { return m.Depth()-r.Anchor.Depth() <= 1 }))
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-	if views == 0 || projections == 0 || wholes == 0 || nonZero == 0 {
-		t.Fatalf("%d views, %d projections, %d whole-document results, %d non-zero depths", views, projections, wholes, nonZero)
+	if views == 0 || projections == 0 || wholes == 0 || nonZero == 0 || anchorFirst == 0 || floorLast == 0 {
+		t.Fatalf("%d views, %d projections, %d whole-document results, %d non-zero depths, %d views matched at the anchor first, %d at depth 1 only last",
+			views, projections, wholes, nonZero, anchorFirst, floorLast)
 	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -126,6 +126,24 @@ func MergeTake(counts []int, maxResults int) (total int) {
 	return total
 }
 
+// LeadingRun is the length p of shards' leading run: the largest p with
+// shards[:p] = 0, 1, …, p−1. MergeTake over the counts of a leading run is the
+// global cut restricted to those shards — a shard's take depends only on the
+// counts of the shards before it — so every result a sender trims a leading
+// run to is in the merged answer, unless the query takes round two (Merge),
+// whose answer replaces round one's. A shard server snippets them while it
+// still holds them, and the router asks for the snippets of the other winners
+// only. The rule holds only for a cut in document order, which every query's
+// is — ranked ones included, whose order is applied after the cut; a cut in
+// score order must not use it.
+func LeadingRun(shards []uint32) int {
+	p := 0
+	for p < len(shards) && shards[p] == uint32(p) {
+		p++
+	}
+	return p
+}
+
 // MergeResults merges the per-shard result lists (each sorted by anchor
 // document order) into global order, keeping at most maxResults results
 // (0 = all): the concatenation MergeTake cuts, each shard's share the

@@ -74,6 +74,49 @@ func TestMergeTakeIsConcatenateAndTruncate(t *testing.T) {
 	}
 }
 
+// TestLeadingRunCutIsTheGlobalCut: the rule a shard server snippets by — the
+// cut over a leading run of shards is the global cut restricted to them — on
+// random count vectors, bounds and run lengths; and LeadingRun measures the
+// run of a shard list, stopping at the first shard out of place.
+func TestLeadingRunCutIsTheGlobalCut(t *testing.T) {
+	prop := func(raw []uint8, bound uint8, cut uint8) bool {
+		counts := make([]int, len(raw))
+		for i, c := range raw {
+			counts[i] = int(c % 9)
+		}
+		maxResults := int(bound % 20)
+		global := slices.Clone(counts)
+		MergeTake(global, maxResults)
+		p := int(cut) % (len(counts) + 1)
+		lead := slices.Clone(counts[:p])
+		MergeTake(lead, maxResults)
+		if !slices.Equal(lead, global[:p]) {
+			t.Logf("counts %v bound %d run %d: %v, global %v", counts, maxResults, p, lead, global)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		shards []uint32
+		want   int
+	}{
+		{nil, 0},
+		{[]uint32{1, 2}, 0},
+		{[]uint32{0}, 1},
+		{[]uint32{0, 1, 3}, 2},
+		{[]uint32{0, 2, 3}, 1},
+		{[]uint32{0, 1, 2, 3}, 4},
+		{[]uint32{0, 0, 1}, 1},
+	} {
+		if got := LeadingRun(tc.shards); got != tc.want {
+			t.Errorf("LeadingRun(%v) = %d, want %d", tc.shards, got, tc.want)
+		}
+	}
+}
+
 // TestMergeResultsAllocatesOnlyTheMergedSlice: writing the merge over the
 // shared cut did not add an allocation to the local query path, the shard
 // the cut falls in included.

@@ -283,37 +283,25 @@ func (g *Generator) ForTree(result *xmltree.Document, query string, bound int) *
 
 // ForTreeTokens is ForTree with the query already tokenized, so a fan-out
 // over many results of one query tokenizes it once. A result that is a view
-// of the generator's own corpus document is snippeted from that corpus's
-// index; any other tree is read.
+// of the generator's own corpus document is read in that corpus index's
+// space (index.Index.Interval); any other tree is read as it is.
 func (g *Generator) ForTreeTokens(result *xmltree.Document, kws []string, bound int) *Generated {
-	return g.inspect(g.Corpus.Index, result, nil, kws, bound)
+	sp, start, end := g.Corpus.Index.Interval(result)
+	return g.inspect(sp, start, end, result, kws, bound)
 }
 
 // derive runs the pipeline on one result with w up to the selection, which
-// the caller reads and releases. ix is the index of the document the result
-// is a view of, nil when it is a tree of its own (features.CollectResult
-// checks, so a handle that is not this tree's is as good as none). A
-// whole-document result of a sharded corpus (search.Whole) comes as its view
-// instead of a tree: its statistics are the view's, folded once and shared
-// (features.Collector.Whole), and the selection reads the shards through
-// them. A served result's statistics fold into the collector's own Stats
-// and its IList builds into w's; otherwise both are the result's own.
-func (g *Generator) derive(w *worker, ix *index.Index, result *xmltree.Document, whole *index.Whole, kws []string, bound int, served bool) (*features.Stats, *ilist.IList, *selector.Selection) {
-	var stats *features.Stats
-	var root *xmltree.Node
-	switch {
-	case whole != nil:
-		stats, root = w.col.Whole(whole), whole.Node(0)
-	case served:
-		stats, root = w.col.CollectScratch(ix, result), result.Root
-	default:
-		stats, root = w.col.CollectResult(ix, result), result.Root
-	}
-	il := &w.il
+// the caller reads and releases. The result is the interval [start, end] of
+// the position space sp (search.Result.Space), or, when sp is nil, the tree
+// result, which has no index. A served result's statistics fold into the
+// collector's own Stats and its IList builds into w's; otherwise both are
+// the result's own.
+func (g *Generator) derive(w *worker, sp *index.Whole, start, end int32, result *xmltree.Document, kws []string, bound int, served bool) (*features.Stats, *ilist.IList, *selector.Selection) {
+	stats, il := w.col.CollectIn(sp, start, end, result, served), &w.il
 	if !served {
 		il = &ilist.IList{}
 	}
-	ilist.BuildInto(il, root, kws, g.Corpus.Cls, g.Corpus.Keys, stats)
+	ilist.BuildInto(il, kws, g.Corpus.Cls, g.Corpus.Keys, stats)
 	if g.Algorithm == AlgExact {
 		return stats, il, selector.ExactSelection(result, il, stats, bound, g.Exact)
 	}
@@ -322,10 +310,10 @@ func (g *Generator) derive(w *worker, ix *index.Index, result *xmltree.Document,
 
 // inspect snippets one result on the inspection path (derive): the snippet
 // tree, the IList and the statistics are returned, each of its own.
-func (g *Generator) inspect(ix *index.Index, result *xmltree.Document, whole *index.Whole, kws []string, bound int) *Generated {
+func (g *Generator) inspect(sp *index.Whole, start, end int32, result *xmltree.Document, kws []string, bound int) *Generated {
 	w := g.worker()
 	defer g.put(w)
-	stats, il, sel := g.derive(w, ix, result, whole, kws, bound, false)
+	stats, il, sel := g.derive(w, sp, start, end, result, kws, bound, false)
 	sn := sel.Snippet()
 	return &Generated{Snippet: sn, IList: il, Stats: stats, Keywords: kws, Bound: bound, Edges: sn.Edges, ResultKey: il.KeyValue}
 }
@@ -336,12 +324,12 @@ func (g *Generator) ForResult(r *search.Result, query string, bound int) *Genera
 }
 
 // ForResultTokens generates a snippet for a search result with the query
-// already tokenized. A view result brings the index it is a view of
-// (search.Result.Index), so one generator over a corpus's shared analysis
-// serves the results of every shard.
+// already tokenized. A result brings the space it is read in
+// (search.Result.Space), so one generator over a corpus's shared analysis
+// serves the results of every shard and the whole document's.
 func (g *Generator) ForResultTokens(r *search.Result, kws []string, bound int) *Generated {
-	view, _ := r.Whole()
-	return g.inspect(r.Index, r.Doc, view, kws, bound)
+	sp, start, end := r.Space()
+	return g.inspect(sp, start, end, r.Doc, kws, bound)
 }
 
 // Record writes the snippet of a search result that is sent or served rather
@@ -354,8 +342,8 @@ func (g *Generator) ForResultTokens(r *search.Result, kws []string, bound int) *
 func (g *Generator) Record(r *search.Result, kws []string, bound int) string {
 	w := g.worker()
 	defer g.put(w)
-	view, _ := r.Whole()
-	_, il, sel := g.derive(w, r.Index, r.Doc, view, kws, bound, true)
+	sp, start, end := r.Space()
+	_, il, sel := g.derive(w, sp, start, end, r.Doc, kws, bound, true)
 	w.rec = rec.AppendSnippet(w.rec[:0], sel, sel.Edges, il, sel.Covered, sel.Skipped)
 	sel.Release()
 	return string(w.rec)

@@ -15,13 +15,13 @@
 // These statistics are counts over the result's subtree — over one preorder
 // interval — so they are computed as a fold over the result's elements as
 // index.Columns: position, subtree end, label symbol, parent entry, value
-// symbol, no pointer and no string. A result that is a view of an indexed
-// document is the run of that index's columns inside the root's interval,
-// found by two binary searches, and the fold dereferences no node but one
-// per distinct label; a tree that has no index (a result decoded from the
-// wire, a projection, an owned copy) has the same columns filled from its
-// nodes into the collector's scratch and is folded by the same code. There
-// is one fold (Collector.fold).
+// symbol, no pointer and no string. A result of an indexed document is an
+// interval of a position space (index.Whole), whose elements are the run of
+// the space's columns inside it, found by two binary searches, and the fold
+// dereferences no node but one per distinct label; a tree that has no index
+// (a result decoded from the wire, a projection, an owned copy) has the same
+// columns filled from its nodes into the collector's scratch and is folded by
+// the same code. There is one fold (Collector.fold).
 //
 // Every node of a finalized document carries a document-local symbol id
 // (xmltree.Node.Sym — label id on elements, value id on text nodes), so a
@@ -39,9 +39,9 @@
 // symbol ids only, and one fill turns it into a Stats — a few integer columns
 // carved from one block and one arena of instance positions — whose
 // string-keyed lookup tables are built only if a by-name accessor asks. The
-// fill writes into a new, exact-size Stats the caller owns (CollectResult), or
-// into the collector's own reusable Stats (CollectScratch), which the snippets
-// a server sends are derived from and which none of them keeps.
+// fill writes into a new, exact-size Stats the caller owns, or into the
+// collector's own reusable Stats (CollectIn's scratch), which the snippets a
+// server sends are derived from and which none of them keeps.
 package features
 
 import (
@@ -89,12 +89,12 @@ type EntityAttr struct {
 // feature, feature type and entity label has a dense id in first-seen
 // (document) order; the ids index integer columns, and a feature's strings
 // are read off its first instance. Instances are preorder positions in the
-// result's document, resolved to nodes (Node) only where a node is needed.
-// Ids are meaningful only within these Stats. A Stats is immutable once
-// returned and safe for concurrent readers.
+// result's space, and symbol ids the space's (Space): resolved to nodes
+// (Node) only where a node is needed. Ids are meaningful only within these
+// Stats. A Stats is immutable once returned and safe for concurrent readers.
 type Stats struct {
 	// Per feature id. ent indexes entLabels; attr and val are the symbol
-	// ids of the attribute label and the value in the result's document;
+	// ids of the attribute label and the value in the result's space;
 	// the instances of feature f are inst[off[f]:off[f+1]], in document
 	// order, so N(e,a,v) is the width of that run.
 	ent, attr, val []int32
@@ -119,15 +119,13 @@ type Stats struct {
 	// kept so a collector's scratch Stats is refilled in place.
 	block []int32
 
-	// nodes resolves positions: a preorder run of the result's document
-	// covering the result, nodes[0] at position base — or, for the whole
-	// document of a sharded corpus, whole does (Collector.Whole), and
-	// positions and symbol ids are its global ones. ix is the index the
-	// statistics were folded from, nil for a tree that has none.
-	nodes []*xmltree.Node
-	base  int32
-	ix    *index.Index
-	whole *index.Whole
+	// The result is the interval [start, end] of space, its elements the
+	// entries [lo, hi) of the space's columns, nodes[0] its node at start;
+	// for a tree that has no index, space is nil.
+	space      *index.Whole
+	start, end int32
+	lo, hi     int
+	nodes      []*xmltree.Node
 
 	byName sync.Once
 	featID map[Feature]int32
@@ -142,7 +140,7 @@ type Stats struct {
 // — is kept across calls, so a generator snippeting many results allocates
 // only what each Stats owns; and a caller that keeps no Stats (a served
 // snippet) folds into the collector's own reusable Stats instead
-// (CollectScratch), which allocates nothing once it has grown to the
+// (CollectIn with scratch), which allocates nothing once it has grown to the
 // results it sees. A Collector is NOT safe for concurrent use; pool
 // Collectors to share across goroutines (see core.Generator), and release
 // the scratch Stats (ReleaseScratch) before pooling one.
@@ -168,7 +166,7 @@ type Collector struct {
 	highest                      []int32
 	pairs                        []pairScratch
 
-	// stats is the Stats CollectScratch fills, nil until it first does.
+	// stats is the scratch Stats CollectIn fills, nil until it first does.
 	stats *Stats
 }
 
@@ -250,7 +248,7 @@ func (c *Collector) dense(first, id *int32, a int32, k uint64, next int) (got in
 
 // Collect gathers the feature statistics of the query-result tree rooted at
 // root, a node of a finalized document (its subtree is the result), reading
-// the tree itself: CollectResult for a tree that comes with nothing else.
+// the tree itself: CollectIn for a tree that comes with nothing else.
 func (c *Collector) Collect(root *xmltree.Node) *Stats {
 	if root == nil {
 		return &Stats{}
@@ -260,89 +258,69 @@ func (c *Collector) Collect(root *xmltree.Node) *Stats {
 		run = append(run, n)
 		return true
 	})
-	return c.CollectResult(nil, xmltree.AdoptFinalized(run))
+	return c.CollectIn(nil, 0, 0, xmltree.AdoptFinalized(run), false)
 }
 
-// CollectResult gathers the feature statistics of one query result, a
-// finalized document or a view of one. An occurrence is an attribute node
-// (per the classification) holding a single text value whose nearest entity
-// ancestor inside the result exists; the feature is (entity label, attribute
-// label, value).
-//
-// The statistics are a fold over the result's elements as index.Columns.
-// When the result is a view of the document ix indexes, they are the run of
-// ix's columns inside the root's preorder interval, and no node of the result
-// is read but one per distinct label; the statistics of that document's own
-// root are folded once per index and classification and shared. Otherwise —
-// ix is nil, or is not the index of this tree — the same columns are filled
-// from the result's nodes into the collector's scratch first, and folded
-// identically.
+// CollectResult is CollectIn for a result tree and the index it may be a
+// view of: read in ix's space when it is a view of ix's document
+// (index.Index.Interval), and as a tree of its own otherwise.
 func (c *Collector) CollectResult(ix *index.Index, result *xmltree.Document) *Stats {
-	return c.collect(ix, result, nil)
+	w, start, end := ix.Interval(result)
+	return c.CollectIn(w, start, end, result, false)
 }
 
-// CollectScratch is CollectResult folding into the collector's own Stats,
-// whose columns, instance arena, entity tables and dominant list are reused
-// from one result to the next: what a caller that keeps no statistics (a
-// served snippet, core.Generator.ServeResult) uses, so the statistics of a
-// result cost nothing once the scratch has grown to it. The Stats is valid
-// until the collector's next Collect* call or ReleaseScratch; nothing may keep
-// it, or any slice it hands out, past that. The statistics of a document's
-// own root are the index's shared ones, as CollectResult returns them.
-func (c *Collector) CollectScratch(ix *index.Index, result *xmltree.Document) *Stats {
+// CollectIn gathers the feature statistics of one query result: the interval
+// [start, end] of the position space w (search.Result.Space), or, when w is
+// nil, tree, which has no index. An occurrence is an attribute node (per the
+// classification) holding a single text value whose nearest entity ancestor
+// inside the result exists; the feature is (entity label, attribute label,
+// value). The statistics of a whole space are folded once per space and
+// classification (index.Whole.Derived) and shared.
+//
+// With scratch, the statistics of any other interval fold into the
+// collector's own Stats, whose columns, instance arena, entity tables and
+// dominant list are reused from one result to the next: what a caller that
+// keeps no statistics (a served snippet, core.Generator.ServeResult) uses, so
+// they cost nothing once the scratch has grown to the result. That Stats is
+// valid until the collector's next Collect* call or ReleaseScratch; nothing
+// may keep it, or any slice it hands out, past that.
+func (c *Collector) CollectIn(w *index.Whole, start, end int32, tree *xmltree.Document, scratch bool) *Stats {
 	if c.stats == nil {
 		c.stats = &Stats{}
 	}
-	c.stats.recycle()
-	return c.collect(ix, result, c.stats)
+	dst := c.stats
+	if !scratch {
+		dst = &Stats{}
+	}
+	dst.recycle()
+	if w == nil {
+		root := tree.Root
+		if root == nil || !root.IsElement() {
+			return dst
+		}
+		c.cols.Fill(tree.Nodes())
+		dst.nodes, dst.start, dst.end, dst.hi = tree.Nodes(), root.Start, root.End, c.cols.Len()
+		return c.fold(dst, &c.cols, 0, dst.hi)
+	}
+	fold := func(dst *Stats) *Stats {
+		cols := w.Columns()
+		dst.lo, dst.hi = cols.Run(start, end)
+		dst.space, dst.start, dst.end, dst.nodes = w, start, end, w.Nodes()[start:end+1]
+		return c.fold(dst, cols, dst.lo, dst.hi)
+	}
+	if start != 0 || int(end) != w.Len()-1 {
+		return fold(dst)
+	}
+	return w.Derived(c.cls, func() any { return fold(&Stats{}) }).(*Stats)
 }
 
 // ReleaseScratch drops what the scratch Stats refers to — the result's nodes,
-// its index, the labels and values it read — keeping only its buffers, so a
+// its space, the labels and values it read — keeping only its buffers, so a
 // pooled Collector keeps no corpus generation reachable.
 func (c *Collector) ReleaseScratch() {
 	if c.stats != nil {
 		c.stats.recycle()
 	}
-}
-
-// collect folds one result into dst, or into a new Stats when dst is nil.
-func (c *Collector) collect(ix *index.Index, result *xmltree.Document, dst *Stats) *Stats {
-	if dst == nil {
-		dst = &Stats{}
-	}
-	root := result.Root
-	if root == nil || !root.IsElement() {
-		return dst
-	}
-	if ix == nil || ix.Document().ByOrd(root.Ord) != root {
-		c.cols.Fill(result.Nodes())
-		dst.nodes, dst.base = result.Nodes(), root.Start
-		return c.fold(dst, &c.cols, 0, c.cols.Len())
-	}
-	fold := func(dst *Stats) *Stats {
-		nodes, cols := ix.Document().Nodes(), ix.Columns()
-		lo, hi := cols.Run(root.Start, root.End)
-		dst.nodes, dst.base, dst.ix = nodes, nodes[0].Start, ix
-		return c.fold(dst, cols, lo, hi)
-	}
-	if root != ix.Document().Root {
-		return fold(dst)
-	}
-	return ix.Derived(c.cls, func() any { return fold(&Stats{}) }).(*Stats)
-}
-
-// Whole returns the statistics of the whole document of a sharded corpus,
-// read through its shards (index.Whole): a fold over the whole document's
-// columns, in global positions and symbol ids, made once per whole document
-// and classification and shared — what the statistics of a one-shard
-// corpus's document root are (CollectResult), without a copy of the
-// document.
-func (c *Collector) Whole(w *index.Whole) *Stats {
-	return w.Derived(c.cls, func() any {
-		cols := w.Columns()
-		return c.fold(&Stats{whole: w}, cols, 0, cols.Len())
-	}).(*Stats)
 }
 
 // label returns the slot of a label symbol, classifying the label — read
@@ -537,7 +515,7 @@ func sized[T any](buf []T, n int) []T {
 // recycle readies a collector's scratch Stats for its next fill: every
 // buffer emptied, its capacity kept, and no reference left to a document —
 // the labels and values its tables held are cleared, the node run and the
-// index dropped.
+// space dropped.
 func (s *Stats) recycle() {
 	clear(s.entLabels)
 	clear(s.entAttrs)
@@ -572,31 +550,36 @@ func Collect(root *xmltree.Node, cls *classify.Classification) *Stats {
 	return NewCollector(cls).Collect(root)
 }
 
+// Space returns the position space these statistics were folded in and the
+// result's interval there; a nil space for a tree that has no index, whose
+// positions are its nodes' own.
+func (s *Stats) Space() (w *index.Whole, start, end int32) { return s.space, s.start, s.end }
+
+// Run returns the entries [lo, hi) the result's elements are in the space's
+// columns (index.Whole.Columns), or in the tree's.
+func (s *Stats) Run() (lo, hi int) { return s.lo, s.hi }
+
 // Node resolves a preorder position inside the result to its node.
-func (s *Stats) Node(pos int32) *xmltree.Node {
-	if s.whole != nil {
-		return s.whole.Node(pos)
+func (s *Stats) Node(pos int32) *xmltree.Node { return s.nodes[pos-s.start] }
+
+// Sym returns the symbol id of n, the node at a position inside the result,
+// in the space's numbering: n's own Sym unless the space has several parts.
+func (s *Stats) Sym(pos int32, n *xmltree.Node) int32 {
+	if s.space == nil {
+		return n.Sym
 	}
-	return s.nodes[pos-s.base]
+	return s.space.Sym(pos, n)
 }
 
-// sym returns n's symbol id in these statistics: its own, or its global one
-// in the whole document's.
-func (s *Stats) sym(n *xmltree.Node) int32 {
-	if s.whole != nil {
-		return s.whole.SymOf(s.whole.Part(n), n)
+// Index returns the index of the first part of the space these statistics
+// were folded in — for a view, the index of the document it is a view of —
+// or nil when the result's tree was read instead.
+func (s *Stats) Index() *index.Index {
+	if s.space == nil {
+		return nil
 	}
-	return n.Sym
+	return s.space.Parts()[0]
 }
-
-// Whole returns the whole document these statistics were folded over
-// (Collector.Whole), nil for those of one tree.
-func (s *Stats) Whole() *index.Whole { return s.whole }
-
-// Index returns the index these statistics were folded from — the index of
-// the document the result is a view of — or nil when the result's tree was
-// read instead.
-func (s *Stats) Index() *index.Index { return s.ix }
 
 // index builds the by-name lookup tables, on the first by-name access.
 func (s *Stats) index() {
@@ -629,21 +612,29 @@ func (s *Stats) Feature(id int32) Feature {
 	}
 }
 
-// FeatureSyms returns what identifies feature id inside the result's
-// document: the symbol ids of its entity label, attribute label and value.
+// FeatureSyms returns what identifies feature id inside the result's space:
+// the symbol ids of its entity label, attribute label and value.
 func (s *Stats) FeatureSyms(id int32) (entity, attr, value int32) {
 	return s.entSyms[s.ent[id]], s.attr[id], s.val[id]
 }
 
-// FeatureAt returns the id of the feature that attr — an attribute node of
-// the result holding a single text value — is an occurrence of under the
-// entity instance owner. It compares integers only.
+// FeatureAt is FeatureOf for the nodes themselves, in statistics of a
+// result of one document, where a node's position is its Start.
 func (s *Stats) FeatureAt(owner, attr *xmltree.Node) (int32, bool) {
-	e := int32(slices.Index(s.entSyms, s.sym(owner)))
-	if e < 0 || !attr.HasSingleTextChild() {
+	return s.FeatureOf(owner.Start, attr.Start)
+}
+
+// FeatureOf returns the id of the feature that the node at position attr —
+// an attribute node of the result holding a single text value — is an
+// occurrence of under the entity instance at position owner. It compares
+// integers only.
+func (s *Stats) FeatureOf(owner, attr int32) (int32, bool) {
+	e, n := int32(slices.Index(s.entSyms, s.Sym(owner, s.Node(owner)))), s.Node(attr)
+	if e < 0 || !n.HasSingleTextChild() {
 		return 0, false
 	}
-	value, label := s.sym(attr.Children[0]), s.sym(attr)
+	// The single text value follows its attribute in preorder.
+	value, label := s.Sym(attr+1, n.Children[0]), s.Sym(attr, n)
 	for id, v := range s.val {
 		if v == value && s.attr[id] == label && s.ent[id] == e {
 			return int32(id), true
@@ -771,8 +762,8 @@ func (s *Stats) Types() []Type {
 func (s *Stats) EntityLabels() []string { return s.entLabels }
 
 // EntitySyms returns the symbol ids of EntityLabels, index for index: an
-// element of the result is an entity instance exactly when its Sym is
-// listed. The slice is shared and must not be modified.
+// element of the result is an entity instance exactly when its symbol id
+// (Sym) is listed. The slice is shared and must not be modified.
 func (s *Stats) EntitySyms() []int32 { return s.entSyms }
 
 // EntityInstances returns the position of every instance of the entity

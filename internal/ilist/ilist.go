@@ -88,16 +88,16 @@ type IList struct {
 
 // Build assembles the IList of one query result.
 //
-// root is the query-result tree; keywords are the tokenized query; cls and
-// km were computed on the corpus; stats MUST have been collected on this
-// result. Build visits no node of the result but the first instance of a
-// return entity (for its key): entity names, their first instances and the
-// label facts the return-entity heuristics need were all recorded by the
-// collection pass.
+// keywords are the tokenized query; cls and km were computed on the corpus;
+// stats MUST have been collected on this result. Build visits no node of the
+// result but the first instance of a return entity (for its key): entity
+// names, their first instances and the label facts the return-entity
+// heuristics need were all recorded by the collection pass. root, the
+// result's tree, is not read; the benchmark's per-layer probe passes it.
 func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 	km *keys.Keys, stats *features.Stats) *IList {
 
-	return BuildInto(&IList{}, root, keywords, cls, km, stats)
+	return BuildInto(&IList{}, keywords, cls, km, stats)
 }
 
 // BuildInto is Build filling il, whose items and return entities are
@@ -106,7 +106,7 @@ func Build(root *xmltree.Node, keywords []string, cls *classify.Classification,
 // into scratch of its own and allocates nothing once it has grown to the
 // lists it sees. Empty il before pooling it (Reset): its strings are the
 // corpus's.
-func BuildInto(il *IList, root *xmltree.Node, keywords []string, cls *classify.Classification,
+func BuildInto(il *IList, keywords []string, cls *classify.Classification,
 	km *keys.Keys, stats *features.Stats) *IList {
 
 	dominant := stats.Dominant()
@@ -136,25 +136,20 @@ func BuildInto(il *IList, root *xmltree.Node, keywords []string, cls *classify.C
 	}
 
 	// 3. Result key of the return entity.
-	if root != nil {
-		il.ReturnEntities = returnEntities(sc, il.ReturnEntities, keywords, stats)
-	}
+	il.ReturnEntities = returnEntities(sc, il.ReturnEntities, keywords, stats)
 	for _, re := range il.ReturnEntities {
-		inst := stats.FirstEntity(re)
-		if inst == nil {
-			continue
-		}
-		attr, node, ok := keyNode(km, cls, stats, inst)
-		if !ok || node == nil || node.TextValue() == "" {
+		inst := stats.EntityInstances(slices.Index(labels, re))[0]
+		attr, key, ok := keyNode(km, cls, stats, inst)
+		if !ok || key < 0 || stats.Node(key).TextValue() == "" {
 			continue
 		}
 		// The key attribute hangs off inst through connection nodes only,
 		// so inst owns it and the collection pass counted it.
-		id, ok := stats.FeatureAt(inst, node)
+		id, ok := stats.FeatureOf(inst, key)
 		if !ok {
 			continue
 		}
-		il.KeyAttr, il.KeyValue = attr, node.TextValue()
+		il.KeyAttr, il.KeyValue = attr, stats.Node(key).TextValue()
 		add(Item{Kind: ResultKey, Text: il.KeyValue, Feature: stats.Feature(id), FeatureID: id})
 		break // one key identifies the result
 	}
@@ -166,19 +161,25 @@ func BuildInto(il *IList, root *xmltree.Node, keywords []string, cls *classify.C
 	return il
 }
 
-// keyNode is km.KeyNodeOf, except for the root of a whole document read
-// through its shards (features.Stats.Whole): the root's attribute children
-// are spread over the shards' copies of it, searched in shard order, which
-// is document order.
-func keyNode(km *keys.Keys, cls *classify.Classification, stats *features.Stats, inst *xmltree.Node) (string, *xmltree.Node, bool) {
-	if w := stats.Whole(); w != nil && inst.Parent == nil {
-		for _, ix := range w.Parts() {
-			if attr, node, ok := km.KeyNodeOf(cls, ix.Document().Root); !ok || node != nil {
-				return attr, node, ok
+// keyNode is km.KeyNodeOf for the entity instance at position inst, with the
+// key node's position in the result's space (-1 for none) — a descendant of
+// inst, in inst's part. The document root has a copy in every part of a
+// space, and its attribute children are spread over them: searched in part
+// order, which is document order.
+func keyNode(km *keys.Keys, cls *classify.Classification, stats *features.Stats, inst int32) (string, int32, bool) {
+	n := stats.Node(inst)
+	attr, node, ok := km.KeyNodeOf(cls, n)
+	if w, _, _ := stats.Space(); node == nil && ok && inst == 0 && w != nil {
+		for i, ix := range w.Parts()[1:] {
+			if _, node, _ := km.KeyNodeOf(cls, ix.Document().Root); node != nil {
+				return attr, w.Global(i+1, node.Start), ok
 			}
 		}
 	}
-	return km.KeyNodeOf(cls, inst)
+	if node == nil {
+		return attr, -1, ok
+	}
+	return attr, inst + node.Start - n.Start, ok
 }
 
 // Reset empties il, keeping the room its items and return entities have,

@@ -93,6 +93,8 @@ type Index struct {
 	derivedMu sync.Mutex
 	derived   [2]derivedSlot
 
+	whole *Whole // the document as a Whole of one part
+
 	vocabOnce sync.Once
 	vocab     []string
 }
@@ -142,6 +144,7 @@ func Build(doc *xmltree.Document) *Index {
 			ix.maxList = list.Len()
 		}
 	}
+	ix.whole = NewWhole([]*Index{ix})
 	return ix
 }
 
@@ -212,7 +215,9 @@ func FromParts(doc *xmltree.Document, postings map[string]*PostingList) *Index {
 // FromPartsSized is FromParts for loaders that already counted the postings
 // while decoding, skipping the accounting pass.
 func FromPartsSized(doc *xmltree.Document, postings map[string]*PostingList, total, maxList int) *Index {
-	return &Index{doc: doc, postings: postings, total: total, maxList: maxList}
+	ix := &Index{doc: doc, postings: postings, total: total, maxList: maxList}
+	ix.whole = NewWhole([]*Index{ix})
+	return ix
 }
 
 // Document returns the indexed document.
@@ -229,6 +234,21 @@ func (ix *Index) Columns() *Columns {
 		}
 	})
 	return &ix.cols
+}
+
+// Whole returns the index's document as a Whole of one part: the position
+// space of every result that is a view of it, whose positions and symbol ids
+// are the document's own.
+func (ix *Index) Whole() *Whole { return ix.whole }
+
+// Interval returns the space a result tree is read in — ix's Whole, when doc
+// is a view of ix's document or that document itself — and the tree's
+// interval there; a nil Whole when it is not, or ix or doc is nil.
+func (ix *Index) Interval(doc *xmltree.Document) (w *Whole, start, end int32) {
+	if ix == nil || doc == nil || doc.Root == nil || ix.doc.ByOrd(doc.Root.Ord) != doc.Root {
+		return nil, 0, 0
+	}
+	return ix.Whole(), doc.Root.Start, doc.Root.End
 }
 
 // Derived returns build's value for key, computing it on the first call and

@@ -10,18 +10,24 @@ import (
 // Whole is the whole document of a corpus cut into shards — the root's
 // children in contiguous blocks, each block under a copy of the root in a
 // document of its own (internal/shard) — read through the shards' documents
-// and indexes, nothing copied. A node of it is addressed by its global
+// and indexes, nothing copied but a slice of the nodes (Nodes). A node of it is addressed by its global
 // position, its preorder position in the whole document: shard i's node at
 // local position p > 0 is at p plus the node counts of the shards before it,
 // less their roots (Global), and every shard root stands for the document
 // root, at 0. Labels and values get global symbol ids the same way
 // (Sym), so a reader that compares symbols across one result compares them
-// across shards. A Whole is safe for concurrent use.
+// across shards. The snippet pipeline reads every indexed result as an
+// interval of a Whole: a shard's result of its index's Whole of one part
+// (Index.Whole), a root-anchored one of the corpus's. A Whole is safe for
+// concurrent use.
 type Whole struct {
 	parts []*Index
 	// off[i] is shard i's offset; shard i holds the positions
 	// (off[i], off[i+1]], and off[len(parts)] is Len()-1.
 	off []int32
+
+	nodesOnce sync.Once
+	nodes     []*xmltree.Node // by global position (Nodes)
 
 	symsOnce sync.Once
 	syms     [][2][]int32 // per shard, label then value: local symbol id -> global
@@ -55,9 +61,17 @@ func (w *Whole) Global(i int, p int32) int32 {
 	return w.off[i] + p
 }
 
+// Offset returns shard i's offset: its node at local position p > 0 is at
+// global position p + Offset(i).
+func (w *Whole) Offset(i int) int32 { return w.off[i] }
+
 // Locate returns the shard and the local position of the node at global
-// position pos; the root is shard 0's, at 0.
+// position pos; the root is shard 0's, at 0. With one part it is the
+// identity.
 func (w *Whole) Locate(pos int32) (part int, local int32) {
+	if len(w.parts) == 1 {
+		return 0, pos
+	}
 	if pos <= 0 {
 		return 0, 0
 	}
@@ -66,51 +80,32 @@ func (w *Whole) Locate(pos int32) (part int, local int32) {
 }
 
 // Node returns the node at global position pos: shard 0's root for the root.
-func (w *Whole) Node(pos int32) *xmltree.Node {
-	i, p := w.Locate(pos)
-	return w.node(i, p)
-}
+func (w *Whole) Node(pos int32) *xmltree.Node { return w.Nodes()[pos] }
 
-func (w *Whole) node(i int, p int32) *xmltree.Node { return w.parts[i].doc.Nodes()[p] }
-
-// End returns the largest global position in the subtree of the node at pos.
-func (w *Whole) End(pos int32) int32 {
-	if pos == 0 {
-		return w.off[len(w.parts)]
-	}
-	n := w.Node(pos)
-	return pos + n.End - n.Start
-}
-
-// Parent returns the global position of the parent of the node at pos > 0.
-func (w *Whole) Parent(pos int32) int32 {
-	i, p := w.Locate(pos)
-	return w.Global(i, int32(w.node(i, p).Parent.Ord))
-}
-
-// Part returns the shard n is a node of. A shard root is its own shard's,
-// and stands for the document root as every other does.
-func (w *Whole) Part(n *xmltree.Node) int {
-	for i, ix := range w.parts {
-		if ix.doc.ByOrd(n.Ord) == n {
-			return i
+// Nodes returns the whole document's nodes by global position, shard 0's
+// root at 0: with one part its document's own, with several a slice of them
+// made on the first call.
+func (w *Whole) Nodes() []*xmltree.Node {
+	w.nodesOnce.Do(func() {
+		w.nodes = w.parts[0].doc.Nodes()
+		if len(w.parts) > 1 {
+			w.nodes = append(make([]*xmltree.Node, 0, w.Len()), w.nodes...)
+			for _, ix := range w.parts[1:] {
+				w.nodes = append(w.nodes, ix.doc.Nodes()[1:]...)
+			}
 		}
+	})
+	return w.nodes
+}
+
+// Sym returns the global symbol id of n, the node at global position pos:
+// its label's among labels, or its value's among values for a text node.
+// With one part it is the node's own Sym.
+func (w *Whole) Sym(pos int32, n *xmltree.Node) int32 {
+	if len(w.parts) == 1 {
+		return n.Sym
 	}
-	return -1
-}
-
-// Pos returns the global position of n, a node of one of the shards.
-func (w *Whole) Pos(n *xmltree.Node) int32 { return w.Global(w.Part(n), int32(n.Ord)) }
-
-// Sym returns the global symbol id of the node at global position pos: its
-// label's among labels, or its value's among values for a text node.
-func (w *Whole) Sym(pos int32) int32 {
-	i, p := w.Locate(pos)
-	return w.SymOf(i, w.node(i, p))
-}
-
-// SymOf returns the global symbol id of n, a node of shard i (Part).
-func (w *Whole) SymOf(i int, n *xmltree.Node) int32 {
+	i, _ := w.Locate(pos)
 	w.symsOnce.Do(w.numberSyms)
 	space := 0
 	if n.Kind == xmltree.KindText {
@@ -149,10 +144,14 @@ func (w *Whole) numberSyms() {
 }
 
 // Columns returns the whole document's elements as columns — global
-// positions, global symbol ids, parent entries of the whole — built on each
-// call from the shards' own columns: the root once, then every shard's other
-// entries in order.
+// positions, global symbol ids, parent entries of the whole. With one part
+// they are the index's own; with more they are built on each call from the
+// shards' own columns: the root once, then every shard's other entries in
+// order.
 func (w *Whole) Columns() *Columns {
+	if len(w.parts) == 1 {
+		return w.parts[0].Columns()
+	}
 	w.symsOnce.Do(w.numberSyms)
 	n := 1
 	for _, ix := range w.parts {
@@ -183,8 +182,12 @@ func (w *Whole) Columns() *Columns {
 }
 
 // Derived is Index.Derived for what is computed once over the whole document
-// — its statistics under one classification (features.Collector.Whole).
+// — its statistics under one classification (features.Collector). With one
+// part it is the index's Derived.
 func (w *Whole) Derived(key any, build func() any) any {
+	if len(w.parts) == 1 {
+		return w.parts[0].Derived(key, build)
+	}
 	w.derivedMu.Lock()
 	defer w.derivedMu.Unlock()
 	if w.derivedKey != key || w.derivedVal == nil {

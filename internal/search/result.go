@@ -110,6 +110,16 @@ func (r *Result) Whole() (view *index.Whole, lca int32) {
 	return nil, 0
 }
 
+// Space returns the position space the snippet pipeline reads r in and r's
+// interval there (index.Index.Interval): the whole of a whole-document
+// result's view; nil for a tree that has no index.
+func (r *Result) Space() (w *index.Whole, start, end int32) {
+	if w := r.wholeOf(); w != nil {
+		return w.view, 0, int32(w.view.Len() - 1)
+	}
+	return r.Index.Interval(r.Doc)
+}
+
 // wholeOf returns what a whole-document result holds, nil for any other.
 func (r *Result) wholeOf() *whole {
 	if r.pending == nil {

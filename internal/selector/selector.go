@@ -13,16 +13,13 @@
 // greedy's quality (experiment E7).
 //
 // An instance is a preorder position, and so is every node the snippet tree
-// takes: a position becomes a node only where a label, a value or a parent is
-// read. Positions are the result document's own, or — for the whole document
-// of a sharded corpus, whose statistics say so (features.Stats.Whole) — the
-// global positions of index.Whole, which the climbs, the tree and the
-// keyword instances read through the shards. Entity and
-// feature instances come from the result's statistics (features.Stats);
-// keyword instances come from the posting runs inside the result when the
-// statistics were folded from an index, and from a scan of the result's
-// nodes when the tree has none (or is a few dozen nodes) — in the same order
-// either way.
+// takes: a position becomes a node only where a label or a value is read.
+// Positions are those of the result's space (features.Stats.Space), an
+// interval of an index.Whole, or a tree's own when it has no index. A climb
+// runs on the element columns of the part it starts in. Entity and feature
+// instances come from the result's statistics; keyword instances from each
+// part's posting runs inside the result, or from a scan of the result when
+// it has no index or is a few dozen nodes — in the same order either way.
 //
 // Size accounting follows the paper's demo ("the number of edges in the
 // tree", with bound 6 producing snippets like store → name, merchandises →
@@ -59,25 +56,25 @@ type Snippet struct {
 
 // selection is the working state of one snippet: where the IList's items
 // can be witnessed in the result, and the growing snippet tree with the
-// evidence it exposes. Everything in it is
-// keyed by integers the collection pass and the document already assigned —
-// symbol ids, preorder positions, feature ids — and it is pooled, so a
-// snippet allocates what it returns and little else.
+// evidence it exposes. Everything in it is keyed by integers the collection
+// pass and the document already assigned — symbol ids, preorder positions,
+// feature ids — and it is pooled, so a snippet allocates what it returns and
+// little else.
 //
 // An instance — one way to witness an item — is represented by the preorder
 // position of its deepest node, whose ancestor chain covers the whole
 // instance: an element, or a text child whose value must display. A
 // feature's instance is its attribute node: the single text value of an
 // attribute-shaped element enters and leaves the tree with it, so the value
-// itself is never climbed from. A position becomes a node only when the
-// instance is climbed from.
+// itself is never climbed from.
 type selection struct {
 	il    *ilist.IList
 	stats *features.Stats
-	root  int32           // the result root's position
-	nodes []*xmltree.Node // the result in preorder: position p is nodes[p-base]
-	base  int32           // the root's position
-	whole *index.Whole    // instead of nodes, for the whole document of a sharded corpus
+	// The result is the interval [root, end] of space, nil for a tree that
+	// has no index, whose columns cols holds.
+	space     *index.Whole
+	root, end int32
+	cols      index.Columns
 
 	// stamp marks what belongs to this snippet in memo and mark, so neither
 	// is cleared between snippets.
@@ -108,9 +105,10 @@ type selection struct {
 	path, best []int32 // climb buffers
 	part       []int   // GreedySelection's covered and skipped items
 	done       Selection
-	// cursor is the column entry the whole document's last climb started
-	// from, in shard part (entry).
+	// cursor is the column entry the last climb started from, in part
+	// part, and run the result's entries in part 0 (entry).
 	cursor struct{ part, at int }
+	run    struct{ lo, hi int }
 	ints   []int  // shape's parents and child counts
 	tok    []byte // keywordsIn's token buffer (index.EachTokenIn)
 }
@@ -125,16 +123,16 @@ const scratchKeepNodes = 1 << 20
 var selections = sync.Pool{New: func() any { return &selection{kwIndex: make(map[string]int32)} }}
 
 // begin readies a selection for one result: resolves the items, finds the
-// keyword instances, and seeds the snippet tree with the result root.
+// keyword instances, and seeds the snippet tree with the result root. doc is
+// the result's tree, read only when it has no index.
 func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selection {
 	s := selections.Get().(*selection)
 	s.il, s.stats = il, stats
-	size := 0
-	if s.whole = stats.Whole(); s.whole != nil {
-		s.root, s.base, size = 0, 0, s.whole.Len()
-		s.cursor.part = -1
-	} else {
-		s.root, s.nodes, s.base, size = int32(doc.Root.Ord), doc.Nodes(), int32(doc.Root.Ord), doc.Len()
+	s.space, s.root, s.end = stats.Space()
+	s.cursor.part = -1
+	s.run.lo, s.run.hi = stats.Run()
+	if s.space == nil {
+		s.cols.Fill(doc.Nodes())
 	}
 	s.stamp++
 	if s.stamp == 0 { // wrapped: stale entries could read as current
@@ -143,7 +141,7 @@ func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selec
 		clear(s.mark)
 		s.stamp = 1
 	}
-	if len(s.mark) < size {
+	if size := int(s.end-s.root) + 1; len(s.mark) < size {
 		s.mark = make([]uint32, size)
 	}
 
@@ -171,12 +169,10 @@ func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selec
 	s.kwCount = append(s.kwCount[:0], make([]int32, len(s.kwIndex))...)
 
 	if len(s.kwIndex) > 0 {
-		if s.whole != nil {
-			s.wholeKeywords()
-		} else if ix := stats.Index(); ix != nil && len(s.nodes) > scanBelow {
-			s.postedKeywords(ix)
-		} else {
+		if s.space == nil || s.end-s.root < scanBelow {
 			s.scanKeywords()
+		} else {
+			s.postedKeywords()
 		}
 	}
 	s.add(s.root)
@@ -192,99 +188,93 @@ func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selec
 // (TestKeywordInstancesFromPostings), so the threshold moves cost only.
 const scanBelow = 32
 
-// postedKeywords takes every keyword's instances from the run of its posting
-// list inside the result, for a result that is a view of the document ix
-// indexes: per posted element the element itself when its label holds the
-// keyword, then those of its text children that do — which is the order
-// scanKeywords finds them in, at the cost of the postings and not of the
-// result. A keyword is looked up as the token it is, whether or not the
-// query evaluated it as a term of its own (a phrase member is not).
-func (s *selection) postedKeywords(ix *index.Index) {
+// postedKeywords takes every keyword's instances from the runs of its
+// posting lists inside the result, part by part: per posted element the
+// element itself when its label holds the keyword, then those of its text
+// children that do — the order scanKeywords finds them in, at the cost of the
+// postings and not of the result. The root, whose copy heads the run of every
+// part that holds it, comes first: its label, then its text children. A
+// keyword is looked up as the token it is, whether or not the query
+// evaluated it as a term of its own (a phrase member is not).
+func (s *selection) postedKeywords() {
+	w := s.space
 	for text, k := range s.kwIndex {
-		pl := ix.ListOf(text)
-		lo, hi := pl.Within(s.root, s.end(s.root))
-		for j := lo; j < hi; j++ {
-			if pl.Fields[j]&index.FieldLabel != 0 {
-				s.kwInst[k] = append(s.kwInst[k], pl.Ords[j])
-			}
-			if pl.Fields[j]&index.FieldValue == 0 {
-				continue
-			}
-			for _, c := range pl.Nodes[j].Children {
-				if c.IsText() && slices.Contains(s.keywordsIn(c, c.Sym), k) {
-					s.kwInst[k] = append(s.kwInst[k], c.Start)
-				}
-			}
-		}
-	}
-}
-
-// wholeKeywords is postedKeywords over the whole document of a sharded
-// corpus, in global positions: the root's instances first — its label, then
-// its text children shard by shard, as the root's one posting lists them in
-// the whole document — then every shard's other postings in order.
-func (s *selection) wholeKeywords() {
-	w := s.whole
-	for text, k := range s.kwIndex {
-		label := false
-		for _, ix := range w.Parts() {
-			if pl := ix.ListOf(text); pl.Len() > 0 && pl.Ords[0] == 0 && pl.Fields[0]&index.FieldLabel != 0 {
-				label = true
-			}
-		}
-		if label {
-			s.kwInst[k] = append(s.kwInst[k], 0)
-		}
-		for i, ix := range w.Parts() {
-			if pl := ix.ListOf(text); pl.Len() > 0 && pl.Ords[0] == 0 && pl.Fields[0]&index.FieldValue != 0 {
-				s.textInstances(i, pl.Nodes[0], k)
-			}
-		}
+		var root index.MatchField // what the root's copies are posted for
 		for i, ix := range w.Parts() {
 			pl := ix.ListOf(text)
-			for j := range pl.Len() {
-				if pl.Ords[j] == 0 {
-					continue
-				}
+			lo, hi := pl.Within(s.root-w.Offset(i), s.end-w.Offset(i))
+			if lo < hi && w.Global(i, pl.Ords[lo]) == s.root {
+				root |= pl.Fields[lo]
+				lo++
+			}
+			for j := lo; j < hi; j++ {
+				p := w.Global(i, pl.Ords[j])
 				if pl.Fields[j]&index.FieldLabel != 0 {
-					s.kwInst[k] = append(s.kwInst[k], w.Global(i, pl.Ords[j]))
+					s.kwInst[k] = append(s.kwInst[k], p)
 				}
 				if pl.Fields[j]&index.FieldValue != 0 {
-					s.textInstances(i, pl.Nodes[j], k)
+					s.textsIn(w.Offset(i), pl.Nodes[j], k)
 				}
 			}
 		}
-	}
-}
-
-// textInstances appends the text children of n, a node of shard i of the
-// whole document, that hold keyword k to its instances.
-func (s *selection) textInstances(i int, n *xmltree.Node, k int32) {
-	for _, c := range n.Children {
-		if c.IsText() && slices.Contains(s.keywordsIn(c, s.whole.SymOf(i, c)), k) {
-			s.kwInst[k] = append(s.kwInst[k], s.whole.Global(i, c.Start))
+		others := len(s.kwInst[k])
+		if root&index.FieldLabel != 0 {
+			s.kwInst[k] = append(s.kwInst[k], s.root)
+		}
+		if root&index.FieldValue != 0 {
+			s.texts(s.root, s.stats.Node(s.root), k)
+		}
+		if inst := s.kwInst[k]; len(inst) > others { // rotate the root's to the front
+			slices.Reverse(inst[:others])
+			slices.Reverse(inst[others:])
+			slices.Reverse(inst)
 		}
 	}
 }
 
-// scanKeywords finds the keyword instances of a tree that has no index by
-// reading it: per element its label, then its text children in order — the
-// order the index posts them in.
+// scanKeywords finds the keyword instances by reading the result: per
+// element its label, then its text children in order — the order the index
+// posts them in.
 func (s *selection) scanKeywords() {
-	for _, n := range s.nodes {
-		if !n.IsElement() {
-			continue
+	for p := s.root; p <= s.end; p++ {
+		if n := s.stats.Node(p); n.IsElement() {
+			s.instance(p, n, -1)
+			s.texts(p, n, -1)
 		}
-		for _, k := range s.keywordsIn(n, n.Sym) {
-			s.kwInst[k] = append(s.kwInst[k], n.Start)
+	}
+}
+
+// texts adds the text children of n, the element at p, to the instances of
+// keyword k, or of every keyword when k is negative, that their values hold.
+// Inside a part, positions differ from the part's own by one offset; the
+// document root has a copy in every part of a space, each holding some of
+// its children.
+func (s *selection) texts(p int32, n *xmltree.Node, k int32) {
+	if p != 0 || s.space == nil {
+		s.textsIn(p-n.Start, n, k)
+		return
+	}
+	for i, ix := range s.space.Parts() {
+		s.textsIn(s.space.Offset(i), ix.Document().Root, k)
+	}
+}
+
+// textsIn is texts for n in a part whose positions are its own plus off.
+func (s *selection) textsIn(off int32, n *xmltree.Node, k int32) {
+	for _, c := range n.Children {
+		if c.IsText() {
+			s.instance(off+c.Start, c, k)
 		}
-		for _, c := range n.Children {
-			if !c.IsText() {
-				continue
-			}
-			for _, k := range s.keywordsIn(c, c.Sym) {
-				s.kwInst[k] = append(s.kwInst[k], c.Start)
-			}
+	}
+}
+
+// instance adds position p, whose node is n, to the instances of keyword k
+// — of every keyword when k is negative — when n's label (an element) or
+// value (a text node) holds it.
+func (s *selection) instance(p int32, n *xmltree.Node, k int32) {
+	for _, kk := range s.keywordsIn(n, s.stats.Sym(p, n)) {
+		if k < 0 || kk == k {
+			s.kwInst[kk] = append(s.kwInst[kk], p)
 		}
 	}
 }
@@ -303,7 +293,7 @@ func (s *selection) release() {
 	}
 	clear(s.kwIndex)
 	s.members, s.triples, s.hits = s.members[:0], s.triples[:0], s.hits[:0]
-	s.il, s.stats, s.nodes, s.whole = nil, nil, nil, nil
+	s.il, s.stats, s.space = nil, nil, nil
 	selections.Put(s)
 }
 
@@ -348,39 +338,43 @@ func (s *selection) keywordsIn(n *xmltree.Node, sym int32) []int32 {
 	return s.hits[e.run+1 : e.run+1+s.hits[e.run]]
 }
 
-func (s *selection) inTree(p int32) bool { return s.mark[p-s.base] == s.stamp }
-
-// node resolves a position to its node.
-func (s *selection) node(p int32) *xmltree.Node {
-	if s.whole != nil {
-		return s.whole.Node(p)
-	}
-	return s.nodes[p-s.base]
-}
-
-// sym returns the symbol id of n, the node at position p.
-func (s *selection) sym(p int32, n *xmltree.Node) int32 {
-	if s.whole != nil {
-		return s.whole.Sym(p)
-	}
-	return n.Sym
-}
+func (s *selection) inTree(p int32) bool { return s.mark[p-s.root] == s.stamp }
 
 // parent returns the position of the parent of n, the node at position p
-// below the root.
-func (s *selection) parent(p int32, n *xmltree.Node) int32 {
-	if s.whole != nil {
-		return s.whole.Parent(p)
+// below the root. Positions inside one part of a space differ from the
+// part's own by one offset, and every part's root is at 0 (index.Whole).
+func parent(p int32, n *xmltree.Node) int32 {
+	if n.Parent.Start == 0 {
+		return 0
 	}
-	return int32(n.Parent.Ord)
+	return p - n.Start + n.Parent.Start
 }
 
-// end returns the largest position in the subtree of the node at p.
-func (s *selection) end(p int32) int32 {
-	if s.whole != nil {
-		return s.whole.End(p)
+// holdsValue reports whether n, the element at position p, holds exactly one
+// child, a text node, which displays inside it. The document root has a copy
+// in every part of a space, each holding some of its children.
+func (s *selection) holdsValue(p int32, n *xmltree.Node) bool {
+	if p != 0 || s.space == nil {
+		return n.HasSingleTextChild()
 	}
-	return s.nodes[p-s.base].End
+	var only *xmltree.Node
+	kids := 0
+	for _, ix := range s.space.Parts() {
+		c := ix.Document().Root.Children
+		if kids += len(c); len(c) == 1 {
+			only = c[0]
+		}
+	}
+	return kids == 1 && only.IsText()
+}
+
+// endOf returns the largest position in the subtree of the node at p.
+func (s *selection) endOf(p int32) int32 {
+	if p == s.root {
+		return s.end
+	}
+	n := s.stats.Node(p)
+	return p + n.End - n.Start
 }
 
 // add puts the node at position p into the tree, updating evidence.
@@ -390,31 +384,31 @@ func (s *selection) add(p int32) {
 	if s.inTree(p) {
 		return
 	}
-	s.mark[p-s.base] = s.stamp
+	s.mark[p-s.root] = s.stamp
 	s.members = append(s.members, p)
-	n := s.node(p)
-	for _, k := range s.keywordsIn(n, s.sym(p, n)) {
+	n := s.stats.Node(p)
+	for _, k := range s.keywordsIn(n, s.stats.Sym(p, n)) {
 		s.kwCount[k]++
 	}
 	switch {
 	case n.IsElement():
-		if n.HasSingleTextChild() {
+		if s.holdsValue(p, n) {
 			s.add(p + 1)
 		}
-	case p != s.root && n.Parent.HasSingleTextChild():
+	case p != s.root && s.holdsValue(parent(p, n), n.Parent):
 		// A displayed value is the feature (owner, attribute, value),
 		// the owner being the nearest entity inside the result.
-		attr := s.parent(p, n)
+		attr := parent(p, n)
 		for m := attr; ; {
-			mn := s.node(m)
-			if sym := s.sym(m, mn); slices.Contains(s.stats.EntitySyms(), sym) {
-				s.triples = append(s.triples, [3]int32{sym, s.sym(attr, n.Parent), s.sym(p, n)})
+			mn := s.stats.Node(m)
+			if sym := s.stats.Sym(m, mn); slices.Contains(s.stats.EntitySyms(), sym) {
+				s.triples = append(s.triples, [3]int32{sym, s.stats.Sym(attr, n.Parent), s.stats.Sym(p, n)})
 				break
 			}
 			if m == s.root {
 				break
 			}
-			m = s.parent(m, mn)
+			m = parent(m, mn)
 		}
 	}
 }
@@ -427,9 +421,9 @@ func (s *selection) checkpoint() checkpoint { return checkpoint{len(s.members), 
 
 func (s *selection) rollback(to checkpoint) {
 	for _, p := range s.members[to.members:] {
-		s.mark[p-s.base] = 0
-		n := s.node(p)
-		for _, k := range s.keywordsIn(n, s.sym(p, n)) {
+		s.mark[p-s.root] = 0
+		n := s.stats.Node(p)
+		for _, k := range s.keywordsIn(n, s.stats.Sym(p, n)) {
 			s.kwCount[k]--
 		}
 	}
@@ -448,8 +442,8 @@ func (s *selection) covers(i int) bool {
 	case ilist.EntityName:
 		sym := s.stats.EntitySyms()[ref]
 		return slices.ContainsFunc(s.members, func(p int32) bool {
-			n := s.node(p)
-			return n.IsElement() && s.sym(p, n) == sym
+			n := s.stats.Node(p)
+			return n.IsElement() && s.stats.Sym(p, n) == sym
 		})
 	default:
 		e, a, v := s.stats.FeatureSyms(ref)
@@ -474,52 +468,33 @@ func (s *selection) instances(i int) []int32 {
 }
 
 // cost returns the number of new element edges needed to attach the
-// instance whose deepest node is at the given position to the tree, and the path nodes to
-// add (in s.path). Free (text) nodes do not count. An instance's nodes form
-// a single ancestor chain ending at its deepest node, so one climb from
-// that node to the nearest tree node covers the whole instance; instances
-// lie inside the result and its root is in the tree, so the climb ends.
+// instance whose deepest node is at the given position to the tree, and the
+// path nodes to add (in s.path). Free (text) nodes do not count. An
+// instance's nodes form a single ancestor chain ending at its deepest node,
+// so one climb from that node to the nearest tree node covers the whole
+// instance; instances lie inside the result and its root is in the tree, so
+// the climb ends. It never leaves the part of its deepest node, and above a
+// text instance it is a climb of elements, so it runs on the part's columns.
 //
 // limit prunes the climb: once cost exceeds it the instance cannot win,
 // and the (partial) path is meaningless. Pass a negative limit for no
 // pruning.
 func (s *selection) cost(deepest int32, limit int) int {
-	if s.whole != nil {
-		return s.wholeCost(deepest, limit)
-	}
-	s.path = s.path[:0]
-	cost := 0
-	for p := deepest; !s.inTree(p); {
-		n := s.node(p)
-		s.path = append(s.path, p)
-		if n.IsElement() {
-			cost++
-			if limit >= 0 && cost > limit {
-				return cost
-			}
-		}
-		p = int32(n.Parent.Ord)
-	}
-	return cost
-}
-
-// wholeCost is cost on the whole document of a sharded corpus. A climb never
-// leaves the shard of its deepest node, whose root is the document root, and
-// above a text instance it is a climb of elements, so it runs on the shard's
-// columns — positions and parent entries, no node read but a text
-// instance's.
-func (s *selection) wholeCost(deepest int32, limit int) int {
 	s.path = s.path[:0]
 	if s.inTree(deepest) {
 		return 0
 	}
-	i, local := s.whole.Locate(deepest)
-	off, cols := deepest-local, s.whole.Parts()[i].Columns()
+	i, local, cols := 0, deepest, &s.cols
+	if s.space != nil {
+		i, local = s.space.Locate(deepest)
+		cols = s.space.Parts()[i].Columns()
+	}
+	off := deepest - local
 	at, element := s.entry(i, cols, local)
 	if !element { // a text instance: free, and its parent is an element
 		s.path = append(s.path, deepest)
 		// Unless content is mixed, the parent is the element just before.
-		if parent := int32(s.whole.Node(deepest).Parent.Ord); at == 0 || cols.Pos[at-1] != parent {
+		if parent := int32(s.stats.Node(deepest).Parent.Ord); at == 0 || cols.Pos[at-1] != parent {
 			at, _ = s.entry(i, cols, parent)
 		} else {
 			at--
@@ -541,12 +516,16 @@ func (s *selection) wholeCost(deepest int32, limit int) int {
 	}
 }
 
-// entry returns the entry of shard i's columns at local position pos, and
+// entry returns the entry of part i's columns at local position pos, and
 // whether pos is an element's (when not, where it would be). An item's
 // instances come in document order, so the search gallops forward from the
-// entry the last call found, and starts over only when pos lies behind it.
+// entry the last call found, and starts over only when pos lies behind it —
+// in the root's part, over the result's run of entries alone.
 func (s *selection) entry(i int, cols *index.Columns, pos int32) (int, bool) {
 	lo, hi := 0, len(cols.Pos)
+	if i == 0 {
+		lo, hi = s.run.lo, min(hi, s.run.hi)
+	}
 	if s.cursor.part == i && s.cursor.at < hi && cols.Pos[s.cursor.at] <= pos {
 		lo = s.cursor.at
 		step := 1
@@ -673,7 +652,7 @@ func (x *Selection) Len() int { return len(x.s.members) }
 // Node returns the i-th snippet node in preorder — a node of the result —
 // and the number of its children in the snippet.
 func (x *Selection) Node(i int) (*xmltree.Node, int) {
-	return x.s.node(x.s.members[i]), x.s.ints[len(x.s.members)+i]
+	return x.s.stats.Node(x.s.members[i]), x.s.ints[len(x.s.members)+i]
 }
 
 // Release returns the selection's scratch to the pool.
@@ -702,7 +681,7 @@ func (s *selection) shape() {
 	s.ints = append(s.ints[:0], make([]int, 3*n)...)
 	parent, kids, open := s.ints[:n], s.ints[n:2*n], s.ints[2*n:2*n]
 	for i, m := range members {
-		for len(open) > 0 && s.end(members[open[len(open)-1]]) < m {
+		for len(open) > 0 && s.endOf(members[open[len(open)-1]]) < m {
 			open = open[:len(open)-1]
 		}
 		if i > 0 {
@@ -723,7 +702,7 @@ func (s *selection) materialize() *xmltree.Node {
 	copies := make([]xmltree.Node, n)
 	arena := make([]*xmltree.Node, n-1)
 	for i, p := range members {
-		m, c := s.node(p), &copies[i]
+		m, c := s.stats.Node(p), &copies[i]
 		c.Kind, c.Label, c.Value, c.FromAttr, c.Origin = m.Kind, m.Label, m.Value, m.FromAttr, m
 		if kids[i] > 0 {
 			c.Children, arena = arena[:0:kids[i]], arena[kids[i]:]

@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -267,17 +268,17 @@ func TestGreedyEmptyIList(t *testing.T) {
 }
 
 // keywordInstances readies a selection for one result and returns every
-// keyword's instance positions, by keyword, as the finder named by the
-// statistics finds them whatever the result's size: postedKeywords when they
-// were folded from an index, scanKeywords otherwise.
+// keyword's instances, by keyword, as the finder named by the statistics
+// finds them whatever the result's size: postedKeywords when the result is
+// an interval of a space, scanKeywords when it is a tree that has no index.
 func keywordInstances(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) map[string][]int32 {
 	s := begin(doc, il, stats)
 	defer s.release()
 	for k := range s.kwInst {
 		s.kwInst[k] = s.kwInst[k][:0]
 	}
-	if ix := stats.Index(); ix != nil {
-		s.postedKeywords(ix)
+	if s.space != nil {
+		s.postedKeywords()
 	} else if len(s.kwIndex) > 0 {
 		s.scanKeywords()
 	}
@@ -288,15 +289,36 @@ func keywordInstances(doc *xmltree.Document, il *ilist.IList, stats *features.St
 	return out
 }
 
+// cut returns the whole document of doc cut into n shards as the shard
+// package cuts one: the root's children in contiguous blocks, copies of them
+// each under a copy of the root, each shard indexed on its own. A block holds
+// one child at least, so a root of fewer children makes fewer shards.
+func cut(doc *xmltree.Document, n int) *index.Whole {
+	kids := doc.Root.Children
+	n = min(n, len(kids))
+	parts := make([]*index.Index, n)
+	for b := range parts {
+		root := &xmltree.Node{Kind: xmltree.KindElement, Label: doc.Root.Label, FromAttr: doc.Root.FromAttr}
+		for _, c := range kids[b*len(kids)/n : (b+1)*len(kids)/n] {
+			xmltree.Append(root, xmltree.DeepCopy(c))
+		}
+		parts[b] = index.Build(xmltree.NewDocument(root))
+	}
+	return index.NewWhole(parts)
+}
+
 // TestKeywordInstancesFromPostings: a view of an indexed document takes its
 // keyword instances from the posting runs inside the result, an index-less
 // tree from a scan of its nodes — the same positions in the same order, for
-// every element of the document as the result root. The queries are the
-// cases the two could differ on: the members of a quoted phrase (tokens the
-// query never evaluated as terms of their own), a repeated token, a token
-// that is an element's label and also in its value, tokens in mixed content
-// and in several text children of one element, a token no node holds, and
-// strings that are not tokens at all.
+// every element of the document as the result root. So does the whole
+// document cut into 3 and 4 shards, from every shard's postings in global
+// positions, against a scan of the unsharded document's root. The queries
+// are the cases the two could differ on: the members of a quoted phrase
+// (tokens the query never evaluated as terms of their own), a repeated
+// token, a token that is an element's label and also in its value, tokens in
+// mixed content, in several text children of one element and in text
+// children of the root, a token no node holds, and strings that are not
+// tokens at all.
 func TestKeywordInstancesFromPostings(t *testing.T) {
 	mixed, err := xmltree.ParseString(`<r>
 	<p>red <c><d>red</d><e>blue</e></c> red</p>
@@ -307,20 +329,44 @@ func TestKeywordInstancesFromPostings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rooted, err := xmltree.ParseString(`<r>red <p>blue</p> tail <red>red</red> blue red <q>tail</q></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		doc     *xmltree.Document
 		queries []string
 	}{
 		{mixed, []string{`red`, `"red blue" tail`, `red red blue`, `p kind red`, `absent red`, `b d e c`}},
+		{rooted, []string{`red`, `blue tail`, `r red`}},
 		{gen.Figure1Corpus(), []string{gen.Figure1Query, `"brook brothers" houston`, `store store city`, `name retailer`}},
 		{gen.Stores(gen.StoresConfig{Retailers: 2, StoresPerRetailer: 2, ClothesPerStore: 3, Seed: 5}), []string{`store texas`, `clothes category suit`}},
 	} {
 		cls, ix := classify.Classify(tc.doc), index.Build(tc.doc)
 		km := keys.Mine(tc.doc, cls)
 		col := features.NewCollector(cls)
+		wholes := []*index.Whole{cut(tc.doc, 3), cut(tc.doc, 4)}
 		for _, q := range tc.queries {
 			kwSets := [][]string{index.Tokenize(q), {"Red", "red blue", ""}}
 			for _, kws := range kwSets {
+				same := func(name string, view *xmltree.Document, posted, scanned *features.Stats) {
+					t.Helper()
+					ilPosted := ilist.Build(nil, kws, cls, km, posted)
+					ilScanned := ilist.Build(nil, kws, cls, km, scanned)
+					got, want := keywordInstances(view, ilPosted, posted), keywordInstances(view, ilScanned, scanned)
+					if len(got) != len(want) {
+						t.Fatalf("%q under %s: keywords %v from postings, %v from the scan", kws, name, got, want)
+					}
+					for text, want := range want {
+						if got := got[text]; !slices.Equal(got, want) {
+							t.Fatalf("%q under %s: instances of %q are %v from postings, %v from the scan", kws, name, text, got, want)
+						}
+					}
+					a, b := Greedy(view, ilPosted, cls, posted, 5), Greedy(view, ilScanned, cls, scanned, 5)
+					if xmltree.XMLString(a.Root) != xmltree.XMLString(b.Root) || !slices.Equal(a.Covered, b.Covered) {
+						t.Fatalf("%q under %s: snippets differ:\n%s\n%s", kws, name, xmltree.XMLString(a.Root), xmltree.XMLString(b.Root))
+					}
+				}
 				for _, n := range tc.doc.Nodes() {
 					if !n.IsElement() {
 						continue
@@ -330,21 +376,11 @@ func TestKeywordInstancesFromPostings(t *testing.T) {
 					if indexed.Index() != ix || scanned.Index() != nil {
 						t.Fatalf("%v: fixtures are not one indexed and one index-less", n)
 					}
-					ilIndexed := ilist.Build(n, kws, cls, km, indexed)
-					ilScanned := ilist.Build(n, kws, cls, km, scanned)
-					posted, scan := keywordInstances(view, ilIndexed, indexed), keywordInstances(view, ilScanned, scanned)
-					if len(posted) != len(scan) {
-						t.Fatalf("%q under %v: keywords %v from postings, %v from the scan", kws, n, posted, scan)
-					}
-					for text, want := range scan {
-						if got := posted[text]; !slices.Equal(got, want) {
-							t.Fatalf("%q under %v: instances of %q are %v from postings, %v from the scan", kws, n, text, got, want)
-						}
-					}
-					a, b := Greedy(view, ilIndexed, cls, indexed, 5), Greedy(view, ilScanned, cls, scanned, 5)
-					if xmltree.XMLString(a.Root) != xmltree.XMLString(b.Root) || !slices.Equal(a.Covered, b.Covered) {
-						t.Fatalf("%q under %v: snippets differ:\n%s\n%s", kws, n, xmltree.XMLString(a.Root), xmltree.XMLString(b.Root))
-					}
+					same(n.Label, view, indexed, scanned)
+				}
+				for _, w := range wholes {
+					whole := col.CollectIn(w, 0, int32(w.Len()-1), nil, false)
+					same(fmt.Sprintf("the root of %d shards", len(w.Parts())), tc.doc, whole, col.CollectResult(nil, tc.doc))
 				}
 			}
 		}

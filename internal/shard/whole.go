@@ -120,7 +120,8 @@ func (sc *Corpus) Positions(r *search.Result) (anchor, lca int32) {
 		return 0, at
 	}
 	w := sc.Whole()
-	return w.Pos(r.Anchor), w.Pos(r.LCA)
+	i := slices.IndexFunc(w.Parts(), func(ix *index.Index) bool { return ix.Document().ByOrd(r.Anchor.Ord) == r.Anchor })
+	return w.Global(i, int32(r.Anchor.Ord)), w.Global(i, int32(r.LCA.Ord))
 }
 
 // ResultsAt rebuilds query's results from their anchors' and LCAs' global

@@ -162,15 +162,16 @@ func sameSnippetAccessors(t *testing.T, label string, want, got *Snippet) {
 }
 
 // TestLocalSnippetsDecodeOnRead: a local corpus keeps each snippet of a
-// query as its snippet record, as a router does, and decodes its tree and
-// IList the first time something reads them. For every local hit, ranked and
-// unranked, at 1 and 4 shards: XML, Edges and ResultKey answer without
-// decoding and equal what the inspection path (Corpus.Snippet) makes of the
-// hit's result; eight goroutines racing the first Root and IList reads all
-// see the one snippet a single decode made (the test runs under -race in
-// CI); every Snippet accessor then answers what the inspection path's does;
-// and the hit, held throughout, never changes. With the query cache on, the
-// first decode re-charges the entry it belongs to.
+// query as its XML, edges and key beside its result, and derives its tree and
+// IList from the result the first time something reads them. For every local
+// hit, ranked and unranked, at 1 and 4 shards: XML, Edges and ResultKey
+// answer without deriving and equal what the inspection path
+// (Corpus.Snippet) makes of the hit's result; eight goroutines racing the
+// first Root and IList reads all see the one snippet a single derivation
+// made (the test runs under -race in CI); every Snippet accessor then answers
+// what the inspection path's does; and the hit, held throughout, never
+// changes. With the query cache on, the first derivation re-charges the entry
+// it belongs to.
 func TestLocalSnippetsDecodeOnRead(t *testing.T) {
 	doc := gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11})
 	xml := xmltree.XMLString(doc.Root)

@@ -1012,10 +1012,11 @@ func WithExactSelection() SnippetOption {
 
 // Snippet is a generated result snippet with its derivation artifacts.
 // XML, Edges and ResultKey read what every snippet carries; the other methods
-// read its tree or IList. A query's snippet — served by a local corpus or by
-// a remote one alike — is kept as its snippet record, and decodes its tree
-// and IList from it on the first such read (core.Generated.Derived); one made
-// by Corpus.Snippet or SnippetForTree carries them from the start.
+// read its tree or IList. A query's snippet is kept as its XML, edges and key
+// and gets its tree and IList on the first such read
+// (core.Generated.Derived): a local corpus's derives them again from its
+// result, a remote one's decodes them from the snippet record it received.
+// One made by Corpus.Snippet or SnippetForTree carries them from the start.
 type Snippet struct {
 	g *core.Generated
 	// v is the cache entry the snippet is a hit of, re-charged when a read

@@ -112,14 +112,15 @@ const (
 // Generator produces snippets for query results over one corpus. It keeps
 // a pool of workers — a feature collector, whose scratch is the tables and
 // logs of the one fold a snippet makes over its result's elements, with an
-// IList and a record buffer beside it — reused across results, so a snippet
-// allocates what it returns and little else. There are two entry points
-// over one pipeline: the inspection path (ForTree*, ForResult*) returns the
-// snippet tree, the IList and the result's feature statistics, each of its
-// own; the served path (ServeResult, which shard.Snippets runs, and Record,
-// which a shard server runs) derives all three in the worker's scratch and
-// keeps only the snippet's record. A Generator is safe for concurrent use by
-// multiple goroutines (the snippet fan-out shares one).
+// IList beside it — reused across results, so a snippet allocates what it
+// returns and little else. There are two entry points over one pipeline: the
+// inspection path (ForTree*, ForResult*) returns the snippet tree, the IList
+// and the result's feature statistics, each of its own; the served path
+// derives all three in the worker's scratch and keeps only what it hands on —
+// a local corpus's snippet its XML, edges and key (ServeResult, which
+// shard.Snippets runs), a shard server's its record (AppendRecord, which
+// shard.Records runs). A Generator is safe for concurrent use by multiple
+// goroutines (the snippet fan-out shares one).
 type Generator struct {
 	Corpus *Corpus
 	// Algorithm picks greedy (default) or exact selection.
@@ -134,16 +135,11 @@ type Generator struct {
 func NewGenerator(c *Corpus) *Generator { return &Generator{Corpus: c} }
 
 // worker is one snippet's pooled working state: the feature collector, and
-// on the served path the IList and the record being written.
+// on the served path the IList.
 type worker struct {
 	col *features.Collector
 	il  ilist.IList
-	rec []byte
 }
-
-// keepRecord bounds the record buffer a pooled worker keeps: past it, a
-// record's buffer is garbage with it.
-const keepRecord = 1 << 20
 
 // worker borrows a worker for the corpus; put empties its scratch — the
 // statistics, the IList's strings — and returns it for reuse.
@@ -157,34 +153,31 @@ func (g *Generator) worker() *worker {
 func (g *Generator) put(w *worker) {
 	w.col.ReleaseScratch()
 	w.il.Reset()
-	if cap(w.rec) > keepRecord {
-		w.rec = nil
-	}
 	g.workers.Put(w)
 }
 
 // Generated is a snippet with the intermediate artifacts of its derivation.
 // What a result page shows — XML, Edges and ResultKey — is set on every
-// snippet a backend hands over. A served snippet — every backend's, made by
-// Served from the record a local corpus wrote (ServeResult) or a router
-// received — is its record and nothing else: Snippet,
-// IList and Stats are nil, and Derived decodes the snippet tree and the IList
-// from the record the first time a reader asks. A snippet of the inspection
-// path (ForTree*, ForResult*) has its artifacts set, and is its own Derived.
-// Read the artifacts through Derived.
+// snippet a backend hands over. A served snippet is those three and where its
+// artifacts come from, nothing else: Snippet, IList and Stats are nil, and
+// Derived makes the snippet tree and the IList the first time a reader asks —
+// a local corpus's (ServeResult) by deriving them again from the result it
+// was made of, a router's (Served) by decoding the record it received. A
+// snippet of the inspection path (ForTree*, ForResult*) has its artifacts
+// set, and is its own Derived. Read the artifacts through Derived.
 type Generated struct {
 	Snippet *selector.Snippet
 	IList   *ilist.IList
 	// Stats are the feature statistics the IList and the selection were
 	// derived from, on the inspection path only. They are sized by the
 	// result, not by the snippet; a served snippet's lived in per-worker
-	// scratch, reused for the next result once its record was written.
-	// Nothing else in a Generated refers to them.
+	// scratch, reused for the next result once its XML or record was
+	// written. Nothing else in a Generated refers to them.
 	Stats    *features.Stats
 	Keywords []string
 	Bound    int
-	// XML is the snippet tree serialized (xmltree.XMLString): rendered from
-	// the record by Served on every served snippet, and filled by whoever
+	// XML is the snippet tree serialized (xmltree.XMLString): rendered by
+	// ServeResult and Served on every served snippet, and filled by whoever
 	// hands an inspected one to a reader.
 	XML string
 	// Edges is the snippet's size in edges (Snippet.Edges), and ResultKey
@@ -192,30 +185,38 @@ type Generated struct {
 	Edges     int
 	ResultKey string
 
-	// record is set on a served snippet only.
-	record *record
+	// src is set on a served snippet only.
+	src *source
 }
 
-// record is what a served snippet holds instead of its artifacts: the
-// encoding they are decoded from, how, and the decoded snippet once the
-// first reader has asked.
-type record struct {
+// source is what a served snippet holds instead of its artifacts: what they
+// are derived from — a record and how to decode it, or the result and the
+// generator that made the snippet — and the derived snippet once the first
+// reader has asked.
+type source struct {
 	enc    string
 	decode func(enc string) (*selector.Snippet, *ilist.IList)
+	gen    *Generator
+	result *search.Result
 
 	mu      sync.Mutex
 	derived atomic.Pointer[Generated]
 }
 
-// Served returns the served snippet of a snippet record (internal/record),
-// on every backend: a local corpus's and a shard server's generator write
-// one (Record), a router keeps the one that arrived, in the payload it
-// arrived in. It renders the XML once, from a scratch tree built into into
+// served is a served snippet and its source in one allocation.
+type served struct {
+	g   Generated
+	src source
+}
+
+// Served returns the served snippet of a snippet record (internal/record)
+// that a router received from a shard server (AppendRecord), in the payload
+// it arrived in. It renders the XML once, from a scratch tree built into into
 // (nil: a pooled one) and dropped, reads the edge count and the result key,
 // and keeps the record, from which Derived decodes the snippet tree and the
-// IList when a reader asks. enc must be a record a scan has validated or a
-// generator has written, and stay as it is for as long as the snippet
-// lives; kws and bound are the request's.
+// IList when a reader asks. enc must be a record a scan has validated, and
+// stay as it is for as long as the snippet lives; kws and bound are the
+// request's.
 func Served(enc string, kws []string, bound int, into *rec.Tree) *Generated {
 	xml, edges, key := rec.Shown(enc, into)
 	return Deferred(enc, rec.Snippet, xml, edges, key, kws, bound)
@@ -226,53 +227,57 @@ func Served(enc string, kws []string, bound int, into *rec.Tree) *Generated {
 // its covered and skipped items, and the IList. It must not fail — the
 // caller has validated enc — and enc must stay as it is for as long as the
 // snippet lives. xml, edges and key are what a result page reads (XML, Edges,
-// ResultKey), kws and bound the request's. The snippet and its record are one
+// ResultKey), kws and bound the request's. The snippet and its source are one
 // allocation.
 func Deferred(enc string, decode func(string) (*selector.Snippet, *ilist.IList), xml string, edges int, key string, kws []string, bound int) *Generated {
-	d := &struct {
-		g Generated
-		r record
-	}{
-		g: Generated{XML: xml, Edges: edges, ResultKey: key, Keywords: kws, Bound: bound},
-		r: record{enc: enc, decode: decode},
+	d := &served{
+		g:   Generated{XML: xml, Edges: edges, ResultKey: key, Keywords: kws, Bound: bound},
+		src: source{enc: enc, decode: decode},
 	}
-	d.g.record = &d.r
+	d.g.src = &d.src
 	return &d.g
 }
 
 // Derived returns the snippet with its artifacts: g itself on the inspection
-// path, and for a served snippet the one decoded from its record the first
-// time anything asks — one decode, whichever of any concurrent first readers
-// runs it, and the same snippet for every later reader. g itself never
-// changes.
+// path, and for a served snippet the one derived from its source the first
+// time anything asks — one derivation, whichever of any concurrent first
+// readers runs it, and the same snippet for every later reader. g itself
+// never changes.
 func (g *Generated) Derived() *Generated {
-	r := g.record
-	if r == nil {
+	s := g.src
+	if s == nil {
 		return g
 	}
-	if d := r.derived.Load(); d != nil {
+	if d := s.derived.Load(); d != nil {
 		return d
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if d := r.derived.Load(); d != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if d := s.derived.Load(); d != nil {
 		return d
 	}
-	sn, il := r.decode(r.enc)
+	var sn *selector.Snippet
+	var il *ilist.IList
+	if s.gen != nil {
+		sn, il = s.gen.rederive(s.result, g.Keywords, g.Bound)
+	} else {
+		sn, il = s.decode(s.enc)
+	}
 	d := &Generated{Snippet: sn, IList: il, Keywords: g.Keywords, Bound: g.Bound,
 		XML: g.XML, Edges: g.Edges, ResultKey: g.ResultKey}
-	r.derived.Store(d)
+	s.derived.Store(d)
 	return d
 }
 
 // Encoded reports whether g is a served snippet whose artifacts have not
-// been decoded yet (Derived), and the length of the record it keeps (0 on
-// the inspection path).
+// been derived yet (Derived), and the length of the record it keeps: 0 on a
+// local corpus's served snippet, which keeps none, and on the inspection
+// path.
 func (g *Generated) Encoded() (pending bool, bytes int) {
-	if g.record == nil {
+	if g.src == nil {
 		return false, 0
 	}
-	return g.record.derived.Load() == nil, len(g.record.enc)
+	return g.src.derived.Load() == nil, len(g.src.enc)
 }
 
 // ForTree generates a snippet for a query-result tree. The keywords are the
@@ -293,19 +298,16 @@ func (g *Generator) ForTreeTokens(result *xmltree.Document, kws []string, bound 
 // derive runs the pipeline on one result with w up to the selection, which
 // the caller reads and releases. The result is the interval [start, end] of
 // the position space sp (search.Result.Space), or, when sp is nil, the tree
-// result, which has no index. A served result's statistics fold into the
-// collector's own Stats and its IList builds into w's; otherwise both are
-// the result's own.
-func (g *Generator) derive(w *worker, sp *index.Whole, start, end int32, result *xmltree.Document, kws []string, bound int, served bool) (*features.Stats, *ilist.IList, *selector.Selection) {
-	stats, il := w.col.CollectIn(sp, start, end, result, served), &w.il
-	if !served {
-		il = &ilist.IList{}
-	}
+// result, which has no index. The IList builds into il; the statistics fold
+// into the collector's own scratch Stats, or, with owned, into Stats of the
+// result's own.
+func (g *Generator) derive(w *worker, sp *index.Whole, start, end int32, result *xmltree.Document, kws []string, bound int, il *ilist.IList, owned bool) (*features.Stats, *selector.Selection) {
+	stats := w.col.CollectIn(sp, start, end, result, !owned)
 	ilist.BuildInto(il, kws, g.Corpus.Cls, g.Corpus.Keys, stats)
 	if g.Algorithm == AlgExact {
-		return stats, il, selector.ExactSelection(result, il, stats, bound, g.Exact)
+		return stats, selector.ExactSelection(result, il, stats, bound, g.Exact)
 	}
-	return stats, il, selector.GreedySelection(result, il, stats, bound)
+	return stats, selector.GreedySelection(result, il, stats, bound)
 }
 
 // inspect snippets one result on the inspection path (derive): the snippet
@@ -313,7 +315,8 @@ func (g *Generator) derive(w *worker, sp *index.Whole, start, end int32, result 
 func (g *Generator) inspect(sp *index.Whole, start, end int32, result *xmltree.Document, kws []string, bound int) *Generated {
 	w := g.worker()
 	defer g.put(w)
-	stats, il, sel := g.derive(w, sp, start, end, result, kws, bound, false)
+	il := &ilist.IList{}
+	stats, sel := g.derive(w, sp, start, end, result, kws, bound, il, true)
 	sn := sel.Snippet()
 	return &Generated{Snippet: sn, IList: il, Stats: stats, Keywords: kws, Bound: bound, Edges: sn.Edges, ResultKey: il.KeyValue}
 }
@@ -332,30 +335,57 @@ func (g *Generator) ForResultTokens(r *search.Result, kws []string, bound int) *
 	return g.inspect(sp, start, end, r.Doc, kws, bound)
 }
 
-// Record writes the snippet of a search result that is sent or served rather
-// than inspected, and returns its record (internal/record) — the same
-// snippet and IList ForResultTokens derives, in the bytes a snippets response
-// carries. The statistics, the IList and the selection are the worker's
-// scratch (derive), from which the record is written; none of them is kept,
-// so a record allocates itself and nothing sized by the result, its IList or
-// its snippet tree. A shard server sends it as it is.
-func (g *Generator) Record(r *search.Result, kws []string, bound int) string {
+// AppendRecord appends the snippet record (internal/record) of a search
+// result to dst — the same snippet and IList ForResultTokens derives, in the
+// bytes a shard server's responses carry — and returns the extended buffer.
+// The statistics, the IList and the selection are the worker's scratch
+// (derive), from which the record is written; none of them is kept, so with
+// room in dst it allocates nothing.
+func (g *Generator) AppendRecord(dst []byte, r *search.Result, kws []string, bound int) []byte {
 	w := g.worker()
 	defer g.put(w)
 	sp, start, end := r.Space()
-	_, il, sel := g.derive(w, sp, start, end, r.Doc, kws, bound, true)
-	w.rec = rec.AppendSnippet(w.rec[:0], sel, sel.Edges, il, sel.Covered, sel.Skipped)
+	_, sel := g.derive(w, sp, start, end, r.Doc, kws, bound, &w.il, false)
+	dst = rec.AppendSnippet(dst, sel, sel.Edges, &w.il, sel.Covered, sel.Skipped)
 	sel.Release()
-	return string(w.rec)
+	return dst
 }
 
-// ServeResult is the served snippet of a search result (Served over its
-// Record): its XML, edges and key, and its record, from which a reader's
-// first Derived decodes the snippet tree and the IList. Only the snippet
-// fan-out (shard.Snippets) calls it; inspection keeps owned artifacts, which
-// its callers read.
+// ServeResult is a local corpus's served snippet of a search result: its XML,
+// rendered from the selection through the selection's scratch tree
+// (selector.Selection.Tree) by the one serializer, its edges and its key,
+// beside the result and this generator, from which a reader's first Derived
+// derives the snippet tree and the IList again (rederive). The statistics,
+// the IList and the selection are the worker's scratch and no record is
+// written, so a served snippet is two objects: its XML and itself. Only the
+// snippet fan-out (shard.Snippets) calls it; inspection keeps owned
+// artifacts, which its callers read.
 func (g *Generator) ServeResult(r *search.Result, kws []string, bound int) *Generated {
-	return Served(g.Record(r, kws, bound), kws, bound, nil)
+	w := g.worker()
+	defer g.put(w)
+	sp, start, end := r.Space()
+	_, sel := g.derive(w, sp, start, end, r.Doc, kws, bound, &w.il, false)
+	d := &served{
+		g:   Generated{XML: xmltree.XMLString(sel.Tree()), Edges: sel.Edges, ResultKey: w.il.KeyValue, Keywords: kws, Bound: bound},
+		src: source{gen: g, result: r},
+	}
+	sel.Release()
+	d.g.src = &d.src
+	return &d.g
+}
+
+// rederive is a local served snippet's first Derived: the pipeline run again
+// on its result, as inspect runs it but with the statistics in the worker's
+// scratch, for the snippet tree and the IList alone. It reads the result
+// through its space (search.Result.Space), so a whole-document result builds
+// no copy of the document.
+func (g *Generator) rederive(r *search.Result, kws []string, bound int) (*selector.Snippet, *ilist.IList) {
+	w := g.worker()
+	defer g.put(w)
+	sp, start, end := r.Space()
+	il := &ilist.IList{}
+	_, sel := g.derive(w, sp, start, end, r.Doc, kws, bound, il, false)
+	return sel.Snippet(), il
 }
 
 // SnippetedResult pairs a search result with its generated snippet.

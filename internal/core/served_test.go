@@ -10,10 +10,10 @@ import (
 )
 
 // TestServedSnippetAllocations: the served path (ServeResult) derives the
-// statistics, the IList and the selection in pooled scratch, writes the
-// snippet's record and keeps nothing else — so a served snippet costs the
-// same small number of objects (the record, its rendered XML and the served
-// snippet with its record header) at bounds 4 and 20, over results whose
+// statistics, the IList and the selection in pooled scratch, renders the XML
+// from the selection through pooled scratch nodes, writes no record and keeps
+// nothing else — so a served snippet costs two objects (its rendered XML and
+// the served snippet with its source) at bounds 4 and 20, over results whose
 // ILists differ more than fivefold in length: nothing per IList item and
 // nothing per snippet node.
 func TestServedSnippetAllocations(t *testing.T) {
@@ -58,8 +58,8 @@ func TestServedSnippetAllocations(t *testing.T) {
 		t.Fatalf("objects per served snippet differ by result or bound: %v", counts)
 	}
 	for n := range counts {
-		if n > 3 {
-			t.Fatalf("a served snippet costs %v objects, want at most 3", n)
+		if n > 2 {
+			t.Fatalf("a served snippet costs %v objects, want at most 2", n)
 		}
 	}
 }

@@ -121,11 +121,16 @@ type Stats struct {
 
 	// The result is the interval [start, end] of space, its elements the
 	// entries [lo, hi) of the space's columns, nodes[0] its node at start;
-	// for a tree that has no index, space is nil.
+	// for a tree that has no index, space is nil. multi is set when space
+	// has several parts, whose symbol ids are renumbered (Sym). cols are the
+	// columns the fold read of a tree that has no index, on a collector's
+	// scratch Stats only (Columns).
 	space      *index.Whole
+	multi      bool
 	start, end int32
 	lo, hi     int
 	nodes      []*xmltree.Node
+	cols       *index.Columns
 
 	byName sync.Once
 	featID map[Feature]int32
@@ -283,7 +288,9 @@ func (c *Collector) CollectResult(ix *index.Index, result *xmltree.Document) *St
 // keeps no statistics (a served snippet, core.Generator.ServeResult) uses, so
 // they cost nothing once the scratch has grown to the result. That Stats is
 // valid until the collector's next Collect* call or ReleaseScratch; nothing
-// may keep it, or any slice it hands out, past that.
+// may keep it, or any slice it hands out, past that. It also hands out the
+// element columns it filled for a tree that has no index (Columns), so the
+// selection that follows reads them instead of filling its own.
 func (c *Collector) CollectIn(w *index.Whole, start, end int32, tree *xmltree.Document, scratch bool) *Stats {
 	if c.stats == nil {
 		c.stats = &Stats{}
@@ -300,12 +307,16 @@ func (c *Collector) CollectIn(w *index.Whole, start, end int32, tree *xmltree.Do
 		}
 		c.cols.Fill(tree.Nodes())
 		dst.nodes, dst.start, dst.end, dst.hi = tree.Nodes(), root.Start, root.End, c.cols.Len()
+		if scratch {
+			dst.cols = &c.cols
+		}
 		return c.fold(dst, &c.cols, 0, dst.hi)
 	}
 	fold := func(dst *Stats) *Stats {
 		cols := w.Columns()
 		dst.lo, dst.hi = cols.Run(start, end)
 		dst.space, dst.start, dst.end, dst.nodes = w, start, end, w.Nodes()[start:end+1]
+		dst.multi = len(w.Parts()) > 1
 		return c.fold(dst, cols, dst.lo, dst.hi)
 	}
 	if start != 0 || int(end) != w.Len()-1 {
@@ -563,13 +574,22 @@ func (s *Stats) Run() (lo, hi int) { return s.lo, s.hi }
 func (s *Stats) Node(pos int32) *xmltree.Node { return s.nodes[pos-s.start] }
 
 // Sym returns the symbol id of n, the node at a position inside the result,
-// in the space's numbering: n's own Sym unless the space has several parts.
+// in the space's numbering: n's own Sym unless the space has several parts —
+// answered inline, so only a whole document of several parts pays the
+// space's lookup.
 func (s *Stats) Sym(pos int32, n *xmltree.Node) int32 {
-	if s.space == nil {
-		return n.Sym
+	if s.multi {
+		return s.space.Sym(pos, n)
 	}
-	return s.space.Sym(pos, n)
+	return n.Sym
 }
+
+// Columns returns the element columns of a result that has no index, as the
+// fold read them, when these are a collector's scratch statistics
+// (CollectIn with scratch), valid as long as they are; nil otherwise — an
+// indexed result's columns are its space's parts' (index.Whole.Parts), and
+// owned statistics keep none of the collector's scratch.
+func (s *Stats) Columns() *index.Columns { return s.cols }
 
 // Index returns the index of the first part of the space these statistics
 // were folded in — for a view, the index of the document it is a view of —

@@ -1,6 +1,6 @@
 // Package record is the one byte layout of XR's tree and snippet records:
-// what a shard server sends a router, and what a served snippet is kept as
-// on every backend. A result tree and a snippet tree travel as the same node
+// what a shard server sends a router, and what a router's served snippet is
+// kept as. A result tree and a snippet tree travel as the same node
 // records; a snippet record adds its edge count, IList and covered and
 // skipped items. The package writes records (AppendNode, AppendSnippet) and
 // reads records a scan has already validated (Reader, Snippet, Shown): it

@@ -653,13 +653,13 @@ func (c *cursor) results(shard int32, terms int) []scanned {
 // --- snippet records ---
 
 // appendRecords appends one record list: the count, then each snippet record
-// (core.Generator.Record) as it was written. It is a snippets response's
-// body, and it follows every result list of an eval or full response, one
-// record a result or none.
-func appendRecords(b []byte, recs []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(recs)))
-	for _, rec := range recs {
-		b = append(b, rec...)
+// (core.Generator.AppendRecord) copied from the buffer it was written into
+// (shard.Records). It is a snippets response's body, and it follows every
+// result list of an eval or full response, one record a result or none.
+func appendRecords(b []byte, recs *shard.RecordSet) []byte {
+	b = binary.AppendUvarint(b, uint64(recs.Len()))
+	for i := range recs.Len() {
+		b = append(b, recs.At(i)...)
 	}
 	return b
 }
@@ -748,15 +748,17 @@ type shardAnswer struct {
 	shard   uint32
 	digest  shard.Digest
 	results []*search.Result
-	records []string
+	records *shard.RecordSet
 }
 
 // evalAnswer is what a shard server computed for one eval request, before
 // encoding: terms are the query's term keys (search.TermKeys), which a shipped
-// result's match depths follow.
+// result's match depths follow, and records the snippet records of every
+// shard of the leading run, each shard's a Slice of them.
 type evalAnswer struct {
-	terms  []string
-	shards []shardAnswer
+	terms   []string
+	shards  []shardAnswer
+	records *shard.RecordSet
 }
 
 // appendEvalResp appends an eval response body — counts and handles, and the
@@ -834,7 +836,7 @@ func decodeEvalResp(body []byte, terms, lead int) (evalResp, error) {
 // request has a snippet bound, one snippet record a result.
 type fullAnswer struct {
 	results []*search.Result
-	records []string
+	records *shard.RecordSet
 }
 
 // appendFullResp appends a full response body: one result list

@@ -245,17 +245,18 @@ func codecAnswers(tb testing.TB) []codecAnswer {
 				results += len(handles)
 				out = append(out, codecAnswer{evalAnswer: a, full: full})
 				if len(handles) > 0 {
-					recs, err := srv.snippets(st, treesReq{opts: opts, query: q, fingerprint: st.fingerprint, bound: 6, handles: handles})
+					set, err := srv.snippets(st, treesReq{opts: opts, query: q, fingerprint: st.fingerprint, bound: 6, handles: handles})
 					if err != nil {
 						tb.Fatalf("%q: %v", q, err)
 					}
+					recs := recordStrings(set)
 					a, full, err := answer(6)
 					if err != nil {
 						tb.Fatalf("%q at a bound: %v", q, err)
 					}
 					var carried []string
 					for _, s := range a.shards {
-						carried = append(carried, s.records...)
+						carried = append(carried, recordStrings(s.records)...)
 					}
 					if !slices.Equal(carried, recs) {
 						tb.Fatalf("%q: the eval round carried %d records, not the %d the snippets handler makes", q, len(carried), len(recs))

@@ -235,7 +235,7 @@ func FuzzEvalRespDecode(f *testing.F) {
 				f.Add(uint8(len(a.terms)), body)
 				carried++
 			}
-			if body := appendFullResp(nil, a.full, a.terms); len(a.full.records) > 0 && len(body) <= maxSeed {
+			if body := appendFullResp(nil, a.full, a.terms); a.full.records.Len() > 0 && len(body) <= maxSeed {
 				f.Add(uint8(len(a.terms)), body)
 				fullCarried++
 			}

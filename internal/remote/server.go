@@ -287,10 +287,14 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 	switch t {
 	case msgEval:
 		return staged(s, st, "eval", msgEvalResp, payload, enc, decodeEvalReq, s.evaluate,
-			func(b []byte, _ evalReq, a evalAnswer) []byte { return appendEvalResp(b, a) })
+			func(b []byte, _ evalReq, a evalAnswer) []byte {
+				defer a.records.Release()
+				return appendEvalResp(b, a)
+			})
 	case msgFull:
 		return staged(s, st, "full", msgFullResp, payload, enc, decodeEvalReq, s.fullEval,
 			func(b []byte, req evalReq, a fullAnswer) []byte {
+				defer a.records.Release()
 				return appendFullResp(b, a, search.TermKeys(req.query))
 			})
 	case msgTrees:
@@ -298,7 +302,10 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 			func(b []byte, _ treesReq, rs []*search.Result) []byte { return appendTreesResp(b, rs) })
 	case msgSnippets:
 		return staged(s, st, "snippets", msgSnippetsResp, payload, enc, decodeTreesReq, s.snippets,
-			func(b []byte, _ treesReq, recs []string) []byte { return appendRecords(b, recs) })
+			func(b []byte, _ treesReq, recs *shard.RecordSet) []byte {
+				defer recs.Release()
+				return appendRecords(b, recs)
+			})
 	case msgComplete:
 		req, err := decodeCompleteReq(payload)
 		if err != nil {
@@ -423,20 +430,22 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	for _, sa := range lead {
 		rs = append(rs, sa.results...)
 	}
-	recs, err := s.records(ctx, st, rs, req.query, req.bound)
-	if err != nil {
+	if a.records, err = s.records(ctx, st, rs, req.query, req.bound); err != nil {
 		return evalAnswer{}, err
 	}
+	at := 0
 	for i := range lead {
 		n := len(lead[i].results)
-		lead[i].records, recs = recs[:n:n], recs[n:]
+		lead[i].records = a.records.Slice(at, at+n)
+		at += n
 	}
 	return a, nil
 }
 
 // records writes the snippet records of rs at bound (shard.Records) and
-// counts them.
-func (s *Server) records(ctx context.Context, st *serverState, rs []*search.Result, query string, bound int) ([]string, error) {
+// counts them. The encoder copies them into the response, and the handler
+// then releases them (handle).
+func (s *Server) records(ctx context.Context, st *serverState, rs []*search.Result, query string, bound int) (*shard.RecordSet, error) {
 	if len(rs) == 0 {
 		return nil, nil
 	}
@@ -444,7 +453,7 @@ func (s *Server) records(ctx context.Context, st *serverState, rs []*search.Resu
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.snippetsMade(len(recs))
+	s.metrics.snippetsMade(recs.Len())
 	return recs, nil
 }
 
@@ -531,7 +540,7 @@ func (s *Server) trees(st *serverState, req treesReq) ([]*search.Result, error) 
 // generation, on owned shards only, or on the whole document); then the local
 // fan-out writes their snippet records at the request's bound (records) — one
 // a handle, in request order, sent as they were written.
-func (s *Server) snippets(st *serverState, req treesReq) ([]string, error) {
+func (s *Server) snippets(st *serverState, req treesReq) (*shard.RecordSet, error) {
 	if req.bound < 0 {
 		return nil, protocolErrf("snippets request without a snippet bound")
 	}

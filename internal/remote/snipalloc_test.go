@@ -90,3 +90,46 @@ func TestRoutedSnippetAllocations(t *testing.T) {
 		t.Fatalf("edges %v and IList items %v: the fixture does not vary what a snippet holds", edges, items)
 	}
 }
+
+// TestServerRecordsAllocations: a shard server writes its snippet records
+// into pooled buffers, one a fan-out task (shard.Records), and the encoder
+// copies them from there into the response (appendRecords) before they go
+// back to the pool — so no record is an allocation of its own, and writing
+// and encoding a snippets response of 3 records allocates the same count of
+// objects as one of 30.
+func TestServerRecordsAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's own allocations make counts inexact")
+	}
+	sc := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 4, ClothesPerStore: 6, Seed: 7}), 1)
+	srv := NewServer(sc)
+	defer srv.Close()
+	st := srv.state.Load()
+	ctx := context.Background()
+	const q, bound = "clothes", 6
+	parts, err := sc.EvalShards(ctx, q, search.Options{DistinctAnchors: true}, []int{0}, nil, nil)
+	if err != nil || len(parts[0].Results) < 30 {
+		t.Fatalf("%q: %d results, want 30 (%v)", q, len(parts[0].Results), err)
+	}
+	var enc []byte
+	respond := func(n int) {
+		recs, err := srv.records(ctx, st, parts[0].Results[:n], q, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc = appendRecords(append(enc[:0], make([]byte, respHeaderLen)...), recs)
+		recs.Release()
+	}
+	counts := map[int]float64{}
+	for _, n := range []int{3, 30} {
+		respond(n) // the pooled buffers grow to the records
+		counts[n] = testing.AllocsPerRun(50, func() { respond(n) })
+		if recs, err := decodeSnippetsResp(enc[respHeaderLen:]); err != nil || len(recs) != n {
+			t.Fatalf("a response of %d records decodes to %d (%v)", n, len(recs), err)
+		}
+	}
+	t.Logf("objects: %v", counts)
+	if counts[3] != counts[30] {
+		t.Fatalf("a response of 3 records allocates %v objects, one of 30 %v: records are allocated one by one", counts[3], counts[30])
+	}
+}

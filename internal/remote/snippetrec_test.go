@@ -3,6 +3,7 @@ package remote
 import (
 	"extract/internal/core"
 	"extract/internal/record"
+	"extract/internal/shard"
 	"extract/xmltree"
 )
 
@@ -42,10 +43,19 @@ func (t preorder) Node(i int) (*xmltree.Node, int) { return t[i], len(t[i].Child
 
 // recordsOf encodes snippets as a shard server's responses carry them
 // (appendRecords).
-func recordsOf(gs []*core.Generated) []string {
-	recs := make([]string, len(gs))
+func recordsOf(gs []*core.Generated) *shard.RecordSet {
+	recs := make([][]byte, len(gs))
 	for i, g := range gs {
-		recs[i] = string(appendSnippet(nil, g))
+		recs[i] = appendSnippet(nil, g)
+	}
+	return shard.RecordsOf(recs...)
+}
+
+// recordStrings copies every record of a set out of its buffers.
+func recordStrings(set *shard.RecordSet) []string {
+	recs := make([]string, set.Len())
+	for i := range recs {
+		recs[i] = string(set.At(i))
 	}
 	return recs
 }

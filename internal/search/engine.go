@@ -111,7 +111,12 @@ func (e *Engine) Evaluate(query string) (*Evaluation, error) {
 // still qualify from later matches, and Free needs the root's row after the
 // last one (see PERFORMANCE.md). limit <= 0 behaves exactly like Evaluate.
 func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
-	ev, err := e.Lists(query)
+	return e.evaluateBounded(ParseQuery(query), limit)
+}
+
+// evaluateBounded is EvaluateBounded over the query's parsed terms.
+func (e *Engine) evaluateBounded(terms []Term, limit int) (*Evaluation, error) {
+	ev, err := e.ListsOf(terms)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +135,12 @@ func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
 // Evaluation without the LCA scan. It is what rebuilding a result from its
 // position needs (ResultAt).
 func (e *Engine) Lists(query string) (*Evaluation, error) {
-	terms := ParseQuery(query)
+	return e.ListsOf(ParseQuery(query))
+}
+
+// ListsOf is Lists over a query already parsed (ParseQuery), so the shards
+// of one evaluation share one parse. terms are only read.
+func (e *Engine) ListsOf(terms []Term) (*Evaluation, error) {
 	if len(terms) == 0 {
 		return nil, ErrEmptyQuery
 	}
@@ -251,12 +261,19 @@ const resultSlab = 256
 // stops at MaxResults, and only the LCAs reached by then are mapped to their
 // nodes. Returns the evaluation and the results.
 func (e *Engine) EvaluateResults(query string, keep func(*xmltree.Node) bool) (*Evaluation, []*Result, error) {
+	return e.EvaluateResultsOf(ParseQuery(query), keep)
+}
+
+// EvaluateResultsOf is EvaluateResults over a query already parsed
+// (ParseQuery): a widened retry parses nothing again, and the shards of one
+// evaluation share one parse. terms are only read.
+func (e *Engine) EvaluateResultsOf(terms []Term, keep func(*xmltree.Node) bool) (*Evaluation, []*Result, error) {
 	limit := 0
 	if e.opts.MaxResults > 0 && e.opts.Semantics != SemanticsELCA {
 		limit = e.opts.MaxResults
 	}
 	for {
-		ev, err := e.EvaluateBounded(query, limit)
+		ev, err := e.evaluateBounded(terms, limit)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -82,5 +82,5 @@ func GreedyRatio(doc *xmltree.Document, il *ilist.IList, stats *features.Stats, 
 	}
 	slices.Sort(covered)
 	s.shape()
-	return &Snippet{Root: s.materialize(), Covered: covered, Skipped: skipped, Edges: edges}
+	return &Snippet{Root: s.owned(), Covered: covered, Skipped: skipped, Edges: edges}
 }

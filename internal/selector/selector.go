@@ -71,10 +71,12 @@ type selection struct {
 	il    *ilist.IList
 	stats *features.Stats
 	// The result is the interval [root, end] of space, nil for a tree that
-	// has no index, whose columns cols holds.
+	// has no index, whose columns tree points at: the ones the statistics'
+	// fold read (features.Stats.Columns), or else own, filled here.
 	space     *index.Whole
 	root, end int32
-	cols      index.Columns
+	tree      *index.Columns
+	own       index.Columns
 
 	// stamp marks what belongs to this snippet in memo and mark, so neither
 	// is cleared between snippets.
@@ -105,6 +107,10 @@ type selection struct {
 	path, best []int32 // climb buffers
 	part       []int   // GreedySelection's covered and skipped items
 	done       Selection
+	// copies and arena are the storage of the snippet tree Tree builds,
+	// reused from one selection to the next.
+	copies []xmltree.Node
+	arena  []*xmltree.Node
 	// cursor is the column entry the last climb started from, in part
 	// part, and run the result's entries in part 0 (entry).
 	cursor struct{ part, at int }
@@ -132,7 +138,10 @@ func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selec
 	s.cursor.part = -1
 	s.run.lo, s.run.hi = stats.Run()
 	if s.space == nil {
-		s.cols.Fill(doc.Nodes())
+		if s.tree = stats.Columns(); s.tree == nil {
+			s.own.Fill(doc.Nodes())
+			s.tree = &s.own
+		}
 	}
 	s.stamp++
 	if s.stamp == 0 { // wrapped: stale entries could read as current
@@ -293,7 +302,8 @@ func (s *selection) release() {
 	}
 	clear(s.kwIndex)
 	s.members, s.triples, s.hits = s.members[:0], s.triples[:0], s.hits[:0]
-	s.il, s.stats, s.space = nil, nil, nil
+	s.il, s.stats, s.space, s.tree = nil, nil, nil, nil
+	clear(s.copies)
 	selections.Put(s)
 }
 
@@ -484,7 +494,7 @@ func (s *selection) cost(deepest int32, limit int) int {
 	if s.inTree(deepest) {
 		return 0
 	}
-	i, local, cols := 0, deepest, &s.cols
+	i, local, cols := 0, deepest, s.tree
 	if s.space != nil {
 		i, local = s.space.Locate(deepest)
 		cols = s.space.Parts()[i].Columns()
@@ -664,9 +674,22 @@ func (x *Selection) Snippet() *Snippet {
 	part := make([]int, len(x.Covered)+len(x.Skipped))
 	c := copy(part, x.Covered)
 	copy(part[c:], x.Skipped)
-	sn := &Snippet{Root: x.s.materialize(), Covered: part[:c:c], Skipped: part[c:], Edges: x.Edges}
+	sn := &Snippet{Root: x.s.owned(), Covered: part[:c:c], Skipped: part[c:], Edges: x.Edges}
 	x.Release()
 	return sn
+}
+
+// Tree materializes the snippet tree as Snippet does, into storage the
+// selection keeps: what a served snippet's XML is rendered from. The tree is
+// valid until Release, which drops its nodes; nothing may keep any of them.
+func (x *Selection) Tree() *xmltree.Node {
+	s := x.s
+	n := len(s.members)
+	if cap(s.copies) < n {
+		s.copies, s.arena = make([]xmltree.Node, n), make([]*xmltree.Node, n)
+	}
+	s.copies = s.copies[:n]
+	return s.materialize(s.copies, s.arena[:n-1])
 }
 
 // shape sorts the member set, which is closed over ancestors up to the
@@ -692,18 +715,23 @@ func (s *selection) shape() {
 	}
 }
 
+// owned materializes the snippet tree into storage of its own: one slab of
+// nodes, one arena of child lists.
+func (s *selection) owned() *xmltree.Node {
+	n := len(s.members)
+	return s.materialize(make([]xmltree.Node, n), make([]*xmltree.Node, n-1))
+}
+
 // materialize copies the shaped member set (shape) into a snippet tree in
-// document order. The copies share one slab and their child lists one
-// arena; Origin pointers lead back to the members.
-func (s *selection) materialize() *xmltree.Node {
+// document order, one node of copies a member, every child list carved from
+// arena (a member less long). Origin pointers lead back to the members.
+func (s *selection) materialize(copies []xmltree.Node, arena []*xmltree.Node) *xmltree.Node {
 	members := s.members
 	n := len(members)
 	parent, kids := s.ints[:n], s.ints[n:2*n]
-	copies := make([]xmltree.Node, n)
-	arena := make([]*xmltree.Node, n-1)
 	for i, p := range members {
 		m, c := s.stats.Node(p), &copies[i]
-		c.Kind, c.Label, c.Value, c.FromAttr, c.Origin = m.Kind, m.Label, m.Value, m.FromAttr, m
+		*c = xmltree.Node{Kind: m.Kind, Label: m.Label, Value: m.Value, FromAttr: m.FromAttr, Origin: m}
 		if kids[i] > 0 {
 			c.Children, arena = arena[:0:kids[i]], arena[kids[i]:]
 		}

@@ -34,11 +34,12 @@ type Backend interface {
 	// Answer evaluates a query, scheduling independent work through run
 	// (nil = own goroutines) and honoring ctx cancellation between units of
 	// work. When bound >= 0 it also returns one snippet per result at that
-	// bound, aligned with the results, each a served snippet
-	// (core.Served: its record, with its XML rendered); bound < 0 is search
-	// only, with nil snippets. Results may be deferred
-	// (search.Result.Tree); a served snippet's tree and IList are decoded
-	// from its record when read (core.Generated.Derived).
+	// bound, aligned with the results, each a served snippet with its XML
+	// rendered (core.Generator.ServeResult on a local corpus, core.Served
+	// over a received record on a router); bound < 0 is search only, with
+	// nil snippets. Results may be deferred (search.Result.Tree); a served
+	// snippet's tree and IList are derived when read
+	// (core.Generated.Derived).
 	Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error)
 }
 
@@ -280,10 +281,11 @@ func (rk *Ranking) At(i int) (index int, score float64) {
 // generation the entry's Backend already pins — and a deferred result (what a
 // router returns) a header and the bytes it retains besides: its keyword
 // depths. An owned result tree (a trimmed projection) is charged per node. A
-// snippet is charged its rendered XML and its record's bytes (every
-// backend's answer keeps each snippet as its record, core.Served) — and
-// once a reader has decoded them (Derived), its tree per node and its IList
-// per item; a filled Ranking 12 bytes a result. The constants are rough
+// snippet is charged its rendered XML and the bytes of the record it keeps —
+// a router's (core.Served); a local corpus's keeps none, only its result,
+// which the entry charges already (core.Generator.ServeResult) — and once a
+// reader has derived its tree and IList (Derived), the tree per node and the
+// IList per item; a filled Ranking 12 bytes a result. The constants are rough
 // costs (node struct, slice and map headers; an ilist.Item with its share of
 // slice growth), not an exact accounting: TestCostChargesWhatAnEntryOwns
 // holds a routed entry's charge to what it retains (six 133-edge retailer
@@ -291,7 +293,7 @@ func (rk *Ranking) At(i int) (index int, score float64) {
 // for 23.4 KB once every snippet is decoded; 133 KB for 133 KB once Trees
 // has built the trees too). A deferred result whose tree was built is
 // charged as the owned tree it now holds: Trees re-charges a cached entry
-// when it builds, and Derived when it decodes a snippet.
+// when it builds, and Derived when it derives a snippet.
 func (v *Cached) cost() int64 {
 	const (
 		perNode   = 136
@@ -311,7 +313,7 @@ func (v *Cached) cost() int64 {
 	for _, g := range v.Snippets {
 		pending, enc := g.Encoded()
 		if c += int64(len(g.XML) + enc); pending {
-			continue // the record, its own small header within its result's
+			continue // the XML and any record, its own small header within its result's
 		}
 		d := g.Derived()
 		c += perEntry + perNode*int64(d.Edges+1) + perItem*int64(len(d.IList.Items))
@@ -435,8 +437,9 @@ func (v *Cached) Trees(ctx context.Context) ([]*search.Result, error) {
 }
 
 // Derived returns snippet g of the entry with its tree and IList
-// (core.Generated.Derived): decoded from the snippet's record the first time
-// anything asks, once for every holder of the entry — and
+// (core.Generated.Derived): derived from the snippet's result on a local
+// corpus, decoded from its record on a router, the first time anything asks,
+// once for every holder of the entry — and
 // an entry still cached is then re-charged for them, as Trees re-charges it
 // for the trees it builds.
 func (v *Cached) Derived(g *core.Generated) *core.Generated {
@@ -453,8 +456,8 @@ func (v *Cached) Derived(g *core.Generated) *core.Generated {
 // over with its XML rendered — recorded into the trace as the eval and
 // snippet stages. The snippet stage is the time the backend noted on the
 // query's span sink for its snippets — a local corpus's fan-out, which
-// writes each snippet's record and renders its XML, a router's round of
-// snippets calls to the shard servers.
+// renders each snippet's XML, a router's round of snippets calls to the
+// shard servers.
 func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts search.Options, bound int) (*Cached, error) {
 	t := time.Now()
 	b := s.Backend()

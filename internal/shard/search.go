@@ -235,10 +235,13 @@ func (r localRounds) Whole(ctx context.Context, parts []Partial[*search.Result],
 // early once the result bound is provably filled (search.EvaluateResults),
 // and digests what it found; a shard missing a query keyword stops after its
 // posting-list lookups. The evaluations are scheduled through run, each
-// behind a Checkpoint. engines is SearchEnginesContext's, passed through by
-// the local merge; a shard server passes nil.
+// behind a Checkpoint. The query is parsed once, here, and every shard's
+// engine reads that parse (search.Engine.EvaluateResultsOf). engines is
+// SearchEnginesContext's, passed through by the local merge; a shard server
+// passes nil.
 func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Options, shards []int, engines []*search.Engine, run Runner) ([]Partial[*search.Result], error) {
-	if len(search.ParseQuery(query)) == 0 {
+	terms := search.ParseQuery(query)
+	if len(terms) == 0 {
 		return nil, search.ErrEmptyQuery
 	}
 	parts := make([]Partial[*search.Result], len(shards))
@@ -246,7 +249,7 @@ func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Opti
 	tasks := make([]func(), len(shards))
 	for k, i := range shards {
 		eng, root := sc.engine(engines, i, opts), sc.shards[i].Doc.Root
-		tasks[k] = func() { parts[k], errs[k] = evalShard(ctx, eng, root, query) }
+		tasks[k] = func() { parts[k], errs[k] = evalShard(ctx, eng, root, terms) }
 	}
 	if err := Run(run, tasks); err != nil {
 		return nil, err
@@ -259,15 +262,16 @@ func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Opti
 	return parts, nil
 }
 
-// evalShard is one shard's round one, behind a Checkpoint.
-func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, query string) (Partial[*search.Result], error) {
+// evalShard is one shard's round one, behind a Checkpoint, over the query's
+// terms as EvalShards parsed them once for every shard.
+func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, terms []search.Term) (Partial[*search.Result], error) {
 	if err := Checkpoint(ctx); err != nil {
 		return Partial[*search.Result]{}, err
 	}
 	// The local LCA set minus the shard root is — under contiguous
 	// partitioning — exactly this shard's slice of the global non-root LCA
 	// set.
-	ev, results, err := eng.EvaluateResults(query,
+	ev, results, err := eng.EvaluateResultsOf(terms,
 		func(n *xmltree.Node) bool { return n != root })
 	if err != nil {
 		return Partial[*search.Result]{}, err

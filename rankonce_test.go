@@ -76,7 +76,8 @@ func TestWarmQueryAllocations(t *testing.T) {
 // same count at 1, 5 and 25 hits, ranked or not, and no more than
 // coldAllocBase + coldAllocPerHit·hits. A result's matches are runs of the
 // query's posting lists, a served snippet's statistics and its IList's set
-// live in per-worker scratch, and tokens rebuilt for a lookup reuse a buffer:
+// live in per-worker scratch, a served snippet is its XML and itself (no
+// record is written), and tokens rebuilt for a lookup reuse a buffer:
 // nothing on the path allocates per node, per item or per feature.
 func TestColdQueryAllocations(t *testing.T) {
 	if raceDetector {
@@ -85,7 +86,7 @@ func TestColdQueryAllocations(t *testing.T) {
 	// At 4 shards each shard builds up to hits results before the merge cut
 	// (at most 8 here: a shard holds 8 stores), so the slope carries four
 	// built results a hit besides the hit's snippet.
-	const coldAllocBase, coldAllocPerHit = 100, 24
+	const coldAllocBase, coldAllocPerHit = 100, 23
 	const q, bound = "store", 6
 	ctx := context.Background()
 	counts := make(map[string]float64)

@@ -161,15 +161,6 @@ func (c *Classification) OfLabel(label string) Category {
 	return c.byLabel[label]
 }
 
-// Of returns the category of a node instance: Value for text nodes, the
-// label category otherwise.
-func (c *Classification) Of(n *xmltree.Node) Category {
-	if n.IsText() {
-		return Value
-	}
-	return c.OfLabel(n.Label)
-}
-
 // IsEntity reports whether the node is an entity instance.
 func (c *Classification) IsEntity(n *xmltree.Node) bool {
 	return n.IsElement() && c.OfLabel(n.Label) == Entity
@@ -200,17 +191,12 @@ func (c *Classification) withCategory(want Category) []string {
 	return out
 }
 
-// EntityOwner returns the nearest ancestor-or-self of n that is an entity
-// instance, or nil. Attributes and values belong to the entity returned
-// here; this resolves the e of a feature (e, a, v).
-func (c *Classification) EntityOwner(n *xmltree.Node) *xmltree.Node {
-	return c.EntityOwnerWithin(n, nil)
-}
-
-// EntityOwnerWithin is EntityOwner with the climb stopped at root
-// (inclusive): the owner of n inside the tree rooted at root. A query
-// result may be a view rooted below an entity of its source document, and
-// an owner outside the result is not part of it.
+// EntityOwnerWithin returns the nearest ancestor-or-self of n that is an
+// entity instance, with the climb stopped at root (inclusive; nil climbs to
+// the document root), or nil. Attributes and values belong to the entity
+// returned here; this resolves the e of a feature (e, a, v). A query result
+// may be a view rooted below an entity of its source document, and an owner
+// outside the result is not part of it.
 func (c *Classification) EntityOwnerWithin(n, root *xmltree.Node) *xmltree.Node {
 	for m := n; m != nil; m = m.Parent {
 		if c.IsEntity(m) {

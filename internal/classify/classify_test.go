@@ -66,20 +66,20 @@ func TestOfNode(t *testing.T) {
 	doc := parse(t, corpus)
 	c := Classify(doc)
 	retailer := doc.Root.ChildElement("retailer")
-	if got := c.Of(retailer); got != Entity {
+	if got := c.OfLabel(retailer.Label); got != Entity {
 		t.Errorf("retailer = %v", got)
 	}
 	name := retailer.ChildElement("name")
-	if got := c.Of(name); got != Attribute {
+	if got := c.OfLabel(name.Label); got != Attribute {
 		t.Errorf("name = %v", got)
 	}
-	if got := c.Of(name.Children[0]); got != Value {
-		t.Errorf("text = %v", got)
+	if text := name.Children[0]; c.IsEntity(text) || c.IsAttribute(text) {
+		t.Errorf("text is classified as an entity or an attribute")
 	}
-	if got := c.Of(doc.Root); got != Connection {
+	if got := c.OfLabel(doc.Root.Label); got != Connection {
 		t.Errorf("root = %v", got)
 	}
-	if !c.IsEntity(retailer) || c.IsAttribute(retailer) {
+	if !c.IsEntity(retailer) || c.IsAttribute(retailer) || !c.IsAttribute(name) || c.IsEntity(name) {
 		t.Error("IsEntity/IsAttribute inconsistent")
 	}
 }
@@ -88,16 +88,16 @@ func TestEntityOwner(t *testing.T) {
 	doc := parse(t, corpus)
 	c := Classify(doc)
 	cat := doc.Root.Descendant("retailer", "store", "merchandises", "clothes", "category")
-	owner := c.EntityOwner(cat)
+	owner := c.EntityOwnerWithin(cat, nil)
 	if owner == nil || owner.Label != "clothes" {
 		t.Errorf("owner of category = %v", owner)
 	}
 	city := doc.Root.Descendant("retailer", "store", "city")
-	owner = c.EntityOwner(city)
+	owner = c.EntityOwnerWithin(city, nil)
 	if owner == nil || owner.Label != "store" {
 		t.Errorf("owner of city = %v", owner)
 	}
-	if got := c.EntityOwner(doc.Root); got != nil {
+	if got := c.EntityOwnerWithin(doc.Root, nil); got != nil {
 		t.Errorf("owner of root = %v", got)
 	}
 }

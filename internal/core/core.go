@@ -113,12 +113,11 @@ const (
 // a pool of workers — a feature collector, whose scratch is the tables and
 // logs of the one fold a snippet makes over its result's elements, with an
 // IList beside it — reused across results, so a snippet allocates what it
-// returns and little else. There are two entry points over one pipeline: the
-// inspection path (ForTree*, ForResult*) returns the snippet tree, the IList
-// and the result's feature statistics, each of its own; the served path
-// derives all three in the worker's scratch and keeps only what it hands on —
-// a local corpus's snippet its XML, edges and key (ServeResult, which
-// shard.Snippets runs), a shard server's its record (AppendRecord, which
+// returns and little else. Every snippet runs one pipeline (derive) with the
+// result's feature statistics in the worker's scratch, and keeps only what
+// its caller reads: ForTree and ForResult the snippet tree and the IList; a
+// local corpus's served snippet its XML, edges and key (ServeResult, which
+// shard.Snippets runs); a shard server's its record (AppendRecord, which
 // shard.Records runs). A Generator is safe for concurrent use by multiple
 // goroutines (the snippet fan-out shares one).
 type Generator struct {
@@ -135,7 +134,7 @@ type Generator struct {
 func NewGenerator(c *Corpus) *Generator { return &Generator{Corpus: c} }
 
 // worker is one snippet's pooled working state: the feature collector, and
-// on the served path the IList.
+// the IList of a snippet that keeps none.
 type worker struct {
 	col *features.Collector
 	il  ilist.IList
@@ -159,26 +158,21 @@ func (g *Generator) put(w *worker) {
 // Generated is a snippet with the intermediate artifacts of its derivation.
 // What a result page shows — XML, Edges and ResultKey — is set on every
 // snippet a backend hands over. A served snippet is those three and where its
-// artifacts come from, nothing else: Snippet, IList and Stats are nil, and
-// Derived makes the snippet tree and the IList the first time a reader asks —
-// a local corpus's (ServeResult) by deriving them again from the result it
-// was made of, a router's (Served) by decoding the record it received. A
-// snippet of the inspection path (ForTree*, ForResult*) has its artifacts
-// set, and is its own Derived. Read the artifacts through Derived.
+// artifacts come from, nothing else: Snippet and IList are nil, and Derived
+// makes them the first time a reader asks — a local corpus's (ServeResult)
+// by deriving them again from the result it was made of, a router's (Served)
+// by decoding the record it received. A snippet of ForTree or ForResult has
+// its artifacts set, and is its own Derived. Read the artifacts through
+// Derived. No snippet keeps the feature statistics it was derived from: they
+// live in a worker's scratch, reused for the next result.
 type Generated struct {
-	Snippet *selector.Snippet
-	IList   *ilist.IList
-	// Stats are the feature statistics the IList and the selection were
-	// derived from, on the inspection path only. They are sized by the
-	// result, not by the snippet; a served snippet's lived in per-worker
-	// scratch, reused for the next result once its XML or record was
-	// written. Nothing else in a Generated refers to them.
-	Stats    *features.Stats
+	Snippet  *selector.Snippet
+	IList    *ilist.IList
 	Keywords []string
 	Bound    int
 	// XML is the snippet tree serialized (xmltree.XMLString): rendered by
 	// ServeResult and Served on every served snippet, and filled by whoever
-	// hands an inspected one to a reader.
+	// hands one of ForTree or ForResult to a reader.
 	XML string
 	// Edges is the snippet's size in edges (Snippet.Edges), and ResultKey
 	// the key value identifying its result, "" if none (IList.KeyValue).
@@ -238,11 +232,11 @@ func Deferred(enc string, decode func(string) (*selector.Snippet, *ilist.IList),
 	return &d.g
 }
 
-// Derived returns the snippet with its artifacts: g itself on the inspection
-// path, and for a served snippet the one derived from its source the first
-// time anything asks — one derivation, whichever of any concurrent first
-// readers runs it, and the same snippet for every later reader. g itself
-// never changes.
+// Derived returns the snippet with its artifacts: g itself for a snippet of
+// ForTree or ForResult, and for a served snippet the one derived from its
+// source the first time anything asks — one derivation, whichever of any
+// concurrent first readers runs it, and the same snippet for every later
+// reader. g itself never changes.
 func (g *Generated) Derived() *Generated {
 	s := g.src
 	if s == nil {
@@ -256,23 +250,22 @@ func (g *Generated) Derived() *Generated {
 	if d := s.derived.Load(); d != nil {
 		return d
 	}
-	var sn *selector.Snippet
-	var il *ilist.IList
+	var d *Generated
 	if s.gen != nil {
-		sn, il = s.gen.rederive(s.result, g.Keywords, g.Bound)
+		d = s.gen.ofResult(s.result, g.Keywords, g.Bound)
 	} else {
-		sn, il = s.decode(s.enc)
+		sn, il := s.decode(s.enc)
+		d = &Generated{Snippet: sn, IList: il, Keywords: g.Keywords, Bound: g.Bound, Edges: g.Edges, ResultKey: g.ResultKey}
 	}
-	d := &Generated{Snippet: sn, IList: il, Keywords: g.Keywords, Bound: g.Bound,
-		XML: g.XML, Edges: g.Edges, ResultKey: g.ResultKey}
+	d.XML = g.XML
 	s.derived.Store(d)
 	return d
 }
 
 // Encoded reports whether g is a served snippet whose artifacts have not
 // been derived yet (Derived), and the length of the record it keeps: 0 on a
-// local corpus's served snippet, which keeps none, and on the inspection
-// path.
+// local corpus's served snippet, which keeps none, and on a snippet of
+// ForTree or ForResult.
 func (g *Generated) Encoded() (pending bool, bytes int) {
 	if g.src == nil {
 		return false, 0
@@ -281,62 +274,56 @@ func (g *Generated) Encoded() (pending bool, bytes int) {
 }
 
 // ForTree generates a snippet for a query-result tree. The keywords are the
-// tokenized query; bound is the maximum number of snippet edges.
+// tokenized query; bound is the maximum number of snippet edges. A result
+// that is a view of the generator's own corpus document is read in that
+// corpus index's space (index.Index.Interval); any other tree is read as it
+// is.
 func (g *Generator) ForTree(result *xmltree.Document, query string, bound int) *Generated {
-	return g.ForTreeTokens(result, index.Tokenize(query), bound)
+	sp, start, end := g.Corpus.Index.Interval(result)
+	return g.snippet(sp, start, end, result, index.Tokenize(query), bound)
 }
 
-// ForTreeTokens is ForTree with the query already tokenized, so a fan-out
-// over many results of one query tokenizes it once. A result that is a view
-// of the generator's own corpus document is read in that corpus index's
-// space (index.Index.Interval); any other tree is read as it is.
-func (g *Generator) ForTreeTokens(result *xmltree.Document, kws []string, bound int) *Generated {
-	sp, start, end := g.Corpus.Index.Interval(result)
-	return g.inspect(sp, start, end, result, kws, bound)
+// ForResult generates a snippet for a search result. A result brings the
+// space it is read in (search.Result.Space), so one generator over a
+// corpus's shared analysis serves the results of every shard and the whole
+// document's, and a whole-document result builds no copy of the document.
+func (g *Generator) ForResult(r *search.Result, query string, bound int) *Generated {
+	return g.ofResult(r, index.Tokenize(query), bound)
+}
+
+// ofResult is ForResult with the query tokenized: what Pipeline runs per
+// result, and a local served snippet's first Derived.
+func (g *Generator) ofResult(r *search.Result, kws []string, bound int) *Generated {
+	sp, start, end := r.Space()
+	return g.snippet(sp, start, end, r.Doc, kws, bound)
+}
+
+// snippet runs the pipeline on one result (derive) for a snippet tree and an
+// IList of their own.
+func (g *Generator) snippet(sp *index.Whole, start, end int32, result *xmltree.Document, kws []string, bound int) *Generated {
+	w := g.worker()
+	defer g.put(w)
+	il := &ilist.IList{}
+	sn := g.derive(w, sp, start, end, result, kws, bound, il).Snippet()
+	return &Generated{Snippet: sn, IList: il, Keywords: kws, Bound: bound, Edges: sn.Edges, ResultKey: il.KeyValue}
 }
 
 // derive runs the pipeline on one result with w up to the selection, which
 // the caller reads and releases. The result is the interval [start, end] of
 // the position space sp (search.Result.Space), or, when sp is nil, the tree
-// result, which has no index. The IList builds into il; the statistics fold
-// into the collector's own scratch Stats, or, with owned, into Stats of the
-// result's own.
-func (g *Generator) derive(w *worker, sp *index.Whole, start, end int32, result *xmltree.Document, kws []string, bound int, il *ilist.IList, owned bool) (*features.Stats, *selector.Selection) {
-	stats := w.col.CollectIn(sp, start, end, result, !owned)
+// result, which has no index. The statistics fold into the collector's
+// scratch (features.Collector.CollectIn) and the IList builds into il.
+func (g *Generator) derive(w *worker, sp *index.Whole, start, end int32, result *xmltree.Document, kws []string, bound int, il *ilist.IList) *selector.Selection {
+	stats := w.col.CollectIn(sp, start, end, result)
 	ilist.BuildInto(il, kws, g.Corpus.Cls, g.Corpus.Keys, stats)
 	if g.Algorithm == AlgExact {
-		return stats, selector.ExactSelection(result, il, stats, bound, g.Exact)
+		return selector.ExactSelection(result, il, stats, bound, g.Exact)
 	}
-	return stats, selector.GreedySelection(result, il, stats, bound)
-}
-
-// inspect snippets one result on the inspection path (derive): the snippet
-// tree, the IList and the statistics are returned, each of its own.
-func (g *Generator) inspect(sp *index.Whole, start, end int32, result *xmltree.Document, kws []string, bound int) *Generated {
-	w := g.worker()
-	defer g.put(w)
-	il := &ilist.IList{}
-	stats, sel := g.derive(w, sp, start, end, result, kws, bound, il, true)
-	sn := sel.Snippet()
-	return &Generated{Snippet: sn, IList: il, Stats: stats, Keywords: kws, Bound: bound, Edges: sn.Edges, ResultKey: il.KeyValue}
-}
-
-// ForResult generates a snippet for a search result.
-func (g *Generator) ForResult(r *search.Result, query string, bound int) *Generated {
-	return g.ForResultTokens(r, index.Tokenize(query), bound)
-}
-
-// ForResultTokens generates a snippet for a search result with the query
-// already tokenized. A result brings the space it is read in
-// (search.Result.Space), so one generator over a corpus's shared analysis
-// serves the results of every shard and the whole document's.
-func (g *Generator) ForResultTokens(r *search.Result, kws []string, bound int) *Generated {
-	sp, start, end := r.Space()
-	return g.inspect(sp, start, end, r.Doc, kws, bound)
+	return selector.GreedySelection(result, il, stats, bound)
 }
 
 // AppendRecord appends the snippet record (internal/record) of a search
-// result to dst — the same snippet and IList ForResultTokens derives, in the
+// result to dst — the same snippet and IList ForResult derives, in the
 // bytes a shard server's responses carry — and returns the extended buffer.
 // The statistics, the IList and the selection are the worker's scratch
 // (derive), from which the record is written; none of them is kept, so with
@@ -345,7 +332,7 @@ func (g *Generator) AppendRecord(dst []byte, r *search.Result, kws []string, bou
 	w := g.worker()
 	defer g.put(w)
 	sp, start, end := r.Space()
-	_, sel := g.derive(w, sp, start, end, r.Doc, kws, bound, &w.il, false)
+	sel := g.derive(w, sp, start, end, r.Doc, kws, bound, &w.il)
 	dst = rec.AppendSnippet(dst, sel, sel.Edges, &w.il, sel.Covered, sel.Skipped)
 	sel.Release()
 	return dst
@@ -355,16 +342,15 @@ func (g *Generator) AppendRecord(dst []byte, r *search.Result, kws []string, bou
 // rendered from the selection through the selection's scratch tree
 // (selector.Selection.Tree) by the one serializer, its edges and its key,
 // beside the result and this generator, from which a reader's first Derived
-// derives the snippet tree and the IList again (rederive). The statistics,
-// the IList and the selection are the worker's scratch and no record is
-// written, so a served snippet is two objects: its XML and itself. Only the
-// snippet fan-out (shard.Snippets) calls it; inspection keeps owned
-// artifacts, which its callers read.
+// derives the snippet tree and the IList again, as ForResult does. The
+// statistics, the IList and the selection are the worker's scratch and no
+// record is written, so a served snippet is two objects: its XML and itself.
+// Only the snippet fan-out (shard.Snippets) calls it.
 func (g *Generator) ServeResult(r *search.Result, kws []string, bound int) *Generated {
 	w := g.worker()
 	defer g.put(w)
 	sp, start, end := r.Space()
-	_, sel := g.derive(w, sp, start, end, r.Doc, kws, bound, &w.il, false)
+	sel := g.derive(w, sp, start, end, r.Doc, kws, bound, &w.il)
 	d := &served{
 		g:   Generated{XML: xmltree.XMLString(sel.Tree()), Edges: sel.Edges, ResultKey: w.il.KeyValue, Keywords: kws, Bound: bound},
 		src: source{gen: g, result: r},
@@ -372,20 +358,6 @@ func (g *Generator) ServeResult(r *search.Result, kws []string, bound int) *Gene
 	sel.Release()
 	d.g.src = &d.src
 	return &d.g
-}
-
-// rederive is a local served snippet's first Derived: the pipeline run again
-// on its result, as inspect runs it but with the statistics in the worker's
-// scratch, for the snippet tree and the IList alone. It reads the result
-// through its space (search.Result.Space), so a whole-document result builds
-// no copy of the document.
-func (g *Generator) rederive(r *search.Result, kws []string, bound int) (*selector.Snippet, *ilist.IList) {
-	w := g.worker()
-	defer g.put(w)
-	sp, start, end := r.Space()
-	il := &ilist.IList{}
-	_, sel := g.derive(w, sp, start, end, r.Doc, kws, bound, il, false)
-	return sel.Snippet(), il
 }
 
 // SnippetedResult pairs a search result with its generated snippet.
@@ -406,7 +378,7 @@ func Pipeline(c *Corpus, query string, bound int, searchOpts search.Options) ([]
 	kws := index.Tokenize(query)
 	out := make([]*SnippetedResult, len(results))
 	for i, r := range results {
-		out[i] = &SnippetedResult{Result: r, Generated: gen.ForResultTokens(r, kws, bound)}
+		out[i] = &SnippetedResult{Result: r, Generated: gen.ofResult(r, kws, bound)}
 	}
 	return out, nil
 }

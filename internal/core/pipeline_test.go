@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -27,14 +26,17 @@ var exactForTests = selector.ExactConfig{MaxInstancesPerItem: 3, MaxExpansions: 
 // checkAgainstOracle runs the pipeline on one result tree — all three
 // selection algorithms — and holds every stage's output to the oracle's:
 // the statistics by name, the dominance scores bit for bit, the IList, and
-// each snippet's coverage, size and XML.
+// each snippet's coverage, size and XML. The generator keeps no statistics,
+// so they are folded here as it folds them (foldAsGenerator).
 func checkAgainstOracle(t testing.TB, name string, c *core.Corpus, result *xmltree.Document, kws []string, bound int) {
 	t.Helper()
 	want := oracleCollect(result.Root, c.Cls)
 	wantIL := oracleIList(result.Root, kws, c.Cls, c.Keys, want)
 
-	got := core.NewGenerator(c).ForTreeTokens(result, kws, bound)
-	checkStats(t, name, got.Stats, want)
+	query := strings.Join(kws, " ")
+	got := core.NewGenerator(c).ForTree(result, query, bound)
+	stats := foldAsGenerator(c, result)
+	checkStats(t, name, stats, want)
 	il := got.IList
 	if len(il.Items) != len(wantIL.Items) {
 		t.Fatalf("%s: IList %v, oracle %v", name, il.Texts(), wantIL.Texts())
@@ -58,9 +60,10 @@ func checkAgainstOracle(t testing.TB, name string, c *core.Corpus, result *xmltr
 	}{
 		{"greedy", got.Snippet, oracleGreedy(result.Root, wantIL, c.Cls, want, bound)},
 		// The ratio selector is the E12 ablation's, not a generator
-		// algorithm: it runs on the generator's own IList and statistics.
-		{"greedy ratio", selector.GreedyRatio(result, il, got.Stats, bound), oracleGreedyRatio(result.Root, wantIL, c.Cls, want, bound)},
-		{"exact", exact.ForTreeTokens(result, kws, bound).Snippet, oracleExact(result.Root, wantIL, c.Cls, want, bound, exactForTests)},
+		// algorithm: it runs on the generator's IList and the statistics
+		// folded as the generator folds them.
+		{"greedy ratio", selector.GreedyRatio(result, il, stats, bound), oracleGreedyRatio(result.Root, wantIL, c.Cls, want, bound)},
+		{"exact", exact.ForTree(result, query, bound).Snippet, oracleExact(result.Root, wantIL, c.Cls, want, bound, exactForTests)},
 	} {
 		sn, ws := sel.sn, sel.ws
 		if !slices.Equal(sn.Covered, ws.Covered) || !slices.Equal(sn.Skipped, ws.Skipped) || sn.Edges != ws.Edges {
@@ -78,16 +81,32 @@ func checkAgainstOracle(t testing.TB, name string, c *core.Corpus, result *xmltr
 	// read node by node — to the same IList and the same snippet.
 	if result.IsView() {
 		g := core.NewGenerator(c)
-		view := g.ForTreeTokens(result, kws, bound)
-		twin := g.ForTreeTokens(xmltree.NewDocument(xmltree.DeepCopy(result.Root)), kws, bound)
-		if view.Stats.Index() != c.Index || twin.Stats.Index() != nil {
-			t.Fatalf("%s: the view was folded from index %p (corpus index %p), its twin from %p", name, view.Stats.Index(), c.Index, twin.Stats.Index())
+		owned := xmltree.NewDocument(xmltree.DeepCopy(result.Root))
+		view, twin := g.ForTree(result, query, bound), g.ForTree(owned, query, bound)
+		if v, o := indexOf(foldAsGenerator(c, result)), indexOf(foldAsGenerator(c, owned)); v != c.Index || o != nil {
+			t.Fatalf("%s: the view was folded from index %p (corpus index %p), its twin from %p", name, v, c.Index, o)
 		}
 		if !slices.Equal(view.IList.Texts(), twin.IList.Texts()) || !slices.Equal(view.Snippet.Covered, twin.Snippet.Covered) ||
 			xmltree.XMLString(view.Snippet.Root) != xmltree.XMLString(twin.Snippet.Root) {
 			t.Fatalf("%s: view and owned twin snippet differently:\n%s\n%s", name, xmltree.XMLString(view.Snippet.Root), xmltree.XMLString(twin.Snippet.Root))
 		}
 	}
+}
+
+// foldAsGenerator folds a result tree's statistics as ForTree does: in the
+// space of the corpus index when the tree is a view of its document.
+func foldAsGenerator(c *core.Corpus, result *xmltree.Document) *features.Stats {
+	sp, start, end := c.Index.Interval(result)
+	return features.NewCollector(c.Cls).CollectIn(sp, start, end, result)
+}
+
+// indexOf returns the index of the first part of the space s was folded in,
+// nil for a tree read on its own.
+func indexOf(s *features.Stats) *index.Index {
+	if sp, _, _ := s.Space(); sp != nil {
+		return sp.Parts()[0]
+	}
+	return nil
 }
 
 func checkStats(t testing.TB, name string, got *features.Stats, want *oracleStats) {
@@ -113,12 +132,12 @@ func checkStats(t testing.TB, name string, got *features.Stats, want *oracleStat
 	if !slices.Equal(got.EntityLabels(), want.entityLabels) {
 		t.Fatalf("%s: entity labels %v, oracle %v", name, got.EntityLabels(), want.entityLabels)
 	}
-	for _, l := range want.entityLabels {
-		if got.FirstEntity(l) != want.firstEntity[l] {
+	for e, l := range want.entityLabels {
+		if got.Node(got.EntityInstances(e)[0]) != want.firstEntity[l] {
 			t.Fatalf("%s: first %q instance differs", name, l)
 		}
 	}
-	if !reflect.DeepEqual(got.Dominant(), want.dominant()) {
+	if !slices.Equal(got.Dominant(), want.dominant()) {
 		t.Fatalf("%s: dominant %v, oracle %v", name, got.Dominant(), want.dominant())
 	}
 }
@@ -295,27 +314,28 @@ func allocationResult(t *testing.T, clothes int) (*core.Corpus, *search.Result) 
 }
 
 // TestSnippetAllocations states the pipeline's cost model as a test: one
-// pass over the result, then work sized by the snippet. It measures the
-// inspection path (ForResultTokens), which hands the statistics back as a
-// Stats of their own: a 10-node and a 10 000-node result with the same
-// distinct content cost the same number of allocations end to end — the
-// statistics' integer columns and the instance arena are one allocation each
-// whatever their length, and everything else is the IList and the snippet,
+// pass over the result, then work sized by the snippet. A 10-node and a
+// 10 000-node result with the same distinct content cost the same number of
+// allocations end to end (ForResult) — the statistics fold into the worker's
+// scratch, and everything the snippet allocates is its IList and its tree,
 // which are equal — and so do the two stages that come after the pass, taken
-// on their own. The served path (ServeResult) folds the statistics into the
-// collector's scratch and allocates none of them; the shard package's
-// TestServedSnippetMatchesInspected holds the two paths equal.
+// on their own over statistics folded as the generator folds them. The served
+// path (ServeResult) runs the same pipeline; the shard package's
+// TestServedSnippetMatchesInspected holds the two equal.
 func TestSnippetAllocations(t *testing.T) {
-	kws := []string{"houston", "suit"}
+	const query = "houston suit"
+	kws := index.Tokenize(query)
 	type measured struct{ nodes, items, snippet, ilist, selection float64 }
 	measure := func(clothes int) measured {
 		c, r := allocationResult(t, clothes)
 		g := core.NewGenerator(c)
-		out := g.ForResultTokens(r, kws, 6)
+		out := g.ForResult(r, query, 6)
+		sp, start, end := r.Space()
+		stats := features.NewCollector(c.Cls).CollectIn(sp, start, end, r.Doc)
 		m := measured{nodes: float64(r.Doc.Len()), items: float64(out.IList.Len())}
-		m.snippet = testing.AllocsPerRun(100, func() { g.ForResultTokens(r, kws, 6) })
-		m.ilist = testing.AllocsPerRun(100, func() { ilist.Build(r.Root, kws, c.Cls, c.Keys, out.Stats) })
-		m.selection = testing.AllocsPerRun(100, func() { selector.Greedy(r.Doc, out.IList, c.Cls, out.Stats, 6) })
+		m.snippet = testing.AllocsPerRun(100, func() { g.ForResult(r, query, 6) })
+		m.ilist = testing.AllocsPerRun(100, func() { ilist.Build(r.Root, kws, c.Cls, c.Keys, stats) })
+		m.selection = testing.AllocsPerRun(100, func() { selector.Greedy(r.Doc, out.IList, c.Cls, stats, 6) })
 		return m
 	}
 	small, large := measure(2), measure(3331)
@@ -331,12 +351,12 @@ func TestSnippetAllocations(t *testing.T) {
 	if small.snippet != large.snippet || small.ilist != large.ilist || small.selection != large.selection {
 		t.Errorf("allocations grow with the result: %+v vs %+v", small, large)
 	}
-	// The whole snippet: 5 for the statistics (the Stats, its integer block,
-	// the instance arena, the entity labels, the entity/attribute pairs), the
-	// IList's, the selection's (covered, skipped, the snippet's slab, child
-	// arena and header) and the Generated. A ceiling, so a stage that starts
-	// allocating per item or per node shows.
-	if small.snippet > 30 {
+	// The whole snippet measures 10: the query's tokens, the IList's, the
+	// selection's (covered, skipped, the snippet's slab, child arena and
+	// header) and the Generated; none for the statistics. The ceiling is that
+	// and two to spare, so a stage that starts allocating per item or per
+	// node shows.
+	if small.snippet > 12 {
 		t.Errorf("a snippet costs %v allocations", small.snippet)
 	}
 }
@@ -355,11 +375,11 @@ func TestGeneratorConcurrentUse(t *testing.T) {
 		}
 	}
 	results = append(results, doc.Subtree(doc.Root))
-	kws := []string{"texas", "store", "suit"}
+	const query = "texas store suit"
 	g := core.NewGenerator(c)
 	want := make([]string, len(results))
 	for i, r := range results {
-		want[i] = xmltree.XMLString(g.ForTreeTokens(r, kws, 8).Snippet.Root)
+		want[i] = xmltree.XMLString(g.ForTree(r, query, 8).Snippet.Root)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -368,7 +388,7 @@ func TestGeneratorConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for k := range results {
 				i := (k*7 + w*13) % len(results)
-				if got := xmltree.XMLString(g.ForTreeTokens(results[i], kws, 8).Snippet.Root); got != want[i] {
+				if got := xmltree.XMLString(g.ForTree(results[i], query, 8).Snippet.Root); got != want[i] {
 					t.Errorf("worker %d: result %d snippet\n%s\nalone\n%s", w, i, got, want[i])
 					return
 				}

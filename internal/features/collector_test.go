@@ -137,3 +137,37 @@ func TestSeenKeysAreDistinct(t *testing.T) {
 		}
 	}
 }
+
+// A result past scratchKeepNodes elements drops the collector's scratch with
+// its statistics, columns included: the statistics of a tree that has no
+// index then hand out no columns, and the selection fills its own, rather
+// than columns the drop has emptied.
+func TestScratchDroppedPastTheBound(t *testing.T) {
+	defer func(n int) { scratchKeepNodes = n }(scratchKeepNodes)
+	scratchKeepNodes = 8
+	doc := gen.Stores(gen.StoresConfig{Retailers: 2, StoresPerRetailer: 2, ClothesPerStore: 3, Seed: 5})
+	c := NewCollector(classify.Classify(doc))
+	var small *xmltree.Document
+	for _, n := range doc.Nodes() {
+		if n.Label == "clothes" {
+			small = doc.Subtree(n)
+			break
+		}
+	}
+	if s := c.CollectIn(nil, 0, 0, small); s.Columns() == nil || s.Columns().Len() != elements(small) || elements(small) >= scratchKeepNodes {
+		t.Fatalf("a small index-less result's statistics hand out no columns of its elements")
+	}
+	if s := c.CollectIn(nil, 0, 0, doc); s.Columns() != nil {
+		t.Fatalf("statistics past the bound hand out columns of %d entries, for %d nodes", s.Columns().Len(), doc.Len())
+	}
+}
+
+func elements(doc *xmltree.Document) int {
+	n := 0
+	for _, x := range doc.Nodes() {
+		if x.IsElement() {
+			n++
+		}
+	}
+	return n
+}

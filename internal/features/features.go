@@ -39,14 +39,13 @@
 // symbol ids only, and one fill turns it into a Stats — a few integer columns
 // carved from one block and one arena of instance positions — whose
 // string-keyed lookup tables are built only if a by-name accessor asks. The
-// fill writes into a new, exact-size Stats the caller owns, or into the
-// collector's own reusable Stats (CollectIn's scratch), which the snippets a
-// server sends are derived from and which none of them keeps.
+// fill writes into the collector's own reusable Stats (CollectIn), which
+// every snippet is derived from and which none of them keeps, or into a new,
+// exact-size Stats the caller owns (Collect).
 package features
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -142,11 +141,10 @@ type Stats struct {
 
 // Collector gathers feature statistics. Its scratch — the tables indexed by
 // symbol id, the occurrence logs, the columns of a result that has no index
-// — is kept across calls, so a generator snippeting many results allocates
-// only what each Stats owns; and a caller that keeps no Stats (a served
-// snippet) folds into the collector's own reusable Stats instead
-// (CollectIn with scratch), which allocates nothing once it has grown to the
-// results it sees. A Collector is NOT safe for concurrent use; pool
+// — is kept across calls, and CollectIn folds into the collector's own
+// reusable Stats, so a generator snippeting many results allocates nothing
+// for their statistics once the scratch has grown to the results it sees.
+// A Collector is NOT safe for concurrent use; pool
 // Collectors to share across goroutines (see core.Generator), and release
 // the scratch Stats (ReleaseScratch) before pooling one.
 type Collector struct {
@@ -253,7 +251,7 @@ func (c *Collector) dense(first, id *int32, a int32, k uint64, next int) (got in
 
 // Collect gathers the feature statistics of the query-result tree rooted at
 // root, a node of a finalized document (its subtree is the result), reading
-// the tree itself: CollectIn for a tree that comes with nothing else.
+// the tree itself, into a Stats of the caller's own.
 func (c *Collector) Collect(root *xmltree.Node) *Stats {
 	if root == nil {
 		return &Stats{}
@@ -263,15 +261,10 @@ func (c *Collector) Collect(root *xmltree.Node) *Stats {
 		run = append(run, n)
 		return true
 	})
-	return c.CollectIn(nil, 0, 0, xmltree.AdoptFinalized(run), false)
-}
-
-// CollectResult is CollectIn for a result tree and the index it may be a
-// view of: read in ix's space when it is a view of ix's document
-// (index.Index.Interval), and as a tree of its own otherwise.
-func (c *Collector) CollectResult(ix *index.Index, result *xmltree.Document) *Stats {
-	w, start, end := ix.Interval(result)
-	return c.CollectIn(w, start, end, result, false)
+	s := &Stats{}
+	c.foldTree(s, xmltree.AdoptFinalized(run))
+	s.cols = nil // the collector's scratch, which s outlives
+	return s
 }
 
 // CollectIn gathers the feature statistics of one query result: the interval
@@ -282,37 +275,23 @@ func (c *Collector) CollectResult(ix *index.Index, result *xmltree.Document) *St
 // value). The statistics of a whole space are folded once per space and
 // classification (index.Whole.Derived) and shared.
 //
-// With scratch, the statistics of any other interval fold into the
-// collector's own Stats, whose columns, instance arena, entity tables and
-// dominant list are reused from one result to the next: what a caller that
-// keeps no statistics (a served snippet, core.Generator.ServeResult) uses, so
-// they cost nothing once the scratch has grown to the result. That Stats is
-// valid until the collector's next Collect* call or ReleaseScratch; nothing
-// may keep it, or any slice it hands out, past that. It also hands out the
-// element columns it filled for a tree that has no index (Columns), so the
-// selection that follows reads them instead of filling its own.
-func (c *Collector) CollectIn(w *index.Whole, start, end int32, tree *xmltree.Document, scratch bool) *Stats {
+// The statistics of any other interval fold into the collector's own Stats,
+// whose columns, instance arena, entity tables and dominant list are reused
+// from one result to the next, so they cost nothing once the scratch has
+// grown to the result. That Stats is valid until the collector's next
+// Collect* call or ReleaseScratch; nothing may keep it, or any slice it hands
+// out, past that. It also hands out the element columns it filled for a tree
+// that has no index (Columns), so the selection that follows reads them
+// instead of filling its own.
+func (c *Collector) CollectIn(w *index.Whole, start, end int32, tree *xmltree.Document) *Stats {
 	if c.stats == nil {
 		c.stats = &Stats{}
 	}
-	dst := c.stats
-	if !scratch {
-		dst = &Stats{}
-	}
-	dst.recycle()
 	if w == nil {
-		root := tree.Root
-		if root == nil || !root.IsElement() {
-			return dst
-		}
-		c.cols.Fill(tree.Nodes())
-		dst.nodes, dst.start, dst.end, dst.hi = tree.Nodes(), root.Start, root.End, c.cols.Len()
-		if scratch {
-			dst.cols = &c.cols
-		}
-		return c.fold(dst, &c.cols, 0, dst.hi)
+		return c.foldTree(c.stats, tree)
 	}
 	fold := func(dst *Stats) *Stats {
+		dst.recycle()
 		cols := w.Columns()
 		dst.lo, dst.hi = cols.Run(start, end)
 		dst.space, dst.start, dst.end, dst.nodes = w, start, end, w.Nodes()[start:end+1]
@@ -320,9 +299,23 @@ func (c *Collector) CollectIn(w *index.Whole, start, end int32, tree *xmltree.Do
 		return c.fold(dst, cols, dst.lo, dst.hi)
 	}
 	if start != 0 || int(end) != w.Len()-1 {
-		return fold(dst)
+		return fold(c.stats)
 	}
 	return w.Derived(c.cls, func() any { return fold(&Stats{}) }).(*Stats)
+}
+
+// foldTree folds a tree that has no index into dst, its columns filled into
+// the collector's scratch.
+func (c *Collector) foldTree(dst *Stats, tree *xmltree.Document) *Stats {
+	dst.recycle()
+	root := tree.Root
+	if root == nil || !root.IsElement() {
+		return dst
+	}
+	c.cols.Fill(tree.Nodes())
+	dst.nodes, dst.start, dst.end, dst.hi = tree.Nodes(), root.Start, root.End, c.cols.Len()
+	dst.cols = &c.cols
+	return c.fold(dst, &c.cols, 0, dst.hi)
 }
 
 // ReleaseScratch drops what the scratch Stats refers to — the result's nodes,
@@ -391,6 +384,7 @@ func (c *Collector) fold(s *Stats, cols *index.Columns, lo, hi int) *Stats {
 	}
 	c.fill(s)
 	if hi-lo >= scratchKeepNodes {
+		s.cols = nil              // the scratch columns go, and the selection fills its own
 		*c = *NewCollector(c.cls) // the scratch Stats goes too
 	} else {
 		c.release()
@@ -404,7 +398,7 @@ func (c *Collector) fold(s *Stats, cols *index.Columns, lo, hi int) *Stats {
 // which is what makes a repeated large result cheap, but a pooled Collector
 // must not pin memory in proportion to a corpus of any size: past
 // scratchKeepNodes elements a result's scratch is garbage like its Stats.
-const scratchKeepNodes = 1 << 20
+var scratchKeepNodes = 1 << 20 // a var so a test can reach the bound with a small result
 
 // overKeep is the largest overflow map release empties rather than replaces:
 // emptying costs by the size the map once had.
@@ -586,20 +580,11 @@ func (s *Stats) Sym(pos int32, n *xmltree.Node) int32 {
 
 // Columns returns the element columns of a result that has no index, as the
 // fold read them, when these are a collector's scratch statistics
-// (CollectIn with scratch), valid as long as they are; nil otherwise — an
-// indexed result's columns are its space's parts' (index.Whole.Parts), and
-// owned statistics keep none of the collector's scratch.
+// (CollectIn), valid as long as they are; nil otherwise — an indexed
+// result's columns are its space's parts' (index.Whole.Parts), and
+// statistics of the caller's own (Collect) keep none of the collector's
+// scratch.
 func (s *Stats) Columns() *index.Columns { return s.cols }
-
-// Index returns the index of the first part of the space these statistics
-// were folded in — for a view, the index of the document it is a view of —
-// or nil when the result's tree was read instead.
-func (s *Stats) Index() *index.Index {
-	if s.space == nil {
-		return nil
-	}
-	return s.space.Parts()[0]
-}
 
 // index builds the by-name lookup tables, on the first by-name access.
 func (s *Stats) index() {
@@ -636,12 +621,6 @@ func (s *Stats) Feature(id int32) Feature {
 // the symbol ids of its entity label, attribute label and value.
 func (s *Stats) FeatureSyms(id int32) (entity, attr, value int32) {
 	return s.entSyms[s.ent[id]], s.attr[id], s.val[id]
-}
-
-// FeatureAt is FeatureOf for the nodes themselves, in statistics of a
-// result of one document, where a node's position is its Start.
-func (s *Stats) FeatureAt(owner, attr *xmltree.Node) (int32, bool) {
-	return s.FeatureOf(owner.Start, attr.Start)
 }
 
 // FeatureOf returns the id of the feature that the node at position attr —
@@ -793,15 +772,6 @@ func (s *Stats) EntityInstances(index int) []int32 {
 	return s.inst[s.entOff[index]:s.entOff[index+1]:s.entOff[index+1]]
 }
 
-// FirstEntity returns the first entity instance with the given label in
-// document order, or nil.
-func (s *Stats) FirstEntity(label string) *xmltree.Node {
-	if e := slices.Index(s.entLabels, label); e >= 0 {
-		return s.Node(s.inst[s.entOff[e]])
-	}
-	return nil
-}
-
 // AppendHighestEntities appends the entity labels that occur in the result
 // with no entity above them, in first-seen order, to dst.
 func (s *Stats) AppendHighestEntities(dst []string) []string {
@@ -864,30 +834,4 @@ func (s *Stats) sortDominant() []Scored {
 		return cmp.Compare(a.Feature.Value, b.Feature.Value)
 	})
 	return out
-}
-
-// Report renders a per-type histogram like the right side of the paper's
-// Figure 1 ("attribute: value: number of occurrences").
-func (s *Stats) Report() string {
-	var b []byte
-	all := s.Features()
-	for _, t := range s.Types() {
-		b = append(b, fmt.Sprintf("%s:  N=%d D=%d\n", t, s.TypeN(t), s.TypeD(t))...)
-		var fs []Feature
-		for _, f := range all {
-			if f.Type == t {
-				fs = append(fs, f)
-			}
-		}
-		sort.Slice(fs, func(i, j int) bool {
-			if s.N(fs[i]) != s.N(fs[j]) {
-				return s.N(fs[i]) > s.N(fs[j])
-			}
-			return fs[i].Value < fs[j].Value
-		})
-		for _, f := range fs {
-			b = append(b, fmt.Sprintf("  %s: %d  (DS=%.2f)\n", f.Value, s.N(f), s.Dominance(f))...)
-		}
-	}
-	return string(b)
 }

@@ -218,20 +218,3 @@ func TestCollectEmptyAndNil(t *testing.T) {
 		t.Error("absent feature cannot be dominant")
 	}
 }
-
-func TestReport(t *testing.T) {
-	s, _ := figure1()
-	r := s.Report()
-	for _, want := range []string{"(store, city)", "Houston: 6", "N=1070 D=11"} {
-		found := false
-		for i := 0; i+len(want) <= len(r); i++ {
-			if r[i:i+len(want)] == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("report missing %q:\n%s", want, r)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package features
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -168,23 +169,23 @@ func statsEqual(t testing.TB, name string, got *Stats, want *oracle) {
 			t.Fatalf("%s: feature %v is not id %d by every accessor", name, f, id)
 		}
 		attr := want.instances[f][0]
-		owner := got.FirstEntity(f.Entity)
-		if at, ok := got.FeatureAt(owner, attr); !ok || at != id {
-			t.Fatalf("%s: FeatureAt(%v, %v) = %d, %v; want %d", name, owner, attr, at, ok, id)
+		owner := want.entityInst[f.Entity][0]
+		if at, ok := got.FeatureOf(owner.Start, attr.Start); !ok || at != id {
+			t.Fatalf("%s: FeatureOf(%v, %v) = %d, %v; want %d", name, owner, attr, at, ok, id)
 		}
 		if e, a, v := got.FeatureSyms(id); e != owner.Sym || a != attr.Sym || v != attr.Children[0].Sym {
 			t.Fatalf("%s: FeatureSyms(%d) = %d %d %d", name, id, e, a, v)
 		}
 	}
-	if !reflect.DeepEqual(got.Dominant(), want.dominant()) {
+	if !slices.Equal(got.Dominant(), want.dominant()) {
 		t.Fatalf("%s: dominant sets differ:\n%v\nvs\n%v", name, got.Dominant(), want.dominant())
 	}
-	if !reflect.DeepEqual(got.EntityLabels(), want.entityLabels) {
+	if !slices.Equal(got.EntityLabels(), want.entityLabels) {
 		t.Fatalf("%s: entity labels differ: %v vs %v", name, got.EntityLabels(), want.entityLabels)
 	}
 	for e, l := range want.entityLabels {
 		inst := want.entityInst[l]
-		if got.FirstEntity(l) != inst[0] || !reflect.DeepEqual(resolve(got, got.EntityInstances(e)), inst) ||
+		if !reflect.DeepEqual(resolve(got, got.EntityInstances(e)), inst) ||
 			got.EntitySyms()[e] != inst[0].Sym {
 			t.Fatalf("%s: instances of entity %q differ", name, l)
 		}

@@ -84,8 +84,6 @@ func PackNodes(nodes []*xmltree.Node) *PostingList {
 type Index struct {
 	doc      *xmltree.Document
 	postings map[string]*PostingList
-	maxList  int
-	total    int
 
 	colsOnce sync.Once
 	cols     Columns
@@ -139,11 +137,6 @@ func Build(doc *xmltree.Document) *Index {
 			}
 		}
 	}
-	for _, list := range ix.postings {
-		if list.Len() > ix.maxList {
-			ix.maxList = list.Len()
-		}
-	}
 	ix.whole = NewWhole([]*Index{ix})
 	return ix
 }
@@ -159,7 +152,6 @@ func (ix *Index) add(list *PostingList, n *xmltree.Node, f MatchField) {
 	list.Ords = append(list.Ords, int32(n.Ord))
 	list.Nodes = append(list.Nodes, n)
 	list.Fields = append(list.Fields, f)
-	ix.total++
 }
 
 // symLists memoizes, for one symbol id space (labels or values), the
@@ -202,20 +194,7 @@ func (m *symLists) of(ix *Index, sym int32, s string) []*PostingList {
 // of re-tokenizing every label and text value. Lists must be sorted by Ord
 // with Nodes aligned to Ords; the maps and slices are adopted, not copied.
 func FromParts(doc *xmltree.Document, postings map[string]*PostingList) *Index {
-	total, maxList := 0, 0
-	for _, list := range postings {
-		total += list.Len()
-		if list.Len() > maxList {
-			maxList = list.Len()
-		}
-	}
-	return FromPartsSized(doc, postings, total, maxList)
-}
-
-// FromPartsSized is FromParts for loaders that already counted the postings
-// while decoding, skipping the accounting pass.
-func FromPartsSized(doc *xmltree.Document, postings map[string]*PostingList, total, maxList int) *Index {
-	ix := &Index{doc: doc, postings: postings, total: total, maxList: maxList}
+	ix := &Index{doc: doc, postings: postings}
 	ix.whole = NewWhole([]*Index{ix})
 	return ix
 }
@@ -340,12 +319,6 @@ func (ix *Index) Nodes(keyword string) []*xmltree.Node {
 
 // DistinctKeywords returns the number of distinct indexed keywords.
 func (ix *Index) DistinctKeywords() int { return len(ix.postings) }
-
-// TotalPostings returns the total number of postings.
-func (ix *Index) TotalPostings() int { return ix.total }
-
-// LongestList returns the length of the longest posting list.
-func (ix *Index) LongestList() int { return ix.maxList }
 
 // Vocabulary returns all indexed keywords, sorted; intended for tools and
 // tests, not the hot path.

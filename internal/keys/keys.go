@@ -25,24 +25,9 @@ import (
 	"extract/xmltree"
 )
 
-// Candidate records the mining evidence for one (entity, attribute) pair.
-type Candidate struct {
-	Entity string
-	Attr   string
-
-	Instances int // entity instances observed
-	Present   int // instances carrying exactly one value of Attr
-	Distinct  int // distinct values observed
-
-	// Unique reports whether Attr is total and duplicate-free for Entity:
-	// the key condition.
-	Unique bool
-}
-
 // Keys is the result of mining one corpus.
 type Keys struct {
-	key        map[string]string
-	candidates map[string][]Candidate
+	key map[string]string
 }
 
 // Partial is one document's key-mining evidence under a classification: a
@@ -64,18 +49,16 @@ type Partial struct {
 
 // evidence is one (entity, attribute) pair's evidence in one shard.
 type evidence struct {
-	present  int  // instances carrying exactly one value
-	multi    int  // instances carrying several
-	distinct int  // distinct values among the present ones
-	dupFree  bool // no value carried by two instances
+	present int  // instances carrying exactly one value
+	multi   int  // instances carrying several
+	dupFree bool // no value carried by two instances
 	// values are the distinct values, sorted: kept while the pair is unique
 	// in the shard, and for the root's label, whose evidence Merge completes.
 	values []string
 }
 
 // Mine scans the document and returns the mined keys for every entity label
-// in the classification, candidate evidence included: the merge of the
-// document's one partial.
+// in the classification: the merge of the document's one partial.
 func Mine(doc *xmltree.Document, cls *classify.Classification) *Keys {
 	return Merge([]*Partial{Collect(doc, cls)})
 }
@@ -157,7 +140,7 @@ func Collect(doc *xmltree.Document, cls *classify.Classification) *Partial {
 	for entity, attrs := range tallies {
 		evs := make(map[string]*evidence, len(attrs))
 		for attr, t := range attrs {
-			ev := &evidence{present: t.present, multi: t.multi, distinct: len(t.values), dupFree: true}
+			ev := &evidence{present: t.present, multi: t.multi, dupFree: true}
 			for _, c := range t.values {
 				if c > 1 {
 					ev.dupFree = false
@@ -179,14 +162,13 @@ func Collect(doc *xmltree.Document, cls *classify.Classification) *Partial {
 // the whole document: a pair is a key candidate when, summed over the
 // shards, every instance carries exactly one value of it, and no value
 // occurs twice, within a shard or across two (the kept value sets are
-// disjoint). A merge of one partial keeps the candidate evidence; a merge of
-// several carries the decisions alone, as a corpus loaded from an image does
-// (FromMap).
+// disjoint). Among the candidates of an entity, the key is the one
+// namePriority prefers, then the first by name.
 func Merge(parts []*Partial) *Keys {
 	type pair struct {
-		present, multi, distinct int
-		dupFree                  bool
-		sets                     [][]string
+		present, multi int
+		dupFree        bool
+		sets           [][]string
 	}
 	instances := make(map[string]int)
 	pairs := make(map[string]map[string]*pair)
@@ -213,7 +195,6 @@ func Merge(parts []*Partial) *Keys {
 				m := get(entity, attr)
 				m.present += ev.present
 				m.multi += ev.multi
-				m.distinct += ev.distinct
 				m.dupFree = m.dupFree && ev.dupFree
 				if ev.values != nil {
 					m.sets = append(m.sets, ev.values)
@@ -239,48 +220,23 @@ func Merge(parts []*Partial) *Keys {
 				m.multi++
 				continue
 			}
-			seen := slices.ContainsFunc(m.sets, func(set []string) bool {
-				_, found := slices.BinarySearch(set, vs[0])
-				return found
-			})
-			if !seen {
-				m.distinct++
-			}
 			m.present++
 			m.sets = append(m.sets, vs)
 		}
 	}
 
-	k := &Keys{key: make(map[string]string), candidates: make(map[string][]Candidate)}
+	k := &Keys{key: make(map[string]string)}
 	for entity, attrs := range pairs {
 		total := instances[entity]
-		var cands []Candidate
+		best, found := "", false
 		for attr, m := range attrs {
-			cands = append(cands, Candidate{
-				Entity:    entity,
-				Attr:      attr,
-				Instances: total,
-				Present:   m.present,
-				Distinct:  m.distinct,
-				Unique:    m.multi == 0 && m.present == total && m.dupFree && total > 0 && disjoint(m.sets),
-			})
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			a, b := cands[i], cands[j]
-			if a.Unique != b.Unique {
-				return a.Unique
+			unique := m.multi == 0 && m.present == total && m.dupFree && total > 0 && disjoint(m.sets)
+			if unique && (!found || preferred(attr, best)) {
+				best, found = attr, true
 			}
-			pa, pb := namePriority(a.Attr), namePriority(b.Attr)
-			if pa != pb {
-				return pa < pb
-			}
-			return a.Attr < b.Attr
-		})
-		if len(parts) == 1 {
-			k.candidates[entity] = cands
 		}
-		if len(cands) > 0 && cands[0].Unique {
-			k.key[entity] = cands[0].Attr
+		if found {
+			k.key[entity] = best
 		}
 	}
 	return k
@@ -314,6 +270,15 @@ func disjoint(sets [][]string) bool {
 	}
 }
 
+// preferred reports whether attribute a makes a better key than b: the
+// more conventionally key-like name (namePriority), then the first by name.
+func preferred(a, b string) bool {
+	if pa, pb := namePriority(a), namePriority(b); pa != pb {
+		return pa < pb
+	}
+	return a < b
+}
+
 // namePriority ranks attribute names by how conventionally key-like they
 // are. Lower is more preferred.
 func namePriority(attr string) int {
@@ -336,10 +301,9 @@ func namePriority(attr string) int {
 }
 
 // FromMap reconstructs Keys from an explicit entity-to-key-attribute map
-// (used when loading a persisted corpus). Candidate evidence is not
-// restored — only the decisions.
+// (used when loading a persisted corpus).
 func FromMap(m map[string]string) *Keys {
-	k := &Keys{key: make(map[string]string, len(m)), candidates: make(map[string][]Candidate)}
+	k := &Keys{key: make(map[string]string, len(m))}
 	for e, a := range m {
 		k.key[e] = a
 	}
@@ -350,11 +314,6 @@ func FromMap(m map[string]string) *Keys {
 func (k *Keys) KeyAttr(entity string) (string, bool) {
 	a, ok := k.key[entity]
 	return a, ok
-}
-
-// Candidates returns the mining evidence for an entity label, best first.
-func (k *Keys) Candidates(entity string) []Candidate {
-	return k.candidates[entity]
 }
 
 // Entities returns the entity labels that have a mined key, sorted.

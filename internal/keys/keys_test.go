@@ -30,11 +30,14 @@ func TestMineSimpleKey(t *testing.T) {
 	if !ok || attr != "name" {
 		t.Errorf("retailer key = %q (%v), want name", attr, ok)
 	}
-	// product has duplicate values, so it is not a key.
-	for _, c := range k.Candidates("retailer") {
-		if c.Attr == "product" && c.Unique {
-			t.Error("product wrongly unique")
-		}
+	// product has duplicate values, so it is not a key, even alone.
+	k, _, _ = mine(t, `
+<retailers>
+  <retailer><product>apparel</product></retailer>
+  <retailer><product>apparel</product></retailer>
+</retailers>`)
+	if attr, ok := k.KeyAttr("retailer"); ok {
+		t.Errorf("product wrongly a key: %q", attr)
 	}
 }
 
@@ -72,10 +75,16 @@ func TestMineRejectsMultiValued(t *testing.T) {
   <item><tag>a</tag><tag>b</tag><name>x</name></item>
   <item><tag>c</tag><name>y</name></item>
 </items>`)
-	for _, c := range k.Candidates("item") {
-		if c.Attr == "tag" && c.Unique {
-			t.Error("multi-valued tag wrongly unique")
-		}
+	if attr, ok := k.KeyAttr("item"); !ok || attr != "name" {
+		t.Errorf("item key = %q (%v), want name", attr, ok)
+	}
+	k, _, _ = mine(t, `
+<items>
+  <item><tag>a</tag><tag>b</tag></item>
+  <item><tag>c</tag></item>
+</items>`)
+	if attr, ok := k.KeyAttr("item"); ok {
+		t.Errorf("multi-valued tag wrongly a key: %q", attr)
 	}
 }
 
@@ -137,16 +146,25 @@ func TestMineThroughConnectionNodes(t *testing.T) {
 
 func TestMineStopsAtNestedEntities(t *testing.T) {
 	// A nested entity's attributes must not leak into the outer entity:
-	// clothes' category is not a store attribute.
-	k, _, _ := mine(t, `
+	// clothes' category is not a store attribute. Each store holds one
+	// clothes of a category of its own, so a leaked category would be the
+	// store's key.
+	doc, err := xmltree.ParseString(`
 <stores>
-  <store><name>A</name><clothes><category>x</category></clothes><clothes><category>q</category></clothes></store>
-  <store><name>B</name><clothes><category>y</category></clothes><clothes><category>z</category></clothes></store>
+  <store><clothes><category>x</category></clothes></store>
+  <store><clothes><category>y</category></clothes></store>
 </stores>`)
-	for _, c := range k.Candidates("store") {
-		if c.Attr == "category" {
-			t.Errorf("category leaked into store candidates: %+v", c)
-		}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := classify.FromCategories(map[string]classify.Category{
+		"store": classify.Entity, "clothes": classify.Entity, "category": classify.Attribute})
+	k := Mine(doc, cls)
+	if attr, ok := k.KeyAttr("store"); ok {
+		t.Errorf("%s leaked into store's attributes", attr)
+	}
+	if attr, ok := k.KeyAttr("clothes"); !ok || attr != "category" {
+		t.Errorf("clothes key = %q (%v), want category", attr, ok)
 	}
 }
 
@@ -162,14 +180,9 @@ func TestMineScale(t *testing.T) {
 	if !ok || attr != "id" {
 		t.Errorf("key = %q", attr)
 	}
-	cands := k.Candidates("item")
-	if len(cands) != 2 {
-		t.Fatalf("candidates = %v", cands)
-	}
-	if cands[0].Attr != "id" || !cands[0].Unique {
-		t.Errorf("best candidate = %+v", cands[0])
-	}
-	if cands[1].Distinct != 10 || cands[1].Unique {
-		t.Errorf("group candidate = %+v", cands[1])
+	// group takes 10 values over 500 items: no key without the id.
+	k, _, _ = mine(t, strings.NewReplacer("<id>", "<!--", "</id>", "-->").Replace(b.String()))
+	if attr, ok := k.KeyAttr("item"); ok {
+		t.Errorf("key without the id = %q", attr)
 	}
 }

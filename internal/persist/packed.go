@@ -417,7 +417,6 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 		wg       sync.WaitGroup
 		docNodes []*xmltree.Node
 		postings map[string]*index.PostingList
-		maxList  int
 		errs     [4]error
 	)
 	spawn := func(i int, fn func() error) {
@@ -444,7 +443,7 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 		return decodeContent(nodeSlab, tags, labelSlab, valueSlab, ccSlab, table, syms, half, n)
 	})
 	spawn(3, func() (err error) {
-		postings, maxList, err = decodePostings(nodeSlab, tags, kwIDs, listLens, ords, fieldSlab, table)
+		postings, err = decodePostings(nodeSlab, tags, kwIDs, listLens, ords, fieldSlab, table)
 		return err
 	})
 
@@ -461,7 +460,7 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 	doc.InternalSubset = subset
 	return &core.Corpus{
 		Doc:   doc,
-		Index: index.FromPartsSized(doc, postings, total, maxList),
+		Index: index.FromParts(doc, postings),
 		Cls:   classify.FromCategories(cats),
 		Keys:  keys.FromMap(km),
 	}, nil
@@ -599,7 +598,7 @@ func decodeContent(nodeSlab []xmltree.Node, tags, labelSlab, valueSlab, ccSlab [
 // address only (&nodeSlab[ord]) and checks element-ness against the tag
 // slab, so it never reads node fields and can run concurrently with
 // decodeTree filling them in.
-func decodePostings(nodeSlab []xmltree.Node, tags []byte, kwIDs, listLens []int32, ords []int32, fieldSlab []byte, table *stringTable) (map[string]*index.PostingList, int, error) {
+func decodePostings(nodeSlab []xmltree.Node, tags []byte, kwIDs, listLens []int32, ords []int32, fieldSlab []byte, table *stringTable) (map[string]*index.PostingList, error) {
 	n := len(nodeSlab)
 	k := len(kwIDs)
 	total := len(fieldSlab)
@@ -607,18 +606,15 @@ func decodePostings(nodeSlab []xmltree.Node, tags []byte, kwIDs, listLens []int3
 	lists := make([]index.PostingList, k)
 	nodeBacking := make([]*xmltree.Node, total)
 	fieldBacking := make([]index.MatchField, total)
-	pos, maxList := 0, 0
+	pos := 0
 	for i := 0; i < k; i++ {
 		kw, ok := table.str(kwIDs[i])
 		if !ok {
-			return nil, 0, fmt.Errorf("%w: keyword id %d", ErrBadFormat, kwIDs[i])
+			return nil, fmt.Errorf("%w: keyword id %d", ErrBadFormat, kwIDs[i])
 		}
 		ln := int(listLens[i])
 		if ln < 0 || pos+ln > total {
-			return nil, 0, fmt.Errorf("%w: posting list %d overruns slab", ErrBadFormat, i)
-		}
-		if ln > maxList {
-			maxList = ln
+			return nil, fmt.Errorf("%w: posting list %d overruns slab", ErrBadFormat, i)
 		}
 		pl := &lists[i]
 		pl.Ords = ords[pos : pos+ln]
@@ -627,23 +623,23 @@ func decodePostings(nodeSlab []xmltree.Node, tags []byte, kwIDs, listLens []int3
 		prev := int32(-1)
 		for j, ord := range pl.Ords {
 			if ord <= prev || int(ord) >= n {
-				return nil, 0, fmt.Errorf("%w: posting %q: ord %d out of order or range", ErrBadFormat, kw, ord)
+				return nil, fmt.Errorf("%w: posting %q: ord %d out of order or range", ErrBadFormat, kw, ord)
 			}
 			if tags[ord]&tagText != 0 {
-				return nil, 0, fmt.Errorf("%w: posting %q targets a text node", ErrBadFormat, kw)
+				return nil, fmt.Errorf("%w: posting %q targets a text node", ErrBadFormat, kw)
 			}
 			prev = ord
 			pl.Nodes[j] = &nodeSlab[ord]
 			pl.Fields[j] = index.MatchField(fieldSlab[pos+j])
 		}
 		if _, dup := postings[kw]; dup || kw == "" {
-			return nil, 0, fmt.Errorf("%w: duplicate or empty keyword", ErrBadFormat)
+			return nil, fmt.Errorf("%w: duplicate or empty keyword", ErrBadFormat)
 		}
 		postings[kw] = pl
 		pos += ln
 	}
 	if pos != total {
-		return nil, 0, fmt.Errorf("%w: posting slab not fully consumed", ErrBadFormat)
+		return nil, fmt.Errorf("%w: posting slab not fully consumed", ErrBadFormat)
 	}
-	return postings, maxList, nil
+	return postings, nil
 }

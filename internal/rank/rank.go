@@ -20,7 +20,6 @@ import (
 	"math"
 	"slices"
 
-	"extract/internal/index"
 	"extract/internal/search"
 )
 
@@ -29,16 +28,10 @@ import (
 // counts across shards).
 type Scorer struct {
 	df func(keyword string) int
-	// Decay is the per-edge depth decay in (0, 1]; NewScorer sets 0.8.
+	// Decay is the per-edge depth decay in (0, 1]; NewScorerFunc sets 0.8.
 	Decay float64
 
 	totalElements int
-}
-
-// NewScorer builds a scorer over the corpus index.
-func NewScorer(ix *index.Index) *Scorer {
-	st := ix.Document().ComputeStats()
-	return NewScorerFunc(ix.Count, st.Elements)
 }
 
 // NewScorerFunc builds a scorer from an explicit document-frequency

@@ -37,7 +37,7 @@ func setup(t *testing.T) (*search.Engine, *Scorer) {
 	}
 	ix := index.Build(doc)
 	eng := search.NewEngine(doc, ix, nil, search.Options{DistinctAnchors: true})
-	return eng, NewScorer(ix)
+	return eng, NewScorerFunc(ix.Count, doc.ComputeStats().Elements)
 }
 
 func TestDepthDecay(t *testing.T) {
@@ -145,7 +145,7 @@ func TestOrderReadsEachFrequencyOnce(t *testing.T) {
 	if reads != len(keywords) {
 		t.Errorf("ranking %d results read %d document frequencies, want %d", len(results), reads, len(keywords))
 	}
-	plain := NewScorer(ix)
+	plain := NewScorerFunc(ix.Count, doc.ComputeStats().Elements)
 	for i, o := range order {
 		if want := plain.Score(results[o], keywords); math.Float64bits(scores[i]) != math.Float64bits(want) {
 			t.Errorf("score %d = %v, want %v", i, scores[i], want)

@@ -97,7 +97,7 @@ func TestRouterReplacementRace(t *testing.T) {
 		for g, srv := range servers {
 			srv.Swap(next, WithOwnedShards(OwnedShards(next.Source, g, groups)))
 		}
-		rt.Reload(next.Source)
+		rt.place.Store(rt.newPlacement(rt.place.Load().analysis, next.Source))
 	}
 
 	ctx := context.Background()

@@ -187,15 +187,6 @@ func OpenSnapshot(dir string, groups [][]string, opts ...RouterOption) (*Router,
 	return NewRouter(analysis, src, groups, opts...)
 }
 
-// Reload recomputes placement for a new snapshot generation, keeping the
-// current analysis, and swaps it in atomically. Queries already in flight
-// finish against the old placement — their responses' fingerprints still
-// match it, so they are internally consistent; the skew check only rejects
-// mixing generations within one query.
-func (rt *Router) Reload(src ingest.Source) {
-	rt.place.Store(rt.newPlacement(rt.place.Load().analysis, src))
-}
-
 // newPlacement places src's shards over the router's groups.
 func (rt *Router) newPlacement(analysis *core.Corpus, src ingest.Source) *placement {
 	pl := &placement{

@@ -109,7 +109,7 @@ func checkColumnEvaluation(t *testing.T, ix *index.Index, cls *classify.Classifi
 	slca := search.NewEngine(doc, ix, cls, search.Options{})
 	elca := search.NewEngine(doc, ix, cls, search.Options{Semantics: search.SemanticsELCA})
 	for _, q := range queries {
-		ev, err := slca.Evaluate(q)
+		ev, err := slca.EvaluateBounded(q, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -135,7 +135,7 @@ func checkColumnEvaluation(t *testing.T, ix *index.Index, cls *classify.Classifi
 					q, k, got, bounded.Truncated, want, len(full))
 			}
 		}
-		ev, err = elca.Evaluate(q)
+		ev, err = elca.EvaluateBounded(q, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}

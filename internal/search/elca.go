@@ -8,34 +8,21 @@ import (
 	"extract/xmltree"
 )
 
-// ELCA returns the Exclusive Lowest Common Ancestors of the keyword match
-// lists: nodes that witness every keyword even after excluding the matches
-// lying under descendant nodes that themselves witness every keyword (the
-// XRank semantics). Every SLCA is an ELCA; ELCA additionally surfaces
-// ancestors with their own, exclusive evidence. Lists must be sorted in
-// document order (index posting lists are) and hold elements of one
-// finalized document; a node repeated within one list counts as that many
-// matches. The result is in document order. Like SLCA, it fills the columns
-// of the lists' document on every call.
-func ELCA(lists ...[]*xmltree.Node) []*xmltree.Node {
-	ix := columnsOf(lists)
-	if ix == nil {
-		return nil
-	}
-	elcas, _ := ELCAPacked(ix, packLists(lists)...)
-	return elcas
-}
-
-// ELCAPacked is ELCA over packed posting lists of ix's document, the form
-// the engine holds. free reports, per list, whether some entry lies outside
-// the subtree of every ELCA below the document root — the root's own
-// exclusive evidence, and what a shard contributes to the root decision of a
-// sharded query (shard.Digest.Free). When a list is empty there are no ELCAs
-// and every entry is free.
+// ELCAPacked returns the Exclusive Lowest Common Ancestors of the keyword
+// match lists — packed posting lists of ix's document, the form the engine
+// holds: the elements that witness every keyword even after excluding the
+// matches lying under descendant elements that themselves witness every
+// keyword (the XRank semantics), in document order. Every SLCA is an ELCA;
+// ELCA additionally surfaces ancestors with their own, exclusive evidence. A
+// node repeated within one list counts as that many matches. free reports,
+// per list, whether some entry lies outside the subtree of every ELCA below
+// the document root — the root's own exclusive evidence, and what a shard
+// contributes to the root decision of a sharded query (shard.Digest.Free).
+// When a list is empty there are no ELCAs and every entry is free.
 //
 // The evaluation is driven by the shortest list and runs on ix's columns
-// (index.Columns), as SLCA's does. An ELCA contains every keyword, and the
-// elements that do are exactly the candidates folded from the shortest
+// (index.Columns), as SLCAPacked's does. An ELCA contains every keyword, and
+// the elements that do are exactly the candidates folded from the shortest
 // list's entries (folds, the loop SLCA runs on) and their ancestors, so
 // those are the only elements decided. The real ancestor chain root →
 // current candidate sits on a stack of column entries, and an element x is

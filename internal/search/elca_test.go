@@ -117,7 +117,7 @@ func TestELCAPhraseTerms(t *testing.T) {
 	doc := parse(t, corpus)
 	e := NewEngine(doc, nil, nil, Options{Semantics: SemanticsELCA})
 	for _, q := range []string{`"brook brothers" texas`, `"brook brothers"`, `apparel "texas" store`, `"levis" "brook brothers"`} {
-		ev, err := e.Evaluate(q)
+		ev, err := e.EvaluateBounded(q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestELCAPhraseTerms(t *testing.T) {
 		}
 	}
 	// A keyword with no match: no ELCAs, and every match there is is free.
-	ev, err := e.Evaluate("texas nosuchword")
+	ev, err := e.EvaluateBounded("texas nosuchword", 0)
 	if err != nil || ev.Entries != nil || fmt.Sprint(ev.Free) != "[true false]" {
 		t.Errorf("incomplete evaluation: lcas %v, free %v, err %v", ev.Entries, ev.Free, err)
 	}

@@ -84,7 +84,7 @@ type Evaluation struct {
 	// to their nodes.
 	Entries []int32
 	// Truncated reports that Entries is a bounded prefix of the full set:
-	// EvaluateBounded stopped the SLCA scan after proving the first k
+	// the evaluation stopped the SLCA scan after proving the first k
 	// LCAs in document order. The prefix is byte-identical to the same
 	// prefix of an unbounded evaluation.
 	Truncated bool
@@ -94,27 +94,19 @@ type Evaluation struct {
 	Free []bool
 }
 
-// Evaluate parses the query and computes posting lists and the LCA set
-// without building results. Unlike Search it returns a non-nil
-// evaluation even when some keyword has no match, so callers merging
-// several documents (shards) can still see the per-keyword match counts.
-func (e *Engine) Evaluate(query string) (*Evaluation, error) {
-	return e.EvaluateBounded(query, 0)
-}
-
-// EvaluateBounded is Evaluate with top-k early termination: when limit > 0
-// and the engine runs SLCA semantics, the LCA scan stops once the first
-// limit SLCAs in document order are provable, marking the evaluation
-// Truncated. ELCA evaluation is never truncated: the scan is as short as
-// SLCA's (both run the shortest list), but an ELCA is decided only when the
-// scan leaves it, any of its stacked ancestors — the root first of all — may
-// still qualify from later matches, and Free needs the root's row after the
-// last one (see PERFORMANCE.md). limit <= 0 behaves exactly like Evaluate.
-func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
-	return e.evaluateBounded(ParseQuery(query), limit)
-}
-
-// evaluateBounded is EvaluateBounded over the query's parsed terms.
+// evaluateBounded computes the query's posting lists and LCA set without
+// building results. Unlike Search it returns a non-nil evaluation even when
+// some keyword has no match, so callers merging several documents (shards)
+// can still see the per-keyword match counts.
+//
+// With limit > 0 it terminates early: when the engine runs SLCA semantics,
+// the LCA scan stops once the first limit SLCAs in document order are
+// provable, marking the evaluation Truncated. ELCA evaluation is never
+// truncated: the scan is as short as SLCA's (both run the shortest list),
+// but an ELCA is decided only when the scan leaves it, any of its stacked
+// ancestors — the root first of all — may still qualify from later matches,
+// and Free needs the root's row after the last one (see PERFORMANCE.md).
+// limit <= 0 evaluates the whole LCA set.
 func (e *Engine) evaluateBounded(terms []Term, limit int) (*Evaluation, error) {
 	ev, err := e.ListsOf(terms)
 	if err != nil {
@@ -296,14 +288,4 @@ func (e *Engine) EvaluateResultsOf(terms []Term, keep func(*xmltree.Node) bool) 
 func (e *Engine) Search(query string) ([]*Result, error) {
 	_, results, err := e.EvaluateResults(query, nil)
 	return results, err
-}
-
-// Explain returns a short per-keyword report of posting list sizes, used by
-// the CLI and the demo server.
-func (e *Engine) Explain(query string) string {
-	s := ""
-	for _, kw := range index.Tokenize(query) {
-		s += fmt.Sprintf("%s: %d matches\n", kw, len(e.ix.Nodes(kw)))
-	}
-	return s
 }

@@ -7,3 +7,9 @@ var FreeBaseline = freeBaseline
 // NodesOf is nodesOf for the external tests: an evaluation's LCA set is
 // column entries.
 var NodesOf = nodesOf
+
+// EvaluateBounded is evaluateBounded over a query string, for the tests that
+// inspect an evaluation.
+func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
+	return e.evaluateBounded(ParseQuery(query), limit)
+}

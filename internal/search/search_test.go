@@ -367,12 +367,3 @@ func indexBytes(s, sub []byte) int {
 	}
 	return -1
 }
-
-func TestEngineExplain(t *testing.T) {
-	doc := parse(t, corpus)
-	e := NewEngine(doc, nil, nil, Options{})
-	s := e.Explain("texas store")
-	if !containsFold(s, "texas: 2") || !containsFold(s, "store: 3") {
-		t.Errorf("explain = %q", s)
-	}
-}

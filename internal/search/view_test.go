@@ -100,7 +100,7 @@ func TestMatchesDoNotExposeIndex(t *testing.T) {
 func TestMatchesOmitAbsentKeyword(t *testing.T) {
 	doc := parse(t, corpus)
 	e := NewEngine(doc, nil, nil, Options{})
-	ev, err := e.Evaluate("houston jeans")
+	ev, err := e.EvaluateBounded("houston jeans", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestResultAllocations(t *testing.T) {
 	e := shopEngine(doc)
 
 	resultsAllocs := func(query string, take int, anchor *xmltree.Node) float64 {
-		ev, err := e.Evaluate(query)
+		ev, err := e.EvaluateBounded(query, 0)
 		if err != nil || len(ev.Entries) < take {
 			t.Fatalf("%q: %v, %d LCAs", query, err, len(ev.Entries))
 		}

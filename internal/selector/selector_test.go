@@ -344,7 +344,9 @@ func TestKeywordInstancesFromPostings(t *testing.T) {
 	} {
 		cls, ix := classify.Classify(tc.doc), index.Build(tc.doc)
 		km := keys.Mine(tc.doc, cls)
-		col := features.NewCollector(cls)
+		// Two collectors: each folds into its own scratch, which the next
+		// fold on it reuses.
+		col, scan := features.NewCollector(cls), features.NewCollector(cls)
 		wholes := []*index.Whole{cut(tc.doc, 3), cut(tc.doc, 4)}
 		for _, q := range tc.queries {
 			kwSets := [][]string{index.Tokenize(q), {"Red", "red blue", ""}}
@@ -372,15 +374,16 @@ func TestKeywordInstancesFromPostings(t *testing.T) {
 						continue
 					}
 					view := tc.doc.Subtree(n)
-					indexed, scanned := col.CollectResult(ix, view), col.CollectResult(nil, view)
-					if indexed.Index() != ix || scanned.Index() != nil {
+					w, start, end := ix.Interval(view)
+					indexed, scanned := col.CollectIn(w, start, end, view), scan.CollectIn(nil, 0, 0, view)
+					if w == nil || w.Parts()[0] != ix {
 						t.Fatalf("%v: fixtures are not one indexed and one index-less", n)
 					}
 					same(n.Label, view, indexed, scanned)
 				}
 				for _, w := range wholes {
-					whole := col.CollectIn(w, 0, int32(w.Len()-1), nil, false)
-					same(fmt.Sprintf("the root of %d shards", len(w.Parts())), tc.doc, whole, col.CollectResult(nil, tc.doc))
+					whole := col.CollectIn(w, 0, int32(w.Len()-1), nil)
+					same(fmt.Sprintf("the root of %d shards", len(w.Parts())), tc.doc, whole, scan.CollectIn(nil, 0, 0, tc.doc))
 				}
 			}
 		}

@@ -36,11 +36,6 @@ func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 		if err != nil || len(v.Results) == 0 {
 			t.Fatalf("%q: %v", query, err)
 		}
-		for _, g := range v.Snippets {
-			if g.Stats != nil {
-				t.Fatalf("%q: a served snippet kept its feature statistics", query)
-			}
-		}
 		return v
 	}
 	entry := func(query string, mode search.ConstructionMode) *serve.Cached { return entryOn(s, query, mode) }

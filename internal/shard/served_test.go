@@ -70,12 +70,13 @@ func servedFixture(t *testing.T) (sc *Corpus, rs []*search.Result, kws [][]strin
 }
 
 // TestServedSnippetMatchesInspected: the served entry point
-// (core.Generator.ServeResult), which folds each result's statistics into
-// per-worker scratch, hands out exactly what the inspection path
-// (ForResultTokens, owned statistics) does — and nothing that aliases the
-// scratch: every served snippet reads the same after 100 more snippets have
-// reused it on the same goroutine, and snippets served from several
-// goroutines at once (raced under -race) equal the inspected ones.
+// (core.Generator.ServeResult), which keeps only the XML, edges and key it
+// derived in per-worker scratch, hands out exactly what ForResult, which
+// keeps the snippet tree and the IList, does — once Derived has made them
+// again — and nothing that aliases the scratch: every served snippet reads
+// the same after 100 more snippets have reused it on the same goroutine, and
+// snippets served from several goroutines at once (raced under -race) equal
+// the inspected ones.
 func TestServedSnippetMatchesInspected(t *testing.T) {
 	sc, rs, kws, copies := servedFixture(t)
 	g := sc.Generator()
@@ -84,15 +85,9 @@ func TestServedSnippetMatchesInspected(t *testing.T) {
 	served := make([]*core.Generated, len(rs))
 	views, projections := 0, 0
 	for i, r := range rs {
-		inspected := g.ForResultTokens(r, kws[i], bound)
-		if inspected.Stats == nil {
-			t.Fatal("the inspection path returned no statistics")
-		}
+		inspected := g.ForResult(r, strings.Join(kws[i], " "), bound)
 		want[i] = describeSnippet(inspected)
 		served[i] = g.ServeResult(r, kws[i], bound)
-		if served[i].Stats != nil {
-			t.Fatal("a served snippet carries statistics")
-		}
 		if got := describeSnippet(served[i].Derived()); got != want[i] {
 			t.Fatalf("result %d: served\n%s\ninspected\n%s", i, got, want[i])
 		}

@@ -43,7 +43,7 @@ func TestSnippetFanOutCancellation(t *testing.T) {
 		t.Fatalf("%d snippets for %d results, err %v", len(gs), len(rs), err)
 	}
 	for i, r := range rs {
-		if got, want := gs[i].XML, xmltree.XMLString(g.ForResultTokens(r, kws, 8).Snippet.Root); got != want {
+		if got, want := gs[i].XML, xmltree.XMLString(g.ForResult(r, q, 8).Snippet.Root); got != want {
 			t.Fatalf("snippet %d is not result %d's:\n%s\nwant\n%s", i, i, got, want)
 		}
 	}

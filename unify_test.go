@@ -8,7 +8,6 @@ import (
 
 	"extract/internal/core"
 	"extract/internal/gen"
-	"extract/internal/index"
 	"extract/internal/rank"
 	"extract/internal/search"
 	"extract/internal/workload"
@@ -37,15 +36,14 @@ func directQuery(c *Corpus, query string, bound int, ranked bool, opts search.Op
 		return "", err
 	}
 	if ranked {
-		rank.NewScorer(cc.Index).Sort(rs, search.TermKeys(query))
+		rank.NewScorerFunc(cc.Index.Count, cc.Doc.ComputeStats().Elements).Sort(rs, search.TermKeys(query))
 	}
 	g := core.NewGenerator(cc)
-	kws := index.Tokenize(query)
 	var b strings.Builder
 	for _, r := range rs {
 		b.WriteString(xmltree.XMLString(r.Root))
 		b.WriteString("\n")
-		b.WriteString(xmltree.XMLString(g.ForResultTokens(r, kws, bound).Snippet.Root))
+		b.WriteString(xmltree.XMLString(g.ForResult(r, query, bound).Snippet.Root))
 		b.WriteString("\n")
 	}
 	return b.String(), nil

@@ -732,22 +732,6 @@ func FromDocumentSharded(doc *xmltree.Document, d *dtd.DTD, n int, opts ...Optio
 	return cfg.build(doc)
 }
 
-// Internal exposes the underlying analyzed whole-document corpus for the
-// experiment harness and tools; library users should not need it. A
-// one-shard corpus returns its shard — the document it was built from,
-// index and all; several shards return a copy of the whole document,
-// indexed (shard.Corpus.Fallback): built on the first call, held for the
-// generation's life, and paid for only by the readers that need one tree —
-// queries never build it. A remote corpus has no local documents and
-// returns the document-less analysis view.
-func (c *Corpus) Internal() *core.Corpus {
-	d := c.data.Load()
-	if d.rt != nil {
-		return d.rt.Analysis()
-	}
-	return d.gen.Corpus.Fallback()
-}
-
 // InternalShards exposes the local corpus — every local corpus is a
 // shard.Corpus of n >= 1 shards. It is nil only for a remote corpus
 // (Connect).
@@ -878,9 +862,10 @@ func WithRanking() SearchOption {
 //
 // On a local corpus of several shards, the result anchored at the document
 // root — the whole document, which spans shards — is answered and snippeted
-// from the shards without a copy; the first of RootContext, Root, XML,
-// Render or Internal to ask for its tree builds a copy of the whole document
-// (see Corpus.Internal), once for the generation.
+// from the shards without a copy (Corpus.Snippet too); the first of
+// RootContext, Root, XML, Render or Internal to ask for its tree builds the
+// whole document as a tree of its own from the shards, once for every holder
+// of the result, which keeps it — a query's cache entry is charged for it.
 type Result struct {
 	r     *search.Result
 	score float64
@@ -897,8 +882,10 @@ func (r *Result) Score() float64 { return r.score }
 func (r *Result) Size() int { return r.r.Size() }
 
 // Root returns the result tree root. The tree is read-only: it is the
-// corpus document's own subtree (a tree of its own only for trimmed results
-// and on a remote corpus), so its nodes must never be mutated, and Root's
+// corpus document's own subtree (a tree of its own only for trimmed results,
+// for the whole-document result of a corpus of several shards — built from
+// the shards on the first read — and on a remote corpus), shared by every
+// holder of the result, so its nodes must never be mutated, and Root's
 // Parent, Ord, Start and End are those of the enclosing document —
 // Parent may lead out of the result. Copy with xmltree.DeepCopy to get a
 // detached tree to edit. Only a remote result's Root can fail (see Result).
@@ -1099,12 +1086,17 @@ func (s *Snippet) ReturnEntities() []string { return s.derived().IList.ReturnEnt
 // and IList present.
 func (s *Snippet) Internal() *core.Generated { return s.derived() }
 
-// Snippet generates a snippet for one search result. It reads the result's
-// tree, so on a remote corpus it fails as Result.Root does.
+// Snippet generates a snippet for one search result. On a remote corpus it
+// reads the result's tree, so it fails as Result.Root does; a local result —
+// the whole-document one too, read through the shards — is snippeted as it
+// is, its tree never built.
 func (c *Corpus) Snippet(r *Result, query string, bound int, opts ...SnippetOption) (*Snippet, error) {
-	tree, err := r.tree(context.Background())
-	if err != nil {
-		return nil, err
+	tree := r.r
+	if view, _ := tree.Whole(); view == nil {
+		var err error
+		if tree, err = r.tree(context.Background()); err != nil {
+			return nil, err
+		}
 	}
 	g := core.NewGenerator(c.analysis())
 	for _, o := range opts {
@@ -1190,9 +1182,10 @@ func (c *Corpus) QueryContext(ctx context.Context, query string, bound int, opts
 // XPath evaluates an XPath-subset expression (see package extract/xpath)
 // against the corpus and returns the selected elements as results, ready
 // for snippet generation. Text nodes in the selection are skipped. On a
-// corpus of several shards the expression runs over a copy of the whole
-// document, built by the first call and kept for the generation (see
-// Internal).
+// corpus of several shards the expression runs over the whole document
+// built from the shards as a tree of its own, once per call, and held only
+// by the results returned: they have no index, so their snippets read them
+// node by node — to the same bytes as on one shard, more slowly.
 func (c *Corpus) XPath(expr string) ([]*Result, error) {
 	e, err := xpath.Compile(expr)
 	if err != nil {
@@ -1202,18 +1195,22 @@ func (c *Corpus) XPath(expr string) ([]*Result, error) {
 	if d.rt != nil {
 		return nil, ErrRemoteCorpus
 	}
-	// XPath needs the whole document as one tree: the lone shard's, or,
-	// when there are several, the copy of the whole document built on the
-	// first XPath call (shard.Corpus.Fallback), which only its readers pay
-	// for.
-	xdoc := d.gen.Corpus.Fallback()
+	// XPath needs the whole document as one tree: the lone shard's, with
+	// its index, or one built from the shards, with none.
+	var doc *xmltree.Document
+	var ix *index.Index
+	if shards := d.gen.Corpus.Shards(); len(shards) == 1 {
+		doc, ix = shards[0].Doc, shards[0].Index
+	} else {
+		doc = search.WholeDocument(d.gen.Corpus.Whole())
+	}
 	var out []*Result
-	for _, n := range e.SelectDoc(xdoc.Doc) {
+	for _, n := range e.SelectDoc(doc) {
 		if !n.IsElement() {
 			continue
 		}
-		r := search.FromNode(xdoc.Doc, n)
-		r.Index = xdoc.Index
+		r := search.FromNode(doc, n)
+		r.Index = ix
 		out = append(out, &Result{r: r})
 	}
 	return out, nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"extract/internal/core"
+	"extract/internal/gen"
 	"extract/internal/index"
 	"extract/xmltree"
 )
@@ -61,8 +62,8 @@ func (h heldHit) check(t *testing.T, when string) {
 // of the corpus documents, so a hit a caller still holds shares its nodes
 // with everything that happens to the corpus afterwards — a delta reload that
 // adopts the hit's shard into the next generation and rebuilds its
-// neighbour, the whole-document fallback reconstructed from the shard
-// documents, concurrent queries over both generations, Close. None of it may
+// neighbour, whole-document results and XPath selections whose trees are
+// built from the shard documents, concurrent queries over both generations, Close. None of it may
 // change a byte of what the hit renders, and (the test runs under -race in
 // CI) none of it may write what a holder reads. A local hit's snippet derives
 // its tree and IList again from its result on the first read: half the query
@@ -85,7 +86,7 @@ func TestHeldHitsAreImmutable(t *testing.T) {
 	}
 
 	// "retailers" matches the root alone, so the root qualifies as the LCA
-	// and the query is answered on the fallback document.
+	// and the answer is the whole-document result.
 	const rootQuery = "retailers"
 	queries := append(deltaQueries(deltaBaseDoc), "store texas", rootQuery)
 	optCases := [][]SearchOption{nil, {WithELCA()}, {WithTrimmedResults()}, {WithRanking()}, {WithMaxResults(3)}}
@@ -116,7 +117,8 @@ func TestHeldHitsAreImmutable(t *testing.T) {
 			}
 		}
 	}
-	// XPath results view the fallback document of the first generation.
+	// XPath results view the whole document of the first generation, built
+	// from its shards.
 	xs, err := c.XPath("//store")
 	if err != nil || len(xs) == 0 {
 		t.Fatalf("xpath: %d results, %v", len(xs), err)
@@ -180,34 +182,76 @@ func TestHeldHitsAreImmutable(t *testing.T) {
 		u.firstRead(t, "after Close")
 	}
 	for _, h := range held {
-		h.check(t, "after reload, fallback, queries and Close")
+		h.check(t, "after reload, queries and Close")
 	}
 }
 
 // TestRootInvolvingSnippetBuildsNoCopy: a root-involving local hit's snippet
 // derives its tree and IList on the first read from the whole-document view
-// its result reads (search.Result.Space), at 1 and 3 shards: the read builds
-// no index (index.Builds stays put), so no copy of the document is made, and
-// the tree it derives is the one its XML was rendered from.
+// its result reads (search.Result.Space), and Corpus.Snippet snippets that
+// result the same way, at 1, 3 and 4 shards. Neither builds an index
+// (index.Builds stays put) nor the result's tree (it stays deferred), the
+// tree the first read derives is the one its XML was rendered from, and
+// Corpus.Snippet renders the same XML. A copy of the document that builds no
+// index still shows: Corpus.Snippet allocates the same number of objects on
+// two corpus sizes a tenfold apart. Reading the result's XML builds its tree
+// and no index, and reads as the one-shard corpus's.
 func TestRootInvolvingSnippetBuildsNoCopy(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		c, err := LoadString(xmltree.XMLString(deltaBaseDoc().Root), WithShards(shards), WithQueryCache(0))
-		if err != nil {
-			t.Fatal(err)
+	counts := make(map[int]float64) // objects a Corpus.Snippet, by shard count
+	nodes := make([]int, 2)
+	for ci, clothes := range []int{3, 60} {
+		doc := gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 8, ClothesPerStore: clothes, Seed: 5})
+		nodes[ci] = doc.Len()
+		query := doc.Root.Label // the root alone matches
+		var wantXML string
+		for _, shards := range []int{1, 3, 4} {
+			c, err := LoadString(xmltree.XMLString(doc.Root), WithShards(shards), WithQueryCache(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits, err := c.Query(query, 8)
+			if err != nil || len(hits) != 1 {
+				t.Fatalf("%d shards: %d hits, %v", shards, len(hits), err)
+			}
+			hit := hits[0]
+			builds := index.Builds()
+			root := hit.Snippet.Root()
+			snippet := func() *Snippet { return must(c.Snippet(hit.Result, query, 8)) }
+			if got := snippet().XML(); got != hit.Snippet.XML() {
+				t.Errorf("%d shards: Corpus.Snippet of the root hit\n%s\nwant\n%s", shards, got, hit.Snippet.XML())
+			}
+			if n := index.Builds() - builds; n != 0 {
+				t.Errorf("%d shards: snippeting a root-involving hit built %d indexes: the document was copied", shards, n)
+			}
+			if _, deferred := hit.Result.r.Retained(); shards > 1 && !deferred {
+				t.Errorf("%d shards: snippeting a root-involving hit built its result's tree", shards)
+			}
+			if root.Label != query || xmltree.XMLString(root) != hit.Snippet.XML() {
+				t.Errorf("%d shards: the derived tree is not the one the XML was rendered from:\n%s\nwant\n%s", shards, xmltree.XMLString(root), hit.Snippet.XML())
+			}
+			if !raceDetector {
+				for range 5 { // the pooled scratch grows
+					snippet()
+				}
+				got := testing.AllocsPerRun(20, func() { snippet() })
+				if ci == 0 {
+					counts[shards] = got
+				} else if got != counts[shards] {
+					t.Errorf("%d shards: Corpus.Snippet of the root hit allocates %v objects on a %d-node corpus, %v on %d nodes", shards, got, nodes[1], counts[shards], nodes[0])
+				}
+			}
+			// Reading the result's XML builds its tree, and no index: the
+			// whole document as the unsharded corpus holds it.
+			builds = index.Builds()
+			if got := must(hit.Result.XML()); shards == 1 {
+				wantXML = got
+			} else if got != wantXML {
+				t.Errorf("%d shards: the root hit's result XML differs from the unsharded corpus's", shards)
+			}
+			if n := index.Builds() - builds; n != 0 {
+				t.Errorf("%d shards: reading a root hit's result XML built %d indexes", shards, n)
+			}
+			c.Close()
 		}
-		hits, err := c.Query("retailers", 8) // the root alone matches
-		if err != nil || len(hits) != 1 {
-			t.Fatalf("%d shards: %d hits, %v", shards, len(hits), err)
-		}
-		s := hits[0].Snippet
-		builds := index.Builds()
-		root := s.Root()
-		if n := index.Builds() - builds; n != 0 {
-			t.Errorf("%d shards: the first read of a root-involving snippet built %d indexes: the document was copied", shards, n)
-		}
-		if root.Label != "retailers" || xmltree.XMLString(root) != s.XML() {
-			t.Errorf("%d shards: the derived tree is not the one the XML was rendered from:\n%s\nwant\n%s", shards, xmltree.XMLString(root), s.XML())
-		}
-		c.Close()
 	}
 }

@@ -214,13 +214,13 @@ func codecAnswers(tb testing.TB) []codecAnswer {
 		sc := shard.Build(cc.mk(), 3)
 		srv := NewServer(sc)
 		st := srv.state.Load()
-		fb := sc.Fallback()
+		queries := testQueries(cc.mk())
 		for _, opts := range []search.Options{
 			{DistinctAnchors: true},
 			{DistinctAnchors: true, Semantics: search.SemanticsELCA},
 			{DistinctAnchors: true, Mode: search.ModeXSeek},
 		} {
-			for _, q := range testQueries(fb.Doc, fb) {
+			for _, q := range queries {
 				answer := func(bound int) (evalAnswer, fullAnswer, error) {
 					a, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList, bound: bound})
 					if err != nil {
@@ -993,8 +993,9 @@ func TestSnippetRoundTrip(t *testing.T) {
 		Bound:    3,
 	})
 	sc := shard.Build(gen.Figure1Corpus(), 1)
-	whole := search.FromNode(sc.Fallback().Doc, sc.Fallback().Doc.Root)
-	whole.Index = sc.Fallback().Index
+	only := sc.Shards()[0]
+	whole := search.FromNode(only.Doc, only.Doc.Root)
+	whole.Index = only.Index
 	check("whole document", snippetOf(sc, whole, "texas apparel retailer", 13))
 }
 

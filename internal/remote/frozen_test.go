@@ -34,8 +34,7 @@ func frozenWire(tb testing.TB) []byte {
 			sc := shard.Build(cc.mk(), n)
 			srv := NewServer(sc)
 			st := srv.state.Load()
-			fb := sc.Fallback()
-			queries := append(testQueries(fb.Doc, fb), `"brook brothers" store`)
+			queries := append(testQueries(cc.mk()), `"brook brothers" store`)
 			for oi, opts := range []search.Options{
 				{DistinctAnchors: true},
 				{DistinctAnchors: true, Semantics: search.SemanticsELCA},

@@ -99,8 +99,8 @@ func TestSnippetedAnswerShipsNoTrees(t *testing.T) {
 	rec := &wireRecorder{}
 	cl := startCluster(t, sc, 2, 1, WithDialer(rec.dial))
 	rt := cl.router
-	fb := sc.Fallback()
-	queries := append(testQueries(fb.Doc, fb), fb.Doc.Root.Label)
+	doc := versionTestDoc()
+	queries := append(testQueries(doc), doc.Root.Label)
 	ctx := context.Background()
 	var records [][]byte
 	for _, opts := range testOptions {
@@ -153,25 +153,26 @@ func TestSnippetedAnswerShipsNoTrees(t *testing.T) {
 // document) — and reading them again, or reading any of them first, costs
 // nothing more. The trees are the local results.
 func TestTreeReadTakesOneRoundPerGroup(t *testing.T) {
-	sc := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 3}), 5)
+	mk := func() *xmltree.Document {
+		return gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 3})
+	}
+	sc := shard.Build(mk(), 5)
 	cl := startCluster(t, sc, 3, 1)
 	rt := cl.router
 	groupOf := PlaceShards(ingest.SourceOf(sc), 3)
-	fb := sc.Fallback()
-	// groupLabel names the group holding a local result: the one its
-	// shard is placed on, or "any" for a whole-document result.
+	// groupLabel names the group holding a result of a shard: the one the
+	// shard is placed on.
 	groupLabel := func(r *search.Result) string {
 		for i, s := range sc.Shards() {
 			if s.Doc.ByOrd(r.Anchor.Ord) == r.Anchor {
 				return strconv.Itoa(groupOf[i])
 			}
 		}
-		if fb.Doc.ByOrd(r.Anchor.Ord) != r.Anchor {
-			t.Fatalf("result anchored outside every document")
-		}
-		return "any"
+		t.Fatalf("result anchored outside every shard")
+		return ""
 	}
-	queries := append(testQueries(fb.Doc, fb), fb.Doc.Root.Label)
+	doc := mk()
+	queries := append(testQueries(doc), doc.Root.Label)
 	ctx := context.Background()
 	multi, whole := 0, 0
 	for _, opts := range testOptions {

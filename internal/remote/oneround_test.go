@@ -19,8 +19,7 @@ import (
 // by the eval round.
 func TestProvableWinnersTakeOneRound(t *testing.T) {
 	sc := versionTestCorpus()
-	fb := sc.Fallback()
-	queries := testQueries(fb.Doc, fb)
+	queries := testQueries(versionTestDoc())
 	ctx := context.Background()
 	const bound = 8
 	for _, groups := range []int{1, 2} {

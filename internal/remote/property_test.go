@@ -94,7 +94,15 @@ func testCorpora() []struct {
 	}
 }
 
-func testQueries(doc *xmltree.Document, unsharded *core.Corpus) []string {
+// unshardedOf is the unsharded reference corpus of doc: its one shard. A
+// sharded corpus built from another copy of the same document answers as it
+// does.
+func unshardedOf(doc *xmltree.Document) *core.Corpus { return shard.Build(doc, 1).Shards()[0] }
+
+// testQueries samples the query mix for doc: workload queries of two and
+// three keywords, a keyword nowhere, the empty query, and a keyword from the
+// middle of its vocabulary.
+func testQueries(doc *xmltree.Document) []string {
 	qs := []string{}
 	for _, q := range workload.Generate(doc, workload.Config{Queries: 5, Keywords: 2, Seed: 13}) {
 		qs = append(qs, q.Text())
@@ -103,7 +111,7 @@ func testQueries(doc *xmltree.Document, unsharded *core.Corpus) []string {
 		qs = append(qs, q.Text())
 	}
 	qs = append(qs, "zzznosuchkeyword", "")
-	if voc := unsharded.Index.Vocabulary(); len(voc) > 0 {
+	if voc := unshardedOf(doc).Index.Vocabulary(); len(voc) > 0 {
 		qs = append(qs, voc[len(voc)/2])
 	}
 	return qs
@@ -127,7 +135,7 @@ func TestRouterMatchesLocal(t *testing.T) {
 			for _, n := range []int{1, 2, 3, 5} {
 				sc := shard.Build(cc.mk(), n)
 				cl := startCluster(t, sc, 2, 1)
-				checkRouterEquivalence(t, fmt.Sprintf("%s/n=%d", cc.name, n), sc, cl.router, testOptions)
+				checkRouterEquivalence(t, fmt.Sprintf("%s/n=%d", cc.name, n), sc, cl.router, testOptions, testQueries(cc.mk()))
 			}
 		})
 	}
@@ -149,12 +157,14 @@ func TestRouterMatchesLocalAtTheCut(t *testing.T) {
 	}
 	for _, cc := range []struct {
 		name string
-		doc  *xmltree.Document
+		mk   func() *xmltree.Document
 	}{
-		{"movies", gen.Movies(gen.MoviesConfig{Movies: 10, Seed: 5})},
-		{"stores", gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 3})},
+		{"movies", func() *xmltree.Document { return gen.Movies(gen.MoviesConfig{Movies: 10, Seed: 5}) }},
+		{"stores", func() *xmltree.Document {
+			return gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 3})
+		}},
 	} {
-		sc := shard.Build(cc.doc, 6)
+		sc := shard.Build(cc.mk(), 6)
 		if sc.NumShards() < 5 {
 			t.Fatalf("%s: only %d shards", cc.name, sc.NumShards())
 		}
@@ -169,7 +179,8 @@ func TestRouterMatchesLocalAtTheCut(t *testing.T) {
 			t.Fatalf("%s: placement %v does not interleave ownership", cc.name, cl.router.place.Load().byGroup)
 		}
 		// The root's own label matches the root: the whole-document round.
-		checkRouterEquivalence(t, cc.name+"/cut", sc, cl.router, options, sc.Fallback().Doc.Root.Label)
+		doc := cc.mk()
+		checkRouterEquivalence(t, cc.name+"/cut", sc, cl.router, options, append(testQueries(doc), doc.Root.Label))
 		m := cl.router.metrics
 		if m.taken.Value() == 0 || m.dropped.Value() == 0 {
 			t.Fatalf("%s: built %d, dropped %d results: the cut never fell inside the shipped results",
@@ -185,9 +196,9 @@ func TestRouterMatchesLocalAtTheCut(t *testing.T) {
 // groups: replication must not change answers (every replica serves the
 // same subset from the same snapshot).
 func TestRouterMatchesLocalReplicated(t *testing.T) {
-	sc := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11}), 3)
+	sc := versionTestCorpus()
 	cl := startCluster(t, sc, 2, 2)
-	checkRouterEquivalence(t, "stores/replicated", sc, cl.router, testOptions)
+	checkRouterEquivalence(t, "stores/replicated", sc, cl.router, testOptions, testQueries(versionTestDoc()))
 }
 
 // TestRouterFromSnapshot runs the same pin with the servers loading the
@@ -233,7 +244,7 @@ func TestRouterFromSnapshot(t *testing.T) {
 		t.Fatalf("OpenSnapshot: %v", err)
 	}
 	defer rt.Close()
-	checkRouterEquivalence(t, "snapshot", local, rt, testOptions)
+	checkRouterEquivalence(t, "snapshot", local, rt, testOptions, testQueries(mk()))
 }
 
 // checkRouterEquivalence pins router answers to the local corpus's over
@@ -246,11 +257,9 @@ func TestRouterFromSnapshot(t *testing.T) {
 // regenerated from the routed trees must equal those made from the local
 // ones. Scores are taken before any tree is built: they come from the depths
 // the results arrived with.
-func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Router, options []search.Options, extraQueries ...string) {
+func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Router, options []search.Options, queries []string) {
 	t.Helper()
 	ctx := context.Background()
-	fb := sc.Fallback()
-	queries := append(testQueries(fb.Doc, fb), extraQueries...)
 	genLocal := core.NewGenerator(sc.Analysis())
 	genRemote := core.NewGenerator(rt.Analysis())
 	scorerLocal := rank.NewScorerFunc(sc.Count, sc.TotalElements())

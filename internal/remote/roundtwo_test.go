@@ -12,10 +12,9 @@ import (
 // TestWholeAnswerAllocations: a shard server answering round two — a full
 // request, composed from its own shards' round one, then a snippets call for
 // the whole-document handle it shipped — allocates the same number of
-// objects on a 4-shard corpus whatever the corpus's size, and never builds
-// the lazy copy of the whole document (shard.Corpus.Fallback), which would
-// index it again: the whole-document result is a view over the shards, its
-// statistics folded once per generation.
+// objects on a 4-shard corpus whatever the corpus's size, and builds no
+// index: nothing of the whole document is copied — the whole-document result
+// is a view over the shards, its statistics folded once per generation.
 func TestWholeAnswerAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's own allocations make counts inexact")

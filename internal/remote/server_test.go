@@ -78,8 +78,8 @@ func TestTrimKeepsUntrimmedEvidence(t *testing.T) {
 		}
 		srv := NewServer(sc)
 		st := srv.state.Load()
-		fb := sc.Fallback()
-		queries := append(testQueries(fb.Doc, fb), fb.Doc.Root.Label, "engine")
+		doc := cc.mk()
+		queries := append(testQueries(doc), doc.Root.Label, "engine")
 		for _, sem := range []search.Semantics{search.SemanticsSLCA, search.SemanticsELCA} {
 			for _, maxResults := range []int{1, 2} {
 				opts := search.Options{DistinctAnchors: true, Semantics: sem, MaxResults: maxResults}

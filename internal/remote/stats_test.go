@@ -15,7 +15,7 @@ func TestStatsCacheStaysBounded(t *testing.T) {
 	rt := startCluster(t, sc, 2, 1).router
 	ctx := context.Background()
 	local, _ := sc.Scorer(ctx, nil)
-	vocab := sc.Fallback().Index.Vocabulary()
+	vocab := unshardedOf(versionTestDoc()).Index.Vocabulary()
 	keys := append([]string(nil), vocab...)
 	for i := 0; len(keys) <= 2*maxCachedStats; i++ {
 		keys = append(keys, fmt.Sprintf("absent%05d", i))

@@ -38,8 +38,11 @@ func tracedSearch(t *testing.T, rt *Router, query string) []telemetry.HopSpan {
 	return hops
 }
 
-func versionTestCorpus() *shard.Corpus {
-	return shard.Build(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11}), 3)
+func versionTestCorpus() *shard.Corpus { return shard.Build(versionTestDoc(), 3) }
+
+// versionTestDoc is the document versionTestCorpus shards, a new copy a call.
+func versionTestDoc() *xmltree.Document {
+	return gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 5, Seed: 11})
 }
 
 // TestRoutedHopsReportServerStages: server stage timings in every response
@@ -442,8 +445,8 @@ func TestServersSnippetOnlyKeptResults(t *testing.T) {
 		}
 		return total
 	}
-	fb := sc.Fallback()
-	queries := append(testQueries(fb.Doc, fb), fb.Doc.Root.Label)
+	doc := versionTestDoc()
+	queries := append(testQueries(doc), doc.Root.Label)
 	ctx := context.Background()
 	answered, whole, cut, oneRound, fetching := 0, 0, 0, 0, 0
 	for _, opts := range []search.Options{{DistinctAnchors: true}, {DistinctAnchors: true, Semantics: search.SemanticsELCA, MaxResults: 3}} {
@@ -650,10 +653,12 @@ func TestMissingKeywordTakesOneRound(t *testing.T) {
 	item := func(name string) *xmltree.Node {
 		return xmltree.Elem("item", xmltree.Elem("name", xmltree.Txt(name)))
 	}
-	doc := xmltree.NewDocument(xmltree.Elem("shop",
-		item("red apple"), item("green apple"), item("red pear"),
-		item("yellow banana"), item("green pear"), item("red banana")))
-	sc := shard.Build(doc, 3)
+	mk := func() *xmltree.Document {
+		return xmltree.NewDocument(xmltree.Elem("shop",
+			item("red apple"), item("green apple"), item("red pear"),
+			item("yellow banana"), item("green pear"), item("red banana")))
+	}
+	sc := shard.Build(mk(), 3)
 	if sc.NumShards() != 3 || sc.Shards()[2].Index.List("apple").Len() != 0 {
 		t.Fatalf("fixture: %d shards, want 3 with the last missing \"apple\"", sc.NumShards())
 	}
@@ -672,7 +677,7 @@ func TestMissingKeywordTakesOneRound(t *testing.T) {
 		}
 		return n
 	}
-	fb := sc.Fallback()
+	fb := unshardedOf(mk())
 	elca := search.Options{DistinctAnchors: true, Semantics: search.SemanticsELCA}
 	slca := search.Options{DistinctAnchors: true}
 	whole, discarded := 0, 0

@@ -32,7 +32,8 @@ import (
 // A whole-document result (Whole) — a sharded corpus's result anchored at the
 // document root — has no tree either: it is a view over the shards, by
 // global position (index.Whole), which the snippet pipeline reads as it is;
-// Tree builds a real tree only for a reader that needs one.
+// Tree builds a tree of its own from the shards (WholeDocument) only for a
+// reader that needs one.
 //
 // A result's keyword matches (Matches, MatchKeywords) are runs of its
 // query's posting lists, which every result of the evaluation shares
@@ -93,12 +94,59 @@ type whole struct {
 // index.Whole, and has no tree: its tree fields are nil, Size answers from
 // the view and MatchDepth from the shards' posting lists, and the snippet
 // pipeline reads the shards through the view (core.Generator). lca is the
-// global position of its LCA, query the query it answers. Tree builds a real
-// tree the first time a reader needs one — build makes it (a copy of the
-// whole document), and only such a reader pays for it. A whole-document
-// result is a view (IsView) and is never deferred (Retained).
-func Whole(view *index.Whole, lca int32, query string, build func(context.Context) (*Result, error)) *Result {
-	return &Result{pending: &pending{nodes: view.Len(), build: build, whole: &whole{view: view, lca: lca, query: query}}}
+// global position of its LCA, query the query it answers. It is a view
+// (IsView), deferred (Retained) until Tree builds its tree (WholeDocument)
+// for a reader that needs one, once; the result then holds it.
+func Whole(view *index.Whole, lca int32, query string) *Result {
+	w := &whole{view: view, lca: lca, query: query}
+	return &Result{pending: &pending{nodes: view.Len(), build: w.tree, whole: w}}
+}
+
+// tree builds a whole-document result's tree (WholeDocument), whose
+// positions are the view's: its LCA and matches are the nodes at theirs.
+func (w *whole) tree(context.Context) (*Result, error) {
+	doc := WholeDocument(w.view)
+	nodes := doc.Nodes()
+	r := &Result{Root: doc.Root, Doc: doc, Anchor: doc.Root, LCA: nodes[w.lca]}
+	keywords := w.evaluations()[0].Keywords
+	lists := make([]*index.PostingList, len(keywords))
+	for k, kw := range keywords {
+		var ms []*xmltree.Node
+		for _, pos := range w.matches(kw) {
+			ms = append(ms, nodes[pos])
+		}
+		lists[k] = index.PackNodes(ms)
+	}
+	r.OwnMatches(keywords, lists)
+	return r, nil
+}
+
+// WholeDocument builds the whole document that view reads as a finalized
+// document of its own, with no index: the root once, then every part's root
+// children in part order, each node at its global position with its global
+// symbol id (index.Whole.Sym) — the document NewDocument makes of a copy of
+// the whole document. Labels and values are the shards' strings; no node
+// points into the shards.
+func WholeDocument(view *index.Whole) *xmltree.Document {
+	src := view.Nodes()
+	slab, nodes := make([]xmltree.Node, len(src)), make([]*xmltree.Node, len(src))
+	kids := make([]*xmltree.Node, len(src)-1) // every node but the root is a child
+	for pos, n := range src {
+		c := &slab[pos]
+		c.Kind, c.Sym, c.Label, c.Value, c.FromAttr = n.Kind, view.Sym(int32(pos), n), n.Label, n.Value, n.FromAttr
+		c.Ord, c.Start, c.End = pos, int32(pos), int32(len(src)-1)
+		nodes[pos] = c
+		if pos == 0 { // the root's children come from every part
+			continue
+		}
+		i, _ := view.Locate(int32(pos))
+		c.End, c.Parent = view.Global(i, n.End), &slab[view.Global(i, n.Parent.Start)]
+		c.Parent.Children = append(c.Parent.Children, c)
+		if m := len(n.Children); m > 0 {
+			c.Children, kids = kids[:0:m], kids[m:]
+		}
+	}
+	return xmltree.AdoptFinalized(nodes)
 }
 
 // Whole returns the view a whole-document result reads and its LCA's global
@@ -159,9 +207,11 @@ func (w *whole) lists(kw string) []*index.PostingList {
 // WholeMatches returns the global positions of keyword kw's matches in a
 // whole-document result, in document order: the root once, however many
 // shards post their copy of it, then every shard's other matches.
-func (r *Result) WholeMatches(kw string) []int32 {
+func (r *Result) WholeMatches(kw string) []int32 { return r.wholeOf().matches(kw) }
+
+// matches is WholeMatches.
+func (w *whole) matches(kw string) []int32 {
 	var out []int32
-	w := r.wholeOf()
 	lists := w.lists(kw)
 	if slices.ContainsFunc(lists, func(pl *index.PostingList) bool { return pl.Len() > 0 && pl.Ords[0] == 0 }) {
 		out = append(out, 0)
@@ -326,7 +376,8 @@ func Defer(nodes, retained int, depths []KeywordDepth, build func(context.Contex
 // tree. A build that fails (a distributed router's tree fetch, or ctx ending)
 // returns its error and leaves the result deferred, so a later call tries
 // again; a result held across a move of the serving tier's generation fails
-// every time. Only a deferred result's Tree can fail.
+// every time. A whole-document result's build never fails: its Tree fails
+// only when ctx ends while it waits for another call's build.
 func (r *Result) Tree(ctx context.Context) (*Result, error) {
 	p := r.pending
 	if p == nil {
@@ -363,13 +414,12 @@ func (r *Result) Tree(ctx context.Context) (*Result, error) {
 }
 
 // Retained reports whether r is deferred — its tree not built yet — and, if
-// so, the bytes it holds meanwhile. A deferred result whose tree was built
-// holds that tree and is no longer deferred: it is an owned tree of Size
-// edges. A whole-document result is never deferred: it holds a view, and a
-// tree built for it is its corpus's, not its own.
+// so, the bytes it holds meanwhile (none for a whole-document result, a
+// view). A deferred result whose tree was built holds that tree and is no
+// longer deferred: it is an owned tree of Size edges.
 func (r *Result) Retained() (bytes int, deferred bool) {
 	p := r.pending
-	if p == nil || p.whole != nil {
+	if p == nil {
 		return 0, false
 	}
 	p.mu.Lock()

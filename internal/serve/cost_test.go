@@ -18,8 +18,9 @@ import (
 // TestCostChargesWhatAnEntryOwns: a view result points at corpus nodes the
 // entry's backend already pins, so the entry's cost does not grow with the
 // result's subtree; the same answer as trimmed projections owns its trees
-// and pays for them; and the feature statistics — sized by the result, read
-// by nothing downstream — are not kept. Through the distributed tier the
+// and pays for them; a whole-document result is charged as a view until its
+// tree is built, and then for that tree; and the feature statistics — sized
+// by the result, read by nothing downstream — are not kept. Through the distributed tier the
 // answer is deferred results, each holding its handle and match depths until
 // a reader fetches its tree: charged those bytes — more than a view, far less
 // than a built tree — and the entry's charge stays in line with the heap it
@@ -60,6 +61,46 @@ func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 		t.Errorf("an owned tree of %d edges is charged %d bytes, a view %d", trimmed.Results[0].Size(), tr, v)
 	}
 
+	// The root-involving answer: its whole-document result is a view over
+	// the shards, deferred and charged as a view until a reader builds its
+	// tree; it then holds that tree and is charged for it per node, in line
+	// with the heap the tree retains.
+	whole := entry(stores().Shards()[0].Doc.Root.Label, search.ModeSubtree)
+	w := whole.Results[0]
+	if view, _ := w.Whole(); view == nil || len(whole.Results) != 1 {
+		t.Fatalf("root query: %d results, the first no whole-document result", len(whole.Results))
+	}
+	if _, ok := w.Retained(); !ok {
+		t.Fatal("a whole-document result whose tree nobody built claims not to be deferred")
+	}
+	if wr, v := perResult(whole), perResult(big); wr != v {
+		t.Errorf("a whole-document result of %d edges is charged %d bytes before its tree is built, a view %d", w.Size(), wr, v)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	unbuilt := whole.Cost()
+	wholeTrees, err := whole.Trees(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if tree := wholeTrees[0]; tree.Size() != w.Size() || tree.IsView() || tree.Index != nil {
+		t.Fatalf("built whole-document tree: %d edges, view %v, index %v; result %d edges", tree.Size(), tree.IsView(), tree.Index != nil, w.Size())
+	}
+	if _, ok := w.Retained(); ok {
+		t.Fatal("a whole-document result whose tree was built still claims to be deferred")
+	}
+	grown, retained := whole.Cost()-unbuilt, int64(after.HeapAlloc)-int64(before.HeapAlloc)
+	if grown < retained*6/10 || grown > retained*15/10 {
+		t.Errorf("building a %d-edge whole-document tree grows its entry's charge by %d bytes and retains %d", w.Size(), grown, retained)
+	}
+	runtime.KeepAlive(whole)
+	runtime.KeepAlive(wholeTrees)
+
 	// The same answer through the distributed tier.
 	sc := stores()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -86,7 +127,6 @@ func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 	// Two collections on each side of the reading: a sync.Pool keeps what was
 	// put in it through one (the frame pool's payloads among it), so the
 	// readings see the pools empty either way.
-	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -103,7 +143,7 @@ func TestCostChargesWhatAnEntryOwns(t *testing.T) {
 		t.Errorf("a deferred result of %d edges is charged %d bytes, a view %d, a built tree at least %d",
 			r.Size(), d, v, v+100*int64(r.Size()))
 	}
-	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	retained = int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if charged := deferred.Cost(); charged < retained*6/10 || charged > retained*12/10 {
 		t.Errorf("a %d-result deferred entry is charged %d bytes and retains %d", len(deferred.Results), charged, retained)
 	}

@@ -279,8 +279,9 @@ func (rk *Ranking) At(i int) (index int, score float64) {
 // cost estimates the heap the entry owns, for the cache budget. A view
 // result owns a header only — the corpus nodes it points at belong to the
 // generation the entry's Backend already pins — and a deferred result (what a
-// router returns) a header and the bytes it retains besides: its keyword
-// depths. An owned result tree (a trimmed projection) is charged per node. A
+// router returns, and a whole-document result before its tree is built) a
+// header and the bytes it retains besides: its keyword depths. An owned
+// result tree (a trimmed projection) is charged per node. A
 // snippet is charged its rendered XML and the bytes of the record it keeps —
 // a router's (core.Served); a local corpus's keeps none, only its result,
 // which the entry charges already (core.Generator.ServeResult) — and once a
@@ -292,8 +293,9 @@ func (rk *Ranking) At(i int) (index int, score float64) {
 // results with their snippets at bound 6, 8.2 KB charged for 7.6 KB; 23.9 KB
 // for 23.4 KB once every snippet is decoded; 133 KB for 133 KB once Trees
 // has built the trees too). A deferred result whose tree was built is
-// charged as the owned tree it now holds: Trees re-charges a cached entry
-// when it builds, and Derived when it derives a snippet.
+// charged as the owned tree it now holds — a whole-document result too,
+// though it stays a view: Trees re-charges a cached entry when it builds,
+// and Derived when it derives a snippet.
 func (v *Cached) cost() int64 {
 	const (
 		perNode   = 136
@@ -306,7 +308,7 @@ func (v *Cached) cost() int64 {
 		c += perEntry
 		if retained, deferred := r.Retained(); deferred {
 			c += int64(retained)
-		} else if !r.IsView() {
+		} else if view, _ := r.Whole(); view != nil || !r.IsView() {
 			c += perNode * int64(r.Size()+1)
 		}
 	}
@@ -417,8 +419,9 @@ func (s *Server) QueryContext(ctx context.Context, query string, opts search.Opt
 // own: a deferred result's tree is built (search.Result.Tree) once for every
 // holder of the entry — on a router by fetching it, with the trees of the
 // whole answer, which fails when the tier has moved off the generation that
-// answered — and an entry still cached is re-charged for the trees it now
-// holds, so the cache budget bounds them too. ctx bounds the build.
+// answered; a whole-document result's from the shards — and an entry still
+// cached is re-charged for the trees it now holds, so the cache budget
+// bounds them too. ctx bounds the build.
 func (v *Cached) Trees(ctx context.Context) ([]*search.Result, error) {
 	rs := make([]*search.Result, len(v.Results))
 	built := false

@@ -24,9 +24,9 @@
 // result is a view of the whole document over the shards (Corpus.Whole,
 // index.Whole), addressed by global positions, and nothing is copied on the
 // query path, so correctness never depends on a query being shard-local.
-// A real copy of the whole document (Corpus.Fallback) is built lazily, and
-// only for readers that need one tree (XPath, a whole-document result's
-// tree).
+// No copy of the whole document is kept: a reader that needs it as one tree
+// (a whole-document result's Tree, the facade's XPath) builds it from the
+// shards (search.WholeDocument) and holds it itself.
 package shard
 
 import (

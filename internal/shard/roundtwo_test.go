@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
 	"extract/internal/core"
@@ -17,7 +18,9 @@ import (
 // LCA global positions, in order) must be the whole engine's, under either
 // semantics, with or without DistinctAnchors, at any result bound; a
 // whole-document result's served snippet must be the whole engine's root
-// result's.
+// result's, and so must its tree, built from the shards, and that tree's
+// snippet. The whole document built from the shards (search.WholeDocument)
+// must be the unsharded one, node for node.
 //
 // Node k attaches below one of the nodes before it — counted from the root
 // when its shape byte is even, from the newest node when odd — and takes label
@@ -70,6 +73,7 @@ func FuzzRoundTwoMatchesWhole(f *testing.F) {
 			t.Fatal(err)
 		}
 		sc := Build(mk(), 2+int(n)%3)
+		sameDocument(t, search.WholeDocument(sc.Whole()), whole.Doc)
 		got, err := sc.SearchEnginesContext(context.Background(), q, opts, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -96,6 +100,49 @@ func FuzzRoundTwoMatchesWhole(f *testing.F) {
 			if gs != ws {
 				t.Fatalf("%q %+v on %d shards: whole snippet\n%s\nwant\n%s", q, opts, sc.NumShards(), gs, ws)
 			}
+			// Its tree, built from the shards, is the whole engine's result:
+			// the LCA, every match, and — read node by node, with no index
+			// — the same snippet.
+			tree, err := r.Tree(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tree.Index != nil || tree.LCA.Ord != want[i].LCA.Ord || matchOrds(tree) != matchOrds(want[i]) {
+				t.Fatalf("%q %+v: whole tree LCA %d, matches %s; want %d, %s", q, opts, tree.LCA.Ord, matchOrds(tree), want[i].LCA.Ord, matchOrds(want[i]))
+			}
+			if ts := sc.Generator().ServeResult(tree, kws, 4).XML; ts != ws {
+				t.Fatalf("%q %+v on %d shards: whole tree's snippet\n%s\nwant\n%s", q, opts, sc.NumShards(), ts, ws)
+			}
 		}
 	})
+}
+
+// sameDocument fails unless got is want node for node: kind, label, value,
+// attribute origin, symbol id, positions, parent and child count.
+func sameDocument(t *testing.T, got, want *xmltree.Document) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%d nodes, want %d", got.Len(), want.Len())
+	}
+	for k, w := range want.Nodes() {
+		g := got.Nodes()[k]
+		if g.Kind != w.Kind || g.Label != w.Label || g.Value != w.Value || g.FromAttr != w.FromAttr || g.Sym != w.Sym ||
+			g.Ord != w.Ord || g.Start != w.Start || g.End != w.End || len(g.Children) != len(w.Children) ||
+			(g.Parent == nil) != (w.Parent == nil) || g.Parent != nil && g.Parent.Ord != w.Parent.Ord {
+			t.Fatalf("node %d: %+v, want %+v", k, *g, *w)
+		}
+	}
+}
+
+// matchOrds renders r's match keywords, each with its matches' positions.
+func matchOrds(r *search.Result) string {
+	out := ""
+	for _, kw := range r.MatchKeywords() {
+		out += kw + ":"
+		for _, m := range r.Matches(kw) {
+			out += " " + strconv.Itoa(m.Ord)
+		}
+		out += ";"
+	}
+	return out
 }

@@ -20,8 +20,8 @@ import (
 // equivalence property tests); opts carry the same semantics,
 // construction-mode, distinct-anchor and max-results options a search.Engine
 // takes. Every result comes with its tree, for callers that read them: a
-// whole-document result's is built (search.Result.Tree, over the lazily
-// copied document), which the serving path (Answer) never asks for.
+// whole-document result's is built from the shards (search.Result.Tree),
+// which the serving path (Answer) never asks for.
 func (sc *Corpus) Search(query string, opts search.Options) ([]*search.Result, error) {
 	ctx := context.Background()
 	rs, err := sc.SearchEnginesContext(ctx, query, opts, nil, nil)

@@ -41,9 +41,6 @@ type Corpus struct {
 	wholeOnce sync.Once
 	whole     *index.Whole
 
-	fallbackOnce sync.Once
-	fallback     *core.Corpus
-
 	// gen snippets this corpus's results (Answer, and a shard server's
 	// shipped results) from the shared analysis.
 	gen *core.Generator
@@ -299,47 +296,6 @@ func (sc *Corpus) CompletePrefix(prefix string, k int) []string {
 		order = order[:k]
 	}
 	return order
-}
-
-// Fallback reconstructs (once, lazily) the whole document as a single
-// unsharded corpus sharing the global analysis artifacts: a deep copy of
-// every shard, indexed, held for the generation's life. No query pays for
-// it — a root-involving answer is composed from the shards and its
-// whole-document result is a view over them (Whole). Only readers that need
-// the whole document as one real tree build it: a whole-document result's
-// Tree (the facade's Result.Root, XML, Render and Internal), XPath, the
-// facade's Corpus.Internal, and extractd's /view.
-func (sc *Corpus) Fallback() *core.Corpus {
-	sc.fallbackOnce.Do(func() {
-		// One shard is the whole document already — the reference corpus
-		// the reconstruction below must equal; nothing to copy or re-index.
-		if len(sc.shards) == 1 {
-			sc.fallback = sc.shards[0]
-			return
-		}
-		root := &xmltree.Node{
-			Kind:     xmltree.KindElement,
-			Label:    sc.rootLabel,
-			FromAttr: sc.rootFromAttr,
-		}
-		for _, s := range sc.shards {
-			if s.Doc.Root == nil {
-				continue
-			}
-			for _, c := range s.Doc.Root.Children {
-				xmltree.Append(root, xmltree.DeepCopy(c))
-			}
-		}
-		doc := xmltree.NewDocument(root)
-		doc.InternalSubset = sc.subset
-		sc.fallback = &core.Corpus{
-			Doc:   doc,
-			Index: index.Build(doc),
-			Cls:   sc.cls,
-			Keys:  sc.keys,
-		}
-	})
-	return sc.fallback
 }
 
 func sortByCountDesc(kws []string, counts map[string]int) {

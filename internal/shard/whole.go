@@ -2,7 +2,6 @@ package shard
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"slices"
 
@@ -93,24 +92,14 @@ func (sc *Corpus) roundTwo(query string, opts search.Options, parts []Partial[*s
 
 // WholeResult returns query's result anchored at the document root whose LCA
 // is at global position lca: a whole-document view over the shards
-// (search.Whole) in ModeSubtree, whose tree — built by a reader that needs
-// one — is the result over the lazily copied document (Fallback); in
-// ModeXSeek, the projection, which is a small tree of its own, built from the
-// shards (search.WholeProjection).
+// (search.Whole) in ModeSubtree, which builds its own tree from the shards
+// for a reader that needs one; in ModeXSeek, the projection, which is a small
+// tree of its own, built from the shards (search.WholeProjection).
 func (sc *Corpus) WholeResult(query string, opts search.Options, lca int32) *search.Result {
-	w := sc.Whole()
 	if opts.Mode == search.ModeXSeek {
-		return search.WholeProjection(w, lca, query, sc.cls)
+		return search.WholeProjection(sc.Whole(), lca, query, sc.cls)
 	}
-	return search.Whole(w, lca, query, func(context.Context) (*search.Result, error) {
-		fb := sc.Fallback()
-		eng := search.NewEngine(fb.Doc, fb.Index, sc.cls, opts)
-		ev, err := eng.Lists(query)
-		if err != nil {
-			return nil, err
-		}
-		return eng.ResultAt(ev, 0, int(lca))
-	})
+	return search.Whole(sc.Whole(), lca, query)
 }
 
 // Positions returns the global positions of a result's anchor and LCA: where

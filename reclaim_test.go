@@ -14,10 +14,9 @@ import (
 // queries — pooled collectors and selections, the per-index statistics of a
 // document's root — must not keep a replaced generation reachable. A corpus
 // answers queries of every kind (shard-local results, whole-document
-// fallbacks, XPath selections, cached and uncached), is reloaded onto a
+// results, XPath selections, cached and uncached), is reloaded onto a
 // document that shares no shard with it, answers again, and the old
-// generation's shard documents and its fallback document must then be
-// garbage: their finalizers run.
+// generation's shard documents must then be garbage: their finalizers run.
 func TestReplacedGenerationIsReclaimed(t *testing.T) {
 	xmlA := xmltree.XMLString(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 51}).Root)
 	xmlB := xmltree.XMLString(gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 52}).Root)
@@ -54,12 +53,10 @@ func TestReplacedGenerationIsReclaimed(t *testing.T) {
 	// own allocation and nothing inside the generation points back at it,
 	// so it is reclaimed exactly when the generation is.
 	old := c.data.Load().gen.Corpus
-	docs := append([]*xmltree.Document{old.Fallback().Doc}, func() (ds []*xmltree.Document) {
-		for _, s := range old.Shards() {
-			ds = append(ds, s.Doc)
-		}
-		return ds
-	}()...)
+	var docs []*xmltree.Document
+	for _, s := range old.Shards() {
+		docs = append(docs, s.Doc)
+	}
 	reclaimed := make(chan struct{}, len(docs))
 	for _, d := range docs {
 		runtime.SetFinalizer(d, func(*xmltree.Document) { reclaimed <- struct{}{} })

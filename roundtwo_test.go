@@ -260,9 +260,8 @@ func matchPositions(t *testing.T, h *Hit) string {
 // 4-shard corpus — round two, its whole-document result and that result's
 // snippet — allocates the same number of objects whatever the corpus's size:
 // the whole document's statistics are folded once per generation, its
-// snippet reads the shards through the view, and nothing of it is copied —
-// the lazy copy (shard.Corpus.Fallback), which would index the document
-// again, stays unbuilt.
+// snippet reads the shards through the view, and nothing of it is copied:
+// no index is built, and the result's tree stays unbuilt.
 func TestColdRootInvolvingQueryAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's own allocations make counts inexact")
@@ -289,6 +288,9 @@ func TestColdRootInvolvingQueryAllocations(t *testing.T) {
 				hits, err := c.QueryContext(ctx, tc.q, 6, tc.opts...)
 				if err != nil || len(hits) != 1 || hits[0].Snippet.XML() == "" {
 					t.Fatalf("%q: %d hits, %v; want the whole document's", tc.q, len(hits), err)
+				}
+				if _, deferred := hits[0].Result.r.Retained(); !deferred {
+					t.Fatalf("%q: the whole-document result's tree was built", tc.q)
 				}
 			}
 			builds := index.Builds()

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"fmt"
 	"testing"
 
 	"extract/internal/gen"
@@ -78,23 +79,51 @@ func TestShardedStatsSuggestKeys(t *testing.T) {
 	}
 }
 
+// TestShardedXPath: an XPath selection on a corpus of 3 and 4 shards equals
+// the unsharded corpus's, result XML byte for byte, for expressions inside
+// the shards and for expressions that cross them at the root: a positional
+// predicate on the root's children past shard 0's, count() at the root, and
+// ".." up to the root.
 func TestShardedXPath(t *testing.T) {
-	unsharded, sharded := shardedPair(t)
-	want, err := unsharded.XPath("//store/city")
-	if err != nil {
-		t.Fatal(err)
+	mk := func() *xmltree.Document {
+		return gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 3})
 	}
-	got, err := sharded.XPath("//store/city")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 || len(want) != len(got) {
-		t.Fatalf("xpath: %d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if must(want[i].XML()) != must(got[i].XML()) {
-			t.Fatalf("xpath result %d differs", i)
+	unsharded := FromDocument(mk(), nil)
+	defer unsharded.Close()
+	root := unsharded.InternalShards().Shards()[0].Doc.Root
+	for _, n := range []int{3, 4} {
+		sharded := FromDocumentSharded(mk(), nil, n)
+		if sharded.Shards() != n {
+			t.Fatalf("%d shards, want %d", sharded.Shards(), n)
 		}
+		past := len(sharded.InternalShards().Shards()[0].Doc.Root.Children) + 1
+		for _, expr := range []string{
+			"//store/city",
+			fmt.Sprintf("/*/*[%d]", past),
+			fmt.Sprintf("/*/*[%d]//city", past),
+			fmt.Sprintf("/%s[count(*) = %d]", root.Label, len(root.Children)),
+			fmt.Sprintf("/*[count(*/*) > %d]", len(root.Children)),
+			fmt.Sprintf("/*/*[%d]/..", past),
+			"//store/../..",
+		} {
+			want, err := unsharded.XPath(expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sharded.XPath(expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || len(want) != len(got) {
+				t.Fatalf("%d shards, %s: %d results, want %d", n, expr, len(got), len(want))
+			}
+			for i := range want {
+				if a, b := must(want[i].XML()), must(got[i].XML()); a != b {
+					t.Fatalf("%d shards, %s: result %d differs\nwant %s\ngot  %s", n, expr, i, a, b)
+				}
+			}
+		}
+		sharded.Close()
 	}
 }
 

@@ -30,7 +30,7 @@ func renderFacadeHits(hits []*Hit) string {
 // evaluate on the corpus's engine, rank if asked, then generate one snippet
 // per result with a private generator — no serving layer, no cache.
 func directQuery(c *Corpus, query string, bound int, ranked bool, opts search.Options) (string, error) {
-	cc := c.Internal()
+	cc := c.InternalShards().Shards()[0]
 	rs, err := cc.Engine(opts).Search(query)
 	if err != nil {
 		return "", err
@@ -108,7 +108,7 @@ func TestUnshardedServedMatchesDirect(t *testing.T) {
 					}
 				}
 				// Search must return the same result list the direct engine does.
-				wantRS, werr2 := c.Internal().Engine(oc.opts).Search(q)
+				wantRS, werr2 := c.InternalShards().Shards()[0].Engine(oc.opts).Search(q)
 				gotRS, gerr2 := c.Search(q, oc.facade...)
 				if (werr2 == nil) != (gerr2 == nil) {
 					t.Fatalf("%s: Search errors differ: %v vs %v", label, werr2, gerr2)

@@ -119,7 +119,7 @@
 //     replaying repeated queries — Corpus.Search result lists, and
 //     Corpus.Query result+snippet pairs per bound — without recomputation.
 //     The key is the query itself — its parsed terms in query order, the
-//     evaluation options and the bound — so two spellings that tokenize
+//     evaluation options and the bound — so two spellings that parse
 //     alike share an entry and a permuted query (whose IList leads with
 //     the keywords in another order) does not. An entry keeps each
 //     snippet's XML, rendered once, and the relevance order its first
@@ -153,7 +153,7 @@
 // QueryLatencies reads the same histograms as Go values (per-stage
 // p50/p90/p99/p999/max). The WithSlowQueryLog load option installs a hook
 // fired for every query over a threshold with the query's QueryTrace — the
-// record RecentTraces returns — plus its tokenized keywords: never the raw
+// record RecentTraces returns — plus its parsed keywords: never the raw
 // query string or error text.
 // Corpus.QueryCacheStats remains the plain-Go view of the cache counters
 // (extractd serves it as JSON at /stats); it reads the very instruments

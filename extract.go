@@ -960,7 +960,7 @@ func (c *Corpus) SearchContext(ctx context.Context, query string, opts ...Search
 	}
 	var rk *serve.Ranking
 	if cfg.ranked {
-		if rk, err = ranking(ctx, v, query); err != nil {
+		if rk, err = ranking(ctx, v); err != nil {
 			return nil, err
 		}
 	}
@@ -974,16 +974,16 @@ func (c *Corpus) SearchContext(ctx context.Context, query string, opts ...Search
 }
 
 // ranking returns v's relevance order. It is computed once per cache entry,
-// over the statistics of the generation that answered (v.Backend), and every
-// later ranked read of the entry replays it.
-func ranking(ctx context.Context, v *serve.Cached, query string) (*serve.Ranking, error) {
+// over the statistics of the generation that answered (v.Backend) and the
+// entry's term keys (v.Query.Keys), and every later ranked read of the entry
+// replays it.
+func ranking(ctx context.Context, v *serve.Cached) (*serve.Ranking, error) {
 	return v.Ranked(func(rs []*search.Result) (*serve.Ranking, error) {
-		keys := search.TermKeys(query)
-		scorer, err := v.Backend.(rankedBackend).Scorer(ctx, keys)
+		scorer, err := v.Backend.(rankedBackend).Scorer(ctx, v.Query.Keys)
 		if err != nil {
 			return nil, err
 		}
-		order, scores := scorer.Order(rs, keys)
+		order, scores := scorer.Order(rs, v.Query.Keys)
 		return &serve.Ranking{Order: order, Scores: scores}, nil
 	})
 }
@@ -1161,7 +1161,7 @@ func (c *Corpus) QueryContext(ctx context.Context, query string, bound int, opts
 	}
 	var rk *serve.Ranking
 	if cfg.ranked {
-		if rk, err = ranking(ctx, v, query); err != nil {
+		if rk, err = ranking(ctx, v); err != nil {
 			return nil, err
 		}
 	}

@@ -274,13 +274,13 @@ func (g *Generated) Encoded() (pending bool, bytes int) {
 }
 
 // ForTree generates a snippet for a query-result tree. The keywords are the
-// tokenized query; bound is the maximum number of snippet edges. A result
-// that is a view of the generator's own corpus document is read in that
-// corpus index's space (index.Index.Interval); any other tree is read as it
-// is.
+// query's (search.Query.Keywords); bound is the maximum number of snippet
+// edges. A result that is a view of the generator's own corpus document is
+// read in that corpus index's space (index.Index.Interval); any other tree
+// is read as it is.
 func (g *Generator) ForTree(result *xmltree.Document, query string, bound int) *Generated {
 	sp, start, end := g.Corpus.Index.Interval(result)
-	return g.snippet(sp, start, end, result, index.Tokenize(query), bound)
+	return g.snippet(sp, start, end, result, search.Parse(query).Keywords, bound)
 }
 
 // ForResult generates a snippet for a search result. A result brings the
@@ -288,10 +288,10 @@ func (g *Generator) ForTree(result *xmltree.Document, query string, bound int) *
 // corpus's shared analysis serves the results of every shard and the whole
 // document's, and a whole-document result builds no copy of the document.
 func (g *Generator) ForResult(r *search.Result, query string, bound int) *Generated {
-	return g.ofResult(r, index.Tokenize(query), bound)
+	return g.ofResult(r, search.Parse(query).Keywords, bound)
 }
 
-// ofResult is ForResult with the query tokenized: what Pipeline runs per
+// ofResult is ForResult with the query's keywords: what Pipeline runs per
 // result, and a local served snippet's first Derived.
 func (g *Generator) ofResult(r *search.Result, kws []string, bound int) *Generated {
 	sp, start, end := r.Space()
@@ -370,15 +370,15 @@ type SnippetedResult struct {
 // generate a snippet for every result, in result order, on the calling
 // goroutine. The served path fans snippets out with shard.Snippets.
 func Pipeline(c *Corpus, query string, bound int, searchOpts search.Options) ([]*SnippetedResult, error) {
-	results, err := c.Engine(searchOpts).Search(query)
+	q := search.Parse(query)
+	results, err := c.Engine(searchOpts).Search(q)
 	if err != nil {
 		return nil, err
 	}
 	gen := NewGenerator(c)
-	kws := index.Tokenize(query)
 	out := make([]*SnippetedResult, len(results))
 	for i, r := range results {
-		out[i] = &SnippetedResult{Result: r, Generated: gen.ofResult(r, kws, bound)}
+		out[i] = &SnippetedResult{Result: r, Generated: gen.ofResult(r, q.Keywords, bound)}
 	}
 	return out, nil
 }

@@ -218,7 +218,7 @@ func TestSnippetPipelineMatchesOracle(t *testing.T) {
 		}
 		for oi, opts := range options {
 			for _, q := range queries {
-				rs, err := c.Engine(opts).Search(q)
+				rs, err := c.Engine(opts).Search(search.Parse(q))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -26,7 +26,7 @@ func TestServedSnippetAllocations(t *testing.T) {
 	queries := []string{"clothes", "store", "retailer", "store city", doc.Root.Label}
 	var rs []*search.Result
 	for _, q := range queries {
-		got, err := c.Engine(search.Options{DistinctAnchors: true}).Search(q)
+		got, err := c.Engine(search.Options{DistinctAnchors: true}).Search(search.Parse(q))
 		if err != nil || len(got) == 0 {
 			t.Fatalf("%q: %d results, %v", q, len(got), err)
 		}

@@ -1,5 +1,6 @@
 // Package metrics scores snippets against the paper's four goals:
-// representativeness and relevance as IList coverage, distinguishability as
+// representativeness and relevance as IList coverage (which
+// selector.CoverageOf computes), distinguishability as
 // the fraction of pairwise-distinct snippets across a query's results, and
 // self-containment as the presence of the return entity's name and key.
 // The same witness rules (selector.Witnesses) score eXtract and baseline
@@ -13,20 +14,6 @@ import (
 	"extract/internal/selector"
 	"extract/xmltree"
 )
-
-// Coverage returns the fraction of IList items witnessed by the tree.
-func Coverage(root *xmltree.Node, il *ilist.IList, cls *classify.Classification) float64 {
-	frac, _ := selector.CoverageOf(root, il, cls)
-	return frac
-}
-
-// WeightedCoverage returns the rank-weighted coverage (weights 1/(1+rank)):
-// missing the result key hurts more than missing the ninth dominant
-// feature.
-func WeightedCoverage(root *xmltree.Node, il *ilist.IList, cls *classify.Classification) float64 {
-	_, w := selector.CoverageOf(root, il, cls)
-	return w
-}
 
 // KeywordCoverage returns the fraction of query keywords visible in the
 // tree (labels or displayed values).

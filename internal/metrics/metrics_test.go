@@ -34,23 +34,35 @@ func figure1(t *testing.T) *fx {
 	return &fx{result: result, il: il, cls: cls, stats: stats, kws: kws}
 }
 
+// coverage and weighted are the two fractions of selector.CoverageOf: of the
+// IList items witnessed by the tree, and rank-weighted (1/(1+rank)).
+func coverage(root *xmltree.Node, il *ilist.IList, cls *classify.Classification) float64 {
+	c, _ := selector.CoverageOf(root, il, cls)
+	return c
+}
+
+func weighted(root *xmltree.Node, il *ilist.IList, cls *classify.Classification) float64 {
+	_, w := selector.CoverageOf(root, il, cls)
+	return w
+}
+
 func TestCoverageBounds(t *testing.T) {
 	f := figure1(t)
 	// The whole result witnesses everything.
-	if got := Coverage(f.result.Root, f.il, f.cls); got != 1 {
+	if got := coverage(f.result.Root, f.il, f.cls); got != 1 {
 		t.Errorf("full result coverage = %f", got)
 	}
-	if got := WeightedCoverage(f.result.Root, f.il, f.cls); got != 1 {
+	if got := weighted(f.result.Root, f.il, f.cls); got != 1 {
 		t.Errorf("full weighted = %f", got)
 	}
 	// A bare root witnesses only the "retailer" keyword.
 	bare := xmltree.Elem("retailer")
-	got := Coverage(bare, f.il, f.cls)
+	got := coverage(bare, f.il, f.cls)
 	want := 1.0 / float64(f.il.Len())
 	if got != want {
 		t.Errorf("bare coverage = %f, want %f", got, want)
 	}
-	if Coverage(nil, f.il, f.cls) != 0 {
+	if coverage(nil, f.il, f.cls) != 0 {
 		t.Error("nil root coverage should be 0")
 	}
 }
@@ -63,8 +75,8 @@ func TestWeightedFavorsTopItems(t *testing.T) {
 	// "woman" is the last item; build a clothes with only fitting woman.
 	lastOnly := xmltree.Elem("x", xmltree.Elem("clothes", xmltree.Attr("fitting", "woman")))
 	// Embed under a connection root so entity ownership resolves.
-	wFirst := WeightedCoverage(xmltree.NewDocument(firstOnly).Root, f.il, f.cls)
-	wLast := WeightedCoverage(xmltree.NewDocument(lastOnly).Root, f.il, f.cls)
+	wFirst := weighted(xmltree.NewDocument(firstOnly).Root, f.il, f.cls)
+	wLast := weighted(xmltree.NewDocument(lastOnly).Root, f.il, f.cls)
 	if wFirst <= wLast {
 		t.Errorf("weighted: first-only %f <= last-only %f", wFirst, wLast)
 	}
@@ -136,9 +148,9 @@ func TestEXtractBeatsBaselinesOnWeightedCoverage(t *testing.T) {
 	bfs := baseline.BFSPrefix(f.result.Root, bound)
 	path := baseline.PathOnly(f.result, f.kws, bound)
 
-	we := WeightedCoverage(ex.Root, f.il, f.cls)
-	wb := WeightedCoverage(bfs, f.il, f.cls)
-	wp := WeightedCoverage(path, f.il, f.cls)
+	we := weighted(ex.Root, f.il, f.cls)
+	wb := weighted(bfs, f.il, f.cls)
+	wp := weighted(path, f.il, f.cls)
 	if we <= wb {
 		t.Errorf("eXtract %.3f <= BFS %.3f", we, wb)
 	}

@@ -42,7 +42,7 @@ func setup(t *testing.T) (*search.Engine, *Scorer) {
 
 func TestDepthDecay(t *testing.T) {
 	eng, sc := setup(t)
-	results, err := eng.Search("gopher")
+	results, err := eng.Search(search.Parse("gopher"))
 	if err != nil || len(results) != 2 {
 		t.Fatalf("results = %d (%v)", len(results), err)
 	}
@@ -70,7 +70,7 @@ func TestIDFPrefersRareKeyword(t *testing.T) {
 
 func TestScoreMissingKeywordContributesZero(t *testing.T) {
 	eng, sc := setup(t)
-	results, _ := eng.Search("gopher")
+	results, _ := eng.Search(search.Parse("gopher"))
 	with := sc.Score(results[0], []string{"gopher"})
 	withMissing := sc.Score(results[0], []string{"gopher", "absent"})
 	if with != withMissing {
@@ -80,7 +80,7 @@ func TestScoreMissingKeywordContributesZero(t *testing.T) {
 
 func TestSortStableOnTies(t *testing.T) {
 	eng, sc := setup(t)
-	results, _ := eng.Search("common")
+	results, _ := eng.Search(search.Parse("common"))
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -96,7 +96,7 @@ func TestSortStableOnTies(t *testing.T) {
 // results, and its order and scores are what Sort puts in place.
 func TestOrderLeavesResultsInPlace(t *testing.T) {
 	eng, sc := setup(t)
-	results, err := eng.Search("gopher")
+	results, err := eng.Search(search.Parse("gopher"))
 	if err != nil || len(results) != 2 {
 		t.Fatalf("results = %d (%v)", len(results), err)
 	}
@@ -129,7 +129,7 @@ func TestOrderReadsEachFrequencyOnce(t *testing.T) {
 	}
 	ix := index.Build(doc)
 	eng := search.NewEngine(doc, ix, nil, search.Options{})
-	one, err := eng.Search("gopher")
+	one, err := eng.Search(search.Parse("gopher"))
 	if err != nil || len(one) == 0 {
 		t.Fatalf("%d results, %v", len(one), err)
 	}

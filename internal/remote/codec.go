@@ -609,7 +609,7 @@ func (c *cursor) shipped(shard int32, terms int) scanned {
 func (s scanned) take(at *answerTrees, i int) *search.Result {
 	var depths []search.KeywordDepth
 	dep := record.Reader{Text: unsafeString(s.depths)}
-	for _, kw := range at.terms {
+	for _, kw := range at.q.Keys {
 		if d := dep.Uvarint(); d > 0 {
 			depths = append(depths, search.KeywordDepth{Keyword: kw, Depth: d - 1})
 		}
@@ -752,7 +752,7 @@ type shardAnswer struct {
 }
 
 // evalAnswer is what a shard server computed for one eval request, before
-// encoding: terms are the query's term keys (search.TermKeys), which a shipped
+// encoding: terms are the query's term keys (search.Query.Keys), which a shipped
 // result's match depths follow, and records the snippet records of every
 // shard of the leading run, each shard's a Slice of them.
 type evalAnswer struct {
@@ -832,9 +832,11 @@ func decodeEvalResp(body []byte, terms, lead int) (evalResp, error) {
 // --- full response ---
 
 // fullAnswer is what a shard server computed for one full request: the
-// whole-document answer's results, re-addressed (readdress), and, when the
-// request has a snippet bound, one snippet record a result.
+// query's term keys (as evalAnswer's), the whole-document answer's results,
+// re-addressed (readdress), and, when the request has a snippet bound, one
+// snippet record a result.
 type fullAnswer struct {
+	terms   []string
 	results []*search.Result
 	records *shard.RecordSet
 }

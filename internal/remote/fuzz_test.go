@@ -273,7 +273,7 @@ func FuzzEvalRespDecode(f *testing.F) {
 		}
 		// take takes the results one list shipped by shard.
 		take := func(shard int32, rs []scanned) {
-			at := &answerTrees{terms: keys, handles: make([]handle, len(rs))}
+			at := &answerTrees{q: search.Query{Keys: keys}, handles: make([]handle, len(rs))}
 			for i, s := range rs {
 				taken := s.take(at, i)
 				if taken.Size() != s.nodes-1 || at.handles[i] != s.at || at.handles[i].shard != shard {

@@ -105,7 +105,7 @@ func TestSnippetedAnswerShipsNoTrees(t *testing.T) {
 	var records [][]byte
 	for _, opts := range testOptions {
 		for _, q := range queries {
-			rs, gs, err := rt.Answer(ctx, q, opts, nil, 8)
+			rs, gs, err := rt.Answer(ctx, search.Parse(q), opts, nil, 8)
 			if err != nil {
 				continue
 			}
@@ -193,7 +193,7 @@ func TestTreeReadTakesOneRoundPerGroup(t *testing.T) {
 					want[groupLabel(r)] = 1
 				}
 			}
-			rs, _, err := rt.Answer(ctx, q, opts, nil, 8)
+			rs, _, err := rt.Answer(ctx, search.Parse(q), opts, nil, 8)
 			if err != nil {
 				t.Fatalf("%q: %v", q, err)
 			}
@@ -364,7 +364,7 @@ func TestTreeReadAsksGroupsAtOnce(t *testing.T) {
 	const groups = 2
 	cl := startCluster(t, sc, groups, 1)
 	rt := cl.router
-	rs, _, err := rt.Answer(context.Background(), "store", search.Options{DistinctAnchors: true}, nil, 6)
+	rs, _, err := rt.Answer(context.Background(), search.Parse("store"), search.Options{DistinctAnchors: true}, nil, 6)
 	if err != nil || len(rs) == 0 {
 		t.Fatalf("answer: %d results, %v", len(rs), err)
 	}

@@ -45,7 +45,7 @@ func TestProvableWinnersTakeOneRound(t *testing.T) {
 			{DistinctAnchors: true},
 		} {
 			for _, q := range queries {
-				want, wantGs, err := sc.Answer(ctx, q, opts, nil, bound)
+				want, wantGs, err := sc.Answer(ctx, search.Parse(q), opts, nil, bound)
 				if err != nil || len(want) == 0 || slices.ContainsFunc(want, isWhole) {
 					continue
 				}
@@ -54,7 +54,7 @@ func TestProvableWinnersTakeOneRound(t *testing.T) {
 				}
 				label := fmt.Sprintf("%d groups, %+v, %q", groups, opts, q)
 				before, origins := calls(), snippetOrigins(rt)
-				rs, gs, err := rt.Answer(ctx, q, opts, nil, bound)
+				rs, gs, err := rt.Answer(ctx, search.Parse(q), opts, nil, bound)
 				if err != nil || len(rs) != len(want) || len(gs) != len(wantGs) {
 					t.Fatalf("%s: %d results, %d snippets, %v; want %d", label, len(rs), len(gs), err, len(want))
 				}

@@ -11,6 +11,7 @@ import (
 
 	"extract/internal/core"
 	"extract/internal/gen"
+	"extract/internal/index"
 	"extract/internal/ingest"
 	"extract/internal/rank"
 	"extract/internal/search"
@@ -259,6 +260,7 @@ func TestRouterFromSnapshot(t *testing.T) {
 // the results arrived with.
 func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Router, options []search.Options, queries []string) {
 	t.Helper()
+	queries = append(queries[:len(queries):len(queries)], respellings(sc, queries)...)
 	ctx := context.Background()
 	genLocal := core.NewGenerator(sc.Analysis())
 	genRemote := core.NewGenerator(rt.Analysis())
@@ -269,7 +271,7 @@ func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Rou
 			label := fmt.Sprintf("%s/sem=%d/mode=%d/max=%d/q=%q",
 				name, opts.Semantics, opts.Mode, opts.MaxResults, q)
 			want, werr := sc.Search(q, opts)
-			got, gotSnippets, gerr := rt.Answer(ctx, q, opts, nil, bound)
+			got, gotSnippets, gerr := rt.Answer(ctx, search.Parse(q), opts, nil, bound)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("%s: errors differ: local %v, routed %v", label, werr, gerr)
 			}
@@ -279,7 +281,7 @@ func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Rou
 			if len(want) != len(got) {
 				t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 			}
-			_, wantSnippets, err := sc.Answer(ctx, q, opts, nil, bound)
+			_, wantSnippets, err := sc.Answer(ctx, search.Parse(q), opts, nil, bound)
 			if err != nil {
 				t.Fatalf("%s: local answer: %v", label, err)
 			}
@@ -291,7 +293,7 @@ func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Rou
 					t.Fatalf("%s: server snippet %d: %v", label, i, err)
 				}
 			}
-			keys := queryKeys(q)
+			keys := search.Parse(q).Keys
 			scorerRemote, err := rt.Scorer(ctx, keys)
 			if err != nil {
 				t.Fatalf("%s: remote scorer: %v", label, err)
@@ -328,13 +330,24 @@ func checkRouterEquivalence(t *testing.T, name string, sc *shard.Corpus, rt *Rou
 	}
 }
 
-func queryKeys(query string) []string {
-	terms := search.ParseQuery(query)
-	keys := make([]string, len(terms))
-	for i, t := range terms {
-		keys[i] = t.String()
+// respellings returns two queries the sampled ones never spell, which a
+// router sends as text for each shard server to parse: a quoted phrase of two
+// tokens that follow each other in a text value of sc — the first such value
+// on shard 0, so the phrase matches, or else the first sampled query's two
+// keywords — and the same two tokens with the first repeated, a duplicate
+// term.
+func respellings(sc *shard.Corpus, queries []string) []string {
+	var pair []string
+	for _, n := range sc.Shards()[0].Doc.Nodes() {
+		if toks := index.Tokenize(n.Value); n.IsText() && len(toks) >= 2 {
+			pair = toks[:2]
+			break
+		}
 	}
-	return keys
+	if pair == nil {
+		pair = strings.Fields(queries[0])
+	}
+	return []string{`"` + pair[0] + " " + pair[1] + `"`, pair[0] + " " + pair[1] + " " + pair[0]}
 }
 
 // sameSnippet compares two served snippets in every field a served snippet

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"extract/internal/core"
-	"extract/internal/index"
 	"extract/internal/ingest"
 	"extract/internal/rank"
 	"extract/internal/record"
@@ -411,18 +410,18 @@ func mapServerErr(addr string, e errMsg) (error, bool) {
 }
 
 // SearchEnginesContext answers a query from the replica groups, search only:
-// Answer with no snippet bound. engines is ignored (the router has none); the
-// parameter is kept only for benchmark/, which calls this beside
-// shard.Corpus.SearchEnginesContext.
+// Answer with no snippet bound, the query parsed here. engines is ignored
+// (the router has none); the form is kept only for benchmark/, which calls
+// this beside shard.Corpus.SearchEnginesContext.
 func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run shard.Runner) ([]*search.Result, error) {
-	rs, _, err := rt.Answer(ctx, query, opts, run, -1)
+	rs, _, err := rt.Answer(ctx, search.Parse(query), opts, run, -1)
 	return rs, err
 }
 
-// Answer answers a query from the replica groups by the same protocol as the
-// in-process sharded path — shard.Merge, here over rounds that cross the wire
-// (routedRounds) — so a routed answer is a local one, whatever the shard
-// count. Responses are validated as they arrive — a malformed one fails over
+// Answer answers a parsed query q from the replica groups by the same
+// protocol as the in-process sharded path — shard.Merge, here over rounds
+// that cross the wire (routedRounds) — so a routed answer is a local one,
+// whatever the shard count. Responses are validated as they arrive — a malformed one fails over
 // inside its hop — and only the results the merge takes become answers:
 // deferred results (take), which carry their size, match depths and handle
 // but no tree. The first read of a tree fetches it (answerTrees). With bound
@@ -434,14 +433,15 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 // and the snippets of the other winners are asked for by handle once the
 // merge has cut (snippets). run schedules the per-group fan-outs, so the
 // serving layer's worker pool bounds remote concurrency exactly as it bounds
-// local shard evaluation.
-func (rt *Router) Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
+// local shard evaluation. The requests carry q's text, which each shard
+// server parses once; everything the router reads of the query — the term
+// keys a shipped result's depths follow, the snippet keywords — is q's.
+func (rt *Router) Answer(ctx context.Context, q search.Query, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	pl := rt.place.Load()
-	terms := search.TermKeys(query)
-	if len(pl.groupOf) == 0 || len(terms) == 0 {
+	if len(pl.groupOf) == 0 || len(q.Terms) == 0 {
 		return nil, nil, search.ErrEmptyQuery
 	}
-	r := &routedRounds{rt: rt, pl: pl, query: query, terms: len(terms), opts: opts, run: run, bound: max(bound, -1)}
+	r := &routedRounds{rt: rt, pl: pl, q: q, opts: opts, run: run, bound: max(bound, -1)}
 	winners, err := shard.Merge(ctx, opts, r, scanned.lcaPos)
 	if err != nil {
 		return nil, nil, err
@@ -454,7 +454,7 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 	rs := make([]*search.Result, len(winners))
 	handles := make([]handle, len(winners))
 	if len(winners) > 0 {
-		at := &answerTrees{rt: rt, pl: pl, query: query, opts: opts, terms: terms,
+		at := &answerTrees{rt: rt, pl: pl, q: q, opts: opts,
 			handles: handles, trees: make([]*search.Result, len(winners))}
 		for i, w := range winners {
 			rs[i] = w.take(at, i)
@@ -481,8 +481,7 @@ func (rt *Router) Answer(ctx context.Context, query string, opts search.Options,
 type routedRounds struct {
 	rt    *Router
 	pl    *placement
-	query string
-	terms int // the query's term count, which every shipped result carries a depth for
+	q     search.Query // every shipped result carries a depth for each of its terms
 	opts  search.Options
 	run   shard.Runner
 	bound int // the snippet bound; -1 = search only
@@ -509,10 +508,10 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 		if r.bound >= 0 {
 			lead = shard.LeadingRun(shards)
 		}
-		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: timeout, shards: shards, bound: r.bound})
+		payload := encodeEvalReq(evalReq{opts: r.opts, query: r.q.Text, timeoutMillis: timeout, shards: shards, bound: r.bound})
 		calls[g] = func() error {
 			return rt.groupCall(ctx, rt.groups[g].replicas, &rt.groups[g].rr, "eval", strconv.Itoa(g), msgEval, payload, msgEvalResp, pl.fingerprint, func(body []byte) error {
-				resp, err := decodeEvalResp(body, r.terms, lead)
+				resp, err := decodeEvalResp(body, len(r.q.Terms), lead)
 				if err != nil {
 					return err
 				}
@@ -549,9 +548,9 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 // itself.
 func (r *routedRounds) Whole(ctx context.Context, _ []shard.Partial[scanned], _ bool) ([]scanned, error) {
 	var results []scanned
-	payload := encodeEvalReq(evalReq{opts: r.opts, query: r.query, timeoutMillis: ctxTimeoutMillis(ctx), bound: r.bound})
+	payload := encodeEvalReq(evalReq{opts: r.opts, query: r.q.Text, timeoutMillis: ctxTimeoutMillis(ctx), bound: r.bound})
 	err := r.rt.groupCall(ctx, r.rt.all, &r.rt.allRR, "full", "any", msgFull, payload, msgFullResp, r.pl.fingerprint, func(body []byte) error {
-		rs, err := decodeFullResp(body, r.terms, r.bound >= 0)
+		rs, err := decodeFullResp(body, len(r.q.Terms), r.bound >= 0)
 		if err != nil {
 			return err
 		}
@@ -583,7 +582,7 @@ func (r *routedRounds) Whole(ctx context.Context, _ []shard.Partial[scanned], _ 
 func (r *routedRounds) snippets(ctx context.Context, winners []scanned, handles []handle) ([]*core.Generated, error) {
 	gs := make([]*core.Generated, len(winners))
 	start := time.Now()
-	kws := index.Tokenize(r.query)
+	kws := r.q.Keywords
 	var fetch []int
 	var fromEval, fromFull int
 	into := record.GetTree()
@@ -602,7 +601,7 @@ func (r *routedRounds) snippets(ctx context.Context, winners []scanned, handles 
 	into.Release()
 	var err error
 	if len(fetch) > 0 {
-		req := treesReq{opts: r.opts, query: r.query, fingerprint: r.pl.fingerprint, bound: r.bound}
+		req := treesReq{opts: r.opts, query: r.q.Text, fingerprint: r.pl.fingerprint, bound: r.bound}
 		err = r.rt.byHandle(ctx, r.pl, r.run, msgSnippets, req, handles, fetch, func(body []byte, idx []int) error {
 			return takeSnippets(body, kws, r.bound, gs, idx)
 		})
@@ -716,8 +715,8 @@ func fanOut(run shard.Runner, calls []func() error) error {
 var ErrResultGone = errors.New("remote: result's generation is no longer served")
 
 // answerTrees is where one routed answer's trees come from: its query,
-// options, term keys and placement — the generation that answered — and
-// every taken result's handle. The first read of any tree fetches the trees
+// options and placement — the generation that answered — and every taken
+// result's handle. The first read of any tree fetches the trees
 // of every result of the answer at once, by the fan-out snippets take too
 // (byHandle): one trees call per replica group holding some of them (the
 // whole-document answer's to any replica), the calls running concurrently,
@@ -727,9 +726,8 @@ var ErrResultGone = errors.New("remote: result's generation is no longer served"
 type answerTrees struct {
 	rt      *Router
 	pl      *placement
-	query   string
+	q       search.Query
 	opts    search.Options
-	terms   []string
 	handles []handle
 
 	mu     sync.Mutex
@@ -787,7 +785,7 @@ func (at *answerTrees) tree(ctx context.Context, i int) (*search.Result, error) 
 func (at *answerTrees) fetch(ctx context.Context, missing []int) error {
 	ctx, cancel := context.WithTimeout(ctx, backgroundCallTimeout)
 	defer cancel()
-	req := treesReq{opts: at.opts, query: at.query, fingerprint: at.pl.fingerprint, bound: -1}
+	req := treesReq{opts: at.opts, query: at.q.Text, fingerprint: at.pl.fingerprint, bound: -1}
 	err := at.rt.byHandle(ctx, at.pl, nil, msgTrees, req, at.handles, missing, func(body []byte, idx []int) error {
 		recs, err := decodeTreesResp(body)
 		if err != nil {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"extract/internal/faultinject"
-	"extract/internal/index"
 	"extract/internal/ingest"
 	"extract/internal/search"
 	"extract/internal/serve"
@@ -293,9 +292,9 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 			})
 	case msgFull:
 		return staged(s, st, "full", msgFullResp, payload, enc, decodeEvalReq, s.fullEval,
-			func(b []byte, req evalReq, a fullAnswer) []byte {
+			func(b []byte, _ evalReq, a fullAnswer) []byte {
 				defer a.records.Release()
-				return appendFullResp(b, a, search.TermKeys(req.query))
+				return appendFullResp(b, a, a.terms)
 			})
 	case msgTrees:
 		return staged(s, st, "trees", msgTreesResp, payload, enc, decodeTreesReq, s.trees,
@@ -414,11 +413,12 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	if err != nil {
 		return evalAnswer{}, err
 	}
-	parts, err := st.sc.EvalShards(ctx, req.query, req.opts, shards, nil, s.pool.Run)
+	q := search.Parse(req.query)
+	parts, _, err := st.sc.EvalShards(ctx, q, req.opts, shards, s.pool.Run)
 	if err != nil {
 		return evalAnswer{}, err
 	}
-	a := evalAnswer{terms: search.TermKeys(req.query), shards: make([]shardAnswer, len(parts))}
+	a := evalAnswer{terms: q.Keys, shards: make([]shardAnswer, len(parts))}
 	for i, p := range parts {
 		a.shards[i] = shardAnswer{shard: req.shards[i], digest: p.Digest, results: p.Results}
 	}
@@ -430,7 +430,7 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	for _, sa := range lead {
 		rs = append(rs, sa.results...)
 	}
-	if a.records, err = s.records(ctx, st, rs, req.query, req.bound); err != nil {
+	if a.records, err = s.records(ctx, st, rs, q.Keywords, req.bound); err != nil {
 		return evalAnswer{}, err
 	}
 	at := 0
@@ -442,14 +442,14 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	return a, nil
 }
 
-// records writes the snippet records of rs at bound (shard.Records) and
-// counts them. The encoder copies them into the response, and the handler
-// then releases them (handle).
-func (s *Server) records(ctx context.Context, st *serverState, rs []*search.Result, query string, bound int) (*shard.RecordSet, error) {
+// records writes the snippet records of rs at bound with the query's
+// keywords kws (shard.Records) and counts them. The encoder copies them into
+// the response, and the handler then releases them (handle).
+func (s *Server) records(ctx context.Context, st *serverState, rs []*search.Result, kws []string, bound int) (*shard.RecordSet, error) {
 	if len(rs) == 0 {
 		return nil, nil
 	}
-	recs, err := shard.Records(ctx, s.pool.Run, st.sc.Generator(), rs, index.Tokenize(query), bound)
+	recs, err := shard.Records(ctx, s.pool.Run, st.sc.Generator(), rs, kws, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -488,20 +488,21 @@ func trimToMerge(answers []shardAnswer, maxResults int) bool {
 // snippet records of every result — the full answer is the answer. Any
 // replica can serve it — every server holds the full snapshot — and composes
 // it as a local corpus does, from round one on all its shards
-// (shard.Corpus.SearchEnginesContext), evaluating and copying no whole
-// document. A full response addresses results in the whole document, so each
-// is returned re-addressed (readdress); the records are written from the
-// results as they were composed, as a local corpus snippets them.
+// (shard.Corpus.Answer), evaluating and copying no whole document. A full
+// response addresses results in the whole document, so each is returned
+// re-addressed (readdress); the records are written from the results as
+// they were composed, as a local corpus snippets them.
 func (s *Server) fullEval(st *serverState, req evalReq) (fullAnswer, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
-	rs, err := st.sc.SearchEnginesContext(ctx, req.query, req.opts, nil, s.pool.Run)
+	q := search.Parse(req.query)
+	rs, _, err := st.sc.Answer(ctx, q, req.opts, s.pool.Run, -1)
 	if err != nil {
 		return fullAnswer{}, err
 	}
-	a := fullAnswer{results: readdress(st.sc, rs)}
+	a := fullAnswer{terms: q.Keys, results: readdress(st.sc, rs)}
 	if req.bound >= 0 {
-		if a.records, err = s.records(ctx, st, rs, req.query, req.bound); err != nil {
+		if a.records, err = s.records(ctx, st, rs, q.Keywords, req.bound); err != nil {
 			return fullAnswer{}, err
 		}
 	}
@@ -531,7 +532,7 @@ func readdress(sc *shard.Corpus, rs []*search.Result) []*search.Result {
 func (s *Server) trees(st *serverState, req treesReq) ([]*search.Result, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
-	return s.rebuild(ctx, st, req)
+	return s.rebuild(ctx, st, req, search.Parse(req.query))
 }
 
 // snippets answers a snippets request — the router's round for the results
@@ -546,15 +547,16 @@ func (s *Server) snippets(st *serverState, req treesReq) (*shard.RecordSet, erro
 	}
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
-	rs, err := s.rebuild(ctx, st, req)
+	q := search.Parse(req.query)
+	rs, err := s.rebuild(ctx, st, req, q)
 	if err != nil {
 		return nil, err
 	}
-	return s.records(ctx, st, rs, req.query, req.bound)
+	return s.records(ctx, st, rs, q.Keywords, req.bound)
 }
 
-// rebuild resolves a trees or snippets request's handles: every handle's
-// result, rebuilt on the generation that answered the query
+// rebuild resolves a trees or snippets request's handles, its query parsed as
+// q: every handle's result, rebuilt on the generation that answered the query
 // (search.Engine.ResultAt) — the fingerprint must be this server's, or the
 // request is refused as skew, and a shard handle must name a shard this
 // replica owns. The handles of each shard are one task on the worker pool,
@@ -562,7 +564,7 @@ func (s *Server) snippets(st *serverState, req treesReq) (*shard.RecordSet, erro
 // once for all of them, and ctx is checked before each result. The whole
 // handles are one task too, rebuilt from their global positions on the
 // shards (shard.Corpus.ResultsAt), which any replica holds.
-func (s *Server) rebuild(ctx context.Context, st *serverState, req treesReq) ([]*search.Result, error) {
+func (s *Server) rebuild(ctx context.Context, st *serverState, req treesReq, q search.Query) ([]*search.Result, error) {
 	if req.fingerprint != st.fingerprint {
 		return nil, fmt.Errorf("%w: results of generation %016x asked of generation %016x", errSkew, req.fingerprint, st.fingerprint)
 	}
@@ -585,11 +587,11 @@ func (s *Server) rebuild(ctx context.Context, st *serverState, req treesReq) ([]
 	for k, sh := range order {
 		tasks[k] = func() {
 			if sh == wholeShard {
-				errs[k] = rebuildWhole(ctx, st, req, bySource[sh], rs)
+				errs[k] = rebuildWhole(ctx, st, req, q, bySource[sh], rs)
 				return
 			}
 			eng := st.sc.Shards()[sh].Engine(req.opts)
-			ev, err := eng.Lists(req.query)
+			ev, err := eng.Lists(q)
 			for _, i := range bySource[sh] {
 				if err == nil {
 					err = ctx.Err()
@@ -615,8 +617,9 @@ func (s *Server) rebuild(ctx context.Context, st *serverState, req treesReq) ([]
 	return rs, nil
 }
 
-// rebuildWhole rebuilds the whole handles at positions idx of req into rs.
-func rebuildWhole(ctx context.Context, st *serverState, req treesReq, idx []int, rs []*search.Result) error {
+// rebuildWhole rebuilds the whole handles at positions idx of req, whose
+// query is q, into rs.
+func rebuildWhole(ctx context.Context, st *serverState, req treesReq, q search.Query, idx []int, rs []*search.Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -624,7 +627,7 @@ func rebuildWhole(ctx context.Context, st *serverState, req treesReq, idx []int,
 	for k, i := range idx {
 		anchors[k], lcas[k] = req.handles[i].anchor, req.handles[i].lca
 	}
-	built, err := st.sc.ResultsAt(req.query, req.opts, anchors, lcas)
+	built, err := st.sc.ResultsAt(q, req.opts, anchors, lcas)
 	if err != nil {
 		return err
 	}

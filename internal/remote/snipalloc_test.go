@@ -29,7 +29,7 @@ func TestRoutedSnippetAllocations(t *testing.T) {
 
 	// body returns the snippets response body for the first n results of q.
 	body := func(q string, n, bound int) []byte {
-		parts, err := sc.EvalShards(context.Background(), q, opts, []int{0}, nil, nil)
+		parts, _, err := sc.EvalShards(context.Background(), search.Parse(q), opts, []int{0}, nil)
 		if err != nil || len(parts[0].Results) < n {
 			t.Fatalf("%q: %d results, want %d (%v)", q, len(parts[0].Results), n, err)
 		}
@@ -96,7 +96,7 @@ func TestRoutedSnippetAllocations(t *testing.T) {
 // copies them from there into the response (appendRecords) before they go
 // back to the pool — so no record is an allocation of its own, and writing
 // and encoding a snippets response of 3 records allocates the same count of
-// objects as one of 30.
+// objects as one of 30, and no more than the measured ceiling.
 func TestServerRecordsAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's own allocations make counts inexact")
@@ -106,14 +106,15 @@ func TestServerRecordsAllocations(t *testing.T) {
 	defer srv.Close()
 	st := srv.state.Load()
 	ctx := context.Background()
-	const q, bound = "clothes", 6
-	parts, err := sc.EvalShards(ctx, q, search.Options{DistinctAnchors: true}, []int{0}, nil, nil)
+	const bound = 6
+	q := search.Parse("clothes")
+	parts, _, err := sc.EvalShards(ctx, q, search.Options{DistinctAnchors: true}, []int{0}, nil)
 	if err != nil || len(parts[0].Results) < 30 {
-		t.Fatalf("%q: %d results, want 30 (%v)", q, len(parts[0].Results), err)
+		t.Fatalf("%q: %d results, want 30 (%v)", q.Text, len(parts[0].Results), err)
 	}
 	var enc []byte
 	respond := func(n int) {
-		recs, err := srv.records(ctx, st, parts[0].Results[:n], q, bound)
+		recs, err := srv.records(ctx, st, parts[0].Results[:n], q.Keywords, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,6 +130,12 @@ func TestServerRecordsAllocations(t *testing.T) {
 		}
 	}
 	t.Logf("objects: %v", counts)
+	// The keywords arrive parsed (the handler parses the request's query
+	// once), so writing and encoding the records allocates this many.
+	const ceiling = 4
+	if counts[3] > ceiling {
+		t.Fatalf("a response of 3 records allocates %v objects, ceiling %d", counts[3], ceiling)
+	}
 	if counts[3] != counts[30] {
 		t.Fatalf("a response of 3 records allocates %v objects, one of 30 %v: records are allocated one by one", counts[3], counts[30])
 	}

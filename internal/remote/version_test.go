@@ -377,7 +377,7 @@ func keptByGroup(t *testing.T, rt *Router, sc *shard.Corpus, q string, opts sear
 	for i := range all {
 		all[i] = i
 	}
-	parts, err := sc.EvalShards(context.Background(), q, opts, all, nil, nil)
+	parts, _, err := sc.EvalShards(context.Background(), search.Parse(q), opts, all, nil)
 	if err != nil {
 		t.Fatalf("%q: %v", q, err)
 	}
@@ -452,7 +452,7 @@ func TestServersSnippetOnlyKeptResults(t *testing.T) {
 	for _, opts := range []search.Options{{DistinctAnchors: true}, {DistinctAnchors: true, Semantics: search.SemanticsELCA, MaxResults: 3}} {
 		for _, q := range queries {
 			before, madeBefore := calls(), made()
-			if _, _, err := rt.Answer(ctx, q, opts, nil, -1); err != nil {
+			if _, _, err := rt.Answer(ctx, search.Parse(q), opts, nil, -1); err != nil {
 				continue
 			}
 			searchOnly, madeSearchOnly, snippetCalls, origins := calls(), made(), callsOf(rt, "snippets"), snippetOrigins(rt)
@@ -462,7 +462,7 @@ func TestServersSnippetOnlyKeptResults(t *testing.T) {
 			if n := sum(madeBefore, madeSearchOnly); n != 0 {
 				t.Fatalf("%q: the servers made %d snippets for a search-only answer", q, n)
 			}
-			rs, gs, err := rt.Answer(ctx, q, opts, nil, 8)
+			rs, gs, err := rt.Answer(ctx, search.Parse(q), opts, nil, 8)
 			if err != nil || len(gs) != len(rs) {
 				t.Fatalf("%q: %d snippets for %d results, %v", q, len(gs), len(rs), err)
 			}
@@ -580,7 +580,7 @@ func TestSnippetRoundAfterSwapIsClassified(t *testing.T) {
 	}
 	const q = "store texas"
 	base := startCluster(t, sc, groups, replicas).router
-	want, wantGs, err := base.Answer(context.Background(), q, opts, nil, bound)
+	want, wantGs, err := base.Answer(context.Background(), search.Parse(q), opts, nil, bound)
 	if err != nil || len(want) == 0 {
 		t.Fatalf("%q baseline: %d results, %v", q, len(want), err)
 	}
@@ -607,7 +607,7 @@ func TestSnippetRoundAfterSwapIsClassified(t *testing.T) {
 	}
 	moved := func(g, r int) bool { return r == first[g] }
 	sink := &telemetry.SpanSink{TraceID: telemetry.NextTraceID()}
-	rs, gs, err := rt.Answer(telemetry.WithSpanSink(context.Background(), sink), q, opts, swapping(cl, moved), bound)
+	rs, gs, err := rt.Answer(telemetry.WithSpanSink(context.Background(), sink), search.Parse(q), opts, swapping(cl, moved), bound)
 	if err != nil || len(rs) != len(want) || len(gs) != len(wantGs) {
 		t.Fatalf("%q, one replica moved: %d results, %d snippets, %v; want %d", q, len(rs), len(gs), err, len(want))
 	}
@@ -631,7 +631,7 @@ func TestSnippetRoundAfterSwapIsClassified(t *testing.T) {
 
 	// Every replica moves: the query fails, classified.
 	cl = startCluster(t, sc, groups, replicas)
-	rs, gs, err = cl.router.Answer(context.Background(), q, opts, swapping(cl, func(int, int) bool { return true }), bound)
+	rs, gs, err = cl.router.Answer(context.Background(), search.Parse(q), opts, swapping(cl, func(int, int) bool { return true }), bound)
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Kind != ErrKindSkew || rs != nil || gs != nil {
 		t.Fatalf("%q, every replica moved: %d results, %d snippets, %v; want a %s *RemoteError", q, len(rs), len(gs), err, ErrKindSkew)
@@ -691,7 +691,7 @@ func TestMissingKeywordTakesOneRound(t *testing.T) {
 		{"apple banana", slca}, // every keyword somewhere, no LCA below the root
 		{"apple kiwi", slca},   // a keyword nowhere
 	} {
-		local, err := search.NewEngine(fb.Doc, fb.Index, sc.Analysis().Cls, tc.opts).Search(tc.q)
+		local, err := search.NewEngine(fb.Doc, fb.Index, sc.Analysis().Cls, tc.opts).Search(search.Parse(tc.q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -699,7 +699,7 @@ func TestMissingKeywordTakesOneRound(t *testing.T) {
 			return r.LCA == fb.Doc.Root || r.Anchor == fb.Doc.Root
 		})
 		before, origins := calls(), snippetOrigins(rt)
-		rs, _, err := rt.Answer(context.Background(), tc.q, tc.opts, nil, 8)
+		rs, _, err := rt.Answer(context.Background(), search.Parse(tc.q), tc.opts, nil, 8)
 		if err != nil {
 			t.Fatalf("%q: %v", tc.q, err)
 		}

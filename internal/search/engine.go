@@ -71,7 +71,7 @@ func (e *Engine) Classification() *classify.Classification { return e.cls }
 // engine's semantics. Sharded corpora evaluate per shard and merge
 // evaluations, so the pieces Search glues together are exposed here.
 type Evaluation struct {
-	// Keywords are the canonical query terms (phrases joined by spaces).
+	// Keywords are the query's term keys (Query.Keys, shared with it).
 	Keywords []string
 	// Lists holds the packed posting list per keyword, aligned with
 	// Keywords. A keyword with no matches in this document has an empty
@@ -107,8 +107,8 @@ type Evaluation struct {
 // ancestors — the root first of all — may still qualify from later matches,
 // and Free needs the root's row after the last one (see PERFORMANCE.md).
 // limit <= 0 evaluates the whole LCA set.
-func (e *Engine) evaluateBounded(terms []Term, limit int) (*Evaluation, error) {
-	ev, err := e.ListsOf(terms)
+func (e *Engine) evaluateBounded(q Query, limit int) (*Evaluation, error) {
+	ev, err := e.Lists(q)
 	if err != nil {
 		return nil, err
 	}
@@ -123,25 +123,16 @@ func (e *Engine) evaluateBounded(terms []Term, limit int) (*Evaluation, error) {
 	return ev, nil
 }
 
-// Lists parses the query and resolves its keywords' posting lists: an
-// Evaluation without the LCA scan. It is what rebuilding a result from its
-// position needs (ResultAt).
-func (e *Engine) Lists(query string) (*Evaluation, error) {
-	return e.ListsOf(ParseQuery(query))
-}
-
-// ListsOf is Lists over a query already parsed (ParseQuery), so the shards
-// of one evaluation share one parse. terms are only read.
-func (e *Engine) ListsOf(terms []Term) (*Evaluation, error) {
-	if len(terms) == 0 {
+// Lists resolves the query's posting lists: an Evaluation without the LCA
+// scan. It is what rebuilding a result from its position needs (ResultAt),
+// and what a whole-document result reads on every shard. Its Keywords are
+// q.Keys; q is only read.
+func (e *Engine) Lists(q Query) (*Evaluation, error) {
+	if len(q.Terms) == 0 {
 		return nil, ErrEmptyQuery
 	}
-	ev := &Evaluation{
-		Keywords: make([]string, len(terms)),
-		Lists:    make([]*index.PostingList, len(terms)),
-	}
-	for i, t := range terms {
-		ev.Keywords[i] = t.String()
+	ev := &Evaluation{Keywords: q.Keys, Lists: make([]*index.PostingList, len(q.Terms))}
+	for i, t := range q.Terms {
 		if t.IsPhrase() {
 			ev.Lists[i] = index.PackNodes(phraseMatches(e.ix, t.Tokens))
 		} else {
@@ -241,31 +232,25 @@ func (e *Engine) results(ev *Evaluation, entries []int32, keep func(*xmltree.Nod
 // keep filter drop, so results allocates no more before it builds any.
 const resultSlab = 256
 
-// EvaluateResults evaluates a query and builds results for the LCAs
-// accepted by keep (nil keeps all), exploiting top-k early termination:
-// when the engine bounds results (MaxResults > 0, SLCA semantics), the LCA
-// scan stops after the first MaxResults provable SLCAs. If anchor
-// deduplication (DistinctAnchors) or the keep filter then consumes some of
-// the bound, the bound is widened 4x and evaluation retried, so the results
-// are byte-identical to an unbounded evaluation's — the occasional retry
-// re-pays the cheap bounded scan, the common case touches only the matches
-// needed for k results. The kept subset is never materialised: building
-// stops at MaxResults, and only the LCAs reached by then are mapped to their
-// nodes. Returns the evaluation and the results.
-func (e *Engine) EvaluateResults(query string, keep func(*xmltree.Node) bool) (*Evaluation, []*Result, error) {
-	return e.EvaluateResultsOf(ParseQuery(query), keep)
-}
-
-// EvaluateResultsOf is EvaluateResults over a query already parsed
-// (ParseQuery): a widened retry parses nothing again, and the shards of one
-// evaluation share one parse. terms are only read.
-func (e *Engine) EvaluateResultsOf(terms []Term, keep func(*xmltree.Node) bool) (*Evaluation, []*Result, error) {
+// Evaluate evaluates a query and builds results for the LCAs accepted by
+// keep (nil keeps all), exploiting top-k early termination: when the engine
+// bounds results (MaxResults > 0, SLCA semantics), the LCA scan stops after
+// the first MaxResults provable SLCAs. If anchor deduplication
+// (DistinctAnchors) or the keep filter then consumes some of the bound, the
+// bound is widened 4x and evaluation retried, so the results are
+// byte-identical to an unbounded evaluation's — the occasional retry re-pays
+// the cheap bounded scan, the common case touches only the matches needed
+// for k results. The kept subset is never materialised: building stops at
+// MaxResults, and only the LCAs reached by then are mapped to their nodes.
+// Returns the evaluation and the results; q is only read, so the shards of
+// one query share one parse.
+func (e *Engine) Evaluate(q Query, keep func(*xmltree.Node) bool) (*Evaluation, []*Result, error) {
 	limit := 0
 	if e.opts.MaxResults > 0 && e.opts.Semantics != SemanticsELCA {
 		limit = e.opts.MaxResults
 	}
 	for {
-		ev, err := e.evaluateBounded(terms, limit)
+		ev, err := e.evaluateBounded(q, limit)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -280,12 +265,18 @@ func (e *Engine) EvaluateResultsOf(terms []Term, keep func(*xmltree.Node) bool) 
 	}
 }
 
+// EvaluateResults is Evaluate over a query string, parsed here. Nothing in
+// the product calls it: it is kept only because benchmark/ times one
+// shard's evaluation through it.
+func (e *Engine) EvaluateResults(query string, keep func(*xmltree.Node) bool) (*Evaluation, []*Result, error) {
+	return e.Evaluate(Parse(query), keep)
+}
+
 // Search evaluates a conjunctive keyword query and returns its results in
-// document order of their anchors. Double-quoted spans are phrase terms
-// that must match consecutively inside one text value. When the engine
-// bounds results, evaluation terminates early once the bound is provably
-// filled (see EvaluateResults).
-func (e *Engine) Search(query string) ([]*Result, error) {
-	_, results, err := e.EvaluateResults(query, nil)
+// document order of their anchors. Phrase terms must match consecutively
+// inside one text value. When the engine bounds results, evaluation
+// terminates early once the bound is provably filled (see Evaluate).
+func (e *Engine) Search(q Query) ([]*Result, error) {
+	_, results, err := e.Evaluate(q, nil)
 	return results, err
 }

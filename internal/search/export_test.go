@@ -11,5 +11,5 @@ var NodesOf = nodesOf
 // EvaluateBounded is evaluateBounded over a query string, for the tests that
 // inspect an evaluation.
 func (e *Engine) EvaluateBounded(query string, limit int) (*Evaluation, error) {
-	return e.evaluateBounded(ParseQuery(query), limit)
+	return e.evaluateBounded(Parse(query), limit)
 }

@@ -19,65 +19,85 @@ func (t Term) IsPhrase() bool { return len(t.Tokens) > 1 }
 // String renders the term as its tokens joined by spaces.
 func (t Term) String() string { return strings.Join(t.Tokens, " ") }
 
-// TermKeys returns the keys of a query's terms (Term.String) in query order:
-// the keywords a result's Matches and MatchDepth are keyed by, and the ones
-// ranking scores against.
-func TermKeys(q string) []string {
-	terms := ParseQuery(q)
-	keys := make([]string, len(terms))
-	for i, t := range terms {
-		keys[i] = t.String()
-	}
-	return keys
+// Query is a parsed keyword query. Parse makes it once where a query enters
+// a process — the serving layer (serve.Server.Do), and a shard server for
+// each request — and every layer below reads that one parse, which is shared
+// and only read.
+type Query struct {
+	// Text is the query as written: what a router sends a shard server.
+	Text string
+	// Terms are the query's keywords and quoted phrases, duplicates removed.
+	Terms []Term
+	// Keys are the terms' keys (Term.String), in order: what a result's
+	// matches and depths are keyed by, and ranking scores.
+	Keys []string
+	// Keywords are the terms' tokens, in order: the snippet keywords, which
+	// are index.Tokenize(Text) less the tokens of a duplicate term.
+	Keywords []string
 }
 
-// ParseQuery splits a query into terms: double-quoted spans become phrase
-// terms ("Brook Brothers" must match consecutively in one value);
-// everything else becomes single-keyword terms. Unbalanced quotes treat
-// the tail as quoted. Duplicate terms are removed, order preserved.
-func ParseQuery(q string) []Term {
-	var terms []Term
-	add := func(text string, phrase bool) {
-		toks := index.Tokenize(text)
-		if len(toks) == 0 {
-			return
-		}
-		if phrase {
-			terms = append(terms, Term{Tokens: toks})
-			return
-		}
-		for _, t := range toks {
-			terms = append(terms, Term{Tokens: []string{t}})
+// Parse parses a query: double-quoted spans become phrase terms ("Brook
+// Brothers" must match consecutively in one value); everything else becomes
+// single-keyword terms. Unbalanced quotes treat the tail as quoted. Duplicate
+// terms are removed, order preserved. The terms' tokens are runs of the
+// Keywords.
+func Parse(text string) Query {
+	n := strings.Count(text, " ") + 1
+	q := Query{Text: text, Terms: make([]Term, 0, n), Keywords: make([]string, 0, n)}
+	// A term's tokens are a run of the Keywords as they grow: only its
+	// length is read here.
+	add := func(s string, phrase bool) {
+		lo := len(q.Keywords)
+		index.EachToken(s, func(t string) bool {
+			if q.Keywords = append(q.Keywords, t); !phrase {
+				q.Terms = append(q.Terms, Term{Tokens: q.Keywords[len(q.Keywords)-1:]})
+			}
+			return true
+		})
+		if phrase && len(q.Keywords) > lo {
+			q.Terms = append(q.Terms, Term{Tokens: q.Keywords[lo:]})
 		}
 	}
-	for {
-		open := strings.IndexByte(q, '"')
+	for s := text; ; {
+		open := strings.IndexByte(s, '"')
 		if open < 0 {
-			add(q, false)
+			add(s, false)
 			break
 		}
-		add(q[:open], false)
-		rest := q[open+1:]
+		add(s[:open], false)
+		rest := s[open+1:]
 		close := strings.IndexByte(rest, '"')
 		if close < 0 {
 			add(rest, true)
 			break
 		}
 		add(rest[:close], true)
-		q = rest[close+1:]
+		s = rest[close+1:]
 	}
-	// Dedupe, preserving order.
-	seen := map[string]bool{}
-	out := terms[:0]
-	for _, t := range terms {
-		k := t.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, t)
+	// Point every term at its run of the final Keywords, dropping repeats.
+	terms, at, seen := q.Terms[:0], 0, map[string]bool{}
+	q.Keys = make([]string, 0, len(q.Terms))
+	for _, t := range q.Terms {
+		end := at + len(t.Tokens)
+		t.Tokens, at = q.Keywords[at:end:end], end
+		if key := t.String(); !seen[key] {
+			seen[key] = true
+			terms, q.Keys = append(terms, t), append(q.Keys, key)
 		}
 	}
-	return out
+	if len(terms) < len(q.Terms) {
+		q.Keywords = nil
+		for _, t := range terms {
+			q.Keywords = append(q.Keywords, t.Tokens...)
+		}
+	}
+	q.Terms = terms
+	return q
 }
+
+// ParseQuery returns the terms of a query (Parse). Nothing in the product
+// calls it: it is kept only because benchmark/ reads a query's terms.
+func ParseQuery(q string) []Term { return Parse(q).Terms }
 
 // phraseMatches returns the element nodes holding the phrase: nodes posted
 // for every token with a text child containing the tokens consecutively.

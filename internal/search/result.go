@@ -77,15 +77,13 @@ type Result struct {
 }
 
 // whole is what a whole-document result holds instead of a tree: the
-// shards it reads, its LCA's global position, and the query whose matches
-// it has, resolved per shard the first time something reads them.
+// shards it reads, its LCA's global position, and its query's keys and
+// posting lists on every shard — never an evaluation's LCAs.
 type whole struct {
-	view  *index.Whole
-	lca   int32
-	query string
-
-	once  sync.Once
-	parts []*Evaluation // per shard: the query's keywords and lists there
+	view     *index.Whole
+	lca      int32
+	keywords []string
+	lists    [][]*index.PostingList // per shard, aligned with keywords
 }
 
 // Whole returns a whole-document result of a sharded corpus: the result
@@ -94,11 +92,13 @@ type whole struct {
 // index.Whole, and has no tree: its tree fields are nil, Size answers from
 // the view and MatchDepth from the shards' posting lists, and the snippet
 // pipeline reads the shards through the view (core.Generator). lca is the
-// global position of its LCA, query the query it answers. It is a view
-// (IsView), deferred (Retained) until Tree builds its tree (WholeDocument)
-// for a reader that needs one, once; the result then holds it.
-func Whole(view *index.Whole, lca int32, query string) *Result {
-	w := &whole{view: view, lca: lca, query: query}
+// global position of its LCA; keys are its query's keys (Query.Keys) and
+// lists, per shard, their posting lists there (Evaluation.Lists), which it
+// holds and only reads. It is a view (IsView), deferred (Retained) until
+// Tree builds its tree (WholeDocument) for a reader that needs one, once;
+// the result then holds it.
+func Whole(view *index.Whole, lca int32, keys []string, lists [][]*index.PostingList) *Result {
+	w := &whole{view: view, lca: lca, keywords: keys, lists: lists}
 	return &Result{pending: &pending{nodes: view.Len(), build: w.tree, whole: w}}
 }
 
@@ -108,16 +108,15 @@ func (w *whole) tree(context.Context) (*Result, error) {
 	doc := WholeDocument(w.view)
 	nodes := doc.Nodes()
 	r := &Result{Root: doc.Root, Doc: doc, Anchor: doc.Root, LCA: nodes[w.lca]}
-	keywords := w.evaluations()[0].Keywords
-	lists := make([]*index.PostingList, len(keywords))
-	for k, kw := range keywords {
+	lists := make([]*index.PostingList, len(w.keywords))
+	for k, kw := range w.keywords {
 		var ms []*xmltree.Node
 		for _, pos := range w.matches(kw) {
 			ms = append(ms, nodes[pos])
 		}
 		lists[k] = index.PackNodes(ms)
 	}
-	r.OwnMatches(keywords, lists)
+	r.OwnMatches(w.keywords, lists)
 	return r, nil
 }
 
@@ -176,30 +175,16 @@ func (r *Result) wholeOf() *whole {
 	return r.pending.whole
 }
 
-// evaluations resolves the query's lists on every shard, once.
-func (w *whole) evaluations() []*Evaluation {
-	w.once.Do(func() {
-		w.parts = make([]*Evaluation, len(w.view.Parts()))
-		for i, ix := range w.view.Parts() {
-			// Lists reads the index alone; a parse error cannot happen
-			// here, the query having evaluated.
-			w.parts[i], _ = (&Engine{doc: ix.Document(), ix: ix}).Lists(w.query)
-		}
-	})
-	return w.parts
-}
-
-// lists returns keyword kw's posting list on every shard (nil where it has
-// none), in shard order; nil when kw is not a keyword of the query.
-func (w *whole) lists(kw string) []*index.PostingList {
-	parts := w.evaluations()
-	k := slices.Index(parts[0].Keywords, kw)
+// listsOf returns keyword kw's posting list on every shard (nil where it
+// has none), in shard order; nil when kw is not a keyword of the query.
+func (w *whole) listsOf(kw string) []*index.PostingList {
+	k := slices.Index(w.keywords, kw)
 	if k < 0 {
 		return nil
 	}
-	out := make([]*index.PostingList, len(parts))
-	for i, ev := range parts {
-		out[i] = ev.Lists[k]
+	out := make([]*index.PostingList, len(w.lists))
+	for i, ls := range w.lists {
+		out[i] = ls[k]
 	}
 	return out
 }
@@ -212,7 +197,7 @@ func (r *Result) WholeMatches(kw string) []int32 { return r.wholeOf().matches(kw
 // matches is WholeMatches.
 func (w *whole) matches(kw string) []int32 {
 	var out []int32
-	lists := w.lists(kw)
+	lists := w.listsOf(kw)
 	if slices.ContainsFunc(lists, func(pl *index.PostingList) bool { return pl.Len() > 0 && pl.Ords[0] == 0 }) {
 		out = append(out, 0)
 	}
@@ -230,7 +215,7 @@ func (w *whole) matches(kw string) []int32 {
 // kw's matches in any shard, a shard root's being the document root's, 0.
 func (r *Result) wholeDepth(kw string) (int, bool) {
 	best := -1
-	for _, pl := range r.wholeOf().lists(kw) {
+	for _, pl := range r.wholeOf().listsOf(kw) {
 		for j := range pl.Len() {
 			if d := depthUnder(pl.Nodes[j], 0, best); best < 0 || d < best {
 				best = d
@@ -307,8 +292,8 @@ func (r *Result) bounds(i int) (lo, hi int32) {
 func (r *Result) MatchKeywords() []string {
 	if w := r.wholeOf(); w != nil {
 		var kws []string
-		for _, kw := range w.evaluations()[0].Keywords {
-			if slices.ContainsFunc(w.lists(kw), func(pl *index.PostingList) bool { return pl.Len() > 0 }) {
+		for _, kw := range w.keywords {
+			if slices.ContainsFunc(w.listsOf(kw), func(pl *index.PostingList) bool { return pl.Len() > 0 }) {
 				kws = append(kws, kw)
 			}
 		}
@@ -496,19 +481,18 @@ func FromNode(doc *xmltree.Document, n *xmltree.Node) *Result {
 
 // WholeProjection is the ModeXSeek result anchored at the root of the whole
 // document of a sharded corpus (view) whose LCA is at global position lca:
-// the projection of the whole document for query's matches, built from the
-// shards — each shard's projection below its root, the root kept once with
-// every shard's kept children in shard order — into a small tree of its own,
-// as projectXSeek builds it over one document. A shard root stands for the
-// document root: a keyword posted at any shard's root is a match at every
-// shard's, and the result's Anchor and root matches are shard 0's root.
-func WholeProjection(view *index.Whole, lca int32, query string, cls *classify.Classification) *Result {
-	w := &whole{view: view, lca: lca, query: query}
-	parts := w.evaluations()
-	keywords := parts[0].Keywords
+// the projection of the whole document for the matches of a query of keys
+// keywords whose posting lists on shard i are lists[i] (as Whole takes them),
+// built from the shards — each shard's projection below its root, the root
+// kept once with every shard's kept children in shard order — into a small
+// tree of its own, as projectXSeek builds it over one document. A shard root
+// stands for the document root: a keyword posted at any shard's root is a
+// match at every shard's, and the result's Anchor and root matches are shard
+// 0's root.
+func WholeProjection(view *index.Whole, lca int32, keywords []string, lists [][]*index.PostingList, cls *classify.Classification) *Result {
 	rootMatch := make([]bool, len(keywords))
-	for _, ev := range parts {
-		for k, pl := range ev.Lists {
+	for _, ls := range lists {
+		for k, pl := range ls {
 			rootMatch[k] = rootMatch[k] || pl.Len() > 0 && pl.Ords[0] == 0
 		}
 	}
@@ -517,8 +501,8 @@ func WholeProjection(view *index.Whole, lca int32, query string, cls *classify.C
 	matches := make([][]*xmltree.Node, len(keywords))
 	for i, ix := range view.Parts() {
 		shardRoot := ix.Document().Root
-		lists := make([]*index.PostingList, len(keywords))
-		for k, pl := range parts[i].Lists {
+		own := make([]*index.PostingList, len(keywords))
+		for k, pl := range lists[i] {
 			var nodes []*xmltree.Node
 			if rootMatch[k] {
 				nodes = append(nodes, shardRoot)
@@ -532,20 +516,20 @@ func WholeProjection(view *index.Whole, lca int32, query string, cls *classify.C
 					matches[k] = append(matches[k], pl.Nodes[j])
 				}
 			}
-			lists[k] = index.PackNodes(nodes)
+			own[k] = index.PackNodes(nodes)
 		}
 		r := &Result{}
-		r.OwnMatches(keywords, lists)
+		r.OwnMatches(keywords, own)
 		for _, c := range slices.Clone(projectXSeek(shardRoot, r, cls).Children) {
 			xmltree.Append(root, c)
 		}
 	}
 	r := &Result{Root: root, Doc: xmltree.NewDocument(root), Anchor: anchor, LCA: view.Node(lca)}
-	lists := make([]*index.PostingList, len(keywords))
+	packed := make([]*index.PostingList, len(keywords))
 	for k := range keywords {
-		lists[k] = index.PackNodes(matches[k])
+		packed[k] = index.PackNodes(matches[k])
 	}
-	r.OwnMatches(keywords, lists)
+	r.OwnMatches(keywords, packed)
 	return r
 }
 

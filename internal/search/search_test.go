@@ -228,7 +228,7 @@ func TestEngineSearch(t *testing.T) {
 	doc := parse(t, corpus)
 	e := NewEngine(doc, nil, nil, Options{DistinctAnchors: true})
 
-	results, err := e.Search("Texas apparel retailer")
+	results, err := e.Search(Parse("Texas apparel retailer"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestEngineEntityAnchor(t *testing.T) {
 	e := NewEngine(doc, nil, nil, Options{})
 	// SLCA of "suit man" is the clothes node; clothes is an entity, so
 	// the anchor is the clothes entity itself.
-	results, err := e.Search("suit man")
+	results, err := e.Search(Parse("suit man"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestEngineEntityAnchor(t *testing.T) {
 	// SLCA of "galleria" style attribute-level matches anchor at the
 	// owning entity: "houston" matches the city attribute; its entity
 	// owner is the store.
-	results, err = e.Search("houston")
+	results, err = e.Search(Parse("houston"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +281,14 @@ func TestEngineEntityAnchor(t *testing.T) {
 func TestEngineNoResults(t *testing.T) {
 	doc := parse(t, corpus)
 	e := NewEngine(doc, nil, nil, Options{})
-	results, err := e.Search("texas zzzznothing")
+	results, err := e.Search(Parse("texas zzzznothing"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 0 {
 		t.Errorf("results = %d, want 0", len(results))
 	}
-	if _, err := e.Search("  ,;  "); err != ErrEmptyQuery {
+	if _, err := e.Search(Parse("  ,;  ")); err != ErrEmptyQuery {
 		t.Errorf("err = %v, want ErrEmptyQuery", err)
 	}
 }
@@ -296,7 +296,7 @@ func TestEngineNoResults(t *testing.T) {
 func TestEngineMaxResults(t *testing.T) {
 	doc := parse(t, corpus)
 	e := NewEngine(doc, nil, nil, Options{MaxResults: 1})
-	results, err := e.Search("store")
+	results, err := e.Search(Parse("store"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestEngineMaxResults(t *testing.T) {
 func TestEngineXSeekMode(t *testing.T) {
 	doc := parse(t, corpus)
 	e := NewEngine(doc, nil, nil, Options{Mode: ModeXSeek})
-	results, err := e.Search("houston suit")
+	results, err := e.Search(Parse("houston suit"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestEngineXSeekMode(t *testing.T) {
 		t.Errorf("trimmed result kept unmatched sibling: %s", tree)
 	}
 	full := NewEngine(doc, nil, nil, Options{Mode: ModeSubtree})
-	fres, _ := full.Search("houston suit")
+	fres, _ := full.Search(Parse("houston suit"))
 	if fres[0].Size() <= r.Size() {
 		t.Errorf("xseek result (%d edges) not smaller than subtree (%d)", r.Size(), fres[0].Size())
 	}

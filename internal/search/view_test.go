@@ -44,7 +44,7 @@ func TestResultIsView(t *testing.T) {
 	doc := parse(t, corpus)
 	e := NewEngine(doc, nil, nil, Options{DistinctAnchors: true})
 	for _, q := range []string{"Texas apparel retailer", "houston", "suit man", "retailers"} {
-		results, err := e.Search(q)
+		results, err := e.Search(Parse(q))
 		if err != nil || len(results) == 0 {
 			t.Fatalf("%q: %v, %d results", q, err, len(results))
 		}
@@ -64,7 +64,7 @@ func TestResultIsView(t *testing.T) {
 
 	// A trimmed projection is an owned tree: new nodes, finalized on
 	// their own, pointing back at the source through Origin.
-	x, err := NewEngine(doc, nil, nil, Options{Mode: ModeXSeek}).Search("houston suit")
+	x, err := NewEngine(doc, nil, nil, Options{Mode: ModeXSeek}).Search(Parse("houston suit"))
 	if err != nil || len(x) != 1 {
 		t.Fatalf("xseek: %v, %d results", err, len(x))
 	}
@@ -79,7 +79,7 @@ func TestResultIsView(t *testing.T) {
 func TestMatchesDoNotExposeIndex(t *testing.T) {
 	doc := parse(t, corpus)
 	e := NewEngine(doc, nil, nil, Options{DistinctAnchors: true})
-	results, err := e.Search("houston apparel")
+	results, err := e.Search(Parse("houston apparel"))
 	if err != nil || len(results) != 1 {
 		t.Fatalf("%v, %d results", err, len(results))
 	}

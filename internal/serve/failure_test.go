@@ -93,10 +93,10 @@ type blockingBackend struct {
 
 func (b *blockingBackend) Analysis() *core.Corpus { return b.inner.Analysis() }
 
-func (b *blockingBackend) Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
+func (b *blockingBackend) Answer(ctx context.Context, q search.Query, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	b.entered <- struct{}{}
 	<-b.release
-	return b.inner.Answer(ctx, query, opts, run, bound)
+	return b.inner.Answer(ctx, q, opts, run, bound)
 }
 
 // TestOverloadSheds: with WithMaxInFlight(1) a second concurrent query is
@@ -225,7 +225,7 @@ type deferredBackend struct {
 
 func (b *deferredBackend) Analysis() *core.Corpus { return b.inner.Analysis() }
 
-func (b *deferredBackend) Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
+func (b *deferredBackend) Answer(ctx context.Context, _ search.Query, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
 	doc := xmltree.NewDocument(xmltree.Elem("store"))
 	rs := make([]*search.Result, b.n)
 	for i := range rs {

@@ -13,9 +13,10 @@ import (
 //	[semantics|mode|distinct bits] [maxResults] [bound+1, 0 = search-only]
 //	then per term, in query order: its tokens joined by ' ', then NUL
 //
-// (the two numbers are varints). Built from search.ParseQuery's terms, two
-// spellings that tokenize alike ("store  texas", "Store texas") share an
-// entry by construction.
+// (the two numbers are varints). Built from the parsed query's term keys
+// (search.Query.Keys), two spellings that parse alike ("store  texas",
+// "Store texas", "store texas texas") share an entry by construction — and so
+// does everything a response reads of the parse.
 //
 // Query order is kept, not canonicalised away: the IList leads with the
 // query keywords in query order, so a permuted query can produce different
@@ -36,7 +37,7 @@ const (
 
 // cacheKey builds the cache key for a parsed query and its evaluation
 // options; bound < 0 marks a search-only key.
-func cacheKey(terms []search.Term, opts search.Options, bound int) string {
+func cacheKey(q search.Query, opts search.Options, bound int) string {
 	flags := byte(0)
 	if opts.Semantics == search.SemanticsELCA {
 		flags |= keyELCA
@@ -51,14 +52,8 @@ func cacheKey(terms []search.Term, opts search.Options, bound int) string {
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(opts.MaxResults))
 	buf = binary.AppendUvarint(buf, uint64(max(bound, -1)+1))
-	for _, t := range terms {
-		for i, tok := range t.Tokens {
-			if i > 0 {
-				buf = append(buf, ' ')
-			}
-			buf = append(buf, tok...)
-		}
-		buf = append(buf, 0)
+	for _, k := range q.Keys {
+		buf = append(append(buf, k...), 0)
 	}
 	return string(buf)
 }

@@ -265,7 +265,7 @@ func TestWarmHitAllocations(t *testing.T) {
 	})
 	// Pinned exactly: more is a regression on every warm hit, fewer means
 	// the pin should move down with the change that earned it.
-	const want = 10
+	const want = 7
 	if allocs != want {
 		t.Errorf("a warm hit allocates %v objects, want %d", allocs, want)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"extract/internal/core"
-	"extract/internal/index"
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
@@ -31,16 +30,16 @@ type Backend interface {
 	// Analysis returns the corpus carrying the classification and keys
 	// snippet generation needs (not necessarily a document).
 	Analysis() *core.Corpus
-	// Answer evaluates a query, scheduling independent work through run
-	// (nil = own goroutines) and honoring ctx cancellation between units of
-	// work. When bound >= 0 it also returns one snippet per result at that
+	// Answer evaluates a parsed query (the serving layer's one parse,
+	// which it only reads), scheduling independent work through run (nil =
+	// own goroutines) and honoring ctx cancellation between units of work. When bound >= 0 it also returns one snippet per result at that
 	// bound, aligned with the results, each a served snippet with its XML
 	// rendered (core.Generator.ServeResult on a local corpus, core.Served
 	// over a received record on a router); bound < 0 is search only, with
 	// nil snippets. Results may be deferred (search.Result.Tree); a served
 	// snippet's tree and IList are derived when read
 	// (core.Generated.Derived).
-	Answer(ctx context.Context, query string, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error)
+	Answer(ctx context.Context, q search.Query, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error)
 }
 
 // Server is the query-serving layer over one corpus backend. It owns the
@@ -156,9 +155,9 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 
 // WithSlowQueries installs fn as the slow-query hook: every query whose
 // end-to-end latency reaches threshold is reported after its response is
-// ready, as the same record the trace ring keeps plus the query's tokenized
-// Keywords — the raw query string never leaves this package. fn runs on the
-// query's goroutine and must not block.
+// ready, as the same record the trace ring keeps plus the query's Keywords
+// (search.Query.Keywords) — the raw query string never leaves this package.
+// fn runs on the query's goroutine and must not block.
 func WithSlowQueries(threshold time.Duration, fn func(telemetry.QueryTrace)) Option {
 	return func(c *config) {
 		if threshold > 0 && fn != nil {
@@ -246,11 +245,15 @@ func (s *Server) Stats() Stats {
 // Backend records the corpus generation the response was computed against;
 // swap invalidation guarantees a cached entry's backend is the one that
 // was current when it was admitted, and an in-flight response outliving a
-// swap carries the old backend it was actually evaluated on.
+// swap carries the old backend it was actually evaluated on. Query is the
+// parse the entry was computed from: its Keys and Keywords are the entry's
+// key's (ranking reads the Keys); its Text is the spelling of whichever
+// query computed it, which no reader uses.
 type Cached struct {
 	Results  []*search.Result
 	Snippets []*core.Generated
 	Backend  Backend
+	Query    search.Query
 
 	// The cache and key it was computed for, where Trees and Ranked
 	// re-charge it.
@@ -367,7 +370,8 @@ func (s *Server) Do(ctx context.Context, query string, opts search.Options, boun
 	start := time.Now()
 	tr := &trace{}
 	tr.sink.TraceID = telemetry.NextTraceID()
-	v, outcome, err := s.serveTraced(ctx, query, opts, bound, tr)
+	q := search.Parse(query)
+	v, outcome, err := s.serveTraced(ctx, q, opts, bound, tr)
 	total := time.Since(start)
 	results, kind := 0, errKind(err)
 	if v != nil {
@@ -392,7 +396,7 @@ func (s *Server) Do(ctx context.Context, query string, opts search.Options, boun
 	}
 	s.traces.Record(total, fill)
 	if s.slowFn != nil && total >= s.slowThreshold {
-		qt := telemetry.QueryTrace{Total: total, Keywords: index.Tokenize(query)}
+		qt := telemetry.QueryTrace{Total: total, Keywords: q.Keywords}
 		fill(&qt)
 		s.slowFn(qt)
 	}
@@ -461,12 +465,12 @@ func (v *Cached) Derived(g *core.Generated) *core.Generated {
 // query's span sink for its snippets — a local corpus's fan-out, which
 // renders each snippet's XML, a router's round of snippets calls to the
 // shard servers.
-func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts search.Options, bound int) (*Cached, error) {
+func (s *Server) evaluate(ctx context.Context, tr *trace, q search.Query, opts search.Options, bound int) (*Cached, error) {
 	t := time.Now()
 	b := s.Backend()
 	tr.add(stageDispatch, time.Since(t))
 	t, before := time.Now(), tr.sink.Snippets()
-	rs, gs, err := b.Answer(ctx, query, opts, s.pool.Run, bound)
+	rs, gs, err := b.Answer(ctx, q, opts, s.pool.Run, bound)
 	answered, snippets := time.Since(t), tr.sink.Snippets()-before
 	tr.add(stageEval, answered-snippets)
 	if snippets > 0 || (bound >= 0 && err == nil) {
@@ -475,7 +479,7 @@ func (s *Server) evaluate(ctx context.Context, tr *trace, query string, opts sea
 	if err != nil {
 		return nil, err
 	}
-	return &Cached{Results: rs, Snippets: gs, Backend: b}, nil
+	return &Cached{Results: rs, Snippets: gs, Backend: b, Query: q}, nil
 }
 
 // begin admits one query: it sheds immediately when the in-flight bound is
@@ -510,7 +514,7 @@ func (s *Server) begin(ctx context.Context) (context.Context, func(), error) {
 // pool on a worker, or here when it escapes on the calling goroutine —
 // becomes a per-query *shard.PanicError and bumps the Panics counter. One
 // bad query fails alone; the process and every other query survive.
-func (s *Server) compute(ctx context.Context, tr *trace, query string, opts search.Options, bound int) (v *Cached, err error) {
+func (s *Server) compute(ctx context.Context, tr *trace, q search.Query, opts search.Options, bound int) (v *Cached, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			v, err = nil, &shard.PanicError{Value: r, Stack: debug.Stack()}
@@ -519,7 +523,7 @@ func (s *Server) compute(ctx context.Context, tr *trace, query string, opts sear
 	}()
 	// Install the query's span sink only on the compute path: cache hits
 	// make no remote calls, so they skip the context allocation too.
-	v, err = s.evaluate(telemetry.WithSpanSink(ctx, &tr.sink), tr, query, opts, bound)
+	v, err = s.evaluate(telemetry.WithSpanSink(ctx, &tr.sink), tr, q, opts, bound)
 	if err != nil {
 		var pe *shard.PanicError
 		if errors.As(err, &pe) {
@@ -542,7 +546,7 @@ func (s *Server) RecentTraces() []telemetry.QueryTrace {
 // the cache outcome alongside the response so Do can count and log it.
 // Failed computations — errors, timeouts, panics — are returned to their
 // callers and never cached.
-func (s *Server) serveTraced(ctx context.Context, query string, opts search.Options, bound int, tr *trace) (*Cached, string, error) {
+func (s *Server) serveTraced(ctx context.Context, q search.Query, opts search.Options, bound int, tr *trace) (*Cached, string, error) {
 	t := time.Now()
 	ctx, finish, err := s.begin(ctx)
 	tr.add(stageAdmission, time.Since(t))
@@ -550,7 +554,7 @@ func (s *Server) serveTraced(ctx context.Context, query string, opts search.Opti
 		return nil, "", err
 	}
 	defer finish()
-	run := func() (*Cached, error) { return s.compute(ctx, tr, query, opts, bound) }
+	run := func() (*Cached, error) { return s.compute(ctx, tr, q, opts, bound) }
 	// The cache stage spans key encoding through the probe's resolution:
 	// for a miss it ends when this caller starts computing; for a hit or a
 	// coalesced wait it ends when the response is in hand.
@@ -562,12 +566,11 @@ func (s *Server) serveTraced(ctx context.Context, query string, opts search.Opti
 			tr.add(stageCache, time.Since(tCache))
 		}
 	}
-	terms := search.ParseQuery(query)
-	if len(terms) == 0 {
+	if len(q.Terms) == 0 {
 		probeDone()
 		return nil, "", search.ErrEmptyQuery
 	}
-	key := cacheKey(terms, opts, bound)
+	key := cacheKey(q, opts, bound)
 	v, outcome, err := s.cache.do(ctx, key, func() (*Cached, error) {
 		probeDone()
 		v, err := run()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,13 +44,14 @@ func corpusQueries(doc *xmltree.Document) []string {
 	return qs
 }
 
-// renderHits flattens a (results, snippets) response to comparable bytes.
+// renderHits flattens a (results, snippets) response to comparable bytes,
+// each snippet with the keywords it records.
 func renderHits(rs []*search.Result, gs []*core.Generated) []string {
 	out := make([]string, 0, len(rs))
 	for i, r := range rs {
 		line := xmltree.XMLString(r.Root)
 		if gs != nil {
-			line += "\n" + xmltree.XMLString(gs[i].Derived().Snippet.Root)
+			line += fmt.Sprintf("\n%s\n%q", xmltree.XMLString(gs[i].Derived().Snippet.Root), gs[i].Keywords)
 		}
 		out = append(out, line)
 	}
@@ -74,7 +76,10 @@ func uncachedHits(sc *shard.Corpus, query string, opts search.Options, bound int
 // TestCachedEqualsUncached is the serving layer's core property: for any
 // corpus, shard count and query mix, cached responses — first computation,
 // cache hit, and post-swap recomputation — are byte-identical to evaluating
-// the same query directly on the sharded engine.
+// the same query directly on the sharded engine, snippet keywords included;
+// and a response served to a respelling of the query that computed it
+// (a duplicated term, another case, extra spaces) is what that respelling
+// computes: a cache entry depends only on its key.
 func TestCachedEqualsUncached(t *testing.T) {
 	optsList := []search.Options{
 		{DistinctAnchors: true},
@@ -89,11 +94,17 @@ func TestCachedEqualsUncached(t *testing.T) {
 			defer srv.Close()
 			queries := corpusQueries(mk())
 			for _, opts := range optsList {
-				for _, q := range queries {
-					label := fmt.Sprintf("%s/n=%d/sem=%d/mode=%d/max=%d/q=%q",
-						name, shards, opts.Semantics, opts.Mode, opts.MaxResults, q)
-					want, werr := uncachedHits(sc, q, opts, 10)
-					for pass := 0; pass < 3; pass++ {
+				for _, canonical := range queries {
+					// Right after the canonical spelling, its respellings —
+					// a duplicated term, a case change, extra spaces — hit
+					// its entry, and must be served what they compute.
+					spellings := []string{canonical, canonical, canonical,
+						canonical + " " + strings.Fields(canonical)[0], strings.ToUpper(canonical),
+						"  " + strings.ReplaceAll(canonical, " ", "   ") + " "}
+					for pass, q := range spellings {
+						label := fmt.Sprintf("%s/n=%d/sem=%d/mode=%d/max=%d/q=%q",
+							name, shards, opts.Semantics, opts.Mode, opts.MaxResults, q)
+						want, werr := uncachedHits(sc, q, opts, 10)
 						rs, gs, gerr := srv.QueryContext(context.Background(), q, opts, 10)
 						if (werr == nil) != (gerr == nil) {
 							t.Fatalf("%s pass %d: errors differ: %v vs %v", label, pass, werr, gerr)
@@ -237,7 +248,7 @@ const smallCacheBytes = 17 << 10
 
 // testKey is the search-only key of a one-keyword query distinct per i.
 func testKey(i int) string {
-	return cacheKey(search.ParseQuery(fmt.Sprintf("k%d", i)), search.Options{}, -1)
+	return cacheKey(search.Parse(fmt.Sprintf("k%d", i)), search.Options{}, -1)
 }
 
 // TestEvictionBound drives the LRU directly with minimal entries (an empty
@@ -383,7 +394,7 @@ type keyTriple struct {
 	bound int
 }
 
-func (k keyTriple) key() string { return cacheKey(search.ParseQuery(k.query), k.opts, k.bound) }
+func (k keyTriple) key() string { return cacheKey(search.Parse(k.query), k.opts, k.bound) }
 
 // sameResponse is the specification cacheKey is held to (here and in
 // FuzzCacheKey): two triples may share a cache entry iff ParseQuery yields
@@ -508,7 +519,7 @@ func TestSwapDuringFlight(t *testing.T) {
 
 	// Simulate the race deterministically at the cache layer: the flight
 	// starts at the current epoch, the swap happens while compute runs.
-	key := cacheKey(search.ParseQuery("retailer texas"), search.Options{}, -1)
+	key := cacheKey(search.Parse("retailer texas"), search.Options{}, -1)
 	if _, _, err := srv.cache.do(context.Background(), key, func() (*Cached, error) {
 		srv.Swap(scB) // corpus swapped out from under the computation
 		return &Cached{}, nil

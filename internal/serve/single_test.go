@@ -15,7 +15,7 @@ import (
 // corpus's own engine and a private generator — the direct evaluation path
 // the served one-shard backend must reproduce byte for byte.
 func directSingleHits(cc *core.Corpus, query string, opts search.Options, bound int) ([]string, error) {
-	rs, err := cc.Engine(opts).Search(query)
+	rs, err := cc.Engine(opts).Search(search.Parse(query))
 	if err != nil {
 		return nil, err
 	}

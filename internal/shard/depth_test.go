@@ -78,7 +78,7 @@ func TestMatchDepthMatchesDefinition(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%q: %v", q, err)
 					}
-					terms := append(search.TermKeys(q), "zzznosuchterm")
+					terms := append(search.Parse(q).Keys, "zzznosuchterm")
 					for i, r := range rs {
 						readdressed := r
 						if view, _ := r.Whole(); view != nil {

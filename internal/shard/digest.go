@@ -9,7 +9,7 @@ import "extract/internal/search"
 // the result trees themselves, which is what lets a remote shard server send
 // a few booleans instead of posting lists.
 type Digest struct {
-	// Matched reports, per query keyword (in search.ParseQuery order),
+	// Matched reports, per query term (in search.Query.Terms order),
 	// whether the shard has at least one match.
 	Matched []bool
 	// Free reports, per query keyword, whether the shard has a witness

@@ -60,7 +60,7 @@ func TestDigestFreeMatchesBruteForce(t *testing.T) {
 				all[i] = i
 			}
 			for _, q := range queries {
-				parts, err := sc.EvalShards(ctx, q, opts, all, nil, nil)
+				parts, _, err := sc.EvalShards(ctx, search.Parse(q), opts, all, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

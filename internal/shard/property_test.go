@@ -75,7 +75,7 @@ func checkQueryEquivalence(t *testing.T, name string, mk func() *xmltree.Documen
 			for _, q := range queries {
 				label := fmt.Sprintf("%s/n=%d/sem=%d/mode=%d/max=%d/q=%q",
 					name, n, opts.Semantics, opts.Mode, opts.MaxResults, q)
-				want, werr := search.NewEngine(unsharded.Doc, unsharded.Index, unsharded.Cls, opts).Search(q)
+				want, werr := search.NewEngine(unsharded.Doc, unsharded.Index, unsharded.Cls, opts).Search(search.Parse(q))
 				got, gerr := sc.Search(q, opts)
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("%s: errors differ: %v vs %v", label, werr, gerr)
@@ -143,7 +143,7 @@ func TestEquivalenceOnRandomCorpora(t *testing.T) {
 				{DistinctAnchors: true, Semantics: search.SemanticsELCA},
 			} {
 				for _, q := range queries {
-					want, werr := search.NewEngine(unsharded.Doc, unsharded.Index, unsharded.Cls, opts).Search(q)
+					want, werr := search.NewEngine(unsharded.Doc, unsharded.Index, unsharded.Cls, opts).Search(search.Parse(q))
 					got, gerr := sc.Search(q, opts)
 					if (werr == nil) != (gerr == nil) {
 						t.Fatalf("seed %d n=%d %q: errors differ: %v vs %v", seed, n, q, werr, gerr)

@@ -68,7 +68,7 @@ func FuzzRoundTwoMatchesWhole(f *testing.F) {
 		}
 
 		whole := core.BuildCorpus(mk())
-		want, err := search.NewEngine(whole.Doc, whole.Index, whole.Cls, opts).Search(q)
+		want, err := search.NewEngine(whole.Doc, whole.Index, whole.Cls, opts).Search(search.Parse(q))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"extract/internal/faultinject"
+	"extract/internal/index"
 	"extract/internal/search"
 	"extract/xmltree"
 )
@@ -24,7 +25,7 @@ import (
 // which the serving path (Answer) never asks for.
 func (sc *Corpus) Search(query string, opts search.Options) ([]*search.Result, error) {
 	ctx := context.Background()
-	rs, err := sc.SearchEnginesContext(ctx, query, opts, nil, nil)
+	rs, _, err := sc.Answer(ctx, search.Parse(query), opts, nil, -1)
 	for i := range rs {
 		if err == nil {
 			rs[i], err = rs[i].Tree(ctx)
@@ -143,11 +144,10 @@ func (b *ErrBox) First() error {
 	return b.err
 }
 
-// Engines builds one engine per shard for opts, in Shards() order — the
-// engine set SearchEnginesContext accepts. Nothing in the product calls it:
-// a query builds its engines as it runs (an engine is a few fields, no
-// scratch). It is kept only because benchmark/ reuses one set per option
-// combination across its probes.
+// Engines builds one engine per shard for opts, in Shards() order. Nothing
+// in the product calls it: a query builds its engines as it runs (an engine
+// is a few fields, no scratch). It is kept only because benchmark/ times one
+// shard's evaluation on a set it reuses.
 func (sc *Corpus) Engines(opts search.Options) []*search.Engine {
 	engines := make([]*search.Engine, len(sc.shards))
 	for i, s := range sc.shards {
@@ -156,24 +156,21 @@ func (sc *Corpus) Engines(opts search.Options) []*search.Engine {
 	return engines
 }
 
-// engine picks shard i's engine out of a caller-managed set, or builds a
-// throwaway one when there is none.
-func (sc *Corpus) engine(engines []*search.Engine, i int, opts search.Options) *search.Engine {
-	if engines != nil {
-		return engines[i]
-	}
-	return sc.shards[i].Engine(opts)
+// SearchEnginesContext is Answer, search only, over the query parsed here:
+// Search with task scheduling, honoring ctx, and no trees built. engines is
+// ignored, as the router's SearchEnginesContext ignores it; the form is kept
+// only because benchmark/ calls it with a set.
+func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run Runner) ([]*search.Result, error) {
+	rs, _, err := sc.Answer(ctx, search.Parse(query), opts, run, -1)
+	return rs, err
 }
 
-// SearchEnginesContext is Search with task scheduling, honoring ctx: each
-// shard polls Checkpoint before evaluating and the merge re-checks before
-// round two, so a cancelled or expired query stops burning workers
-// at the next checkpoint and returns the context's error. run schedules the
-// per-shard evaluations; nil spawns one goroutine per shard. engines is nil
-// everywhere in the product, which builds each shard's engine per query; a
-// non-nil set must be aligned with Shards() and built over the same options
-// (Engines). The parameter is kept only for benchmark/, which passes one.
-func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts search.Options, engines []*search.Engine, run Runner) ([]*search.Result, error) {
+// search answers q for Answer: each shard polls Checkpoint before evaluating
+// and the merge re-checks before round two, so a cancelled or expired query
+// stops burning workers at the next checkpoint and returns the context's
+// error. run schedules the per-shard evaluations; nil spawns one goroutine
+// per shard.
+func (sc *Corpus) search(ctx context.Context, q search.Query, opts search.Options, run Runner) ([]*search.Result, error) {
 	switch len(sc.shards) {
 	case 0:
 		return nil, search.ErrEmptyQuery
@@ -187,13 +184,13 @@ func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts s
 			if serr = Checkpoint(ctx); serr != nil {
 				return
 			}
-			rs, serr = sc.engine(engines, 0, opts).Search(query)
+			rs, serr = sc.shards[0].Engine(opts).Search(q)
 		}}); err != nil {
 			return nil, err
 		}
 		return rs, serr
 	}
-	return Merge(ctx, opts, localRounds{sc, query, opts, engines, run}, LCAOf)
+	return Merge(ctx, opts, &localRounds{sc: sc, q: q, opts: opts, run: run}, LCAOf)
 }
 
 // LCAOf returns the position of r's LCA in its document: the key the merge's
@@ -201,28 +198,31 @@ func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts s
 func LCAOf(r *search.Result) int32 { return int32(r.LCA.Ord) }
 
 // localRounds is Merge's source of evidence for an in-process query: every
-// round reads this corpus's own shards.
+// round reads this corpus's own shards, and round two the posting lists
+// round one resolved on each.
 type localRounds struct {
-	sc      *Corpus
-	query   string
-	opts    search.Options
-	engines []*search.Engine
-	run     Runner
+	sc    *Corpus
+	q     search.Query
+	opts  search.Options
+	run   Runner
+	lists [][]*index.PostingList // per shard: round one's, for round two
 }
 
-func (r localRounds) Eval(ctx context.Context) ([]Partial[*search.Result], error) {
+func (r *localRounds) Eval(ctx context.Context) ([]Partial[*search.Result], error) {
 	all := make([]int, len(r.sc.shards))
 	for i := range all {
 		all[i] = i
 	}
-	return r.sc.EvalShards(ctx, r.query, r.opts, all, r.engines, r.run)
+	parts, lists, err := r.sc.EvalShards(ctx, r.q, r.opts, all, r.run)
+	r.lists = lists
+	return parts, err
 }
 
-// Whole composes round two from round one's partials, inline, under panic
-// recovery.
-func (r localRounds) Whole(ctx context.Context, parts []Partial[*search.Result], rootLCA bool) ([]*search.Result, error) {
+// Whole composes round two from round one's partials and posting lists,
+// inline, under panic recovery.
+func (r *localRounds) Whole(ctx context.Context, parts []Partial[*search.Result], rootLCA bool) ([]*search.Result, error) {
 	var rs []*search.Result
-	if err := Recover(func() { rs = r.sc.roundTwo(r.query, r.opts, parts, rootLCA) }); err != nil {
+	if err := Recover(func() { rs = r.sc.roundTwo(r.q, r.opts, parts, r.lists, rootLCA) }); err != nil {
 		return nil, err
 	}
 	return rs, nil
@@ -230,53 +230,50 @@ func (r localRounds) Whole(ctx context.Context, parts []Partial[*search.Result],
 
 // EvalShards is the per-shard half of Merge's round one, for the listed
 // shards of a corpus (a shard server's for any shard count, the local merge's
-// from two shards up): element k of the answer is shards[k]'s Partial. Every
-// listed shard evaluates with its root filtered out of the LCA set, stopping
-// early once the result bound is provably filled (search.EvaluateResults),
-// and digests what it found; a shard missing a query keyword stops after its
-// posting-list lookups. The evaluations are scheduled through run, each
-// behind a Checkpoint. The query is parsed once, here, and every shard's
-// engine reads that parse (search.Engine.EvaluateResultsOf). engines is
-// SearchEnginesContext's, passed through by the local merge; a shard server
-// passes nil.
-func (sc *Corpus) EvalShards(ctx context.Context, query string, opts search.Options, shards []int, engines []*search.Engine, run Runner) ([]Partial[*search.Result], error) {
-	terms := search.ParseQuery(query)
-	if len(terms) == 0 {
-		return nil, search.ErrEmptyQuery
+// from two shards up): element k of the answer is shards[k]'s Partial, and of
+// lists shards[k]'s posting lists of the query's terms (a whole-document
+// result of round two reads them). Every listed shard evaluates with its root
+// filtered out of the LCA set, stopping early once the result bound is
+// provably filled (search.Engine.Evaluate), and digests what it found; a
+// shard missing a query keyword stops after its posting-list lookups. The
+// evaluations are scheduled through run, each behind a Checkpoint, and every
+// shard's engine, built for this query, reads the one parse q.
+func (sc *Corpus) EvalShards(ctx context.Context, q search.Query, opts search.Options, shards []int, run Runner) (parts []Partial[*search.Result], lists [][]*index.PostingList, err error) {
+	if len(q.Terms) == 0 {
+		return nil, nil, search.ErrEmptyQuery
 	}
-	parts := make([]Partial[*search.Result], len(shards))
+	parts, lists = make([]Partial[*search.Result], len(shards)), make([][]*index.PostingList, len(shards))
 	errs := make([]error, len(shards))
 	tasks := make([]func(), len(shards))
 	for k, i := range shards {
-		eng, root := sc.engine(engines, i, opts), sc.shards[i].Doc.Root
-		tasks[k] = func() { parts[k], errs[k] = evalShard(ctx, eng, root, terms) }
+		eng, root := sc.shards[i].Engine(opts), sc.shards[i].Doc.Root
+		tasks[k] = func() { parts[k], lists[k], errs[k] = evalShard(ctx, eng, root, q) }
 	}
 	if err := Run(run, tasks); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return parts, nil
+	return parts, lists, nil
 }
 
-// evalShard is one shard's round one, behind a Checkpoint, over the query's
-// terms as EvalShards parsed them once for every shard.
-func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, terms []search.Term) (Partial[*search.Result], error) {
+// evalShard is one shard's round one, behind a Checkpoint: its Partial and
+// its posting lists of the query's terms.
+func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, q search.Query) (Partial[*search.Result], []*index.PostingList, error) {
 	if err := Checkpoint(ctx); err != nil {
-		return Partial[*search.Result]{}, err
+		return Partial[*search.Result]{}, nil, err
 	}
 	// The local LCA set minus the shard root is — under contiguous
 	// partitioning — exactly this shard's slice of the global non-root LCA
 	// set.
-	ev, results, err := eng.EvaluateResultsOf(terms,
-		func(n *xmltree.Node) bool { return n != root })
+	ev, results, err := eng.Evaluate(q, func(n *xmltree.Node) bool { return n != root })
 	if err != nil {
-		return Partial[*search.Result]{}, err
+		return Partial[*search.Result]{}, nil, err
 	}
 	rootAnchored := slices.ContainsFunc(results,
 		func(r *search.Result) bool { return r.Anchor == root })
-	return Partial[*search.Result]{Digest: NewDigest(ev, rootAnchored), Results: results}, nil
+	return Partial[*search.Result]{Digest: NewDigest(ev, rootAnchored), Results: results}, ev.Lists, nil
 }

@@ -183,7 +183,7 @@ func TestRootSpanningSLCA(t *testing.T) {
 		t.Fatalf("shards = %d", sc.NumShards())
 	}
 	opts := search.Options{DistinctAnchors: true}
-	want, err := search.NewEngine(unsharded.Doc, unsharded.Index, unsharded.Cls, opts).Search("alpha beta")
+	want, err := search.NewEngine(unsharded.Doc, unsharded.Index, unsharded.Cls, opts).Search(search.Parse("alpha beta"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestRootELCAWitnessesSplitAcrossShards(t *testing.T) {
 
 func checkSameResults(t *testing.T, unsharded *core.Corpus, sc *Corpus, query string, opts search.Options) {
 	t.Helper()
-	want, werr := search.NewEngine(unsharded.Doc, unsharded.Index, unsharded.Cls, opts).Search(query)
+	want, werr := search.NewEngine(unsharded.Doc, unsharded.Index, unsharded.Cls, opts).Search(search.Parse(query))
 	got, gerr := sc.Search(query, opts)
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("%q: errors differ: %v vs %v", query, werr, gerr)

@@ -10,25 +10,25 @@ import (
 
 	"extract/internal/core"
 	"extract/internal/faultinject"
-	"extract/internal/index"
 	"extract/internal/search"
 	"extract/internal/telemetry"
 )
 
-// Answer is the serving layer's one call into a local corpus: the query's
-// results (SearchEnginesContext, on engines built for this query) and, when
-// bound >= 0, one snippet per result at that bound, aligned with them, made
-// by the corpus's own generator (Snippets) — each its XML, edges and key,
-// rendered inside the fan-out. bound < 0 is search only, with nil snippets.
+// Answer is the serving layer's one call into a local corpus: the results of
+// the parsed query q, on engines built for this query, and, when bound >= 0,
+// one snippet per result at that bound with q's keywords, aligned with them,
+// made by the corpus's own generator (Snippets) — each its XML, edges and
+// key, rendered inside the fan-out. bound < 0 is search only, with nil
+// snippets.
 // The duration of the fan-out is noted on the query's span sink, when ctx
 // carries one.
-func (sc *Corpus) Answer(ctx context.Context, query string, opts search.Options, run Runner, bound int) ([]*search.Result, []*core.Generated, error) {
-	rs, err := sc.SearchEnginesContext(ctx, query, opts, nil, run)
+func (sc *Corpus) Answer(ctx context.Context, q search.Query, opts search.Options, run Runner, bound int) ([]*search.Result, []*core.Generated, error) {
+	rs, err := sc.search(ctx, q, opts, run)
 	if err != nil || bound < 0 {
 		return rs, nil, err
 	}
 	start := time.Now()
-	gs, err := Snippets(ctx, run, sc.gen, rs, index.Tokenize(query), bound)
+	gs, err := Snippets(ctx, run, sc.gen, rs, q.Keywords, bound)
 	if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
 		sink.NoteSnippets(time.Since(start))
 	}

@@ -18,7 +18,7 @@ func TestGenerateProducesAnswerableQueries(t *testing.T) {
 		if len(q.Keywords) != 3 {
 			t.Errorf("keywords = %v", q.Keywords)
 		}
-		results, err := eng.Search(q.Text())
+		results, err := eng.Search(search.Parse(q.Text()))
 		if err != nil {
 			t.Fatalf("search %q: %v", q.Text(), err)
 		}

@@ -31,12 +31,12 @@ func renderFacadeHits(hits []*Hit) string {
 // per result with a private generator — no serving layer, no cache.
 func directQuery(c *Corpus, query string, bound int, ranked bool, opts search.Options) (string, error) {
 	cc := c.InternalShards().Shards()[0]
-	rs, err := cc.Engine(opts).Search(query)
+	rs, err := cc.Engine(opts).Search(search.Parse(query))
 	if err != nil {
 		return "", err
 	}
 	if ranked {
-		rank.NewScorerFunc(cc.Index.Count, cc.Doc.ComputeStats().Elements).Sort(rs, search.TermKeys(query))
+		rank.NewScorerFunc(cc.Index.Count, cc.Doc.ComputeStats().Elements).Sort(rs, search.Parse(query).Keys)
 	}
 	g := core.NewGenerator(cc)
 	var b strings.Builder
@@ -108,7 +108,7 @@ func TestUnshardedServedMatchesDirect(t *testing.T) {
 					}
 				}
 				// Search must return the same result list the direct engine does.
-				wantRS, werr2 := c.InternalShards().Shards()[0].Engine(oc.opts).Search(q)
+				wantRS, werr2 := c.InternalShards().Shards()[0].Engine(oc.opts).Search(search.Parse(q))
 				gotRS, gerr2 := c.Search(q, oc.facade...)
 				if (werr2 == nil) != (gerr2 == nil) {
 					t.Fatalf("%s: Search errors differ: %v vs %v", label, werr2, gerr2)

@@ -921,6 +921,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		data.Dataset = s.names[len(s.names)-1] // "stores (Figure 5)" sorts last
 	}
 	ds := s.datasets[data.Dataset]
+	kws := extract.Tokenize(data.Query) // the suggestions' last token and the text windows' terms
 	if ds != nil {
 		st := ds.Corpus.Stats()
 		data.Stats = fmt.Sprintf("%d elements, entities: %s",
@@ -928,8 +929,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// Populate the keyword datalist: completions of the last typed
 		// token, or frequent entity vocabulary when the box is empty.
 		last := ""
-		if toks := extract.Tokenize(data.Query); len(toks) > 0 {
-			last = toks[len(toks)-1]
+		if len(kws) > 0 {
+			last = kws[len(kws)-1]
 		}
 		if last != "" {
 			data.Suggestions = ds.Corpus.Suggest(last, 12)
@@ -953,7 +954,6 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			fail(err)
 		}
-		kws := extract.Tokenize(data.Query)
 		for i, h := range hits {
 			// The text window reads the result's tree: on a routed corpus
 			// the first read fetches the page's trees, one call per group,

@@ -1098,22 +1098,27 @@ func (c *Corpus) Snippet(r *Result, query string, bound int, opts ...SnippetOpti
 			return nil, err
 		}
 	}
-	g := core.NewGenerator(c.analysis())
-	for _, o := range opts {
-		o(g)
-	}
-	return newSnippet(g.ForResult(tree, query, bound)), nil
+	return newSnippet(c.generator(opts).ForResult(tree, query, bound)), nil
 }
 
 // SnippetForTree generates a snippet for a result tree produced by an
 // external search engine. The tree must be over the same vocabulary as the
 // corpus (labels drive classification).
 func (c *Corpus) SnippetForTree(result *xmltree.Document, query string, bound int, opts ...SnippetOption) *Snippet {
+	return newSnippet(c.generator(opts).ForTree(result, query, bound))
+}
+
+// generator is a local generation's own snippet generator, whose workers
+// every call reuses, or with options a new one over the corpus's analysis.
+func (c *Corpus) generator(opts []SnippetOption) *core.Generator {
+	if d := c.data.Load(); d.rt == nil && len(opts) == 0 {
+		return d.gen.Corpus.Generator()
+	}
 	g := core.NewGenerator(c.analysis())
 	for _, o := range opts {
 		o(g)
 	}
-	return newSnippet(g.ForTree(result, query, bound))
+	return g
 }
 
 // newSnippet wraps a snippet made outside the serving layer, rendering its

@@ -134,14 +134,18 @@ type Generator struct {
 func NewGenerator(c *Corpus) *Generator { return &Generator{Corpus: c} }
 
 // worker is one snippet's pooled working state: the feature collector, and
-// the IList of a snippet that keeps none.
+// the IList and the XML (render) of a snippet that keeps neither.
 type worker struct {
 	col *features.Collector
 	il  ilist.IList
+	xml []byte
 }
 
+// maxKeptXML bounds the XML buffer a pooled worker keeps.
+const maxKeptXML = 64 << 10
+
 // worker borrows a worker for the corpus; put empties its scratch — the
-// statistics, the IList's strings — and returns it for reuse.
+// statistics, the IList's strings, the XML — and returns it for reuse.
 func (g *Generator) worker() *worker {
 	if w, ok := g.workers.Get().(*worker); ok {
 		return w
@@ -152,6 +156,9 @@ func (g *Generator) worker() *worker {
 func (g *Generator) put(w *worker) {
 	w.col.ReleaseScratch()
 	w.il.Reset()
+	if cap(w.xml) > maxKeptXML {
+		w.xml = nil
+	}
 	g.workers.Put(w)
 }
 
@@ -171,8 +178,9 @@ type Generated struct {
 	Keywords []string
 	Bound    int
 	// XML is the snippet tree serialized (xmltree.XMLString): rendered by
-	// ServeResult and Served on every served snippet, and filled by whoever
-	// hands one of ForTree or ForResult to a reader.
+	// ServeResult, and by a shard server into the record Served reads it
+	// from, on every served snippet, and filled by whoever hands one of
+	// ForTree or ForResult to a reader.
 	XML string
 	// Edges is the snippet's size in edges (Snippet.Edges), and ResultKey
 	// the key value identifying its result, "" if none (IList.KeyValue).
@@ -205,14 +213,15 @@ type served struct {
 
 // Served returns the served snippet of a snippet record (internal/record)
 // that a router received from a shard server (AppendRecord), in the payload
-// it arrived in. It renders the XML once, from a scratch tree built into into
-// (nil: a pooled one) and dropped, reads the edge count and the result key,
-// and keeps the record, from which Derived decodes the snippet tree and the
-// IList when a reader asks. enc must be a record a scan has validated, and
-// stay as it is for as long as the snippet lives; kws and bound are the
-// request's.
-func Served(enc string, kws []string, bound int, into *rec.Tree) *Generated {
-	xml, edges, key := rec.Shown(enc, into)
+// it arrived in: its XML, edge count and result key are read out of the
+// record's head (record.Reader.Head), nothing rendered and nothing allocated
+// but the snippet, and the record is kept, from which Derived decodes the
+// snippet tree and the IList when a reader asks. enc must be a record a scan
+// has validated, and stay as it is for as long as the snippet lives; kws and
+// bound are the request's.
+func Served(enc string, kws []string, bound int) *Generated {
+	v := rec.Reader{Text: enc}
+	xml, edges, key := v.Head()
 	return Deferred(enc, rec.Snippet, xml, edges, key, kws, bound)
 }
 
@@ -322,37 +331,46 @@ func (g *Generator) derive(w *worker, sp *index.Whole, start, end int32, result 
 	return selector.GreedySelection(result, il, stats, bound)
 }
 
+// render runs the pipeline on a search result with w (derive) and renders the
+// snippet's XML from the selection's scratch tree (selector.Selection.Tree)
+// into w.xml: the one derive-then-render step of a local corpus's served
+// snippet (ServeResult) and a shard server's record (AppendRecord). The
+// caller then releases the selection.
+func (g *Generator) render(w *worker, r *search.Result, kws []string, bound int) *selector.Selection {
+	sp, start, end := r.Space()
+	sel := g.derive(w, sp, start, end, r.Doc, kws, bound, &w.il)
+	w.xml = xmltree.AppendXML(w.xml[:0], sel.Tree())
+	return sel
+}
+
 // AppendRecord appends the snippet record (internal/record) of a search
-// result to dst — the same snippet and IList ForResult derives, in the
-// bytes a shard server's responses carry — and returns the extended buffer.
-// The statistics, the IList and the selection are the worker's scratch
-// (derive), from which the record is written; none of them is kept, so with
-// room in dst it allocates nothing.
+// result to dst — the XML ServeResult renders, and the same snippet and IList
+// ForResult derives, in the bytes a shard server's responses carry — and
+// returns the extended buffer. The statistics, the IList, the selection and
+// the XML are the worker's scratch (render), from which the record is
+// written; none of them is kept, so with room in dst it allocates nothing.
 func (g *Generator) AppendRecord(dst []byte, r *search.Result, kws []string, bound int) []byte {
 	w := g.worker()
 	defer g.put(w)
-	sp, start, end := r.Space()
-	sel := g.derive(w, sp, start, end, r.Doc, kws, bound, &w.il)
-	dst = rec.AppendSnippet(dst, sel, sel.Edges, &w.il, sel.Covered, sel.Skipped)
+	sel := g.render(w, r, kws, bound)
+	dst = rec.AppendSnippet(dst, w.xml, sel, sel.Edges, &w.il, sel.Covered, sel.Skipped)
 	sel.Release()
 	return dst
 }
 
-// ServeResult is a local corpus's served snippet of a search result: its XML,
-// rendered from the selection through the selection's scratch tree
-// (selector.Selection.Tree) by the one serializer, its edges and its key,
-// beside the result and this generator, from which a reader's first Derived
-// derives the snippet tree and the IList again, as ForResult does. The
-// statistics, the IList and the selection are the worker's scratch and no
-// record is written, so a served snippet is two objects: its XML and itself.
-// Only the snippet fan-out (shard.Snippets) calls it.
+// ServeResult is a local corpus's served snippet of a search result: its XML
+// (render), its edges and its key, beside the result and this generator, from
+// which a reader's first Derived derives the snippet tree and the IList
+// again, as ForResult does. The statistics, the IList and the selection are
+// the worker's scratch and no record is written, so a served snippet is two
+// objects: its XML and itself. Only the snippet fan-out (shard.Snippets)
+// calls it.
 func (g *Generator) ServeResult(r *search.Result, kws []string, bound int) *Generated {
 	w := g.worker()
 	defer g.put(w)
-	sp, start, end := r.Space()
-	sel := g.derive(w, sp, start, end, r.Doc, kws, bound, &w.il)
+	sel := g.render(w, r, kws, bound)
 	d := &served{
-		g:   Generated{XML: xmltree.XMLString(sel.Tree()), Edges: sel.Edges, ResultKey: w.il.KeyValue, Keywords: kws, Bound: bound},
+		g:   Generated{XML: string(w.xml), Edges: sel.Edges, ResultKey: w.il.KeyValue, Keywords: kws, Bound: bound},
 		src: source{gen: g, result: r},
 	}
 	sel.Release()

@@ -1,18 +1,18 @@
 // Package record is the one byte layout of XR's tree and snippet records:
 // what a shard server sends a router, and what a router's served snippet is
 // kept as. A result tree and a snippet tree travel as the same node
-// records; a snippet record adds its edge count, IList and covered and
-// skipped items. The package writes records (AppendNode, AppendSnippet) and
-// reads records a scan has already validated (Reader, Snippet, Shown): it
-// checks nothing itself. Validation belongs to the wire decoder
-// (internal/remote), which refuses a malformed record before anything here
-// reads it.
+// records; a snippet record leads with what a result page shows — the XML
+// the server rendered, the edge count and the result key — and then carries
+// the snippet tree, IList and covered and skipped items. The package writes
+// records (AppendNode, AppendSnippet) and reads records a scan has already
+// validated (Reader, Snippet): it checks nothing itself. Validation belongs
+// to the wire decoder (internal/remote), which refuses a malformed record
+// before anything here reads it.
 package record
 
 import (
 	"encoding/binary"
 	"math"
-	"sync"
 
 	"extract/internal/ilist"
 	"extract/internal/selector"
@@ -106,21 +106,15 @@ func (v *Reader) Str() string {
 // internal/persist loads a document: nodes arrive in preorder with their child
 // counts, so a single pass fills a node slab, carves every Children slice out
 // of one arena and links Parent as it goes. Allocations are a constant plus
-// one per slab chunk, none per node — none at all when the nodes go into a
-// scratch tree (into), whose storage the next tree reuses; every label and
-// value is a substring of v's text. With syms the nodes are a result tree's —
-// symbol ids assigned as NewDocument would, Ord/Start/End set as preorder
-// positions — ready for xmltree.AdoptFinalized; without, they are a snippet
-// tree's, which carries neither.
-func (v *Reader) BuildNodes(syms *xmltree.Symbols, into *Tree) []*xmltree.Node {
+// one per slab chunk, none per node; every label and value is a substring of
+// v's text. With syms the nodes are a result tree's — symbol ids assigned as
+// NewDocument would, Ord/Start/End set as preorder positions — ready for
+// xmltree.AdoptFinalized; without, they are a snippet tree's, which carries
+// neither.
+func (v *Reader) BuildNodes(syms *xmltree.Symbols) []*xmltree.Node {
 	total := v.Uvarint()
-	var ptrs []*xmltree.Node
+	ptrs := make([]*xmltree.Node, 2*total-1)
 	var slab []xmltree.Node
-	if into != nil {
-		ptrs, slab = into.reset(total)
-	} else {
-		ptrs = make([]*xmltree.Node, 2*total-1)
-	}
 	nodes, childArena := ptrs[:total:total], ptrs[total:]
 	var open *xmltree.Node // innermost node with unfilled child slots
 	for i := range nodes {
@@ -165,38 +159,6 @@ func (v *Reader) BuildNodes(syms *xmltree.Symbols, into *Tree) []*xmltree.Node {
 	return nodes
 }
 
-// Tree is storage BuildNodes reuses from one tree to the next: what a served
-// snippet's XML is rendered from, the tree dropped once it is rendered. It is
-// pooled (GetTree) and emptied before it goes back, so a pooled one pins no
-// record.
-type Tree struct {
-	ptrs  []*xmltree.Node
-	nodes []xmltree.Node
-}
-
-var trees = sync.Pool{New: func() any { return new(Tree) }}
-
-// GetTree borrows a scratch tree; Release returns it.
-func GetTree() *Tree { return trees.Get().(*Tree) }
-
-// reset returns storage for a tree of total nodes: BuildNodes' pointer arena
-// and a zeroed node slab.
-func (t *Tree) reset(total int) ([]*xmltree.Node, []xmltree.Node) {
-	if cap(t.nodes) < total {
-		t.nodes = make([]xmltree.Node, total)
-		t.ptrs = make([]*xmltree.Node, 2*total-1)
-	}
-	t.nodes = t.nodes[:total]
-	clear(t.nodes)
-	return t.ptrs[:2*total-1], t.nodes
-}
-
-// Release empties t and puts it back in the pool.
-func (t *Tree) Release() {
-	clear(t.nodes)
-	trees.Put(t)
-}
-
 // --- snippets ---
 
 // Nodes is a snippet tree as its record lists it: Len nodes in preorder,
@@ -206,18 +168,23 @@ type Nodes interface {
 	Node(i int) (n *xmltree.Node, kids int)
 }
 
-// AppendSnippet appends one snippet record: the snippet tree in preorder
-// (node records, as a result tree's), its edge count, the IList — every
-// item's kind, text, feature (entity, attribute, value), feature id and exact
-// score bits, then the return entities and the result key — and the covered
-// and skipped item indexes. Feature statistics are not recorded.
-func AppendSnippet(b []byte, tree Nodes, edges int, il *ilist.IList, covered, skipped []int) []byte {
+// AppendSnippet appends one snippet record: its head — the snippet's XML
+// (xml, the snippet tree as the one serializer renders it), its edge count
+// and its result key (the IList's KeyValue) — then the snippet tree in
+// preorder (node records, as a result tree's), the IList — every item's
+// kind, text, feature (entity, attribute, value), feature id and exact score
+// bits, then the return entities and the key attribute — and the covered and
+// skipped item indexes. Feature statistics are not recorded.
+func AppendSnippet(b, xml []byte, tree Nodes, edges int, il *ilist.IList, covered, skipped []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(xml)))
+	b = append(b, xml...)
+	b = binary.AppendUvarint(b, uint64(edges))
+	b = appendString(b, il.KeyValue)
 	b = binary.AppendUvarint(b, uint64(tree.Len()))
 	for i := range tree.Len() {
 		n, kids := tree.Node(i)
 		b = AppendNode(b, n, kids)
 	}
-	b = binary.AppendUvarint(b, uint64(edges))
 	b = binary.AppendUvarint(b, uint64(len(il.Items)))
 	for _, it := range il.Items {
 		b = append(b, byte(it.Kind))
@@ -233,7 +200,6 @@ func AppendSnippet(b []byte, tree Nodes, edges int, il *ilist.IList, covered, sk
 		b = appendString(b, e)
 	}
 	b = appendString(b, il.KeyAttr)
-	b = appendString(b, il.KeyValue)
 	b = appendIndexes(b, covered)
 	return appendIndexes(b, skipped)
 }
@@ -246,25 +212,11 @@ func appendIndexes(b []byte, idx []int) []byte {
 	return b
 }
 
-// Shown reads what a result page shows of a snippet record: its XML,
-// rendered from a scratch tree built into into (nil: a pooled one) and
-// dropped, its edge count and its result key. Nothing else is built.
-func Shown(enc string, into *Tree) (xml string, edges int, key string) {
-	if into == nil {
-		into = GetTree()
-		defer into.Release()
-	}
-	v := Reader{Text: enc}
-	xml = xmltree.XMLString(v.BuildNodes(nil, into)[0])
+// Head reads the head of the snippet record at v — what a result page shows:
+// its XML, its edge count and its result key — in place, allocating nothing.
+func (v *Reader) Head() (xml string, edges int, key string) {
+	xml = v.Str()
 	edges = v.Uvarint()
-	var it ilist.Item
-	for range v.Uvarint() {
-		v.item(&it)
-	}
-	for range v.Uvarint() {
-		v.Str() // a return entity
-	}
-	v.Str() // the key attribute
 	return xml, edges, v.Str()
 }
 
@@ -272,9 +224,10 @@ func Shown(enc string, into *Tree) (xml string, edges int, key string) {
 // indexes, and its IList: every string is a substring of enc.
 func Snippet(enc string) (*selector.Snippet, *ilist.IList) {
 	v := Reader{Text: enc}
-	root := v.BuildNodes(nil, nil)[0]
-	sn := &selector.Snippet{Root: root, Edges: v.Uvarint()}
-	il := &ilist.IList{Items: make([]ilist.Item, v.Uvarint())}
+	_, edges, key := v.Head()
+	root := v.BuildNodes(nil)[0]
+	sn := &selector.Snippet{Root: root, Edges: edges}
+	il := &ilist.IList{Items: make([]ilist.Item, v.Uvarint()), KeyValue: key}
 	for i := range il.Items {
 		v.item(&il.Items[i])
 	}
@@ -285,7 +238,6 @@ func Snippet(enc string) (*selector.Snippet, *ilist.IList) {
 		}
 	}
 	il.KeyAttr = v.Str()
-	il.KeyValue = v.Str()
 	sn.Covered = v.indexes()
 	sn.Skipped = v.indexes()
 	return sn, il

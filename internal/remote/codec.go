@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"extract/internal/bin"
-	"extract/internal/core"
 	"extract/internal/ilist"
 	"extract/internal/index"
 	"extract/internal/record"
@@ -491,7 +490,7 @@ func (t treeRecord) build() *search.Result { return buildResult(unsafeString(t.e
 // to its nodes).
 func buildResult(enc string) *search.Result {
 	v := record.Reader{Text: enc}
-	nodes := v.BuildNodes(xmltree.NewSymbols(), nil)
+	nodes := v.BuildNodes(xmltree.NewSymbols())
 	root := nodes[0]
 	r := &search.Result{Root: root, Doc: xmltree.AdoptFinalized(nodes), Anchor: root, LCA: root}
 	if lca := v.Uvarint(); lca > 0 {
@@ -515,8 +514,8 @@ func buildResult(enc string) *search.Result {
 // validated, of a payload nothing writes to.
 func unsafeString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// wholeShard is the shard of a handle into the whole document (the
-// whole-document round's results).
+// wholeShard is the shard of a whole handle: one into the whole document,
+// which names the result of the whole-document round anchored at the root.
 const wholeShard = -1
 
 // handle locates one shipped result where it was evaluated: its shard, or
@@ -556,16 +555,16 @@ func (s scanned) lcaPos() int32 { return s.at.lca }
 const minResultBytes = 3
 
 // appendShipped encodes one result as an eval or full response ships it: its
-// node count and its handle's positions (anchor, then LCA, in the document
-// that answered), and the least depth below the anchor of each query term's
-// matches, in the order of terms (the one number rank.Scorer reads;
-// search.Result.MatchDepth, which a deferred result answers from). Its tree
-// is not shipped but asked for by handle (msgTrees); its snippet, when the
-// response carries it, follows the result list (appendRecords).
-func appendShipped(b []byte, r *search.Result, terms []string) []byte {
+// node count and its handle's positions (anchor, then LCA), and the least
+// depth below the anchor of each query term's matches, in the order of terms
+// (the one number rank.Scorer reads; search.Result.MatchDepth, which a
+// deferred result answers from). Its tree is not shipped but asked for by
+// handle (msgTrees); its snippet, when the response carries it, follows the
+// result list (appendRecords).
+func appendShipped(b []byte, r *search.Result, anchor, lca int32, terms []string) []byte {
 	b = binary.AppendUvarint(b, uint64(r.Size()+1))
-	b = binary.AppendUvarint(b, uint64(r.Anchor.Ord))
-	b = binary.AppendUvarint(b, uint64(r.LCA.Ord))
+	b = binary.AppendUvarint(b, uint64(anchor))
+	b = binary.AppendUvarint(b, uint64(lca))
 	for _, kw := range terms {
 		d, ok := r.MatchDepth(kw)
 		if !ok {
@@ -576,9 +575,9 @@ func appendShipped(b []byte, r *search.Result, terms []string) []byte {
 	return b
 }
 
-// shipped scans one result shipped by shard (wholeShard in a full response)
-// for a query of terms terms: its node count, an anchor at or above its LCA,
-// one match depth a term, every depth inside the tree.
+// shipped scans one result shipped by shard (wholeShard: a whole handle) for
+// a query of terms terms: its node count, an anchor at or above its LCA, one
+// match depth a term, every depth inside the tree.
 func (c *cursor) shipped(shard int32, terms int) scanned {
 	nodes := c.count("tree node", maxTreeNodes, 0) // the tree is not shipped
 	anchor := c.Uvarint("anchor position")
@@ -623,17 +622,17 @@ func (s scanned) take(at *answerTrees, i int) *search.Result {
 	return search.Defer(s.nodes, retained, depths, func(ctx context.Context) (*search.Result, error) { return at.tree(ctx, i) })
 }
 
-// appendResults encodes one shipped result list: an eval response's per
-// shard, and the whole of a full response's body.
+// appendResults encodes one shard's shipped result list, an eval response's
+// per shard: each result at its own positions in the shard.
 func appendResults(b []byte, rs []*search.Result, terms []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rs)))
 	for _, r := range rs {
-		b = appendShipped(b, r, terms)
+		b = appendShipped(b, r, int32(r.Anchor.Ord), int32(r.LCA.Ord), terms)
 	}
 	return b
 }
 
-// results scans one result list: one slice per list, nothing per result.
+// results scans one shard's result list: one slice, nothing per result.
 func (c *cursor) results(shard int32, terms int) []scanned {
 	n := c.count("result", maxWireResults, minResultBytes)
 	if c.Err() != nil {
@@ -664,11 +663,11 @@ func appendRecords(b []byte, recs *shard.RecordSet) []byte {
 	return b
 }
 
-// minSnippetBytes is the shortest snippet record (a one-node tree with an
-// empty label, no edges, an empty IList, no key, nothing covered or
+// minSnippetBytes is the shortest snippet record (no XML, no edges, no key,
+// a one-node tree with an empty label, an empty IList, nothing covered or
 // skipped); it bounds a claimed snippet count by the payload that would have
 // to carry it.
-const minSnippetBytes = 11
+const minSnippetBytes = 12
 
 // recordCount reads the count of a record list.
 func (c *cursor) recordCount() int { return c.count("snippet record", maxWireResults, minSnippetBytes) }
@@ -689,12 +688,16 @@ func (c *cursor) recordsOf(rs []scanned) {
 const minItemBytes = 14
 
 // scanSnippet validates one snippet record in place and returns its range:
-// the tree's shape, an edge count the tree can hold, item kinds, and every
-// covered and skipped index against the item count.
+// the head's XML and key lengths, the tree's shape, an edge count the tree
+// can hold, item kinds, and every covered and skipped index against the item
+// count.
 func (c *cursor) scanSnippet() []byte {
 	start := c.Off
+	c.Span("snippet xml")
+	edges := c.Uvarint("snippet edges")
+	c.Span("result key")
 	total := c.scanTree("snippet")
-	if edges := c.Uvarint("snippet edges"); c.Err() == nil && edges >= uint64(total) {
+	if c.Err() == nil && edges >= uint64(total) {
 		c.Fail("snippet of %d nodes claims %d edges", total, edges)
 	}
 	items := c.count("ilist item", maxWireStrings, minItemBytes)
@@ -714,7 +717,6 @@ func (c *cursor) scanSnippet() []byte {
 		c.Span("return entity")
 	}
 	c.Span("key attribute")
-	c.Span("key value")
 	for _, what := range []string{"covered item", "skipped item"} {
 		n := c.count(what, uint64(items), 1) // a uvarint index each
 		for i := 0; i < n && c.Err() == nil; i++ {
@@ -729,21 +731,12 @@ func (c *cursor) scanSnippet() []byte {
 	return c.Data[start:c.Off:c.Off]
 }
 
-// servedSnippet is what the router keeps of a scanned snippet record: the
-// served snippet every backend makes of a record (core.Served), over the
-// payload the record arrived in, which nothing may reuse once records alias
-// it (readFrame) — its XML rendered from a scratch tree built into into
-// (nil: a pooled one). kws and bound are the request's.
-func servedSnippet(rec []byte, kws []string, bound int, into *record.Tree) *core.Generated {
-	return core.Served(unsafeString(rec), kws, bound, into)
-}
-
 // --- eval response ---
 
 // shardAnswer is one shard's share of an evaluation on the shard server:
 // its digest evidence, the local results it ships and, for a shard of the
-// request's leading run when the request has a snippet bound, their snippet
-// records (none otherwise).
+// request's leading run when the request has a snippet bound and no shard of
+// the request is root-anchored, their snippet records (none otherwise).
 type shardAnswer struct {
 	shard   uint32
 	digest  shard.Digest
@@ -795,13 +788,15 @@ const minShardRespBytes = 5
 // decodeEvalResp scans an eval response to a query of terms terms whose
 // request's leading run was lead shards (shard.LeadingRun), or to a
 // search-only request (lead < 0). Records are where the rule puts them or the
-// response is refused: one a shipped result for a shard of the leading run,
-// none for any other shard, none at all in a search-only answer.
+// response is refused: one a shipped result for a shard of the leading run
+// when no shard of the response is root-anchored — the query then takes round
+// two, whose answer replaces round one's — and none anywhere else.
 func decodeEvalResp(body []byte, terms, lead int) (evalResp, error) {
 	c := newCursor(body)
 	var r evalResp
 	n := c.count("shard response", maxWireShards, minShardRespBytes)
 	r.shards = make([]shardResp, 0, n)
+	records, leading, rooted := 0, 0, false
 	for i := 0; i < n; i++ {
 		var s shardResp
 		s.shard = uint32(c.Uvarint("shard index"))
@@ -817,14 +812,25 @@ func decodeEvalResp(body []byte, terms, lead int) (evalResp, error) {
 			c.Fail("%d snippet records in a search-only answer", recs)
 		case int(s.shard) >= lead && recs > 0:
 			c.Fail("%d snippet records for shard %d, outside the leading run of %d shards", recs, s.shard, lead)
-		case int(s.shard) < lead && recs != len(s.results):
+		case recs > 0 && recs != len(s.results):
 			c.Fail("%d snippet records for shard %d's %d results", recs, s.shard, len(s.results))
 		}
 		c.recordsOf(s.results[:min(recs, len(s.results))])
 		if c.Err() != nil {
 			return r, c.Err()
 		}
+		records += recs
+		if int(s.shard) < lead {
+			leading += len(s.results)
+		}
+		rooted = rooted || s.digest.RootAnchored
 		r.shards = append(r.shards, s)
+	}
+	if rooted {
+		leading = 0
+	}
+	if records != leading {
+		c.Fail("%d snippet records for %d results of the leading run (root-anchored: %v)", records, leading, rooted)
 	}
 	return r, c.Done()
 }
@@ -832,27 +838,48 @@ func decodeEvalResp(body []byte, terms, lead int) (evalResp, error) {
 // --- full response ---
 
 // fullAnswer is what a shard server computed for one full request: the
-// query's term keys (as evalAnswer's), the whole-document answer's results,
-// re-addressed (readdress), and, when the request has a snippet bound, one
-// snippet record a result.
+// query's term keys (as evalAnswer's), the whole-document answer's results
+// and their handles (handleOf), and, when the request has a snippet bound,
+// one snippet record a result.
 type fullAnswer struct {
 	terms   []string
 	results []*search.Result
+	handles []handle
 	records *shard.RecordSet
 }
 
-// appendFullResp appends a full response body: one result list
-// (appendResults) and its records.
-func appendFullResp(b []byte, a fullAnswer, terms []string) []byte {
-	return appendRecords(appendResults(b, a.results, terms), a.records)
+// appendFullResp appends a full response body: one result list — each
+// result its handle's shard + 1 (0: the whole document), then the result as
+// an eval response ships it, at its handle's positions — and its records.
+func appendFullResp(b []byte, a fullAnswer) []byte {
+	b = binary.AppendUvarint(b, uint64(len(a.results)))
+	for i, r := range a.results {
+		h := a.handles[i]
+		b = binary.AppendUvarint(b, uint64(h.shard+1))
+		b = appendShipped(b, r, h.anchor, h.lca, a.terms)
+	}
+	return appendRecords(b, a.records)
 }
 
-// decodeFullResp scans a full response to a query of terms terms: one result
-// list, handles into the whole document, and one record a result when the
+// decodeFullResp scans a full response to a query of terms terms over
+// shards shards: one result list, each result under a shard of the placement
+// or, anchored at the root, a whole handle, and one record a result when the
 // request had a snippet bound (snippeted), none when it had not.
-func decodeFullResp(body []byte, terms int, snippeted bool) ([]scanned, error) {
+func decodeFullResp(body []byte, terms, shards int, snippeted bool) ([]scanned, error) {
 	c := newCursor(body)
-	rs := c.results(wholeShard, terms)
+	n := c.count("result", maxWireResults, minResultBytes+1) // a shard each too
+	rs := make([]scanned, 0, n)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		sh := c.Uvarint("result shard")
+		if c.Err() == nil && sh > uint64(shards) {
+			c.Fail("result of shard %d outside the placement's %d shards", sh-1, shards)
+		}
+		r := c.shipped(int32(sh)-1, terms)
+		if c.Err() == nil && r.at.shard == wholeShard && r.at.anchor != 0 {
+			c.Fail("whole handle anchored at %d, not at the root", r.at.anchor)
+		}
+		rs = append(rs, r)
+	}
 	recs := c.recordCount()
 	switch {
 	case c.Err() != nil:

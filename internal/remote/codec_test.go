@@ -263,7 +263,7 @@ func codecAnswers(tb testing.TB) []codecAnswer {
 					}
 					gs := make([]*core.Generated, len(recs))
 					for i, rec := range recs {
-						gs[i] = core.Served(rec, index.Tokenize(q), 6, nil)
+						gs[i] = core.Served(rec, index.Tokenize(q), 6)
 					}
 					out = append(out, codecAnswer{evalAnswer: a, full: full, snippets: gs})
 				}
@@ -609,8 +609,10 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		b = binary.AppendVarint(b, -1)
 		return append(b, make([]byte, 8)...) // score bits
 	}
+	// A record leads with its head: the XML, the edge count, the result key.
+	head := func(edges uint64) []byte { return cat(appendString(nil, "<a/>"), uv(edges), appendString(nil, "")) }
 	snip := func(tree []byte, edges uint64, items []byte, covered, skipped []byte) []byte {
-		b := cat(tree, uv(edges), items, uv(0), appendString(nil, ""), appendString(nil, ""))
+		b := cat(head(edges), tree, items, uv(0), appendString(nil, ""))
 		return cat(b, covered, skipped)
 	}
 	leaf := cat(uv(1), node(0, "a", 0))
@@ -631,6 +633,9 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		{"more skipped indexes than items", snip(leaf, 0, oneItem, uv(0), cat(uv(2), uv(0), uv(0)))},
 		{"truncated score", valid[:len(valid)-6]},
 		{"trailing bytes", cat(valid, []byte{7})},
+		{"xml past its record", cat(uv(uint64(len(valid))), valid[1:])},
+		{"edge count cut short", cat(appendString(nil, "<a/>"), []byte{0x80})},
+		{"key cut short", cat(appendString(nil, "<a/>"), uv(0), uv(5), []byte("ab"))},
 	} {
 		c := newCursor(tc.rec)
 		c.scanSnippet()
@@ -647,7 +652,7 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		if _, err := decodeEvalResp(cat(uv(1), uv(0), []byte{0, 0}, uv(1), shipped, uv(1), tc.rec), 1, 1); !errors.As(err, &pe) {
 			t.Errorf("%s inside an eval response: err = %v, want a *ProtocolError", tc.name, err)
 		}
-		if _, err := decodeFullResp(cat(uv(1), shipped, uv(1), tc.rec), 1, true); !errors.As(err, &pe) {
+		if _, err := decodeFullResp(cat(uv(1), uv(1), shipped, uv(1), tc.rec), 1, 1, true); !errors.As(err, &pe) {
 			t.Errorf("%s inside a full response: err = %v, want a *ProtocolError", tc.name, err)
 		}
 	}
@@ -672,7 +677,7 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	} {
 		eval := cat(uv(1), uv(0), []byte{0, 0}, uv(1), tc.rec, uv(0))
 		_, evalErr := decodeEvalResp(eval, 1, -1)
-		_, fullErr := decodeFullResp(cat(uv(1), tc.rec, uv(0)), 1, false)
+		_, fullErr := decodeFullResp(cat(uv(1), uv(1), tc.rec, uv(0)), 1, 1, false)
 		var pe *ProtocolError
 		for _, err := range []error{evalErr, fullErr} {
 			if tc.name == "valid" {
@@ -693,7 +698,13 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	evalWith := func(shardIdx uint64, recs ...[]byte) []byte {
 		return cat(uv(1), uv(shardIdx), []byte{0, 0}, uv(1), valid, uv(uint64(len(recs))), cat(recs...))
 	}
-	fullWith := func(recs ...[]byte) []byte { return cat(uv(1), valid, uv(uint64(len(recs))), cat(recs...)) }
+	fullWith := func(recs ...[]byte) []byte { return cat(uv(1), uv(1), valid, uv(uint64(len(recs))), cat(recs...)) }
+	// rooted is a response of two shards of the leading run whose second is
+	// root-anchored: the query takes round two, so neither carries records.
+	rooted := func(recs ...[]byte) []byte {
+		return cat(uv(2), uv(0), []byte{0, 0}, uv(1), valid, uv(uint64(len(recs))), cat(recs...),
+			uv(1), []byte{digestRootAnchored, 0}, uv(0), uv(0))
+	}
 	for _, tc := range []struct {
 		name   string
 		decode func() error
@@ -702,9 +713,15 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 		{"no records for a shard of the leading run", func() error { _, err := decodeEvalResp(evalWith(0), 1, 1); return err }},
 		{"records outside the leading run", func() error { _, err := decodeEvalResp(evalWith(1, validRec), 1, 1); return err }},
 		{"records in a search-only eval answer", func() error { _, err := decodeEvalResp(evalWith(0, validRec), 1, -1); return err }},
-		{"a full record count other than its results", func() error { _, err := decodeFullResp(fullWith(validRec, validRec), 1, true); return err }},
-		{"no records in a snippeted full answer", func() error { _, err := decodeFullResp(fullWith(), 1, true); return err }},
-		{"records in a search-only full answer", func() error { _, err := decodeFullResp(fullWith(validRec), 1, false); return err }},
+		{"a full record count other than its results", func() error { _, err := decodeFullResp(fullWith(validRec, validRec), 1, 1, true); return err }},
+		{"no records in a snippeted full answer", func() error { _, err := decodeFullResp(fullWith(), 1, 1, true); return err }},
+		{"records in a search-only full answer", func() error { _, err := decodeFullResp(fullWith(validRec), 1, 1, false); return err }},
+		{"records beside a root-anchored shard", func() error { _, err := decodeEvalResp(rooted(validRec), 1, 2); return err }},
+		{"a full result of a shard outside the placement", func() error { _, err := decodeFullResp(cat(uv(1), uv(2), valid, uv(0)), 1, 1, false); return err }},
+		{"a whole handle not at the root", func() error {
+			_, err := decodeFullResp(cat(uv(1), uv(0), uv(3), uv(1), uv(1), uv(3), uv(0)), 1, 1, false)
+			return err
+		}},
 	} {
 		var pe *ProtocolError
 		if err := tc.decode(); !errors.As(err, &pe) {
@@ -717,7 +734,13 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 	if resp, err := decodeEvalResp(evalWith(1), 1, 1); err != nil || resp.shards[0].results[0].rec != nil {
 		t.Fatalf("a shard outside the leading run without records: %v", err)
 	}
-	if rs, err := decodeFullResp(fullWith(validRec), 1, true); err != nil || string(rs[0].rec) != string(validRec) {
+	if resp, err := decodeEvalResp(rooted(), 1, 2); err != nil || resp.shards[0].results[0].rec != nil {
+		t.Fatalf("a leading run beside a root-anchored shard without records: %v", err)
+	}
+	if rs, err := decodeFullResp(cat(uv(1), uv(0), cat(uv(3), uv(0), uv(1), uv(3)), uv(0)), 1, 1, false); err != nil || rs[0].at != (handle{shard: wholeShard, lca: 1}) {
+		t.Fatalf("a whole handle at the root: %v", err)
+	}
+	if rs, err := decodeFullResp(fullWith(validRec), 1, 1, true); err != nil || string(rs[0].rec) != string(validRec) {
 		t.Fatalf("a record of a full answer: %v", err)
 	}
 
@@ -838,8 +861,12 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 		}
 	}
 	var results []*search.Result
+	var shipped []handle
 	for _, s := range eval.shards {
 		results = append(results, s.results...)
+		for _, r := range s.results {
+			shipped = append(shipped, handle{shard: int32(s.shard), anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)})
+		}
 	}
 	snippets := eval.snippets
 	if len(snippets) != len(results) {
@@ -860,7 +887,7 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 			return decode(body)
 		}
 	}
-	full := appendFullResp(nil, fullAnswer{results: results, records: recordsOf(snippets)}, eval.terms)
+	full := appendFullResp(nil, fullAnswer{terms: eval.terms, results: results, handles: shipped, records: recordsOf(snippets)})
 	handles := make([]handle, n)
 	for i := range handles {
 		handles[i] = handle{shard: int32(i) - 1, anchor: int32(i), lca: int32(2 * i)}
@@ -882,7 +909,7 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 		{"eval response", respond(appendEvalResp(nil, eval.evalAnswer)), 0,
 			behind(func(b []byte) error { _, err := decodeEvalResp(b, len(eval.terms), len(eval.shards)); return err })},
 		{"full response", respond(full), 0,
-			behind(func(b []byte) error { _, err := decodeFullResp(b, len(eval.terms), true); return err })},
+			behind(func(b []byte) error { _, err := decodeFullResp(b, len(eval.terms), len(eval.shards), true); return err })},
 		{"trees request", encodeTreesReq(trees), treesAfterCount,
 			func(b []byte) error { _, err := decodeTreesReq(b); return err }},
 		{"trees response", respond(appendTreesResp(nil, results)), 0,
@@ -953,7 +980,7 @@ func TestSnippetRoundTrip(t *testing.T) {
 		if err := c.Done(); err != nil {
 			t.Fatalf("%s: scan: %v", name, err)
 		}
-		got := servedSnippet(scanned, g.Keywords, g.Bound, nil)
+		got := core.Served(unsafeString(scanned), g.Keywords, g.Bound)
 		if err := sameSnippet(g, got); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -58,10 +58,8 @@ func frozenWire(tb testing.TB) []byte {
 					if err != nil {
 						tb.Fatalf("%s: %v", name, err)
 					}
-					record(name+"/full", appendFullResp(nil, whole, a.terms))
-					for _, r := range whole.results {
-						handles = append(handles, handle{shard: wholeShard, anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)})
-					}
+					record(name+"/full", appendFullResp(nil, whole))
+					handles = append(handles, whole.handles...)
 					if len(handles) == 0 {
 						continue
 					}
@@ -94,7 +92,7 @@ func frozenWire(tb testing.TB) []byte {
 // version and rewrites the file with -update.
 func TestWireBytesAreFrozen(t *testing.T) {
 	got := frozenWire(t)
-	path := filepath.Join("testdata", "wire.v9.frozen")
+	path := filepath.Join("testdata", "wire.v10.frozen")
 	if *updateFrozen {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

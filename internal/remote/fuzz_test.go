@@ -7,13 +7,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"testing"
 
 	"extract/internal/bin"
 	"extract/internal/core"
-	"extract/internal/record"
 	"extract/internal/search"
-	"extract/xmltree"
 )
 
 // frameBytes builds one well-formed frame for seeding.
@@ -82,11 +81,19 @@ func FuzzFrame(f *testing.F) {
 	// response without its record list.
 	f.Add(frameBytes(8, msgEval, v8EvalReq(evalPayload)))
 	f.Add(frameBytes(8, msgFullResp, appendResults(appendRespHeader(nil, 7), []*search.Result{syntheticResults()["attributes and multi-byte text"]}, []string{"misérables", "✓"})))
-	// Wire v9: a full request and response are an eval request without shards
-	// and one result list of handles into the whole document, with its
-	// record list.
+	// Retired wire v9: a full response whose result is a handle into the whole
+	// document, and a snippets response whose record has no head.
+	f.Add(frameBytes(9, msgFullResp, append(appendRespHeader(nil, 7), v9SnippetedFullResp...)))
+	f.Add(frameBytes(9, msgSnippetsResp, append(appendRespHeader(nil, 7), v9SnippetsResp...)))
+	// Wire v10: a full request and response are an eval request without
+	// shards and one result list, each result under its own shard or a whole
+	// handle, with its record list.
+	attrs := syntheticResults()["attributes and multi-byte text"]
 	f.Add(frameBytes(wireVersion, msgFull, encodeEvalReq(evalReq{query: "xml keyword", bound: 6})))
-	f.Add(frameBytes(wireVersion, msgFullResp, appendFullResp(appendRespHeader(nil, 7), fullAnswer{results: []*search.Result{syntheticResults()["attributes and multi-byte text"]}}, []string{"misérables", "✓"})))
+	f.Add(frameBytes(wireVersion, msgFullResp, appendFullResp(appendRespHeader(nil, 7), fullAnswer{
+		terms: []string{"misérables", "✓"}, results: []*search.Result{attrs, attrs},
+		handles: []handle{{shard: wholeShard, lca: 2}, {shard: 1, anchor: 1, lca: 2}},
+	})))
 	f.Add(frameBytes(wireVersion, msgStats, encodeStatsReq(statsReq{keywords: []string{"a", "b"}})))
 	f.Add(frameBytes(wireVersion, msgStatsResp, appendStatsResp(appendRespHeader(nil, 7), statsResp{totalElements: 9, counts: []uint64{3}})))
 	f.Add(frameBytes(wireVersion, msgError, encodeErrMsg(errMsg{kind: errKindPanic, msg: "boom"})))
@@ -141,7 +148,7 @@ func FuzzFrame(f *testing.F) {
 				return
 			}
 			_, _ = decodeEvalResp(body, 2, 1)
-			_, _ = decodeFullResp(body, 2, true)
+			_, _ = decodeFullResp(body, 2, 2, true)
 			_, _ = decodeTreesResp(body)
 			_, _ = decodeSnippetsResp(body)
 			_, _ = decodeCompleteResp(body)
@@ -202,6 +209,29 @@ func FuzzEvalRespDecode(f *testing.F) {
 	f.Add(uint8(0), v6SnippetedEvalResp) // a v6 snippet in an eval response: refused
 	f.Add(uint8(0), v7SnippetedFullResp) // a v7 snippet in a full response: refused
 	f.Add(uint8(0), v8EvalResp)          // a v8 eval response, no record list: refused
+	f.Add(uint8(0), v9SnippetedFullResp) // a v9 full response, no result shards: refused
+	f.Add(uint8(0), v9SnippetsResp)      // a v9 record, no head: refused
+	// The v10 layout's own cases, for a query of no terms: a record (head,
+	// then a one-node tree, an empty IList) and a shipped result (one node,
+	// anchor and LCA at 0).
+	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	str := func(s string) []byte { return appendString(nil, s) }
+	rec := cat(str("<a/>"), uv(0), str(""), uv(1), []byte{0}, str("a"), uv(0), uv(0), uv(0), str(""), uv(0), uv(0))
+	shipped := cat(uv(1), uv(0), uv(0))
+	rooted := cat(uv(1), []byte{digestRootAnchored, 0}, uv(0), uv(0)) // shard 1, root-anchored, nothing shipped
+	for _, seed := range [][]byte{
+		cat(uv(2), uv(0), []byte{0, 0}, uv(1), shipped, uv(1), rec, rooted), // records beside a root-anchored shard
+		cat(uv(2), uv(0), []byte{0, 0}, uv(1), shipped, uv(0), rooted),      // none: accepted
+		cat(uv(1), uv(9), shipped, uv(1), rec),                              // a full result outside the placement
+		cat(uv(1), uv(0), uv(2), uv(1), uv(1), uv(1), rec),                  // a whole handle off the root
+		cat(uv(2), uv(0), shipped, uv(3), shipped, uv(2), rec, rec),         // a whole handle and a shard's result
+		cat(uv(1), uv(200), rec[1:]),                                        // an XML length past the record
+		cat(uv(1), str("<a/>"), uv(0), uv(9), []byte("ab")),                 // a key cut short
+		cat(uv(1), str("<a/>"), []byte{0x80}),                               // an edge count cut short
+	} {
+		f.Add(uint8(0), seed)
+	}
 	f.Add(uint8(0), appendRecords(nil, nil))
 	seeded, carried, full, fullCarried, snippets, trees := 0, 0, 0, 0, 0, 0
 	// Small inputs only: the fuzzer minimizes every interesting input, and a
@@ -235,7 +265,7 @@ func FuzzEvalRespDecode(f *testing.F) {
 				f.Add(uint8(len(a.terms)), body)
 				carried++
 			}
-			if body := appendFullResp(nil, a.full, a.terms); a.full.records.Len() > 0 && len(body) <= maxSeed {
+			if body := appendFullResp(nil, a.full); a.full.records.Len() > 0 && len(body) <= maxSeed {
 				f.Add(uint8(len(a.terms)), body)
 				fullCarried++
 			}
@@ -245,7 +275,7 @@ func FuzzEvalRespDecode(f *testing.F) {
 			f.Add(uint8(len(a.terms)), body)
 			seeded++
 		}
-		if body := appendFullResp(nil, a.full, a.terms); len(body) <= maxSeed {
+		if body := appendFullResp(nil, a.full); len(body) <= maxSeed {
 			f.Add(uint8(len(a.terms)), body)
 			full++
 		}
@@ -271,12 +301,13 @@ func FuzzEvalRespDecode(f *testing.F) {
 		for i := range keys {
 			keys[i] = fmt.Sprint("t", i)
 		}
-		// take takes the results one list shipped by shard.
-		take := func(shard int32, rs []scanned) {
+		// take takes the results of one list, each shipped by a shard in
+		// [lo, hi].
+		take := func(lo, hi int32, rs []scanned) {
 			at := &answerTrees{q: search.Query{Keys: keys}, handles: make([]handle, len(rs))}
 			for i, s := range rs {
 				taken := s.take(at, i)
-				if taken.Size() != s.nodes-1 || at.handles[i] != s.at || at.handles[i].shard != shard {
+				if sh := at.handles[i].shard; taken.Size() != s.nodes-1 || at.handles[i] != s.at || sh < lo || sh > hi {
 					t.Fatalf("taken result: size %d of %d nodes, handle %+v of %+v", taken.Size(), s.nodes, at.handles[i], s.at)
 				}
 				for _, kw := range keys {
@@ -286,25 +317,25 @@ func FuzzEvalRespDecode(f *testing.F) {
 				}
 			}
 		}
-		// build builds an accepted snippet record and checks the served
-		// snippet against what its record decodes to.
-		into := record.GetTree()
-		defer into.Release()
+		// build builds an accepted snippet record: the served snippet reads
+		// its head — the XML as the server rendered it, which the router
+		// relays and does not render again — and its tree and IList decode,
+		// the edges within the tree.
 		build := func(rec []byte) {
-			served := servedSnippet(rec, nil, 0, into)
+			served := core.Served(unsafeString(rec), nil, 0)
 			g := served.Derived()
 			if nodes := len(preorderOf(g.Snippet.Root)); g.Snippet.Edges >= nodes {
 				t.Fatalf("snippet of %d nodes built with %d edges", nodes, g.Snippet.Edges)
 			}
-			if x := xmltree.XMLString(g.Snippet.Root); served.XML != x || served.Edges != g.Snippet.Edges || served.ResultKey != g.IList.KeyValue {
+			if g.XML != served.XML || served.Edges != g.Snippet.Edges || served.ResultKey != g.IList.KeyValue {
 				t.Fatalf("served XML/edges/key %q/%d/%q, decoded %q/%d/%q",
-					served.XML, served.Edges, served.ResultKey, x, g.Snippet.Edges, g.IList.KeyValue)
+					served.XML, served.Edges, served.ResultKey, g.XML, g.Snippet.Edges, g.IList.KeyValue)
 			}
 		}
 		// takeAll takes one result list and builds the records it carried,
 		// refusing one that carried records it should not have.
-		takeAll := func(shard int32, rs []scanned, snippeted bool) {
-			take(shard, rs)
+		takeAll := func(lo, hi int32, rs []scanned, snippeted bool) {
+			take(lo, hi, rs)
 			for _, s := range rs {
 				if (s.rec != nil) != snippeted {
 					t.Fatalf("a result of a list snippeted=%v scanned with record %v", snippeted, s.rec != nil)
@@ -320,18 +351,21 @@ func FuzzEvalRespDecode(f *testing.F) {
 					t.Fatalf("unclassified eval decode error %T: %v", err, err)
 				}
 			} else {
+				rooted := slices.ContainsFunc(resp.shards, func(s shardResp) bool { return s.digest.RootAnchored })
 				for _, sh := range resp.shards {
-					takeAll(int32(sh.shard), sh.results, lead >= 0)
+					takeAll(int32(sh.shard), int32(sh.shard), sh.results, lead >= 0 && !rooted)
 				}
 			}
 		}
+		// A placement of as many shards as the fixture's largest corpus.
+		const shards = 4
 		for _, snippeted := range []bool{false, true} {
-			if rs, err := decodeFullResp(data, int(terms), snippeted); err != nil {
+			if rs, err := decodeFullResp(data, int(terms), shards, snippeted); err != nil {
 				if !errors.As(err, &pe) {
 					t.Fatalf("unclassified full decode error %T: %v", err, err)
 				}
 			} else {
-				takeAll(wholeShard, rs, snippeted)
+				takeAll(wholeShard, shards-1, rs, snippeted)
 			}
 		}
 		if recs, err := decodeSnippetsResp(data); err != nil {

@@ -147,11 +147,11 @@ func TestSnippetedAnswerShipsNoTrees(t *testing.T) {
 }
 
 // TestTreeReadTakesOneRoundPerGroup: reading every tree of an answer costs
-// one trees call to each replica group that holds one of its results — the
-// "any" pseudo-group for every result of a whole-document answer (one that
-// took round two: its full response addresses every result in the whole
-// document) — and reading them again, or reading any of them first, costs
-// nothing more. The trees are the local results.
+// one trees call to each replica group that holds one of its results — a
+// round-two answer's too, whose full response ships every result under its
+// own shard, save the result anchored at the root, which the "any"
+// pseudo-group serves — and reading them again, or reading any of them
+// first, costs nothing more. The trees are the local results.
 func TestTreeReadTakesOneRoundPerGroup(t *testing.T) {
 	mk := func() *xmltree.Document {
 		return gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 3})
@@ -160,9 +160,13 @@ func TestTreeReadTakesOneRoundPerGroup(t *testing.T) {
 	cl := startCluster(t, sc, 3, 1)
 	rt := cl.router
 	groupOf := PlaceShards(ingest.SourceOf(sc), 3)
-	// groupLabel names the group holding a result of a shard: the one the
-	// shard is placed on.
+	// groupLabel names the group holding a result: the one its shard is
+	// placed on, or "any" for the result anchored at the root.
+	root := sc.Shards()[0].Doc.Root
 	groupLabel := func(r *search.Result) string {
+		if w, _ := r.Whole(); w != nil || r.Anchor == root {
+			return "any"
+		}
 		for i, s := range sc.Shards() {
 			if s.Doc.ByOrd(r.Anchor.Ord) == r.Anchor {
 				return strconv.Itoa(groupOf[i])
@@ -174,7 +178,7 @@ func TestTreeReadTakesOneRoundPerGroup(t *testing.T) {
 	doc := mk()
 	queries := append(testQueries(doc), doc.Root.Label)
 	ctx := context.Background()
-	multi, whole := 0, 0
+	multi, whole, spread := 0, 0, 0
 	for _, opts := range testOptions {
 		for _, q := range queries {
 			local, err := sc.Search(q, opts)
@@ -182,16 +186,16 @@ func TestTreeReadTakesOneRoundPerGroup(t *testing.T) {
 				continue
 			}
 			sink := &telemetry.SpanSink{}
-			if _, err := sc.SearchEnginesContext(telemetry.WithSpanSink(ctx, sink), q, opts, nil, nil); err != nil {
+			unbuilt, err := sc.SearchEnginesContext(telemetry.WithSpanSink(ctx, sink), q, opts, nil, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
 			want := map[string]int64{}
-			for _, r := range local {
-				if sink.Fallback() {
-					want["any"] = 1
-				} else {
-					want[groupLabel(r)] = 1
-				}
+			for _, r := range unbuilt {
+				want[groupLabel(r)] = 1
+			}
+			if sink.Fallback() && len(want) > 1 {
+				spread++
 			}
 			rs, _, err := rt.Answer(ctx, search.Parse(q), opts, nil, 8)
 			if err != nil {
@@ -235,8 +239,9 @@ func TestTreeReadTakesOneRoundPerGroup(t *testing.T) {
 			}
 		}
 	}
-	if multi == 0 || whole == 0 {
-		t.Fatalf("%d answers spanned groups, %d were whole-document: the matrix proves nothing", multi, whole)
+	if multi == 0 || whole == 0 || spread == 0 {
+		t.Fatalf("%d answers spanned groups, %d had a result anchored at the root, %d took round two and spanned groups: the matrix proves nothing",
+			multi, whole, spread)
 	}
 }
 

@@ -84,11 +84,12 @@ func TestHostileCountsRefusedBeforeAllocating(t *testing.T) {
 	reqHead := cat(opts, str("store texas"), uv(250))
 	treesHead := binary.LittleEndian.AppendUint64(cat(reqHead), 7)
 	oneItem := cat([]byte{0}, str("texas"), str(""), str(""), str(""), binary.AppendVarint(nil, -1), make([]byte, 8))
-	snippetHead := cat(uv(1), leaf, uv(0))
-	keyed := cat(snippetHead, uv(1), oneItem, uv(0), str(""), str(""))
+	head := cat(str("<a/>"), uv(0), str("")) // a snippet record's XML, edges and key
+	snippetHead := cat(uv(1), head, leaf)
+	keyed := cat(snippetHead, uv(1), oneItem, uv(0), str(""))
 
 	evalResp := func(b []byte) error { _, err := decodeEvalResp(b, 1, 1); return err }
-	fullResp := func(b []byte) error { _, err := decodeFullResp(b, 1, true); return err }
+	fullResp := func(b []byte) error { _, err := decodeFullResp(b, 1, 1, true); return err }
 	evalReq := func(b []byte) error { _, err := decodeEvalReq(b); return err }
 	treesReq := func(b []byte) error { _, err := decodeTreesReq(b); return err }
 	treesResp := func(b []byte) error { _, err := decodeTreesResp(b); return err }
@@ -114,7 +115,7 @@ func TestHostileCountsRefusedBeforeAllocating(t *testing.T) {
 		{"eval response", "tree node", cat(uv(1), uv(0), []byte{0}, uv(0), uv(1)), maxTreeNodes, false, evalResp},
 		{"eval response", "snippet record", cat(uv(1), uv(0), []byte{0}, uv(0), uv(0)), maxWireResults, true, evalResp},
 		{"full response", "result", nil, maxWireResults, true, fullResp},
-		{"full response", "tree node", uv(1), maxTreeNodes, false, fullResp},
+		{"full response", "tree node", cat(uv(1), uv(1)), maxTreeNodes, false, fullResp},
 		{"full response", "snippet record", uv(0), maxWireResults, true, fullResp},
 		{"trees request", "snippet bound", treesHead, maxSnippetBound + 1, false, treesReq},
 		{"trees request", "handle", cat(treesHead, uv(0)), maxWireResults, true, treesReq},
@@ -123,7 +124,7 @@ func TestHostileCountsRefusedBeforeAllocating(t *testing.T) {
 		{"trees response", "match keyword", cat(uv(1), leaf, uv(0)), maxWireStrings, true, treesResp},
 		{"trees response", "match ordinal", cat(uv(1), leaf, uv(0), uv(1), str("kw")), 1, true, treesResp},
 		{"snippets response", "snippet record", nil, maxWireResults, true, snippetsResp},
-		{"snippets response", "tree node", uv(1), maxTreeNodes, true, snippetsResp},
+		{"snippets response", "tree node", cat(uv(1), head), maxTreeNodes, true, snippetsResp},
 		{"snippets response", "ilist item", snippetHead, maxWireStrings, true, snippetsResp},
 		{"snippets response", "return entity", cat(snippetHead, uv(0)), maxWireStrings, true, snippetsResp},
 		{"snippets response", "covered item", keyed, 1, true, snippetsResp},

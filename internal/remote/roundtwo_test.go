@@ -1,13 +1,46 @@
 package remote
 
 import (
+	"fmt"
 	"testing"
 
 	"extract/internal/gen"
 	"extract/internal/index"
 	"extract/internal/search"
 	"extract/internal/shard"
+	"extract/xmltree"
 )
+
+// nestedParts is a recursive schema that makes the document root an entity,
+// so the match in its own trailing <name> anchors a result at the root — on
+// the last shard of a sharded copy, whose other LCAs lie in other shards.
+func nestedParts() *xmltree.Document {
+	root := xmltree.Elem("part")
+	for i := 0; i < 8; i++ {
+		xmltree.Append(root, xmltree.Elem("part", xmltree.Elem("name", xmltree.Txt(fmt.Sprintf("engine piece %d", i)))))
+	}
+	xmltree.Append(root, xmltree.Elem("name", xmltree.Txt("engine")))
+	return xmltree.NewDocument(root)
+}
+
+// TestRootAnchoredProjectionRoutes: a round-two answer's result anchored at
+// the root whose LCA lies in a shard after the first — a ModeXSeek
+// projection, which is no whole-document view — ships as a whole handle at
+// its LCA's global position, and its tree and snippet equal the local ones;
+// every other result of the answer is fetched from its own shard's group.
+func TestRootAnchoredProjectionRoutes(t *testing.T) {
+	sc := shard.Build(nestedParts(), 4)
+	cl := startCluster(t, sc, 2, 1)
+	checkRouterEquivalence(t, "nested parts", sc, cl.router, []search.Options{
+		{DistinctAnchors: true, Mode: search.ModeXSeek},
+		{Mode: search.ModeXSeek},
+		{Semantics: search.SemanticsELCA, Mode: search.ModeXSeek},
+		{DistinctAnchors: true},
+	}, []string{"engine", "part engine", "name"})
+	if cl.router.metrics.calls[[3]string{"full", "ok", "any"}].Value() == 0 {
+		t.Fatal("no query took the whole-document round")
+	}
+}
 
 // TestWholeAnswerAllocations: a shard server answering round two — a full
 // request, composed from its own shards' round one, then a snippets call for

@@ -14,7 +14,6 @@ import (
 	"extract/internal/core"
 	"extract/internal/ingest"
 	"extract/internal/rank"
-	"extract/internal/record"
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
@@ -486,15 +485,17 @@ type routedRounds struct {
 	run   shard.Runner
 	bound int // the snippet bound; -1 = search only
 
-	shipped int // results scanned out of this query's responses
-	records int // snippet records scanned out of them
+	shipped  int  // results scanned out of this query's responses
+	records  int  // snippet records scanned out of them
+	roundTwo bool // the full round answered
 }
 
 // Eval asks every group for its shard subset's partials: per shard its digest
 // and the counts and handles of the results it ships, and with a snippet
 // bound the snippet records of the group's leading run of shards
-// (shard.LeadingRun) — records anywhere else refuse the response
-// (decodeEvalResp), and the call fails over.
+// (shard.LeadingRun), unless a shard of the group is root-anchored — records
+// anywhere else refuse the response (decodeEvalResp), and the call fails
+// over.
 func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], error) {
 	rt, pl := r.rt, r.pl
 	timeout := ctxTimeoutMillis(ctx)
@@ -543,14 +544,15 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 
 // Whole asks any replica for the whole-document answer (every shard server
 // holds the full snapshot and composes it from its own round one): counts
-// and handles, like Eval, and with a snippet bound every result's snippet
-// record. The router's partials are trimmed handles, so it composes nothing
-// itself.
+// and handles, like Eval — each result under the shard it lives in, the
+// root-anchored one under a whole handle — and with a snippet bound every
+// result's snippet record. The router's partials are trimmed handles, so it
+// composes nothing itself.
 func (r *routedRounds) Whole(ctx context.Context, _ []shard.Partial[scanned], _ bool) ([]scanned, error) {
 	var results []scanned
 	payload := encodeEvalReq(evalReq{opts: r.opts, query: r.q.Text, timeoutMillis: ctxTimeoutMillis(ctx), bound: r.bound})
 	err := r.rt.groupCall(ctx, r.rt.all, &r.rt.allRR, "full", "any", msgFull, payload, msgFullResp, r.pl.fingerprint, func(body []byte) error {
-		rs, err := decodeFullResp(body, len(r.q.Terms), r.bound >= 0)
+		rs, err := decodeFullResp(body, len(r.q.Terms), len(r.pl.groupOf), r.bound >= 0)
 		if err != nil {
 			return err
 		}
@@ -561,6 +563,7 @@ func (r *routedRounds) Whole(ctx context.Context, _ []shard.Partial[scanned], _ 
 		return nil, err
 	}
 	r.shipped += len(results)
+	r.roundTwo = true
 	if r.bound >= 0 {
 		r.records += len(results)
 	}
@@ -569,7 +572,8 @@ func (r *routedRounds) Whole(ctx context.Context, _ []shard.Partial[scanned], _ 
 
 // snippets returns the snippets of the merge's winners at the query's bound,
 // aligned with them. A winner whose response carried its snippet record is
-// served from it (servedSnippet); the others' are fetched by handle: one
+// kept as it is (core.Served), over the payload it arrived in, which nothing
+// may reuse (readFrame); the others' are fetched by handle: one
 // snippets call per replica group holding any of them — a group whose
 // results the cut dropped, or whose winners all arrived with their records,
 // is not asked (byHandle) — the calls scheduled through run, within the
@@ -584,21 +588,15 @@ func (r *routedRounds) snippets(ctx context.Context, winners []scanned, handles 
 	start := time.Now()
 	kws := r.q.Keywords
 	var fetch []int
-	var fromEval, fromFull int
-	into := record.GetTree()
+	carried := 0
 	for i, w := range winners {
-		switch {
-		case w.rec == nil:
+		if w.rec == nil {
 			fetch = append(fetch, i)
 			continue
-		case w.at.shard == wholeShard:
-			fromFull++
-		default:
-			fromEval++
 		}
-		gs[i] = servedSnippet(w.rec, kws, r.bound, into)
+		carried++
+		gs[i] = core.Served(unsafeString(w.rec), kws, r.bound)
 	}
-	into.Release()
 	var err error
 	if len(fetch) > 0 {
 		req := treesReq{opts: r.opts, query: r.q.Text, fingerprint: r.pl.fingerprint, bound: r.bound}
@@ -612,14 +610,17 @@ func (r *routedRounds) snippets(ctx context.Context, winners []scanned, handles 
 	if err != nil {
 		return nil, err
 	}
-	r.rt.metrics.snippetsServed(fromEval, fromFull, len(fetch), r.records-fromEval-fromFull)
+	fromEval, fromFull := carried, 0
+	if r.roundTwo {
+		fromEval, fromFull = 0, carried
+	}
+	r.rt.metrics.snippetsServed(fromEval, fromFull, len(fetch), r.records-carried)
 	return gs, nil
 }
 
 // takeSnippets decodes one snippets response, which answers the handles at
 // positions idx in request order, into gs at those positions: every record
-// validated (decodeSnippetsResp), then kept as it is (servedSnippet), the XML
-// rendered from one pooled scratch tree for the whole response.
+// validated (decodeSnippetsResp), then kept as it is (core.Served).
 func takeSnippets(body []byte, kws []string, bound int, gs []*core.Generated, idx []int) error {
 	recs, err := decodeSnippetsResp(body)
 	if err != nil {
@@ -628,17 +629,15 @@ func takeSnippets(body []byte, kws []string, bound int, gs []*core.Generated, id
 	if len(recs) != len(idx) {
 		return protocolErrf("snippets response carries %d snippets for %d handles", len(recs), len(idx))
 	}
-	into := record.GetTree()
-	defer into.Release()
 	for k, rec := range recs {
-		gs[idx[k]] = servedSnippet(rec, kws, bound, into)
+		gs[idx[k]] = core.Served(unsafeString(rec), kws, bound)
 	}
 	return nil
 }
 
 // groupOfHandle returns the replica group that serves handle h: an index into
 // the router's groups, or len(pl.byGroup) — the "any" pseudo-group, every
-// replica — for a handle into the whole document.
+// replica — for a whole handle (a round-two answer's root-anchored result).
 func (pl *placement) groupOfHandle(h handle) int {
 	if h.shard == wholeShard {
 		return len(pl.byGroup)
@@ -718,8 +717,8 @@ var ErrResultGone = errors.New("remote: result's generation is no longer served"
 // options and placement — the generation that answered — and every taken
 // result's handle. The first read of any tree fetches the trees
 // of every result of the answer at once, by the fan-out snippets take too
-// (byHandle): one trees call per replica group holding some of them (the
-// whole-document answer's to any replica), the calls running concurrently,
+// (byHandle): one trees call per replica group holding some of them (a
+// result anchored at the root to any replica), the calls running concurrently,
 // against the answer's fingerprint, not the router's current placement. A
 // group whose call fails is asked again by the next read; the trees that did
 // arrive are kept.
@@ -922,8 +921,9 @@ func (rt *Router) Stats() (analysis *core.Corpus, totalElements int) {
 // replica group so a sick group is attributable from metrics alone; see
 // OBSERVABILITY.md for the contract. Numbered groups carry the per-group
 // call kinds (eval, snippets, trees); the "any" pseudo-group carries the
-// calls any replica may serve (full, the whole document's trees, stats,
-// complete) — a whole-document answer's snippets ride with its full call.
+// calls any replica may serve (full, the trees of results anchored at the
+// root, stats, complete) — a whole-document answer's snippets ride with its
+// full call.
 type routerMetrics struct {
 	calls     map[[3]string]*telemetry.Counter // kind, outcome, group
 	failovers map[string]*telemetry.Counter    // group

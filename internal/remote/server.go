@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -294,7 +295,7 @@ func (s *Server) handle(t msgType, payload, enc []byte) (msgType, []byte) {
 		return staged(s, st, "full", msgFullResp, payload, enc, decodeEvalReq, s.fullEval,
 			func(b []byte, _ evalReq, a fullAnswer) []byte {
 				defer a.records.Release()
-				return appendFullResp(b, a, a.terms)
+				return appendFullResp(b, a)
 			})
 	case msgTrees:
 		return staged(s, st, "trees", msgTreesResp, payload, enc, decodeTreesReq, s.trees,
@@ -404,8 +405,9 @@ func reqContext(timeoutMillis uint64) (context.Context, context.CancelFunc) {
 // still take. With a snippet bound, it snippets the shipped results of the
 // request's leading run (shard.LeadingRun), which the merge keeps unless the
 // query takes round two, on the results it holds: one fan-out
-// (shard.Records), nothing rebuilt. The router asks for the other winners'
-// snippets by handle (snippets).
+// (shard.Records), nothing rebuilt — and none when one of its shards is
+// root-anchored, which makes round two certain. The router asks for the
+// other winners' snippets by handle (snippets).
 func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
@@ -422,7 +424,8 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	for i, p := range parts {
 		a.shards[i] = shardAnswer{shard: req.shards[i], digest: p.Digest, results: p.Results}
 	}
-	if !trimToMerge(a.shards, req.opts.MaxResults) || req.bound < 0 {
+	if !trimToMerge(a.shards, req.opts.MaxResults) || req.bound < 0 ||
+		slices.ContainsFunc(a.shards, func(sa shardAnswer) bool { return sa.digest.RootAnchored }) {
 		return a, nil
 	}
 	lead := a.shards[:shard.LeadingRun(req.shards)]
@@ -488,10 +491,9 @@ func trimToMerge(answers []shardAnswer, maxResults int) bool {
 // snippet records of every result — the full answer is the answer. Any
 // replica can serve it — every server holds the full snapshot — and composes
 // it as a local corpus does, from round one on all its shards
-// (shard.Corpus.Answer), evaluating and copying no whole document. A full
-// response addresses results in the whole document, so each is returned
-// re-addressed (readdress); the records are written from the results as
-// they were composed, as a local corpus snippets them.
+// (shard.Corpus.Answer), evaluating and copying no whole document. Every
+// result but the root-anchored one is a shard's own, and is shipped under
+// that shard, as evaluate ships it (handleOf).
 func (s *Server) fullEval(st *serverState, req evalReq) (fullAnswer, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
@@ -500,7 +502,12 @@ func (s *Server) fullEval(st *serverState, req evalReq) (fullAnswer, error) {
 	if err != nil {
 		return fullAnswer{}, err
 	}
-	a := fullAnswer{terms: q.Keys, results: readdress(st.sc, rs)}
+	a := fullAnswer{terms: q.Keys, results: rs, handles: make([]handle, len(rs))}
+	for i, r := range rs {
+		if a.handles[i], err = handleOf(st.sc, r); err != nil {
+			return fullAnswer{}, err
+		}
+	}
 	if req.bound >= 0 {
 		if a.records, err = s.records(ctx, st, rs, q.Keywords, req.bound); err != nil {
 			return fullAnswer{}, err
@@ -509,23 +516,24 @@ func (s *Server) fullEval(st *serverState, req evalReq) (fullAnswer, error) {
 	return a, nil
 }
 
-// readdress returns rs with every result's anchor and LCA at their global
-// positions in the whole document (shard.Corpus.Positions): a copy of each
-// result whose Anchor and LCA are shallow copies of its nodes carrying those
-// positions as Ord — what a full response ships (appendShipped) and a whole
-// handle names — and everything else as it was.
-func readdress(sc *shard.Corpus, rs []*search.Result) []*search.Result {
-	w := sc.Whole()
-	out, slab := make([]*search.Result, len(rs)), make([]search.Result, len(rs))
-	for i, r := range rs {
-		a, l := sc.Positions(r)
-		anchor, lca := *w.Node(a), *w.Node(l)
-		anchor.Ord, lca.Ord = int(a), int(l)
-		slab[i] = *r
-		slab[i].Anchor, slab[i].LCA = &anchor, &lca
-		out[i] = &slab[i]
+// handleOf returns the handle of a round-two result: the shard holding its
+// LCA, with its anchor's and LCA's positions there — or, for the result
+// anchored at the document root, a whole handle with the LCA's global
+// position (index.Whole.Global).
+func handleOf(sc *shard.Corpus, r *search.Result) (handle, error) {
+	if w, lca := r.Whole(); w != nil {
+		return handle{shard: wholeShard, lca: lca}, nil
 	}
-	return out
+	for i, s := range sc.Shards() {
+		if s.Doc.ByOrd(r.LCA.Ord) != r.LCA {
+			continue
+		}
+		if r.Anchor == sc.Shards()[0].Doc.Root {
+			return handle{shard: wholeShard, lca: sc.Whole().Global(i, int32(r.LCA.Ord))}, nil
+		}
+		return handle{shard: int32(i), anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)}, nil
+	}
+	return handle{}, errors.New("remote: a round-two result's LCA lies in no shard")
 }
 
 // trees answers a trees request: the handles' results, rebuilt.
@@ -562,8 +570,9 @@ func (s *Server) snippets(st *serverState, req treesReq) (*shard.RecordSet, erro
 // replica owns. The handles of each shard are one task on the worker pool,
 // like a shard's evaluation: its engine resolves the query's posting lists
 // once for all of them, and ctx is checked before each result. The whole
-// handles are one task too, rebuilt from their global positions on the
-// shards (shard.Corpus.ResultsAt), which any replica holds.
+// handles — root-anchored results — are one task too, rebuilt from their
+// LCAs' global positions on the shards (shard.Corpus.ResultsAt), which
+// any replica holds.
 func (s *Server) rebuild(ctx context.Context, st *serverState, req treesReq, q search.Query) ([]*search.Result, error) {
 	if req.fingerprint != st.fingerprint {
 		return nil, fmt.Errorf("%w: results of generation %016x asked of generation %016x", errSkew, req.fingerprint, st.fingerprint)
@@ -618,16 +627,19 @@ func (s *Server) rebuild(ctx context.Context, st *serverState, req treesReq, q s
 }
 
 // rebuildWhole rebuilds the whole handles at positions idx of req, whose
-// query is q, into rs.
+// query is q, into rs: each names a result anchored at the root.
 func rebuildWhole(ctx context.Context, st *serverState, req treesReq, q search.Query, idx []int, rs []*search.Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	anchors, lcas := make([]int32, len(idx)), make([]int32, len(idx))
+	lcas := make([]int32, len(idx))
 	for k, i := range idx {
-		anchors[k], lcas[k] = req.handles[i].anchor, req.handles[i].lca
+		if h := req.handles[i]; h.anchor != 0 {
+			return fmt.Errorf("remote: whole handle anchored at %d, not at the root", h.anchor)
+		}
+		lcas[k] = req.handles[i].lca
 	}
-	built, err := st.sc.ResultsAt(q, req.opts, anchors, lcas)
+	built, err := st.sc.ResultsAt(q, req.opts, lcas)
 	if err != nil {
 		return err
 	}

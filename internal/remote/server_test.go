@@ -1,9 +1,10 @@
 package remote
 
 import (
-	"fmt"
+	"bytes"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -52,25 +53,17 @@ func TestBadShardRefusedBeforeAnyEvaluation(t *testing.T) {
 // every digest bit, the root-anchored bit included — is computed from the
 // untrimmed lists. The untrimmed side is the same request asked one shard
 // at a time: a lone shard's list is already within the bound, so its trim
-// has nothing to drop.
+// has nothing to drop. A root-anchored shard makes round two certain, so the
+// same request with a snippet bound ships the same answer and no records.
 func TestTrimKeepsUntrimmedEvidence(t *testing.T) {
-	// A recursive schema makes the document root an entity, so the match in
-	// its own trailing <name> anchors a result at the root — in the last
-	// shard, whose whole list the earlier shards' results trim away.
-	nested := func() *xmltree.Document {
-		root := xmltree.Elem("part")
-		for i := 0; i < 8; i++ {
-			xmltree.Append(root, xmltree.Elem("part", xmltree.Elem("name", xmltree.Txt(fmt.Sprintf("engine piece %d", i)))))
-		}
-		xmltree.Append(root, xmltree.Elem("name", xmltree.Txt("engine")))
-		return xmltree.NewDocument(root)
-	}
+	// In nestedParts the last shard anchors a result at the root, and the
+	// earlier shards' results trim its whole list away.
 	corpora := append(testCorpora(), struct {
 		name string
 		mk   func() *xmltree.Document
-	}{"nested parts", nested})
+	}{"nested parts", nestedParts})
 
-	trimmedShards, rootAnchoredTrimmed := 0, 0
+	trimmedShards, rootAnchoredTrimmed, rootAnchoredUnsnippeted := 0, 0, 0
 	for _, cc := range corpora {
 		sc := shard.Build(cc.mk(), 4)
 		if sc.NumShards() < 2 {
@@ -87,6 +80,16 @@ func TestTrimKeepsUntrimmedEvidence(t *testing.T) {
 					got, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList, bound: -1})
 					if err != nil {
 						continue // the matrix includes the empty query
+					}
+					if slices.ContainsFunc(got.shards, func(s shardAnswer) bool { return s.digest.RootAnchored }) {
+						bounded, err := srv.evaluate(st, evalReq{opts: opts, query: q, shards: st.ownedList, bound: 6})
+						if err != nil {
+							t.Fatalf("%s %q at a bound: %v", cc.name, q, err)
+						}
+						if bounded.records != nil || !bytes.Equal(appendEvalResp(nil, bounded), appendEvalResp(nil, got)) {
+							t.Fatalf("%s %q: a root-anchored answer at a bound ships %d records, or another answer", cc.name, q, bounded.records.Len())
+						}
+						rootAnchoredUnsnippeted++
 					}
 					untrimmed := make([]shardAnswer, len(got.shards))
 					counts := make([]int, len(got.shards))
@@ -126,8 +129,8 @@ func TestTrimKeepsUntrimmedEvidence(t *testing.T) {
 			}
 		}
 	}
-	if trimmedShards == 0 || rootAnchoredTrimmed == 0 {
-		t.Fatalf("fixture never exercised the trim: %d shard lists trimmed, %d of them root-anchored",
-			trimmedShards, rootAnchoredTrimmed)
+	if trimmedShards == 0 || rootAnchoredTrimmed == 0 || rootAnchoredUnsnippeted == 0 {
+		t.Fatalf("fixture never exercised the trim: %d shard lists trimmed, %d of them root-anchored; %d root-anchored answers at a bound",
+			trimmedShards, rootAnchoredTrimmed, rootAnchoredUnsnippeted)
 	}
 }

@@ -19,7 +19,7 @@ const (
 // built by hand, and re-encodes a served one from what its record decodes to.
 func appendSnippet(b []byte, g *core.Generated) []byte {
 	d := g.Derived()
-	return record.AppendSnippet(b, preorderOf(d.Snippet.Root), d.Snippet.Edges, d.IList, d.Snippet.Covered, d.Snippet.Skipped)
+	return record.AppendSnippet(b, xmltree.AppendXML(nil, d.Snippet.Root), preorderOf(d.Snippet.Root), d.Snippet.Edges, d.IList, d.Snippet.Covered, d.Snippet.Skipped)
 }
 
 // preorder lists a tree's nodes as a snippet record does (record.Nodes).

@@ -67,29 +67,29 @@ func TestRoutedHopsReportServerStages(t *testing.T) {
 // retiredGreeting is a v4 greeting's payload — the served generation's
 // fingerprint (u64 7), then uvarint shard count 3 and the owned shard list
 // {0, 1, 2} — which the retired-version cases send at every old version. A
-// v5 to v9 greeting is an empty frame.
+// v5 to v10 greeting is an empty frame.
 var retiredGreeting = []byte{7, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 1, 2}
 
 // v4Ping is the retired v4 health probe's message type: v5 dropped ping and
 // pong, and the type number now belongs to the error message.
 const v4Ping = msgType(8)
 
-// v8EvalReq is a retired v8 eval or full request: a search-only v9 one
+// v8EvalReq is a retired v8 eval or full request: a search-only v10 one
 // without its snippet bound + 1, the last byte.
-func v8EvalReq(v9 []byte) []byte {
-	return slices.Clip(v9[:len(v9)-1])
+func v8EvalReq(cur []byte) []byte {
+	return slices.Clip(cur[:len(cur)-1])
 }
 
 // v2EvalReq is a retired v2 eval request: a v8 one (of a search-only v9
 // one) followed by the trace ID (u64 LE), which nothing read.
-func v2EvalReq(v9 []byte) []byte {
-	return binary.LittleEndian.AppendUint64(v8EvalReq(v9), 1)
+func v2EvalReq(cur []byte) []byte {
+	return binary.LittleEndian.AppendUint64(v8EvalReq(cur), 1)
 }
 
-// v7EvalReq is a retired v3 to v7 eval or full request: a search-only v9 one
+// v7EvalReq is a retired v3 to v7 eval or full request: a search-only v10 one
 // — a v8 one followed by the snippet bound + 1, 0 — and then the trace ID.
-func v7EvalReq(v9 []byte) []byte {
-	return binary.LittleEndian.AppendUint64(slices.Clip(v9), 1)
+func v7EvalReq(cur []byte) []byte {
+	return binary.LittleEndian.AppendUint64(slices.Clip(cur), 1)
 }
 
 // v8EvalResp is a retired v8 eval response body: one shard (index 0, no
@@ -97,8 +97,18 @@ func v7EvalReq(v9 []byte) []byte {
 // depths — and no record list after it.
 var v8EvalResp = []byte{1, 0, 0, 0, 1, 1, 0, 0}
 
+// v9SnippetsResp is a retired v9 snippets response body: one snippet record
+// with no head — a childless "a" node, no edges, an empty IList, no key,
+// nothing covered or skipped.
+var v9SnippetsResp = []byte{1, 1, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0}
+
+// v9SnippetedFullResp is a retired v9 full response body: one result under
+// no shard of its own — one node, anchor and LCA at 0 in the whole document,
+// no depths — and its record, v9SnippetsResp's.
+var v9SnippetedFullResp = append([]byte{1, 1, 0, 0}, v9SnippetsResp...)
+
 // TestOtherWireVersionsRefused: a frame at any version but wireVersion —
-// the retired v1 to v7 a stale peer would still speak, or a future one — is
+// the retired v1 to v9 a stale peer would still speak, or a future one — is
 // a *ProtocolError naming both versions, whichever side reads it: the router
 // reading a greeting or a response, the server reading a request. The server
 // hangs up on it without evaluating anything.
@@ -137,7 +147,10 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		{"v8 eval request", 8, msgEval, v8EvalReq(request)},
 		{"v8 full request", 8, msgFull, v8EvalReq(fullRequest)},
 		{"v8 eval response", 8, msgEvalResp, append(appendRespHeader(nil, 7), v8EvalResp...)},
-		{"v10 greeting", wireVersion + 1, msgHello, nil},
+		{"v9 greeting", 9, msgHello, nil},
+		{"v9 snippeted full response", 9, msgFullResp, append(appendRespHeader(nil, 7), v9SnippetedFullResp...)},
+		{"v9 snippets response", 9, msgSnippetsResp, append(appendRespHeader(nil, 7), v9SnippetsResp...)},
+		{"v11 greeting", wireVersion + 1, msgHello, nil},
 	} {
 		_, _, err := readFrame(bytes.NewReader(frameBytes(tc.ver, tc.t, tc.payload)))
 		var pe *ProtocolError
@@ -151,11 +164,12 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		}
 	}
 
-	// Nor do the retired bodies decode as v9 ones: a v6 eval response, which
+	// Nor do the retired bodies decode as v10 ones: a v6 eval response, which
 	// carried a snippet per result, a v7 full response, which carried them
-	// too, a v8 eval response, which carried no record list, a v7 eval or
-	// full request, which carried a snippet bound and a trace ID, and a v8
-	// one, which carried no bound.
+	// too, a v8 eval response, which carried no record list, a v9 full
+	// response, whose results carried no shard, and a v9 snippets response,
+	// whose record had no head, a v7 eval or full request, which carried a
+	// snippet bound and a trace ID, and a v8 one, which carried no bound.
 	var pe *ProtocolError
 	for _, lead := range []int{-1, 1} {
 		if _, err := decodeEvalResp(v6SnippetedEvalResp, 0, lead); !errors.As(err, &pe) {
@@ -166,9 +180,15 @@ func TestOtherWireVersionsRefused(t *testing.T) {
 		}
 	}
 	for _, snippeted := range []bool{false, true} {
-		if _, err := decodeFullResp(v7SnippetedFullResp, 0, snippeted); !errors.As(err, &pe) {
+		if _, err := decodeFullResp(v7SnippetedFullResp, 0, 1, snippeted); !errors.As(err, &pe) {
 			t.Fatalf("a v7 snippeted full response body: %v, want a *ProtocolError", err)
 		}
+		if _, err := decodeFullResp(v9SnippetedFullResp, 0, 1, snippeted); !errors.As(err, &pe) {
+			t.Fatalf("a v9 snippeted full response body: %v, want a *ProtocolError", err)
+		}
+	}
+	if _, err := decodeSnippetsResp(v9SnippetsResp); !errors.As(err, &pe) {
+		t.Fatalf("a v9 snippets response body: %v, want a *ProtocolError", err)
 	}
 	for _, req := range [][]byte{v7EvalReq(request), v7EvalReq(fullRequest), v8EvalReq(request), v8EvalReq(fullRequest)} {
 		if _, err := decodeEvalReq(req); !errors.As(err, &pe) {

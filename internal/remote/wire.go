@@ -15,22 +15,24 @@
 // snippets are made by the local snippet fan-out (shard.Snippets) on the
 // server that holds the result, so a distributed query is byte-identical to
 // a local one — the property the equivalence tests pin. A result shipped by
-// the per-shard round or the whole-document round is a handle — where it
-// lives (shard, or the whole document, and preorder positions), its size and
-// its match depths — never a tree. A snippet travels with its result when
-// the result is sure to win: a server snippets, inside its eval answer, the
-// results it ships for the request's leading run of shards
-// (shard.LeadingRun), whose cut is the global cut's, and inside its full
-// answer every result, the full answer being the answer. Once the merge has
-// cut, the router asks for the snippets of the other results it kept by
-// handle — one call to each group holding some of them, from a server still
-// on the answer's generation — so only kept results get snippets, save the
-// eval round's of a query that takes round two, which are discarded. Trees
-// are fetched the same way, by handle (any replica for the whole
-// document's): the router answers with deferred results
-// (search.Result.Tree), and the first read of any tree of an answer fetches
-// that answer's trees. The trees travel as lossless encodings and build to
-// exactly the local results.
+// the per-shard round or the whole-document round is a handle — its shard
+// and preorder positions there, or for the one result anchored at the root a
+// whole handle into the whole document, its size and its match depths —
+// never a tree. A snippet is rendered where its result lives and travels as
+// its record (internal/record), its XML first, so a router renders nothing.
+// It travels with its result when the result is sure to win: a server
+// snippets, inside its eval answer, the results it ships for the request's
+// leading run of shards (shard.LeadingRun), whose cut is the global cut's,
+// unless one of its shards is root-anchored, and inside its full answer
+// every result, the full answer being the answer. Once the merge has cut,
+// the router asks for the snippets of the other results it kept by handle —
+// one call to each group holding some of them, from a server still on the
+// answer's generation — so only kept results get snippets, save the eval
+// round's of a query that takes round two, which are discarded. Trees are
+// fetched the same way, by handle (any replica for a whole handle): the
+// router answers with deferred results (search.Result.Tree), and the first
+// read of any tree of an answer fetches that answer's trees. The trees travel
+// as lossless encodings and build to exactly the local results.
 //
 // Placement is content-addressed: every shard's manifest content hash
 // (ingest.ShardEntry.ContentHash) is rendezvous-hashed over the configured
@@ -71,7 +73,7 @@ const (
 	// frame is written at it and a frame at any other version is refused
 	// as version skew. A payload layout change bumps wireVersion; router
 	// and shard servers are rolled together.
-	wireVersion = 9
+	wireVersion = 10
 
 	frameHeaderLen = 12
 

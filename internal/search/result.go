@@ -231,8 +231,7 @@ func (r *Result) wholeDepth(kw string) (int, bool) {
 // depthUnder returns the number of edges from n up to its ancestor-or-self
 // at position top (Start) — its root's, 0, at most — or limit when that is
 // less and not negative: the climb stops as soon as it can no longer come out
-// below limit. The ancestor is found by position, not by pointer, so a copy
-// of it (a full response's re-addressed anchor) stops the climb as well.
+// below limit. The ancestor is found by position, not by pointer.
 func depthUnder(n *xmltree.Node, top int32, limit int) int {
 	d := 0
 	for ; n.Start != top && n.Parent != nil && d != limit; n = n.Parent {

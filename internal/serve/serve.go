@@ -285,15 +285,16 @@ func (rk *Ranking) At(i int) (index int, score float64) {
 // router returns, and a whole-document result before its tree is built) a
 // header and the bytes it retains besides: its keyword depths. An owned
 // result tree (a trimmed projection) is charged per node. A
-// snippet is charged its rendered XML and the bytes of the record it keeps —
-// a router's (core.Served); a local corpus's keeps none, only its result,
-// which the entry charges already (core.Generator.ServeResult) — and once a
+// snippet is charged the bytes of the record it keeps — a router's
+// (core.Served), whose XML is a substring of it — or else its rendered XML —
+// a local corpus's keeps no record, only its result, which the entry charges
+// already (core.Generator.ServeResult) — and once a
 // reader has derived its tree and IList (Derived), the tree per node and the
 // IList per item; a filled Ranking 12 bytes a result. The constants are rough
 // costs (node struct, slice and map headers; an ilist.Item with its share of
 // slice growth), not an exact accounting: TestCostChargesWhatAnEntryOwns
 // holds a routed entry's charge to what it retains (six 133-edge retailer
-// results with their snippets at bound 6, 8.2 KB charged for 7.6 KB; 23.9 KB
+// results with their snippets at bound 6, 8.2 KB charged for 8.0 KB; 23.9 KB
 // for 23.4 KB once every snippet is decoded; 133 KB for 133 KB once Trees
 // has built the trees too). A deferred result whose tree was built is
 // charged as the owned tree it now holds — a whole-document result too,
@@ -317,8 +318,9 @@ func (v *Cached) cost() int64 {
 	}
 	for _, g := range v.Snippets {
 		pending, enc := g.Encoded()
-		if c += int64(len(g.XML) + enc); pending {
-			continue // the XML and any record, its own small header within its result's
+		// A router's snippet keeps its record, which holds its XML.
+		if c += int64(max(enc, len(g.XML))); pending {
+			continue // its own small header within its result's
 		}
 		d := g.Derived()
 		c += perEntry + perNode*int64(d.Edges+1) + perItem*int64(len(d.IList.Items))

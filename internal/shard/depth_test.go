@@ -39,8 +39,7 @@ func matchDepthByDefinition(r *search.Result, kw string) (int, bool) {
 // view whose matches all lie strictly inside the anchor), answers what the
 // unpruned definition does — on gen corpora at 1 to 4 shards, under SLCA and
 // ELCA, for views, ModeXSeek projections and whole-document results, for
-// every term of the query and for a term that is not one — and for a result
-// whose anchor is a copy of its node, as a shard server ships it. The matrix
+// every term of the query and for a term that is not one. The matrix
 // holds both edges of the floor: views whose first match is the anchor, and
 // views whose one depth-1 match comes last in a longer run.
 func TestMatchDepthMatchesDefinition(t *testing.T) {
@@ -80,29 +79,18 @@ func TestMatchDepthMatchesDefinition(t *testing.T) {
 					}
 					terms := append(search.Parse(q).Keys, "zzznosuchterm")
 					for i, r := range rs {
-						readdressed := r
-						if view, _ := r.Whole(); view != nil {
+						switch view, _ := r.Whole(); {
+						case view != nil:
 							wholes++
-						} else {
-							if r.IsView() {
-								views++
-							} else {
-								projections++
-							}
-							// A shard server ships a result re-addressed:
-							// its anchor a copy of the node with another Ord.
-							cp, anchor := *r, *r.Anchor
-							anchor.Ord += 1000
-							cp.Anchor = &anchor
-							readdressed = &cp
+						case r.IsView():
+							views++
+						default:
+							projections++
 						}
 						for _, kw := range terms {
 							want, wok := matchDepthByDefinition(r, kw)
-							for _, r := range []*search.Result{r, readdressed} {
-								got, gok := r.MatchDepth(kw)
-								if gok != wok || gok && got != want {
-									t.Fatalf("%d shards, %+v, %q, result %d, %q: depth %d %v, want %d %v", n, opts, q, i, kw, got, gok, want, wok)
-								}
+							if got, gok := r.MatchDepth(kw); gok != wok || gok && got != want {
+								t.Fatalf("%d shards, %+v, %q, result %d, %q: depth %d %v, want %d %v", n, opts, q, i, kw, got, gok, want, wok)
 							}
 							if want > 0 {
 								nonZero++

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -84,7 +85,7 @@ func FuzzRoundTwoMatchesWhole(f *testing.F) {
 		wholeGen := core.NewGenerator(whole)
 		kws := index.Tokenize(q)
 		for i, r := range got {
-			a, l := sc.Positions(r)
+			a, l := globalPositions(sc, r)
 			if int(a) != want[i].Anchor.Ord || int(l) != want[i].LCA.Ord {
 				t.Fatalf("%q %+v on %d shards: result %d at (%d, %d), want (%d, %d)",
 					q, opts, sc.NumShards(), i, a, l, want[i].Anchor.Ord, want[i].LCA.Ord)
@@ -115,6 +116,17 @@ func FuzzRoundTwoMatchesWhole(f *testing.F) {
 			}
 		}
 	})
+}
+
+// globalPositions returns the global positions of a result's anchor and LCA
+// (index.Whole): where an engine over the whole document places them.
+func globalPositions(sc *Corpus, r *search.Result) (anchor, lca int32) {
+	if w, at := r.Whole(); w != nil {
+		return 0, at
+	}
+	w := sc.Whole()
+	i := slices.IndexFunc(w.Parts(), func(ix *index.Index) bool { return ix.Document().ByOrd(r.LCA.Ord) == r.LCA })
+	return w.Global(i, int32(r.Anchor.Ord)), w.Global(i, int32(r.LCA.Ord))
 }
 
 // sameDocument fails unless got is want node for node: kind, label, value,

@@ -104,56 +104,34 @@ func (sc *Corpus) WholeResult(q search.Query, opts search.Options, lca int32, li
 	return search.Whole(sc.Whole(), lca, q.Keys, lists)
 }
 
-// Positions returns the global positions of a result's anchor and LCA: where
-// a whole-document answer places them (index.Whole).
-func (sc *Corpus) Positions(r *search.Result) (anchor, lca int32) {
-	if w, at := r.Whole(); w != nil {
-		return 0, at
-	}
-	w := sc.Whole()
-	i := slices.IndexFunc(w.Parts(), func(ix *index.Index) bool { return ix.Document().ByOrd(r.Anchor.Ord) == r.Anchor })
-	return w.Global(i, int32(r.Anchor.Ord)), w.Global(i, int32(r.LCA.Ord))
-}
-
-// ResultsAt rebuilds q's results from their anchors' and LCAs' global
-// positions (Positions), as a whole-document answer placed them: a result
-// anchored at the root is WholeResult; any other lies inside one shard and is
-// that shard engine's result (search.Engine.ResultAt). q's posting lists are
-// resolved once on every shard. Positions that are not a result are an error.
-func (sc *Corpus) ResultsAt(q search.Query, opts search.Options, anchors, lcas []int32) ([]*search.Result, error) {
+// ResultsAt rebuilds q's results anchored at the root from their LCAs'
+// global positions (index.Whole), as a whole-document answer placed them:
+// each is WholeResult, after the shard holding its LCA has confirmed that the
+// root anchors a result there (search.Engine.Anchors). Every other result of
+// a whole-document answer is a shard's own, rebuilt on its shard. q's posting
+// lists are resolved once on every shard. A position that is not such a
+// result is an error.
+func (sc *Corpus) ResultsAt(q search.Query, opts search.Options, lcas []int32) ([]*search.Result, error) {
 	engines := make([]*search.Engine, len(sc.shards))
-	evs := make([]*search.Evaluation, len(sc.shards))
 	lists := make([][]*index.PostingList, len(sc.shards))
 	for i, s := range sc.shards {
 		engines[i] = s.Engine(opts)
-		var err error
-		if evs[i], err = engines[i].Lists(q); err != nil {
+		ev, err := engines[i].Lists(q)
+		if err != nil {
 			return nil, err
 		}
-		lists[i] = evs[i].Lists
+		lists[i] = ev.Lists
 	}
 	w := sc.Whole()
-	out := make([]*search.Result, len(anchors))
-	for k, a := range anchors {
-		if a < 0 || int(a) >= w.Len() || lcas[k] < a || int(lcas[k]) >= w.Len() {
-			return nil, fmt.Errorf("shard: no result anchored at %d for the LCA at %d", a, lcas[k])
+	out := make([]*search.Result, len(lcas))
+	for k, at := range lcas {
+		if at < 0 || int(at) >= w.Len() {
+			return nil, fmt.Errorf("shard: no result anchored at the root for the LCA at %d", at)
 		}
-		i, local := w.Locate(a)
-		j, lca := w.Locate(lcas[k])
-		if a == 0 {
-			if !engines[j].Anchors(0, int(lca)) {
-				return nil, fmt.Errorf("shard: no result anchored at the root for the LCA at %d", lcas[k])
-			}
-			out[k] = sc.WholeResult(q, opts, lcas[k], lists)
-			continue
+		if j, lca := w.Locate(at); !engines[j].Anchors(0, int(lca)) {
+			return nil, fmt.Errorf("shard: no result anchored at the root for the LCA at %d", at)
 		}
-		if i != j {
-			return nil, fmt.Errorf("shard: no result anchored at %d for the LCA at %d", a, lcas[k])
-		}
-		var err error
-		if out[k], err = engines[i].ResultAt(evs[i], int(local), int(lca)); err != nil {
-			return nil, err
-		}
+		out[k] = sc.WholeResult(q, opts, at, lists)
 	}
 	return out, nil
 }

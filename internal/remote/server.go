@@ -401,10 +401,11 @@ func reqContext(timeoutMillis uint64) (context.Context, context.CancelFunc) {
 
 // evaluate answers one eval request — round one of shard.Merge for the
 // shards the request names: their shard.Partials, digested from the
-// untrimmed local answers and then trimmed to what the router's merge can
-// still take. With a snippet bound, it snippets the shipped results of the
-// request's leading run (shard.LeadingRun), which the merge keeps unless the
-// query takes round two, on the results it holds: one fan-out
+// untrimmed local hit lists, then trimmed to what the router's merge can
+// still take, and only then built (shard.Round.Build): a hit the trim drops
+// is never a result. With a snippet bound, it snippets the shipped results
+// of the request's leading run (shard.LeadingRun), which the merge keeps
+// unless the query takes round two, on the results it holds: one fan-out
 // (shard.Records), nothing rebuilt — and none when one of its shards is
 // root-anchored, which makes round two certain. The router asks for the
 // other winners' snippets by handle (snippets).
@@ -416,15 +417,27 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 		return evalAnswer{}, err
 	}
 	q := search.Parse(req.query)
-	parts, _, err := st.sc.EvalShards(ctx, q, req.opts, shards, s.pool.Run)
+	parts, round, err := st.sc.EvalShards(ctx, q, req.opts, shards, s.pool.Run)
 	if err != nil {
 		return evalAnswer{}, err
 	}
+	trimmed := trimToMerge(parts, req.shards, req.opts.MaxResults)
 	a := evalAnswer{terms: q.Keys, shards: make([]shardAnswer, len(parts))}
-	for i, p := range parts {
-		a.shards[i] = shardAnswer{shard: req.shards[i], digest: p.Digest, results: p.Results}
+	if err := shard.Recover(func() {
+		total := 0
+		for _, p := range parts {
+			total += len(p.Results)
+		}
+		rs := make([]*search.Result, 0, total)
+		for i, p := range parts {
+			start := len(rs)
+			rs = round.Build(rs, p.Results)
+			a.shards[i] = shardAnswer{shard: req.shards[i], digest: p.Digest, results: rs[start:]}
+		}
+	}); err != nil {
+		return evalAnswer{}, err
 	}
-	if !trimToMerge(a.shards, req.opts.MaxResults) || req.bound < 0 ||
+	if !trimmed || req.bound < 0 ||
 		slices.ContainsFunc(a.shards, func(sa shardAnswer) bool { return sa.digest.RootAnchored }) {
 		return a, nil
 	}
@@ -460,28 +473,29 @@ func (s *Server) records(ctx context.Context, st *serverState, rs []*search.Resu
 	return recs, nil
 }
 
-// trimToMerge drops the results the router's merge cannot take, and reports
-// whether it did. The digests and the root-anchored bit were computed from
-// the untrimmed lists and stay as they are; the trim applies the merge's own
-// cut (shard.MergeTake, each shard keeping its results with the earliest
-// LCAs, shard.AppendEarliest) to this request's shards in ascending order, so
-// whatever the other groups return, a dropped result lies past position
-// MaxResults in the whole engine's order and the merged answer is unchanged.
-// It is sound only in that order, which is the one a router's placement
-// produces; a request naming its shards any other way is answered untrimmed,
-// and unsnippeted.
-func trimToMerge(answers []shardAnswer, maxResults int) bool {
-	counts := make([]int, len(answers))
-	for i := range answers {
-		if i > 0 && answers[i].shard <= answers[i-1].shard {
+// trimToMerge drops the hits the router's merge cannot take, from parts,
+// round one on the request's shards (in the order it names them), and
+// reports whether it did. The digests and the root-anchored bit were
+// computed from the untrimmed lists and stay as they are; the trim applies
+// the merge's own cut (shard.MergeTake, each shard keeping its hits with the
+// earliest LCAs, shard.AppendEarliest) to this request's shards in ascending
+// order, so whatever the other groups return, a dropped hit lies past
+// position MaxResults in the whole engine's order and the merged answer is
+// unchanged. It is sound only in that order, which is the one a router's
+// placement produces; a request naming its shards any other way is answered
+// untrimmed, and unsnippeted.
+func trimToMerge(parts []shard.Partial[search.Hit], shards []uint32, maxResults int) bool {
+	counts := make([]int, len(parts))
+	for i := range parts {
+		if i > 0 && shards[i] <= shards[i-1] {
 			return false
 		}
-		counts[i] = len(answers[i].results)
+		counts[i] = len(parts[i].Results)
 	}
 	shard.MergeTake(counts, maxResults)
-	for i := range answers {
-		rs := answers[i].results
-		answers[i].results = shard.AppendEarliest(rs[:0], rs, counts[i], shard.LCAOf)
+	for i := range parts {
+		hs := parts[i].Results
+		parts[i].Results = shard.AppendEarliest(hs[:0], hs, counts[i], shard.HitLCA)
 	}
 	return true
 }

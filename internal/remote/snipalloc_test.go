@@ -35,8 +35,8 @@ func TestRoutedSnippetAllocations(t *testing.T) {
 			t.Fatalf("%q: %d results, want %d (%v)", q, len(parts[0].Results), n, err)
 		}
 		handles := make([]handle, n)
-		for i, r := range parts[0].Results[:n] {
-			handles[i] = handle{shard: 0, anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)}
+		for i, h := range parts[0].Results[:n] {
+			handles[i] = handle{shard: 0, anchor: h.Anchor, lca: h.LCA}
 		}
 		req := encodeTreesReq(treesReq{opts: opts, query: q, fingerprint: st.fingerprint, bound: bound, handles: handles})
 		got, resp := srv.handle(msgSnippets, req, nil)
@@ -109,13 +109,15 @@ func TestServerRecordsAllocations(t *testing.T) {
 	ctx := context.Background()
 	const bound = 6
 	q := search.Parse("clothes")
-	parts, _, err := sc.EvalShards(ctx, q, search.Options{DistinctAnchors: true}, []int{0}, nil)
+	opts := search.Options{DistinctAnchors: true}
+	parts, round, err := sc.EvalShards(ctx, q, opts, []int{0}, nil)
 	if err != nil || len(parts[0].Results) < 30 {
 		t.Fatalf("%q: %d results, want 30 (%v)", q.Text, len(parts[0].Results), err)
 	}
+	rs := round.Build(nil, parts[0].Results)
 	var enc []byte
 	respond := func(n int) {
-		recs, err := srv.records(ctx, st, parts[0].Results[:n], q.Keywords, bound)
+		recs, err := srv.records(ctx, st, rs[:n], q.Keywords, bound)
 		if err != nil {
 			t.Fatal(err)
 		}

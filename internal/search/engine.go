@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -142,17 +143,32 @@ func (e *Engine) Lists(q Query) (*Evaluation, error) {
 	return ev, nil
 }
 
+// Hit is one result of an evaluation before it is built: the preorder
+// positions of its anchor and of its LCA in the engine's document. Evaluate
+// yields hits, and Build turns the ones a caller keeps into Results, so a
+// result the merge's cut drops is never built. Shard tells whose a hit is to
+// a caller merging the hits of several documents, the shards of one corpus:
+// an engine knows one document, leaves it 0 and never reads it.
+type Hit struct{ Shard, Anchor, LCA int32 }
+
+// compareHits orders hits as results are ordered: by anchor, and the hits of
+// one anchor (without DistinctAnchors) by LCA.
+func compareHits(a, b Hit) int {
+	return cmp.Or(cmp.Compare(a.Anchor, b.Anchor), cmp.Compare(a.LCA, b.LCA))
+}
+
 // ResultAt rebuilds one result of ev's query from its position: the LCA at
 // preorder position lca of the engine's document, anchored at position
-// anchor. It is the result evaluation built for that LCA, by the same rule —
-// a view, or the ModeXSeek projection — so a result can travel as its two
-// positions and be rebuilt where its document lives. Positions that are not
-// in the document, or an anchor that is not the LCA's, are an error.
+// anchor. It is the result evaluation yields for that LCA, built by the same
+// rule (Build) — a view, or the ModeXSeek projection — so a result can travel
+// as its two positions and be rebuilt where its document lives. Positions
+// that are not in the document, or an anchor that is not the LCA's, are an
+// error.
 func (e *Engine) ResultAt(ev *Evaluation, anchor, lca int) (*Result, error) {
 	if !e.Anchors(anchor, lca) {
 		return nil, fmt.Errorf("search: no result anchored at %d for the LCA at %d", anchor, lca)
 	}
-	return e.buildResult(e.doc.ByOrd(anchor), e.doc.ByOrd(lca), newRuns(ev, 1)), nil
+	return e.Build(nil, ev, []Hit{{Anchor: int32(anchor), LCA: int32(lca)}})[0], nil
 }
 
 // Anchors reports whether positions anchor and lca are nodes of the engine's
@@ -162,89 +178,73 @@ func (e *Engine) Anchors(anchor, lca int) bool {
 	if a == nil || l == nil || !l.IsElement() {
 		return false
 	}
-	at, _ := slices.BinarySearch(e.ix.Columns().Pos, l.Start)
-	return e.anchorOf(l, e.entityLabels(), at) == a
+	cols := e.ix.Columns()
+	at, _ := slices.BinarySearch(cols.Pos, l.Start)
+	return cols.Pos[e.anchorAt(e.entityLabels(), int32(at))] == a.Start
 }
 
-// Results builds the results for the given LCA subset of an evaluation,
-// applying the engine's DistinctAnchors and MaxResults options, and returns
-// them sorted by anchor document order — results of one anchor (without
-// DistinctAnchors) by LCA document order, so a shard orders them as the
-// whole document does. The LCAs are elements of the engine's document. Each
-// LCA's anchor is resolved and de-duplicated before anything is built, so a
-// dropped LCA costs one map probe.
-func (e *Engine) Results(ev *Evaluation, lcas []*xmltree.Node) []*Result {
-	pos := e.ix.Columns().Pos
-	entries := make([]int32, len(lcas))
-	for i, lca := range lcas {
-		at, _ := slices.BinarySearch(pos, lca.Start)
-		entries[i] = int32(at)
-	}
-	return e.results(ev, entries, nil)
-}
-
-// results is Results over the LCAs accepted by keep (nil keeps all), given
-// as column entries, which are mapped to their nodes one by one as they are
-// reached: building stops at MaxResults, and what lies past it is never
-// read. The results' match runs are carved from slabs of bounds local to the
-// call, each sized for every LCA up to the bound and at most resultSlab.
-func (e *Engine) results(ev *Evaluation, entries []int32, keep func(*xmltree.Node) bool) []*Result {
-	var (
-		results     []*Result
-		seenAnchors = make(map[*xmltree.Node]bool)
-		runs        *matchRuns
-		slab        = min(len(entries), resultSlab)
-		entity      = e.entityLabels()
-		pos         = e.ix.Columns().Pos
-	)
+// hits is step one's selection over the LCAs accepted by keep (nil keeps
+// all; it reads an LCA's position), given as column entries in document
+// order: each LCA's anchor, resolved on the columns, in LCA order until
+// MaxResults distinct anchors (with DistinctAnchors) are found, then sorted
+// as results are (compareHits). Nothing is built and no node is read. An
+// anchor already taken is found on a stack of the taken anchors whose
+// subtree the scan is still in: anchors are ancestors-or-self of their LCAs,
+// so a taken anchor recurs only while the scan is inside it, and the open
+// anchors form one chain of ancestors.
+func (e *Engine) hits(entries []int32, keep func(lca int32) bool) []Hit {
+	n := len(entries)
 	if e.opts.MaxResults > 0 {
-		slab = min(slab, e.opts.MaxResults)
+		n = min(n, e.opts.MaxResults)
 	}
-	for _, entry := range entries {
-		lca := e.doc.ByOrd(int(pos[entry]))
+	var (
+		out    []Hit // allocated at the first hit: a shard's root alone is none
+		buf    [32]int32
+		open   = buf[:0] // column entries of the taken anchors the scan is inside
+		cols   = e.ix.Columns()
+		entity = e.entityLabels()
+	)
+	for _, at := range entries {
+		lca := cols.Pos[at]
 		if keep != nil && !keep(lca) {
 			continue
 		}
-		anchor := e.anchorOf(lca, entity, int(entry))
-		if e.opts.DistinctAnchors && seenAnchors[anchor] {
-			continue
+		anchor := e.anchorAt(entity, at)
+		if e.opts.DistinctAnchors {
+			for len(open) > 0 && cols.End[open[len(open)-1]] < lca {
+				open = open[:len(open)-1]
+			}
+			if slices.Contains(open, anchor) {
+				continue
+			}
+			open = append(open, anchor)
 		}
-		seenAnchors[anchor] = true
-		if runs == nil || !runs.room() {
-			runs = newRuns(ev, slab)
+		if out == nil {
+			out = make([]Hit, 0, n)
 		}
-		results = append(results, e.buildResult(anchor, lca, runs))
-		if e.opts.MaxResults > 0 && len(results) >= e.opts.MaxResults {
+		out = append(out, Hit{Anchor: cols.Pos[anchor], LCA: lca})
+		if e.opts.MaxResults > 0 && len(out) >= e.opts.MaxResults {
 			break
 		}
 	}
-	slices.SortFunc(results, func(a, b *Result) int {
-		if d := a.Anchor.Ord - b.Anchor.Ord; d != 0 {
-			return d
-		}
-		return a.LCA.Ord - b.LCA.Ord
-	})
-	return results
+	slices.SortFunc(out, compareHits)
+	return out
 }
 
-// resultSlab is the most results one slab of match-run bounds has room for:
-// an unbounded evaluation may have many LCAs that anchor deduplication or the
-// keep filter drop, so results allocates no more before it builds any.
-const resultSlab = 256
-
-// Evaluate evaluates a query and builds results for the LCAs accepted by
-// keep (nil keeps all), exploiting top-k early termination: when the engine
-// bounds results (MaxResults > 0, SLCA semantics), the LCA scan stops after
-// the first MaxResults provable SLCAs. If anchor deduplication
-// (DistinctAnchors) or the keep filter then consumes some of the bound, the
-// bound is widened 4x and evaluation retried, so the results are
-// byte-identical to an unbounded evaluation's — the occasional retry re-pays
-// the cheap bounded scan, the common case touches only the matches needed
-// for k results. The kept subset is never materialised: building stops at
-// MaxResults, and only the LCAs reached by then are mapped to their nodes.
-// Returns the evaluation and the results; q is only read, so the shards of
-// one query share one parse.
-func (e *Engine) Evaluate(q Query, keep func(*xmltree.Node) bool) (*Evaluation, []*Result, error) {
+// Evaluate is step one of answering a query: it evaluates q and returns its
+// hits — the results it yields, unbuilt — for the LCAs accepted by keep (nil
+// keeps all; it reads an LCA's position, the root's being 0), in result
+// order (compareHits). Build builds the ones a caller keeps. It
+// exploits top-k early termination: when the engine bounds results
+// (MaxResults > 0, SLCA semantics), the LCA scan stops after the first
+// MaxResults provable SLCAs. If anchor deduplication (DistinctAnchors) or
+// the keep filter then consumes some of the bound, the bound is widened 4x
+// and evaluation retried, so the hits are those of an unbounded evaluation —
+// the occasional retry re-pays the cheap bounded scan, the common case
+// touches only the matches needed for k results. Returns the evaluation,
+// which Build reads, and the hits; q is only read, so the shards of one query
+// share one parse.
+func (e *Engine) Evaluate(q Query, keep func(lca int32) bool) (*Evaluation, []Hit, error) {
 	limit := 0
 	if e.opts.MaxResults > 0 && e.opts.Semantics != SemanticsELCA {
 		limit = e.opts.MaxResults
@@ -257,19 +257,28 @@ func (e *Engine) Evaluate(q Query, keep func(*xmltree.Node) bool) (*Evaluation, 
 		if ev.Entries == nil {
 			return ev, nil, nil
 		}
-		results := e.results(ev, ev.Entries, keep)
-		if !ev.Truncated || len(results) >= e.opts.MaxResults {
-			return ev, results, nil
+		hits := e.hits(ev.Entries, keep)
+		if !ev.Truncated || len(hits) >= e.opts.MaxResults {
+			return ev, hits, nil
 		}
 		limit *= 4
 	}
 }
 
-// EvaluateResults is Evaluate over a query string, parsed here. Nothing in
-// the product calls it: it is kept only because benchmark/ times one
-// shard's evaluation through it.
+// EvaluateResults is Evaluate over a query string, parsed here, with every
+// hit built and an LCA filter that reads nodes. Nothing in the product calls
+// it: it is kept only because benchmark/ times one shard's evaluation
+// through it.
 func (e *Engine) EvaluateResults(query string, keep func(*xmltree.Node) bool) (*Evaluation, []*Result, error) {
-	return e.Evaluate(Parse(query), keep)
+	var at func(int32) bool
+	if keep != nil {
+		at = func(lca int32) bool { return keep(e.doc.ByOrd(int(lca))) }
+	}
+	ev, hits, err := e.Evaluate(Parse(query), at)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ev, e.Build(nil, ev, hits), nil
 }
 
 // Search evaluates a conjunctive keyword query and returns its results in
@@ -277,6 +286,9 @@ func (e *Engine) EvaluateResults(query string, keep func(*xmltree.Node) bool) (*
 // inside one text value. When the engine bounds results, evaluation
 // terminates early once the bound is provably filled (see Evaluate).
 func (e *Engine) Search(q Query) ([]*Result, error) {
-	_, results, err := e.Evaluate(q, nil)
-	return results, err
+	ev, hits, err := e.Evaluate(q, nil)
+	if err != nil {
+		return nil, err
+	}
+	return e.Build(nil, ev, hits), nil
 }

@@ -251,14 +251,6 @@ type matchRuns struct {
 	bounds   []int32
 }
 
-// newRuns returns an empty batch for up to n results of ev's query.
-func newRuns(ev *Evaluation, n int) *matchRuns {
-	return &matchRuns{keywords: ev.Keywords, lists: ev.Lists, bounds: make([]int32, 0, 2*len(ev.Lists)*n)}
-}
-
-// room reports whether the batch has bounds left for one more result.
-func (m *matchRuns) room() bool { return cap(m.bounds)-len(m.bounds) >= 2*len(m.lists) }
-
 // Matches returns kw's matching source nodes inside the result, in document
 // order, or nil when kw has none there (or the result is deferred: Tree
 // first). On a view the slice aliases the index's posting list,
@@ -547,24 +539,21 @@ const (
 	ModeXSeek
 )
 
-// anchorOf resolves the node a result for lca is rooted at: the nearest
-// entity ancestor-or-self of the LCA when the classification knows one
-// (XSeek's meaningful return unit — query results in the paper are
-// entity-rooted, e.g. the retailer in Figure 1), otherwise the LCA itself. It
-// tests each label symbol's entity flag (entityLabels) — the LCA's own
-// first — and climbs the index's Parent column from at, the LCA's entry, so
-// no node is read but the LCA and the anchor it returns.
-func (e *Engine) anchorOf(lca *xmltree.Node, entity []bool, at int) *xmltree.Node {
-	if entity[lca.Sym] {
-		return lca
-	}
+// anchorAt resolves the column entry of the node a result for the LCA at
+// column entry at is rooted at: the nearest entity ancestor-or-self of the
+// LCA when the classification knows one (XSeek's meaningful return unit —
+// query results in the paper are entity-rooted, e.g. the retailer in Figure
+// 1), otherwise the LCA itself. It tests each label symbol's entity flag
+// (entityLabels) — the LCA's own first — climbing the index's Parent column,
+// so no node is read.
+func (e *Engine) anchorAt(entity []bool, at int32) int32 {
 	cols := e.ix.Columns()
-	for en := cols.Parent[at]; en >= 0; en = cols.Parent[en] {
+	for en := at; en >= 0; en = cols.Parent[en] {
 		if entity[cols.Label[en]] {
-			return e.doc.ByOrd(int(cols.Pos[en]))
+			return en
 		}
 	}
-	return lca
+	return at
 }
 
 // entityLabels returns, by label symbol of the engine's document, whether
@@ -592,24 +581,40 @@ func (e *Engine) entityLabels() []bool {
 // entityKey keys entityLabels' slot of index.Index.Derived.
 type entityKey struct{ cls *classify.Classification }
 
-// buildResult builds the Result for one LCA node anchored at anchor: a view
-// of the anchor's subtree, or in ModeXSeek the trimmed projection of it. Its
-// matches are, per keyword, the run of the query's posting list inside the
-// anchor's subtree (index.PostingList.Within), whose bounds it appends to
-// runs, which has room for them.
-func (e *Engine) buildResult(anchor, lca *xmltree.Node, runs *matchRuns) *Result {
-	r := &Result{Root: anchor, Anchor: anchor, LCA: lca, runs: runs, at: int32(len(runs.bounds))}
-	for _, pl := range runs.lists {
-		lo, hi := pl.Within(anchor.Start, anchor.End)
-		runs.bounds = append(runs.bounds, int32(lo), int32(hi))
+// Build is step two of answering a query: it appends to dst the results of
+// hits — hits Evaluate returned for ev, or any of them, as the merge's cut
+// keeps — in their order. Each is a view of its anchor's subtree, or in
+// ModeXSeek the trimmed projection of it; its matches are, per keyword, the
+// run of the query's posting list inside the anchor's subtree
+// (index.PostingList.Within). The results' headers, their views and their
+// match-run bounds are cut from slabs sized for hits, allocated once a call.
+func (e *Engine) Build(dst []*Result, ev *Evaluation, hits []Hit) []*Result {
+	if len(hits) == 0 {
+		return dst
 	}
-	if e.opts.Mode == ModeXSeek {
-		r.Root = projectXSeek(anchor, r, e.cls)
-		r.Doc = xmltree.NewDocument(r.Root)
-	} else {
-		r.Doc, r.Index = e.doc.Subtree(anchor), e.ix
+	type built struct {
+		r   Result
+		doc xmltree.Document
 	}
-	return r
+	slab := make([]built, len(hits))
+	runs := &matchRuns{keywords: ev.Keywords, lists: ev.Lists, bounds: make([]int32, 0, 2*len(ev.Lists)*len(hits))}
+	for i, h := range hits {
+		anchor, b := e.doc.ByOrd(int(h.Anchor)), &slab[i]
+		r := &b.r
+		*r = Result{Root: anchor, Anchor: anchor, LCA: e.doc.ByOrd(int(h.LCA)), runs: runs, at: int32(len(runs.bounds))}
+		for _, pl := range runs.lists {
+			lo, hi := pl.Within(anchor.Start, anchor.End)
+			runs.bounds = append(runs.bounds, int32(lo), int32(hi))
+		}
+		if e.opts.Mode == ModeXSeek {
+			r.Root = projectXSeek(anchor, r, e.cls)
+			r.Doc = xmltree.NewDocument(r.Root)
+		} else {
+			r.Doc, r.Index = e.doc.SubtreeInto(&b.doc, anchor), e.ix
+		}
+		dst = append(dst, r)
+	}
+	return dst
 }
 
 // projectXSeek builds the ModeXSeek tree of r, anchored at anchor, as a new

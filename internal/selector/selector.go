@@ -78,8 +78,8 @@ type selection struct {
 	tree      *index.Columns
 	own       index.Columns
 
-	// stamp marks what belongs to this snippet in memo and mark, so neither
-	// is cleared between snippets.
+	// stamp marks what belongs to this snippet in memo, so it is not cleared
+	// between snippets.
 	stamp uint32
 
 	// Keywords: the distinct Keyword items, each with its instances in
@@ -96,10 +96,9 @@ type selection struct {
 	// of stats, or a feature id; -1 for an item the result cannot witness.
 	ref []int32
 
-	// The snippet tree: member nodes in insertion order, membership by
-	// position, and the evidence — how many members show each keyword, and
-	// the (entity, attribute, value) symbol triple of every member value.
-	mark    []uint32
+	// The snippet tree: member positions in insertion order, and the
+	// evidence — how many members show each keyword, and the (entity,
+	// attribute, value) symbol triple of every member value.
 	members []int32
 	kwCount []int32
 	triples [][3]int32
@@ -147,11 +146,7 @@ func begin(doc *xmltree.Document, il *ilist.IList, stats *features.Stats) *selec
 	if s.stamp == 0 { // wrapped: stale entries could read as current
 		clear(s.memo[0])
 		clear(s.memo[1])
-		clear(s.mark)
 		s.stamp = 1
-	}
-	if size := int(s.end-s.root) + 1; len(s.mark) < size {
-		s.mark = make([]uint32, size)
 	}
 
 	s.ref = s.ref[:0]
@@ -290,11 +285,15 @@ func (s *selection) instance(p int32, n *xmltree.Node, k int32) {
 
 // release returns the selection to the pool, dropping every node it holds:
 // pooled scratch must not keep a replaced corpus generation reachable. Nor
-// may it pin memory in proportion to a corpus of any size (the marks and
-// the instance lists grow to the largest result seen): past scratchKeepNodes
+// may it pin memory in proportion to a corpus of any size (the instance
+// lists grow to the largest result seen): past scratchKeepNodes instances
 // the selection is dropped instead.
 func (s *selection) release() {
-	if len(s.mark) > scratchKeepNodes {
+	held := 0
+	for _, inst := range s.kwInst {
+		held += cap(inst)
+	}
+	if held > scratchKeepNodes {
 		return
 	}
 	for k := range s.kwInst {
@@ -348,7 +347,11 @@ func (s *selection) keywordsIn(n *xmltree.Node, sym int32) []int32 {
 	return s.hits[e.run+1 : e.run+1+s.hits[e.run]]
 }
 
-func (s *selection) inTree(p int32) bool { return s.mark[p-s.root] == s.stamp }
+// inTree reports whether the node at position p is in the snippet tree. The
+// tree is as small as the snippet — a node or two an edge of the bound — so
+// its members are scanned: membership costs nothing to set up or take back,
+// whatever the size of the result.
+func (s *selection) inTree(p int32) bool { return slices.Contains(s.members, p) }
 
 // parent returns the position of the parent of n, the node at position p
 // below the root. Positions inside one part of a space differ from the
@@ -394,7 +397,6 @@ func (s *selection) add(p int32) {
 	if s.inTree(p) {
 		return
 	}
-	s.mark[p-s.root] = s.stamp
 	s.members = append(s.members, p)
 	n := s.stats.Node(p)
 	for _, k := range s.keywordsIn(n, s.stats.Sym(p, n)) {
@@ -431,7 +433,6 @@ func (s *selection) checkpoint() checkpoint { return checkpoint{len(s.members), 
 
 func (s *selection) rollback(to checkpoint) {
 	for _, p := range s.members[to.members:] {
-		s.mark[p-s.root] = 0
 		n := s.stats.Node(p)
 		for _, k := range s.keywordsIn(n, s.stats.Sym(p, n)) {
 			s.kwCount[k]--

@@ -9,10 +9,11 @@ import (
 )
 
 // Partial is one shard's share of a query's first round: the Digest of its
-// untrimmed local answer and its local Results in document order; Results
-// may be any prefix of that answer the sender knows the cut cannot reach
-// past (see MergeTake). A shard missing a query keyword answers like any
-// other — no results, and the digest of its no-LCA evaluation.
+// untrimmed local answer and its local Results in document order — unbuilt
+// positions, Hits, on a local corpus and a shard server, scanned handles on a
+// router; Results may be any prefix of that answer the sender knows the cut
+// cannot reach past (see MergeTake). A shard missing a query keyword answers
+// like any other — no results, and the digest of its no-LCA evaluation.
 type Partial[R any] struct {
 	Digest  Digest
 	Results []R
@@ -40,7 +41,11 @@ type Rounds[R any] interface {
 // whole document would (the equivalence property tests pin local ==
 // unsharded and routed == local). A local corpus runs it from two shards up —
 // one shard is searched directly, the reference path — and the distributed
-// router at every shard count, one included.
+// router at every shard count, one included. Its answer is R's, not results:
+// a local corpus's round one yields hits (positions, EvalShards) and builds
+// only the winners Merge returns (Round.Build), a router takes only the
+// winning byte ranges of its responses — so a result the cut drops is never
+// built anywhere.
 //
 // Any non-root SLCA/ELCA lies entirely inside one shard, so the union of the
 // per-shard LCA sets minus the shard roots — what round one evaluates, on
@@ -55,12 +60,12 @@ type Rounds[R any] interface {
 //
 // Round two runs only for a root-involving query — the root qualifying, or
 // a result anchored at a shard root, which is a copy of the global root. It
-// evaluates nothing and copies nothing: the answer is round one's results
-// with every root-anchored one folded into one result anchored at the root,
-// a view of the whole document over the shards, cut as an engine over the
-// whole document cuts (Corpus.roundTwo); ctx is re-checked before it. Every
-// other query is the concatenation MergeResults cuts at opts.MaxResults,
-// reading a result's LCA position in its shard through lca.
+// evaluates nothing and copies nothing: the answer is round one's hits with
+// every root-anchored one folded into one anchored at the root, a view of the
+// whole document over the shards, cut as an engine over the whole document
+// cuts (Corpus.roundTwo); ctx is re-checked before it. Every other query is
+// the concatenation MergeResults cuts at opts.MaxResults, reading a hit's LCA
+// position in its shard through lca.
 func Merge[R any](ctx context.Context, opts search.Options, rounds Rounds[R], lca func(R) int32) ([]R, error) {
 	parts, err := rounds.Eval(ctx)
 	if err != nil {
@@ -112,9 +117,9 @@ func Merge[R any](ctx context.Context, opts search.Options, rounds Rounds[R], lc
 // the shards taken in ascending order: a result's position among a subset
 // never exceeds its position among all shards, so what the cut drops from a
 // subset the merge over all shards drops too. MergeResults concatenates by
-// it — locally over result trees, on the distributed router over scanned
-// byte ranges, so only the results it takes are ever built — and a shard
-// server stops shipping at it.
+// it — locally over hits, on the distributed router over scanned byte
+// ranges, so only the results it takes are ever built — and a shard server
+// stops shipping, and building, at it.
 func MergeTake(counts []int, maxResults int) (total int) {
 	for i, n := range counts {
 		if maxResults > 0 && n > maxResults-total {
@@ -172,7 +177,7 @@ func MergeResults[R any](byShard [][]R, maxResults int, lca func(R) int32) []R {
 // order — whose LCAs come first (lca: a result's LCA position in the shard),
 // still in anchor order: what the cut takes from a shard it falls in. An
 // engine keeps the first MaxResults distinct anchors in LCA order and then
-// sorts them by anchor (search.Engine.Results), and an entity can anchor a
+// sorts them by anchor (search.Engine.Evaluate), and an entity can anchor a
 // result before an earlier entity's whose LCA comes first — so the first n
 // in anchor order need not be the n it keeps. A shard's results have
 // distinct LCAs (one result per LCA, or per anchor at its first LCA). dst

@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"extract/internal/search"
-	"extract/xmltree"
 )
 
 // TestMergeTakeIsConcatenateAndTruncate pins the cut against the literal
@@ -121,15 +120,15 @@ func TestLeadingRunCutIsTheGlobalCut(t *testing.T) {
 // shared cut did not add an allocation to the local query path, the shard
 // the cut falls in included.
 func TestMergeResultsAllocatesOnlyTheMergedSlice(t *testing.T) {
-	byShard := make([][]*search.Result, 4)
+	byShard := make([][]search.Hit, 4)
 	for i := range byShard {
-		byShard[i] = make([]*search.Result, 10)
+		byShard[i] = make([]search.Hit, 10)
 		for j := range byShard[i] {
-			byShard[i][j] = &search.Result{LCA: &xmltree.Node{Ord: 10 - j}}
+			byShard[i][j] = search.Hit{Shard: int32(i), Anchor: int32(j), LCA: int32(10 - j)}
 		}
 	}
 	for _, maxResults := range []int{0, 25} {
-		if a := testing.AllocsPerRun(100, func() { MergeResults(byShard, maxResults, LCAOf) }); a != 1 {
+		if a := testing.AllocsPerRun(100, func() { MergeResults(byShard, maxResults, HitLCA) }); a != 1 {
 			t.Fatalf("MergeResults(max %d) allocates %v times, want 1", maxResults, a)
 		}
 	}

@@ -1,10 +1,14 @@
 package shard
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"extract/internal/core"
 	"extract/internal/gen"
@@ -167,4 +171,197 @@ func TestEquivalenceOnRandomCorpora(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBuildAfterCutMatchesCutAfterBuild: round one yields hits and only the
+// merge's winners are built (Round.Build), where results used to be built
+// for every hit and then cut. The two agree: on gen corpora at 1, 3 and 4
+// shards, and on random documents whose entities nest (where an entity can
+// anchor a result before an earlier LCA's), under SLCA and ELCA, at
+// MaxResults 0, 1, 2 and 25, with DistinctAnchors on and off, a query's answer
+// is the cut (MergeResults by LCA position) of every shard's hits built in
+// full — for one shard, of every hit of an unbounded evaluation, so the
+// engine's early termination is checked too. Round-two answers, which
+// replace round one's, are FuzzRoundTwoMatchesWhole's. Both sides read the
+// same hits, so every shard's hits are also held to a reference that shares
+// nothing with Evaluate's anchor resolution or de-duplication
+// (referenceHits).
+func TestBuildAfterCutMatchesCutAfterBuild(t *testing.T) {
+	corpora := generatedCorpora()
+	generated := len(corpora)
+	corpora = append(corpora, corpusCase{"nested anchors", func() *xmltree.Document {
+		// TestRoundOneCutTakesEarliestLCAs' document: the third <a> anchors
+		// a result before the inner <a>a</a>, whose LCA comes first.
+		doc, err := xmltree.ParseString(`<r><a/><a><a>a</a><d>a</d></a><a><a/></a></r>`)
+		if err != nil {
+			panic(err)
+		}
+		return doc
+	}})
+	for seed := range int64(8) {
+		corpora = append(corpora, corpusCase{fmt.Sprint("random ", seed), func() *xmltree.Document {
+			return randomShardableDoc(rand.New(rand.NewSource(seed)))
+		}})
+	}
+	type built struct {
+		corpora map[int]*Corpus
+		queries []string
+	}
+	cache := make([]built, len(corpora))
+	compared, roundTwo, checked := 0, 0, 0
+	prop := func(ci, ni, si, mi, qi uint8, distinct bool) bool {
+		c := &cache[int(ci)%len(corpora)]
+		if c.corpora == nil {
+			mk := corpora[int(ci)%len(corpora)].mk
+			doc := mk()
+			c.corpora = make(map[int]*Corpus)
+			if int(ci)%len(corpora) < generated {
+				c.queries = equivQueries(doc, index.Build(doc))
+			} else { // too small for the workload generator: its words, alone and in pairs
+				voc := index.Build(doc).Vocabulary()
+				for i, w := range voc {
+					c.queries = append(c.queries, w, w+" "+voc[(i+1)%len(voc)])
+				}
+			}
+			for _, n := range []int{1, 3, 4} {
+				c.corpora[n] = Build(mk(), n) // a build reparents the document's nodes
+			}
+		}
+		sc := c.corpora[[]int{1, 3, 4}[int(ni)%3]]
+		n := sc.NumShards() // fewer when the root has fewer children
+		opts := search.Options{
+			Semantics:       []search.Semantics{search.SemanticsSLCA, search.SemanticsELCA}[int(si)%2],
+			MaxResults:      []int{0, 1, 2, 25}[int(mi)%4],
+			DistinctAnchors: distinct,
+		}
+		q := search.Parse(c.queries[int(qi)%len(c.queries)])
+		if len(q.Terms) == 0 {
+			return true
+		}
+		for i, s := range sc.Shards() {
+			var keep func(int32) bool // one shard is the whole document
+			if n > 1 {
+				keep = func(lca int32) bool { return lca != 0 }
+			}
+			eng := s.Engine(opts)
+			ev, hits, err := eng.Evaluate(q, keep)
+			if err != nil {
+				t.Logf("%q: %v", q.Text, err)
+				return false
+			}
+			if want := referenceHits(eng, opts, ev, n > 1); !slices.Equal(hits, want) {
+				t.Logf("%d shards %+v %q shard %d: hits %v, reference %v", n, opts, q.Text, i, hits, want)
+				return false
+			}
+			checked++
+		}
+		got, err := sc.search(context.Background(), q, opts, nil)
+		if err != nil {
+			t.Logf("%q: %v", q.Text, err)
+			return false
+		}
+		lcaOf := func(r *search.Result) int32 { return int32(r.LCA.Ord) }
+		var byShard [][]*search.Result
+		if n == 1 {
+			all := opts
+			all.MaxResults = 0
+			eng := sc.Shards()[0].Engine(all)
+			ev, hits, err := eng.Evaluate(q, nil)
+			if err != nil {
+				return false
+			}
+			byShard = [][]*search.Result{eng.Build(nil, ev, hits)}
+		} else {
+			shards := make([]int, n)
+			for i := range shards {
+				shards[i] = i
+			}
+			parts, round, err := sc.EvalShards(context.Background(), q, opts, shards, nil)
+			if err != nil {
+				return false
+			}
+			digests := make([]Digest, n)
+			anyLCAs, rooted := false, false
+			for i, p := range parts {
+				digests[i] = p.Digest
+				anyLCAs = anyLCAs || p.Digest.HasNonRootLCAs
+				rooted = rooted || p.Digest.RootAnchored
+				byShard = append(byShard, round.Build(nil, p.Results))
+			}
+			if rooted || (opts.Semantics == search.SemanticsELCA || !anyLCAs) && RootQualifies(opts.Semantics, digests) {
+				roundTwo++
+				return true
+			}
+		}
+		want := MergeResults(byShard, opts.MaxResults, lcaOf)
+		if len(got) != len(want) {
+			t.Logf("%d shards %+v %q: %d results, cutting every built hit gives %d", n, opts, q.Text, len(got), len(want))
+			return false
+		}
+		for i, r := range got {
+			w := want[i]
+			if r.Anchor != w.Anchor || r.LCA != w.LCA || r.Root != w.Root || r.Index != w.Index || r.Doc.Len() != w.Doc.Len() {
+				t.Logf("%d shards %+v %q: result %d differs", n, opts, q.Text, i)
+				return false
+			}
+			for _, kw := range q.Keys {
+				if !slices.Equal(r.Matches(kw), w.Matches(kw)) {
+					t.Logf("%d shards %+v %q: result %d matches of %q differ", n, opts, q.Text, i, kw)
+					return false
+				}
+			}
+		}
+		compared += len(got)
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d results compared; %d round-two answers left to FuzzRoundTwoMatchesWhole; %d shard evaluations held to the reference", compared, roundTwo, checked)
+	if compared < 1000 || checked < 3000 {
+		t.Fatalf("%d results compared, %d evaluations checked: the property proves nothing", compared, checked)
+	}
+}
+
+// referenceHits is the hits rule stated on nodes, from the definitions: the
+// LCAs of ev's posting lists (SLCABrute, ELCABaseline) in document order,
+// less the root when noRoot; each anchored at its nearest entity
+// ancestor-or-self (classify.EntityOwnerWithin), or at itself when none is;
+// with DistinctAnchors, an anchor already taken skips its LCA (a map); the
+// first MaxResults of them, sorted by anchor and then LCA.
+func referenceHits(eng *search.Engine, opts search.Options, ev *search.Evaluation, noRoot bool) []search.Hit {
+	doc, cls := eng.Document(), eng.Classification()
+	lists := make([][]*xmltree.Node, len(ev.Lists))
+	for i, l := range ev.Lists {
+		if l != nil {
+			lists[i] = l.Nodes
+		}
+	}
+	lcas := search.SLCABrute(doc, lists...)
+	if opts.Semantics == search.SemanticsELCA {
+		lcas = search.ELCABaseline(lists...)
+	}
+	var hits []search.Hit
+	taken := make(map[*xmltree.Node]bool)
+	for _, lca := range lcas {
+		if noRoot && lca == doc.Root {
+			continue
+		}
+		anchor := cls.EntityOwnerWithin(lca, nil)
+		if anchor == nil {
+			anchor = lca
+		}
+		if opts.DistinctAnchors && taken[anchor] {
+			continue
+		}
+		taken[anchor] = true
+		hits = append(hits, search.Hit{Anchor: int32(anchor.Ord), LCA: int32(lca.Ord)})
+		if opts.MaxResults > 0 && len(hits) == opts.MaxResults {
+			break
+		}
+	}
+	slices.SortFunc(hits, func(a, b search.Hit) int {
+		return cmp.Or(cmp.Compare(a.Anchor, b.Anchor), cmp.Compare(a.LCA, b.LCA))
+	})
+	return hits
 }

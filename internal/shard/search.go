@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"slices"
 	"sync"
 
 	"extract/internal/faultinject"
 	"extract/internal/index"
 	"extract/internal/search"
-	"extract/xmltree"
 )
 
 // Search evaluates a conjunctive keyword query across the shards in
@@ -169,7 +167,8 @@ func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts s
 // and the merge re-checks before round two, so a cancelled or expired query
 // stops burning workers at the next checkpoint and returns the context's
 // error. run schedules the per-shard evaluations; nil spawns one goroutine
-// per shard.
+// per shard. Round one yields hits, and only the merge's winners are built
+// (Round.Build), under panic recovery.
 func (sc *Corpus) search(ctx context.Context, q search.Query, opts search.Options, run Runner) ([]*search.Result, error) {
 	switch len(sc.shards) {
 	case 0:
@@ -190,64 +189,129 @@ func (sc *Corpus) search(ctx context.Context, q search.Query, opts search.Option
 		}
 		return rs, serr
 	}
-	return Merge(ctx, opts, &localRounds{sc: sc, q: q, opts: opts, run: run}, LCAOf)
-}
-
-// LCAOf returns the position of r's LCA in its document: the key the merge's
-// cut takes a shard's results by (AppendEarliest).
-func LCAOf(r *search.Result) int32 { return int32(r.LCA.Ord) }
-
-// localRounds is Merge's source of evidence for an in-process query: every
-// round reads this corpus's own shards, and round two the posting lists
-// round one resolved on each.
-type localRounds struct {
-	sc    *Corpus
-	q     search.Query
-	opts  search.Options
-	run   Runner
-	lists [][]*index.PostingList // per shard: round one's, for round two
-}
-
-func (r *localRounds) Eval(ctx context.Context) ([]Partial[*search.Result], error) {
-	all := make([]int, len(r.sc.shards))
-	for i := range all {
-		all[i] = i
+	rounds := &localRounds{sc: sc, q: q, opts: opts, run: run}
+	hits, err := Merge(ctx, opts, rounds, HitLCA)
+	if err != nil {
+		return nil, err
 	}
-	parts, lists, err := r.sc.EvalShards(ctx, r.q, r.opts, all, r.run)
-	r.lists = lists
-	return parts, err
-}
-
-// Whole composes round two from round one's partials and posting lists,
-// inline, under panic recovery.
-func (r *localRounds) Whole(ctx context.Context, parts []Partial[*search.Result], rootLCA bool) ([]*search.Result, error) {
 	var rs []*search.Result
-	if err := Recover(func() { rs = r.sc.roundTwo(r.q, r.opts, parts, r.lists, rootLCA) }); err != nil {
+	if err := Recover(func() { rs = rounds.one.Build(nil, hits) }); err != nil {
 		return nil, err
 	}
 	return rs, nil
 }
 
+// wholeHit is the Shard of a hit anchored at the document root of a
+// root-involving answer, which round two folds (Corpus.roundTwo): its anchor
+// is 0 and its LCA a global position (index.Whole). Every other hit of a
+// sharded query carries the shard holding it, and positions there.
+const wholeHit = -1
+
+// HitLCA returns the position of h's LCA in its shard: the key the merge's
+// cut takes a shard's hits by (AppendEarliest).
+func HitLCA(h search.Hit) int32 { return h.LCA }
+
+// Round is round one of a query on some shards of a corpus (EvalShards):
+// each listed shard's engine and evaluation, indexed by shard, which is what
+// building a hit of that shard reads.
+type Round struct {
+	sc     *Corpus
+	q      search.Query
+	opts   search.Options
+	shards []evaluated // by shard; zero for a shard not listed
+}
+
+// evaluated is one shard's share of a Round.
+type evaluated struct {
+	eng *search.Engine
+	ev  *search.Evaluation
+}
+
+// Build appends to dst the results of hits — an answer's, or any of the
+// round's own — in their order: each shard's on the engine that evaluated it
+// (search.Engine.Build), one call for each run of hits of one shard; a
+// wholeHit as WholeResult, over the posting lists of every shard's
+// evaluation, which only a round on every shard holds, as the local merge's
+// does. A hit of a shard the round did not list panics.
+func (r *Round) Build(dst []*search.Result, hits []search.Hit) []*search.Result {
+	var lists [][]*index.PostingList // every shard's, once a call
+	for len(hits) > 0 {
+		s := hits[0].Shard
+		if s == wholeHit {
+			if lists == nil {
+				lists = make([][]*index.PostingList, len(r.shards))
+				for i, e := range r.shards {
+					lists[i] = e.ev.Lists
+				}
+			}
+			dst, hits = append(dst, r.sc.WholeResult(r.q, r.opts, hits[0].LCA, lists)), hits[1:]
+			continue
+		}
+		n := 1
+		for n < len(hits) && hits[n].Shard == s {
+			n++
+		}
+		e := r.shards[s]
+		dst, hits = e.eng.Build(dst, e.ev, hits[:n]), hits[n:]
+	}
+	return dst
+}
+
+// localRounds is Merge's source of evidence for an in-process query: every
+// round reads this corpus's own shards, and round two the hits of round one
+// and its evaluations' posting lists.
+type localRounds struct {
+	sc   *Corpus
+	q    search.Query
+	opts search.Options
+	run  Runner
+	one  *Round // round one on every shard, which builds the answer
+}
+
+func (r *localRounds) Eval(ctx context.Context) ([]Partial[search.Hit], error) {
+	all := make([]int, len(r.sc.shards))
+	for i := range all {
+		all[i] = i
+	}
+	parts, one, err := r.sc.EvalShards(ctx, r.q, r.opts, all, r.run)
+	r.one = one
+	return parts, err
+}
+
+// Whole composes round two from round one's partials, inline, under panic
+// recovery.
+func (r *localRounds) Whole(ctx context.Context, parts []Partial[search.Hit], rootLCA bool) ([]search.Hit, error) {
+	var hits []search.Hit
+	if err := Recover(func() { hits = r.sc.roundTwo(r.opts, parts, rootLCA) }); err != nil {
+		return nil, err
+	}
+	return hits, nil
+}
+
 // EvalShards is the per-shard half of Merge's round one, for the listed
 // shards of a corpus (a shard server's for any shard count, the local merge's
-// from two shards up): element k of the answer is shards[k]'s Partial, and of
-// lists shards[k]'s posting lists of the query's terms (a whole-document
-// result of round two reads them). Every listed shard evaluates with its root
-// filtered out of the LCA set, stopping early once the result bound is
-// provably filled (search.Engine.Evaluate), and digests what it found; a
-// shard missing a query keyword stops after its posting-list lookups. The
-// evaluations are scheduled through run, each behind a Checkpoint, and every
-// shard's engine, built for this query, reads the one parse q.
-func (sc *Corpus) EvalShards(ctx context.Context, q search.Query, opts search.Options, shards []int, run Runner) (parts []Partial[*search.Result], lists [][]*index.PostingList, err error) {
+// from two shards up): element k of parts is shards[k]'s Partial, whose
+// Results are its hits, each carrying its shard, and round is what builds
+// any of them (Round.Build). Every listed shard evaluates with its root
+// filtered out of the LCA set (by its position, 0), stopping early once the
+// result bound is provably filled (search.Engine.Evaluate), and digests what
+// it found; a shard missing a query keyword stops after its posting-list
+// lookups. Nothing is built: the merge's cut (MergeResults, a shard server's
+// trim) decides which hits become results. The evaluations are scheduled
+// through run, each behind a Checkpoint, and every shard's engine, built for
+// this query, reads the one parse q.
+func (sc *Corpus) EvalShards(ctx context.Context, q search.Query, opts search.Options, shards []int, run Runner) (parts []Partial[search.Hit], round *Round, err error) {
 	if len(q.Terms) == 0 {
 		return nil, nil, search.ErrEmptyQuery
 	}
-	parts, lists = make([]Partial[*search.Result], len(shards)), make([][]*index.PostingList, len(shards))
+	round = &Round{sc: sc, q: q, opts: opts, shards: make([]evaluated, len(sc.shards))}
+	parts = make([]Partial[search.Hit], len(shards))
 	errs := make([]error, len(shards))
 	tasks := make([]func(), len(shards))
 	for k, i := range shards {
-		eng, root := sc.shards[i].Engine(opts), sc.shards[i].Doc.Root
-		tasks[k] = func() { parts[k], lists[k], errs[k] = evalShard(ctx, eng, root, q) }
+		e := &round.shards[i]
+		e.eng = sc.shards[i].Engine(opts)
+		tasks[k] = func() { parts[k], e.ev, errs[k] = evalShard(ctx, e.eng, int32(i), q) }
 	}
 	if err := Run(run, tasks); err != nil {
 		return nil, nil, err
@@ -257,23 +321,25 @@ func (sc *Corpus) EvalShards(ctx context.Context, q search.Query, opts search.Op
 			return nil, nil, err
 		}
 	}
-	return parts, lists, nil
+	return parts, round, nil
 }
 
-// evalShard is one shard's round one, behind a Checkpoint: its Partial and
-// its posting lists of the query's terms.
-func evalShard(ctx context.Context, eng *search.Engine, root *xmltree.Node, q search.Query) (Partial[*search.Result], []*index.PostingList, error) {
+// evalShard is shard i's round one, behind a Checkpoint: its Partial, its
+// hits stamped with i, and its evaluation. The local LCA set minus the shard
+// root is — under contiguous partitioning — exactly this shard's slice of the
+// global non-root LCA set.
+func evalShard(ctx context.Context, eng *search.Engine, i int32, q search.Query) (Partial[search.Hit], *search.Evaluation, error) {
 	if err := Checkpoint(ctx); err != nil {
-		return Partial[*search.Result]{}, nil, err
+		return Partial[search.Hit]{}, nil, err
 	}
-	// The local LCA set minus the shard root is — under contiguous
-	// partitioning — exactly this shard's slice of the global non-root LCA
-	// set.
-	ev, results, err := eng.Evaluate(q, func(n *xmltree.Node) bool { return n != root })
+	ev, hits, err := eng.Evaluate(q, func(lca int32) bool { return lca != 0 }) // the root is at 0
 	if err != nil {
-		return Partial[*search.Result]{}, nil, err
+		return Partial[search.Hit]{}, nil, err
 	}
-	rootAnchored := slices.ContainsFunc(results,
-		func(r *search.Result) bool { return r.Anchor == root })
-	return Partial[*search.Result]{Digest: NewDigest(ev, rootAnchored), Results: results}, ev.Lists, nil
+	rootAnchored := false
+	for j := range hits {
+		hits[j].Shard = i
+		rootAnchored = rootAnchored || hits[j].Anchor == 0
+	}
+	return Partial[search.Hit]{Digest: NewDigest(ev, rootAnchored), Results: hits}, ev, nil
 }

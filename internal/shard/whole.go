@@ -24,71 +24,75 @@ func (sc *Corpus) Whole() *index.Whole {
 	return sc.whole
 }
 
-// placed is one result of round two with its anchor's and LCA's global
-// positions; r is nil for a result anchored at the root, built last.
-type placed struct {
-	r           *search.Result
-	anchor, lca int32
-}
-
 // roundTwo is Merge's second round for an in-process query: the answer an
-// engine over the whole document gives, computed from round one's partials
-// (parts, untrimmed, one per shard; lists, their posting lists of q's terms)
+// engine over the whole document gives, as hits (Round.Build builds them),
+// computed from round one's partials (parts, untrimmed, one per shard)
 // without evaluating or copying the whole document. The whole document's
 // LCAs are the root when it qualifies (rootLCA), then every shard's non-root
 // LCAs in shard order; an LCA with no entity above it inside its shard is
 // anchored at the shard root, which is the document root. So the whole
-// engine's results are the shards' own, except that every result anchored at
-// a shard root folds into one anchored at the root — one per LCA without
-// DistinctAnchors. The cut is the whole engine's (search.Engine.Results): the
-// first MaxResults distinct anchors in LCA order — each shard's results carry
-// the first LCA of their anchor, so sorting them by LCA restores that order,
-// and a shard's first MaxResults always suffice — then in anchor order, one
-// anchor's results in LCA order.
-func (sc *Corpus) roundTwo(q search.Query, opts search.Options, parts []Partial[*search.Result], lists [][]*index.PostingList, rootLCA bool) []*search.Result {
+// engine's results are the shards' own, except that every hit anchored at a
+// shard root folds into one wholeHit anchored at the root — one per LCA
+// without DistinctAnchors. The cut is the whole engine's
+// (search.Engine.Evaluate): the first MaxResults distinct anchors in LCA
+// order — each shard's hits carry the first LCA of their anchor, so sorting
+// them by LCA restores that order, and a shard's first MaxResults always
+// suffice — then in anchor order, one anchor's results in LCA order. The
+// hits are sorted, cut and returned in one slice.
+func (sc *Corpus) roundTwo(opts search.Options, parts []Partial[search.Hit], rootLCA bool) []search.Hit {
 	w := sc.Whole()
-	var seq []placed
+	// global returns a hit's anchor's and LCA's global positions.
+	global := func(h search.Hit) (anchor, lca int32) {
+		if h.Shard == wholeHit {
+			return 0, h.LCA
+		}
+		return w.Global(int(h.Shard), h.Anchor), w.Global(int(h.Shard), h.LCA)
+	}
+	byLCA := func(a, b search.Hit) int {
+		_, la := global(a)
+		_, lb := global(b)
+		return cmp.Compare(la, lb)
+	}
+	n := 1
+	for _, p := range parts {
+		n += len(p.Results)
+	}
+	seq := make([]search.Hit, 0, n)
 	if rootLCA {
-		seq = append(seq, placed{})
+		seq = append(seq, search.Hit{Shard: wholeHit})
 	}
 	for i, p := range parts {
-		root, start := sc.shards[i].Doc.Root, len(seq)
-		for _, r := range p.Results {
-			at := placed{r: r, lca: w.Global(i, int32(r.LCA.Ord))}
-			if r.Anchor == root {
-				at.r = nil
-			} else {
-				at.anchor = w.Global(i, int32(r.Anchor.Ord))
+		start := len(seq)
+		for _, h := range p.Results {
+			if h.Anchor == 0 {
+				h = search.Hit{Shard: wholeHit, LCA: w.Global(i, h.LCA)}
 			}
-			seq = append(seq, at)
+			seq = append(seq, h)
 		}
-		slices.SortFunc(seq[start:], func(a, b placed) int { return cmp.Compare(a.lca, b.lca) })
+		slices.SortFunc(seq[start:], byLCA)
 	}
-	kept := make([]placed, 0, len(seq))
-	rootTaken := false
-	for _, at := range seq {
-		if at.r == nil && opts.DistinctAnchors {
+	kept, rootTaken := seq[:0], false
+	for _, h := range seq {
+		if h.Shard == wholeHit && opts.DistinctAnchors {
 			if rootTaken {
 				continue
 			}
 			rootTaken = true
 		}
-		kept = append(kept, at)
+		kept = append(kept, h)
 		if opts.MaxResults > 0 && len(kept) >= opts.MaxResults {
 			break
 		}
 	}
-	slices.SortFunc(kept, func(a, b placed) int { return cmp.Or(cmp.Compare(a.anchor, b.anchor), cmp.Compare(a.lca, b.lca)) })
 	if len(kept) == 0 {
 		return nil
 	}
-	out := make([]*search.Result, len(kept))
-	for i, at := range kept {
-		if out[i] = at.r; at.r == nil {
-			out[i] = sc.WholeResult(q, opts, at.lca, lists)
-		}
-	}
-	return out
+	slices.SortFunc(kept, func(a, b search.Hit) int {
+		aa, la := global(a)
+		ab, lb := global(b)
+		return cmp.Or(cmp.Compare(aa, ab), cmp.Compare(la, lb))
+	})
+	return kept
 }
 
 // WholeResult returns q's result anchored at the document root whose LCA is

@@ -2,10 +2,12 @@ package extract
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -83,12 +85,13 @@ func TestColdQueryAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's own allocations make counts inexact")
 	}
-	// At 4 shards each shard builds up to hits results before the merge cut
-	// (at most 8 here: a shard holds 8 stores), so the slope carries four
-	// built results a hit besides the hit's snippet. The base is the measured
-	// count of a ranked query of 1 hit (84 objects) less the slope: the query
+	// At 4 shards round one yields hits, and only the merge's winners are
+	// built, each shard's from one slab: the slope is a hit's served snippet
+	// and its share of the slabs, under three objects, however many results
+	// the cut drops (TestDroppedResultsAreNotBuilt). The base is the measured
+	// count of a ranked query of 1 hit (72 objects) less the slope: the query
 	// is parsed once, by the serving layer.
-	const coldAllocBase, coldAllocPerHit = 61, 23
+	const coldAllocBase, coldAllocPerHit = 69, 3
 	const q, bound = "store", 6
 	ctx := context.Background()
 	counts := make(map[string]float64)
@@ -140,6 +143,64 @@ func TestColdQueryAllocations(t *testing.T) {
 	}
 	if nodes[1] < 10*nodes[0] {
 		t.Fatalf("results of %d and %d nodes: not tenfold apart", nodes[0], nodes[1])
+	}
+}
+
+// TestDroppedResultsAreNotBuilt: a result the merge's cut drops is never
+// built. Four shards each hold one region of the document below; the first
+// region alone holds more results than the bound, so the answer is its
+// first results whatever the other regions hold. The other three regions hold
+// one result each in one corpus and ten each in the other (the rest of their
+// shops match nothing, so the shards stay the same size), and a bounded query
+// allocates the same number of objects on both: the other shards' hits are
+// positions, one slice a shard, and none of them becomes a Result.
+func TestDroppedResultsAreNotBuilt(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's own allocations make counts inexact")
+	}
+	const shops, bound = 12, 10
+	region := func(matching int) string {
+		var b strings.Builder
+		b.WriteString("<region>")
+		for i := range shops {
+			tag := "none"
+			if i < matching {
+				tag = "item"
+			}
+			fmt.Fprintf(&b, "<shop><name>s%02d</name><tag>%s</tag></shop>", i, tag)
+		}
+		b.WriteString("</region>")
+		return b.String()
+	}
+	ctx := context.Background()
+	var counts []float64
+	for _, others := range []int{1, 10} {
+		xml := "<regions>" + region(shops) + strings.Repeat(region(others), 3) + "</regions>"
+		c, err := LoadString(xml, WithShards(4), WithQueryCache(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		query := func() {
+			hits, err := c.QueryContext(ctx, "item", 6, WithMaxResults(bound))
+			if err != nil || len(hits) != bound {
+				t.Fatalf("%d hits, %v; want %d", len(hits), err, bound)
+			}
+			for i, h := range hits {
+				if key := h.Snippet.XML(); !strings.Contains(key, fmt.Sprintf("s%02d", i)) {
+					t.Fatalf("hit %d is not the first region's shop %d: %s", i, i, key)
+				}
+			}
+		}
+		for range 20 { // the pooled scratch grows to the results
+			query()
+		}
+		got := testing.AllocsPerRun(100, query)
+		t.Logf("%d results in each other region: %v objects", others, got)
+		counts = append(counts, got)
+		c.Close()
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("a bounded query allocates %v objects when the shards past the cut hold 1 result each, %v when they hold 10", counts[0], counts[1])
 	}
 }
 

@@ -3,6 +3,7 @@ package extract
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -319,5 +320,55 @@ func TestColdRootInvolvingQueryAllocations(t *testing.T) {
 	}
 	if nodes[1] < 10*nodes[0] {
 		t.Fatalf("corpora of %d and %d nodes: not tenfold apart", nodes[0], nodes[1])
+	}
+}
+
+// TestRootInvolvingQueryBytes: the bytes one cold root-involving query
+// allocates, snippet included, do not grow with the corpus. Its
+// whole-document result's interval is the whole corpus, and its snippet's
+// tree membership used to be an array over that interval — four bytes a
+// corpus node, allocated anew whenever a collection had emptied the pool
+// of selections. Each query here is measured right after two collections
+// (which empty every pool), on two corpora more than tenfold apart, and the
+// larger may not allocate twice the smaller's bytes.
+func TestRootInvolvingQueryBytes(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's own allocations make counts inexact")
+	}
+	ctx := context.Background()
+	var nodes, bytes [2]int
+	for ci, clothes := range []int{3, 60} {
+		doc := gen.Stores(gen.StoresConfig{Retailers: 4, StoresPerRetailer: 8, ClothesPerStore: clothes, Seed: 5})
+		nodes[ci] = doc.Len()
+		c, err := LoadString(xmltree.XMLString(doc.Root), WithShards(4), WithQueryCache(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		query := func() {
+			hits, err := c.QueryContext(ctx, doc.Root.Label, 6)
+			if err != nil || len(hits) != 1 || hits[0].Snippet.XML() == "" {
+				t.Fatalf("%q: %d hits, %v; want the whole document's", doc.Root.Label, len(hits), err)
+			}
+		}
+		query() // the whole document's statistics are folded once
+		for trial := range 3 {
+			runtime.GC()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			query()
+			runtime.ReadMemStats(&after)
+			if b := int(after.TotalAlloc - before.TotalAlloc); trial == 0 || b < bytes[ci] {
+				bytes[ci] = b
+			}
+		}
+		t.Logf("%d-node corpus: %d bytes", nodes[ci], bytes[ci])
+		c.Close()
+	}
+	if nodes[1] < 10*nodes[0] {
+		t.Fatalf("corpora of %d and %d nodes: not tenfold apart", nodes[0], nodes[1])
+	}
+	if bytes[1] >= 2*bytes[0] {
+		t.Errorf("a cold root-involving query allocates %d bytes on %d nodes, %d on %d", bytes[1], nodes[1], bytes[0], nodes[0])
 	}
 }

@@ -109,10 +109,15 @@ func AdoptFinalized(nodes []*Node) *Document {
 // sequence, capacity-clipped. No node is copied or touched, so the cost is
 // one small header whatever the subtree's size; the view keeps d's nodes
 // reachable for as long as it lives. n must be a node of d.
-func (d *Document) Subtree(n *Node) *Document {
+func (d *Document) Subtree(n *Node) *Document { return d.SubtreeInto(new(Document), n) }
+
+// SubtreeInto is Subtree writing the view into v, a zero Document the caller
+// allocated — one of a slab, say — and returning v.
+func (d *Document) SubtreeInto(v *Document, n *Node) *Document {
 	lo := n.Ord - d.nodes[0].Ord
 	hi := lo + int(n.End-n.Start) + 1
-	return &Document{Root: n, nodes: d.nodes[lo:hi:hi], view: true}
+	v.Root, v.nodes, v.view = n, d.nodes[lo:hi:hi], true
+	return v
 }
 
 // IsView reports whether d is a Subtree view sharing another document's

@@ -167,20 +167,21 @@ func (g *Generator) put(w *worker) {
 // snippet a backend hands over. A served snippet is those three and where its
 // artifacts come from, nothing else: Snippet and IList are nil, and Derived
 // makes them the first time a reader asks — a local corpus's (ServeResult)
-// by deriving them again from the result it was made of, a router's (Served)
-// by decoding the record it received. A snippet of ForTree or ForResult has
-// its artifacts set, and is its own Derived. Read the artifacts through
-// Derived. No snippet keeps the feature statistics it was derived from: they
-// live in a worker's scratch, reused for the next result.
+// by deriving them again from the result it was made of, a router's
+// (ServedSnippets.Serve) by decoding the record it received. A snippet of
+// ForTree or ForResult has its artifacts set, and is its own Derived. Read
+// the artifacts through Derived. No snippet keeps the feature statistics it
+// was derived from: they live in a worker's scratch, reused for the next
+// result.
 type Generated struct {
 	Snippet  *selector.Snippet
 	IList    *ilist.IList
 	Keywords []string
 	Bound    int
 	// XML is the snippet tree serialized (xmltree.XMLString): rendered by
-	// ServeResult, and by a shard server into the record Served reads it
-	// from, on every served snippet, and filled by whoever hands one of
-	// ForTree or ForResult to a reader.
+	// ServeResult, and by a shard server into the record a router's
+	// ServedSnippets.Serve reads it from, on every served snippet, and filled
+	// by whoever hands one of ForTree or ForResult to a reader.
 	XML string
 	// Edges is the snippet's size in edges (Snippet.Edges), and ResultKey
 	// the key value identifying its result, "" if none (IList.KeyValue).
@@ -211,32 +212,36 @@ type served struct {
 	src source
 }
 
-// Served returns the served snippet of a snippet record (internal/record)
-// that a router received from a shard server (AppendRecord), in the payload
-// it arrived in: its XML, edge count and result key are read out of the
-// record's head (record.Reader.Head), nothing rendered and nothing allocated
-// but the snippet, and the record is kept, from which Derived decodes the
-// snippet tree and the IList when a reader asks. enc must be a record a scan
-// has validated, and stay as it is for as long as the snippet lives; kws and
-// bound are the request's.
-func Served(enc string, kws []string, bound int) *Generated {
+// ServedSnippets are the served snippets of one routed answer, cut from one
+// slab (NewServedSnippets): slot i is filled by Serve.
+type ServedSnippets []served
+
+// NewServedSnippets returns n unfilled slots, one allocation for them all.
+func NewServedSnippets(n int) ServedSnippets { return make(ServedSnippets, n) }
+
+// Serve fills slot i with the served snippet of a snippet record
+// (internal/record) that a router received from a shard server
+// (AppendRecord), in the payload it arrived in, and returns it: its XML, edge
+// count and result key are read out of the record's head
+// (record.Reader.Head), nothing rendered and nothing allocated, and the
+// record is kept, from which Derived decodes the snippet tree and the IList
+// when a reader asks. enc must be a record a scan has validated, and stay as
+// it is for as long as the snippet lives; kws and bound are the request's.
+func (s ServedSnippets) Serve(i int, enc string, kws []string, bound int) *Generated {
 	v := rec.Reader{Text: enc}
 	xml, edges, key := v.Head()
-	return Deferred(enc, rec.Snippet, xml, edges, key, kws, bound)
+	return s[i].set(enc, rec.Snippet, xml, edges, key, kws, bound)
 }
 
-// Deferred returns a snippet whose artifacts stay encoded in enc until a
-// reader asks for them (Derived): decode turns enc into the snippet tree, with
-// its covered and skipped items, and the IList. It must not fail — the
-// caller has validated enc — and enc must stay as it is for as long as the
-// snippet lives. xml, edges and key are what a result page reads (XML, Edges,
-// ResultKey), kws and bound the request's. The snippet and its source are one
-// allocation.
-func Deferred(enc string, decode func(string) (*selector.Snippet, *ilist.IList), xml string, edges int, key string, kws []string, bound int) *Generated {
-	d := &served{
-		g:   Generated{XML: xml, Edges: edges, ResultKey: key, Keywords: kws, Bound: bound},
-		src: source{enc: enc, decode: decode},
-	}
+// set makes d a snippet whose artifacts stay encoded in enc until a reader
+// asks for them (Derived): decode turns enc into the snippet tree, with its
+// covered and skipped items, and the IList. It must not fail — the caller
+// has validated enc — and enc must stay as it is for as long as the snippet
+// lives. xml, edges and key are what a result page reads (XML, Edges,
+// ResultKey), kws and bound the request's.
+func (d *served) set(enc string, decode func(string) (*selector.Snippet, *ilist.IList), xml string, edges int, key string, kws []string, bound int) *Generated {
+	d.g = Generated{XML: xml, Edges: edges, ResultKey: key, Keywords: kws, Bound: bound}
+	d.src.enc, d.src.decode = enc, decode
 	d.g.src = &d.src
 	return &d.g
 }

@@ -123,7 +123,7 @@ func TestDerivedDecodesOnce(t *testing.T) {
 		decodes.Add(1)
 		return &selector.Snippet{Root: xmltree.Elem(enc), Edges: 0}, &ilist.IList{KeyValue: "k"}
 	}
-	g := Deferred("store", decode, "<store/>", 0, "k", []string{"store"}, 4)
+	g := NewServedSnippets(1)[0].set("store", decode, "<store/>", 0, "k", []string{"store"}, 4)
 	if pending, n := g.Encoded(); !pending || n != len("store") {
 		t.Fatalf("Encoded() = %v, %d before any read", pending, n)
 	}

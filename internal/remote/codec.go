@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"context"
 	"encoding/binary"
 	"math"
 	"unsafe"
@@ -530,8 +529,9 @@ type handle struct {
 // validated, not yet taken. Decoding is split in two because the merge keeps
 // a fraction of what the shards ship (shard.MergeTake decides from the counts
 // alone): the scan applies every check to every shipped result and allocates
-// nothing, and only the results that win are taken (take) — which cannot
-// fail.
+// nothing, and only the results that win are taken (answerTrees.take) — which
+// cannot fail. It is copied for every shipped result (results) and again for
+// every winner (shard.MergeResults), so it is kept to 48 bytes.
 //
 // The ranges alias the payload they were scanned from, which outlives the
 // exchange: the connection is back in its pool — possibly reading its next
@@ -540,9 +540,9 @@ type handle struct {
 // it (readFrame); the collector frees it with the query.
 type scanned struct {
 	at     handle
-	nodes  int    // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
-	depths []byte // one uvarint per query term: its least match depth + 1, 0 = no match
-	rec    []byte // its snippet record (scanSnippet), when its response carried one
+	nodes  int32  // tree nodes, 1 ≤ nodes ≤ maxTreeNodes
+	depths string // one uvarint per query term: its least match depth + 1, 0 = no match
+	rec    string // its snippet record (scanSnippet), when its response carried one; "" when not
 }
 
 // lcaPos is s's LCA position in the shard that shipped it, the merge's cut
@@ -556,23 +556,45 @@ const minResultBytes = 3
 
 // appendShipped encodes one result as an eval or full response ships it: its
 // node count and its handle's positions (anchor, then LCA), and the least
-// depth below the anchor of each query term's matches, in the order of terms
-// (the one number rank.Scorer reads; search.Result.MatchDepth, which a
-// deferred result answers from). Its tree is not shipped but asked for by
-// handle (msgTrees); its snippet, when the response carries it, follows the
-// result list (appendRecords).
-func appendShipped(b []byte, r *search.Result, anchor, lca int32, terms []string) []byte {
-	b = binary.AppendUvarint(b, uint64(r.Size()+1))
+// depth below the anchor of each query term's matches + 1 (0: none), in the
+// order of terms (the one number rank.Scorer reads; search.Result.MatchDepth,
+// which a deferred result answers from) — ship, as appendShip or appendShipOf
+// made it, is the node count and then the depths. Its tree is not shipped but
+// asked for by handle (msgTrees); its snippet, when the response carries it,
+// follows the result list (appendRecords).
+func appendShipped(b []byte, anchor, lca int32, ship []int32) []byte {
+	b = binary.AppendUvarint(b, uint64(ship[0]))
 	b = binary.AppendUvarint(b, uint64(anchor))
 	b = binary.AppendUvarint(b, uint64(lca))
+	for _, d := range ship[1:] {
+		b = binary.AppendUvarint(b, uint64(d))
+	}
+	return b
+}
+
+// appendShip appends to ship what appendShipped encodes of a result besides
+// its handle: its node count nodes and its match depths (depths, -1 for a
+// term with no match), as shard.Round.Shipped tells them of a hit.
+func appendShip(ship []int32, nodes int, depths []int) []int32 {
+	ship = append(ship, int32(nodes))
+	for _, d := range depths {
+		ship = append(ship, int32(d+1))
+	}
+	return ship
+}
+
+// appendShipOf is appendShip for a built result r of a query of term keys
+// terms: its size and MatchDepth.
+func appendShipOf(ship []int32, r *search.Result, terms []string) []int32 {
+	ship = append(ship, int32(r.Size()+1))
 	for _, kw := range terms {
 		d, ok := r.MatchDepth(kw)
 		if !ok {
 			d = -1
 		}
-		b = binary.AppendUvarint(b, uint64(d+1))
+		ship = append(ship, int32(d+1))
 	}
-	return b
+	return ship
 }
 
 // shipped scans one result shipped by shard (wholeShard: a whole handle) for
@@ -597,37 +619,17 @@ func (c *cursor) shipped(shard int32, terms int) scanned {
 	if c.Err() != nil {
 		return scanned{}
 	}
-	return scanned{at: handle{shard: shard, anchor: int32(anchor), lca: int32(lca)}, nodes: nodes, depths: c.Data[start:c.Off:c.Off]}
-}
-
-// take turns the winning range at position i of an answer into the deferred
-// result the router answers with: its size, its match depths — keyed by the
-// answer's own term keys, so nothing of the frame is kept — and its handle,
-// recorded in the answer's trees, which fetch its tree the first time
-// something reads it.
-func (s scanned) take(at *answerTrees, i int) *search.Result {
-	var depths []search.KeywordDepth
-	dep := record.Reader{Text: unsafeString(s.depths)}
-	for _, kw := range at.q.Keys {
-		if d := dep.Uvarint(); d > 0 {
-			depths = append(depths, search.KeywordDepth{Keyword: kw, Depth: d - 1})
-		}
-	}
-	at.handles[i] = s.at
-	// What it retains beyond the header the serving layer prices every
-	// result at (serve.Cached's cost, whose per-result charge is over twice
-	// what the search.Result, its pending state, the build closure and its
-	// share of the answer's trees take): its depths.
-	retained := cap(depths) * int(unsafe.Sizeof(search.KeywordDepth{}))
-	return search.Defer(s.nodes, retained, depths, func(ctx context.Context) (*search.Result, error) { return at.tree(ctx, i) })
+	return scanned{at: handle{shard: shard, anchor: int32(anchor), lca: int32(lca)}, nodes: int32(nodes), depths: unsafeString(c.Data[start:c.Off])}
 }
 
 // appendResults encodes one shard's shipped result list, an eval response's
-// per shard: each result at its own positions in the shard.
-func appendResults(b []byte, rs []*search.Result, terms []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(rs)))
-	for _, r := range rs {
-		b = appendShipped(b, r, int32(r.Anchor.Ord), int32(r.LCA.Ord), terms)
+// per shard, for a query of terms terms: each hit at its own positions in the
+// shard, with what the server computed of it (shardAnswer.shipped).
+func appendResults(b []byte, s shardAnswer, terms int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s.hits)))
+	stride := 1 + terms
+	for j, h := range s.hits {
+		b = appendShipped(b, h.Anchor, h.LCA, s.shipped[j*stride:(j+1)*stride])
 	}
 	return b
 }
@@ -679,7 +681,7 @@ func (c *cursor) recordsOf(rs []scanned) {
 		if c.Err() != nil {
 			return
 		}
-		rs[i].rec = c.scanSnippet()
+		rs[i].rec = unsafeString(c.scanSnippet())
 	}
 }
 
@@ -734,22 +736,26 @@ func (c *cursor) scanSnippet() []byte {
 // --- eval response ---
 
 // shardAnswer is one shard's share of an evaluation on the shard server:
-// its digest evidence, the local results it ships and, for a shard of the
-// request's leading run when the request has a snippet bound and no shard of
-// the request is root-anchored, their snippet records (none otherwise).
+// its digest evidence, the hits it ships and what it ships of each, and, for
+// a shard of the request's leading run when the request has a snippet bound
+// and no shard of the request is root-anchored, their snippet records (none
+// otherwise).
 type shardAnswer struct {
 	shard   uint32
 	digest  shard.Digest
-	results []*search.Result
+	hits    []search.Hit
+	shipped []int32 // per hit, what appendShipped encodes besides its handle: 1 + len(terms) values
 	records *shard.RecordSet
 }
 
 // evalAnswer is what a shard server computed for one eval request, before
-// encoding: terms are the query's term keys (search.Query.Keys), which a shipped
-// result's match depths follow, and records the snippet records of every
+// encoding: terms are the query's term keys (search.Query.Keys), which a
+// shipped result's match depths follow, round the evaluation that found the
+// hits (which builds any of them), and records the snippet records of every
 // shard of the leading run, each shard's a Slice of them.
 type evalAnswer struct {
 	terms   []string
+	round   *shard.Round
 	shards  []shardAnswer
 	records *shard.RecordSet
 }
@@ -763,7 +769,7 @@ func appendEvalResp(b []byte, a evalAnswer) []byte {
 	for _, s := range a.shards {
 		b = binary.AppendUvarint(b, uint64(s.shard))
 		b = appendDigest(b, s.digest)
-		b = appendResults(b, s.results, a.terms)
+		b = appendResults(b, s, len(a.terms))
 		b = appendRecords(b, s.records)
 	}
 	return b
@@ -853,10 +859,12 @@ type fullAnswer struct {
 // an eval response ships it, at its handle's positions — and its records.
 func appendFullResp(b []byte, a fullAnswer) []byte {
 	b = binary.AppendUvarint(b, uint64(len(a.results)))
+	var ship []int32
 	for i, r := range a.results {
 		h := a.handles[i]
 		b = binary.AppendUvarint(b, uint64(h.shard+1))
-		b = appendShipped(b, r, h.anchor, h.lca, a.terms)
+		ship = appendShipOf(ship[:0], r, a.terms)
+		b = appendShipped(b, h.anchor, h.lca, ship)
 	}
 	return appendRecords(b, a.records)
 }

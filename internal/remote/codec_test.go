@@ -236,12 +236,7 @@ func codecAnswers(tb testing.TB) []codecAnswer {
 				if err != nil {
 					continue // the matrix includes the empty query
 				}
-				var handles []handle
-				for _, s := range a.shards {
-					for _, r := range s.results {
-						handles = append(handles, handle{shard: int32(s.shard), anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)})
-					}
-				}
+				_, handles := shippedOf(a)
 				results += len(handles)
 				out = append(out, codecAnswer{evalAnswer: a, full: full})
 				if len(handles) > 0 {
@@ -261,9 +256,9 @@ func codecAnswers(tb testing.TB) []codecAnswer {
 					if !slices.Equal(carried, recs) {
 						tb.Fatalf("%q: the eval round carried %d records, not the %d the snippets handler makes", q, len(carried), len(recs))
 					}
-					gs := make([]*core.Generated, len(recs))
+					gs, slab := make([]*core.Generated, len(recs)), core.NewServedSnippets(len(recs))
 					for i, rec := range recs {
-						gs[i] = core.Served(rec, index.Tokenize(q), 6)
+						gs[i] = slab.Serve(i, rec, index.Tokenize(q), 6)
 					}
 					out = append(out, codecAnswer{evalAnswer: a, full: full, snippets: gs})
 				}
@@ -274,6 +269,19 @@ func codecAnswers(tb testing.TB) []codecAnswer {
 		tb.Fatalf("codec fixture carries only %d results", results)
 	}
 	return out
+}
+
+// shippedOf returns the results of the hits an eval answer ships, in
+// shipping order, built on the answer's round, and their handles: what the
+// server's trees and snippets handlers rebuild by handle.
+func shippedOf(a evalAnswer) (rs []*search.Result, handles []handle) {
+	for _, s := range a.shards {
+		rs = a.round.Build(rs, s.hits)
+		for _, h := range s.hits {
+			handles = append(handles, handle{shard: int32(s.shard), anchor: h.Anchor, lca: h.LCA})
+		}
+	}
+	return rs, handles
 }
 
 // syntheticResults are the shapes no generated corpus reliably produces.
@@ -442,15 +450,14 @@ func TestScanBuildEqualsReference(t *testing.T) {
 	}
 	views, projections := 0, 0
 	for _, a := range codecAnswers(t) {
-		for _, s := range a.shards {
-			for i, r := range s.results {
-				if r.IsView() {
-					views++
-				} else {
-					projections++
-				}
-				check(fmt.Sprintf("shard %d result %d", s.shard, i), r)
+		rs, handles := shippedOf(a.evalAnswer)
+		for i, r := range rs {
+			if r.IsView() {
+				views++
+			} else {
+				projections++
 			}
+			check(fmt.Sprintf("shard %d result %d", handles[i].shard, i), r)
 		}
 	}
 	if views == 0 || projections == 0 {
@@ -520,7 +527,8 @@ func TestScanAllocatesNothingPerResult(t *testing.T) {
 		for s := uint32(0); s < 3; s++ {
 			sa := shardAnswer{shard: s, digest: shard.Digest{Matched: []bool{true}, HasNonRootLCAs: true}}
 			for i := 0; i < perShard; i++ {
-				sa.results = append(sa.results, r)
+				sa.hits = append(sa.hits, search.Hit{})
+				sa.shipped = appendShipOf(sa.shipped, r, a.terms)
 			}
 			a.shards = append(a.shards, sa)
 		}
@@ -552,6 +560,19 @@ func TestScanAllocatesNothingPerResult(t *testing.T) {
 	}
 	if one, many := trees(1), trees(300); one != many {
 		t.Fatalf("trees scan allocations grow with trees: %v for 1, %v for 300", one, many)
+	}
+}
+
+// TestScannedStaysSmall: a scanned range is copied for every shipped result
+// (cursor.results) and again for every winner (shard.MergeResults), so on a
+// 64-bit platform it stays at 48 bytes — its handle, an int32 node count,
+// and its depths and record as strings over the payload.
+func TestScannedStaysSmall(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(scanned{}); n != 48 {
+		t.Fatalf("a scanned range is %d bytes, want 48", n)
 	}
 }
 
@@ -728,19 +749,19 @@ func TestScanRejectsMalformedResults(t *testing.T) {
 			t.Errorf("%s: err = %v, want a *ProtocolError", tc.name, err)
 		}
 	}
-	if resp, err := decodeEvalResp(evalWith(0, validRec), 1, 1); err != nil || string(resp.shards[0].results[0].rec) != string(validRec) {
+	if resp, err := decodeEvalResp(evalWith(0, validRec), 1, 1); err != nil || resp.shards[0].results[0].rec != string(validRec) {
 		t.Fatalf("a record of the leading run: %v", err)
 	}
-	if resp, err := decodeEvalResp(evalWith(1), 1, 1); err != nil || resp.shards[0].results[0].rec != nil {
+	if resp, err := decodeEvalResp(evalWith(1), 1, 1); err != nil || resp.shards[0].results[0].rec != "" {
 		t.Fatalf("a shard outside the leading run without records: %v", err)
 	}
-	if resp, err := decodeEvalResp(rooted(), 1, 2); err != nil || resp.shards[0].results[0].rec != nil {
+	if resp, err := decodeEvalResp(rooted(), 1, 2); err != nil || resp.shards[0].results[0].rec != "" {
 		t.Fatalf("a leading run beside a root-anchored shard without records: %v", err)
 	}
 	if rs, err := decodeFullResp(cat(uv(1), uv(0), cat(uv(3), uv(0), uv(1), uv(3)), uv(0)), 1, 1, false); err != nil || rs[0].at != (handle{shard: wholeShard, lca: 1}) {
 		t.Fatalf("a whole handle at the root: %v", err)
 	}
-	if rs, err := decodeFullResp(fullWith(validRec), 1, 1, true); err != nil || string(rs[0].rec) != string(validRec) {
+	if rs, err := decodeFullResp(fullWith(validRec), 1, 1, true); err != nil || rs[0].rec != string(validRec) {
 		t.Fatalf("a record of a full answer: %v", err)
 	}
 
@@ -860,14 +881,7 @@ func wireMessages(tb testing.TB, n int) []wireMessage {
 			eval = a
 		}
 	}
-	var results []*search.Result
-	var shipped []handle
-	for _, s := range eval.shards {
-		results = append(results, s.results...)
-		for _, r := range s.results {
-			shipped = append(shipped, handle{shard: int32(s.shard), anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)})
-		}
-	}
+	results, shipped := shippedOf(eval.evalAnswer)
 	snippets := eval.snippets
 	if len(snippets) != len(results) {
 		tb.Fatalf("%d snippets for %d results", len(snippets), len(results))
@@ -980,7 +994,7 @@ func TestSnippetRoundTrip(t *testing.T) {
 		if err := c.Done(); err != nil {
 			t.Fatalf("%s: scan: %v", name, err)
 		}
-		got := core.Served(unsafeString(scanned), g.Keywords, g.Bound)
+		got := core.NewServedSnippets(1).Serve(0, unsafeString(scanned), g.Keywords, g.Bound)
 		if err := sameSnippet(g, got); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

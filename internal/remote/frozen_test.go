@@ -48,12 +48,7 @@ func frozenWire(tb testing.TB) []byte {
 						continue // the matrix includes the empty query
 					}
 					record(name+"/eval", appendEvalResp(nil, a))
-					var handles []handle
-					for _, s := range a.shards {
-						for _, r := range s.results {
-							handles = append(handles, handle{shard: int32(s.shard), anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)})
-						}
-					}
+					_, handles := shippedOf(a)
 					whole, err := srv.fullEval(st, evalReq{opts: opts, query: q, bound: 6})
 					if err != nil {
 						tb.Fatalf("%s: %v", name, err)

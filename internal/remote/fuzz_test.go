@@ -80,7 +80,9 @@ func FuzzFrame(f *testing.F) {
 	// Retired wire v8: an eval request without a snippet bound, and a full
 	// response without its record list.
 	f.Add(frameBytes(8, msgEval, v8EvalReq(evalPayload)))
-	f.Add(frameBytes(8, msgFullResp, appendResults(appendRespHeader(nil, 7), []*search.Result{syntheticResults()["attributes and multi-byte text"]}, []string{"misérables", "✓"})))
+	v8Terms := []string{"misérables", "✓"}
+	f.Add(frameBytes(8, msgFullResp, appendResults(appendRespHeader(nil, 7), shardAnswer{hits: []search.Hit{{}},
+		shipped: appendShipOf(nil, syntheticResults()["attributes and multi-byte text"], v8Terms)}, len(v8Terms))))
 	// Retired wire v9: a full response whose result is a handle into the whole
 	// document, and a snippets response whose record has no head.
 	f.Add(frameBytes(9, msgFullResp, append(appendRespHeader(nil, 7), v9SnippetedFullResp...)))
@@ -238,14 +240,7 @@ func FuzzEvalRespDecode(f *testing.F) {
 	// 100 KB seed eats a ten-second CI budget doing it.
 	const maxSeed = 4096
 	for _, a := range codecAnswers(f) {
-		var rs []*search.Result
-		handles := make([]handle, 0, len(a.snippets))
-		for _, s := range a.shards {
-			for _, r := range s.results {
-				rs = append(rs, r)
-				handles = append(handles, handle{shard: int32(s.shard), anchor: int32(r.Anchor.Ord), lca: int32(r.LCA.Ord)})
-			}
-		}
+		rs, handles := shippedOf(a.evalAnswer)
 		if len(rs) == 0 {
 			continue
 		}
@@ -305,13 +300,13 @@ func FuzzEvalRespDecode(f *testing.F) {
 		// [lo, hi].
 		take := func(lo, hi int32, rs []scanned) {
 			at := &answerTrees{q: search.Query{Keys: keys}, handles: make([]handle, len(rs))}
-			for i, s := range rs {
-				taken := s.take(at, i)
-				if sh := at.handles[i].shard; taken.Size() != s.nodes-1 || at.handles[i] != s.at || sh < lo || sh > hi {
+			for i, taken := range at.take(rs) {
+				s := rs[i]
+				if sh := at.handles[i].shard; taken.Size() != int(s.nodes)-1 || at.handles[i] != s.at || sh < lo || sh > hi {
 					t.Fatalf("taken result: size %d of %d nodes, handle %+v of %+v", taken.Size(), s.nodes, at.handles[i], s.at)
 				}
 				for _, kw := range keys {
-					if d, ok := taken.MatchDepth(kw); ok && d >= s.nodes {
+					if d, ok := taken.MatchDepth(kw); ok && d >= int(s.nodes) {
 						t.Fatalf("match depth %d in a %d-node tree", d, s.nodes)
 					}
 				}
@@ -321,8 +316,8 @@ func FuzzEvalRespDecode(f *testing.F) {
 		// its head — the XML as the server rendered it, which the router
 		// relays and does not render again — and its tree and IList decode,
 		// the edges within the tree.
-		build := func(rec []byte) {
-			served := core.Served(unsafeString(rec), nil, 0)
+		build := func(rec string) {
+			served := core.NewServedSnippets(1).Serve(0, rec, nil, 0)
 			g := served.Derived()
 			if nodes := len(preorderOf(g.Snippet.Root)); g.Snippet.Edges >= nodes {
 				t.Fatalf("snippet of %d nodes built with %d edges", nodes, g.Snippet.Edges)
@@ -337,10 +332,10 @@ func FuzzEvalRespDecode(f *testing.F) {
 		takeAll := func(lo, hi int32, rs []scanned, snippeted bool) {
 			take(lo, hi, rs)
 			for _, s := range rs {
-				if (s.rec != nil) != snippeted {
-					t.Fatalf("a result of a list snippeted=%v scanned with record %v", snippeted, s.rec != nil)
+				if (s.rec != "") != snippeted {
+					t.Fatalf("a result of a list snippeted=%v scanned with record %v", snippeted, s.rec != "")
 				}
-				if s.rec != nil {
+				if s.rec != "" {
 					build(s.rec)
 				}
 			}
@@ -374,7 +369,7 @@ func FuzzEvalRespDecode(f *testing.F) {
 			}
 		} else {
 			for _, rec := range recs {
-				build(rec)
+				build(unsafeString(rec))
 			}
 		}
 		if req, err := decodeTreesReq(data); err != nil {

@@ -10,10 +10,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"extract/internal/core"
 	"extract/internal/ingest"
 	"extract/internal/rank"
+	"extract/internal/record"
 	"extract/internal/search"
 	"extract/internal/shard"
 	"extract/internal/telemetry"
@@ -420,13 +422,14 @@ func (rt *Router) SearchEnginesContext(ctx context.Context, query string, opts s
 // Answer answers a parsed query q from the replica groups by the same
 // protocol as the in-process sharded path — shard.Merge, here over rounds
 // that cross the wire (routedRounds) — so a routed answer is a local one,
-// whatever the shard count. Responses are validated as they arrive — a malformed one fails over
-// inside its hop — and only the results the merge takes become answers:
-// deferred results (take), which carry their size, match depths and handle
-// but no tree. The first read of a tree fetches it (answerTrees). With bound
-// >= 0 the shard servers snippet the results taken, on their index, by the
-// same fan-out a local corpus runs (shard.Records), so the snippets are the
-// local ones too: a winner of a group's leading run of shards
+// whatever the shard count. Responses are validated as they arrive — a
+// malformed one fails over inside its hop — and only the results the merge
+// takes become answers: deferred results (answerTrees.take), which carry their
+// size, match depths and handle but no tree. The first read of a tree fetches
+// it (answerTrees). With bound >= 0 the shard servers snippet the results
+// taken, on their index, by the same fan-out a local corpus runs
+// (shard.Records), so the snippets are the local ones too: a winner of a
+// group's leading run of shards
 // (shard.LeadingRun) arrives with its snippet in the eval round, a
 // whole-document answer's every result with its snippet in the full round,
 // and the snippets of the other winners are asked for by handle once the
@@ -450,19 +453,13 @@ func (rt *Router) Answer(ctx context.Context, q search.Query, opts search.Option
 	}
 	rt.metrics.taken.Add(int64(len(winners)))
 	rt.metrics.dropped.Add(int64(r.shipped - len(winners)))
-	rs := make([]*search.Result, len(winners))
-	handles := make([]handle, len(winners))
-	if len(winners) > 0 {
-		at := &answerTrees{rt: rt, pl: pl, q: q, opts: opts,
-			handles: handles, trees: make([]*search.Result, len(winners))}
-		for i, w := range winners {
-			rs[i] = w.take(at, i)
-		}
-	}
+	at := &answerTrees{rt: rt, pl: pl, q: q, opts: opts,
+		handles: make([]handle, len(winners)), trees: make([]*search.Result, len(winners))}
+	rs := at.take(winners)
 	if bound < 0 {
 		return rs, nil, nil
 	}
-	gs, err := r.snippets(ctx, winners, handles)
+	gs, err := r.snippets(ctx, winners, at.handles)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -533,7 +530,7 @@ func (r *routedRounds) Eval(ctx context.Context) ([]shard.Partial[scanned], erro
 			parts[s.shard] = shard.Partial[scanned]{Digest: s.digest, Results: s.results}
 			r.shipped += len(s.results)
 			for _, x := range s.results {
-				if x.rec != nil {
+				if x.rec != "" {
 					r.records++
 				}
 			}
@@ -571,8 +568,9 @@ func (r *routedRounds) Whole(ctx context.Context, _ []shard.Partial[scanned], _ 
 }
 
 // snippets returns the snippets of the merge's winners at the query's bound,
-// aligned with them. A winner whose response carried its snippet record is
-// kept as it is (core.Served), over the payload it arrived in, which nothing
+// aligned with them, all cut from one slab (core.ServedSnippets). A winner
+// whose response carried its snippet record is kept as it is
+// (core.ServedSnippets.Serve), over the payload it arrived in, which nothing
 // may reuse (readFrame); the others' are fetched by handle: one
 // snippets call per replica group holding any of them — a group whose
 // results the cut dropped, or whose winners all arrived with their records,
@@ -584,24 +582,24 @@ func (r *routedRounds) Whole(ctx context.Context, _ []shard.Partial[scanned], _ 
 // round one's, when round two answered — are discarded. The stage's wall
 // time is the query's snippet stage on its span sink.
 func (r *routedRounds) snippets(ctx context.Context, winners []scanned, handles []handle) ([]*core.Generated, error) {
-	gs := make([]*core.Generated, len(winners))
+	gs, slab := make([]*core.Generated, len(winners)), core.NewServedSnippets(len(winners))
 	start := time.Now()
 	kws := r.q.Keywords
 	var fetch []int
 	carried := 0
 	for i, w := range winners {
-		if w.rec == nil {
+		if w.rec == "" {
 			fetch = append(fetch, i)
 			continue
 		}
 		carried++
-		gs[i] = core.Served(unsafeString(w.rec), kws, r.bound)
+		gs[i] = slab.Serve(i, w.rec, kws, r.bound)
 	}
 	var err error
 	if len(fetch) > 0 {
 		req := treesReq{opts: r.opts, query: r.q.Text, fingerprint: r.pl.fingerprint, bound: r.bound}
 		err = r.rt.byHandle(ctx, r.pl, r.run, msgSnippets, req, handles, fetch, func(body []byte, idx []int) error {
-			return takeSnippets(body, kws, r.bound, gs, idx)
+			return takeSnippets(body, kws, r.bound, slab, gs, idx)
 		})
 	}
 	if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
@@ -620,8 +618,9 @@ func (r *routedRounds) snippets(ctx context.Context, winners []scanned, handles 
 
 // takeSnippets decodes one snippets response, which answers the handles at
 // positions idx in request order, into gs at those positions: every record
-// validated (decodeSnippetsResp), then kept as it is (core.Served).
-func takeSnippets(body []byte, kws []string, bound int, gs []*core.Generated, idx []int) error {
+// validated (decodeSnippetsResp), then kept as it is, in its slot of slab
+// (core.ServedSnippets.Serve).
+func takeSnippets(body []byte, kws []string, bound int, slab core.ServedSnippets, gs []*core.Generated, idx []int) error {
 	recs, err := decodeSnippetsResp(body)
 	if err != nil {
 		return err
@@ -630,7 +629,7 @@ func takeSnippets(body []byte, kws []string, bound int, gs []*core.Generated, id
 		return protocolErrf("snippets response carries %d snippets for %d handles", len(recs), len(idx))
 	}
 	for k, rec := range recs {
-		gs[idx[k]] = core.Served(unsafeString(rec), kws, bound)
+		gs[idx[k]] = slab.Serve(idx[k], unsafeString(rec), kws, bound)
 	}
 	return nil
 }
@@ -713,10 +712,11 @@ func fanOut(run shard.Runner, calls []func() error) error {
 // ErrKindSkew.
 var ErrResultGone = errors.New("remote: result's generation is no longer served")
 
-// answerTrees is where one routed answer's trees come from: its query,
-// options and placement — the generation that answered — and every taken
-// result's handle. The first read of any tree fetches the trees
-// of every result of the answer at once, by the fan-out snippets take too
+// answerTrees is where one routed answer's trees come from — the
+// search.Source of its deferred results: its query, options and placement —
+// the generation that answered — and every taken result's handle. The first
+// read of any tree fetches the trees of every result of the answer at once,
+// by the fan-out snippets take too
 // (byHandle): one trees call per replica group holding some of them (a
 // result anchored at the root to any replica), the calls running concurrently,
 // against the answer's fingerprint, not the router's current placement. A
@@ -734,10 +734,44 @@ type answerTrees struct {
 	flight chan struct{}    // closed when the running fetch ends; nil when none runs
 }
 
-// tree returns result i's tree, fetching the answer's missing trees on the
+// take turns the merge's winners into the deferred results the router
+// answers with (search.Defer), their handles recorded in at: each result's
+// size, and its match depths keyed by the answer's own term keys, so nothing
+// of the frame is kept. The results and their pending state are one slab,
+// and the depths of every winner are one more, of the exact size; nothing is
+// allocated per result. The serving layer prices every result at a header
+// (serve.Cached's cost, whose per-result charge is over twice what a result
+// and its share of the slabs and of the answer's trees take), so what a
+// result retains beyond it is its depths.
+func (at *answerTrees) take(winners []scanned) []*search.Result {
+	n := 0
+	for i, w := range winners {
+		at.handles[i] = w.at
+		dep := record.Reader{Text: w.depths}
+		for range at.q.Keys {
+			if dep.Uvarint() > 0 {
+				n++
+			}
+		}
+	}
+	slab := make([]search.KeywordDepth, 0, n)
+	return search.Defer(at, len(winners), func(i int) (int, int, []search.KeywordDepth) {
+		start := len(slab)
+		dep := record.Reader{Text: winners[i].depths}
+		for _, kw := range at.q.Keys {
+			if d := dep.Uvarint(); d > 0 {
+				slab = append(slab, search.KeywordDepth{Keyword: kw, Depth: d - 1})
+			}
+		}
+		depths := slab[start:len(slab):len(slab)]
+		return int(winners[i].nodes), len(depths) * int(unsafe.Sizeof(search.KeywordDepth{})), depths
+	})
+}
+
+// Tree returns result i's tree, fetching the answer's missing trees on the
 // first read. A reader waits for a fetch already running only as long as
 // its own ctx allows.
-func (at *answerTrees) tree(ctx context.Context, i int) (*search.Result, error) {
+func (at *answerTrees) Tree(ctx context.Context, i int) (*search.Result, error) {
 	for {
 		at.mu.Lock()
 		if tree := at.trees[i]; tree != nil {

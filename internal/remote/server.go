@@ -402,13 +402,14 @@ func reqContext(timeoutMillis uint64) (context.Context, context.CancelFunc) {
 // evaluate answers one eval request — round one of shard.Merge for the
 // shards the request names: their shard.Partials, digested from the
 // untrimmed local hit lists, then trimmed to what the router's merge can
-// still take, and only then built (shard.Round.Build): a hit the trim drops
-// is never a result. With a snippet bound, it snippets the shipped results
-// of the request's leading run (shard.LeadingRun), which the merge keeps
-// unless the query takes round two, on the results it holds: one fan-out
-// (shard.Records), nothing rebuilt — and none when one of its shards is
-// root-anchored, which makes round two certain. The router asks for the
-// other winners' snippets by handle (snippets).
+// still take. A shipped hit is shipped as its positions, its node count and
+// its match depths (shard.Round.Shipped), none of which needs its result
+// built: only a ModeXSeek projection, whose size is its tree's, is. With a
+// snippet bound, it builds and snippets the shipped hits of the request's
+// leading run (shard.LeadingRun), which the merge keeps unless the query
+// takes round two: one fan-out (shard.Records), nothing rebuilt — and none
+// when one of its shards is root-anchored, which makes round two certain.
+// The router asks for the other winners' snippets by handle (snippets).
 func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	ctx, cancel := reqContext(req.timeoutMillis)
 	defer cancel()
@@ -421,38 +422,63 @@ func (s *Server) evaluate(st *serverState, req evalReq) (evalAnswer, error) {
 	if err != nil {
 		return evalAnswer{}, err
 	}
-	trimmed := trimToMerge(parts, req.shards, req.opts.MaxResults)
-	a := evalAnswer{terms: q.Keys, shards: make([]shardAnswer, len(parts))}
+	lead := 0 // the shards whose shipped hits are snippeted
+	if trimToMerge(parts, req.shards, req.opts.MaxResults) && req.bound >= 0 &&
+		!slices.ContainsFunc(parts, func(p shard.Partial[search.Hit]) bool { return p.Digest.RootAnchored }) {
+		lead = shard.LeadingRun(req.shards)
+	}
+	building := lead // the shards whose shipped hits are built: every one for projections
+	if req.opts.Mode == search.ModeXSeek {
+		building = len(parts)
+	}
+	a := evalAnswer{terms: q.Keys, round: round, shards: make([]shardAnswer, len(parts))}
+	var rs []*search.Result
 	if err := shard.Recover(func() {
-		total := 0
-		for _, p := range parts {
-			total += len(p.Results)
-		}
-		rs := make([]*search.Result, 0, total)
+		shipped, nbuilt := 0, 0
 		for i, p := range parts {
-			start := len(rs)
-			rs = round.Build(rs, p.Results)
-			a.shards[i] = shardAnswer{shard: req.shards[i], digest: p.Digest, results: rs[start:]}
+			shipped += len(p.Results)
+			if i < building {
+				nbuilt += len(p.Results)
+			}
+		}
+		stride := 1 + len(q.Keys)
+		ship, depths := make([]int32, 0, stride*shipped), make([]int, len(q.Keys))
+		rs = make([]*search.Result, 0, nbuilt)
+		for i, p := range parts {
+			var built []*search.Result
+			if i < building {
+				at := len(rs)
+				rs = round.Build(rs, p.Results)
+				built = rs[at:]
+			}
+			at := len(ship)
+			for j, h := range p.Results {
+				if built != nil {
+					ship = appendShipOf(ship, built[j], q.Keys)
+				} else {
+					ship = appendShip(ship, round.Shipped(h, depths), depths)
+				}
+			}
+			a.shards[i] = shardAnswer{shard: req.shards[i], digest: p.Digest, hits: p.Results, shipped: ship[at:]}
 		}
 	}); err != nil {
 		return evalAnswer{}, err
 	}
-	if !trimmed || req.bound < 0 ||
-		slices.ContainsFunc(a.shards, func(sa shardAnswer) bool { return sa.digest.RootAnchored }) {
+	if lead == 0 {
 		return a, nil
 	}
-	lead := a.shards[:shard.LeadingRun(req.shards)]
-	var rs []*search.Result
-	for _, sa := range lead {
-		rs = append(rs, sa.results...)
+	leading := a.shards[:lead]
+	n := 0
+	for _, sa := range leading {
+		n += len(sa.hits)
 	}
-	if a.records, err = s.records(ctx, st, rs, q.Keywords, req.bound); err != nil {
+	if a.records, err = s.records(ctx, st, rs[:n], q.Keywords, req.bound); err != nil {
 		return evalAnswer{}, err
 	}
 	at := 0
-	for i := range lead {
-		n := len(lead[i].results)
-		lead[i].records = a.records.Slice(at, at+n)
+	for i := range leading {
+		n := len(leading[i].hits)
+		leading[i].records = a.records.Slice(at, at+n)
 		at += n
 	}
 	return a, nil

@@ -114,7 +114,7 @@ func TestTrimKeepsUntrimmedEvidence(t *testing.T) {
 							t.Fatalf("%s %q shard %d alone: %v", cc.name, q, idx, err)
 						}
 						untrimmed[i] = alone.shards[0]
-						counts[i] = len(untrimmed[i].results)
+						counts[i] = len(untrimmed[i].hits)
 					}
 					shard.MergeTake(counts, maxResults)
 					for i, have := range got.shards {
@@ -123,9 +123,9 @@ func TestTrimKeepsUntrimmedEvidence(t *testing.T) {
 							t.Fatalf("%s %q max %d shard %d: evidence %+v, untrimmed %+v",
 								cc.name, q, maxResults, want.shard, have.digest, want.digest)
 						}
-						if len(have.results) != counts[i] {
+						if len(have.hits) != counts[i] {
 							t.Fatalf("%s %q max %d shard %d ships %d results, the merge takes %d",
-								cc.name, q, maxResults, have.shard, len(have.results), counts[i])
+								cc.name, q, maxResults, have.shard, len(have.hits), counts[i])
 						}
 						hits := parts[i].Results
 						rooted := slices.ContainsFunc(hits, func(h search.Hit) bool { return h.Anchor == 0 })
@@ -133,15 +133,14 @@ func TestTrimKeepsUntrimmedEvidence(t *testing.T) {
 							t.Fatalf("%s %q max %d shard %d: evidence %+v, the untrimmed hits' %+v (root-anchored %v)",
 								cc.name, q, maxResults, have.shard, have.digest, parts[i].Digest, rooted)
 						}
-						kept := shard.AppendEarliest(nil, want.results, counts[i], func(r *search.Result) int32 { return int32(r.LCA.Ord) })
+						kept := shard.AppendEarliest(nil, want.hits, counts[i], shard.HitLCA)
 						keptHits := shard.AppendEarliest(nil, hits, counts[i], shard.HitLCA)
-						for j, r := range have.results {
-							h := keptHits[j]
-							if r.Anchor != kept[j].Anchor || int32(r.Anchor.Ord) != h.Anchor || int32(r.LCA.Ord) != h.LCA {
+						for j, h := range have.hits {
+							if h != kept[j] || h != keptHits[j] {
 								t.Fatalf("%s %q shard %d result %d is not the untrimmed list's cut", cc.name, q, have.shard, j)
 							}
 						}
-						if len(have.results) < len(want.results) {
+						if len(have.hits) < len(want.hits) {
 							trimmedShards++
 							if have.digest.RootAnchored {
 								rootAnchoredTrimmed++
@@ -159,10 +158,14 @@ func TestTrimKeepsUntrimmedEvidence(t *testing.T) {
 }
 
 // TestTrimmedHitsAreNotBuilt: a shard server builds only the results it
-// ships. Its four shards each hold one region of the document below; the
-// first alone holds more results than the bound, so the trim ships none of
-// the other shards' hits, and an eval request over all four allocates the
-// same number of objects whether those shards hold one result each or ten.
+// snippets, and a search-only eval request snippets none: a hit the trim
+// drops is never built, and neither is a hit it ships, which travels as its
+// positions, its node count and its match depths (shard.Round.Shipped). Its
+// four shards each hold one region of the document below. When the first
+// holds more results than the bound, the trim ships none of the other
+// shards' hits; when it holds two, every shard ships some. An eval request
+// over all four allocates the same number of objects whether the other
+// shards hold one result each or ten, and whether one shard ships or four.
 func TestTrimmedHitsAreNotBuilt(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's own allocations make counts inexact")
@@ -182,8 +185,8 @@ func TestTrimmedHitsAreNotBuilt(t *testing.T) {
 		return b.String()
 	}
 	var counts []float64
-	for _, others := range []int{1, 10} {
-		doc, err := xmltree.ParseString("<regions>" + region(shops) + strings.Repeat(region(others), 3) + "</regions>")
+	for _, c := range []struct{ first, others int }{{shops, 1}, {shops, 10}, {2, 3}} {
+		doc, err := xmltree.ParseString("<regions>" + region(c.first) + strings.Repeat(region(c.others), 3) + "</regions>")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,9 +198,12 @@ func TestTrimmedHitsAreNotBuilt(t *testing.T) {
 		if err != nil || len(a.shards) != 4 {
 			t.Fatalf("%d shard answers, %v", len(a.shards), err)
 		}
+		want := []int{c.first, c.others, c.others, c.others}
+		shard.MergeTake(want, bound)
 		for i, sa := range a.shards {
-			if want := map[bool]int{true: bound, false: 0}[i == 0]; len(sa.results) != want || !sa.digest.HasNonRootLCAs {
-				t.Fatalf("shard %d ships %d results (has LCAs: %v), want %d", i, len(sa.results), sa.digest.HasNonRootLCAs, want)
+			if len(sa.hits) != want[i] || !sa.digest.HasNonRootLCAs {
+				t.Fatalf("first region %d, others %d: shard %d ships %d results (has LCAs: %v), want %d",
+					c.first, c.others, i, len(sa.hits), sa.digest.HasNonRootLCAs, want[i])
 			}
 		}
 		payload := encodeEvalReq(req)
@@ -211,11 +217,11 @@ func TestTrimmedHitsAreNotBuilt(t *testing.T) {
 		}
 		eval()
 		got := testing.AllocsPerRun(50, eval)
-		t.Logf("%d results in each other shard: %v objects", others, got)
+		t.Logf("first region %d results, each other %d, shipped %v: %v objects", c.first, c.others, want, got)
 		counts = append(counts, got)
 		srv.Close()
 	}
-	if counts[0] != counts[1] {
-		t.Errorf("an eval request allocates %v objects when the trimmed shards hold 1 result each, %v when they hold 10", counts[0], counts[1])
+	if counts[0] != counts[1] || counts[0] != counts[2] {
+		t.Errorf("an eval request allocates %v objects when the trimmed shards hold 1 result each, %v when they hold 10, %v when every shard ships", counts[0], counts[1], counts[2])
 	}
 }

@@ -12,12 +12,14 @@ import (
 )
 
 // TestRoutedSnippetAllocations: the router's snippets round keeps every
-// snippet as the record it arrived in, and reads its XML, edges and key out of
-// the record's head (takeSnippets): no scratch tree is built and nothing is
-// rendered. So decoding a response allocates a constant plus one object per
-// snippet — the served snippet itself — at bounds 4 and 20, for queries whose
-// ILists differ in length: nothing per snippet node and nothing per IList
-// item.
+// snippet as the record it arrived in, in its slot of the answer's one slab
+// of served snippets (core.ServedSnippets), and reads its XML, edges and key
+// out of the record's head (takeSnippets): no scratch tree is built, nothing
+// is rendered, and no snippet is an allocation of its own. So making the
+// slab and decoding a response into it allocates the same count of objects
+// for one snippet as for twelve, at bounds 4 and 20, for queries whose
+// ILists differ in length: nothing per snippet, per snippet node or per
+// IList item.
 func TestRoutedSnippetAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's own allocations make counts inexact")
@@ -58,7 +60,7 @@ func TestRoutedSnippetAllocations(t *testing.T) {
 					idx[i] = i
 				}
 				take := func() {
-					if err := takeSnippets(b, kws, bound, gs, idx); err != nil {
+					if err := takeSnippets(b, kws, bound, core.NewServedSnippets(n), gs, idx); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -83,8 +85,8 @@ func TestRoutedSnippetAllocations(t *testing.T) {
 		t.Fatalf("objects per snippet differ by bound or query: %v", perSnippet)
 	}
 	for per := range perSnippet {
-		if per != 1 {
-			t.Fatalf("%v objects per snippet, want 1", per)
+		if per != 0 {
+			t.Fatalf("%v objects per snippet, want none: the answer's slab holds them", per)
 		}
 	}
 	if edges[1] < 2*edges[0] || items[0] == items[2] {
@@ -141,5 +143,44 @@ func TestServerRecordsAllocations(t *testing.T) {
 	}
 	if counts[3] != counts[30] {
 		t.Fatalf("a response of 3 records allocates %v objects, one of 30 %v: records are allocated one by one", counts[3], counts[30])
+	}
+}
+
+// TestRoutedWinnersAllocations: a routed answer takes its winners from slabs
+// — their deferred results and pending state from one, their match depths
+// from one of the exact size, their served snippets from a third
+// (answerTrees.take, routedRounds.snippets) — and the shard server ships the
+// hits it does not snippet as positions, building none of them. So an
+// answer's object count, router and in-process servers together, grows by at
+// most one per winner: measured between answers of 2 and 20 winners, search
+// only and at a snippet bound, from one replica group whose leading run is
+// every shard, so every winner's record rides with the eval round.
+func TestRoutedWinnersAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's own allocations make counts inexact")
+	}
+	sc := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 8, StoresPerRetailer: 4, ClothesPerStore: 6, Seed: 7}), 4)
+	rt := startCluster(t, sc, 1, 1).router
+	ctx := context.Background()
+	q := search.Parse("clothes")
+	for _, bound := range []int{-1, 6} {
+		allocs := func(winners int) float64 {
+			opts := search.Options{DistinctAnchors: true, MaxResults: winners}
+			answer := func() {
+				rs, gs, err := rt.Answer(ctx, q, opts, nil, bound)
+				if err != nil || len(rs) != winners || bound >= 0 && len(gs) != winners {
+					t.Fatalf("bound %d: %d results, %d snippets, want %d (%v)", bound, len(rs), len(gs), winners, err)
+				}
+			}
+			answer()
+			return testing.AllocsPerRun(50, answer)
+		}
+		const few, many = 2, 20
+		a, b := allocs(few), allocs(many)
+		per := (b - a) / (many - few)
+		t.Logf("bound %d: %v objects for %d winners, %v for %d: %.2f a winner", bound, a, few, b, many, per)
+		if per > 1 {
+			t.Errorf("bound %d: a routed answer allocates %.2f objects a winner, want at most 1", bound, per)
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 func TestDeferredTreeBuiltOnce(t *testing.T) {
 	doc := xmltree.NewDocument(xmltree.Elem("store", xmltree.Elem("city", xmltree.Txt("houston"))))
 	var builds atomic.Int32
-	d := Defer(doc.Len(), 77, []KeywordDepth{{"houston", 2}}, func(context.Context) (*Result, error) {
+	d := deferOne(doc.Len(), 77, []KeywordDepth{{"houston", 2}}, func(context.Context) (*Result, error) {
 		builds.Add(1)
 		return FromNode(doc, doc.Root), nil
 	})
@@ -71,6 +71,58 @@ func TestDeferredTreeBuiltOnce(t *testing.T) {
 	}
 }
 
+// treeFunc is the Source of a batch of one deferred result: calling it builds
+// the result's tree.
+type treeFunc func(context.Context) (*Result, error)
+
+func (f treeFunc) Tree(ctx context.Context, _ int) (*Result, error) { return f(ctx) }
+
+// deferOne is a batch of one deferred result (Defer) whose tree build makes.
+func deferOne(nodes, retained int, depths []KeywordDepth, build treeFunc) *Result {
+	return Defer(build, 1, func(int) (int, int, []KeywordDepth) { return nodes, retained, depths })[0]
+}
+
+// indexedTrees is a Source that builds result i's tree as the i-th node of
+// its document, counting the builds of each.
+type indexedTrees struct {
+	doc    *xmltree.Document
+	builds []int
+}
+
+func (s *indexedTrees) Tree(_ context.Context, i int) (*Result, error) {
+	s.builds[i]++
+	return FromNode(s.doc, s.doc.ByOrd(i)), nil
+}
+
+// TestDeferredBatchBuildsEachResult: every result of a batch answers from
+// what at told it, and builds its own tree — result i asks its source for
+// tree i — once.
+func TestDeferredBatchBuildsEachResult(t *testing.T) {
+	doc := xmltree.NewDocument(xmltree.Elem("a", xmltree.Elem("b"), xmltree.Elem("c")))
+	src := &indexedTrees{doc: doc, builds: make([]int, doc.Len())}
+	rs := Defer(src, doc.Len(), func(i int) (int, int, []KeywordDepth) {
+		return i + 1, 8 * i, []KeywordDepth{{"k", i}}
+	})
+	for i, r := range rs {
+		n, deferred := r.Retained()
+		if d, ok := r.MatchDepth("k"); r.Size() != i || n != 8*i || !deferred || d != i || !ok {
+			t.Fatalf("result %d: size %d, retained %d (%v), depth %d (%v)", i, r.Size(), n, deferred, d, ok)
+		}
+	}
+	for range 2 {
+		for i, r := range rs {
+			if tree := must(r.Tree(context.Background())); tree.Root != doc.ByOrd(i) {
+				t.Fatalf("result %d built the tree of node %d", i, tree.Root.Ord)
+			}
+		}
+	}
+	for i, n := range src.builds {
+		if n != 1 {
+			t.Fatalf("result %d's tree built %d times", i, n)
+		}
+	}
+}
+
 // must returns a tree a test expects to build.
 func must(r *Result, err error) *Result {
 	if err != nil {
@@ -86,7 +138,7 @@ func TestDeferredTreeRetriesAFailedBuild(t *testing.T) {
 	doc := xmltree.NewDocument(xmltree.Elem("store"))
 	errGone := errors.New("gone")
 	builds := 0
-	d := Defer(doc.Len(), 1, nil, func(context.Context) (*Result, error) {
+	d := deferOne(doc.Len(), 1, nil, func(context.Context) (*Result, error) {
 		builds++
 		if builds == 1 {
 			return nil, errGone
@@ -108,7 +160,7 @@ func TestDeferredTreeRetriesAFailedBuild(t *testing.T) {
 func TestDeferredTreeWaitHonorsContext(t *testing.T) {
 	doc := xmltree.NewDocument(xmltree.Elem("store"))
 	started, release := make(chan struct{}), make(chan struct{})
-	d := Defer(doc.Len(), 1, nil, func(context.Context) (*Result, error) {
+	d := deferOne(doc.Len(), 1, nil, func(context.Context) (*Result, error) {
 		close(started)
 		<-release
 		return FromNode(doc, doc.Root), nil

@@ -98,13 +98,19 @@ type whole struct {
 // Tree builds its tree (WholeDocument) for a reader that needs one, once;
 // the result then holds it.
 func Whole(view *index.Whole, lca int32, keys []string, lists [][]*index.PostingList) *Result {
-	w := &whole{view: view, lca: lca, keywords: keys, lists: lists}
-	return &Result{pending: &pending{nodes: view.Len(), build: w.tree, whole: w}}
+	d := &struct {
+		deferred
+		w whole
+	}{w: whole{view: view, lca: lca, keywords: keys, lists: lists}}
+	d.p.nodes, d.p.src, d.p.whole = view.Len(), &d.w, &d.w
+	d.r.pending = &d.p
+	return &d.r
 }
 
-// tree builds a whole-document result's tree (WholeDocument), whose
-// positions are the view's: its LCA and matches are the nodes at theirs.
-func (w *whole) tree(context.Context) (*Result, error) {
+// Tree builds a whole-document result's tree (WholeDocument), whose
+// positions are the view's: its LCA and matches are the nodes at theirs. A
+// whole is the Source of its one result.
+func (w *whole) Tree(context.Context, int) (*Result, error) {
 	doc := WholeDocument(w.view)
 	nodes := doc.Nodes()
 	r := &Result{Root: doc.Root, Doc: doc, Anchor: doc.Root, LCA: nodes[w.lca]}
@@ -322,7 +328,7 @@ type KeywordDepth struct {
 }
 
 // pending is a deferred result: what is known of it without its tree, and
-// how to build the tree once.
+// where its tree comes from — result at of src's batch — until it is built.
 type pending struct {
 	nodes    int
 	retained int
@@ -332,17 +338,39 @@ type pending struct {
 	whole *whole
 
 	mu     sync.Mutex
-	build  func(context.Context) (*Result, error)
+	src    Source // nil once the tree is built
+	at     int
 	tree   *Result
 	flight chan struct{} // closed when the running build ends; nil when none runs
 }
 
-// Defer returns a deferred result: nodes is its tree's node count, retained
-// the bytes it holds until the tree is built, depths its per-keyword least
-// match depths (MatchDepth), and build makes its tree. build is called by
-// Tree, one call at a time, until one succeeds.
-func Defer(nodes, retained int, depths []KeywordDepth, build func(context.Context) (*Result, error)) *Result {
-	return &Result{pending: &pending{nodes: nodes, retained: retained, depths: depths, build: build}}
+// deferred is a deferred result and its pending state in one allocation.
+type deferred struct {
+	r Result
+	p pending
+}
+
+// Source builds the trees of a batch of deferred results (Defer): Tree(ctx,
+// i) builds result i's. Result.Tree calls it one call at a time for each
+// result, until one succeeds.
+type Source interface {
+	Tree(ctx context.Context, i int) (*Result, error)
+}
+
+// Defer returns a batch of n deferred results, cut from one slab: result i's
+// tree is src.Tree(ctx, i), and at(i) tells its tree's node count, the bytes
+// it holds until the tree is built, and its per-keyword least match depths
+// (MatchDepth). Nothing is allocated per result.
+func Defer(src Source, n int, at func(i int) (nodes, retained int, depths []KeywordDepth)) []*Result {
+	slab, rs := make([]deferred, n), make([]*Result, n)
+	for i := range slab {
+		d := &slab[i]
+		d.p.nodes, d.p.retained, d.p.depths = at(i)
+		d.p.src, d.p.at = src, i
+		d.r.pending = &d.p
+		rs[i] = &d.r
+	}
+	return rs
 }
 
 // Tree returns the result with its tree fields filled in: r itself, or — for
@@ -374,13 +402,13 @@ func (r *Result) Tree(ctx context.Context) (*Result, error) {
 				return nil, ctx.Err()
 			}
 		}
-		f, build := make(chan struct{}), p.build
+		f, src := make(chan struct{}), p.src
 		p.flight = f
 		p.mu.Unlock()
-		tree, err := build(ctx)
+		tree, err := src.Tree(ctx, p.at)
 		p.mu.Lock()
 		if err == nil {
-			p.tree, p.build = tree, nil
+			p.tree, p.src = tree, nil
 		}
 		p.flight = nil
 		p.mu.Unlock()
@@ -441,8 +469,15 @@ func (r *Result) MatchDepth(kw string) (int, bool) {
 	if len(ms) == 0 {
 		return 0, false
 	}
-	anchor, best, floor := r.Anchor, -1, 0
-	if first := ms[0]; r.IsView() && first.Start != anchor.Start && anchor.ContainsOrSelf(first) && anchor.ContainsOrSelf(ms[len(ms)-1]) {
+	return leastDepth(r.Anchor, ms, r.IsView()), true
+}
+
+// leastDepth is MatchDepth's rule: the least depth below anchor of the
+// matches ms, not empty and in position order, of a result anchored there —
+// a view (view), whose matches are a posting run, or an owned tree.
+func leastDepth(anchor *xmltree.Node, ms []*xmltree.Node, view bool) int {
+	best, floor := -1, 0
+	if first := ms[0]; view && first.Start != anchor.Start && anchor.ContainsOrSelf(first) && anchor.ContainsOrSelf(ms[len(ms)-1]) {
 		floor = 1
 	}
 	for _, m := range ms {
@@ -459,7 +494,7 @@ func (r *Result) MatchDepth(kw string) (int, bool) {
 			break
 		}
 	}
-	return best, true
+	return best
 }
 
 // FromNode returns a Result viewing the subtree of an arbitrary node of
@@ -615,6 +650,35 @@ func (e *Engine) Build(dst []*Result, ev *Evaluation, hits []Hit) []*Result {
 		dst = append(dst, r)
 	}
 	return dst
+}
+
+// Shipped tells, without building it, what a shard server ships of the result
+// hit h of ev yields (Build): its tree's node count, Size()+1 of the built
+// result, and in depths, which holds one slot a keyword of ev, the least depth
+// below the anchor of each keyword's matches, -1 where it has none —
+// MatchDepth of the built result, by the same rule (leastDepth) over the same
+// posting runs. A view's node count is its anchor's interval; a ModeXSeek
+// projection's needs its tree, which Shipped then builds.
+func (e *Engine) Shipped(ev *Evaluation, h Hit, depths []int) int {
+	if e.opts.Mode == ModeXSeek {
+		r := e.Build(nil, ev, []Hit{h})[0]
+		for k, kw := range ev.Keywords {
+			if d, ok := r.MatchDepth(kw); ok {
+				depths[k] = d
+			} else {
+				depths[k] = -1
+			}
+		}
+		return r.Doc.Len()
+	}
+	anchor := e.doc.ByOrd(int(h.Anchor))
+	for k, pl := range ev.Lists {
+		depths[k] = -1
+		if lo, hi := pl.Within(anchor.Start, anchor.End); hi > lo {
+			depths[k] = leastDepth(anchor, pl.Nodes[lo:hi], true)
+		}
+	}
+	return int(anchor.End-anchor.Start) + 1
 }
 
 // projectXSeek builds the ModeXSeek tree of r, anchored at anchor, as a new

@@ -226,14 +226,18 @@ type deferredBackend struct {
 func (b *deferredBackend) Analysis() *core.Corpus { return b.inner.Analysis() }
 
 func (b *deferredBackend) Answer(ctx context.Context, _ search.Query, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
-	doc := xmltree.NewDocument(xmltree.Elem("store"))
-	rs := make([]*search.Result, b.n)
-	for i := range rs {
-		rs[i] = search.Defer(b.nodes, 64, nil, func(context.Context) (*search.Result, error) {
-			return search.FromNode(doc, doc.Root), nil
-		})
-	}
+	rs := search.Defer(storeTrees{xmltree.NewDocument(xmltree.Elem("store"))}, b.n, func(int) (int, int, []search.KeywordDepth) {
+		return b.nodes, 64, nil
+	})
 	return rs, nil, nil
+}
+
+// storeTrees builds every deferred result's tree as a view of its
+// one-element document.
+type storeTrees struct{ doc *xmltree.Document }
+
+func (s storeTrees) Tree(context.Context, int) (*search.Result, error) {
+	return search.FromNode(s.doc, s.doc.Root), nil
 }
 
 // TestTreesRechargeTheCachedEntry: a cached entry of deferred results is

@@ -34,8 +34,8 @@ type Backend interface {
 	// which it only reads), scheduling independent work through run (nil =
 	// own goroutines) and honoring ctx cancellation between units of work. When bound >= 0 it also returns one snippet per result at that
 	// bound, aligned with the results, each a served snippet with its XML
-	// rendered (core.Generator.ServeResult on a local corpus, core.Served
-	// over a received record on a router); bound < 0 is search only, with
+	// rendered (core.Generator.ServeResult on a local corpus,
+	// core.ServedSnippets.Serve over a received record on a router); bound < 0 is search only, with
 	// nil snippets. Results may be deferred (search.Result.Tree); a served
 	// snippet's tree and IList are derived when read
 	// (core.Generated.Derived).
@@ -286,9 +286,9 @@ func (rk *Ranking) At(i int) (index int, score float64) {
 // header and the bytes it retains besides: its keyword depths. An owned
 // result tree (a trimmed projection) is charged per node. A
 // snippet is charged the bytes of the record it keeps — a router's
-// (core.Served), whose XML is a substring of it — or else its rendered XML —
-// a local corpus's keeps no record, only its result, which the entry charges
-// already (core.Generator.ServeResult) — and once a
+// (core.ServedSnippets.Serve), whose XML is a substring of it — or else its
+// rendered XML — a local corpus's keeps no record, only its result, which the
+// entry charges already (core.Generator.ServeResult) — and once a
 // reader has derived its tree and IList (Derived), the tree per node and the
 // IList per item; a filled Ranking 12 bytes a result. The constants are rough
 // costs (node struct, slice and map headers; an ilist.Item with its share of

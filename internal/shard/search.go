@@ -257,6 +257,16 @@ func (r *Round) Build(dst []*search.Result, hits []search.Hit) []*search.Result 
 	return dst
 }
 
+// Shipped is search.Engine.Shipped for a hit of a shard the round lists, on
+// the engine and evaluation that found it: the node count of the result the
+// hit yields and, in depths (a slot a query term), its match depths — what a
+// shard server ships of a result, with nothing built but a ModeXSeek
+// projection.
+func (r *Round) Shipped(h search.Hit, depths []int) int {
+	e := r.shards[h.Shard]
+	return e.eng.Shipped(e.ev, h, depths)
+}
+
 // localRounds is Merge's source of evidence for an in-process query: every
 // round reads this corpus's own shards, and round two the hits of round one
 // and its evaluations' posting lists.

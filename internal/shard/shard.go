@@ -60,7 +60,10 @@ func WithDTD(d *dtd.DTD) Option {
 }
 
 // Build analyzes doc and partitions it into at most n shards, each with its
-// own packed inverted index: BuildFrom with nothing to adopt.
+// own packed inverted index: BuildFrom with nothing to adopt. When doc
+// partitions into two blocks or more, its top-level entities are moved into
+// the shard documents and doc is invalid afterwards; a one-block build serves
+// doc itself, unmoved, so the caller must not mutate it.
 func Build(doc *xmltree.Document, n int, opts ...Option) *Corpus {
 	bl := BlocksOf(doc)
 	bl.Cuts = Cuts(Weights(bl.Entities), n)
@@ -72,8 +75,10 @@ func Build(doc *xmltree.Document, n int, opts ...Option) *Corpus {
 // is a shard of an earlier generation whose entities equal block b's
 // (internal/ingest decides that by content hash): its document, packed index
 // and analysis partial are taken as they are, and block b's entities are
-// never read. Every other block is built into a document of its own (one
-// block in all: the whole document itself, unmoved), then indexed beside its
+// never read. Every other block is built into a document of its own — its
+// top-level entities are moved out of the document bl was cut from, which is
+// invalid afterwards when there are two blocks or more; one block in all is
+// the whole document itself, unmoved — then indexed beside its
 // share of the analysis: the index builds run alongside the walks and the
 // merge, since neither reads the other's output, each side on up to
 // GOMAXPROCS goroutines — so a delta that rebuilds one shard keeps two

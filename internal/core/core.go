@@ -383,6 +383,28 @@ func (g *Generator) ServeResult(r *search.Result, kws []string, bound int) *Gene
 	return &d.g
 }
 
+// Rehome returns a local corpus's served snippets (ServeResult's, of
+// another generator) as g's, in one slab: the same XML, edges, key and
+// result, and the artifacts a reader derived already, with g deriving the
+// rest. The caller vouches that the results are g's corpus's and the
+// analyses equal (shard.Corpus.Carries), so g derives what the other
+// generator would.
+func (g *Generator) Rehome(gs []*Generated) []*Generated {
+	if len(gs) == 0 {
+		return gs
+	}
+	slab, out := make([]served, len(gs)), make([]*Generated, len(gs))
+	for i, s := range gs {
+		d := &slab[i]
+		d.g = Generated{XML: s.XML, Edges: s.Edges, ResultKey: s.ResultKey, Keywords: s.Keywords, Bound: s.Bound}
+		d.src.gen, d.src.result = g, s.src.result
+		d.src.derived.Store(s.src.derived.Load())
+		d.g.src = &d.src
+		out[i] = &d.g
+	}
+	return out
+}
+
 // SnippetedResult pairs a search result with its generated snippet.
 type SnippetedResult struct {
 	Result *search.Result

@@ -310,6 +310,12 @@ func FromMap(m map[string]string) *Keys {
 	return k
 }
 
+// Equal reports whether k and o key every entity label by the same
+// attribute.
+func (k *Keys) Equal(o *Keys) bool {
+	return k == o || k != nil && o != nil && maps.Equal(k.key, o.key)
+}
+
 // KeyAttr returns the mined key attribute for an entity label.
 func (k *Keys) KeyAttr(entity string) (string, bool) {
 	a, ok := k.key[entity]

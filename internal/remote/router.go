@@ -453,9 +453,7 @@ func (rt *Router) Answer(ctx context.Context, q search.Query, opts search.Option
 	}
 	rt.metrics.taken.Add(int64(len(winners)))
 	rt.metrics.dropped.Add(int64(r.shipped - len(winners)))
-	at := &answerTrees{rt: rt, pl: pl, q: q, opts: opts,
-		handles: make([]handle, len(winners)), trees: make([]*search.Result, len(winners))}
-	rs := at.take(winners)
+	at, rs := newAnswerTrees(rt, pl, q, opts, winners)
 	if bound < 0 {
 		return rs, nil, nil
 	}
@@ -730,8 +728,16 @@ type answerTrees struct {
 	handles []handle
 
 	mu     sync.Mutex
-	trees  []*search.Result // aligned with handles; nil until fetched
+	trees  []*search.Result // aligned with handles, made by the first fetch; nil until fetched
 	flight chan struct{}    // closed when the running fetch ends; nil when none runs
+}
+
+// newAnswerTrees makes the answer of pl's generation whose results are
+// winners (take). An answer that never reads a tree allocates no slot for
+// one: the first fetch makes them (Tree).
+func newAnswerTrees(rt *Router, pl *placement, q search.Query, opts search.Options, winners []scanned) (*answerTrees, []*search.Result) {
+	at := &answerTrees{rt: rt, pl: pl, q: q, opts: opts, handles: make([]handle, len(winners))}
+	return at, at.take(winners)
 }
 
 // take turns the merge's winners into the deferred results the router
@@ -774,7 +780,8 @@ func (at *answerTrees) take(winners []scanned) []*search.Result {
 func (at *answerTrees) Tree(ctx context.Context, i int) (*search.Result, error) {
 	for {
 		at.mu.Lock()
-		if tree := at.trees[i]; tree != nil {
+		if at.trees != nil && at.trees[i] != nil {
+			tree := at.trees[i]
 			at.mu.Unlock()
 			return tree, nil
 		}
@@ -789,6 +796,9 @@ func (at *answerTrees) Tree(ctx context.Context, i int) (*search.Result, error) 
 		}
 		f := make(chan struct{})
 		at.flight = f
+		if at.trees == nil {
+			at.trees = make([]*search.Result, len(at.handles))
+		}
 		var missing []int
 		for k, tree := range at.trees {
 			if tree == nil {

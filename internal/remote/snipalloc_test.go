@@ -184,3 +184,26 @@ func TestRoutedWinnersAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestUnreadAnswerAllocations pins what an answer allocates for its winners
+// when no tree is read (newAnswerTrees): the answer, its handles, the
+// winners' match depths and the deferred results' two slabs — five objects
+// for 2 winners and for 20. The tree slots are made by the first fetch
+// (answerTrees.Tree), which TestTreeReadTakesOneRoundPerGroup drives; an
+// answer nobody reads a tree of never makes them.
+func TestUnreadAnswerAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's own allocations make counts inexact")
+	}
+	q := search.Parse("clothes store")
+	for _, n := range []int{2, 20} {
+		winners := make([]scanned, n)
+		for i := range winners {
+			winners[i] = scanned{at: handle{shard: int32(i % 4), anchor: int32(i), lca: int32(i)}, nodes: 3, depths: "\x02\x00"}
+		}
+		allocs := testing.AllocsPerRun(100, func() { newAnswerTrees(nil, nil, q, search.Options{}, winners) })
+		if allocs != 5 {
+			t.Errorf("%d winners: an unread answer allocates %v objects, want 5", n, allocs)
+		}
+	}
+}

@@ -12,11 +12,14 @@ import (
 // numCacheShards is the lock-striping factor of the query cache.
 const numCacheShards = 16
 
-// cacheEntry is one cached response. Entries are immutable once inserted;
-// readers share them and must treat every field as read-only.
+// cacheEntry is one cached response, read and written under its shard's
+// lock. A carried entry (Cache.clear) is an answer of a replaced generation
+// that the serving one may re-prove: its first lookup is a miss that hands
+// it to the computation, and the entry is replaced by what that computes.
 type cacheEntry struct {
-	val  *Cached
-	cost int64
+	val     *Cached
+	cost    int64
+	carried bool
 
 	key        string
 	prev, next *cacheEntry // LRU chain, most recent at head
@@ -137,7 +140,22 @@ type Cache struct {
 	coalesced telemetry.Counter
 	evictions telemetry.Counter
 	rejected  telemetry.Counter
+	// carried counts what became of the entries a swap found, by fate.
+	carried [numFates]telemetry.Counter
 }
+
+// The fates of a cached entry across a swap (extract_cache_carried_total):
+// dropped by the swap, or carried and, at its first lookup, reused as it was
+// or recomputed.
+const (
+	fateReused = iota
+	fateRecomputed
+	fateDropped
+	numFates
+)
+
+// fateNames are the `fate` label values, indexed by fate.
+var fateNames = [numFates]string{"reused", "recomputed", "dropped"}
 
 // NewCache builds a cache with a total budget of maxBytes across all
 // shards (costs are the entries' estimated heap footprints).
@@ -167,7 +185,9 @@ const (
 
 // do returns the cached response for key or computes it, coalescing
 // concurrent identical queries onto one computation (singleflight — it
-// applies even when the cache budget is zero). The outcome reports how the
+// applies even when the cache budget is zero). A carried entry is a miss
+// like any other, whose computation receives the entry's response (carried,
+// nil for none) to re-prove. The outcome reports how the
 // query was answered: outcomeHit, outcomeMiss (this caller computed), or
 // outcomeCoalesced (joined another caller's flight). The invalidation epoch
 // is read here, before compute runs, and re-checked by put, so a response
@@ -176,10 +196,11 @@ const (
 // coalesced follower whose context ends stops waiting and returns the
 // context's error, while the leader's computation (running on the leader's
 // context) is unaffected.
-func (c *Cache) do(ctx context.Context, key string, compute func() (*Cached, error)) (v *Cached, outcome string, err error) {
+func (c *Cache) do(ctx context.Context, key string, compute func(carried *Cached) (*Cached, error)) (v *Cached, outcome string, err error) {
 	epoch := c.epoch.Load()
 	s := c.shardFor(key)
 	s.mu.Lock()
+	var carried *Cached
 	if c.enabled() {
 		// Record the access hit or miss: repeated queries grow the
 		// frequency that earns (and defends) a cache slot. Coalesced
@@ -187,10 +208,14 @@ func (c *Cache) do(ctx context.Context, key string, compute func() (*Cached, err
 		// demand, whether or not one computation served it.
 		s.door.touch(maphash.String(c.doorSeed, key))
 		if e, ok := s.entries[key]; ok {
-			s.moveToFront(e)
-			s.mu.Unlock()
-			c.hits.Inc()
-			return e.val, outcomeHit, nil
+			v := e.val // under the lock: clear re-homes a carried entry in place
+			if !e.carried {
+				s.moveToFront(e)
+				s.mu.Unlock()
+				c.hits.Inc()
+				return v, outcomeHit, nil
+			}
+			carried = v
 		}
 	}
 	if f, ok := s.inflight[key]; ok {
@@ -211,7 +236,7 @@ func (c *Cache) do(ctx context.Context, key string, compute func() (*Cached, err
 		// post-swap callers is not coalesced (put keeps the first entry).
 		s.mu.Unlock()
 		c.misses.Inc()
-		val, err := compute()
+		val, err := compute(carried)
 		if err == nil {
 			c.put(key, val, epoch, nil)
 		}
@@ -222,7 +247,7 @@ func (c *Cache) do(ctx context.Context, key string, compute func() (*Cached, err
 	s.mu.Unlock()
 	c.misses.Inc()
 
-	f.val, f.err = compute()
+	f.val, f.err = compute(carried)
 	close(f.done)
 
 	// The cache insert and the inflight-slot removal happen under one
@@ -242,7 +267,8 @@ func (c *Cache) do(ctx context.Context, key string, compute func() (*Cached, err
 }
 
 // put inserts a computed response, evicting least-recently-used entries
-// until the shard fits its budget. Entries larger than the whole shard
+// until the shard fits its budget; it replaces a carried entry of the key,
+// and keeps any other. Entries larger than the whole shard
 // budget are not kept. When f is non-nil it is the caller's own inflight
 // slot, removed under the same lock as the insert so followers always see
 // the flight or the entry, never a gap between them.
@@ -266,11 +292,14 @@ func (c *Cache) put(key string, val *Cached, epoch uint64, f *flight) {
 		return
 	}
 	if old, ok := s.entries[key]; ok {
-		// A concurrent computation of the same key already inserted; keep
-		// the incumbent (the responses are equal by construction).
-		s.moveToFront(old)
-		s.mu.Unlock()
-		return
+		if !old.carried {
+			// A concurrent computation of the same key already inserted;
+			// keep the incumbent (the responses are equal by construction).
+			s.moveToFront(old)
+			s.mu.Unlock()
+			return
+		}
+		s.remove(old)
 	}
 	if need := s.bytes + cost - s.maxBytes; need > 0 {
 		// The insert would evict. Admit only if the candidate is asked
@@ -307,11 +336,16 @@ func (c *Cache) put(key string, val *Cached, epoch uint64, f *flight) {
 }
 
 // recharge re-prices v's entry, if it is still cached, for what v holds
-// now — the trees Cached.Trees built — evicting least-recently-used entries
-// (v's own too, once it no longer fits) until the shard is within budget.
+// now — the trees Cached.Trees built — evicting other least-recently-used
+// entries until the shard is within budget. A read never evicts the entry
+// it read: when the new price alone exceeds the shard's budget (a
+// whole-document tree, say), the entry is charged the whole budget, so it
+// is the shard's one entry and the first one a later insert displaces. A
+// cache shard therefore holds at most one entry that costs more than its
+// budget, and the cache at most numCacheShards.
 func (c *Cache) recharge(v *Cached) {
-	cost := v.cost() + int64(len(v.key))
 	s := c.shardFor(v.key)
+	cost := min(v.cost()+int64(len(v.key)), s.maxBytes)
 	s.mu.Lock()
 	e, ok := s.entries[v.key]
 	if !ok || e.val != v {
@@ -321,9 +355,13 @@ func (c *Cache) recharge(v *Cached) {
 	s.bytes += cost - e.cost
 	e.cost = cost
 	evicted := 0
-	for s.bytes > s.maxBytes && s.tail != nil {
+	for s.bytes > s.maxBytes {
+		victim := s.tail
+		if victim == e {
+			victim = e.prev // e fits alone, so another entry is left
+		}
 		evicted++
-		s.remove(s.tail)
+		s.remove(victim)
 	}
 	s.mu.Unlock()
 	if evicted > 0 {
@@ -345,21 +383,40 @@ func (c *Cache) occupancy() (entries, bytes, capacity int64) {
 	return entries, bytes, capacity
 }
 
-// clear drops every entry (corpus swap invalidation). The epoch moves
-// first: in-flight computations are left to their leaders, and put's epoch
-// check keeps their results out of the cache.
-func (c *Cache) clear() {
+// clear invalidates the cache for a corpus swap: every entry is dropped but
+// those carry re-homes (nil drops all), which stay in place — charged at
+// their new price, in their LRU position — as carried entries, each
+// re-proved or recomputed at its first lookup (do). The epoch moves first:
+// in-flight computations are left to their leaders, and put's epoch check
+// keeps their results out of the cache.
+func (c *Cache) clear(carry func(*Cached) *Cached) {
 	c.epoch.Add(1)
+	dropped := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.entries = make(map[string]*cacheEntry)
-		s.head, s.tail, s.bytes = nil, nil, 0
+		for e := s.head; e != nil; {
+			next := e.next
+			var v *Cached
+			if carry != nil {
+				v = carry(e.val)
+			}
+			if v != nil {
+				cost := v.cost() + int64(len(e.key))
+				s.bytes += cost - e.cost
+				e.val, e.cost, e.carried = v, cost, true
+			} else {
+				dropped++
+				s.remove(e)
+			}
+			e = next
+		}
 		// The admission filter's frequencies describe the swapped-out
 		// corpus's traffic; the new generation starts unprejudiced.
 		s.door.reset()
 		s.mu.Unlock()
 	}
+	c.carried[fateDropped].Add(int64(dropped))
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.

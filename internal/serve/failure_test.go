@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -243,17 +244,19 @@ func (s storeTrees) Tree(context.Context, int) (*search.Result, error) {
 // TestTreesRechargeTheCachedEntry: a cached entry of deferred results is
 // admitted at what it holds before anyone reads a tree; Trees builds the
 // trees and re-prices the entry for them, so the budget bounds built trees
-// too — an entry whose trees no longer fit its shard is evicted. A second
-// read builds nothing and charges nothing more.
+// too — except that a read never evicts the entry it read: an entry whose
+// trees alone outgrow its shard is charged the shard's whole budget, and
+// the trees stay with its results. A second read builds nothing and
+// charges nothing more.
 func TestTreesRechargeTheCachedEntry(t *testing.T) {
 	inner := shard.Build(testCorpora()["stores"](), 1)
 	const n, nodes = 3, 1000
 	ctx := context.Background()
 	opts := search.Options{DistinctAnchors: true}
 	for _, tc := range []struct {
-		name   string
-		budget int64
-		kept   bool
+		name     string
+		budget   int64
+		repriced bool
 	}{
 		{"fits", numCacheShards << 20, true},
 		{"outgrows its shard", numCacheShards * 64 << 10, false},
@@ -274,9 +277,9 @@ func TestTreesRechargeTheCachedEntry(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := s.Stats()
-				if !tc.kept {
-					if st.Entries != 0 || st.Bytes != 0 || st.Evictions != 1 {
-						t.Fatalf("entry whose trees outgrow its shard: %+v", st)
+				if !tc.repriced {
+					if st.Entries != 1 || st.Bytes != tc.budget/numCacheShards || st.Evictions != 0 {
+						t.Fatalf("entry whose trees outgrow its shard: %+v, admitted at %d", st, admitted)
 					}
 					continue
 				}
@@ -285,5 +288,82 @@ func TestTreesRechargeTheCachedEntry(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOverBudgetTreesStayBounded: entries whose trees each outgrow their
+// cache shard cannot pile up outside the budget. Each one a read re-prices
+// is charged its shard's whole budget and displaces the shard's other
+// entries, so after every entry's trees are read the cache holds at most
+// one entry a cache shard, none of them charged beyond it.
+func TestOverBudgetTreesStayBounded(t *testing.T) {
+	inner := shard.Build(testCorpora()["stores"](), 1)
+	const budget = numCacheShards * 64 << 10
+	s := New(&deferredBackend{inner: inner, n: 3, nodes: 1000}, WithCacheBytes(budget))
+	defer s.Close()
+	ctx := context.Background()
+	opts := search.Options{DistinctAnchors: true}
+	for i := range 4 * numCacheShards {
+		v, err := s.Do(ctx, fmt.Sprintf("store w%d", i), opts, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.Trees(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if st.Entries > numCacheShards || st.Bytes > budget {
+		t.Fatalf("%+v: want at most one entry a cache shard, within the budget", st)
+	}
+	for i := range s.cache.shards {
+		sh := &s.cache.shards[i]
+		for e := sh.head; e != nil; e = e.next {
+			if held := e.val.cost() + int64(len(e.key)); held > sh.maxBytes && len(sh.entries) != 1 {
+				t.Fatalf("cache shard %d holds %d entries beside one whose trees outgrow it", i, len(sh.entries)-1)
+			}
+		}
+	}
+}
+
+// TestRechargeEvictsOthers: when building an entry's trees takes its shard
+// over budget, recharge evicts the shard's other least-recently-used entries
+// until it fits — never the entry it re-priced, although that one is the
+// least recently used here.
+func TestRechargeEvictsOthers(t *testing.T) {
+	inner := shard.Build(testCorpora()["stores"](), 1)
+	// Two entries of one cache shard, each of whose trees takes about 70 %
+	// of the shard's budget.
+	s := New(&deferredBackend{inner: inner, n: 3, nodes: 1800}, WithCacheBytes(numCacheShards<<20))
+	defer s.Close()
+	ctx := context.Background()
+	opts := search.Options{DistinctAnchors: true}
+	var qs []string
+	for i := 0; len(qs) < 2; i++ {
+		q := fmt.Sprintf("store w%d", i)
+		if len(qs) == 0 || s.cache.shardFor(cacheKey(search.Parse(q), opts, -1)) == s.cache.shardFor(cacheKey(search.Parse(qs[0]), opts, -1)) {
+			qs = append(qs, q)
+		}
+	}
+	var vs []*Cached
+	for _, q := range append(qs, qs[0]) { // the last lookup, a hit, leaves qs[1] least recently used
+		v, err := s.Do(ctx, q, opts, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs = append(vs, v)
+	}
+	for _, v := range vs[:2] {
+		if _, err := v.Trees(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	want := vs[1].cost() + int64(len(vs[1].key))
+	if st.Entries != 1 || st.Evictions != 1 || st.Bytes != want {
+		t.Fatalf("after both trees: %+v; want only %q, at %d bytes", st, qs[1], want)
+	}
+	if _, err := s.Do(ctx, qs[1], opts, -1); err != nil || s.Stats().Hits != st.Hits+1 {
+		t.Fatalf("the re-priced entry was not kept: %+v, err %v", s.Stats(), err)
 	}
 }

@@ -118,6 +118,11 @@ func newMetrics(reg *telemetry.Registry, s *Server) *metricsSet {
 	reg.AddCounter("extract_cache_evictions_total", "Entries evicted to fit the cache budget.", &c.evictions)
 	reg.AddCounter("extract_cache_admission_rejected_total",
 		"Inserts the TinyLFU admission filter kept out of a full cache.", &c.rejected)
+	for f := range c.carried {
+		reg.AddCounter("extract_cache_carried_total",
+			"Cached entries a corpus swap found, by fate: dropped by the swap, or carried and, at their first lookup, reused or recomputed.",
+			&c.carried[f], telemetry.L("fate", fateNames[f]))
+	}
 	reg.AddCounter("extract_query_panics_total",
 		"Queries failed by a recovered evaluation panic.", &s.panics)
 	reg.AddCounter("extract_queries_shed_total",

@@ -14,7 +14,10 @@
 //     itself, with singleflight so concurrent identical queries compute once
 //     and explicit invalidation on corpus swap (Server.Swap — the online
 //     reload path; in-flight queries finish against the corpus they
-//     started on and their responses are never cached).
+//     started on and their responses are never cached). A local delta
+//     reload keeps the responses whose results lie in the shards it
+//     adopted, as carried entries, each replayed once round one on the new
+//     generation picks its results again.
 //
 // Cached responses are byte-identical to uncached evaluation (pinned by
 // property tests); the layer changes cost, never answers.

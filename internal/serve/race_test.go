@@ -146,16 +146,16 @@ func TestStaleFlightNotJoined(t *testing.T) {
 	oldVal, newVal := &Cached{}, &Cached{}
 	started, release := make(chan struct{}), make(chan struct{})
 	go func() {
-		_, _, _ = c.do(context.Background(), key, func() (*Cached, error) {
+		_, _, _ = c.do(context.Background(), key, func(*Cached) (*Cached, error) {
 			close(started)
 			<-release
 			return oldVal, nil
 		})
 	}()
 	<-started
-	c.clear() // the swap happens while the old flight computes
+	c.clear(nil) // the swap happens while the old flight computes
 
-	v, _, err := c.do(context.Background(), key, func() (*Cached, error) { return newVal, nil })
+	v, _, err := c.do(context.Background(), key, func(*Cached) (*Cached, error) { return newVal, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestStaleFlightNotJoined(t *testing.T) {
 
 	// The fresh value was cached at the new epoch; the stale leader must
 	// not displace it.
-	v2, _, err := c.do(context.Background(), key, func() (*Cached, error) {
+	v2, _, err := c.do(context.Background(), key, func(*Cached) (*Cached, error) {
 		t.Error("recomputed despite fresh cache entry")
 		return nil, nil
 	})

@@ -214,15 +214,46 @@ func (s *Server) Backend() Backend { return *s.backend.Load() }
 // Swap replaces the served corpus backend and invalidates the query cache —
 // the online index-refresh primitive. Queries already in flight complete
 // against the corpus they started on; their responses are returned to their
-// callers but never enter the cache.
+// callers but never enter the cache. A cached response the new backend may
+// re-prove (carry) stays cached, carried: its first lookup re-runs round one
+// and reuses the response when the winners are the same, or answers from
+// that round one when they are not (evaluate); every other response is
+// dropped.
 func (s *Server) Swap(b Backend) {
+	prev := s.Backend()
 	s.backend.Store(&b)
-	s.cache.clear()
+	s.cache.clear(carry(prev, b))
 }
 
 // Invalidate drops every cached response without changing the corpus —
 // for callers that mutated the corpus in place.
-func (s *Server) Invalidate() { s.cache.clear() }
+func (s *Server) Invalidate() { s.cache.clear(nil) }
+
+// carry returns how a swap from prev to next keeps cached responses: nil
+// keeps none, else a function that re-homes a response of prev that next
+// may re-prove onto next, and returns nil for any other. Only a local corpus
+// carries (shard.Corpus.Carries): a router's deferred trees and snippets
+// are fetched by the generation fingerprint a swap retires. A re-homed
+// response is a new Cached: next's, with no Ranking — a ranked read scores
+// it on next's statistics — and its snippets next's generator's
+// (core.Generator.Rehome), so it holds nothing of prev.
+func carry(prev, next Backend) func(*Cached) *Cached {
+	p, ok := prev.(*shard.Corpus)
+	n, ok2 := next.(*shard.Corpus)
+	if !ok || !ok2 {
+		return nil
+	}
+	keeps := n.Carries(p)
+	if keeps == nil {
+		return nil
+	}
+	return func(v *Cached) *Cached {
+		if v.Backend != prev || !keeps(v.Results) {
+			return nil
+		}
+		return &Cached{Results: v.Results, Snippets: n.Generator().Rehome(v.Snippets), Backend: next, Query: v.Query, cache: v.cache, key: v.key}
+	}
+}
 
 // Stats snapshots the query-cache and failure counters. The same
 // instruments back the telemetry registry (WithTelemetry), so the two
@@ -242,10 +273,12 @@ func (s *Server) Stats() Stats {
 // deferred result builds (Trees) and the artifacts a deferred snippet decodes
 // (Derived) are the only state an entry gains after it is published, and
 // each re-charges the entry when it arrives.
-// Backend records the corpus generation the response was computed against;
-// swap invalidation guarantees a cached entry's backend is the one that
-// was current when it was admitted, and an in-flight response outliving a
-// swap carries the old backend it was actually evaluated on. Query is the
+// Backend records the corpus generation the response was computed against —
+// or, for a response a swap carried and a lookup re-proved, the generation
+// that re-proved it; swap invalidation guarantees a cached entry's backend
+// is the one that was current when it was admitted, and an in-flight
+// response outliving a swap carries the old backend it was actually
+// evaluated on. Query is the
 // parse the entry was computed from: its Keys and Keywords are the entry's
 // key's (ranking reads the Keys); its Text is the spelling of whichever
 // query computed it, which no reader uses.
@@ -466,20 +499,39 @@ func (v *Cached) Derived(g *core.Generated) *core.Generated {
 // snippet stages. The snippet stage is the time the backend noted on the
 // query's span sink for its snippets — a local corpus's fan-out, which
 // renders each snippet's XML, a router's round of snippets calls to the
-// shard servers.
-func (s *Server) evaluate(ctx context.Context, tr *trace, q search.Query, opts search.Options, bound int) (*Cached, error) {
+// shard servers. A carried response (Cache.clear) of the serving backend,
+// which carry made for a local corpus, is re-proved on it
+// (shard.Corpus.Reanswer): returned as it is when round one picks its
+// results again, with nothing built or snippeted, else answered afresh from
+// that round one; its fate is counted unless the answer failed.
+func (s *Server) evaluate(ctx context.Context, tr *trace, q search.Query, opts search.Options, bound int, carried *Cached) (*Cached, error) {
 	t := time.Now()
 	b := s.Backend()
 	tr.add(stageDispatch, time.Since(t))
 	t, before := time.Now(), tr.sink.Snippets()
-	rs, gs, err := b.Answer(ctx, q, opts, s.pool.Run, bound)
+	var rs []*search.Result
+	var gs []*core.Generated
+	var err error
+	reused := false
+	if carried != nil && carried.Backend == b {
+		rs, gs, reused, err = b.(*shard.Corpus).Reanswer(ctx, q, opts, s.pool.Run, bound, carried.Results)
+	} else {
+		rs, gs, err = b.Answer(ctx, q, opts, s.pool.Run, bound)
+	}
 	answered, snippets := time.Since(t), tr.sink.Snippets()-before
 	tr.add(stageEval, answered-snippets)
-	if snippets > 0 || (bound >= 0 && err == nil) {
+	if snippets > 0 || (bound >= 0 && err == nil && !reused) {
 		tr.add(stageSnippet, snippets)
 	}
 	if err != nil {
 		return nil, err
+	}
+	if carried != nil {
+		if reused {
+			s.cache.carried[fateReused].Inc()
+			return carried, nil
+		}
+		s.cache.carried[fateRecomputed].Inc()
 	}
 	return &Cached{Results: rs, Snippets: gs, Backend: b, Query: q}, nil
 }
@@ -516,7 +568,7 @@ func (s *Server) begin(ctx context.Context) (context.Context, func(), error) {
 // pool on a worker, or here when it escapes on the calling goroutine —
 // becomes a per-query *shard.PanicError and bumps the Panics counter. One
 // bad query fails alone; the process and every other query survive.
-func (s *Server) compute(ctx context.Context, tr *trace, q search.Query, opts search.Options, bound int) (v *Cached, err error) {
+func (s *Server) compute(ctx context.Context, tr *trace, q search.Query, opts search.Options, bound int, carried *Cached) (v *Cached, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			v, err = nil, &shard.PanicError{Value: r, Stack: debug.Stack()}
@@ -525,7 +577,7 @@ func (s *Server) compute(ctx context.Context, tr *trace, q search.Query, opts se
 	}()
 	// Install the query's span sink only on the compute path: cache hits
 	// make no remote calls, so they skip the context allocation too.
-	v, err = s.evaluate(telemetry.WithSpanSink(ctx, &tr.sink), tr, q, opts, bound)
+	v, err = s.evaluate(telemetry.WithSpanSink(ctx, &tr.sink), tr, q, opts, bound, carried)
 	if err != nil {
 		var pe *shard.PanicError
 		if errors.As(err, &pe) {
@@ -556,7 +608,7 @@ func (s *Server) serveTraced(ctx context.Context, q search.Query, opts search.Op
 		return nil, "", err
 	}
 	defer finish()
-	run := func() (*Cached, error) { return s.compute(ctx, tr, q, opts, bound) }
+	run := func(carried *Cached) (*Cached, error) { return s.compute(ctx, tr, q, opts, bound, carried) }
 	// The cache stage spans key encoding through the probe's resolution:
 	// for a miss it ends when this caller starts computing; for a hit or a
 	// coalesced wait it ends when the response is in hand.
@@ -573,10 +625,10 @@ func (s *Server) serveTraced(ctx context.Context, q search.Query, opts search.Op
 		return nil, "", search.ErrEmptyQuery
 	}
 	key := cacheKey(q, opts, bound)
-	v, outcome, err := s.cache.do(ctx, key, func() (*Cached, error) {
+	v, outcome, err := s.cache.do(ctx, key, func(carried *Cached) (*Cached, error) {
 		probeDone()
-		v, err := run()
-		if v != nil {
+		v, err := run(carried)
+		if v != nil && v != carried { // a carried response has them, and is shared
 			v.cache, v.key = s.cache, key
 		}
 		return v, err
@@ -586,7 +638,7 @@ func (s *Server) serveTraced(ctx context.Context, q search.Query, opts search.Op
 		// A coalesced leader hit its own cancellation or deadline, not
 		// ours: our context is still live, so compute privately rather
 		// than inherit a failure this caller never had.
-		v, err := run()
+		v, err := run(nil)
 		return v, outcomeMiss, err
 	}
 	return v, outcome, err

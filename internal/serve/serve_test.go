@@ -259,7 +259,7 @@ func testKey(i int) string {
 func TestEvictionBound(t *testing.T) {
 	c := NewCache(smallCacheBytes)
 	for i := 0; i < 100; i++ {
-		if _, _, err := c.do(context.Background(), testKey(i), func() (*Cached, error) { return &Cached{}, nil }); err != nil {
+		if _, _, err := c.do(context.Background(), testKey(i), func(*Cached) (*Cached, error) { return &Cached{}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,7 +295,7 @@ func TestLRURecency(t *testing.T) {
 	a, b, x := keys[0], keys[1], keys[2]
 	computed := map[string]int{}
 	add := func(k string) {
-		if _, _, err := c.do(context.Background(), k, func() (*Cached, error) {
+		if _, _, err := c.do(context.Background(), k, func(*Cached) (*Cached, error) {
 			computed[k]++
 			return &Cached{}, nil
 		}); err != nil {
@@ -329,7 +329,7 @@ func TestScanResistance(t *testing.T) {
 
 	computed := map[string]int{}
 	add := func(k string) {
-		if _, _, err := c.do(context.Background(), k, func() (*Cached, error) {
+		if _, _, err := c.do(context.Background(), k, func(*Cached) (*Cached, error) {
 			computed[k]++
 			return &Cached{}, nil
 		}); err != nil {
@@ -520,7 +520,7 @@ func TestSwapDuringFlight(t *testing.T) {
 	// Simulate the race deterministically at the cache layer: the flight
 	// starts at the current epoch, the swap happens while compute runs.
 	key := cacheKey(search.Parse("retailer texas"), search.Options{}, -1)
-	if _, _, err := srv.cache.do(context.Background(), key, func() (*Cached, error) {
+	if _, _, err := srv.cache.do(context.Background(), key, func(*Cached) (*Cached, error) {
 		srv.Swap(scB) // corpus swapped out from under the computation
 		return &Cached{}, nil
 	}); err != nil {

@@ -255,7 +255,7 @@ func TestBuildAfterCutMatchesCutAfterBuild(t *testing.T) {
 			}
 			checked++
 		}
-		got, err := sc.search(context.Background(), q, opts, nil)
+		got, _, err := sc.search(context.Background(), q, opts, nil, nil)
 		if err != nil {
 			t.Logf("%q: %v", q.Text, err)
 			return false

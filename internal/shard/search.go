@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 
+	"extract/internal/core"
 	"extract/internal/faultinject"
 	"extract/internal/index"
 	"extract/internal/search"
@@ -168,15 +170,18 @@ func (sc *Corpus) SearchEnginesContext(ctx context.Context, query string, opts s
 // stops burning workers at the next checkpoint and returns the context's
 // error. run schedules the per-shard evaluations; nil spawns one goroutine
 // per shard. Round one yields hits, and only the merge's winners are built
-// (Round.Build), under panic recovery.
-func (sc *Corpus) search(ctx context.Context, q search.Query, opts search.Options, run Runner) ([]*search.Result, error) {
+// (Round.Build), under panic recovery — unless reuse, when not nil, accepts
+// them and the merge took no round two: then nothing is built, and search
+// reports reused with no results.
+func (sc *Corpus) search(ctx context.Context, q search.Query, opts search.Options, run Runner, reuse func([]search.Hit) bool) ([]*search.Result, bool, error) {
 	switch len(sc.shards) {
 	case 0:
-		return nil, search.ErrEmptyQuery
+		return nil, false, search.ErrEmptyQuery
 	case 1:
 		// One shard: the lone engine's own Search, with no digest or merge in
 		// the way — the direct-engine reference path every multi-shard
 		// answer is pinned byte-identical to, so it stays a separate branch.
+		// Carries accepts nothing here, so nothing is reused.
 		var rs []*search.Result
 		var serr error
 		if err := Run(run, []func(){func() {
@@ -185,20 +190,23 @@ func (sc *Corpus) search(ctx context.Context, q search.Query, opts search.Option
 			}
 			rs, serr = sc.shards[0].Engine(opts).Search(q)
 		}}); err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return rs, serr
+		return rs, false, serr
 	}
 	rounds := &localRounds{sc: sc, q: q, opts: opts, run: run}
 	hits, err := Merge(ctx, opts, rounds, HitLCA)
 	if err != nil {
-		return nil, err
+		return nil, false, err
+	}
+	if reuse != nil && !rounds.whole && reuse(hits) {
+		return nil, true, nil
 	}
 	var rs []*search.Result
 	if err := Recover(func() { rs = rounds.one.Build(nil, hits) }); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return rs, nil
+	return rs, false, nil
 }
 
 // wholeHit is the Shard of a hit anchored at the document root of a
@@ -271,11 +279,12 @@ func (r *Round) Shipped(h search.Hit, depths []int) int {
 // round reads this corpus's own shards, and round two the hits of round one
 // and its evaluations' posting lists.
 type localRounds struct {
-	sc   *Corpus
-	q    search.Query
-	opts search.Options
-	run  Runner
-	one  *Round // round one on every shard, which builds the answer
+	sc    *Corpus
+	q     search.Query
+	opts  search.Options
+	run   Runner
+	one   *Round // round one on every shard, which builds the answer
+	whole bool   // the merge took round two
 }
 
 func (r *localRounds) Eval(ctx context.Context) ([]Partial[search.Hit], error) {
@@ -292,10 +301,64 @@ func (r *localRounds) Eval(ctx context.Context) ([]Partial[search.Hit], error) {
 // recovery.
 func (r *localRounds) Whole(ctx context.Context, parts []Partial[search.Hit], rootLCA bool) ([]search.Hit, error) {
 	var hits []search.Hit
+	r.whole = true
 	if err := Recover(func() { hits = r.sc.roundTwo(r.opts, parts, rootLCA) }); err != nil {
 		return nil, err
 	}
 	return hits, nil
+}
+
+// Carries returns which cached answers of prev a swap onto sc may keep, to be
+// re-proved on their first lookup (Reanswer): nil when none may — sc has
+// one shard (answered without a merge, and rebuilt by any delta that changes
+// the document), sc adopted no shard of prev (a full reload), or the shard
+// counts or the analyses (classification and keys) differ — else a test
+// accepting an answer whose every result is a view of a shard sc adopted
+// from prev, the same Index (BuildFrom, a snapshot delta), and none a
+// whole-document result or an owned tree. Such an answer's results, and its
+// snippets, which read only them and the analysis, are byte for byte what
+// sc builds for the same hits.
+func (sc *Corpus) Carries(prev *Corpus) func(rs []*search.Result) bool {
+	if prev == nil || len(sc.shards) < 2 || len(prev.shards) != len(sc.shards) || !sc.cls.Equal(prev.cls) || !sc.keys.Equal(prev.keys) ||
+		!slices.ContainsFunc(prev.shards, func(s *core.Corpus) bool { return sc.shardOf(s.Index) >= 0 }) {
+		return nil
+	}
+	return func(rs []*search.Result) bool {
+		for _, r := range rs {
+			if sc.shardOf(r.Index) < 0 {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// shardOf returns the shard whose index ix is, -1 for none — for a result's
+// Index, nil on a whole-document result and an owned tree.
+func (sc *Corpus) shardOf(ix *index.Index) int {
+	if ix != nil {
+		for i, s := range sc.shards {
+			if s.Index == ix {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// same reports whether rs are exactly the results of hits: shard, anchor and
+// LCA, a result's shard known by its Index.
+func (sc *Corpus) same(hits []search.Hit, rs []*search.Result) bool {
+	if len(hits) != len(rs) {
+		return false
+	}
+	for i, h := range hits {
+		r := rs[i]
+		if h.Shard != int32(sc.shardOf(r.Index)) || h.Anchor != int32(r.Anchor.Ord) || h.LCA != int32(r.LCA.Ord) {
+			return false
+		}
+	}
+	return true
 }
 
 // EvalShards is the per-shard half of Merge's round one, for the listed

@@ -23,19 +23,35 @@ import (
 // The duration of the fan-out is noted on the query's span sink, when ctx
 // carries one.
 func (sc *Corpus) Answer(ctx context.Context, q search.Query, opts search.Options, run Runner, bound int) ([]*search.Result, []*core.Generated, error) {
-	rs, err := sc.search(ctx, q, opts, run)
-	if err != nil || bound < 0 {
-		return rs, nil, err
+	rs, gs, _, err := sc.answer(ctx, q, opts, run, bound, nil)
+	return rs, gs, err
+}
+
+// Reanswer is Answer for a query whose answer on a generation sc replaced,
+// carried, Carries accepted. When round one on every shard and the merge's
+// own decision pick exactly carried's hits (same), without round two, it
+// builds and snippets nothing and reports reused, with no results: carried,
+// and the snippets made with it, are sc's answer too. Otherwise it answers
+// from that same round one, as Answer does.
+func (sc *Corpus) Reanswer(ctx context.Context, q search.Query, opts search.Options, run Runner, bound int, carried []*search.Result) (rs []*search.Result, gs []*core.Generated, reused bool, err error) {
+	return sc.answer(ctx, q, opts, run, bound, func(hits []search.Hit) bool { return sc.same(hits, carried) })
+}
+
+// answer is Answer, or Reanswer when reuse is not nil.
+func (sc *Corpus) answer(ctx context.Context, q search.Query, opts search.Options, run Runner, bound int, reuse func([]search.Hit) bool) (rs []*search.Result, gs []*core.Generated, reused bool, err error) {
+	rs, reused, err = sc.search(ctx, q, opts, run, reuse)
+	if err != nil || reused || bound < 0 {
+		return rs, nil, reused, err
 	}
 	start := time.Now()
-	gs, err := Snippets(ctx, run, sc.gen, rs, q.Keywords, bound)
+	gs, err = Snippets(ctx, run, sc.gen, rs, q.Keywords, bound)
 	if sink := telemetry.SpanSinkFrom(ctx); sink != nil {
 		sink.NoteSnippets(time.Since(start))
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
-	return rs, gs, nil
+	return rs, gs, false, nil
 }
 
 // snippetCheckpoint gates each generated snippet on cancellation and the

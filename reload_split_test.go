@@ -135,16 +135,12 @@ func TestReloadDeltaSplitCases(t *testing.T) {
 	}
 }
 
-// FuzzReloadDeltaMatchesLoad: for a base document and any byte string, a
-// delta reload onto the bytes and a fresh load of them accept or reject
-// alike — with ParseBytes's error when ParseBytes rejects the bytes, the old
-// generation still serving — and when they accept, they build the same
-// corpus byte for byte, with the same identity. A reload back onto the base
-// then builds the base's corpus again: entities copied out of a generation
-// that copied them are still the entities.
-func FuzzReloadDeltaMatchesLoad(f *testing.F) {
-	base := xmltree.XMLString(splitBaseDoc().Root)
-	for _, b := range []string{
+// deltaSeeds are the second documents the delta fuzzers start from, each an
+// edit of base (splitBaseDoc's serialization): base itself, a broken tag, a
+// whitespace edit, text edits inside one entity, a root attribute, root
+// text, a byte-order mark with a declaration, and a DOCTYPE.
+func deltaSeeds(base string) []string {
+	return []string{
 		base,
 		inEntity(base, 5, "</store>", "</stor>"),
 		inEntity(base, 2, "\n    <store", "\n\n    <store"),
@@ -154,7 +150,19 @@ func FuzzReloadDeltaMatchesLoad(f *testing.F) {
 		strings.Replace(base, "</retailers>", "tail</retailers>", 1),
 		"\uFEFF<?xml version=\"1.0\"?>" + base,
 		`<!DOCTYPE retailers [<!ELEMENT retailers (retailer*)>]>` + base,
-	} {
+	}
+}
+
+// FuzzReloadDeltaMatchesLoad: for a base document and any byte string, a
+// delta reload onto the bytes and a fresh load of them accept or reject
+// alike — with ParseBytes's error when ParseBytes rejects the bytes, the old
+// generation still serving — and when they accept, they build the same
+// corpus byte for byte, with the same identity. A reload back onto the base
+// then builds the base's corpus again: entities copied out of a generation
+// that copied them are still the entities.
+func FuzzReloadDeltaMatchesLoad(f *testing.F) {
+	base := xmltree.XMLString(splitBaseDoc().Root)
+	for _, b := range deltaSeeds(base) {
 		f.Add([]byte(base), []byte(b), uint8(4))
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte, shards uint8) {

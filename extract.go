@@ -135,6 +135,7 @@ func (c *Corpus) server() *serve.Server {
 func newCorpus(cfg loadConfig) *Corpus {
 	c := &Corpus{serving: cfg.serving, reg: telemetry.NewRegistry()}
 	c.reloadSegments()
+	c.reloadBytes()
 	return c
 }
 
@@ -189,8 +190,8 @@ func (s DeltaStats) Mode() string {
 // error from next leaves the old generation serving. next runs under the
 // lock, so concurrent reloads are serialized end to end and each one diffs
 // against exactly the generation it replaces.
-func (c *Corpus) publish(source string, next func(old *corpusData) (d *corpusData, st ingest.Stats, err error)) (stats DeltaStats, err error) {
-	var st ingest.Stats
+func (c *Corpus) publish(source string, next func(old *corpusData) (d *corpusData, st loadStats, err error)) (stats DeltaStats, err error) {
+	var st loadStats
 	defer func(start time.Time) { c.recordReload(source, stats, st, start, err) }(time.Now())
 	c.reloadMu.Lock()
 	defer c.reloadMu.Unlock()
@@ -215,7 +216,7 @@ func (c *Corpus) publish(source string, next func(old *corpusData) (d *corpusDat
 // afterwards. The receiving corpus keeps its own serving configuration
 // (workers, cache budget).
 func (c *Corpus) Reload(src *Corpus) {
-	c.publish("swap", func(*corpusData) (*corpusData, ingest.Stats, error) { return src.data.Load(), ingest.Stats{}, nil })
+	c.publish("swap", func(*corpusData) (*corpusData, loadStats, error) { return src.data.Load(), loadStats{}, nil })
 }
 
 // reloadSourceFault fires the chaos hook standing for an unreadable reload
@@ -228,7 +229,10 @@ func reloadSourceFault() error {
 }
 
 // ReloadDelta is Reload with the new corpus built incrementally from XML
-// source. The source is split at its root's children and cut into blocks
+// source. The source is split at its root's children — scanning only the
+// head, the tail and what moved between: the runs of children the serving
+// generation read at the same offsets from either end of its input are
+// passed over (extract_reload_bytes_total) — and cut into blocks
 // with the same partitioner a fresh load uses; a block whose bytes are the
 // serving generation's is adopted without a parse — document, packed index
 // and share of the analysis intact — and every other block is parsed and
@@ -253,20 +257,20 @@ func (c *Corpus) ReloadDelta(r io.Reader, opts ...Option) (DeltaStats, error) {
 }
 
 func (c *Corpus) reloadDelta(src source, opts []Option) (DeltaStats, error) {
-	return c.publish("xml", func(old *corpusData) (*corpusData, ingest.Stats, error) {
+	return c.publish("xml", func(old *corpusData) (*corpusData, loadStats, error) {
 		if err := reloadSourceFault(); err != nil {
-			return nil, ingest.Stats{}, err
+			return nil, loadStats{}, err
 		}
 		if old.rt != nil {
-			return nil, ingest.Stats{}, ErrRemoteCorpus
+			return nil, loadStats{}, ErrRemoteCorpus
 		}
 		cfg, err := foldOptions(opts)
 		if err != nil {
-			return nil, ingest.Stats{}, err
+			return nil, loadStats{}, err
 		}
 		gen, st, err := cfg.generation(src, &old.gen)
 		if err != nil {
-			return nil, ingest.Stats{}, err
+			return nil, loadStats{}, err
 		}
 		return &corpusData{gen: *gen}, st, nil
 	})
@@ -294,25 +298,25 @@ func (c *Corpus) ReloadDeltaFile(path string, opts ...Option) (DeltaStats, error
 // (ingest.ErrImageMismatch, ingest.ErrSnapshotChanging) — leaves the old
 // generation serving.
 func (c *Corpus) ReloadSnapshot(dir string) (DeltaStats, error) {
-	return c.publish("snapshot", func(old *corpusData) (*corpusData, ingest.Stats, error) {
+	return c.publish("snapshot", func(old *corpusData) (*corpusData, loadStats, error) {
 		if err := reloadSourceFault(); err != nil {
-			return nil, ingest.Stats{}, err
+			return nil, loadStats{}, err
 		}
 		if old.rt != nil {
 			if err := old.rt.ReloadSnapshot(dir); err != nil {
-				return nil, ingest.Stats{}, err
+				return nil, loadStats{}, err
 			}
 			// A shard counts as reused by the rule LoadDelta adopts by;
 			// the shard servers swap on their own.
 			src := old.rt.Source()
 			_, reused := ingest.Adoptable(old.gen.Source, src)
-			return &corpusData{rt: old.rt, gen: ingest.Generation{Source: src}}, ingest.Stats{Reused: reused}, nil
+			return &corpusData{rt: old.rt, gen: ingest.Generation{Source: src}}, loadStats{Stats: ingest.Stats{Reused: reused}}, nil
 		}
 		gen, reused, err := ingest.LoadDelta(dir, &old.gen)
 		if err != nil {
-			return nil, ingest.Stats{}, err
+			return nil, loadStats{}, err
 		}
-		return &corpusData{gen: *gen}, ingest.Stats{Reused: reused}, nil
+		return &corpusData{gen: *gen}, loadStats{Stats: ingest.Stats{Reused: reused}}, nil
 	})
 }
 
@@ -552,40 +556,51 @@ var testHookSplit func(*xmltree.Split)
 
 // generation reads one XML document and builds it into a corpus generation,
 // adopting from prev (nil for none) what a delta may. The document is split
-// at its root's children and built from its segments (ingest.BuildSplit),
-// parsing only the ones the build needs. Whatever the split path refuses or
-// cannot take — a root level segments cannot stand for, a malformed
-// segment, the node bound — one whole parse decides, so a document's error
-// is ParseBytes's. A DOCTYPE internal subset governs classification unless
+// at its root's children, passing over the runs of them prev read where the
+// input still holds them (ingest.SplitAfter), and built from its segments
+// (ingest.BuildSplit), parsing only the ones the build needs. Whatever the
+// split path refuses or cannot take — a root level segments cannot stand
+// for, a malformed segment, the node bound — one whole parse decides, so a
+// document's error is ParseBytes's. A DOCTYPE internal subset governs classification unless
 // the caller supplied an explicit DTD. Load and ReloadDelta both go through
 // here: "a delta reload is byte-identical to a fresh load" depends on the two
 // applying one rule.
-func (cfg *loadConfig) generation(src source, prev *ingest.Generation) (*ingest.Generation, ingest.Stats, error) {
+func (cfg *loadConfig) generation(src source, prev *ingest.Generation) (*ingest.Generation, loadStats, error) {
 	data, err := src()
 	if err != nil {
-		return nil, ingest.Stats{}, err
+		return nil, loadStats{}, err
 	}
-	if sp := xmltree.SplitBytes(data, cfg.parseOptions()...); sp != nil {
+	if sp := ingest.SplitAfter(data, prev, cfg.parseOptions()...); sp != nil {
 		if testHookSplit != nil {
 			testHookSplit(sp)
 		}
 		if d, err := cfg.classifyingDTD(sp.InternalSubset); err == nil {
 			if g, st, err := ingest.BuildSplit(sp, cfg.shards, d, prev); err == nil {
-				return g, st, nil
+				skipped := sp.Skipped()
+				return g, loadStats{Stats: st, scanned: len(data) - skipped, skipped: skipped}, nil
 			}
 		}
 	}
 	doc, err := xmltree.ParseBytes(data, cfg.parseOptions()...)
 	if err != nil {
-		return nil, ingest.Stats{}, err
+		return nil, loadStats{}, err
 	}
 	d, err := cfg.classifyingDTD(doc.InternalSubset)
 	if err != nil {
-		return nil, ingest.Stats{}, err
+		return nil, loadStats{}, err
 	}
 	entities := len(doc.Root.Children)
 	g, reused := ingest.Build(doc, cfg.shards, d, prev)
-	return g, ingest.Stats{Reused: reused, Parsed: entities}, nil
+	return g, loadStats{Stats: ingest.Stats{Reused: reused, Parsed: entities}, scanned: len(data)}, nil
+}
+
+// loadStats is what making a generation read of its input: the top-level
+// entities (ingest.Stats) and, from XML, the bytes scanned and the bytes a
+// split passed over because the serving generation had read them (see
+// ingest.SplitAfter). A whole parse scans every byte.
+type loadStats struct {
+	ingest.Stats
+	scanned, skipped int
 }
 
 // classifyingDTD resolves the DTD a document classifies under: the caller's,

@@ -1,6 +1,10 @@
 package ingest
 
-import "extract/xmltree"
+import (
+	"hash/maphash"
+
+	"extract/xmltree"
+)
 
 // Content hashes are a chunked FNV-1a 64 variant: stable across processes
 // and platforms (they are persisted in snapshot manifests and compared
@@ -121,8 +125,21 @@ func RootHash(label string, fromAttr bool, subset string) uint64 {
 // hashBytes fingerprints a serialized image: what a manifest records as
 // ImageHash, the reader verifies every image it opens against, and an
 // incremental Snapshot checks before it keeps an image already on disk.
+// It is the chunked FNV above because the hash is persisted: a process reads
+// what another wrote. The pieces of XML input a generation remembers are
+// never persisted, and hash with memoHash.
 func hashBytes(data []byte) uint64 {
 	h := newHasher()
 	fold(&h, data)
 	return h.sum
 }
+
+// memoSeed keys memoHash, one seed a process.
+var memoSeed = maphash.MakeSeed()
+
+// memoHash fingerprints a piece of XML input for the in-memory memo a
+// generation keeps of it (see Generation): maphash, an order of magnitude
+// faster than the FNV fold, and keyed by a seed of this process alone, so
+// the writer of a file cannot aim a collision at a piece already seen. Its
+// values mean nothing to another process, and are never persisted.
+func memoHash(b []byte) uint64 { return maphash.Bytes(memoSeed, b) }

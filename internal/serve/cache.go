@@ -5,6 +5,7 @@ import (
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"extract/internal/telemetry"
 )
@@ -131,6 +132,11 @@ type Cache struct {
 	// shard-placement seed so filter collisions do not correlate with
 	// lock striping.
 	doorSeed maphash.Seed
+	// whole is the one entry of the cache charged its shard's whole budget
+	// (recharge), weakly: an entry evicted otherwise is not kept alive by
+	// it. Its lock is never held with a shard's.
+	wholeMu sync.Mutex
+	whole   weak.Pointer[cacheEntry]
 
 	// The effectiveness counters are telemetry.Counters so the server can
 	// register them in its metric registry without an extra indirection on
@@ -338,14 +344,17 @@ func (c *Cache) put(key string, val *Cached, epoch uint64, f *flight) {
 // recharge re-prices v's entry, if it is still cached, for what v holds
 // now — the trees Cached.Trees built — evicting other least-recently-used
 // entries until the shard is within budget. A read never evicts the entry
-// it read: when the new price alone exceeds the shard's budget (a
+// it read: when the new price alone reaches the shard's budget (a
 // whole-document tree, say), the entry is charged the whole budget, so it
-// is the shard's one entry and the first one a later insert displaces. A
-// cache shard therefore holds at most one entry that costs more than its
-// budget, and the cache at most numCacheShards.
+// is the shard's one entry and the first one a later insert displaces, and
+// it displaces the entry charged so before it, in whichever shard. The
+// cache therefore holds at most one entry that costs more than its shard's
+// budget.
 func (c *Cache) recharge(v *Cached) {
 	s := c.shardFor(v.key)
-	cost := min(v.cost()+int64(len(v.key)), s.maxBytes)
+	cost := v.cost() + int64(len(v.key))
+	whole := cost >= s.maxBytes
+	cost = min(cost, s.maxBytes)
 	s.mu.Lock()
 	e, ok := s.entries[v.key]
 	if !ok || e.val != v {
@@ -364,9 +373,33 @@ func (c *Cache) recharge(v *Cached) {
 		s.remove(victim)
 	}
 	s.mu.Unlock()
+	if whole {
+		evicted += c.displaceWhole(e)
+	}
 	if evicted > 0 {
 		c.evictions.Add(int64(evicted))
 	}
+}
+
+// displaceWhole makes e the entry charged its shard's whole budget, and
+// evicts the one that was, if it is still cached: it reports how many
+// entries it evicted. The caller holds no shard's lock.
+func (c *Cache) displaceWhole(e *cacheEntry) int {
+	c.wholeMu.Lock()
+	was := c.whole.Value()
+	c.whole = weak.Make(e)
+	c.wholeMu.Unlock()
+	if was == nil || was == e {
+		return 0
+	}
+	s := c.shardFor(was.key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.entries[was.key] != was {
+		return 0
+	}
+	s.remove(was)
+	return 1
 }
 
 // occupancy reports the live entry count, estimated bytes held, and the

@@ -207,3 +207,44 @@ func FuzzReloadDeltaMatchesLoad(f *testing.F) {
 		}
 	})
 }
+
+// TestDeltaSplitScansWhatMoved: a delta reload from XML scans what its edit
+// moved and passes over the rest (extract_reload_bytes_total). After a
+// one-store edit in the first, a middle or the last retailer, the bytes
+// scanned are that retailer's, the head's and the tail's — at 16 retailers
+// and at 64 alike, so the scan grows with the change, not the file. A root
+// rename moves the head's length and the tail both, so nothing matches and
+// every byte is scanned.
+func TestDeltaSplitScansWhatMoved(t *testing.T) {
+	opts := []Option{WithShards(4), WithQueryCache(0)}
+	reload := func(t *testing.T, base, next string) (scanned, skipped int64) {
+		t.Helper()
+		c, err := LoadString(base, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		sc, sk := c.reloadBytes()
+		if _, err := c.ReloadDelta(strings.NewReader(next), opts...); err != nil {
+			t.Fatal(err)
+		}
+		return sc.Value(), sk.Value()
+	}
+	for _, retailers := range []int{16, 64} {
+		base := xmltree.XMLString(gen.Stores(gen.StoresConfig{Retailers: retailers, StoresPerRetailer: 4, ClothesPerStore: 3, Seed: 63}).Root)
+		for _, edited := range []int{0, retailers / 2, retailers - 1} {
+			next := inEntity(base, edited, "</city>", "ville</city>")
+			sp := xmltree.SplitBytes([]byte(next))
+			want := len(sp.Between(0)) + len(sp.Bytes(edited)) + len(sp.Between(len(sp.Segments)))
+			scanned, skipped := reload(t, base, next)
+			if scanned != int64(want) || skipped != int64(len(next)-want) {
+				t.Errorf("%d retailers, retailer %d edited: %d bytes scanned, %d skipped; want %d scanned (head, retailer, tail) of %d",
+					retailers, edited, scanned, skipped, want, len(next))
+			}
+		}
+		renamed := strings.Replace(strings.Replace(base, "<retailers>", "<shops>", 1), "</retailers>", "</shops>", 1)
+		if scanned, skipped := reload(t, base, renamed); scanned != int64(len(renamed)) || skipped != 0 {
+			t.Errorf("%d retailers, the root renamed: %d bytes scanned, %d skipped; want all %d scanned", retailers, scanned, skipped, len(renamed))
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"extract/internal/ingest"
 	"extract/internal/serve"
 	"extract/internal/telemetry"
 )
@@ -264,7 +263,7 @@ func WriteMetrics(w io.Writer, corpora map[string]*Corpus) error {
 // against shards rebuilt (or decoded, or re-placed), and in top-level
 // entities parsed against copied. Failed reloads count but do not pollute
 // the duration distribution — an early parse error is not a reload time.
-func (c *Corpus) recordReload(source string, stats DeltaStats, read ingest.Stats, start time.Time, err error) {
+func (c *Corpus) recordReload(source string, stats DeltaStats, read loadStats, start time.Time, err error) {
 	if err != nil {
 		c.reg.Counter("extract_reloads_total", reloadsHelp, telemetry.L("result", "error")).Inc()
 		return
@@ -278,6 +277,16 @@ func (c *Corpus) recordReload(source string, stats DeltaStats, read ingest.Stats
 	parsed, copied := c.reloadSegments()
 	parsed.Add(int64(read.Parsed))
 	copied.Add(int64(read.Copied))
+	scanned, skipped := c.reloadBytes()
+	scanned.Add(int64(read.scanned))
+	skipped.Add(int64(read.skipped))
+}
+
+// reloadBytes returns the extract_reload_bytes_total series. newCorpus
+// registers them, so both exist from the first scrape.
+func (c *Corpus) reloadBytes() (scanned, skipped *telemetry.Counter) {
+	return c.reg.Counter("extract_reload_bytes_total", reloadBytesHelp, telemetry.L("outcome", "scanned")),
+		c.reg.Counter("extract_reload_bytes_total", reloadBytesHelp, telemetry.L("outcome", "skipped"))
 }
 
 // reloadSegments returns the extract_reload_segments_total series. newCorpus
@@ -303,6 +312,7 @@ const (
 	reloadsHelp        = "Reloads by result; errored reloads left the old generation serving."
 	reloadShardsHelp   = "Shards of successfully reloaded generations by outcome: reused (adopted from the previous generation) or rebuilt."
 	reloadSegmentsHelp = "Top-level entities successful XML reloads read, by outcome: parsed (bytes the serving generation had not read) or copied (out of its documents)."
+	reloadBytesHelp    = "Input bytes of successful XML reloads, by outcome: scanned, or skipped (runs of top-level entities the serving generation read at the same offsets from either end, passed over unscanned)."
 )
 
 // recordSnapshotSave records one SaveSnapshot duration.

@@ -166,10 +166,14 @@ type scanner struct {
 	internal string
 
 	// split, set by SplitBytes, passes over the children of the root and
-	// records their extents in segs; segment, set by Split.Parse, stops
-	// once its child of the root has closed (see split.go).
+	// records their extents in segs — or, over a run it lands on the start
+	// of, the segments of its next jump, which jumped records; segment, set
+	// by Split.Parse, stops once its child of the root has closed (see
+	// split.go).
 	split   bool
 	segs    []Segment
+	jumps   []Jump
+	jumped  []Jump
 	segment bool
 }
 
@@ -177,6 +181,10 @@ type scanner struct {
 // child of the root.
 func (s *scanner) document() error {
 	for s.pos < len(s.src) {
+		if len(s.jumps) > 0 && s.pos >= s.jumps[0].Start {
+			s.jump()
+			continue
+		}
 		if s.src[s.pos] != '<' {
 			if err := s.charData(); err != nil {
 				return err

@@ -14,6 +14,15 @@ package xmltree
 // one ParseBytes accepts, with the same nodes; and a document ParseBytes
 // accepts splits and parses alike, unless its root level holds something a
 // segment cannot stand for (SplitBytes returns nil).
+//
+// A split may also pass over stretches it is told of (SplitSkipping): a run
+// of root children, and the bytes between them, whose extents a split of an
+// earlier input found in equal bytes. The scan takes such a jump only where
+// it lands on the run's first byte inside the root with nothing else open —
+// the state the earlier scan was in there — records the run's segments and
+// goes on after it; anywhere else it scans as ever. Equal bytes scanned from
+// an equal state end in an equal state with equal segments, so the split is
+// SplitBytes's whenever the jumps' bytes are what the caller says they are.
 
 import (
 	"bytes"
@@ -27,6 +36,16 @@ var errNoSplit = errors.New("xmltree: the root level does not split into segment
 // Segment is one child of the root as the bytes [Start, End) of the input.
 type Segment struct{ Start, End int }
 
+// Jump is a run of the root's children, and the bytes between them, that a
+// split may pass over (see SplitSkipping): [Start, End) of the input, with
+// Segments its children's extents in the input. It stands for the bytes
+// [From, From+End-Start) of an earlier input, where a split found the same
+// children; the split keeps From for its caller and does not read it.
+type Jump struct {
+	Start, End, From int
+	Segments         []Segment
+}
+
 // Split is a document cut at its root's children (see SplitBytes).
 type Split struct {
 	// Root is the root element's label, and InternalSubset the DOCTYPE
@@ -35,6 +54,9 @@ type Split struct {
 	InternalSubset string
 	// Segments are the root's children, in document order.
 	Segments []Segment
+	// Jumped are the jumps the split took, in input order: their bytes
+	// were passed over, not scanned.
+	Jumped []Jump
 
 	data     []byte
 	maxNodes int
@@ -46,8 +68,20 @@ type Split struct {
 // malformed (ParseBytes reports the error), or one whose root level holds
 // something a segment cannot stand for — attributes on the root, text,
 // CDATA or a directive among its children, or a child the light scan does
-// not delimit. data must not change while the Split is in use.
+// not delimit. data must not change while the Split is in use. It is
+// SplitSkipping with no jumps: every byte is scanned.
 func SplitBytes(data []byte, opts ...ParseOption) *Split {
+	return SplitSkipping(data, nil, opts...)
+}
+
+// SplitSkipping is SplitBytes passing over the jumps it lands on: jumps,
+// in input order and not overlapping, each a run of root children whose
+// bytes equal the ones an earlier split found them in (see Jump). The prolog,
+// the root's tags and whatever lies outside a jump taken are scanned, so
+// Root, InternalSubset and the verdict are the input's own. When every
+// jump's bytes are what it says, the split equals SplitBytes's; Jumped
+// lists the jumps taken.
+func SplitSkipping(data []byte, jumps []Jump, opts ...ParseOption) *Split {
 	var cfg parseConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -58,6 +92,7 @@ func SplitBytes(data []byte, opts ...ParseOption) *Split {
 		names:    make(map[string]*qname),
 		syms:     NewSymbols(),
 		split:    true,
+		jumps:    jumps,
 	}
 	if err := s.document(); err != nil {
 		return nil
@@ -66,6 +101,7 @@ func SplitBytes(data []byte, opts ...ParseOption) *Split {
 		Root:           s.root.Label,
 		InternalSubset: s.internal,
 		Segments:       s.segs,
+		Jumped:         s.jumped,
 		data:           data,
 		maxNodes:       cfg.maxNodes,
 		parsed:         make([]atomic.Bool, len(s.segs)),
@@ -76,6 +112,31 @@ func SplitBytes(data []byte, opts ...ParseOption) *Split {
 func (sp *Split) Bytes(i int) []byte {
 	seg := sp.Segments[i]
 	return sp.data[seg.Start:seg.End]
+}
+
+// Between returns the source bytes before segment i and after segment i-1,
+// a subslice of the input: Between(0) is the input up to the first segment
+// (all of it when there is none), and Between(len(Segments)) what follows
+// the last.
+func (sp *Split) Between(i int) []byte {
+	lo, hi := 0, len(sp.data)
+	if i > 0 {
+		lo = sp.Segments[i-1].End
+	}
+	if i < len(sp.Segments) {
+		hi = sp.Segments[i].Start
+	}
+	return sp.data[lo:hi]
+}
+
+// Skipped returns how many input bytes the split passed over in the jumps
+// it took; it scanned the others.
+func (sp *Split) Skipped() int {
+	n := 0
+	for _, j := range sp.Jumped {
+		n += j.End - j.Start
+	}
+	return n
 }
 
 // Parse parses segment i on its own into a detached tree: the child's
@@ -166,6 +227,19 @@ func (sp *Split) Limit(nodes int) error {
 		return ErrTooLarge
 	}
 	return nil
+}
+
+// jump takes the next jump if the scan is at its first byte inside the
+// root with nothing else open, and drops it otherwise: the scan has passed
+// its first byte, or is not where the earlier scan was there.
+func (s *scanner) jump() {
+	j := s.jumps[0]
+	s.jumps = s.jumps[1:]
+	if s.pos == j.Start && len(s.open) == 1 {
+		s.segs = append(s.segs, j.Segments...)
+		s.jumped = append(s.jumped, j)
+		s.pos = j.End
+	}
 }
 
 // skipChild passes over the child of the root whose start tag begins at

@@ -466,63 +466,26 @@ func decodeBody(data []byte, bodyOff int) (*core.Corpus, error) {
 	}, nil
 }
 
-// decodeStructure reconstructs the tree shape into the caller's slab,
+// decodeStructure links the tree into the caller's slab (xmltree.Linker),
 // assigning every finalization field — preorder position, interval, parent,
 // children — in a single pass, so no NewDocument re-walk is needed
-// afterwards. It writes only structural node
-// fields; decodeContent fills labels and kinds concurrently.
+// afterwards. It writes only structural node fields; decodeContent fills
+// labels and kinds concurrently.
 func decodeStructure(nodeSlab []xmltree.Node, ccSlab []byte) ([]*xmltree.Node, error) {
 	n := len(nodeSlab)
 	if n == 0 {
 		return nil, nil
 	}
 	docNodes := make([]*xmltree.Node, n)
-	childBacking := make([]*xmltree.Node, 0, n-1)
-	type frame struct {
-		node      *xmltree.Node
-		remaining int32
-	}
-	stack := make([]frame, 0, 32)
-	for i := 0; i < n; i++ {
-		nd := &nodeSlab[i]
-		docNodes[i] = nd
-		nd.Ord = i
-		nd.Start = int32(i)
-		cc := int32(binary.LittleEndian.Uint32(ccSlab[4*i:]))
-		if cc < 0 || int(cc) >= n {
-			return nil, fmt.Errorf("%w: node %d: child count %d", ErrBadFormat, i, cc)
-		}
-		if len(stack) > 0 {
-			top := &stack[len(stack)-1]
-			nd.Parent = top.node
-			top.node.Children = append(top.node.Children, nd)
-			top.remaining--
-		} else if i > 0 {
-			return nil, fmt.Errorf("%w: node %d outside the root subtree", ErrBadFormat, i)
-		}
-		if cc > 0 {
-			// Reserve this node's children region in the shared backing
-			// array; appends fill it without reallocating.
-			start := len(childBacking)
-			if start+int(cc) > cap(childBacking) {
-				return nil, fmt.Errorf("%w: child counts exceed node count", ErrBadFormat)
-			}
-			childBacking = childBacking[:start+int(cc)]
-			nd.Children = childBacking[start : start : start+int(cc)]
-			stack = append(stack, frame{node: nd, remaining: cc})
-		} else {
-			nd.End = int32(i)
-		}
-		for len(stack) > 0 && stack[len(stack)-1].remaining == 0 {
-			stack[len(stack)-1].node.End = int32(i)
-			stack = stack[:len(stack)-1]
+	link := xmltree.NewLinker(make([]*xmltree.Node, n-1))
+	for i := range nodeSlab {
+		docNodes[i] = &nodeSlab[i]
+		if err := link.Link(docNodes[i], int(binary.LittleEndian.Uint32(ccSlab[4*i:]))); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadFormat, err)
 		}
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("%w: tree truncated: %d open nodes", ErrBadFormat, len(stack))
-	}
-	if len(childBacking) != n-1 {
-		return nil, fmt.Errorf("%w: %d children for %d nodes", ErrBadFormat, len(childBacking), n)
+	if err := link.Close(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadFormat, err)
 	}
 	return docNodes, nil
 }

@@ -104,19 +104,18 @@ func (v *Reader) Str() string {
 
 // BuildNodes materializes the node records of one tree at v, the way
 // internal/persist loads a document: nodes arrive in preorder with their child
-// counts, so a single pass fills a node slab, carves every Children slice out
-// of one arena and links Parent as it goes. Allocations are a constant plus
-// one per slab chunk, none per node; every label and value is a substring of
-// v's text. With syms the nodes are a result tree's — symbol ids assigned as
-// NewDocument would, Ord/Start/End set as preorder positions — ready for
-// xmltree.AdoptFinalized; without, they are a snippet tree's, which carries
-// neither.
+// counts, so a single pass fills a node slab and links it (xmltree.Linker),
+// every Children slice carved out of one arena. Allocations are a constant
+// plus one per slab chunk, none per node; every label and value is a
+// substring of v's text, and every node carries its preorder position. With
+// syms the nodes are a result tree's, symbol ids assigned as NewDocument
+// would — ready for xmltree.AdoptFinalized; without, a snippet tree's, which
+// carries no symbol ids.
 func (v *Reader) BuildNodes(syms *xmltree.Symbols) []*xmltree.Node {
 	total := v.Uvarint()
 	ptrs := make([]*xmltree.Node, 2*total-1)
 	var slab []xmltree.Node
-	nodes, childArena := ptrs[:total:total], ptrs[total:]
-	var open *xmltree.Node // innermost node with unfilled child slots
+	nodes, link := ptrs[:total:total], xmltree.NewLinker(ptrs[total:])
 	for i := range nodes {
 		if len(slab) == 0 {
 			slab = make([]xmltree.Node, min(total-i, SlabChunk))
@@ -135,26 +134,9 @@ func (v *Reader) BuildNodes(syms *xmltree.Symbols) []*xmltree.Node {
 		n.FromAttr = flags&FlagFromAttr != 0
 		if syms != nil {
 			syms.Assign(n)
-			n.Ord, n.Start, n.End = i, int32(i), int32(i)
 		}
-		if open != nil {
-			n.Parent = open
-			open.Children = append(open.Children, n)
-		}
-		if kids := v.Uvarint(); kids > 0 {
-			n.Children = childArena[:0:kids]
-			childArena = childArena[kids:]
-			open = n
-			continue
-		}
-		// A leaf closes every ancestor whose last slot it (transitively)
-		// filled.
-		for open != nil && len(open.Children) == cap(open.Children) {
-			if syms != nil {
-				open.End = int32(i)
-			}
-			open = open.Parent
-		}
+		// The scan has checked the tree's shape: linking cannot fail.
+		_ = link.Link(n, v.Uvarint())
 	}
 	return nodes
 }

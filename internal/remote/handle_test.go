@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strconv"
 	"sync"
@@ -397,5 +398,65 @@ func TestTreeReadAsksGroupsAtOnce(t *testing.T) {
 	}
 	if n := callsOf(rt, "trees"); len(n) != groups {
 		t.Fatalf("trees calls %v: the answer does not span every group", n)
+	}
+}
+
+// TestRacingTreeReadsTakeOneRoundPerGroup: goroutines racing to make the
+// first tree reads of different results of one routed answer share one
+// fetch — the answer's batch (search.Batch) runs one build for all its
+// results — so the answer costs one trees call per replica group, and every
+// reader gets the local result's tree. The servers hold each call a moment,
+// so every reader arrives while the fetch is in flight.
+func TestRacingTreeReadsTakeOneRoundPerGroup(t *testing.T) {
+	sc := shard.Build(gen.Stores(gen.StoresConfig{Retailers: 6, StoresPerRetailer: 3, ClothesPerStore: 4, Seed: 3}), 4)
+	rt := startCluster(t, sc, 2, 1).router
+	const q = "store"
+	opts := search.Options{DistinctAnchors: true}
+	local, err := sc.Search(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, _, err := rt.Answer(context.Background(), search.Parse(q), opts, nil, -1)
+	if err != nil || len(rs) != len(local) || len(rs) < 2 {
+		t.Fatalf("answer: %d results, local %d, %v", len(rs), len(local), err)
+	}
+	faultinject.SetTag(faultinject.RemoteServe, func(string) error {
+		time.Sleep(50 * time.Millisecond)
+		return nil
+	})
+	defer faultinject.Reset()
+	const readersPerResult = 4
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, readersPerResult*len(rs))
+	for i := range rs {
+		for range readersPerResult {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				tree, err := rs[i].Tree(context.Background())
+				if err != nil {
+					errs <- err
+				} else if g, w := xmltree.XMLString(tree.Root), xmltree.XMLString(local[i].Root); g != w {
+					errs <- fmt.Errorf("tree %d differs\nwant %s\ngot  %s", i, w, g)
+				}
+			}()
+		}
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	calls := callsOf(rt, "trees")
+	if len(calls) < 2 {
+		t.Fatalf("trees calls %v: the answer does not span groups", calls)
+	}
+	for g, n := range calls {
+		if n != 1 {
+			t.Fatalf("trees calls %v: %d to group %s, want one to each", calls, n, g)
+		}
 	}
 }

@@ -712,29 +712,26 @@ var ErrResultGone = errors.New("remote: result's generation is no longer served"
 
 // answerTrees is where one routed answer's trees come from — the
 // search.Source of its deferred results: its query, options and placement —
-// the generation that answered — and every taken result's handle. The first
-// read of any tree fetches the trees of every result of the answer at once,
-// by the fan-out snippets take too
-// (byHandle): one trees call per replica group holding some of them (a
-// result anchored at the root to any replica), the calls running concurrently,
-// against the answer's fingerprint, not the router's current placement. A
-// group whose call fails is asked again by the next read; the trees that did
-// arrive are kept.
+// the generation that answered — and every taken result's handle. The
+// results' batch (search.Batch) asks it for every tree the answer lacks, on
+// the first read of any of them, and it fetches them by the fan-out snippets
+// take too (byHandle): one trees call per replica group holding some of them
+// (a result anchored at the root to any replica), the calls running
+// concurrently, against the answer's fingerprint, not the router's current
+// placement. A group whose call fails is asked again by the next read; the
+// trees that did arrive are kept.
 type answerTrees struct {
+	search.Batch
 	rt      *Router
 	pl      *placement
 	q       search.Query
 	opts    search.Options
 	handles []handle
-
-	mu     sync.Mutex
-	trees  []*search.Result // aligned with handles, made by the first fetch; nil until fetched
-	flight chan struct{}    // closed when the running fetch ends; nil when none runs
 }
 
 // newAnswerTrees makes the answer of pl's generation whose results are
 // winners (take). An answer that never reads a tree allocates no slot for
-// one: the first fetch makes them (Tree).
+// one: the batch makes them on the first read.
 func newAnswerTrees(rt *Router, pl *placement, q search.Query, opts search.Options, winners []scanned) (*answerTrees, []*search.Result) {
 	at := &answerTrees{rt: rt, pl: pl, q: q, opts: opts, handles: make([]handle, len(winners))}
 	return at, at.take(winners)
@@ -774,58 +771,12 @@ func (at *answerTrees) take(winners []scanned) []*search.Result {
 	})
 }
 
-// Tree returns result i's tree, fetching the answer's missing trees on the
-// first read. A reader waits for a fetch already running only as long as
-// its own ctx allows.
-func (at *answerTrees) Tree(ctx context.Context, i int) (*search.Result, error) {
-	for {
-		at.mu.Lock()
-		if at.trees != nil && at.trees[i] != nil {
-			tree := at.trees[i]
-			at.mu.Unlock()
-			return tree, nil
-		}
-		if f := at.flight; f != nil {
-			at.mu.Unlock()
-			select {
-			case <-f:
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		f := make(chan struct{})
-		at.flight = f
-		if at.trees == nil {
-			at.trees = make([]*search.Result, len(at.handles))
-		}
-		var missing []int
-		for k, tree := range at.trees {
-			if tree == nil {
-				missing = append(missing, k)
-			}
-		}
-		at.mu.Unlock()
-		err := at.fetch(ctx, missing)
-		at.mu.Lock()
-		at.flight = nil
-		tree := at.trees[i]
-		at.mu.Unlock()
-		close(f)
-		if err != nil && tree == nil {
-			return nil, err
-		}
-		return tree, nil
-	}
-}
-
-// fetch asks each group for the trees of the results missing lists, all
-// groups at once (byHandle), and builds and stores what arrives; it returns
-// the first failure in group order, ErrResultGone when that is a skew. ctx
-// bounds the calls, and so does backgroundCallTimeout, for a reader whose
-// context has no deadline. The caller holds the flight, so the slots written
-// here are not read until it ends.
-func (at *answerTrees) fetch(ctx context.Context, missing []int) error {
+// Trees fetches the trees of the results missing lists: it asks each group
+// for its share, all groups at once (byHandle), and builds what arrives into
+// trees. It returns the first failure in group order, ErrResultGone when
+// that is a skew. ctx bounds the calls, and so does backgroundCallTimeout,
+// for a reader whose context has no deadline.
+func (at *answerTrees) Trees(ctx context.Context, missing []int, trees []*search.Result) error {
 	ctx, cancel := context.WithTimeout(ctx, backgroundCallTimeout)
 	defer cancel()
 	req := treesReq{opts: at.opts, query: at.q.Text, fingerprint: at.pl.fingerprint, bound: -1}
@@ -838,7 +789,7 @@ func (at *answerTrees) fetch(ctx context.Context, missing []int) error {
 			return protocolErrf("trees response carries %d trees for %d handles", len(recs), len(idx))
 		}
 		for k, rec := range recs {
-			at.trees[idx[k]] = rec.build()
+			trees[idx[k]] = rec.build()
 		}
 		return nil
 	})

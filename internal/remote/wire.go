@@ -30,9 +30,12 @@
 // answer's generation — so only kept results get snippets, save the eval
 // round's of a query that takes round two, which are discarded. Trees are
 // fetched the same way, by handle (any replica for a whole handle): the
-// router answers with deferred results (search.Result.Tree), and the first
-// read of any tree of an answer fetches that answer's trees. The trees travel
-// as lossless encodings and build to exactly the local results.
+// router answers with deferred results (search.Result.Tree), one batch an
+// answer, and the first read of any tree of an answer fetches that answer's
+// trees, once: the batch's guard (search.Batch) runs the fetch, and the
+// answer (answerTrees) only fetches. The trees travel as lossless encodings
+// and build to exactly the local results (record.Reader.BuildNodes, through
+// the one preorder linker, xmltree.Linker).
 //
 // Placement is content-addressed: every shard's manifest content hash
 // (ingest.ShardEntry.ContentHash) is rendezvous-hashed over the configured

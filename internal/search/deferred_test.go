@@ -71,27 +71,37 @@ func TestDeferredTreeBuiltOnce(t *testing.T) {
 	}
 }
 
-// treeFunc is the Source of a batch of one deferred result: calling it builds
-// the result's tree.
-type treeFunc func(context.Context) (*Result, error)
+// treeSource is the Source of a batch of one deferred result: calling build
+// builds the result's tree.
+type treeSource struct {
+	Batch
+	build func(context.Context) (*Result, error)
+}
 
-func (f treeFunc) Tree(ctx context.Context, _ int) (*Result, error) { return f(ctx) }
+func (s *treeSource) Trees(ctx context.Context, _ []int, trees []*Result) (err error) {
+	trees[0], err = s.build(ctx)
+	return err
+}
 
 // deferOne is a batch of one deferred result (Defer) whose tree build makes.
-func deferOne(nodes, retained int, depths []KeywordDepth, build treeFunc) *Result {
-	return Defer(build, 1, func(int) (int, int, []KeywordDepth) { return nodes, retained, depths })[0]
+func deferOne(nodes, retained int, depths []KeywordDepth, build func(context.Context) (*Result, error)) *Result {
+	return Defer(&treeSource{build: build}, 1, func(int) (int, int, []KeywordDepth) { return nodes, retained, depths })[0]
 }
 
 // indexedTrees is a Source that builds result i's tree as the i-th node of
 // its document, counting the builds of each.
 type indexedTrees struct {
+	Batch
 	doc    *xmltree.Document
 	builds []int
 }
 
-func (s *indexedTrees) Tree(_ context.Context, i int) (*Result, error) {
-	s.builds[i]++
-	return FromNode(s.doc, s.doc.ByOrd(i)), nil
+func (s *indexedTrees) Trees(_ context.Context, missing []int, trees []*Result) error {
+	for _, i := range missing {
+		s.builds[i]++
+		trees[i] = FromNode(s.doc, s.doc.ByOrd(i))
+	}
+	return nil
 }
 
 // TestDeferredBatchBuildsEachResult: every result of a batch answers from

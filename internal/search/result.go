@@ -27,13 +27,15 @@ import (
 // A deferred result (Defer) — what a distributed router returns — has no tree
 // yet: its tree fields are nil, Size and MatchDepth answer from what arrived
 // with it, and Tree builds the tree the first time anything asks — which, on
-// a router, fetches it and can fail.
+// a router, fetches it and can fail. The results of one Defer are a batch
+// that shares one build-once guard and the trees built (Batch): the first
+// read of any of them builds every tree the batch lacks.
 //
 // A whole-document result (Whole) — a sharded corpus's result anchored at the
 // document root — has no tree either: it is a view over the shards, by
 // global position (index.Whole), which the snippet pipeline reads as it is;
 // Tree builds a tree of its own from the shards (WholeDocument) only for a
-// reader that needs one.
+// reader that needs one, as a batch of one.
 //
 // A result's keyword matches (Matches, MatchKeywords) are runs of its
 // query's posting lists, which every result of the evaluation shares
@@ -80,6 +82,7 @@ type Result struct {
 // shards it reads, its LCA's global position, and its query's keys and
 // posting lists on every shard — never an evaluation's LCAs.
 type whole struct {
+	Batch
 	view     *index.Whole
 	lca      int32
 	keywords []string
@@ -102,15 +105,16 @@ func Whole(view *index.Whole, lca int32, keys []string, lists [][]*index.Posting
 		deferred
 		w whole
 	}{w: whole{view: view, lca: lca, keywords: keys, lists: lists}}
+	d.w.n = 1
 	d.p.nodes, d.p.src, d.p.whole = view.Len(), &d.w, &d.w
 	d.r.pending = &d.p
 	return &d.r
 }
 
-// Tree builds a whole-document result's tree (WholeDocument), whose
+// Trees builds a whole-document result's tree (WholeDocument), whose
 // positions are the view's: its LCA and matches are the nodes at theirs. A
-// whole is the Source of its one result.
-func (w *whole) Tree(context.Context, int) (*Result, error) {
+// whole is the Source of its one result, a batch of one.
+func (w *whole) Trees(_ context.Context, _ []int, trees []*Result) error {
 	doc := WholeDocument(w.view)
 	nodes := doc.Nodes()
 	r := &Result{Root: doc.Root, Doc: doc, Anchor: doc.Root, LCA: nodes[w.lca]}
@@ -123,7 +127,8 @@ func (w *whole) Tree(context.Context, int) (*Result, error) {
 		lists[k] = index.PackNodes(ms)
 	}
 	r.OwnMatches(w.keywords, lists)
-	return r, nil
+	trees[0] = r
+	return nil
 }
 
 // WholeDocument builds the whole document that view reads as a finalized
@@ -135,21 +140,21 @@ func (w *whole) Tree(context.Context, int) (*Result, error) {
 func WholeDocument(view *index.Whole) *xmltree.Document {
 	src := view.Nodes()
 	slab, nodes := make([]xmltree.Node, len(src)), make([]*xmltree.Node, len(src))
-	kids := make([]*xmltree.Node, len(src)-1) // every node but the root is a child
+	link := xmltree.NewLinker(make([]*xmltree.Node, len(src)-1)) // every node but the root is a child
+	// The root's children come from every part.
+	rootKids := 0
+	for _, ix := range view.Parts() {
+		rootKids += len(ix.Document().Root.Children)
+	}
 	for pos, n := range src {
 		c := &slab[pos]
 		c.Kind, c.Sym, c.Label, c.Value, c.FromAttr = n.Kind, view.Sym(int32(pos), n), n.Label, n.Value, n.FromAttr
-		c.Ord, c.Start, c.End = pos, int32(pos), int32(len(src)-1)
 		nodes[pos] = c
-		if pos == 0 { // the root's children come from every part
-			continue
+		kids := len(n.Children)
+		if pos == 0 {
+			kids = rootKids
 		}
-		i, _ := view.Locate(int32(pos))
-		c.End, c.Parent = view.Global(i, n.End), &slab[view.Global(i, n.Parent.Start)]
-		c.Parent.Children = append(c.Parent.Children, c)
-		if m := len(n.Children); m > 0 {
-			c.Children, kids = kids[:0:m], kids[m:]
-		}
+		_ = link.Link(c, kids) // the parts' own trees: linking cannot fail
 	}
 	return xmltree.AdoptFinalized(nodes)
 }
@@ -328,7 +333,7 @@ type KeywordDepth struct {
 }
 
 // pending is a deferred result: what is known of it without its tree, and
-// where its tree comes from — result at of src's batch — until it is built.
+// where its tree comes from — result at of src's batch.
 type pending struct {
 	nodes    int
 	retained int
@@ -337,11 +342,8 @@ type pending struct {
 	// whole is set on a whole-document result, and only there: see Whole.
 	whole *whole
 
-	mu     sync.Mutex
-	src    Source // nil once the tree is built
-	at     int
-	tree   *Result
-	flight chan struct{} // closed when the running build ends; nil when none runs
+	src Source
+	at  int
 }
 
 // deferred is a deferred result and its pending state in one allocation.
@@ -350,18 +352,94 @@ type deferred struct {
 	p pending
 }
 
-// Source builds the trees of a batch of deferred results (Defer): Tree(ctx,
-// i) builds result i's. Result.Tree calls it one call at a time for each
-// result, until one succeeds.
+// Source builds the trees of a batch of deferred results (Defer). It embeds
+// the Batch its results share, and serves one batch.
 type Source interface {
-	Tree(ctx context.Context, i int) (*Result, error)
+	// Trees builds the tree of each result i of the batch that missing
+	// lists into trees[i], a slice of the batch's size that the call owns,
+	// and returns an error when it did not build them all. The trees it did
+	// build are kept. The batch makes one call at a time.
+	Trees(ctx context.Context, missing []int, trees []*Result) error
+	batch() *Batch
 }
 
-// Defer returns a batch of n deferred results, cut from one slab: result i's
-// tree is src.Tree(ctx, i), and at(i) tells its tree's node count, the bytes
-// it holds until the tree is built, and its per-keyword least match depths
-// (MatchDepth). Nothing is allocated per result.
+// Batch is what the deferred results of one batch share: the one tree build
+// that runs at a time (Source.Trees, for every tree the batch lacks), and the
+// trees built. Every Source embeds one — so a batch costs no allocation of
+// its own — and the zero Batch is ready.
+type Batch struct {
+	mu     sync.Mutex
+	n      int           // the batch's size
+	trees  []*Result     // aligned with the batch, then the running build's slots; made by the first build
+	flight chan struct{} // closed when the running build ends; nil when none runs
+}
+
+func (b *Batch) batch() *Batch { return b }
+
+// built returns result i's tree, nil until it is built. b.mu is held.
+func (b *Batch) built(i int) *Result {
+	if b.trees == nil {
+		return nil
+	}
+	return b.trees[i]
+}
+
+// tree returns result i's tree, first building every tree the batch lacks
+// (src.Trees) when i's is one of them. Concurrent first reads wait for one
+// build, each only as long as its own ctx allows.
+func (b *Batch) tree(ctx context.Context, src Source, i int) (*Result, error) {
+	for {
+		b.mu.Lock()
+		if tree := b.built(i); tree != nil {
+			b.mu.Unlock()
+			return tree, nil
+		}
+		if f := b.flight; f != nil {
+			b.mu.Unlock()
+			select {
+			case <-f:
+				continue
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		f := make(chan struct{})
+		b.flight = f
+		if b.trees == nil {
+			b.trees = make([]*Result, 2*b.n)
+		}
+		var missing []int
+		for k, tree := range b.trees[:b.n] {
+			if tree == nil {
+				missing = append(missing, k)
+			}
+		}
+		// The build fills slots of its own, which Retained does not read.
+		built := b.trees[b.n:]
+		b.mu.Unlock()
+		err := src.Trees(ctx, missing, built)
+		b.mu.Lock()
+		for _, k := range missing {
+			b.trees[k], built[k] = built[k], nil
+		}
+		tree := b.trees[i]
+		b.flight = nil
+		b.mu.Unlock()
+		close(f)
+		if tree == nil {
+			return nil, err
+		}
+		return tree, nil
+	}
+}
+
+// Defer returns a batch of n deferred results over src, cut from one slab:
+// result i's tree is the i-th src.Trees builds, and at(i) tells its tree's
+// node count, the bytes it holds until the tree is built, and its
+// per-keyword least match depths (MatchDepth). Nothing is allocated per
+// result, nor for the batch.
 func Defer(src Source, n int, at func(i int) (nodes, retained int, depths []KeywordDepth)) []*Result {
+	src.batch().n = n
 	slab, rs := make([]deferred, n), make([]*Result, n)
 	for i := range slab {
 		d := &slab[i]
@@ -375,46 +453,21 @@ func Defer(src Source, n int, at func(i int) (nodes, retained int, depths []Keyw
 
 // Tree returns the result with its tree fields filled in: r itself, or — for
 // a deferred or a whole-document result — the tree built on the first
-// successful call, which ctx bounds. Concurrent first calls wait for one build — each only as long
-// as its own ctx allows — and every call after a success returns the same
-// tree. A build that fails (a distributed router's tree fetch, or ctx ending)
-// returns its error and leaves the result deferred, so a later call tries
-// again; a result held across a move of the serving tier's generation fails
-// every time. A whole-document result's build never fails: its Tree fails
-// only when ctx ends while it waits for another call's build.
+// successful call, which ctx bounds. The first read of any result of a batch
+// builds every tree the batch lacks (Batch); concurrent first calls wait for
+// one build — each only as long as its own ctx allows — and every call after
+// a success returns the same tree. A build that fails (a distributed router's
+// tree fetch, or ctx ending) returns its error and leaves the results whose
+// trees it did not build deferred, so a later call tries again; a result held
+// across a move of the serving tier's generation fails every time. A
+// whole-document result's build never fails: its Tree fails only when ctx
+// ends while it waits for another call's build.
 func (r *Result) Tree(ctx context.Context) (*Result, error) {
 	p := r.pending
 	if p == nil {
 		return r, nil
 	}
-	for {
-		p.mu.Lock()
-		if tree := p.tree; tree != nil {
-			p.mu.Unlock()
-			return tree, nil
-		}
-		if f := p.flight; f != nil {
-			p.mu.Unlock()
-			select {
-			case <-f:
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		f, src := make(chan struct{}), p.src
-		p.flight = f
-		p.mu.Unlock()
-		tree, err := src.Tree(ctx, p.at)
-		p.mu.Lock()
-		if err == nil {
-			p.tree, p.src = tree, nil
-		}
-		p.flight = nil
-		p.mu.Unlock()
-		close(f)
-		return tree, err
-	}
+	return p.src.batch().tree(ctx, p.src, p.at)
 }
 
 // Retained reports whether r is deferred — its tree not built yet — and, if
@@ -426,9 +479,10 @@ func (r *Result) Retained() (bytes int, deferred bool) {
 	if p == nil {
 		return 0, false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.retained, p.tree == nil
+	b := p.src.batch()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return p.retained, b.built(p.at) == nil
 }
 
 // IsView reports whether the result is a read-only view of its source
@@ -652,25 +706,14 @@ func (e *Engine) Build(dst []*Result, ev *Evaluation, hits []Hit) []*Result {
 	return dst
 }
 
-// Shipped tells, without building it, what a shard server ships of the result
-// hit h of ev yields (Build): its tree's node count, Size()+1 of the built
-// result, and in depths, which holds one slot a keyword of ev, the least depth
-// below the anchor of each keyword's matches, -1 where it has none —
-// MatchDepth of the built result, by the same rule (leastDepth) over the same
-// posting runs. A view's node count is its anchor's interval; a ModeXSeek
-// projection's needs its tree, which Shipped then builds.
+// Shipped tells, without building it, what a shard server ships of the view
+// hit h of ev yields (Build in ModeSubtree): its tree's node count, its
+// anchor's interval, and in depths, which holds one slot a keyword of ev, the
+// least depth below the anchor of each keyword's matches, -1 where it has
+// none — MatchDepth of the built result, by the same rule (leastDepth) over
+// the same posting runs. A ModeXSeek projection's node count needs its tree:
+// its server builds it and ships that.
 func (e *Engine) Shipped(ev *Evaluation, h Hit, depths []int) int {
-	if e.opts.Mode == ModeXSeek {
-		r := e.Build(nil, ev, []Hit{h})[0]
-		for k, kw := range ev.Keywords {
-			if d, ok := r.MatchDepth(kw); ok {
-				depths[k] = d
-			} else {
-				depths[k] = -1
-			}
-		}
-		return r.Doc.Len()
-	}
 	anchor := e.doc.ByOrd(int(h.Anchor))
 	for k, pl := range ev.Lists {
 		depths[k] = -1

@@ -114,7 +114,7 @@ type selection struct {
 	// part, and run the result's entries in part 0 (entry).
 	cursor struct{ part, at int }
 	run    struct{ lo, hi int }
-	ints   []int  // shape's parents and child counts
+	ints   []int  // shape's child counts
 	tok    []byte // keywordsIn's token buffer (index.EachTokenIn)
 }
 
@@ -663,7 +663,7 @@ func (x *Selection) Len() int { return len(x.s.members) }
 // Node returns the i-th snippet node in preorder — a node of the result —
 // and the number of its children in the snippet.
 func (x *Selection) Node(i int) (*xmltree.Node, int) {
-	return x.s.stats.Node(x.s.members[i]), x.s.ints[len(x.s.members)+i]
+	return x.s.stats.Node(x.s.members[i]), x.s.ints[i]
 }
 
 // Release returns the selection's scratch to the pool.
@@ -694,23 +694,21 @@ func (x *Selection) Tree() *xmltree.Node {
 }
 
 // shape sorts the member set, which is closed over ancestors up to the
-// result root, into preorder, and records every member's parent and child
-// count (s.ints: parents, then counts): sorted by position, a member's
-// parent is the innermost earlier member still open, so one scan with the
-// chain of open members finds them all.
+// result root, into preorder, and counts every member's children (s.ints):
+// sorted by position, a member's parent is the innermost earlier member
+// still open, so one scan with the chain of open members finds them all.
 func (s *selection) shape() {
 	members := s.members
 	slices.Sort(members)
 	n := len(members)
-	s.ints = append(s.ints[:0], make([]int, 3*n)...)
-	parent, kids, open := s.ints[:n], s.ints[n:2*n], s.ints[2*n:2*n]
+	s.ints = append(s.ints[:0], make([]int, 2*n)...)
+	kids, open := s.ints[:n], s.ints[n:n]
 	for i, m := range members {
 		for len(open) > 0 && s.endOf(members[open[len(open)-1]]) < m {
 			open = open[:len(open)-1]
 		}
 		if i > 0 {
-			parent[i] = open[len(open)-1]
-			kids[parent[i]]++
+			kids[open[len(open)-1]]++
 		}
 		open = append(open, i)
 	}
@@ -724,22 +722,15 @@ func (s *selection) owned() *xmltree.Node {
 }
 
 // materialize copies the shaped member set (shape) into a snippet tree in
-// document order, one node of copies a member, every child list carved from
-// arena (a member less long). Origin pointers lead back to the members.
+// document order, one node of copies a member, linked (xmltree.Linker) with
+// every child list carved from arena (a member less long). Origin pointers
+// lead back to the members.
 func (s *selection) materialize(copies []xmltree.Node, arena []*xmltree.Node) *xmltree.Node {
-	members := s.members
-	n := len(members)
-	parent, kids := s.ints[:n], s.ints[n:2*n]
-	for i, p := range members {
+	link := xmltree.NewLinker(arena)
+	for i, p := range s.members {
 		m, c := s.stats.Node(p), &copies[i]
 		*c = xmltree.Node{Kind: m.Kind, Label: m.Label, Value: m.Value, FromAttr: m.FromAttr, Origin: m}
-		if kids[i] > 0 {
-			c.Children, arena = arena[:0:kids[i]], arena[kids[i]:]
-		}
-		if i > 0 {
-			c.Parent = &copies[parent[i]]
-			c.Parent.Children = append(c.Parent.Children, c)
-		}
+		_ = link.Link(c, s.ints[i]) // shape counted the children: linking cannot fail
 	}
 	return &copies[0]
 }

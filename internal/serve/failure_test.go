@@ -228,7 +228,7 @@ type deferredBackend struct {
 func (b *deferredBackend) Analysis() *core.Corpus { return b.inner.Analysis() }
 
 func (b *deferredBackend) Answer(ctx context.Context, _ search.Query, opts search.Options, run shard.Runner, bound int) ([]*search.Result, []*core.Generated, error) {
-	rs := search.Defer(storeTrees{xmltree.NewDocument(xmltree.Elem("store"))}, b.n, func(int) (int, int, []search.KeywordDepth) {
+	rs := search.Defer(&storeTrees{doc: xmltree.NewDocument(xmltree.Elem("store"))}, b.n, func(int) (int, int, []search.KeywordDepth) {
 		return b.nodes, 64, nil
 	})
 	return rs, nil, nil
@@ -236,10 +236,16 @@ func (b *deferredBackend) Answer(ctx context.Context, _ search.Query, opts searc
 
 // storeTrees builds every deferred result's tree as a view of its
 // one-element document.
-type storeTrees struct{ doc *xmltree.Document }
+type storeTrees struct {
+	search.Batch
+	doc *xmltree.Document
+}
 
-func (s storeTrees) Tree(context.Context, int) (*search.Result, error) {
-	return search.FromNode(s.doc, s.doc.Root), nil
+func (s *storeTrees) Trees(_ context.Context, missing []int, trees []*search.Result) error {
+	for _, i := range missing {
+		trees[i] = search.FromNode(s.doc, s.doc.Root)
+	}
+	return nil
 }
 
 // TestTreesRechargeTheCachedEntry: a cached entry of deferred results is

@@ -265,11 +265,10 @@ func (r *Round) Build(dst []*search.Result, hits []search.Hit) []*search.Result 
 	return dst
 }
 
-// Shipped is search.Engine.Shipped for a hit of a shard the round lists, on
-// the engine and evaluation that found it: the node count of the result the
-// hit yields and, in depths (a slot a query term), its match depths — what a
-// shard server ships of a result, with nothing built but a ModeXSeek
-// projection.
+// Shipped is search.Engine.Shipped for a view hit of a shard the round
+// lists, on the engine and evaluation that found it: the node count of the
+// view the hit yields and, in depths (a slot a query term), its match depths
+// — what a shard server ships of a view, with nothing built.
 func (r *Round) Shipped(h search.Hit, depths []int) int {
 	e := r.shards[h.Shard]
 	return e.eng.Shipped(e.ev, h, depths)

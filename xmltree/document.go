@@ -1,6 +1,9 @@
 package xmltree
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Document is a finalized XML tree: preorder positions and intervals have
 // been assigned to every node, and the preorder node sequence is
@@ -102,6 +105,62 @@ func AdoptFinalized(nodes []*Node) *Document {
 		d.Root = nodes[0]
 	}
 	return d
+}
+
+// Linker links nodes that arrive in preorder, each with its child count,
+// into one tree: it sets every node's Parent, its preorder position (Ord,
+// Start) and its End, and carves its Children out of an arena the caller
+// sizes — one slot a child, total-1 for a tree of total nodes — so a tree of
+// any shape or depth links with no allocation of its own. It keeps no stack:
+// the innermost node with an unfilled child slot is the one open, and its
+// Parent the next. The parser and CopySegment carve their child lists in
+// chunks instead (the retention rule in parse.go).
+type Linker struct {
+	arena []*Node // child slots not yet carved
+	open  *Node   // the innermost node with an unfilled child slot
+	next  int     // the position of the next node
+}
+
+// NewLinker returns a Linker that carves child lists out of arena.
+func NewLinker(arena []*Node) Linker { return Linker{arena: arena} }
+
+// Link links n, the next node in preorder, which has kids children to come.
+// It refuses a child count past the slots the arena has left — past the node
+// total, for an arena of total-1 — and a node that comes after the root's
+// subtree has closed: a second root.
+func (l *Linker) Link(n *Node, kids int) error {
+	i := l.next
+	if l.open == nil && i > 0 {
+		return fmt.Errorf("node %d outside the root subtree", i)
+	}
+	if kids < 0 || kids > len(l.arena) {
+		return fmt.Errorf("node %d: child count %d past the node total", i, kids)
+	}
+	l.next++
+	n.Parent, n.Children = l.open, nil
+	n.Ord, n.Start, n.End = i, int32(i), int32(i)
+	if l.open != nil {
+		l.open.Children = append(l.open.Children, n)
+	}
+	if kids > 0 {
+		n.Children, l.arena = l.arena[:0:kids], l.arena[kids:]
+		l.open = n
+		return nil
+	}
+	// A leaf closes every open node whose last slot it (transitively) filled.
+	for l.open != nil && len(l.open.Children) == cap(l.open.Children) {
+		l.open.End = int32(i)
+		l.open = l.open.Parent
+	}
+	return nil
+}
+
+// Close reports a truncated tree: a node still waiting for children.
+func (l *Linker) Close() error {
+	if l.open != nil {
+		return fmt.Errorf("tree truncated: node %d waits for %d more children", l.open.Start, cap(l.open.Children)-len(l.open.Children))
+	}
+	return nil
 }
 
 // Subtree returns a read-only view of n's subtree as a Document: Root is n
